@@ -60,16 +60,10 @@ def taylor_coeffs(p: float, L: float, order: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """g(y) = (y+L)^p - L^p - p L^{p-1} y with its order-`order` Taylor data."""
+    """g(y) = (y+L)^p - L^p - p L^{p-1} y; its Taylor data come from taylor_coeffs."""
 
     L: float
     p: float
-    order: int = 8
-
-    def __post_init__(self):
-        object.__setattr__(self, "taylor", taylor_coeffs(self.p, self.L, self.order))
-
-    taylor: tuple[float, ...] = ()
 
 
 def g_eval(nl: Nonlinearity, y):
@@ -92,15 +86,14 @@ class VariationKernel:
     Nondegenerate: betas are the partial fractions 1/prod_{j!=i}(lam_i-lam_j)
     over the three negative eigenvalues, paired with plain exponential
     kernels.  Degenerate (lam2 = lam3): two plain kernels at lam1, lam3 and an
-    (s - tau)-weighted kernel at lam3.  The homogeneous coefficients alphas
-    depend on s0 and are left free for fitting; betas depend only on the
-    eigenvalues.
+    (s - tau)-weighted kernel at lam3.  The homogeneous coefficients depend
+    on s0 and are fitted (RepresentationFit.alphas); betas depend only on
+    the eigenvalues.
     """
 
     s0: float
     betas: tuple[float, float, float]
     degenerate: bool
-    alphas: tuple[float, float, float] | None = None
 
 
 def variation_kernel(spec: Spectrum, s0: float) -> VariationKernel:

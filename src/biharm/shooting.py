@@ -28,7 +28,7 @@ from .errors import (
     NoConvergence,
     StepFailure,
 )
-from .fdiff import central_offsets, diff_uniform
+from .fdiff import diff_uniform, stencil_margin
 from .params import ProblemParams
 from .spectrum import Spectrum, compute_spectrum, q4_eval
 
@@ -39,7 +39,11 @@ _EXT_NODES = 4
 
 @dataclass(frozen=True)
 class ShootControls:
-    """Tolerances and thresholds for the shooting solver."""
+    """Tolerances and thresholds for the shooting solver.
+
+    Blow-up is detected by the amplitude bound r^m phi >= 1.5 L alone; there
+    is no raw |phi| ceiling and so no blow-up factor to tune.
+    """
 
     r_seed: float = 1e-3        # Taylor seed radius
     r_switch: float = 10.0      # hand-off from the r-chart to the s-chart
@@ -47,7 +51,6 @@ class ShootControls:
     rtol: float = 1e-12
     atol: float = 1e-14
     ds: float = 0.01            # uniform s-grid spacing of the returned solution
-    blowup_factor: float = 1e8  # |u| > blowup_factor * alpha terminates as blow-up
     target_tol: float = 1e-3    # required |r^m phi(r_max)/L - 1| at r_max
     max_bisect: int = 240
     probe_lo: float = -1e3      # most negative v0 probed
@@ -180,64 +183,57 @@ class _Integrator:
         self.n = params.n
         self.p = params.p
         self.m = params.m
-        # clip the blow-up threshold so u^p stays representable
-        self.blow = alpha * min(controls.blowup_factor, 10.0 ** (250.0 / params.p))
         self.pow_cap = 10.0 ** (295.0 / params.p)
-        self.scoef = _s_operator_coeffs(self.n, self.m)
         self.L = math.exp(math.log(q4_eval(self.n, self.m)) / (params.p - 1.0))
+        # Python floats for the right-hand sides, which run on scalars
+        self.nm1 = self.n - 1.0
+        _, self.c1, self.c2, self.c3, self.c4 = _s_operator_coeffs(self.n, self.m).tolist()
+        self.events_r = self._events_r()
+        self.events_s = self._events_s()
 
     # --- right-hand sides -------------------------------------------------
+    # Scalar math: the states have four entries, where numpy's per-call
+    # overhead dominates.  The operations match the array form built on
+    # _power term for term, so the results are identical.
     def rhs_r(self, r, y):
-        u, w, v, z = y
-        return (
-            w,
-            v - (self.n - 1.0) * w / r,
-            z,
-            _power(u, self.p, self.pow_cap) - (self.n - 1.0) * z / r,
-        )
+        u, w, v, z = y.tolist()
+        nm1 = self.nm1
+        up = min(u, self.pow_cap) ** self.p if u > 0.0 else 0.0
+        return (w, v - nm1 * w / r, z, up - nm1 * z / r)
 
     def rhs_s(self, s, y):
-        c = self.scoef
-        w0, w1, w2, w3 = y
-        w4 = _power(w0, self.p, self.pow_cap) - (
-            c[1] * w3 + c[2] * w2 + c[3] * w1 + c[4] * w0
-        )
-        return (w1, w2, w3, w4)
+        w0, w1, w2, w3 = y.tolist()
+        up = min(w0, self.pow_cap) ** self.p if w0 > 0.0 else 0.0
+        return (w1, w2, w3, up - (self.c1 * w3 + self.c2 * w2 + self.c3 * w1 + self.c4 * w0))
 
     # --- events -----------------------------------------------------------
-    # Two blow-up triggers: the raw |u| ceiling, and the scale-aware bound
-    # r^m u >= 1.5 L.  The entire solution keeps r^m phi < L, so crossing the
-    # latter already identifies the unbounded side; waiting for the raw
-    # ceiling is impossible at large p (u^p makes the ODE too stiff to follow).
+    # Blow-up is the scale-aware bound r^m u >= 1.5 L: the entire solution
+    # keeps r^m phi < L, so crossing it already identifies the unbounded side.
+    # A raw |u| ceiling is not used: at large p, u^p makes the ODE too stiff
+    # to follow that far.  Events are [sign_loss, amplitude_cross].
     def _events_r(self):
         def sign_loss(r, y):
             return y[0]
 
-        def blow_up(r, y):
-            return y[0] - self.blow
-
         def amplitude_cross(r, y):
             return r**self.m * y[0] - 1.5 * self.L
 
-        for ev, d in ((sign_loss, -1), (blow_up, 1), (amplitude_cross, 1)):
+        for ev, d in ((sign_loss, -1), (amplitude_cross, 1)):
             ev.terminal = True
             ev.direction = d
-        return [sign_loss, blow_up, amplitude_cross]
+        return [sign_loss, amplitude_cross]
 
     def _events_s(self):
         def sign_loss(s, y):
             return y[0]
 
-        def blow_up(s, y):
-            return y[0] - self.blow * np.exp(self.m * s)
-
         def amplitude_cross(s, y):
             return y[0] - 1.5 * self.L
 
-        for ev, d in ((sign_loss, -1), (blow_up, 1), (amplitude_cross, 1)):
+        for ev, d in ((sign_loss, -1), (amplitude_cross, 1)):
             ev.terminal = True
             ev.direction = d
-        return [sign_loss, blow_up, amplitude_cross]
+        return [sign_loss, amplitude_cross]
 
     # --- single shot ------------------------------------------------------
     def shot(self, v0: float, r_max: float, dense: bool = False):
@@ -257,16 +253,15 @@ class _Integrator:
             method=c.method,
             rtol=c.rtol,
             atol=c.atol,
-            events=self._events_r(),
+            events=self.events_r,
             dense_output=dense,
         )
         if sol_r.status == -1:
             raise StepFailure(f"r-chart integration failed: {sol_r.message}")
         if sol_r.status == 1:
-            for idx in (1, 2):
-                if sol_r.t_events[idx].size:
-                    r_ev = float(sol_r.t_events[idx][0])
-                    return BlowUp(r=r_ev, value=float(sol_r.y_events[idx][0][0])), sol_r, None
+            if sol_r.t_events[1].size:
+                r_ev = float(sol_r.t_events[1][0])
+                return BlowUp(r=r_ev, value=float(sol_r.y_events[1][0][0])), sol_r, None
             r_ev = float(sol_r.t_events[0][0])
             if r_ev <= c.r_switch or not dense:
                 return SignLoss(r=r_ev), sol_r, None
@@ -291,16 +286,15 @@ class _Integrator:
             method=self.c.method,
             rtol=self.c.rtol,
             atol=self.c.atol,
-            events=self._events_s(),
+            events=self.events_s,
             dense_output=dense,
         )
         if sol_s.status == -1:
             raise StepFailure(f"s-chart integration failed: {sol_s.message}")
         if sol_s.status == 1:
-            for idx in (1, 2):
-                if sol_s.t_events[idx].size:
-                    s_ev = float(sol_s.t_events[idx][0])
-                    return BlowUp(r=math.exp(s_ev), value=float(sol_s.y_events[idx][0][0])), sol_s
+            if sol_s.t_events[1].size:
+                s_ev = float(sol_s.t_events[1][0])
+                return BlowUp(r=math.exp(s_ev), value=float(sol_s.y_events[1][0][0])), sol_s
             s_ev = float(sol_s.t_events[0][0])
             return SignLoss(r=math.exp(s_ev)), sol_s
         rho = sol_s.y[0, -1] / self.L - 1.0
@@ -658,7 +652,7 @@ def emden_fowler_residual(sol: RadialSolution, acc: int = 4) -> float:
     h = s[1] - s[0]
     if not np.allclose(np.diff(s), h, rtol=1e-9):
         raise InvalidParams("s-grid must be uniform for stencil differentiation")
-    margin = int(central_offsets(4, acc)[-1])
+    margin = stencil_margin(4, acc)
     if s.size - 2 * margin < 9:
         raise GridTooCoarse(
             f"{s.size} nodes leave fewer than 9 interior points for order-{acc} stencils"

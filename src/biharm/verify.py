@@ -246,7 +246,7 @@ def _tail_limit_convergence():
 def _taylor_consistency():
     rng = np.random.default_rng(_SEED)
     for p, L in ((9.5, 1.7), (12.0, 0.8), (8.2, 2.3)):
-        nl = Nonlinearity(L=L, p=p, order=7)
+        nl = Nonlinearity(L=L, p=p)
         d = taylor_coeffs(p, L, 7)
         y = rng.uniform(-L / 2.0, L / 2.0, 100)
         series = sum(d[j - 2] * y**j for j in range(2, 7))

@@ -5,12 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biharm import GridTooCoarse, InvalidParams, ProblemParams
+from biharm import GridTooCoarse, InvalidParams, ProblemParams, compute_pc
 from biharm.fdiff import central_offsets, diff_uniform, fd_weights
 from biharm.shooting import (
     BlowUp,
     ShootControls,
     SignLoss,
+    _Integrator,
+    _power,
+    _s_operator_coeffs,
     check_monotone_y,
     check_positivity,
     decay_slope,
@@ -62,6 +65,34 @@ def test_too_negative_v0_loses_sign(pc13):
     out = integrate_radial(params, alpha=1.0, v0=-100.0, r_max=100.0)
     assert isinstance(out, SignLoss)
     assert out.r > 0.0
+
+
+@pytest.mark.parametrize("n, p_of_pc", [
+    (13, lambda pc: pc + 0.5),
+    (20, lambda pc: 10.0 * pc),
+    (100, lambda pc: pc),
+])
+def test_scalar_rhs_matches_array_reference(n, p_of_pc):
+    # the scalar right-hand sides must reproduce the array formula built on
+    # _power bit for bit, including u < 0, u = 0 and u above the power cap
+    params = ProblemParams(n, p_of_pc(compute_pc(n)))
+    integ = _Integrator(params, 1.0, ShootControls())
+    c = _s_operator_coeffs(n, params.m)
+    nm1, cap = n - 1.0, integ.pow_cap
+    rng = np.random.default_rng(20240)
+    states = rng.normal(size=(64, 4)) * 10.0 ** rng.uniform(-6.0, 3.0, size=(64, 1))
+    states[:8, 0] = -np.abs(states[:8, 0])
+    states[8:12, 0] = 0.0
+    states[12:16, 0] = min(cap * 10.0, 1e300) * rng.uniform(0.2, 1.0, size=4)
+    assert np.all(states[12:16, 0] > cap)
+    for y, r in zip(states, rng.uniform(1e-3, 12.0, size=64)):
+        u, w, v, z = y
+        ref_r = (w, v - nm1 * w / r, z, _power(u, params.p, cap) - nm1 * z / r)
+        ref_s = (w, v, z, _power(u, params.p, cap) - (c[1] * z + c[2] * v + c[3] * w + c[4] * u))
+        for ref, got in ((ref_r, integ.rhs_r(r, y)), (ref_s, integ.rhs_s(math.log(r), y))):
+            ref, got = np.array(ref, dtype=float), np.array(got, dtype=float)
+            assert np.all(got == ref)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_integrate_radial_at_converged_v0(sol_quick):
