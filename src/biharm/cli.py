@@ -23,9 +23,9 @@ from .errors import (
     SubcriticalInput,
 )
 from .expansion import (
+    RUNG_TOL,
     detect_regime,
     fit_expansion,
-    regime_ordering_ok,
     representation_check,
     window_shift_stability,
 )
@@ -42,17 +42,17 @@ from .shooting import (
     y_integral_identity_check,
 )
 from .spectrum import compute_spectrum
-from .verify import run_checks
+from .verify import BOUNDS, expansion_invariants, run_checks, solve_invariants
 
 _INPUT_ERRORS = (InvalidParams, SubcriticalInput, DomainError)
 
 DEFAULTS = {
     "alpha": 1.0,
     "r_max": 1e4,
-    "tol_integrator": 1e-12,
-    "tol_root": 1e-3,
-    "tol_fit": 1e-3,
-    "tol_rung": 1e-4,
+    "tol_integrator": ShootControls.rtol,
+    "tol_root": ShootControls.target_tol,
+    "tol_fit": BOUNDS["a0_matches_L"],
+    "tol_rung": RUNG_TOL,
 }
 
 
@@ -290,7 +290,8 @@ def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
         fit = fit_expansion(sol, spec, regime, window or None)
         drift = window_shift_stability(sol, spec, regime, window or None)
         rep = representation_check(sol, spec)
-        yid = y_integral_identity_check(sol, spec)
+        records = solve_invariants(sol) + expansion_invariants(spec, fit, drift, rep, tol_fit)
+        invariants = {r.name: r for r in records}
     except _INPUT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -298,17 +299,6 @@ def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
-    lam3 = spec.lambdas[2]
-    a0 = fit.coefficients["a0"]
-    invariants = {
-        "a0_matches_L": abs(a0.value - spec.L) <= tol_fit * spec.L,
-        "remainder_slope_ok": fit.residual_slope
-        <= fit.theoretical_slope + 0.15 * abs(lam3),
-        "window_shift_stable": max(drift.values()) <= 3.0,
-        "regime_ordering_chain": regime_ordering_ok(spec, regime),
-        "representation_ok": rep <= 1e-3,
-        "integral_identity_ok": yid <= 1e-3,
-    }
     payload = {
         "n": n,
         "p": p,
@@ -323,9 +313,12 @@ def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
         "theoretical_slope": fit.theoretical_slope,
         "L": spec.L,
         "representation_deviation": rep,
-        "integral_identity_deviation": yid,
+        "integral_identity_deviation": invariants["integral_identity"].value,
         "window_shift_drift_se": {k_: v for k_, v in drift.items()},
-        "invariants": invariants,
+        "invariants": {
+            name: {"value": r.value, "bound": r.bound, "passed": r.passed}
+            for name, r in invariants.items()
+        },
     }
     if fmt == "csv":
         buf = io.StringIO()
@@ -335,9 +328,9 @@ def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
         _emit(buf.getvalue(), out)
     else:
         _report(payload, "json", out)
-    if not all(invariants.values()):
-        click.echo("expansion invariants FAILED: "
-                   + ", ".join(k for k, v in invariants.items() if not v), err=True)
+    failed = [str(r) for r in invariants.values() if not r.passed]
+    if failed:
+        click.echo("invariants FAILED: " + ", ".join(failed), err=True)
         sys.exit(1)
 
 

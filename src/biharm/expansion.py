@@ -34,6 +34,7 @@ from .shooting import RadialSolution, exp_kernel_convolve
 from .spectrum import Spectrum
 
 COND_LIMIT = 1e12
+RUNG_TOL = 1e-4  # default rung detection band of detect_regime
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +227,7 @@ class Regime:
 
 
 def detect_regime(
-    params: ProblemParams, ladder: CriticalLadder, rung_tol: float = 1e-4
+    params: ProblemParams, ladder: CriticalLadder, rung_tol: float = RUNG_TOL
 ) -> Regime:
     """Locate p relative to the rungs within tolerance band rung_tol.
 

@@ -36,14 +36,16 @@ from .spectrum import Spectrum, compute_spectrum, q4_eval
 # stencils (up to 9 points wide) cover every nominal node.
 _EXT_NODES = 4
 
+_MAX_BISECT = 240     # bisection steps per stage
+_PROBE_LO = -1e3      # most negative v0 probed
+_PROBE_HI = -1e-6     # least negative v0 probed
+_METHOD = "DOP853"
+_REFINE_FLOOR = 1e-13  # stage-1 contamination level at a refinement checkpoint
+
 
 @dataclass(frozen=True)
 class ShootControls:
-    """Tolerances and thresholds for the shooting solver.
-
-    Blow-up is detected by the amplitude bound r^m phi >= 1.5 L alone; there
-    is no raw |phi| ceiling and so no blow-up factor to tune.
-    """
+    """Tolerances and chart geometry for the shooting solver."""
 
     r_seed: float = 1e-3        # Taylor seed radius
     r_switch: float = 10.0      # hand-off from the r-chart to the s-chart
@@ -52,16 +54,6 @@ class ShootControls:
     atol: float = 1e-14
     ds: float = 0.01            # uniform s-grid spacing of the returned solution
     target_tol: float = 1e-3    # required |r^m phi(r_max)/L - 1| at r_max
-    max_bisect: int = 240
-    probe_lo: float = -1e3      # most negative v0 probed
-    probe_hi: float = -1e-6     # least negative v0 probed
-    method: str = "DOP853"
-    # Second bisection stage along the unstable eigendirection from a
-    # checkpoint inside the s-chart.  v0 is only resolvable to its ulp, which
-    # leaves an unstable-mode residue ~ ulp * e^{lam4 * s}; restarting the
-    # bisection from a checkpoint state removes that floor.
-    refine_unstable: bool = True
-    refine_floor: float = 1e-13  # stage-1 contamination level at the checkpoint
 
 
 @dataclass(frozen=True)
@@ -250,7 +242,7 @@ class _Integrator:
             self.rhs_r,
             (c.r_seed, r_end1),
             y0,
-            method=c.method,
+            method=_METHOD,
             rtol=c.rtol,
             atol=c.atol,
             events=self.events_r,
@@ -283,7 +275,7 @@ class _Integrator:
             self.rhs_s,
             (s_from, s_to),
             y_from,
-            method=self.c.method,
+            method=_METHOD,
             rtol=self.c.rtol,
             atol=self.c.atol,
             events=self.events_s,
@@ -455,13 +447,12 @@ def shoot(
         raise InvalidParams(f"r_max={r_max} must exceed the seed radius")
     spec = compute_spectrum(params)
     integ = _Integrator(params, alpha, controls)
-    c = controls
     # classification horizon covers the stencil extension of the final grids
-    r_cls = r_max * math.exp((_EXT_NODES + 1) * c.ds)
+    r_cls = r_max * math.exp((_EXT_NODES + 1) * controls.ds)
 
     # exact scale covariance maps (alpha=1, v0) -> (kappa^m, kappa^{m+2} v0)
     v_scale = alpha ** ((params.m + 2.0) / params.m)
-    ladder = -np.geomspace(-c.probe_hi, -c.probe_lo, 2 * 9 + 1) * v_scale
+    ladder = -np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1) * v_scale
 
     n_iter = 0
     best_v0 = None
@@ -489,7 +480,7 @@ def shoot(
             j = k
     v_up, v_dn = ladder[i], ladder[j]  # blow-up side, sign-loss side
 
-    while n_iter < c.max_bisect:
+    while n_iter < _MAX_BISECT:
         mid = 0.5 * (v_up + v_dn)
         if mid == v_up or mid == v_dn:
             break
@@ -514,9 +505,9 @@ def shoot(
     # bisection from a checkpoint state, lowering the e^{lam4 s} residue floor
     # that v0 (and then each checkpoint state) can resolve through its ulp.
     segments: list[tuple[float, object]] = []
-    if c.refine_unstable and sol_s is not None:
+    if sol_s is not None:
         s_prev = -math.inf
-        while len(segments) < 5 and abs(rho) > 0.1 * c.target_tol:
+        while len(segments) < 5 and abs(rho) > 0.1 * controls.target_tol:
             def sample_state(s):
                 for s_c, seg in reversed(segments):
                     if s >= s_c:
@@ -531,10 +522,10 @@ def shoot(
             rho, s_prev = rho_new, s_c
             n_iter += used
 
-    if abs(rho) > c.target_tol:
+    if abs(rho) > controls.target_tol:
         raise NoConvergence(
             f"best trajectory misses the target: |W/L - 1| = {abs(rho):.3g} > "
-            f"{c.target_tol:g} at r_max={r_max:g} after {len(segments)} refinement stages"
+            f"{controls.target_tol:g} at r_max={r_max:g} after {len(segments)} refinement stages"
         )
     return _assemble_solution(
         integ, spec, best_v0, r_max, sol_r, sol_s,
@@ -557,7 +548,7 @@ def _refine_unstable(integ, spec, sample_state, rho1, r_cls, s_prev):
     contam = max(abs(rho1), 1e-15)
     # place the checkpoint where the current residue has decayed to the floor,
     # keeping the state perturbation (hence the grid seam) at harmless size
-    s_c = s_end - math.log(contam / c.refine_floor) / lam4
+    s_c = s_end - math.log(contam / _REFINE_FLOOR) / lam4
     s_c = s_end - c.ds * round((s_end - s_c) / c.ds)  # snap to the output lattice
     if s_c < math.log(c.r_switch) + 0.5 or s_c > s_end - 1.0 or s_c <= s_prev + 0.1:
         return None
@@ -576,7 +567,7 @@ def _refine_unstable(integ, spec, sample_state, rho1, r_cls, s_prev):
             best_mu, best_rho = mu, out
         return _side_of(out)
 
-    mu_hi = 1e4 * c.refine_floor * integ.L
+    mu_hi = 1e4 * _REFINE_FLOOR * integ.L
     for _ in range(8):
         used += 2
         if side(mu_hi) > 0 and side(-mu_hi) < 0:
@@ -586,7 +577,7 @@ def _refine_unstable(integ, spec, sample_state, rho1, r_cls, s_prev):
         return None
 
     mu_up, mu_dn = mu_hi, -mu_hi
-    for _ in range(c.max_bisect):
+    for _ in range(_MAX_BISECT):
         mid = 0.5 * (mu_up + mu_dn)
         if mid == mu_up or mid == mu_dn:
             break
@@ -693,11 +684,7 @@ def exp_kernel_convolve(lam: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def y_integral_identity_check(
-    sol: RadialSolution,
-    spec: Spectrum | None = None,
-    window: tuple[float, float] | None = None,
-) -> float:
+def y_integral_identity_check(sol: RadialSolution, spec: Spectrum | None = None) -> float:
     """Deviation of Y from -int_s^inf e^{lam4 (s - tau)} Z(tau) dtau.
 
     The quadrature runs to the truncation point where |Z| falls below
@@ -725,10 +712,7 @@ def y_integral_identity_check(
     Y_rep = -(K + tail)
 
     Y_t = Y[: i_top + 1]
-    if window is None:
-        mask = (np.abs(Y_t) >= 1e-8 * np.max(np.abs(Y))) & (s_t <= s_t[-1] - 1.0)
-    else:
-        mask = (s_t >= window[0]) & (s_t <= window[1])
+    mask = (np.abs(Y_t) >= 1e-8 * np.max(np.abs(Y))) & (s_t <= s_t[-1] - 1.0)
     if not np.any(mask):
         raise InvalidParams("probe window contains no resolved nodes")
     dev = np.abs(Y_t[mask] - Y_rep[mask])

@@ -34,7 +34,6 @@ from .ladder import (
 )
 from .params import ProblemParams
 from .shooting import (
-    ShootControls,
     check_monotone_y,
     check_positivity,
     decay_slope,
@@ -266,44 +265,83 @@ def _taylor_consistency():
 # shooting / expansion checks (desk scale)
 # --------------------------------------------------------------------------
 
-_QUICK = ShootControls()
+# The bound of each solve and expansion invariant, written only here.
+BOUNDS = {
+    "target_residual": 1e-2,      # |r^m phi(r_max)/L - 1|
+    "transform_residual": 1e-4,   # Emden-Fowler residual over max W^p
+    "decay_slope": 0.1,           # |slope - lam3|, in units of |lam3|
+    "integral_identity": 1e-3,    # relative deviation of the Y identity
+    "a0_matches_L": 1e-3,         # |a0 - L|, in units of L
+    "remainder_slope_ok": 0.15,   # slack over lam2 + lam3, in units of |lam3|
+    "window_shift_stable": 3.0,   # coefficient drift, in standard errors
+    "representation_ok": 1e-3,    # variation-of-parameters deviation
+}
 
 
-def _quick_solution():
-    pc = compute_pc(13)
-    return shoot(ProblemParams(13, pc + 0.5), alpha=1.0, r_max=500.0, controls=_QUICK)
+@dataclass(frozen=True)
+class Invariant:
+    """A measured value and the bound it must not exceed (None: a yes/no check)."""
+
+    name: str
+    value: float | bool
+    bound: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value if self.bound is None else self.value <= self.bound)
+
+    def __str__(self) -> str:
+        if self.bound is None:
+            return f"{self.name} {self.value}"
+        return f"{self.name} {self.value:.3g} {'<=' if self.passed else '>'} {self.bound:.3g}"
+
+
+def solve_invariants(sol) -> tuple[Invariant, ...]:
+    """The invariants of a shooting solution, in report order."""
+    lam3 = sol.spectrum.lambdas[2]
+    return (
+        Invariant("target_residual", abs(sol.target_residual), BOUNDS["target_residual"]),
+        Invariant("phi_positive", check_positivity(sol)),
+        Invariant("Y_negative_nondecreasing", check_monotone_y(sol)),
+        Invariant("transform_residual", emden_fowler_residual(sol), BOUNDS["transform_residual"]),
+        Invariant("decay_slope", abs(decay_slope(sol) - lam3), BOUNDS["decay_slope"] * abs(lam3)),
+        Invariant("integral_identity", y_integral_identity_check(sol),
+                  BOUNDS["integral_identity"]),
+    )
+
+
+def expansion_invariants(
+    spec, fit, drift, rep, a0_tol: float = BOUNDS["a0_matches_L"]
+) -> tuple[Invariant, ...]:
+    """The invariants of an expansion fit, its window-shift drift and its
+    representation deviation, in report order."""
+    lam3 = spec.lambdas[2]
+    return (
+        Invariant("a0_matches_L", abs(fit.coefficients["a0"].value - spec.L),
+                  a0_tol * spec.L),
+        Invariant("remainder_slope_ok", fit.residual_slope,
+                  fit.theoretical_slope + BOUNDS["remainder_slope_ok"] * abs(lam3)),
+        Invariant("window_shift_stable", max(drift.values()), BOUNDS["window_shift_stable"]),
+        Invariant("regime_ordering_chain", regime_ordering_ok(spec, fit.regime)),
+        Invariant("representation_ok", rep, BOUNDS["representation_ok"]),
+    )
+
+
+def _verdict(invariants):
+    return all(r.passed for r in invariants), ", ".join(map(str, invariants))
 
 
 def _shooting_quick():
-    sol = _quick_solution()
-    if not check_positivity(sol):
-        return False, "phi lost positivity"
-    if not check_monotone_y(sol):
-        return False, "Y not negative/nondecreasing on the resolved range"
-    if abs(sol.target_residual) > 1e-2:
-        return False, f"end residual {sol.target_residual:.2e}"
-    ef = emden_fowler_residual(sol)
-    if ef > 1e-4:
-        return False, f"transform residual {ef:.2e}"
-    lam3 = sol.spectrum.lambdas[2]
-    slope = decay_slope(sol)
-    if abs(slope - lam3) > 0.1 * abs(lam3):
-        return False, f"decay slope {slope:.3f} vs lam3 {lam3:.3f}"
-    yid = y_integral_identity_check(sol)
-    if yid > 1e-3:
-        return False, f"integral identity deviation {yid:.2e}"
-    return True, (
-        f"residual {sol.target_residual:.1e}, transform defect {ef:.1e}, "
-        f"slope {slope:.3f} vs {lam3:.3f}, integral identity {yid:.1e}"
-    )
+    sol = shoot(ProblemParams(13, compute_pc(13) + 0.5), alpha=1.0, r_max=500.0)
+    return _verdict(solve_invariants(sol))
 
 
 def _scaling_covariance():
     pc = compute_pc(13)
     params = ProblemParams(13, pc + 0.5)
-    base = shoot(params, alpha=1.0, r_max=100.0, controls=_QUICK)
+    base = shoot(params, alpha=1.0, r_max=100.0)
     alpha = 2.0 ** params.m
-    direct = shoot(params, alpha=alpha, r_max=50.0, controls=_QUICK)
+    direct = shoot(params, alpha=alpha, r_max=50.0)
     mapped = rescale_solution(base, alpha)
     lo = max(direct.s_grid[0], mapped.s_grid[0])
     hi = min(direct.s_grid[-1], mapped.s_grid[-1])
@@ -315,31 +353,13 @@ def _scaling_covariance():
 
 
 def _expansion_quick():
-    pc = compute_pc(13)
-    params = ProblemParams(13, pc + 0.5)
-    sol = shoot(params, alpha=1.0, r_max=2000.0, controls=_QUICK)
+    params = ProblemParams(13, compute_pc(13) + 0.5)
+    sol = shoot(params, alpha=1.0, r_max=2000.0)
     spec = sol.spectrum
     regime = detect_regime(params, compute_ladder(13))
-    if not regime_ordering_ok(spec, regime):
-        return False, "regime-a eigenvalue chain violated"
     fit = fit_expansion(sol, spec, regime)
-    a0 = fit.coefficients["a0"]
-    if abs(a0.value - spec.L) > 1e-3 * spec.L:
-        return False, f"a0 = {a0.value} vs L = {spec.L}"
-    lam3 = spec.lambdas[2]
-    if fit.residual_slope > fit.theoretical_slope + 0.15 * abs(lam3):
-        return False, f"remainder slope {fit.residual_slope:.2f}"
-    rep = representation_check(sol, spec)
-    if rep > 1e-3:
-        return False, f"representation deviation {rep:.2e}"
     drift = window_shift_stability(sol, spec, regime)
-    if max(drift.values()) > 3.0:
-        return False, f"window-shift drift {max(drift.values()):.1f} standard errors"
-    return True, (
-        f"a0 off by {abs(a0.value - spec.L) / spec.L:.1e}, slope "
-        f"{fit.residual_slope:.2f} <= {fit.theoretical_slope:.2f} + slack, "
-        f"representation {rep:.1e}"
-    )
+    return _verdict(expansion_invariants(spec, fit, drift, representation_check(sol, spec)))
 
 
 _ALGEBRA = (

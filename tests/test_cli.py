@@ -102,6 +102,23 @@ def test_verify_algebra_scope(runner):
     assert any(entry["name"] == "sign_criterion" for entry in payload)
 
 
+def test_expand_failure_names_value_and_bound(runner, pc13):
+    res = runner.invoke(main, ["expand", "--n", "13", "--p", str(pc13 + 0.5),
+                               "--r-max", "2000", "--tol-fit", "1e-12"])
+    assert res.exit_code == 1
+    payload = json.loads(res.stdout)
+    invariants = payload["invariants"]
+    assert len(invariants) == 11
+    a0 = invariants.pop("a0_matches_L")
+    assert a0["passed"] is False
+    assert a0["bound"] == 1e-12 * payload["L"]
+    assert a0["value"] == abs(payload["coefficients"]["a0"]["value"] - payload["L"])
+    assert 1e-11 < a0["value"] < 1e-9
+    assert all(rec["passed"] for rec in invariants.values())
+    assert "a0_matches_L" in res.stderr
+    assert not any(name in res.stderr for name in invariants)
+
+
 def test_sweep_csv_roundtrip(runner, tmp_path):
     out = tmp_path / "sweep.csv"
     res = runner.invoke(main, ["sweep", "--n-min", "13", "--n-max", "20",
