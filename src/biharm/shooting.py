@@ -61,7 +61,6 @@ class BlowUp:
     """Trajectory exceeded the blow-up threshold at radius r."""
 
     r: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -165,6 +164,22 @@ def _s_to_radial_fields(n: int, m: float, s: np.ndarray, Wst: np.ndarray):
     return u, du, lap, dlap
 
 
+def _terminal_events(amplitude_cross):
+    """[sign_loss, amplitude_cross] as terminal solve_ivp events.
+
+    Blow-up is the scale-aware bound r^m u >= 1.5 L: the entire solution keeps
+    r^m phi < L, so crossing it already identifies the unbounded side.  No raw
+    |u| ceiling: at large p, u^p makes the ODE too stiff to follow that far.
+    """
+    def sign_loss(t, y):
+        return y[0]
+
+    for ev, d in ((sign_loss, -1), (amplitude_cross, 1)):
+        ev.terminal = True
+        ev.direction = d
+    return [sign_loss, amplitude_cross]
+
+
 class _Integrator:
     """One (n, p, alpha) configuration; integrates arbitrary v0 shots."""
 
@@ -180,8 +195,12 @@ class _Integrator:
         # Python floats for the right-hand sides, which run on scalars
         self.nm1 = self.n - 1.0
         _, self.c1, self.c2, self.c3, self.c4 = _s_operator_coeffs(self.n, self.m).tolist()
-        self.events_r = self._events_r()
-        self.events_s = self._events_s()
+        m, L = self.m, self.L
+        # chart -> (right-hand side, events); W = r^m u in the r-chart, u in the s-chart
+        self.charts = {
+            "r": (self.rhs_r, _terminal_events(lambda r, y: r**m * y[0] - 1.5 * L)),
+            "s": (self.rhs_s, _terminal_events(lambda s, y: y[0] - 1.5 * L)),
+        }
 
     # --- right-hand sides -------------------------------------------------
     # Scalar math: the states have four entries, where numpy's per-call
@@ -198,99 +217,49 @@ class _Integrator:
         up = min(w0, self.pow_cap) ** self.p if w0 > 0.0 else 0.0
         return (w1, w2, w3, up - (self.c1 * w3 + self.c2 * w2 + self.c3 * w1 + self.c4 * w0))
 
-    # --- events -----------------------------------------------------------
-    # Blow-up is the scale-aware bound r^m u >= 1.5 L: the entire solution
-    # keeps r^m phi < L, so crossing it already identifies the unbounded side.
-    # A raw |u| ceiling is not used: at large p, u^p makes the ODE too stiff
-    # to follow that far.  Events are [sign_loss, amplitude_cross].
-    def _events_r(self):
-        def sign_loss(r, y):
-            return y[0]
+    # --- one leg, one shot ------------------------------------------------
+    def leg(self, chart: str, span, y0, dense: bool = False):
+        """Integrate one leg of chart "r" or "s" over span; returns (outcome, sol).
 
-        def amplitude_cross(r, y):
-            return r**self.m * y[0] - 1.5 * self.L
+        outcome is BlowUp, SignLoss (event radius in r), or the float residual
+        W/L - 1 at the end of the span; sol is the solve_ivp result.
+        """
+        rhs, events = self.charts[chart]
+        sol = solve_ivp(
+            rhs, span, y0, method=_METHOD, rtol=self.c.rtol, atol=self.c.atol,
+            events=events, dense_output=dense,
+        )
+        if sol.status == -1:
+            raise StepFailure(f"{chart}-chart integration failed: {sol.message}")
+        if sol.status == 1:
+            hit = 1 if sol.t_events[1].size else 0
+            t_ev = float(sol.t_events[hit][0])
+            r_ev = t_ev if chart == "r" else math.exp(t_ev)
+            return (BlowUp if hit else SignLoss)(r=r_ev), sol
+        u_end = sol.y[0, -1]
+        w_end = span[1] ** self.m * u_end if chart == "r" else u_end
+        return float(w_end / self.L - 1.0), sol
 
-        for ev, d in ((sign_loss, -1), (amplitude_cross, 1)):
-            ev.terminal = True
-            ev.direction = d
-        return [sign_loss, amplitude_cross]
-
-    def _events_s(self):
-        def sign_loss(s, y):
-            return y[0]
-
-        def amplitude_cross(s, y):
-            return y[0] - 1.5 * self.L
-
-        for ev, d in ((sign_loss, -1), (amplitude_cross, 1)):
-            ev.terminal = True
-            ev.direction = d
-        return [sign_loss, amplitude_cross]
-
-    # --- single shot ------------------------------------------------------
     def shot(self, v0: float, r_max: float, dense: bool = False):
-        """Integrate one shot; returns (outcome, sol_r, sol_s).
+        """Integrate one shot from the origin; returns (outcome, sol_r, legs).
 
-        outcome is BlowUp, SignLoss, or the float residual r^m phi / L - 1 at
-        the end of the range.  sol_r / sol_s are the solve_ivp results (sol_s
-        is None when r_max <= r_switch).
+        outcome is as for `leg`, at r_max.  sol_r is the r-chart solve_ivp
+        result; legs is [(log r_switch, s-chart result)], or [] when the shot
+        ended in the r-chart (an outcome before r_switch, or r_max <= r_switch).
         """
         c = self.c
         r_end1 = min(c.r_overlap if dense else c.r_switch, r_max)
         y0 = _taylor_seed(self.n, self.p, self.alpha, v0, c.r_seed)
-        sol_r = solve_ivp(
-            self.rhs_r,
-            (c.r_seed, r_end1),
-            y0,
-            method=_METHOD,
-            rtol=c.rtol,
-            atol=c.atol,
-            events=self.events_r,
-            dense_output=dense,
-        )
-        if sol_r.status == -1:
-            raise StepFailure(f"r-chart integration failed: {sol_r.message}")
-        if sol_r.status == 1:
-            if sol_r.t_events[1].size:
-                r_ev = float(sol_r.t_events[1][0])
-                return BlowUp(r=r_ev, value=float(sol_r.y_events[1][0][0])), sol_r, None
-            r_ev = float(sol_r.t_events[0][0])
-            if r_ev <= c.r_switch or not dense:
-                return SignLoss(r=r_ev), sol_r, None
-            # event in the overlap zone: the s-chart run below decides first
-
-        if r_max <= c.r_switch:
-            u = sol_r.y[0, -1]
-            rho = r_max**self.m * u / self.L - 1.0
-            return float(rho), sol_r, None
-
+        outcome, sol_r = self.leg("r", (c.r_seed, r_end1), y0, dense)
+        # a sign loss in the overlap zone of a dense shot: the s-chart decides
+        overlap_loss = isinstance(outcome, SignLoss) and dense and outcome.r > c.r_switch
+        if r_max <= c.r_switch or isinstance(outcome, (BlowUp, SignLoss)) and not overlap_loss:
+            return outcome, sol_r, []
         y_sw = sol_r.sol(c.r_switch) if dense else sol_r.y[:, -1]
         w0 = _r_to_s_state(self.n, self.m, c.r_switch, y_sw)
-        outcome, sol_s = self.integrate_s(math.log(c.r_switch), w0, math.log(r_max), dense)
-        return outcome, sol_r, sol_s
-
-    def integrate_s(self, s_from: float, y_from, s_to: float, dense: bool = False):
-        """s-chart leg from (s_from, state) to s_to; same outcome vocabulary."""
-        sol_s = solve_ivp(
-            self.rhs_s,
-            (s_from, s_to),
-            y_from,
-            method=_METHOD,
-            rtol=self.c.rtol,
-            atol=self.c.atol,
-            events=self.events_s,
-            dense_output=dense,
-        )
-        if sol_s.status == -1:
-            raise StepFailure(f"s-chart integration failed: {sol_s.message}")
-        if sol_s.status == 1:
-            if sol_s.t_events[1].size:
-                s_ev = float(sol_s.t_events[1][0])
-                return BlowUp(r=math.exp(s_ev), value=float(sol_s.y_events[1][0][0])), sol_s
-            s_ev = float(sol_s.t_events[0][0])
-            return SignLoss(r=math.exp(s_ev)), sol_s
-        rho = sol_s.y[0, -1] / self.L - 1.0
-        return float(rho), sol_s
+        s_switch = math.log(c.r_switch)
+        outcome, sol_s = self.leg("s", (s_switch, math.log(r_max)), w0, dense)
+        return outcome, sol_r, [(s_switch, sol_s)]
 
 
 def integrate_radial(
@@ -312,47 +281,39 @@ def integrate_radial(
         raise InvalidParams(f"r_max > 0 required, got {r_max}")
     spec = compute_spectrum(params)
     integ = _Integrator(params, alpha, controls)
-    outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp((_EXT_NODES + 1) * controls.ds), dense=True)
+    outcome, sol_r, legs = integ.shot(v0, r_max * math.exp((_EXT_NODES + 1) * controls.ds), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return outcome
-    return _assemble_solution(
-        integ, spec, v0, r_max, sol_r, sol_s,
-        target_residual=math.nan, n_bisect=0,
-    )
+    return _assemble_solution(integ, spec, v0, r_max, sol_r, legs, n_bisect=0)
 
 
-def _sample_phase_states(integ, sol_r, sol_s, s_nodes, segments=()):
+def _sample_phase_states(integ, sol_r, legs, s_nodes):
     """State samples (4, len(s_nodes)) in s-chart form.
 
-    Nodes below log(r_switch) come from the r-chart, the rest from the
-    s-chart; refinement `segments` [(s_c, dense), ...] supersede earlier
-    legs from their checkpoint onward.
+    Nodes below the first s-chart leg come from the r-chart (all of them
+    when there is no leg); each later leg [(s_from, dense), ...] supersedes
+    the earlier ones from its s_from onward.
     """
-    c = integ.c
-    s_switch = math.log(c.r_switch)
     out = np.empty((4, s_nodes.size))
-    from_r = s_nodes < s_switch if sol_s is not None else np.ones(s_nodes.size, dtype=bool)
+    from_r = s_nodes < legs[0][0] if legs else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
         rr = np.exp(s_nodes[from_r])
         ys = sol_r.sol(rr)
+        # per node: one vectorized call rounds some entries differently
         out[:, from_r] = np.stack(
             [_r_to_s_state(integ.n, integ.m, r, ys[:, i]) for i, r in enumerate(rr)],
             axis=1,
         )
     remaining = ~from_r
-    for s_c, seg in reversed(list(segments)):
-        pick = remaining & (s_nodes >= s_c)
+    for s_from, leg in reversed(legs):
+        pick = remaining & (s_nodes >= s_from)
         if np.any(pick):
-            out[:, pick] = seg.sol(s_nodes[pick])
+            out[:, pick] = leg.sol(s_nodes[pick])
             remaining &= ~pick
-    if sol_s is not None and np.any(remaining):
-        out[:, remaining] = sol_s.sol(s_nodes[remaining])
     return out
 
 
-def _assemble_solution(
-    integ, spec, v0, r_max, sol_r, sol_s, target_residual, n_bisect, segments=(),
-):
+def _assemble_solution(integ, spec, v0, r_max, sol_r, legs, n_bisect):
     c = integ.c
     ds = c.ds
     s_top = math.log(r_max)
@@ -360,7 +321,7 @@ def _assemble_solution(
     n_nodes = int(math.floor((s_top - s_bottom) / ds)) - _EXT_NODES
     # anchor the lattice at s_top so r_max itself is a node
     s_ext = s_top + ds * np.arange(-(n_nodes + _EXT_NODES), _EXT_NODES + 1)
-    states = _sample_phase_states(integ, sol_r, sol_s, s_ext, segments)
+    states = _sample_phase_states(integ, sol_r, legs, s_ext)
     W_ext = states[0]
     lam4 = spec.lambdas[3]
     Y_ext = W_ext - integ.L
@@ -380,16 +341,15 @@ def _assemble_solution(
     r_grid = np.exp(s_grid)
 
     # chart handoff consistency: both charts integrate [r_switch, r_overlap]
-    if sol_s is not None and c.r_overlap > c.r_switch:
+    if legs and c.r_overlap > c.r_switch:
         rr = np.linspace(c.r_switch * 1.02, min(c.r_overlap, r_max), 25)
         w_chart1 = rr**integ.m * sol_r.sol(rr)[0]
-        w_chart2 = sol_s.sol(np.log(rr))[0]
+        w_chart2 = legs[0][1].sol(np.log(rr))[0]
         overlap = float(np.max(np.abs(w_chart1 - w_chart2)) / integ.L)
     else:
         overlap = math.nan
 
-    if math.isnan(target_residual):
-        target_residual = float(W[-1] / integ.L - 1.0)
+    target_residual = float(W[-1] / integ.L - 1.0)
     # bound on the end-value change under re-solving (e.g. halved tolerance):
     # both runs land within their residual floors of the separatrix
     error_estimate = 4.0 * max(abs(target_residual), 100.0 * c.rtol) * integ.L
@@ -413,18 +373,47 @@ def _assemble_solution(
     )
 
 
-def _side_of(outcome) -> int:
-    """Side of the separatrix: +1 blow-up side, -1 sign-loss side.
+class _Best:
+    """The survivor with the smallest end residual among one stage's trials,
+    each integrated by trial(x), which returns its outcome."""
 
-    Survivors carry a side too: the sign of the end residual W/L - 1 (the
-    true solution keeps Y < 0, so a positive residual means the unstable
-    deviation points up).
+    def __init__(self, trial):
+        self.trial, self.x, self.rho = trial, None, math.inf
+
+    def side(self, x) -> int:
+        """Side of the separatrix at x: +1 blow-up side, -1 sign-loss side.
+
+        Survivors carry a side too: the sign of the end residual W/L - 1 (the
+        true solution keeps Y < 0, so a positive residual means the unstable
+        deviation points up).
+        """
+        out = self.trial(x)
+        if isinstance(out, BlowUp):
+            return 1
+        if isinstance(out, SignLoss):
+            return -1
+        if abs(out) < abs(self.rho):
+            self.x, self.rho = x, out
+        return 1 if out >= 0.0 else -1
+
+
+def _bisect(side, up, dn, done=None) -> int:
+    """Bisect between up (blow-up side) and dn (sign-loss side).
+
+    Stops when the midpoint rounds onto an endpoint, when done(up, dn) holds
+    after a step, or after _MAX_BISECT steps; returns the midpoints tried.
     """
-    if isinstance(outcome, BlowUp):
-        return 1
-    if isinstance(outcome, SignLoss):
-        return -1
-    return 1 if outcome >= 0.0 else -1
+    for steps in range(_MAX_BISECT):
+        mid = 0.5 * (up + dn)
+        if mid == up or mid == dn:
+            return steps
+        if side(mid) > 0:
+            up = mid
+        else:
+            dn = mid
+        if done is not None and done(up, dn):
+            return steps + 1
+    return _MAX_BISECT
 
 
 def shoot(
@@ -454,18 +443,8 @@ def shoot(
     v_scale = alpha ** ((params.m + 2.0) / params.m)
     ladder = -np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1) * v_scale
 
-    n_iter = 0
-    best_v0 = None
-    best_rho = math.inf  # smallest end residual among trajectories reaching r_cls
-
-    def side(v0):
-        nonlocal best_v0, best_rho
-        out, _, _ = integ.shot(v0, r_cls, dense=False)
-        if not isinstance(out, (BlowUp, SignLoss)) and abs(out) < abs(best_rho):
-            best_v0, best_rho = v0, out
-        return _side_of(out)
-
-    if side(ladder[0]) != 1 or side(ladder[-1]) != -1:
+    best = _Best(lambda v0: integ.shot(v0, r_cls)[0])
+    if best.side(ladder[0]) != 1 or best.side(ladder[-1]) != -1:
         raise BracketNotFound(
             "probe ladder endpoints do not bracket the separatrix in v0 range "
             f"[{ladder[-1]:.3g}, {ladder[0]:.3g}]"
@@ -474,73 +453,49 @@ def shoot(
     i, j = 0, ladder.size - 1
     while j - i > 1:
         k = (i + j) // 2
-        if side(ladder[k]) > 0:
+        if best.side(ladder[k]) > 0:
             i = k
         else:
             j = k
-    v_up, v_dn = ladder[i], ladder[j]  # blow-up side, sign-loss side
-
-    while n_iter < _MAX_BISECT:
-        mid = 0.5 * (v_up + v_dn)
-        if mid == v_up or mid == v_dn:
-            break
-        n_iter += 1
-        if side(mid) > 0:
-            v_up = mid
-        else:
-            v_dn = mid
-    if best_v0 is None:
+    n_iter = _bisect(best.side, ladder[i], ladder[j])
+    if best.x is None:
         raise NoConvergence(
             f"no trajectory reached r_max={r_max:g}; bisection collapsed after "
             f"{n_iter} steps between blow-up and sign-loss"
         )
 
-    outcome, sol_r, sol_s = integ.shot(best_v0, r_cls, dense=True)
-    if isinstance(outcome, (BlowUp, SignLoss)):
+    rho, sol_r, legs = integ.shot(best.x, r_cls, dense=True)
+    if isinstance(rho, (BlowUp, SignLoss)):
         # dense rerun must match the classification pass
         raise NoConvergence("accepted trajectory regressed on the dense rerun")
-    rho = float(outcome)
 
     # Iterated unstable-direction refinement: each stage restarts the
     # bisection from a checkpoint state, lowering the e^{lam4 s} residue floor
     # that v0 (and then each checkpoint state) can resolve through its ulp.
-    segments: list[tuple[float, object]] = []
-    if sol_s is not None:
-        s_prev = -math.inf
-        while len(segments) < 5 and abs(rho) > 0.1 * controls.target_tol:
-            def sample_state(s):
-                for s_c, seg in reversed(segments):
-                    if s >= s_c:
-                        return seg.sol(s)
-                return sol_s.sol(s)
-
-            refined = _refine_unstable(integ, spec, sample_state, rho, r_cls, s_prev)
-            if refined is None:
-                break
-            seg, s_c, rho_new, used = refined
-            segments.append((s_c, seg))
-            rho, s_prev = rho_new, s_c
-            n_iter += used
+    while legs and len(legs[1:]) < 5 and abs(rho) > 0.1 * controls.target_tol:
+        refined = _refine_unstable(integ, spec, legs, rho, r_cls)
+        if refined is None:
+            break
+        s_c, leg, rho, used = refined
+        legs.append((s_c, leg))
+        n_iter += used
 
     if abs(rho) > controls.target_tol:
         raise NoConvergence(
             f"best trajectory misses the target: |W/L - 1| = {abs(rho):.3g} > "
-            f"{controls.target_tol:g} at r_max={r_max:g} after {len(segments)} refinement stages"
+            f"{controls.target_tol:g} at r_max={r_max:g} after {len(legs[1:])} refinement stages"
         )
-    return _assemble_solution(
-        integ, spec, best_v0, r_max, sol_r, sol_s,
-        target_residual=math.nan, n_bisect=n_iter, segments=segments,
-    )
+    return _assemble_solution(integ, spec, best.x, r_max, sol_r, legs, n_bisect=n_iter)
 
 
-def _refine_unstable(integ, spec, sample_state, rho1, r_cls, s_prev):
+def _refine_unstable(integ, spec, legs, rho1, r_cls):
     """One refinement stage from a checkpoint along the unstable direction.
 
-    Perturbs the checkpoint state by mu * e4 (e4 the unstable eigenvector of
-    the constant-coefficient linear part at the fixed point) and bisects on
-    mu over the remaining range.  Returns (dense leg, s_c, end residual,
-    iterations used) or None when no useful checkpoint exists or no progress
-    was made.
+    Perturbs the state of the last leg at a checkpoint past its start by
+    mu * e4 (e4 the unstable eigenvector of the constant-coefficient linear
+    part at the fixed point) and bisects on mu over the remaining range.
+    Returns (s_c, dense leg, end residual, iterations used) or None when no
+    useful checkpoint exists or no progress was made.
     """
     c = integ.c
     lam4 = spec.lambdas[3]
@@ -550,50 +505,34 @@ def _refine_unstable(integ, spec, sample_state, rho1, r_cls, s_prev):
     # keeping the state perturbation (hence the grid seam) at harmless size
     s_c = s_end - math.log(contam / _REFINE_FLOOR) / lam4
     s_c = s_end - c.ds * round((s_end - s_c) / c.ds)  # snap to the output lattice
+    s_prev, last = legs[-1]
     if s_c < math.log(c.r_switch) + 0.5 or s_c > s_end - 1.0 or s_c <= s_prev + 0.1:
         return None
-    y_c = sample_state(s_c)
+    y_c = last.sol(s_c)
     e4 = np.array([1.0, lam4, lam4**2, lam4**3])
     e4 /= np.linalg.norm(e4)
+    best = _Best(lambda mu: integ.leg("s", (s_c, s_end), y_c + mu * e4)[0])
 
-    best_mu = None
-    best_rho = math.inf
     used = 0
-
-    def side(mu):
-        nonlocal best_mu, best_rho
-        out, _ = integ.integrate_s(s_c, y_c + mu * e4, s_end, dense=False)
-        if not isinstance(out, (BlowUp, SignLoss)) and abs(out) < abs(best_rho):
-            best_mu, best_rho = mu, out
-        return _side_of(out)
-
     mu_hi = 1e4 * _REFINE_FLOOR * integ.L
     for _ in range(8):
         used += 2
-        if side(mu_hi) > 0 and side(-mu_hi) < 0:
+        if best.side(mu_hi) > 0 and best.side(-mu_hi) < 0:
             break
         mu_hi *= 100.0
     else:
         return None
 
-    mu_up, mu_dn = mu_hi, -mu_hi
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (mu_up + mu_dn)
-        if mid == mu_up or mid == mu_dn:
-            break
-        used += 1
-        if side(mid) > 0:
-            mu_up = mid
-        else:
-            mu_dn = mid
-        if best_mu is not None and abs(mu_up - mu_dn) < 1e-18 * integ.L:
-            break
-    if best_mu is None or abs(best_rho) >= abs(rho1):
+    used += _bisect(
+        best.side, mu_hi, -mu_hi,
+        done=lambda up, dn: best.x is not None and abs(up - dn) < 1e-18 * integ.L,
+    )
+    if best.x is None or abs(best.rho) >= abs(rho1):
         return None
-    outcome, seg = integ.integrate_s(s_c, y_c + best_mu * e4, s_end, dense=True)
+    outcome, leg = integ.leg("s", (s_c, s_end), y_c + best.x * e4, dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return None
-    return seg, s_c, float(outcome), used
+    return s_c, leg, outcome, used
 
 
 def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:

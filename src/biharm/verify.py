@@ -2,7 +2,7 @@
 
 Each check reproduces one structural claim (eigenvalue identities, sign
 tables, ladder counts, shooting monotonicity, ...) at desk scale and returns
-a CheckResult; cmd_verify prints one pass/fail line per check.
+a CheckResult; `biharm verify` prints one pass/fail line per check.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
+import functools
 import io
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +9,15 @@ import pytest
 
 from biharm import GridTooCoarse, InvalidParams, ProblemParams, compute_pc
 from biharm.fdiff import central_offsets, diff_uniform, fd_weights
+import biharm.shooting
 from biharm.shooting import (
+    _EXT_NODES,
+    _MAX_BISECT,
     BlowUp,
+    RadialSolution,
     ShootControls,
     SignLoss,
+    _bisect,
     _Integrator,
     _power,
     _s_operator_coeffs,
@@ -93,6 +100,82 @@ def test_scalar_rhs_matches_array_reference(n, p_of_pc):
             ref, got = np.array(ref, dtype=float), np.array(got, dtype=float)
             assert np.all(got == ref)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _threshold_side(thr, trials):
+    # blow-up side at and above thr; records every point it is asked about
+    def side(x):
+        trials.append(x)
+        return 1 if x >= thr else -1
+    return side
+
+
+def test_bisect_collapses_to_adjacent_floats():
+    trials = []
+    steps = _bisect(_threshold_side(0.3, trials), 1.0, 0.0)
+    assert steps == len(trials) < _MAX_BISECT
+    up = min(x for x in trials if x >= 0.3)
+    dn = max(x for x in trials if x < 0.3)
+    assert np.nextafter(dn, math.inf) == up
+
+
+def test_bisect_done_stops_early():
+    trials = []
+    steps = _bisect(_threshold_side(0.3, trials), 1.0, 0.0, done=lambda up, dn: up - dn < 1e-3)
+    # 2^-10 < 1e-3 < 2^-9: the tenth halving is the first that satisfies done
+    assert steps == len(trials) == 10
+
+
+def test_bisect_stops_at_step_cap():
+    # the threshold sits among the subnormals, more than _MAX_BISECT halvings below 1
+    trials = []
+    steps = _bisect(_threshold_side(5e-324, trials), 1.0, 0.0)
+    assert steps == len(trials) == _MAX_BISECT
+
+
+def test_shoot_r_chart_only(pc13):
+    # r_max <= r_switch: the shooter never enters the s-chart
+    params = ProblemParams(13, pc13 + 0.5)
+    sol = shoot(params, alpha=1.0, r_max=5.0)
+    assert isinstance(sol, RadialSolution)
+    assert math.isnan(sol.chart_overlap_residual)
+    assert sol.n_bisect > 0
+    assert abs(sol.target_residual) < 1e-2
+    again = integrate_radial(params, alpha=1.0, v0=sol.v0, r_max=5.0)
+    assert np.array_equal(again.s_grid, sol.s_grid)
+    assert np.array_equal(again.W, sol.W)
+    # the bisection classifies shots at the stencil margin past r_max, and its
+    # best survivor ends there on W = L
+    r_cls = 5.0 * math.exp((_EXT_NODES + 1) * ShootControls().ds)
+    edge = integrate_radial(params, alpha=1.0, v0=sol.v0, r_max=r_cls)
+    assert abs(edge.W[-1] / edge.spectrum.L - 1.0) < 1e-9
+
+
+def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
+    # Tracing swaps the module's solve_ivp and labels each call's chart by the
+    # right-hand side's __name__; every integration must be visible that way,
+    # so the RHS evaluations counted through it must be all of them.
+    plain = biharm.shooting.solve_ivp
+    nfev, evaluated = Counter(), Counter()
+
+    def counting_solve_ivp(fun, *args, **kwargs):
+        result = plain(fun, *args, **kwargs)
+        nfev[fun.__name__] += result.nfev
+        return result
+
+    def counted(rhs):
+        @functools.wraps(rhs)
+        def wrapper(self, t, y):
+            evaluated[rhs.__name__] += 1
+            return rhs(self, t, y)
+        return wrapper
+
+    monkeypatch.setattr(biharm.shooting, "solve_ivp", counting_solve_ivp)
+    for name in ("rhs_r", "rhs_s"):
+        monkeypatch.setattr(_Integrator, name, counted(getattr(_Integrator, name)))
+    shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
+    assert set(nfev) == {"rhs_r", "rhs_s"}
+    assert nfev == evaluated
 
 
 def test_integrate_radial_at_converged_v0(sol_quick):
