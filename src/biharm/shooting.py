@@ -41,6 +41,12 @@ _PROBE_LO = -1e3      # most negative v0 probed
 _PROBE_HI = -1e-6     # least negative v0 probed
 _METHOD = "DOP853"
 _REFINE_FLOOR = 1e-13  # stage-1 contamination level at a refinement checkpoint
+# relative v0 bracket width below which the r_switch state is linear in v0 to
+# within the integration noise, so midpoints are classified from the chord
+# (second stage of shoot)
+_CHORD_SWITCH = math.sqrt(np.finfo(float).eps)
+# refinement runs when the dense stage-1 |rho| exceeds this times target_tol
+_REFINE_TRIGGER = 1e-3
 
 
 @dataclass(frozen=True)
@@ -424,11 +430,22 @@ def shoot(
 ) -> RadialSolution:
     """Find the entire positive solution with phi(0) = alpha by bisection on v0.
 
-    Probes a geometric ladder of negative v0 values for a (blow-up, sign-loss)
-    bracket, then bisects until the bracket collapses to rounding, keeping the
-    surviving trajectory with the smallest end residual |r^m phi(r_max)/L - 1|.
-    Collapsing fully (rather than stopping at the first acceptable residual)
-    also minimizes the unstable-mode contamination that downstream fits see.
+    Three stages.  (1) v0 bisection: a geometric ladder of negative v0 values
+    gives a (blow-up, sign-loss) bracket, which is bisected with full shots
+    from the origin until it is narrower than _CHORD_SWITCH relative to v0.
+    (2) Chord bisection: the s-chart start state at r_switch is then linear
+    in v0 to within the integration noise, so each further midpoint is
+    classified by one s-chart leg from the chord between the bracket ends'
+    start states, with no r-chart leg, until the bracket collapses to
+    adjacent floats; those two floats get full shots.
+    The accepted v0 is the full-shot survivor with the smallest end residual
+    |r^m phi(r_max)/L - 1|, so its dense rerun is integrate_radial(v0).
+    (3) Refinement, all or nothing: when that rerun's residual exceeds
+    _REFINE_TRIGGER * target_tol, bisection restarts along the unstable
+    eigenvector from checkpoints until a stage makes no progress (at most 5
+    stages); otherwise none runs.  Collapsing fully (rather than stopping at
+    the first acceptable residual) also minimizes the unstable-mode
+    contamination that downstream fits see.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
@@ -443,7 +460,15 @@ def shoot(
     v_scale = alpha ** ((params.m + 2.0) / params.m)
     ladder = -np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1) * v_scale
 
-    best = _Best(lambda v0: integ.shot(v0, r_cls)[0])
+    starts = {}  # v0 -> s-chart start state at r_switch of its full shot
+
+    def full_shot(v0):
+        outcome, _, legs = integ.shot(v0, r_cls)
+        if legs:
+            starts[v0] = legs[0][1].y[:, 0]
+        return outcome
+
+    best = _Best(full_shot)
     if best.side(ladder[0]) != 1 or best.side(ladder[-1]) != -1:
         raise BracketNotFound(
             "probe ladder endpoints do not bracket the separatrix in v0 range "
@@ -457,7 +482,25 @@ def shoot(
             i = k
         else:
             j = k
-    n_iter = _bisect(best.side, ladder[i], ladder[j])
+    bracket = [ladder[i], ladder[j]]  # (up, dn) as the last bisection step left it
+
+    def recording(stop):
+        # a _bisect done-callback that keeps `bracket` current
+        def done(up, dn):
+            bracket[:] = up, dn
+            return stop(up, dn)
+        return done
+
+    def chord_ready(up, dn):
+        return abs(up - dn) < _CHORD_SWITCH * abs(up) and up in starts and dn in starts
+
+    n_iter = _bisect(best.side, *bracket, done=recording(chord_ready))
+    if chord_ready(*bracket):  # stage 1 stopped on the chord condition, not on collapse
+        chord = _Best(_chord_trial(integ, starts, *bracket, r_cls))
+        n_iter += _bisect(chord.side, *bracket, done=recording(lambda up, dn: False))
+        for v0 in bracket:
+            if v0 not in starts:
+                best.side(v0)
     if best.x is None:
         raise NoConvergence(
             f"no trajectory reached r_max={r_max:g}; bisection collapsed after "
@@ -467,18 +510,25 @@ def shoot(
     rho, sol_r, legs = integ.shot(best.x, r_cls, dense=True)
     if isinstance(rho, (BlowUp, SignLoss)):
         # dense rerun must match the classification pass
-        raise NoConvergence("accepted trajectory regressed on the dense rerun")
+        raise NoConvergence(
+            f"accepted trajectory v0={best.x:.17g} regressed on the dense rerun: "
+            f"{rho} where the classification pass survived with |W/L - 1| = "
+            f"{abs(best.rho):.3g} at r={r_cls:g}"
+        )
 
     # Iterated unstable-direction refinement: each stage restarts the
     # bisection from a checkpoint state, lowering the e^{lam4 s} residue floor
     # that v0 (and then each checkpoint state) can resolve through its ulp.
-    while legs and len(legs[1:]) < 5 and abs(rho) > 0.1 * controls.target_tol:
-        refined = _refine_unstable(integ, spec, legs, rho, r_cls)
-        if refined is None:
-            break
-        s_c, leg, rho, used = refined
-        legs.append((s_c, leg))
-        n_iter += used
+    # All or nothing: stage-1 rho is ulp-level noise in v0, so once it is
+    # above the trigger, stages run until one makes no progress.
+    if legs and abs(rho) > _REFINE_TRIGGER * controls.target_tol:
+        while len(legs[1:]) < 5:
+            refined = _refine_unstable(integ, spec, legs, rho, r_cls)
+            if refined is None:
+                break
+            s_c, leg, rho, used = refined
+            legs.append((s_c, leg))
+            n_iter += used
 
     if abs(rho) > controls.target_tol:
         raise NoConvergence(
@@ -488,14 +538,25 @@ def shoot(
     return _assemble_solution(integ, spec, best.x, r_max, sol_r, legs, n_bisect=n_iter)
 
 
+def _chord_trial(integ, starts, up, dn, r_cls):
+    """Outcome at r_cls of a v0 in [dn, up] from the chord state
+    y_dn + (v0 - dn)/(up - dn) (y_up - y_dn) at r_switch: one s-chart leg,
+    with no r-chart integration."""
+    y_up, y_dn = starts[up], starts[dn]
+    span = (math.log(integ.c.r_switch), math.log(r_cls))
+    return lambda v0: integ.leg("s", span, y_dn + (v0 - dn) / (up - dn) * (y_up - y_dn))[0]
+
+
 def _refine_unstable(integ, spec, legs, rho1, r_cls):
     """One refinement stage from a checkpoint along the unstable direction.
 
     Perturbs the state of the last leg at a checkpoint past its start by
     mu * e4 (e4 the unstable eigenvector of the constant-coefficient linear
     part at the fixed point) and bisects on mu over the remaining range.
-    Returns (s_c, dense leg, end residual, iterations used) or None when no
-    useful checkpoint exists or no progress was made.
+    The checkpoint is clamped to the earliest allowed lattice node when the
+    residue is too large to decay to the floor past it.  Returns (s_c, dense
+    leg, end residual, iterations used) or None when no checkpoint is left
+    or no progress was made.
     """
     c = integ.c
     lam4 = spec.lambdas[3]
@@ -506,7 +567,11 @@ def _refine_unstable(integ, spec, legs, rho1, r_cls):
     s_c = s_end - math.log(contam / _REFINE_FLOOR) / lam4
     s_c = s_end - c.ds * round((s_end - s_c) / c.ds)  # snap to the output lattice
     s_prev, last = legs[-1]
-    if s_c < math.log(c.r_switch) + 0.5 or s_c > s_end - 1.0 or s_c <= s_prev + 0.1:
+    # clamp to the earliest lattice node at least 0.5 past the chart switch and
+    # strictly more than 0.1 past the last leg's start (half a node of slack)
+    s_lo = max(math.log(c.r_switch) + 0.5, s_prev + 0.1 + 0.5 * c.ds)
+    s_c = max(s_c, s_end - c.ds * math.floor((s_end - s_lo) / c.ds))
+    if s_c > s_end - 1.0:
         return None
     y_c = last.sol(s_c)
     e4 = np.array([1.0, lam4, lam4**2, lam4**3])

@@ -7,10 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biharm import GridTooCoarse, InvalidParams, ProblemParams, compute_pc
+from biharm import (
+    GridTooCoarse,
+    InvalidParams,
+    NoConvergence,
+    ProblemParams,
+    StepFailure,
+    compute_pc,
+)
 from biharm.fdiff import central_offsets, diff_uniform, fd_weights
 import biharm.shooting
 from biharm.shooting import (
+    _CHORD_SWITCH,
     _EXT_NODES,
     _MAX_BISECT,
     BlowUp,
@@ -18,8 +26,10 @@ from biharm.shooting import (
     ShootControls,
     SignLoss,
     _bisect,
+    _chord_trial,
     _Integrator,
     _power,
+    _refine_unstable,
     _s_operator_coeffs,
     check_monotone_y,
     check_positivity,
@@ -332,3 +342,112 @@ def test_input_validation(pc13):
         shoot(params, alpha=-1.0, r_max=100.0)
     with pytest.raises(InvalidParams):
         integrate_radial(params, alpha=1.0, v0=-0.1, r_max=-5.0)
+
+
+def test_chord_state_matches_full_shot(sol_quick):
+    # Two full shots sqrt(eps)-relative apart around the converged v0: the
+    # chord stage's s-chart start state at their midpoint must match the
+    # midpoint's own full-shot r_switch state.  Measured: about 2e-12 of the
+    # state's norm, while the two end states differ by about 2e-6.
+    params, v0 = sol_quick.params, sol_quick.v0
+    integ = _Integrator(params, 1.0, ShootControls())
+    r_cls = 500.0 * math.exp((_EXT_NODES + 1) * ShootControls().ds)
+    half = 0.5 * _CHORD_SWITCH * abs(v0)
+    up, dn = v0 + half, v0 - half  # up is nearer zero: the blow-up side
+    mid = 0.5 * (up + dn)
+
+    def start(v):
+        _, _, legs = integ.shot(v, r_cls)
+        return legs[0][1].y[:, 0]
+
+    starts = {up: start(up), dn: start(dn)}
+    legs_seen = []
+    plain_leg = integ.leg
+
+    def leg(chart, span, y0, dense=False):
+        legs_seen.append((chart, span, y0))
+        return plain_leg(chart, span, y0, dense)
+
+    integ.leg = leg
+    _chord_trial(integ, starts, up, dn, r_cls)(mid)
+    (chart, span, y_chord), = legs_seen
+    assert chart == "s"
+    assert span == (math.log(ShootControls().r_switch), math.log(r_cls))
+    y_mid = start(mid)
+    scale = np.max(np.abs(y_mid))
+    assert np.max(np.abs(starts[up] - starts[dn])) / scale > 1e-7
+    assert np.max(np.abs(y_chord - y_mid)) / scale < 1e-10
+
+
+def test_shoot_r_chart_only_never_enters_chord(pc13, monkeypatch):
+    # r_max <= r_switch: no shot records an r_switch state, so no chord leg
+    charts = Counter()
+    plain_leg = _Integrator.leg
+
+    def leg(self, chart, span, y0, dense=False):
+        charts[chart] += 1
+        return plain_leg(self, chart, span, y0, dense)
+
+    monkeypatch.setattr(_Integrator, "leg", leg)
+    sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=5.0)
+    assert sol.n_bisect > 0
+    assert set(charts) == {"r"}
+
+
+def test_refine_clamps_checkpoint_to_earliest_node(sol_c):
+    # A dense shot a few ulps from the converged v0 ends with |rho| > 1e-3:
+    # stage-1 rho is ulp-level noise in v0.  Its residue is too large to decay
+    # to the refinement floor past the chart switch, so the checkpoint is
+    # clamped to the earliest allowed lattice node, and the stage still
+    # lowers |rho|.
+    params, controls = sol_c.params, ShootControls()
+    integ = _Integrator(params, 1.0, controls)
+    r_cls = 1e4 * math.exp((_EXT_NODES + 1) * controls.ds)
+    ulp = np.spacing(sol_c.v0)
+    for k in (sign * j for j in range(1, 9) for sign in (1, -1)):
+        rho, _, legs = integ.shot(sol_c.v0 + k * ulp, r_cls, dense=True)
+        if isinstance(rho, float) and abs(rho) > 1e-3:
+            break
+    else:
+        pytest.fail("no dense shot within 8 ulps of v0 ends with |rho| > 1e-3")
+    refined = _refine_unstable(integ, sol_c.spectrum, legs, rho, r_cls)
+    assert refined is not None
+    s_c, _, rho_refined, used = refined
+    s_lo = math.log(controls.r_switch) + 0.5
+    assert s_lo - 1e-12 <= s_c < s_lo + controls.ds
+    assert abs(rho_refined) < abs(rho)
+    assert used > 0
+
+
+def test_acceptance_cases_refine_to_the_floor(sol_a, sol_b, sol_c):
+    # all-or-nothing refinement: a refined solve does not stop at target_tol
+    for sol in (sol_a, sol_b, sol_c):
+        assert abs(sol.target_residual) < 1e-9
+
+
+def test_rung_solution_monotone(sol_rung):
+    assert check_monotone_y(sol_rung)
+
+
+def test_large_p_step_failure_names_r_chart(pc15):
+    # u^p stiffness at n=15, p = 100 p_c stops the first probe shot in the r-chart
+    with pytest.raises(StepFailure, match="r-chart"):
+        shoot(ProblemParams(15, 100.0 * pc15), alpha=1.0, r_max=1e4)
+
+
+def test_dense_rerun_regression_names_v0_and_outcome(pc13, monkeypatch):
+    plain_shot = _Integrator.shot
+
+    def shot(self, v0, r_max, dense=False):
+        if dense:
+            return BlowUp(r=42.0), None, []
+        return plain_shot(self, v0, r_max, dense)
+
+    monkeypatch.setattr(_Integrator, "shot", shot)
+    with pytest.raises(NoConvergence) as info:
+        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
+    msg = str(info.value)
+    assert "regressed on the dense rerun" in msg
+    assert "BlowUp(r=42.0)" in msg
+    v0 = float(msg.split("v0=")[1].split()[0])
+    assert v0 == pytest.approx(-0.2668911534, rel=1e-6)
