@@ -5,12 +5,13 @@ The radial problem is integrated as the first-order system
     u' = w,  w' = v - (n-1) w / r,  v' = z,  z' = u^p - (n-1) z / r
 
 (u = phi, v = Laplacian of phi) with a regular Taylor start at r = eps.  The
-entire positive solution is picked out by bisecting on v0 = (Laplacian phi)(0)
-between blow-up and sign-loss outcomes.  Integration proceeds in r out to a
-switch radius and then continues in the logarithmic variable s = log r on the
-transformed state (W, W', W'', W''') with W(s) = e^{m s} phi(e^s), whose linear
-part has constant coefficients; the r-chart loses relative precision over many
-decades while the s-chart is the natural long-range frame.
+entire positive solution is picked out by a safeguarded root search on
+v0 = (Laplacian phi)(0) between blow-up and sign-loss outcomes.  Integration
+proceeds in r out to a switch radius and then continues in the logarithmic
+variable s = log r on the transformed state (W, W', W'', W''') with
+W(s) = e^{m s} phi(e^s), whose linear part has constant coefficients; the
+r-chart loses relative precision over many decades while the s-chart is the
+natural long-range frame.
 """
 
 from __future__ import annotations
@@ -36,17 +37,23 @@ from .spectrum import Spectrum, compute_spectrum, q4_eval
 # stencils (up to 9 points wide) cover every nominal node.
 _EXT_NODES = 4
 
-_MAX_BISECT = 240     # bisection steps per stage
+_MAX_BISECT = 240     # root-search trials per stage
 _PROBE_LO = -1e3      # most negative v0 probed
 _PROBE_HI = -1e-6     # least negative v0 probed
 _METHOD = "DOP853"
 _REFINE_FLOOR = 1e-13  # stage-1 contamination level at a refinement checkpoint
 # relative v0 bracket width below which the r_switch state is linear in v0 to
-# within the integration noise, so midpoints are classified from the chord
+# within the integration noise, so trials are classified from the chord
 # (second stage of shoot)
 _CHORD_SWITCH = math.sqrt(np.finfo(float).eps)
-# refinement runs when the dense stage-1 |rho| exceeds this times target_tol
-_REFINE_TRIGGER = 1e-3
+# A model step lands this share of its length past the predicted root, so the
+# far end of the bracket closes too.
+_PUSH = 0.02
+# this many model steps in a row must halve the bracket, else a midpoint follows
+_MODEL_RUN = 2
+# |Y|/L below which the solution checks treat a node as unresolved; a dense
+# stage-1 shot whose end residue is above it is refined
+_RESOLUTION_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class RadialSolution:
     target_residual: float
     error_estimate: float
     chart_overlap_residual: float
-    n_bisect: int
+    n_bisect: int  # root-search trials of all stages, model steps and midpoints alike
 
 
 def _power(u, p, cap=None):
@@ -381,42 +388,98 @@ def _assemble_solution(integ, spec, v0, r_max, sol_r, legs, n_bisect):
 
 class _Best:
     """The survivor with the smallest end residual among one stage's trials,
-    each integrated by trial(x), which returns its outcome."""
+    each integrated by trial(x) to the horizon s_end, which returns its outcome."""
 
-    def __init__(self, trial):
-        self.trial, self.x, self.rho = trial, None, math.inf
+    def __init__(self, trial, lam4, s_end):
+        self.trial, self.lam4, self.s_end = trial, lam4, s_end
+        self.x, self.rho = None, math.inf
+        self.g = {}  # x -> side(x) of every trial
 
-    def side(self, x) -> int:
-        """Side of the separatrix at x: +1 blow-up side, -1 sign-loss side.
+    def side(self, x) -> float:
+        """Escape-law value g at x: g >= 0 on the blow-up side, g < 0 on the
+        sign-loss side.
 
-        Survivors carry a side too: the sign of the end residual W/L - 1 (the
-        true solution keeps Y < 0, so a positive residual means the unstable
-        deviation points up).
+        A survivor's g is its end residual W/L - 1 (the true solution keeps
+        Y < 0, so a positive residual means the unstable deviation points up).
+        An escape at s_ev left W/L - 1 at amp = 0.5 (blow-up) or -1 (sign
+        loss); g carries it to the horizon along the unstable mode,
+        amp e^{lam4 (s_end - s_ev)}.  Near the separatrix every escape obeys
+        log|x - x*| + lam4 s_ev = K, with one K per side, so on each side g is
+        linear in x with its own slope.
         """
         out = self.trial(x)
-        if isinstance(out, BlowUp):
-            return 1
-        if isinstance(out, SignLoss):
-            return -1
-        if abs(out) < abs(self.rho):
-            self.x, self.rho = x, out
-        return 1 if out >= 0.0 else -1
+        if isinstance(out, (BlowUp, SignLoss)):
+            amp = 0.5 if isinstance(out, BlowUp) else -1.0
+            g = amp * math.exp(min(700.0, self.lam4 * (self.s_end - math.log(out.r))))
+        else:
+            g = out
+            if abs(out) < abs(self.rho):
+                self.x, self.rho = x, out
+        self.g[x] = g
+        return g
 
 
-def _bisect(side, up, dn, done=None) -> int:
-    """Bisect between up (blow-up side) and dn (sign-loss side).
+def _model_point(pts, up, dn):
+    """Next model trial, or None when no side predicts a root inside (up, dn).
 
-    Stops when the midpoint rounds onto an endpoint, when done(up, dn) holds
-    after a step, or after _MAX_BISECT steps; returns the midpoints tried.
+    pts holds the (x, g) trials of the blow-up and the sign-loss side, the
+    current bracket end last.  Each side's line through its two innermost
+    points predicts a root; the step goes from the end whose predicted root
+    is nearest, _PUSH of the step length past that root.
     """
+    best = None
+    for side_pts, far in zip(pts, (dn, up)):
+        if len(side_pts) < 2:
+            continue
+        (x1, g1), (x0, g0) = side_pts[-2:]
+        if g0 == g1:
+            continue
+        step = -g0 * (x0 - x1) / (g0 - g1)  # from x0 to the predicted root
+        if step * (far - x0) > 0.0 and (best is None or abs(step) < abs(best[1])):
+            best = (x0, step)
+    if best is None:
+        return None
+    x = best[0] + (1.0 + _PUSH) * best[1]
+    return x if min(up, dn) < x < max(up, dn) else None
+
+
+def _bisect(side, up, dn, done=None, ends=None) -> int:
+    """Shrink the bracket between up (side >= 0, blow-up) and dn (side < 0).
+
+    side(x) is an escape-law value as from _Best.side, and ends =
+    (side(up), side(dn)) when they are known.  Each trial is a model step
+    (_model_point) or a midpoint.  A midpoint is taken when no side has a
+    model, when the model step falls outside the bracket, or when the last
+    _MODEL_RUN model steps have not halved the bracket, so at worst three
+    trials halve it.  Sides of constant magnitude (such as +-1) have no
+    slope, and every trial is a midpoint.  Stops when the midpoint rounds
+    onto an endpoint, when done(up, dn) holds after a trial, or after
+    _MAX_BISECT trials; returns the trials made.
+    """
+    pts = ([], [])  # (x, g) on the blow-up and the sign-loss side, innermost last
+    if ends is not None:
+        pts[0].append((up, ends[0]))
+        pts[1].append((dn, ends[1]))
+    run = []  # bracket widths before each model step since the last midpoint
     for steps in range(_MAX_BISECT):
         mid = 0.5 * (up + dn)
         if mid == up or mid == dn:
             return steps
-        if side(mid) > 0:
-            up = mid
+        width = abs(up - dn)
+        x = None
+        if len(run) < _MODEL_RUN or width <= 0.5 * run[-_MODEL_RUN]:
+            x = _model_point(pts, up, dn)
+        if x is None:
+            x, run = mid, []
         else:
-            dn = mid
+            run.append(width)
+        g = side(x)
+        if g >= 0.0:
+            up = x
+            pts[0].append((x, g))
+        else:
+            dn = x
+            pts[1].append((x, g))
         if done is not None and done(up, dn):
             return steps + 1
     return _MAX_BISECT
@@ -428,23 +491,26 @@ def shoot(
     r_max: float = 1e4,
     controls: ShootControls = ShootControls(),
 ) -> RadialSolution:
-    """Find the entire positive solution with phi(0) = alpha by bisection on v0.
+    """Find the entire positive solution with phi(0) = alpha by a root search
+    on v0.
 
-    Three stages.  (1) v0 bisection: a geometric ladder of negative v0 values
-    gives a (blow-up, sign-loss) bracket, which is bisected with full shots
-    from the origin until it is narrower than _CHORD_SWITCH relative to v0.
-    (2) Chord bisection: the s-chart start state at r_switch is then linear
-    in v0 to within the integration noise, so each further midpoint is
-    classified by one s-chart leg from the chord between the bracket ends'
-    start states, with no r-chart leg, until the bracket collapses to
-    adjacent floats; those two floats get full shots.
-    The accepted v0 is the full-shot survivor with the smallest end residual
-    |r^m phi(r_max)/L - 1|, so its dense rerun is integrate_radial(v0).
-    (3) Refinement, all or nothing: when that rerun's residual exceeds
-    _REFINE_TRIGGER * target_tol, bisection restarts along the unstable
-    eigenvector from checkpoints until a stage makes no progress (at most 5
-    stages); otherwise none runs.  Collapsing fully (rather than stopping at
-    the first acceptable residual) also minimizes the unstable-mode
+    Every stage shrinks a (blow-up, sign-loss) bracket with _bisect: model
+    steps on the escape law of _Best.side, kept safe by midpoints.
+    (1) v0 search: a geometric ladder of negative v0 values gives the
+    bracket, which is shrunk with full shots from the origin until it is
+    narrower than _CHORD_SWITCH relative to v0.  (2) Chord stage: the
+    s-chart start state at r_switch is then linear in v0 to within the
+    integration noise, so each further trial is classified by one s-chart
+    leg from the chord between the bracket ends' start states, with no
+    r-chart leg, until the bracket collapses to adjacent floats; those two
+    floats get full shots.  The accepted v0 is the full-shot survivor with
+    the smallest end residual |r^m phi(r_max)/L - 1|, so its dense rerun is
+    integrate_radial(v0).  (3) Refinement, all or nothing: when that
+    rerun's residual is above _RESOLUTION_FLOOR, where the solution checks
+    would see it, the search restarts along the unstable eigenvector from
+    checkpoints until a stage makes no progress (at most 5 stages);
+    otherwise none runs.  Collapsing fully (rather than stopping at the
+    first acceptable residual) also minimizes the unstable-mode
     contamination that downstream fits see.
     """
     if alpha <= 0.0:
@@ -455,6 +521,7 @@ def shoot(
     integ = _Integrator(params, alpha, controls)
     # classification horizon covers the stencil extension of the final grids
     r_cls = r_max * math.exp((_EXT_NODES + 1) * controls.ds)
+    s_cls = math.log(r_cls)
 
     # exact scale covariance maps (alpha=1, v0) -> (kappa^m, kappa^{m+2} v0)
     v_scale = alpha ** ((params.m + 2.0) / params.m)
@@ -468,8 +535,8 @@ def shoot(
             starts[v0] = legs[0][1].y[:, 0]
         return outcome
 
-    best = _Best(full_shot)
-    if best.side(ladder[0]) != 1 or best.side(ladder[-1]) != -1:
+    best = _Best(full_shot, spec.lambdas[3], s_cls)
+    if best.side(ladder[0]) < 0.0 or best.side(ladder[-1]) >= 0.0:
         raise BracketNotFound(
             "probe ladder endpoints do not bracket the separatrix in v0 range "
             f"[{ladder[-1]:.3g}, {ladder[0]:.3g}]"
@@ -478,11 +545,11 @@ def shoot(
     i, j = 0, ladder.size - 1
     while j - i > 1:
         k = (i + j) // 2
-        if best.side(ladder[k]) > 0:
+        if best.side(ladder[k]) >= 0.0:
             i = k
         else:
             j = k
-    bracket = [ladder[i], ladder[j]]  # (up, dn) as the last bisection step left it
+    bracket = [ladder[i], ladder[j]]  # (up, dn) as the last trial left it
 
     def recording(stop):
         # a _bisect done-callback that keeps `bracket` current
@@ -494,17 +561,25 @@ def shoot(
     def chord_ready(up, dn):
         return abs(up - dn) < _CHORD_SWITCH * abs(up) and up in starts and dn in starts
 
-    n_iter = _bisect(best.side, *bracket, done=recording(chord_ready))
+    def end_values():
+        return [best.g[v0] for v0 in bracket]
+
+    n_iter = _bisect(best.side, *bracket, done=recording(chord_ready), ends=end_values())
     if chord_ready(*bracket):  # stage 1 stopped on the chord condition, not on collapse
-        chord = _Best(_chord_trial(integ, starts, *bracket, r_cls))
-        n_iter += _bisect(chord.side, *bracket, done=recording(lambda up, dn: False))
+        # a chord trial at an end starts from that end's own state: same g
+        chord = _Best(_chord_trial(integ, starts, *bracket, r_cls), spec.lambdas[3], s_cls)
+        n_iter += _bisect(
+            chord.side, *bracket, done=recording(lambda up, dn: False), ends=end_values()
+        )
         for v0 in bracket:
             if v0 not in starts:
                 best.side(v0)
     if best.x is None:
+        (up, dn), (g_up, g_dn) = bracket, end_values()
         raise NoConvergence(
-            f"no trajectory reached r_max={r_max:g}; bisection collapsed after "
-            f"{n_iter} steps between blow-up and sign-loss"
+            f"no trajectory reached r_max={r_max:g}: the v0 root search ended after "
+            f"{n_iter} trials on the bracket [{dn:.17g}, {up:.17g}] (sign-loss end "
+            f"first), where full shots give escape-law values g = {g_dn:.3g}, {g_up:.3g}"
         )
 
     rho, sol_r, legs = integ.shot(best.x, r_cls, dense=True)
@@ -516,12 +591,12 @@ def shoot(
             f"{abs(best.rho):.3g} at r={r_cls:g}"
         )
 
-    # Iterated unstable-direction refinement: each stage restarts the
-    # bisection from a checkpoint state, lowering the e^{lam4 s} residue floor
+    # Iterated unstable-direction refinement: each stage restarts the root
+    # search from a checkpoint state, lowering the e^{lam4 s} residue floor
     # that v0 (and then each checkpoint state) can resolve through its ulp.
-    # All or nothing: stage-1 rho is ulp-level noise in v0, so once it is
-    # above the trigger, stages run until one makes no progress.
-    if legs and abs(rho) > _REFINE_TRIGGER * controls.target_tol:
+    # All or nothing: stage-1 rho is ulp-level noise in v0, so once the
+    # checks could see it, stages run until one makes no progress.
+    if legs and abs(rho) > _RESOLUTION_FLOOR:
         while len(legs[1:]) < 5:
             refined = _refine_unstable(integ, spec, legs, rho, r_cls)
             if refined is None:
@@ -552,7 +627,8 @@ def _refine_unstable(integ, spec, legs, rho1, r_cls):
 
     Perturbs the state of the last leg at a checkpoint past its start by
     mu * e4 (e4 the unstable eigenvector of the constant-coefficient linear
-    part at the fixed point) and bisects on mu over the remaining range.
+    part at the fixed point) and runs the root search on mu over the
+    remaining range, from the end values of the widening pair +-mu_hi.
     The checkpoint is clamped to the earliest allowed lattice node when the
     residue is too large to decay to the floor past it.  Returns (s_c, dense
     leg, end residual, iterations used) or None when no checkpoint is left
@@ -576,13 +652,13 @@ def _refine_unstable(integ, spec, legs, rho1, r_cls):
     y_c = last.sol(s_c)
     e4 = np.array([1.0, lam4, lam4**2, lam4**3])
     e4 /= np.linalg.norm(e4)
-    best = _Best(lambda mu: integ.leg("s", (s_c, s_end), y_c + mu * e4)[0])
+    best = _Best(lambda mu: integ.leg("s", (s_c, s_end), y_c + mu * e4)[0], lam4, s_end)
 
     used = 0
     mu_hi = 1e4 * _REFINE_FLOOR * integ.L
     for _ in range(8):
         used += 2
-        if best.side(mu_hi) > 0 and best.side(-mu_hi) < 0:
+        if best.side(mu_hi) >= 0.0 and best.side(-mu_hi) < 0.0:
             break
         mu_hi *= 100.0
     else:
@@ -591,6 +667,7 @@ def _refine_unstable(integ, spec, legs, rho1, r_cls):
     used += _bisect(
         best.side, mu_hi, -mu_hi,
         done=lambda up, dn: best.x is not None and abs(up - dn) < 1e-18 * integ.L,
+        ends=(best.g[mu_hi], best.g[-mu_hi]),
     )
     if best.x is None or abs(best.rho) >= abs(rho1):
         return None
@@ -723,7 +800,7 @@ def y_integral_identity_check(sol: RadialSolution, spec: Spectrum | None = None)
     return float(np.max(dev) / np.max(np.abs(Y_t[mask])))
 
 
-def resolved_top_index(sol: RadialSolution, floor_rel: float = 1e-10) -> int:
+def resolved_top_index(sol: RadialSolution, floor_rel: float = _RESOLUTION_FLOOR) -> int:
     """End of the resolved prefix: the node before |Y| first dips below
     floor_rel * L.  |Y| decays along the true solution, so nodes beyond the
     first dip are noise (or unstable-mode residue) even if they rise again.
@@ -741,7 +818,7 @@ def check_positivity(sol: RadialSolution) -> bool:
     return bool(np.all(sol.phi > 0.0))
 
 
-def check_monotone_y(sol: RadialSolution, floor_rel: float = 1e-10) -> bool:
+def check_monotone_y(sol: RadialSolution, floor_rel: float = _RESOLUTION_FLOOR) -> bool:
     """Y negative and nondecreasing at every node of the resolved s-range."""
     top = resolved_top_index(sol, floor_rel)
     Y = sol.Y[: top + 1]

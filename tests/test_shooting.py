@@ -1,6 +1,7 @@
 import functools
 import io
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from biharm.shooting import (
     RadialSolution,
     ShootControls,
     SignLoss,
+    _Best,
     _bisect,
     _chord_trial,
     _Integrator,
@@ -143,6 +145,83 @@ def test_bisect_stops_at_step_cap():
     assert steps == len(trials) == _MAX_BISECT
 
 
+def _escape_law_side(root, slope_up, slope_dn, trials):
+    # escape-law values linear in x on each side of root, one slope per side
+    def side(x):
+        trials.append(x)
+        return (slope_up if x >= root else slope_dn) * (x - root)
+    return side
+
+
+def _assert_straddles(trials, root):
+    up = min(x for x in trials if x >= root)
+    dn = max(x for x in trials if x < root)
+    assert np.nextafter(dn, math.inf) == up
+
+
+# case A's ladder bracket and converged v0
+_A_UP, _A_DN, _A_ROOT = -0.1, -0.31622776601683794, -0.26689115343676695
+
+
+def test_model_step_collapses_case_a_side():
+    # case A's measured slopes per unit v0: 2.3e12 on the blow-up side and
+    # 4.6e11 on the sign-loss side; bisection needs 52 trials here
+    trials = []
+    side = _escape_law_side(_A_ROOT, 2.3e12, 4.6e11, trials)
+    ends = (side(_A_UP), side(_A_DN))
+    steps = _bisect(side, _A_UP, _A_DN, ends=ends)
+    assert steps == len(trials) - 2 <= 20
+    _assert_straddles(trials, _A_ROOT)
+
+
+def test_model_step_within_three_bisections_on_wrong_models():
+    # Sides with the right signs whose models mislead: magnitudes drawn
+    # anywhere in 1e-300..1e300, and sides flat at the root, |x - x*|^k, on
+    # which unguarded model steps creep (k = 8 and 16 then hit _MAX_BISECT).
+    # The safeguard still collapses within 3x the bisection count.
+    n_bisect = _bisect(_threshold_side(_A_ROOT, []), _A_UP, _A_DN)
+
+    def drawn(seed):
+        rng = np.random.default_rng(seed)
+        return lambda x: 10.0 ** rng.uniform(-300.0, 300.0)
+
+    def flat(k):
+        return lambda x: abs(x - _A_ROOT) ** k
+
+    for magnitude in [drawn(seed) for seed in range(200)] + [flat(k) for k in (2, 4, 8, 16)]:
+        trials = []
+
+        def side(x):
+            trials.append(x)
+            return (1.0 if x >= _A_ROOT else -1.0) * magnitude(x)
+
+        ends = (side(_A_UP), side(_A_DN))
+        steps = _bisect(side, _A_UP, _A_DN, ends=ends)
+        assert steps == len(trials) - 2 <= 3 * n_bisect
+        _assert_straddles(trials, _A_ROOT)
+
+
+def test_escape_law_values():
+    # survivors give their end residual; escapes carry their event amplitude
+    # (0.5 at blow-up, -1 at sign loss) to the horizon along e^{lam4 s}
+    lam4, s_end = 3.0, math.log(100.0)
+    outcomes = {1.0: BlowUp(r=10.0), 2.0: SignLoss(r=50.0), 3.0: -0.25, 4.0: 0.125,
+                5.0: BlowUp(r=1e-300)}
+    best = _Best(outcomes.__getitem__, lam4, s_end)
+    assert best.side(1.0) == pytest.approx(0.5 * 10.0**lam4, rel=1e-12)
+    assert best.side(2.0) == pytest.approx(-(2.0**lam4), rel=1e-12)
+    assert best.side(3.0) == -0.25
+    assert best.side(4.0) == 0.125
+    assert best.side(5.0) == 0.5 * math.exp(700.0)  # capped, still finite
+    assert (best.x, best.rho) == (4.0, 0.125)
+    assert sorted(best.g) == sorted(outcomes)
+
+
+def test_case_a_root_search_work(sol_a):
+    # deterministic work count over all stages; bisection took 118 trials
+    assert sol_a.n_bisect < 100
+
+
 def test_shoot_r_chart_only(pc13):
     # r_max <= r_switch: the shooter never enters the s-chart
     params = ProblemParams(13, pc13 + 0.5)
@@ -189,11 +268,17 @@ def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
 
 
 def test_integrate_radial_at_converged_v0(sol_quick):
+    # The solve's first legs are the dense rerun of its accepted v0; no
+    # refinement checkpoint lies before log r_switch + 0.5, so W up to there
+    # is that single shot's, bit for bit.  The refined tail is not compared.
     again = integrate_radial(
         sol_quick.params, alpha=1.0, v0=sol_quick.v0, r_max=500.0
     )
     assert not isinstance(again, (BlowUp, SignLoss))
-    assert np.allclose(again.W, sol_quick.W, rtol=0, atol=1e-9)
+    assert np.array_equal(again.s_grid, sol_quick.s_grid)
+    head = sol_quick.s_grid < math.log(ShootControls().r_switch) + 0.5
+    assert np.any(head)
+    assert np.array_equal(again.W[head], sol_quick.W[head])
 
 
 def test_shoot_converges(sol_quick):
@@ -451,3 +536,25 @@ def test_dense_rerun_regression_names_v0_and_outcome(pc13, monkeypatch):
     assert "BlowUp(r=42.0)" in msg
     v0 = float(msg.split("v0=")[1].split()[0])
     assert v0 == pytest.approx(-0.2668911534, rel=1e-6)
+
+
+def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
+    # every full shot escapes at r = 5, so no trajectory survives: the error
+    # names the trial count and the final bracket with its full shots'
+    # escape-law values
+    def shot(self, v0, r_max, dense=False):
+        return (BlowUp if v0 >= -0.25 else SignLoss)(r=5.0), None, []
+
+    monkeypatch.setattr(_Integrator, "shot", shot)
+    with pytest.raises(NoConvergence) as info:
+        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
+    found = re.search(
+        r"after (\d+) trials on the bracket \[(\S+), (\S+)\] \(sign-loss end first\), "
+        r"where full shots give escape-law values g = (\S+), (\S+)$",
+        str(info.value),
+    )
+    assert found is not None
+    trials, dn, up, g_dn, g_up = (float(x) for x in found.groups())
+    assert 0 < trials <= _MAX_BISECT
+    assert dn < -0.25 <= up and np.nextafter(dn, math.inf) == up
+    assert g_dn < 0.0 < g_up

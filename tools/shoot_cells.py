@@ -1,14 +1,19 @@
 """Shoot the benchmark cells and print one deterministic JSON record per cell.
 
-    python tools/shoot_cells.py [--src DIR] [--cells A,B,...]
+    python tools/shoot_cells.py [--src DIR] [--cells A,B,... | --grid]
 
 Cells are the three acceptance cases (A, B, C), the quick structural fixture
 (quick, r_max 500) and the four off-paper cells of the coverage benchmark.
-Each record holds the solve's v0 (repr and float hex), n_bisect, the end
-residual rho = target_residual, the six solve invariants with their bounds,
-and the solve_ivp calls and RHS evaluations per chart; a solve that raises
-a typed error records its class and message instead.  Nothing in the output
-depends on timing, so two trees can be compared with a plain diff.
+--grid shoots the 25-cell coverage grid instead: n in {13, 15, 20, 40, 100}
+times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
+like n13_pc+0.5 (about 3 CPU-minutes; any of its labels also works with
+--cells).  Each record holds the solve's v0 (repr and float hex), n_bisect,
+the end residual rho = target_residual, the six solve invariants with their
+bounds, and the solve_ivp calls and RHS evaluations per chart; a solve that
+raises a typed error records its class and message instead.  Every record
+also lists the trials of each root-search call in order (stage 1, the chord
+stage when it runs, then one per refinement stage tried).  Nothing in the
+output depends on timing, so two trees can be compared with a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
 so the same script measures any tree.
@@ -35,25 +40,36 @@ CELLS = {
     "n20_pc": (20, lambda lad: lad.p_c, 1e4),
     "n13_10pc": (13, lambda lad: 10.0 * lad.p_c, 1e4),
 }
+GRID_P = {
+    "pc": lambda lad: lad.p_c,
+    "pc+0.5": lambda lad: lad.p_c + 0.5,
+    "2pc": lambda lad: 2.0 * lad.p_c,
+    "10pc": lambda lad: 10.0 * lad.p_c,
+    "100pc": lambda lad: 100.0 * lad.p_c,
+}
+GRID = {f"n{n}_{p}": (n, p_of, 1e4) for n in (13, 15, 20, 40, 100) for p, p_of in GRID_P.items()}
 
 
 def _args():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=SRC, help="directory holding the biharm package")
-    ap.add_argument("--cells", default=",".join(CELLS), help="comma-separated cell labels")
+    cells = ap.add_mutually_exclusive_group()
+    cells.add_argument("--cells", default=",".join(CELLS), help="comma-separated cell labels")
+    cells.add_argument("--grid", action="store_true", help="shoot the 25-cell coverage grid")
     return ap.parse_args()
 
 
 def shoot_cell(label: str) -> dict:
-    """Shoot one cell, counting solve_ivp calls and nfev per chart."""
+    """Shoot one cell, counting solve_ivp calls and nfev per chart and the
+    trials of each root-search call."""
     import biharm.shooting as shooting
     from biharm import BiharmError, ProblemParams, compute_ladder
     from biharm.verify import solve_invariants
 
-    n, p_of, r_max = CELLS[label]
+    n, p_of, r_max = (CELLS | GRID)[label]
     params = ProblemParams(n, p_of(compute_ladder(n)))
-    calls, nfev = Counter(), Counter()
-    plain = shooting.solve_ivp
+    calls, nfev, trials = Counter(), Counter(), []
+    plain, plain_bisect = shooting.solve_ivp, shooting._bisect
 
     def counting(fun, *args, **kwargs):
         result = plain(fun, *args, **kwargs)
@@ -62,7 +78,11 @@ def shoot_cell(label: str) -> dict:
         nfev[chart] += result.nfev
         return result
 
-    shooting.solve_ivp = counting
+    def counting_bisect(*args, **kwargs):
+        trials.append(plain_bisect(*args, **kwargs))
+        return trials[-1]
+
+    shooting.solve_ivp, shooting._bisect = counting, counting_bisect
     try:
         sol = shooting.shoot(params, 1.0, r_max)
     except BiharmError as exc:
@@ -87,19 +107,20 @@ def shoot_cell(label: str) -> dict:
         except BiharmError as exc:
             rec["checks"] = {"error": type(exc).__name__, "message": str(exc)}
     finally:
-        shooting.solve_ivp = plain
+        shooting.solve_ivp, shooting._bisect = plain, plain_bisect
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max}
     rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c]} for c in ("r", "s")}
+    rec["trials"] = trials
     return rec
 
 
 def main() -> None:
     args = _args()
     sys.path.insert(0, str(args.src.resolve()))
-    labels = [c for c in args.cells.split(",") if c]
-    unknown = sorted(set(labels) - set(CELLS))
+    labels = list(GRID) if args.grid else [c for c in args.cells.split(",") if c]
+    unknown = sorted(set(labels) - set(CELLS | GRID))
     if unknown:
-        raise SystemExit(f"error: unknown cells {unknown}; known: {', '.join(CELLS)}")
+        raise SystemExit(f"error: unknown cells {unknown}; known: {', '.join(CELLS | GRID)}")
     out = {label: shoot_cell(label) for label in labels}
     print(json.dumps(out, indent=1, sort_keys=True))
 
