@@ -106,11 +106,7 @@ def _report(obj: dict, fmt: str, out):
 
 
 def _controls(tol_integrator, tol_root) -> ShootControls:
-    return ShootControls(
-        rtol=tol_integrator,
-        atol=tol_integrator * 1e-2,
-        target_tol=tol_root,
-    )
+    return ShootControls(rtol=tol_integrator, target_tol=tol_root)
 
 
 format_option = click.option(

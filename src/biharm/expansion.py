@@ -277,8 +277,6 @@ class ExpansionFit:
     residual_slope: float
     theoretical_slope: float
     window: tuple[float, float]
-    condition_number: float
-    n_points: int
 
 
 def _regime_columns(regime: Regime, spec: Spectrum, s: np.ndarray):
@@ -432,8 +430,6 @@ def fit_expansion(
         residual_slope=slope,
         theoretical_slope=lam2 + lam3,
         window=window,
-        condition_number=cond,
-        n_points=n_pts,
     )
 
 

@@ -31,11 +31,16 @@ from .errors import (
 )
 from .fdiff import diff_uniform, stencil_margin
 from .params import ProblemParams
-from .spectrum import Spectrum, compute_spectrum, q4_eval
+from .spectrum import Spectrum, compute_spectrum
 
 # Margin of extra s-nodes integrated beyond the nominal grid so that interior
 # stencils (up to 9 points wide) cover every nominal node.
 _EXT_NODES = 4
+# chart geometry
+_R_SEED = 1e-3       # Taylor seed radius
+_R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
+_R_OVERLAP = 12.0    # r-chart extends this far for the chart-consistency check
+_DS = 0.01           # uniform s-grid spacing of the returned solution
 
 _MAX_BISECT = 240     # root-search trials per stage
 _PROBE_LO = -1e3      # most negative v0 probed
@@ -58,14 +63,9 @@ _RESOLUTION_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class ShootControls:
-    """Tolerances and chart geometry for the shooting solver."""
+    """Tolerances for the shooting solver; the integrator's atol is rtol / 100."""
 
-    r_seed: float = 1e-3        # Taylor seed radius
-    r_switch: float = 10.0      # hand-off from the r-chart to the s-chart
-    r_overlap: float = 12.0     # r-chart extends this far for the chart-consistency check
     rtol: float = 1e-12
-    atol: float = 1e-14
-    ds: float = 0.01            # uniform s-grid spacing of the returned solution
     target_tol: float = 1e-3    # required |r^m phi(r_max)/L - 1| at r_max
 
 
@@ -204,7 +204,8 @@ class _Integrator:
         self.p = params.p
         self.m = params.m
         self.pow_cap = 10.0 ** (295.0 / params.p)
-        self.L = math.exp(math.log(q4_eval(self.n, self.m)) / (params.p - 1.0))
+        self.spec = compute_spectrum(params)
+        self.L = self.spec.L
         # Python floats for the right-hand sides, which run on scalars
         self.nm1 = self.n - 1.0
         _, self.c1, self.c2, self.c3, self.c4 = _s_operator_coeffs(self.n, self.m).tolist()
@@ -239,7 +240,7 @@ class _Integrator:
         """
         rhs, events = self.charts[chart]
         sol = solve_ivp(
-            rhs, span, y0, method=_METHOD, rtol=self.c.rtol, atol=self.c.atol,
+            rhs, span, y0, method=_METHOD, rtol=self.c.rtol, atol=1e-2 * self.c.rtol,
             events=events, dense_output=dense,
         )
         if sol.status == -1:
@@ -260,17 +261,16 @@ class _Integrator:
         result; legs is [(log r_switch, s-chart result)], or [] when the shot
         ended in the r-chart (an outcome before r_switch, or r_max <= r_switch).
         """
-        c = self.c
-        r_end1 = min(c.r_overlap if dense else c.r_switch, r_max)
-        y0 = _taylor_seed(self.n, self.p, self.alpha, v0, c.r_seed)
-        outcome, sol_r = self.leg("r", (c.r_seed, r_end1), y0, dense)
+        r_end1 = min(_R_OVERLAP if dense else _R_SWITCH, r_max)
+        y0 = _taylor_seed(self.n, self.p, self.alpha, v0, _R_SEED)
+        outcome, sol_r = self.leg("r", (_R_SEED, r_end1), y0, dense)
         # a sign loss in the overlap zone of a dense shot: the s-chart decides
-        overlap_loss = isinstance(outcome, SignLoss) and dense and outcome.r > c.r_switch
-        if r_max <= c.r_switch or isinstance(outcome, (BlowUp, SignLoss)) and not overlap_loss:
+        overlap_loss = isinstance(outcome, SignLoss) and dense and outcome.r > _R_SWITCH
+        if r_max <= _R_SWITCH or isinstance(outcome, (BlowUp, SignLoss)) and not overlap_loss:
             return outcome, sol_r, []
-        y_sw = sol_r.sol(c.r_switch) if dense else sol_r.y[:, -1]
-        w0 = _r_to_s_state(self.n, self.m, c.r_switch, y_sw)
-        s_switch = math.log(c.r_switch)
+        y_sw = sol_r.sol(_R_SWITCH) if dense else sol_r.y[:, -1]
+        w0 = _r_to_s_state(self.n, self.m, _R_SWITCH, y_sw)
+        s_switch = math.log(_R_SWITCH)
         outcome, sol_s = self.leg("s", (s_switch, math.log(r_max)), w0, dense)
         return outcome, sol_r, [(s_switch, sol_s)]
 
@@ -292,12 +292,11 @@ def integrate_radial(
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
     if r_max <= 0.0:
         raise InvalidParams(f"r_max > 0 required, got {r_max}")
-    spec = compute_spectrum(params)
     integ = _Integrator(params, alpha, controls)
-    outcome, sol_r, legs = integ.shot(v0, r_max * math.exp((_EXT_NODES + 1) * controls.ds), dense=True)
+    outcome, sol_r, legs = integ.shot(v0, r_max * math.exp((_EXT_NODES + 1) * _DS), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return outcome
-    return _assemble_solution(integ, spec, v0, r_max, sol_r, legs, n_bisect=0)
+    return _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect=0)
 
 
 def _sample_phase_states(integ, sol_r, legs, s_nodes):
@@ -326,20 +325,18 @@ def _sample_phase_states(integ, sol_r, legs, s_nodes):
     return out
 
 
-def _assemble_solution(integ, spec, v0, r_max, sol_r, legs, n_bisect):
-    c = integ.c
-    ds = c.ds
+def _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect):
     s_top = math.log(r_max)
-    s_bottom = math.log(c.r_seed) + 2.0 * ds
-    n_nodes = int(math.floor((s_top - s_bottom) / ds)) - _EXT_NODES
+    s_bottom = math.log(_R_SEED) + 2.0 * _DS
+    n_nodes = int(math.floor((s_top - s_bottom) / _DS)) - _EXT_NODES
     # anchor the lattice at s_top so r_max itself is a node
-    s_ext = s_top + ds * np.arange(-(n_nodes + _EXT_NODES), _EXT_NODES + 1)
+    s_ext = s_top + _DS * np.arange(-(n_nodes + _EXT_NODES), _EXT_NODES + 1)
     states = _sample_phase_states(integ, sol_r, legs, s_ext)
     W_ext = states[0]
-    lam4 = spec.lambdas[3]
+    lam4 = integ.spec.lambdas[3]
     Y_ext = W_ext - integ.L
     # 4th-order first derivative, endpoints dropped rather than one-sided
-    dY = diff_uniform(Y_ext, ds, 1, acc=4)
+    dY = diff_uniform(Y_ext, _DS, 1, acc=4)
     margin_z = (Y_ext.size - dY.size) // 2
     Z_ext = dY - lam4 * Y_ext[margin_z:-margin_z]
 
@@ -354,8 +351,8 @@ def _assemble_solution(integ, spec, v0, r_max, sol_r, legs, n_bisect):
     r_grid = np.exp(s_grid)
 
     # chart handoff consistency: both charts integrate [r_switch, r_overlap]
-    if legs and c.r_overlap > c.r_switch:
-        rr = np.linspace(c.r_switch * 1.02, min(c.r_overlap, r_max), 25)
+    if legs:
+        rr = np.linspace(_R_SWITCH * 1.02, min(_R_OVERLAP, r_max), 25)
         w_chart1 = rr**integ.m * sol_r.sol(rr)[0]
         w_chart2 = legs[0][1].sol(np.log(rr))[0]
         overlap = float(np.max(np.abs(w_chart1 - w_chart2)) / integ.L)
@@ -365,7 +362,7 @@ def _assemble_solution(integ, spec, v0, r_max, sol_r, legs, n_bisect):
     target_residual = float(W[-1] / integ.L - 1.0)
     # bound on the end-value change under re-solving (e.g. halved tolerance):
     # both runs land within their residual floors of the separatrix
-    error_estimate = 4.0 * max(abs(target_residual), 100.0 * c.rtol) * integ.L
+    error_estimate = 4.0 * max(abs(target_residual), 100.0 * integ.c.rtol) * integ.L
 
     arrays = dict(
         r_grid=r_grid, phi=phi, dphi=dphi, lap=lap, dlap=dlap,
@@ -377,7 +374,7 @@ def _assemble_solution(integ, spec, v0, r_max, sol_r, legs, n_bisect):
         params=integ.params,
         alpha=integ.alpha,
         v0=v0,
-        spectrum=spec,
+        spectrum=integ.spec,
         target_residual=target_residual,
         error_estimate=error_estimate,
         chart_overlap_residual=overlap,
@@ -443,7 +440,7 @@ def _model_point(pts, up, dn):
     return x if min(up, dn) < x < max(up, dn) else None
 
 
-def _bisect(side, up, dn, done=None, ends=None) -> int:
+def _bisect(side, up, dn, done=None, ends=None) -> tuple[int, float, float]:
     """Shrink the bracket between up (side >= 0, blow-up) and dn (side < 0).
 
     side(x) is an escape-law value as from _Best.side, and ends =
@@ -454,7 +451,7 @@ def _bisect(side, up, dn, done=None, ends=None) -> int:
     trials halve it.  Sides of constant magnitude (such as +-1) have no
     slope, and every trial is a midpoint.  Stops when the midpoint rounds
     onto an endpoint, when done(up, dn) holds after a trial, or after
-    _MAX_BISECT trials; returns the trials made.
+    _MAX_BISECT trials; returns (trials made, up, dn).
     """
     pts = ([], [])  # (x, g) on the blow-up and the sign-loss side, innermost last
     if ends is not None:
@@ -464,7 +461,7 @@ def _bisect(side, up, dn, done=None, ends=None) -> int:
     for steps in range(_MAX_BISECT):
         mid = 0.5 * (up + dn)
         if mid == up or mid == dn:
-            return steps
+            return steps, up, dn
         width = abs(up - dn)
         x = None
         if len(run) < _MODEL_RUN or width <= 0.5 * run[-_MODEL_RUN]:
@@ -481,8 +478,8 @@ def _bisect(side, up, dn, done=None, ends=None) -> int:
             dn = x
             pts[1].append((x, g))
         if done is not None and done(up, dn):
-            return steps + 1
-    return _MAX_BISECT
+            return steps + 1, up, dn
+    return _MAX_BISECT, up, dn
 
 
 def shoot(
@@ -515,12 +512,12 @@ def shoot(
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
-    if r_max <= controls.r_seed:
+    if r_max <= _R_SEED:
         raise InvalidParams(f"r_max={r_max} must exceed the seed radius")
-    spec = compute_spectrum(params)
     integ = _Integrator(params, alpha, controls)
+    lam4 = integ.spec.lambdas[3]
     # classification horizon covers the stencil extension of the final grids
-    r_cls = r_max * math.exp((_EXT_NODES + 1) * controls.ds)
+    r_cls = r_max * math.exp((_EXT_NODES + 1) * _DS)
     s_cls = math.log(r_cls)
 
     # exact scale covariance maps (alpha=1, v0) -> (kappa^m, kappa^{m+2} v0)
@@ -535,7 +532,7 @@ def shoot(
             starts[v0] = legs[0][1].y[:, 0]
         return outcome
 
-    best = _Best(full_shot, spec.lambdas[3], s_cls)
+    best = _Best(full_shot, lam4, s_cls)
     if best.side(ladder[0]) < 0.0 or best.side(ladder[-1]) >= 0.0:
         raise BracketNotFound(
             "probe ladder endpoints do not bracket the separatrix in v0 range "
@@ -549,37 +546,26 @@ def shoot(
             i = k
         else:
             j = k
-    bracket = [ladder[i], ladder[j]]  # (up, dn) as the last trial left it
-
-    def recording(stop):
-        # a _bisect done-callback that keeps `bracket` current
-        def done(up, dn):
-            bracket[:] = up, dn
-            return stop(up, dn)
-        return done
+    up, dn = ladder[i], ladder[j]
 
     def chord_ready(up, dn):
         return abs(up - dn) < _CHORD_SWITCH * abs(up) and up in starts and dn in starts
 
-    def end_values():
-        return [best.g[v0] for v0 in bracket]
-
-    n_iter = _bisect(best.side, *bracket, done=recording(chord_ready), ends=end_values())
-    if chord_ready(*bracket):  # stage 1 stopped on the chord condition, not on collapse
+    n_iter, up, dn = _bisect(best.side, up, dn, done=chord_ready, ends=(best.g[up], best.g[dn]))
+    if chord_ready(up, dn):  # stage 1 stopped on the chord condition, not on collapse
         # a chord trial at an end starts from that end's own state: same g
-        chord = _Best(_chord_trial(integ, starts, *bracket, r_cls), spec.lambdas[3], s_cls)
-        n_iter += _bisect(
-            chord.side, *bracket, done=recording(lambda up, dn: False), ends=end_values()
-        )
-        for v0 in bracket:
+        chord = _Best(_chord_trial(integ, starts, up, dn, r_cls), lam4, s_cls)
+        used, up, dn = _bisect(chord.side, up, dn, ends=(best.g[up], best.g[dn]))
+        n_iter += used
+        for v0 in (up, dn):
             if v0 not in starts:
                 best.side(v0)
     if best.x is None:
-        (up, dn), (g_up, g_dn) = bracket, end_values()
         raise NoConvergence(
             f"no trajectory reached r_max={r_max:g}: the v0 root search ended after "
             f"{n_iter} trials on the bracket [{dn:.17g}, {up:.17g}] (sign-loss end "
-            f"first), where full shots give escape-law values g = {g_dn:.3g}, {g_up:.3g}"
+            f"first), where full shots give escape-law values g = "
+            f"{best.g[dn]:.3g}, {best.g[up]:.3g}"
         )
 
     rho, sol_r, legs = integ.shot(best.x, r_cls, dense=True)
@@ -598,7 +584,7 @@ def shoot(
     # checks could see it, stages run until one makes no progress.
     if legs and abs(rho) > _RESOLUTION_FLOOR:
         while len(legs[1:]) < 5:
-            refined = _refine_unstable(integ, spec, legs, rho, r_cls)
+            refined = _refine_unstable(integ, legs, rho, r_cls)
             if refined is None:
                 break
             s_c, leg, rho, used = refined
@@ -610,7 +596,7 @@ def shoot(
             f"best trajectory misses the target: |W/L - 1| = {abs(rho):.3g} > "
             f"{controls.target_tol:g} at r_max={r_max:g} after {len(legs[1:])} refinement stages"
         )
-    return _assemble_solution(integ, spec, best.x, r_max, sol_r, legs, n_bisect=n_iter)
+    return _assemble_solution(integ, best.x, r_max, sol_r, legs, n_bisect=n_iter)
 
 
 def _chord_trial(integ, starts, up, dn, r_cls):
@@ -618,35 +604,34 @@ def _chord_trial(integ, starts, up, dn, r_cls):
     y_dn + (v0 - dn)/(up - dn) (y_up - y_dn) at r_switch: one s-chart leg,
     with no r-chart integration."""
     y_up, y_dn = starts[up], starts[dn]
-    span = (math.log(integ.c.r_switch), math.log(r_cls))
+    span = (math.log(_R_SWITCH), math.log(r_cls))
     return lambda v0: integ.leg("s", span, y_dn + (v0 - dn) / (up - dn) * (y_up - y_dn))[0]
 
 
-def _refine_unstable(integ, spec, legs, rho1, r_cls):
+def _refine_unstable(integ, legs, rho1, r_cls):
     """One refinement stage from a checkpoint along the unstable direction.
 
     Perturbs the state of the last leg at a checkpoint past its start by
     mu * e4 (e4 the unstable eigenvector of the constant-coefficient linear
     part at the fixed point) and runs the root search on mu over the
-    remaining range, from the end values of the widening pair +-mu_hi.
-    The checkpoint is clamped to the earliest allowed lattice node when the
+    remaining range, from the end values of the pair +-mu_hi.  The
+    checkpoint is clamped to the earliest allowed lattice node when the
     residue is too large to decay to the floor past it.  Returns (s_c, dense
-    leg, end residual, iterations used) or None when no checkpoint is left
-    or no progress was made.
+    leg, end residual, iterations used) or None when no checkpoint is left,
+    the pair does not bracket, or no progress was made.
     """
-    c = integ.c
-    lam4 = spec.lambdas[3]
+    lam4 = integ.spec.lambdas[3]
     s_end = math.log(r_cls)
     contam = max(abs(rho1), 1e-15)
     # place the checkpoint where the current residue has decayed to the floor,
     # keeping the state perturbation (hence the grid seam) at harmless size
     s_c = s_end - math.log(contam / _REFINE_FLOOR) / lam4
-    s_c = s_end - c.ds * round((s_end - s_c) / c.ds)  # snap to the output lattice
+    s_c = s_end - _DS * round((s_end - s_c) / _DS)  # snap to the output lattice
     s_prev, last = legs[-1]
     # clamp to the earliest lattice node at least 0.5 past the chart switch and
     # strictly more than 0.1 past the last leg's start (half a node of slack)
-    s_lo = max(math.log(c.r_switch) + 0.5, s_prev + 0.1 + 0.5 * c.ds)
-    s_c = max(s_c, s_end - c.ds * math.floor((s_end - s_lo) / c.ds))
+    s_lo = max(math.log(_R_SWITCH) + 0.5, s_prev + 0.1 + 0.5 * _DS)
+    s_c = max(s_c, s_end - _DS * math.floor((s_end - s_lo) / _DS))
     if s_c > s_end - 1.0:
         return None
     y_c = last.sol(s_c)
@@ -654,21 +639,15 @@ def _refine_unstable(integ, spec, legs, rho1, r_cls):
     e4 /= np.linalg.norm(e4)
     best = _Best(lambda mu: integ.leg("s", (s_c, s_end), y_c + mu * e4)[0], lam4, s_end)
 
-    used = 0
     mu_hi = 1e4 * _REFINE_FLOOR * integ.L
-    for _ in range(8):
-        used += 2
-        if best.side(mu_hi) >= 0.0 and best.side(-mu_hi) < 0.0:
-            break
-        mu_hi *= 100.0
-    else:
+    if best.side(mu_hi) < 0.0 or best.side(-mu_hi) >= 0.0:
         return None
 
-    used += _bisect(
+    used = 2 + _bisect(
         best.side, mu_hi, -mu_hi,
         done=lambda up, dn: best.x is not None and abs(up - dn) < 1e-18 * integ.L,
         ends=(best.g[mu_hi], best.g[-mu_hi]),
-    )
+    )[0]
     if best.x is None or abs(best.rho) >= abs(rho1):
         return None
     outcome, leg = integ.leg("s", (s_c, s_end), y_c + best.x * e4, dense=True)
@@ -781,14 +760,9 @@ def y_integral_identity_check(sol: RadialSolution, spec: Spectrum | None = None)
     above = np.nonzero(np.abs(Z) >= 1e-12 * zmax)[0]
     i_top = int(above[-1])
     s_t, Z_t = s[: i_top + 1], Z[: i_top + 1]
-    # backward recursion K(s_j) = int_{s_j}^{S} e^{lam4 (s_j - tau)} Z dtau
-    h = s[1] - s[0]
-    z = lam4 * h
-    e_inv = math.exp(-z)
-    p1, p2 = _phi_pair(-z)
-    K = np.zeros_like(Z_t)
-    for j in range(Z_t.size - 2, -1, -1):
-        K[j] = e_inv * K[j + 1] + h * ((p1 - p2) * Z_t[j] + p2 * Z_t[j + 1])
+    # K(s_j) = int_{s_j}^{S} e^{lam4 (s_j - tau)} Z dtau: the forward
+    # convolution on the reflected grid -s
+    K = exp_kernel_convolve(-lam4, -s_t[::-1], Z_t[::-1])[::-1]
     tail = Z_t[-1] * np.exp(lam4 * (s_t - s_t[-1])) / (lam4 - lam3)
     Y_rep = -(K + tail)
 

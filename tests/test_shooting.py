@@ -4,6 +4,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from biharm import (
     ProblemParams,
     StepFailure,
     compute_pc,
+    compute_spectrum,
 )
 from biharm.fdiff import central_offsets, diff_uniform, fd_weights
 import biharm.shooting
 from biharm.shooting import (
     _CHORD_SWITCH,
+    _DS,
     _EXT_NODES,
     _MAX_BISECT,
+    _R_SWITCH,
     BlowUp,
     RadialSolution,
     ShootControls,
@@ -124,7 +128,7 @@ def _threshold_side(thr, trials):
 
 def test_bisect_collapses_to_adjacent_floats():
     trials = []
-    steps = _bisect(_threshold_side(0.3, trials), 1.0, 0.0)
+    steps, _, _ = _bisect(_threshold_side(0.3, trials), 1.0, 0.0)
     assert steps == len(trials) < _MAX_BISECT
     up = min(x for x in trials if x >= 0.3)
     dn = max(x for x in trials if x < 0.3)
@@ -133,7 +137,7 @@ def test_bisect_collapses_to_adjacent_floats():
 
 def test_bisect_done_stops_early():
     trials = []
-    steps = _bisect(_threshold_side(0.3, trials), 1.0, 0.0, done=lambda up, dn: up - dn < 1e-3)
+    steps, _, _ = _bisect(_threshold_side(0.3, trials), 1.0, 0.0, done=lambda up, dn: up - dn < 1e-3)
     # 2^-10 < 1e-3 < 2^-9: the tenth halving is the first that satisfies done
     assert steps == len(trials) == 10
 
@@ -141,7 +145,7 @@ def test_bisect_done_stops_early():
 def test_bisect_stops_at_step_cap():
     # the threshold sits among the subnormals, more than _MAX_BISECT halvings below 1
     trials = []
-    steps = _bisect(_threshold_side(5e-324, trials), 1.0, 0.0)
+    steps, _, _ = _bisect(_threshold_side(5e-324, trials), 1.0, 0.0)
     assert steps == len(trials) == _MAX_BISECT
 
 
@@ -163,13 +167,25 @@ def _assert_straddles(trials, root):
 _A_UP, _A_DN, _A_ROOT = -0.1, -0.31622776601683794, -0.26689115343676695
 
 
+def test_bisect_returns_collapsed_bracket():
+    # the returned (up, dn) are the adjacent floats straddling the threshold,
+    # for pure midpoints and for model steps alike
+    trials = []
+    steps, up, dn = _bisect(_threshold_side(0.3, trials), 1.0, 0.0)
+    assert steps == len(trials)
+    assert up >= 0.3 > dn and np.nextafter(dn, math.inf) == up
+    side = _escape_law_side(_A_ROOT, 2.3e12, 4.6e11, [])
+    steps, up, dn = _bisect(side, _A_UP, _A_DN, ends=(side(_A_UP), side(_A_DN)))
+    assert up >= _A_ROOT > dn and np.nextafter(dn, math.inf) == up
+
+
 def test_model_step_collapses_case_a_side():
     # case A's measured slopes per unit v0: 2.3e12 on the blow-up side and
     # 4.6e11 on the sign-loss side; bisection needs 52 trials here
     trials = []
     side = _escape_law_side(_A_ROOT, 2.3e12, 4.6e11, trials)
     ends = (side(_A_UP), side(_A_DN))
-    steps = _bisect(side, _A_UP, _A_DN, ends=ends)
+    steps, _, _ = _bisect(side, _A_UP, _A_DN, ends=ends)
     assert steps == len(trials) - 2 <= 20
     _assert_straddles(trials, _A_ROOT)
 
@@ -179,7 +195,7 @@ def test_model_step_within_three_bisections_on_wrong_models():
     # anywhere in 1e-300..1e300, and sides flat at the root, |x - x*|^k, on
     # which unguarded model steps creep (k = 8 and 16 then hit _MAX_BISECT).
     # The safeguard still collapses within 3x the bisection count.
-    n_bisect = _bisect(_threshold_side(_A_ROOT, []), _A_UP, _A_DN)
+    n_bisect, _, _ = _bisect(_threshold_side(_A_ROOT, []), _A_UP, _A_DN)
 
     def drawn(seed):
         rng = np.random.default_rng(seed)
@@ -196,7 +212,7 @@ def test_model_step_within_three_bisections_on_wrong_models():
             return (1.0 if x >= _A_ROOT else -1.0) * magnitude(x)
 
         ends = (side(_A_UP), side(_A_DN))
-        steps = _bisect(side, _A_UP, _A_DN, ends=ends)
+        steps, _, _ = _bisect(side, _A_UP, _A_DN, ends=ends)
         assert steps == len(trials) - 2 <= 3 * n_bisect
         _assert_straddles(trials, _A_ROOT)
 
@@ -235,7 +251,7 @@ def test_shoot_r_chart_only(pc13):
     assert np.array_equal(again.W, sol.W)
     # the bisection classifies shots at the stencil margin past r_max, and its
     # best survivor ends there on W = L
-    r_cls = 5.0 * math.exp((_EXT_NODES + 1) * ShootControls().ds)
+    r_cls = 5.0 * math.exp((_EXT_NODES + 1) * _DS)
     edge = integrate_radial(params, alpha=1.0, v0=sol.v0, r_max=r_cls)
     assert abs(edge.W[-1] / edge.spectrum.L - 1.0) < 1e-9
 
@@ -276,7 +292,7 @@ def test_integrate_radial_at_converged_v0(sol_quick):
     )
     assert not isinstance(again, (BlowUp, SignLoss))
     assert np.array_equal(again.s_grid, sol_quick.s_grid)
-    head = sol_quick.s_grid < math.log(ShootControls().r_switch) + 0.5
+    head = sol_quick.s_grid < math.log(_R_SWITCH) + 0.5
     assert np.any(head)
     assert np.array_equal(again.W[head], sol_quick.W[head])
 
@@ -398,12 +414,29 @@ def test_exp_kernel_convolve_zero_and_oracle():
     assert np.max(np.abs(got - exact)) < 1e-4 * np.max(np.abs(exact))
 
 
+def test_y_integral_identity_exact_on_synthetic_solution(sol_quick):
+    # Z = e^{lam3 s} and Y = -Z/(lam4 - lam3) satisfy the identity exactly, so
+    # only quadrature error remains: linear interpolation of Z gives about
+    # h^2 lam3^2 / 12 = 1.6e-4, whatever lam4.  Measured: 1.58e-4 at
+    # lam4 = 3.55 and 1.57e-4 at lam4 = 58.4 (the n=13 and n=100 values at
+    # p_c); weights swapped between the two ends of a step give 4.0e-3 at 58.4.
+    s = 0.01 * np.arange(801)
+    spec = sol_quick.spectrum
+    lam3 = compute_spectrum(ProblemParams(13, compute_pc(13))).lambdas[2]
+    Z = np.exp(lam3 * s)
+    for n in (13, 100):
+        lam4 = compute_spectrum(ProblemParams(n, compute_pc(n))).lambdas[3]
+        fake = replace(spec, lambdas=(*spec.lambdas[:2], lam3, lam4))
+        synth = replace(sol_quick, spectrum=fake, s_grid=s, Y=-Z / (lam4 - lam3), Z=Z)
+        assert y_integral_identity_check(synth) < 2e-4
+
+
 def test_grid_consistency_under_tolerance_halving(pc13):
     params = ProblemParams(13, pc13 + 0.5)
     base = shoot(params, alpha=1.0, r_max=500.0)
     tight = shoot(
         params, alpha=1.0, r_max=500.0,
-        controls=ShootControls(rtol=5e-13, atol=5e-15),
+        controls=ShootControls(rtol=5e-13),
     )
     change = abs(base.W[-1] - tight.W[-1])
     assert change < base.error_estimate
@@ -436,7 +469,7 @@ def test_chord_state_matches_full_shot(sol_quick):
     # state's norm, while the two end states differ by about 2e-6.
     params, v0 = sol_quick.params, sol_quick.v0
     integ = _Integrator(params, 1.0, ShootControls())
-    r_cls = 500.0 * math.exp((_EXT_NODES + 1) * ShootControls().ds)
+    r_cls = 500.0 * math.exp((_EXT_NODES + 1) * _DS)
     half = 0.5 * _CHORD_SWITCH * abs(v0)
     up, dn = v0 + half, v0 - half  # up is nearer zero: the blow-up side
     mid = 0.5 * (up + dn)
@@ -457,7 +490,7 @@ def test_chord_state_matches_full_shot(sol_quick):
     _chord_trial(integ, starts, up, dn, r_cls)(mid)
     (chart, span, y_chord), = legs_seen
     assert chart == "s"
-    assert span == (math.log(ShootControls().r_switch), math.log(r_cls))
+    assert span == (math.log(_R_SWITCH), math.log(r_cls))
     y_mid = start(mid)
     scale = np.max(np.abs(y_mid))
     assert np.max(np.abs(starts[up] - starts[dn])) / scale > 1e-7
@@ -487,7 +520,7 @@ def test_refine_clamps_checkpoint_to_earliest_node(sol_c):
     # lowers |rho|.
     params, controls = sol_c.params, ShootControls()
     integ = _Integrator(params, 1.0, controls)
-    r_cls = 1e4 * math.exp((_EXT_NODES + 1) * controls.ds)
+    r_cls = 1e4 * math.exp((_EXT_NODES + 1) * _DS)
     ulp = np.spacing(sol_c.v0)
     for k in (sign * j for j in range(1, 9) for sign in (1, -1)):
         rho, _, legs = integ.shot(sol_c.v0 + k * ulp, r_cls, dense=True)
@@ -495,11 +528,11 @@ def test_refine_clamps_checkpoint_to_earliest_node(sol_c):
             break
     else:
         pytest.fail("no dense shot within 8 ulps of v0 ends with |rho| > 1e-3")
-    refined = _refine_unstable(integ, sol_c.spectrum, legs, rho, r_cls)
+    refined = _refine_unstable(integ, legs, rho, r_cls)
     assert refined is not None
     s_c, _, rho_refined, used = refined
-    s_lo = math.log(controls.r_switch) + 0.5
-    assert s_lo - 1e-12 <= s_c < s_lo + controls.ds
+    s_lo = math.log(_R_SWITCH) + 0.5
+    assert s_lo - 1e-12 <= s_c < s_lo + _DS
     assert abs(rho_refined) < abs(rho)
     assert used > 0
 
@@ -558,3 +591,38 @@ def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
     assert 0 < trials <= _MAX_BISECT
     assert dn < -0.25 <= up and np.nextafter(dn, math.inf) == up
     assert g_dn < 0.0 < g_up
+
+
+@pytest.mark.parametrize("controls, atol", [(ShootControls(), 1e-14), (ShootControls(rtol=5e-13), 5e-15)])
+def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, controls, atol):
+    # the one solve_ivp call site passes atol = 1e-2 * rtol, which is exact
+    # for both tolerances in use
+    plain = biharm.shooting.solve_ivp
+    seen = set()
+
+    def recording_solve_ivp(fun, *args, **kwargs):
+        seen.add((kwargs["rtol"], kwargs["atol"]))
+        return plain(fun, *args, **kwargs)
+
+    monkeypatch.setattr(biharm.shooting, "solve_ivp", recording_solve_ivp)
+    shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0, controls=controls)
+    assert seen == {(controls.rtol, atol)}
+    assert atol == 1e-2 * controls.rtol
+
+
+def test_refine_without_bracket_returns_none_after_pair(pc13):
+    # a stage whose +-mu_hi pair both end on the blow-up side gives up after
+    # exactly those two trials
+    integ = _Integrator(ProblemParams(13, pc13 + 0.5), 1.0, ShootControls())
+    starts = []  # checkpoint state 0 plus mu * e4
+
+    def leg(chart, span, y0, dense=False):
+        starts.append(y0)
+        return 0.25, None  # a survivor with a positive end residual
+
+    integ.leg = leg
+    legs = [(math.log(_R_SWITCH), SimpleNamespace(sol=lambda s: np.zeros(4)))]
+    r_cls = 1e4 * math.exp((_EXT_NODES + 1) * _DS)
+    assert _refine_unstable(integ, legs, 1e-3, r_cls) is None
+    assert len(starts) == 2 and starts[0][0] > 0.0
+    assert np.array_equal(starts[0], -starts[1])

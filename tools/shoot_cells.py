@@ -79,8 +79,10 @@ def shoot_cell(label: str) -> dict:
         return result
 
     def counting_bisect(*args, **kwargs):
-        trials.append(plain_bisect(*args, **kwargs))
-        return trials[-1]
+        result = plain_bisect(*args, **kwargs)
+        # (trials, up, dn); trees before that return the trial count alone
+        trials.append(result[0] if isinstance(result, tuple) else result)
+        return result
 
     shooting.solve_ivp, shooting._bisect = counting, counting_bisect
     try:
