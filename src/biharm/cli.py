@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import click
 
@@ -19,6 +19,7 @@ from .errors import (
     BiharmError,
     DomainError,
     InvalidParams,
+    LadderMismatch,
     NoPcValue,
     SubcriticalInput,
 )
@@ -29,20 +30,11 @@ from .expansion import (
     representation_check,
     window_shift_stability,
 )
-from .ladder import compute_ladder, parity_boundary_check
+from .ladder import compute_ladder, ladder_length_formula, parity_boundary_check
 from .params import ProblemParams
-from .shooting import (
-    ShootControls,
-    check_monotone_y,
-    check_positivity,
-    decay_slope,
-    dump_solution,
-    emden_fowler_residual,
-    shoot,
-    y_integral_identity_check,
-)
+from .shooting import ShootControls, dump_solution, shoot
 from .spectrum import compute_spectrum
-from .verify import BOUNDS, expansion_invariants, run_checks, solve_invariants
+from .verify import BOUNDS, SCOPES, expansion_invariants, run_checks, solve_invariants
 
 _INPUT_ERRORS = (InvalidParams, SubcriticalInput, DomainError)
 
@@ -109,6 +101,33 @@ def _controls(tol_integrator, tol_root) -> ShootControls:
     return ShootControls(rtol=tol_integrator, target_tol=tol_root)
 
 
+@contextmanager
+def _exit_on_error():
+    """End the command on a typed error: exit 2 on invalid input, else 1."""
+    try:
+        yield
+    except _INPUT_ERRORS as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    except BiharmError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+
+
+def _invariant_payload(invariants) -> dict:
+    """{name: {value, bound, passed}} of verify.Invariant records."""
+    return {r.name: {"value": r.value, "bound": r.bound, "passed": r.passed}
+            for r in invariants}
+
+
+def _exit_if_failed(invariants):
+    """Name each failed invariant with its value and bound on stderr; exit 1."""
+    failed = [str(r) for r in invariants if not r.passed]
+    if failed:
+        click.echo("invariants FAILED: " + ", ".join(failed), err=True)
+        sys.exit(1)
+
+
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
     show_default=True, help="payload format",
@@ -133,11 +152,8 @@ def main():
 @out_option
 def spectrum(n, p, fmt, out):
     """Eigenvalues of the linearized operator at (n, p)."""
-    try:
+    with _exit_on_error():
         s = compute_spectrum(ProblemParams(n, p))
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     payload = {
         "n": n,
         "p": p,
@@ -160,10 +176,7 @@ def spectrum(n, p, fmt, out):
 @out_option
 def critical(n, fmt, out):
     """Critical exponent, rung ladder, and closed-form count for dimension n."""
-    from .errors import LadderMismatch
-    from .ladder import ladder_length_formula
-
-    try:
+    with _exit_on_error():
         try:
             lad = compute_ladder(n)
         except NoPcValue:
@@ -174,12 +187,9 @@ def critical(n, fmt, out):
             }
             _report(payload, fmt, out)
             return
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except LadderMismatch as exc:
-        _report({"n": n, "ladder_mismatch": str(exc)}, fmt, out)
-        sys.exit(1)
+        except LadderMismatch as exc:
+            _report({"n": n, "ladder_mismatch": str(exc)}, fmt, out)
+            sys.exit(1)
     payload = {
         "n": n,
         "p_c": lad.p_c,
@@ -211,7 +221,8 @@ def critical(n, fmt, out):
               show_default=True, help="solution dump path")
 @config_option
 def solve(n, p, alpha, r_max, tol_integrator, tol_root, out, config):
-    """Shoot for the entire positive solution and dump it (s, r, phi, W, Y, Z)."""
+    """Shoot for the entire positive solution, dump it (s, r, phi, W, Y, Z)
+    and check its invariants."""
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
@@ -219,17 +230,13 @@ def solve(n, p, alpha, r_max, tol_integrator, tol_root, out, config):
         _resolve(cfg, "tol_integrator", tol_integrator),
         _resolve(cfg, "tol_root", tol_root),
     )
-    try:
+    with _exit_on_error():
         sol = shoot(ProblemParams(n, p), alpha=alpha, r_max=r_max, controls=controls)
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except BiharmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
     with open(out, "w") as fh:
         dump_solution(sol, fh)
     click.echo(f"wrote {out} ({sol.s_grid.size} rows)", err=True)
+    with _exit_on_error():
+        invariants = solve_invariants(sol)
     summary = {
         "n": n,
         "p": p,
@@ -238,17 +245,13 @@ def solve(n, p, alpha, r_max, tol_integrator, tol_root, out, config):
         "v0": sol.v0,
         "final_ratio": 1.0 + sol.target_residual,
         "target_residual": sol.target_residual,
-        "phi_positive": check_positivity(sol),
-        "Y_negative_nondecreasing": check_monotone_y(sol),
-        "decay_slope": decay_slope(sol),
-        "lambda_3": sol.spectrum.lambdas[2],
-        "transform_residual": emden_fowler_residual(sol),
-        "integral_identity_deviation": y_integral_identity_check(sol),
         "chart_overlap_residual": sol.chart_overlap_residual,
         "error_estimate": sol.error_estimate,
         "bisection_steps": sol.n_bisect,
+        "invariants": _invariant_payload(invariants),
     }
     click.echo(_as_json(summary), nl=False)
+    _exit_if_failed(invariants)
 
 
 @main.command()
@@ -277,7 +280,7 @@ def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
         _resolve(cfg, "tol_integrator", tol_integrator),
         _resolve(cfg, "tol_root", tol_root),
     )
-    try:
+    with _exit_on_error():
         params = ProblemParams(n, p)
         ladder = compute_ladder(n)
         regime = detect_regime(params, ladder, rung_tol=tol_rung)
@@ -286,15 +289,9 @@ def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
         fit = fit_expansion(sol, spec, regime, window or None)
         drift = window_shift_stability(sol, spec, regime, window or None)
         rep = representation_check(sol, spec)
-        records = solve_invariants(sol) + expansion_invariants(spec, fit, drift, rep, tol_fit)
-        invariants = {r.name: r for r in records}
-    except _INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except BiharmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        invariants = solve_invariants(sol) + expansion_invariants(spec, fit, drift, rep, tol_fit)
 
+    checks = _invariant_payload(invariants)
     payload = {
         "n": n,
         "p": p,
@@ -309,12 +306,9 @@ def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
         "theoretical_slope": fit.theoretical_slope,
         "L": spec.L,
         "representation_deviation": rep,
-        "integral_identity_deviation": invariants["integral_identity"].value,
+        "integral_identity_deviation": checks["integral_identity"]["value"],
         "window_shift_drift_se": {k_: v for k_, v in drift.items()},
-        "invariants": {
-            name: {"value": r.value, "bound": r.bound, "passed": r.passed}
-            for name, r in invariants.items()
-        },
+        "invariants": checks,
     }
     if fmt == "csv":
         buf = io.StringIO()
@@ -324,15 +318,12 @@ def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
         _emit(buf.getvalue(), out)
     else:
         _report(payload, "json", out)
-    failed = [str(r) for r in invariants.values() if not r.passed]
-    if failed:
-        click.echo("invariants FAILED: " + ", ".join(failed), err=True)
-        sys.exit(1)
+    _exit_if_failed(invariants)
 
 
 @main.command()
-@click.option("--scope", type=click.Choice(["algebra", "shooting", "default", "full"]),
-              default="default", show_default=True)
+@click.option("--scope", type=click.Choice(list(SCOPES)), default="default",
+              show_default=True)
 @format_option
 @out_option
 def verify(scope, fmt, out):
@@ -378,21 +369,14 @@ def _sweep_row(n: int) -> dict:
 @main.command()
 @click.option("--n-min", type=int, default=13, show_default=True)
 @click.option("--n-max", type=int, default=60, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="parallel workers for the per-dimension tasks")
 @format_option
 @out_option
-def sweep(n_min, n_max, jobs, fmt, out):
+def sweep(n_min, n_max, fmt, out):
     """Tabulate p_c, rungs, N, and the parity boundary over a dimension range."""
     if not (13 <= n_min <= n_max <= 200):
         click.echo("error: need 13 <= n-min <= n-max <= 200", err=True)
         sys.exit(2)
-    ns = list(range(n_min, n_max + 1))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, ns))
-    else:
-        rows = [_sweep_row(n) for n in ns]
+    rows = [_sweep_row(n) for n in range(n_min, n_max + 1)]
 
     n_col = max((len(r["rungs"]) for r in rows), default=0)
     if fmt == "json":

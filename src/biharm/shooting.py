@@ -59,6 +59,8 @@ _MODEL_RUN = 2
 # |Y|/L below which the solution checks treat a node as unresolved; a dense
 # stage-1 shot whose end residue is above it is refined
 _RESOLUTION_FLOOR = 1e-10
+# accuracy order of the central stencils in the Emden-Fowler residual
+_EF_ACC = 4
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,10 @@ class SignLoss:
 class RadialSolution:
     """Entire positive radial solution on matched r- and s-grids.
 
-    The grids share nodes (r = e^s).  phi, dphi, lap, dlap are phi and its
-    radial derivative, Laplacian, and Laplacian derivative; W = r^m phi,
-    Y = W - L, and Z = Y' - lam4*Y (first derivative taken by interior
-    finite-difference stencils on the uniform s-grid).
+    The grids share nodes (r = e^s).  W = r^m phi is sampled from the
+    integrated states and phi = W / r^m; Y = W - L, and Z = Y' - lam4*Y
+    (first derivative taken by interior finite-difference stencils on the
+    uniform s-grid).
     """
 
     params: ProblemParams
@@ -99,9 +101,6 @@ class RadialSolution:
     spectrum: Spectrum
     r_grid: np.ndarray
     phi: np.ndarray
-    dphi: np.ndarray
-    lap: np.ndarray
-    dlap: np.ndarray
     s_grid: np.ndarray
     W: np.ndarray
     Y: np.ndarray
@@ -153,28 +152,6 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
         + r**3 * dddu
     )
     return np.array([w0, w1, w2, w3])
-
-
-def _s_to_radial_fields(n: int, m: float, s: np.ndarray, Wst: np.ndarray):
-    """Map (W, W', W'', W''') samples back to (phi, phi', lap, dlap)."""
-    r = np.exp(s)
-    rm = r**m
-    V0, V1, V2, V3 = Wst / rm
-    ru = V1 - m * V0
-    r2uu = V2 - (2.0 * m + 1.0) * V1 + m * (m + 1.0) * V0
-    r3uuu = (
-        V3
-        - (3.0 * m**2 + 3.0 * m + 1.0) * ru
-        - (3.0 * m + 3.0) * r2uu
-        - m**3 * V0
-    )
-    u = V0
-    du = ru / r
-    ddu = r2uu / r**2
-    dddu = r3uuu / r**3
-    lap = ddu + (n - 1.0) * du / r
-    dlap = dddu + (n - 1.0) * ddu / r - (n - 1.0) * du / r**2
-    return u, du, lap, dlap
 
 
 def _terminal_events(amplitude_cross):
@@ -299,28 +276,25 @@ def integrate_radial(
     return _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect=0)
 
 
-def _sample_phase_states(integ, sol_r, legs, s_nodes):
-    """State samples (4, len(s_nodes)) in s-chart form.
+def _sample_w(integ, sol_r, legs, s_nodes):
+    """Samples of W = r^m phi at s_nodes.
 
     Nodes below the first s-chart leg come from the r-chart (all of them
     when there is no leg); each later leg [(s_from, dense), ...] supersedes
     the earlier ones from its s_from onward.
     """
-    out = np.empty((4, s_nodes.size))
+    out = np.empty(s_nodes.size)
     from_r = s_nodes < legs[0][0] if legs else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
         rr = np.exp(s_nodes[from_r])
-        ys = sol_r.sol(rr)
-        # per node: one vectorized call rounds some entries differently
-        out[:, from_r] = np.stack(
-            [_r_to_s_state(integ.n, integ.m, r, ys[:, i]) for i, r in enumerate(rr)],
-            axis=1,
-        )
+        u = sol_r.sol(rr)[0]
+        # per node: one vectorized power rounds some entries differently
+        out[from_r] = [r**integ.m * u_i for r, u_i in zip(rr, u)]
     remaining = ~from_r
     for s_from, leg in reversed(legs):
         pick = remaining & (s_nodes >= s_from)
         if np.any(pick):
-            out[:, pick] = leg.sol(s_nodes[pick])
+            out[pick] = leg.sol(s_nodes[pick])[0]
             remaining &= ~pick
     return out
 
@@ -331,8 +305,7 @@ def _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect):
     n_nodes = int(math.floor((s_top - s_bottom) / _DS)) - _EXT_NODES
     # anchor the lattice at s_top so r_max itself is a node
     s_ext = s_top + _DS * np.arange(-(n_nodes + _EXT_NODES), _EXT_NODES + 1)
-    states = _sample_phase_states(integ, sol_r, legs, s_ext)
-    W_ext = states[0]
+    W_ext = _sample_w(integ, sol_r, legs, s_ext)
     lam4 = integ.spec.lambdas[3]
     Y_ext = W_ext - integ.L
     # 4th-order first derivative, endpoints dropped rather than one-sided
@@ -347,8 +320,8 @@ def _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect):
     zoff = _EXT_NODES - margin_z
     Z = Z_ext[zoff : zoff + s_grid.size]
 
-    phi, dphi, lap, dlap = _s_to_radial_fields(integ.n, integ.m, s_grid, states[:, sl])
     r_grid = np.exp(s_grid)
+    phi = W / r_grid**integ.m
 
     # chart handoff consistency: both charts integrate [r_switch, r_overlap]
     if legs:
@@ -364,10 +337,7 @@ def _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect):
     # both runs land within their residual floors of the separatrix
     error_estimate = 4.0 * max(abs(target_residual), 100.0 * integ.c.rtol) * integ.L
 
-    arrays = dict(
-        r_grid=r_grid, phi=phi, dphi=dphi, lap=lap, dlap=dlap,
-        s_grid=s_grid, W=W, Y=Y, Z=Z,
-    )
+    arrays = dict(r_grid=r_grid, phi=phi, s_grid=s_grid, W=W, Y=Y, Z=Z)
     for a in arrays.values():
         a.flags.writeable = False
     return RadialSolution(
@@ -668,15 +638,9 @@ def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:
     m = sol.params.m
     kappa = (alpha / sol.alpha) ** (1.0 / m)
     shift = math.log(kappa)
-    r_grid = sol.r_grid / kappa
-    scale = dict(phi=kappa**m, dphi=kappa ** (m + 1.0), lap=kappa ** (m + 2.0),
-                 dlap=kappa ** (m + 3.0))
     arrays = dict(
-        r_grid=r_grid,
-        phi=sol.phi * scale["phi"],
-        dphi=sol.dphi * scale["dphi"],
-        lap=sol.lap * scale["lap"],
-        dlap=sol.dlap * scale["dlap"],
+        r_grid=sol.r_grid / kappa,
+        phi=sol.phi * kappa**m,
         s_grid=sol.s_grid - shift,
         W=sol.W.copy(),
         Y=sol.Y.copy(),
@@ -692,27 +656,27 @@ def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:
     )
 
 
-def emden_fowler_residual(sol: RadialSolution, acc: int = 4) -> float:
+def emden_fowler_residual(sol: RadialSolution) -> float:
     """Residual of Q4(m - d/ds) W - W^p by interior central stencils.
 
     Expands the operator into derivative coefficients of orders 0..4, applies
-    order-`acc` central differences on the uniform s-grid, and returns the
+    order-_EF_ACC central differences on the uniform s-grid, and returns the
     maximum interior residual normalized by max(W^p).
     """
     s, W = sol.s_grid, sol.W
     h = s[1] - s[0]
     if not np.allclose(np.diff(s), h, rtol=1e-9):
         raise InvalidParams("s-grid must be uniform for stencil differentiation")
-    margin = stencil_margin(4, acc)
+    margin = stencil_margin(4, _EF_ACC)
     if s.size - 2 * margin < 9:
         raise GridTooCoarse(
-            f"{s.size} nodes leave fewer than 9 interior points for order-{acc} stencils"
+            f"{s.size} nodes leave fewer than 9 interior points for order-{_EF_ACC} stencils"
         )
     coeffs = _s_operator_coeffs(sol.params.n, sol.params.m)  # [1, -e1, e2, -e3, e4]
     n_int = s.size - 2 * margin
     total = coeffs[4] * W[margin:-margin]
     for d in range(1, 5):
-        dW = diff_uniform(W, h, d, acc=acc)
+        dW = diff_uniform(W, h, d, acc=_EF_ACC)
         half = (W.size - dW.size) // 2
         off = margin - half
         total = total + coeffs[4 - d] * dW[off : off + n_int]

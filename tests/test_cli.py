@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from biharm import ProblemParams, compute_spectrum
 from biharm.cli import main
+from biharm.verify import BOUNDS
 
 
 @pytest.fixture()
@@ -78,11 +80,54 @@ def test_solve_summary_and_dump(runner, pc13, tmp_path):
     ])
     assert res.exit_code == 0
     summary = json.loads(res.stdout)
-    assert summary["phi_positive"] is True
-    assert summary["Y_negative_nondecreasing"] is True
+    assert summary["invariants"]["phi_positive"]["value"] is True
+    assert summary["invariants"]["Y_negative_nondecreasing"]["value"] is True
     assert abs(summary["final_ratio"] - 1.0) < 1e-2
     header = dump.read_text().splitlines()[0]
     assert header == "s,r,phi,W,Y,Z"
+
+
+def test_solve_reports_invariants_with_bounds(runner, pc13, tmp_path):
+    res = runner.invoke(main, [
+        "solve", "--n", "13", "--p", str(pc13 + 0.5),
+        "--r-max", "60", "--out", str(tmp_path / "d.csv"),
+    ])
+    assert res.exit_code == 0
+    summary = json.loads(res.stdout)
+    lam3 = compute_spectrum(ProblemParams(13, pc13 + 0.5)).lambdas[2]
+    bounds = {name: rec["bound"] for name, rec in summary["invariants"].items()}
+    assert bounds == {
+        "target_residual": BOUNDS["target_residual"],
+        "phi_positive": None,
+        "Y_negative_nondecreasing": None,
+        "transform_residual": BOUNDS["transform_residual"],
+        "decay_slope": BOUNDS["decay_slope"] * abs(lam3),
+        "integral_identity": BOUNDS["integral_identity"],
+    }
+    assert list(bounds) == list(summary["invariants"])  # report order
+    assert all(rec["passed"] for rec in summary["invariants"].values())
+    assert set(summary) == {
+        "n", "p", "alpha", "r_max", "v0", "final_ratio", "target_residual",
+        "chart_overlap_residual", "error_estimate", "bisection_steps", "invariants",
+    }
+
+
+def test_solve_failure_exits_1_after_the_dump(runner, pc13, tmp_path):
+    # at r_max 20 the resolved decade is too short for the decay slope:
+    # |slope - lam3| = 1.16 against the bound 0.1 |lam3| = 0.422
+    dump = tmp_path / "d.csv"
+    res = runner.invoke(main, [
+        "solve", "--n", "13", "--p", str(pc13 + 0.5),
+        "--r-max", "20", "--out", str(dump),
+    ])
+    assert res.exit_code == 1
+    assert dump.read_text().splitlines()[0] == "s,r,phi,W,Y,Z"
+    invariants = json.loads(res.stdout)["invariants"]
+    slope = invariants.pop("decay_slope")
+    assert slope["passed"] is False
+    line = f"invariants FAILED: decay_slope {slope['value']:.3g} > {slope['bound']:.3g}"
+    assert line in res.stderr
+    assert all(rec["passed"] for rec in invariants.values())
 
 
 def test_solve_deterministic(runner, pc13, tmp_path):
@@ -157,14 +202,6 @@ def test_sweep_deterministic(runner):
     a = runner.invoke(main, args)
     b = runner.invoke(main, args)
     assert a.stdout == b.stdout
-
-
-def test_sweep_parallel_matches_serial(runner):
-    serial = runner.invoke(main, ["sweep", "--n-min", "13", "--n-max", "17"])
-    parallel = runner.invoke(main, ["sweep", "--n-min", "13", "--n-max", "17",
-                                    "--jobs", "2"])
-    assert parallel.exit_code == 0
-    assert serial.stdout == parallel.stdout
 
 
 def test_sweep_bad_range(runner):

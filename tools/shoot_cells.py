@@ -8,12 +8,14 @@ Cells are the three acceptance cases (A, B, C), the quick structural fixture
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
 like n13_pc+0.5 (about 3 CPU-minutes; any of its labels also works with
 --cells).  Each record holds the solve's v0 (repr and float hex), n_bisect,
-the end residual rho = target_residual, the six solve invariants with their
-bounds, and the solve_ivp calls and RHS evaluations per chart; a solve that
-raises a typed error records its class and message instead.  Every record
-also lists the trials of each root-search call in order (stage 1, the chord
-stage when it runs, then one per refinement stage tried).  Nothing in the
-output depends on timing, so two trees can be compared with a plain diff.
+the end residual rho = target_residual, the SHA-256 of its dump_solution
+text (dump_sha256, so a plain diff covers s, r, phi, W, Y and Z), the six
+solve invariants with their bounds, and the solve_ivp calls and RHS
+evaluations per chart; a solve that raises a typed error records its class
+and message instead.  Every record also lists the trials of each root-search
+call in order (stage 1, the chord stage when it runs, then one per
+refinement stage tried).  Nothing in the output depends on timing, so two
+trees can be compared with a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
 so the same script measures any tree.
@@ -22,6 +24,8 @@ so the same script measures any tree.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import sys
 from collections import Counter
@@ -91,7 +95,10 @@ def shoot_cell(label: str) -> dict:
         rec = {"error": type(exc).__name__, "message": str(exc)}
     else:
         v0 = float(sol.v0)
+        dump = io.StringIO()
+        shooting.dump_solution(sol, dump)
         rec = {
+            "dump_sha256": hashlib.sha256(dump.getvalue().encode()).hexdigest(),
             "v0": repr(v0),
             "v0_hex": v0.hex(),
             "n_bisect": sol.n_bisect,
