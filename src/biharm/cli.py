@@ -305,8 +305,6 @@ def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
         "residual_slope": fit.residual_slope,
         "theoretical_slope": fit.theoretical_slope,
         "L": spec.L,
-        "representation_deviation": rep,
-        "integral_identity_deviation": checks["integral_identity"]["value"],
         "window_shift_drift_se": {k_: v for k_, v in drift.items()},
         "invariants": checks,
     }

@@ -476,9 +476,10 @@ def shoot(
     rerun's residual is above _RESOLUTION_FLOOR, where the solution checks
     would see it, the search restarts along the unstable eigenvector from
     checkpoints until a stage makes no progress (at most 5 stages);
-    otherwise none runs.  Collapsing fully (rather than stopping at the
-    first acceptable residual) also minimizes the unstable-mode
-    contamination that downstream fits see.
+    otherwise none runs.  Each stage opens with the linearised step along
+    the mode and stops at its checkpoint's ulp noise floor (see
+    _refine_unstable): trials past that floor only redraw the noise.
+    Stages 1 and 2 collapse fully, so v0 does not depend on refinement.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
@@ -584,11 +585,20 @@ def _refine_unstable(integ, legs, rho1, r_cls):
     Perturbs the state of the last leg at a checkpoint past its start by
     mu * e4 (e4 the unstable eigenvector of the constant-coefficient linear
     part at the fixed point) and runs the root search on mu over the
-    remaining range, from the end values of the pair +-mu_hi.  The
-    checkpoint is clamped to the earliest allowed lattice node when the
-    residue is too large to decay to the floor past it.  Returns (s_c, dense
-    leg, end residual, iterations used) or None when no checkpoint is left,
-    the pair does not bracket, or no progress was made.
+    remaining range.  Along the mode the end residual is rho1 + G mu, with
+    G = e4[0] e^{lam4 (s_end - s_c)} / L, and rho1 is the known value at
+    mu = 0, so the bracket opens from mu = 0 with the linearised step
+    mu1 = -(1 + _PUSH) rho1 / G.  When mu1 falls short (same side as rho1)
+    one secant step through (0, rho1) and (mu1, g1) follows.  The search
+    stops at the checkpoint's noise floor eta = eps e^{lam4 (s_end - s_c)},
+    what one ulp of the checkpoint state grows to by s_end: once a survivor
+    has |rho| < eta, or the bracket mapped through G is narrower than eta.
+    A short opening step that already reads below the floor needs no
+    bracket.  The checkpoint is clamped to the earliest allowed lattice node
+    when the residue is too large to decay to the floor past it.  Returns
+    (s_c, dense leg, end residual, iterations used) or None when no
+    checkpoint is left, neither opening step brackets nor reaches the
+    floor, or no progress was made.
     """
     lam4 = integ.spec.lambdas[3]
     s_end = math.log(r_cls)
@@ -608,16 +618,32 @@ def _refine_unstable(integ, legs, rho1, r_cls):
     e4 = np.array([1.0, lam4, lam4**2, lam4**3])
     e4 /= np.linalg.norm(e4)
     best = _Best(lambda mu: integ.leg("s", (s_c, s_end), y_c + mu * e4)[0], lam4, s_end)
+    growth = math.exp(lam4 * (s_end - s_c))
+    gain = e4[0] * growth / integ.L  # d rho / d mu
+    eta = np.finfo(float).eps * growth  # one ulp of the checkpoint state, grown to s_end
 
-    mu_hi = 1e4 * _REFINE_FLOOR * integ.L
-    if best.side(mu_hi) < 0.0 or best.side(-mu_hi) >= 0.0:
+    def at_floor():
+        return best.x is not None and abs(best.rho) < eta
+
+    def done(up, dn):
+        return at_floor() or best.x is not None and abs(up - dn) * gain < eta
+
+    # linearised step from mu = 0 (value rho1), _PUSH past the root
+    up_side = rho1 >= 0.0
+    near = (0.0, rho1)  # the bracket end on rho1's side
+    mu = -(1.0 + _PUSH) * rho1 / gain
+    g = best.side(mu)
+    if (g >= 0.0) == up_side and g != rho1:  # short: one secant step
+        near = (mu, g)
+        mu -= (1.0 + _PUSH) * g * mu / (g - rho1)
+        g = best.side(mu)
+    if (g >= 0.0) != up_side:
+        (up, g_up), (dn, g_dn) = (near, (mu, g)) if up_side else ((mu, g), near)
+        if not done(up, dn):
+            _bisect(best.side, up, dn, done=done, ends=(g_up, g_dn))
+    elif not at_floor():
         return None
-
-    used = 2 + _bisect(
-        best.side, mu_hi, -mu_hi,
-        done=lambda up, dn: best.x is not None and abs(up - dn) < 1e-18 * integ.L,
-        ends=(best.g[mu_hi], best.g[-mu_hi]),
-    )[0]
+    used = len(best.g)
     if best.x is None or abs(best.rho) >= abs(rho1):
         return None
     outcome, leg = integ.leg("s", (s_c, s_end), y_c + best.x * e4, dense=True)

@@ -1,6 +1,7 @@
 import functools
 import io
 import math
+import random
 import re
 from collections import Counter
 from dataclasses import replace
@@ -25,6 +26,7 @@ from biharm.shooting import (
     _DS,
     _EXT_NODES,
     _MAX_BISECT,
+    _PUSH,
     _R_SWITCH,
     BlowUp,
     RadialSolution,
@@ -236,6 +238,12 @@ def test_escape_law_values():
 def test_case_a_root_search_work(sol_a):
     # deterministic work count over all stages; bisection took 118 trials
     assert sol_a.n_bisect < 100
+
+
+def test_case_b_refinement_stops_at_the_noise_floor(sol_b):
+    # refinement stages stop at their checkpoint's ulp noise floor; run to a
+    # fixed mu floor instead they took 80 trials in all
+    assert sol_b.n_bisect < 50
 
 
 def test_shoot_r_chart_only(pc13):
@@ -609,19 +617,85 @@ def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, controls, atol):
     assert atol == 1e-2 * controls.rtol
 
 
-def test_refine_without_bracket_returns_none_after_pair(pc13):
-    # a stage whose +-mu_hi pair both end on the blow-up side gives up after
-    # exactly those two trials
+def _stub_refine(pc13, side):
+    """_refine_unstable from a zero checkpoint state, rho1 = 1e-3, on a stub
+    leg: side(mu, gain, eta) gives a trial's end residual.  Returns the
+    result, the mu of each trial in order, and (gain, eta) of the stage."""
     integ = _Integrator(ProblemParams(13, pc13 + 0.5), 1.0, ShootControls())
-    starts = []  # checkpoint state 0 plus mu * e4
+    lam4 = integ.spec.lambdas[3]
+    e4_0 = 1.0 / np.linalg.norm([1.0, lam4, lam4**2, lam4**3])
+    mus, stage = [], {}
 
     def leg(chart, span, y0, dense=False):
-        starts.append(y0)
-        return 0.25, None  # a survivor with a positive end residual
+        growth = math.exp(lam4 * (span[1] - span[0]))
+        stage.update(gain=e4_0 * growth / integ.L, eta=np.finfo(float).eps * growth)
+        mu = y0[0] / e4_0
+        if not dense:
+            mus.append(mu)
+        return side(mu, stage["gain"], stage["eta"]), None
 
     integ.leg = leg
     legs = [(math.log(_R_SWITCH), SimpleNamespace(sol=lambda s: np.zeros(4)))]
     r_cls = 1e4 * math.exp((_EXT_NODES + 1) * _DS)
-    assert _refine_unstable(integ, legs, 1e-3, r_cls) is None
-    assert len(starts) == 2 and starts[0][0] > 0.0
-    assert np.array_equal(starts[0], -starts[1])
+    return _refine_unstable(integ, legs, 1e-3, r_cls), mus, stage
+
+
+def test_refine_opens_with_linearised_step(pc13):
+    # on a linear side g = rho1 + G mu the first trial is mu1 = -(1 + _PUSH)
+    # rho1 / G, which lands _PUSH past the root and so brackets it with mu = 0
+    refined, mus, stage = _stub_refine(pc13, lambda mu, gain, eta: 1e-3 + gain * mu)
+    assert refined is not None
+    assert mus[0] == pytest.approx(-(1.0 + _PUSH) * 1e-3 / stage["gain"], rel=1e-15)
+    assert 1e-3 + stage["gain"] * mus[0] < 0.0
+    assert abs(refined[2]) < stage["eta"]
+
+
+def test_refine_short_linearised_step_takes_one_secant_step(pc13):
+    # the side's slope is 0.9 G, so mu1 stops at about 8% of rho1 on rho1's
+    # side; the secant step through (0, rho1) and (mu1, g1) brackets the root
+    def side(mu, gain, eta):
+        return 1e-3 + 0.9 * gain * mu
+
+    refined, mus, stage = _stub_refine(pc13, side)
+    g1 = side(mus[0], stage["gain"], stage["eta"])
+    assert 0.0 < g1 < 0.1 * 1e-3
+    assert mus[1] == pytest.approx(mus[0] - (1.0 + _PUSH) * g1 * mus[0] / (g1 - 1e-3), rel=1e-12)
+    assert side(mus[1], stage["gain"], stage["eta"]) < 0.0
+    assert refined is not None and abs(refined[2]) < stage["eta"]
+
+
+def test_refine_short_steps_below_the_floor_need_no_bracket(pc13):
+    # the side levels off at eta / 4 past its linear root: mu1 stops at about
+    # 3% of rho1, and the secant step reads eta / 4 on rho1's side, below
+    # the floor, so the stage ends there without a bracket
+    def side(mu, gain, eta):
+        return max(1e-3 + 0.95 * gain * mu, 0.25 * eta)
+
+    refined, mus, stage = _stub_refine(pc13, side)
+    assert side(mus[0], stage["gain"], stage["eta"]) > stage["eta"]
+    assert refined is not None
+    assert refined[2] == 0.25 * stage["eta"]
+    assert refined[3] == len(mus) == 2
+
+
+def test_refine_without_bracket_returns_none_after_secant_step(pc13):
+    # a side that stays positive (a survivor at 0.25 everywhere): neither the
+    # linearised step nor the secant step brackets or reads below the floor,
+    # so the stage gives up after exactly those two trials
+    refined, mus, _ = _stub_refine(pc13, lambda mu, gain, eta: 0.25)
+    assert refined is None
+    assert len(mus) == 2 and mus[0] < 0.0
+    assert mus[1] == pytest.approx(mus[0] - (1.0 + _PUSH) * 0.25 * mus[0] / (0.25 - 1e-3), rel=1e-12)
+
+
+def test_refine_stops_at_the_noise_floor(pc13):
+    # linear plus deterministic noise of amplitude eta / 2: trials past the
+    # floor cannot lower |rho| below the noise, so the stage stops as soon as
+    # a survivor reads |rho| < eta
+    def side(mu, gain, eta):
+        return 1e-3 + gain * mu + eta * random.Random(mu).uniform(-0.5, 0.5)
+
+    refined, mus, stage = _stub_refine(pc13, side)
+    assert refined is not None
+    assert abs(refined[2]) < stage["eta"]
+    assert refined[3] == len(mus) <= 6

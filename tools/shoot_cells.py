@@ -1,6 +1,7 @@
 """Shoot the benchmark cells and print one deterministic JSON record per cell.
 
     python tools/shoot_cells.py [--src DIR] [--cells A,B,... | --grid]
+    python tools/shoot_cells.py --diff OLD.json NEW.json
 
 Cells are the three acceptance cases (A, B, C), the quick structural fixture
 (quick, r_max 500) and the four off-paper cells of the coverage benchmark.
@@ -12,13 +13,22 @@ the end residual rho = target_residual, the SHA-256 of its dump_solution
 text (dump_sha256, so a plain diff covers s, r, phi, W, Y and Z), the six
 solve invariants with their bounds, and the solve_ivp calls and RHS
 evaluations per chart; a solve that raises a typed error records its class
-and message instead.  Every record also lists the trials of each root-search
-call in order (stage 1, the chord stage when it runs, then one per
-refinement stage tried).  Nothing in the output depends on timing, so two
+and message instead.  Every record also lists the trials of each _bisect
+call in order (stage 1, the chord stage when it runs, then the refinement
+stages that reach it; a refinement stage's opening trials count only in
+n_bisect).  Nothing in the output depends on timing, so two
 trees can be compared with a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
 so the same script measures any tree.
+
+--diff compares two such outputs (say, of a parent tree and of a change)
+and shoots nothing.  Per cell it prints each side's outcome (ok when the
+solve returned and all six invariants pass, else the error class or the
+failed invariants), RHS evaluations, root-search trials (n_bisect; for a
+failed solve, the sum of its _bisect trials), and whether v0 is
+bit-identical; then the totals and the ok counts.  It exits 1 when a cell
+that is ok in OLD is not ok in NEW.
 """
 
 from __future__ import annotations
@@ -60,6 +70,8 @@ def _args():
     cells = ap.add_mutually_exclusive_group()
     cells.add_argument("--cells", default=",".join(CELLS), help="comma-separated cell labels")
     cells.add_argument("--grid", action="store_true", help="shoot the 25-cell coverage grid")
+    cells.add_argument("--diff", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                       help="compare two outputs of this script instead of shooting")
     return ap.parse_args()
 
 
@@ -123,8 +135,62 @@ def shoot_cell(label: str) -> dict:
     return rec
 
 
+def outcome(rec: dict) -> str:
+    """ok, the typed error's class, or the invariants that failed."""
+    if "error" in rec:
+        return rec["error"]
+    if "error" in rec["checks"]:
+        return "checks raised " + rec["checks"]["error"]
+    failed = sorted(name for name, check in rec["checks"].items() if not check["passed"])
+    return "failed " + ",".join(failed) if failed else "ok"
+
+
+def diff(old: dict, new: dict) -> int:
+    """Print the per-cell comparison of two records; returns the exit code."""
+    def rhs(rec):
+        return sum(c["nfev"] for c in rec["ivp"].values())
+
+    def trials(rec):
+        return rec.get("n_bisect", sum(rec["trials"]))
+
+    labels = [label for label in old if label in new]
+    rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "v0")]
+    lost = []
+    for label in labels:
+        o, n = old[label], new[label]
+        same_v0 = "equal" if o.get("v0_hex") == n.get("v0_hex") else "differs"
+        if "v0_hex" not in o and "v0_hex" not in n:
+            same_v0 = "-"
+        rows.append((label, outcome(o), outcome(n), str(rhs(o)), str(rhs(n)),
+                     f"{trials(o)} -> {trials(n)}", same_v0))
+        if outcome(o) == "ok" and outcome(n) != "ok":
+            lost.append(label)
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    for side, rec in (("old", old), ("new", new)):
+        only = sorted(set(rec) - set(labels))
+        if only:
+            print(f"only in {side}: {', '.join(only)}")
+    rhs_old = sum(rhs(old[label]) for label in labels)
+    rhs_new = sum(rhs(new[label]) for label in labels)
+    print(f"RHS evaluations: {rhs_old} -> {rhs_new} ({rhs_new / rhs_old - 1.0:+.1%})")
+    print(f"trials: {sum(trials(old[label]) for label in labels)} -> "
+          f"{sum(trials(new[label]) for label in labels)}")
+    ok_old = sum(outcome(old[label]) == "ok" for label in labels)
+    ok_new = sum(outcome(new[label]) == "ok" for label in labels)
+    print(f"ok: {ok_old} -> {ok_new} of {len(labels)}")
+    if lost:
+        print(f"ok cells lost: {', '.join(lost)}")
+        return 1
+    return 0
+
+
 def main() -> None:
     args = _args()
+    if args.diff:
+        old, new = (json.loads(path.read_text()) for path in args.diff)
+        raise SystemExit(diff(old, new))
     sys.path.insert(0, str(args.src.resolve()))
     labels = list(GRID) if args.grid else [c for c in args.cells.split(",") if c]
     unknown = sorted(set(labels) - set(CELLS | GRID))
