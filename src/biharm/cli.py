@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -81,16 +82,21 @@ def _as_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _as_kv_csv(obj: dict) -> str:
-    buf = io.StringIO()
-    buf.write("key,value\n")
+def _kv_rows(obj: dict, prefix: str = ""):
+    """(key, value) rows; a nested dict gives one row per entry, as parent.key."""
     for k, v in obj.items():
+        if isinstance(v, dict):
+            yield from _kv_rows(v, f"{prefix}{k}.")
+            continue
         if isinstance(v, float):
             v = _fmt(v)
         elif isinstance(v, (list, tuple)):
             v = ";".join(_fmt(x) if isinstance(x, float) else str(x) for x in v)
-        buf.write(f"{k},{v}\n")
-    return buf.getvalue()
+        yield f"{prefix}{k}", v
+
+
+def _as_kv_csv(obj: dict) -> str:
+    return "key,value\n" + "".join(f"{k},{v}\n" for k, v in _kv_rows(obj))
 
 
 def _report(obj: dict, fmt: str, out):
@@ -237,6 +243,7 @@ def solve(n, p, alpha, r_max, tol_integrator, tol_root, out, config):
     click.echo(f"wrote {out} ({sol.s_grid.size} rows)", err=True)
     with _exit_on_error():
         invariants = solve_invariants(sol)
+    overlap = sol.chart_overlap_residual
     summary = {
         "n": n,
         "p": p,
@@ -245,7 +252,8 @@ def solve(n, p, alpha, r_max, tol_integrator, tol_root, out, config):
         "v0": sol.v0,
         "final_ratio": 1.0 + sol.target_residual,
         "target_residual": sol.target_residual,
-        "chart_overlap_residual": sol.chart_overlap_residual,
+        # NaN when the solve never left the r-chart; JSON has no NaN
+        "chart_overlap_residual": None if math.isnan(overlap) else overlap,
         "error_estimate": sol.error_estimate,
         "bisection_steps": sol.n_bisect,
         "invariants": _invariant_payload(invariants),

@@ -39,7 +39,7 @@ _EXT_NODES = 4
 # chart geometry
 _R_SEED = 1e-3       # Taylor seed radius
 _R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
-_R_OVERLAP = 12.0    # r-chart extends this far for the chart-consistency check
+_R_OVERLAP = 12.0    # end of the r-chart continuation that checks chart consistency
 _DS = 0.01           # uniform s-grid spacing of the returned solution
 
 _MAX_BISECT = 240     # root-search trials per stage
@@ -235,18 +235,17 @@ class _Integrator:
         """Integrate one shot from the origin; returns (outcome, sol_r, legs).
 
         outcome is as for `leg`, at r_max.  sol_r is the r-chart solve_ivp
-        result; legs is [(log r_switch, s-chart result)], or [] when the shot
-        ended in the r-chart (an outcome before r_switch, or r_max <= r_switch).
+        result, a leg that ends at min(r_switch, r_max); legs is
+        [(log r_switch, s-chart result)], started from sol_r's end state, or
+        [] when the shot ended in the r-chart (an outcome before r_switch, or
+        r_max <= r_switch).  dense only adds the interpolants: solve_ivp takes
+        the same steps either way, so a dense shot replays the plain one.
         """
-        r_end1 = min(_R_OVERLAP if dense else _R_SWITCH, r_max)
         y0 = _taylor_seed(self.n, self.p, self.alpha, v0, _R_SEED)
-        outcome, sol_r = self.leg("r", (_R_SEED, r_end1), y0, dense)
-        # a sign loss in the overlap zone of a dense shot: the s-chart decides
-        overlap_loss = isinstance(outcome, SignLoss) and dense and outcome.r > _R_SWITCH
-        if r_max <= _R_SWITCH or isinstance(outcome, (BlowUp, SignLoss)) and not overlap_loss:
+        outcome, sol_r = self.leg("r", (_R_SEED, min(_R_SWITCH, r_max)), y0, dense)
+        if r_max <= _R_SWITCH or isinstance(outcome, (BlowUp, SignLoss)):
             return outcome, sol_r, []
-        y_sw = sol_r.sol(_R_SWITCH) if dense else sol_r.y[:, -1]
-        w0 = _r_to_s_state(self.n, self.m, _R_SWITCH, y_sw)
+        w0 = _r_to_s_state(self.n, self.m, _R_SWITCH, sol_r.y[:, -1])
         s_switch = math.log(_R_SWITCH)
         outcome, sol_s = self.leg("s", (s_switch, math.log(r_max)), w0, dense)
         return outcome, sol_r, [(s_switch, sol_s)]
@@ -264,6 +263,8 @@ def integrate_radial(
     Returns a RadialSolution when the trajectory stays positive and bounded to
     r_max, otherwise the BlowUp or SignLoss outcome.  The full solution grids
     require the spectrum, so params must be at or above the critical exponent.
+    The shot runs to shoot's classification horizon, so at a solve's v0 (and
+    controls) it is that solve's dense rerun, before any refinement stage.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
@@ -323,10 +324,12 @@ def _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect):
     r_grid = np.exp(s_grid)
     phi = W / r_grid**integ.m
 
-    # chart handoff consistency: both charts integrate [r_switch, r_overlap]
+    # chart handoff consistency: an r-chart continuation of the shot's r-chart
+    # end state and its s-chart leg both cover [r_switch, r_overlap]
     if legs:
         rr = np.linspace(_R_SWITCH * 1.02, min(_R_OVERLAP, r_max), 25)
-        w_chart1 = rr**integ.m * sol_r.sol(rr)[0]
+        _, cont = integ.leg("r", (_R_SWITCH, rr[-1]), sol_r.y[:, -1], dense=True)
+        w_chart1 = rr**integ.m * cont.sol(rr)[0]
         w_chart2 = legs[0][1].sol(np.log(rr))[0]
         overlap = float(np.max(np.abs(w_chart1 - w_chart2)) / integ.L)
     else:
@@ -471,9 +474,10 @@ def shoot(
     leg from the chord between the bracket ends' start states, with no
     r-chart leg, until the bracket collapses to adjacent floats; those two
     floats get full shots.  The accepted v0 is the full-shot survivor with
-    the smallest end residual |r^m phi(r_max)/L - 1|, so its dense rerun is
-    integrate_radial(v0).  (3) Refinement, all or nothing: when that
-    rerun's residual is above _RESOLUTION_FLOOR, where the solution checks
+    the smallest end residual |r^m phi(r_max)/L - 1|.  Its dense rerun,
+    integrate_radial(v0), replays that classifying shot step for step, so
+    it ends on the same residual.  (3) Refinement, all or nothing: when that
+    residual is above _RESOLUTION_FLOOR, where the solution checks
     would see it, the search restarts along the unstable eigenvector from
     checkpoints until a stage makes no progress (at most 5 stages);
     otherwise none runs.  Each stage opens with the linearised step along
@@ -539,14 +543,9 @@ def shoot(
             f"{best.g[dn]:.3g}, {best.g[up]:.3g}"
         )
 
-    rho, sol_r, legs = integ.shot(best.x, r_cls, dense=True)
-    if isinstance(rho, (BlowUp, SignLoss)):
-        # dense rerun must match the classification pass
-        raise NoConvergence(
-            f"accepted trajectory v0={best.x:.17g} regressed on the dense rerun: "
-            f"{rho} where the classification pass survived with |W/L - 1| = "
-            f"{abs(best.rho):.3g} at r={r_cls:g}"
-        )
+    # the dense rerun replays best.x's classifying full shot step for step
+    _, sol_r, legs = integ.shot(best.x, r_cls, dense=True)
+    rho = best.rho
 
     # Iterated unstable-direction refinement: each stage restarts the root
     # search from a checkpoint state, lowering the e^{lam4 s} residue floor
@@ -646,10 +645,9 @@ def _refine_unstable(integ, legs, rho1, r_cls):
     used = len(best.g)
     if best.x is None or abs(best.rho) >= abs(rho1):
         return None
-    outcome, leg = integ.leg("s", (s_c, s_end), y_c + best.x * e4, dense=True)
-    if isinstance(outcome, (BlowUp, SignLoss)):
-        return None
-    return s_c, leg, outcome, used
+    # the dense leg replays the accepted trial
+    _, leg = integ.leg("s", (s_c, s_end), y_c + best.x * e4, dense=True)
+    return s_c, leg, best.rho, used
 
 
 def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:

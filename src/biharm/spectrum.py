@@ -85,7 +85,8 @@ def compute_spectrum(params: ProblemParams) -> Spectrum:
 
     Roots are isolated on the sign-change intervals (-inf, 2*lam_star),
     (2*lam_star, lam_star], [lam_star, 0), (0, inf) and polished with a
-    bracketed solver, so ordering is automatic.  Raises SubcriticalInput
+    bracketed solver, so ordering is automatic; the middle pair is then
+    made symmetric (lam2 = 2 lam_star - lam3).  Raises SubcriticalInput
     when P(lam_star) < 0 beyond rounding, which means p < p_c.
     """
     n, p, m = params.n, params.p, params.m
@@ -124,7 +125,11 @@ def compute_spectrum(params: ProblemParams) -> Spectrum:
     if degenerate:
         lam2, lam3 = lam_s, lam_s
     else:
-        lam2, lam3 = lam2_raw, lam3_raw
+        # P is symmetric about lam_star, and so is its middle pair.  Near the
+        # double root P is flat there and each bracketed root carries its own
+        # error (n=45, p = p_c + 3e-14: raw pair defect 1.3e-9), so lam2 is
+        # lam3's mirror image.
+        lam2, lam3 = 2.0 * lam_s - lam3_raw, lam3_raw
 
     if not (lam1 < 2.0 * lam_s < lam2 <= lam_s <= lam3 < 0.0 < lam4):
         raise InvalidParams(

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -47,6 +49,18 @@ def test_spectrum_csv(runner, pc13):
     lines = res.stdout.splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("L,") for line in lines)
+
+
+def test_critical_csv_has_two_fields_per_line(runner):
+    # the nested parity_boundary dict becomes parity_boundary.<key> rows
+    res = runner.invoke(main, ["critical", "--n", "13", "--format", "csv"])
+    assert res.exit_code == 0
+    rows = list(csv.reader(io.StringIO(res.stdout)))
+    assert all(len(row) == 2 for row in rows)
+    values = dict(rows)
+    assert values["parity_boundary.k"] == "2"
+    assert values["parity_boundary.factored_value"] == "-1296"
+    assert values["parity_boundary.positive"] == "False"
 
 
 def test_critical_small_dimension_graceful(runner):
@@ -128,6 +142,23 @@ def test_solve_failure_exits_1_after_the_dump(runner, pc13, tmp_path):
     line = f"invariants FAILED: decay_slope {slope['value']:.3g} > {slope['bound']:.3g}"
     assert line in res.stderr
     assert all(rec["passed"] for rec in invariants.values())
+
+
+def test_solve_r_chart_only_payload_is_json(runner, pc13, tmp_path):
+    # r_max <= r_switch: no chart overlap to measure, reported as null, not
+    # as the non-JSON NaN; the short solve still fails its decay slope
+    res = runner.invoke(main, [
+        "solve", "--n", "13", "--p", str(pc13 + 0.5),
+        "--r-max", "5", "--out", str(tmp_path / "d.csv"),
+    ])
+    assert res.exit_code == 1
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    summary = json.loads(res.stdout, parse_constant=reject)
+    assert summary["chart_overlap_residual"] is None
+    assert summary["invariants"]["decay_slope"]["passed"] is False
 
 
 def test_solve_deterministic(runner, pc13, tmp_path):

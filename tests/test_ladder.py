@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biharm import (
     InvalidParams,
@@ -125,6 +127,13 @@ def test_ladder_length_formula():
     assert ladder_length_formula(20) == 5
     with pytest.raises(InvalidParams):
         ladder_length_formula(12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=13, max_value=200))
+@example(n=200)
+def test_ladder_length_matches_formula_up_to_n_200(n):
+    assert compute_ladder(n).N == ladder_length_formula(n)
 
 
 def test_ladder_structure():

@@ -560,22 +560,18 @@ def test_large_p_step_failure_names_r_chart(pc15):
         shoot(ProblemParams(15, 100.0 * pc15), alpha=1.0, r_max=1e4)
 
 
-def test_dense_rerun_regression_names_v0_and_outcome(pc13, monkeypatch):
-    plain_shot = _Integrator.shot
-
-    def shot(self, v0, r_max, dense=False):
-        if dense:
-            return BlowUp(r=42.0), None, []
-        return plain_shot(self, v0, r_max, dense)
-
-    monkeypatch.setattr(_Integrator, "shot", shot)
-    with pytest.raises(NoConvergence) as info:
-        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
-    msg = str(info.value)
-    assert "regressed on the dense rerun" in msg
-    assert "BlowUp(r=42.0)" in msg
-    v0 = float(msg.split("v0=")[1].split()[0])
-    assert v0 == pytest.approx(-0.2668911534, rel=1e-6)
+@pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
+def test_dense_shot_replays_the_classifying_shot(fixture, r_max, request):
+    # One shot geometry: dense output only adds interpolants, so the dense
+    # rerun of the accepted v0 ends on the classifying shot's residual and
+    # starts its s-chart from the same r_switch state, bit for bit.
+    sol = request.getfixturevalue(fixture)
+    integ = _Integrator(sol.params, 1.0, ShootControls())
+    r_cls = r_max * math.exp((_EXT_NODES + 1) * _DS)
+    rho_dense, _, legs_dense = integ.shot(sol.v0, r_cls, dense=True)
+    rho, _, legs = integ.shot(sol.v0, r_cls)
+    assert isinstance(rho, float) and rho_dense == rho
+    assert np.array_equal(legs_dense[0][1].y[:, 0], legs[0][1].y[:, 0])
 
 
 def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biharm import (
@@ -126,3 +126,25 @@ def test_poly_residual_at_roots(pc13):
     scale = 1.0 + abs(params.p * q4_eval(13, params.m))
     for lam in s.lambdas:
         assert abs(eigen_poly_eval(params, lam)) < 1e-9 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=13, max_value=200),
+    dp=st.floats(min_value=0.0, max_value=50.0),
+)
+@example(n=200, dp=0.0)
+@example(n=200, dp=50.0)
+@example(n=45, dp=2.7857391689820003e-14)  # near the double root, where P is flat
+def test_spectral_identities_up_to_n_200(n, dp):
+    # criterion 1's checks (ordering chain, pair symmetry about 2 lambda*,
+    # polynomial residual at the roots) over the algebra layer's whole range
+    params = ProblemParams(n, compute_pc(n) + dp)
+    s = compute_spectrum(params)
+    l1, l2, l3, l4 = s.lambdas
+    ls = s.lambda_star
+    assert l1 < 2 * ls < l2 <= ls <= l3 < 0 < l4
+    assert abs(l1 + l4 - 2 * ls) < 1e-9
+    assert abs(l2 + l3 - 2 * ls) < 1e-9
+    scale = 1.0 + abs(params.p * q4_eval(n, params.m))
+    assert max(abs(eigen_poly_eval(params, lam)) for lam in s.lambdas) < 1e-9 * scale

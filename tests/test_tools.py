@@ -40,3 +40,11 @@ def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):
     out = capsys.readouterr().out
     assert "failed phi_positive" in out
     assert "ok cells lost: A, B" in out
+
+
+def test_shoot_cells_trials_sum_to_n_bisect():
+    # one entry per _bisect call of stages 1 and 2 and one per refinement
+    # stage, its opening steps included
+    rec = shoot_cells.shoot_cell("quick")
+    assert len(rec["trials"]) > 2  # the quick cell refines
+    assert sum(rec["trials"]) == rec["n_bisect"]

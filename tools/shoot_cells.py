@@ -13,11 +13,12 @@ the end residual rho = target_residual, the SHA-256 of its dump_solution
 text (dump_sha256, so a plain diff covers s, r, phi, W, Y and Z), the six
 solve invariants with their bounds, and the solve_ivp calls and RHS
 evaluations per chart; a solve that raises a typed error records its class
-and message instead.  Every record also lists the trials of each _bisect
-call in order (stage 1, the chord stage when it runs, then the refinement
-stages that reach it; a refinement stage's opening trials count only in
-n_bisect).  Nothing in the output depends on timing, so two
-trees can be compared with a plain diff.
+and message instead.  Every record also lists the trials of each search in
+order: each _bisect call of stage 1 and of the chord stage when it runs,
+then one entry per refinement stage that returns, its opening steps
+included (the _bisect call inside it is not listed on its own).  On a solve
+that returns, the trials sum to n_bisect.  Nothing in the output depends on
+timing, so two trees can be compared with a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
 so the same script measures any tree.
@@ -26,7 +27,7 @@ so the same script measures any tree.
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
 failed invariants), RHS evaluations, root-search trials (n_bisect; for a
-failed solve, the sum of its _bisect trials), and whether v0 is
+failed solve, the sum of its recorded trials), and whether v0 is
 bit-identical; then the totals and the ok counts.  It exits 1 when a cell
 that is ok in OLD is not ok in NEW.
 """
@@ -85,7 +86,7 @@ def shoot_cell(label: str) -> dict:
     n, p_of, r_max = (CELLS | GRID)[label]
     params = ProblemParams(n, p_of(compute_ladder(n)))
     calls, nfev, trials = Counter(), Counter(), []
-    plain, plain_bisect = shooting.solve_ivp, shooting._bisect
+    plain, plain_bisect, plain_refine = shooting.solve_ivp, shooting._bisect, shooting._refine_unstable
 
     def counting(fun, *args, **kwargs):
         result = plain(fun, *args, **kwargs)
@@ -100,7 +101,16 @@ def shoot_cell(label: str) -> dict:
         trials.append(result[0] if isinstance(result, tuple) else result)
         return result
 
-    shooting.solve_ivp, shooting._bisect = counting, counting_bisect
+    def counting_refine(*args, **kwargs):
+        start = len(trials)
+        result = plain_refine(*args, **kwargs)
+        del trials[start:]  # the stage's _bisect call counts in its own entry
+        if result is not None:
+            trials.append(result[-1])  # (s_c, leg, rho, used)
+        return result
+
+    shooting.solve_ivp, shooting._bisect, shooting._refine_unstable = (
+        counting, counting_bisect, counting_refine)
     try:
         sol = shooting.shoot(params, 1.0, r_max)
     except BiharmError as exc:
@@ -128,7 +138,8 @@ def shoot_cell(label: str) -> dict:
         except BiharmError as exc:
             rec["checks"] = {"error": type(exc).__name__, "message": str(exc)}
     finally:
-        shooting.solve_ivp, shooting._bisect = plain, plain_bisect
+        shooting.solve_ivp, shooting._bisect, shooting._refine_unstable = (
+            plain, plain_bisect, plain_refine)
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max}
     rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c]} for c in ("r", "s")}
     rec["trials"] = trials
