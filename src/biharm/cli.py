@@ -170,8 +170,6 @@ def spectrum(n, p, fmt, out):
         "lambda_4": s.lambdas[3],
         "L": s.L,
         "degenerate": s.degenerate,
-        "symmetry_residual_outer": s.symmetry_residual[0],
-        "symmetry_residual_inner": s.symmetry_residual[1],
     }
     _report(payload, fmt, out)
 

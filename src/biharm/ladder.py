@@ -89,6 +89,14 @@ def _rk_limit_at_one(k: int) -> float:
     return 256.0 * (((k - 1.0) / (k + 1.0)) ** 4 - 1.0)
 
 
+def _rk_direct(p, n: int, k: int):
+    # R_k(p) as written, for p != 1; float or array p.  compute_ladder's
+    # bracket and root search call it on floats, without rk_eval's dispatch.
+    t = p - 1.0
+    arg = (k - 1.0) / (k + 1.0) * 4.0 / t + (n - 4.0) / (k + 1.0)
+    return t**4 * (q4_eval(n, arg) - p * q4_eval(n, 4.0 / t))
+
+
 def rk_eval(n: int, k: int, p):
     """Rung polynomial R_k at exponent p; vectorized over p.
 
@@ -97,19 +105,13 @@ def rk_eval(n: int, k: int, p):
     """
     if k < 1:
         raise InvalidParams(f"k >= 1 required, got k={k}")
-
-    def direct(pv):
-        t = pv - 1.0
-        arg = (k - 1.0) / (k + 1.0) * 4.0 / t + (n - 4.0) / (k + 1.0)
-        return t**4 * (q4_eval(n, arg) - pv * q4_eval(n, 4.0 / t))
-
     if np.ndim(p) == 0:
         if p == 1.0:
             return _rk_limit_at_one(k)
-        return direct(float(p))
+        return _rk_direct(float(p), n, k)
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = direct(p)
+        vals = _rk_direct(p, n, k)
     return np.where(p == 1.0, _rk_limit_at_one(k), vals)
 
 
@@ -188,17 +190,17 @@ def compute_ladder(n: int) -> CriticalLadder:
         tails.append(t_k)
         if t_k <= 0.0:
             break
-        f_lo = rk_eval(n, k, pc)
+        f_lo = _rk_direct(pc, n, k)
         if f_lo >= 0.0:
             raise LadderMismatch(f"R_{k}(p_c) = {f_lo:.6g} >= 0 at n={n}; expected negative")
         hi = 2.0 * pc
         doublings = 0
-        while rk_eval(n, k, hi) <= 0.0:
+        while _rk_direct(hi, n, k) <= 0.0:
             hi *= 2.0
             doublings += 1
             if doublings > 200:
                 raise LadderMismatch(f"R_{k} never turned positive above p_c at n={n}")
-        p_k = brentq(lambda p: rk_eval(n, k, p), pc, hi, **_BRENTQ_KW)
+        p_k = brentq(_rk_direct, pc, hi, args=(n, k), **_BRENTQ_KW)
         if p_k <= rungs[-1]:
             raise LadderMismatch(
                 f"rungs not strictly increasing at n={n}: p_{k}={p_k} <= {rungs[-1]}"

@@ -325,9 +325,11 @@ def _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect):
     phi = W / r_grid**integ.m
 
     # chart handoff consistency: an r-chart continuation of the shot's r-chart
-    # end state and its s-chart leg both cover [r_switch, r_overlap]
-    if legs:
-        rr = np.linspace(_R_SWITCH * 1.02, min(_R_OVERLAP, r_max), 25)
+    # end state and its s-chart leg both cover [r_switch, r_overlap]; the
+    # window starts 2% past r_switch, so a shorter solve has none to measure
+    r_lo, r_hi = _R_SWITCH * 1.02, min(_R_OVERLAP, r_max)
+    if legs and r_hi > r_lo:
+        rr = np.linspace(r_lo, r_hi, 25)
         _, cont = integ.leg("r", (_R_SWITCH, rr[-1]), sol_r.y[:, -1], dense=True)
         w_chart1 = rr**integ.m * cont.sol(rr)[0]
         w_chart2 = legs[0][1].sol(np.log(rr))[0]
@@ -806,8 +808,11 @@ def decay_slope(sol: RadialSolution, critical: bool | None = None) -> float:
     return float(coef[0])
 
 
+_DUMP_ROW = ",".join(["%.17g"] * 6) + "\n"
+
+
 def dump_solution(sol: RadialSolution, fh) -> None:
     """Write the delimited solution dump: one row per s-node, full precision."""
-    fh.write("s,r,phi,W,Y,Z\n")
-    for row in zip(sol.s_grid, sol.r_grid, sol.phi, sol.W, sol.Y, sol.Z):
-        fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    cols = (sol.s_grid, sol.r_grid, sol.phi, sol.W, sol.Y, sol.Z)
+    rows = zip(*(c.tolist() for c in cols))
+    fh.write("s,r,phi,W,Y,Z\n" + "".join(_DUMP_ROW % row for row in rows))

@@ -2,20 +2,23 @@
 
 Q4(a) = a(a+2)(a+2-n)(a+4-n) is the radial symbol of Delta^2 on power laws.
 The linearization of the transformed equation about the singular amplitude
-has eigenvalue polynomial P(lam) = Q4(m - lam) - p*Q4(m), which for n >= 13
-and p at or above the critical exponent has four real roots
+has eigenvalue polynomial P(lam) = Q4(m - lam) - p*Q4(m).  Q4's roots pair
+about (n-4)/2, so with mu = lam_star - lam, lam_star = m - (n-4)/2,
+
+    P = (mu^2 - a^2)(mu^2 - b^2) - p*Q4(m),   a = (n-4)/2,  b = n/2,
+
+a quadratic in mu^2.  For n >= 13 and p at or above the critical exponent
+both of its roots are positive, so the four eigenvalues are real,
 
     lam1 < 2*lam_star < lam2 <= lam_star <= lam3 < 0 < lam4,
 
-symmetric in pairs about lam_star = m - (n-4)/2.
+and symmetric in pairs about lam_star.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .errors import InvalidParams, SubcriticalInput
 from .params import ProblemParams
@@ -27,8 +30,6 @@ DEGENERACY_RTOL = 1e-6
 
 # P(lam_star) below -SUBCRITICAL_RTOL*scale means p < p_c and a complex pair.
 SUBCRITICAL_RTOL = 1e-9
-
-_BRENTQ_KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)
 
 
 def q4_eval(n, alpha):
@@ -56,9 +57,8 @@ class Spectrum:
     """Ordered real spectrum of the linearized operator.
 
     lambdas = (lam1, lam2, lam3, lam4) with lam1 < 2*lam_star < lam2 <=
-    lam_star <= lam3 < 0 < lam4.  L is the singular amplitude Q4(m)^(1/(p-1)).
-    symmetry_residual reports the raw defects (lam1+lam4-2*lam_star,
-    lam2+lam3-2*lam_star) before any symmetrization.
+    lam_star <= lam3 < 0 < lam4, symmetric in pairs about lam_star.  L is the
+    singular amplitude Q4(m)^(1/(p-1)).
     """
 
     params: ProblemParams
@@ -66,70 +66,43 @@ class Spectrum:
     lambdas: tuple[float, float, float, float]
     L: float
     degenerate: bool
-    symmetry_residual: tuple[float, float]
-
-
-def _bracket_outward(f, anchor: float, direction: int, step0: float):
-    """Expand from `anchor` in `direction` until f changes sign; f(anchor) < 0."""
-    step = step0
-    for _ in range(200):
-        x = anchor + direction * step
-        if f(x) > 0.0:
-            return (x, anchor) if direction < 0 else (anchor, x)
-        step *= 2.0
-    raise InvalidParams("failed to bracket an outer eigenvalue; polynomial malformed")
 
 
 def compute_spectrum(params: ProblemParams) -> Spectrum:
-    """Extract the four real roots of the eigenvalue polynomial.
+    """The four real roots of the eigenvalue polynomial, in closed form.
 
-    Roots are isolated on the sign-change intervals (-inf, 2*lam_star),
-    (2*lam_star, lam_star], [lam_star, 0), (0, inf) and polished with a
-    bracketed solver, so ordering is automatic; the middle pair is then
-    made symmetric (lam2 = 2 lam_star - lam3).  Raises SubcriticalInput
-    when P(lam_star) < 0 beyond rounding, which means p < p_c.
+    With mu = lam_star - lam, P is (mu^2 - a^2)(mu^2 - b^2) - p*Q4(m).  The
+    larger root in mu^2 comes from the quadratic formula, where nothing
+    cancels; the smaller one from Vieta's product P(lam_star) = a^2 b^2 -
+    p*Q4(m), which stays accurate near the double root at p_c.  Then
+    lam1,4 = lam_star -/+ mu_plus and lam2,3 = lam_star -/+ mu_minus, so
+    both pairs are symmetric about lam_star by construction.  Raises
+    SubcriticalInput when P(lam_star) < 0 beyond rounding, which means
+    p < p_c.
     """
     n, p, m = params.n, params.p, params.m
     q4m = q4_eval(n, m)
     if q4m <= 0.0:
         raise InvalidParams(f"Q4(m) = {q4m} must be positive; got m={m} outside (0, n-4)")
     lam_s = lambda_star(params)
-    scale = 1.0 + abs(p * q4m)
-
-    def poly(lam):
-        return eigen_poly_eval(params, lam)
-
-    p_star = poly(lam_s)
-    if p_star < -SUBCRITICAL_RTOL * scale:
+    a2 = ((n - 4.0) / 2.0) ** 2
+    b2 = (n / 2.0) ** 2
+    pq = p * q4m
+    p_star = a2 * b2 - pq
+    if p_star < -SUBCRITICAL_RTOL * (1.0 + abs(pq)):
         raise SubcriticalInput(
             f"P(lam_star) = {p_star:.6g} < 0 at (n={n}, p={p}): p lies below the "
             "critical exponent (for n <= 12 every supercritical p does), so the "
             "middle eigenvalue pair is complex"
         )
 
-    step0 = max(1.0, abs(lam_s))
-    a, b = _bracket_outward(poly, 2.0 * lam_s, -1, step0)
-    lam1 = brentq(poly, a, b, **_BRENTQ_KW)
-    a, b = _bracket_outward(poly, 0.0, +1, step0)
-    lam4 = brentq(poly, a, b, **_BRENTQ_KW)
-
-    if p_star <= 0.0:
-        # Numerically at the double root: only rounding keeps P(lam_star) below 0.
-        lam2_raw = lam3_raw = lam_s
-    else:
-        lam2_raw = brentq(poly, 2.0 * lam_s, lam_s, **_BRENTQ_KW)
-        lam3_raw = brentq(poly, lam_s, 0.0, **_BRENTQ_KW)
-
-    residual = (lam1 + lam4 - 2.0 * lam_s, lam2_raw + lam3_raw - 2.0 * lam_s)
-    degenerate = abs(lam3_raw - lam2_raw) < DEGENERACY_RTOL * abs(lam_s)
+    mu2_plus = 0.5 * (a2 + b2 + math.sqrt((b2 - a2) ** 2 + 4.0 * pq))
+    mu_plus = math.sqrt(mu2_plus)
+    mu_minus = math.sqrt(max(p_star, 0.0) / mu2_plus)
+    degenerate = 2.0 * mu_minus < DEGENERACY_RTOL * abs(lam_s)
     if degenerate:
-        lam2, lam3 = lam_s, lam_s
-    else:
-        # P is symmetric about lam_star, and so is its middle pair.  Near the
-        # double root P is flat there and each bracketed root carries its own
-        # error (n=45, p = p_c + 3e-14: raw pair defect 1.3e-9), so lam2 is
-        # lam3's mirror image.
-        lam2, lam3 = 2.0 * lam_s - lam3_raw, lam3_raw
+        mu_minus = 0.0
+    lam1, lam2, lam3, lam4 = lam_s - mu_plus, lam_s - mu_minus, lam_s + mu_minus, lam_s + mu_plus
 
     if not (lam1 < 2.0 * lam_s < lam2 <= lam_s <= lam3 < 0.0 < lam4):
         raise InvalidParams(
@@ -144,5 +117,4 @@ def compute_spectrum(params: ProblemParams) -> Spectrum:
         lambdas=(lam1, lam2, lam3, lam4),
         L=L,
         degenerate=degenerate,
-        symmetry_residual=residual,
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from biharm import (
     InvalidParams,
@@ -18,6 +19,7 @@ from biharm import (
     rk_eval,
     tail_limit,
 )
+from biharm.ladder import _BRENTQ_KW
 from biharm.spectrum import eigen_poly_eval, lambda_star
 
 
@@ -159,6 +161,23 @@ def test_ladder_rung_relation():
             # R_k is negative below its own rung, in particular at p_c
             if k >= 2:
                 assert rk_eval(n, k, lad.p_c) < 0.0
+
+
+def test_ladder_rungs_equal_root_search_on_public_rk_eval():
+    # compute_ladder searches on the bare formula without rk_eval's dispatch;
+    # the rungs must be exactly those of the same search through rk_eval.
+    # rk_eval takes scalars here: numpy's array power differs from the float
+    # power in the last ulp for some p, which moves the n=200, k=95 rung.
+    for n in (13, 20, 57, 200):
+        lad = compute_ladder(n)
+        pc = lad.p_c
+        rungs = [pc]
+        for k in range(2, lad.N + 1):
+            hi = 2.0 * pc
+            while rk_eval(n, k, hi) <= 0.0:
+                hi *= 2.0
+            rungs.append(brentq(lambda p: rk_eval(n, k, p), pc, hi, **_BRENTQ_KW))
+        assert lad.rungs == tuple(rungs), n
 
 
 def test_rk_root_count_above_pc():

@@ -461,6 +461,34 @@ def test_dump_roundtrip(sol_quick):
     assert np.array_equal(values[:, 5], sol_quick.Z)
 
 
+def test_dump_matches_the_per_value_format(sol_quick):
+    # the dump formats whole rows with "%.17g"; it must give the text of the
+    # per-value f"{x:.17g}" writer, special values included
+    def per_value(sol):
+        rows = zip(sol.s_grid, sol.r_grid, sol.phi, sol.W, sol.Y, sol.Z)
+        lines = (",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+        return "s,r,phi,W,Y,Z\n" + "".join(lines)
+
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-310])
+    phi = sol_quick.phi.copy()
+    phi[: special.size] = special
+    Z = sol_quick.Z.copy()
+    Z[-special.size :] = special[::-1]
+    for sol in (sol_quick, replace(sol_quick, phi=phi, Z=Z)):
+        buf = io.StringIO()
+        dump_solution(sol, buf)
+        assert buf.getvalue() == per_value(sol)
+
+
+def test_chart_overlap_needs_its_window(pc13):
+    # the overlap window starts at 1.02 r_switch; below that there is nothing
+    # to compare and the residual is NaN rather than an extrapolation
+    params = ProblemParams(13, pc13 + 0.5)
+    assert 9.8 < _R_SWITCH * 1.02 < 11.0
+    assert math.isnan(shoot(params, alpha=1.0, r_max=9.8).chart_overlap_residual)
+    assert shoot(params, alpha=1.0, r_max=11.0).chart_overlap_residual < 1e-13
+
+
 def test_input_validation(pc13):
     params = ProblemParams(13, pc13 + 0.5)
     with pytest.raises(InvalidParams):

@@ -81,8 +81,11 @@ def test_reflection_symmetry(n, dp, u):
 
 
 def test_spectrum_against_companion_matrix():
-    # independent oracle: roots of the expanded quartic via the companion matrix
-    for n, dp in ((13, 1.0), (15, 2.5), (33, 12.0), (60, 0.3)):
+    # independent oracle: roots of the expanded quartic via the companion
+    # matrix, here and over the algebra layer's whole range of n
+    cells = [(13, 1.0), (15, 2.5), (33, 12.0), (60, 0.3)]
+    cells += [(n, dp) for n in range(13, 201) for dp in (0.5, 50.0)]
+    for n, dp in cells:
         params = ProblemParams(n, compute_pc(n) + dp)
         s = compute_spectrum(params)
         m = params.m
@@ -91,7 +94,7 @@ def test_spectrum_against_companion_matrix():
         coeffs[4] -= params.p * q4_eval(n, m)
         # P(lam) = prod(a_i - lam); roots in lam coincide with prod(x - a_i) shifted
         oracle = np.sort(np.roots(coeffs).real)
-        assert np.allclose(np.sort(s.lambdas), oracle, rtol=1e-9, atol=1e-9)
+        assert np.allclose(np.sort(s.lambdas), oracle, rtol=1e-9, atol=1e-9), (n, dp)
 
 
 def test_spectrum_ordering_and_symmetry(pc13):
@@ -105,11 +108,12 @@ def test_spectrum_ordering_and_symmetry(pc13):
     assert s.L == pytest.approx(q4_eval(13, s.params.m) ** (1.0 / (s.params.p - 1.0)))
 
 
-def test_spectrum_degenerate_at_pc(pc13):
-    s = compute_spectrum(ProblemParams(13, pc13))
-    assert s.degenerate
-    assert s.lambdas[1] == s.lambda_star == s.lambdas[2]
-    assert abs(s.lambdas[1] - s.lambdas[2]) < 1e-6 * abs(s.lambda_star)
+def test_spectrum_degenerate_at_pc():
+    # verify's double_root_at_pc covers n <= 60; the spectrum holds to n = 200
+    for n in range(13, 201):
+        s = compute_spectrum(ProblemParams(n, compute_pc(n)))
+        assert s.degenerate, n
+        assert s.lambdas[1] == s.lambda_star == s.lambdas[2], n
 
 
 def test_spectrum_rejects_subcritical(pc13):
