@@ -92,9 +92,12 @@ def _rk_limit_at_one(k: int) -> float:
 def _rk_direct(p, n: int, k: int):
     # R_k(p) as written, for p != 1; float or array p.  compute_ladder's
     # bracket and root search call it on floats, without rk_eval's dispatch.
+    # (p-1)^4 by two squarings: numpy's array power and the float power
+    # round differently, two multiplications round alike on both paths.
     t = p - 1.0
+    t2 = t * t
     arg = (k - 1.0) / (k + 1.0) * 4.0 / t + (n - 4.0) / (k + 1.0)
-    return t**4 * (q4_eval(n, arg) - p * q4_eval(n, 4.0 / t))
+    return t2 * t2 * (q4_eval(n, arg) - p * q4_eval(n, 4.0 / t))
 
 
 def rk_eval(n: int, k: int, p):

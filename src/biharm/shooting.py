@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     BracketNotFound,
@@ -30,6 +29,7 @@ from .errors import (
     StepFailure,
 )
 from .fdiff import diff_uniform, stencil_margin
+from .ivp import solve_ivp
 from .params import ProblemParams
 from .spectrum import Spectrum, compute_spectrum
 
@@ -45,7 +45,6 @@ _DS = 0.01           # uniform s-grid spacing of the returned solution
 _MAX_BISECT = 240     # root-search trials per stage
 _PROBE_LO = -1e3      # most negative v0 probed
 _PROBE_HI = -1e-6     # least negative v0 probed
-_METHOD = "DOP853"
 _REFINE_FLOOR = 1e-13  # stage-1 contamination level at a refinement checkpoint
 # relative v0 bracket width below which the r_switch state is linear in v0 to
 # within the integration noise, so trials are classified from the chord
@@ -194,17 +193,17 @@ class _Integrator:
         }
 
     # --- right-hand sides -------------------------------------------------
-    # Scalar math: the states have four entries, where numpy's per-call
-    # overhead dominates.  The operations match the array form built on
-    # _power term for term, so the results are identical.
+    # Scalar math on sequences of four floats, as the DOP853 driver passes
+    # them.  The operations match the array form built on _power term for
+    # term, so the results are identical.
     def rhs_r(self, r, y):
-        u, w, v, z = y.tolist()
+        u, w, v, z = y
         nm1 = self.nm1
         up = min(u, self.pow_cap) ** self.p if u > 0.0 else 0.0
         return (w, v - nm1 * w / r, z, up - nm1 * z / r)
 
     def rhs_s(self, s, y):
-        w0, w1, w2, w3 = y.tolist()
+        w0, w1, w2, w3 = y
         up = min(w0, self.pow_cap) ** self.p if w0 > 0.0 else 0.0
         return (w1, w2, w3, up - (self.c1 * w3 + self.c2 * w2 + self.c3 * w1 + self.c4 * w0))
 
@@ -217,11 +216,17 @@ class _Integrator:
         """
         rhs, events = self.charts[chart]
         sol = solve_ivp(
-            rhs, span, y0, method=_METHOD, rtol=self.c.rtol, atol=1e-2 * self.c.rtol,
+            rhs, span, y0, rtol=self.c.rtol, atol=1e-2 * self.c.rtol,
             events=events, dense_output=dense,
         )
         if sol.status == -1:
-            raise StepFailure(f"{chart}-chart integration failed: {sol.message}")
+            t_fail = float(sol.t[-1])
+            r_fail = t_fail if chart == "r" else math.exp(t_fail)
+            raise StepFailure(
+                f"{chart}-chart step failed at r = {r_fail:.6g}: step size {sol.step:.3g} in "
+                f"{chart} is below 10 ulp of {chart} = {t_fail:.17g}, on the leg over {chart} "
+                f"in [{span[0]:.6g}, {span[1]:.6g}]"
+            )
         if sol.status == 1:
             hit = 1 if sol.t_events[1].size else 0
             t_ev = float(sol.t_events[hit][0])
@@ -475,10 +480,11 @@ def shoot(
     integration noise, so each further trial is classified by one s-chart
     leg from the chord between the bracket ends' start states, with no
     r-chart leg, until the bracket collapses to adjacent floats; those two
-    floats get full shots.  The accepted v0 is the full-shot survivor with
-    the smallest end residual |r^m phi(r_max)/L - 1|.  Its dense rerun,
-    integrate_radial(v0), replays that classifying shot step for step, so
-    it ends on the same residual.  (3) Refinement, all or nothing: when that
+    floats get full shots.  When no full shot has survived, full shots
+    continue on the bracket their outcomes leave.  The accepted v0 is the
+    full-shot survivor with the smallest end residual |r^m phi(r_max)/L - 1|.
+    Its dense rerun, integrate_radial(v0), replays that classifying shot
+    step for step, so it ends on the same residual.  (3) Refinement, all or nothing: when that
     residual is above _RESOLUTION_FLOOR, where the solution checks
     would see it, the search restarts along the unstable eigenvector from
     checkpoints until a stage makes no progress (at most 5 stages);
@@ -530,6 +536,7 @@ def shoot(
 
     n_iter, up, dn = _bisect(best.side, up, dn, done=chord_ready, ends=(best.g[up], best.g[dn]))
     if chord_ready(up, dn):  # stage 1 stopped on the chord condition, not on collapse
+        up1, dn1 = up, dn
         # a chord trial at an end starts from that end's own state: same g
         chord = _Best(_chord_trial(integ, starts, up, dn, r_cls), lam4, s_cls)
         used, up, dn = _bisect(chord.side, up, dn, ends=(best.g[up], best.g[dn]))
@@ -537,6 +544,17 @@ def shoot(
         for v0 in (up, dn):
             if v0 not in starts:
                 best.side(v0)
+        if best.x is None:
+            # The chord's pair need not be a full-shot bracket: both floats
+            # may escape to one side.  Full shots then continue on the
+            # bracket their outcomes leave, the pair end on the one side and
+            # stage 1's end on the other.
+            if best.g[dn] >= 0.0:
+                up, dn = dn, dn1
+            elif best.g[up] < 0.0:
+                up, dn = up1, up
+            used, up, dn = _bisect(best.side, up, dn, ends=(best.g[up], best.g[dn]))
+            n_iter += used
     if best.x is None:
         raise NoConvergence(
             f"no trajectory reached r_max={r_max:g}: the v0 root search ended after "

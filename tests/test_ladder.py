@@ -73,6 +73,13 @@ def test_rk_vectorized_matches_scalar():
     vals = rk_eval(13, 2, ps)
     for p, v in zip(ps, vals):
         assert v == rk_eval(13, 2, float(p))
+    # bit for bit over three decades above p_c: with (p-1)^4 as a power,
+    # about 5% of these p rounded differently on the array path
+    pc = compute_pc(200)
+    ps = pc * 10.0 ** np.random.default_rng(200).uniform(0.0, 3.0, size=10_000)
+    for k in (2, 50, 90):
+        vals = rk_eval(200, k, ps).tolist()
+        assert vals == [rk_eval(200, k, p) for p in ps.tolist()], k
 
 
 def test_tail_limit_hand_values():
@@ -166,8 +173,6 @@ def test_ladder_rung_relation():
 def test_ladder_rungs_equal_root_search_on_public_rk_eval():
     # compute_ladder searches on the bare formula without rk_eval's dispatch;
     # the rungs must be exactly those of the same search through rk_eval.
-    # rk_eval takes scalars here: numpy's array power differs from the float
-    # power in the last ulp for some p, which moves the n=200, k=95 rung.
     for n in (13, 20, 57, 200):
         lad = compute_ladder(n)
         pc = lad.p_c

@@ -582,10 +582,39 @@ def test_rung_solution_monotone(sol_rung):
     assert check_monotone_y(sol_rung)
 
 
+_STEP_FAILURE = re.compile(
+    r"^(r|s)-chart step failed at r = (\S+): step size (\S+) in (r|s) is below 10 ulp of "
+    r"(r|s) = (\S+), on the leg over (r|s) in \[(\S+), (\S+)\]$"
+)
+
+
+def _check_step_failure(message, chart, span):
+    # the message names the chart, the radius, the step size and the leg's span
+    found = _STEP_FAILURE.match(message)
+    assert found is not None, message
+    assert set(found.group(1, 4, 5, 7)) == {chart}
+    r, h, t, lo, hi = (float(x) for x in found.group(2, 3, 6, 8, 9))
+    assert r == pytest.approx(t if chart == "r" else math.exp(t), rel=1e-5)
+    assert 0.0 < h < 10.0 * np.spacing(t)
+    assert (lo, hi) == pytest.approx(span, rel=1e-5)
+    assert lo < t < hi
+    return r
+
+
 def test_large_p_step_failure_names_r_chart(pc15):
     # u^p stiffness at n=15, p = 100 p_c stops the first probe shot in the r-chart
-    with pytest.raises(StepFailure, match="r-chart"):
+    with pytest.raises(StepFailure) as info:
         shoot(ProblemParams(15, 100.0 * pc15), alpha=1.0, r_max=1e4)
+    _check_step_failure(str(info.value), "r", (1e-3, _R_SWITCH))
+
+
+def test_large_p_step_failure_names_s_chart(pc13):
+    # at n=13, p = 10 p_c the steps underflow in the s-chart, past r_switch
+    with pytest.raises(StepFailure) as info:
+        shoot(ProblemParams(13, 10.0 * pc13), alpha=1.0, r_max=1e4)
+    r_cls = 1e4 * math.exp((_EXT_NODES + 1) * _DS)
+    r = _check_step_failure(str(info.value), "s", (math.log(_R_SWITCH), math.log(r_cls)))
+    assert _R_SWITCH < r < r_cls
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
@@ -622,6 +651,59 @@ def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
     assert 0 < trials <= _MAX_BISECT
     assert dn < -0.25 <= up and np.nextafter(dn, math.inf) == up
     assert g_dn < 0.0 < g_up
+
+
+@pytest.mark.parametrize("survives", [True, False])
+def test_chord_pair_fallback_continues_full_shots(pc13, monkeypatch, survives):
+    # Full shots blow up above S; S survives (or loses sign), and below it
+    # every shot loses sign.  The chord legs flip 3 ulps above S, so the
+    # chord stage collapses onto a pair whose full shots both blow up.  The
+    # full-shot search then continues from the pair's lower end down to
+    # stage 1's sign-loss end and finds S, or, when S does not survive,
+    # names its collapsed full-shot bracket.
+    S = -0.3
+    T = S + 3.0 * np.spacing(S)
+
+    def shot(self, v0, r_max, dense=False):
+        if v0 > S:
+            out = BlowUp(r=5.0)
+        else:
+            out = -1e-12 if v0 == S and survives else SignLoss(r=5.0)
+        start = SimpleNamespace(y=np.array([[v0], [0.0], [0.0], [0.0]]))
+        return out, None, [(math.log(_R_SWITCH), start)]
+
+    def leg(self, chart, span, y0, dense=False):
+        return (BlowUp if y0[0] >= T else SignLoss)(r=5.0), None
+
+    trials = []
+    plain_bisect = biharm.shooting._bisect
+
+    def recording_bisect(*args, **kwargs):
+        result = plain_bisect(*args, **kwargs)
+        trials.append(result[0])
+        return result
+
+    monkeypatch.setattr(_Integrator, "shot", shot)
+    monkeypatch.setattr(_Integrator, "leg", leg)
+    monkeypatch.setattr(biharm.shooting, "_bisect", recording_bisect)
+    monkeypatch.setattr(biharm.shooting, "_assemble_solution",
+                        lambda integ, v0, r_max, sol_r, legs, n_bisect:
+                        SimpleNamespace(v0=v0, n_bisect=n_bisect))
+    params = ProblemParams(13, pc13 + 0.5)
+    if survives:
+        sol = shoot(params, alpha=1.0, r_max=60.0)
+        assert sol.v0 == S
+        n_bisect = sol.n_bisect
+    else:
+        with pytest.raises(NoConvergence) as info:
+            shoot(params, alpha=1.0, r_max=60.0)
+        found = re.search(r"after (\d+) trials on the bracket \[(\S+), (\S+)\]", str(info.value))
+        assert found is not None
+        assert (float(found[2]), float(found[3])) == (S, np.nextafter(S, 0.0))
+        n_bisect = int(found[1])
+    # stage 1, the chord stage and the fallback, whose trials all count
+    assert len(trials) == 3 and trials[2] > 0
+    assert n_bisect == sum(trials)
 
 
 @pytest.mark.parametrize("controls, atol", [(ShootControls(), 1e-14), (ShootControls(rtol=5e-13), 5e-15)])

@@ -14,8 +14,10 @@ text (dump_sha256, so a plain diff covers s, r, phi, W, Y and Z), the six
 solve invariants with their bounds, and the solve_ivp calls and RHS
 evaluations per chart; a solve that raises a typed error records its class
 and message instead.  Every record also lists the trials of each search in
-order: each _bisect call of stage 1 and of the chord stage when it runs,
-then one entry per refinement stage that returns, its opening steps
+order: each _bisect call of stage 1, of the chord stage when it runs and of
+the full-shot search that follows the chord stage when no full shot has
+survived (its own entry, 0 when the chord's pair already brackets in full
+shots), then one entry per refinement stage that returns, its opening steps
 included (the _bisect call inside it is not listed on its own).  On a solve
 that returns, the trials sum to n_bisect.  Nothing in the output depends on
 timing, so two trees can be compared with a plain diff.
