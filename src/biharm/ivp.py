@@ -9,6 +9,13 @@ steps scipy.integrate.solve_ivp(method="DOP853") takes, up to rounding.
 States are four Python floats, unrolled: on four entries numpy's per-call
 overhead is most of the cost of scipy's step.
 
+The step and the interpolant's extra stages are straight-line code, generated
+once at import from the tableau: one line per stage, each nonzero coefficient
+a literal.  Every stage sum is written 0.0 + c_j k_j + ... in the row's order
+and every state update as y_i + h (sum), so each float operation happens in
+the order of a loop over the tableau's rows, and a step is bit-identical to
+that loop form (tests/test_ivp.py keeps it as the oracle).
+
 Events are terminal.  Each event function carries a `direction` attribute and
 is checked at the step ends; the first root, located by brentq on the step's
 interpolant, ends the integration.
@@ -16,6 +23,7 @@ interpolant, ends the integration.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
 
@@ -43,21 +51,62 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # scipy's step controller
 _EPS = np.finfo(float).eps
 
 
-def _combo(K, row):
-    """Entry by entry, the sum over row's (j, c) of c * K[j]."""
-    a0 = a1 = a2 = a3 = 0.0
-    for j, c in row:
-        k0, k1, k2, k3 = K[j]
-        a0 += c * k0
-        a1 += c * k1
-        a2 += c * k2
-        a3 += c * k3
-    return a0, a1, a2, a3
+def _sum(row, i):
+    """Entry i of the sum over row's (j, c) of c * K[j], as source: 0.0 plus
+    the terms in the row's order."""
+    return "0.0" + "".join(f" + {c!r} * k{j}_{i}" for j, c in row)
 
 
-def _axpy(y, h, d):
-    """y + h d, entry by entry."""
-    return y[0] + h * d[0], y[1] + h * d[1], y[2] + h * d[2], y[3] + h * d[3]
+def _state(row):
+    """The four entries y_i + h * (entry i of row's sum), as a tuple source."""
+    return "(" + ", ".join(f"y{i} + h * ({_sum(row, i)})" for i in range(4)) + ")"
+
+
+def _unpack(j, value):
+    """Stage j's four floats bound to k{j} and its entries to k{j}_0..k{j}_3."""
+    return f"    k{j} = {value}\n    k{j}_0, k{j}_1, k{j}_2, k{j}_3 = k{j}\n"
+
+
+def _step_source():
+    """def _step(fun, t, y, f, h, rtol, atol): one step of 13 stages; returns
+    the stages K, y at t + h and the error norm."""
+    src = "def _step(fun, t, y, f, h, rtol, atol):\n    y0, y1, y2, y3 = y\n"
+    src += _unpack(0, "f")
+    for s in range(1, _N_STAGES):
+        src += _unpack(s, f"fun(t + {_C[s]!r} * h, {_state(_A[s])})")
+    src += f"    y_new = n0, n1, n2, n3 = {_state(_B)}\n"
+    src += _unpack(_N_STAGES, "fun(t + h, y_new)")
+    for i in range(4):
+        # b if b > a else a: max(a, b), without the builtin call
+        src += f"    a = abs(y{i})\n    b = abs(n{i})\n    sc{i} = atol + (b if b > a else a) * rtol\n"
+    for name, row in (("e5", _E5), ("e3", _E3)):
+        for i in range(4):
+            src += f"    q{i} = ({_sum(row, i)}) / sc{i}\n"
+        src += f"    {name} = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3\n"
+    src += "    K = [" + ", ".join(f"k{j}" for j in range(_N_STAGES + 1)) + "]\n"
+    src += "    if e5 == 0.0 and e3 == 0.0:\n        return K, y_new, 0.0\n"
+    src += "    return K, y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)\n"
+    return src
+
+
+def _extra_source():
+    """def _extra(fun, K, t_old, h, y_old): the interpolant's three extra
+    stages; returns its four D rows, each scaled by h."""
+    src = "def _extra(fun, K, t_old, h, y_old):\n    y0, y1, y2, y3 = y_old\n"
+    for j in range(_N_STAGES + 1):
+        src += f"    k{j}_0, k{j}_1, k{j}_2, k{j}_3 = K[{j}]\n"
+    for j, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1):
+        src += _unpack(j, f"fun(t_old + {c!r} * h, {_state(a)})")
+    rows = ", ".join("[" + ", ".join(f"h * ({_sum(row, i)})" for i in range(4)) + "]" for row in _D)
+    return src + f"    return [{rows}]\n"
+
+
+# The source is registered with linecache, so tracebacks show its lines.
+_SOURCE = _step_source() + _extra_source()
+linecache.cache["<DOP853 tableau>"] = (len(_SOURCE), None, _SOURCE.splitlines(True), "<DOP853 tableau>")
+_namespace = {"__name__": __name__, "math": math}
+exec(compile(_SOURCE, "<DOP853 tableau>", "exec"), _namespace)
+_step, _extra = _namespace["_step"], _namespace["_extra"]
 
 
 def _sumsq(v):
@@ -123,27 +172,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
     y = tuple(float(v) for v in y0)
     nfev = 0
 
-    def step(t, y, f, h):
-        # one step: its 13 stages, y at t + h and the error norm
-        nonlocal nfev
-        K = [f]
-        for s in range(1, _N_STAGES):
-            K.append(fun(t + _C[s] * h, _axpy(y, h, _combo(K, _A[s]))))
-        y_new = _axpy(y, h, _combo(K, _B))
-        K.append(fun(t + h, y_new))
-        nfev += _N_STAGES
-        scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
-        e5 = _sumsq([e / sc for e, sc in zip(_combo(K, _E5), scale)])
-        e3 = _sumsq([e / sc for e, sc in zip(_combo(K, _E3), scale)])
-        if e5 == 0.0 and e3 == 0.0:
-            return K, y_new, 0.0
-        return K, y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
-
     def interpolant(K, t_old, t, y_old, y_new):
         nonlocal nfev
         h = t - t_old
-        for a, c in zip(_A_EXTRA, _C_EXTRA):
-            K.append(fun(t_old + c * h, _axpy(y_old, h, _combo(K, a))))
         nfev += len(_A_EXTRA)
         delta = [b - a for a, b in zip(y_old, y_new)]
         F = [
@@ -151,7 +182,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
             [h * f - d for f, d in zip(K[0], delta)],
             [2.0 * d - h * (f1 + f0) for d, f1, f0 in zip(delta, K[_N_STAGES], K[0])],
         ]
-        F += [[h * v for v in _combo(K, row)] for row in _D]
+        F += _extra(fun, K, t_old, h, y_old)
         return _Interpolant(t_old, t, y_old, F)
 
     # initial step (Hairer, Norsett & Wanner, Sec. II.4), as scipy selects it
@@ -161,7 +192,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
     d1 = _rms([v / sc for v, sc in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound - t0)
-    f1 = fun(t0 + h0, _axpy(y, h0, f))
+    f1 = fun(t0 + h0, tuple(a + h0 * b for a, b in zip(y, f)))
     nfev += 2
     d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -182,7 +213,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            K, y_new, err = step(t, y, f, h)
+            K, y_new, err = _step(fun, t, y, f, h, rtol, atol)
+            nfev += _N_STAGES
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
                 h_abs = h * (min(1.0, factor) if rejected else factor)

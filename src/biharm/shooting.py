@@ -198,13 +198,14 @@ class _Integrator:
     # term, so the results are identical.
     def rhs_r(self, r, y):
         u, w, v, z = y
-        nm1 = self.nm1
-        up = min(u, self.pow_cap) ** self.p if u > 0.0 else 0.0
+        nm1, cap = self.nm1, self.pow_cap
+        up = (u if u < cap else cap) ** self.p if u > 0.0 else 0.0
         return (w, v - nm1 * w / r, z, up - nm1 * z / r)
 
     def rhs_s(self, s, y):
         w0, w1, w2, w3 = y
-        up = min(w0, self.pow_cap) ** self.p if w0 > 0.0 else 0.0
+        cap = self.pow_cap
+        up = (w0 if w0 < cap else cap) ** self.p if w0 > 0.0 else 0.0
         return (w1, w2, w3, up - (self.c1 * w3 + self.c2 * w2 + self.c3 * w1 + self.c4 * w0))
 
     # --- one leg, one shot ------------------------------------------------
@@ -728,28 +729,52 @@ def emden_fowler_residual(sol: RadialSolution) -> float:
     return float(np.max(np.abs(total - forcing)) / np.max(forcing))
 
 
-def _phi_pair(z: float):
-    # phi1(z) = (e^z - 1)/z, phi2(z) = (e^z - 1 - z)/z^2; exact kernel weights
-    em = math.expm1(z)
-    return em / z, (em - z) / z**2
+def _phis(z: float, count: int) -> list[float]:
+    """phi_1(z) .. phi_count(z), phi_k(z) = int_0^1 e^{(1-x) z} x^(k-1)/(k-1)! dx.
+
+    Taylor series sum_i z^i/(i+k)! for |z| < 1/2, where the recurrence
+    phi_{k+1} = (phi_k - 1/k!)/z would cancel; the recurrence from
+    phi_1 = expm1(z)/z elsewhere.
+    """
+    if abs(z) < 0.5:
+        return [sum(z**i / math.factorial(i + k) for i in range(20)) for k in range(1, count + 1)]
+    out = [math.expm1(z) / z]
+    for k in range(1, count):
+        out.append((out[-1] - 1.0 / math.factorial(k)) / z)
+    return out
 
 
 def exp_kernel_convolve(lam: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """I(s_j) = int_{s_0}^{s_j} e^{lam (s_j - tau)} g(tau) dtau on a uniform grid.
 
-    Exponentially fitted trapezoid: exact for the kernel, linear interpolation
-    of g on each step; unconditionally stable recursion.
+    Exponentially fitted cubic rule: on each step the kernel is integrated
+    exactly against the cubic through g at four nodes (the step's ends and
+    one more on each side, moved inward at the grid's ends), so the error is
+    O(h^4) times g's fourth derivative.  Unconditionally stable recursion
+    I_{j+1} = e^{lam h} I_j + (the step's weights) . g.
     """
-    h = s[1] - s[0]
+    h = float(s[1] - s[0])
     z = lam * h
+    size = g.size
+    width = min(4, size)  # nodes per step's interpolant
+    moments = [math.factorial(m) * phi for m, phi in enumerate(_phis(z, width))]
+    steps = np.arange(size - 1)
+    first = np.clip(steps - 1, 0, size - width)  # each step's first node
+    shifts = first - steps
+    inc = np.empty(size - 1)
+    for shift in np.unique(shifts).tolist():
+        # the kernel's moments against the Lagrange basis on the nodes
+        # shift, shift + 1, ... (in steps from the step's left end)
+        nodes = np.arange(shift, shift + width, dtype=float)
+        w = h * np.linalg.solve(np.vander(nodes, increasing=True).T, moments)
+        at = shifts == shift
+        inc[at] = g[first[at, None] + np.arange(width)] @ w
     e = math.exp(z)
-    p1, p2 = _phi_pair(z)
-    out = np.zeros_like(g)
-    w_prev = h * (p1 - p2)
-    w_next = h * p2
-    for j in range(1, g.size):
-        out[j] = e * out[j - 1] + w_prev * g[j - 1] + w_next * g[j]
-    return out
+    out, acc = [0.0], 0.0
+    for d in inc.tolist():
+        acc = e * acc + d
+        out.append(acc)
+    return np.array(out)
 
 
 def y_integral_identity_check(sol: RadialSolution, spec: Spectrum | None = None) -> float:

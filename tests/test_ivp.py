@@ -1,17 +1,20 @@
 """The scalar DOP853 driver against scipy.integrate.solve_ivp(method="DOP853").
 
 Both integrate the shooter's legs at the shooter's tolerances; the driver
-follows scipy's algorithm, so the two agree up to rounding.
+follows scipy's algorithm, so the two agree up to rounding.  The driver's
+step, generated from the tableau, is also checked bit for bit against the
+tableau's rows looped over.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-from biharm import ProblemParams
-from biharm.ivp import solve_ivp
+from biharm import ProblemParams, compute_pc
+from biharm.ivp import _extra, _step, solve_ivp
 from biharm.shooting import (
     _PROBE_HI,
     _R_SEED,
@@ -98,3 +101,81 @@ def test_large_p_first_probe_fails(pc15):
     assert ours.status == ref.status == -1
     assert _R_SEED < ours.t[-1] < _R_SWITCH
     assert ours.step < 10.0 * np.spacing(ours.t[-1])
+
+
+# --- the step as loops over the tableau's rows: the oracle ------------------
+
+def _rows(table):
+    return [[(j, c) for j, c in enumerate(row) if c != 0.0] for row in np.atleast_2d(table).tolist()]
+
+
+_A, _C, (_B,), (_E3,), (_E5,) = (_rows(DOP853.A), DOP853.C.tolist(), _rows(DOP853.B),
+                                 _rows(DOP853.E3), _rows(DOP853.E5))
+_A_EXTRA, _C_EXTRA, _D = _rows(DOP853.A_EXTRA), DOP853.C_EXTRA.tolist(), _rows(DOP853.D)
+
+
+def _combo(K, row):
+    a0 = a1 = a2 = a3 = 0.0
+    for j, c in row:
+        k0, k1, k2, k3 = K[j]
+        a0 += c * k0
+        a1 += c * k1
+        a2 += c * k2
+        a3 += c * k3
+    return a0, a1, a2, a3
+
+
+def _axpy(y, h, d):
+    return y[0] + h * d[0], y[1] + h * d[1], y[2] + h * d[2], y[3] + h * d[3]
+
+
+def _sumsq(v):
+    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
+
+
+def _loop_step(fun, t, y, f, h, rtol, atol):
+    K = [f]
+    for s in range(1, DOP853.n_stages):
+        K.append(fun(t + _C[s] * h, _axpy(y, h, _combo(K, _A[s]))))
+    y_new = _axpy(y, h, _combo(K, _B))
+    K.append(fun(t + h, y_new))
+    scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+    e5 = _sumsq([e / sc for e, sc in zip(_combo(K, _E5), scale)])
+    e3 = _sumsq([e / sc for e, sc in zip(_combo(K, _E3), scale)])
+    if e5 == 0.0 and e3 == 0.0:
+        return K, y_new, 0.0
+    return K, y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
+
+
+def _loop_extra(fun, K, t_old, h, y_old):
+    K = list(K)
+    for a, c in zip(_A_EXTRA, _C_EXTRA):
+        K.append(fun(t_old + c * h, _axpy(y_old, h, _combo(K, a))))
+    return [[h * v for v in _combo(K, row)] for row in _D]
+
+
+def _hex(values):
+    """Nested floats as their float.hex strings, so == is bit identity."""
+    if isinstance(values, float):
+        return values.hex()
+    return [_hex(v) for v in values]
+
+
+@pytest.mark.parametrize("chart", ["r", "s"])
+def test_generated_step_equals_the_tableau_loops_bit_for_bit(chart):
+    # seeded random states (u of both signs, entries over six decades) on
+    # each chart's right-hand side, steps over four decades of h, at the
+    # shooter's tolerance and a looser one
+    integ = _Integrator(ProblemParams(13, compute_pc(13) + 0.5), 1.0, ShootControls())
+    rhs = integ.charts[chart][0]
+    rng = np.random.default_rng(1313 if chart == "r" else 3131)
+    for _ in range(40):
+        t = float(rng.uniform(0.5, 10.0) if chart == "r" else rng.uniform(2.3, 9.2))
+        y = tuple(float(v) for v in rng.normal(0.0, 1.0, 4) * 10.0 ** rng.uniform(-3, 3, 4))
+        f = rhs(t, y)
+        for h in (1e-5, 3.7e-4, 1e-2, 0.13):
+            for rtol in (ShootControls().rtol, 1e-6):
+                got = _step(rhs, t, y, f, h, rtol, 1e-2 * rtol)
+                want = _loop_step(rhs, t, y, f, h, rtol, 1e-2 * rtol)
+                assert _hex(got) == _hex(want)
+                assert _hex(_extra(rhs, got[0], t, h, y)) == _hex(_loop_extra(rhs, want[0], t, h, y))

@@ -421,21 +421,35 @@ def test_exp_kernel_convolve_zero_and_oracle():
     assert np.max(np.abs(got - exact)) < 1e-4 * np.max(np.abs(exact))
 
 
+@pytest.mark.parametrize("lam", [-3.0, -0.01, 40.0])
+def test_exp_kernel_convolve_is_fourth_order(lam):
+    # halving h cuts the error about 16-fold (the cubic rule), on a kernel
+    # with |lam h| below and above the phi functions' series switch at 1/2;
+    # measured ratios 15.1-15.6 at lam = -3 and -0.01
+    errs = []
+    for size in (101, 201, 401):
+        s = np.linspace(0.0, 4.0, size)
+        exact = (np.exp(-s) - np.exp(lam * s)) / (-1.0 - lam)
+        got = exp_kernel_convolve(lam, s, np.exp(-s))
+        errs.append(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
+    assert errs[0] < 1e-7
+    assert errs[0] / errs[1] > 12.0 and errs[1] / errs[2] > 12.0
+
+
 def test_y_integral_identity_exact_on_synthetic_solution(sol_quick):
     # Z = e^{lam3 s} and Y = -Z/(lam4 - lam3) satisfy the identity exactly, so
-    # only quadrature error remains: linear interpolation of Z gives about
-    # h^2 lam3^2 / 12 = 1.6e-4, whatever lam4.  Measured: 1.58e-4 at
-    # lam4 = 3.55 and 1.57e-4 at lam4 = 58.4 (the n=13 and n=100 values at
-    # p_c); weights swapped between the two ends of a step give 4.0e-3 at 58.4.
+    # only quadrature error remains, here with each n's own lam3 and lam4 at
+    # p_c.  Linear interpolation of Z gave about h^2 lam3^2 / 12: 1.6e-4 at
+    # n=13 up to 1.8e-3 at n=200, over the check's own bound 1e-3 from
+    # n ~ 110.  The cubic rule measures 5.3e-8 (n=13) to 7.5e-6 (n=200).
     s = 0.01 * np.arange(801)
     spec = sol_quick.spectrum
-    lam3 = compute_spectrum(ProblemParams(13, compute_pc(13))).lambdas[2]
-    Z = np.exp(lam3 * s)
-    for n in (13, 100):
-        lam4 = compute_spectrum(ProblemParams(n, compute_pc(n))).lambdas[3]
+    for n in (13, 40, 100, 150, 200):
+        lam3, lam4 = compute_spectrum(ProblemParams(n, compute_pc(n))).lambdas[2:]
+        Z = np.exp(lam3 * s)
         fake = replace(spec, lambdas=(*spec.lambdas[:2], lam3, lam4))
         synth = replace(sol_quick, spectrum=fake, s_grid=s, Y=-Z / (lam4 - lam3), Z=Z)
-        assert y_integral_identity_check(synth) < 2e-4
+        assert y_integral_identity_check(synth) < 2e-4, n
 
 
 def test_grid_consistency_under_tolerance_halving(pc13):

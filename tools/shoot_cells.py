@@ -29,9 +29,11 @@ so the same script measures any tree.
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
 failed invariants), RHS evaluations, root-search trials (n_bisect; for a
-failed solve, the sum of its recorded trials), and whether v0 is
-bit-identical; then the totals and the ok counts.  It exits 1 when a cell
-that is ok in OLD is not ok in NEW.
+failed solve, the sum of its recorded trials), whether v0 is bit-identical
+and whether the dumps are (by dump_sha256; "-" when neither side solved);
+then the totals, the ok counts and the identical dumps out of the cells
+with a dump on either side.  It exits 1 when a cell that is ok in OLD is
+not ok in NEW.
 """
 
 from __future__ import annotations
@@ -166,16 +168,18 @@ def diff(old: dict, new: dict) -> int:
     def trials(rec):
         return rec.get("n_bisect", sum(rec["trials"]))
 
+    def same(o, n, key):
+        if key not in o and key not in n:
+            return "-"
+        return "equal" if o.get(key) == n.get(key) else "differs"
+
     labels = [label for label in old if label in new]
-    rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "v0")]
+    rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "v0", "dump")]
     lost = []
     for label in labels:
         o, n = old[label], new[label]
-        same_v0 = "equal" if o.get("v0_hex") == n.get("v0_hex") else "differs"
-        if "v0_hex" not in o and "v0_hex" not in n:
-            same_v0 = "-"
         rows.append((label, outcome(o), outcome(n), str(rhs(o)), str(rhs(n)),
-                     f"{trials(o)} -> {trials(n)}", same_v0))
+                     f"{trials(o)} -> {trials(n)}", same(o, n, "v0_hex"), same(o, n, "dump_sha256")))
         if outcome(o) == "ok" and outcome(n) != "ok":
             lost.append(label)
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -193,6 +197,8 @@ def diff(old: dict, new: dict) -> int:
     ok_old = sum(outcome(old[label]) == "ok" for label in labels)
     ok_new = sum(outcome(new[label]) == "ok" for label in labels)
     print(f"ok: {ok_old} -> {ok_new} of {len(labels)}")
+    dumps = [same(old[label], new[label], "dump_sha256") for label in labels]
+    print(f"identical dumps: {dumps.count('equal')} of {len(dumps) - dumps.count('-')}")
     if lost:
         print(f"ok cells lost: {', '.join(lost)}")
         return 1
