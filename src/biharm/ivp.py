@@ -201,7 +201,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
         h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
     h_abs = min(100.0 * h0, h1, t_bound - t0)
 
-    g = [ev(t0, y) for ev in events]
+    # per event: the function, whether a rise through zero fires it, whether a fall does
+    checks = [(ev, ev.direction >= 0, ev.direction <= 0) for ev in events]
+    g = [ev(t0, y) for ev in events]  # event values at the last step end, updated in place
     ts, ys, interpolants = [t0], [y], []
     t_events = [[] for _ in events]
     t = t0
@@ -228,12 +230,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
         interp = interpolant(K, t_old, t, y_old, y) if dense_output else None
         if t == t_bound:
             status = 0
-        g_new = [ev(t, y) for ev in events]
-        active = [
-            i for i, (ev, a, b) in enumerate(zip(events, g, g_new))
-            if (ev.direction >= 0 and a <= 0.0 <= b) or (ev.direction <= 0 and a >= 0.0 >= b)
-        ]
-        if active:
+        active = None  # events that fired in this step, in order
+        for i, (ev, rise, fall) in enumerate(checks):
+            a = g[i]
+            g[i] = b = ev(t, y)
+            if (rise and a <= 0.0 <= b) or (fall and a >= 0.0 >= b):
+                active = [i] if active is None else active + [i]
+        if active is not None:
             if interp is None:
                 interp = interpolant(K, t_old, t, y_old, y)
             roots = [
@@ -246,7 +249,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
             t_events[active[first]].append(t)
             y = interp.point(t)
             status = 1
-        g = g_new
         ts.append(t)
         ys.append(y)
         if interp is not None:

@@ -4,10 +4,13 @@ The radial problem is integrated as the first-order system
 
     u' = w,  w' = v - (n-1) w / r,  v' = z,  z' = u^p - (n-1) z / r
 
-(u = phi, v = Laplacian of phi) with a regular Taylor start at r = eps.  The
-entire positive solution is picked out by a safeguarded root search on
-v0 = (Laplacian phi)(0) between blow-up and sign-loss outcomes.  Integration
-proceeds in r out to a switch radius and then continues in the logarithmic
+(u = phi, v = Laplacian of phi).  Near the origin the regular solution is a
+power series in r^2, fixed by phi(0) and v0 = (Laplacian phi)(0); each shot
+starts from that series, truncated, at the largest radius up to 1 where the
+truncation stays below rounding and no escape event can lie before it.  The
+entire positive solution is picked out by a safeguarded root search on v0
+between blow-up and sign-loss outcomes.  Integration proceeds in r from
+there out to a switch radius and then continues in the logarithmic
 variable s = log r on the transformed state (W, W', W'', W''') with
 W(s) = e^{m s} phi(e^s), whose linear part has constant coefficients; the
 r-chart loses relative precision over many decades while the s-chart is the
@@ -37,7 +40,9 @@ from .spectrum import Spectrum, compute_spectrum
 # stencils (up to 9 points wide) cover every nominal node.
 _EXT_NODES = 4
 # chart geometry
-_R_SEED = 1e-3       # Taylor seed radius
+_R_SEED = 1e-3       # lattice start, and the least radius of the series start
+_R_SERIES_CAP = 1.0  # largest radius of the series start
+_SERIES_ORDER = 24   # the series start keeps r^0 .. r^(2 * _SERIES_ORDER)
 _R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
 _R_OVERLAP = 12.0    # end of the r-chart continuation that checks chart consistency
 _DS = 0.01           # uniform s-grid spacing of the returned solution
@@ -119,15 +124,70 @@ def _power(u, p, cap=None):
     return np.where(u > 0.0, mag**p, 0.0)
 
 
-def _taylor_seed(n: int, p: float, alpha: float, v0: float, r: float):
-    c2 = 1.0 / (2.0 * n)
-    c4 = 1.0 / (8.0 * n * (n + 2.0))
-    ap = alpha**p
-    u = alpha + v0 * c2 * r**2 + ap * c4 * r**4
-    w = v0 * r / n + ap * r**3 / (2.0 * n * (n + 2.0))
-    v = v0 + ap * c2 * r**2 + p * alpha ** (p - 1.0) * v0 * c4 * r**4
-    z = ap * r / n + p * alpha ** (p - 1.0) * v0 * r**3 / (2.0 * n * (n + 2.0))
-    return np.array([u, w, v, z])
+class _Series:
+    """The regular solution near the origin as a series in x = r^2.
+
+    u = sum_k a_k x^k with a_0 = alpha and a_1 = v0 / (2n) (so u(0) = alpha
+    and Delta u(0) = v0), and Delta^2 u = u^p fixes the rest:
+    a_{j+2} = [u^p]_j / ((2j+2)(2j+4)(2j+n)(2j+n+2)), the coefficients
+    [u^p]_j by J.C.P. Miller's power recurrence.  Truncated at a_K,
+    K = _SERIES_ORDER.  The state (u, u', Delta u, (Delta u)') is
+    r^e_i P_i(x), e = (0, 1, 0, 1), with the P_i held as coefficient lists.
+    """
+
+    def __init__(self, n: int, p: float, alpha: float, v0: float):
+        a = [alpha, v0 / (2.0 * n)]
+        g = [alpha**p]  # [u^p]_0, [u^p]_1, ...
+        for j in range(_SERIES_ORDER - 1):
+            if j:
+                g.append(sum(((p + 1.0) * i - j) * a[i] * g[j - i] for i in range(1, j + 1)) / (j * alpha))
+            a.append(g[j] / ((2 * j + 2) * (2 * j + 4) * (2 * j + n) * (2 * j + n + 2)))
+        b = [(2 * j + 2) * (2 * j + n) * a[j + 1] for j in range(_SERIES_ORDER)]  # Delta u
+        self.coeffs = (
+            a,
+            [2 * k * a[k] for k in range(1, len(a))],
+            b,
+            [2 * j * b[j] for j in range(1, len(b))],
+        )
+
+    def state(self, r):
+        """(u, u', Delta u, (Delta u)') at r, a float or an array, by Horner in r^2."""
+        x = r * r
+        out = []
+        for i, c in enumerate(self.coeffs):
+            acc = c[-1]
+            for ck in reversed(c[:-1]):
+                acc = acc * x + ck
+            out.append(acc * r if i % 2 else acc)
+        return out
+
+    def seed_radius(self, m: float, w_max: float, r_cap: float) -> float:
+        """The largest r = r_cap 2^(-k/2) >= _R_SEED, else _R_SEED, at which
+        the series may start the r-chart leg.
+
+        At x = r^2 every P_i's last two terms |c_k| x^k, which bound its
+        truncation error inside the radius of convergence, stay below eps
+        times its terms' absolute sum (the rounding of that sum).  With
+        S = sum_k |a_k| x^k, a_0 - (S - a_0) > 0 and r^m S < w_max keep u
+        positive and r^m u below w_max on all of [0, r], so no terminal
+        event of the r-chart lies before the start.
+        """
+        eps = np.finfo(float).eps
+        a0 = self.coeffs[0][0]
+        x = r_cap * r_cap
+        while x > _R_SEED * _R_SEED:
+            powers = [x**k for k in range(_SERIES_ORDER + 1)]
+            sums = []
+            for c in self.coeffs:
+                terms = [abs(ck) * xk for ck, xk in zip(c, powers)]
+                sums.append(sum(terms))
+                if max(terms[-2:]) > eps * sums[-1]:
+                    break
+            else:
+                if sums[0] < 2.0 * a0 and x ** (0.5 * m) * sums[0] < w_max:
+                    return math.sqrt(x)
+            x *= 0.5
+        return _R_SEED
 
 
 def _s_operator_coeffs(n: int, m: float) -> np.ndarray:
@@ -209,6 +269,17 @@ class _Integrator:
         return (w1, w2, w3, up - (self.c1 * w3 + self.c2 * w2 + self.c3 * w1 + self.c4 * w0))
 
     # --- one leg, one shot ------------------------------------------------
+    def series(self, v0: float) -> _Series:
+        """The regular solution's series at v0."""
+        return _Series(self.n, self.p, self.alpha, v0)
+
+    def start(self, v0: float, r_end: float):
+        """(r0, series state at r0): where and from what the r-chart leg to
+        r_end starts, r0 at most max(_R_SEED, min(_R_SERIES_CAP, r_end / 2))."""
+        series = self.series(v0)
+        r0 = series.seed_radius(self.m, 1.5 * self.L, max(_R_SEED, min(_R_SERIES_CAP, 0.5 * r_end)))
+        return r0, series.state(r0)
+
     def leg(self, chart: str, span, y0, dense: bool = False):
         """Integrate one leg of chart "r" or "s" over span; returns (outcome, sol).
 
@@ -247,8 +318,9 @@ class _Integrator:
         r_max <= r_switch).  dense only adds the interpolants: solve_ivp takes
         the same steps either way, so a dense shot replays the plain one.
         """
-        y0 = _taylor_seed(self.n, self.p, self.alpha, v0, _R_SEED)
-        outcome, sol_r = self.leg("r", (_R_SEED, min(_R_SWITCH, r_max)), y0, dense)
+        r_end = min(_R_SWITCH, r_max)
+        r0, y0 = self.start(v0, r_end)
+        outcome, sol_r = self.leg("r", (r0, r_end), y0, dense)
         if r_max <= _R_SWITCH or isinstance(outcome, (BlowUp, SignLoss)):
             return outcome, sol_r, []
         w0 = _r_to_s_state(self.n, self.m, _R_SWITCH, sol_r.y[:, -1])
@@ -283,18 +355,22 @@ def integrate_radial(
     return _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect=0)
 
 
-def _sample_w(integ, sol_r, legs, s_nodes):
+def _sample_w(integ, v0, sol_r, legs, s_nodes):
     """Samples of W = r^m phi at s_nodes.
 
     Nodes below the first s-chart leg come from the r-chart (all of them
-    when there is no leg); each later leg [(s_from, dense), ...] supersedes
-    the earlier ones from its s_from onward.
+    when there is no leg): below the leg's start r0 from the series at v0
+    that seeded it, from r0 on from the leg.  Each later leg
+    [(s_from, dense), ...] supersedes the earlier ones from its s_from onward.
     """
     out = np.empty(s_nodes.size)
     from_r = s_nodes < legs[0][0] if legs else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
         rr = np.exp(s_nodes[from_r])
-        u = sol_r.sol(rr)[0]
+        seeded = rr < sol_r.t[0]
+        u = np.empty(rr.size)
+        u[seeded] = integ.series(v0).state(rr[seeded])[0]
+        u[~seeded] = sol_r.sol(rr[~seeded])[0]
         # per node: one vectorized power rounds some entries differently
         out[from_r] = [r**integ.m * u_i for r, u_i in zip(rr, u)]
     remaining = ~from_r
@@ -312,7 +388,7 @@ def _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect):
     n_nodes = int(math.floor((s_top - s_bottom) / _DS)) - _EXT_NODES
     # anchor the lattice at s_top so r_max itself is a node
     s_ext = s_top + _DS * np.arange(-(n_nodes + _EXT_NODES), _EXT_NODES + 1)
-    W_ext = _sample_w(integ, sol_r, legs, s_ext)
+    W_ext = _sample_w(integ, v0, sol_r, legs, s_ext)
     lam4 = integ.spec.lambdas[3]
     Y_ext = W_ext - integ.L
     # 4th-order first derivative, endpoints dropped rather than one-sided
@@ -497,7 +573,7 @@ def shoot(
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
     if r_max <= _R_SEED:
-        raise InvalidParams(f"r_max={r_max} must exceed the seed radius")
+        raise InvalidParams(f"r_max={r_max} must exceed the lattice start r = {_R_SEED:g}")
     integ = _Integrator(params, alpha, controls)
     lam4 = integ.spec.lambdas[3]
     # classification horizon covers the stencil extension of the final grids
@@ -517,12 +593,9 @@ def shoot(
         return outcome
 
     best = _Best(full_shot, lam4, s_cls)
-    if best.side(ladder[0]) < 0.0 or best.side(ladder[-1]) >= 0.0:
-        raise BracketNotFound(
-            "probe ladder endpoints do not bracket the separatrix in v0 range "
-            f"[{ladder[-1]:.3g}, {ladder[0]:.3g}]"
-        )
-    # binary search the ladder for the adjacent flip pair
+    # binary search the ladder for the adjacent flip pair, with ladder[0] on
+    # the blow-up side and ladder[-1] on the sign-loss side; an end is shot
+    # only when the search ends beside it
     i, j = 0, ladder.size - 1
     while j - i > 1:
         k = (i + j) // 2
@@ -530,6 +603,13 @@ def shoot(
             i = k
         else:
             j = k
+    if (i == 0 and best.side(ladder[0]) < 0.0) or (
+        j == ladder.size - 1 and best.side(ladder[-1]) >= 0.0
+    ):
+        raise BracketNotFound(
+            "probe ladder endpoints do not bracket the separatrix in v0 range "
+            f"[{ladder[-1]:.3g}, {ladder[0]:.3g}]"
+        )
     up, dn = ladder[i], ladder[j]
 
     def chord_ready(up, dn):

@@ -17,12 +17,10 @@ from biharm import ProblemParams, compute_pc
 from biharm.ivp import _extra, _step, solve_ivp
 from biharm.shooting import (
     _PROBE_HI,
-    _R_SEED,
     _R_SWITCH,
     ShootControls,
     _Integrator,
     _r_to_s_state,
-    _taylor_seed,
 )
 
 _TOL = dict(rtol=ShootControls().rtol, atol=1e-2 * ShootControls().rtol)
@@ -42,9 +40,9 @@ def _rel(a, b):
 
 @pytest.fixture(scope="module")
 def case_a(sol_a):
-    """Case A's integrator and the r-chart seed of its accepted v0."""
+    """Case A's integrator, its r-chart start as a function of v0, and its accepted v0."""
     integ = _Integrator(sol_a.params, 1.0, ShootControls())
-    return integ, lambda v0: _taylor_seed(integ.n, integ.p, 1.0, v0, _R_SEED), sol_a.v0
+    return integ, lambda v0: integ.start(v0, _R_SWITCH), sol_a.v0
 
 
 def test_legs_match_scipy(case_a):
@@ -52,7 +50,8 @@ def test_legs_match_scipy(case_a):
     # mode grows the rounding differences by e^{lam4 (s_end - s_switch)}.
     # Measured: 1.8e-14 (r) and 8.2e-12 (s) relative, with equal nfev.
     integ, seed, v0 = case_a
-    r_ours, r_ref = _both(integ, "r", (_R_SEED, _R_SWITCH), seed(v0))
+    r0, y0 = seed(v0)
+    r_ours, r_ref = _both(integ, "r", (r0, _R_SWITCH), y0)
     w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, r_ref.y[:, -1])
     s_ours, s_ref = _both(integ, "s", (math.log(_R_SWITCH), math.log(100.0)), w0)
     for ours, ref in ((r_ours, r_ref), (s_ours, s_ref)):
@@ -68,7 +67,8 @@ def test_escape_radius_matches_scipy(case_a, shift, hit):
     # sign-loss side escapes in the s-chart; the brentq root on the step's
     # interpolant lands where scipy's does (measured: 6e-13 relative)
     integ, seed, v0 = case_a
-    r_ours, r_ref = _both(integ, "r", (_R_SEED, _R_SWITCH), seed(v0 * (1.0 - shift)))
+    r0, y0 = seed(v0 * (1.0 - shift))
+    r_ours, r_ref = _both(integ, "r", (r0, _R_SWITCH), y0)
     assert r_ours.status == r_ref.status == 0
     w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, r_ref.y[:, -1])
     ours, ref = _both(integ, "s", (math.log(_R_SWITCH), math.log(1e4)), w0)
@@ -84,8 +84,9 @@ def test_dense_output_replays_the_steps(case_a):
     # leg, and the interpolants reproduce every step-end state
     integ, seed, v0 = case_a
     rhs, events = integ.charts["r"]
-    plain = solve_ivp(rhs, (_R_SEED, _R_SWITCH), seed(v0), events=events, **_TOL)
-    dense = solve_ivp(rhs, (_R_SEED, _R_SWITCH), seed(v0), events=events, dense_output=True, **_TOL)
+    r0, y0 = seed(v0)
+    plain = solve_ivp(rhs, (r0, _R_SWITCH), y0, events=events, **_TOL)
+    dense = solve_ivp(rhs, (r0, _R_SWITCH), y0, events=events, dense_output=True, **_TOL)
     assert np.array_equal(dense.t, plain.t) and np.array_equal(dense.y, plain.y)
     assert dense.nfev == plain.nfev + 3 * (plain.t.size - 1)
     at_ends = dense.sol(dense.t)
@@ -93,13 +94,13 @@ def test_dense_output_replays_the_steps(case_a):
 
 
 def test_large_p_first_probe_fails(pc15):
-    # n=15 at 100 p_c: the first probe's r-chart steps underflow, in both
-    # integrators, before r_switch
+    # n=15 at 100 p_c: the r-chart steps of the ladder's blow-up end
+    # (v0 = -1e-6) underflow, in both integrators, before r_switch
     integ = _Integrator(ProblemParams(15, 100.0 * pc15), 1.0, ShootControls())
-    y0 = _taylor_seed(integ.n, integ.p, 1.0, _PROBE_HI, _R_SEED)
-    ours, ref = _both(integ, "r", (_R_SEED, _R_SWITCH), y0)
+    r0, y0 = integ.start(_PROBE_HI, _R_SWITCH)
+    ours, ref = _both(integ, "r", (r0, _R_SWITCH), y0)
     assert ours.status == ref.status == -1
-    assert _R_SEED < ours.t[-1] < _R_SWITCH
+    assert r0 < ours.t[-1] < _R_SWITCH
     assert ours.step < 10.0 * np.spacing(ours.t[-1])
 
 

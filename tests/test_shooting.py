@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from biharm import (
+    BracketNotFound,
     GridTooCoarse,
     InvalidParams,
     NoConvergence,
@@ -20,13 +21,18 @@ from biharm import (
     compute_spectrum,
 )
 from biharm.fdiff import central_offsets, diff_uniform, fd_weights
+from biharm.ivp import solve_ivp
 import biharm.shooting
 from biharm.shooting import (
     _CHORD_SWITCH,
     _DS,
     _EXT_NODES,
     _MAX_BISECT,
+    _PROBE_HI,
+    _PROBE_LO,
     _PUSH,
+    _R_SEED,
+    _R_SERIES_CAP,
     _R_SWITCH,
     BlowUp,
     RadialSolution,
@@ -118,6 +124,116 @@ def test_scalar_rhs_matches_array_reference(n, p_of_pc):
             ref, got = np.array(ref, dtype=float), np.array(got, dtype=float)
             assert np.all(got == ref)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+# --- the series start --------------------------------------------------------
+
+def _taylor_seed(n, p, alpha, v0, r):
+    """The 4th-order Taylor start the series replaced: u through r^4, u'
+    through r^3, Delta u through r^4, (Delta u)' through r^3."""
+    c2 = 1.0 / (2.0 * n)
+    c4 = 1.0 / (8.0 * n * (n + 2.0))
+    ap = alpha**p
+    u = alpha + v0 * c2 * r**2 + ap * c4 * r**4
+    w = v0 * r / n + ap * r**3 / (2.0 * n * (n + 2.0))
+    v = v0 + ap * c2 * r**2 + p * alpha ** (p - 1.0) * v0 * c4 * r**4
+    z = ap * r / n + p * alpha ** (p - 1.0) * v0 * r**3 / (2.0 * n * (n + 2.0))
+    return np.array([u, w, v, z])
+
+
+_SERIES_CELLS = {
+    "A": (13, lambda pc: pc + 0.5),
+    "n13_10pc": (13, lambda pc: 10.0 * pc),
+    "n20_100pc": (20, lambda pc: 100.0 * pc),
+}
+
+
+def _series_integrator(cell):
+    n, p_of_pc = _SERIES_CELLS[cell]
+    return _Integrator(ProblemParams(n, p_of_pc(compute_pc(n))), 1.0, ShootControls())
+
+
+@pytest.mark.parametrize("cell", list(_SERIES_CELLS))
+@pytest.mark.parametrize("v0", [_PROBE_HI, -0.3, -30.0, _PROBE_LO])
+def test_series_solves_the_equation_at_its_start(cell, v0):
+    # Delta^2 u - u^p of the truncated series at r0, with Delta^2 x^k =
+    # 2k (2k-2) (2k+n-2) (2k+n-4) x^(k-2), is at the rounding of its two
+    # sides: a few eps of the terms' sum and of u^p, whose condition is p
+    # (measured: at most 0.5 eps of those)
+    integ = _series_integrator(cell)
+    n, p = integ.n, integ.p
+    r0, (u, _, _, _) = integ.start(v0, _R_SWITCH)
+    assert _R_SEED <= r0 <= _R_SERIES_CAP
+    x = r0 * r0
+    terms = [a_k * (2 * k) * (2 * k - 2) * (2 * k + n - 2) * (2 * k + n - 4) * x ** (k - 2)
+             for k, a_k in enumerate(integ.series(v0).coeffs[0]) if k >= 2]
+    eps = np.finfo(float).eps
+    assert abs(math.fsum(terms) - u**p) <= 4.0 * eps * (math.fsum(map(abs, terms)) + p * u**p)
+
+
+@pytest.mark.parametrize("cell", list(_SERIES_CELLS))
+@pytest.mark.parametrize("v0", [_PROBE_HI, -0.3, -30.0, _PROBE_LO])
+def test_series_extends_the_taylor_seed(cell, v0):
+    # at r = 1e-3 the series and the old 4th-order seed differ by that
+    # seed's first omitted term (a_3 r^6 in u, 6 a_3 r^5 in u', b_3 r^6 and
+    # 6 b_3 r^5 in Delta u and its derivative) and the rounding
+    integ = _series_integrator(cell)
+    r = 1e-3
+    series = integ.series(v0)
+    got = np.array(series.state(r))
+    old = _taylor_seed(integ.n, integ.p, 1.0, v0, r)
+    omitted = np.array([abs(c[3 - e]) * r**e * r ** (2 * (3 - e))
+                        for c, e in zip(series.coeffs, (0, 1, 0, 1))])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - old) <= 2.0 * omitted + 4.0 * eps * np.abs(old))
+
+
+@pytest.mark.parametrize("u_coeffs, w_max, r0", [
+    # u = 1 - r^2 reaches zero at r_cap = 1: the sign guard halves x once
+    ([1.0, -1.0], math.inf, math.sqrt(0.5)),
+    # u = 1 + r^2 with r^m u at r = 1 above w_max = 1.5: the amplitude guard
+    ([1.0, 1.0], 1.5, math.sqrt(0.5)),
+    # w_max below r^m u at every r > _R_SEED (r^m > 0.36 there): no radius
+    # passes, and the start falls back to _R_SEED
+    ([1.0, 1.0], 0.3, _R_SEED),
+])
+def test_series_start_keeps_escape_events_ahead(u_coeffs, w_max, r0):
+    # exact polynomials, whose truncation bound is 0, so only the event
+    # guards limit the start radius
+    integ = _series_integrator("A")
+    series = integ.series(-0.3)
+    zeros = [0.0] * len(series.coeffs[1])
+    series.coeffs = (u_coeffs + [0.0] * (len(series.coeffs[0]) - 2), zeros, zeros, zeros[1:])
+    assert series.seed_radius(integ.m, w_max, 1.0) == pytest.approx(r0, rel=1e-15)
+
+
+@pytest.mark.parametrize("cell, v0", [("A", None), ("n13_10pc", -0.3), ("n13_10pc", _PROBE_HI)])
+def test_series_start_matches_an_r_leg_from_the_taylor_seed(cell, v0, sol_a):
+    # the state at r0 against DOP853 from the old seed at r = 1e-3
+    # (measured: at most 3e-13 relative, per entry)
+    integ = _series_integrator(cell)
+    v0 = sol_a.v0 if v0 is None else v0
+    r0, y0 = integ.start(v0, _R_SWITCH)
+    assert r0 > 1e-3
+    rhs, events = integ.charts["r"]
+    leg = solve_ivp(rhs, (1e-3, r0), _taylor_seed(integ.n, integ.p, 1.0, v0, 1e-3),
+                    rtol=ShootControls().rtol, atol=1e-2 * ShootControls().rtol, events=events)
+    assert leg.status == 0 and leg.t[-1] == r0
+    assert np.all(np.abs(np.array(y0) - leg.y[:, -1]) <= 1e-11 * np.abs(leg.y[:, -1]))
+
+
+@pytest.mark.parametrize("cell, v0, outcome, r_event", [
+    # outcomes and event radii of full shots from the old seed at r = 1e-3
+    ("n13_10pc", _PROBE_HI, BlowUp, 2.2081259296854427),
+    ("n13_10pc", _PROBE_LO, SignLoss, 0.16124515530126685),
+    ("n20_100pc", _PROBE_HI, BlowUp, 2.716346218170594),
+    ("n20_100pc", _PROBE_LO, SignLoss, 0.20000000044319394),
+])
+def test_series_start_keeps_the_ladder_end_outcomes(cell, v0, outcome, r_event):
+    integ = _series_integrator(cell)
+    out, _, _ = integ.shot(v0, 1e4 * math.exp((_EXT_NODES + 1) * _DS))
+    assert type(out) is outcome
+    assert out.r == pytest.approx(r_event, rel=1e-9)
 
 
 def _threshold_side(thr, trials):
@@ -615,11 +731,24 @@ def _check_step_failure(message, chart, span):
     return r
 
 
-def test_large_p_step_failure_names_r_chart(pc15):
-    # u^p stiffness at n=15, p = 100 p_c stops the first probe shot in the r-chart
+def test_large_p_step_failure_names_r_chart(pc15, monkeypatch):
+    # u^p stiffness at n=15, p = 100 p_c stops the first probe shot in the
+    # r-chart; its leg starts at that shot's series radius
+    shots = []
+    plain_shot = _Integrator.shot
+
+    def recording_shot(self, v0, r_max, dense=False):
+        shots.append((self, v0))
+        return plain_shot(self, v0, r_max, dense)
+
+    monkeypatch.setattr(_Integrator, "shot", recording_shot)
     with pytest.raises(StepFailure) as info:
         shoot(ProblemParams(15, 100.0 * pc15), alpha=1.0, r_max=1e4)
-    _check_step_failure(str(info.value), "r", (1e-3, _R_SWITCH))
+    assert len(shots) == 1
+    integ, v0 = shots[0]
+    r0, _ = integ.start(v0, _R_SWITCH)
+    assert _R_SEED < r0 <= _R_SERIES_CAP
+    _check_step_failure(str(info.value), "r", (r0, _R_SWITCH))
 
 
 def test_large_p_step_failure_names_s_chart(pc13):
@@ -665,6 +794,25 @@ def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
     assert 0 < trials <= _MAX_BISECT
     assert dn < -0.25 <= up and np.nextafter(dn, math.inf) == up
     assert g_dn < 0.0 < g_up
+
+
+@pytest.mark.parametrize("side", [BlowUp, SignLoss])
+def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side):
+    # every probe escapes to one side, so the ladder does not bracket: the
+    # binary search ends beside the ladder's far end on that side, whose
+    # probe, the last shot, confirms it
+    shots = []
+
+    def shot(self, v0, r_max, dense=False):
+        shots.append(v0)
+        return side(r=5.0), None, []
+
+    monkeypatch.setattr(_Integrator, "shot", shot)
+    with pytest.raises(BracketNotFound, match="do not bracket the separatrix"):
+        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
+    assert shots[-1] == pytest.approx(_PROBE_LO if side is BlowUp else _PROBE_HI, rel=1e-12)
+    # the search's probes and that end: 6 and 5 of the ladder's 19
+    assert len(shots) == (6 if side is BlowUp else 5)
 
 
 @pytest.mark.parametrize("survives", [True, False])
