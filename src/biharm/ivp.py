@@ -9,22 +9,24 @@ steps scipy.integrate.solve_ivp(method="DOP853") takes, up to rounding.
 States are four Python floats, unrolled: on four entries numpy's per-call
 overhead is most of the cost of scipy's step.
 
-The step and the interpolant's extra stages are straight-line code, generated
-once at import from the tableau: one line per stage, each nonzero coefficient
-a literal.  Every stage sum is written 0.0 + c_j k_j + ... in the row's order
-and every state update as y_i + h (sum), so each float operation happens in
-the order of a loop over the tableau's rows, and a step is bit-identical to
-that loop form (tests/test_ivp.py keeps it as the oracle).
-
-Events are terminal.  Each event function carries a `direction` attribute and
-is checked at the step ends; the first root, located by brentq on the step's
-interpolant, ends the integration.
+A system, written once as expressions, is compiled once into a factory of
+scalar right-hand sides, terminal events and leg kernels.  A kernel is
+straight-line code for a whole leg: the 13 stages with the right-hand side
+inline and each nonzero coefficient a literal, the error norm, the step
+controller, the step-failure test and the events' sign test at each step
+end.  Every stage sum adds its terms in the row's order from the first and
+every state update is y_i + h (sum), so each float operation happens in the
+order of a loop over the tableau's rows (tests/test_ivp.py keeps that loop
+as the oracle).  Events carry a `direction` (+1 rising, -1 falling, 0
+both); the first root on the step whose end fires, located by brentq on the
+step's interpolant, ends the leg.
 """
 
 from __future__ import annotations
 
 import linecache
 import math
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,69 +54,148 @@ _EPS = np.finfo(float).eps
 
 
 def _sum(row, i):
-    """Entry i of the sum over row's (j, c) of c * K[j], as source: 0.0 plus
-    the terms in the row's order."""
-    return "0.0" + "".join(f" + {c!r} * k{j}_{i}" for j, c in row)
+    """Entry i of the sum over row's (j, c) of c * K[j], as source, from the first term."""
+    return " + ".join(f"{c!r} * k{j}_{i}" for j, c in row)
 
 
-def _state(row):
-    """The four entries y_i + h * (entry i of row's sum), as a tuple source."""
-    return "(" + ", ".join(f"y{i} + h * ({_sum(row, i)})" for i in range(4)) + ")"
+def _update(row):
+    """The four entries y_i + h * (entry i of row's sum), as sources."""
+    return [f"y{i} + h * ({_sum(row, i)})" for i in range(4)]
 
 
-def _unpack(j, value):
-    """Stage j's four floats bound to k{j} and its entries to k{j}_0..k{j}_3."""
-    return f"    k{j} = {value}\n    k{j}_0, k{j}_1, k{j}_2, k{j}_3 = k{j}\n"
+def _stage(j, x, state, rhs):
+    """Lines binding stage j, k{j}_0..k{j}_3, to the right-hand side at x
+    and the four state entries."""
+    return [f"x = {x}"] + [f"u{i} = {v}" for i, v in enumerate(state)] + [
+        f"k{j}_{i} = {e}" for i, e in enumerate(rhs)]
 
 
-def _step_source():
-    """def _step(fun, t, y, f, h, rtol, atol): one step of 13 stages; returns
-    the stages K, y at t + h and the error norm."""
-    src = "def _step(fun, t, y, f, h, rtol, atol):\n    y0, y1, y2, y3 = y\n"
-    src += _unpack(0, "f")
+def _block(indent, lines):
+    return "".join(" " * indent + line + "\n" for line in lines)
+
+
+# One leg from t (state y, derivative f, first trial step h_abs) to t_bound;
+# each accepted step end goes to ts, its state to ys, and when dense is a
+# list, the step to dense as (t_old, t, y_old, the interpolant's 7 rows).
+# Returns (status, h_abs, attempted steps, fired, step): status 0 at t_bound,
+# -1 on a step below 10 ulp of t, 1 when the events flagged in fired fired at
+# the end of step (not appended).  Each min/max of scipy's controller is the
+# conditional that picks the same operand.
+_KERNEL = """\
+def kernel(t, y, f, h_abs, t_bound, rtol, atol, ts, ys, dense):
+    y0, y1, y2, y3 = u0, u1, u2, u3 = y
+    k0_0, k0_1, k0_2, k0_3 = f
+    x = t
+{g_start}\
+    steps = 0
+    while True:
+        min_step = 10.0 * (nextafter(t, inf) - t)
+        h_abs = min_step if min_step > h_abs else h_abs
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs
+            if t_bound < t_new:
+                t_new = t_bound
+            h = t_new - t
+            steps += 1
+{step}\
+            err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / sqrt((e5 + 0.01 * e3) * 4.0)
+            if err < 1.0:
+                factor = {max_factor!r} if err == 0.0 else {safety!r} * err ** {exponent!r}
+                top = 1.0 if rejected else {max_factor!r}
+                h_abs = h * (factor if factor < top else top)
+                break
+            factor = {safety!r} * err ** {exponent!r}
+            h_abs = h * (factor if factor > {min_factor!r} else {min_factor!r})
+            rejected = True
+        else:
+            return -1, h_abs, steps, None, None
+        x = t_new
+{g_end}\
+        if dense is not None or {fired}:
+{extra}\
+            step = (t, t_new, (y0, y1, y2, y3), ({rows}))
+            if dense is not None:
+                dense.append(step)
+            if {fired}:
+                return 1, h_abs, steps, ({flags}), step
+        t = t_new
+        y0, y1, y2, y3 = n0, n1, n2, n3
+        k0_0, k0_1, k0_2, k0_3 = k{last}_0, k{last}_1, k{last}_2, k{last}_3
+{g_shift}\
+        ts.append(t)
+        ys.append((y0, y1, y2, y3))
+        if t == t_bound:
+            return 0, h_abs, steps, None, None
+"""
+
+
+def _kernel_source(rhs, events):
+    """The source of kernel (see _KERNEL) for four right-hand side expressions
+    and (name, expression, direction) events, all in x and u0..u3."""
+    step = []
     for s in range(1, _N_STAGES):
-        src += _unpack(s, f"fun(t + {_C[s]!r} * h, {_state(_A[s])})")
-    src += f"    y_new = n0, n1, n2, n3 = {_state(_B)}\n"
-    src += _unpack(_N_STAGES, "fun(t + h, y_new)")
+        step += _stage(s, f"t + {_C[s]!r} * h", _update(_A[s]), rhs)
+    step += [f"n{i} = {v}" for i, v in enumerate(_update(_B))]
+    step += _stage(_N_STAGES, "t + h", [f"n{i}" for i in range(4)], rhs)
     for i in range(4):
         # b if b > a else a: max(a, b), without the builtin call
-        src += f"    a = abs(y{i})\n    b = abs(n{i})\n    sc{i} = atol + (b if b > a else a) * rtol\n"
+        step += [f"a = abs(y{i})", f"b = abs(n{i})", f"sc{i} = atol + (b if b > a else a) * rtol"]
     for name, row in (("e5", _E5), ("e3", _E3)):
-        for i in range(4):
-            src += f"    q{i} = ({_sum(row, i)}) / sc{i}\n"
-        src += f"    {name} = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3\n"
-    src += "    K = [" + ", ".join(f"k{j}" for j in range(_N_STAGES + 1)) + "]\n"
-    src += "    if e5 == 0.0 and e3 == 0.0:\n        return K, y_new, 0.0\n"
-    src += "    return K, y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)\n"
-    return src
-
-
-def _extra_source():
-    """def _extra(fun, K, t_old, h, y_old): the interpolant's three extra
-    stages; returns its four D rows, each scaled by h."""
-    src = "def _extra(fun, K, t_old, h, y_old):\n    y0, y1, y2, y3 = y_old\n"
-    for j in range(_N_STAGES + 1):
-        src += f"    k{j}_0, k{j}_1, k{j}_2, k{j}_3 = K[{j}]\n"
+        step += [f"q{i} = ({_sum(row, i)}) / sc{i}" for i in range(4)]
+        step += [f"{name} = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3"]
+    extra = []
     for j, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1):
-        src += _unpack(j, f"fun(t_old + {c!r} * h, {_state(a)})")
-    rows = ", ".join("[" + ", ".join(f"h * ({_sum(row, i)})" for i in range(4)) + "]" for row in _D)
-    return src + f"    return [{rows}]\n"
+        extra += _stage(j, f"t + {c!r} * h", _update(a), rhs)
+    rows = [[f"n{i} - y{i}" for i in range(4)],
+            [f"h * k0_{i} - (n{i} - y{i})" for i in range(4)],
+            [f"2.0 * (n{i} - y{i}) - h * (k{_N_STAGES}_{i} + k0_{i})" for i in range(4)]]
+    rows += [[f"h * ({_sum(row, i)})" for i in range(4)] for row in _D]
+    g_end = []
+    for i, (_, expr, d) in enumerate(events):
+        rise, fall = f"g{i} <= 0.0 <= b{i}", f"g{i} >= 0.0 >= b{i}"
+        g_end += [f"b{i} = {expr}", f"on{i} = " + (rise if d > 0 else fall if d < 0 else f"{rise} or {fall}")]
+    return _KERNEL.format(
+        g_start=_block(4, [f"g{i} = {expr}" for i, (_, expr, _) in enumerate(events)]),
+        step=_block(12, step),
+        g_end=_block(8, g_end),
+        extra=_block(12, extra),
+        rows=", ".join("(" + ", ".join(row) + ")" for row in rows),
+        fired=" or ".join(f"on{i}" for i in range(len(events))) or "False",
+        flags="".join(f"on{i}, " for i in range(len(events))),
+        g_shift=_block(8, [f"g{i} = b{i}" for i in range(len(events))]),
+        last=_N_STAGES, safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR, exponent=_EXPONENT,
+    )
 
 
-# The source is registered with linecache, so tracebacks show its lines.
-_SOURCE = _step_source() + _extra_source()
-linecache.cache["<DOP853 tableau>"] = (len(_SOURCE), None, _SOURCE.splitlines(True), "<DOP853 tableau>")
-_namespace = {"__name__": __name__, "math": math}
-exec(compile(_SOURCE, "<DOP853 tableau>", "exec"), _namespace)
-_step, _extra = _namespace["_step"], _namespace["_extra"]
+def system(name, params, rhs, events):
+    """Compile a four-entry system into a factory of its integrators.
 
-
-def _sumsq(v):
-    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
+    rhs holds four expressions and events (name, expression, direction)
+    triples, all in the independent variable x, the state u0..u3 and the
+    constants named in params.  factory(**constants) returns the scalar
+    right-hand side fun(x, u), called name, with attributes `events` (the
+    terminal event functions g(x, u)) and `kernel` (the leg kernel of
+    _KERNEL), for solve_ivp.  The constants are bound by closure, so a new
+    set of them compiles nothing.
+    """
+    defs = [(name, "(" + ", ".join(rhs) + ")")] + [(ev, expr) for ev, expr, _ in events]
+    src = f"def factory({', '.join(params)}):\n"
+    src += "".join(f"    def {fn}(x, u):\n        u0, u1, u2, u3 = u\n        return {expr}\n" for fn, expr in defs)
+    src += "".join(f"    {ev}.terminal, {ev}.direction = True, {d}\n" for ev, _, d in events)
+    src += textwrap.indent(_kernel_source(rhs, events), "    ")
+    src += f"    {name}.events = ({''.join(ev + ', ' for ev, _, _ in events)})\n"
+    src += f"    {name}.kernel = kernel\n    return {name}\n"
+    # registered with linecache, so tracebacks show the generated lines
+    filename = f"<DOP853 leg: {name}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace = {"nextafter": math.nextafter, "inf": math.inf, "sqrt": math.sqrt}
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace["factory"]
 
 
 def _rms(v):
-    return math.sqrt(_sumsq(v) / 4.0)
+    return math.sqrt((v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]) / 4.0)
 
 
 class _Interpolant(DenseOutput):
@@ -126,20 +207,35 @@ class _Interpolant(DenseOutput):
         self.y_old = y_old
         self.F = F  # seven coefficient rows of four floats
 
+    def entry(self, j, t):
+        """Entry j of the state at a float t."""
+        x = (t - self.t_old) / self.h
+        y = 0.0
+        for i, row in enumerate(reversed(self.F)):
+            y = (y + row[j]) * (x if i % 2 == 0 else 1.0 - x)
+        return y + self.y_old[j]
+
     def point(self, t):
         """State at a float t, as four floats."""
-        x = (t - self.t_old) / self.h
-        y0 = y1 = y2 = y3 = 0.0
-        for i, (f0, f1, f2, f3) in enumerate(reversed(self.F)):
-            w = x if i % 2 == 0 else 1.0 - x
-            y0, y1, y2, y3 = (y0 + f0) * w, (y1 + f1) * w, (y2 + f2) * w, (y3 + f3) * w
-        u0, u1, u2, u3 = self.y_old
-        return y0 + u0, y1 + u1, y2 + u2, y3 + u3
+        return tuple(self.entry(j, t) for j in range(4))
 
     def _call_impl(self, t):
         if t.ndim == 0:
             return np.array(self.point(float(t)))
         return np.array([self.point(x) for x in t.tolist()]).T
+
+
+def first_entry(sol, xs):
+    """Entry 0 of the dense output sol at the ascending floats xs, equal to
+    sol(xs)[0]: each x is walked to the step OdeSolution picks, the earlier
+    one for an x on a step end, the end steps for an x outside."""
+    ts, steps = sol.ts.tolist(), sol.interpolants
+    out, i, last = [], 0, len(steps) - 1
+    for x in xs:
+        while i < last and ts[i + 1] < x:
+            i += 1
+        out.append(steps[i].entry(0, x))
+    return out
 
 
 @dataclass
@@ -162,28 +258,15 @@ class IvpResult:
 def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
     """Integrate y' = fun(t, y) forward over t_span = (t0, t_bound) from y0.
 
-    y has four entries; fun takes them as a sequence of floats and returns
-    four floats.  events are terminal event functions g(t, y) with a
-    `direction` attribute: +1 fires where g rises through zero, -1 where it
-    falls, 0 on both.  dense_output only adds the interpolants (three more
-    fun calls per step); the steps are the same.
+    fun is a right-hand side made by a `system` factory, and events must be
+    its own terminal events, fun.events, which its kernel tests inline.
+    dense_output only adds the interpolants (three more right-hand side
+    evaluations per step); the steps are the same.
     """
+    if tuple(events) != fun.events:
+        raise ValueError(f"events must be {fun.__name__}.events, which its kernel tests")
     t0, t_bound = (float(t) for t in t_span)
     y = tuple(float(v) for v in y0)
-    nfev = 0
-
-    def interpolant(K, t_old, t, y_old, y_new):
-        nonlocal nfev
-        h = t - t_old
-        nfev += len(_A_EXTRA)
-        delta = [b - a for a, b in zip(y_old, y_new)]
-        F = [
-            delta,
-            [h * f - d for f, d in zip(K[0], delta)],
-            [2.0 * d - h * (f1 + f0) for d, f1, f0 in zip(delta, K[_N_STAGES], K[0])],
-        ]
-        F += _extra(fun, K, t_old, h, y_old)
-        return _Interpolant(t_old, t, y_old, F)
 
     # initial step (Hairer, Norsett & Wanner, Sec. II.4), as scipy selects it
     f = fun(t0, y)
@@ -193,7 +276,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound - t0)
     f1 = fun(t0 + h0, tuple(a + h0 * b for a, b in zip(y, f)))
-    nfev += 2
     d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -201,65 +283,30 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
         h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
     h_abs = min(100.0 * h0, h1, t_bound - t0)
 
-    # per event: the function, whether a rise through zero fires it, whether a fall does
-    checks = [(ev, ev.direction >= 0, ev.direction <= 0) for ev in events]
-    g = [ev(t0, y) for ev in events]  # event values at the last step end, updated in place
-    ts, ys, interpolants = [t0], [y], []
+    ts, ys = [t0], [y]
+    dense = [] if dense_output else None
+    status, h_abs, steps, fired, last = fun.kernel(t0, y, f, h_abs, t_bound, rtol, atol, ts, ys, dense)
+    interpolants = [_Interpolant(*step) for step in dense] if dense_output else []
     t_events = [[] for _ in events]
-    t = t0
-    status = None  # 0 at the end of the span, 1 on an event, -1 on a step failure
-    while status is None:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while h_abs >= min_step:
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            K, y_new, err = _step(fun, t, y, f, h, rtol, atol)
-            nfev += _N_STAGES
-            if err < 1.0:
-                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
-                h_abs = h * (min(1.0, factor) if rejected else factor)
-                break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
-            rejected = True
-        else:  # rejected down to below 10 ulp of t
-            status = -1
-            break
-        t_old, y_old, t, y, f = t, y, t_new, y_new, K[_N_STAGES]
-        interp = interpolant(K, t_old, t, y_old, y) if dense_output else None
-        if t == t_bound:
-            status = 0
-        active = None  # events that fired in this step, in order
-        for i, (ev, rise, fall) in enumerate(checks):
-            a = g[i]
-            g[i] = b = ev(t, y)
-            if (rise and a <= 0.0 <= b) or (fall and a >= 0.0 >= b):
-                active = [i] if active is None else active + [i]
-        if active is not None:
-            if interp is None:
-                interp = interpolant(K, t_old, t, y_old, y)
-            roots = [
-                brentq(lambda x, ev=events[i]: ev(x, interp.point(x)), t_old, t,
-                       xtol=4 * _EPS, rtol=4 * _EPS)
-                for i in active
-            ]
-            first = min(range(len(active)), key=roots.__getitem__)
-            t = roots[first]
-            t_events[active[first]].append(t)
-            y = interp.point(t)
-            status = 1
-        ts.append(t)
-        ys.append(y)
-        if interp is not None:
-            interpolants.append(interp)
-
+    if status == 1:
+        interp = interpolants[-1] if dense_output else _Interpolant(*last)
+        active = [i for i, on in enumerate(fired) if on]
+        roots = [
+            brentq(lambda x, ev=events[i]: ev(x, interp.point(x)), interp.t_old, interp.t,
+                   xtol=4 * _EPS, rtol=4 * _EPS)
+            for i in active
+        ]
+        first = min(range(len(active)), key=roots.__getitem__)
+        t_events[active[first]].append(roots[first])
+        ts.append(roots[first])
+        ys.append(interp.point(roots[first]))
+    n_interp = len(interpolants) if dense_output else int(status == 1)
     return IvpResult(
         t=np.array(ts),
         y=np.array(ys).T,
         sol=OdeSolution(ts, interpolants) if dense_output else None,
         t_events=[np.array(te) for te in t_events],
-        nfev=nfev,
+        nfev=2 + _N_STAGES * steps + len(_A_EXTRA) * n_interp,
         status=status,
         step=h_abs,
     )

@@ -32,7 +32,7 @@ from .errors import (
     StepFailure,
 )
 from .fdiff import diff_uniform, stencil_margin
-from .ivp import solve_ivp
+from .ivp import first_entry, solve_ivp, system
 from .params import ProblemParams
 from .spectrum import Spectrum, compute_spectrum
 
@@ -174,14 +174,18 @@ class _Series:
         """
         eps = np.finfo(float).eps
         a0 = self.coeffs[0][0]
+        # each P_i's |c_k|, highest order first, for Horner sums
+        mags = [[abs(ck) for ck in reversed(c)] for c in self.coeffs]
         x = r_cap * r_cap
         while x > _R_SEED * _R_SEED:
-            powers = [x**k for k in range(_SERIES_ORDER + 1)]
             sums = []
-            for c in self.coeffs:
-                terms = [abs(ck) * xk for ck, xk in zip(c, powers)]
-                sums.append(sum(terms))
-                if max(terms[-2:]) > eps * sums[-1]:
+            for c in mags:
+                s = 0.0
+                for ck in c:
+                    s = s * x + ck
+                sums.append(s)
+                top = x ** (len(c) - 2)
+                if max(c[0] * top * x, c[1] * top) > eps * s:
                     break
             else:
                 if sums[0] < 2.0 * a0 and x ** (0.5 * m) * sums[0] < w_max:
@@ -213,20 +217,23 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
     return np.array([w0, w1, w2, w3])
 
 
-def _terminal_events(amplitude_cross):
-    """[sign_loss, amplitude_cross] as terminal solve_ivp events.
-
-    Blow-up is the scale-aware bound r^m u >= 1.5 L: the entire solution keeps
-    r^m phi < L, so crossing it already identifies the unbounded side.  No raw
-    |u| ceiling: at large p, u^p makes the ODE too stiff to follow that far.
-    """
-    def sign_loss(t, y):
-        return y[0]
-
-    for ev, d in ((sign_loss, -1), (amplitude_cross, 1)):
-        ev.terminal = True
-        ev.direction = d
-    return [sign_loss, amplitude_cross]
+# The charts' right-hand sides and terminal events, written once as
+# expressions in x (r or s) and the state u0..u3: (u, u', Delta u,
+# (Delta u)') in the r-chart, (W, W', W'', W''') in the s-chart.  u^p is
+# taken on the positive branch (trial states may dip below zero transiently)
+# and capped so rejected trial steps cannot overflow.  Blow-up is the
+# scale-aware bound r^m u >= 1.5 L = wcap: the entire solution keeps
+# r^m phi < L, so crossing it already identifies the unbounded side.  No raw
+# |u| ceiling: at large p, u^p makes the ODE too stiff to follow that far.
+_POWER = "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0)"
+_CHARTS = {
+    "r": system("rhs_r", ("p", "cap", "nm1", "m", "wcap"),
+                ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x"),
+                (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1))),
+    "s": system("rhs_s", ("p", "cap", "c1", "c2", "c3", "c4", "wcap"),
+                ("u1", "u2", "u3", _POWER + " - (c1 * u3 + c2 * u2 + c3 * u1 + c4 * u0)"),
+                (("sign_loss", "u0", -1), ("amplitude_cross", "u0 - wcap", 1))),
+}
 
 
 class _Integrator:
@@ -242,31 +249,14 @@ class _Integrator:
         self.pow_cap = 10.0 ** (295.0 / params.p)
         self.spec = compute_spectrum(params)
         self.L = self.spec.L
-        # Python floats for the right-hand sides, which run on scalars
-        self.nm1 = self.n - 1.0
-        _, self.c1, self.c2, self.c3, self.c4 = _s_operator_coeffs(self.n, self.m).tolist()
-        m, L = self.m, self.L
-        # chart -> (right-hand side, events); W = r^m u in the r-chart, u in the s-chart
-        self.charts = {
-            "r": (self.rhs_r, _terminal_events(lambda r, y: r**m * y[0] - 1.5 * L)),
-            "s": (self.rhs_s, _terminal_events(lambda s, y: y[0] - 1.5 * L)),
-        }
-
-    # --- right-hand sides -------------------------------------------------
-    # Scalar math on sequences of four floats, as the DOP853 driver passes
-    # them.  The operations match the array form built on _power term for
-    # term, so the results are identical.
-    def rhs_r(self, r, y):
-        u, w, v, z = y
-        nm1, cap = self.nm1, self.pow_cap
-        up = (u if u < cap else cap) ** self.p if u > 0.0 else 0.0
-        return (w, v - nm1 * w / r, z, up - nm1 * z / r)
-
-    def rhs_s(self, s, y):
-        w0, w1, w2, w3 = y
-        cap = self.pow_cap
-        up = (w0 if w0 < cap else cap) ** self.p if w0 > 0.0 else 0.0
-        return (w1, w2, w3, up - (self.c1 * w3 + self.c2 * w2 + self.c3 * w1 + self.c4 * w0))
+        # chart -> (right-hand side, its events) on this configuration's
+        # constants; the scalar operations match the array form built on
+        # _power term for term, so the results are identical
+        _, c1, c2, c3, c4 = _s_operator_coeffs(self.n, self.m).tolist()
+        common = dict(p=self.p, cap=self.pow_cap, wcap=1.5 * self.L)
+        self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)
+        self.rhs_s = _CHARTS["s"](c1=c1, c2=c2, c3=c3, c4=c4, **common)
+        self.charts = {"r": (self.rhs_r, self.rhs_r.events), "s": (self.rhs_s, self.rhs_s.events)}
 
     # --- one leg, one shot ------------------------------------------------
     def series(self, v0: float) -> _Series:
@@ -370,14 +360,14 @@ def _sample_w(integ, v0, sol_r, legs, s_nodes):
         seeded = rr < sol_r.t[0]
         u = np.empty(rr.size)
         u[seeded] = integ.series(v0).state(rr[seeded])[0]
-        u[~seeded] = sol_r.sol(rr[~seeded])[0]
+        u[~seeded] = first_entry(sol_r.sol, rr[~seeded].tolist())
         # per node: one vectorized power rounds some entries differently
         out[from_r] = [r**integ.m * u_i for r, u_i in zip(rr, u)]
     remaining = ~from_r
     for s_from, leg in reversed(legs):
         pick = remaining & (s_nodes >= s_from)
         if np.any(pick):
-            out[pick] = leg.sol(s_nodes[pick])[0]
+            out[pick] = first_entry(leg.sol, s_nodes[pick].tolist())
             remaining &= ~pick
     return out
 

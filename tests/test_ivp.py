@@ -2,21 +2,24 @@
 
 Both integrate the shooter's legs at the shooter's tolerances; the driver
 follows scipy's algorithm, so the two agree up to rounding.  The driver's
-step, generated from the tableau, is also checked bit for bit against the
-tableau's rows looped over.
+leg kernels, generated from the tableau, are also checked bit for bit
+against a reference integrator that loops over the tableau's rows and
+calls the same scalar right-hand side.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq
 
 from biharm import ProblemParams, compute_pc
-from biharm.ivp import _extra, _step, solve_ivp
+from biharm.ivp import _Interpolant, first_entry, solve_ivp
 from biharm.shooting import (
     _PROBE_HI,
+    _PROBE_LO,
     _R_SWITCH,
     ShootControls,
     _Integrator,
@@ -104,7 +107,25 @@ def test_large_p_first_probe_fails(pc15):
     assert ours.step < 10.0 * np.spacing(ours.t[-1])
 
 
-# --- the step as loops over the tableau's rows: the oracle ------------------
+def test_first_entry_is_the_dense_output_entry_0(case_a):
+    # nodes inside steps, on step ends (where OdeSolution picks the earlier
+    # step) and outside the leg (its end steps), bit for bit
+    integ, seed, v0 = case_a
+    rhs, events = integ.charts["r"]
+    r0, y0 = seed(v0)
+    leg = solve_ivp(rhs, (r0, _R_SWITCH), y0, events=events, dense_output=True, **_TOL)
+    xs = np.sort(np.concatenate([leg.t, 0.5 * (leg.t[1:] + leg.t[:-1]), [0.5 * r0, 1.1 * _R_SWITCH]]))
+    assert _hex(first_entry(leg.sol, xs.tolist())) == _hex(leg.sol(xs)[0].tolist())
+    # two steps whose values at their shared end differ (0.1 + 0.2 against 0.3)
+    rows = [(0.2,) * 4] + [(0.0,) * 4] * 6
+    sol = OdeSolution([0.0, 1.0, 2.0], [_Interpolant(0.0, 1.0, (0.1,) * 4, rows),
+                                        _Interpolant(1.0, 2.0, (0.3,) * 4, [(0.0,) * 4] * 7)])
+    xs = [-1.0, 0.5, 1.0, 1.5, 3.0]
+    assert first_entry(sol, xs) == sol(np.array(xs))[0].tolist()
+    assert first_entry(sol, [1.0]) == [0.1 + 0.2] != [0.3]
+
+
+# --- a leg as loops over the tableau's rows: the oracle ---------------------
 
 def _rows(table):
     return [[(j, c) for j, c in enumerate(row) if c != 0.0] for row in np.atleast_2d(table).tolist()]
@@ -113,11 +134,15 @@ def _rows(table):
 _A, _C, (_B,), (_E3,), (_E5,) = (_rows(DOP853.A), DOP853.C.tolist(), _rows(DOP853.B),
                                  _rows(DOP853.E3), _rows(DOP853.E5))
 _A_EXTRA, _C_EXTRA, _D = _rows(DOP853.A_EXTRA), DOP853.C_EXTRA.tolist(), _rows(DOP853.D)
+_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_EPS = np.finfo(float).eps
 
 
 def _combo(K, row):
-    a0 = a1 = a2 = a3 = 0.0
-    for j, c in row:
+    """Sum over row's (j, c) of c * K[j], entry by entry, from the first term."""
+    (j, c), *rest = row
+    a0, a1, a2, a3 = (c * k for k in K[j])
+    for j, c in rest:
         k0, k1, k2, k3 = K[j]
         a0 += c * k0
         a1 += c * k1
@@ -134,6 +159,10 @@ def _sumsq(v):
     return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
 
 
+def _rms(v):
+    return math.sqrt(_sumsq(v) / 4.0)
+
+
 def _loop_step(fun, t, y, f, h, rtol, atol):
     K = [f]
     for s in range(1, DOP853.n_stages):
@@ -148,11 +177,87 @@ def _loop_step(fun, t, y, f, h, rtol, atol):
     return K, y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
 
 
-def _loop_extra(fun, K, t_old, h, y_old):
+def _loop_rows(fun, K, t_old, h, y_old, y_new):
+    """The interpolant's seven coefficient rows, its three extra stages included."""
+    delta = [b - a for a, b in zip(y_old, y_new)]
+    rows = [
+        delta,
+        [h * k - d for k, d in zip(K[0], delta)],
+        [2.0 * d - h * (k1 + k0) for d, k1, k0 in zip(delta, K[-1], K[0])],
+    ]
     K = list(K)
     for a, c in zip(_A_EXTRA, _C_EXTRA):
         K.append(fun(t_old + c * h, _axpy(y_old, h, _combo(K, a))))
-    return [[h * v for v in _combo(K, row)] for row in _D]
+    return rows + [[h * v for v in _combo(K, row)] for row in _D]
+
+
+def _loop_leg(fun, events, t_span, y0, rtol, atol, dense):
+    """One leg as a loop over _loop_step: scipy's initial step and step
+    controller, every event called at every step end, the first root by
+    brentq on the firing step's interpolant.  Returns (step ends, states,
+    interpolants as (t_old, t, y_old, rows) -- every step's when dense, else
+    the firing step's --, event roots, fun calls made, status, last step)."""
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        return fun(t, y)
+
+    t0, t_bound = t_span
+    y = tuple(y0)
+    f = counted(t0, y)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / sc for v, sc in zip(y, scale)])
+    d1 = _rms([v / sc for v, sc in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t0)
+    f1 = counted(t0 + h0, tuple(a + h0 * b for a, b in zip(y, f)))
+    d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    h_abs = min(100.0 * h0, h1, t_bound - t0)
+
+    ts, ys, steps, roots = [t0], [y], [], [[] for _ in events]
+    g = [ev(t0, y) for ev in events]
+    t = t0
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            K, y_new, err = _loop_step(counted, t, y, f, h, rtol, atol)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**_EXPONENT)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * err**_EXPONENT)
+            rejected = True
+        else:
+            return ts, ys, steps, roots, calls, -1, h_abs
+        g_new = [ev(t_new, y_new) for ev in events]
+        active = [i for i, ev in enumerate(events)
+                  if (ev.direction >= 0 and g[i] <= 0.0 <= g_new[i])
+                  or (ev.direction <= 0 and g[i] >= 0.0 >= g_new[i])]
+        if dense or active:
+            steps.append((t, t_new, y, _loop_rows(counted, K, t, h, y, y_new)))
+        if active:
+            interp = _Interpolant(*steps[-1])
+            at = [brentq(lambda x, ev=events[i]: ev(x, interp.point(x)), t, t_new,
+                         xtol=4 * _EPS, rtol=4 * _EPS) for i in active]
+            first = min(range(len(at)), key=at.__getitem__)
+            roots[active[first]].append(at[first])
+            ts.append(at[first])
+            ys.append(interp.point(at[first]))
+            return ts, ys, steps, roots, calls, 1, h_abs
+        t, y, f, g = t_new, y_new, K[-1], g_new
+        ts.append(t)
+        ys.append(y)
+        if t == t_bound:
+            return ts, ys, steps, roots, calls, 0, h_abs
 
 
 def _hex(values):
@@ -162,21 +267,55 @@ def _hex(values):
     return [_hex(v) for v in values]
 
 
+def _assert_leg_equals_the_loops(integ, chart, span, y0, dense):
+    """The kernel's leg against _loop_leg's on the same scalar right-hand
+    side, bit for bit; returns the kernel's result."""
+    rhs, events = integ.charts[chart]
+    got = solve_ivp(rhs, span, y0, events=events, dense_output=dense, **_TOL)
+    ts, ys, steps, roots, calls, status, step = _loop_leg(
+        rhs, events, span, tuple(float(v) for v in y0), _TOL["rtol"], _TOL["atol"], dense)
+    assert got.status == status
+    assert _hex(got.t.tolist()) == _hex(ts)
+    assert _hex(got.y.T.tolist()) == _hex(ys)
+    assert _hex([te.tolist() for te in got.t_events]) == _hex(roots)
+    assert _hex(got.step) == _hex(step)
+    assert got.nfev == calls
+    if dense:
+        assert _hex([(i.t_old, i.t, i.y_old, i.F) for i in got.sol.interpolants]) == _hex(steps)
+    return got
+
+
 @pytest.mark.parametrize("chart", ["r", "s"])
-def test_generated_step_equals_the_tableau_loops_bit_for_bit(chart):
-    # seeded random states (u of both signs, entries over six decades) on
-    # each chart's right-hand side, steps over four decades of h, at the
-    # shooter's tolerance and a looser one
+def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
+    # Four kinds of leg on each chart's kernel, from seeded states near case
+    # A's separatrix: plain and dense legs that reach their end, legs ended
+    # by each event (plain and dense), and, in the r-chart, the step failure
+    # of n=15's first probe at 100 p_c.
     integ = _Integrator(ProblemParams(13, compute_pc(13) + 0.5), 1.0, ShootControls())
-    rhs = integ.charts[chart][0]
-    rng = np.random.default_rng(1313 if chart == "r" else 3131)
-    for _ in range(40):
-        t = float(rng.uniform(0.5, 10.0) if chart == "r" else rng.uniform(2.3, 9.2))
-        y = tuple(float(v) for v in rng.normal(0.0, 1.0, 4) * 10.0 ** rng.uniform(-3, 3, 4))
-        f = rhs(t, y)
-        for h in (1e-5, 3.7e-4, 1e-2, 0.13):
-            for rtol in (ShootControls().rtol, 1e-6):
-                got = _step(rhs, t, y, f, h, rtol, 1e-2 * rtol)
-                want = _loop_step(rhs, t, y, f, h, rtol, 1e-2 * rtol)
-                assert _hex(got) == _hex(want)
-                assert _hex(_extra(rhs, got[0], t, h, y)) == _hex(_loop_extra(rhs, want[0], t, h, y))
+    rng = np.random.default_rng(1313)
+    v0_sep = -0.2668911534367668
+    near = (v0_sep * (1.0 + 1e-9 * rng.standard_normal()) for _ in range(3))
+    shifted = (v0_sep * (1.0 + 1e-6 * rng.uniform(0.5, 2.0) * sign) for sign in (1.0, -1.0, 1.0))
+
+    def leg(v0, dense, r_end=100.0):
+        # an r-chart leg to r_switch, or the s-chart leg from its end to r_end
+        r0, y0 = integ.start(v0, _R_SWITCH)
+        if chart == "r":
+            return _assert_leg_equals_the_loops(integ, "r", (r0, _R_SWITCH), y0, dense)
+        rhs, events = integ.charts["r"]
+        end = solve_ivp(rhs, (r0, _R_SWITCH), y0, events=events, **_TOL).y[:, -1]
+        span = (math.log(_R_SWITCH), math.log(r_end))
+        return _assert_leg_equals_the_loops(integ, "s", span, _r_to_s_state(integ.n, integ.m, _R_SWITCH, end), dense)
+
+    kinds = [(leg(next(near), False), 0), (leg(next(near), False), 0), (leg(next(near), True), 0)]
+    if chart == "r":
+        ends = [leg(_PROBE_LO, False), leg(_PROBE_HI, False), leg(_PROBE_HI, True)]
+        big = _Integrator(ProblemParams(15, 100.0 * pc15), 1.0, ShootControls())
+        r0, y0 = big.start(_PROBE_HI, _R_SWITCH)
+        kinds.append((_assert_leg_equals_the_loops(big, "r", (r0, _R_SWITCH), y0, False), -1))
+    else:
+        ends = [leg(next(shifted), False, 1e4), leg(next(shifted), False, 1e4), leg(next(shifted), True, 1e4)]
+    kinds += [(got, 1) for got in ends]
+    assert [got.status for got, _ in kinds] == [status for _, status in kinds]
+    # both events end a leg
+    assert {int(got.t_events[1].size) for got in ends} == {0, 1}

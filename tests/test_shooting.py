@@ -1,4 +1,4 @@
-import functools
+import builtins
 import io
 import math
 import random
@@ -383,28 +383,63 @@ def test_shoot_r_chart_only(pc13):
 def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
     # Tracing swaps the module's solve_ivp and labels each call's chart by the
     # right-hand side's __name__; every integration must be visible that way,
-    # so the RHS evaluations counted through it must be all of them.
+    # so every RHS evaluation must happen inside such a call.  The scalar
+    # right-hand sides (the initial step's two calls) and the leg kernels
+    # (12 per attempted step, 3 per interpolant) are counted where the chart
+    # factories hand them out, and must add up to the calls' nfev.
     plain = biharm.shooting.solve_ivp
-    nfev, evaluated = Counter(), Counter()
+    inside, nfev, evaluated = [], Counter(), Counter()
 
     def counting_solve_ivp(fun, *args, **kwargs):
-        result = plain(fun, *args, **kwargs)
+        inside.append(fun.__name__)
+        try:
+            result = plain(fun, *args, **kwargs)
+        finally:
+            inside.pop()
         nfev[fun.__name__] += result.nfev
         return result
 
-    def counted(rhs):
-        @functools.wraps(rhs)
-        def wrapper(self, t, y):
-            evaluated[rhs.__name__] += 1
-            return rhs(self, t, y)
-        return wrapper
+    def counted(factory):
+        def make(**constants):
+            rhs = factory(**constants)
+            name, kernel = rhs.__name__, rhs.kernel
+
+            def counted_kernel(*args):
+                assert inside == [name]
+                out = status, _, steps, _, _ = kernel(*args)
+                dense = args[-1]
+                evaluated[name] += 12 * steps + 3 * (len(dense) if dense is not None else status == 1)
+                return out
+
+            def counted_rhs(x, u):
+                assert inside == [name]
+                evaluated[name] += 1
+                return rhs(x, u)
+
+            counted_rhs.__name__, counted_rhs.events, counted_rhs.kernel = name, rhs.events, counted_kernel
+            return counted_rhs
+        return make
 
     monkeypatch.setattr(biharm.shooting, "solve_ivp", counting_solve_ivp)
-    for name in ("rhs_r", "rhs_s"):
-        monkeypatch.setattr(_Integrator, name, counted(getattr(_Integrator, name)))
+    for chart, factory in biharm.shooting._CHARTS.items():
+        monkeypatch.setitem(biharm.shooting._CHARTS, chart, counted(factory))
     shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
     assert set(nfev) == {"rhs_r", "rhs_s"}
     assert nfev == evaluated
+
+
+def test_shoot_compiles_nothing(sol_quick, monkeypatch):
+    # The leg kernels are compiled once, at import; an integrator only binds
+    # its constants into them (a compile costs milliseconds per chart).
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile or exec called while shooting")
+
+    with monkeypatch.context() as patched:  # undone before a failure is reported
+        patched.setattr(builtins, "compile", refuse)
+        patched.setattr(builtins, "exec", refuse)
+        _Integrator(sol_quick.params, 1.0, ShootControls())
+        v0 = shoot(sol_quick.params, alpha=1.0, r_max=500.0).v0
+    assert v0 == sol_quick.v0
 
 
 def test_integrate_radial_at_converged_v0(sol_quick):
