@@ -8,24 +8,24 @@ values k at exponents p_k: the rung polynomial
 
 satisfies lam2 > k*lam3  <=>  R_k(p) < 0, and has a unique root above p_c
 exactly when its quartic tail limit Q4((n-4)/(k+1)) - 8(n-2)(n-4) is positive.
+In t = p - 1, R_k = prod_i (A_k + (B_k + c_i) t) - (1 + t) prod_i (4 + c_i t)
+is an exact quartic, A_k = 4(k-1)/(k+1), B_k = (n-4)/(k+1), c = (0, 2, 2-n, 4-n),
+whose t^4 coefficient is the tail limit; R_1 = -(p-1)^4 * pc_defect.
 The number of rungs has the closed form floor((n-10)/2) for 13 <= n <= 19 and
 floor((n-9)/2) for n >= 20.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParams, LadderMismatch, NoPcValue
 from .params import sobolev_exponent
 from .spectrum import q4_eval
-
-_PC_PROBE_LIMIT = 1.0e6
-_BRENTQ_KW = dict(xtol=1e-12, rtol=8.9e-16, maxiter=200)
 
 
 def pc_defect(n: int, p):
@@ -33,71 +33,93 @@ def pc_defect(n: int, p):
     return p * q4_eval(n, 4.0 / (p - 1.0)) - q4_eval(n, (n - 4.0) / 2.0)
 
 
-def _q4_deriv(n: int, a: float) -> float:
-    # derivative of the factored quartic: sum of leave-one-out products
-    f = (a, a + 2.0, a + 2.0 - n, a + 4.0 - n)
-    return (
-        f[1] * f[2] * f[3]
-        + f[0] * f[2] * f[3]
-        + f[0] * f[1] * f[3]
-        + f[0] * f[1] * f[2]
-    )
+def _expand(a, b) -> np.ndarray:
+    # coefficients t^0..t^4 of prod_i (a_i + b_i t) over the last axis; a
+    # fifth factor's t^5 term is dropped
+    a, b = np.broadcast_arrays(a, b)
+    poly = np.zeros(a.shape[:-1] + (5,))
+    poly[..., 0] = 1.0
+    for i in range(a.shape[-1]):
+        poly[..., 1:] = poly[..., 1:] * a[..., i, None] + poly[..., :-1] * b[..., i, None]
+        poly[..., 0] *= a[..., i]
+    return poly
 
 
-def _pc_defect_deriv(n: int, p: float) -> float:
-    m = 4.0 / (p - 1.0)
-    return q4_eval(n, m) - p * _q4_deriv(n, m) * 4.0 / (p - 1.0) ** 2
+def _quartic_roots(n: int, ks, floor: float) -> np.ndarray:
+    """Smallest real root p > floor of R_k for each k in ks, nan where none:
+    eigenvalues of stacked companion matrices, then two Newton steps on
+    R_k as written with the expanded quartic's derivative."""
+    k = np.asarray(ks, dtype=float)[:, None]
+    c = np.array([0.0, 2.0, 2.0 - n, 4.0 - n])
+    # in t = p - 1, where (1 + t) prod(4 + c t) has a t^5 coefficient of exactly 0
+    coef = _expand(4.0 * (k - 1.0) / (k + 1.0), (n - 4.0) / (k + 1.0) + c)
+    coef -= _expand([4.0, 4.0, 4.0, 4.0, 1.0], [*c, 1.0])
+    companion = np.zeros((len(k), 4, 4))
+    companion[:, 1:, :3] = np.eye(3)
+    companion[:, :, 3] = -coef[:, :4] / coef[:, 4:]
+    t = np.linalg.eigvals(companion)
+    t = np.where((t.imag == 0.0) & (t.real > floor - 1.0), t.real, np.inf).min(axis=1)
+    p, slope = 1.0 + t, coef[:, 1:] * np.arange(1.0, 5.0)
+    with np.errstate(invalid="ignore"):
+        for _ in range(2):
+            p = p - _rk_direct(p, n, k[:, 0]) / (slope * (p - 1.0)[:, None] ** np.arange(4)).sum(1)
+    return np.where(np.isfinite(t), p, np.nan)
+
+
+def _r1_sign(n: int, u: int, d: int) -> int:
+    # exact sign of R_1 at p = u/d, d > 0: with t = (u - d)/d and scaled by
+    # 16 d^5, R_1 has integer terms for integer n
+    u, n = u - d, int(n)
+    c = (0, 2, 2 - n, 4 - n)
+    val = d * u**4 * math.prod(n - 4 + 2 * ci for ci in c)
+    val -= 16 * (d + u) * math.prod(4 * d + ci * u for ci in c)
+    return (val > 0) - (val < 0)
 
 
 @lru_cache(maxsize=None)
 def compute_pc(n: int) -> float:
-    """Critical exponent p_c(n), the unique p > (n+4)/(n-4) with h(p) = 0.
+    """Critical exponent p_c(n), the unique p > (n+4)/(n-4) with h(p) = 0, correctly rounded.
 
-    Brackets by doubling up from just above the Sobolev exponent.  Raises
-    NoPcValue when no sign change appears below the probe bound, which is
-    the n <= 12 case (p_c = +infinity there).
+    The k = 1 companion root is stepped to the two adjacent floats where R_1
+    changes sign; R_1's exact sign at their midpoint picks the nearer one.
+    Raises NoPcValue when R_1 has no real root above the Sobolev exponent,
+    which is the n <= 12 case (p_c = +infinity there).
     """
     if n < 5:
         raise InvalidParams(f"n >= 5 required, got n={n}")
-    lo = sobolev_exponent(n) + 1e-3
-    if pc_defect(n, lo) <= 0.0:
-        raise InvalidParams(f"defect not positive at the Sobolev end for n={n}")
-    hi = 2.0 * lo
-    while pc_defect(n, hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > _PC_PROBE_LIMIT:
-            raise NoPcValue(
-                f"no sign change of the defining inequality up to p={_PC_PROBE_LIMIT:g} "
-                f"for n={n}; treat p_c = +infinity (finite p_c requires n >= 13)"
-            )
-    root = brentq(lambda p: pc_defect(n, p), lo, hi, **_BRENTQ_KW)
-    # Newton polish: the eigenvalue gap at p_c scales like sqrt(|h(p_c)|), so the
-    # defect must be pushed to rounding level for the double root to register.
-    for _ in range(3):
-        step = pc_defect(n, root) / _pc_defect_deriv(n, root)
-        if not np.isfinite(step):
-            break
-        root -= step
-        if abs(step) < 1e-15 * root:
-            break
-    return root
-
-
-def _rk_limit_at_one(k: int) -> float:
-    # lim_{p->1} R_k(p) = 4^4 * ((k-1)/(k+1))^4 - 4^4
-    return 256.0 * (((k - 1.0) / (k + 1.0)) ** 4 - 1.0)
+    p = float(_quartic_roots(n, [1], sobolev_exponent(n))[0])
+    if math.isnan(p):
+        raise NoPcValue(
+            f"the k = 1 rung quartic R_1 has no real root above the Sobolev exponent "
+            f"for n={n}; treat p_c = +infinity (finite p_c requires n >= 13)"
+        )
+    side = _r1_sign(n, *p.as_integer_ratio())  # R_1 < 0 below p_c
+    toward = math.inf if side < 0 else -math.inf
+    q = math.nextafter(p, toward)
+    while _r1_sign(n, *q.as_integer_ratio()) == side:
+        p, q = q, math.nextafter(q, toward)
+    (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
+    return q if _r1_sign(n, a * d + c * b, 2 * b * d) == side else p
 
 
 def _rk_direct(p, n: int, k: int):
-    # R_k(p) as written, for p != 1; float or array p.  compute_ladder's
-    # bracket and root search call it on floats, without rk_eval's dispatch.
+    # R_k(p) as written, for p != 1; float or array p and k.  The rung search
+    # polishes its companion roots with it, without rk_eval's dispatch.
     # (p-1)^4 by two squarings: numpy's array power and the float power
     # round differently, two multiplications round alike on both paths.
     t = p - 1.0
     t2 = t * t
     arg = (k - 1.0) / (k + 1.0) * 4.0 / t + (n - 4.0) / (k + 1.0)
     return t2 * t2 * (q4_eval(n, arg) - p * q4_eval(n, 4.0 / t))
+
+
+def _patched(direct, x, at: float, value: float):
+    # direct(x) for float or array x, with its removable singularity at x == at set to value
+    if np.ndim(x) == 0:
+        return value if x == at else direct(float(x))
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == at, value, direct(x))
 
 
 def rk_eval(n: int, k: int, p):
@@ -108,21 +130,20 @@ def rk_eval(n: int, k: int, p):
     """
     if k < 1:
         raise InvalidParams(f"k >= 1 required, got k={k}")
-    if np.ndim(p) == 0:
-        if p == 1.0:
-            return _rk_limit_at_one(k)
-        return _rk_direct(float(p), n, k)
-    p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _rk_direct(p, n, k)
-    return np.where(p == 1.0, _rk_limit_at_one(k), vals)
+    at_one = 256.0 * (((k - 1.0) / (k + 1.0)) ** 4 - 1.0)
+    return _patched(lambda pv: _rk_direct(pv, n, k), p, 1.0, at_one)
+
+
+def _tail_bracket(n: int, k):
+    # Q4((n-4)/(k+1)) - 8(n-2)(n-4), R_k's t^4 coefficient; float or array k
+    return q4_eval(n, (n - 4.0) / (k + 1.0)) - 8.0 * (n - 2.0) * (n - 4.0)
 
 
 def tail_limit(n: int, k: int) -> float:
     """Limit of R_k(p)/p^4 as p -> +/-inf: Q4((n-4)/(k+1)) - 8(n-2)(n-4)."""
     if k < 1:
         raise InvalidParams(f"k >= 1 required, got k={k}")
-    return q4_eval(n, (n - 4.0) / (k + 1.0)) - 8.0 * (n - 2.0) * (n - 4.0)
+    return _tail_bracket(n, k)
 
 
 def f_quartic(n: int, k):
@@ -133,20 +154,10 @@ def f_quartic(n: int, k):
     """
     if n < 5:
         raise InvalidParams(f"n >= 5 required, got n={n}")
-
-    def direct(kv):
-        shifted = (n - 4.0) / (kv + 1.0)
-        bracket = q4_eval(n, shifted) - 8.0 * (n - 2.0) * (n - 4.0)
-        return 2.0 * (kv + 1.0) ** 4 / (n - 4.0) * bracket
-
-    if np.ndim(k) == 0:
-        if k == -1.0:
-            return 2.0 * (n - 4.0) ** 3
-        return direct(float(k))
-    k = np.asarray(k, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = direct(k)
-    return np.where(k == -1.0, 2.0 * (n - 4.0) ** 3, vals)
+    return _patched(
+        lambda kv: 2.0 * (kv + 1.0) ** 4 / (n - 4.0) * _tail_bracket(n, kv),
+        k, -1.0, 2.0 * (n - 4.0) ** 3,
+    )
 
 
 def ladder_length_formula(n: int) -> int:
@@ -183,43 +194,27 @@ def compute_ladder(n: int) -> CriticalLadder:
     not data conditions).
     """
     pc = compute_pc(n)
-    rungs = [pc]
-    tails = [tail_limit(n, 1)]
-    k = 2
-    while True:
-        if k > n:
-            raise LadderMismatch(f"runaway ladder at n={n}: k={k} exceeded safety bound")
-        t_k = tail_limit(n, k)
-        tails.append(t_k)
-        if t_k <= 0.0:
-            break
-        f_lo = _rk_direct(pc, n, k)
-        if f_lo >= 0.0:
-            raise LadderMismatch(f"R_{k}(p_c) = {f_lo:.6g} >= 0 at n={n}; expected negative")
-        hi = 2.0 * pc
-        doublings = 0
-        while _rk_direct(hi, n, k) <= 0.0:
-            hi *= 2.0
-            doublings += 1
-            if doublings > 200:
-                raise LadderMismatch(f"R_{k} never turned positive above p_c at n={n}")
-        p_k = brentq(_rk_direct, pc, hi, args=(n, k), **_BRENTQ_KW)
-        if p_k <= rungs[-1]:
-            raise LadderMismatch(
-                f"rungs not strictly increasing at n={n}: p_{k}={p_k} <= {rungs[-1]}"
-            )
-        rungs.append(p_k)
-        k += 1
-
-    n_rungs = len(rungs)
+    tails = _tail_bracket(n, np.arange(1.0, n + 1.0))  # k = 1..n
+    ends = np.flatnonzero(tails[1:] <= 0.0)
+    if not ends.size:
+        raise LadderMismatch(f"runaway ladder at n={n}: every tail limit up to k={n} is positive")
+    n_rungs = int(ends[0]) + 1
+    ks = np.arange(2, n_rungs + 1)
+    at_pc = _rk_direct(pc, n, ks)
+    for k, f_lo in zip(ks[at_pc >= 0.0], at_pc[at_pc >= 0.0]):
+        raise LadderMismatch(f"R_{k}(p_c) = {f_lo:.6g} >= 0 at n={n}; expected negative")
+    rungs = np.concatenate([[pc], _quartic_roots(n, ks, pc)])
+    for k in ks[np.isnan(rungs[1:])]:
+        raise LadderMismatch(f"R_{k} has no real root above p_c at n={n}")
+    for k in ks[rungs[1:] <= rungs[:-1]]:
+        raise LadderMismatch(f"rungs not strictly increasing at n={n}: p_{k}={rungs[k - 1]}")
     expected = ladder_length_formula(n)
     if n_rungs != expected:
         raise LadderMismatch(
             f"computed {n_rungs} rungs at n={n} but the closed formula gives {expected}"
         )
-    return CriticalLadder(
-        n=n, p_c=pc, rungs=tuple(rungs), N=n_rungs, tail_limits=tuple(tails)
-    )
+    tails = tuple(tails[: n_rungs + 1].tolist())
+    return CriticalLadder(n=n, p_c=pc, rungs=tuple(rungs.tolist()), N=n_rungs, tail_limits=tails)
 
 
 @dataclass(frozen=True)

@@ -683,12 +683,11 @@ def _refine_unstable(integ, legs, rho1, r_cls):
     stops at the checkpoint's noise floor eta = eps e^{lam4 (s_end - s_c)},
     what one ulp of the checkpoint state grows to by s_end: once a survivor
     has |rho| < eta, or the bracket mapped through G is narrower than eta.
-    A short opening step that already reads below the floor needs no
-    bracket.  The checkpoint is clamped to the earliest allowed lattice node
+    When neither opening step brackets, the stage ends on their better
+    survivor.  The checkpoint is clamped to the earliest allowed lattice node
     when the residue is too large to decay to the floor past it.  Returns
     (s_c, dense leg, end residual, iterations used) or None when no
-    checkpoint is left, neither opening step brackets nor reaches the
-    floor, or no progress was made.
+    checkpoint is left or no trial lowered |rho| below |rho1|.
     """
     lam4 = integ.spec.lambdas[3]
     s_end = math.log(r_cls)
@@ -712,11 +711,8 @@ def _refine_unstable(integ, legs, rho1, r_cls):
     gain = e4[0] * growth / integ.L  # d rho / d mu
     eta = np.finfo(float).eps * growth  # one ulp of the checkpoint state, grown to s_end
 
-    def at_floor():
-        return best.x is not None and abs(best.rho) < eta
-
     def done(up, dn):
-        return at_floor() or best.x is not None and abs(up - dn) * gain < eta
+        return best.x is not None and (abs(best.rho) < eta or abs(up - dn) * gain < eta)
 
     # linearised step from mu = 0 (value rho1), _PUSH past the root
     up_side = rho1 >= 0.0
@@ -731,8 +727,6 @@ def _refine_unstable(integ, legs, rho1, r_cls):
         (up, g_up), (dn, g_dn) = (near, (mu, g)) if up_side else ((mu, g), near)
         if not done(up, dn):
             _bisect(best.side, up, dn, done=done, ends=(g_up, g_dn))
-    elif not at_floor():
-        return None
     used = len(best.g)
     if best.x is None or abs(best.rho) >= abs(rho1):
         return None

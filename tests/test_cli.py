@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -250,3 +254,15 @@ def test_config_file_precedence(runner, pc13, tmp_path):
     ])
     assert res.exit_code == 0
     assert json.loads(res.stdout)["r_max"] == 60.0
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # importing scipy.signal costs about as much again as the whole CLI import,
+    # so the cold start must not pull it in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, biharm.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

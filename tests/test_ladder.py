@@ -1,8 +1,10 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from biharm import (
     InvalidParams,
@@ -19,13 +21,17 @@ from biharm import (
     rk_eval,
     tail_limit,
 )
-from biharm.ladder import _BRENTQ_KW
 from biharm.spectrum import eigen_poly_eval, lambda_star
 
 
+@pytest.mark.parametrize("n", range(5, 13))
+def test_no_pc_below_13(n):
+    # the k = 1 quartic has no real root above the Sobolev exponent there
+    with pytest.raises(NoPcValue, match="no real root above the Sobolev exponent"):
+        compute_pc(n)
+
+
 def test_pc_examples():
-    with pytest.raises(NoPcValue):
-        compute_pc(12)
     pc = compute_pc(13)
     assert pc > 17.0 / 9.0
     # defining equality restated through the eigenvalue polynomial
@@ -170,19 +176,45 @@ def test_ladder_rung_relation():
                 assert rk_eval(n, k, lad.p_c) < 0.0
 
 
-def test_ladder_rungs_equal_root_search_on_public_rk_eval():
-    # compute_ladder searches on the bare formula without rk_eval's dispatch;
-    # the rungs must be exactly those of the same search through rk_eval.
-    for n in (13, 20, 57, 200):
+def test_ladder_tail_limits_equal_tail_limit():
+    # the ladder evaluates its tail limits as one array; bit for bit the scalar ones
+    for n in range(13, 201):
         lad = compute_ladder(n)
-        pc = lad.p_c
-        rungs = [pc]
-        for k in range(2, lad.N + 1):
-            hi = 2.0 * pc
-            while rk_eval(n, k, hi) <= 0.0:
-                hi *= 2.0
-            rungs.append(brentq(lambda p: rk_eval(n, k, p), pc, hi, **_BRENTQ_KW))
-        assert lad.rungs == tuple(rungs), n
+        assert lad.tail_limits == tuple(tail_limit(n, k) for k in range(1, lad.N + 2)), n
+
+
+def _mp_rk(n, k, p):
+    # R_k(p) at mpmath's working precision, multiplied out in t = p - 1:
+    # t^4 Q4(a/t + b) = prod(a + (b + c) t) and t^4 Q4(4/t) = prod(4 + c t)
+    t, c = p - 1, (0, 2, 2 - n, 4 - n)
+    a, b = mpmath.mpf(4 * (k - 1)) / (k + 1), mpmath.mpf(n - 4) / (k + 1)
+    return mpmath.fprod(a + (b + ci) * t for ci in c) - p * mpmath.fprod(4 + ci * t for ci in c)
+
+
+def test_pc_is_correctly_rounded():
+    # p_c is the float nearest the 50-digit root of R_1 for every n = 13..200
+    with mpmath.workdps(50):
+        for n in range(13, 201):
+            pc = compute_pc(n)
+            root = mpmath.findroot(lambda p: _mp_rk(n, 1, p), mpmath.mpf(pc))
+            below = (mpmath.mpf(pc) + math.nextafter(pc, -math.inf)) / 2
+            above = (mpmath.mpf(pc) + math.nextafter(pc, math.inf)) / 2
+            assert below <= root <= above, (n, float((pc - root) / math.ulp(pc)))
+
+
+def test_rungs_match_50_digit_roots():
+    # 200 seeded rungs, each within 1e-13 relative of its 50-digit root
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(200):
+            n = int(rng.integers(14, 201))
+            lad = compute_ladder(n)
+            k = int(rng.integers(2, lad.N + 1))
+            p_k = lad.rungs[k - 1]
+            root = mpmath.findroot(lambda p: _mp_rk(n, k, p), mpmath.mpf(p_k))
+            worst = max(worst, float(abs(p_k - root) / root))
+    assert worst <= 1e-13
 
 
 def test_rk_root_count_above_pc():

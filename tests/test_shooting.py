@@ -722,12 +722,12 @@ def test_refine_clamps_checkpoint_to_earliest_node(sol_c):
     integ = _Integrator(params, 1.0, controls)
     r_cls = 1e4 * math.exp((_EXT_NODES + 1) * _DS)
     ulp = np.spacing(sol_c.v0)
-    for k in (sign * j for j in range(1, 9) for sign in (1, -1)):
+    for k in (sign * j for j in range(1, 17) for sign in (1, -1)):
         rho, _, legs = integ.shot(sol_c.v0 + k * ulp, r_cls, dense=True)
         if isinstance(rho, float) and abs(rho) > 1e-3:
             break
     else:
-        pytest.fail("no dense shot within 8 ulps of v0 ends with |rho| > 1e-3")
+        pytest.fail("no dense shot within 16 ulps of v0 ends with |rho| > 1e-3")
     refined = _refine_unstable(integ, legs, rho, r_cls)
     assert refined is not None
     s_c, _, rho_refined, used = refined
@@ -981,10 +981,24 @@ def test_refine_short_steps_below_the_floor_need_no_bracket(pc13):
     assert refined[3] == len(mus) == 2
 
 
+def test_refine_short_steps_above_the_floor_keep_their_progress(pc13):
+    # the side levels off at 4 eta past its linear root: neither opening step
+    # brackets or reads below the floor, but the secant step's survivor has
+    # lowered |rho| from 1e-3 to 4 eta, so the stage ends on it
+    def side(mu, gain, eta):
+        return max(1e-3 + 0.95 * gain * mu, 4.0 * eta)
+
+    refined, mus, stage = _stub_refine(pc13, side)
+    assert side(mus[0], stage["gain"], stage["eta"]) > 4.0 * stage["eta"]
+    assert refined is not None
+    assert refined[2] == 4.0 * stage["eta"]
+    assert refined[3] == len(mus) == 2
+
+
 def test_refine_without_bracket_returns_none_after_secant_step(pc13):
     # a side that stays positive (a survivor at 0.25 everywhere): neither the
-    # linearised step nor the secant step brackets or reads below the floor,
-    # so the stage gives up after exactly those two trials
+    # linearised step nor the secant step brackets or lowers |rho| below
+    # rho1, so the stage gives up after exactly those two trials
     refined, mus, _ = _stub_refine(pc13, lambda mu, gain, eta: 0.25)
     assert refined is None
     assert len(mus) == 2 and mus[0] < 0.0
