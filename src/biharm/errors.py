@@ -26,11 +26,19 @@ class BracketNotFound(BiharmError):
 
 
 class NoConvergence(BiharmError):
-    """Bisection exhausted without an acceptable trajectory."""
+    """The root search or the collocation ended without an acceptable trajectory."""
 
 
 class StepFailure(BiharmError):
-    """Adaptive integrator could not meet its tolerance."""
+    """Adaptive integrator could not meet its tolerance.
+
+    r is the radius the leg failed at, chart its chart ("r" or "s"), w its
+    last W = r^m phi and sol the leg's integration up to the failure.
+    """
+
+    def __init__(self, message, r=float("nan"), chart=None, w=float("nan"), sol=None):
+        super().__init__(message)
+        self.r, self.chart, self.w, self.sol = r, chart, w, sol
 
 
 class GridTooCoarse(BiharmError):

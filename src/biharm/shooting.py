@@ -7,14 +7,18 @@ The radial problem is integrated as the first-order system
 (u = phi, v = Laplacian of phi).  Near the origin the regular solution is a
 power series in r^2, fixed by phi(0) and v0 = (Laplacian phi)(0); each shot
 starts from that series, truncated, at the largest radius up to 1 where the
-truncation stays below rounding and no escape event can lie before it.  The
-entire positive solution is picked out by a safeguarded root search on v0
-between blow-up and sign-loss outcomes.  Integration proceeds in r from
-there out to a switch radius and then continues in the logarithmic
-variable s = log r on the transformed state (W, W', W'', W''') with
-W(s) = e^{m s} phi(e^s), whose linear part has constant coefficients; the
-r-chart loses relative precision over many decades while the s-chart is the
-natural long-range frame.
+truncation stays below rounding and no escape event can lie before it.
+Integration proceeds in r from there out to a switch radius and then
+continues in the logarithmic variable s = log r on the transformed state
+(W, W', W'', W''') with W(s) = e^{m s} phi(e^s), whose linear part has
+constant coefficients; the r-chart loses relative precision over many
+decades while the s-chart is the natural long-range frame.
+
+The entire positive solution is found in two stages: a safeguarded root
+search on v0 between blow-up and sign-loss shots brackets it, and one
+collocation boundary value problem on the s-chart then closes it, with the
+stable modes pinned at the switch radius and the unstable one removed at
+the far end.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.integrate import solve_bvp
 
 from .errors import (
     BracketNotFound,
@@ -47,21 +52,26 @@ _R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
 _R_OVERLAP = 12.0    # end of the r-chart continuation that checks chart consistency
 _DS = 0.01           # uniform s-grid spacing of the returned solution
 
-_MAX_BISECT = 240     # root-search trials per stage
+_MAX_BISECT = 240     # root-search trials
 _PROBE_LO = -1e3      # most negative v0 probed
 _PROBE_HI = -1e-6     # least negative v0 probed
-_REFINE_FLOOR = 1e-13  # stage-1 contamination level at a refinement checkpoint
 # relative v0 bracket width below which the r_switch state is linear in v0 to
-# within the integration noise, so trials are classified from the chord
-# (second stage of shoot)
+# within the integration noise, so the chord between the bracket ends' states
+# serves as the collocation's left boundary map (second stage of shoot)
 _CHORD_SWITCH = math.sqrt(np.finfo(float).eps)
+# collocation: uniform starting nodes, node cap, and the chord re-takes allowed
+_BVP_NODES = 200
+_BVP_MAX_NODES = 25000
+_MAX_RETAKES = 8
+# |W/L - 1| below which the collocation's guess leaves the blow-up end's leg
+# for the slowest decaying mode e^{lam3 s}
+_GUESS_FLOOR = 1e-3
 # A model step lands this share of its length past the predicted root, so the
 # far end of the bracket closes too.
 _PUSH = 0.02
 # this many model steps in a row must halve the bracket, else a midpoint follows
 _MODEL_RUN = 2
-# |Y|/L below which the solution checks treat a node as unresolved; a dense
-# stage-1 shot whose end residue is above it is refined
+# |Y|/L below which the solution checks treat a node as unresolved
 _RESOLUTION_FLOOR = 1e-10
 # accuracy order of the central stencils in the Emden-Fowler residual
 _EF_ACC = 4
@@ -112,7 +122,7 @@ class RadialSolution:
     target_residual: float
     error_estimate: float
     chart_overlap_residual: float
-    n_bisect: int  # root-search trials of all stages, model steps and midpoints alike
+    n_bisect: int  # stage-1 root-search trials, model steps and midpoints alike
 
 
 def _power(u, p, cap=None):
@@ -281,30 +291,27 @@ class _Integrator:
             rhs, span, y0, rtol=self.c.rtol, atol=1e-2 * self.c.rtol,
             events=events, dense_output=dense,
         )
+        t_end = float(sol.t[-1])
+        r_end = t_end if chart == "r" else math.exp(t_end)
+        w_end = float(t_end**self.m * sol.y[0, -1] if chart == "r" else sol.y[0, -1])
         if sol.status == -1:
-            t_fail = float(sol.t[-1])
-            r_fail = t_fail if chart == "r" else math.exp(t_fail)
             raise StepFailure(
-                f"{chart}-chart step failed at r = {r_fail:.6g}: step size {sol.step:.3g} in "
-                f"{chart} is below 10 ulp of {chart} = {t_fail:.17g}, on the leg over {chart} "
-                f"in [{span[0]:.6g}, {span[1]:.6g}]"
+                f"{chart}-chart step failed at r = {r_end:.6g}: step size {sol.step:.3g} in "
+                f"{chart} is below 10 ulp of {chart} = {t_end:.17g}, on the leg over {chart} "
+                f"in [{span[0]:.6g}, {span[1]:.6g}]",
+                r=r_end, chart=chart, w=w_end, sol=sol,
             )
         if sol.status == 1:
-            hit = 1 if sol.t_events[1].size else 0
-            t_ev = float(sol.t_events[hit][0])
-            r_ev = t_ev if chart == "r" else math.exp(t_ev)
-            return (BlowUp if hit else SignLoss)(r=r_ev), sol
-        u_end = sol.y[0, -1]
-        w_end = span[1] ** self.m * u_end if chart == "r" else u_end
-        return float(w_end / self.L - 1.0), sol
+            return (BlowUp if sol.t_events[1].size else SignLoss)(r=r_end), sol
+        return w_end / self.L - 1.0, sol
 
     def shot(self, v0: float, r_max: float, dense: bool = False):
-        """Integrate one shot from the origin; returns (outcome, sol_r, legs).
+        """Integrate one shot from the origin; returns (outcome, sol_r, sol_s).
 
         outcome is as for `leg`, at r_max.  sol_r is the r-chart solve_ivp
-        result, a leg that ends at min(r_switch, r_max); legs is
-        [(log r_switch, s-chart result)], started from sol_r's end state, or
-        [] when the shot ended in the r-chart (an outcome before r_switch, or
+        result, a leg that ends at min(r_switch, r_max); sol_s is the s-chart
+        one from log r_switch, started from sol_r's end state, or None when
+        the shot ended in the r-chart (an outcome before r_switch, or
         r_max <= r_switch).  dense only adds the interpolants: solve_ivp takes
         the same steps either way, so a dense shot replays the plain one.
         """
@@ -312,11 +319,10 @@ class _Integrator:
         r0, y0 = self.start(v0, r_end)
         outcome, sol_r = self.leg("r", (r0, r_end), y0, dense)
         if r_max <= _R_SWITCH or isinstance(outcome, (BlowUp, SignLoss)):
-            return outcome, sol_r, []
+            return outcome, sol_r, None
         w0 = _r_to_s_state(self.n, self.m, _R_SWITCH, sol_r.y[:, -1])
-        s_switch = math.log(_R_SWITCH)
-        outcome, sol_s = self.leg("s", (s_switch, math.log(r_max)), w0, dense)
-        return outcome, sol_r, [(s_switch, sol_s)]
+        outcome, sol_s = self.leg("s", (math.log(_R_SWITCH), math.log(r_max)), w0, dense)
+        return outcome, sol_r, sol_s
 
 
 def integrate_radial(
@@ -331,30 +337,34 @@ def integrate_radial(
     Returns a RadialSolution when the trajectory stays positive and bounded to
     r_max, otherwise the BlowUp or SignLoss outcome.  The full solution grids
     require the spectrum, so params must be at or above the critical exponent.
-    The shot runs to shoot's classification horizon, so at a solve's v0 (and
-    controls) it is that solve's dense rerun, before any refinement stage.
+    The shot runs to shoot's classification horizon; below r_switch it is the
+    r-chart leg shoot assembles at the same v0 (and controls), bit for bit.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
     if r_max <= 0.0:
         raise InvalidParams(f"r_max > 0 required, got {r_max}")
     integ = _Integrator(params, alpha, controls)
-    outcome, sol_r, legs = integ.shot(v0, r_max * math.exp((_EXT_NODES + 1) * _DS), dense=True)
+    outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp((_EXT_NODES + 1) * _DS), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return outcome
-    return _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect=0)
+    return _assemble_solution(integ, v0, r_max, sol_r, _leg_tail(sol_s), n_bisect=0)
 
 
-def _sample_w(integ, v0, sol_r, legs, s_nodes):
+def _leg_tail(sol_s):
+    """W at ascending s from a dense s-chart leg, or None without one."""
+    return (lambda s: np.array(first_entry(sol_s.sol, s.tolist()))) if sol_s else None
+
+
+def _sample_w(integ, v0, sol_r, tail, s_nodes):
     """Samples of W = r^m phi at s_nodes.
 
-    Nodes below the first s-chart leg come from the r-chart (all of them
-    when there is no leg): below the leg's start r0 from the series at v0
-    that seeded it, from r0 on from the leg.  Each later leg
-    [(s_from, dense), ...] supersedes the earlier ones from its s_from onward.
+    Nodes below log r_switch come from the r-chart (all of them when tail,
+    the s-chart's W at ascending s, is None): below the leg's start r0 from
+    the series at v0 that seeded it, from r0 on from the leg.
     """
     out = np.empty(s_nodes.size)
-    from_r = s_nodes < legs[0][0] if legs else np.ones(s_nodes.size, dtype=bool)
+    from_r = s_nodes < math.log(_R_SWITCH) if tail else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
         rr = np.exp(s_nodes[from_r])
         seeded = rr < sol_r.t[0]
@@ -363,22 +373,18 @@ def _sample_w(integ, v0, sol_r, legs, s_nodes):
         u[~seeded] = first_entry(sol_r.sol, rr[~seeded].tolist())
         # per node: one vectorized power rounds some entries differently
         out[from_r] = [r**integ.m * u_i for r, u_i in zip(rr, u)]
-    remaining = ~from_r
-    for s_from, leg in reversed(legs):
-        pick = remaining & (s_nodes >= s_from)
-        if np.any(pick):
-            out[pick] = first_entry(leg.sol, s_nodes[pick].tolist())
-            remaining &= ~pick
+    if tail:
+        out[~from_r] = tail(s_nodes[~from_r])
     return out
 
 
-def _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect):
+def _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect):
     s_top = math.log(r_max)
     s_bottom = math.log(_R_SEED) + 2.0 * _DS
     n_nodes = int(math.floor((s_top - s_bottom) / _DS)) - _EXT_NODES
     # anchor the lattice at s_top so r_max itself is a node
     s_ext = s_top + _DS * np.arange(-(n_nodes + _EXT_NODES), _EXT_NODES + 1)
-    W_ext = _sample_w(integ, v0, sol_r, legs, s_ext)
+    W_ext = _sample_w(integ, v0, sol_r, tail, s_ext)
     lam4 = integ.spec.lambdas[3]
     Y_ext = W_ext - integ.L
     # 4th-order first derivative, endpoints dropped rather than one-sided
@@ -396,15 +402,15 @@ def _assemble_solution(integ, v0, r_max, sol_r, legs, n_bisect):
     r_grid = np.exp(s_grid)
     phi = W / r_grid**integ.m
 
-    # chart handoff consistency: an r-chart continuation of the shot's r-chart
-    # end state and its s-chart leg both cover [r_switch, r_overlap]; the
+    # chart handoff consistency: an r-chart continuation of the r-chart leg's
+    # end state and the s-chart tail both cover [r_switch, r_overlap]; the
     # window starts 2% past r_switch, so a shorter solve has none to measure
     r_lo, r_hi = _R_SWITCH * 1.02, min(_R_OVERLAP, r_max)
-    if legs and r_hi > r_lo:
+    if tail and r_hi > r_lo:
         rr = np.linspace(r_lo, r_hi, 25)
         _, cont = integ.leg("r", (_R_SWITCH, rr[-1]), sol_r.y[:, -1], dense=True)
         w_chart1 = rr**integ.m * cont.sol(rr)[0]
-        w_chart2 = legs[0][1].sol(np.log(rr))[0]
+        w_chart2 = tail(np.log(rr))
         overlap = float(np.max(np.abs(w_chart1 - w_chart2)) / integ.L)
     else:
         overlap = math.nan
@@ -535,30 +541,20 @@ def shoot(
     r_max: float = 1e4,
     controls: ShootControls = ShootControls(),
 ) -> RadialSolution:
-    """Find the entire positive solution with phi(0) = alpha by a root search
-    on v0.
+    """Find the entire positive solution with phi(0) = alpha, in two stages.
 
-    Every stage shrinks a (blow-up, sign-loss) bracket with _bisect: model
-    steps on the escape law of _Best.side, kept safe by midpoints.
-    (1) v0 search: a geometric ladder of negative v0 values gives the
-    bracket, which is shrunk with full shots from the origin until it is
-    narrower than _CHORD_SWITCH relative to v0.  (2) Chord stage: the
-    s-chart start state at r_switch is then linear in v0 to within the
-    integration noise, so each further trial is classified by one s-chart
-    leg from the chord between the bracket ends' start states, with no
-    r-chart leg, until the bracket collapses to adjacent floats; those two
-    floats get full shots.  When no full shot has survived, full shots
-    continue on the bracket their outcomes leave.  The accepted v0 is the
-    full-shot survivor with the smallest end residual |r^m phi(r_max)/L - 1|.
-    Its dense rerun, integrate_radial(v0), replays that classifying shot
-    step for step, so it ends on the same residual.  (3) Refinement, all or nothing: when that
-    residual is above _RESOLUTION_FLOOR, where the solution checks
-    would see it, the search restarts along the unstable eigenvector from
-    checkpoints until a stage makes no progress (at most 5 stages);
-    otherwise none runs.  Each stage opens with the linearised step along
-    the mode and stops at its checkpoint's ulp noise floor (see
-    _refine_unstable): trials past that floor only redraw the noise.
-    Stages 1 and 2 collapse fully, so v0 does not depend on refinement.
+    (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
+    sign-loss) bracket, which _bisect shrinks with full shots (model steps
+    on the escape law of _Best.side, kept safe by midpoints) until it is
+    narrower than _CHORD_SWITCH relative to v0 and both ends have s-chart
+    start states.  A step failure at W >= L counts as a blow-up at its
+    radius: the entire solution keeps W < L.  (2) Collocation (_collocate):
+    one boundary value problem with v0 as its unknown closes the solution on
+    the s-chart; below r_switch it is the r-chart leg at that v0.
+    When stage 1 ends without such a pair (r_max at or just past r_switch),
+    the accepted v0 is the full-shot survivor with the smallest end residual
+    |r^m phi/L - 1| at the horizon, and the solution is its dense rerun,
+    which replays that shot step for step.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
@@ -574,12 +570,17 @@ def shoot(
     v_scale = alpha ** ((params.m + 2.0) / params.m)
     ladder = -np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1) * v_scale
 
-    starts = {}  # v0 -> s-chart start state at r_switch of its full shot
+    s_legs = {}  # v0 -> s-chart leg of its full shot
 
     def full_shot(v0):
-        outcome, _, legs = integ.shot(v0, r_cls)
-        if legs:
-            starts[v0] = legs[0][1].y[:, 0]
+        try:
+            outcome, _, sol_s = integ.shot(v0, r_cls)
+        except StepFailure as exc:
+            if not exc.w >= integ.L:
+                raise
+            outcome, sol_s = BlowUp(r=exc.r), exc.sol if exc.chart == "s" else None
+        if sol_s is not None:
+            s_legs[v0] = sol_s
         return outcome
 
     best = _Best(full_shot, lam4, s_cls)
@@ -603,136 +604,122 @@ def shoot(
     up, dn = ladder[i], ladder[j]
 
     def chord_ready(up, dn):
-        return abs(up - dn) < _CHORD_SWITCH * abs(up) and up in starts and dn in starts
+        return abs(up - dn) < _CHORD_SWITCH * abs(up) and up in s_legs and dn in s_legs
 
     n_iter, up, dn = _bisect(best.side, up, dn, done=chord_ready, ends=(best.g[up], best.g[dn]))
-    if chord_ready(up, dn):  # stage 1 stopped on the chord condition, not on collapse
-        up1, dn1 = up, dn
-        # a chord trial at an end starts from that end's own state: same g
-        chord = _Best(_chord_trial(integ, starts, up, dn, r_cls), lam4, s_cls)
-        used, up, dn = _bisect(chord.side, up, dn, ends=(best.g[up], best.g[dn]))
-        n_iter += used
-        for v0 in (up, dn):
-            if v0 not in starts:
-                best.side(v0)
-        if best.x is None:
-            # The chord's pair need not be a full-shot bracket: both floats
-            # may escape to one side.  Full shots then continue on the
-            # bracket their outcomes leave, the pair end on the one side and
-            # stage 1's end on the other.
-            if best.g[dn] >= 0.0:
-                up, dn = dn, dn1
-            elif best.g[up] < 0.0:
-                up, dn = up1, up
-            used, up, dn = _bisect(best.side, up, dn, ends=(best.g[up], best.g[dn]))
-            n_iter += used
-    if best.x is None:
+    if chord_ready(up, dn):
+        v0, sol_r, res = _collocate(integ, s_legs, up, dn, r_cls)
+        rho = float(res.y[0, -1])
+        tail = lambda s: integ.L * (1.0 + res.sol(s)[0])
+    elif best.x is None:
         raise NoConvergence(
             f"no trajectory reached r_max={r_max:g}: the v0 root search ended after "
             f"{n_iter} trials on the bracket [{dn:.17g}, {up:.17g}] (sign-loss end "
             f"first), where full shots give escape-law values g = "
             f"{best.g[dn]:.3g}, {best.g[up]:.3g}"
         )
-
-    # the dense rerun replays best.x's classifying full shot step for step
-    _, sol_r, legs = integ.shot(best.x, r_cls, dense=True)
-    rho = best.rho
-
-    # Iterated unstable-direction refinement: each stage restarts the root
-    # search from a checkpoint state, lowering the e^{lam4 s} residue floor
-    # that v0 (and then each checkpoint state) can resolve through its ulp.
-    # All or nothing: stage-1 rho is ulp-level noise in v0, so once the
-    # checks could see it, stages run until one makes no progress.
-    if legs and abs(rho) > _RESOLUTION_FLOOR:
-        while len(legs[1:]) < 5:
-            refined = _refine_unstable(integ, legs, rho, r_cls)
-            if refined is None:
-                break
-            s_c, leg, rho, used = refined
-            legs.append((s_c, leg))
-            n_iter += used
-
+    else:
+        # the dense rerun replays best.x's classifying full shot step for step
+        v0 = best.x
+        rho, sol_r, sol_s = integ.shot(v0, r_cls, dense=True)
+        tail = _leg_tail(sol_s)
     if abs(rho) > controls.target_tol:
         raise NoConvergence(
             f"best trajectory misses the target: |W/L - 1| = {abs(rho):.3g} > "
-            f"{controls.target_tol:g} at r_max={r_max:g} after {len(legs[1:])} refinement stages"
+            f"{controls.target_tol:g} at r_max={r_max:g}"
         )
-    return _assemble_solution(integ, best.x, r_max, sol_r, legs, n_bisect=n_iter)
+    return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=n_iter)
 
 
-def _chord_trial(integ, starts, up, dn, r_cls):
-    """Outcome at r_cls of a v0 in [dn, up] from the chord state
-    y_dn + (v0 - dn)/(up - dn) (y_up - y_dn) at r_switch: one s-chart leg,
-    with no r-chart integration."""
-    y_up, y_dn = starts[up], starts[dn]
-    span = (math.log(_R_SWITCH), math.log(r_cls))
-    return lambda v0: integ.leg("s", span, y_dn + (v0 - dn) / (up - dn) * (y_up - y_dn))[0]
+def _collocate(integ, s_legs, up, dn, r_cls):
+    """The entire solution on s in [log r_switch, log r_cls] by collocation.
 
-
-def _refine_unstable(integ, legs, rho1, r_cls):
-    """One refinement stage from a checkpoint along the unstable direction.
-
-    Perturbs the state of the last leg at a checkpoint past its start by
-    mu * e4 (e4 the unstable eigenvector of the constant-coefficient linear
-    part at the fixed point) and runs the root search on mu over the
-    remaining range.  Along the mode the end residual is rho1 + G mu, with
-    G = e4[0] e^{lam4 (s_end - s_c)} / L, and rho1 is the known value at
-    mu = 0, so the bracket opens from mu = 0 with the linearised step
-    mu1 = -(1 + _PUSH) rho1 / G.  When mu1 falls short (same side as rho1)
-    one secant step through (0, rho1) and (mu1, g1) follows.  The search
-    stops at the checkpoint's noise floor eta = eps e^{lam4 (s_end - s_c)},
-    what one ulp of the checkpoint state grows to by s_end: once a survivor
-    has |rho| < eta, or the bracket mapped through G is narrower than eta.
-    When neither opening step brackets, the stage ends on their better
-    survivor.  The checkpoint is clamped to the earliest allowed lattice node
-    when the residue is too large to decay to the floor past it.  Returns
-    (s_c, dense leg, end residual, iterations used) or None when no
-    checkpoint is left or no trial lowered |rho| below |rho1|.
+    The unknown is y = (X - X*) / L, X = (W, W', W'', W''') and X* = (L, 0,
+    0, 0), so y' = (y1, y2, y3, c4 (1 + y0) expm1((p - 1) log1p(y0)) - c3 y1
+    - c2 y2 - c1 y3) with L^{p-1} = c4; v0 is an unknown parameter.  The left
+    condition puts y on the chord R(v0) through two (v0, start state) pairs,
+    at first the bracket ends'.  The right one, l4 . y = 0, removes the
+    unstable mode: l4, the left eigenvector for lam4 with l4 . e4 = 1, holds
+    the coefficients of (mu - lam1)(mu - lam2)(mu - lam3), in increasing
+    powers, over prod_i (lam4 - lam_i).  The guess is the blow-up end's
+    s-leg at its step ends up to where |y0| < _GUESS_FLOOR, then y there
+    times e^{lam3 (s - s_a)}, on _BVP_NODES uniform nodes.
+    A v0 far outside the bracket (short r_max) is off the chord's accurate
+    range: the chord is then re-taken through the r-chart leg's end state at
+    that v0 and the nearer end of the last chord, and the problem re-solved
+    from the converged mesh, until v0 moves by less than the bracket width.
+    Returns (v0, the dense r-chart leg at v0, scipy's result).
     """
-    lam4 = integ.spec.lambdas[3]
-    s_end = math.log(r_cls)
-    contam = max(abs(rho1), 1e-15)
-    # place the checkpoint where the current residue has decayed to the floor,
-    # keeping the state perturbation (hence the grid seam) at harmless size
-    s_c = s_end - math.log(contam / _REFINE_FLOOR) / lam4
-    s_c = s_end - _DS * round((s_end - s_c) / _DS)  # snap to the output lattice
-    s_prev, last = legs[-1]
-    # clamp to the earliest lattice node at least 0.5 past the chart switch and
-    # strictly more than 0.1 past the last leg's start (half a node of slack)
-    s_lo = max(math.log(_R_SWITCH) + 0.5, s_prev + 0.1 + 0.5 * _DS)
-    s_c = max(s_c, s_end - _DS * math.floor((s_end - s_lo) / _DS))
-    if s_c > s_end - 1.0:
-        return None
-    y_c = last.sol(s_c)
-    e4 = np.array([1.0, lam4, lam4**2, lam4**3])
-    e4 /= np.linalg.norm(e4)
-    best = _Best(lambda mu: integ.leg("s", (s_c, s_end), y_c + mu * e4)[0], lam4, s_end)
-    growth = math.exp(lam4 * (s_end - s_c))
-    gain = e4[0] * growth / integ.L  # d rho / d mu
-    eta = np.finfo(float).eps * growth  # one ulp of the checkpoint state, grown to s_end
+    L = integ.L
+    lam1, lam2, lam3, lam4 = integ.spec.lambdas
+    _, c1, c2, c3, c4 = _s_operator_coeffs(integ.n, integ.m).tolist()
+    p, pm1 = integ.p, integ.p - 1.0
+    l4 = np.poly([lam1, lam2, lam3])[::-1] / ((lam4 - lam1) * (lam4 - lam2) * (lam4 - lam3))
+    x_star = np.array([L, 0.0, 0.0, 0.0])
+    s0, s1 = math.log(_R_SWITCH), math.log(r_cls)
 
-    def done(up, dn):
-        return best.x is not None and (abs(best.rho) < eta or abs(up - dn) * gain < eta)
+    def rise(y0):
+        # (1 + y0)^(p-1) - 1, on the positive branch as in the charts: a
+        # Newton iterate with W <= 0 has W^p = 0
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.expm1(pm1 * np.log1p(np.maximum(y0, -1.0)))
 
-    # linearised step from mu = 0 (value rho1), _PUSH past the root
-    up_side = rho1 >= 0.0
-    near = (0.0, rho1)  # the bracket end on rho1's side
-    mu = -(1.0 + _PUSH) * rho1 / gain
-    g = best.side(mu)
-    if (g >= 0.0) == up_side and g != rho1:  # short: one secant step
-        near = (mu, g)
-        mu -= (1.0 + _PUSH) * g * mu / (g - rho1)
-        g = best.side(mu)
-    if (g >= 0.0) != up_side:
-        (up, g_up), (dn, g_dn) = (near, (mu, g)) if up_side else ((mu, g), near)
-        if not done(up, dn):
-            _bisect(best.side, up, dn, done=done, ends=(g_up, g_dn))
-    used = len(best.g)
-    if best.x is None or abs(best.rho) >= abs(rho1):
-        return None
-    # the dense leg replays the accepted trial
-    _, leg = integ.leg("s", (s_c, s_end), y_c + best.x * e4, dense=True)
-    return s_c, leg, best.rho, used
+    def fun(s, y, _):
+        y0, y1, y2, y3 = y
+        return np.vstack((y1, y2, y3, c4 * (1.0 + y0) * rise(y0) - c3 * y1 - c2 * y2 - c1 * y3))
+
+    def fun_jac(s, y, _):
+        df_dy = np.zeros((4, 4, s.size))
+        df_dy[0, 1] = df_dy[1, 2] = df_dy[2, 3] = 1.0
+        df_dy[3, 0] = c4 * (pm1 + p * rise(y[0]))
+        df_dy[3, 1:] = np.array([-c3, -c2, -c1])[:, None]
+        return df_dy, np.zeros((4, 1, s.size))
+
+    dbc_dya = np.vstack((np.eye(4), np.zeros(4)))
+    dbc_dyb = np.vstack((np.zeros((4, 4)), l4))
+
+    leg = s_legs[up]
+    dev = (leg.y - x_star[:, None]) / L
+    below = np.nonzero(np.abs(dev[0]) < _GUESS_FLOOR)[0]
+    a = int(below[0]) if below.size else int(np.argmin(np.abs(dev[0])))
+    mesh = np.linspace(s0, s1, _BVP_NODES)
+    guess = np.array([np.interp(mesh, leg.t[: a + 1], d[: a + 1]) for d in dev])
+    past = mesh > leg.t[a]
+    guess[:, past] = dev[:, a, None] * np.exp(lam3 * (mesh[past] - leg.t[a]))
+
+    states = {v: s_legs[v].y[:, 0] for v in (up, dn)}
+    va, vb = dn, up
+    v_prev = 0.5 * (up + dn)
+    for _ in range(_MAX_RETAKES + 1):
+        ya = (states[va] - x_star) / L
+        slope = (states[vb] - states[va]) / (L * (vb - va))
+        dbc_dp = np.append(-slope, 0.0)[:, None]
+        res = solve_bvp(
+            fun,
+            lambda y_l, y_r, v: np.append(y_l - ya - (v[0] - va) * slope, l4 @ y_r),
+            mesh, guess, p=[v_prev], fun_jac=fun_jac,
+            bc_jac=lambda y_l, y_r, v: (dbc_dya, dbc_dyb, dbc_dp),
+            tol=100.0 * integ.c.rtol, max_nodes=_BVP_MAX_NODES,
+        )
+        if res.status != 0:
+            raise NoConvergence(
+                f"collocation stage failed: {res.message} ({res.x.size} nodes over s in "
+                f"[{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}])"
+            )
+        v0 = float(res.p[0])
+        outcome, sol_r, _ = integ.shot(v0, _R_SWITCH, dense=True)
+        if isinstance(outcome, (BlowUp, SignLoss)):
+            raise NoConvergence(f"collocation v0 = {v0!r}: its r-chart leg ends in {outcome}")
+        moved = abs(v0 - v_prev)
+        if moved < abs(up - dn):
+            return v0, sol_r, res
+        states[v0] = _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
+        va, vb = v0, min(va, vb, key=lambda v: abs(v - v0))
+        mesh, guess, v_prev = res.x, res.y, v0
+    raise NoConvergence(
+        f"collocation stage: v0 still moved by {moved:.3g} after {_MAX_RETAKES} "
+        f"chord re-takes, more than the v0 bracket [{dn:.17g}, {up:.17g}]"
+    )
 
 
 def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:

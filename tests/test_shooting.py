@@ -1,7 +1,6 @@
 import builtins
 import io
 import math
-import random
 import re
 from collections import Counter
 from dataclasses import replace
@@ -22,6 +21,7 @@ from biharm import (
 )
 from biharm.fdiff import central_offsets, diff_uniform, fd_weights
 from biharm.ivp import solve_ivp
+from biharm.verify import solve_invariants
 import biharm.shooting
 from biharm.shooting import (
     _CHORD_SWITCH,
@@ -30,7 +30,6 @@ from biharm.shooting import (
     _MAX_BISECT,
     _PROBE_HI,
     _PROBE_LO,
-    _PUSH,
     _R_SEED,
     _R_SERIES_CAP,
     _R_SWITCH,
@@ -40,10 +39,8 @@ from biharm.shooting import (
     SignLoss,
     _Best,
     _bisect,
-    _chord_trial,
     _Integrator,
     _power,
-    _refine_unstable,
     _s_operator_coeffs,
     check_monotone_y,
     check_positivity,
@@ -356,12 +353,6 @@ def test_case_a_root_search_work(sol_a):
     assert sol_a.n_bisect < 100
 
 
-def test_case_b_refinement_stops_at_the_noise_floor(sol_b):
-    # refinement stages stop at their checkpoint's ulp noise floor; run to a
-    # fixed mu floor instead they took 80 trials in all
-    assert sol_b.n_bisect < 50
-
-
 def test_shoot_r_chart_only(pc13):
     # r_max <= r_switch: the shooter never enters the s-chart
     params = ProblemParams(13, pc13 + 0.5)
@@ -443,15 +434,14 @@ def test_shoot_compiles_nothing(sol_quick, monkeypatch):
 
 
 def test_integrate_radial_at_converged_v0(sol_quick):
-    # The solve's first legs are the dense rerun of its accepted v0; no
-    # refinement checkpoint lies before log r_switch + 0.5, so W up to there
-    # is that single shot's, bit for bit.  The refined tail is not compared.
+    # Below r_switch the solve is the r-chart leg at its v0, which is the
+    # single shot's, bit for bit.  The collocated tail is not compared.
     again = integrate_radial(
         sol_quick.params, alpha=1.0, v0=sol_quick.v0, r_max=500.0
     )
     assert not isinstance(again, (BlowUp, SignLoss))
     assert np.array_equal(again.s_grid, sol_quick.s_grid)
-    head = sol_quick.s_grid < math.log(_R_SWITCH) + 0.5
+    head = sol_quick.s_grid < math.log(_R_SWITCH)
     assert np.any(head)
     assert np.array_equal(again.W[head], sol_quick.W[head])
 
@@ -662,39 +652,102 @@ def test_input_validation(pc13):
         integrate_radial(params, alpha=1.0, v0=-0.1, r_max=-5.0)
 
 
-def test_chord_state_matches_full_shot(sol_quick):
-    # Two full shots sqrt(eps)-relative apart around the converged v0: the
-    # chord stage's s-chart start state at their midpoint must match the
-    # midpoint's own full-shot r_switch state.  Measured: about 2e-12 of the
-    # state's norm, while the two end states differ by about 2e-6.
-    params, v0 = sol_quick.params, sol_quick.v0
+def _record_collocation(params, r_max, monkeypatch):
+    """shoot(params, 1, r_max) with its stage-1 bracket and the boundary
+    condition function of each solve_bvp call recorded."""
+    brackets, bcs = [], []
+    plain_bisect, plain_bvp = biharm.shooting._bisect, biharm.shooting.solve_bvp
+
+    def bisect(*args, **kwargs):
+        out = plain_bisect(*args, **kwargs)
+        brackets.append(out[1:])
+        return out
+
+    def bvp(fun, bc, *args, **kwargs):
+        bcs.append(bc)
+        return plain_bvp(fun, bc, *args, **kwargs)
+
+    monkeypatch.setattr(biharm.shooting, "_bisect", bisect)
+    monkeypatch.setattr(biharm.shooting, "solve_bvp", bvp)
+    sol = shoot(params, alpha=1.0, r_max=r_max)
+    return sol, brackets, bcs
+
+
+def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
+    # The collocation's left condition puts y = (X - X*)/L at r_switch on the
+    # chord between stage 1's bracket ends, less than sqrt(eps)-relative
+    # apart: at their midpoint the chord must match the midpoint's own
+    # full-shot r_switch state below the collocation tolerance 1e-10.
+    # Measured: 3.8e-11 of max |y|, while the two end states differ by
+    # 1.1e-6 of it.
+    params = sol_quick.params
+    sol, brackets, bcs = _record_collocation(params, 500.0, monkeypatch)
+    assert sol.v0 == sol_quick.v0
+    (up, dn), = brackets
+    bc, = bcs  # v0 lands inside the bracket: no chord re-take
+    assert dn < sol.v0 < up
     integ = _Integrator(params, 1.0, ShootControls())
     r_cls = 500.0 * math.exp((_EXT_NODES + 1) * _DS)
-    half = 0.5 * _CHORD_SWITCH * abs(v0)
-    up, dn = v0 + half, v0 - half  # up is nearer zero: the blow-up side
-    mid = 0.5 * (up + dn)
+    x_star = np.array([integ.L, 0.0, 0.0, 0.0])
 
     def start(v):
-        _, _, legs = integ.shot(v, r_cls)
-        return legs[0][1].y[:, 0]
+        _, _, sol_s = integ.shot(v, r_cls)
+        return (sol_s.y[:, 0] - x_star) / integ.L
 
-    starts = {up: start(up), dn: start(dn)}
-    legs_seen = []
-    plain_leg = integ.leg
-
-    def leg(chart, span, y0, dense=False):
-        legs_seen.append((chart, span, y0))
-        return plain_leg(chart, span, y0, dense)
-
-    integ.leg = leg
-    _chord_trial(integ, starts, up, dn, r_cls)(mid)
-    (chart, span, y_chord), = legs_seen
-    assert chart == "s"
-    assert span == (math.log(_R_SWITCH), math.log(r_cls))
+    mid = 0.5 * (up + dn)
     y_mid = start(mid)
     scale = np.max(np.abs(y_mid))
-    assert np.max(np.abs(starts[up] - starts[dn])) / scale > 1e-7
-    assert np.max(np.abs(y_chord - y_mid)) / scale < 1e-10
+    assert np.max(np.abs(start(up) - start(dn))) / scale > 1e-7
+    assert np.max(np.abs(bc(y_mid, np.zeros(4), [mid])[:4])) / scale < 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["sol_quick", "sol_c"])
+def test_collocation_right_condition_removes_the_unstable_mode(fixture, request, monkeypatch):
+    # l4 . y(s_end) = 0 with l4 from the product (mu - lam1)(mu - lam2)(mu -
+    # lam3): l4 annihilates the eigenvectors e(lam) = (1, lam, lam^2, lam^3)
+    # of the three decaying modes and gives l4 . e(lam4) = 1, at p_c too
+    params = request.getfixturevalue(fixture).params
+    _, _, bcs = _record_collocation(params, 500.0, monkeypatch)
+    lams = compute_spectrum(params).lambdas
+    right = [bcs[0](np.zeros(4), np.array([1.0, lam, lam**2, lam**3]), [0.0])[4] for lam in lams]
+    scale = 1.0 + abs(lams[0]) ** 3
+    assert np.all(np.abs(right[:3]) < 1e-14 * scale)
+    assert right[3] == pytest.approx(1.0, rel=1e-13)
+
+
+def test_collocation_failure_names_its_stage(pc13, monkeypatch):
+    # a collocation that does not converge raises NoConvergence naming the
+    # stage, scipy's message, the node count, the s-domain and the v0 bracket
+    message = "The maximum number of mesh nodes is exceeded."
+
+    def failing(fun, bc, x, y, **kwargs):
+        return SimpleNamespace(status=1, message=message, x=np.linspace(x[0], x[-1], 321))
+
+    monkeypatch.setattr(biharm.shooting, "solve_bvp", failing)
+    with pytest.raises(NoConvergence) as info:
+        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
+    found = re.fullmatch(
+        r"collocation stage failed: (.*) \((\d+) nodes over s in \[(\S+), (\S+)\], "
+        r"v0 bracket \[(\S+), (\S+)\]\)",
+        str(info.value),
+    )
+    assert found is not None, str(info.value)
+    assert found[1] == message and int(found[2]) == 321
+    r_cls = 500.0 * math.exp((_EXT_NODES + 1) * _DS)
+    s_lo, s_hi, dn, up = (float(x) for x in found.groups()[2:])
+    assert (s_lo, s_hi) == pytest.approx((math.log(_R_SWITCH), math.log(r_cls)), rel=1e-5)
+    assert dn < up and up - dn < _CHORD_SWITCH * abs(up)
+
+
+def test_short_solve_decay_slope_matches_the_long_solve(sol_a):
+    # At r_max 60 the decay slope's decade is not yet lam3-dominated: the
+    # entire solution itself reads |slope - lam3| of about 0.54 there.  A
+    # solve to 60 must read what sol_a, cut at r = 60, reads.  A tail that
+    # keeps unstable-mode residue (shooting) read 0.125 off.
+    short = shoot(sol_a.params, alpha=1.0, r_max=60.0)
+    keep = sol_a.s_grid <= math.log(60.0) + 1e-9
+    cut = replace(sol_a, **{k: getattr(sol_a, k)[keep] for k in ("r_grid", "phi", "s_grid", "W", "Y", "Z")})
+    assert abs(decay_slope(short) - decay_slope(cut)) < 1e-2
 
 
 def test_shoot_r_chart_only_never_enters_chord(pc13, monkeypatch):
@@ -710,37 +763,6 @@ def test_shoot_r_chart_only_never_enters_chord(pc13, monkeypatch):
     sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=5.0)
     assert sol.n_bisect > 0
     assert set(charts) == {"r"}
-
-
-def test_refine_clamps_checkpoint_to_earliest_node(sol_c):
-    # A dense shot a few ulps from the converged v0 ends with |rho| > 1e-3:
-    # stage-1 rho is ulp-level noise in v0.  Its residue is too large to decay
-    # to the refinement floor past the chart switch, so the checkpoint is
-    # clamped to the earliest allowed lattice node, and the stage still
-    # lowers |rho|.
-    params, controls = sol_c.params, ShootControls()
-    integ = _Integrator(params, 1.0, controls)
-    r_cls = 1e4 * math.exp((_EXT_NODES + 1) * _DS)
-    ulp = np.spacing(sol_c.v0)
-    for k in (sign * j for j in range(1, 17) for sign in (1, -1)):
-        rho, _, legs = integ.shot(sol_c.v0 + k * ulp, r_cls, dense=True)
-        if isinstance(rho, float) and abs(rho) > 1e-3:
-            break
-    else:
-        pytest.fail("no dense shot within 16 ulps of v0 ends with |rho| > 1e-3")
-    refined = _refine_unstable(integ, legs, rho, r_cls)
-    assert refined is not None
-    s_c, _, rho_refined, used = refined
-    s_lo = math.log(_R_SWITCH) + 0.5
-    assert s_lo - 1e-12 <= s_c < s_lo + _DS
-    assert abs(rho_refined) < abs(rho)
-    assert used > 0
-
-
-def test_acceptance_cases_refine_to_the_floor(sol_a, sol_b, sol_c):
-    # all-or-nothing refinement: a refined solve does not stop at target_tol
-    for sol in (sol_a, sol_b, sol_c):
-        assert abs(sol.target_residual) < 1e-9
 
 
 def test_rung_solution_monotone(sol_rung):
@@ -766,47 +788,130 @@ def _check_step_failure(message, chart, span):
     return r
 
 
-def test_large_p_step_failure_names_r_chart(pc15, monkeypatch):
-    # u^p stiffness at n=15, p = 100 p_c stops the first probe shot in the
-    # r-chart; its leg starts at that shot's series radius
-    shots = []
+def _failed_shots(params, monkeypatch):
+    """shoot(params, 1, 1e4) with each shot that raised StepFailure recorded
+    as (integrator, v0, r_max, the failure); returns (solution, records)."""
+    failed = []
     plain_shot = _Integrator.shot
 
     def recording_shot(self, v0, r_max, dense=False):
-        shots.append((self, v0))
-        return plain_shot(self, v0, r_max, dense)
+        try:
+            return plain_shot(self, v0, r_max, dense)
+        except StepFailure as exc:
+            failed.append((self, v0, r_max, exc))
+            raise
 
     monkeypatch.setattr(_Integrator, "shot", recording_shot)
+    sol = shoot(params, alpha=1.0, r_max=1e4)
+    monkeypatch.undo()
+    return sol, failed
+
+
+def _check_failure_data(exc, integ, chart, span):
+    # the message names the chart, the radius, the step and the span, and the
+    # exception carries the radius, the chart and its last W as data
+    r = _check_step_failure(str(exc), chart, span)
+    assert exc.chart == chart and exc.r == pytest.approx(r, rel=1e-5)
+    assert exc.w >= integ.L  # stage 1 reads it as a blow-up
+    return r
+
+
+def test_large_p_step_failure_names_r_chart(pc15, monkeypatch):
+    # u^p stiffness at n=15, p = 100 p_c stops shots in the r-chart; a
+    # direct shot at the first such v0 fails again, on a leg that starts at
+    # that shot's series radius
+    _, failed = _failed_shots(ProblemParams(15, 100.0 * pc15), monkeypatch)
+    integ, v0, r_max, _ = next(rec for rec in failed if rec[3].chart == "r")
     with pytest.raises(StepFailure) as info:
-        shoot(ProblemParams(15, 100.0 * pc15), alpha=1.0, r_max=1e4)
-    assert len(shots) == 1
-    integ, v0 = shots[0]
+        integ.shot(v0, r_max)
     r0, _ = integ.start(v0, _R_SWITCH)
     assert _R_SEED < r0 <= _R_SERIES_CAP
-    _check_step_failure(str(info.value), "r", (r0, _R_SWITCH))
+    _check_failure_data(info.value, integ, "r", (r0, _R_SWITCH))
 
 
 def test_large_p_step_failure_names_s_chart(pc13):
-    # at n=13, p = 10 p_c the steps underflow in the s-chart, past r_switch
-    with pytest.raises(StepFailure) as info:
-        shoot(ProblemParams(13, 10.0 * pc13), alpha=1.0, r_max=1e4)
-    r_cls = 1e4 * math.exp((_EXT_NODES + 1) * _DS)
-    r = _check_step_failure(str(info.value), "s", (math.log(_R_SWITCH), math.log(r_cls)))
-    assert _R_SWITCH < r < r_cls
+    # At n=13, p = 10 p_c the ulp-level residue of the solve's v0 departs
+    # upward past r = 1e4, and the steps underflow in the s-chart before W
+    # reaches the blow-up bound 1.5 L (measured: 4 of the 7 floats within
+    # 3 ulps of v0, v0 included, fail so on a direct shot to r = 1e5)
+    params = ProblemParams(13, 10.0 * pc13)
+    v0 = shoot(params, alpha=1.0, r_max=1e4).v0
+    integ = _Integrator(params, 1.0, ShootControls())
+    for k in range(8):
+        try:
+            integ.shot(v0 + k * np.spacing(v0), 1e5)
+        except StepFailure as exc:
+            failure = exc
+            break
+    else:
+        pytest.fail("no shot within 7 ulps above v0 fails its step before r = 1e5")
+    r = _check_failure_data(failure, integ, "s", (math.log(_R_SWITCH), math.log(1e5)))
+    assert _R_SWITCH < r < 1e5
+
+
+def test_large_p_step_failures_no_longer_stop_the_solve(pc15, monkeypatch):
+    # n=15, p = 100 p_c raised StepFailure on its first probe shot; with its
+    # failures above L read as blow-ups it passes all six solve invariants
+    sol, failed = _failed_shots(ProblemParams(15, 100.0 * pc15), monkeypatch)
+    assert failed
+    assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
+
+
+@pytest.mark.parametrize("w_over_L", [0.5, 1.5])
+def test_stage_1_step_failure_below_L_is_reraised(pc13, monkeypatch, w_over_L):
+    # every shot at v0 >= -0.25 fails its step at r = 5, every other loses
+    # sign there: a failure at W >= L is on the blow-up side (the entire
+    # solution keeps W < L) and counts as a blow-up at r = 5, so the search
+    # collapses on -0.25 without a survivor; one below L is re-raised
+    params = ProblemParams(13, pc13 + 0.5)
+    L = compute_spectrum(params).L
+
+    def shot(self, v0, r_max, dense=False):
+        if v0 >= -0.25:
+            raise StepFailure("stub failure", r=5.0, chart="r", w=w_over_L * L)
+        return SignLoss(r=5.0), None, None
+
+    monkeypatch.setattr(_Integrator, "shot", shot)
+    if w_over_L < 1.0:
+        with pytest.raises(StepFailure, match="stub failure"):
+            shoot(params, alpha=1.0, r_max=60.0)
+        return
+    with pytest.raises(NoConvergence) as info:
+        shoot(params, alpha=1.0, r_max=60.0)
+    found = re.search(r"on the bracket \[(\S+), (\S+)\].* g = (\S+), (\S+)$", str(info.value))
+    dn, up, g_dn, g_up = (float(x) for x in found.groups())
+    assert dn < -0.25 <= up and np.nextafter(dn, math.inf) == up
+    assert g_dn < 0.0 < g_up
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
 def test_dense_shot_replays_the_classifying_shot(fixture, r_max, request):
-    # One shot geometry: dense output only adds interpolants, so the dense
-    # rerun of the accepted v0 ends on the classifying shot's residual and
-    # starts its s-chart from the same r_switch state, bit for bit.
+    # One shot geometry: dense output only adds interpolants, so a dense
+    # shot ends on the plain shot's residual and starts its s-chart from the
+    # same r_switch state, bit for bit.  The survivor path's dense rerun
+    # relies on it (see the next test).
     sol = request.getfixturevalue(fixture)
     integ = _Integrator(sol.params, 1.0, ShootControls())
     r_cls = r_max * math.exp((_EXT_NODES + 1) * _DS)
-    rho_dense, _, legs_dense = integ.shot(sol.v0, r_cls, dense=True)
-    rho, _, legs = integ.shot(sol.v0, r_cls)
+    rho_dense, _, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
+    rho, _, sol_s = integ.shot(sol.v0, r_cls)
     assert isinstance(rho, float) and rho_dense == rho
-    assert np.array_equal(legs_dense[0][1].y[:, 0], legs[0][1].y[:, 0])
+    assert np.array_equal(sol_s_dense.y[:, 0], sol_s.y[:, 0])
+
+
+def test_survivor_path_dense_rerun_replays_the_classifying_shot(pc13):
+    # No shot reaches r_switch, so there is no chord and no collocation: the
+    # solution is the dense rerun of the best full-shot survivor, which ends
+    # on the classifying shot's residual, bit for bit.
+    params = ProblemParams(13, pc13 + 0.5)
+    sol = shoot(params, alpha=1.0, r_max=5.0)
+    integ = _Integrator(params, 1.0, ShootControls())
+    r_cls = 5.0 * math.exp((_EXT_NODES + 1) * _DS)
+    rho_dense, sol_r_dense, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
+    rho, sol_r, sol_s = integ.shot(sol.v0, r_cls)
+    assert sol_s is sol_s_dense is None
+    assert isinstance(rho, float) and rho_dense == rho
+    assert np.array_equal(sol_r_dense.y, sol_r.y)
 
 
 def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
@@ -814,7 +919,7 @@ def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
     # names the trial count and the final bracket with its full shots'
     # escape-law values
     def shot(self, v0, r_max, dense=False):
-        return (BlowUp if v0 >= -0.25 else SignLoss)(r=5.0), None, []
+        return (BlowUp if v0 >= -0.25 else SignLoss)(r=5.0), None, None
 
     monkeypatch.setattr(_Integrator, "shot", shot)
     with pytest.raises(NoConvergence) as info:
@@ -840,7 +945,7 @@ def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side)
 
     def shot(self, v0, r_max, dense=False):
         shots.append(v0)
-        return side(r=5.0), None, []
+        return side(r=5.0), None, None
 
     monkeypatch.setattr(_Integrator, "shot", shot)
     with pytest.raises(BracketNotFound, match="do not bracket the separatrix"):
@@ -848,59 +953,6 @@ def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side)
     assert shots[-1] == pytest.approx(_PROBE_LO if side is BlowUp else _PROBE_HI, rel=1e-12)
     # the search's probes and that end: 6 and 5 of the ladder's 19
     assert len(shots) == (6 if side is BlowUp else 5)
-
-
-@pytest.mark.parametrize("survives", [True, False])
-def test_chord_pair_fallback_continues_full_shots(pc13, monkeypatch, survives):
-    # Full shots blow up above S; S survives (or loses sign), and below it
-    # every shot loses sign.  The chord legs flip 3 ulps above S, so the
-    # chord stage collapses onto a pair whose full shots both blow up.  The
-    # full-shot search then continues from the pair's lower end down to
-    # stage 1's sign-loss end and finds S, or, when S does not survive,
-    # names its collapsed full-shot bracket.
-    S = -0.3
-    T = S + 3.0 * np.spacing(S)
-
-    def shot(self, v0, r_max, dense=False):
-        if v0 > S:
-            out = BlowUp(r=5.0)
-        else:
-            out = -1e-12 if v0 == S and survives else SignLoss(r=5.0)
-        start = SimpleNamespace(y=np.array([[v0], [0.0], [0.0], [0.0]]))
-        return out, None, [(math.log(_R_SWITCH), start)]
-
-    def leg(self, chart, span, y0, dense=False):
-        return (BlowUp if y0[0] >= T else SignLoss)(r=5.0), None
-
-    trials = []
-    plain_bisect = biharm.shooting._bisect
-
-    def recording_bisect(*args, **kwargs):
-        result = plain_bisect(*args, **kwargs)
-        trials.append(result[0])
-        return result
-
-    monkeypatch.setattr(_Integrator, "shot", shot)
-    monkeypatch.setattr(_Integrator, "leg", leg)
-    monkeypatch.setattr(biharm.shooting, "_bisect", recording_bisect)
-    monkeypatch.setattr(biharm.shooting, "_assemble_solution",
-                        lambda integ, v0, r_max, sol_r, legs, n_bisect:
-                        SimpleNamespace(v0=v0, n_bisect=n_bisect))
-    params = ProblemParams(13, pc13 + 0.5)
-    if survives:
-        sol = shoot(params, alpha=1.0, r_max=60.0)
-        assert sol.v0 == S
-        n_bisect = sol.n_bisect
-    else:
-        with pytest.raises(NoConvergence) as info:
-            shoot(params, alpha=1.0, r_max=60.0)
-        found = re.search(r"after (\d+) trials on the bracket \[(\S+), (\S+)\]", str(info.value))
-        assert found is not None
-        assert (float(found[2]), float(found[3])) == (S, np.nextafter(S, 0.0))
-        n_bisect = int(found[1])
-    # stage 1, the chord stage and the fallback, whose trials all count
-    assert len(trials) == 3 and trials[2] > 0
-    assert n_bisect == sum(trials)
 
 
 @pytest.mark.parametrize("controls, atol", [(ShootControls(), 1e-14), (ShootControls(rtol=5e-13), 5e-15)])
@@ -918,101 +970,3 @@ def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, controls, atol):
     shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0, controls=controls)
     assert seen == {(controls.rtol, atol)}
     assert atol == 1e-2 * controls.rtol
-
-
-def _stub_refine(pc13, side):
-    """_refine_unstable from a zero checkpoint state, rho1 = 1e-3, on a stub
-    leg: side(mu, gain, eta) gives a trial's end residual.  Returns the
-    result, the mu of each trial in order, and (gain, eta) of the stage."""
-    integ = _Integrator(ProblemParams(13, pc13 + 0.5), 1.0, ShootControls())
-    lam4 = integ.spec.lambdas[3]
-    e4_0 = 1.0 / np.linalg.norm([1.0, lam4, lam4**2, lam4**3])
-    mus, stage = [], {}
-
-    def leg(chart, span, y0, dense=False):
-        growth = math.exp(lam4 * (span[1] - span[0]))
-        stage.update(gain=e4_0 * growth / integ.L, eta=np.finfo(float).eps * growth)
-        mu = y0[0] / e4_0
-        if not dense:
-            mus.append(mu)
-        return side(mu, stage["gain"], stage["eta"]), None
-
-    integ.leg = leg
-    legs = [(math.log(_R_SWITCH), SimpleNamespace(sol=lambda s: np.zeros(4)))]
-    r_cls = 1e4 * math.exp((_EXT_NODES + 1) * _DS)
-    return _refine_unstable(integ, legs, 1e-3, r_cls), mus, stage
-
-
-def test_refine_opens_with_linearised_step(pc13):
-    # on a linear side g = rho1 + G mu the first trial is mu1 = -(1 + _PUSH)
-    # rho1 / G, which lands _PUSH past the root and so brackets it with mu = 0
-    refined, mus, stage = _stub_refine(pc13, lambda mu, gain, eta: 1e-3 + gain * mu)
-    assert refined is not None
-    assert mus[0] == pytest.approx(-(1.0 + _PUSH) * 1e-3 / stage["gain"], rel=1e-15)
-    assert 1e-3 + stage["gain"] * mus[0] < 0.0
-    assert abs(refined[2]) < stage["eta"]
-
-
-def test_refine_short_linearised_step_takes_one_secant_step(pc13):
-    # the side's slope is 0.9 G, so mu1 stops at about 8% of rho1 on rho1's
-    # side; the secant step through (0, rho1) and (mu1, g1) brackets the root
-    def side(mu, gain, eta):
-        return 1e-3 + 0.9 * gain * mu
-
-    refined, mus, stage = _stub_refine(pc13, side)
-    g1 = side(mus[0], stage["gain"], stage["eta"])
-    assert 0.0 < g1 < 0.1 * 1e-3
-    assert mus[1] == pytest.approx(mus[0] - (1.0 + _PUSH) * g1 * mus[0] / (g1 - 1e-3), rel=1e-12)
-    assert side(mus[1], stage["gain"], stage["eta"]) < 0.0
-    assert refined is not None and abs(refined[2]) < stage["eta"]
-
-
-def test_refine_short_steps_below_the_floor_need_no_bracket(pc13):
-    # the side levels off at eta / 4 past its linear root: mu1 stops at about
-    # 3% of rho1, and the secant step reads eta / 4 on rho1's side, below
-    # the floor, so the stage ends there without a bracket
-    def side(mu, gain, eta):
-        return max(1e-3 + 0.95 * gain * mu, 0.25 * eta)
-
-    refined, mus, stage = _stub_refine(pc13, side)
-    assert side(mus[0], stage["gain"], stage["eta"]) > stage["eta"]
-    assert refined is not None
-    assert refined[2] == 0.25 * stage["eta"]
-    assert refined[3] == len(mus) == 2
-
-
-def test_refine_short_steps_above_the_floor_keep_their_progress(pc13):
-    # the side levels off at 4 eta past its linear root: neither opening step
-    # brackets or reads below the floor, but the secant step's survivor has
-    # lowered |rho| from 1e-3 to 4 eta, so the stage ends on it
-    def side(mu, gain, eta):
-        return max(1e-3 + 0.95 * gain * mu, 4.0 * eta)
-
-    refined, mus, stage = _stub_refine(pc13, side)
-    assert side(mus[0], stage["gain"], stage["eta"]) > 4.0 * stage["eta"]
-    assert refined is not None
-    assert refined[2] == 4.0 * stage["eta"]
-    assert refined[3] == len(mus) == 2
-
-
-def test_refine_without_bracket_returns_none_after_secant_step(pc13):
-    # a side that stays positive (a survivor at 0.25 everywhere): neither the
-    # linearised step nor the secant step brackets or lowers |rho| below
-    # rho1, so the stage gives up after exactly those two trials
-    refined, mus, _ = _stub_refine(pc13, lambda mu, gain, eta: 0.25)
-    assert refined is None
-    assert len(mus) == 2 and mus[0] < 0.0
-    assert mus[1] == pytest.approx(mus[0] - (1.0 + _PUSH) * 0.25 * mus[0] / (0.25 - 1e-3), rel=1e-12)
-
-
-def test_refine_stops_at_the_noise_floor(pc13):
-    # linear plus deterministic noise of amplitude eta / 2: trials past the
-    # floor cannot lower |rho| below the noise, so the stage stops as soon as
-    # a survivor reads |rho| < eta
-    def side(mu, gain, eta):
-        return 1e-3 + gain * mu + eta * random.Random(mu).uniform(-0.5, 0.5)
-
-    refined, mus, stage = _stub_refine(pc13, side)
-    assert refined is not None
-    assert abs(refined[2]) < stage["eta"]
-    assert refined[3] == len(mus) <= 6

@@ -64,8 +64,11 @@ def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):
 
 
 def test_shoot_cells_trials_sum_to_n_bisect():
-    # one entry per _bisect call of stages 1 and 2 and one per refinement
-    # stage, its opening steps included
+    # one _bisect call (stage 1), whose trials are n_bisect, and one
+    # solve_bvp call at r_max 500: the collocation lands inside the bracket,
+    # so the chord is not re-taken
     rec = shoot_cells.shoot_cell("quick")
-    assert len(rec["trials"]) > 2  # the quick cell refines
-    assert sum(rec["trials"]) == rec["n_bisect"]
+    assert rec["trials"] == [rec["n_bisect"]]
+    assert rec["bvp"]["retakes"] == 0
+    assert len(rec["bvp"]["nodes"]) == len(rec["bvp"]["niter"]) == 1
+    assert rec["bvp"]["nodes"][0] >= 200 and rec["bvp"]["niter"][0] >= 1

@@ -13,17 +13,16 @@ the end residual rho = target_residual, the SHA-256 of its dump_solution
 text (dump_sha256, so a plain diff covers s, r, phi, W, Y and Z), the six
 solve invariants with their bounds, and the solve_ivp calls and RHS
 evaluations per chart; a solve that raises a typed error records its class
-and message instead.  Every record also lists the trials of each search in
-order: each _bisect call of stage 1, of the chord stage when it runs and of
-the full-shot search that follows the chord stage when no full shot has
-survived (its own entry, 0 when the chord's pair already brackets in full
-shots), then one entry per refinement stage that returns, its opening steps
-included (the _bisect call inside it is not listed on its own).  On a solve
-that returns, the trials sum to n_bisect.  Nothing in the output depends on
-timing, so two trees can be compared with a plain diff.
+and message instead.  Every record also lists the trials of each _bisect
+call (stage 1's search; on a solve that returns they sum to n_bisect) and,
+under "bvp", the mesh nodes and scipy's niter of each solve_bvp call of the
+collocation stage, and its chord re-takes (the calls after the first).
+Nothing in the output depends on timing, so two trees can be compared with
+a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
-so the same script measures any tree.
+so the same script measures any tree whose shooter has the collocation
+stage; records of older trees come from their own copy of this script.
 
 --diff compares two such outputs (say, of a parent tree and of a change)
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
@@ -81,16 +80,16 @@ def _args():
 
 
 def shoot_cell(label: str) -> dict:
-    """Shoot one cell, counting solve_ivp calls and nfev per chart and the
-    trials of each root-search call."""
+    """Shoot one cell, counting solve_ivp calls and nfev per chart, the
+    trials of each root-search call and the collocation's nodes and niter."""
     import biharm.shooting as shooting
     from biharm import BiharmError, ProblemParams, compute_ladder
     from biharm.verify import solve_invariants
 
     n, p_of, r_max = (CELLS | GRID)[label]
     params = ProblemParams(n, p_of(compute_ladder(n)))
-    calls, nfev, trials = Counter(), Counter(), []
-    plain, plain_bisect, plain_refine = shooting.solve_ivp, shooting._bisect, shooting._refine_unstable
+    calls, nfev, trials, nodes, niter = Counter(), Counter(), [], [], []
+    plain, plain_bisect, plain_bvp = shooting.solve_ivp, shooting._bisect, shooting.solve_bvp
 
     def counting(fun, *args, **kwargs):
         result = plain(fun, *args, **kwargs)
@@ -101,20 +100,16 @@ def shoot_cell(label: str) -> dict:
 
     def counting_bisect(*args, **kwargs):
         result = plain_bisect(*args, **kwargs)
-        # (trials, up, dn); trees before that return the trial count alone
-        trials.append(result[0] if isinstance(result, tuple) else result)
+        trials.append(result[0])  # (trials, up, dn)
         return result
 
-    def counting_refine(*args, **kwargs):
-        start = len(trials)
-        result = plain_refine(*args, **kwargs)
-        del trials[start:]  # the stage's _bisect call counts in its own entry
-        if result is not None:
-            trials.append(result[-1])  # (s_c, leg, rho, used)
+    def counting_bvp(*args, **kwargs):
+        result = plain_bvp(*args, **kwargs)
+        nodes.append(int(result.x.size))
+        niter.append(int(result.niter))
         return result
 
-    shooting.solve_ivp, shooting._bisect, shooting._refine_unstable = (
-        counting, counting_bisect, counting_refine)
+    shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = counting, counting_bisect, counting_bvp
     try:
         sol = shooting.shoot(params, 1.0, r_max)
     except BiharmError as exc:
@@ -142,11 +137,11 @@ def shoot_cell(label: str) -> dict:
         except BiharmError as exc:
             rec["checks"] = {"error": type(exc).__name__, "message": str(exc)}
     finally:
-        shooting.solve_ivp, shooting._bisect, shooting._refine_unstable = (
-            plain, plain_bisect, plain_refine)
+        shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = plain, plain_bisect, plain_bvp
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max}
     rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c]} for c in ("r", "s")}
     rec["trials"] = trials
+    rec["bvp"] = {"nodes": nodes, "niter": niter, "retakes": max(len(nodes) - 1, 0)}
     return rec
 
 
