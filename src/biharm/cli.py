@@ -43,7 +43,6 @@ DEFAULTS = {
     "alpha": 1.0,
     "r_max": 1e4,
     "tol_integrator": ShootControls.rtol,
-    "tol_root": ShootControls.target_tol,
     "tol_fit": BOUNDS["a0_matches_L"],
     "tol_rung": RUNG_TOL,
 }
@@ -63,10 +62,17 @@ def _resolve(config, key, flag):
 
 
 def _load_config(path):
+    """The --config file's entries; exit 2 on a key that is not in DEFAULTS."""
     if path is None:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    unknown = sorted(set(config) - set(DEFAULTS))
+    if unknown:
+        click.echo(f"error: unknown config keys {', '.join(unknown)} in {path}; "
+                   f"known: {', '.join(DEFAULTS)}", err=True)
+        sys.exit(2)
+    return config
 
 
 def _emit(payload: str, out):
@@ -101,10 +107,6 @@ def _as_kv_csv(obj: dict) -> str:
 
 def _report(obj: dict, fmt: str, out):
     _emit(_as_json(obj) if fmt == "json" else _as_kv_csv(obj), out)
-
-
-def _controls(tol_integrator, tol_root) -> ShootControls:
-    return ShootControls(rtol=tol_integrator, target_tol=tol_root)
 
 
 @contextmanager
@@ -219,21 +221,16 @@ def critical(n, fmt, out):
 @click.option("--alpha", type=float, default=None, help="initial height phi(0)")
 @click.option("--r-max", type=float, default=None, help="outer radius of the solve")
 @click.option("--tol-integrator", type=float, default=None, help="adaptive integrator rtol")
-@click.option("--tol-root", type=float, default=None,
-              help="shooting target |r^m phi(r_max)/L - 1|")
 @click.option("--out", type=click.Path(writable=True), default="solution_dump.csv",
               show_default=True, help="solution dump path")
 @config_option
-def solve(n, p, alpha, r_max, tol_integrator, tol_root, out, config):
+def solve(n, p, alpha, r_max, tol_integrator, out, config):
     """Shoot for the entire positive solution, dump it (s, r, phi, W, Y, Z)
     and check its invariants."""
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
-    controls = _controls(
-        _resolve(cfg, "tol_integrator", tol_integrator),
-        _resolve(cfg, "tol_root", tol_root),
-    )
+    controls = ShootControls(rtol=_resolve(cfg, "tol_integrator", tol_integrator))
     with _exit_on_error():
         sol = shoot(ProblemParams(n, p), alpha=alpha, r_max=r_max, controls=controls)
     with open(out, "w") as fh:
@@ -268,24 +265,19 @@ def solve(n, p, alpha, r_max, tol_integrator, tol_root, out, config):
 @click.option("--window", type=float, nargs=2, default=None,
               help="fit window (s_lo, s_hi); auto-selected when omitted")
 @click.option("--tol-integrator", type=float, default=None)
-@click.option("--tol-root", type=float, default=None)
 @click.option("--tol-fit", type=float, default=None, help="allowed |a0/L - 1|")
 @click.option("--tol-rung", type=float, default=None, help="rung detection band")
 @format_option
 @out_option
 @config_option
-def expand(n, p, alpha, r_max, window, tol_integrator, tol_root, tol_fit,
-           tol_rung, fmt, out, config):
+def expand(n, p, alpha, r_max, window, tol_integrator, tol_fit, tol_rung, fmt, out, config):
     """Fit the asymptotic expansion of the solved profile and check it."""
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
     tol_fit = _resolve(cfg, "tol_fit", tol_fit)
     tol_rung = _resolve(cfg, "tol_rung", tol_rung)
-    controls = _controls(
-        _resolve(cfg, "tol_integrator", tol_integrator),
-        _resolve(cfg, "tol_root", tol_root),
-    )
+    controls = ShootControls(rtol=_resolve(cfg, "tol_integrator", tol_integrator))
     with _exit_on_error():
         params = ProblemParams(n, p)
         ladder = compute_ladder(n)

@@ -50,7 +50,7 @@ class IllConditioned(BiharmError):
 
 
 class WindowTooShort(BiharmError):
-    """Fit window contains too few points to resolve the basis."""
+    """A fit or check window holds too few (resolved) nodes, e.g. at a short r_max."""
 
 
 class DomainError(BiharmError):

@@ -35,6 +35,7 @@ from .errors import (
     InvalidParams,
     NoConvergence,
     StepFailure,
+    WindowTooShort,
 )
 from .fdiff import diff_uniform, stencil_margin
 from .ivp import first_entry, solve_ivp, system
@@ -82,7 +83,6 @@ class ShootControls:
     """Tolerances for the shooting solver; the integrator's atol is rtol / 100."""
 
     rtol: float = 1e-12
-    target_tol: float = 1e-3    # required |r^m phi(r_max)/L - 1| at r_max
 
 
 @dataclass(frozen=True)
@@ -337,8 +337,11 @@ def integrate_radial(
     Returns a RadialSolution when the trajectory stays positive and bounded to
     r_max, otherwise the BlowUp or SignLoss outcome.  The full solution grids
     require the spectrum, so params must be at or above the critical exponent.
-    The shot runs to shoot's classification horizon; below r_switch it is the
-    r-chart leg shoot assembles at the same v0 (and controls), bit for bit.
+    The shot runs to r_max e^{(_EXT_NODES + 1) _DS}, past the lattice's
+    stencil margin; for r_max >= r_switch that is shoot's classification
+    horizon.  Once it reaches r_switch, the shot below r_switch is the
+    r-chart leg shoot assembles at the same v0 (and controls), bit for bit;
+    a shorter shot ends its r-chart leg early, and its steps differ.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
@@ -348,12 +351,8 @@ def integrate_radial(
     outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp((_EXT_NODES + 1) * _DS), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return outcome
-    return _assemble_solution(integ, v0, r_max, sol_r, _leg_tail(sol_s), n_bisect=0)
-
-
-def _leg_tail(sol_s):
-    """W at ascending s from a dense s-chart leg, or None without one."""
-    return (lambda s: np.array(first_entry(sol_s.sol, s.tolist()))) if sol_s else None
+    tail = (lambda s: np.array(first_entry(sol_s.sol, s.tolist()))) if sol_s else None
+    return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=0)
 
 
 def _sample_w(integ, v0, sol_r, tail, s_nodes):
@@ -436,37 +435,22 @@ def _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect):
     )
 
 
-class _Best:
-    """The survivor with the smallest end residual among one stage's trials,
-    each integrated by trial(x) to the horizon s_end, which returns its outcome."""
+def _escape_law(outcome, lam4: float, s_end: float) -> float:
+    """Escape-law value g of a shot's outcome at the horizon s_end: g >= 0 on
+    the blow-up side, g < 0 on the sign-loss side.
 
-    def __init__(self, trial, lam4, s_end):
-        self.trial, self.lam4, self.s_end = trial, lam4, s_end
-        self.x, self.rho = None, math.inf
-        self.g = {}  # x -> side(x) of every trial
-
-    def side(self, x) -> float:
-        """Escape-law value g at x: g >= 0 on the blow-up side, g < 0 on the
-        sign-loss side.
-
-        A survivor's g is its end residual W/L - 1 (the true solution keeps
-        Y < 0, so a positive residual means the unstable deviation points up).
-        An escape at s_ev left W/L - 1 at amp = 0.5 (blow-up) or -1 (sign
-        loss); g carries it to the horizon along the unstable mode,
-        amp e^{lam4 (s_end - s_ev)}.  Near the separatrix every escape obeys
-        log|x - x*| + lam4 s_ev = K, with one K per side, so on each side g is
-        linear in x with its own slope.
-        """
-        out = self.trial(x)
-        if isinstance(out, (BlowUp, SignLoss)):
-            amp = 0.5 if isinstance(out, BlowUp) else -1.0
-            g = amp * math.exp(min(700.0, self.lam4 * (self.s_end - math.log(out.r))))
-        else:
-            g = out
-            if abs(out) < abs(self.rho):
-                self.x, self.rho = x, out
-        self.g[x] = g
-        return g
+    A shot that reaches the horizon has g = its end residual W/L - 1 (the
+    true solution keeps Y < 0, so a positive residual means the unstable
+    deviation points up).  An escape at s_ev left W/L - 1 at amp = 0.5
+    (blow-up) or -1 (sign loss); g carries it to the horizon along the
+    unstable mode, amp e^{lam4 (s_end - s_ev)}.  Near the separatrix every
+    escape obeys log|v0 - v0*| + lam4 s_ev = K, with one K per side, so on
+    each side g is linear in v0 with its own slope.
+    """
+    if isinstance(outcome, (BlowUp, SignLoss)):
+        amp = 0.5 if isinstance(outcome, BlowUp) else -1.0
+        return amp * math.exp(min(700.0, lam4 * (s_end - math.log(outcome.r))))
+    return outcome
 
 
 def _model_point(pts, up, dn):
@@ -496,7 +480,7 @@ def _model_point(pts, up, dn):
 def _bisect(side, up, dn, done=None, ends=None) -> tuple[int, float, float]:
     """Shrink the bracket between up (side >= 0, blow-up) and dn (side < 0).
 
-    side(x) is an escape-law value as from _Best.side, and ends =
+    side(x) is an escape-law value as from _escape_law, and ends =
     (side(up), side(dn)) when they are known.  Each trial is a model step
     (_model_point) or a midpoint.  A midpoint is taken when no side has a
     model, when the model step falls outside the bracket, or when the last
@@ -545,16 +529,17 @@ def shoot(
 
     (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
     sign-loss) bracket, which _bisect shrinks with full shots (model steps
-    on the escape law of _Best.side, kept safe by midpoints) until it is
+    on the values of _escape_law, kept safe by midpoints) until it is
     narrower than _CHORD_SWITCH relative to v0 and both ends have s-chart
-    start states.  A step failure at W >= L counts as a blow-up at its
-    radius: the entire solution keeps W < L.  (2) Collocation (_collocate):
-    one boundary value problem with v0 as its unknown closes the solution on
-    the s-chart; below r_switch it is the r-chart leg at that v0.
-    When stage 1 ends without such a pair (r_max at or just past r_switch),
-    the accepted v0 is the full-shot survivor with the smallest end residual
-    |r^m phi/L - 1| at the horizon, and the solution is its dense rerun,
-    which replays that shot step for step.
+    start states; NoConvergence when it ends before that.  Shots are
+    classified at r_cls = max(r_max, r_switch) e^{(_EXT_NODES + 1) _DS},
+    past the stencil margin of the final grids and past r_switch, so every
+    end has an s-chart leg.  A step failure at W >= L counts as a blow-up at
+    its radius: the entire solution keeps W < L.  (2) Collocation
+    (_collocate): one boundary value problem with v0 as its unknown closes
+    the solution on the s-chart up to r_cls; below r_switch it is the
+    r-chart leg at that v0.  For r_max <= r_switch the horizon, and so the
+    solution, does not depend on r_max, which only cuts the returned grids.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
@@ -562,17 +547,16 @@ def shoot(
         raise InvalidParams(f"r_max={r_max} must exceed the lattice start r = {_R_SEED:g}")
     integ = _Integrator(params, alpha, controls)
     lam4 = integ.spec.lambdas[3]
-    # classification horizon covers the stencil extension of the final grids
-    r_cls = r_max * math.exp((_EXT_NODES + 1) * _DS)
+    r_cls = max(r_max, _R_SWITCH) * math.exp((_EXT_NODES + 1) * _DS)
     s_cls = math.log(r_cls)
 
     # exact scale covariance maps (alpha=1, v0) -> (kappa^m, kappa^{m+2} v0)
     v_scale = alpha ** ((params.m + 2.0) / params.m)
     ladder = -np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1) * v_scale
 
-    s_legs = {}  # v0 -> s-chart leg of its full shot
+    s_legs, g = {}, {}  # v0 -> s-chart leg, and escape-law value, of its full shot
 
-    def full_shot(v0):
+    def side(v0):
         try:
             outcome, _, sol_s = integ.shot(v0, r_cls)
         except StepFailure as exc:
@@ -581,21 +565,21 @@ def shoot(
             outcome, sol_s = BlowUp(r=exc.r), exc.sol if exc.chart == "s" else None
         if sol_s is not None:
             s_legs[v0] = sol_s
-        return outcome
+        g[v0] = _escape_law(outcome, lam4, s_cls)
+        return g[v0]
 
-    best = _Best(full_shot, lam4, s_cls)
     # binary search the ladder for the adjacent flip pair, with ladder[0] on
     # the blow-up side and ladder[-1] on the sign-loss side; an end is shot
     # only when the search ends beside it
     i, j = 0, ladder.size - 1
     while j - i > 1:
         k = (i + j) // 2
-        if best.side(ladder[k]) >= 0.0:
+        if side(ladder[k]) >= 0.0:
             i = k
         else:
             j = k
-    if (i == 0 and best.side(ladder[0]) < 0.0) or (
-        j == ladder.size - 1 and best.side(ladder[-1]) >= 0.0
+    if (i == 0 and side(ladder[0]) < 0.0) or (
+        j == ladder.size - 1 and side(ladder[-1]) >= 0.0
     ):
         raise BracketNotFound(
             "probe ladder endpoints do not bracket the separatrix in v0 range "
@@ -606,28 +590,16 @@ def shoot(
     def chord_ready(up, dn):
         return abs(up - dn) < _CHORD_SWITCH * abs(up) and up in s_legs and dn in s_legs
 
-    n_iter, up, dn = _bisect(best.side, up, dn, done=chord_ready, ends=(best.g[up], best.g[dn]))
-    if chord_ready(up, dn):
-        v0, sol_r, res = _collocate(integ, s_legs, up, dn, r_cls)
-        rho = float(res.y[0, -1])
-        tail = lambda s: integ.L * (1.0 + res.sol(s)[0])
-    elif best.x is None:
+    n_iter, up, dn = _bisect(side, up, dn, done=chord_ready, ends=(g[up], g[dn]))
+    if not chord_ready(up, dn):
         raise NoConvergence(
-            f"no trajectory reached r_max={r_max:g}: the v0 root search ended after "
+            f"no bracket to collocate from: the v0 root search ended after "
             f"{n_iter} trials on the bracket [{dn:.17g}, {up:.17g}] (sign-loss end "
             f"first), where full shots give escape-law values g = "
-            f"{best.g[dn]:.3g}, {best.g[up]:.3g}"
+            f"{g[dn]:.3g}, {g[up]:.3g}"
         )
-    else:
-        # the dense rerun replays best.x's classifying full shot step for step
-        v0 = best.x
-        rho, sol_r, sol_s = integ.shot(v0, r_cls, dense=True)
-        tail = _leg_tail(sol_s)
-    if abs(rho) > controls.target_tol:
-        raise NoConvergence(
-            f"best trajectory misses the target: |W/L - 1| = {abs(rho):.3g} > "
-            f"{controls.target_tol:g} at r_max={r_max:g}"
-        )
+    v0, sol_r, res = _collocate(integ, s_legs, up, dn, r_cls)
+    tail = lambda s: integ.L * (1.0 + res.sol(s)[0])
     return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=n_iter)
 
 
@@ -853,7 +825,10 @@ def y_integral_identity_check(sol: RadialSolution, spec: Spectrum | None = None)
     Y_t = Y[: i_top + 1]
     mask = (np.abs(Y_t) >= 1e-8 * np.max(np.abs(Y))) & (s_t <= s_t[-1] - 1.0)
     if not np.any(mask):
-        raise InvalidParams("probe window contains no resolved nodes")
+        raise WindowTooShort(
+            f"integral identity: its probe window (|Y| >= 1e-8 max|Y|, s <= {s_t[-1] - 1.0:.6g}) "
+            "holds no node; extend r_max"
+        )
     dev = np.abs(Y_t[mask] - Y_rep[mask])
     return float(np.max(dev) / np.max(np.abs(Y_t[mask])))
 
@@ -867,7 +842,10 @@ def resolved_top_index(sol: RadialSolution, floor_rel: float = _RESOLUTION_FLOOR
     if below.size == 0:
         return sol.Y.size - 1
     if below[0] == 0:
-        raise InvalidParams("no resolved nodes: Y below the noise floor everywhere")
+        raise WindowTooShort(
+            f"no resolved nodes: |Y| < {floor_rel:g} L from the first node on, "
+            f"s = {sol.s_grid[0]:.6g}"
+        )
     return int(below[0]) - 1
 
 
@@ -896,7 +874,10 @@ def decay_slope(sol: RadialSolution, critical: bool | None = None) -> float:
     val = np.abs(sol.Y[mask])
     if critical:
         if np.any(s <= 0.0):
-            raise InvalidParams("resolved decade must lie at positive s for the log-corrected slope")
+            raise WindowTooShort(
+                f"decay slope: the last resolved decade, s in [{s[0]:.6g}, {s[-1]:.6g}], must lie "
+                "at positive s for the log-corrected slope at the critical exponent; extend r_max"
+            )
         val = val / s
     coef = np.polyfit(s, np.log(val), 1)
     return float(coef[0])

@@ -171,6 +171,44 @@ def test_solve_r_chart_only_payload_is_json(runner, pc13, tmp_path):
     assert summary["invariants"]["decay_slope"]["passed"] is False
 
 
+def test_short_critical_solve_exits_1_naming_its_window(runner, pc13, tmp_path):
+    # a valid solve too short for a check is not invalid input: at p_c the
+    # decay slope's last resolved decade must lie at positive s, and at
+    # r_max 5 it does not, so solve exits 1 after the dump and names why
+    dump = tmp_path / "d.csv"
+    res = runner.invoke(main, [
+        "solve", "--n", "13", "--p", str(pc13), "--r-max", "5", "--out", str(dump),
+    ])
+    assert res.exit_code == 1
+    assert dump.read_text().splitlines()[0] == "s,r,phi,W,Y,Z"
+    assert "error: decay slope: the last resolved decade" in res.stderr
+    assert "must lie at positive s" in res.stderr and "extend r_max" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "expand"])
+def test_tol_root_is_rejected(runner, pc13, tmp_path, command):
+    res = runner.invoke(main, [
+        command, "--n", "13", "--p", str(pc13 + 0.5), "--r-max", "100",
+        "--tol-root", "1e-3", "--out", str(tmp_path / "d.csv"),
+    ])
+    assert res.exit_code == 2
+    assert "--tol-root" in res.stderr
+
+
+def test_config_rejects_unknown_keys(runner, pc13, tmp_path):
+    # an unknown key (a typo, or a removed option) would otherwise be ignored
+    # and the run fall back to the defaults
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol_root": 1e-3, "r_max": 100.0}))
+    dump = tmp_path / "d.csv"
+    res = runner.invoke(main, [
+        "solve", "--n", "13", "--p", str(pc13 + 0.5), "--config", str(cfg), "--out", str(dump),
+    ])
+    assert res.exit_code == 2
+    assert "unknown config keys tol_root" in res.stderr
+    assert not dump.exists()
+
+
 def test_solve_deterministic(runner, pc13, tmp_path):
     args = ["solve", "--n", "13", "--p", str(pc13 + 0.5), "--r-max", "60",
             "--out", str(tmp_path / "d.csv")]

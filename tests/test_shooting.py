@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from biharm import (
     BracketNotFound,
@@ -16,6 +17,7 @@ from biharm import (
     NoConvergence,
     ProblemParams,
     StepFailure,
+    WindowTooShort,
     compute_pc,
     compute_spectrum,
 )
@@ -34,11 +36,10 @@ from biharm.shooting import (
     _R_SERIES_CAP,
     _R_SWITCH,
     BlowUp,
-    RadialSolution,
     ShootControls,
     SignLoss,
-    _Best,
     _bisect,
+    _escape_law,
     _Integrator,
     _power,
     _s_operator_coeffs,
@@ -333,42 +334,20 @@ def test_model_step_within_three_bisections_on_wrong_models():
 
 
 def test_escape_law_values():
-    # survivors give their end residual; escapes carry their event amplitude
-    # (0.5 at blow-up, -1 at sign loss) to the horizon along e^{lam4 s}
+    # shots that reach the horizon give their end residual; escapes carry
+    # their event amplitude (0.5 at blow-up, -1 at sign loss) to the horizon
+    # along e^{lam4 s}
     lam4, s_end = 3.0, math.log(100.0)
-    outcomes = {1.0: BlowUp(r=10.0), 2.0: SignLoss(r=50.0), 3.0: -0.25, 4.0: 0.125,
-                5.0: BlowUp(r=1e-300)}
-    best = _Best(outcomes.__getitem__, lam4, s_end)
-    assert best.side(1.0) == pytest.approx(0.5 * 10.0**lam4, rel=1e-12)
-    assert best.side(2.0) == pytest.approx(-(2.0**lam4), rel=1e-12)
-    assert best.side(3.0) == -0.25
-    assert best.side(4.0) == 0.125
-    assert best.side(5.0) == 0.5 * math.exp(700.0)  # capped, still finite
-    assert (best.x, best.rho) == (4.0, 0.125)
-    assert sorted(best.g) == sorted(outcomes)
+    assert _escape_law(BlowUp(r=10.0), lam4, s_end) == pytest.approx(0.5 * 10.0**lam4, rel=1e-12)
+    assert _escape_law(SignLoss(r=50.0), lam4, s_end) == pytest.approx(-(2.0**lam4), rel=1e-12)
+    assert _escape_law(-0.25, lam4, s_end) == -0.25
+    assert _escape_law(0.125, lam4, s_end) == 0.125
+    assert _escape_law(BlowUp(r=1e-300), lam4, s_end) == 0.5 * math.exp(700.0)  # capped, still finite
 
 
 def test_case_a_root_search_work(sol_a):
     # deterministic work count over all stages; bisection took 118 trials
     assert sol_a.n_bisect < 100
-
-
-def test_shoot_r_chart_only(pc13):
-    # r_max <= r_switch: the shooter never enters the s-chart
-    params = ProblemParams(13, pc13 + 0.5)
-    sol = shoot(params, alpha=1.0, r_max=5.0)
-    assert isinstance(sol, RadialSolution)
-    assert math.isnan(sol.chart_overlap_residual)
-    assert sol.n_bisect > 0
-    assert abs(sol.target_residual) < 1e-2
-    again = integrate_radial(params, alpha=1.0, v0=sol.v0, r_max=5.0)
-    assert np.array_equal(again.s_grid, sol.s_grid)
-    assert np.array_equal(again.W, sol.W)
-    # the bisection classifies shots at the stencil margin past r_max, and its
-    # best survivor ends there on W = L
-    r_cls = 5.0 * math.exp((_EXT_NODES + 1) * _DS)
-    edge = integrate_radial(params, alpha=1.0, v0=sol.v0, r_max=r_cls)
-    assert abs(edge.W[-1] / edge.spectrum.L - 1.0) < 1e-9
 
 
 def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
@@ -739,6 +718,11 @@ def test_collocation_failure_names_its_stage(pc13, monkeypatch):
     assert dn < up and up - dn < _CHORD_SWITCH * abs(up)
 
 
+def _cut(sol, keep):
+    arrays = ("r_grid", "phi", "s_grid", "W", "Y", "Z")
+    return replace(sol, **{k: getattr(sol, k)[keep] for k in arrays})
+
+
 def test_short_solve_decay_slope_matches_the_long_solve(sol_a):
     # At r_max 60 the decay slope's decade is not yet lam3-dominated: the
     # entire solution itself reads |slope - lam3| of about 0.54 there.  A
@@ -746,23 +730,42 @@ def test_short_solve_decay_slope_matches_the_long_solve(sol_a):
     # keeps unstable-mode residue (shooting) read 0.125 off.
     short = shoot(sol_a.params, alpha=1.0, r_max=60.0)
     keep = sol_a.s_grid <= math.log(60.0) + 1e-9
-    cut = replace(sol_a, **{k: getattr(sol_a, k)[keep] for k in ("r_grid", "phi", "s_grid", "W", "Y", "Z")})
-    assert abs(decay_slope(short) - decay_slope(cut)) < 1e-2
+    assert abs(decay_slope(short) - decay_slope(_cut(sol_a, keep))) < 1e-2
 
 
-def test_shoot_r_chart_only_never_enters_chord(pc13, monkeypatch):
-    # r_max <= r_switch: no shot records an r_switch state, so no chord leg
-    charts = Counter()
-    plain_leg = _Integrator.leg
+def test_short_solve_is_the_entire_solution(sol_a, sol_b):
+    # The solution does not depend on r_max.  Below r_switch the shots are
+    # still classified at r_switch e^{(_EXT_NODES + 1) _DS} and the solve is
+    # collocated there, so a short solve is the entire solution cut at
+    # r_max.  Measured: A's v0 is within 1.1e-7 of sol_a's at r_max 1 and 5;
+    # a best-survivor rerun aimed at W = L at r_max was 1.2% off at 5 and
+    # found no bracket at 1.
+    short = {r_max: shoot(sol_a.params, alpha=1.0, r_max=r_max) for r_max in (1.0, 5.0)}
+    assert short[1.0].v0 == short[5.0].v0
+    W_a = CubicSpline(sol_a.s_grid, sol_a.W)
+    for r_max, sol in short.items():
+        assert sol.s_grid[-1] == pytest.approx(math.log(r_max), abs=1e-12)
+        assert sol.v0 == pytest.approx(sol_a.v0, rel=1e-5)
+        assert np.max(np.abs(sol.W - W_a(sol.s_grid))) < 1e-5 * sol_a.spectrum.L
+    # B has not decayed to 1e-2 L by r_max 11: the solve returns, and its
+    # target_residual fails by name (its decay slope fails too, as on every
+    # solve this short)
+    sol = shoot(sol_b.params, alpha=1.0, r_max=11.0)
+    assert sol.v0 == pytest.approx(sol_b.v0, rel=1e-5)
+    invariants = {inv.name: inv for inv in solve_invariants(sol)}
+    assert not invariants["target_residual"].passed
+    assert invariants["target_residual"].value == pytest.approx(0.0162, abs=1e-4)
 
-    def leg(self, chart, span, y0, dense=False):
-        charts[chart] += 1
-        return plain_leg(self, chart, span, y0, dense)
 
-    monkeypatch.setattr(_Integrator, "leg", leg)
-    sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=5.0)
-    assert sol.n_bisect > 0
-    assert set(charts) == {"r"}
+def test_checks_name_a_window_too_short(sol_quick):
+    # a valid solution too short (or too flat) for a check raises
+    # WindowTooShort, not InvalidParams: the CLI exits 1 on it, not 2
+    with pytest.raises(WindowTooShort, match="no resolved nodes"):
+        resolved_top_index(replace(sol_quick, Y=np.zeros_like(sol_quick.Y)))
+    with pytest.raises(WindowTooShort, match="decay slope: the last resolved decade"):
+        decay_slope(_cut(sol_quick, sol_quick.s_grid <= math.log(5.0)), critical=True)
+    with pytest.raises(WindowTooShort, match="integral identity: its probe window"):
+        y_integral_identity_check(_cut(sol_quick, slice(0, 50)))
 
 
 def test_rung_solution_monotone(sol_rung):
@@ -888,8 +891,7 @@ def test_stage_1_step_failure_below_L_is_reraised(pc13, monkeypatch, w_over_L):
 def test_dense_shot_replays_the_classifying_shot(fixture, r_max, request):
     # One shot geometry: dense output only adds interpolants, so a dense
     # shot ends on the plain shot's residual and starts its s-chart from the
-    # same r_switch state, bit for bit.  The survivor path's dense rerun
-    # relies on it (see the next test).
+    # same r_switch state, bit for bit.
     sol = request.getfixturevalue(fixture)
     integ = _Integrator(sol.params, 1.0, ShootControls())
     r_cls = r_max * math.exp((_EXT_NODES + 1) * _DS)
@@ -897,21 +899,6 @@ def test_dense_shot_replays_the_classifying_shot(fixture, r_max, request):
     rho, _, sol_s = integ.shot(sol.v0, r_cls)
     assert isinstance(rho, float) and rho_dense == rho
     assert np.array_equal(sol_s_dense.y[:, 0], sol_s.y[:, 0])
-
-
-def test_survivor_path_dense_rerun_replays_the_classifying_shot(pc13):
-    # No shot reaches r_switch, so there is no chord and no collocation: the
-    # solution is the dense rerun of the best full-shot survivor, which ends
-    # on the classifying shot's residual, bit for bit.
-    params = ProblemParams(13, pc13 + 0.5)
-    sol = shoot(params, alpha=1.0, r_max=5.0)
-    integ = _Integrator(params, 1.0, ShootControls())
-    r_cls = 5.0 * math.exp((_EXT_NODES + 1) * _DS)
-    rho_dense, sol_r_dense, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
-    rho, sol_r, sol_s = integ.shot(sol.v0, r_cls)
-    assert sol_s is sol_s_dense is None
-    assert isinstance(rho, float) and rho_dense == rho
-    assert np.array_equal(sol_r_dense.y, sol_r.y)
 
 
 def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):

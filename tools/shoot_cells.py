@@ -4,7 +4,9 @@
     python tools/shoot_cells.py --diff OLD.json NEW.json
 
 Cells are the three acceptance cases (A, B, C), the quick structural fixture
-(quick, r_max 500) and the four off-paper cells of the coverage benchmark.
+(quick, r_max 500), the four off-paper cells of the coverage benchmark, and
+two short solves whose classification horizon is floored at r_switch:
+A_r5 (case A at r_max 5, below r_switch) and B_r11 (case B at r_max 11).
 --grid shoots the 25-cell coverage grid instead: n in {13, 15, 20, 40, 100}
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
 like n13_pc+0.5 (about 3 CPU-minutes; any of its labels also works with
@@ -57,6 +59,8 @@ CELLS = {
     "n15_p2": (15, lambda lad: lad.rungs[1], 2000.0),
     "n20_pc": (20, lambda lad: lad.p_c, 1e4),
     "n13_10pc": (13, lambda lad: 10.0 * lad.p_c, 1e4),
+    "A_r5": (13, lambda lad: lad.p_c + 0.5, 5.0),
+    "B_r11": (15, lambda lad: lad.p_c + 1.0, 11.0),
 }
 GRID_P = {
     "pc": lambda lad: lad.p_c,
