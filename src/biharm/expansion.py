@@ -406,11 +406,11 @@ def fit_expansion(
         )
     coef = np.linalg.lstsq(A_s, W, rcond=None)[0] / scale
 
-    idx = np.arange(n_pts)
     thetas = []
-    for block in np.array_split(idx, _JACKKNIFE_BLOCKS):
-        keep = np.setdiff1d(idx, block)
-        thetas.append(np.linalg.lstsq(A_s[keep], W[keep], rcond=None)[0] / scale)
+    for block in np.array_split(np.arange(n_pts), _JACKKNIFE_BLOCKS):
+        lo, hi = block[0], block[-1] + 1  # blocks are contiguous: keep the rows around
+        A_k, W_k = np.concatenate((A_s[:lo], A_s[hi:])), np.concatenate((W[:lo], W[hi:]))
+        thetas.append(np.linalg.lstsq(A_k, W_k, rcond=None)[0] / scale)
     thetas = np.array(thetas)
     nb = _JACKKNIFE_BLOCKS
     stderr = np.sqrt((nb - 1) / nb * np.sum((thetas - thetas.mean(axis=0)) ** 2, axis=0))

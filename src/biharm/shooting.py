@@ -64,6 +64,9 @@ _CHORD_SWITCH = math.sqrt(np.finfo(float).eps)
 _BVP_NODES = 200
 _BVP_MAX_NODES = 25000
 _MAX_RETAKES = 8
+# The collocation residual on an interval is O(h^3): the final mesh cuts each
+# coarse interval with residual r into ceil(_MESH_SAFETY (r / tol)^(1/3)) pieces.
+_MESH_SAFETY = 1.2
 # |W/L - 1| below which the collocation's guess leaves the blow-up end's leg
 # for the slowest decaying mode e^{lam3 s}
 _GUESS_FLOOR = 1e-3
@@ -537,9 +540,10 @@ def shoot(
     end has an s-chart leg.  A step failure at W >= L counts as a blow-up at
     its radius: the entire solution keeps W < L.  (2) Collocation
     (_collocate): one boundary value problem with v0 as its unknown closes
-    the solution on the s-chart up to r_cls; below r_switch it is the
-    r-chart leg at that v0.  For r_max <= r_switch the horizon, and so the
-    solution, does not depend on r_max, which only cuts the returned grids.
+    the solution on the s-chart up to r_cls, solved on a mesh predicted
+    from one coarse Newton round; below r_switch it is the r-chart leg at
+    that v0.  For r_max <= r_switch the horizon, and so the solution, does
+    not depend on r_max, which only cuts the returned grids.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
@@ -616,11 +620,18 @@ def _collocate(integ, s_legs, up, dn, r_cls):
     powers, over prod_i (lam4 - lam_i).  The guess is the blow-up end's
     s-leg at its step ends up to where |y0| < _GUESS_FLOOR, then y there
     times e^{lam3 (s - s_a)}, on _BVP_NODES uniform nodes.
-    A v0 far outside the bracket (short r_max) is off the chord's accurate
-    range: the chord is then re-taken through the r-chart leg's end state at
-    that v0 and the nearer end of the last chord, and the problem re-solved
-    from the converged mesh, until v0 moves by less than the bracket width.
-    Returns (v0, the dense r-chart leg at v0, scipy's result).
+    Each solve starts with a coarse round, a single Newton solve on the
+    start mesh.  When that meets the tolerance it is the result; else its
+    rms residuals r_i predict the final mesh (interval i cut into
+    ceil(_MESH_SAFETY (r_i / tol)^(1/3)) equal pieces), and the final
+    solve_bvp runs on that mesh, guessed from the coarse solution.  A
+    prediction above _BVP_MAX_NODES raises NoConvergence before the final
+    solve.  A v0 far outside the bracket (short r_max) is off the chord's
+    accurate range: the chord is then re-taken through the r-chart leg's
+    end state at that v0 and the nearer end of the last chord, and the
+    problem re-solved from the converged mesh, until v0 moves by less than
+    the bracket width.  Returns (v0, the dense r-chart leg at v0, scipy's
+    result of the last round).
     """
     L = integ.L
     lam1, lam2, lam3, lam4 = integ.spec.lambdas
@@ -662,22 +673,29 @@ def _collocate(integ, s_legs, up, dn, r_cls):
     states = {v: s_legs[v].y[:, 0] for v in (up, dn)}
     va, vb = dn, up
     v_prev = 0.5 * (up + dn)
+    tol = 100.0 * integ.c.rtol
+    where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"
     for _ in range(_MAX_RETAKES + 1):
         ya = (states[va] - x_star) / L
         slope = (states[vb] - states[va]) / (L * (vb - va))
-        dbc_dp = np.append(-slope, 0.0)[:, None]
-        res = solve_bvp(
-            fun,
-            lambda y_l, y_r, v: np.append(y_l - ya - (v[0] - va) * slope, l4 @ y_r),
-            mesh, guess, p=[v_prev], fun_jac=fun_jac,
-            bc_jac=lambda y_l, y_r, v: (dbc_dya, dbc_dyb, dbc_dp),
-            tol=100.0 * integ.c.rtol, max_nodes=_BVP_MAX_NODES,
-        )
+        dbc = (dbc_dya, dbc_dyb, np.append(-slope, 0.0)[:, None])
+        bc = lambda y_l, y_r, v: np.append(y_l - ya - (v[0] - va) * slope, l4 @ y_r)
+        kw = dict(fun_jac=fun_jac, bc_jac=lambda y_l, y_r, v: dbc, tol=tol)
+        # coarse round: one Newton solve on the start mesh; when scipy would
+        # add nodes (status 1), its residuals predict the final solve's mesh
+        res = solve_bvp(fun, bc, mesh, guess, p=[v_prev], max_nodes=mesh.size, **kw)
+        if res.status == 1:
+            pieces = np.maximum(np.ceil(_MESH_SAFETY * np.cbrt(res.rms_residuals / tol)), 1.0)
+            nodes = pieces.sum() + 1.0
+            if not nodes <= _BVP_MAX_NODES:
+                raise NoConvergence(
+                    f"collocation stage: the coarse round on {mesh.size} nodes predicts "
+                    f"{nodes:.0f} nodes, more than the cap {_BVP_MAX_NODES} ({where})"
+                )
+            mesh = _split_intervals(res.x, pieces.astype(int))
+            res = solve_bvp(fun, bc, mesh, res.sol(mesh), p=res.p, max_nodes=_BVP_MAX_NODES, **kw)
         if res.status != 0:
-            raise NoConvergence(
-                f"collocation stage failed: {res.message} ({res.x.size} nodes over s in "
-                f"[{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}])"
-            )
+            raise NoConvergence(f"collocation stage failed: {res.message} ({res.x.size} nodes {where})")
         v0 = float(res.p[0])
         outcome, sol_r, _ = integ.shot(v0, _R_SWITCH, dense=True)
         if isinstance(outcome, (BlowUp, SignLoss)):
@@ -692,6 +710,13 @@ def _collocate(integ, s_legs, up, dn, r_cls):
         f"collocation stage: v0 still moved by {moved:.3g} after {_MAX_RETAKES} "
         f"chord re-takes, more than the v0 bracket [{dn:.17g}, {up:.17g}]"
     )
+
+
+def _split_intervals(x: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """The mesh x with its interval i cut into pieces[i] equal parts."""
+    start = np.repeat(x[:-1], pieces)
+    j = np.arange(start.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    return np.append(start + j * np.repeat(np.diff(x) / pieces, pieces), x[-1])
 
 
 def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:

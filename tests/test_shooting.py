@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_bvp
 from scipy.interpolate import CubicSpline
 
 from biharm import (
@@ -26,6 +27,7 @@ from biharm.ivp import solve_ivp
 from biharm.verify import solve_invariants
 import biharm.shooting
 from biharm.shooting import (
+    _BVP_NODES,
     _CHORD_SWITCH,
     _DS,
     _EXT_NODES,
@@ -632,9 +634,10 @@ def test_input_validation(pc13):
 
 
 def _record_collocation(params, r_max, monkeypatch):
-    """shoot(params, 1, r_max) with its stage-1 bracket and the boundary
-    condition function of each solve_bvp call recorded."""
-    brackets, bcs = [], []
+    """shoot(params, 1, r_max) with its stage-1 bracket, the boundary
+    condition function of each chord take (its coarse round and final solve
+    share one), and each solve_bvp call's arguments and result recorded."""
+    brackets, bcs, calls = [], [], []
     plain_bisect, plain_bvp = biharm.shooting._bisect, biharm.shooting.solve_bvp
 
     def bisect(*args, **kwargs):
@@ -642,14 +645,17 @@ def _record_collocation(params, r_max, monkeypatch):
         brackets.append(out[1:])
         return out
 
-    def bvp(fun, bc, *args, **kwargs):
-        bcs.append(bc)
-        return plain_bvp(fun, bc, *args, **kwargs)
+    def bvp(fun, bc, x, y, **kwargs):
+        if bc not in bcs:
+            bcs.append(bc)
+        res = plain_bvp(fun, bc, x, y, **kwargs)
+        calls.append(((fun, bc, x.copy(), y.copy()), kwargs, res))
+        return res
 
     monkeypatch.setattr(biharm.shooting, "_bisect", bisect)
     monkeypatch.setattr(biharm.shooting, "solve_bvp", bvp)
     sol = shoot(params, alpha=1.0, r_max=r_max)
-    return sol, brackets, bcs
+    return sol, brackets, bcs, calls
 
 
 def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
@@ -660,7 +666,7 @@ def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     # Measured: 3.8e-11 of max |y|, while the two end states differ by
     # 1.1e-6 of it.
     params = sol_quick.params
-    sol, brackets, bcs = _record_collocation(params, 500.0, monkeypatch)
+    sol, brackets, bcs, _ = _record_collocation(params, 500.0, monkeypatch)
     assert sol.v0 == sol_quick.v0
     (up, dn), = brackets
     bc, = bcs  # v0 lands inside the bracket: no chord re-take
@@ -686,7 +692,7 @@ def test_collocation_right_condition_removes_the_unstable_mode(fixture, request,
     # lam3): l4 annihilates the eigenvectors e(lam) = (1, lam, lam^2, lam^3)
     # of the three decaying modes and gives l4 . e(lam4) = 1, at p_c too
     params = request.getfixturevalue(fixture).params
-    _, _, bcs = _record_collocation(params, 500.0, monkeypatch)
+    _, _, bcs, _ = _record_collocation(params, 500.0, monkeypatch)
     lams = compute_spectrum(params).lambdas
     right = [bcs[0](np.zeros(4), np.array([1.0, lam, lam**2, lam**3]), [0.0])[4] for lam in lams]
     scale = 1.0 + abs(lams[0]) ** 3
@@ -695,11 +701,14 @@ def test_collocation_right_condition_removes_the_unstable_mode(fixture, request,
 
 
 def test_collocation_failure_names_its_stage(pc13, monkeypatch):
-    # a collocation that does not converge raises NoConvergence naming the
+    # a final solve that does not converge raises NoConvergence naming the
     # stage, scipy's message, the node count, the s-domain and the v0 bracket
     message = "The maximum number of mesh nodes is exceeded."
+    plain = biharm.shooting.solve_bvp
 
     def failing(fun, bc, x, y, **kwargs):
+        if kwargs["max_nodes"] == x.size:  # the coarse round runs as usual
+            return plain(fun, bc, x, y, **kwargs)
         return SimpleNamespace(status=1, message=message, x=np.linspace(x[0], x[-1], 321))
 
     monkeypatch.setattr(biharm.shooting, "solve_bvp", failing)
@@ -716,6 +725,50 @@ def test_collocation_failure_names_its_stage(pc13, monkeypatch):
     s_lo, s_hi, dn, up = (float(x) for x in found.groups()[2:])
     assert (s_lo, s_hi) == pytest.approx((math.log(_R_SWITCH), math.log(r_cls)), rel=1e-5)
     assert dn < up and up - dn < _CHORD_SWITCH * abs(up)
+
+
+def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
+    # a predicted mesh above the node cap raises right after the coarse
+    # round, naming the stage, the predicted node count and the cap; no
+    # final solve runs (case A at r_max 500 predicts 645 nodes)
+    sizes = []
+    plain = biharm.shooting.solve_bvp
+
+    def counting(fun, bc, x, y, **kwargs):
+        sizes.append((x.size, kwargs["max_nodes"]))
+        return plain(fun, bc, x, y, **kwargs)
+
+    monkeypatch.setattr(biharm.shooting, "solve_bvp", counting)
+    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
+    with pytest.raises(NoConvergence) as info:
+        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
+    found = re.fullmatch(
+        r"collocation stage: the coarse round on 200 nodes predicts (\d+) nodes, more "
+        r"than the cap 400 \(over s in \[\S+, \S+\], v0 bracket \[\S+, \S+\]\)",
+        str(info.value),
+    )
+    assert found is not None, str(info.value)
+    assert int(found[1]) > 400
+    assert sizes == [(_BVP_NODES, _BVP_NODES)]
+
+
+@pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
+def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch):
+    # The coarse round's residuals predict the final mesh, so the final
+    # solve converges in one Newton round.  It matches the solve that
+    # scipy's own refinement reaches from the 200 uniform start nodes alone:
+    # v0 to 1e-14 relative and W = L (1 + y0) to 1e-12 L.
+    params = request.getfixturevalue(fixture).params
+    sol, _, bcs, calls = _record_collocation(params, r_max, monkeypatch)
+    assert len(bcs) == 1  # no chord re-take
+    (args, kwargs, coarse), (_, final_kwargs, final) = calls
+    assert args[2].size == kwargs["max_nodes"] == _BVP_NODES and coarse.niter == 1
+    assert final.status == 0 and final.niter == 1 and sol.v0 == final.p[0]
+    ref = solve_bvp(*args, **(kwargs | {"max_nodes": final_kwargs["max_nodes"]}))
+    assert ref.status == 0 and ref.niter > 1
+    assert abs(final.p[0] - ref.p[0]) <= 1e-14 * abs(ref.p[0])
+    s = np.union1d(final.x, ref.x)
+    assert np.max(np.abs(final.sol(s)[0] - ref.sol(s)[0])) <= 1e-12
 
 
 def _cut(sol, keep):

@@ -17,8 +17,13 @@ solve invariants with their bounds, and the solve_ivp calls and RHS
 evaluations per chart; a solve that raises a typed error records its class
 and message instead.  Every record also lists the trials of each _bisect
 call (stage 1's search; on a solve that returns they sum to n_bisect) and,
-under "bvp", the mesh nodes and scipy's niter of each solve_bvp call of the
-collocation stage, and its chord re-takes (the calls after the first).
+under "bvp", the collocation stage's work: the mesh nodes and scipy's niter
+of each coarse round ("coarse": one Newton solve on the start mesh, told
+apart by max_nodes equal to its node count) and of each final solve (the
+other solve_bvp calls; a chord take whose coarse round already meets the
+tolerance has none), and its chord re-takes (the coarse rounds after the
+first; records of trees without a coarse round count the calls after the
+first).
 Nothing in the output depends on timing, so two trees can be compared with
 a plain diff.
 
@@ -92,7 +97,8 @@ def shoot_cell(label: str) -> dict:
 
     n, p_of, r_max = (CELLS | GRID)[label]
     params = ProblemParams(n, p_of(compute_ladder(n)))
-    calls, nfev, trials, nodes, niter = Counter(), Counter(), [], [], []
+    calls, nfev, trials = Counter(), Counter(), []
+    bvp = {"coarse": {"nodes": [], "niter": []}, "nodes": [], "niter": []}
     plain, plain_bisect, plain_bvp = shooting.solve_ivp, shooting._bisect, shooting.solve_bvp
 
     def counting(fun, *args, **kwargs):
@@ -107,10 +113,11 @@ def shoot_cell(label: str) -> dict:
         trials.append(result[0])  # (trials, up, dn)
         return result
 
-    def counting_bvp(*args, **kwargs):
-        result = plain_bvp(*args, **kwargs)
-        nodes.append(int(result.x.size))
-        niter.append(int(result.niter))
+    def counting_bvp(fun, bc, x, *args, **kwargs):
+        result = plain_bvp(fun, bc, x, *args, **kwargs)
+        into = bvp["coarse"] if kwargs.get("max_nodes") == len(x) else bvp
+        into["nodes"].append(int(result.x.size))
+        into["niter"].append(int(result.niter))
         return result
 
     shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = counting, counting_bisect, counting_bvp
@@ -145,7 +152,7 @@ def shoot_cell(label: str) -> dict:
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max}
     rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c]} for c in ("r", "s")}
     rec["trials"] = trials
-    rec["bvp"] = {"nodes": nodes, "niter": niter, "retakes": max(len(nodes) - 1, 0)}
+    rec["bvp"] = bvp | {"retakes": max(len(bvp["coarse"]["nodes"]) - 1, 0)}
     return rec
 
 
