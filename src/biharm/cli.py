@@ -247,9 +247,8 @@ def solve(n, p, alpha, r_max, tol_integrator, out, config):
         "v0": sol.v0,
         "final_ratio": 1.0 + sol.target_residual,
         "target_residual": sol.target_residual,
-        # NaN when the solve never left the r-chart; JSON has no NaN
+        # NaN when the lattice ends before the overlap window; JSON has no NaN
         "chart_overlap_residual": None if math.isnan(overlap) else overlap,
-        "error_estimate": sol.error_estimate,
         "bisection_steps": sol.n_bisect,
         "invariants": _invariant_payload(invariants),
     }

@@ -51,6 +51,7 @@ _R_SERIES_CAP = 1.0  # largest radius of the series start
 _SERIES_ORDER = 24   # the series start keeps r^0 .. r^(2 * _SERIES_ORDER)
 _R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
 _R_OVERLAP = 12.0    # end of the r-chart continuation that checks chart consistency
+_R_HORIZON = 500.0   # least radius to which shoot classifies shots and collocates
 _DS = 0.01           # uniform s-grid spacing of the returned solution
 
 _MAX_BISECT = 240     # root-search trials
@@ -58,12 +59,12 @@ _PROBE_LO = -1e3      # most negative v0 probed
 _PROBE_HI = -1e-6     # least negative v0 probed
 # relative v0 bracket width below which the r_switch state is linear in v0 to
 # within the integration noise, so the chord between the bracket ends' states
-# serves as the collocation's left boundary map (second stage of shoot)
+# serves as the collocation's left boundary map (second stage of shoot); the
+# collocated v0 may land at most this far (relative) outside the bracket
 _CHORD_SWITCH = math.sqrt(np.finfo(float).eps)
-# collocation: uniform starting nodes, node cap, and the chord re-takes allowed
+# collocation: uniform starting nodes and node cap
 _BVP_NODES = 200
 _BVP_MAX_NODES = 25000
-_MAX_RETAKES = 8
 # The collocation residual on an interval is O(h^3): the final mesh cuts each
 # coarse interval with residual r into ceil(_MESH_SAFETY (r / tol)^(1/3)) pieces.
 _MESH_SAFETY = 1.2
@@ -123,7 +124,6 @@ class RadialSolution:
     Y: np.ndarray
     Z: np.ndarray
     target_residual: float
-    error_estimate: float
     chart_overlap_residual: float
     n_bisect: int  # stage-1 root-search trials, model steps and midpoints alike
 
@@ -341,7 +341,7 @@ def integrate_radial(
     r_max, otherwise the BlowUp or SignLoss outcome.  The full solution grids
     require the spectrum, so params must be at or above the critical exponent.
     The shot runs to r_max e^{(_EXT_NODES + 1) _DS}, past the lattice's
-    stencil margin; for r_max >= r_switch that is shoot's classification
+    stencil margin; for r_max >= _R_HORIZON that is shoot's classification
     horizon.  Once it reaches r_switch, the shot below r_switch is the
     r-chart leg shoot assembles at the same v0 (and controls), bit for bit;
     a shorter shot ends its r-chart leg early, and its steps differ.
@@ -418,9 +418,6 @@ def _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect):
         overlap = math.nan
 
     target_residual = float(W[-1] / integ.L - 1.0)
-    # bound on the end-value change under re-solving (e.g. halved tolerance):
-    # both runs land within their residual floors of the separatrix
-    error_estimate = 4.0 * max(abs(target_residual), 100.0 * integ.c.rtol) * integ.L
 
     arrays = dict(r_grid=r_grid, phi=phi, s_grid=s_grid, W=W, Y=Y, Z=Z)
     for a in arrays.values():
@@ -431,7 +428,6 @@ def _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect):
         v0=v0,
         spectrum=integ.spec,
         target_residual=target_residual,
-        error_estimate=error_estimate,
         chart_overlap_residual=overlap,
         n_bisect=n_bisect,
         **arrays,
@@ -535,14 +531,14 @@ def shoot(
     on the values of _escape_law, kept safe by midpoints) until it is
     narrower than _CHORD_SWITCH relative to v0 and both ends have s-chart
     start states; NoConvergence when it ends before that.  Shots are
-    classified at r_cls = max(r_max, r_switch) e^{(_EXT_NODES + 1) _DS},
+    classified at r_cls = max(r_max, _R_HORIZON) e^{(_EXT_NODES + 1) _DS},
     past the stencil margin of the final grids and past r_switch, so every
     end has an s-chart leg.  A step failure at W >= L counts as a blow-up at
     its radius: the entire solution keeps W < L.  (2) Collocation
     (_collocate): one boundary value problem with v0 as its unknown closes
     the solution on the s-chart up to r_cls, solved on a mesh predicted
     from one coarse Newton round; below r_switch it is the r-chart leg at
-    that v0.  For r_max <= r_switch the horizon, and so the solution, does
+    that v0.  For r_max <= _R_HORIZON the horizon, and so the solution, does
     not depend on r_max, which only cuts the returned grids.
     """
     if alpha <= 0.0:
@@ -551,7 +547,7 @@ def shoot(
         raise InvalidParams(f"r_max={r_max} must exceed the lattice start r = {_R_SEED:g}")
     integ = _Integrator(params, alpha, controls)
     lam4 = integ.spec.lambdas[3]
-    r_cls = max(r_max, _R_SWITCH) * math.exp((_EXT_NODES + 1) * _DS)
+    r_cls = max(r_max, _R_HORIZON) * math.exp((_EXT_NODES + 1) * _DS)
     s_cls = math.log(r_cls)
 
     # exact scale covariance maps (alpha=1, v0) -> (kappa^m, kappa^{m+2} v0)
@@ -613,11 +609,11 @@ def _collocate(integ, s_legs, up, dn, r_cls):
     The unknown is y = (X - X*) / L, X = (W, W', W'', W''') and X* = (L, 0,
     0, 0), so y' = (y1, y2, y3, c4 (1 + y0) expm1((p - 1) log1p(y0)) - c3 y1
     - c2 y2 - c1 y3) with L^{p-1} = c4; v0 is an unknown parameter.  The left
-    condition puts y on the chord R(v0) through two (v0, start state) pairs,
-    at first the bracket ends'.  The right one, l4 . y = 0, removes the
-    unstable mode: l4, the left eigenvector for lam4 with l4 . e4 = 1, holds
-    the coefficients of (mu - lam1)(mu - lam2)(mu - lam3), in increasing
-    powers, over prod_i (lam4 - lam_i).  The guess is the blow-up end's
+    condition puts y on the chord R(v0) through the bracket ends' (v0, start
+    state) pairs.  The right one, l4 . y = 0, removes the unstable mode: l4,
+    the left eigenvector for lam4 with l4 . e4 = 1, holds the coefficients
+    of (mu - lam1)(mu - lam2)(mu - lam3), in increasing powers, over
+    prod_i (lam4 - lam_i).  The guess is the blow-up end's
     s-leg at its step ends up to where |y0| < _GUESS_FLOOR, then y there
     times e^{lam3 (s - s_a)}, on _BVP_NODES uniform nodes.
     Each solve starts with a coarse round, a single Newton solve on the
@@ -626,12 +622,9 @@ def _collocate(integ, s_legs, up, dn, r_cls):
     ceil(_MESH_SAFETY (r_i / tol)^(1/3)) equal pieces), and the final
     solve_bvp runs on that mesh, guessed from the coarse solution.  A
     prediction above _BVP_MAX_NODES raises NoConvergence before the final
-    solve.  A v0 far outside the bracket (short r_max) is off the chord's
-    accurate range: the chord is then re-taken through the r-chart leg's
-    end state at that v0 and the nearer end of the last chord, and the
-    problem re-solved from the converged mesh, until v0 moves by less than
-    the bracket width.  Returns (v0, the dense r-chart leg at v0, scipy's
-    result of the last round).
+    solve.  The chord is accurate only near the bracket: a v0 more than
+    _CHORD_SWITCH |v0| outside it raises NoConvergence.  Returns (v0, the
+    dense r-chart leg at v0, scipy's result of the last round).
     """
     L = integ.L
     lam1, lam2, lam3, lam4 = integ.spec.lambdas
@@ -670,46 +663,39 @@ def _collocate(integ, s_legs, up, dn, r_cls):
     past = mesh > leg.t[a]
     guess[:, past] = dev[:, a, None] * np.exp(lam3 * (mesh[past] - leg.t[a]))
 
-    states = {v: s_legs[v].y[:, 0] for v in (up, dn)}
-    va, vb = dn, up
-    v_prev = 0.5 * (up + dn)
     tol = 100.0 * integ.c.rtol
     where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"
-    for _ in range(_MAX_RETAKES + 1):
-        ya = (states[va] - x_star) / L
-        slope = (states[vb] - states[va]) / (L * (vb - va))
-        dbc = (dbc_dya, dbc_dyb, np.append(-slope, 0.0)[:, None])
-        bc = lambda y_l, y_r, v: np.append(y_l - ya - (v[0] - va) * slope, l4 @ y_r)
-        kw = dict(fun_jac=fun_jac, bc_jac=lambda y_l, y_r, v: dbc, tol=tol)
-        # coarse round: one Newton solve on the start mesh; when scipy would
-        # add nodes (status 1), its residuals predict the final solve's mesh
-        res = solve_bvp(fun, bc, mesh, guess, p=[v_prev], max_nodes=mesh.size, **kw)
-        if res.status == 1:
-            pieces = np.maximum(np.ceil(_MESH_SAFETY * np.cbrt(res.rms_residuals / tol)), 1.0)
-            nodes = pieces.sum() + 1.0
-            if not nodes <= _BVP_MAX_NODES:
-                raise NoConvergence(
-                    f"collocation stage: the coarse round on {mesh.size} nodes predicts "
-                    f"{nodes:.0f} nodes, more than the cap {_BVP_MAX_NODES} ({where})"
-                )
-            mesh = _split_intervals(res.x, pieces.astype(int))
-            res = solve_bvp(fun, bc, mesh, res.sol(mesh), p=res.p, max_nodes=_BVP_MAX_NODES, **kw)
-        if res.status != 0:
-            raise NoConvergence(f"collocation stage failed: {res.message} ({res.x.size} nodes {where})")
-        v0 = float(res.p[0])
-        outcome, sol_r, _ = integ.shot(v0, _R_SWITCH, dense=True)
-        if isinstance(outcome, (BlowUp, SignLoss)):
-            raise NoConvergence(f"collocation v0 = {v0!r}: its r-chart leg ends in {outcome}")
-        moved = abs(v0 - v_prev)
-        if moved < abs(up - dn):
-            return v0, sol_r, res
-        states[v0] = _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
-        va, vb = v0, min(va, vb, key=lambda v: abs(v - v0))
-        mesh, guess, v_prev = res.x, res.y, v0
-    raise NoConvergence(
-        f"collocation stage: v0 still moved by {moved:.3g} after {_MAX_RETAKES} "
-        f"chord re-takes, more than the v0 bracket [{dn:.17g}, {up:.17g}]"
-    )
+    ya = (s_legs[dn].y[:, 0] - x_star) / L
+    slope = (s_legs[up].y[:, 0] - s_legs[dn].y[:, 0]) / (L * (up - dn))
+    dbc = (dbc_dya, dbc_dyb, np.append(-slope, 0.0)[:, None])
+    bc = lambda y_l, y_r, v: np.append(y_l - ya - (v[0] - dn) * slope, l4 @ y_r)
+    kw = dict(fun_jac=fun_jac, bc_jac=lambda y_l, y_r, v: dbc, tol=tol)
+    # coarse round: one Newton solve on the start mesh; when scipy would add
+    # nodes (status 1), its residuals predict the final solve's mesh
+    res = solve_bvp(fun, bc, mesh, guess, p=[0.5 * (up + dn)], max_nodes=mesh.size, **kw)
+    if res.status == 1:
+        pieces = np.maximum(np.ceil(_MESH_SAFETY * np.cbrt(res.rms_residuals / tol)), 1.0)
+        nodes = pieces.sum() + 1.0
+        if not nodes <= _BVP_MAX_NODES:
+            raise NoConvergence(
+                f"collocation stage: the coarse round on {mesh.size} nodes predicts "
+                f"{nodes:.0f} nodes, more than the cap {_BVP_MAX_NODES} ({where})"
+            )
+        mesh = _split_intervals(res.x, pieces.astype(int))
+        res = solve_bvp(fun, bc, mesh, res.sol(mesh), p=res.p, max_nodes=_BVP_MAX_NODES, **kw)
+    if res.status != 0:
+        raise NoConvergence(f"collocation stage failed: {res.message} ({res.x.size} nodes {where})")
+    v0 = float(res.p[0])
+    off = max(dn - v0, v0 - up)
+    if off > _CHORD_SWITCH * abs(v0):
+        raise NoConvergence(
+            f"collocation stage: v0 = {v0!r} lies {off:.3g} outside the chord's bracket, "
+            f"more than {_CHORD_SWITCH:.3g} |v0| ({where})"
+        )
+    outcome, sol_r, _ = integ.shot(v0, _R_SWITCH, dense=True)
+    if isinstance(outcome, (BlowUp, SignLoss)):
+        raise NoConvergence(f"collocation v0 = {v0!r}: its r-chart leg ends in {outcome}")
+    return v0, sol_r, res
 
 
 def _split_intervals(x: np.ndarray, pieces: np.ndarray) -> np.ndarray:

@@ -132,7 +132,7 @@ def test_solve_reports_invariants_with_bounds(runner, pc13, tmp_path):
     assert all(rec["passed"] for rec in summary["invariants"].values())
     assert set(summary) == {
         "n", "p", "alpha", "r_max", "v0", "final_ratio", "target_residual",
-        "chart_overlap_residual", "error_estimate", "bisection_steps", "invariants",
+        "chart_overlap_residual", "bisection_steps", "invariants",
     }
 
 

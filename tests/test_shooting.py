@@ -575,6 +575,8 @@ def test_y_integral_identity_exact_on_synthetic_solution(sol_quick):
 
 
 def test_grid_consistency_under_tolerance_halving(pc13):
+    # Measured: W[-1] does not change (0.0); the whole of W moves by
+    # 4.8e-14 L.
     params = ProblemParams(13, pc13 + 0.5)
     base = shoot(params, alpha=1.0, r_max=500.0)
     tight = shoot(
@@ -582,7 +584,7 @@ def test_grid_consistency_under_tolerance_halving(pc13):
         controls=ShootControls(rtol=5e-13),
     )
     change = abs(base.W[-1] - tight.W[-1])
-    assert change < base.error_estimate
+    assert change < 1e-12
 
 
 def test_dump_roundtrip(sol_quick):
@@ -634,10 +636,9 @@ def test_input_validation(pc13):
 
 
 def _record_collocation(params, r_max, monkeypatch):
-    """shoot(params, 1, r_max) with its stage-1 bracket, the boundary
-    condition function of each chord take (its coarse round and final solve
-    share one), and each solve_bvp call's arguments and result recorded."""
-    brackets, bcs, calls = [], [], []
+    """shoot(params, 1, r_max) with its stage-1 bracket and each solve_bvp
+    call's arguments and result recorded."""
+    brackets, calls = [], []
     plain_bisect, plain_bvp = biharm.shooting._bisect, biharm.shooting.solve_bvp
 
     def bisect(*args, **kwargs):
@@ -646,8 +647,6 @@ def _record_collocation(params, r_max, monkeypatch):
         return out
 
     def bvp(fun, bc, x, y, **kwargs):
-        if bc not in bcs:
-            bcs.append(bc)
         res = plain_bvp(fun, bc, x, y, **kwargs)
         calls.append(((fun, bc, x.copy(), y.copy()), kwargs, res))
         return res
@@ -655,7 +654,7 @@ def _record_collocation(params, r_max, monkeypatch):
     monkeypatch.setattr(biharm.shooting, "_bisect", bisect)
     monkeypatch.setattr(biharm.shooting, "solve_bvp", bvp)
     sol = shoot(params, alpha=1.0, r_max=r_max)
-    return sol, brackets, bcs, calls
+    return sol, brackets, calls
 
 
 def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
@@ -666,10 +665,10 @@ def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     # Measured: 3.8e-11 of max |y|, while the two end states differ by
     # 1.1e-6 of it.
     params = sol_quick.params
-    sol, brackets, bcs, _ = _record_collocation(params, 500.0, monkeypatch)
+    sol, brackets, calls = _record_collocation(params, 500.0, monkeypatch)
     assert sol.v0 == sol_quick.v0
     (up, dn), = brackets
-    bc, = bcs  # v0 lands inside the bracket: no chord re-take
+    bc = calls[0][0][1]
     assert dn < sol.v0 < up
     integ = _Integrator(params, 1.0, ShootControls())
     r_cls = 500.0 * math.exp((_EXT_NODES + 1) * _DS)
@@ -692,9 +691,10 @@ def test_collocation_right_condition_removes_the_unstable_mode(fixture, request,
     # lam3): l4 annihilates the eigenvectors e(lam) = (1, lam, lam^2, lam^3)
     # of the three decaying modes and gives l4 . e(lam4) = 1, at p_c too
     params = request.getfixturevalue(fixture).params
-    _, _, bcs, _ = _record_collocation(params, 500.0, monkeypatch)
+    _, _, calls = _record_collocation(params, 500.0, monkeypatch)
+    bc = calls[0][0][1]
     lams = compute_spectrum(params).lambdas
-    right = [bcs[0](np.zeros(4), np.array([1.0, lam, lam**2, lam**3]), [0.0])[4] for lam in lams]
+    right = [bc(np.zeros(4), np.array([1.0, lam, lam**2, lam**3]), [0.0])[4] for lam in lams]
     scale = 1.0 + abs(lams[0]) ** 3
     assert np.all(np.abs(right[:3]) < 1e-14 * scale)
     assert right[3] == pytest.approx(1.0, rel=1e-13)
@@ -759,8 +759,7 @@ def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch
     # scipy's own refinement reaches from the 200 uniform start nodes alone:
     # v0 to 1e-14 relative and W = L (1 + y0) to 1e-12 L.
     params = request.getfixturevalue(fixture).params
-    sol, _, bcs, calls = _record_collocation(params, r_max, monkeypatch)
-    assert len(bcs) == 1  # no chord re-take
+    sol, _, calls = _record_collocation(params, r_max, monkeypatch)
     (args, kwargs, coarse), (_, final_kwargs, final) = calls
     assert args[2].size == kwargs["max_nodes"] == _BVP_NODES and coarse.niter == 1
     assert final.status == 0 and final.niter == 1 and sol.v0 == final.p[0]
@@ -786,28 +785,55 @@ def test_short_solve_decay_slope_matches_the_long_solve(sol_a):
     assert abs(decay_slope(short) - decay_slope(_cut(sol_a, keep))) < 1e-2
 
 
-def test_short_solve_is_the_entire_solution(sol_a, sol_b):
-    # The solution does not depend on r_max.  Below r_switch the shots are
-    # still classified at r_switch e^{(_EXT_NODES + 1) _DS} and the solve is
-    # collocated there, so a short solve is the entire solution cut at
-    # r_max.  Measured: A's v0 is within 1.1e-7 of sol_a's at r_max 1 and 5;
-    # a best-survivor rerun aimed at W = L at r_max was 1.2% off at 5 and
-    # found no bracket at 1.
+def test_short_solve_is_the_entire_solution(sol_a, sol_b, sol_quick):
+    # The solution does not depend on r_max.  Below r = 500 the shots are
+    # still classified at 500 e^{(_EXT_NODES + 1) _DS} and the solve is
+    # collocated there, so a short solve is the r_max 500 solve (sol_quick)
+    # cut at r_max.  Measured: A's v0 is within 1.3e-15 of sol_a's at r_max
+    # 1 and 5, and B's at r_max 11 within 2.1e-16 of sol_b's.
     short = {r_max: shoot(sol_a.params, alpha=1.0, r_max=r_max) for r_max in (1.0, 5.0)}
-    assert short[1.0].v0 == short[5.0].v0
     W_a = CubicSpline(sol_a.s_grid, sol_a.W)
     for r_max, sol in short.items():
         assert sol.s_grid[-1] == pytest.approx(math.log(r_max), abs=1e-12)
-        assert sol.v0 == pytest.approx(sol_a.v0, rel=1e-5)
+        assert sol.v0 == sol_quick.v0
+        assert sol.v0 == pytest.approx(sol_a.v0, rel=1e-13)
         assert np.max(np.abs(sol.W - W_a(sol.s_grid))) < 1e-5 * sol_a.spectrum.L
     # B has not decayed to 1e-2 L by r_max 11: the solve returns, and its
     # target_residual fails by name (its decay slope fails too, as on every
     # solve this short)
     sol = shoot(sol_b.params, alpha=1.0, r_max=11.0)
-    assert sol.v0 == pytest.approx(sol_b.v0, rel=1e-5)
+    assert sol.v0 == pytest.approx(sol_b.v0, rel=1e-13)
     invariants = {inv.name: inv for inv in solve_invariants(sol)}
     assert not invariants["target_residual"].passed
     assert invariants["target_residual"].value == pytest.approx(0.0162, abs=1e-4)
+
+
+def test_short_solve_closes_at_large_n():
+    # n = 40, p = 2 p_c: a solve to r_max 5 is the r_max 500 solve, bit for
+    # bit.  Collocated to r_switch e^{(_EXT_NODES + 1) _DS} instead, its v0
+    # lands far off the chord and its mesh grows past the node cap.
+    params = ProblemParams(40, 2.0 * compute_pc(40))
+    assert shoot(params, alpha=1.0, r_max=5.0).v0 == shoot(params, alpha=1.0, r_max=500.0).v0
+
+
+def test_collocation_v0_far_outside_the_bracket_raises(pc13, monkeypatch):
+    # With the horizon floored at r_switch instead of r = 500, case A at
+    # r_max 5 collocates v0 about 1.3e-4 relative outside its stage-1
+    # bracket, where the chord between the bracket ends is no longer an
+    # accurate left condition: the solve raises, naming the stage, v0, the
+    # s-range and the bracket
+    monkeypatch.setattr(biharm.shooting, "_R_HORIZON", _R_SWITCH)
+    with pytest.raises(NoConvergence) as info:
+        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=5.0)
+    found = re.fullmatch(
+        r"collocation stage: v0 = (\S+) lies (\S+) outside the chord's bracket, more "
+        r"than \S+ \|v0\| \(over s in \[\S+, \S+\], v0 bracket \[(\S+), (\S+)\]\)",
+        str(info.value),
+    )
+    assert found is not None, str(info.value)
+    v0, off, dn, up = (float(x) for x in found.groups())
+    assert dn < up and off > _CHORD_SWITCH * abs(v0)
+    assert off == pytest.approx(max(dn - v0, v0 - up), rel=1e-2)
 
 
 def test_checks_name_a_window_too_short(sol_quick):

@@ -66,11 +66,9 @@ def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):
 def test_shoot_cells_trials_sum_to_n_bisect():
     # one _bisect call (stage 1), whose trials are n_bisect, and one chord
     # take at r_max 500: a coarse round of one Newton solve on the 200 start
-    # nodes, then one final solve on the predicted mesh; the collocation
-    # lands inside the bracket, so the chord is not re-taken
+    # nodes, then one final solve on the predicted mesh
     rec = shoot_cells.shoot_cell("quick")
     assert rec["trials"] == [rec["n_bisect"]]
-    assert rec["bvp"]["retakes"] == 0
     assert rec["bvp"]["coarse"] == {"nodes": [200], "niter": [1]}
     assert len(rec["bvp"]["nodes"]) == len(rec["bvp"]["niter"]) == 1
     assert rec["bvp"]["nodes"][0] >= 200 and rec["bvp"]["niter"][0] >= 1

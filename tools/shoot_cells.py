@@ -5,11 +5,12 @@
 
 Cells are the three acceptance cases (A, B, C), the quick structural fixture
 (quick, r_max 500), the four off-paper cells of the coverage benchmark, and
-two short solves whose classification horizon is floored at r_switch:
-A_r5 (case A at r_max 5, below r_switch) and B_r11 (case B at r_max 11).
+two short solves, shot and collocated on the horizon floor at r = 500 and
+cut at r_max: A_r5 (case A at r_max 5, below r_switch) and B_r11 (case B at
+r_max 11).
 --grid shoots the 25-cell coverage grid instead: n in {13, 15, 20, 40, 100}
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
-like n13_pc+0.5 (about 3 CPU-minutes; any of its labels also works with
+like n13_pc+0.5 (about 15 CPU-seconds; any of its labels also works with
 --cells).  Each record holds the solve's v0 (repr and float hex), n_bisect,
 the end residual rho = target_residual, the SHA-256 of its dump_solution
 text (dump_sha256, so a plain diff covers s, r, phi, W, Y and Z), the six
@@ -20,10 +21,8 @@ call (stage 1's search; on a solve that returns they sum to n_bisect) and,
 under "bvp", the collocation stage's work: the mesh nodes and scipy's niter
 of each coarse round ("coarse": one Newton solve on the start mesh, told
 apart by max_nodes equal to its node count) and of each final solve (the
-other solve_bvp calls; a chord take whose coarse round already meets the
-tolerance has none), and its chord re-takes (the coarse rounds after the
-first; records of trees without a coarse round count the calls after the
-first).
+other solve_bvp calls; a solve whose coarse round already meets the
+tolerance has none).
 Nothing in the output depends on timing, so two trees can be compared with
 a plain diff.
 
@@ -152,7 +151,7 @@ def shoot_cell(label: str) -> dict:
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max}
     rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c]} for c in ("r", "s")}
     rec["trials"] = trials
-    rec["bvp"] = bvp | {"retakes": max(len(bvp["coarse"]["nodes"]) - 1, 0)}
+    rec["bvp"] = bvp
     return rec
 
 
