@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import sys
 from contextlib import contextmanager
 
@@ -238,17 +237,14 @@ def solve(n, p, alpha, r_max, tol_integrator, out, config):
     click.echo(f"wrote {out} ({sol.s_grid.size} rows)", err=True)
     with _exit_on_error():
         invariants = solve_invariants(sol)
-    overlap = sol.chart_overlap_residual
     summary = {
         "n": n,
         "p": p,
         "alpha": alpha,
         "r_max": r_max,
         "v0": sol.v0,
-        "final_ratio": 1.0 + sol.target_residual,
         "target_residual": sol.target_residual,
-        # NaN when the lattice ends before the overlap window; JSON has no NaN
-        "chart_overlap_residual": None if math.isnan(overlap) else overlap,
+        "seam_residual": sol.seam_residual,
         "bisection_steps": sol.n_bisect,
         "invariants": _invariant_payload(invariants),
     }

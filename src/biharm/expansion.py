@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ladder import CriticalLadder
 from .params import ProblemParams
-from .shooting import RadialSolution, exp_kernel_convolve
+from .shooting import RadialSolution, exp_kernel_convolve, resolved_top_index
 from .spectrum import Spectrum
 
 COND_LIMIT = 1e12
@@ -74,6 +74,17 @@ def g_eval(nl: Nonlinearity, y):
         raise DomainError(f"g undefined at y <= -L = {-nl.L}")
     val = (y + nl.L) ** nl.p - nl.L**nl.p - nl.p * nl.L ** (nl.p - 1.0) * y
     return float(val) if val.ndim == 0 else val
+
+
+def _g_of_w(nl: Nonlinearity, W: np.ndarray) -> np.ndarray:
+    """g at y = W - L, evaluated from W > 0 as W^p - L^p - p L^{p-1} (W - L).
+
+    Near the origin W is tiny next to L, and y = W - L rounds to exactly -L,
+    outside g_eval's domain; W itself keeps its value there.
+    """
+    if np.any(W <= 0.0):
+        raise DomainError("g undefined at W <= 0")
+    return W**nl.p - nl.L**nl.p - nl.p * nl.L ** (nl.p - 1.0) * (W - nl.L)
 
 
 # --------------------------------------------------------------------------
@@ -163,14 +174,15 @@ def representation_check(
 ):
     """Deviation of grid Z from its variation-of-parameters representation.
 
-    Builds g(Y) along the grid, forms the convolution part with the kernel
-    betas, fits the free homogeneous coefficients by least squares on the
-    window, and returns the maximum deviation normalized by max|Z| there.
+    Builds g(Y) along the grid, evaluated from W = Y + L, forms the
+    convolution part with the kernel betas, fits the free homogeneous
+    coefficients by least squares on the window, and returns the maximum
+    deviation normalized by max|Z| there.
     """
     if spec is None:
         spec = sol.spectrum
     L = spec.L
-    s_all, Y_all, Z_all = sol.s_grid, sol.Y, sol.Z
+    s_all, Z_all = sol.s_grid, sol.Z
 
     if window is None:
         zmax = np.max(np.abs(Z_all))
@@ -185,7 +197,7 @@ def representation_check(
     i0 = int(np.searchsorted(s_all, kern.s0 - 1e-12))
     s = s_all[i0:]
     nl = Nonlinearity(L=L, p=sol.params.p)
-    g = g_eval(nl, Y_all[i0:])
+    g = _g_of_w(nl, sol.W[i0:])
     convs = kernel_convolutions(kern, spec, s, g)
     forced = sum(b * I for b, I in zip(kern.betas, convs))
 
@@ -317,19 +329,16 @@ def default_fit_window(sol: RadialSolution, spec: Spectrum | None = None):
     """Window where the truncated expansion is both valid and resolved.
 
     Starts where |Y| has fallen to 1e-4 * L (unmodeled higher-order terms
-    below the fit noise, so coefficients come out unbiased) and ends where
-    |Y| meets the 1e-9 * L resolution floor.
+    below the fit noise, so coefficients come out unbiased) and ends at the
+    resolved top (resolved_top_index) for the 1e-9 * L resolution floor.
     """
     if spec is None:
         spec = sol.spectrum
-    L = spec.L
-    absY = np.abs(sol.Y)
-    below = np.nonzero(absY <= 1e-4 * L)[0]
+    below = np.nonzero(np.abs(sol.Y) <= 1e-4 * spec.L)[0]
     if below.size == 0:
         raise WindowTooShort("Y never falls to 1e-4 * L; extend r_max")
     i_lo = int(below[0])
-    dip = np.nonzero(absY < 1e-9 * L)[0]
-    i_hi = int(dip[0]) - 1 if dip.size else absY.size - 1
+    i_hi = resolved_top_index(sol, 1e-9)
     if i_hi - i_lo < 32:
         raise WindowTooShort(
             f"only {i_hi - i_lo} nodes between the validity and noise floors"
@@ -401,8 +410,8 @@ def fit_expansion(
     cond = float(np.linalg.cond(A_s))
     if cond > COND_LIMIT:
         raise IllConditioned(
-            f"fit design matrix condition {cond:.3g}; near a rung use the "
-            "log-corrected basis (regime b/c)"
+            f"fit design matrix condition {cond:.3g} > {COND_LIMIT:g} in regime "
+            f"{regime.kind}, k = {regime.k}, with {n_par} columns"
         )
     coef = np.linalg.lstsq(A_s, W, rcond=None)[0] / scale
 

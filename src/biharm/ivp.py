@@ -225,17 +225,19 @@ class _Interpolant(DenseOutput):
         return np.array([self.point(x) for x in t.tolist()]).T
 
 
-def first_entry(sol, xs):
-    """Entry 0 of the dense output sol at the ascending floats xs, equal to
-    sol(xs)[0]: each x is walked to the step OdeSolution picks, the earlier
-    one for an x on a step end, the end steps for an x outside."""
+def first_entries(sol, xs):
+    """Entries 0 and 1 of the dense output sol at the ascending floats xs, as
+    two lists equal to sol(xs)[0] and sol(xs)[1]: each x is walked to the
+    step OdeSolution picks, the earlier one for an x on a step end, the end
+    steps for an x outside."""
     ts, steps = sol.ts.tolist(), sol.interpolants
-    out, i, last = [], 0, len(steps) - 1
+    out0, out1, i, last = [], [], 0, len(steps) - 1
     for x in xs:
         while i < last and ts[i + 1] < x:
             i += 1
-        out.append(steps[i].entry(0, x))
-    return out
+        out0.append(steps[i].entry(0, x))
+        out1.append(steps[i].entry(1, x))
+    return out0, out1
 
 
 @dataclass

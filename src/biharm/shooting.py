@@ -38,21 +38,22 @@ from .errors import (
     WindowTooShort,
 )
 from .fdiff import diff_uniform, stencil_margin
-from .ivp import first_entry, solve_ivp, system
+from .ivp import first_entries, solve_ivp, system
 from .params import ProblemParams
 from .spectrum import Spectrum, compute_spectrum
 
-# Margin of extra s-nodes integrated beyond the nominal grid so that interior
-# stencils (up to 9 points wide) cover every nominal node.
-_EXT_NODES = 4
 # chart geometry
 _R_SEED = 1e-3       # lattice start, and the least radius of the series start
 _R_SERIES_CAP = 1.0  # largest radius of the series start
 _SERIES_ORDER = 24   # the series start keeps r^0 .. r^(2 * _SERIES_ORDER)
 _R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
-_R_OVERLAP = 12.0    # end of the r-chart continuation that checks chart consistency
 _R_HORIZON = 500.0   # least radius to which shoot classifies shots and collocates
 _DS = 0.01           # uniform s-grid spacing of the returned solution
+# s from the returned lattice's last node, log r_max, out to where a solve
+# ends: the lattice stops short of the collocation's right end, where
+# l4 . y = 0 is imposed rather than solved, and an escape just past r_max
+# still rejects an integrate_radial shot
+_S_PAD = 0.05
 
 _MAX_BISECT = 240     # root-search trials
 _PROBE_LO = -1e3      # most negative v0 probed
@@ -107,10 +108,13 @@ class SignLoss:
 class RadialSolution:
     """Entire positive radial solution on matched r- and s-grids.
 
-    The grids share nodes (r = e^s).  W = r^m phi is sampled from the
-    integrated states and phi = W / r^m; Y = W - L, and Z = Y' - lam4*Y
-    (first derivative taken by interior finite-difference stencils on the
-    uniform s-grid).
+    The grids share nodes (r = e^s).  W = r^m phi and W' are sampled from
+    the states the solve was solved in: the series below the r-chart leg's
+    start, the leg up to r_switch, the s-chart beyond.  phi = W / r^m,
+    Y = W - L and Z = Y' - lam4 Y = W' - lam4 Y.  seam_residual is
+    max_i |X_i - X_r,i| / L at r_switch, between the s-chart's start state
+    X = (W, W', W'', W''') and the r-chart leg's end state X_r; it is 0.0
+    for a single shot, whose s-chart starts from X_r.
     """
 
     params: ProblemParams
@@ -124,7 +128,7 @@ class RadialSolution:
     Y: np.ndarray
     Z: np.ndarray
     target_residual: float
-    chart_overlap_residual: float
+    seam_residual: float
     n_bisect: int  # stage-1 root-search trials, model steps and midpoints alike
 
 
@@ -340,83 +344,62 @@ def integrate_radial(
     Returns a RadialSolution when the trajectory stays positive and bounded to
     r_max, otherwise the BlowUp or SignLoss outcome.  The full solution grids
     require the spectrum, so params must be at or above the critical exponent.
-    The shot runs to r_max e^{(_EXT_NODES + 1) _DS}, past the lattice's
-    stencil margin; for r_max >= _R_HORIZON that is shoot's classification
-    horizon.  Once it reaches r_switch, the shot below r_switch is the
-    r-chart leg shoot assembles at the same v0 (and controls), bit for bit;
-    a shorter shot ends its r-chart leg early, and its steps differ.
+    The shot runs to r_max e^{_S_PAD}; for r_max >= _R_HORIZON that is
+    shoot's classification horizon.  Once it reaches r_switch, the shot
+    below r_switch is the r-chart leg shoot assembles at the same v0 (and
+    controls), bit for bit; a shorter shot ends its r-chart leg early, and
+    its steps differ.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
     if r_max <= 0.0:
         raise InvalidParams(f"r_max > 0 required, got {r_max}")
     integ = _Integrator(params, alpha, controls)
-    outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp((_EXT_NODES + 1) * _DS), dense=True)
+    outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return outcome
-    tail = (lambda s: np.array(first_entry(sol_s.sol, s.tolist()))) if sol_s else None
-    return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=0)
+    tail = (lambda s: first_entries(sol_s.sol, s.tolist())) if sol_s else None
+    return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=0, seam=0.0)
 
 
 def _sample_w(integ, v0, sol_r, tail, s_nodes):
-    """Samples of W = r^m phi at s_nodes.
+    """W = r^m phi and W' at s_nodes, from the solved states.
 
     Nodes below log r_switch come from the r-chart (all of them when tail,
-    the s-chart's W at ascending s, is None): below the leg's start r0 from
-    the series at v0 that seeded it, from r0 on from the leg.
+    the s-chart's (W, W') at ascending s, is None): below the leg's start r0
+    from the series at v0 that seeded it, from r0 on from the leg, with
+    W' = r^m (m u + r u').
     """
-    out = np.empty(s_nodes.size)
+    W, dW = np.empty(s_nodes.size), np.empty(s_nodes.size)
     from_r = s_nodes < math.log(_R_SWITCH) if tail else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
         rr = np.exp(s_nodes[from_r])
         seeded = rr < sol_r.t[0]
-        u = np.empty(rr.size)
-        u[seeded] = integ.series(v0).state(rr[seeded])[0]
-        u[~seeded] = first_entry(sol_r.sol, rr[~seeded].tolist())
+        u, du = np.empty(rr.size), np.empty(rr.size)
+        u[seeded], du[seeded] = integ.series(v0).state(rr[seeded])[:2]
+        u[~seeded], du[~seeded] = first_entries(sol_r.sol, rr[~seeded].tolist())
         # per node: one vectorized power rounds some entries differently
-        out[from_r] = [r**integ.m * u_i for r, u_i in zip(rr, u)]
+        rm = np.array([r**integ.m for r in rr])
+        W[from_r] = rm * u
+        dW[from_r] = rm * (integ.m * u + rr * du)
     if tail:
-        out[~from_r] = tail(s_nodes[~from_r])
-    return out
+        W[~from_r], dW[~from_r] = tail(s_nodes[~from_r])
+    return W, dW
 
 
-def _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect):
+def _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect, seam):
+    # the lattice: _DS apart from at least 6 _DS above log _R_SEED up to
+    # s_top, anchored at s_top so that r_max itself is a node
     s_top = math.log(r_max)
     s_bottom = math.log(_R_SEED) + 2.0 * _DS
-    n_nodes = int(math.floor((s_top - s_bottom) / _DS)) - _EXT_NODES
-    # anchor the lattice at s_top so r_max itself is a node
-    s_ext = s_top + _DS * np.arange(-(n_nodes + _EXT_NODES), _EXT_NODES + 1)
-    W_ext = _sample_w(integ, v0, sol_r, tail, s_ext)
-    lam4 = integ.spec.lambdas[3]
-    Y_ext = W_ext - integ.L
-    # 4th-order first derivative, endpoints dropped rather than one-sided
-    dY = diff_uniform(Y_ext, _DS, 1, acc=4)
-    margin_z = (Y_ext.size - dY.size) // 2
-    Z_ext = dY - lam4 * Y_ext[margin_z:-margin_z]
-
-    sl = slice(_EXT_NODES, -_EXT_NODES if _EXT_NODES else None)
-    s_grid = s_ext[sl]
-    W = W_ext[sl]
-    Y = Y_ext[sl]
-    zoff = _EXT_NODES - margin_z
-    Z = Z_ext[zoff : zoff + s_grid.size]
+    n_nodes = int(math.floor((s_top - s_bottom) / _DS)) - 4
+    s_grid = s_top + _DS * np.arange(-n_nodes, 1)
+    W, dW = _sample_w(integ, v0, sol_r, tail, s_grid)
+    Y = W - integ.L
+    Z = dW - integ.spec.lambdas[3] * Y
 
     r_grid = np.exp(s_grid)
     phi = W / r_grid**integ.m
-
-    # chart handoff consistency: an r-chart continuation of the r-chart leg's
-    # end state and the s-chart tail both cover [r_switch, r_overlap]; the
-    # window starts 2% past r_switch, so a shorter solve has none to measure
-    r_lo, r_hi = _R_SWITCH * 1.02, min(_R_OVERLAP, r_max)
-    if tail and r_hi > r_lo:
-        rr = np.linspace(r_lo, r_hi, 25)
-        _, cont = integ.leg("r", (_R_SWITCH, rr[-1]), sol_r.y[:, -1], dense=True)
-        w_chart1 = rr**integ.m * cont.sol(rr)[0]
-        w_chart2 = tail(np.log(rr))
-        overlap = float(np.max(np.abs(w_chart1 - w_chart2)) / integ.L)
-    else:
-        overlap = math.nan
-
     target_residual = float(W[-1] / integ.L - 1.0)
 
     arrays = dict(r_grid=r_grid, phi=phi, s_grid=s_grid, W=W, Y=Y, Z=Z)
@@ -428,7 +411,7 @@ def _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect):
         v0=v0,
         spectrum=integ.spec,
         target_residual=target_residual,
-        chart_overlap_residual=overlap,
+        seam_residual=seam,
         n_bisect=n_bisect,
         **arrays,
     )
@@ -531,10 +514,10 @@ def shoot(
     on the values of _escape_law, kept safe by midpoints) until it is
     narrower than _CHORD_SWITCH relative to v0 and both ends have s-chart
     start states; NoConvergence when it ends before that.  Shots are
-    classified at r_cls = max(r_max, _R_HORIZON) e^{(_EXT_NODES + 1) _DS},
-    past the stencil margin of the final grids and past r_switch, so every
-    end has an s-chart leg.  A step failure at W >= L counts as a blow-up at
-    its radius: the entire solution keeps W < L.  (2) Collocation
+    classified at r_cls = max(r_max, _R_HORIZON) e^{_S_PAD}, past the
+    returned lattice and past r_switch, so every end has an s-chart leg.
+    A step failure at W >= L counts as a blow-up at its radius: the entire
+    solution keeps W < L.  (2) Collocation
     (_collocate): one boundary value problem with v0 as its unknown closes
     the solution on the s-chart up to r_cls, solved on a mesh predicted
     from one coarse Newton round; below r_switch it is the r-chart leg at
@@ -547,7 +530,7 @@ def shoot(
         raise InvalidParams(f"r_max={r_max} must exceed the lattice start r = {_R_SEED:g}")
     integ = _Integrator(params, alpha, controls)
     lam4 = integ.spec.lambdas[3]
-    r_cls = max(r_max, _R_HORIZON) * math.exp((_EXT_NODES + 1) * _DS)
+    r_cls = max(r_max, _R_HORIZON) * math.exp(_S_PAD)
     s_cls = math.log(r_cls)
 
     # exact scale covariance maps (alpha=1, v0) -> (kappa^m, kappa^{m+2} v0)
@@ -599,8 +582,15 @@ def shoot(
             f"{g[dn]:.3g}, {g[up]:.3g}"
         )
     v0, sol_r, res = _collocate(integ, s_legs, up, dn, r_cls)
-    tail = lambda s: integ.L * (1.0 + res.sol(s)[0])
-    return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=n_iter)
+    L = integ.L
+    x_r = _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
+    seam = float(np.max(np.abs(L * (res.y[:, 0] + [1.0, 0.0, 0.0, 0.0]) - x_r)) / L)
+
+    def tail(s):
+        y = res.sol(s)
+        return L * (1.0 + y[0]), L * y[1]
+
+    return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=n_iter, seam=seam)
 
 
 def _collocate(integ, s_legs, up, dn, r_cls):

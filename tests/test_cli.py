@@ -106,7 +106,7 @@ def test_solve_summary_and_dump(runner, pc13, tmp_path):
     summary = json.loads(res.stdout)
     assert summary["invariants"]["phi_positive"]["value"] is True
     assert summary["invariants"]["Y_negative_nondecreasing"]["value"] is True
-    assert abs(summary["final_ratio"] - 1.0) < 1e-2
+    assert abs(summary["target_residual"]) < 1e-2
     header = dump.read_text().splitlines()[0]
     assert header == "s,r,phi,W,Y,Z"
 
@@ -131,8 +131,8 @@ def test_solve_reports_invariants_with_bounds(runner, pc13, tmp_path):
     assert list(bounds) == list(summary["invariants"])  # report order
     assert all(rec["passed"] for rec in summary["invariants"].values())
     assert set(summary) == {
-        "n", "p", "alpha", "r_max", "v0", "final_ratio", "target_residual",
-        "chart_overlap_residual", "bisection_steps", "invariants",
+        "n", "p", "alpha", "r_max", "v0", "target_residual",
+        "seam_residual", "bisection_steps", "invariants",
     }
 
 
@@ -155,8 +155,9 @@ def test_solve_failure_exits_1_after_the_dump(runner, pc13, tmp_path):
 
 
 def test_solve_r_chart_only_payload_is_json(runner, pc13, tmp_path):
-    # r_max <= r_switch: no chart overlap to measure, reported as null, not
-    # as the non-JSON NaN; the short solve still fails its decay slope
+    # r_max <= r_switch: the lattice ends before the chart seam, which is
+    # still measured on the solve (a number, never the non-JSON NaN); the
+    # short solve still fails its decay slope
     res = runner.invoke(main, [
         "solve", "--n", "13", "--p", str(pc13 + 0.5),
         "--r-max", "5", "--out", str(tmp_path / "d.csv"),
@@ -167,7 +168,8 @@ def test_solve_r_chart_only_payload_is_json(runner, pc13, tmp_path):
         raise ValueError(f"non-JSON constant {name}")
 
     summary = json.loads(res.stdout, parse_constant=reject)
-    assert summary["chart_overlap_residual"] is None
+    assert isinstance(summary["seam_residual"], float)
+    assert 0.0 < summary["seam_residual"] < 1e-11
     assert summary["invariants"]["decay_slope"]["passed"] is False
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from biharm.expansion import (
 )
 from biharm.errors import WindowTooShort
 from biharm.fdiff import diff_uniform
+from biharm.shooting import shoot
 from biharm.spectrum import compute_spectrum
 
 
@@ -402,3 +404,40 @@ def test_plain_basis_degenerates_on_rung(sol_rung):
 def test_window_too_short(sol_a):
     with pytest.raises(WindowTooShort):
         fit_expansion(sol_a, sol_a.spectrum, Regime("a", 1), window=(3.0, 3.1))
+
+
+@pytest.fixture(scope="module")
+def sol_n40():
+    """n = 40 at p_c + 0.5 and at 10 p_c, r_max 1e4 (about 0.25 s each)."""
+    lad = compute_ladder(40)
+    return {label: shoot(ProblemParams(40, p), alpha=1.0, r_max=1e4)
+            for label, p in (("pc+0.5", lad.p_c + 0.5), ("10pc", 10.0 * lad.p_c))}
+
+
+def test_representation_evaluates_g_from_w_near_the_origin(sol_n40):
+    # At r = 1e-3, W = 2.3e-14 against L = 1.47e5, so Y = W - L rounds to
+    # exactly -L, where g_eval is undefined; g from W stays finite there
+    # (measured deviation 1.4e-9)
+    sol = sol_n40["pc+0.5"]
+    with pytest.raises(DomainError):
+        g_eval(Nonlinearity(L=sol.spectrum.L, p=sol.params.p), sol.Y)
+    assert representation_check(sol) < 1e-8
+
+
+def test_ill_conditioned_fit_names_regime_k_columns_and_condition(sol_n40):
+    # p = 10 p_c is regime a with k = 15, far from any rung: the message
+    # names the regime, k, the column count and the condition, and gives no
+    # rung hint (measured condition 1.41e13)
+    sol = sol_n40["10pc"]
+    regime = detect_regime(sol.params, compute_ladder(40))
+    assert regime == Regime("a", 15)
+    with pytest.raises(IllConditioned) as info:
+        fit_expansion(sol, sol.spectrum, regime)
+    message = str(info.value)
+    found = re.fullmatch(
+        r"fit design matrix condition (\S+) > 1e\+12 in regime a, k = 15, with 18 columns",
+        message,
+    )
+    assert found is not None, message
+    assert float(found[1]) > 1e12
+    assert "rung" not in message and "log-corrected" not in message

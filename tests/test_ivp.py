@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq
 
 from biharm import ProblemParams, compute_pc
-from biharm.ivp import _Interpolant, first_entry, solve_ivp
+from biharm.ivp import _Interpolant, first_entries, solve_ivp
 from biharm.shooting import (
     _PROBE_HI,
     _PROBE_LO,
@@ -107,7 +107,7 @@ def test_large_p_first_probe_fails(pc15):
     assert ours.step < 10.0 * np.spacing(ours.t[-1])
 
 
-def test_first_entry_is_the_dense_output_entry_0(case_a):
+def test_first_entries_are_the_dense_output_entries_0_and_1(case_a):
     # nodes inside steps, on step ends (where OdeSolution picks the earlier
     # step) and outside the leg (its end steps), bit for bit
     integ, seed, v0 = case_a
@@ -115,14 +115,16 @@ def test_first_entry_is_the_dense_output_entry_0(case_a):
     r0, y0 = seed(v0)
     leg = solve_ivp(rhs, (r0, _R_SWITCH), y0, events=events, dense_output=True, **_TOL)
     xs = np.sort(np.concatenate([leg.t, 0.5 * (leg.t[1:] + leg.t[:-1]), [0.5 * r0, 1.1 * _R_SWITCH]]))
-    assert _hex(first_entry(leg.sol, xs.tolist())) == _hex(leg.sol(xs)[0].tolist())
+    u, du = first_entries(leg.sol, xs.tolist())
+    ref = leg.sol(xs)
+    assert _hex(u) == _hex(ref[0].tolist()) and _hex(du) == _hex(ref[1].tolist())
     # two steps whose values at their shared end differ (0.1 + 0.2 against 0.3)
     rows = [(0.2,) * 4] + [(0.0,) * 4] * 6
     sol = OdeSolution([0.0, 1.0, 2.0], [_Interpolant(0.0, 1.0, (0.1,) * 4, rows),
                                         _Interpolant(1.0, 2.0, (0.3,) * 4, [(0.0,) * 4] * 7)])
     xs = [-1.0, 0.5, 1.0, 1.5, 3.0]
-    assert first_entry(sol, xs) == sol(np.array(xs))[0].tolist()
-    assert first_entry(sol, [1.0]) == [0.1 + 0.2] != [0.3]
+    assert list(first_entries(sol, xs)) == sol(np.array(xs))[:2].tolist()
+    assert first_entries(sol, [1.0]) == ([0.1 + 0.2], [0.1 + 0.2]) != ([0.3], [0.3])
 
 
 # --- a leg as loops over the tableau's rows: the oracle ---------------------

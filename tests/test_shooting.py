@@ -30,13 +30,13 @@ from biharm.shooting import (
     _BVP_NODES,
     _CHORD_SWITCH,
     _DS,
-    _EXT_NODES,
     _MAX_BISECT,
     _PROBE_HI,
     _PROBE_LO,
     _R_SEED,
     _R_SERIES_CAP,
     _R_SWITCH,
+    _S_PAD,
     BlowUp,
     ShootControls,
     SignLoss,
@@ -231,7 +231,7 @@ def test_series_start_matches_an_r_leg_from_the_taylor_seed(cell, v0, sol_a):
 ])
 def test_series_start_keeps_the_ladder_end_outcomes(cell, v0, outcome, r_event):
     integ = _series_integrator(cell)
-    out, _, _ = integ.shot(v0, 1e4 * math.exp((_EXT_NODES + 1) * _DS))
+    out, _, _ = integ.shot(v0, 1e4 * math.exp(_S_PAD))
     assert type(out) is outcome
     assert out.r == pytest.approx(r_event, rel=1e-9)
 
@@ -425,13 +425,15 @@ def test_integrate_radial_at_converged_v0(sol_quick):
     head = sol_quick.s_grid < math.log(_R_SWITCH)
     assert np.any(head)
     assert np.array_equal(again.W[head], sol_quick.W[head])
+    assert np.array_equal(again.Z[head], sol_quick.Z[head])
+    assert again.seam_residual == 0.0  # one shot: its s-chart starts from its r-chart end
 
 
 def test_shoot_converges(sol_quick):
     assert abs(sol_quick.target_residual) < 1e-3
     assert check_positivity(sol_quick)
     assert check_monotone_y(sol_quick)
-    assert sol_quick.chart_overlap_residual < 1e-9
+    assert sol_quick.seam_residual < 1e-9
     assert sol_quick.v0 < 0.0
 
 
@@ -618,13 +620,48 @@ def test_dump_matches_the_per_value_format(sol_quick):
         assert buf.getvalue() == per_value(sol)
 
 
-def test_chart_overlap_needs_its_window(pc13):
-    # the overlap window starts at 1.02 r_switch; below that there is nothing
-    # to compare and the residual is NaN rather than an extrapolation
-    params = ProblemParams(13, pc13 + 0.5)
-    assert 9.8 < _R_SWITCH * 1.02 < 11.0
-    assert math.isnan(shoot(params, alpha=1.0, r_max=9.8).chart_overlap_residual)
-    assert shoot(params, alpha=1.0, r_max=11.0).chart_overlap_residual < 1e-13
+def test_seam_residual_does_not_depend_on_r_max(sol_quick):
+    # The seam is measured at r_switch on the solve itself, which below
+    # r = 500 does not depend on r_max: a lattice that ends before r_switch
+    # (5, 9.8) or just past it (11) reads the r_max 500 value, a number
+    # (measured 9.7e-13), never NaN
+    seams = {r_max: shoot(sol_quick.params, alpha=1.0, r_max=r_max).seam_residual
+             for r_max in (5.0, 9.8, 11.0)}
+    assert seams == {r_max: sol_quick.seam_residual for r_max in seams}
+    assert 0.0 < sol_quick.seam_residual < 1e-11
+
+
+def test_seam_residual_is_small_on_the_acceptance_cases(sol_a, sol_b, sol_c):
+    # measured 7.7e-13, 2.1e-13 and 1.1e-13
+    for sol in (sol_a, sol_b, sol_c):
+        assert sol.seam_residual <= 1e-12
+
+
+def test_seam_residual_sees_a_perturbed_head_leg(sol_quick, monkeypatch):
+    # A head leg taken at v0 (1 + 1e-12) ends off the collocation's start
+    # state: measured 2.2e-10, against 9.7e-13 at v0 itself.
+    plain = _Integrator.shot
+
+    def perturbed(self, v0, r_max, dense=False):
+        if r_max == _R_SWITCH:  # the head leg; stage 1 shoots to r_cls
+            v0 *= 1.0 + 1e-12
+        return plain(self, v0, r_max, dense)
+
+    monkeypatch.setattr(_Integrator, "shot", perturbed)
+    sol = shoot(sol_quick.params, alpha=1.0, r_max=500.0)
+    assert sol.v0 == sol_quick.v0
+    assert sol.seam_residual > 1e-11
+
+
+def test_z_is_the_stencil_derivative_of_w(sol_quick):
+    # Z = W' - lam4 Y comes from the solved states (series, r-chart leg,
+    # collocation); a 4th-order central stencil of Y on the lattice agrees
+    # with it on every interior node, the chart seam included
+    Y, Z = sol_quick.Y, sol_quick.Z
+    dY = diff_uniform(Y, _DS, 1, acc=4)
+    k = (Y.size - dY.size) // 2
+    z_fd = dY - sol_quick.spectrum.lambdas[3] * Y[k:-k]
+    assert np.max(np.abs(z_fd - Z[k:-k])) <= 1e-8 * np.max(np.abs(Z))
 
 
 def test_input_validation(pc13):
@@ -671,7 +708,7 @@ def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     bc = calls[0][0][1]
     assert dn < sol.v0 < up
     integ = _Integrator(params, 1.0, ShootControls())
-    r_cls = 500.0 * math.exp((_EXT_NODES + 1) * _DS)
+    r_cls = 500.0 * math.exp(_S_PAD)
     x_star = np.array([integ.L, 0.0, 0.0, 0.0])
 
     def start(v):
@@ -721,7 +758,7 @@ def test_collocation_failure_names_its_stage(pc13, monkeypatch):
     )
     assert found is not None, str(info.value)
     assert found[1] == message and int(found[2]) == 321
-    r_cls = 500.0 * math.exp((_EXT_NODES + 1) * _DS)
+    r_cls = 500.0 * math.exp(_S_PAD)
     s_lo, s_hi, dn, up = (float(x) for x in found.groups()[2:])
     assert (s_lo, s_hi) == pytest.approx((math.log(_R_SWITCH), math.log(r_cls)), rel=1e-5)
     assert dn < up and up - dn < _CHORD_SWITCH * abs(up)
@@ -787,7 +824,7 @@ def test_short_solve_decay_slope_matches_the_long_solve(sol_a):
 
 def test_short_solve_is_the_entire_solution(sol_a, sol_b, sol_quick):
     # The solution does not depend on r_max.  Below r = 500 the shots are
-    # still classified at 500 e^{(_EXT_NODES + 1) _DS} and the solve is
+    # still classified at 500 e^{_S_PAD} and the solve is
     # collocated there, so a short solve is the r_max 500 solve (sol_quick)
     # cut at r_max.  Measured: A's v0 is within 1.3e-15 of sol_a's at r_max
     # 1 and 5, and B's at r_max 11 within 2.1e-16 of sol_b's.
@@ -810,7 +847,7 @@ def test_short_solve_is_the_entire_solution(sol_a, sol_b, sol_quick):
 
 def test_short_solve_closes_at_large_n():
     # n = 40, p = 2 p_c: a solve to r_max 5 is the r_max 500 solve, bit for
-    # bit.  Collocated to r_switch e^{(_EXT_NODES + 1) _DS} instead, its v0
+    # bit.  Collocated to r_switch e^{_S_PAD} instead, its v0
     # lands far off the chord and its mesh grows past the node cap.
     params = ProblemParams(40, 2.0 * compute_pc(40))
     assert shoot(params, alpha=1.0, r_max=5.0).v0 == shoot(params, alpha=1.0, r_max=500.0).v0
@@ -973,7 +1010,7 @@ def test_dense_shot_replays_the_classifying_shot(fixture, r_max, request):
     # same r_switch state, bit for bit.
     sol = request.getfixturevalue(fixture)
     integ = _Integrator(sol.params, 1.0, ShootControls())
-    r_cls = r_max * math.exp((_EXT_NODES + 1) * _DS)
+    r_cls = r_max * math.exp(_S_PAD)
     rho_dense, _, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
     rho, _, sol_s = integ.shot(sol.v0, r_cls)
     assert isinstance(rho, float) and rho_dense == rho

@@ -12,17 +12,18 @@ r_max 11).
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
 like n13_pc+0.5 (about 15 CPU-seconds; any of its labels also works with
 --cells).  Each record holds the solve's v0 (repr and float hex), n_bisect,
-the end residual rho = target_residual, the SHA-256 of its dump_solution
-text (dump_sha256, so a plain diff covers s, r, phi, W, Y and Z), the six
-solve invariants with their bounds, and the solve_ivp calls and RHS
-evaluations per chart; a solve that raises a typed error records its class
-and message instead.  Every record also lists the trials of each _bisect
-call (stage 1's search; on a solve that returns they sum to n_bisect) and,
-under "bvp", the collocation stage's work: the mesh nodes and scipy's niter
-of each coarse round ("coarse": one Newton solve on the start mesh, told
-apart by max_nodes equal to its node count) and of each final solve (the
-other solve_bvp calls; a solve whose coarse round already meets the
-tolerance has none).
+the end residual rho = target_residual, the seam residual at r_switch
+(seam_residual, on trees whose solutions carry it), the SHA-256 of its
+dump_solution text (dump_sha256, so a plain diff covers s, r, phi, W, Y and
+Z) and of its W array's bytes (w_sha256), the six solve invariants with
+their bounds, and the solve_ivp calls and RHS evaluations per chart; a solve
+that raises a typed error records its class and message instead.  Every
+record also lists the trials of each _bisect call (stage 1's search; on a
+solve that returns they sum to n_bisect) and, under "bvp", the collocation
+stage's work: the mesh nodes and scipy's niter of each coarse round
+("coarse": one Newton solve on the start mesh, told apart by max_nodes equal
+to its node count) and of each final solve (the other solve_bvp calls; a
+solve whose coarse round already meets the tolerance has none).
 Nothing in the output depends on timing, so two trees can be compared with
 a plain diff.
 
@@ -34,10 +35,11 @@ stage; records of older trees come from their own copy of this script.
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
 failed invariants), RHS evaluations, root-search trials (n_bisect; for a
-failed solve, the sum of its recorded trials), whether v0 is bit-identical
-and whether the dumps are (by dump_sha256; "-" when neither side solved);
-then the totals, the ok counts and the identical dumps out of the cells
-with a dump on either side.  It exits 1 when a cell that is ok in OLD is
+failed solve, the sum of its recorded trials), whether v0 is bit-identical,
+whether W is (by w_sha256) and whether the dumps are (by dump_sha256; "-"
+when neither side has the hash), so W equal beside a differing dump means
+that Z moved and W did not; then the totals, the ok counts and the
+identical dumps out of the cells with a dump on either side.  It exits 1 when a cell that is ok in OLD is
 not ok in NEW.
 """
 
@@ -130,11 +132,14 @@ def shoot_cell(label: str) -> dict:
         shooting.dump_solution(sol, dump)
         rec = {
             "dump_sha256": hashlib.sha256(dump.getvalue().encode()).hexdigest(),
+            "w_sha256": hashlib.sha256(sol.W.tobytes()).hexdigest(),
             "v0": repr(v0),
             "v0_hex": v0.hex(),
             "n_bisect": sol.n_bisect,
             "rho": repr(float(sol.target_residual)),
         }
+        if hasattr(sol, "seam_residual"):
+            rec["seam_residual"] = repr(float(sol.seam_residual))
         try:
             rec["checks"] = {
                 inv.name: {
@@ -179,12 +184,13 @@ def diff(old: dict, new: dict) -> int:
         return "equal" if o.get(key) == n.get(key) else "differs"
 
     labels = [label for label in old if label in new]
-    rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "v0", "dump")]
+    rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "v0", "W", "dump")]
     lost = []
     for label in labels:
         o, n = old[label], new[label]
         rows.append((label, outcome(o), outcome(n), str(rhs(o)), str(rhs(n)),
-                     f"{trials(o)} -> {trials(n)}", same(o, n, "v0_hex"), same(o, n, "dump_sha256")))
+                     f"{trials(o)} -> {trials(n)}", same(o, n, "v0_hex"), same(o, n, "w_sha256"),
+                     same(o, n, "dump_sha256")))
         if outcome(o) == "ok" and outcome(n) != "ok":
             lost.append(label)
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
