@@ -37,7 +37,6 @@ from .ladder import (
 from .shooting import (
     BlowUp,
     RadialSolution,
-    ShootControls,
     SignLoss,
     dump_solution,
     emden_fowler_residual,
@@ -77,7 +76,6 @@ __all__ = [
     "ProblemParams",
     "RadialSolution",
     "Regime",
-    "ShootControls",
     "SignLoss",
     "Spectrum",
     "StepFailure",

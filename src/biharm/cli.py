@@ -23,28 +23,16 @@ from .errors import (
     NoPcValue,
     SubcriticalInput,
 )
-from .expansion import (
-    RUNG_TOL,
-    detect_regime,
-    fit_expansion,
-    representation_check,
-    window_shift_stability,
-)
+from .expansion import detect_regime, fit_expansion, representation_check, window_shift_stability
 from .ladder import compute_ladder, ladder_length_formula, parity_boundary_check
 from .params import ProblemParams
-from .shooting import ShootControls, dump_solution, shoot
+from .shooting import dump_solution, shoot
 from .spectrum import compute_spectrum
-from .verify import BOUNDS, SCOPES, expansion_invariants, run_checks, solve_invariants
+from .verify import SCOPES, expansion_invariants, run_checks, solve_invariants
 
 _INPUT_ERRORS = (InvalidParams, SubcriticalInput, DomainError)
 
-DEFAULTS = {
-    "alpha": 1.0,
-    "r_max": 1e4,
-    "tol_integrator": ShootControls.rtol,
-    "tol_fit": BOUNDS["a0_matches_L"],
-    "tol_rung": RUNG_TOL,
-}
+DEFAULTS = {"alpha": 1.0, "r_max": 1e4}
 
 
 def _fmt(x) -> str:
@@ -60,17 +48,30 @@ def _resolve(config, key, flag):
     return DEFAULTS[key]
 
 
+def _config_error(message):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
 def _load_config(path):
-    """The --config file's entries; exit 2 on a key that is not in DEFAULTS."""
+    """The --config file's entries: a JSON object mapping keys of DEFAULTS to
+    numbers.  Anything else exits 2, naming the file and the cause."""
     if path is None:
         return {}
     with open(path) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            _config_error(f"config file {path} is not JSON: {exc}")
+    if not isinstance(config, dict):
+        _config_error(f"config file {path} is not a JSON object")
     unknown = sorted(set(config) - set(DEFAULTS))
     if unknown:
-        click.echo(f"error: unknown config keys {', '.join(unknown)} in {path}; "
-                   f"known: {', '.join(DEFAULTS)}", err=True)
-        sys.exit(2)
+        _config_error(f"unknown config keys {', '.join(unknown)} in {path}; "
+                      f"known: {', '.join(DEFAULTS)}")
+    for key, value in config.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _config_error(f"config key {key} in {path} is not a number: {json.dumps(value)}")
     return config
 
 
@@ -141,8 +142,8 @@ format_option = click.option(
 )
 out_option = click.option("--out", type=click.Path(writable=True), default=None,
                           help="write payload to this file instead of stdout")
-config_option = click.option("--config", type=click.Path(exists=True), default=None,
-                             help="JSON file with default option values")
+config_option = click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                             default=None, help="JSON file with default option values")
 
 
 @click.group()
@@ -219,19 +220,17 @@ def critical(n, fmt, out):
 @click.option("--p", type=float, required=True)
 @click.option("--alpha", type=float, default=None, help="initial height phi(0)")
 @click.option("--r-max", type=float, default=None, help="outer radius of the solve")
-@click.option("--tol-integrator", type=float, default=None, help="adaptive integrator rtol")
 @click.option("--out", type=click.Path(writable=True), default="solution_dump.csv",
               show_default=True, help="solution dump path")
 @config_option
-def solve(n, p, alpha, r_max, tol_integrator, out, config):
+def solve(n, p, alpha, r_max, out, config):
     """Shoot for the entire positive solution, dump it (s, r, phi, W, Y, Z)
     and check its invariants."""
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
-    controls = ShootControls(rtol=_resolve(cfg, "tol_integrator", tol_integrator))
     with _exit_on_error():
-        sol = shoot(ProblemParams(n, p), alpha=alpha, r_max=r_max, controls=controls)
+        sol = shoot(ProblemParams(n, p), alpha=alpha, r_max=r_max)
     with open(out, "w") as fh:
         dump_solution(sol, fh)
     click.echo(f"wrote {out} ({sol.s_grid.size} rows)", err=True)
@@ -259,30 +258,24 @@ def solve(n, p, alpha, r_max, tol_integrator, out, config):
 @click.option("--r-max", type=float, default=None)
 @click.option("--window", type=float, nargs=2, default=None,
               help="fit window (s_lo, s_hi); auto-selected when omitted")
-@click.option("--tol-integrator", type=float, default=None)
-@click.option("--tol-fit", type=float, default=None, help="allowed |a0/L - 1|")
-@click.option("--tol-rung", type=float, default=None, help="rung detection band")
 @format_option
 @out_option
 @config_option
-def expand(n, p, alpha, r_max, window, tol_integrator, tol_fit, tol_rung, fmt, out, config):
+def expand(n, p, alpha, r_max, window, fmt, out, config):
     """Fit the asymptotic expansion of the solved profile and check it."""
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
-    tol_fit = _resolve(cfg, "tol_fit", tol_fit)
-    tol_rung = _resolve(cfg, "tol_rung", tol_rung)
-    controls = ShootControls(rtol=_resolve(cfg, "tol_integrator", tol_integrator))
     with _exit_on_error():
         params = ProblemParams(n, p)
         ladder = compute_ladder(n)
-        regime = detect_regime(params, ladder, rung_tol=tol_rung)
-        sol = shoot(params, alpha=alpha, r_max=r_max, controls=controls)
+        regime = detect_regime(params, ladder)
+        sol = shoot(params, alpha=alpha, r_max=r_max)
         spec = sol.spectrum
         fit = fit_expansion(sol, spec, regime, window or None)
         drift = window_shift_stability(sol, spec, regime, window or None)
         rep = representation_check(sol, spec)
-        invariants = solve_invariants(sol) + expansion_invariants(spec, fit, drift, rep, tol_fit)
+        invariants = solve_invariants(sol) + expansion_invariants(spec, fit, drift, rep)
 
     checks = _invariant_payload(invariants)
     payload = {

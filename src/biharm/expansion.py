@@ -30,11 +30,11 @@ from .errors import (
 )
 from .ladder import CriticalLadder
 from .params import ProblemParams
-from .shooting import RadialSolution, exp_kernel_convolve, resolved_top_index
+from .shooting import _DECAY_FLOOR, RadialSolution, exp_kernel_convolve, resolved_top_index
 from .spectrum import Spectrum
 
 COND_LIMIT = 1e12
-RUNG_TOL = 1e-4  # default rung detection band of detect_regime
+RUNG_TOL = 1e-4  # rung detection band of detect_regime
 
 
 # --------------------------------------------------------------------------
@@ -238,21 +238,19 @@ class Regime:
     k: int
 
 
-def detect_regime(
-    params: ProblemParams, ladder: CriticalLadder, rung_tol: float = RUNG_TOL
-) -> Regime:
-    """Locate p relative to the rungs within tolerance band rung_tol.
+def detect_regime(params: ProblemParams, ladder: CriticalLadder) -> Regime:
+    """Locate p relative to the rungs within the band RUNG_TOL.
 
-    Within rung_tol (relative to max(1, p_k)) of a rung the log-corrected
+    Within RUNG_TOL (relative to max(1, p_k)) of a rung the log-corrected
     regime is returned, because the plain exponential basis degenerates there.
     """
     p = params.p
     if params.n != ladder.n:
         raise InvalidParams(f"ladder is for n={ladder.n}, params have n={params.n}")
-    if p < ladder.p_c - rung_tol * max(1.0, ladder.p_c):
+    if p < ladder.p_c - RUNG_TOL * max(1.0, ladder.p_c):
         raise SubcriticalInput(f"p={p} below p_c={ladder.p_c} for n={ladder.n}")
     for k, p_k in enumerate(ladder.rungs, start=1):
-        if abs(p - p_k) < rung_tol * max(1.0, p_k):
+        if abs(p - p_k) < RUNG_TOL * max(1.0, p_k):
             return Regime(kind="c", k=1) if k == 1 else Regime(kind="b", k=k)
     k = 0
     for p_k in ladder.rungs:
@@ -330,7 +328,7 @@ def default_fit_window(sol: RadialSolution, spec: Spectrum | None = None):
 
     Starts where |Y| has fallen to 1e-4 * L (unmodeled higher-order terms
     below the fit noise, so coefficients come out unbiased) and ends at the
-    resolved top (resolved_top_index) for the 1e-9 * L resolution floor.
+    resolved top (resolved_top_index) for the _DECAY_FLOOR * L floor.
     """
     if spec is None:
         spec = sol.spectrum
@@ -338,7 +336,7 @@ def default_fit_window(sol: RadialSolution, spec: Spectrum | None = None):
     if below.size == 0:
         raise WindowTooShort("Y never falls to 1e-4 * L; extend r_max")
     i_lo = int(below[0])
-    i_hi = resolved_top_index(sol, 1e-9)
+    i_hi = resolved_top_index(sol, _DECAY_FLOOR)
     if i_hi - i_lo < 32:
         raise WindowTooShort(
             f"only {i_hi - i_lo} nodes between the validity and noise floors"
@@ -447,17 +445,16 @@ def window_shift_stability(
     spec: Spectrum | None = None,
     regime: Regime | None = None,
     window: tuple[float, float] | None = None,
-    shift: float = 0.1,
 ) -> dict[str, float]:
     """Coefficient drift, in units of standard error, when the window moves
-    right by `shift` of its width."""
+    right by a tenth of its width."""
     if spec is None:
         spec = sol.spectrum
     if window is None:
         window = default_fit_window(sol, spec)
     base = fit_expansion(sol, spec, regime, window)
     width = window[1] - window[0]
-    shifted = (window[0] + shift * width, window[1] + shift * width)
+    shifted = (window[0] + 0.1 * width, window[1] + 0.1 * width)
     s_max = float(sol.s_grid[-1])
     if shifted[1] > s_max:
         shifted = (shifted[0] - (shifted[1] - s_max), s_max)

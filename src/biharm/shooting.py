@@ -79,15 +79,14 @@ _PUSH = 0.02
 _MODEL_RUN = 2
 # |Y|/L below which the solution checks treat a node as unresolved
 _RESOLUTION_FLOOR = 1e-10
+# |Y|/L below which the decay slope and the default fit window end, a decade
+# clear of _RESOLUTION_FLOOR
+_DECAY_FLOOR = 1e-9
 # accuracy order of the central stencils in the Emden-Fowler residual
 _EF_ACC = 4
-
-
-@dataclass(frozen=True)
-class ShootControls:
-    """Tolerances for the shooting solver; the integrator's atol is rtol / 100."""
-
-    rtol: float = 1e-12
+# the integrator's rtol, the one accuracy every solve runs at: its atol is
+# _RTOL / 100 and the collocation's tol is 100 _RTOL
+_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -256,10 +255,9 @@ _CHARTS = {
 class _Integrator:
     """One (n, p, alpha) configuration; integrates arbitrary v0 shots."""
 
-    def __init__(self, params: ProblemParams, alpha: float, controls: ShootControls):
+    def __init__(self, params: ProblemParams, alpha: float):
         self.params = params
         self.alpha = alpha
-        self.c = controls
         self.n = params.n
         self.p = params.p
         self.m = params.m
@@ -295,7 +293,7 @@ class _Integrator:
         """
         rhs, events = self.charts[chart]
         sol = solve_ivp(
-            rhs, span, y0, rtol=self.c.rtol, atol=1e-2 * self.c.rtol,
+            rhs, span, y0, rtol=_RTOL, atol=1e-2 * _RTOL,
             events=events, dense_output=dense,
         )
         t_end = float(sol.t[-1])
@@ -332,13 +330,7 @@ class _Integrator:
         return outcome, sol_r, sol_s
 
 
-def integrate_radial(
-    params: ProblemParams,
-    alpha: float,
-    v0: float,
-    r_max: float,
-    controls: ShootControls = ShootControls(),
-):
+def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: float):
     """Integrate a single shot from the origin with Delta phi(0) = v0.
 
     Returns a RadialSolution when the trajectory stays positive and bounded to
@@ -346,15 +338,14 @@ def integrate_radial(
     require the spectrum, so params must be at or above the critical exponent.
     The shot runs to r_max e^{_S_PAD}; for r_max >= _R_HORIZON that is
     shoot's classification horizon.  Once it reaches r_switch, the shot
-    below r_switch is the r-chart leg shoot assembles at the same v0 (and
-    controls), bit for bit; a shorter shot ends its r-chart leg early, and
-    its steps differ.
+    below r_switch is the r-chart leg shoot assembles at the same v0, bit
+    for bit; a shorter shot ends its r-chart leg early, and its steps differ.
     """
     if alpha <= 0.0:
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
     if r_max <= 0.0:
         raise InvalidParams(f"r_max > 0 required, got {r_max}")
-    integ = _Integrator(params, alpha, controls)
+    integ = _Integrator(params, alpha)
     outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return outcome
@@ -501,12 +492,7 @@ def _bisect(side, up, dn, done=None, ends=None) -> tuple[int, float, float]:
     return _MAX_BISECT, up, dn
 
 
-def shoot(
-    params: ProblemParams,
-    alpha: float = 1.0,
-    r_max: float = 1e4,
-    controls: ShootControls = ShootControls(),
-) -> RadialSolution:
+def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> RadialSolution:
     """Find the entire positive solution with phi(0) = alpha, in two stages.
 
     (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
@@ -528,7 +514,7 @@ def shoot(
         raise InvalidParams(f"alpha > 0 required, got {alpha}")
     if r_max <= _R_SEED:
         raise InvalidParams(f"r_max={r_max} must exceed the lattice start r = {_R_SEED:g}")
-    integ = _Integrator(params, alpha, controls)
+    integ = _Integrator(params, alpha)
     lam4 = integ.spec.lambdas[3]
     r_cls = max(r_max, _R_HORIZON) * math.exp(_S_PAD)
     s_cls = math.log(r_cls)
@@ -653,7 +639,7 @@ def _collocate(integ, s_legs, up, dn, r_cls):
     past = mesh > leg.t[a]
     guess[:, past] = dev[:, a, None] * np.exp(lam3 * (mesh[past] - leg.t[a]))
 
-    tol = 100.0 * integ.c.rtol
+    tol = 100.0 * _RTOL
     where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"
     ya = (s_legs[dn].y[:, 0] - x_star) / L
     slope = (s_legs[up].y[:, 0] - s_legs[dn].y[:, 0]) / (L * (up - dn))
@@ -855,9 +841,9 @@ def check_positivity(sol: RadialSolution) -> bool:
     return bool(np.all(sol.phi > 0.0))
 
 
-def check_monotone_y(sol: RadialSolution, floor_rel: float = _RESOLUTION_FLOOR) -> bool:
+def check_monotone_y(sol: RadialSolution) -> bool:
     """Y negative and nondecreasing at every node of the resolved s-range."""
-    top = resolved_top_index(sol, floor_rel)
+    top = resolved_top_index(sol)
     Y = sol.Y[: top + 1]
     return bool(np.all(Y < 0.0) and np.all(np.diff(Y) >= 0.0))
 
@@ -867,7 +853,7 @@ def decay_slope(sol: RadialSolution, critical: bool | None = None) -> float:
     resolved decade of r; compares against lam3 downstream."""
     if critical is None:
         critical = sol.spectrum.degenerate
-    top = resolved_top_index(sol, floor_rel=1e-9)
+    top = resolved_top_index(sol, _DECAY_FLOOR)
     s_hi = sol.s_grid[top]
     s_lo = s_hi - math.log(10.0)
     mask = (sol.s_grid >= s_lo) & (sol.s_grid <= s_hi)

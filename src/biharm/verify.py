@@ -310,15 +310,13 @@ def solve_invariants(sol) -> tuple[Invariant, ...]:
     )
 
 
-def expansion_invariants(
-    spec, fit, drift, rep, a0_tol: float = BOUNDS["a0_matches_L"]
-) -> tuple[Invariant, ...]:
+def expansion_invariants(spec, fit, drift, rep) -> tuple[Invariant, ...]:
     """The invariants of an expansion fit, its window-shift drift and its
     representation deviation, in report order."""
     lam3 = spec.lambdas[2]
     return (
         Invariant("a0_matches_L", abs(fit.coefficients["a0"].value - spec.L),
-                  a0_tol * spec.L),
+                  BOUNDS["a0_matches_L"] * spec.L),
         Invariant("remainder_slope_ok", fit.residual_slope,
                   fit.theoretical_slope + BOUNDS["remainder_slope_ok"] * abs(lam3)),
         Invariant("window_shift_stable", max(drift.values()), BOUNDS["window_shift_stable"]),

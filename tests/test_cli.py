@@ -189,25 +189,61 @@ def test_short_critical_solve_exits_1_naming_its_window(runner, pc13, tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "expand"])
 def test_tol_root_is_rejected(runner, pc13, tmp_path, command):
-    res = runner.invoke(main, [
-        command, "--n", "13", "--p", str(pc13 + 0.5), "--r-max", "100",
-        "--tol-root", "1e-3", "--out", str(tmp_path / "d.csv"),
-    ])
-    assert res.exit_code == 2
-    assert "--tol-root" in res.stderr
+    # every tolerance flag is gone: the solve and the fit run at fixed ones
+    for flag in ("--tol-root", "--tol-integrator", "--tol-fit", "--tol-rung"):
+        res = runner.invoke(main, [
+            command, "--n", "13", "--p", str(pc13 + 0.5), "--r-max", "100",
+            flag, "1e-3", "--out", str(tmp_path / "d.csv"),
+        ])
+        assert res.exit_code == 2, flag
+        assert flag in res.stderr, flag
+
+
+def test_solve_and_expand_options_are_pinned():
+    params = {name: [p.name for p in main.commands[name].params] for name in ("solve", "expand")}
+    assert params == {
+        "solve": ["n", "p", "alpha", "r_max", "out", "config"],
+        "expand": ["n", "p", "alpha", "r_max", "window", "fmt", "out", "config"],
+    }
 
 
 def test_config_rejects_unknown_keys(runner, pc13, tmp_path):
     # an unknown key (a typo, or a removed option) would otherwise be ignored
     # and the run fall back to the defaults
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tol_root": 1e-3, "r_max": 100.0}))
+    dump = tmp_path / "d.csv"
+    for key in ("tol_root", "tol_integrator", "tol_fit", "tol_rung"):
+        cfg.write_text(json.dumps({key: 1e-3, "r_max": 100.0}))
+        res = runner.invoke(main, [
+            "solve", "--n", "13", "--p", str(pc13 + 0.5), "--config", str(cfg), "--out", str(dump),
+        ])
+        assert res.exit_code == 2, key
+        assert f"unknown config keys {key} in {cfg}" in res.stderr, key
+        assert not dump.exists(), key
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("[1, 2]", "is not a JSON object"),
+    ('"x"', "is not a JSON object"),
+    ('{"r_max": 1e4,}', "is not JSON: "),
+    ('{"r_max": "big"}', 'r_max in {cfg} is not a number: "big"'),
+    ('{"r_max": null}', "r_max in {cfg} is not a number: null"),
+    ('{"alpha": true}', "alpha in {cfg} is not a number: true"),
+    (None, "is a directory"),
+])
+def test_config_rejects_a_bad_file(runner, pc13, tmp_path, text, cause):
+    cfg = tmp_path / "cfg.json"
+    if text is None:
+        cfg.mkdir()
+    else:
+        cfg.write_text(text)
     dump = tmp_path / "d.csv"
     res = runner.invoke(main, [
         "solve", "--n", "13", "--p", str(pc13 + 0.5), "--config", str(cfg), "--out", str(dump),
     ])
     assert res.exit_code == 2
-    assert "unknown config keys tol_root" in res.stderr
+    assert str(cfg) in res.stderr
+    assert cause.format(cfg=cfg) in res.stderr
     assert not dump.exists()
 
 
@@ -228,9 +264,10 @@ def test_verify_algebra_scope(runner):
     assert any(entry["name"] == "sign_criterion" for entry in payload)
 
 
-def test_expand_failure_names_value_and_bound(runner, pc13):
+def test_expand_failure_names_value_and_bound(runner, pc13, monkeypatch):
+    monkeypatch.setitem(BOUNDS, "a0_matches_L", 1e-12)
     res = runner.invoke(main, ["expand", "--n", "13", "--p", str(pc13 + 0.5),
-                               "--r-max", "2000", "--tol-fit", "1e-12"])
+                               "--r-max", "2000"])
     assert res.exit_code == 1
     payload = json.loads(res.stdout)
     invariants = payload["invariants"]

@@ -36,9 +36,9 @@ from biharm.shooting import (
     _R_SEED,
     _R_SERIES_CAP,
     _R_SWITCH,
+    _RTOL,
     _S_PAD,
     BlowUp,
-    ShootControls,
     SignLoss,
     _bisect,
     _escape_law,
@@ -107,7 +107,7 @@ def test_scalar_rhs_matches_array_reference(n, p_of_pc):
     # the scalar right-hand sides must reproduce the array formula built on
     # _power bit for bit, including u < 0, u = 0 and u above the power cap
     params = ProblemParams(n, p_of_pc(compute_pc(n)))
-    integ = _Integrator(params, 1.0, ShootControls())
+    integ = _Integrator(params, 1.0)
     c = _s_operator_coeffs(n, params.m)
     nm1, cap = n - 1.0, integ.pow_cap
     rng = np.random.default_rng(20240)
@@ -150,7 +150,7 @@ _SERIES_CELLS = {
 
 def _series_integrator(cell):
     n, p_of_pc = _SERIES_CELLS[cell]
-    return _Integrator(ProblemParams(n, p_of_pc(compute_pc(n))), 1.0, ShootControls())
+    return _Integrator(ProblemParams(n, p_of_pc(compute_pc(n))), 1.0)
 
 
 @pytest.mark.parametrize("cell", list(_SERIES_CELLS))
@@ -217,7 +217,7 @@ def test_series_start_matches_an_r_leg_from_the_taylor_seed(cell, v0, sol_a):
     assert r0 > 1e-3
     rhs, events = integ.charts["r"]
     leg = solve_ivp(rhs, (1e-3, r0), _taylor_seed(integ.n, integ.p, 1.0, v0, 1e-3),
-                    rtol=ShootControls().rtol, atol=1e-2 * ShootControls().rtol, events=events)
+                    rtol=_RTOL, atol=1e-2 * _RTOL, events=events)
     assert leg.status == 0 and leg.t[-1] == r0
     assert np.all(np.abs(np.array(y0) - leg.y[:, -1]) <= 1e-11 * np.abs(leg.y[:, -1]))
 
@@ -409,7 +409,7 @@ def test_shoot_compiles_nothing(sol_quick, monkeypatch):
     with monkeypatch.context() as patched:  # undone before a failure is reported
         patched.setattr(builtins, "compile", refuse)
         patched.setattr(builtins, "exec", refuse)
-        _Integrator(sol_quick.params, 1.0, ShootControls())
+        _Integrator(sol_quick.params, 1.0)
         v0 = shoot(sol_quick.params, alpha=1.0, r_max=500.0).v0
     assert v0 == sol_quick.v0
 
@@ -576,15 +576,13 @@ def test_y_integral_identity_exact_on_synthetic_solution(sol_quick):
         assert y_integral_identity_check(synth) < 2e-4, n
 
 
-def test_grid_consistency_under_tolerance_halving(pc13):
+def test_grid_consistency_under_tolerance_halving(pc13, monkeypatch):
     # Measured: W[-1] does not change (0.0); the whole of W moves by
     # 4.8e-14 L.
     params = ProblemParams(13, pc13 + 0.5)
     base = shoot(params, alpha=1.0, r_max=500.0)
-    tight = shoot(
-        params, alpha=1.0, r_max=500.0,
-        controls=ShootControls(rtol=5e-13),
-    )
+    monkeypatch.setattr(biharm.shooting, "_RTOL", 5e-13)
+    tight = shoot(params, alpha=1.0, r_max=500.0)
     change = abs(base.W[-1] - tight.W[-1])
     assert change < 1e-12
 
@@ -707,7 +705,7 @@ def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     (up, dn), = brackets
     bc = calls[0][0][1]
     assert dn < sol.v0 < up
-    integ = _Integrator(params, 1.0, ShootControls())
+    integ = _Integrator(params, 1.0)
     r_cls = 500.0 * math.exp(_S_PAD)
     x_star = np.array([integ.L, 0.0, 0.0, 0.0])
 
@@ -955,7 +953,7 @@ def test_large_p_step_failure_names_s_chart(pc13):
     # 3 ulps of v0, v0 included, fail so on a direct shot to r = 1e5)
     params = ProblemParams(13, 10.0 * pc13)
     v0 = shoot(params, alpha=1.0, r_max=1e4).v0
-    integ = _Integrator(params, 1.0, ShootControls())
+    integ = _Integrator(params, 1.0)
     for k in range(8):
         try:
             integ.shot(v0 + k * np.spacing(v0), 1e5)
@@ -1009,7 +1007,7 @@ def test_dense_shot_replays_the_classifying_shot(fixture, r_max, request):
     # shot ends on the plain shot's residual and starts its s-chart from the
     # same r_switch state, bit for bit.
     sol = request.getfixturevalue(fixture)
-    integ = _Integrator(sol.params, 1.0, ShootControls())
+    integ = _Integrator(sol.params, 1.0)
     r_cls = r_max * math.exp(_S_PAD)
     rho_dense, _, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
     rho, _, sol_s = integ.shot(sol.v0, r_cls)
@@ -1058,10 +1056,13 @@ def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side)
     assert len(shots) == (6 if side is BlowUp else 5)
 
 
-@pytest.mark.parametrize("controls, atol", [(ShootControls(), 1e-14), (ShootControls(rtol=5e-13), 5e-15)])
-def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, controls, atol):
-    # the one solve_ivp call site passes atol = 1e-2 * rtol, which is exact
-    # for both tolerances in use
+@pytest.mark.parametrize("rtol, atol", [(None, 1e-14), (5e-13, 5e-15)])
+def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
+    # the one solve_ivp call site passes atol = 1e-2 * _RTOL, which is exact
+    # for both tolerances in use (None: _RTOL as defined)
+    if rtol is not None:
+        monkeypatch.setattr(biharm.shooting, "_RTOL", rtol)
+    rtol = biharm.shooting._RTOL
     plain = biharm.shooting.solve_ivp
     seen = set()
 
@@ -1070,6 +1071,6 @@ def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, controls, atol):
         return plain(fun, *args, **kwargs)
 
     monkeypatch.setattr(biharm.shooting, "solve_ivp", recording_solve_ivp)
-    shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0, controls=controls)
-    assert seen == {(controls.rtol, atol)}
-    assert atol == 1e-2 * controls.rtol
+    shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
+    assert seen == {(rtol, atol)}
+    assert atol == 1e-2 * rtol
