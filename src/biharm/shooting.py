@@ -84,9 +84,15 @@ _RESOLUTION_FLOOR = 1e-10
 _DECAY_FLOOR = 1e-9
 # accuracy order of the central stencils in the Emden-Fowler residual
 _EF_ACC = 4
-# the integrator's rtol, the one accuracy every solve runs at: its atol is
-# _RTOL / 100 and the collocation's tol is 100 _RTOL
+# the integrator's rtol for every leg the solution is built from (the
+# chord's two r-chart legs and the leg at the collocated v0): its atol is
+# _RTOL / 100 and the collocation's tol is 100 _RTOL; the chord's ends lie at
+# least _RTOL |v0| apart
 _RTOL = 1e-12
+# the rtol of stage 1's shots (atol _RTOL_BRACKET / 100), which only classify
+# a trial v0 and leave the bracket and the guess's leg; the collocation fixes
+# v0 from the full-tolerance chord
+_RTOL_BRACKET = 1e-8
 
 
 @dataclass(frozen=True)
@@ -285,15 +291,17 @@ class _Integrator:
         r0 = series.seed_radius(self.m, 1.5 * self.L, max(_R_SEED, min(_R_SERIES_CAP, 0.5 * r_end)))
         return r0, series.state(r0)
 
-    def leg(self, chart: str, span, y0, dense: bool = False):
-        """Integrate one leg of chart "r" or "s" over span; returns (outcome, sol).
+    def leg(self, chart: str, span, y0, dense: bool = False, rtol: float | None = None):
+        """Integrate one leg of chart "r" or "s" over span at rtol (None:
+        _RTOL), atol rtol / 100; returns (outcome, sol).
 
         outcome is BlowUp, SignLoss (event radius in r), or the float residual
         W/L - 1 at the end of the span; sol is the solve_ivp result.
         """
         rhs, events = self.charts[chart]
+        rtol = _RTOL if rtol is None else rtol
         sol = solve_ivp(
-            rhs, span, y0, rtol=_RTOL, atol=1e-2 * _RTOL,
+            rhs, span, y0, rtol=rtol, atol=1e-2 * rtol,
             events=events, dense_output=dense,
         )
         t_end = float(sol.t[-1])
@@ -310,8 +318,9 @@ class _Integrator:
             return (BlowUp if sol.t_events[1].size else SignLoss)(r=r_end), sol
         return w_end / self.L - 1.0, sol
 
-    def shot(self, v0: float, r_max: float, dense: bool = False):
-        """Integrate one shot from the origin; returns (outcome, sol_r, sol_s).
+    def shot(self, v0: float, r_max: float, dense: bool = False, rtol: float | None = None):
+        """Integrate one shot from the origin, its legs at rtol as for `leg`;
+        returns (outcome, sol_r, sol_s).
 
         outcome is as for `leg`, at r_max.  sol_r is the r-chart solve_ivp
         result, a leg that ends at min(r_switch, r_max); sol_s is the s-chart
@@ -322,12 +331,17 @@ class _Integrator:
         """
         r_end = min(_R_SWITCH, r_max)
         r0, y0 = self.start(v0, r_end)
-        outcome, sol_r = self.leg("r", (r0, r_end), y0, dense)
+        outcome, sol_r = self.leg("r", (r0, r_end), y0, dense, rtol)
         if r_max <= _R_SWITCH or isinstance(outcome, (BlowUp, SignLoss)):
             return outcome, sol_r, None
         w0 = _r_to_s_state(self.n, self.m, _R_SWITCH, sol_r.y[:, -1])
-        outcome, sol_s = self.leg("s", (math.log(_R_SWITCH), math.log(r_max)), w0, dense)
+        outcome, sol_s = self.leg("s", (math.log(_R_SWITCH), math.log(r_max)), w0, dense, rtol)
         return outcome, sol_r, sol_s
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise InvalidParams(f"finite alpha > 0 required, got {alpha}")
 
 
 def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: float):
@@ -341,10 +355,9 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     below r_switch is the r-chart leg shoot assembles at the same v0, bit
     for bit; a shorter shot ends its r-chart leg early, and its steps differ.
     """
-    if alpha <= 0.0:
-        raise InvalidParams(f"alpha > 0 required, got {alpha}")
-    if r_max <= 0.0:
-        raise InvalidParams(f"r_max > 0 required, got {r_max}")
+    _check_alpha(alpha)
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise InvalidParams(f"finite r_max > 0 required, got {r_max}")
     integ = _Integrator(params, alpha)
     outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
@@ -496,24 +509,27 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     """Find the entire positive solution with phi(0) = alpha, in two stages.
 
     (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
-    sign-loss) bracket, which _bisect shrinks with full shots (model steps
-    on the values of _escape_law, kept safe by midpoints) until it is
-    narrower than _CHORD_SWITCH relative to v0 and both ends have s-chart
-    start states; NoConvergence when it ends before that.  Shots are
+    sign-loss) bracket, which _bisect shrinks with full shots at
+    _RTOL_BRACKET (model steps on the values of _escape_law, kept safe by
+    midpoints) until it is narrower than _CHORD_SWITCH relative to v0 and
+    both ends have s-chart start states; NoConvergence when it ends before
+    that.  Shots are
     classified at r_cls = max(r_max, _R_HORIZON) e^{_S_PAD}, past the
     returned lattice and past r_switch, so every end has an s-chart leg.
     A step failure at W >= L counts as a blow-up at its radius: the entire
     solution keeps W < L.  (2) Collocation
-    (_collocate): one boundary value problem with v0 as its unknown closes
-    the solution on the s-chart up to r_cls, solved on a mesh predicted
+    (_collocate): one boundary value problem with v0 as its unknown, its
+    left condition a chord through two r-chart legs at _RTOL, closes the
+    solution on the s-chart up to r_cls, solved on a mesh predicted
     from one coarse Newton round; below r_switch it is the r-chart leg at
     that v0.  For r_max <= _R_HORIZON the horizon, and so the solution, does
     not depend on r_max, which only cuts the returned grids.
     """
-    if alpha <= 0.0:
-        raise InvalidParams(f"alpha > 0 required, got {alpha}")
-    if r_max <= _R_SEED:
-        raise InvalidParams(f"r_max={r_max} must exceed the lattice start r = {_R_SEED:g}")
+    _check_alpha(alpha)
+    if not (math.isfinite(r_max) and r_max > _R_SEED):
+        raise InvalidParams(
+            f"r_max={r_max} must be finite and exceed the lattice start r = {_R_SEED:g}"
+        )
     integ = _Integrator(params, alpha)
     lam4 = integ.spec.lambdas[3]
     r_cls = max(r_max, _R_HORIZON) * math.exp(_S_PAD)
@@ -527,7 +543,7 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
 
     def side(v0):
         try:
-            outcome, _, sol_s = integ.shot(v0, r_cls)
+            outcome, _, sol_s = integ.shot(v0, r_cls, rtol=_RTOL_BRACKET)
         except StepFailure as exc:
             if not exc.w >= integ.L:
                 raise
@@ -567,9 +583,8 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
             f"first), where full shots give escape-law values g = "
             f"{g[dn]:.3g}, {g[up]:.3g}"
         )
-    v0, sol_r, res = _collocate(integ, s_legs, up, dn, r_cls)
+    v0, sol_r, x_r, res = _collocate(integ, s_legs[up], up, dn, r_cls)
     L = integ.L
-    x_r = _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
     seam = float(np.max(np.abs(L * (res.y[:, 0] + [1.0, 0.0, 0.0, 0.0]) - x_r)) / L)
 
     def tail(s):
@@ -579,18 +594,32 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=n_iter, seam=seam)
 
 
-def _collocate(integ, s_legs, up, dn, r_cls):
+def _chord_ends(up: float, dn: float) -> tuple[float, float]:
+    """(lo, hi): the v0 bracket's ends, widened about its midpoint to
+    _RTOL |midpoint| apart when narrower.
+
+    A chord between closer ends divides their integration noise by their
+    distance: on n = 40 at p_c stage 1's bracket collapses to one ulp, and
+    a chord between its ends has a slope of noise.
+    """
+    mid = 0.5 * (up + dn)
+    half = 0.5 * _RTOL * abs(mid)
+    return (dn, up) if up - dn >= 2.0 * half else (mid - half, mid + half)
+
+
+def _collocate(integ, leg, up, dn, r_cls):
     """The entire solution on s in [log r_switch, log r_cls] by collocation.
 
     The unknown is y = (X - X*) / L, X = (W, W', W'', W''') and X* = (L, 0,
     0, 0), so y' = (y1, y2, y3, c4 (1 + y0) expm1((p - 1) log1p(y0)) - c3 y1
     - c2 y2 - c1 y3) with L^{p-1} = c4; v0 is an unknown parameter.  The left
-    condition puts y on the chord R(v0) through the bracket ends' (v0, start
-    state) pairs.  The right one, l4 . y = 0, removes the unstable mode: l4,
+    condition puts y on the chord R(v0) through the (v0, start state) pairs
+    at _chord_ends(up, dn), each state the end of an r-chart leg at _RTOL.
+    The right one, l4 . y = 0, removes the unstable mode: l4,
     the left eigenvector for lam4 with l4 . e4 = 1, holds the coefficients
     of (mu - lam1)(mu - lam2)(mu - lam3), in increasing powers, over
-    prod_i (lam4 - lam_i).  The guess is the blow-up end's
-    s-leg at its step ends up to where |y0| < _GUESS_FLOOR, then y there
+    prod_i (lam4 - lam_i).  The guess is leg, the blow-up end's stage-1
+    s-leg, at its step ends up to where |y0| < _GUESS_FLOOR, then y there
     times e^{lam3 (s - s_a)}, on _BVP_NODES uniform nodes.
     Each solve starts with a coarse round, a single Newton solve on the
     start mesh.  When that meets the tolerance it is the result; else its
@@ -600,7 +629,8 @@ def _collocate(integ, s_legs, up, dn, r_cls):
     prediction above _BVP_MAX_NODES raises NoConvergence before the final
     solve.  The chord is accurate only near the bracket: a v0 more than
     _CHORD_SWITCH |v0| outside it raises NoConvergence.  Returns (v0, the
-    dense r-chart leg at v0, scipy's result of the last round).
+    dense r-chart leg at v0, its end state X_r, scipy's result of the last
+    round).
     """
     L = integ.L
     lam1, lam2, lam3, lam4 = integ.spec.lambdas
@@ -630,7 +660,6 @@ def _collocate(integ, s_legs, up, dn, r_cls):
     dbc_dya = np.vstack((np.eye(4), np.zeros(4)))
     dbc_dyb = np.vstack((np.zeros((4, 4)), l4))
 
-    leg = s_legs[up]
     dev = (leg.y - x_star[:, None]) / L
     below = np.nonzero(np.abs(dev[0]) < _GUESS_FLOOR)[0]
     a = int(below[0]) if below.size else int(np.argmin(np.abs(dev[0])))
@@ -641,10 +670,20 @@ def _collocate(integ, s_legs, up, dn, r_cls):
 
     tol = 100.0 * _RTOL
     where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"
-    ya = (s_legs[dn].y[:, 0] - x_star) / L
-    slope = (s_legs[up].y[:, 0] - s_legs[dn].y[:, 0]) / (L * (up - dn))
+
+    def head(v, dense=False):
+        # the r-chart leg at v, at _RTOL, and its end state on the s-chart
+        outcome, sol_r, _ = integ.shot(v, _R_SWITCH, dense)
+        if isinstance(outcome, (BlowUp, SignLoss)):
+            raise NoConvergence(f"collocation v0 = {v!r}: its r-chart leg ends in {outcome}")
+        return sol_r, _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
+
+    lo, hi = _chord_ends(up, dn)
+    x_lo, x_hi = head(lo)[1], head(hi)[1]
+    ya = (x_lo - x_star) / L
+    slope = (x_hi - x_lo) / (L * (hi - lo))
     dbc = (dbc_dya, dbc_dyb, np.append(-slope, 0.0)[:, None])
-    bc = lambda y_l, y_r, v: np.append(y_l - ya - (v[0] - dn) * slope, l4 @ y_r)
+    bc = lambda y_l, y_r, v: np.append(y_l - ya - (v[0] - lo) * slope, l4 @ y_r)
     kw = dict(fun_jac=fun_jac, bc_jac=lambda y_l, y_r, v: dbc, tol=tol)
     # coarse round: one Newton solve on the start mesh; when scipy would add
     # nodes (status 1), its residuals predict the final solve's mesh
@@ -668,10 +707,8 @@ def _collocate(integ, s_legs, up, dn, r_cls):
             f"collocation stage: v0 = {v0!r} lies {off:.3g} outside the chord's bracket, "
             f"more than {_CHORD_SWITCH:.3g} |v0| ({where})"
         )
-    outcome, sol_r, _ = integ.shot(v0, _R_SWITCH, dense=True)
-    if isinstance(outcome, (BlowUp, SignLoss)):
-        raise NoConvergence(f"collocation v0 = {v0!r}: its r-chart leg ends in {outcome}")
-    return v0, sol_r, res
+    sol_r, x_r = head(v0, dense=True)
+    return v0, sol_r, x_r, res
 
 
 def _split_intervals(x: np.ndarray, pieces: np.ndarray) -> np.ndarray:
@@ -688,8 +725,7 @@ def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:
     height kappa^m phi(0); the s-grid shifts by -log(kappa) and W, Y, Z are
     unchanged pointwise.
     """
-    if alpha <= 0.0:
-        raise InvalidParams(f"alpha > 0 required, got {alpha}")
+    _check_alpha(alpha)
     m = sol.params.m
     kappa = (alpha / sol.alpha) ** (1.0 / m)
     shift = math.log(kappa)

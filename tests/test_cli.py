@@ -349,3 +349,23 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("flags, config, name, value", [
+    (["--r-max", "nan"], None, "r_max", "nan"),
+    (["--alpha", "inf"], None, "alpha", "inf"),
+    ([], '{"r_max": NaN}', "r_max", "nan"),
+])
+def test_solve_rejects_non_finite_input(runner, pc13, tmp_path, flags, config, name, value):
+    # NaN passes every ordered comparison and inf reaches the integrator; each
+    # exits 2 naming the input and its value, before anything is dumped
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        flags = flags + ["--config", str(cfg)]
+    dump = tmp_path / "d.csv"
+    res = runner.invoke(main, ["solve", "--n", "13", "--p", str(pc13 + 0.5), "--out", str(dump)]
+                        + flags)
+    assert res.exit_code == 2, res.output
+    assert name in res.stderr and value in res.stderr
+    assert not dump.exists()

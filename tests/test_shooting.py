@@ -37,13 +37,16 @@ from biharm.shooting import (
     _R_SERIES_CAP,
     _R_SWITCH,
     _RTOL,
+    _RTOL_BRACKET,
     _S_PAD,
     BlowUp,
     SignLoss,
     _bisect,
+    _chord_ends,
     _escape_law,
     _Integrator,
     _power,
+    _r_to_s_state,
     _s_operator_coeffs,
     check_monotone_y,
     check_positivity,
@@ -622,7 +625,7 @@ def test_seam_residual_does_not_depend_on_r_max(sol_quick):
     # The seam is measured at r_switch on the solve itself, which below
     # r = 500 does not depend on r_max: a lattice that ends before r_switch
     # (5, 9.8) or just past it (11) reads the r_max 500 value, a number
-    # (measured 9.7e-13), never NaN
+    # (measured 8.1e-13), never NaN
     seams = {r_max: shoot(sol_quick.params, alpha=1.0, r_max=r_max).seam_residual
              for r_max in (5.0, 9.8, 11.0)}
     assert seams == {r_max: sol_quick.seam_residual for r_max in seams}
@@ -630,20 +633,20 @@ def test_seam_residual_does_not_depend_on_r_max(sol_quick):
 
 
 def test_seam_residual_is_small_on_the_acceptance_cases(sol_a, sol_b, sol_c):
-    # measured 7.7e-13, 2.1e-13 and 1.1e-13
+    # measured 2.7e-14, 5.5e-13 and 5.6e-13
     for sol in (sol_a, sol_b, sol_c):
         assert sol.seam_residual <= 1e-12
 
 
 def test_seam_residual_sees_a_perturbed_head_leg(sol_quick, monkeypatch):
     # A head leg taken at v0 (1 + 1e-12) ends off the collocation's start
-    # state: measured 2.2e-10, against 9.7e-13 at v0 itself.
+    # state: measured 2.1e-10, against 8.1e-13 at v0 itself.
     plain = _Integrator.shot
 
-    def perturbed(self, v0, r_max, dense=False):
-        if r_max == _R_SWITCH:  # the head leg; stage 1 shoots to r_cls
+    def perturbed(self, v0, r_max, dense=False, rtol=None):
+        if dense:  # the head leg; the chord's legs to r_switch are not dense
             v0 *= 1.0 + 1e-12
-        return plain(self, v0, r_max, dense)
+        return plain(self, v0, r_max, dense, rtol)
 
     monkeypatch.setattr(_Integrator, "shot", perturbed)
     sol = shoot(sol_quick.params, alpha=1.0, r_max=500.0)
@@ -668,6 +671,42 @@ def test_input_validation(pc13):
         shoot(params, alpha=-1.0, r_max=100.0)
     with pytest.raises(InvalidParams):
         integrate_radial(params, alpha=1.0, v0=-0.1, r_max=-5.0)
+    # a NaN passes every ordered comparison, and an infinite alpha or r_max
+    # reaches the integrator: each is rejected up front, naming its value
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams, match=f"alpha.*{bad}"):
+            shoot(params, alpha=bad, r_max=100.0)
+        with pytest.raises(InvalidParams, match=f"r_max={bad}"):
+            shoot(params, alpha=1.0, r_max=bad)
+        with pytest.raises(InvalidParams, match=f"alpha.*{bad}"):
+            integrate_radial(params, alpha=bad, v0=-0.1, r_max=100.0)
+        with pytest.raises(InvalidParams, match=f"r_max.*{bad}"):
+            integrate_radial(params, alpha=1.0, v0=-0.1, r_max=bad)
+
+
+def test_chord_ends_are_at_least_the_floor_apart():
+    # A bracket narrower than _RTOL |v0| is widened about its midpoint to
+    # that span (up to the rounding of midpoint +- half); a wider one is
+    # the chord's as it is.  Stage 1's bracket on n = 40 at p_c is one ulp.
+    dn = -0.9201257322475934
+    up = np.nextafter(dn, 0.0)
+    lo, hi = _chord_ends(up, dn)
+    assert lo < dn < up < hi
+    assert hi - lo >= (1.0 - 1e-3) * _RTOL * abs(dn)
+    assert hi - lo == pytest.approx(_RTOL * abs(dn), rel=1e-3)
+    assert 0.5 * (lo + hi) == pytest.approx(0.5 * (up + dn), rel=1e-15)
+    assert _chord_ends(-0.9, -0.9 * (1.0 + 3e-12)) == (-0.9 * (1.0 + 3e-12), -0.9)
+
+
+def test_chord_floor_keeps_the_seam_closed_at_n40_pc():
+    # n = 40 at p_c: stage 1's bracket collapses to one ulp, and a chord
+    # between its ends would read the legs' integration noise as the slope
+    # (seam 8.9e-11, v0 1e-11 relative off).  With the chord's ends _RTOL
+    # |v0| apart the seam reads 7.0e-14 and v0 lands 7.2e-12 relative past
+    # the bracket, inside the guard.
+    sol = shoot(ProblemParams(40, compute_pc(40)), alpha=1.0, r_max=1e4)
+    assert sol.seam_residual < 1e-12
+    assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
 
 
 def _record_collocation(params, r_max, monkeypatch):
@@ -694,20 +733,35 @@ def _record_collocation(params, r_max, monkeypatch):
 
 def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     # The collocation's left condition puts y = (X - X*)/L at r_switch on the
-    # chord between stage 1's bracket ends, less than sqrt(eps)-relative
-    # apart: at their midpoint the chord must match the midpoint's own
-    # full-shot r_switch state below the collocation tolerance 1e-10.
-    # Measured: 3.8e-11 of max |y|, while the two end states differ by
-    # 1.1e-6 of it.
+    # chord through the states of full-tolerance r-chart legs at the ends of
+    # stage 1's bracket, less than sqrt(eps)-relative apart: the chord's end
+    # states are those of integ.shot(v, r_switch), bit for bit, and at the
+    # bracket's midpoint the chord must match the midpoint's own full-shot
+    # r_switch state below the collocation tolerance 1e-10.  Measured: 1.5e-11
+    # of max |y|, while the two end states differ by 1.1e-6 of it.  The
+    # bracket brackets stage 1's loose root, so v0 may land past an end, within
+    # the guard's distance (measured 1.7e-13 past it, 6.3e-13 relative).
     params = sol_quick.params
     sol, brackets, calls = _record_collocation(params, 500.0, monkeypatch)
     assert sol.v0 == sol_quick.v0
     (up, dn), = brackets
-    bc = calls[0][0][1]
-    assert dn < sol.v0 < up
+    (_, bc, _, _), kwargs, _ = calls[0]
+    assert max(dn - sol.v0, sol.v0 - up) < _CHORD_SWITCH * abs(sol.v0)
     integ = _Integrator(params, 1.0)
     r_cls = 500.0 * math.exp(_S_PAD)
     x_star = np.array([integ.L, 0.0, 0.0, 0.0])
+
+    def head_state(v):
+        _, sol_r, _ = integ.shot(v, _R_SWITCH)
+        return _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
+
+    # bc(y_l, y_r, [v]) = y_l - y_lo - (v - lo) slope: y_lo is -bc(0, 0, [lo]),
+    # and -slope the parameter column of the constant bc_jac
+    lo, hi = _chord_ends(up, dn)
+    x_lo, x_hi = head_state(lo), head_state(hi)
+    assert np.array_equal(-bc(np.zeros(4), np.zeros(4), [lo])[:4], (x_lo - x_star) / integ.L)
+    slope = -kwargs["bc_jac"](None, None, None)[2][:4, 0]
+    assert np.array_equal(slope, (x_hi - x_lo) / (integ.L * (hi - lo)))
 
     def start(v):
         _, _, sol_s = integ.shot(v, r_cls)
@@ -824,8 +878,8 @@ def test_short_solve_is_the_entire_solution(sol_a, sol_b, sol_quick):
     # The solution does not depend on r_max.  Below r = 500 the shots are
     # still classified at 500 e^{_S_PAD} and the solve is
     # collocated there, so a short solve is the r_max 500 solve (sol_quick)
-    # cut at r_max.  Measured: A's v0 is within 1.3e-15 of sol_a's at r_max
-    # 1 and 5, and B's at r_max 11 within 2.1e-16 of sol_b's.
+    # cut at r_max.  Measured: A's v0 is within 1.7e-15 of sol_a's at r_max
+    # 1 and 5, and B's at r_max 11 within 1.7e-15 of sol_b's.
     short = {r_max: shoot(sol_a.params, alpha=1.0, r_max=r_max) for r_max in (1.0, 5.0)}
     W_a = CubicSpline(sol_a.s_grid, sol_a.W)
     for r_max, sol in short.items():
@@ -907,15 +961,15 @@ def _check_step_failure(message, chart, span):
 
 def _failed_shots(params, monkeypatch):
     """shoot(params, 1, 1e4) with each shot that raised StepFailure recorded
-    as (integrator, v0, r_max, the failure); returns (solution, records)."""
+    as (integrator, v0, r_max, rtol, the failure); returns (solution, records)."""
     failed = []
     plain_shot = _Integrator.shot
 
-    def recording_shot(self, v0, r_max, dense=False):
+    def recording_shot(self, v0, r_max, dense=False, rtol=None):
         try:
-            return plain_shot(self, v0, r_max, dense)
+            return plain_shot(self, v0, r_max, dense, rtol)
         except StepFailure as exc:
-            failed.append((self, v0, r_max, exc))
+            failed.append((self, v0, r_max, rtol, exc))
             raise
 
     monkeypatch.setattr(_Integrator, "shot", recording_shot)
@@ -935,12 +989,12 @@ def _check_failure_data(exc, integ, chart, span):
 
 def test_large_p_step_failure_names_r_chart(pc15, monkeypatch):
     # u^p stiffness at n=15, p = 100 p_c stops shots in the r-chart; a
-    # direct shot at the first such v0 fails again, on a leg that starts at
-    # that shot's series radius
+    # direct shot at the first such v0 and tolerance fails again, on a leg
+    # that starts at that shot's series radius
     _, failed = _failed_shots(ProblemParams(15, 100.0 * pc15), monkeypatch)
-    integ, v0, r_max, _ = next(rec for rec in failed if rec[3].chart == "r")
+    integ, v0, r_max, rtol, _ = next(rec for rec in failed if rec[4].chart == "r")
     with pytest.raises(StepFailure) as info:
-        integ.shot(v0, r_max)
+        integ.shot(v0, r_max, rtol=rtol)
     r0, _ = integ.start(v0, _R_SWITCH)
     assert _R_SEED < r0 <= _R_SERIES_CAP
     _check_failure_data(info.value, integ, "r", (r0, _R_SWITCH))
@@ -983,7 +1037,7 @@ def test_stage_1_step_failure_below_L_is_reraised(pc13, monkeypatch, w_over_L):
     params = ProblemParams(13, pc13 + 0.5)
     L = compute_spectrum(params).L
 
-    def shot(self, v0, r_max, dense=False):
+    def shot(self, v0, r_max, dense=False, rtol=None):
         if v0 >= -0.25:
             raise StepFailure("stub failure", r=5.0, chart="r", w=w_over_L * L)
         return SignLoss(r=5.0), None, None
@@ -1002,15 +1056,17 @@ def test_stage_1_step_failure_below_L_is_reraised(pc13, monkeypatch, w_over_L):
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
-def test_dense_shot_replays_the_classifying_shot(fixture, r_max, request):
-    # One shot geometry: dense output only adds interpolants, so a dense
-    # shot ends on the plain shot's residual and starts its s-chart from the
-    # same r_switch state, bit for bit.
+def test_dense_v0_leg_replays_a_plain_full_tolerance_shot(fixture, r_max, request):
+    # One shot geometry: dense output only adds interpolants, so the dense
+    # leg at v0 takes the steps of a plain full-tolerance shot (a chord leg's),
+    # and a dense shot ends on the plain shot's residual and starts its
+    # s-chart from the same r_switch state, bit for bit.
     sol = request.getfixturevalue(fixture)
     integ = _Integrator(sol.params, 1.0)
     r_cls = r_max * math.exp(_S_PAD)
-    rho_dense, _, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
-    rho, _, sol_s = integ.shot(sol.v0, r_cls)
+    rho_dense, sol_r_dense, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
+    rho, sol_r, sol_s = integ.shot(sol.v0, r_cls)
+    assert np.array_equal(sol_r_dense.y, sol_r.y)
     assert isinstance(rho, float) and rho_dense == rho
     assert np.array_equal(sol_s_dense.y[:, 0], sol_s.y[:, 0])
 
@@ -1019,7 +1075,7 @@ def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
     # every full shot escapes at r = 5, so no trajectory survives: the error
     # names the trial count and the final bracket with its full shots'
     # escape-law values
-    def shot(self, v0, r_max, dense=False):
+    def shot(self, v0, r_max, dense=False, rtol=None):
         return (BlowUp if v0 >= -0.25 else SignLoss)(r=5.0), None, None
 
     monkeypatch.setattr(_Integrator, "shot", shot)
@@ -1044,7 +1100,7 @@ def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side)
     # probe, the last shot, confirms it
     shots = []
 
-    def shot(self, v0, r_max, dense=False):
+    def shot(self, v0, r_max, dense=False, rtol=None):
         shots.append(v0)
         return side(r=5.0), None, None
 
@@ -1058,8 +1114,8 @@ def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side)
 
 @pytest.mark.parametrize("rtol, atol", [(None, 1e-14), (5e-13, 5e-15)])
 def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
-    # the one solve_ivp call site passes atol = 1e-2 * _RTOL, which is exact
-    # for both tolerances in use (None: _RTOL as defined)
+    # the one solve_ivp call site passes atol = rtol / 100: stage 1's shots
+    # at _RTOL_BRACKET, every other leg at _RTOL (None: _RTOL as defined)
     if rtol is not None:
         monkeypatch.setattr(biharm.shooting, "_RTOL", rtol)
     rtol = biharm.shooting._RTOL
@@ -1072,5 +1128,5 @@ def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
 
     monkeypatch.setattr(biharm.shooting, "solve_ivp", recording_solve_ivp)
     shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
-    assert seen == {(rtol, atol)}
+    assert seen == {(_RTOL_BRACKET, _RTOL_BRACKET / 100), (rtol, atol)}
     assert atol == 1e-2 * rtol

@@ -57,6 +57,26 @@ def test_shoot_cells_diff_counts_identical_dumps(capsys):
     assert "identical dumps: 1 of 5" in out
 
 
+def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
+    # OLD records predate nfev_by_rtol and still diff; per cell whose v0
+    # differs the relative move prints, then the largest over the cells with
+    # a v0 on both sides (F failed on both and has none)
+    old = {"A": _ok("0x1p-2", 50, 8), "B": _ok("-0x1p-1", 50, 9), "F": _failed("StepFailure", 7, [8])}
+    new = {"A": _ok("0x1.0000000000001p-2", 30, 8), "B": _ok("-0x1p-1", 30, 9),
+           "F": _failed("StepFailure", 7, [8])}
+    for rec in (new["A"], new["B"]):
+        rec["ivp"]["r"]["nfev_by_rtol"] = {"1e-08": 20, "1e-12": 10}
+        rec["ivp"]["s"]["nfev_by_rtol"] = {"1e-08": 30}
+    assert shoot_cells.diff(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "|dv0|/|v0| A 2.2e-16" in out
+    assert not any(line.startswith("|dv0|/|v0| B") for line in out)
+    assert "max |dv0|/|v0|: 2.2e-16 over 2 cells" in out
+    assert "RHS evaluations: 207 -> 127 (-38.6%)" in out
+    assert "RHS evaluations by rtol (new): 1e-12 20, 1e-08 100" in out
+    assert not any(line.startswith("RHS evaluations by rtol (old)") for line in out)
+
+
 def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):
     old = {"A": _ok("0x1p-2", 50, 56), "B": _ok("0x1p-1", 50, 80)}
     new = {"A": _failed("NoConvergence", 30, [12, 11]), "B": _ok("0x1p-1", 50, 33, passed=False)}
@@ -72,6 +92,11 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     # nodes, then one final solve on the predicted mesh
     rec = shoot_cells.shoot_cell("quick")
     assert rec["trials"] == [rec["n_bisect"]]
+    # stage 1 at rtol 1e-8; the chord's two r-chart legs and the v0 leg at 1e-12
+    for chart in rec["ivp"].values():
+        assert sum(chart["nfev_by_rtol"].values()) == chart["nfev"]
+    assert set(rec["ivp"]["s"]["nfev_by_rtol"]) == {"1e-08"}
+    assert set(rec["ivp"]["r"]["nfev_by_rtol"]) == {"1e-08", "1e-12"}
     assert len(rec["w_sha256"]) == 64 and 0.0 < float(rec["seam_residual"]) < 1e-11
     assert rec["bvp"]["coarse"] == {"nodes": [200], "niter": [1]}
     assert len(rec["bvp"]["nodes"]) == len(rec["bvp"]["niter"]) == 1

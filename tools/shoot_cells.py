@@ -16,8 +16,10 @@ the end residual rho = target_residual, the seam residual at r_switch
 (seam_residual, on trees whose solutions carry it), the SHA-256 of its
 dump_solution text (dump_sha256, so a plain diff covers s, r, phi, W, Y and
 Z) and of its W array's bytes (w_sha256), the six solve invariants with
-their bounds, and the solve_ivp calls and RHS evaluations per chart; a solve
-that raises a typed error records its class and message instead.  Every
+their bounds, and the solve_ivp calls and RHS evaluations per chart, the
+latter also split by the legs' rtol (nfev_by_rtol: stage 1's loose shots
+apart from the full-tolerance legs); a solve that raises a typed error
+records its class and message instead.  Every
 record also lists the trials of each _bisect call (stage 1's search; on a
 solve that returns they sum to n_bisect) and, under "bvp", the collocation
 stage's work: the mesh nodes and scipy's niter of each coarse round
@@ -38,9 +40,12 @@ failed invariants), RHS evaluations, root-search trials (n_bisect; for a
 failed solve, the sum of its recorded trials), whether v0 is bit-identical,
 whether W is (by w_sha256) and whether the dumps are (by dump_sha256; "-"
 when neither side has the hash), so W equal beside a differing dump means
-that Z moved and W did not; then the totals, the ok counts and the
-identical dumps out of the cells with a dump on either side.  It exits 1 when a cell that is ok in OLD is
-not ok in NEW.
+that Z moved and W did not; then |dv0|/|v0| for each cell whose v0
+differs and the largest over the cells with a v0 on both sides, the totals
+(RHS evaluations also by rtol, for a side whose records split them), the ok
+counts and the identical dumps out of the cells with a dump on either side.
+Records of older trees, without the newer keys, diff all the same.  It exits
+1 when a cell that is ok in OLD is not ok in NEW.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ def shoot_cell(label: str) -> dict:
 
     n, p_of, r_max = (CELLS | GRID)[label]
     params = ProblemParams(n, p_of(compute_ladder(n)))
-    calls, nfev, trials = Counter(), Counter(), []
+    calls, nfev, by_rtol, trials = Counter(), Counter(), {"r": Counter(), "s": Counter()}, []
     bvp = {"coarse": {"nodes": [], "niter": []}, "nodes": [], "niter": []}
     plain, plain_bisect, plain_bvp = shooting.solve_ivp, shooting._bisect, shooting.solve_bvp
 
@@ -107,6 +112,7 @@ def shoot_cell(label: str) -> dict:
         chart = fun.__name__.removeprefix("rhs_")
         calls[chart] += 1
         nfev[chart] += result.nfev
+        by_rtol[chart][repr(kwargs["rtol"])] += result.nfev
         return result
 
     def counting_bisect(*args, **kwargs):
@@ -154,7 +160,8 @@ def shoot_cell(label: str) -> dict:
     finally:
         shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = plain, plain_bisect, plain_bvp
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max}
-    rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c]} for c in ("r", "s")}
+    rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c], "nfev_by_rtol": dict(by_rtol[c])}
+                  for c in ("r", "s")}
     rec["trials"] = trials
     rec["bvp"] = bvp
     return rec
@@ -200,9 +207,27 @@ def diff(old: dict, new: dict) -> int:
         only = sorted(set(rec) - set(labels))
         if only:
             print(f"only in {side}: {', '.join(only)}")
+    moves = {}  # label -> |dv0|/|v0|, over the cells with a v0 on both sides
+    for label in labels:
+        if "v0_hex" in old[label] and "v0_hex" in new[label]:
+            a, b = (float.fromhex(rec[label]["v0_hex"]) for rec in (old, new))
+            moves[label] = abs(b - a) / abs(a)
+            if a != b:
+                print(f"|dv0|/|v0| {label} {moves[label]:.2g}")
+    if moves:
+        print(f"max |dv0|/|v0|: {max(moves.values()):.2g} over {len(moves)} cells")
     rhs_old = sum(rhs(old[label]) for label in labels)
     rhs_new = sum(rhs(new[label]) for label in labels)
     print(f"RHS evaluations: {rhs_old} -> {rhs_new} ({rhs_new / rhs_old - 1.0:+.1%})")
+    for side, rec in (("old", old), ("new", new)):
+        split = Counter()
+        for label in labels:
+            for chart in rec[label]["ivp"].values():
+                split.update(chart.get("nfev_by_rtol", {}))
+        if split:
+            rtols = sorted(split, key=float)
+            print(f"RHS evaluations by rtol ({side}): "
+                  + ", ".join(f"{rtol} {split[rtol]}" for rtol in rtols))
     print(f"trials: {sum(trials(old[label]) for label in labels)} -> "
           f"{sum(trials(new[label]) for label in labels)}")
     ok_old = sum(outcome(old[label]) == "ok" for label in labels)
