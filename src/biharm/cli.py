@@ -23,12 +23,12 @@ from .errors import (
     NoPcValue,
     SubcriticalInput,
 )
-from .expansion import detect_regime, fit_expansion, representation_check, window_shift_stability
+from .expansion import check_window, detect_regime
 from .ladder import compute_ladder, ladder_length_formula, parity_boundary_check
 from .params import ProblemParams
 from .shooting import dump_solution, shoot
 from .spectrum import compute_spectrum
-from .verify import SCOPES, expansion_invariants, run_checks, solve_invariants
+from .verify import SCOPES, run_checks, run_expansion, solve_invariants
 
 _INPUT_ERRORS = (InvalidParams, SubcriticalInput, DomainError)
 
@@ -266,16 +266,16 @@ def expand(n, p, alpha, r_max, window, fmt, out, config):
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
+    window = window or None
     with _exit_on_error():
+        if window is not None:
+            check_window(window)
         params = ProblemParams(n, p)
         ladder = compute_ladder(n)
         regime = detect_regime(params, ladder)
         sol = shoot(params, alpha=alpha, r_max=r_max)
-        spec = sol.spectrum
-        fit = fit_expansion(sol, spec, regime, window or None)
-        drift = window_shift_stability(sol, spec, regime, window or None)
-        rep = representation_check(sol, spec)
-        invariants = solve_invariants(sol) + expansion_invariants(spec, fit, drift, rep)
+        fit, drift, fit_invariants = run_expansion(sol, regime, window)
+        invariants = solve_invariants(sol) + fit_invariants
 
     checks = _invariant_payload(invariants)
     payload = {
@@ -290,7 +290,7 @@ def expand(n, p, alpha, r_max, window, fmt, out, config):
         },
         "residual_slope": fit.residual_slope,
         "theoretical_slope": fit.theoretical_slope,
-        "L": spec.L,
+        "L": sol.spectrum.L,
         "window_shift_drift_se": {k_: v for k_, v in drift.items()},
         "invariants": checks,
     }

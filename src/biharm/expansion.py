@@ -17,6 +17,7 @@ checks the variation-of-parameters representation of Z against the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,15 @@ class RepresentationFit:
     deviation: float
 
 
+def check_window(window: tuple[float, float]) -> None:
+    """A fit window (s_lo, s_hi) is finite with s_lo < s_hi; else InvalidParams."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidParams(
+            f"fit window (s_lo, s_hi) = ({lo}, {hi}) must be finite with s_lo < s_hi"
+        )
+
+
 def representation_check(
     sol: RadialSolution,
     spec: Spectrum | None = None,
@@ -189,6 +199,7 @@ def representation_check(
         solid = np.abs(Z_all) >= 1e-8 * zmax
         idx = np.nonzero(solid)[0]
         window = (float(s_all[idx[0]]), float(s_all[idx[-1]]))
+    check_window(window)
     if kern is None:
         kern = variation_kernel(spec, s0=window[0])
     if kern.s0 > window[0]:
@@ -390,6 +401,7 @@ def fit_expansion(
         raise InvalidParams("regime descriptor required; call detect_regime")
     if window is None:
         window = default_fit_window(sol, spec)
+    check_window(window)
 
     s_all = sol.s_grid
     mask = (s_all >= window[0]) & (s_all <= window[1])

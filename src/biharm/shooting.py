@@ -85,9 +85,8 @@ _DECAY_FLOOR = 1e-9
 # accuracy order of the central stencils in the Emden-Fowler residual
 _EF_ACC = 4
 # the integrator's rtol for every leg the solution is built from (the
-# chord's two r-chart legs and the leg at the collocated v0): its atol is
-# _RTOL / 100 and the collocation's tol is 100 _RTOL; the chord's ends lie at
-# least _RTOL |v0| apart
+# chord's two r-chart legs): its atol is _RTOL / 100 and the collocation's
+# tol is 100 _RTOL; the chord's ends lie at least _RTOL |v0| apart
 _RTOL = 1e-12
 # the rtol of stage 1's shots (atol _RTOL_BRACKET / 100), which only classify
 # a trial v0 and leave the bracket and the guess's leg; the collocation fixes
@@ -114,12 +113,13 @@ class RadialSolution:
     """Entire positive radial solution on matched r- and s-grids.
 
     The grids share nodes (r = e^s).  W = r^m phi and W' are sampled from
-    the states the solve was solved in: the series below the r-chart leg's
-    start, the leg up to r_switch, the s-chart beyond.  phi = W / r^m,
-    Y = W - L and Z = Y' - lam4 Y = W' - lam4 Y.  seam_residual is
-    max_i |X_i - X_r,i| / L at r_switch, between the s-chart's start state
-    X = (W, W', W'', W''') and the r-chart leg's end state X_r; it is 0.0
-    for a single shot, whose s-chart starts from X_r.
+    the states the solve was solved in: up to r_switch the r-chart part
+    (shoot's: the chord at v0 between two r-chart legs; a single shot's: its
+    one leg; each leg's series below its start), the s-chart beyond.
+    phi = W / r^m, Y = W - L and Z = Y' - lam4 Y = W' - lam4 Y.
+    seam_residual is max_i |X_i - X_r,i| / L at r_switch, between the
+    s-chart's start state X = (W, W', W'', W''') and the r-chart part's end
+    state X_r; it is 0.0 for a single shot, whose s-chart starts from X_r.
     """
 
     params: ProblemParams
@@ -351,9 +351,9 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     r_max, otherwise the BlowUp or SignLoss outcome.  The full solution grids
     require the spectrum, so params must be at or above the critical exponent.
     The shot runs to r_max e^{_S_PAD}; for r_max >= _R_HORIZON that is
-    shoot's classification horizon.  Once it reaches r_switch, the shot
-    below r_switch is the r-chart leg shoot assembles at the same v0, bit
-    for bit; a shorter shot ends its r-chart leg early, and its steps differ.
+    shoot's classification horizon.  Below r_switch it is the r-chart leg
+    at v0: shoot's solution there is the chord between two such legs, which
+    a shot at shoot's v0 meets to within their integration error.
     """
     _check_alpha(alpha)
     if not (math.isfinite(r_max) and r_max > 0.0):
@@ -363,25 +363,29 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     if isinstance(outcome, (BlowUp, SignLoss)):
         return outcome
     tail = (lambda s: first_entries(sol_s.sol, s.tolist())) if sol_s else None
-    return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=0, seam=0.0)
+    return _assemble_solution(integ, v0, r_max, ((v0, sol_r),), 0.0, tail, n_bisect=0, seam=0.0)
 
 
-def _sample_w(integ, v0, sol_r, tail, s_nodes):
+def _sample_w(integ, legs, t, tail, s_nodes):
     """W = r^m phi and W' at s_nodes, from the solved states.
 
     Nodes below log r_switch come from the r-chart (all of them when tail,
-    the s-chart's (W, W') at ascending s, is None): below the leg's start r0
-    from the series at v0 that seeded it, from r0 on from the leg, with
-    W' = r^m (m u + r u').
+    the s-chart's (W, W') at ascending s, is None).  legs holds the (v0,
+    dense r-chart leg) pairs at a chord's ends lo and hi, one pair standing
+    for both; on each, (u, u') comes from the series at its v0 below the
+    leg's start r0 and from the leg from r0 on.  A node's (u, u') is
+    u_lo + t (u_hi - u_lo), and W' = r^m (m u + r u').
     """
     W, dW = np.empty(s_nodes.size), np.empty(s_nodes.size)
     from_r = s_nodes < math.log(_R_SWITCH) if tail else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
         rr = np.exp(s_nodes[from_r])
-        seeded = rr < sol_r.t[0]
-        u, du = np.empty(rr.size), np.empty(rr.size)
-        u[seeded], du[seeded] = integ.series(v0).state(rr[seeded])[:2]
-        u[~seeded], du[~seeded] = first_entries(sol_r.sol, rr[~seeded].tolist())
+        ends = np.empty((len(legs), 2, rr.size))  # (u, u') on each leg
+        for end, (v0, sol_r) in zip(ends, legs):
+            seeded = rr < sol_r.t[0]
+            end[:, seeded] = integ.series(v0).state(rr[seeded])[:2]
+            end[:, ~seeded] = first_entries(sol_r.sol, rr[~seeded].tolist())
+        u, du = ends[0] + t * (ends[-1] - ends[0])
         # per node: one vectorized power rounds some entries differently
         rm = np.array([r**integ.m for r in rr])
         W[from_r] = rm * u
@@ -391,14 +395,14 @@ def _sample_w(integ, v0, sol_r, tail, s_nodes):
     return W, dW
 
 
-def _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect, seam):
+def _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect, seam):
     # the lattice: _DS apart from at least 6 _DS above log _R_SEED up to
     # s_top, anchored at s_top so that r_max itself is a node
     s_top = math.log(r_max)
     s_bottom = math.log(_R_SEED) + 2.0 * _DS
     n_nodes = int(math.floor((s_top - s_bottom) / _DS)) - 4
     s_grid = s_top + _DS * np.arange(-n_nodes, 1)
-    W, dW = _sample_w(integ, v0, sol_r, tail, s_grid)
+    W, dW = _sample_w(integ, legs, t, tail, s_grid)
     Y = W - integ.L
     Z = dW - integ.spec.lambdas[3] * Y
 
@@ -521,9 +525,10 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     (_collocate): one boundary value problem with v0 as its unknown, its
     left condition a chord through two r-chart legs at _RTOL, closes the
     solution on the s-chart up to r_cls, solved on a mesh predicted
-    from one coarse Newton round; below r_switch it is the r-chart leg at
-    that v0.  For r_max <= _R_HORIZON the horizon, and so the solution, does
-    not depend on r_max, which only cuts the returned grids.
+    from one coarse Newton round; below r_switch it is that chord at that
+    v0, between its two legs.  For r_max <= _R_HORIZON the horizon, and so
+    the solution, does not depend on r_max, which only cuts the returned
+    grids.
     """
     _check_alpha(alpha)
     if not (math.isfinite(r_max) and r_max > _R_SEED):
@@ -583,15 +588,14 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
             f"first), where full shots give escape-law values g = "
             f"{g[dn]:.3g}, {g[up]:.3g}"
         )
-    v0, sol_r, x_r, res = _collocate(integ, s_legs[up], up, dn, r_cls)
+    v0, legs, t, seam, res = _collocate(integ, s_legs[up], up, dn, r_cls)
     L = integ.L
-    seam = float(np.max(np.abs(L * (res.y[:, 0] + [1.0, 0.0, 0.0, 0.0]) - x_r)) / L)
 
     def tail(s):
         y = res.sol(s)
         return L * (1.0 + y[0]), L * y[1]
 
-    return _assemble_solution(integ, v0, r_max, sol_r, tail, n_bisect=n_iter, seam=seam)
+    return _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect=n_iter, seam=seam)
 
 
 def _chord_ends(up: float, dn: float) -> tuple[float, float]:
@@ -614,7 +618,8 @@ def _collocate(integ, leg, up, dn, r_cls):
     0, 0), so y' = (y1, y2, y3, c4 (1 + y0) expm1((p - 1) log1p(y0)) - c3 y1
     - c2 y2 - c1 y3) with L^{p-1} = c4; v0 is an unknown parameter.  The left
     condition puts y on the chord R(v0) through the (v0, start state) pairs
-    at _chord_ends(up, dn), each state the end of an r-chart leg at _RTOL.
+    at _chord_ends(up, dn) = (lo, hi), each state the end of a dense
+    r-chart leg at _RTOL.
     The right one, l4 . y = 0, removes the unstable mode: l4,
     the left eigenvector for lam4 with l4 . e4 = 1, holds the coefficients
     of (mu - lam1)(mu - lam2)(mu - lam3), in increasing powers, over
@@ -629,8 +634,9 @@ def _collocate(integ, leg, up, dn, r_cls):
     prediction above _BVP_MAX_NODES raises NoConvergence before the final
     solve.  The chord is accurate only near the bracket: a v0 more than
     _CHORD_SWITCH |v0| outside it raises NoConvergence.  Returns (v0, the
-    dense r-chart leg at v0, its end state X_r, scipy's result of the last
-    round).
+    (v, leg) pairs at lo and hi, t = (v0 - lo) / (hi - lo), the left
+    condition's residual max |y(s_a) - R(v0)| (the seam), scipy's result of
+    the last round).
     """
     L = integ.L
     lam1, lam2, lam3, lam4 = integ.spec.lambdas
@@ -671,15 +677,15 @@ def _collocate(integ, leg, up, dn, r_cls):
     tol = 100.0 * _RTOL
     where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"
 
-    def head(v, dense=False):
-        # the r-chart leg at v, at _RTOL, and its end state on the s-chart
-        outcome, sol_r, _ = integ.shot(v, _R_SWITCH, dense)
+    def head(v):
+        # the dense r-chart leg at v, at _RTOL, and its end state on the s-chart
+        outcome, sol_r, _ = integ.shot(v, _R_SWITCH, dense=True)
         if isinstance(outcome, (BlowUp, SignLoss)):
             raise NoConvergence(f"collocation v0 = {v!r}: its r-chart leg ends in {outcome}")
         return sol_r, _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
 
     lo, hi = _chord_ends(up, dn)
-    x_lo, x_hi = head(lo)[1], head(hi)[1]
+    (leg_lo, x_lo), (leg_hi, x_hi) = head(lo), head(hi)
     ya = (x_lo - x_star) / L
     slope = (x_hi - x_lo) / (L * (hi - lo))
     dbc = (dbc_dya, dbc_dyb, np.append(-slope, 0.0)[:, None])
@@ -707,8 +713,8 @@ def _collocate(integ, leg, up, dn, r_cls):
             f"collocation stage: v0 = {v0!r} lies {off:.3g} outside the chord's bracket, "
             f"more than {_CHORD_SWITCH:.3g} |v0| ({where})"
         )
-    sol_r, x_r = head(v0, dense=True)
-    return v0, sol_r, x_r, res
+    seam = float(np.max(np.abs(bc(res.y[:, 0], res.y[:, -1], res.p)[:4])))
+    return v0, ((lo, leg_lo), (hi, leg_hi)), (v0 - lo) / (hi - lo), seam, res
 
 
 def _split_intervals(x: np.ndarray, pieces: np.ndarray) -> np.ndarray:

@@ -325,6 +325,16 @@ def expansion_invariants(spec, fit, drift, rep) -> tuple[Invariant, ...]:
     )
 
 
+def run_expansion(sol, regime, window=None):
+    """`biharm expand`'s pipeline on a solve: the fit on window (None: the
+    default window), its window-shift drift and the five expansion
+    invariants; returns (fit, drift, invariants)."""
+    spec = sol.spectrum
+    fit = fit_expansion(sol, spec, regime, window)
+    drift = window_shift_stability(sol, spec, regime, window)
+    return fit, drift, expansion_invariants(spec, fit, drift, representation_check(sol, spec))
+
+
 def _verdict(invariants):
     return all(r.passed for r in invariants), ", ".join(map(str, invariants))
 
@@ -353,11 +363,7 @@ def _scaling_covariance():
 def _expansion_quick():
     params = ProblemParams(13, compute_pc(13) + 0.5)
     sol = shoot(params, alpha=1.0, r_max=2000.0)
-    spec = sol.spectrum
-    regime = detect_regime(params, compute_ladder(13))
-    fit = fit_expansion(sol, spec, regime)
-    drift = window_shift_stability(sol, spec, regime)
-    return _verdict(expansion_invariants(spec, fit, drift, representation_check(sol, spec)))
+    return _verdict(run_expansion(sol, detect_regime(params, compute_ladder(13)))[2])
 
 
 _ALGEBRA = (

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import biharm.cli
 from biharm import ProblemParams, compute_spectrum
 from biharm.cli import main
 from biharm.verify import BOUNDS
@@ -280,6 +282,28 @@ def test_expand_failure_names_value_and_bound(runner, pc13, monkeypatch):
     assert all(rec["passed"] for rec in invariants.values())
     assert "a0_matches_L" in res.stderr
     assert not any(name in res.stderr for name in invariants)
+
+
+@pytest.mark.parametrize("window", [("5", "3"), ("nan", "5"), ("5", "inf")])
+def test_expand_rejects_a_bad_window_before_the_solve(runner, pc13, monkeypatch, window):
+    # a window must be finite with s_lo < s_hi; these ran the whole solve and
+    # then exited 1 with "0 nodes cannot support 4 coefficients"
+    def refuse(*args, **kwargs):
+        raise AssertionError("expand shot a solve for an invalid window")
+
+    monkeypatch.setattr(biharm.cli, "shoot", refuse)
+    res = runner.invoke(main, ["expand", "--n", "13", "--p", str(pc13 + 0.5), "--window", *window])
+    assert res.exit_code == 2, res.output
+    lo, hi = (float(x) for x in window)
+    assert f"fit window (s_lo, s_hi) = ({lo}, {hi}) must be finite" in res.stderr
+
+
+def test_expand_window_with_too_few_nodes_exits_1(runner, pc13):
+    # a valid window that holds too few lattice nodes fails the fit (exit 1)
+    res = runner.invoke(main, ["expand", "--n", "13", "--p", str(pc13 + 0.5), "--r-max", "500",
+                               "--window", "5", "5.02"])
+    assert res.exit_code == 1, res.output
+    assert re.search(r"error: \d nodes cannot support \d coefficients", res.stderr)
 
 
 def test_sweep_csv_roundtrip(runner, tmp_path):

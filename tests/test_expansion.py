@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biharm import DomainError, IllConditioned, ProblemParams, SubcriticalInput, compute_ladder
+from biharm import (
+    DomainError,
+    IllConditioned,
+    InvalidParams,
+    ProblemParams,
+    SubcriticalInput,
+    compute_ladder,
+)
 from biharm.expansion import (
     Nonlinearity,
     Regime,
@@ -345,6 +352,20 @@ def test_fit_recovers_synthetic_coefficients(sol_quick, pc13):
     for name, val in truth.items():
         est = fit.coefficients[name]
         assert est.value == pytest.approx(val, rel=1e-4, abs=5e-7), name
+
+
+@pytest.mark.parametrize("window", [(5.0, 3.0), (5.0, 5.0), (np.nan, 5.0), (5.0, np.inf)])
+def test_windows_that_are_not_finite_and_ascending_are_rejected(sol_quick, window):
+    # such a window selects no node, which the fit read as WindowTooShort
+    # ("0 nodes cannot support 4 coefficients") and the representation check
+    # as an IndexError (NaN); it is invalid input, named
+    regime = detect_regime(sol_quick.params, compute_ladder(13))
+    with pytest.raises(InvalidParams, match=r"fit window .* must be finite with s_lo < s_hi"):
+        fit_expansion(sol_quick, sol_quick.spectrum, regime, window)
+    with pytest.raises(InvalidParams, match="fit window"):
+        window_shift_stability(sol_quick, sol_quick.spectrum, regime, window)
+    with pytest.raises(InvalidParams, match="fit window"):
+        representation_check(sol_quick, window=window)
 
 
 def test_fit_recovers_synthetic_regime_c(sol_quick, pc13):

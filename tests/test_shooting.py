@@ -417,9 +417,44 @@ def test_shoot_compiles_nothing(sol_quick, monkeypatch):
     assert v0 == sol_quick.v0
 
 
+def test_solution_below_r_switch_is_the_collocation_chord(sol_quick, monkeypatch):
+    # Below r_switch the solve is the chord at its v0 between the dense
+    # r-chart legs at _chord_ends(up, dn), the legs of the collocation's left
+    # condition: per leg the series at its v below the leg's start, the leg
+    # from it on, and u = u_lo + t (u_hi - u_lo), t = (v0 - lo) / (hi - lo),
+    # bit for bit.
+    params = sol_quick.params
+    sol, brackets, _ = _record_collocation(params, 500.0, monkeypatch)
+    assert sol.v0 == sol_quick.v0
+    (up, dn), = brackets
+    lo, hi = _chord_ends(up, dn)
+    integ = _Integrator(params, 1.0)
+    head = sol.s_grid < math.log(_R_SWITCH)
+    rr = sol.r_grid[head]
+
+    def entries(v):
+        _, leg, _ = integ.shot(v, _R_SWITCH, dense=True)
+        seeded = rr < leg.t[0]
+        assert np.any(seeded) and not np.all(seeded)
+        u, du = leg.sol(rr)[:2]
+        u[seeded], du[seeded] = integ.series(v).state(rr[seeded])[:2]
+        return u, du
+
+    (u_lo, du_lo), (u_hi, du_hi) = entries(lo), entries(hi)
+    t = (sol.v0 - lo) / (hi - lo)
+    u, du = u_lo + t * (u_hi - u_lo), du_lo + t * (du_hi - du_lo)
+    rm = np.array([r**integ.m for r in rr.tolist()])
+    W = rm * u
+    assert np.array_equal(sol.W[head], W)
+    Z = rm * (integ.m * u + rr * du) - integ.spec.lambdas[3] * (W - integ.L)
+    assert np.array_equal(sol.Z[head], Z)
+
+
 def test_integrate_radial_at_converged_v0(sol_quick):
-    # Below r_switch the solve is the r-chart leg at its v0, which is the
-    # single shot's, bit for bit.  The collocated tail is not compared.
+    # A single shot at the solve's v0 meets the collocation's chord below
+    # r_switch to within the legs' integration error (measured 1.7e-14 of
+    # max |W| in W, 1.0e-15 of max |Z| in Z).  The collocated tail is not
+    # compared.
     again = integrate_radial(
         sol_quick.params, alpha=1.0, v0=sol_quick.v0, r_max=500.0
     )
@@ -427,8 +462,9 @@ def test_integrate_radial_at_converged_v0(sol_quick):
     assert np.array_equal(again.s_grid, sol_quick.s_grid)
     head = sol_quick.s_grid < math.log(_R_SWITCH)
     assert np.any(head)
-    assert np.array_equal(again.W[head], sol_quick.W[head])
-    assert np.array_equal(again.Z[head], sol_quick.Z[head])
+    for name in ("W", "Z"):
+        got, want = getattr(again, name)[head], getattr(sol_quick, name)[head]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
     assert again.seam_residual == 0.0  # one shot: its s-chart starts from its r-chart end
 
 
@@ -625,7 +661,7 @@ def test_seam_residual_does_not_depend_on_r_max(sol_quick):
     # The seam is measured at r_switch on the solve itself, which below
     # r = 500 does not depend on r_max: a lattice that ends before r_switch
     # (5, 9.8) or just past it (11) reads the r_max 500 value, a number
-    # (measured 8.1e-13), never NaN
+    # (measured 1.6e-14), never NaN
     seams = {r_max: shoot(sol_quick.params, alpha=1.0, r_max=r_max).seam_residual
              for r_max in (5.0, 9.8, 11.0)}
     assert seams == {r_max: sol_quick.seam_residual for r_max in seams}
@@ -633,31 +669,36 @@ def test_seam_residual_does_not_depend_on_r_max(sol_quick):
 
 
 def test_seam_residual_is_small_on_the_acceptance_cases(sol_a, sol_b, sol_c):
-    # measured 2.7e-14, 5.5e-13 and 5.6e-13
+    # measured 4.0e-15, 5.8e-14 and 1.3e-14
     for sol in (sol_a, sol_b, sol_c):
         assert sol.seam_residual <= 1e-12
 
 
-def test_seam_residual_sees_a_perturbed_head_leg(sol_quick, monkeypatch):
-    # A head leg taken at v0 (1 + 1e-12) ends off the collocation's start
-    # state: measured 2.1e-10, against 8.1e-13 at v0 itself.
-    plain = _Integrator.shot
+def test_seam_residual_sees_an_offset_start_state(sol_quick, monkeypatch):
+    # The seam reads the collocation's start state against the chord at v0:
+    # with that state offset by 3e-10 L in W'' (each solve_bvp result's first
+    # node; v0 and the interpolant the tail is read from stay as solved) it
+    # reads the offset, against 1.6e-14 as solved, and nothing else moves.
+    offset = np.array([0.0, 0.0, 3e-10, 0.0])
+    plain = biharm.shooting.solve_bvp
 
-    def perturbed(self, v0, r_max, dense=False, rtol=None):
-        if dense:  # the head leg; the chord's legs to r_switch are not dense
-            v0 *= 1.0 + 1e-12
-        return plain(self, v0, r_max, dense, rtol)
+    def offset_start(fun, bc, x, y, **kwargs):
+        res = plain(fun, bc, x, y, **kwargs)
+        res.y = res.y.copy()
+        res.y[:, 0] += offset
+        return res
 
-    monkeypatch.setattr(_Integrator, "shot", perturbed)
+    monkeypatch.setattr(biharm.shooting, "solve_bvp", offset_start)
     sol = shoot(sol_quick.params, alpha=1.0, r_max=500.0)
     assert sol.v0 == sol_quick.v0
-    assert sol.seam_residual > 1e-11
+    assert np.array_equal(sol.W, sol_quick.W) and np.array_equal(sol.Z, sol_quick.Z)
+    assert sol.seam_residual == pytest.approx(3e-10, rel=1e-3)
 
 
 def test_z_is_the_stencil_derivative_of_w(sol_quick):
-    # Z = W' - lam4 Y comes from the solved states (series, r-chart leg,
-    # collocation); a 4th-order central stencil of Y on the lattice agrees
-    # with it on every interior node, the chart seam included
+    # Z = W' - lam4 Y comes from the solved states (series, the chord's
+    # r-chart legs, collocation); a 4th-order central stencil of Y on the
+    # lattice agrees with it on every interior node, the chart seam included
     Y, Z = sol_quick.Y, sol_quick.Z
     dY = diff_uniform(Y, _DS, 1, acc=4)
     k = (Y.size - dY.size) // 2
@@ -700,11 +741,16 @@ def test_chord_ends_are_at_least_the_floor_apart():
 
 def test_chord_floor_keeps_the_seam_closed_at_n40_pc():
     # n = 40 at p_c: stage 1's bracket collapses to one ulp, and a chord
-    # between its ends would read the legs' integration noise as the slope
-    # (seam 8.9e-11, v0 1e-11 relative off).  With the chord's ends _RTOL
-    # |v0| apart the seam reads 7.0e-14 and v0 lands 7.2e-12 relative past
-    # the bracket, inside the guard.
+    # between its ends would read the legs' integration noise as the slope.
+    # The solution below r_switch is that chord, so the seam stays closed
+    # either way (3.5e-17 with the floor, 9.9e-16 without); v0 tells them
+    # apart.  Pinned: v0 of the solve with _RTOL = 5e-13 (floor in place).
+    # With the chord's ends _RTOL |v0| apart v0 lies 1.9e-14 relative from
+    # it, 7.2e-12 relative past the bracket, inside the guard; between the
+    # bracket's ends it lies 1.0e-11 off.
     sol = shoot(ProblemParams(40, compute_pc(40)), alpha=1.0, r_max=1e4)
+    tight = float.fromhex("-0x1.d71ab8506c4f2p-1")
+    assert abs(sol.v0 - tight) <= 1e-13 * abs(tight)
     assert sol.seam_residual < 1e-12
     assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
 
@@ -1020,6 +1066,15 @@ def test_large_p_step_failure_names_s_chart(pc13):
     assert _R_SWITCH < r < 1e5
 
 
+def test_chord_lattice_passes_n13_at_100_pc(pc13):
+    # n = 13, p = 100 p_c: with the lattice below r_switch from a separate
+    # leg at v0, its jump against the collocation's start state at r_switch
+    # failed transform_residual (4.73e-4 > 1e-4); from the collocation's own
+    # chord the solution reads 3.4e-5 and passes all six solve invariants
+    sol = shoot(ProblemParams(13, 100.0 * pc13), alpha=1.0, r_max=1e4)
+    assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
+
+
 def test_large_p_step_failures_no_longer_stop_the_solve(pc15, monkeypatch):
     # n=15, p = 100 p_c raised StepFailure on its first probe shot; with its
     # failures above L read as blow-ups it passes all six solve invariants
@@ -1056,13 +1111,22 @@ def test_stage_1_step_failure_below_L_is_reraised(pc13, monkeypatch, w_over_L):
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
-def test_dense_v0_leg_replays_a_plain_full_tolerance_shot(fixture, r_max, request):
-    # One shot geometry: dense output only adds interpolants, so the dense
-    # leg at v0 takes the steps of a plain full-tolerance shot (a chord leg's),
-    # and a dense shot ends on the plain shot's residual and starts its
+def test_dense_chord_legs_replay_plain_full_tolerance_shots(fixture, r_max, request, monkeypatch):
+    # One shot geometry: dense output only adds interpolants, so the chord's
+    # dense legs at _chord_ends(up, dn) take the steps of plain full-tolerance
+    # legs, and the chord and v0 are those of plain legs; a dense shot at v0
+    # (integrate_radial's) ends on the plain shot's residual and starts its
     # s-chart from the same r_switch state, bit for bit.
     sol = request.getfixturevalue(fixture)
+    again, brackets, _ = _record_collocation(sol.params, r_max, monkeypatch)
+    assert again.v0 == sol.v0
+    (up, dn), = brackets
     integ = _Integrator(sol.params, 1.0)
+    for v in _chord_ends(up, dn):
+        _, leg_dense, _ = integ.shot(v, _R_SWITCH, dense=True)
+        _, leg, _ = integ.shot(v, _R_SWITCH)
+        assert leg_dense.sol is not None and leg.sol is None
+        assert np.array_equal(leg_dense.t, leg.t) and np.array_equal(leg_dense.y, leg.y)
     r_cls = r_max * math.exp(_S_PAD)
     rho_dense, sol_r_dense, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
     rho, sol_r, sol_s = integ.shot(sol.v0, r_cls)

@@ -1,5 +1,10 @@
 import importlib.util
+import json
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from biharm.cli import main
 
 _SPEC = importlib.util.spec_from_file_location(
     "shoot_cells", Path(__file__).resolve().parents[1] / "tools" / "shoot_cells.py"
@@ -92,7 +97,7 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     # nodes, then one final solve on the predicted mesh
     rec = shoot_cells.shoot_cell("quick")
     assert rec["trials"] == [rec["n_bisect"]]
-    # stage 1 at rtol 1e-8; the chord's two r-chart legs and the v0 leg at 1e-12
+    # stage 1 at rtol 1e-8; the chord's two r-chart legs at 1e-12
     for chart in rec["ivp"].values():
         assert sum(chart["nfev_by_rtol"].values()) == chart["nfev"]
     assert set(rec["ivp"]["s"]["nfev_by_rtol"]) == {"1e-08"}
@@ -101,3 +106,61 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     assert rec["bvp"]["coarse"] == {"nodes": [200], "niter": [1]}
     assert len(rec["bvp"]["nodes"]) == len(rec["bvp"]["niter"]) == 1
     assert rec["bvp"]["nodes"][0] >= 200 and rec["bvp"]["niter"][0] >= 1
+
+
+def _expand(failed=(), error=None):
+    if error is not None:
+        return {"error": error, "message": ""}
+    names = ("a0_matches_L", "remainder_slope_ok", "window_shift_stable")
+    return {"regime": "a", "k": 1, "window": ["5.0", "8.0"], "coefficients": {},
+            "checks": {name: {"value": "0.1", "bound": 1.0, "passed": name not in failed}
+                       for name in names}}
+
+
+def test_shoot_cells_diff_reads_expand_outcomes(capsys):
+    # A keeps its expansion ok; B's OLD record predates the expand key; C's
+    # expansion fails in NEW while its solve stays ok, which exits 1; D
+    # raised on both sides; F failed its solve and has no expand record
+    old = {label: _ok("0x1p-2", 5, 9) for label in "ABCD"}
+    new = {label: _ok("0x1p-2", 5, 9) for label in "ABCD"}
+    old["F"] = new["F"] = _failed("StepFailure", 7, [8])
+    old["A"]["expand"] = new["A"]["expand"] = new["B"]["expand"] = old["C"]["expand"] = _expand()
+    new["C"]["expand"] = _expand(failed=("remainder_slope_ok",))
+    old["D"]["expand"] = new["D"]["expand"] = _expand(error="IllConditioned")
+    assert shoot_cells.diff(old, new) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("expand")] == [
+        "expand A: ok -> ok",
+        "expand B: - -> ok",
+        "expand C: ok -> failed remainder_slope_ok",
+        "expand D: IllConditioned -> IllConditioned",
+        "expand ok: 2 -> 2 of 4",
+        "expand ok cells lost: C",
+    ]
+    assert "ok: 4 -> 4 of 5" in out and not any(line.startswith("ok cells lost") for line in out)
+    # without expand records on either side, nothing about them prints
+    for rec in (old, new):
+        for label in "ABCD":
+            rec[label].pop("expand", None)
+    assert shoot_cells.diff(old, new) == 0
+    assert "expand" not in capsys.readouterr().out
+
+
+def test_shoot_cells_records_the_expand_pipeline(pc13):
+    # the expand record is `biharm expand` on the same solve: regime, window,
+    # coefficients and the five expansion invariants with their bounds
+    rec = shoot_cells.shoot_cell("quick")["expand"]
+    res = CliRunner().invoke(main, ["expand", "--n", "13", "--p", repr(pc13 + 0.5),
+                                    "--r-max", "500"])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.stdout)
+    assert (rec["regime"], rec["k"]) == (payload["regime"], payload["k"]) == ("a", 1)
+    assert [float(s) for s in rec["window"]] == payload["window"]
+    assert {name: float(est["value"]) for name, est in rec["coefficients"].items()} == {
+        name: est["value"] for name, est in payload["coefficients"].items()}
+    assert len(rec["checks"]) == 5
+    for name, check in rec["checks"].items():
+        cli = payload["invariants"][name]
+        assert check["passed"] is cli["passed"] is True and check["bound"] == cli["bound"]
+        assert check["value"] == (cli["value"] if cli["bound"] is None else repr(cli["value"]))
+    assert shoot_cells.shoot_cell("A_r5")["expand"]["error"] == "WindowTooShort"

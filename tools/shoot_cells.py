@@ -16,7 +16,10 @@ the end residual rho = target_residual, the seam residual at r_switch
 (seam_residual, on trees whose solutions carry it), the SHA-256 of its
 dump_solution text (dump_sha256, so a plain diff covers s, r, phi, W, Y and
 Z) and of its W array's bytes (w_sha256), the six solve invariants with
-their bounds, and the solve_ivp calls and RHS evaluations per chart, the
+their bounds, under "expand" the pipeline of `biharm expand` on the
+solution (regime and k, the default window, the coefficients and the five
+expansion invariants with their bounds, or the typed error it raised), and
+the solve_ivp calls and RHS evaluations per chart, the
 latter also split by the legs' rtol (nfev_by_rtol: stage 1's loose shots
 apart from the full-tolerance legs); a solve that raises a typed error
 records its class and message instead.  Every
@@ -30,8 +33,9 @@ Nothing in the output depends on timing, so two trees can be compared with
 a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
-so the same script measures any tree whose shooter has the collocation
-stage; records of older trees come from their own copy of this script.
+so the same script measures any tree that has verify.run_expansion (the
+expand pipeline it records); records of older trees come from their own
+copy of this script.
 
 --diff compares two such outputs (say, of a parent tree and of a change)
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
@@ -44,8 +48,11 @@ that Z moved and W did not; then |dv0|/|v0| for each cell whose v0
 differs and the largest over the cells with a v0 on both sides, the totals
 (RHS evaluations also by rtol, for a side whose records split them), the ok
 counts and the identical dumps out of the cells with a dump on either side.
-Records of older trees, without the newer keys, diff all the same.  It exits
-1 when a cell that is ok in OLD is not ok in NEW.
+For each cell with an expand record on either side it prints both sides'
+expand outcome (as for the solve, over the expansion invariants; "-"
+without a record), then the expand-ok counts.  Records of older trees,
+without the newer keys, diff all the same.  It exits 1 when a cell that is
+ok in OLD is not ok in NEW, or expand-ok in OLD and not in NEW.
 """
 
 from __future__ import annotations
@@ -99,10 +106,12 @@ def shoot_cell(label: str) -> dict:
     trials of each root-search call and the collocation's nodes and niter."""
     import biharm.shooting as shooting
     from biharm import BiharmError, ProblemParams, compute_ladder
-    from biharm.verify import solve_invariants
+    from biharm.expansion import detect_regime
+    from biharm.verify import run_expansion, solve_invariants
 
     n, p_of, r_max = (CELLS | GRID)[label]
-    params = ProblemParams(n, p_of(compute_ladder(n)))
+    ladder = compute_ladder(n)
+    params = ProblemParams(n, p_of(ladder))
     calls, nfev, by_rtol, trials = Counter(), Counter(), {"r": Counter(), "s": Counter()}, []
     bvp = {"coarse": {"nodes": [], "niter": []}, "nodes": [], "niter": []}
     plain, plain_bisect, plain_bvp = shooting.solve_ivp, shooting._bisect, shooting.solve_bvp
@@ -147,16 +156,25 @@ def shoot_cell(label: str) -> dict:
         if hasattr(sol, "seam_residual"):
             rec["seam_residual"] = repr(float(sol.seam_residual))
         try:
-            rec["checks"] = {
-                inv.name: {
-                    "value": bool(inv.value) if inv.bound is None else repr(float(inv.value)),
-                    "bound": inv.bound,
-                    "passed": bool(inv.passed),
-                }
-                for inv in solve_invariants(sol)
-            }
+            rec["checks"] = _checks(solve_invariants(sol))
         except BiharmError as exc:
             rec["checks"] = {"error": type(exc).__name__, "message": str(exc)}
+        try:
+            fit, _, invariants = run_expansion(sol, detect_regime(params, ladder))
+        except BiharmError as exc:
+            rec["expand"] = {"error": type(exc).__name__, "message": str(exc)}
+        else:
+            rec["expand"] = {
+                "regime": fit.regime.kind,
+                "k": fit.regime.k,
+                "window": [repr(float(s)) for s in fit.window],
+                "coefficients": {
+                    name: {"value": repr(est.value), "stderr": repr(est.stderr),
+                           "resolved": est.resolved}
+                    for name, est in fit.coefficients.items()
+                },
+                "checks": _checks(invariants),
+            }
     finally:
         shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = plain, plain_bisect, plain_bvp
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max}
@@ -167,8 +185,21 @@ def shoot_cell(label: str) -> dict:
     return rec
 
 
+def _checks(invariants) -> dict:
+    """{name: {value, bound, passed}} of verify.Invariant records, floats as repr."""
+    return {
+        inv.name: {
+            "value": bool(inv.value) if inv.bound is None else repr(float(inv.value)),
+            "bound": inv.bound,
+            "passed": bool(inv.passed),
+        }
+        for inv in invariants
+    }
+
+
 def outcome(rec: dict) -> str:
-    """ok, the typed error's class, or the invariants that failed."""
+    """ok, the typed error's class, or the invariants that failed (of a
+    solve's record or of its "expand" record)."""
     if "error" in rec:
         return rec["error"]
     if "error" in rec["checks"]:
@@ -235,10 +266,22 @@ def diff(old: dict, new: dict) -> int:
     print(f"ok: {ok_old} -> {ok_new} of {len(labels)}")
     dumps = [same(old[label], new[label], "dump_sha256") for label in labels]
     print(f"identical dumps: {dumps.count('equal')} of {len(dumps) - dumps.count('-')}")
+    expand = {}  # label -> (old, new) expand outcome, "-" for a side without a record
+    for label in labels:
+        sides = tuple(outcome(rec[label]["expand"]) if "expand" in rec[label] else "-"
+                      for rec in (old, new))
+        if sides != ("-", "-"):
+            expand[label] = sides
+            print(f"expand {label}: {sides[0]} -> {sides[1]}")
+    if expand:
+        ok_old, ok_new = (sum(sides[i] == "ok" for sides in expand.values()) for i in (0, 1))
+        print(f"expand ok: {ok_old} -> {ok_new} of {len(expand)}")
+    lost_expand = [label for label, (o, n) in expand.items() if o == "ok" != n]
     if lost:
         print(f"ok cells lost: {', '.join(lost)}")
-        return 1
-    return 0
+    if lost_expand:
+        print(f"expand ok cells lost: {', '.join(lost_expand)}")
+    return 1 if lost or lost_expand else 0
 
 
 def main() -> None:
