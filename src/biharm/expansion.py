@@ -11,8 +11,10 @@ s = log r -> infinity split into three regimes along the critical ladder:
   (c) p = p_c:            lam2 = lam3 and W = a0 + (b1 s + a1) e^{lam3 s}
                               + b2 s^2 e^{2 lam3 s} + ...
 
-This module fits those bases to shooting output by weighted least squares and
-checks the variation-of-parameters representation of Z against the grid.
+Each basis, and the variation-of-parameters kernel, is a list of terms
+s^q e^{mu s}.  This module fits those bases to shooting output by weighted
+least squares and checks the variation-of-parameters representation of Z
+against the grid.
 """
 
 from __future__ import annotations
@@ -123,6 +125,15 @@ def variation_kernel(spec: Spectrum, s0: float) -> VariationKernel:
     return VariationKernel(s0=s0, betas=betas, degenerate=spec.degenerate)
 
 
+def _kernel_terms(kern: VariationKernel, spec: Spectrum):
+    """(name, lam, q) of the kernels (s - tau)^q e^{lam (s - tau)} paired with
+    kern.betas, named for their homogeneous coefficients alpha1..alpha3."""
+    lam1, lam2, lam3, _ = spec.lambdas
+    if kern.degenerate:
+        return (("alpha1", lam1, 0), ("alpha2", lam3, 0), ("alpha3", lam3, 1))
+    return (("alpha1", lam1, 0), ("alpha2", lam2, 0), ("alpha3", lam3, 0))
+
+
 def weighted_kernel_convolve(lam: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """J(s) = int_{s_0}^{s} (s - tau) e^{lam (s - tau)} g(tau) dtau.
 
@@ -131,28 +142,29 @@ def weighted_kernel_convolve(lam: float, s: np.ndarray, g: np.ndarray) -> np.nda
     return s * exp_kernel_convolve(lam, s, g) - exp_kernel_convolve(lam, s, s * g)
 
 
-def kernel_convolutions(kern: VariationKernel, spec: Spectrum, s: np.ndarray, g: np.ndarray):
-    """The three convolution integrals paired with kern.betas, from s0 = s[0]."""
-    lam1, lam2, lam3, _ = spec.lambdas
-    if kern.degenerate:
-        return (
-            exp_kernel_convolve(lam1, s, g),
-            exp_kernel_convolve(lam3, s, g),
-            weighted_kernel_convolve(lam3, s, g),
-        )
-    return (
-        exp_kernel_convolve(lam1, s, g),
-        exp_kernel_convolve(lam2, s, g),
-        exp_kernel_convolve(lam3, s, g),
-    )
+def _columns(terms, s: np.ndarray) -> np.ndarray:
+    """The columns s^q e^{mu s} of (name, mu, q) terms at s, stacked."""
+    return np.stack([s**q * np.exp(mu * s) for _, mu, q in terms], axis=1)
 
 
-def _homogeneous_columns(kern: VariationKernel, spec: Spectrum, s: np.ndarray):
-    lam1, lam2, lam3, _ = spec.lambdas
-    sigma = s - kern.s0
-    if kern.degenerate:
-        return [np.exp(lam1 * sigma), np.exp(lam3 * sigma), sigma * np.exp(lam3 * sigma)]
-    return [np.exp(lam1 * sigma), np.exp(lam2 * sigma), np.exp(lam3 * sigma)]
+def _design(what: str, terms, s: np.ndarray, where: str = ""):
+    """(A, A_s, scale): the columns of terms at s, and A with each column
+    scaled to unit maximum.
+
+    A column whose maximum is 0 or not finite (say, underflowed on the
+    window) and a scaled matrix whose condition exceeds COND_LIMIT raise
+    IllConditioned, the former naming the term.
+    """
+    A = _columns(terms, s)
+    scale = np.max(np.abs(A), axis=0)
+    for (name, _, _), top in zip(terms, scale):
+        if not (math.isfinite(top) and top > 0.0):
+            raise IllConditioned(f"{what}: column {name} has maximum {top} on the window{where}")
+    A_s = A / scale
+    cond = float(np.linalg.cond(A_s))
+    if cond > COND_LIMIT:
+        raise IllConditioned(f"{what} condition {cond:.3g} > {COND_LIMIT:g}{where}")
+    return A, A_s, scale
 
 
 @dataclass(frozen=True)
@@ -209,19 +221,14 @@ def representation_check(
     s = s_all[i0:]
     nl = Nonlinearity(L=L, p=sol.params.p)
     g = _g_of_w(nl, sol.W[i0:])
-    convs = kernel_convolutions(kern, spec, s, g)
-    forced = sum(b * I for b, I in zip(kern.betas, convs))
+    terms = _kernel_terms(kern, spec)
+    convolve = (exp_kernel_convolve, weighted_kernel_convolve)
+    forced = sum(b * convolve[q](lam, s, g) for b, (_, lam, q) in zip(kern.betas, terms))
 
     mask = (s >= window[0]) & (s <= window[1])
     if np.count_nonzero(mask) < 8:
         raise WindowTooShort(f"window {window} holds fewer than 8 nodes")
-    cols = _homogeneous_columns(kern, spec, s)
-    A = np.stack([c[mask] for c in cols], axis=1)
-    scale = np.max(np.abs(A), axis=0)
-    A_s = A / scale
-    cond = np.linalg.cond(A_s)
-    if cond > COND_LIMIT:
-        raise IllConditioned(f"homogeneous design matrix condition {cond:.3g}")
+    A, A_s, scale = _design("homogeneous design matrix", terms, s[mask] - kern.s0)
     target = sol.Z[i0:][mask] - forced[mask]
     coef_s, *_ = np.linalg.lstsq(A_s, target, rcond=None)
     alphas = tuple(coef_s / scale)
@@ -300,49 +307,30 @@ class ExpansionFit:
     window: tuple[float, float]
 
 
-def _regime_columns(regime: Regime, spec: Spectrum, s: np.ndarray):
-    """Basis columns evaluated at s, in expansion order, with their names."""
+def _regime_terms(regime: Regime, spec: Spectrum):
+    """The regime's basis as (name, mu, q) terms s^q e^{mu s}, in expansion order."""
     lam2, lam3 = spec.lambdas[1], spec.lambdas[2]
     k = regime.k
-    names = ["a0"]
-    cols = [np.ones_like(s)]
     if regime.kind == "a":
-        for j in range(1, k + 2):
-            names.append(f"a{j}")
-            cols.append(np.exp(j * lam3 * s))
-        names.append("b1")
-        cols.append(np.exp(lam2 * s))
-    elif regime.kind == "b":
+        powers = [(f"a{j}", j * lam3, 0) for j in range(1, k + 2)]
+        return [("a0", 0.0, 0), *powers, ("b1", lam2, 0)]
+    if regime.kind == "b":
         if k < 2:
             raise InvalidParams("regime b requires k >= 2")
-        for j in range(1, k):
-            names.append(f"a{j}")
-            cols.append(np.exp(j * lam3 * s))
-        names.append("b1")
-        cols.append(s * np.exp(k * lam3 * s))
-        names.append(f"a{k}")
-        cols.append(np.exp(k * lam3 * s))
-    elif regime.kind == "c":
-        names += ["b1", "a1", "b2"]
-        cols += [
-            s * np.exp(lam3 * s),
-            np.exp(lam3 * s),
-            s**2 * np.exp(2.0 * lam3 * s),
-        ]
-    else:
-        raise InvalidParams(f"unknown regime kind {regime.kind!r}")
-    return names, cols
+        powers = [(f"a{j}", j * lam3, 0) for j in range(1, k)]
+        return [("a0", 0.0, 0), *powers, ("b1", k * lam3, 1), (f"a{k}", k * lam3, 0)]
+    if regime.kind == "c":
+        return [("a0", 0.0, 0), ("b1", lam3, 1), ("a1", lam3, 0), ("b2", 2.0 * lam3, 2)]
+    raise InvalidParams(f"unknown regime kind {regime.kind!r}")
 
 
-def default_fit_window(sol: RadialSolution, spec: Spectrum | None = None):
+def default_fit_window(sol: RadialSolution, spec: Spectrum):
     """Window where the truncated expansion is both valid and resolved.
 
     Starts where |Y| has fallen to 1e-4 * L (unmodeled higher-order terms
     below the fit noise, so coefficients come out unbiased) and ends at the
     resolved top (resolved_top_index) for the _DECAY_FLOOR * L floor.
     """
-    if spec is None:
-        spec = sol.spectrum
     below = np.nonzero(np.abs(sol.Y) <= 1e-4 * spec.L)[0]
     if below.size == 0:
         raise WindowTooShort("Y never falls to 1e-4 * L; extend r_max")
@@ -355,7 +343,7 @@ def default_fit_window(sol: RadialSolution, spec: Spectrum | None = None):
     return (float(sol.s_grid[i_lo]), float(sol.s_grid[i_hi]))
 
 
-def _remainder_slope(sol, spec, regime, names, coef, window) -> float:
+def _remainder_slope(sol, terms, coef, window) -> float:
     """Log-slope of the model defect where the truncated terms dominate.
 
     The window itself sits where the remainder is below the noise floor (that
@@ -370,8 +358,7 @@ def _remainder_slope(sol, spec, regime, names, coef, window) -> float:
     if np.count_nonzero(mask) < 12:
         mask = (s_all >= 0.5 * (window[0] + window[1])) & (s_all <= window[1])
     s = s_all[mask]
-    _, cols = _regime_columns(regime, spec, s)
-    resid = np.abs(sol.W[mask] - np.stack(cols, axis=1) @ coef)
+    resid = np.abs(sol.W[mask] - _columns(terms, s) @ coef)
     return float(np.polyfit(s, np.log(resid + 1e-300), 1)[0])
 
 
@@ -380,8 +367,8 @@ _JACKKNIFE_BLOCKS = 6
 
 def fit_expansion(
     sol: RadialSolution,
-    spec: Spectrum | None = None,
-    regime: Regime | None = None,
+    spec: Spectrum,
+    regime: Regime,
     window: tuple[float, float] | None = None,
 ) -> ExpansionFit:
     """Fit the regime basis to W on the window by least squares.
@@ -395,10 +382,6 @@ def fit_expansion(
     estimated from the model defect below the window and compared against
     lam2 + lam3.
     """
-    if spec is None:
-        spec = sol.spectrum
-    if regime is None:
-        raise InvalidParams("regime descriptor required; call detect_regime")
     if window is None:
         window = default_fit_window(sol, spec)
     check_window(window)
@@ -409,20 +392,15 @@ def fit_expansion(
     s = s_all[mask]
     W = sol.W[mask]
 
-    names, cols = _regime_columns(regime, spec, s)
-    n_par = len(cols)
+    terms = _regime_terms(regime, spec)
+    n_par = len(terms)
     if n_pts < n_par + 2 * _JACKKNIFE_BLOCKS:
         raise WindowTooShort(f"{n_pts} nodes cannot support {n_par} coefficients")
 
-    A = np.stack(cols, axis=1)
-    scale = np.max(np.abs(A), axis=0)
-    A_s = A / scale
-    cond = float(np.linalg.cond(A_s))
-    if cond > COND_LIMIT:
-        raise IllConditioned(
-            f"fit design matrix condition {cond:.3g} > {COND_LIMIT:g} in regime "
-            f"{regime.kind}, k = {regime.k}, with {n_par} columns"
-        )
+    _, A_s, scale = _design(
+        "fit design matrix", terms, s,
+        f" in regime {regime.kind}, k = {regime.k}, with {n_par} columns",
+    )
     coef = np.linalg.lstsq(A_s, W, rcond=None)[0] / scale
 
     thetas = []
@@ -438,10 +416,10 @@ def fit_expansion(
         name: CoefficientEstimate(
             value=float(c), stderr=float(se), resolved=bool(abs(c) > se)
         )
-        for name, c, se in zip(names, coef, stderr)
+        for (name, _, _), c, se in zip(terms, coef, stderr)
     }
 
-    slope = _remainder_slope(sol, spec, regime, names, coef, window)
+    slope = _remainder_slope(sol, terms, coef, window)
     lam2, lam3 = spec.lambdas[1], spec.lambdas[2]
     return ExpansionFit(
         regime=regime,
@@ -454,14 +432,12 @@ def fit_expansion(
 
 def window_shift_stability(
     sol: RadialSolution,
-    spec: Spectrum | None = None,
-    regime: Regime | None = None,
+    spec: Spectrum,
+    regime: Regime,
     window: tuple[float, float] | None = None,
 ) -> dict[str, float]:
     """Coefficient drift, in units of standard error, when the window moves
     right by a tenth of its width."""
-    if spec is None:
-        spec = sol.spectrum
     if window is None:
         window = default_fit_window(sol, spec)
     base = fit_expansion(sol, spec, regime, window)
@@ -471,11 +447,7 @@ def window_shift_stability(
     if shifted[1] > s_max:
         shifted = (shifted[0] - (shifted[1] - s_max), s_max)
     moved = fit_expansion(sol, spec, regime, shifted)
-    out = {}
-    for name, est in base.coefficients.items():
-        if name not in moved.coefficients:
-            continue
-        delta = abs(moved.coefficients[name].value - est.value)
-        se = max(est.stderr, 1e-300)
-        out[name] = delta / se
-    return out
+    return {
+        name: abs(moved.coefficients[name].value - est.value) / max(est.stderr, 1e-300)
+        for name, est in base.coefficients.items()
+    }

@@ -257,16 +257,15 @@ class IvpResult:
     step: float
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
+def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     """Integrate y' = fun(t, y) forward over t_span = (t0, t_bound) from y0.
 
-    fun is a right-hand side made by a `system` factory, and events must be
-    its own terminal events, fun.events, which its kernel tests inline.
+    fun is a right-hand side made by a `system` factory; its terminal
+    events, fun.events, are tested inline by its kernel and end the leg.
     dense_output only adds the interpolants (three more right-hand side
     evaluations per step); the steps are the same.
     """
-    if tuple(events) != fun.events:
-        raise ValueError(f"events must be {fun.__name__}.events, which its kernel tests")
+    events = fun.events
     t0, t_bound = (float(t) for t in t_span)
     y = tuple(float(v) for v in y0)
 

@@ -270,14 +270,13 @@ class _Integrator:
         self.pow_cap = 10.0 ** (295.0 / params.p)
         self.spec = compute_spectrum(params)
         self.L = self.spec.L
-        # chart -> (right-hand side, its events) on this configuration's
-        # constants; the scalar operations match the array form built on
-        # _power term for term, so the results are identical
+        # each chart's right-hand side, with its events, on this
+        # configuration's constants; the scalar operations match the array
+        # form built on _power term for term, so the results are identical
         _, c1, c2, c3, c4 = _s_operator_coeffs(self.n, self.m).tolist()
         common = dict(p=self.p, cap=self.pow_cap, wcap=1.5 * self.L)
         self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)
         self.rhs_s = _CHARTS["s"](c1=c1, c2=c2, c3=c3, c4=c4, **common)
-        self.charts = {"r": (self.rhs_r, self.rhs_r.events), "s": (self.rhs_s, self.rhs_s.events)}
 
     # --- one leg, one shot ------------------------------------------------
     def series(self, v0: float) -> _Series:
@@ -298,11 +297,10 @@ class _Integrator:
         outcome is BlowUp, SignLoss (event radius in r), or the float residual
         W/L - 1 at the end of the span; sol is the solve_ivp result.
         """
-        rhs, events = self.charts[chart]
         rtol = _RTOL if rtol is None else rtol
         sol = solve_ivp(
-            rhs, span, y0, rtol=rtol, atol=1e-2 * rtol,
-            events=events, dense_output=dense,
+            self.rhs_r if chart == "r" else self.rhs_s, span, y0,
+            rtol=rtol, atol=1e-2 * rtol, dense_output=dense,
         )
         t_end = float(sol.t[-1])
         r_end = t_end if chart == "r" else math.exp(t_end)

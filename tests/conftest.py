@@ -58,3 +58,9 @@ def sol_rung(pc15):
     """n=15 exactly on the second rung (regime b)."""
     p2 = compute_ladder(15).rungs[1]
     return shoot(ProblemParams(15, p2), alpha=1.0, r_max=2000.0)
+
+
+@pytest.fixture(scope="session")
+def sol_n200_10pc():
+    """n = 200 at p = 10 p_c, r_max 1e4 (about 0.4 s): regime a with k = 95."""
+    return shoot(ProblemParams(200, 10.0 * compute_pc(200)), alpha=1.0, r_max=1e4)

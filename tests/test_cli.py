@@ -306,6 +306,20 @@ def test_expand_window_with_too_few_nodes_exits_1(runner, pc13):
     assert re.search(r"error: \d nodes cannot support \d coefficients", res.stderr)
 
 
+def test_expand_refuses_a_vanished_column(runner, sol_n200_10pc, monkeypatch):
+    # n = 200 at 10 p_c solves, then its fit column a58 underflows to 0 on
+    # the window: a typed error on stderr and exit 1, not a LinAlgError
+    def solved(params, alpha, r_max):
+        assert (params, alpha, r_max) == (sol_n200_10pc.params, 1.0, 1e4)
+        return sol_n200_10pc
+
+    monkeypatch.setattr(biharm.cli, "shoot", solved)
+    res = runner.invoke(main, ["expand", "--n", "200", "--p", repr(sol_n200_10pc.params.p)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
+    assert res.stderr.startswith("error: fit design matrix: column a58 has maximum 0.0")
+    assert "Traceback" not in res.output
+
+
 def test_sweep_csv_roundtrip(runner, tmp_path):
     out = tmp_path / "sweep.csv"
     res = runner.invoke(main, ["sweep", "--n-min", "13", "--n-max", "20",

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -401,6 +402,18 @@ def test_fit_on_converged_solution(sol_a):
     assert max(drift.values()) <= 3.0
 
 
+@pytest.mark.parametrize("cell", ["sol_a", "sol_c"])
+def test_drift_covers_exactly_the_fit_coefficients(cell, request):
+    # both fits of the drift report share one regime, so every coefficient
+    # of the fit gets a drift, and no other name appears
+    sol = request.getfixturevalue(cell)
+    regime = detect_regime(sol.params, compute_ladder(13))
+    fit = fit_expansion(sol, sol.spectrum, regime)
+    drift = window_shift_stability(sol, sol.spectrum, regime)
+    assert list(drift) == list(fit.coefficients)
+    assert all(math.isfinite(value) and value >= 0.0 for value in drift.values())
+
+
 def test_fit_regime_b_on_rung_solution(sol_rung):
     spec = sol_rung.spectrum
     regime = detect_regime(sol_rung.params, compute_ladder(15))
@@ -462,3 +475,18 @@ def test_ill_conditioned_fit_names_regime_k_columns_and_condition(sol_n40):
     assert found is not None, message
     assert float(found[1]) > 1e12
     assert "rung" not in message and "log-corrected" not in message
+
+
+def test_vanished_column_is_a_typed_refusal(sol_n200_10pc):
+    # n = 200 at 10 p_c is regime a with k = 95: of its 98 columns e^{j lam3 s},
+    # a58 on underflow to exactly 0 on the default window, whose 0/0 scaling
+    # made np.linalg.cond raise a bare LinAlgError
+    sol = sol_n200_10pc
+    regime = detect_regime(sol.params, compute_ladder(200))
+    assert regime == Regime("a", 95)
+    with pytest.raises(IllConditioned) as info:
+        fit_expansion(sol, sol.spectrum, regime)
+    assert str(info.value) == (
+        "fit design matrix: column a58 has maximum 0.0 on the window in regime a, k = 95, "
+        "with 98 columns"
+    )

@@ -31,9 +31,9 @@ _TOL = dict(rtol=_RTOL, atol=1e-2 * _RTOL)
 
 def _both(integ, chart, span, y0, **kwargs):
     """The driver's and scipy's integration of one leg."""
-    rhs, events = integ.charts[chart]
-    ours = solve_ivp(rhs, span, y0, events=events, **_TOL, **kwargs)
-    ref = scipy_solve_ivp(rhs, span, y0, method="DOP853", events=events, **_TOL, **kwargs)
+    rhs = getattr(integ, f"rhs_{chart}")
+    ours = solve_ivp(rhs, span, y0, **_TOL, **kwargs)
+    ref = scipy_solve_ivp(rhs, span, y0, method="DOP853", events=rhs.events, **_TOL, **kwargs)
     return ours, ref
 
 
@@ -86,10 +86,10 @@ def test_dense_output_replays_the_steps(case_a):
     # dense output only adds interpolants: the steps are those of the plain
     # leg, and the interpolants reproduce every step-end state
     integ, seed, v0 = case_a
-    rhs, events = integ.charts["r"]
+    rhs = integ.rhs_r
     r0, y0 = seed(v0)
-    plain = solve_ivp(rhs, (r0, _R_SWITCH), y0, events=events, **_TOL)
-    dense = solve_ivp(rhs, (r0, _R_SWITCH), y0, events=events, dense_output=True, **_TOL)
+    plain = solve_ivp(rhs, (r0, _R_SWITCH), y0, **_TOL)
+    dense = solve_ivp(rhs, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)
     assert np.array_equal(dense.t, plain.t) and np.array_equal(dense.y, plain.y)
     assert dense.nfev == plain.nfev + 3 * (plain.t.size - 1)
     at_ends = dense.sol(dense.t)
@@ -111,9 +111,8 @@ def test_first_entries_are_the_dense_output_entries_0_and_1(case_a):
     # nodes inside steps, on step ends (where OdeSolution picks the earlier
     # step) and outside the leg (its end steps), bit for bit
     integ, seed, v0 = case_a
-    rhs, events = integ.charts["r"]
     r0, y0 = seed(v0)
-    leg = solve_ivp(rhs, (r0, _R_SWITCH), y0, events=events, dense_output=True, **_TOL)
+    leg = solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)
     xs = np.sort(np.concatenate([leg.t, 0.5 * (leg.t[1:] + leg.t[:-1]), [0.5 * r0, 1.1 * _R_SWITCH]]))
     u, du = first_entries(leg.sol, xs.tolist())
     ref = leg.sol(xs)
@@ -272,10 +271,10 @@ def _hex(values):
 def _assert_leg_equals_the_loops(integ, chart, span, y0, dense):
     """The kernel's leg against _loop_leg's on the same scalar right-hand
     side, bit for bit; returns the kernel's result."""
-    rhs, events = integ.charts[chart]
-    got = solve_ivp(rhs, span, y0, events=events, dense_output=dense, **_TOL)
+    rhs = getattr(integ, f"rhs_{chart}")
+    got = solve_ivp(rhs, span, y0, dense_output=dense, **_TOL)
     ts, ys, steps, roots, calls, status, step = _loop_leg(
-        rhs, events, span, tuple(float(v) for v in y0), _TOL["rtol"], _TOL["atol"], dense)
+        rhs, rhs.events, span, tuple(float(v) for v in y0), _TOL["rtol"], _TOL["atol"], dense)
     assert got.status == status
     assert _hex(got.t.tolist()) == _hex(ts)
     assert _hex(got.y.T.tolist()) == _hex(ys)
@@ -304,8 +303,7 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
         r0, y0 = integ.start(v0, _R_SWITCH)
         if chart == "r":
             return _assert_leg_equals_the_loops(integ, "r", (r0, _R_SWITCH), y0, dense)
-        rhs, events = integ.charts["r"]
-        end = solve_ivp(rhs, (r0, _R_SWITCH), y0, events=events, **_TOL).y[:, -1]
+        end = solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, **_TOL).y[:, -1]
         span = (math.log(_R_SWITCH), math.log(r_end))
         return _assert_leg_equals_the_loops(integ, "s", span, _r_to_s_state(integ.n, integ.m, _R_SWITCH, end), dense)
 

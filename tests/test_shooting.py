@@ -218,9 +218,8 @@ def test_series_start_matches_an_r_leg_from_the_taylor_seed(cell, v0, sol_a):
     v0 = sol_a.v0 if v0 is None else v0
     r0, y0 = integ.start(v0, _R_SWITCH)
     assert r0 > 1e-3
-    rhs, events = integ.charts["r"]
-    leg = solve_ivp(rhs, (1e-3, r0), _taylor_seed(integ.n, integ.p, 1.0, v0, 1e-3),
-                    rtol=_RTOL, atol=1e-2 * _RTOL, events=events)
+    leg = solve_ivp(integ.rhs_r, (1e-3, r0), _taylor_seed(integ.n, integ.p, 1.0, v0, 1e-3),
+                    rtol=_RTOL, atol=1e-2 * _RTOL)
     assert leg.status == 0 and leg.t[-1] == r0
     assert np.all(np.abs(np.array(y0) - leg.y[:, -1]) <= 1e-11 * np.abs(leg.y[:, -1]))
 

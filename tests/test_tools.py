@@ -1,9 +1,11 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
 
+from biharm import compute_ladder
 from biharm.cli import main
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -164,3 +166,22 @@ def test_shoot_cells_records_the_expand_pipeline(pc13):
         assert check["passed"] is cli["passed"] is True and check["bound"] == cli["bound"]
         assert check["value"] == (cli["value"] if cli["bound"] is None else repr(cli["value"]))
     assert shoot_cells.shoot_cell("A_r5")["expand"]["error"] == "WindowTooShort"
+
+
+def test_shoot_cells_wide_rows_resolve_and_the_grid_keeps_25_cells(monkeypatch):
+    # n = 60 and n = 200 at the grid's five p's and r_max resolve by label
+    # through --cells, and --grid is still the 25 cells; nothing is shot
+    shot = []
+    monkeypatch.setattr(shoot_cells, "shoot_cell", lambda label: shot.append(label) or {})
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    wide = [f"n{n}_{p}" for n in (60, 200) for p in ("pc", "pc+0.5", "2pc", "10pc", "100pc")]
+    for argv in (["--cells", ",".join(wide)], ["--grid"]):
+        monkeypatch.setattr(sys, "argv", ["shoot_cells.py", *argv])
+        shoot_cells.main()
+    assert shot[:10] == wide
+    grid = shot[10:]
+    assert len(grid) == 25 and not set(grid) & set(wide)
+    assert {shoot_cells.KNOWN[label][0] for label in grid} == {13, 15, 20, 40, 100}
+    lad = compute_ladder(200)
+    n, p_of, r_max = shoot_cells.KNOWN["n200_10pc"]
+    assert (n, p_of(lad), r_max) == (200, 10.0 * lad.p_c, 1e4)

@@ -10,27 +10,29 @@ cut at r_max: A_r5 (case A at r_max 5, below r_switch) and B_r11 (case B at
 r_max 11).
 --grid shoots the 25-cell coverage grid instead: n in {13, 15, 20, 40, 100}
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
-like n13_pc+0.5 (about 15 CPU-seconds; any of its labels also works with
---cells).  Each record holds the solve's v0 (repr and float hex), n_bisect,
-the end residual rho = target_residual, the seam residual at r_switch
-(seam_residual, on trees whose solutions carry it), the SHA-256 of its
-dump_solution text (dump_sha256, so a plain diff covers s, r, phi, W, Y and
-Z) and of its W array's bytes (w_sha256), the six solve invariants with
-their bounds, under "expand" the pipeline of `biharm expand` on the
-solution (regime and k, the default window, the coefficients and the five
-expansion invariants with their bounds, or the typed error it raised), and
-the solve_ivp calls and RHS evaluations per chart, the
-latter also split by the legs' rtol (nfev_by_rtol: stage 1's loose shots
-apart from the full-tolerance legs); a solve that raises a typed error
-records its class and message instead.  Every
-record also lists the trials of each _bisect call (stage 1's search; on a
-solve that returns they sum to n_bisect) and, under "bvp", the collocation
-stage's work: the mesh nodes and scipy's niter of each coarse round
-("coarse": one Newton solve on the start mesh, told apart by max_nodes equal
-to its node count) and of each final solve (the other solve_bvp calls; a
-solve whose coarse round already meets the tolerance has none).
-Nothing in the output depends on timing, so two trees can be compared with
-a plain diff.
+like n13_pc+0.5 (about 6 CPU-seconds; any of its labels also works with
+--cells).  The wider rows of the theory's range, n = 60 and n = 200 at the
+same five p's and r_max (n60_pc, ..., n200_100pc), are shot only when named
+in --cells, so --grid stays the same 25 cells.  Each record holds the
+solve's v0 (repr and float hex), n_bisect, the end residual rho =
+target_residual, the seam residual at r_switch (seam_residual, on trees
+whose solutions carry it), the SHA-256 of its dump_solution text
+(dump_sha256, so a plain diff covers s, r, phi, W, Y and Z) and of its W
+array's bytes (w_sha256), the six solve invariants with their bounds, under
+"expand" the pipeline of `biharm expand` on the solution (regime and k, the
+default window, the coefficients and the five expansion invariants with
+their bounds, or the typed error it raised), and the solve_ivp calls and RHS
+evaluations per chart, the latter also split by the legs' rtol
+(nfev_by_rtol: stage 1's loose shots apart from the full-tolerance legs); a
+solve that raises a typed error records its class and message instead.
+Every record also lists the trials of each _bisect call (stage 1's search;
+on a solve that returns they sum to n_bisect) and, under "bvp", the
+collocation stage's work: the mesh nodes and scipy's niter of each coarse
+round ("coarse": one Newton solve on the start mesh, told apart by max_nodes
+equal to its node count) and of each final solve (the other solve_bvp calls;
+a solve whose coarse round already meets the tolerance has none). Nothing in
+the output depends on timing, so two trees can be compared with a plain
+diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
 so the same script measures any tree that has verify.run_expansion (the
@@ -88,6 +90,8 @@ GRID_P = {
     "100pc": lambda lad: 100.0 * lad.p_c,
 }
 GRID = {f"n{n}_{p}": (n, p_of, 1e4) for n in (13, 15, 20, 40, 100) for p, p_of in GRID_P.items()}
+WIDE = {f"n{n}_{p}": (n, p_of, 1e4) for n in (60, 200) for p, p_of in GRID_P.items()}
+KNOWN = CELLS | GRID | WIDE
 
 
 def _args():
@@ -109,7 +113,7 @@ def shoot_cell(label: str) -> dict:
     from biharm.expansion import detect_regime
     from biharm.verify import run_expansion, solve_invariants
 
-    n, p_of, r_max = (CELLS | GRID)[label]
+    n, p_of, r_max = KNOWN[label]
     ladder = compute_ladder(n)
     params = ProblemParams(n, p_of(ladder))
     calls, nfev, by_rtol, trials = Counter(), Counter(), {"r": Counter(), "s": Counter()}, []
@@ -291,9 +295,9 @@ def main() -> None:
         raise SystemExit(diff(old, new))
     sys.path.insert(0, str(args.src.resolve()))
     labels = list(GRID) if args.grid else [c for c in args.cells.split(",") if c]
-    unknown = sorted(set(labels) - set(CELLS | GRID))
+    unknown = sorted(set(labels) - set(KNOWN))
     if unknown:
-        raise SystemExit(f"error: unknown cells {unknown}; known: {', '.join(CELLS | GRID)}")
+        raise SystemExit(f"error: unknown cells {unknown}; known: {', '.join(KNOWN)}")
     out = {label: shoot_cell(label) for label in labels}
     print(json.dumps(out, indent=1, sort_keys=True))
 
