@@ -28,6 +28,7 @@ import linecache
 import math
 import textwrap
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.integrate import DOP853, DenseOutput, OdeSolution
@@ -51,6 +52,7 @@ _D = _rows(DOP853.D)
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # scipy's step controller
 _EPS = np.finfo(float).eps
+_chain = chain.from_iterable
 
 
 def _sum(row, i):
@@ -227,17 +229,23 @@ class _Interpolant(DenseOutput):
 
 def first_entries(sol, xs):
     """Entries 0 and 1 of the dense output sol at the ascending floats xs, as
-    two lists equal to sol(xs)[0] and sol(xs)[1]: each x is walked to the
-    step OdeSolution picks, the earlier one for an x on a step end, the end
-    steps for an x outside."""
-    ts, steps = sol.ts.tolist(), sol.interpolants
-    out0, out1, i, last = [], [], 0, len(steps) - 1
-    for x in xs:
-        while i < last and ts[i + 1] < x:
-            i += 1
-        out0.append(steps[i].entry(0, x))
-        out1.append(steps[i].entry(1, x))
-    return out0, out1
+    two lists equal to sol(xs)[0] and sol(xs)[1]: each x takes the step
+    OdeSolution picks (the earlier one for an x on a step end, the end steps
+    for an x outside) and that step's Horner sum, in _Interpolant.entry's
+    order, for all nodes at once."""
+    steps = sol.interpolants
+    n = len(steps)
+    xs = np.asarray(xs, dtype=float)
+    i = np.clip(np.searchsorted(sol.ts, xs, "left") - 1, 0, n - 1)
+    t_old = np.fromiter((step.t_old for step in steps), float, n)[i]
+    h = np.fromiter((step.h for step in steps), float, n)[i]
+    x = ((xs - t_old) / h)[:, None]
+    rows = np.fromiter(_chain(_chain(step.F for step in steps)), float, 28 * n).reshape(n, 7, 4)[i, :, :2]
+    y = np.zeros((xs.size, 2))
+    for k in range(7):
+        y = (y + rows[:, -1 - k]) * (x if k % 2 == 0 else 1.0 - x)
+    y += np.fromiter(_chain(step.y_old for step in steps), float, 4 * n).reshape(n, 4)[i, :2]
+    return y[:, 0].tolist(), y[:, 1].tolist()
 
 
 @dataclass

@@ -88,10 +88,14 @@ _EF_ACC = 4
 # chord's two r-chart legs): its atol is _RTOL / 100 and the collocation's
 # tol is 100 _RTOL; the chord's ends lie at least _RTOL |v0| apart
 _RTOL = 1e-12
-# the rtol of stage 1's shots (atol _RTOL_BRACKET / 100), which only classify
-# a trial v0 and leave the bracket and the guess's leg; the collocation fixes
-# v0 from the full-tolerance chord
+# Stage 1's shots only classify a trial v0 and leave the bracket and the
+# guess's leg; the collocation fixes v0 from the full-tolerance chord.  A
+# trial x that splits a bracket of width w runs at rtol
+# max(_RTOL_BRACKET, _RTOL_PROBE min(1, w / |x|)), atol rtol / 100: the
+# probe ladder's at _RTOL_PROBE, every trial in a bracket narrower than
+# _RTOL_PROBE |x| at _RTOL_BRACKET
 _RTOL_BRACKET = 1e-8
+_RTOL_PROBE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -360,7 +364,7 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return outcome
-    tail = (lambda s: first_entries(sol_s.sol, s.tolist())) if sol_s else None
+    tail = (lambda s: first_entries(sol_s.sol, s)) if sol_s else None
     return _assemble_solution(integ, v0, r_max, ((v0, sol_r),), 0.0, tail, n_bisect=0, seam=0.0)
 
 
@@ -382,7 +386,7 @@ def _sample_w(integ, legs, t, tail, s_nodes):
         for end, (v0, sol_r) in zip(ends, legs):
             seeded = rr < sol_r.t[0]
             end[:, seeded] = integ.series(v0).state(rr[seeded])[:2]
-            end[:, ~seeded] = first_entries(sol_r.sol, rr[~seeded].tolist())
+            end[:, ~seeded] = first_entries(sol_r.sol, rr[~seeded])
         u, du = ends[0] + t * (ends[-1] - ends[0])
         # per node: one vectorized power rounds some entries differently
         rm = np.array([r**integ.m for r in rr])
@@ -468,7 +472,8 @@ def _model_point(pts, up, dn):
 def _bisect(side, up, dn, done=None, ends=None) -> tuple[int, float, float]:
     """Shrink the bracket between up (side >= 0, blow-up) and dn (side < 0).
 
-    side(x) is an escape-law value as from _escape_law, and ends =
+    side(x, width) is an escape-law value as from _escape_law of the trial x
+    in the bracket of that width, and ends =
     (side(up), side(dn)) when they are known.  Each trial is a model step
     (_model_point) or a midpoint.  A midpoint is taken when no side has a
     model, when the model step falls outside the bracket, or when the last
@@ -495,7 +500,7 @@ def _bisect(side, up, dn, done=None, ends=None) -> tuple[int, float, float]:
             x, run = mid, []
         else:
             run.append(width)
-        g = side(x)
+        g = side(x, width)
         if g >= 0.0:
             up = x
             pts[0].append((x, g))
@@ -511,11 +516,14 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     """Find the entire positive solution with phi(0) = alpha, in two stages.
 
     (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
-    sign-loss) bracket, which _bisect shrinks with full shots at
-    _RTOL_BRACKET (model steps on the values of _escape_law, kept safe by
-    midpoints) until it is narrower than _CHORD_SWITCH relative to v0 and
-    both ends have s-chart start states; NoConvergence when it ends before
-    that.  Shots are
+    sign-loss) bracket, which _bisect shrinks with full shots (model steps
+    on the values of _escape_law, kept safe by midpoints) until it is
+    narrower than _CHORD_SWITCH relative to v0 and both ends have s-chart
+    start states; NoConvergence when it ends before that.  Each shot runs
+    at the rtol the bracket it splits needs (see _RTOL_PROBE), down to
+    _RTOL_BRACKET; a trial misclassified at a loose rtol leaves the root
+    outside the bracket, which the collocation's guard turns into
+    NoConvergence.  Shots are
     classified at r_cls = max(r_max, _R_HORIZON) e^{_S_PAD}, past the
     returned lattice and past r_switch, so every end has an s-chart leg.
     A step failure at W >= L counts as a blow-up at its radius: the entire
@@ -544,9 +552,10 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
 
     s_legs, g = {}, {}  # v0 -> s-chart leg, and escape-law value, of its full shot
 
-    def side(v0):
+    def side(v0, width):
+        rtol = float(max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, width / abs(v0))))
         try:
-            outcome, _, sol_s = integ.shot(v0, r_cls, rtol=_RTOL_BRACKET)
+            outcome, _, sol_s = integ.shot(v0, r_cls, rtol=rtol)
         except StepFailure as exc:
             if not exc.w >= integ.L:
                 raise
@@ -558,16 +567,17 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
 
     # binary search the ladder for the adjacent flip pair, with ladder[0] on
     # the blow-up side and ladder[-1] on the sign-loss side; an end is shot
-    # only when the search ends beside it
+    # only when the search ends beside it; each probe splits the span
+    # between the ladder ends the search holds
     i, j = 0, ladder.size - 1
     while j - i > 1:
         k = (i + j) // 2
-        if side(ladder[k]) >= 0.0:
+        if side(ladder[k], ladder[i] - ladder[j]) >= 0.0:
             i = k
         else:
             j = k
-    if (i == 0 and side(ladder[0]) < 0.0) or (
-        j == ladder.size - 1 and side(ladder[-1]) >= 0.0
+    if (i == 0 and side(ladder[0], ladder[0] - ladder[j]) < 0.0) or (
+        j == ladder.size - 1 and side(ladder[-1], ladder[i] - ladder[-1]) >= 0.0
     ):
         raise BracketNotFound(
             "probe ladder endpoints do not bracket the separatrix in v0 range "
@@ -601,8 +611,9 @@ def _chord_ends(up: float, dn: float) -> tuple[float, float]:
     _RTOL |midpoint| apart when narrower.
 
     A chord between closer ends divides their integration noise by their
-    distance: on n = 40 at p_c stage 1's bracket collapses to one ulp, and
-    a chord between its ends has a slope of noise.
+    distance: stage 1's bracket can collapse to a few ulps (9.2e-14
+    relative on case A at r_max 500; one ulp on n = 40 at p_c with every
+    trial at rtol 1e-8), and a chord between its ends has a slope of noise.
     """
     mid = 0.5 * (up + dn)
     half = 0.5 * _RTOL * abs(mid)

@@ -38,6 +38,7 @@ from biharm.shooting import (
     _R_SWITCH,
     _RTOL,
     _RTOL_BRACKET,
+    _RTOL_PROBE,
     _S_PAD,
     BlowUp,
     SignLoss,
@@ -240,7 +241,8 @@ def test_series_start_keeps_the_ladder_end_outcomes(cell, v0, outcome, r_event):
 
 def _threshold_side(thr, trials):
     # blow-up side at and above thr; records every point it is asked about
-    def side(x):
+    # (the bracket's width, which sets a shot's rtol, plays no part)
+    def side(x, width=None):
         trials.append(x)
         return 1 if x >= thr else -1
     return side
@@ -271,7 +273,7 @@ def test_bisect_stops_at_step_cap():
 
 def _escape_law_side(root, slope_up, slope_dn, trials):
     # escape-law values linear in x on each side of root, one slope per side
-    def side(x):
+    def side(x, width=None):
         trials.append(x)
         return (slope_up if x >= root else slope_dn) * (x - root)
     return side
@@ -327,7 +329,7 @@ def test_model_step_within_three_bisections_on_wrong_models():
     for magnitude in [drawn(seed) for seed in range(200)] + [flat(k) for k in (2, 4, 8, 16)]:
         trials = []
 
-        def side(x):
+        def side(x, width=None):
             trials.append(x)
             return (1.0 if x >= _A_ROOT else -1.0) * magnitude(x)
 
@@ -727,7 +729,8 @@ def test_input_validation(pc13):
 def test_chord_ends_are_at_least_the_floor_apart():
     # A bracket narrower than _RTOL |v0| is widened about its midpoint to
     # that span (up to the rounding of midpoint +- half); a wider one is
-    # the chord's as it is.  Stage 1's bracket on n = 40 at p_c is one ulp.
+    # the chord's as it is.  A one-ulp bracket: stage 1's on n = 40 at p_c
+    # with every trial at rtol 1e-8.
     dn = -0.9201257322475934
     up = np.nextafter(dn, 0.0)
     lo, hi = _chord_ends(up, dn)
@@ -739,14 +742,15 @@ def test_chord_ends_are_at_least_the_floor_apart():
 
 
 def test_chord_floor_keeps_the_seam_closed_at_n40_pc():
-    # n = 40 at p_c: stage 1's bracket collapses to one ulp, and a chord
-    # between its ends would read the legs' integration noise as the slope.
-    # The solution below r_switch is that chord, so the seam stays closed
-    # either way (3.5e-17 with the floor, 9.9e-16 without); v0 tells them
-    # apart.  Pinned: v0 of the solve with _RTOL = 5e-13 (floor in place).
-    # With the chord's ends _RTOL |v0| apart v0 lies 1.9e-14 relative from
-    # it, 7.2e-12 relative past the bracket, inside the guard; between the
-    # bracket's ends it lies 1.0e-11 off.
+    # n = 40 at p_c: with every stage-1 trial at rtol 1e-8 its bracket
+    # collapsed to one ulp, and a chord between its ends would read the
+    # legs' integration noise as the slope.  The solution below r_switch is
+    # that chord, so the seam stays closed either way (3.5e-17 with the
+    # floor, 9.9e-16 without); v0 tells them apart.  Pinned: v0 of the
+    # solve with _RTOL = 5e-13 (floor in place).  With the chord's ends
+    # _RTOL |v0| apart v0 lay 1.9e-14 relative from it; between the
+    # bracket's ends 1.0e-11 off.  With each trial at its bracket's rtol
+    # the bracket ends 1.3e-8 relative wide and v0 lies 1.1e-15 from it.
     sol = shoot(ProblemParams(40, compute_pc(40)), alpha=1.0, r_max=1e4)
     tight = float.fromhex("-0x1.d71ab8506c4f2p-1")
     assert abs(sol.v0 - tight) <= 1e-13 * abs(tight)
@@ -779,13 +783,15 @@ def _record_collocation(params, r_max, monkeypatch):
 def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     # The collocation's left condition puts y = (X - X*)/L at r_switch on the
     # chord through the states of full-tolerance r-chart legs at the ends of
-    # stage 1's bracket, less than sqrt(eps)-relative apart: the chord's end
-    # states are those of integ.shot(v, r_switch), bit for bit, and at the
-    # bracket's midpoint the chord must match the midpoint's own full-shot
-    # r_switch state below the collocation tolerance 1e-10.  Measured: 1.5e-11
-    # of max |y|, while the two end states differ by 1.1e-6 of it.  The
-    # bracket brackets stage 1's loose root, so v0 may land past an end, within
-    # the guard's distance (measured 1.7e-13 past it, 6.3e-13 relative).
+    # stage 1's bracket: the chord's end states are those of
+    # integ.shot(v, r_switch), bit for bit.  The bracket brackets stage 1's
+    # loose root, so v0 may land past an end, within the guard's distance
+    # (measured 2.0e-13 past a bracket 9.2e-14 relative wide, 7.3e-13
+    # relative).  On a bracket as wide as the stop allows, _CHORD_SWITCH |v0|
+    # about v0, the chord _collocate builds must match the midpoint's own
+    # full-shot r_switch state below the collocation tolerance 1e-10 while the
+    # two end states differ by more than 1e-7 of max |y|.  Measured: 4.5e-11
+    # of max |y|, against 1.1e-4 between the ends.
     params = sol_quick.params
     sol, brackets, calls = _record_collocation(params, 500.0, monkeypatch)
     assert sol.v0 == sol_quick.v0
@@ -812,6 +818,14 @@ def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
         _, _, sol_s = integ.shot(v, r_cls)
         return (sol_s.y[:, 0] - x_star) / integ.L
 
+    # a bracket chord_ready accepts, within 1e-6 of the widest, _CHORD_SWITCH |up|
+    half = 0.5 * (1.0 - 1e-6) * _CHORD_SWITCH * abs(sol.v0)
+    up, dn = sol.v0 + half, sol.v0 - half
+    assert up - dn < _CHORD_SWITCH * abs(up)
+    _, _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
+    calls.clear()
+    biharm.shooting._collocate(integ, guess, up, dn, r_cls)
+    (_, bc, _, _), _, _ = calls[0]
     mid = 0.5 * (up + dn)
     y_mid = start(mid)
     scale = np.max(np.abs(y_mid))
@@ -1046,21 +1060,22 @@ def test_large_p_step_failure_names_r_chart(pc15, monkeypatch):
 
 
 def test_large_p_step_failure_names_s_chart(pc13):
-    # At n=13, p = 10 p_c the ulp-level residue of the solve's v0 departs
-    # upward past r = 1e4, and the steps underflow in the s-chart before W
-    # reaches the blow-up bound 1.5 L (measured: 4 of the 7 floats within
-    # 3 ulps of v0, v0 included, fail so on a direct shot to r = 1e5)
+    # At n=13, p = 10 p_c the ulp-level residue of floats beside the solve's
+    # v0 departs upward past r = 1e4, and the steps underflow in the s-chart
+    # before W reaches the blow-up bound 1.5 L (measured: 9 of the 129 floats
+    # within 64 ulps of v0 fail so on a direct shot to r = 1e5, the nearest
+    # 7 ulps above it; the nearest is tried first)
     params = ProblemParams(13, 10.0 * pc13)
     v0 = shoot(params, alpha=1.0, r_max=1e4).v0
     integ = _Integrator(params, 1.0)
-    for k in range(8):
+    for k in sorted(range(-64, 65), key=abs):
         try:
-            integ.shot(v0 + k * np.spacing(v0), 1e5)
+            integ.shot(v0 + k * abs(np.spacing(v0)), 1e5)
         except StepFailure as exc:
             failure = exc
             break
     else:
-        pytest.fail("no shot within 7 ulps above v0 fails its step before r = 1e5")
+        pytest.fail("no shot within 64 ulps of v0 fails its step before r = 1e5")
     r = _check_failure_data(failure, integ, "s", (math.log(_R_SWITCH), math.log(1e5)))
     assert _R_SWITCH < r < 1e5
 
@@ -1177,19 +1192,91 @@ def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side)
 
 @pytest.mark.parametrize("rtol, atol", [(None, 1e-14), (5e-13, 5e-15)])
 def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
-    # the one solve_ivp call site passes atol = rtol / 100: stage 1's shots
-    # at _RTOL_BRACKET, every other leg at _RTOL (None: _RTOL as defined)
+    # The one solve_ivp call site passes atol = rtol / 100, both floats:
+    # every leg the solution is built from at _RTOL (None: _RTOL as
+    # defined), every stage-1 shot at the rtol of the bracket its trial x
+    # splits, max(_RTOL_BRACKET, _RTOL_PROBE min(1, w / |x|)) for a bracket
+    # of width w: so in [_RTOL_BRACKET, _RTOL_PROBE], exactly _RTOL_BRACKET
+    # once w < _RTOL_PROBE |x|, and _RTOL_PROBE on the probe ladder.
     if rtol is not None:
         monkeypatch.setattr(biharm.shooting, "_RTOL", rtol)
     rtol = biharm.shooting._RTOL
-    plain = biharm.shooting.solve_ivp
-    seen = set()
+    plain_ivp, plain_bisect, plain_shot = biharm.shooting.solve_ivp, biharm.shooting._bisect, _Integrator.shot
+    seen, shots, splits = set(), {}, []
 
     def recording_solve_ivp(fun, *args, **kwargs):
         seen.add((kwargs["rtol"], kwargs["atol"]))
-        return plain(fun, *args, **kwargs)
+        return plain_ivp(fun, *args, **kwargs)
+
+    def recording_shot(self, v0, r_max, dense=False, rtol=None):
+        if rtol is not None:  # a stage-1 shot
+            shots[v0] = rtol
+        return plain_shot(self, v0, r_max, dense, rtol)
+
+    def recording_bisect(side, *args, **kwargs):
+        def recording_side(x, width):
+            splits.append((x, width))
+            return side(x, width)
+        return plain_bisect(recording_side, *args, **kwargs)
 
     monkeypatch.setattr(biharm.shooting, "solve_ivp", recording_solve_ivp)
+    monkeypatch.setattr(biharm.shooting, "_bisect", recording_bisect)
+    monkeypatch.setattr(_Integrator, "shot", recording_shot)
     shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
-    assert seen == {(_RTOL_BRACKET, _RTOL_BRACKET / 100), (rtol, atol)}
-    assert atol == 1e-2 * rtol
+    assert all(type(r) is type(a) is float and a == 1e-2 * r for r, a in seen)
+    assert (rtol, atol) in seen and atol == 1e-2 * rtol
+    stage_1 = {r for r, _ in seen} - {rtol}
+    assert stage_1 == set(shots.values())
+    assert min(stage_1) == _RTOL_BRACKET and max(stage_1) == _RTOL_PROBE
+    assert all(shots[x] == max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, w / abs(x))) for x, w in splits)
+    narrow = [x for x, w in splits if w < _RTOL_PROBE * abs(x)]
+    assert narrow and all(shots[x] == _RTOL_BRACKET for x in narrow)
+    probes = set(shots) - {x for x, _ in splits}
+    assert probes and all(shots[x] == _RTOL_PROBE for x in probes)
+
+
+def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):
+    # A loose stage-1 shot that lands on the wrong side leaves the root
+    # outside the bracket: the search then closes on the wrong trial, and the
+    # collocation's v0 lands far outside the chord's bracket, where its guard
+    # raises NoConvergence naming the stage.  Case A at r_max 500: the trial
+    # that lies nearest 1e-4 |v0| from the root (1.9e-5 relative, a blow-up
+    # at r = 90, shot at rtol 1.9e-5) is read as a sign loss at that radius;
+    # v0 then lands 5.1e-6 outside the bracket, 6.2e-9 relative from the root.
+    params = ProblemParams(13, pc13 + 0.5)
+    plain_shot = _Integrator.shot
+    trials = []
+
+    def recording_shot(self, v0, r_max, dense=False, rtol=None):
+        if rtol is not None:
+            trials.append(v0)
+        return plain_shot(self, v0, r_max, dense, rtol)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_Integrator, "shot", recording_shot)
+        root = shoot(params, alpha=1.0, r_max=500.0).v0
+    far = min(trials, key=lambda x: abs(math.log10(abs(x - root) / abs(root)) + 4.0))
+    assert 1e-5 < abs(far - root) / abs(root) < 1e-3
+    flipped = []
+
+    def flipping_shot(self, v0, r_max, dense=False, rtol=None):
+        outcome, sol_r, sol_s = plain_shot(self, v0, r_max, dense, rtol)
+        if rtol is not None and v0 == far:
+            flipped.append(outcome)
+            outcome = {BlowUp: SignLoss, SignLoss: BlowUp}[type(outcome)](r=outcome.r)
+        return outcome, sol_r, sol_s
+
+    monkeypatch.setattr(_Integrator, "shot", flipping_shot)
+    with pytest.raises(NoConvergence) as info:
+        shoot(params, alpha=1.0, r_max=500.0)
+    assert len(flipped) == 1
+    found = re.fullmatch(
+        r"collocation stage: v0 = (\S+) lies (\S+) outside the chord's bracket, more "
+        r"than \S+ \|v0\| \(over s in \[\S+, \S+\], v0 bracket \[(\S+), (\S+)\]\)",
+        str(info.value),
+    )
+    assert found is not None, str(info.value)
+    v0, off, dn, up = (float(x) for x in found.groups())
+    # v0 is the root, and the bracket closed on the misread trial
+    assert v0 == pytest.approx(root, rel=1e-7)
+    assert far in (dn, up) and off > _CHORD_SWITCH * abs(v0)

@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 from click.testing import CliRunner
 
 from biharm import compute_ladder
@@ -99,11 +100,16 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     # nodes, then one final solve on the predicted mesh
     rec = shoot_cells.shoot_cell("quick")
     assert rec["trials"] == [rec["n_bisect"]]
-    # stage 1 at rtol 1e-8; the chord's two r-chart legs at 1e-12
+    # stage 1 at rtols from 1e-4 (the probe ladder) down to 1e-8, keyed by
+    # decade; the chord's two r-chart legs at 1e-12
     for chart in rec["ivp"].values():
         assert sum(chart["nfev_by_rtol"].values()) == chart["nfev"]
-    assert set(rec["ivp"]["s"]["nfev_by_rtol"]) == {"1e-08"}
-    assert set(rec["ivp"]["r"]["nfev_by_rtol"]) == {"1e-08", "1e-12"}
+    stage_1 = {"1e-04", "1e-05", "1e-06", "1e-07", "1e-08"}
+    assert {"1e-04", "1e-08"} <= set(rec["ivp"]["s"]["nfev_by_rtol"]) <= stage_1
+    assert {"1e-04", "1e-08"} <= set(rec["ivp"]["r"]["nfev_by_rtol"]) - {"1e-12"} <= stage_1
+    assert "1e-12" in rec["ivp"]["r"]["nfev_by_rtol"]
+    assert [shoot_cells.decade(r) for r in (1e-12, 1e-8, np.float64(9.99e-6), 1e-5, 1e-4)] == [
+        "1e-12", "1e-08", "1e-06", "1e-05", "1e-04"]
     assert len(rec["w_sha256"]) == 64 and 0.0 < float(rec["seam_residual"]) < 1e-11
     assert rec["bvp"]["coarse"] == {"nodes": [200], "niter": [1]}
     assert len(rec["bvp"]["nodes"]) == len(rec["bvp"]["niter"]) == 1

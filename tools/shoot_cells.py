@@ -22,9 +22,10 @@ array's bytes (w_sha256), the six solve invariants with their bounds, under
 "expand" the pipeline of `biharm expand` on the solution (regime and k, the
 default window, the coefficients and the five expansion invariants with
 their bounds, or the typed error it raised), and the solve_ivp calls and RHS
-evaluations per chart, the latter also split by the legs' rtol
-(nfev_by_rtol: stage 1's loose shots apart from the full-tolerance legs); a
-solve that raises a typed error records its class and message instead.
+evaluations per chart, the latter also split by the decade of the legs'
+rtol (nfev_by_rtol, keyed "1e-12", "1e-08", ..., "1e-04": stage 1's loose
+shots apart from the full-tolerance legs); a solve that raises a typed
+error records its class and message instead.
 Every record also lists the trials of each _bisect call (stage 1's search;
 on a solve that returns they sum to n_bisect) and, under "bvp", the
 collocation stage's work: the mesh nodes and scipy's niter of each coarse
@@ -63,6 +64,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -125,7 +127,7 @@ def shoot_cell(label: str) -> dict:
         chart = fun.__name__.removeprefix("rhs_")
         calls[chart] += 1
         nfev[chart] += result.nfev
-        by_rtol[chart][repr(kwargs["rtol"])] += result.nfev
+        by_rtol[chart][decade(kwargs["rtol"])] += result.nfev
         return result
 
     def counting_bisect(*args, **kwargs):
@@ -187,6 +189,12 @@ def shoot_cell(label: str) -> dict:
     rec["trials"] = trials
     rec["bvp"] = bvp
     return rec
+
+
+def decade(rtol: float) -> str:
+    """The decade of rtol as "1e-08" (10^floor(log10 rtol)): stage 1's trials
+    run at a continuum of rtols."""
+    return f"{10.0 ** math.floor(math.log10(rtol)):.0e}"
 
 
 def _checks(invariants) -> dict:
