@@ -28,10 +28,9 @@ import linecache
 import math
 import textwrap
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
-from scipy.integrate import DOP853, DenseOutput, OdeSolution
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 
@@ -52,7 +51,6 @@ _D = _rows(DOP853.D)
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # scipy's step controller
 _EPS = np.finfo(float).eps
-_chain = chain.from_iterable
 
 
 def _sum(row, i):
@@ -78,7 +76,8 @@ def _block(indent, lines):
 
 # One leg from t (state y, derivative f, first trial step h_abs) to t_bound;
 # each accepted step end goes to ts, its state to ys, and when dense is a
-# list, the step to dense as (t_old, t, y_old, the interpolant's 7 rows).
+# list, the step to dense as one flat row of 34 floats: t_old, t, the 4
+# entries of y_old and the interpolant's 7 rows of 4, row by row.
 # Returns (status, h_abs, attempted steps, fired, step): status 0 at t_bound,
 # -1 on a step below 10 ulp of t, 1 when the events flagged in fired fired at
 # the end of step (not appended).  Each min/max of scipy's controller is the
@@ -116,7 +115,7 @@ def kernel(t, y, f, h_abs, t_bound, rtol, atol, ts, ys, dense):
 {g_end}\
         if dense is not None or {fired}:
 {extra}\
-            step = (t, t_new, (y0, y1, y2, y3), ({rows}))
+            step = (t, t_new, y0, y1, y2, y3, {rows})
             if dense is not None:
                 dense.append(step)
             if {fired}:
@@ -162,7 +161,7 @@ def _kernel_source(rhs, events):
         step=_block(12, step),
         g_end=_block(8, g_end),
         extra=_block(12, extra),
-        rows=", ".join("(" + ", ".join(row) + ")" for row in rows),
+        rows=", ".join(e for row in rows for e in row),
         fired=" or ".join(f"on{i}" for i in range(len(events))) or "False",
         flags="".join(f"on{i}, " for i in range(len(events))),
         g_shift=_block(8, [f"g{i} = b{i}" for i in range(len(events))]),
@@ -200,65 +199,54 @@ def _rms(v):
     return math.sqrt((v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]) / 4.0)
 
 
-class _Interpolant(DenseOutput):
-    """The 7th-order DOP853 interpolant of one step from t_old to t."""
-
-    def __init__(self, t_old, t, y_old, F):
-        super().__init__(t_old, t)
-        self.h = t - t_old
-        self.y_old = y_old
-        self.F = F  # seven coefficient rows of four floats
-
-    def entry(self, j, t):
-        """Entry j of the state at a float t."""
-        x = (t - self.t_old) / self.h
+def _point(step, t):
+    """The state at a float t on step, a dense row, as four floats: the
+    interpolant's Horner sum in x = (t - t_old) / h, last row first."""
+    x = (t - step[0]) / (step[1] - step[0])
+    state = []
+    for j in range(4):
         y = 0.0
-        for i, row in enumerate(reversed(self.F)):
-            y = (y + row[j]) * (x if i % 2 == 0 else 1.0 - x)
-        return y + self.y_old[j]
-
-    def point(self, t):
-        """State at a float t, as four floats."""
-        return tuple(self.entry(j, t) for j in range(4))
-
-    def _call_impl(self, t):
-        if t.ndim == 0:
-            return np.array(self.point(float(t)))
-        return np.array([self.point(x) for x in t.tolist()]).T
+        for i in range(7):
+            y = (y + step[30 - 4 * i + j]) * (x if i % 2 == 0 else 1.0 - x)
+        state.append(y + step[2 + j])
+    return tuple(state)
 
 
-def first_entries(sol, xs):
-    """Entries 0 and 1 of the dense output sol at the ascending floats xs, as
-    two lists equal to sol(xs)[0] and sol(xs)[1]: each x takes the step
-    OdeSolution picks (the earlier one for an x on a step end, the end steps
-    for an x outside) and that step's Horner sum, in _Interpolant.entry's
-    order, for all nodes at once."""
-    steps = sol.interpolants
-    n = len(steps)
-    xs = np.asarray(xs, dtype=float)
-    i = np.clip(np.searchsorted(sol.ts, xs, "left") - 1, 0, n - 1)
-    t_old = np.fromiter((step.t_old for step in steps), float, n)[i]
-    h = np.fromiter((step.h for step in steps), float, n)[i]
-    x = ((xs - t_old) / h)[:, None]
-    rows = np.fromiter(_chain(_chain(step.F for step in steps)), float, 28 * n).reshape(n, 7, 4)[i, :, :2]
-    y = np.zeros((xs.size, 2))
-    for k in range(7):
-        y = (y + rows[:, -1 - k]) * (x if k % 2 == 0 else 1.0 - x)
-    y += np.fromiter(_chain(step.y_old for step in steps), float, 4 * n).reshape(n, 4)[i, :2]
-    return y[:, 0].tolist(), y[:, 1].tolist()
+class Dense:
+    """A leg's dense output: steps holds one row per accepted step, laid out
+    as the kernel hands it out (see _KERNEL), and ts the leg's start and
+    its step ends."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.ts = np.append(steps[:1, 0], steps[:, 1])
+
+    def __call__(self, xs):
+        """The state at the 1-D float array xs, as 4 by len(xs).  Each x
+        takes the step scipy's OdeSolution picks (the earlier one for an x
+        on a step end, the end steps for an x outside) and _point's Horner
+        sum, for all nodes at once."""
+        i = np.clip(np.searchsorted(self.ts, xs, "left") - 1, 0, len(self.steps) - 1)
+        steps = self.steps[i]
+        x = ((xs - steps[:, 0]) / (steps[:, 1] - steps[:, 0]))[:, None]
+        rows = steps[:, 6:].reshape(-1, 7, 4)
+        y = np.zeros((len(xs), 4))
+        for k in range(7):
+            y = (y + rows[:, -1 - k]) * (x if k % 2 == 0 else 1.0 - x)
+        return (y + steps[:, 2:6]).T
 
 
 @dataclass
 class IvpResult:
     """One integration, shaped like solve_ivp's result: t and y (entries by
-    steps) at the step ends; sol the dense output or None; t_events one
-    array per event; nfev the right-hand side calls; status 0 (reached the
+    steps) at the step ends; sol the dense output, a Dense over the leg's
+    step rows, or None; t_events one array per event; nfev the right-hand side calls; status 0 (reached the
     end), 1 (a terminal event) or -1 (the step size fell below 10 ulp of t,
     the last entry of t); step the last step size tried."""
 
     t: np.ndarray
     y: np.ndarray
-    sol: OdeSolution | None
+    sol: Dense | None
     t_events: list
     nfev: int
     status: int
@@ -295,25 +283,24 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     ts, ys = [t0], [y]
     dense = [] if dense_output else None
     status, h_abs, steps, fired, last = fun.kernel(t0, y, f, h_abs, t_bound, rtol, atol, ts, ys, dense)
-    interpolants = [_Interpolant(*step) for step in dense] if dense_output else []
     t_events = [[] for _ in events]
     if status == 1:
-        interp = interpolants[-1] if dense_output else _Interpolant(*last)
+        # last is the firing step, also dense's last row
         active = [i for i, on in enumerate(fired) if on]
         roots = [
-            brentq(lambda x, ev=events[i]: ev(x, interp.point(x)), interp.t_old, interp.t,
+            brentq(lambda x, ev=events[i]: ev(x, _point(last, x)), last[0], last[1],
                    xtol=4 * _EPS, rtol=4 * _EPS)
             for i in active
         ]
         first = min(range(len(active)), key=roots.__getitem__)
         t_events[active[first]].append(roots[first])
         ts.append(roots[first])
-        ys.append(interp.point(roots[first]))
-    n_interp = len(interpolants) if dense_output else int(status == 1)
+        ys.append(_point(last, roots[first]))
+    n_interp = len(dense) if dense_output else int(status == 1)
     return IvpResult(
         t=np.array(ts),
         y=np.array(ys).T,
-        sol=OdeSolution(ts, interpolants) if dense_output else None,
+        sol=Dense(np.array(dense).reshape(-1, 34)) if dense_output else None,
         t_events=[np.array(te) for te in t_events],
         nfev=2 + _N_STAGES * steps + len(_A_EXTRA) * n_interp,
         status=status,

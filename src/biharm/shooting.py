@@ -38,7 +38,7 @@ from .errors import (
     WindowTooShort,
 )
 from .fdiff import diff_uniform, stencil_margin
-from .ivp import first_entries, solve_ivp, system
+from .ivp import solve_ivp, system
 from .params import ProblemParams
 from .spectrum import Spectrum, compute_spectrum
 
@@ -364,7 +364,7 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return outcome
-    tail = (lambda s: first_entries(sol_s.sol, s)) if sol_s else None
+    tail = (lambda s: sol_s.sol(s)[:2]) if sol_s else None
     return _assemble_solution(integ, v0, r_max, ((v0, sol_r),), 0.0, tail, n_bisect=0, seam=0.0)
 
 
@@ -386,7 +386,7 @@ def _sample_w(integ, legs, t, tail, s_nodes):
         for end, (v0, sol_r) in zip(ends, legs):
             seeded = rr < sol_r.t[0]
             end[:, seeded] = integ.series(v0).state(rr[seeded])[:2]
-            end[:, ~seeded] = first_entries(sol_r.sol, rr[~seeded])
+            end[:, ~seeded] = sol_r.sol(rr[~seeded])[:2]
         u, du = ends[0] + t * (ends[-1] - ends[0])
         # per node: one vectorized power rounds some entries differently
         rm = np.array([r**integ.m for r in rr])
@@ -473,15 +473,15 @@ def _bisect(side, up, dn, done=None, ends=None) -> tuple[int, float, float]:
     """Shrink the bracket between up (side >= 0, blow-up) and dn (side < 0).
 
     side(x, width) is an escape-law value as from _escape_law of the trial x
-    in the bracket of that width, and ends =
-    (side(up), side(dn)) when they are known.  Each trial is a model step
-    (_model_point) or a midpoint.  A midpoint is taken when no side has a
-    model, when the model step falls outside the bracket, or when the last
-    _MODEL_RUN model steps have not halved the bracket, so at worst three
-    trials halve it.  Sides of constant magnitude (such as +-1) have no
-    slope, and every trial is a midpoint.  Stops when the midpoint rounds
-    onto an endpoint, when done(up, dn) holds after a trial, or after
-    _MAX_BISECT trials; returns (trials made, up, dn).
+    in the bracket of that width, and ends holds the values at up and dn
+    when they are known.  Each trial is a model step (_model_point) or a
+    midpoint.  A midpoint is taken when no side has a model, when the model
+    step falls outside the bracket, or when the last _MODEL_RUN model steps
+    have not halved the bracket, so at worst three trials halve it.  Sides
+    of constant magnitude (such as +-1) have no slope, and every trial is a
+    midpoint.  Stops when the midpoint rounds onto an endpoint, when
+    done(up, dn) holds after a trial, or after _MAX_BISECT trials; returns
+    (trials made, up, dn).
     """
     pts = ([], [])  # (x, g) on the blow-up and the sign-loss side, innermost last
     if ends is not None:
@@ -523,18 +523,16 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     at the rtol the bracket it splits needs (see _RTOL_PROBE), down to
     _RTOL_BRACKET; a trial misclassified at a loose rtol leaves the root
     outside the bracket, which the collocation's guard turns into
-    NoConvergence.  Shots are
-    classified at r_cls = max(r_max, _R_HORIZON) e^{_S_PAD}, past the
-    returned lattice and past r_switch, so every end has an s-chart leg.
-    A step failure at W >= L counts as a blow-up at its radius: the entire
-    solution keeps W < L.  (2) Collocation
-    (_collocate): one boundary value problem with v0 as its unknown, its
-    left condition a chord through two r-chart legs at _RTOL, closes the
-    solution on the s-chart up to r_cls, solved on a mesh predicted
-    from one coarse Newton round; below r_switch it is that chord at that
-    v0, between its two legs.  For r_max <= _R_HORIZON the horizon, and so
-    the solution, does not depend on r_max, which only cuts the returned
-    grids.
+    NoConvergence.  Shots are classified at r_cls = max(r_max, _R_HORIZON)
+    e^{_S_PAD}, past the returned lattice and past r_switch, so every end
+    has an s-chart leg.  A step failure at W >= L counts as a blow-up at its
+    radius: the entire solution keeps W < L.  (2) Collocation (_collocate):
+    one boundary value problem with v0 as its unknown, its left condition a
+    chord through two r-chart legs at _RTOL, closes the solution on the
+    s-chart up to r_cls, solved on a mesh predicted from one coarse Newton
+    round; below r_switch it is that chord at that v0, between its two legs.
+    For r_max <= _R_HORIZON the horizon, and so the solution, does not
+    depend on r_max, which only cuts the returned grids.
     """
     _check_alpha(alpha)
     if not (math.isfinite(r_max) and r_max > _R_SEED):
@@ -737,8 +735,8 @@ def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:
     """Map a solution to a different initial height by exact scale covariance.
 
     If phi solves the equation then kappa^m phi(kappa r) solves it with initial
-    height kappa^m phi(0); the s-grid shifts by -log(kappa) and W, Y, Z are
-    unchanged pointwise.
+    height kappa^m phi(0); the s-grid shifts by -log(kappa), and W, Y, Z,
+    unchanged pointwise and read-only, are sol's own arrays.
     """
     _check_alpha(alpha)
     m = sol.params.m
@@ -748,9 +746,6 @@ def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:
         r_grid=sol.r_grid / kappa,
         phi=sol.phi * kappa**m,
         s_grid=sol.s_grid - shift,
-        W=sol.W.copy(),
-        Y=sol.Y.copy(),
-        Z=sol.Z.copy(),
     )
     for a in arrays.values():
         a.flags.writeable = False

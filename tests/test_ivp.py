@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from biharm import ProblemParams, compute_pc
-from biharm.ivp import _Interpolant, first_entries, solve_ivp
+from biharm.ivp import Dense, solve_ivp
 from biharm.shooting import (
     _PROBE_HI,
     _PROBE_LO,
@@ -107,23 +108,28 @@ def test_large_p_first_probe_fails(pc15):
     assert ours.step < 10.0 * np.spacing(ours.t[-1])
 
 
-def test_first_entries_are_the_dense_output_entries_0_and_1(case_a):
-    # nodes inside steps, on step ends (where OdeSolution picks the earlier
-    # step) and outside the leg (its end steps), bit for bit
+def _scipy_step(row):
+    """scipy's DOP853 interpolant of one dense row."""
+    return Dop853DenseOutput(row[0], row[1], np.array(row[2:6]), np.reshape(row[6:], (7, 4)))
+
+
+def test_dense_output_is_scipys_odesolution_bit_for_bit(case_a):
+    # Dense against scipy's OdeSolution over scipy's interpolants of the same
+    # rows, at nodes inside steps, on step ends (where OdeSolution picks the
+    # earlier step) and outside the leg (its end steps), bit for bit
     integ, seed, v0 = case_a
     r0, y0 = seed(v0)
     leg = solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)
+    ref = OdeSolution(leg.t, [_scipy_step(row) for row in leg.sol.steps])
     xs = np.sort(np.concatenate([leg.t, 0.5 * (leg.t[1:] + leg.t[:-1]), [0.5 * r0, 1.1 * _R_SWITCH]]))
-    u, du = first_entries(leg.sol, xs.tolist())
-    ref = leg.sol(xs)
-    assert _hex(u) == _hex(ref[0].tolist()) and _hex(du) == _hex(ref[1].tolist())
+    assert _hex(leg.sol(xs).tolist()) == _hex(ref(xs).tolist())
     # two steps whose values at their shared end differ (0.1 + 0.2 against 0.3)
-    rows = [(0.2,) * 4] + [(0.0,) * 4] * 6
-    sol = OdeSolution([0.0, 1.0, 2.0], [_Interpolant(0.0, 1.0, (0.1,) * 4, rows),
-                                        _Interpolant(1.0, 2.0, (0.3,) * 4, [(0.0,) * 4] * 7)])
-    xs = [-1.0, 0.5, 1.0, 1.5, 3.0]
-    assert list(first_entries(sol, xs)) == sol(np.array(xs))[:2].tolist()
-    assert first_entries(sol, [1.0]) == ([0.1 + 0.2], [0.1 + 0.2]) != ([0.3], [0.3])
+    steps = np.array([[0.0, 1.0] + [0.1] * 4 + [0.2] * 4 + [0.0] * 24,
+                      [1.0, 2.0] + [0.3] * 4 + [0.0] * 28])
+    sol, ref = Dense(steps), OdeSolution([0.0, 1.0, 2.0], [_scipy_step(row) for row in steps])
+    xs = np.array([-1.0, 0.5, 1.0, 1.5, 3.0])
+    assert sol(xs).tolist() == ref(xs).tolist()
+    assert sol(np.array([1.0])).tolist() == [[0.1 + 0.2]] * 4 != [[0.3]] * 4
 
 
 # --- a leg as loops over the tableau's rows: the oracle ---------------------
@@ -195,9 +201,10 @@ def _loop_rows(fun, K, t_old, h, y_old, y_new):
 def _loop_leg(fun, events, t_span, y0, rtol, atol, dense):
     """One leg as a loop over _loop_step: scipy's initial step and step
     controller, every event called at every step end, the first root by
-    brentq on the firing step's interpolant.  Returns (step ends, states,
-    interpolants as (t_old, t, y_old, rows) -- every step's when dense, else
-    the firing step's --, event roots, fun calls made, status, last step)."""
+    brentq on scipy's interpolant of the firing step.  Returns (step ends,
+    states, dense rows as (t_old, t, y_old, rows), flat -- every step's when
+    dense, else the firing step's --, event roots, fun calls made, status,
+    last step)."""
     calls = 0
 
     def counted(t, y):
@@ -244,15 +251,20 @@ def _loop_leg(fun, events, t_span, y0, rtol, atol, dense):
                   if (ev.direction >= 0 and g[i] <= 0.0 <= g_new[i])
                   or (ev.direction <= 0 and g[i] >= 0.0 >= g_new[i])]
         if dense or active:
-            steps.append((t, t_new, y, _loop_rows(counted, K, t, h, y, y_new)))
+            rows = _loop_rows(counted, K, t, h, y, y_new)
+            steps.append((t, t_new, *y, *(v for row in rows for v in row)))
         if active:
-            interp = _Interpolant(*steps[-1])
-            at = [brentq(lambda x, ev=events[i]: ev(x, interp.point(x)), t, t_new,
+            interp = _scipy_step(steps[-1])
+
+            def point(x):
+                return tuple(interp(x).tolist())
+
+            at = [brentq(lambda x, ev=events[i]: ev(x, point(x)), t, t_new,
                          xtol=4 * _EPS, rtol=4 * _EPS) for i in active]
             first = min(range(len(at)), key=at.__getitem__)
             roots[active[first]].append(at[first])
             ts.append(at[first])
-            ys.append(interp.point(at[first]))
+            ys.append(point(at[first]))
             return ts, ys, steps, roots, calls, 1, h_abs
         t, y, f, g = t_new, y_new, K[-1], g_new
         ts.append(t)
@@ -282,7 +294,7 @@ def _assert_leg_equals_the_loops(integ, chart, span, y0, dense):
     assert _hex(got.step) == _hex(step)
     assert got.nfev == calls
     if dense:
-        assert _hex([(i.t_old, i.t, i.y_old, i.F) for i in got.sol.interpolants]) == _hex(steps)
+        assert _hex(got.sol.steps.tolist()) == _hex(steps)
     return got
 
 
@@ -291,7 +303,7 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
     # Four kinds of leg on each chart's kernel, from seeded states near case
     # A's separatrix: plain and dense legs that reach their end, legs ended
     # by each event (plain and dense), and, in the r-chart, the step failure
-    # of n=15's first probe at 100 p_c.
+    # of n=15's first probe at 100 p_c (plain and dense).
     integ = _Integrator(ProblemParams(13, compute_pc(13) + 0.5), 1.0)
     rng = np.random.default_rng(1313)
     v0_sep = -0.2668911534367668
@@ -312,7 +324,7 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
         ends = [leg(_PROBE_LO, False), leg(_PROBE_HI, False), leg(_PROBE_HI, True)]
         big = _Integrator(ProblemParams(15, 100.0 * pc15), 1.0)
         r0, y0 = big.start(_PROBE_HI, _R_SWITCH)
-        kinds.append((_assert_leg_equals_the_loops(big, "r", (r0, _R_SWITCH), y0, False), -1))
+        kinds += [(_assert_leg_equals_the_loops(big, "r", (r0, _R_SWITCH), y0, dense), -1) for dense in (False, True)]
     else:
         ends = [leg(next(shifted), False, 1e4), leg(next(shifted), False, 1e4), leg(next(shifted), True, 1e4)]
     kinds += [(got, 1) for got in ends]

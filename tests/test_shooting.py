@@ -501,6 +501,8 @@ def test_scale_covariance(pc13):
     base = shoot(params, alpha=1.0, r_max=100.0)
     alpha = 2.0**params.m
     mapped = rescale_solution(base, alpha)
+    # W, Y and Z do not change under the map: the mapped solution shares them
+    assert mapped.W is base.W and mapped.Y is base.Y and mapped.Z is base.Z
     direct = shoot(params, alpha=alpha, r_max=50.0)
     lo = max(direct.s_grid[0], mapped.s_grid[0]) + 0.1
     hi = min(direct.s_grid[-1], mapped.s_grid[-1]) - 0.1
@@ -750,12 +752,34 @@ def test_chord_floor_keeps_the_seam_closed_at_n40_pc():
     # solve with _RTOL = 5e-13 (floor in place).  With the chord's ends
     # _RTOL |v0| apart v0 lay 1.9e-14 relative from it; between the
     # bracket's ends 1.0e-11 off.  With each trial at its bracket's rtol
-    # the bracket ends 1.3e-8 relative wide and v0 lies 1.1e-15 from it.
+    # the bracket ends 1.3e-8 relative wide, wider than the floor, and v0
+    # lies 1.1e-15 from it; test_chord_floor_pins_v0_on_case_a_at_r_max_500
+    # covers a bracket the floor widens.
     sol = shoot(ProblemParams(40, compute_pc(40)), alpha=1.0, r_max=1e4)
     tight = float.fromhex("-0x1.d71ab8506c4f2p-1")
     assert abs(sol.v0 - tight) <= 1e-13 * abs(tight)
     assert sol.seam_residual < 1e-12
     assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
+
+
+def test_chord_floor_pins_v0_on_case_a_at_r_max_500(sol_quick, monkeypatch):
+    # Case A at r_max 500: stage 1's bracket ends 9.2e-14 relative wide,
+    # narrower than _RTOL |v0|, so _chord_ends widens it about its midpoint,
+    # and v0 lies 7.3e-13 relative outside it: t = (v0 - lo) / (hi - lo)
+    # is -0.28 on the floor's chord and would be -7.8 on the bare bracket's.
+    # Pinned: v0 of the solve with _RTOL = 5e-13 (floor in place).
+    # Measured: v0 lies 3.5e-15 relative from it with the floor and 8.9e-15
+    # with the chord between the bracket's own ends.
+    params = sol_quick.params
+    sol, brackets, _ = _record_collocation(params, 500.0, monkeypatch)
+    (up, dn), = brackets
+    assert sol.v0 == sol_quick.v0 and abs(up - dn) < _RTOL * abs(sol.v0)
+    tight = float.fromhex("-0x1.114bea1e69182p-2")
+    assert abs(sol.v0 - tight) <= 5e-15 * abs(tight)
+    monkeypatch.setattr(biharm.shooting, "_chord_ends", lambda up, dn: (dn, up))
+    bare = shoot(params, alpha=1.0, r_max=500.0)
+    assert 5e-15 * abs(tight) < abs(bare.v0 - tight) <= 1.5e-14 * abs(tight)
+    assert all(inv.passed for inv in solve_invariants(bare)), solve_invariants(bare)
 
 
 def _record_collocation(params, r_max, monkeypatch):

@@ -10,10 +10,11 @@ cut at r_max: A_r5 (case A at r_max 5, below r_switch) and B_r11 (case B at
 r_max 11).
 --grid shoots the 25-cell coverage grid instead: n in {13, 15, 20, 40, 100}
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
-like n13_pc+0.5 (about 6 CPU-seconds; any of its labels also works with
---cells).  The wider rows of the theory's range, n = 60 and n = 200 at the
-same five p's and r_max (n60_pc, ..., n200_100pc), are shot only when named
-in --cells, so --grid stays the same 25 cells.  Each record holds the
+like n13_pc+0.5 (5-7 s wall and 7-10 CPU-seconds on a 2-core x86-64
+host; any of its labels also works with --cells).  The wider rows of the
+theory's range, n = 60 and n = 200 at the same five p's and r_max (n60_pc,
+..., n200_100pc), are shot only when named in --cells, so --grid stays the
+same 25 cells.  Each record holds the
 solve's v0 (repr and float hex), n_bisect, the end residual rho =
 target_residual, the seam residual at r_switch (seam_residual, on trees
 whose solutions carry it), the SHA-256 of its dump_solution text
