@@ -334,10 +334,7 @@ def verify(scope, fmt, out):
 
 
 def _sweep_row(n: int) -> dict:
-    try:
-        lad = compute_ladder(n)
-    except NoPcValue:
-        return {"n": n, "p_c": None, "N": 0, "rungs": [], "parity_boundary": None}
+    lad = compute_ladder(n)
     parity = None
     if n % 2 == 1:
         parity = parity_boundary_check(n).factored_value
@@ -372,7 +369,7 @@ def sweep(n_min, n_max, fmt, out):
         for r in rows:
             cells = [
                 str(r["n"]),
-                _fmt(r["p_c"]) if r["p_c"] is not None else "",
+                _fmt(r["p_c"]),
                 str(r["N"]),
                 _fmt(r["parity_boundary"]) if r["parity_boundary"] is not None else "",
             ]

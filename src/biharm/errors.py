@@ -30,15 +30,14 @@ class NoConvergence(BiharmError):
 
 
 class StepFailure(BiharmError):
-    """Adaptive integrator could not meet its tolerance.
+    """Adaptive integrator could not meet its tolerance below W = r^m phi = L.
 
-    r is the radius the leg failed at, chart its chart ("r" or "s"), w its
-    last W = r^m phi and sol the leg's integration up to the failure.
+    r is the radius the leg failed at and chart its chart ("r" or "s").
     """
 
-    def __init__(self, message, r=float("nan"), chart=None, w=float("nan"), sol=None):
+    def __init__(self, message, r=float("nan"), chart=None):
         super().__init__(message)
-        self.r, self.chart, self.w, self.sol = r, chart, w, sol
+        self.r, self.chart = r, chart
 
 
 class GridTooCoarse(BiharmError):

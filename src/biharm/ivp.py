@@ -176,9 +176,9 @@ def system(name, params, rhs, events):
     triples, all in the independent variable x, the state u0..u3 and the
     constants named in params.  factory(**constants) returns the scalar
     right-hand side fun(x, u), called name, with attributes `events` (the
-    terminal event functions g(x, u)) and `kernel` (the leg kernel of
-    _KERNEL), for solve_ivp.  The constants are bound by closure, so a new
-    set of them compiles nothing.
+    terminal event functions g(x, u), each called by its event's name) and
+    `kernel` (the leg kernel of _KERNEL), for solve_ivp.  The constants are
+    bound by closure, so a new set of them compiles nothing.
     """
     defs = [(name, "(" + ", ".join(rhs) + ")")] + [(ev, expr) for ev, expr, _ in events]
     src = f"def factory({', '.join(params)}):\n"
@@ -240,14 +240,15 @@ class Dense:
 class IvpResult:
     """One integration, shaped like solve_ivp's result: t and y (entries by
     steps) at the step ends; sol the dense output, a Dense over the leg's
-    step rows, or None; t_events one array per event; nfev the right-hand side calls; status 0 (reached the
-    end), 1 (a terminal event) or -1 (the step size fell below 10 ulp of t,
-    the last entry of t); step the last step size tried."""
+    step rows, or None; event the name of the terminal event whose root
+    ended the leg, or None; nfev the right-hand side calls; status 0 (reached
+    the end), 1 (a terminal event) or -1 (the step size fell below 10 ulp of
+    t, the last entry of t); step the last step size tried."""
 
     t: np.ndarray
     y: np.ndarray
     sol: Dense | None
-    t_events: list
+    event: str | None
     nfev: int
     status: int
     step: float
@@ -257,11 +258,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     """Integrate y' = fun(t, y) forward over t_span = (t0, t_bound) from y0.
 
     fun is a right-hand side made by a `system` factory; its terminal
-    events, fun.events, are tested inline by its kernel and end the leg.
+    events, fun.events, are tested inline by its kernel, and the first root
+    on the firing step ends the leg and names its event.
     dense_output only adds the interpolants (three more right-hand side
     evaluations per step); the steps are the same.
     """
-    events = fun.events
     t0, t_bound = (float(t) for t in t_span)
     y = tuple(float(v) for v in y0)
 
@@ -283,17 +284,17 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     ts, ys = [t0], [y]
     dense = [] if dense_output else None
     status, h_abs, steps, fired, last = fun.kernel(t0, y, f, h_abs, t_bound, rtol, atol, ts, ys, dense)
-    t_events = [[] for _ in events]
+    event = None
     if status == 1:
         # last is the firing step, also dense's last row
-        active = [i for i, on in enumerate(fired) if on]
+        active = [ev for ev, on in zip(fun.events, fired) if on]
         roots = [
-            brentq(lambda x, ev=events[i]: ev(x, _point(last, x)), last[0], last[1],
+            brentq(lambda x, ev=ev: ev(x, _point(last, x)), last[0], last[1],
                    xtol=4 * _EPS, rtol=4 * _EPS)
-            for i in active
+            for ev in active
         ]
         first = min(range(len(active)), key=roots.__getitem__)
-        t_events[active[first]].append(roots[first])
+        event = active[first].__name__
         ts.append(roots[first])
         ys.append(_point(last, roots[first]))
     n_interp = len(dense) if dense_output else int(status == 1)
@@ -301,7 +302,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
         t=np.array(ts),
         y=np.array(ys).T,
         sol=Dense(np.array(dense).reshape(-1, 34)) if dense_output else None,
-        t_events=[np.array(te) for te in t_events],
+        event=event,
         nfev=2 + _N_STAGES * steps + len(_A_EXTRA) * n_interp,
         status=status,
         step=h_abs,

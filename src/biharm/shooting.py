@@ -48,6 +48,7 @@ _R_SERIES_CAP = 1.0  # largest radius of the series start
 _SERIES_ORDER = 24   # the series start keeps r^0 .. r^(2 * _SERIES_ORDER)
 _R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
 _R_HORIZON = 500.0   # least radius to which shoot classifies shots and collocates
+_BLOWUP = 1.5        # W/L at which a shot blows up; the entire solution keeps W < L
 _DS = 0.01           # uniform s-grid spacing of the returned solution
 # s from the returned lattice's last node, log r_max, out to where a solve
 # ends: the lattice stops short of the collocation's right end, where
@@ -248,9 +249,8 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
 # (Delta u)') in the r-chart, (W, W', W'', W''') in the s-chart.  u^p is
 # taken on the positive branch (trial states may dip below zero transiently)
 # and capped so rejected trial steps cannot overflow.  Blow-up is the
-# scale-aware bound r^m u >= 1.5 L = wcap: the entire solution keeps
-# r^m phi < L, so crossing it already identifies the unbounded side.  No raw
-# |u| ceiling: at large p, u^p makes the ODE too stiff to follow that far.
+# scale-aware bound r^m u >= _BLOWUP L = wcap.  No raw |u| ceiling: at
+# large p, u^p makes the ODE too stiff to follow that far.
 _POWER = "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0)"
 _CHARTS = {
     "r": system("rhs_r", ("p", "cap", "nm1", "m", "wcap"),
@@ -274,11 +274,12 @@ class _Integrator:
         self.pow_cap = 10.0 ** (295.0 / params.p)
         self.spec = compute_spectrum(params)
         self.L = self.spec.L
+        self.wcap = _BLOWUP * self.L
         # each chart's right-hand side, with its events, on this
         # configuration's constants; the scalar operations match the array
         # form built on _power term for term, so the results are identical
-        _, c1, c2, c3, c4 = _s_operator_coeffs(self.n, self.m).tolist()
-        common = dict(p=self.p, cap=self.pow_cap, wcap=1.5 * self.L)
+        self.s_coeffs = c1, c2, c3, c4 = _s_operator_coeffs(self.n, self.m).tolist()[1:]
+        common = dict(p=self.p, cap=self.pow_cap, wcap=self.wcap)
         self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)
         self.rhs_s = _CHARTS["s"](c1=c1, c2=c2, c3=c3, c4=c4, **common)
 
@@ -291,15 +292,17 @@ class _Integrator:
         """(r0, series state at r0): where and from what the r-chart leg to
         r_end starts, r0 at most max(_R_SEED, min(_R_SERIES_CAP, r_end / 2))."""
         series = self.series(v0)
-        r0 = series.seed_radius(self.m, 1.5 * self.L, max(_R_SEED, min(_R_SERIES_CAP, 0.5 * r_end)))
+        r0 = series.seed_radius(self.m, self.wcap, max(_R_SEED, min(_R_SERIES_CAP, 0.5 * r_end)))
         return r0, series.state(r0)
 
     def leg(self, chart: str, span, y0, dense: bool = False, rtol: float | None = None):
         """Integrate one leg of chart "r" or "s" over span at rtol (None:
-        _RTOL), atol rtol / 100; returns (outcome, sol).
-
-        outcome is BlowUp, SignLoss (event radius in r), or the float residual
-        W/L - 1 at the end of the span; sol is the solve_ivp result.
+        _RTOL), atol rtol / 100; returns (outcome, sol), sol the solve_ivp
+        result.  outcome is the float residual W/L - 1 at the end of the
+        span, SignLoss at the sign_loss event, else BlowUp, at the radius r
+        the leg ended: the amplitude_cross event, or a step failure at W >= L
+        (the entire solution keeps W < L).  A step failure below L raises
+        StepFailure.
         """
         rtol = _RTOL if rtol is None else rtol
         sol = solve_ivp(
@@ -309,16 +312,18 @@ class _Integrator:
         t_end = float(sol.t[-1])
         r_end = t_end if chart == "r" else math.exp(t_end)
         w_end = float(t_end**self.m * sol.y[0, -1] if chart == "r" else sol.y[0, -1])
-        if sol.status == -1:
-            raise StepFailure(
-                f"{chart}-chart step failed at r = {r_end:.6g}: step size {sol.step:.3g} in "
-                f"{chart} is below 10 ulp of {chart} = {t_end:.17g}, on the leg over {chart} "
-                f"in [{span[0]:.6g}, {span[1]:.6g}]",
-                r=r_end, chart=chart, w=w_end, sol=sol,
-            )
-        if sol.status == 1:
-            return (BlowUp if sol.t_events[1].size else SignLoss)(r=r_end), sol
-        return w_end / self.L - 1.0, sol
+        if sol.status == 0:
+            return w_end / self.L - 1.0, sol
+        if sol.event == "sign_loss":
+            return SignLoss(r=r_end), sol
+        if sol.event or w_end >= self.L:
+            return BlowUp(r=r_end), sol
+        raise StepFailure(
+            f"{chart}-chart step failed at r = {r_end:.6g}: step size {sol.step:.3g} in "
+            f"{chart} is below 10 ulp of {chart} = {t_end:.17g}, on the leg over {chart} "
+            f"in [{span[0]:.6g}, {span[1]:.6g}]",
+            r=r_end, chart=chart,
+        )
 
     def shot(self, v0: float, r_max: float, dense: bool = False, rtol: float | None = None):
         """Integrate one shot from the origin, its legs at rtol as for `leg`;
@@ -433,14 +438,14 @@ def _escape_law(outcome, lam4: float, s_end: float) -> float:
 
     A shot that reaches the horizon has g = its end residual W/L - 1 (the
     true solution keeps Y < 0, so a positive residual means the unstable
-    deviation points up).  An escape at s_ev left W/L - 1 at amp = 0.5
-    (blow-up) or -1 (sign loss); g carries it to the horizon along the
-    unstable mode, amp e^{lam4 (s_end - s_ev)}.  Near the separatrix every
+    deviation points up).  An escape at s_ev left W/L - 1 at amp =
+    _BLOWUP - 1 (blow-up) or -1 (sign loss); g carries it to the horizon
+    along the unstable mode, amp e^{lam4 (s_end - s_ev)}.  Near the separatrix every
     escape obeys log|v0 - v0*| + lam4 s_ev = K, with one K per side, so on
     each side g is linear in v0 with its own slope.
     """
     if isinstance(outcome, (BlowUp, SignLoss)):
-        amp = 0.5 if isinstance(outcome, BlowUp) else -1.0
+        amp = _BLOWUP - 1.0 if isinstance(outcome, BlowUp) else -1.0
         return amp * math.exp(min(700.0, lam4 * (s_end - math.log(outcome.r))))
     return outcome
 
@@ -525,14 +530,13 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     outside the bracket, which the collocation's guard turns into
     NoConvergence.  Shots are classified at r_cls = max(r_max, _R_HORIZON)
     e^{_S_PAD}, past the returned lattice and past r_switch, so every end
-    has an s-chart leg.  A step failure at W >= L counts as a blow-up at its
-    radius: the entire solution keeps W < L.  (2) Collocation (_collocate):
-    one boundary value problem with v0 as its unknown, its left condition a
-    chord through two r-chart legs at _RTOL, closes the solution on the
-    s-chart up to r_cls, solved on a mesh predicted from one coarse Newton
-    round; below r_switch it is that chord at that v0, between its two legs.
-    For r_max <= _R_HORIZON the horizon, and so the solution, does not
-    depend on r_max, which only cuts the returned grids.
+    has an s-chart leg.  (2) Collocation (_collocate): one boundary value
+    problem with v0 as its unknown, its left condition a chord through two
+    r-chart legs at _RTOL, closes the solution on the s-chart up to r_cls,
+    solved on a mesh predicted from one coarse Newton round; below r_switch
+    it is that chord at that v0, between its two legs.  For r_max <=
+    _R_HORIZON the horizon, and so the solution, does not depend on r_max,
+    which only cuts the returned grids.
     """
     _check_alpha(alpha)
     if not (math.isfinite(r_max) and r_max > _R_SEED):
@@ -552,12 +556,7 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
 
     def side(v0, width):
         rtol = float(max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, width / abs(v0))))
-        try:
-            outcome, _, sol_s = integ.shot(v0, r_cls, rtol=rtol)
-        except StepFailure as exc:
-            if not exc.w >= integ.L:
-                raise
-            outcome, sol_s = BlowUp(r=exc.r), exc.sol if exc.chart == "s" else None
+        outcome, _, sol_s = integ.shot(v0, r_cls, rtol=rtol)
         if sol_s is not None:
             s_legs[v0] = sol_s
         g[v0] = _escape_law(outcome, lam4, s_cls)
@@ -647,7 +646,7 @@ def _collocate(integ, leg, up, dn, r_cls):
     """
     L = integ.L
     lam1, lam2, lam3, lam4 = integ.spec.lambdas
-    _, c1, c2, c3, c4 = _s_operator_coeffs(integ.n, integ.m).tolist()
+    c1, c2, c3, c4 = integ.s_coeffs
     p, pm1 = integ.p, integ.p - 1.0
     l4 = np.poly([lam1, lam2, lam3])[::-1] / ((lam4 - lam1) * (lam4 - lam2) * (lam4 - lam3))
     x_star = np.array([L, 0.0, 0.0, 0.0])

@@ -11,9 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 import biharm.cli
-from biharm import ProblemParams, compute_spectrum
+from biharm import ProblemParams, compute_ladder, compute_spectrum, detect_regime
 from biharm.cli import main
-from biharm.verify import BOUNDS
+from biharm.expansion import fit_expansion
+from biharm.verify import BOUNDS, SCOPES
 
 
 @pytest.fixture()
@@ -318,6 +319,39 @@ def test_expand_refuses_a_vanished_column(runner, sol_n200_10pc, monkeypatch):
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
     assert res.stderr.startswith("error: fit design matrix: column a58 has maximum 0.0")
     assert "Traceback" not in res.output
+
+
+def test_expand_csv_lists_each_coefficient(runner, sol_a, monkeypatch):
+    # one row per fit coefficient under the header, each value and stderr
+    # to 17 significant digits, so the floats read back bit for bit
+    def solved(params, alpha, r_max):
+        assert (params, alpha, r_max) == (sol_a.params, 1.0, 1e4)
+        return sol_a
+
+    monkeypatch.setattr(biharm.cli, "shoot", solved)
+    res = runner.invoke(main, ["expand", "--n", "13", "--p", repr(sol_a.params.p), "--format", "csv"])
+    assert res.exit_code == 0, res.output
+    fit = fit_expansion(sol_a, sol_a.spectrum, detect_regime(sol_a.params, compute_ladder(13)))
+    rows = [line.split(",") for line in res.stdout.splitlines()]
+    assert rows[0] == ["coefficient", "value", "stderr", "resolved"]
+    assert [row[0] for row in rows[1:]] == list(fit.coefficients)
+    for name, value, stderr, resolved in rows[1:]:
+        est = fit.coefficients[name]
+        assert (float(value), float(stderr), resolved) == (est.value, est.stderr, str(est.resolved))
+        assert value == f"{est.value:.17g}" and stderr == f"{est.stderr:.17g}"
+
+
+def test_verify_csv_has_three_fields_per_line(runner):
+    # each algebra suite is one row; commas in a detail become ";"
+    res = runner.invoke(main, ["verify", "--scope", "algebra", "--format", "csv"])
+    assert res.exit_code == 0, res.output
+    lines = res.stdout.splitlines()
+    assert lines[0] == "name,passed,detail"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 11 and all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows] == [name for name, _ in SCOPES["algebra"]]
+    assert all(row[1] == "True" for row in rows)
+    assert any(";" in row[2] for row in rows)
 
 
 def test_sweep_csv_roundtrip(runner, tmp_path):

@@ -402,6 +402,25 @@ def test_fit_on_converged_solution(sol_a):
     assert max(drift.values()) <= 3.0
 
 
+def test_window_shift_is_clipped_at_the_last_node(sol_a):
+    # a window that ends at the lattice's last node shifts right by a tenth
+    # of its width and is then pulled back to end there: the drift is that
+    # between the fits on the two windows (on case A the pulled-back window
+    # rounds to the window itself, and every drift is 0; without the clip
+    # the shifted window's fit differs)
+    spec, s_max = sol_a.spectrum, float(sol_a.s_grid[-1])
+    regime = detect_regime(sol_a.params, compute_ladder(13))
+    window = (5.0, s_max)
+    width = s_max - 5.0
+    pulled = (5.0 + 0.1 * width - (s_max + 0.1 * width - s_max), s_max)
+    base = fit_expansion(sol_a, spec, regime, window)
+    moved = fit_expansion(sol_a, spec, regime, pulled)
+    assert window_shift_stability(sol_a, spec, regime, window) == {
+        name: abs(moved.coefficients[name].value - est.value) / max(est.stderr, 1e-300)
+        for name, est in base.coefficients.items()
+    }
+
+
 @pytest.mark.parametrize("cell", ["sol_a", "sol_c"])
 def test_drift_covers_exactly_the_fit_coefficients(cell, request):
     # both fits of the drift report share one regime, so every coefficient

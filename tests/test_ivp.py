@@ -77,10 +77,10 @@ def test_escape_radius_matches_scipy(case_a, shift, hit):
     w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, r_ref.y[:, -1])
     ours, ref = _both(integ, "s", (math.log(_R_SWITCH), math.log(1e4)), w0)
     assert ours.status == ref.status == 1
-    assert [te.size for te in ours.t_events] == [te.size for te in ref.t_events]
-    assert ours.t_events[hit].size == 1
-    assert abs(ours.t_events[hit][0] / ref.t_events[hit][0] - 1.0) < 1e-9
-    assert ours.t[-1] == ours.t_events[hit][0]
+    fired = [ev.__name__ for ev, te in zip(integ.rhs_s.events, ref.t_events) if te.size]
+    assert fired == [ours.event] == [("sign_loss", "amplitude_cross")[hit]]
+    assert ref.t_events[hit].size == 1
+    assert abs(ours.t[-1] / ref.t_events[hit][0] - 1.0) < 1e-9
 
 
 def test_dense_output_replays_the_steps(case_a):
@@ -290,7 +290,9 @@ def _assert_leg_equals_the_loops(integ, chart, span, y0, dense):
     assert got.status == status
     assert _hex(got.t.tolist()) == _hex(ts)
     assert _hex(got.y.T.tolist()) == _hex(ys)
-    assert _hex([te.tolist() for te in got.t_events]) == _hex(roots)
+    # the event the loops' first root fired, and that root as the leg's end
+    fired = [(ev.__name__, _hex(at)) for ev, at in zip(rhs.events, roots) if at]
+    assert fired == ([(got.event, _hex(got.t.tolist()[-1:]))] if got.event else [])
     assert _hex(got.step) == _hex(step)
     assert got.nfev == calls
     if dense:
@@ -330,4 +332,4 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
     kinds += [(got, 1) for got in ends]
     assert [got.status for got, _ in kinds] == [status for _, status in kinds]
     # both events end a leg
-    assert {int(got.t_events[1].size) for got in ends} == {0, 1}
+    assert {got.event for got in ends} == {"sign_loss", "amplitude_cross"}

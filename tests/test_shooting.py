@@ -23,7 +23,7 @@ from biharm import (
     compute_spectrum,
 )
 from biharm.fdiff import central_offsets, diff_uniform, fd_weights
-from biharm.ivp import solve_ivp
+from biharm.ivp import IvpResult, solve_ivp
 from biharm.verify import solve_invariants
 import biharm.shooting
 from biharm.shooting import (
@@ -1043,17 +1043,17 @@ def _check_step_failure(message, chart, span):
 
 
 def _failed_shots(params, monkeypatch):
-    """shoot(params, 1, 1e4) with each shot that raised StepFailure recorded
-    as (integrator, v0, r_max, rtol, the failure); returns (solution, records)."""
+    """shoot(params, 1, 1e4) with each leg that ended in a step failure
+    recorded as (integrator, v0, r_max, rtol, chart); returns (solution,
+    records)."""
     failed = []
     plain_shot = _Integrator.shot
 
     def recording_shot(self, v0, r_max, dense=False, rtol=None):
-        try:
-            return plain_shot(self, v0, r_max, dense, rtol)
-        except StepFailure as exc:
-            failed.append((self, v0, r_max, rtol, exc))
-            raise
+        shot = plain_shot(self, v0, r_max, dense, rtol)
+        failed.extend((self, v0, r_max, rtol, chart) for chart, leg in zip("rs", shot[1:])
+                      if leg is not None and leg.status == -1)
+        return shot
 
     monkeypatch.setattr(_Integrator, "shot", recording_shot)
     sol = shoot(params, alpha=1.0, r_max=1e4)
@@ -1061,47 +1061,80 @@ def _failed_shots(params, monkeypatch):
     return sol, failed
 
 
-def _check_failure_data(exc, integ, chart, span):
-    # the message names the chart, the radius, the step and the span, and the
-    # exception carries the radius, the chart and its last W as data
-    r = _check_step_failure(str(exc), chart, span)
-    assert exc.chart == chart and exc.r == pytest.approx(r, rel=1e-5)
-    assert exc.w >= integ.L  # stage 1 reads it as a blow-up
+def _check_blow_up(integ, outcome, leg, chart):
+    # a leg that ended in a step failure, not at an event, with W >= L is a
+    # blow-up at its last radius
+    t = float(leg.t[-1])
+    r = t if chart == "r" else math.exp(t)
+    assert leg.status == -1 and leg.event is None
+    assert outcome == BlowUp(r=r)
+    assert (t**integ.m if chart == "r" else 1.0) * leg.y[0, -1] >= integ.L
     return r
 
 
-def test_large_p_step_failure_names_r_chart(pc15, monkeypatch):
-    # u^p stiffness at n=15, p = 100 p_c stops shots in the r-chart; a
-    # direct shot at the first such v0 and tolerance fails again, on a leg
-    # that starts at that shot's series radius
-    _, failed = _failed_shots(ProblemParams(15, 100.0 * pc15), monkeypatch)
-    integ, v0, r_max, rtol, _ = next(rec for rec in failed if rec[4].chart == "r")
-    with pytest.raises(StepFailure) as info:
-        integ.shot(v0, r_max, rtol=rtol)
+def test_large_p_step_failure_is_an_r_chart_blow_up(pc15, monkeypatch):
+    # u^p stiffness at n=15, p = 100 p_c stops shots in the r-chart above
+    # W = L; a direct shot at the first such v0 and tolerance fails again,
+    # on a leg that starts at that shot's series radius, and blows up there,
+    # as does integrate_radial's shot at v0 (measured: 3.5e-7 apart in r)
+    params = ProblemParams(15, 100.0 * pc15)
+    _, failed = _failed_shots(params, monkeypatch)
+    integ, v0, r_max, rtol, _ = next(rec for rec in failed if rec[4] == "r")
+    outcome, sol_r, sol_s = integ.shot(v0, r_max, rtol=rtol)
     r0, _ = integ.start(v0, _R_SWITCH)
-    assert _R_SEED < r0 <= _R_SERIES_CAP
-    _check_failure_data(info.value, integ, "r", (r0, _R_SWITCH))
+    assert _R_SEED < r0 <= _R_SERIES_CAP and sol_r.t[0] == r0 and sol_s is None
+    r = _check_blow_up(integ, outcome, sol_r, "r")
+    assert r0 < r < _R_SWITCH
+    single = integrate_radial(params, 1.0, v0, 1e4)
+    assert isinstance(single, BlowUp) and single.r == pytest.approx(r, rel=1e-5)
 
 
-def test_large_p_step_failure_names_s_chart(pc13):
+def test_large_p_step_failure_is_an_s_chart_blow_up(pc13):
     # At n=13, p = 10 p_c the ulp-level residue of floats beside the solve's
     # v0 departs upward past r = 1e4, and the steps underflow in the s-chart
     # before W reaches the blow-up bound 1.5 L (measured: 9 of the 129 floats
     # within 64 ulps of v0 fail so on a direct shot to r = 1e5, the nearest
-    # 7 ulps above it; the nearest is tried first)
+    # 7 ulps above it; the nearest is tried first); the shot blows up there
+    # and returns its failed leg as sol_s
     params = ProblemParams(13, 10.0 * pc13)
     v0 = shoot(params, alpha=1.0, r_max=1e4).v0
     integ = _Integrator(params, 1.0)
     for k in sorted(range(-64, 65), key=abs):
-        try:
-            integ.shot(v0 + k * abs(np.spacing(v0)), 1e5)
-        except StepFailure as exc:
-            failure = exc
+        outcome, _, sol_s = integ.shot(v0 + k * abs(np.spacing(v0)), 1e5)
+        if sol_s.status == -1:
             break
     else:
         pytest.fail("no shot within 64 ulps of v0 fails its step before r = 1e5")
-    r = _check_failure_data(failure, integ, "s", (math.log(_R_SWITCH), math.log(1e5)))
-    assert _R_SWITCH < r < 1e5
+    r = _check_blow_up(integ, outcome, sol_s, "s")
+    assert _R_SWITCH < r < 1e5 and sol_s.y[0, -1] < integ.wcap
+
+
+@pytest.mark.parametrize("chart", ["r", "s"])
+def test_step_failure_below_L_names_its_leg(sol_a, chart, monkeypatch):
+    # No measured leg fails its step below W = L, so solve_ivp is stubbed:
+    # it cuts case A's leg at v0 halfway through its span, below L, and
+    # reports a step failure there on a step of one ulp.  The leg raises
+    # StepFailure, which names the chart, the radius, the step and the span
+    # and carries the radius and the chart.
+    integ = _Integrator(sol_a.params, 1.0)
+    r0, y0 = integ.start(sol_a.v0, _R_SWITCH)
+    span = (r0, _R_SWITCH)
+    if chart == "s":
+        y0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, integ.leg("r", span, y0)[1].y[:, -1])
+        span = (math.log(_R_SWITCH), math.log(100.0))
+    plain, cut = biharm.shooting.solve_ivp, []
+
+    def failing(fun, t_span, y, **kwargs):
+        cut.append(plain(fun, (t_span[0], 0.5 * (t_span[0] + t_span[1])), y, **kwargs))
+        return replace(cut[-1], status=-1, step=float(np.spacing(cut[-1].t[-1])))
+
+    monkeypatch.setattr(biharm.shooting, "solve_ivp", failing)
+    with pytest.raises(StepFailure) as info:
+        integ.leg(chart, span, y0)
+    t = float(cut[0].t[-1])
+    assert (t**integ.m if chart == "r" else 1.0) * cut[0].y[0, -1] < integ.L
+    r = _check_step_failure(str(info.value), chart, span)
+    assert info.value.chart == chart and info.value.r == pytest.approx(r, rel=1e-5)
 
 
 def test_chord_lattice_passes_n13_at_100_pc(pc13):
@@ -1123,21 +1156,26 @@ def test_large_p_step_failures_no_longer_stop_the_solve(pc15, monkeypatch):
 
 @pytest.mark.parametrize("w_over_L", [0.5, 1.5])
 def test_stage_1_step_failure_below_L_is_reraised(pc13, monkeypatch, w_over_L):
-    # every shot at v0 >= -0.25 fails its step at r = 5, every other loses
-    # sign there: a failure at W >= L is on the blow-up side (the entire
-    # solution keeps W < L) and counts as a blow-up at r = 5, so the search
-    # collapses on -0.25 without a survivor; one below L is re-raised
+    # every r-chart leg of a shot at v0 >= -0.25 fails its step at r = 5
+    # with W = w_over_L L, every other loses sign there: a failure at W >= L
+    # is on the blow-up side (the entire solution keeps W < L) and counts as
+    # a blow-up at r = 5, so the search collapses on -0.25 without a
+    # survivor; one below L is re-raised.  The stubbed start hands each leg
+    # its v0.
     params = ProblemParams(13, pc13 + 0.5)
-    L = compute_spectrum(params).L
+    w_fail = w_over_L * compute_spectrum(params).L / 5.0**params.m
 
-    def shot(self, v0, r_max, dense=False, rtol=None):
-        if v0 >= -0.25:
-            raise StepFailure("stub failure", r=5.0, chart="r", w=w_over_L * L)
-        return SignLoss(r=5.0), None, None
+    def leg_end(fun, t_span, y0, **kwargs):
+        fails = y0[0] >= -0.25
+        y = np.zeros((4, 2))
+        y[0] = 1.0, w_fail if fails else 0.0
+        return IvpResult(t=np.array([1.0, 5.0]), y=y, sol=None, event=None if fails else "sign_loss",
+                         nfev=2, status=-1 if fails else 1, step=1e-16)
 
-    monkeypatch.setattr(_Integrator, "shot", shot)
+    monkeypatch.setattr(_Integrator, "start", lambda self, v0, r_end: (1.0, (v0, 0.0, 0.0, 0.0)))
+    monkeypatch.setattr(biharm.shooting, "solve_ivp", leg_end)
     if w_over_L < 1.0:
-        with pytest.raises(StepFailure, match="stub failure"):
+        with pytest.raises(StepFailure, match=r"^r-chart step failed at r = 5: "):
             shoot(params, alpha=1.0, r_max=60.0)
         return
     with pytest.raises(NoConvergence) as info:

@@ -85,6 +85,20 @@ def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
     assert not any(line.startswith("RHS evaluations by rtol (old)") for line in out)
 
 
+def test_shoot_cells_diff_totals_step_failures(capsys):
+    # each side's legs that ended in a step failure, summed over cells and
+    # charts; OLD records predate the count, still diff and print "-"
+    old = {"A": _ok("0x1p-2", 50, 8), "F": _failed("StepFailure", 7, [8])}
+    new = {"A": _ok("0x1p-2", 50, 8), "F": _failed("StepFailure", 7, [8])}
+    for rec, counts in ((new["A"], (2, 1)), (new["F"], (1, 0))):
+        for chart, count in zip("rs", counts):
+            rec["ivp"][chart]["step_failures"] = count
+    assert shoot_cells.diff(old, new) == 0
+    assert "step failures: - -> 4" in capsys.readouterr().out.splitlines()
+    assert shoot_cells.diff(new, new) == 0
+    assert "step failures: 4 -> 4" in capsys.readouterr().out.splitlines()
+
+
 def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):
     old = {"A": _ok("0x1p-2", 50, 56), "B": _ok("0x1p-1", 50, 80)}
     new = {"A": _failed("NoConvergence", 30, [12, 11]), "B": _ok("0x1p-1", 50, 33, passed=False)}
@@ -104,6 +118,7 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     # decade; the chord's two r-chart legs at 1e-12
     for chart in rec["ivp"].values():
         assert sum(chart["nfev_by_rtol"].values()) == chart["nfev"]
+        assert chart["step_failures"] == 0
     stage_1 = {"1e-04", "1e-05", "1e-06", "1e-07", "1e-08"}
     assert {"1e-04", "1e-08"} <= set(rec["ivp"]["s"]["nfev_by_rtol"]) <= stage_1
     assert {"1e-04", "1e-08"} <= set(rec["ivp"]["r"]["nfev_by_rtol"]) - {"1e-12"} <= stage_1

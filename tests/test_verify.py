@@ -1,6 +1,7 @@
 """The invariant table behind `biharm verify` and `biharm expand`."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -62,3 +63,12 @@ def test_quick_suites_report_values_and_bounds(suite, names):
             assert bound[0] == "<=" and float(value) <= float(bound[1])
         else:
             assert value == "True" and not bound
+
+
+def test_scaling_covariance_suite_passes():
+    # the solution at alpha = 2^m against case A's mapped by scale
+    # covariance, on the s-range the two share
+    passed, detail = dict(SCOPES["shooting"])["scaling_covariance"]()
+    found = re.fullmatch(r"rescaled vs direct shooting deviation (\S+)", detail)
+    assert passed and found is not None, detail
+    assert float(found.group(1)) < 1e-5

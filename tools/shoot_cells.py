@@ -25,8 +25,9 @@ default window, the coefficients and the five expansion invariants with
 their bounds, or the typed error it raised), and the solve_ivp calls and RHS
 evaluations per chart, the latter also split by the decade of the legs'
 rtol (nfev_by_rtol, keyed "1e-12", "1e-08", ..., "1e-04": stage 1's loose
-shots apart from the full-tolerance legs); a solve that raises a typed
-error records its class and message instead.
+shots apart from the full-tolerance legs), and the legs that ended in a
+step failure (step_failures, solve_ivp's status -1) per chart; a solve that
+raises a typed error records its class and message instead.
 Every record also lists the trials of each _bisect call (stage 1's search;
 on a solve that returns they sum to n_bisect) and, under "bvp", the
 collocation stage's work: the mesh nodes and scipy's niter of each coarse
@@ -50,7 +51,8 @@ whether W is (by w_sha256) and whether the dumps are (by dump_sha256; "-"
 when neither side has the hash), so W equal beside a differing dump means
 that Z moved and W did not; then |dv0|/|v0| for each cell whose v0
 differs and the largest over the cells with a v0 on both sides, the totals
-(RHS evaluations also by rtol, for a side whose records split them), the ok
+(RHS evaluations also by rtol, for a side whose records split them; step
+failures, "-" for a side whose records do not count them), the ok
 counts and the identical dumps out of the cells with a dump on either side.
 For each cell with an expand record on either side it prints both sides'
 expand outcome (as for the solve, over the expansion invariants; "-"
@@ -109,8 +111,9 @@ def _args():
 
 
 def shoot_cell(label: str) -> dict:
-    """Shoot one cell, counting solve_ivp calls and nfev per chart, the
-    trials of each root-search call and the collocation's nodes and niter."""
+    """Shoot one cell, counting solve_ivp calls, nfev and step failures per
+    chart, the trials of each root-search call and the collocation's nodes
+    and niter."""
     import biharm.shooting as shooting
     from biharm import BiharmError, ProblemParams, compute_ladder
     from biharm.expansion import detect_regime
@@ -119,7 +122,8 @@ def shoot_cell(label: str) -> dict:
     n, p_of, r_max = KNOWN[label]
     ladder = compute_ladder(n)
     params = ProblemParams(n, p_of(ladder))
-    calls, nfev, by_rtol, trials = Counter(), Counter(), {"r": Counter(), "s": Counter()}, []
+    calls, nfev, failures, trials = Counter(), Counter(), Counter(), []
+    by_rtol = {"r": Counter(), "s": Counter()}
     bvp = {"coarse": {"nodes": [], "niter": []}, "nodes": [], "niter": []}
     plain, plain_bisect, plain_bvp = shooting.solve_ivp, shooting._bisect, shooting.solve_bvp
 
@@ -128,6 +132,7 @@ def shoot_cell(label: str) -> dict:
         chart = fun.__name__.removeprefix("rhs_")
         calls[chart] += 1
         nfev[chart] += result.nfev
+        failures[chart] += result.status == -1
         by_rtol[chart][decade(kwargs["rtol"])] += result.nfev
         return result
 
@@ -185,8 +190,8 @@ def shoot_cell(label: str) -> dict:
     finally:
         shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = plain, plain_bisect, plain_bvp
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max}
-    rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c], "nfev_by_rtol": dict(by_rtol[c])}
-                  for c in ("r", "s")}
+    rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c], "nfev_by_rtol": dict(by_rtol[c]),
+                      "step_failures": failures[c]} for c in ("r", "s")}
     rec["trials"] = trials
     rec["bvp"] = bvp
     return rec
@@ -272,6 +277,12 @@ def diff(old: dict, new: dict) -> int:
             rtols = sorted(split, key=float)
             print(f"RHS evaluations by rtol ({side}): "
                   + ", ".join(f"{rtol} {split[rtol]}" for rtol in rtols))
+    failed = []  # each side's total, "-" when its records do not count them
+    for rec in (old, new):
+        charts = [chart for label in labels for chart in rec[label]["ivp"].values()]
+        counted = any("step_failures" in chart for chart in charts)
+        failed.append(sum(chart.get("step_failures", 0) for chart in charts) if counted else "-")
+    print(f"step failures: {failed[0]} -> {failed[1]}")
     print(f"trials: {sum(trials(old[label]) for label in labels)} -> "
           f"{sum(trials(new[label]) for label in labels)}")
     ok_old = sum(outcome(old[label]) == "ok" for label in labels)
