@@ -115,31 +115,42 @@ class SignLoss:
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Entire positive radial solution on matched r- and s-grids.
+    """Entire positive radial solution with phi(0) = alpha, as solved: W =
+    r^m phi and Z = Y' - lam4 Y = W' - lam4 Y on the s-lattice s_grid.
 
-    The grids share nodes (r = e^s).  W = r^m phi and W' are sampled from
-    the states the solve was solved in: up to r_switch the r-chart part
-    (shoot's: the chord at v0 between two r-chart legs; a single shot's: its
-    one leg; each leg's series below its start), the s-chart beyond.
-    phi = W / r^m, Y = W - L and Z = Y' - lam4 Y = W' - lam4 Y.
-    seam_residual is max_i |X_i - X_r,i| / L at r_switch, between the
-    s-chart's start state X = (W, W', W'', W''') and the r-chart part's end
-    state X_r; it is 0.0 for a single shot, whose s-chart starts from X_r.
+    W and W' are sampled from the states the phi(0) = 1 solve was solved
+    in: up to r_switch the r-chart part (shoot's: the chord at v0 between
+    two r-chart legs; a single shot's: its one leg; each leg's series below
+    its start), the s-chart beyond.  The scale map to phi(0) = alpha keeps W
+    and Z and shifts s_grid; r_grid = e^s, phi = W / r^m and Y = W - L
+    follow from them.  seam_residual is max_i |X_i - X_r,i| / L at
+    r_switch, between the s-chart's start state X = (W, W', W'', W''') and
+    the r-chart part's end state X_r; it is 0.0 for a single shot, whose
+    s-chart starts from X_r.
     """
 
     params: ProblemParams
     alpha: float
     v0: float
     spectrum: Spectrum
-    r_grid: np.ndarray
-    phi: np.ndarray
     s_grid: np.ndarray
     W: np.ndarray
-    Y: np.ndarray
     Z: np.ndarray
     target_residual: float
     seam_residual: float
     n_bisect: int  # stage-1 root-search trials, model steps and midpoints alike
+
+    @property
+    def r_grid(self) -> np.ndarray:
+        return np.exp(self.s_grid)
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.W / self.r_grid**self.params.m
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self.W - self.spectrum.L
 
 
 def _power(u, p, cap=None):
@@ -154,20 +165,20 @@ def _power(u, p, cap=None):
 class _Series:
     """The regular solution near the origin as a series in x = r^2.
 
-    u = sum_k a_k x^k with a_0 = alpha and a_1 = v0 / (2n) (so u(0) = alpha
-    and Delta u(0) = v0), and Delta^2 u = u^p fixes the rest:
+    u = sum_k a_k x^k with a_0 = 1 and a_1 = v0 / (2n) (so u(0) = 1 and
+    Delta u(0) = v0), and Delta^2 u = u^p fixes the rest:
     a_{j+2} = [u^p]_j / ((2j+2)(2j+4)(2j+n)(2j+n+2)), the coefficients
     [u^p]_j by J.C.P. Miller's power recurrence.  Truncated at a_K,
     K = _SERIES_ORDER.  The state (u, u', Delta u, (Delta u)') is
     r^e_i P_i(x), e = (0, 1, 0, 1), with the P_i held as coefficient lists.
     """
 
-    def __init__(self, n: int, p: float, alpha: float, v0: float):
-        a = [alpha, v0 / (2.0 * n)]
-        g = [alpha**p]  # [u^p]_0, [u^p]_1, ...
+    def __init__(self, n: int, p: float, v0: float):
+        a = [1.0, v0 / (2.0 * n)]
+        g = [1.0]  # [u^p]_0, [u^p]_1, ...
         for j in range(_SERIES_ORDER - 1):
             if j:
-                g.append(sum(((p + 1.0) * i - j) * a[i] * g[j - i] for i in range(1, j + 1)) / (j * alpha))
+                g.append(sum(((p + 1.0) * i - j) * a[i] * g[j - i] for i in range(1, j + 1)) / j)
             a.append(g[j] / ((2 * j + 2) * (2 * j + 4) * (2 * j + n) * (2 * j + n + 2)))
         b = [(2 * j + 2) * (2 * j + n) * a[j + 1] for j in range(_SERIES_ORDER)]  # Delta u
         self.coeffs = (
@@ -195,12 +206,11 @@ class _Series:
         At x = r^2 every P_i's last two terms |c_k| x^k, which bound its
         truncation error inside the radius of convergence, stay below eps
         times its terms' absolute sum (the rounding of that sum).  With
-        S = sum_k |a_k| x^k, a_0 - (S - a_0) > 0 and r^m S < w_max keep u
+        S = sum_k |a_k| x^k, 1 - (S - 1) > 0 and r^m S < w_max keep u
         positive and r^m u below w_max on all of [0, r], so no terminal
         event of the r-chart lies before the start.
         """
         eps = np.finfo(float).eps
-        a0 = self.coeffs[0][0]
         # each P_i's |c_k|, highest order first, for Horner sums
         mags = [[abs(ck) for ck in reversed(c)] for c in self.coeffs]
         x = r_cap * r_cap
@@ -215,7 +225,7 @@ class _Series:
                 if max(c[0] * top * x, c[1] * top) > eps * s:
                     break
             else:
-                if sums[0] < 2.0 * a0 and x ** (0.5 * m) * sums[0] < w_max:
+                if sums[0] < 2.0 and x ** (0.5 * m) * sums[0] < w_max:
                     return math.sqrt(x)
             x *= 0.5
         return _R_SEED
@@ -263,11 +273,10 @@ _CHARTS = {
 
 
 class _Integrator:
-    """One (n, p, alpha) configuration; integrates arbitrary v0 shots."""
+    """One (n, p) configuration at phi(0) = 1; integrates arbitrary v0 shots."""
 
-    def __init__(self, params: ProblemParams, alpha: float):
+    def __init__(self, params: ProblemParams):
         self.params = params
-        self.alpha = alpha
         self.n = params.n
         self.p = params.p
         self.m = params.m
@@ -286,7 +295,7 @@ class _Integrator:
     # --- one leg, one shot ------------------------------------------------
     def series(self, v0: float) -> _Series:
         """The regular solution's series at v0."""
-        return _Series(self.n, self.p, self.alpha, v0)
+        return _Series(self.n, self.p, v0)
 
     def start(self, v0: float, r_end: float):
         """(r0, series state at r0): where and from what the r-chart leg to
@@ -346,31 +355,50 @@ class _Integrator:
         return outcome, sol_r, sol_s
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise InvalidParams(f"finite alpha > 0 required, got {alpha}")
+def _scale(m: float, alpha: float, r_max: float | None = None) -> float:
+    """kappa = alpha^(1/m): kappa^m phi(kappa r) maps the solution with
+    phi(0) = 1 on r <= kappa r_max to the one with phi(0) = alpha on
+    r <= r_max.  InvalidParams unless kappa is finite and positive and,
+    when r_max is given, kappa r_max is finite and above _R_SEED, where the
+    lattice starts: r_max must exceed _R_SEED / kappa."""
+    try:
+        kappa = alpha ** (1.0 / m) if alpha > 0.0 else math.nan
+    except OverflowError:
+        kappa = math.inf
+    if not (0.0 < kappa < math.inf and (r_max is None or _R_SEED < kappa * r_max < math.inf)):
+        least = _R_SEED / kappa if kappa > 0.0 else math.inf
+        raise InvalidParams(
+            f"alpha={alpha!r}, r_max={r_max!r}: the solve at phi(0) = 1 maps to phi(0) = alpha "
+            f"by kappa = alpha^(1/m) = {kappa:.6g}, which must be finite and positive, and r_max "
+            f"must be finite and above {_R_SEED:g} / kappa = {least:.6g}"
+        )
+    return kappa
 
 
 def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: float):
-    """Integrate a single shot from the origin with Delta phi(0) = v0.
+    """Integrate a single shot from the origin with phi(0) = alpha and
+    Delta phi(0) = v0.
 
-    Returns a RadialSolution when the trajectory stays positive and bounded to
-    r_max, otherwise the BlowUp or SignLoss outcome.  The full solution grids
-    require the spectrum, so params must be at or above the critical exponent.
-    The shot runs to r_max e^{_S_PAD}; for r_max >= _R_HORIZON that is
-    shoot's classification horizon.  Below r_switch it is the r-chart leg
-    at v0: shoot's solution there is the chord between two such legs, which
-    a shot at shoot's v0 meets to within their integration error.
+    After _scale's check, the shot is the phi(0) = 1 one at v0 / kappa^{m+2}
+    to kappa r_max, mapped by rescale_solution.  Returns a RadialSolution
+    when the trajectory stays positive and bounded to r_max, otherwise the
+    BlowUp or SignLoss outcome, its radius divided by kappa.  The full
+    solution grids require the spectrum, so params must be at or above the
+    critical exponent.  The shot runs to kappa r_max e^{_S_PAD}; for
+    alpha = 1 and r_max >= _R_HORIZON that is shoot's classification
+    horizon.  Below r_switch it is the r-chart leg at v0: shoot's solution
+    there is the chord between two such legs, which a shot at shoot's v0
+    meets to within their integration error.
     """
-    _check_alpha(alpha)
-    if not (math.isfinite(r_max) and r_max > 0.0):
-        raise InvalidParams(f"finite r_max > 0 required, got {r_max}")
-    integ = _Integrator(params, alpha)
-    outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
+    kappa = _scale(params.m, alpha, r_max)
+    integ = _Integrator(params)
+    v0 = v0 / kappa ** (params.m + 2.0)
+    outcome, sol_r, sol_s = integ.shot(v0, kappa * r_max * math.exp(_S_PAD), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
-        return outcome
+        return replace(outcome, r=outcome.r / kappa)
     tail = (lambda s: sol_s.sol(s)[:2]) if sol_s else None
-    return _assemble_solution(integ, v0, r_max, ((v0, sol_r),), 0.0, tail, n_bisect=0, seam=0.0)
+    sol = _assemble_solution(integ, v0, kappa * r_max, ((v0, sol_r),), 0.0, tail, 0, 0.0)
+    return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
 def _sample_w(integ, legs, t, tail, s_nodes):
@@ -410,25 +438,20 @@ def _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect, seam):
     n_nodes = int(math.floor((s_top - s_bottom) / _DS)) - 4
     s_grid = s_top + _DS * np.arange(-n_nodes, 1)
     W, dW = _sample_w(integ, legs, t, tail, s_grid)
-    Y = W - integ.L
-    Z = dW - integ.spec.lambdas[3] * Y
-
-    r_grid = np.exp(s_grid)
-    phi = W / r_grid**integ.m
-    target_residual = float(W[-1] / integ.L - 1.0)
-
-    arrays = dict(r_grid=r_grid, phi=phi, s_grid=s_grid, W=W, Y=Y, Z=Z)
-    for a in arrays.values():
+    Z = dW - integ.spec.lambdas[3] * (W - integ.L)
+    for a in (s_grid, W, Z):
         a.flags.writeable = False
     return RadialSolution(
         params=integ.params,
-        alpha=integ.alpha,
+        alpha=1.0,
         v0=v0,
         spectrum=integ.spec,
-        target_residual=target_residual,
+        s_grid=s_grid,
+        W=W,
+        Z=Z,
+        target_residual=float(W[-1] / integ.L - 1.0),
         seam_residual=seam,
         n_bisect=n_bisect,
-        **arrays,
     )
 
 
@@ -518,8 +541,11 @@ def _bisect(side, up, dn, done=None, ends=None) -> tuple[int, float, float]:
 
 
 def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> RadialSolution:
-    """Find the entire positive solution with phi(0) = alpha, in two stages.
+    """Find the entire positive solution with phi(0) = alpha on r <= r_max.
 
+    _scale checks (alpha, r_max) before any shot; the solve is then the one
+    at phi(0) = 1 to kappa r_max, kappa = alpha^(1/m), and for alpha != 1
+    rescale_solution maps it.  At phi(0) = 1 it runs in two stages.
     (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
     sign-loss) bracket, which _bisect shrinks with full shots (model steps
     on the values of _escape_law, kept safe by midpoints) until it is
@@ -538,19 +564,12 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     _R_HORIZON the horizon, and so the solution, does not depend on r_max,
     which only cuts the returned grids.
     """
-    _check_alpha(alpha)
-    if not (math.isfinite(r_max) and r_max > _R_SEED):
-        raise InvalidParams(
-            f"r_max={r_max} must be finite and exceed the lattice start r = {_R_SEED:g}"
-        )
-    integ = _Integrator(params, alpha)
+    r_max = _scale(params.m, alpha, r_max) * r_max
+    integ = _Integrator(params)
     lam4 = integ.spec.lambdas[3]
     r_cls = max(r_max, _R_HORIZON) * math.exp(_S_PAD)
     s_cls = math.log(r_cls)
-
-    # exact scale covariance maps (alpha=1, v0) -> (kappa^m, kappa^{m+2} v0)
-    v_scale = alpha ** ((params.m + 2.0) / params.m)
-    ladder = -np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1) * v_scale
+    ladder = -np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1)
 
     s_legs, g = {}, {}  # v0 -> s-chart leg, and escape-law value, of its full shot
 
@@ -600,7 +619,8 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
         y = res.sol(s)
         return L * (1.0 + y[0]), L * y[1]
 
-    return _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect=n_iter, seam=seam)
+    sol = _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect=n_iter, seam=seam)
+    return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
 def _chord_ends(up: float, dn: float) -> tuple[float, float]:
@@ -734,26 +754,13 @@ def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:
     """Map a solution to a different initial height by exact scale covariance.
 
     If phi solves the equation then kappa^m phi(kappa r) solves it with initial
-    height kappa^m phi(0); the s-grid shifts by -log(kappa), and W, Y, Z,
-    unchanged pointwise and read-only, are sol's own arrays.
+    height kappa^m phi(0), kappa = (alpha / sol.alpha)^(1/m) as checked by
+    _scale: the s-grid shifts by -log(kappa), v0 scales by kappa^{m+2}, and
+    W and Z, unchanged pointwise, are sol's own arrays.
     """
-    _check_alpha(alpha)
     m = sol.params.m
-    kappa = (alpha / sol.alpha) ** (1.0 / m)
-    shift = math.log(kappa)
-    arrays = dict(
-        r_grid=sol.r_grid / kappa,
-        phi=sol.phi * kappa**m,
-        s_grid=sol.s_grid - shift,
-    )
-    for a in arrays.values():
-        a.flags.writeable = False
-    return replace(
-        sol,
-        alpha=alpha,
-        v0=sol.v0 * kappa ** (m + 2.0),
-        **arrays,
-    )
+    kappa = _scale(m, alpha / sol.alpha)
+    return replace(sol, alpha=alpha, v0=sol.v0 * kappa ** (m + 2.0), s_grid=sol.s_grid - math.log(kappa))
 
 
 def emden_fowler_residual(sol: RadialSolution) -> float:

@@ -342,7 +342,7 @@ def _synthetic_solution(template, spec, coeffs, kind, k, noise=1e-12, seed=3):
         W = W + coeffs["b2"] * s**2 * np.exp(2.0 * lam3 * s)
     rng = np.random.default_rng(seed)
     W = W + noise * rng.standard_normal(s.size)
-    return replace(template, s_grid=s, W=W, Y=W - spec.L)
+    return replace(template, spectrum=spec, s_grid=s, W=W)
 
 
 def test_fit_recovers_synthetic_coefficients(sol_quick, pc13):

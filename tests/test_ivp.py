@@ -45,7 +45,7 @@ def _rel(a, b):
 @pytest.fixture(scope="module")
 def case_a(sol_a):
     """Case A's integrator, its r-chart start as a function of v0, and its accepted v0."""
-    integ = _Integrator(sol_a.params, 1.0)
+    integ = _Integrator(sol_a.params)
     return integ, lambda v0: integ.start(v0, _R_SWITCH), sol_a.v0
 
 
@@ -100,7 +100,7 @@ def test_dense_output_replays_the_steps(case_a):
 def test_large_p_first_probe_fails(pc15):
     # n=15 at 100 p_c: the r-chart steps of the ladder's blow-up end
     # (v0 = -1e-6) underflow, in both integrators, before r_switch
-    integ = _Integrator(ProblemParams(15, 100.0 * pc15), 1.0)
+    integ = _Integrator(ProblemParams(15, 100.0 * pc15))
     r0, y0 = integ.start(_PROBE_HI, _R_SWITCH)
     ours, ref = _both(integ, "r", (r0, _R_SWITCH), y0)
     assert ours.status == ref.status == -1
@@ -306,7 +306,7 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
     # A's separatrix: plain and dense legs that reach their end, legs ended
     # by each event (plain and dense), and, in the r-chart, the step failure
     # of n=15's first probe at 100 p_c (plain and dense).
-    integ = _Integrator(ProblemParams(13, compute_pc(13) + 0.5), 1.0)
+    integ = _Integrator(ProblemParams(13, compute_pc(13) + 0.5))
     rng = np.random.default_rng(1313)
     v0_sep = -0.2668911534367668
     near = (v0_sep * (1.0 + 1e-9 * rng.standard_normal()) for _ in range(3))
@@ -324,7 +324,7 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
     kinds = [(leg(next(near), False), 0), (leg(next(near), False), 0), (leg(next(near), True), 0)]
     if chart == "r":
         ends = [leg(_PROBE_LO, False), leg(_PROBE_HI, False), leg(_PROBE_HI, True)]
-        big = _Integrator(ProblemParams(15, 100.0 * pc15), 1.0)
+        big = _Integrator(ProblemParams(15, 100.0 * pc15))
         r0, y0 = big.start(_PROBE_HI, _R_SWITCH)
         kinds += [(_assert_leg_equals_the_loops(big, "r", (r0, _R_SWITCH), y0, dense), -1) for dense in (False, True)]
     else:

@@ -111,7 +111,7 @@ def test_scalar_rhs_matches_array_reference(n, p_of_pc):
     # the scalar right-hand sides must reproduce the array formula built on
     # _power bit for bit, including u < 0, u = 0 and u above the power cap
     params = ProblemParams(n, p_of_pc(compute_pc(n)))
-    integ = _Integrator(params, 1.0)
+    integ = _Integrator(params)
     c = _s_operator_coeffs(n, params.m)
     nm1, cap = n - 1.0, integ.pow_cap
     rng = np.random.default_rng(20240)
@@ -154,7 +154,7 @@ _SERIES_CELLS = {
 
 def _series_integrator(cell):
     n, p_of_pc = _SERIES_CELLS[cell]
-    return _Integrator(ProblemParams(n, p_of_pc(compute_pc(n))), 1.0)
+    return _Integrator(ProblemParams(n, p_of_pc(compute_pc(n))))
 
 
 @pytest.mark.parametrize("cell", list(_SERIES_CELLS))
@@ -413,7 +413,7 @@ def test_shoot_compiles_nothing(sol_quick, monkeypatch):
     with monkeypatch.context() as patched:  # undone before a failure is reported
         patched.setattr(builtins, "compile", refuse)
         patched.setattr(builtins, "exec", refuse)
-        _Integrator(sol_quick.params, 1.0)
+        _Integrator(sol_quick.params)
         v0 = shoot(sol_quick.params, alpha=1.0, r_max=500.0).v0
     assert v0 == sol_quick.v0
 
@@ -429,7 +429,7 @@ def test_solution_below_r_switch_is_the_collocation_chord(sol_quick, monkeypatch
     assert sol.v0 == sol_quick.v0
     (up, dn), = brackets
     lo, hi = _chord_ends(up, dn)
-    integ = _Integrator(params, 1.0)
+    integ = _Integrator(params)
     head = sol.s_grid < math.log(_R_SWITCH)
     rr = sol.r_grid[head]
 
@@ -497,23 +497,26 @@ def test_w_is_scaled_phi(sol_quick):
 
 
 def test_scale_covariance(pc13):
+    # kappa^m phi(kappa r) maps phi(0) = 1 to phi(0) = kappa^m: W and Z do
+    # not change, and the mapped solution shares them; s shifts by -log
+    # kappa, phi scales by kappa^m and v0 by kappa^{m+2}
     params = ProblemParams(13, pc13 + 0.5)
+    m = params.m
     base = shoot(params, alpha=1.0, r_max=100.0)
-    alpha = 2.0**params.m
+    alpha = 2.0**m
     mapped = rescale_solution(base, alpha)
-    # W, Y and Z do not change under the map: the mapped solution shares them
-    assert mapped.W is base.W and mapped.Y is base.Y and mapped.Z is base.Z
+    assert mapped.W is base.W and mapped.Z is base.Z
+    kappa = alpha ** (1.0 / m)
+    assert np.array_equal(mapped.s_grid, base.s_grid - math.log(kappa))
+    assert np.allclose(mapped.phi, kappa**m * base.phi, rtol=1e-13, atol=0.0)
+    assert mapped.phi[0] == pytest.approx(alpha, rel=1e-6)
+    assert mapped.v0 == pytest.approx(base.v0 * kappa ** (m + 2.0))
+    # shoot at phi(0) = alpha is that map of the phi(0) = 1 solve to kappa
+    # r_max, so against it a direct solve only compares the map with itself
     direct = shoot(params, alpha=alpha, r_max=50.0)
-    lo = max(direct.s_grid[0], mapped.s_grid[0]) + 0.1
-    hi = min(direct.s_grid[-1], mapped.s_grid[-1]) - 0.1
-    ss = np.linspace(lo, hi, 300)
-    wd = np.interp(ss, direct.s_grid, direct.W)
-    wm = np.interp(ss, mapped.s_grid, mapped.W)
-    assert np.max(np.abs(wd - wm)) / np.max(np.abs(wd)) < 1e-5
-    # v0 transforms with kappa^{m+2}
-    kappa = alpha ** (1.0 / params.m)
-    assert mapped.v0 == pytest.approx(base.v0 * kappa ** (params.m + 2.0))
-    assert direct.v0 == pytest.approx(mapped.v0, rel=1e-6)
+    assert direct.alpha == alpha and direct.v0 == pytest.approx(mapped.v0, rel=1e-13)
+    assert np.allclose(direct.s_grid, mapped.s_grid, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(direct.W - mapped.W)) <= 1e-12 * base.spectrum.L
 
 
 def test_phia_limit_window(sol_quick):
@@ -603,7 +606,7 @@ def test_exp_kernel_convolve_is_fourth_order(lam):
 
 
 def test_y_integral_identity_exact_on_synthetic_solution(sol_quick):
-    # Z = e^{lam3 s} and Y = -Z/(lam4 - lam3) satisfy the identity exactly, so
+    # Z = e^{lam3 s} and Y = W - L = -Z/(lam4 - lam3) satisfy the identity exactly, so
     # only quadrature error remains, here with each n's own lam3 and lam4 at
     # p_c.  Linear interpolation of Z gave about h^2 lam3^2 / 12: 1.6e-4 at
     # n=13 up to 1.8e-3 at n=200, over the check's own bound 1e-3 from
@@ -614,7 +617,7 @@ def test_y_integral_identity_exact_on_synthetic_solution(sol_quick):
         lam3, lam4 = compute_spectrum(ProblemParams(n, compute_pc(n))).lambdas[2:]
         Z = np.exp(lam3 * s)
         fake = replace(spec, lambdas=(*spec.lambdas[:2], lam3, lam4))
-        synth = replace(sol_quick, spectrum=fake, s_grid=s, Y=-Z / (lam4 - lam3), Z=Z)
+        synth = replace(sol_quick, spectrum=fake, s_grid=s, W=spec.L - Z / (lam4 - lam3), Z=Z)
         assert y_integral_identity_check(synth) < 2e-4, n
 
 
@@ -649,12 +652,13 @@ def test_dump_matches_the_per_value_format(sol_quick):
         lines = (",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
         return "s,r,phi,W,Y,Z\n" + "".join(lines)
 
+    # (W's special values carry over to phi and Y)
     special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-310])
-    phi = sol_quick.phi.copy()
-    phi[: special.size] = special
+    W = sol_quick.W.copy()
+    W[: special.size] = special
     Z = sol_quick.Z.copy()
     Z[-special.size :] = special[::-1]
-    for sol in (sol_quick, replace(sol_quick, phi=phi, Z=Z)):
+    for sol in (sol_quick, replace(sol_quick, W=W, Z=Z)):
         buf = io.StringIO()
         dump_solution(sol, buf)
         assert buf.getvalue() == per_value(sol)
@@ -822,7 +826,7 @@ def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     (up, dn), = brackets
     (_, bc, _, _), kwargs, _ = calls[0]
     assert max(dn - sol.v0, sol.v0 - up) < _CHORD_SWITCH * abs(sol.v0)
-    integ = _Integrator(params, 1.0)
+    integ = _Integrator(params)
     r_cls = 500.0 * math.exp(_S_PAD)
     x_star = np.array([integ.L, 0.0, 0.0, 0.0])
 
@@ -943,7 +947,7 @@ def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch
 
 
 def _cut(sol, keep):
-    arrays = ("r_grid", "phi", "s_grid", "W", "Y", "Z")
+    arrays = ("s_grid", "W", "Z")
     return replace(sol, **{k: getattr(sol, k)[keep] for k in arrays})
 
 
@@ -1012,7 +1016,7 @@ def test_checks_name_a_window_too_short(sol_quick):
     # a valid solution too short (or too flat) for a check raises
     # WindowTooShort, not InvalidParams: the CLI exits 1 on it, not 2
     with pytest.raises(WindowTooShort, match="no resolved nodes"):
-        resolved_top_index(replace(sol_quick, Y=np.zeros_like(sol_quick.Y)))
+        resolved_top_index(replace(sol_quick, W=np.full_like(sol_quick.W, sol_quick.spectrum.L)))
     with pytest.raises(WindowTooShort, match="decay slope: the last resolved decade"):
         decay_slope(_cut(sol_quick, sol_quick.s_grid <= math.log(5.0)), critical=True)
     with pytest.raises(WindowTooShort, match="integral identity: its probe window"):
@@ -1098,7 +1102,7 @@ def test_large_p_step_failure_is_an_s_chart_blow_up(pc13):
     # and returns its failed leg as sol_s
     params = ProblemParams(13, 10.0 * pc13)
     v0 = shoot(params, alpha=1.0, r_max=1e4).v0
-    integ = _Integrator(params, 1.0)
+    integ = _Integrator(params)
     for k in sorted(range(-64, 65), key=abs):
         outcome, _, sol_s = integ.shot(v0 + k * abs(np.spacing(v0)), 1e5)
         if sol_s.status == -1:
@@ -1116,7 +1120,7 @@ def test_step_failure_below_L_names_its_leg(sol_a, chart, monkeypatch):
     # reports a step failure there on a step of one ulp.  The leg raises
     # StepFailure, which names the chart, the radius, the step and the span
     # and carries the radius and the chart.
-    integ = _Integrator(sol_a.params, 1.0)
+    integ = _Integrator(sol_a.params)
     r0, y0 = integ.start(sol_a.v0, _R_SWITCH)
     span = (r0, _R_SWITCH)
     if chart == "s":
@@ -1197,7 +1201,7 @@ def test_dense_chord_legs_replay_plain_full_tolerance_shots(fixture, r_max, requ
     again, brackets, _ = _record_collocation(sol.params, r_max, monkeypatch)
     assert again.v0 == sol.v0
     (up, dn), = brackets
-    integ = _Integrator(sol.params, 1.0)
+    integ = _Integrator(sol.params)
     for v in _chord_ends(up, dn):
         _, leg_dense, _ = integ.shot(v, _R_SWITCH, dense=True)
         _, leg, _ = integ.shot(v, _R_SWITCH)

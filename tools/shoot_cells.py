@@ -7,7 +7,9 @@ Cells are the three acceptance cases (A, B, C), the quick structural fixture
 (quick, r_max 500), the four off-paper cells of the coverage benchmark, and
 two short solves, shot and collocated on the horizon floor at r = 500 and
 cut at r_max: A_r5 (case A at r_max 5, below r_switch) and B_r11 (case B at
-r_max 11).
+r_max 11), and one height other than phi(0) = 1: A_a10 (case A at
+phi(0) = 10).  A cell may name its height alpha; it is 1 otherwise, and
+each record stores it under "params".
 --grid shoots the 25-cell coverage grid instead: n in {13, 15, 20, 40, 100}
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
 like n13_pc+0.5 (5-7 s wall and 7-10 CPU-seconds on a 2-core x86-64
@@ -74,7 +76,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# label -> (n, p as a function of the ladder, r_max)
+# label -> (n, p as a function of the ladder, r_max[, alpha = phi(0), else 1])
 CELLS = {
     "A": (13, lambda lad: lad.p_c + 0.5, 1e4),
     "B": (15, lambda lad: lad.p_c + 1.0, 1e4),
@@ -86,6 +88,7 @@ CELLS = {
     "n13_10pc": (13, lambda lad: 10.0 * lad.p_c, 1e4),
     "A_r5": (13, lambda lad: lad.p_c + 0.5, 5.0),
     "B_r11": (15, lambda lad: lad.p_c + 1.0, 11.0),
+    "A_a10": (13, lambda lad: lad.p_c + 0.5, 1e4, 10.0),
 }
 GRID_P = {
     "pc": lambda lad: lad.p_c,
@@ -119,7 +122,8 @@ def shoot_cell(label: str) -> dict:
     from biharm.expansion import detect_regime
     from biharm.verify import run_expansion, solve_invariants
 
-    n, p_of, r_max = KNOWN[label]
+    n, p_of, r_max, *height = KNOWN[label]
+    alpha = height[0] if height else 1.0
     ladder = compute_ladder(n)
     params = ProblemParams(n, p_of(ladder))
     calls, nfev, failures, trials = Counter(), Counter(), Counter(), []
@@ -150,7 +154,7 @@ def shoot_cell(label: str) -> dict:
 
     shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = counting, counting_bisect, counting_bvp
     try:
-        sol = shooting.shoot(params, 1.0, r_max)
+        sol = shooting.shoot(params, alpha, r_max)
     except BiharmError as exc:
         rec = {"error": type(exc).__name__, "message": str(exc)}
     else:
@@ -189,7 +193,7 @@ def shoot_cell(label: str) -> dict:
             }
     finally:
         shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = plain, plain_bisect, plain_bvp
-    rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max}
+    rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max, "alpha": alpha}
     rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c], "nfev_by_rtol": dict(by_rtol[c]),
                       "step_failures": failures[c]} for c in ("r", "s")}
     rec["trials"] = trials
