@@ -421,8 +421,7 @@ def _sample_w(integ, legs, t, tail, s_nodes):
             end[:, seeded] = integ.series(v0).state(rr[seeded])[:2]
             end[:, ~seeded] = sol_r.sol(rr[~seeded])[:2]
         u, du = ends[0] + t * (ends[-1] - ends[0])
-        # per node: one vectorized power rounds some entries differently
-        rm = np.array([r**integ.m for r in rr])
+        rm = rr**integ.m
         W[from_r] = rm * u
         dW[from_r] = rm * (integ.m * u + rr * du)
     if tail:
@@ -431,12 +430,10 @@ def _sample_w(integ, legs, t, tail, s_nodes):
 
 
 def _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect, seam):
-    # the lattice: _DS apart from at least 6 _DS above log _R_SEED up to
-    # s_top, anchored at s_top so that r_max itself is a node
+    # the lattice: _DS apart from log _R_SEED up to s_top, anchored at s_top
+    # so that r_max itself is a node
     s_top = math.log(r_max)
-    s_bottom = math.log(_R_SEED) + 2.0 * _DS
-    n_nodes = int(math.floor((s_top - s_bottom) / _DS)) - 4
-    s_grid = s_top + _DS * np.arange(-n_nodes, 1)
+    s_grid = s_top + _DS * np.arange(-math.floor((s_top - math.log(_R_SEED)) / _DS), 1)
     W, dW = _sample_w(integ, legs, t, tail, s_grid)
     Z = dW - integ.spec.lambdas[3] * (W - integ.L)
     for a in (s_grid, W, Z):

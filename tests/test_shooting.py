@@ -444,7 +444,7 @@ def test_solution_below_r_switch_is_the_collocation_chord(sol_quick, monkeypatch
     (u_lo, du_lo), (u_hi, du_hi) = entries(lo), entries(hi)
     t = (sol.v0 - lo) / (hi - lo)
     u, du = u_lo + t * (u_hi - u_lo), du_lo + t * (du_hi - du_lo)
-    rm = np.array([r**integ.m for r in rr.tolist()])
+    rm = rr**integ.m
     W = rm * u
     assert np.array_equal(sol.W[head], W)
     Z = rm * (integ.m * u + rr * du) - integ.spec.lambdas[3] * (W - integ.L)
