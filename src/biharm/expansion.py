@@ -437,16 +437,15 @@ def window_shift_stability(
     window: tuple[float, float] | None = None,
 ) -> dict[str, float]:
     """Coefficient drift, in units of standard error, when the window moves
-    right by a tenth of its width."""
+    by a tenth of its width: right, or left when the move right would pass
+    the lattice's last node."""
     if window is None:
         window = default_fit_window(sol, spec)
     base = fit_expansion(sol, spec, regime, window)
-    width = window[1] - window[0]
-    shifted = (window[0] + 0.1 * width, window[1] + 0.1 * width)
-    s_max = float(sol.s_grid[-1])
-    if shifted[1] > s_max:
-        shifted = (shifted[0] - (shifted[1] - s_max), s_max)
-    moved = fit_expansion(sol, spec, regime, shifted)
+    step = 0.1 * (window[1] - window[0])
+    if window[1] + step > sol.s_grid[-1]:
+        step = -step
+    moved = fit_expansion(sol, spec, regime, (window[0] + step, window[1] + step))
     return {
         name: abs(moved.coefficients[name].value - est.value) / max(est.stderr, 1e-300)
         for name, est in base.coefficients.items()
