@@ -153,13 +153,9 @@ class RadialSolution:
         return self.W - self.spectrum.L
 
 
-def _power(u, p, cap=None):
-    # u^p for the positive branch; trial states may dip below zero transiently,
-    # and the magnitude is capped so rejected trial steps cannot overflow
-    mag = np.abs(u)
-    if cap is not None:
-        mag = np.minimum(mag, cap)
-    return np.where(u > 0.0, mag**p, 0.0)
+def _power(u, p):
+    # u^p for the positive branch; trial states may dip below zero transiently
+    return np.where(u > 0.0, np.abs(u) ** p, 0.0)
 
 
 class _Series:
@@ -285,8 +281,7 @@ class _Integrator:
         self.L = self.spec.L
         self.wcap = _BLOWUP * self.L
         # each chart's right-hand side, with its events, on this
-        # configuration's constants; the scalar operations match the array
-        # form built on _power term for term, so the results are identical
+        # configuration's constants
         self.s_coeffs = c1, c2, c3, c4 = _s_operator_coeffs(self.n, self.m).tolist()[1:]
         common = dict(p=self.p, cap=self.pow_cap, wcap=self.wcap)
         self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)

@@ -38,7 +38,6 @@ from .shooting import (
     check_positivity,
     decay_slope,
     emden_fowler_residual,
-    rescale_solution,
     shoot,
     y_integral_identity_check,
 )
@@ -178,15 +177,13 @@ def _rk_root_count():
     for n in range(13, 41):
         lad = compute_ladder(n)
         for k in range(2, lad.N + 1):
-            if tail_limit(n, k) <= 0.0:
-                continue
             if grid is None or grid[0] != lad.p_c:
                 grid = (lad.p_c, np.geomspace(lad.p_c * (1 + 1e-9), 1e6, 10_000))
             vals = rk_eval(n, k, grid[1])
             crossings = int(np.sum(np.sign(vals[:-1]) != np.sign(vals[1:])))
             if crossings != 1:
                 return False, f"{crossings} sign changes above p_c at (n={n}, k={k})"
-    return True, "exactly one root above p_c whenever the tail limit is positive (n=13..40)"
+    return True, "exactly one root above p_c for every rung k = 2..N (n=13..40)"
 
 
 def _sign_tables():
@@ -194,8 +191,6 @@ def _sign_tables():
         lad = compute_ladder(n)
         pc = lad.p_c
         for k in list(range(1, lad.N + 2)) + [n // 2 - 1, n // 2 + 1, n]:
-            if k < 1:
-                continue
             if not (rk_eval(n, k, 1.0) < 0.0 and rk_eval(n, k, n / (n - 4.0)) > 0.0):
                 return False, f"table R1 fails at (n={n}, k={k})"
             # R_1(p_c) = 0 exactly (lam2 = lam3 there); the p_c entry needs k >= 2
@@ -345,19 +340,11 @@ def _shooting_quick():
 
 
 def _scaling_covariance():
-    pc = compute_pc(13)
-    params = ProblemParams(13, pc + 0.5)
-    base = shoot(params, alpha=1.0, r_max=100.0)
-    alpha = 2.0 ** params.m
-    direct = shoot(params, alpha=alpha, r_max=50.0)
-    mapped = rescale_solution(base, alpha)
-    lo = max(direct.s_grid[0], mapped.s_grid[0])
-    hi = min(direct.s_grid[-1], mapped.s_grid[-1])
-    ss = np.linspace(lo + 0.1, hi - 0.1, 200)
-    wd = np.interp(ss, direct.s_grid, direct.W)
-    wm = np.interp(ss, mapped.s_grid, mapped.W)
-    dev = float(np.max(np.abs(wd - wm)) / np.max(np.abs(wd)))
-    return dev < 1e-5, f"rescaled vs direct shooting deviation {dev:.2e}"
+    # case A at phi(0) = 10: the scale map of its phi(0) = 1 solve
+    sol = shoot(ProblemParams(13, compute_pc(13) + 0.5), alpha=10.0, r_max=1e4)
+    passed, detail = _verdict(solve_invariants(sol))
+    dev = abs(float(sol.phi[0]) / 10.0 - 1.0)
+    return passed and dev < 1e-6, f"phi at the first node / 10 - 1 = {dev:.2e}, {detail}"
 
 
 def _expansion_quick():

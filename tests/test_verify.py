@@ -66,9 +66,11 @@ def test_quick_suites_report_values_and_bounds(suite, names):
 
 
 def test_scaling_covariance_suite_passes():
-    # the solution at alpha = 2^m against case A's mapped by scale
-    # covariance, on the s-range the two share
+    # case A's (n, p) at phi(0) = 10, the scale map of its phi(0) = 1 solve:
+    # phi at the first lattice node reads 10, and the six solve invariants
+    # pass with their values and bounds
     passed, detail = dict(SCOPES["shooting"])["scaling_covariance"]()
-    found = re.fullmatch(r"rescaled vs direct shooting deviation (\S+)", detail)
+    found = re.fullmatch(r"phi at the first node / 10 - 1 = (\S+), (.*)", detail)
     assert passed and found is not None, detail
-    assert float(found.group(1)) < 1e-5
+    assert float(found.group(1)) < 1e-6
+    assert [part.split()[0] for part in found.group(2).split(", ")] == SOLVE_NAMES
