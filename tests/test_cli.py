@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import biharm.cli
 from biharm import ProblemParams, compute_ladder, compute_spectrum, detect_regime
+from biharm.errors import LadderMismatch
 from biharm.cli import main
 from biharm.expansion import fit_expansion
 from biharm.verify import BOUNDS, SCOPES
@@ -441,3 +442,46 @@ def test_solve_rejects_non_finite_input(runner, pc13, tmp_path, flags, config, n
     assert res.exit_code == 2, res.output
     assert name in res.stderr and value in res.stderr
     assert not dump.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e-3", "1e300"])
+def test_solve_rejects_a_height_off_the_lattice(runner, pc13, tmp_path, alpha):
+    # kappa = alpha^(1/m) puts kappa r_max below the lattice start (1e-3) or
+    # overflows (1e300): exit 2 naming alpha and kappa, before any dump
+    dump = tmp_path / "d.csv"
+    res = runner.invoke(main, ["solve", "--n", "13", "--p", str(pc13 + 0.5), "--alpha", alpha,
+                               "--out", str(dump)])
+    assert res.exit_code == 2, res.output
+    assert f"alpha={float(alpha)!r}" in res.stderr and "kappa" in res.stderr
+    assert not dump.exists()
+
+
+def test_critical_reports_a_ladder_mismatch_and_exits_1(runner, monkeypatch):
+    def mismatch(n):
+        raise LadderMismatch(f"N = 3 computed, 4 by the formula at n = {n}")
+
+    monkeypatch.setattr(biharm.cli, "compute_ladder", mismatch)
+    res = runner.invoke(main, ["critical", "--n", "20"])
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.stdout) == {
+        "n": 20, "ladder_mismatch": "N = 3 computed, 4 by the formula at n = 20"}
+
+
+def test_verify_names_a_failed_suite_and_exits_1(runner, monkeypatch):
+    suites = (("holds", lambda: (True, "fine")), ("breaks", lambda: (False, "off by one")))
+    monkeypatch.setitem(SCOPES, "algebra", suites)
+    res = runner.invoke(main, ["verify", "--scope", "algebra"])
+    assert res.exit_code == 1, res.output
+    assert [entry["passed"] for entry in json.loads(res.stdout)] == [True, False]
+    assert "PASS holds" in res.stderr and "FAIL breaks" in res.stderr
+
+
+def test_sweep_exits_1_when_the_rung_count_is_not_monotone(runner, monkeypatch):
+    def row(n):
+        return {"n": n, "p_c": 30.0, "N": 20 - n, "rungs": [], "parity_boundary": None}
+
+    monkeypatch.setattr(biharm.cli, "_sweep_row", row)
+    res = runner.invoke(main, ["sweep", "--n-min", "13", "--n-max", "14"])
+    assert res.exit_code == 1, res.output
+    assert [r["N"] for r in json.loads(res.stdout)] == [7, 6]
+    assert "rung count is not monotone in n" in res.stderr

@@ -100,6 +100,11 @@ def test_too_negative_v0_loses_sign(pc13):
     out = integrate_radial(params, alpha=1.0, v0=-100.0, r_max=100.0)
     assert isinstance(out, SignLoss)
     assert out.r > 0.0
+    # at phi(0) = kappa^m the same shot, mapped by scale, loses sign at r / kappa
+    m, kappa = params.m, 2.0
+    mapped = integrate_radial(params, alpha=kappa**m, v0=-100.0 * kappa ** (m + 2.0), r_max=50.0)
+    assert isinstance(mapped, SignLoss)
+    assert mapped.r == pytest.approx(out.r / kappa, rel=1e-9)
 
 
 @pytest.mark.parametrize("n, p_of_pc", [
@@ -732,6 +737,48 @@ def test_input_validation(pc13):
             integrate_radial(params, alpha=bad, v0=-0.1, r_max=100.0)
         with pytest.raises(InvalidParams, match=f"r_max.*{bad}"):
             integrate_radial(params, alpha=1.0, v0=-0.1, r_max=bad)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 10.0, 1e3, 1e20])
+def test_heights_are_the_scale_map_of_the_normalised_solve(sol_a, alpha):
+    # Each height is case A's (n, p) solved at phi(0) = 1 to kappa r_max and
+    # mapped by scale.  Carried through the series, the probe ladder and the
+    # lattice, alpha = 2 ended in NoConvergence, 3 in a ZeroDivisionError,
+    # 10 and 1e3 in a StepFailure and 1e20 in an OverflowError.
+    sol = shoot(sol_a.params, alpha=alpha, r_max=1e4)
+    invariants = solve_invariants(sol)
+    assert all(inv.passed for inv in invariants), [str(inv) for inv in invariants]
+    assert sol.alpha == alpha and sol.phi[0] == pytest.approx(alpha, rel=1e-6)
+    assert sol.s_grid[-1] == pytest.approx(math.log(1e4), abs=1e-10)
+    kappa = alpha ** (1.0 / sol.params.m)
+    assert sol.s_grid[0] >= math.log(_R_SEED / kappa) - 1e-10
+
+
+def test_heights_off_the_lattice_raise_before_any_shot(sol_quick, monkeypatch):
+    # kappa = alpha^(1/m) must be finite and positive and kappa r_max above
+    # the lattice start _R_SEED: alpha = 1e-3 puts kappa r_max below it,
+    # alpha = 1e300 overflows kappa; each names alpha, kappa and the least
+    # r_max, _R_SEED / kappa
+    params = sol_quick.params
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("shot before the entry check")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_Integrator, "shot", refuse)
+        kappa = 1e-3 ** (1.0 / params.m)
+        with pytest.raises(InvalidParams, match=re.escape(
+                f"kappa = alpha^(1/m) = {kappa:.6g}") + r".* = " + re.escape(f"{_R_SEED / kappa:.6g}")):
+            shoot(params, alpha=1e-3, r_max=1e4)
+        with pytest.raises(InvalidParams, match=r"alpha=1e\+300, .*kappa = alpha\^\(1/m\) = inf"):
+            shoot(params, alpha=1e300, r_max=1e4)
+        with pytest.raises(InvalidParams, match=r"r_max=0\.0001: .* above 0\.001 / kappa = 0\.001$"):
+            integrate_radial(params, alpha=1.0, v0=-0.1, r_max=1e-4)
+    # just above the lattice start the solve is sol_quick's, cut to five
+    # nodes (it raised an IndexError on an empty lattice)
+    short = shoot(params, alpha=1.0, r_max=1.05e-3)
+    assert short.v0 == sol_quick.v0 and short.s_grid.size == 5
+    assert short.s_grid[0] >= math.log(_R_SEED)
 
 
 def test_chord_ends_are_at_least_the_floor_apart():

@@ -113,7 +113,7 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     # take at r_max 500: a coarse round of one Newton solve on the 200 start
     # nodes, then one final solve on the predicted mesh
     rec = shoot_cells.shoot_cell("quick")
-    assert rec["trials"] == [rec["n_bisect"]]
+    assert rec["trials"] == [rec["n_bisect"]] and rec["params"]["alpha"] == 1.0
     # stage 1 at rtols from 1e-4 (the probe ladder) down to 1e-8, keyed by
     # decade; the chord's two r-chart legs at 1e-12
     for chart in rec["ivp"].values():
@@ -206,3 +206,19 @@ def test_shoot_cells_wide_rows_resolve_and_the_grid_keeps_25_cells(monkeypatch):
     lad = compute_ladder(200)
     n, p_of, r_max = shoot_cells.KNOWN["n200_10pc"]
     assert (n, p_of(lad), r_max) == (200, 10.0 * lad.p_c, 1e4)
+
+
+def test_shoot_cells_a10_is_case_a_at_height_10(monkeypatch):
+    # A_a10, case A at phi(0) = 10, is a default cell; its record stores the
+    # height under "params" (1 for a cell that names none) and solves
+    shot = []
+    monkeypatch.setattr(shoot_cells, "shoot_cell", lambda label: shot.append(label) or {})
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "argv", ["shoot_cells.py"])
+    shoot_cells.main()
+    assert shot == list(shoot_cells.CELLS) and "A_a10" in shot
+    monkeypatch.undo()
+    rec = shoot_cells.shoot_cell("A_a10")
+    assert rec["params"] == {"n": 13, "p": repr(compute_ladder(13).p_c + 0.5), "r_max": 1e4,
+                             "alpha": 10.0}
+    assert shoot_cells.outcome(rec) == "ok" and shoot_cells.outcome(rec["expand"]) == "ok"
