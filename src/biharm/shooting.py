@@ -4,9 +4,11 @@ The radial problem is integrated as the first-order system
 
     u' = w,  w' = v - (n-1) w / r,  v' = z,  z' = u^p - (n-1) z / r
 
-(u = phi, v = Laplacian of phi).  Near the origin the regular solution is a
-power series in r^2, fixed by phi(0) and v0 = (Laplacian phi)(0); each shot
-starts from that series, truncated, at the largest radius up to 1 where the
+(u = phi, v = Laplacian of phi).  Every solve is at phi(0) = 1: the equation
+is invariant under phi -> kappa^m phi(kappa r), which maps that solve to any
+other height.  Near the origin the regular solution is a power series in
+r^2, fixed by phi(0) = 1 and v0 = (Laplacian phi)(0); each shot starts
+from that series, truncated, at the largest radius up to 1 where the
 truncation stays below rounding and no escape event can lie before it.
 Integration proceeds in r from there out to a switch radius and then
 continues in the logarithmic variable s = log r on the transformed state
@@ -386,13 +388,13 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     meets to within their integration error.
     """
     kappa = _scale(params.m, alpha, r_max)
+    r_max, v0 = kappa * r_max, v0 / kappa ** (params.m + 2.0)
     integ = _Integrator(params)
-    v0 = v0 / kappa ** (params.m + 2.0)
-    outcome, sol_r, sol_s = integ.shot(v0, kappa * r_max * math.exp(_S_PAD), dense=True)
+    outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return replace(outcome, r=outcome.r / kappa)
     tail = (lambda s: sol_s.sol(s)[:2]) if sol_s else None
-    sol = _assemble_solution(integ, v0, kappa * r_max, ((v0, sol_r),), 0.0, tail, 0, 0.0)
+    sol = _assemble_solution(integ, v0, r_max, ((v0, sol_r),), 0.0, tail, n_bisect=0, seam=0.0)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
@@ -537,7 +539,8 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
 
     _scale checks (alpha, r_max) before any shot; the solve is then the one
     at phi(0) = 1 to kappa r_max, kappa = alpha^(1/m), and for alpha != 1
-    rescale_solution maps it.  At phi(0) = 1 it runs in two stages.
+    rescale_solution maps it.  At phi(0) = 1 it runs in two stages, r_max
+    below standing for kappa r_max.
     (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
     sign-loss) bracket, which _bisect shrinks with full shots (model steps
     on the values of _escape_law, kept safe by midpoints) until it is
@@ -752,7 +755,8 @@ def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:
     """
     m = sol.params.m
     kappa = _scale(m, alpha / sol.alpha)
-    return replace(sol, alpha=alpha, v0=sol.v0 * kappa ** (m + 2.0), s_grid=sol.s_grid - math.log(kappa))
+    v0 = sol.v0 * kappa ** (m + 2.0)
+    return replace(sol, alpha=alpha, v0=v0, s_grid=sol.s_grid - math.log(kappa))
 
 
 def emden_fowler_residual(sol: RadialSolution) -> float:
