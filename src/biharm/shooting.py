@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_bvp
 
+from . import collocation
 from .errors import (
     BracketNotFound,
     GridTooCoarse,
@@ -554,7 +554,8 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     has an s-chart leg.  (2) Collocation (_collocate): one boundary value
     problem with v0 as its unknown, its left condition a chord through two
     r-chart legs at _RTOL, closes the solution on the s-chart up to r_cls,
-    solved on a mesh predicted from one coarse Newton round; below r_switch
+    solved by biharm.collocation (solve_bvp's method on a banded LU) on a
+    mesh predicted from one coarse Newton round; below r_switch
     it is that chord at that v0, between its two legs.  For r_max <=
     _R_HORIZON the horizon, and so the solution, does not depend on r_max,
     which only cuts the returned grids.
@@ -611,7 +612,7 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     L = integ.L
 
     def tail(s):
-        y = res.sol(s)
+        y = res(s)
         return L * (1.0 + y[0]), L * y[1]
 
     sol = _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect=n_iter, seam=seam)
@@ -637,9 +638,9 @@ def _collocate(integ, leg, up, dn, r_cls):
 
     The unknown is y = (X - X*) / L, X = (W, W', W'', W''') and X* = (L, 0,
     0, 0), so y' = (y1, y2, y3, c4 (1 + y0) expm1((p - 1) log1p(y0)) - c3 y1
-    - c2 y2 - c1 y3) with L^{p-1} = c4; v0 is an unknown parameter.  The left
-    condition puts y on the chord R(v0) through the (v0, start state) pairs
-    at _chord_ends(up, dn) = (lo, hi), each state the end of a dense
+    - c2 y2 - c1 y3) with L^{p-1} = c4; v0 is the one scalar unknown.  The
+    left condition puts y on the chord R(v0) through the (v0, start state)
+    pairs at _chord_ends(up, dn) = (lo, hi), each state the end of a dense
     r-chart leg at _RTOL.
     The right one, l4 . y = 0, removes the unstable mode: l4,
     the left eigenvector for lam4 with l4 . e4 = 1, holds the coefficients
@@ -647,17 +648,20 @@ def _collocate(integ, leg, up, dn, r_cls):
     prod_i (lam4 - lam_i).  The guess is leg, the blow-up end's stage-1
     s-leg, at its step ends up to where |y0| < _GUESS_FLOOR, then y there
     times e^{lam3 (s - s_a)}, on _BVP_NODES uniform nodes.
-    Each solve starts with a coarse round, a single Newton solve on the
-    start mesh.  When that meets the tolerance it is the result; else its
-    rms residuals r_i predict the final mesh (interval i cut into
-    ceil(_MESH_SAFETY (r_i / tol)^(1/3)) equal pieces), and the final
-    solve_bvp runs on that mesh, guessed from the coarse solution.  A
-    prediction above _BVP_MAX_NODES raises NoConvergence before the final
-    solve.  The chord is accurate only near the bracket: a v0 more than
-    _CHORD_SWITCH |v0| outside it raises NoConvergence.  Returns (v0, the
-    (v, leg) pairs at lo and hi, t = (v0 - lo) / (hi - lo), the left
-    condition's residual max |y(s_a) - R(v0)| (the seam), scipy's result of
-    the last round).
+    collocation.solve runs the problem, first as a coarse round: a single
+    Newton solve on the start mesh.  When that meets the tolerance it is
+    the result; else its rms residuals r_i predict the final mesh (interval
+    i cut into ceil(_MESH_SAFETY (r_i / tol)^(1/3)) equal pieces), and the
+    final solve runs on that mesh, guessed from the coarse solution, and
+    refines it further where it must, up to _BVP_MAX_NODES.  A prediction
+    above _BVP_MAX_NODES raises NoConvergence before the final solve; so
+    does a failed round.  The chord is accurate only near the bracket: a
+    v0 more than _CHORD_SWITCH |v0| outside it raises NoConvergence.  Each
+    NoConvergence names the s-domain and the bracket, and one from a round
+    names the round, its nodes, Newton iterations and residual.  Returns
+    (v0, the (v, leg) pairs at lo and hi, t = (v0 - lo) / (hi - lo), the
+    left condition's residual max |y(s_a) - R(v0)| (the seam), the last
+    round's collocation.Collocation).
     """
     L = integ.L
     lam1, lam2, lam3, lam4 = integ.spec.lambdas
@@ -673,19 +677,16 @@ def _collocate(integ, leg, up, dn, r_cls):
         with np.errstate(divide="ignore", over="ignore"):
             return np.expm1(pm1 * np.log1p(np.maximum(y0, -1.0)))
 
-    def fun(s, y, _):
+    def fun(y):
         y0, y1, y2, y3 = y
         return np.vstack((y1, y2, y3, c4 * (1.0 + y0) * rise(y0) - c3 * y1 - c2 * y2 - c1 * y3))
 
-    def fun_jac(s, y, _):
-        df_dy = np.zeros((4, 4, s.size))
+    def jac(y):
+        df_dy = np.zeros((4, 4, y.shape[1]))
         df_dy[0, 1] = df_dy[1, 2] = df_dy[2, 3] = 1.0
         df_dy[3, 0] = c4 * (pm1 + p * rise(y[0]))
         df_dy[3, 1:] = np.array([-c3, -c2, -c1])[:, None]
-        return df_dy, np.zeros((4, 1, s.size))
-
-    dbc_dya = np.vstack((np.eye(4), np.zeros(4)))
-    dbc_dyb = np.vstack((np.zeros((4, 4)), l4))
+        return df_dy
 
     dev = (leg.y - x_star[:, None]) / L
     below = np.nonzero(np.abs(dev[0]) < _GUESS_FLOOR)[0]
@@ -695,7 +696,6 @@ def _collocate(integ, leg, up, dn, r_cls):
     past = mesh > leg.t[a]
     guess[:, past] = dev[:, a, None] * np.exp(lam3 * (mesh[past] - leg.t[a]))
 
-    tol = 100.0 * _RTOL
     where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"
 
     def head(v):
@@ -707,34 +707,32 @@ def _collocate(integ, leg, up, dn, r_cls):
 
     lo, hi = _chord_ends(up, dn)
     (leg_lo, x_lo), (leg_hi, x_hi) = head(lo), head(hi)
-    ya = (x_lo - x_star) / L
-    slope = (x_hi - x_lo) / (L * (hi - lo))
-    dbc = (dbc_dya, dbc_dyb, np.append(-slope, 0.0)[:, None])
-    bc = lambda y_l, y_r, v: np.append(y_l - ya - (v[0] - lo) * slope, l4 @ y_r)
-    kw = dict(fun_jac=fun_jac, bc_jac=lambda y_l, y_r, v: dbc, tol=tol)
-    # coarse round: one Newton solve on the start mesh; when scipy would add
-    # nodes (status 1), its residuals predict the final solve's mesh
-    res = solve_bvp(fun, bc, mesh, guess, p=[0.5 * (up + dn)], max_nodes=mesh.size, **kw)
-    if res.status == 1:
-        pieces = np.maximum(np.ceil(_MESH_SAFETY * np.cbrt(res.rms_residuals / tol)), 1.0)
-        nodes = pieces.sum() + 1.0
-        if not nodes <= _BVP_MAX_NODES:
+    bvp = collocation.Bvp(
+        fun, jac, ya=(x_lo - x_star) / L, slope=(x_hi - x_lo) / (L * (hi - lo)), v_ref=lo,
+        right=l4, tol=100.0 * _RTOL,
+    )
+    try:
+        res = collocation.solve(bvp, mesh, guess, 0.5 * (up + dn))
+        if not res.converged:
+            pieces = np.maximum(np.ceil(_MESH_SAFETY * np.cbrt(res.rms / bvp.tol)), 1.0)
+            nodes = pieces.sum() + 1.0
+            if not nodes <= _BVP_MAX_NODES:
+                raise NoConvergence(
+                    f"{res.describe(bvp.tol)} predicts {nodes:.0f} nodes, more than the cap "
+                    f"{_BVP_MAX_NODES}"
+                )
+            mesh = _split_intervals(res.x, pieces.astype(int))
+            res = collocation.solve(bvp, mesh, res(mesh), res.v, _BVP_MAX_NODES)
+        v0 = float(res.v)
+        off = max(dn - v0, v0 - up)
+        if off > _CHORD_SWITCH * abs(v0):
             raise NoConvergence(
-                f"collocation stage: the coarse round on {mesh.size} nodes predicts "
-                f"{nodes:.0f} nodes, more than the cap {_BVP_MAX_NODES} ({where})"
+                f"v0 = {v0!r} lies {off:.3g} outside the chord's bracket, more than "
+                f"{_CHORD_SWITCH:.3g} |v0|"
             )
-        mesh = _split_intervals(res.x, pieces.astype(int))
-        res = solve_bvp(fun, bc, mesh, res.sol(mesh), p=res.p, max_nodes=_BVP_MAX_NODES, **kw)
-    if res.status != 0:
-        raise NoConvergence(f"collocation stage failed: {res.message} ({res.x.size} nodes {where})")
-    v0 = float(res.p[0])
-    off = max(dn - v0, v0 - up)
-    if off > _CHORD_SWITCH * abs(v0):
-        raise NoConvergence(
-            f"collocation stage: v0 = {v0!r} lies {off:.3g} outside the chord's bracket, "
-            f"more than {_CHORD_SWITCH:.3g} |v0| ({where})"
-        )
-    seam = float(np.max(np.abs(bc(res.y[:, 0], res.y[:, -1], res.p)[:4])))
+    except NoConvergence as exc:
+        raise NoConvergence(f"collocation stage: {exc} ({where})") from None
+    seam = float(np.max(np.abs(bvp.conditions(res.y[:, 0], res.y[:, -1], res.v)[:4])))
     return v0, ((lo, leg_lo), (hi, leg_hi)), (v0 - lo) / (hi - lo), seam, res
 
 

@@ -4,11 +4,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_bvp
 from scipy.interpolate import CubicSpline
 
 from biharm import (
@@ -25,6 +23,7 @@ from biharm import (
 from biharm.fdiff import central_offsets, diff_uniform, fd_weights
 from biharm.ivp import IvpResult, solve_ivp
 from biharm.verify import solve_invariants
+import biharm.collocation
 import biharm.shooting
 from biharm.shooting import (
     _BVP_NODES,
@@ -690,19 +689,20 @@ def test_seam_residual_is_small_on_the_acceptance_cases(sol_a, sol_b, sol_c):
 
 def test_seam_residual_sees_an_offset_start_state(sol_quick, monkeypatch):
     # The seam reads the collocation's start state against the chord at v0:
-    # with that state offset by 3e-10 L in W'' (each solve_bvp result's first
-    # node; v0 and the interpolant the tail is read from stay as solved) it
-    # reads the offset, against 1.6e-14 as solved, and nothing else moves.
+    # with that state offset by 3e-10 L in W'' (each collocation.solve
+    # result's first node; v0 and the spline the tail is read from stay as
+    # solved) it reads the offset, against 1.6e-14 as solved, and nothing
+    # else moves.
     offset = np.array([0.0, 0.0, 3e-10, 0.0])
-    plain = biharm.shooting.solve_bvp
+    plain = biharm.collocation.solve
 
-    def offset_start(fun, bc, x, y, **kwargs):
-        res = plain(fun, bc, x, y, **kwargs)
-        res.y = res.y.copy()
-        res.y[:, 0] += offset
-        return res
+    def offset_start(*args, **kwargs):
+        res = plain(*args, **kwargs)
+        y = res.y.copy()
+        y[:, 0] += offset
+        return replace(res, y=y)
 
-    monkeypatch.setattr(biharm.shooting, "solve_bvp", offset_start)
+    monkeypatch.setattr(biharm.collocation, "solve", offset_start)
     sol = shoot(sol_quick.params, alpha=1.0, r_max=500.0)
     assert sol.v0 == sol_quick.v0
     assert np.array_equal(sol.W, sol_quick.W) and np.array_equal(sol.Z, sol_quick.Z)
@@ -836,23 +836,24 @@ def test_chord_floor_pins_v0_on_case_a_at_r_max_500(sol_quick, monkeypatch):
 
 
 def _record_collocation(params, r_max, monkeypatch):
-    """shoot(params, 1, r_max) with its stage-1 bracket and each solve_bvp
-    call's arguments and result recorded."""
+    """shoot(params, 1, r_max) with its stage-1 bracket and each
+    collocation.solve call's arguments (bvp, x, y, v, max_nodes) and result
+    recorded."""
     brackets, calls = [], []
-    plain_bisect, plain_bvp = biharm.shooting._bisect, biharm.shooting.solve_bvp
+    plain_bisect, plain_solve = biharm.shooting._bisect, biharm.collocation.solve
 
     def bisect(*args, **kwargs):
         out = plain_bisect(*args, **kwargs)
         brackets.append(out[1:])
         return out
 
-    def bvp(fun, bc, x, y, **kwargs):
-        res = plain_bvp(fun, bc, x, y, **kwargs)
-        calls.append(((fun, bc, x.copy(), y.copy()), kwargs, res))
+    def solve(bvp, x, y, v, max_nodes=None):
+        res = plain_solve(bvp, x, y, v, max_nodes)
+        calls.append(((bvp, x.copy(), y.copy(), v, max_nodes), res))
         return res
 
     monkeypatch.setattr(biharm.shooting, "_bisect", bisect)
-    monkeypatch.setattr(biharm.shooting, "solve_bvp", bvp)
+    monkeypatch.setattr(biharm.collocation, "solve", solve)
     sol = shoot(params, alpha=1.0, r_max=r_max)
     return sol, brackets, calls
 
@@ -873,7 +874,7 @@ def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     sol, brackets, calls = _record_collocation(params, 500.0, monkeypatch)
     assert sol.v0 == sol_quick.v0
     (up, dn), = brackets
-    (_, bc, _, _), kwargs, _ = calls[0]
+    bvp = calls[0][0][0]
     assert max(dn - sol.v0, sol.v0 - up) < _CHORD_SWITCH * abs(sol.v0)
     integ = _Integrator(params)
     r_cls = 500.0 * math.exp(_S_PAD)
@@ -883,13 +884,12 @@ def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
         _, sol_r, _ = integ.shot(v, _R_SWITCH)
         return _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
 
-    # bc(y_l, y_r, [v]) = y_l - y_lo - (v - lo) slope: y_lo is -bc(0, 0, [lo]),
-    # and -slope the parameter column of the constant bc_jac
+    # the left condition y_l - ya - (v - lo) slope = 0
     lo, hi = _chord_ends(up, dn)
     x_lo, x_hi = head_state(lo), head_state(hi)
-    assert np.array_equal(-bc(np.zeros(4), np.zeros(4), [lo])[:4], (x_lo - x_star) / integ.L)
-    slope = -kwargs["bc_jac"](None, None, None)[2][:4, 0]
-    assert np.array_equal(slope, (x_hi - x_lo) / (integ.L * (hi - lo)))
+    assert bvp.v_ref == lo
+    assert np.array_equal(bvp.ya, (x_lo - x_star) / integ.L)
+    assert np.array_equal(bvp.slope, (x_hi - x_lo) / (integ.L * (hi - lo)))
 
     def start(v):
         _, _, sol_s = integ.shot(v, r_cls)
@@ -902,12 +902,12 @@ def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     _, _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
     calls.clear()
     biharm.shooting._collocate(integ, guess, up, dn, r_cls)
-    (_, bc, _, _), _, _ = calls[0]
+    bvp = calls[0][0][0]
     mid = 0.5 * (up + dn)
     y_mid = start(mid)
     scale = np.max(np.abs(y_mid))
     assert np.max(np.abs(start(up) - start(dn))) / scale > 1e-7
-    assert np.max(np.abs(bc(y_mid, np.zeros(4), [mid])[:4])) / scale < 1e-10
+    assert np.max(np.abs(bvp.conditions(y_mid, np.zeros(4), mid)[:4])) / scale < 1e-10
 
 
 @pytest.mark.parametrize("fixture", ["sol_quick", "sol_c"])
@@ -917,82 +917,111 @@ def test_collocation_right_condition_removes_the_unstable_mode(fixture, request,
     # of the three decaying modes and gives l4 . e(lam4) = 1, at p_c too
     params = request.getfixturevalue(fixture).params
     _, _, calls = _record_collocation(params, 500.0, monkeypatch)
-    bc = calls[0][0][1]
+    bvp = calls[0][0][0]
     lams = compute_spectrum(params).lambdas
-    right = [bc(np.zeros(4), np.array([1.0, lam, lam**2, lam**3]), [0.0])[4] for lam in lams]
+    right = [bvp.conditions(np.zeros(4), np.array([1.0, lam, lam**2, lam**3]), 0.0)[4]
+             for lam in lams]
     scale = 1.0 + abs(lams[0]) ** 3
     assert np.all(np.abs(right[:3]) < 1e-14 * scale)
     assert right[3] == pytest.approx(1.0, rel=1e-13)
 
 
+# the description every collocation NoConvergence gives of its round
+_ROUND = (r"the (coarse|final \d+) round on (\d+) nodes \((\d+) Newton iterations, max rms "
+          r"residual (\S+) against tol 1e-10\)")
+_WHERE = r" \(over s in \[(\S+), (\S+)\], v0 bracket \[(\S+), (\S+)\]\)"
+
+
 def test_collocation_failure_names_its_stage(pc13, monkeypatch):
-    # a final solve that does not converge raises NoConvergence naming the
-    # stage, scipy's message, the node count, the s-domain and the v0 bracket
-    message = "The maximum number of mesh nodes is exceeded."
-    plain = biharm.shooting.solve_bvp
+    # a final solve whose refinement would pass the node cap raises
+    # NoConvergence naming the stage, the round, its nodes, Newton
+    # iterations and residual, the nodes it asks for, the s-domain and the
+    # v0 bracket.  Case A at r_max 500 predicts 645 nodes, under a cap of
+    # 1000; with the residuals of every round after the coarse one read 10x
+    # high (up to 6e-10 against tol 1e-10), the first final round asks for
+    # a node more in most intervals (measured: 1226 nodes).
+    plain = biharm.collocation._rms
 
-    def failing(fun, bc, x, y, **kwargs):
-        if kwargs["max_nodes"] == x.size:  # the coarse round runs as usual
-            return plain(fun, bc, x, y, **kwargs)
-        return SimpleNamespace(status=1, message=message, x=np.linspace(x[0], x[-1], 321))
+    def inflated(fun, coeffs, x, *args):
+        return plain(fun, coeffs, x, *args) * (1.0 if x.size == _BVP_NODES else 10.0)
 
-    monkeypatch.setattr(biharm.shooting, "solve_bvp", failing)
+    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 1000)
+    monkeypatch.setattr(biharm.collocation, "_rms", inflated)
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
     found = re.fullmatch(
-        r"collocation stage failed: (.*) \((\d+) nodes over s in \[(\S+), (\S+)\], "
-        r"v0 bracket \[(\S+), (\S+)\]\)",
+        r"collocation stage: " + _ROUND + r" asks for (\d+) nodes, more than the cap 1000" + _WHERE,
         str(info.value),
     )
     assert found is not None, str(info.value)
-    assert found[1] == message and int(found[2]) == 321
+    assert found.group(1, 2, 3) == ("final 1", "645", "1") and float(found[4]) > 1e-10
+    assert 1000 < int(found[5]) < 2 * 645
     r_cls = 500.0 * math.exp(_S_PAD)
-    s_lo, s_hi, dn, up = (float(x) for x in found.groups()[2:])
+    s_lo, s_hi, dn, up = (float(x) for x in found.groups()[5:])
     assert (s_lo, s_hi) == pytest.approx((math.log(_R_SWITCH), math.log(r_cls)), rel=1e-5)
     assert dn < up and up - dn < _CHORD_SWITCH * abs(up)
 
 
 def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
     # a predicted mesh above the node cap raises right after the coarse
-    # round, naming the stage, the predicted node count and the cap; no
-    # final solve runs (case A at r_max 500 predicts 645 nodes)
+    # round, naming the stage, the round, the predicted node count and the
+    # cap; no final solve runs (case A at r_max 500 predicts 645 nodes)
     sizes = []
-    plain = biharm.shooting.solve_bvp
+    plain = biharm.collocation.solve
 
-    def counting(fun, bc, x, y, **kwargs):
-        sizes.append((x.size, kwargs["max_nodes"]))
-        return plain(fun, bc, x, y, **kwargs)
+    def counting(bvp, x, y, v, max_nodes=None):
+        sizes.append((x.size, max_nodes))
+        return plain(bvp, x, y, v, max_nodes)
 
-    monkeypatch.setattr(biharm.shooting, "solve_bvp", counting)
+    monkeypatch.setattr(biharm.collocation, "solve", counting)
     monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
     found = re.fullmatch(
-        r"collocation stage: the coarse round on 200 nodes predicts (\d+) nodes, more "
-        r"than the cap 400 \(over s in \[\S+, \S+\], v0 bracket \[\S+, \S+\]\)",
+        r"collocation stage: " + _ROUND + r" predicts (\d+) nodes, more than the cap 400" + _WHERE,
         str(info.value),
     )
     assert found is not None, str(info.value)
-    assert int(found[1]) > 400
-    assert sizes == [(_BVP_NODES, _BVP_NODES)]
+    assert found[1] == "coarse" and int(found[2]) == _BVP_NODES and int(found[5]) > 400
+    assert sizes == [(_BVP_NODES, None)]
+
+
+def test_singular_band_names_its_round(pc13, monkeypatch):
+    # a band LU that finds an exact zero pivot (dgbtrf info > 0) raises
+    # NoConvergence naming the round, its nodes and the Newton iteration
+    plain = biharm.collocation.dgbtrf
+
+    def singular(ab, kl, ku, **kwargs):
+        lu, piv, _ = plain(ab, kl, ku, **kwargs)
+        return lu, piv, 7
+
+    monkeypatch.setattr(biharm.collocation, "dgbtrf", singular)
+    with pytest.raises(NoConvergence) as info:
+        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
+    assert re.fullmatch(
+        r"collocation stage: the coarse round on 200 nodes: the band LU is singular \(dgbtrf "
+        r"info = 7\) at Newton iteration 1" + _WHERE,
+        str(info.value),
+    ), str(info.value)
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
 def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch):
     # The coarse round's residuals predict the final mesh, so the final
-    # solve converges in one Newton round.  It matches the solve that
-    # scipy's own refinement reaches from the 200 uniform start nodes alone:
-    # v0 to 1e-14 relative and W = L (1 + y0) to 1e-12 L.
+    # solve converges in one Newton round.  It matches the solve that the
+    # collocation's own refinement reaches from the 200 uniform start nodes
+    # alone: v0 to 1e-14 relative and W = L (1 + y0) to 1e-12 L.
     params = request.getfixturevalue(fixture).params
     sol, _, calls = _record_collocation(params, r_max, monkeypatch)
-    (args, kwargs, coarse), (_, final_kwargs, final) = calls
-    assert args[2].size == kwargs["max_nodes"] == _BVP_NODES and coarse.niter == 1
-    assert final.status == 0 and final.niter == 1 and sol.v0 == final.p[0]
-    ref = solve_bvp(*args, **(kwargs | {"max_nodes": final_kwargs["max_nodes"]}))
-    assert ref.status == 0 and ref.niter > 1
-    assert abs(final.p[0] - ref.p[0]) <= 1e-14 * abs(ref.p[0])
+    ((bvp, x, y, v, max_nodes), coarse), ((_, _, _, _, final_max), final) = calls
+    assert x.size == _BVP_NODES and max_nodes is None
+    assert coarse.round == "coarse" and coarse.niter == 1 and not coarse.converged
+    assert final.converged and final.niter == 1 and sol.v0 == final.v
+    ref = biharm.collocation.solve(bvp, x, y, v, final_max)
+    assert ref.converged and ref.niter > 1
+    assert abs(final.v - ref.v) <= 1e-14 * abs(ref.v)
     s = np.union1d(final.x, ref.x)
-    assert np.max(np.abs(final.sol(s)[0] - ref.sol(s)[0])) <= 1e-12
+    assert np.max(np.abs(final(s)[0] - ref(s)[0])) <= 1e-12
 
 
 def _cut(sol, keep):

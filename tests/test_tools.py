@@ -37,8 +37,8 @@ def test_shoot_cells_diff_reports_cells_and_totals(capsys):
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].split()[-3:] == ["v0", "W", "dump"]
-    assert out[1].split() == ["A", "ok", "ok", "100", "80", "56", "->", "34"] + ["equal"] * 3
-    assert out[2].split() == ["F", "StepFailure", "StepFailure", "7", "7", "8", "->", "8"] + ["-"] * 3
+    assert out[1].split() == ["A", "ok", "ok", "100", "80", "56", "->", "34", "-"] + ["equal"] * 3
+    assert out[2].split() == ["F", "StepFailure", "StepFailure", "7", "7", "8", "->", "8"] + ["-"] * 4
     assert "RHS evaluations: 107 -> 87 (-18.7%)" in out
     assert "ok: 1 -> 1 of 2" in out
     assert "identical dumps: 1 of 1" in out
@@ -83,6 +83,40 @@ def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
     assert "RHS evaluations: 207 -> 127 (-38.6%)" in out
     assert "RHS evaluations by rtol (new): 1e-12 20, 1e-08 100" in out
     assert not any(line.startswith("RHS evaluations by rtol (old)") for line in out)
+
+
+def test_shoot_cells_diff_reads_collocation_meshes(capsys):
+    # per cell the last collocation round's nodes/niter, old -> new: the
+    # final solve's (A, B), else the coarse round's (C, which failed after
+    # it); D's OLD record predates the key; then the cells whose rounds
+    # moved, out of those recorded on both sides (A keeps its mesh, B's
+    # final solve takes a round more, C's coarse round moves)
+    old = {label: _ok("0x1p-2", 5, 9) for label in "ABD"}
+    new = {label: _ok("0x1p-2", 5, 9) for label in "ABD"}
+    old["C"], new["C"] = _failed("NoConvergence", 7, [8]), _failed("NoConvergence", 7, [8])
+    coarse = {"nodes": [200], "niter": [1]}
+    old["A"]["bvp"] = new["A"]["bvp"] = {"coarse": coarse, "nodes": [684], "niter": [1]}
+    old["B"]["bvp"] = {"coarse": coarse, "nodes": [9441], "niter": [2]}
+    new["B"]["bvp"] = {"coarse": coarse, "nodes": [9441], "niter": [3]}
+    old["C"]["bvp"] = {"coarse": coarse, "nodes": [], "niter": []}
+    new["C"]["bvp"] = {"coarse": {"nodes": [200], "niter": [2]}, "nodes": [], "niter": []}
+    new["D"]["bvp"] = {"coarse": coarse, "nodes": [300], "niter": [1]}
+    assert shoot_cells.diff(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split()[-4:] == ["mesh", "v0", "W", "dump"]
+    meshes = {line.split()[0]: line.split()[-6:-3] for line in out[1:5]}
+    assert meshes == {"A": ["684/1", "->", "684/1"], "B": ["9441/2", "->", "9441/3"],
+                      "C": ["200/1", "->", "200/2"], "D": ["-", "->", "300/1"]}
+    assert "collocation meshes moved: 2 of 3" in out
+    # without collocation records on either side, the column reads "-"
+    # and no count prints
+    for rec in (old, new):
+        for label in rec:
+            rec[label].pop("bvp", None)
+    assert shoot_cells.diff(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert {line.split()[-4] for line in out[1:5]} == {"-"}
+    assert not any(line.startswith("collocation meshes moved") for line in out)
 
 
 def test_shoot_cells_diff_totals_step_failures(capsys):

@@ -32,12 +32,13 @@ step failure (step_failures, solve_ivp's status -1) per chart; a solve that
 raises a typed error records its class and message instead.
 Every record also lists the trials of each _bisect call (stage 1's search;
 on a solve that returns they sum to n_bisect) and, under "bvp", the
-collocation stage's work: the mesh nodes and scipy's niter of each coarse
-round ("coarse": one Newton solve on the start mesh, told apart by max_nodes
-equal to its node count) and of each final solve (the other solve_bvp calls;
-a solve whose coarse round already meets the tolerance has none). Nothing in
-the output depends on timing, so two trees can be compared with a plain
-diff.
+collocation stage's work: the mesh nodes and the rounds (niter, each one
+Newton solve) of each coarse round ("coarse": one Newton solve on the start
+mesh) and of each final solve (the other biharm.collocation.solve calls,
+told apart by the round their result names; a solve whose coarse round
+already meets the tolerance has none).  The keys read as those of the
+records of older trees, whose solve_bvp calls they counted. Nothing in the
+output depends on timing, so two trees can be compared with a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
 so the same script measures any tree that has verify.run_expansion (the
@@ -48,14 +49,18 @@ copy of this script.
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
 failed invariants), RHS evaluations, root-search trials (n_bisect; for a
-failed solve, the sum of its recorded trials), whether v0 is bit-identical,
+failed solve, the sum of its recorded trials), the nodes/niter of the last
+collocation round (the final solve's, else the coarse round's; "-" without
+one), whether v0 is bit-identical,
 whether W is (by w_sha256) and whether the dumps are (by dump_sha256; "-"
 when neither side has the hash), so W equal beside a differing dump means
 that Z moved and W did not; then |dv0|/|v0| for each cell whose v0
 differs and the largest over the cells with a v0 on both sides, the totals
 (RHS evaluations also by rtol, for a side whose records split them; step
-failures, "-" for a side whose records do not count them), the ok
-counts and the identical dumps out of the cells with a dump on either side.
+failures, "-" for a side whose records do not count them), the count of
+cells whose collocation rounds (the "bvp" record) moved, out of those with
+one on both sides, the ok counts and the identical dumps out of the cells
+with a dump on either side.
 For each cell with an expand record on either side it prints both sides'
 expand outcome (as for the solve, over the expansion invariants; "-"
 without a record), then the expand-ok counts.  Records of older trees,
@@ -115,8 +120,9 @@ def _args():
 
 def shoot_cell(label: str) -> dict:
     """Shoot one cell, counting solve_ivp calls, nfev and step failures per
-    chart, the trials of each root-search call and the collocation's nodes
-    and niter."""
+    chart, the trials of each root-search call and the nodes and niter of
+    each collocation.solve call."""
+    import biharm.collocation as collocation
     import biharm.shooting as shooting
     from biharm import BiharmError, ProblemParams, compute_ladder
     from biharm.expansion import detect_regime
@@ -129,7 +135,7 @@ def shoot_cell(label: str) -> dict:
     calls, nfev, failures, trials = Counter(), Counter(), Counter(), []
     by_rtol = {"r": Counter(), "s": Counter()}
     bvp = {"coarse": {"nodes": [], "niter": []}, "nodes": [], "niter": []}
-    plain, plain_bisect, plain_bvp = shooting.solve_ivp, shooting._bisect, shooting.solve_bvp
+    plain, plain_bisect, plain_solve = shooting.solve_ivp, shooting._bisect, collocation.solve
 
     def counting(fun, *args, **kwargs):
         result = plain(fun, *args, **kwargs)
@@ -145,14 +151,14 @@ def shoot_cell(label: str) -> dict:
         trials.append(result[0])  # (trials, up, dn)
         return result
 
-    def counting_bvp(fun, bc, x, *args, **kwargs):
-        result = plain_bvp(fun, bc, x, *args, **kwargs)
-        into = bvp["coarse"] if kwargs.get("max_nodes") == len(x) else bvp
+    def counting_solve(*args, **kwargs):
+        result = plain_solve(*args, **kwargs)
+        into = bvp["coarse"] if result.round == "coarse" else bvp
         into["nodes"].append(int(result.x.size))
         into["niter"].append(int(result.niter))
         return result
 
-    shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = counting, counting_bisect, counting_bvp
+    shooting.solve_ivp, shooting._bisect, collocation.solve = counting, counting_bisect, counting_solve
     try:
         sol = shooting.shoot(params, alpha, r_max)
     except BiharmError as exc:
@@ -192,7 +198,7 @@ def shoot_cell(label: str) -> dict:
                 "checks": _checks(invariants),
             }
     finally:
-        shooting.solve_ivp, shooting._bisect, shooting.solve_bvp = plain, plain_bisect, plain_bvp
+        shooting.solve_ivp, shooting._bisect, collocation.solve = plain, plain_bisect, plain_solve
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max, "alpha": alpha}
     rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c], "nfev_by_rtol": dict(by_rtol[c]),
                       "step_failures": failures[c]} for c in ("r", "s")}
@@ -243,14 +249,25 @@ def diff(old: dict, new: dict) -> int:
             return "-"
         return "equal" if o.get(key) == n.get(key) else "differs"
 
+    def mesh(rec):
+        # nodes/niter of the last collocation round: the final solve's, else
+        # the coarse round's
+        bvp = rec.get("bvp", {})
+        for rounds in (bvp, bvp.get("coarse", {})):
+            if rounds.get("nodes"):
+                return f"{rounds['nodes'][-1]}/{rounds['niter'][-1]}"
+        return "-"
+
     labels = [label for label in old if label in new]
-    rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "v0", "W", "dump")]
+    rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "mesh", "v0", "W", "dump")]
     lost = []
     for label in labels:
         o, n = old[label], new[label]
+        meshes = (mesh(o), mesh(n))
         rows.append((label, outcome(o), outcome(n), str(rhs(o)), str(rhs(n)),
-                     f"{trials(o)} -> {trials(n)}", same(o, n, "v0_hex"), same(o, n, "w_sha256"),
-                     same(o, n, "dump_sha256")))
+                     f"{trials(o)} -> {trials(n)}",
+                     "-" if meshes == ("-", "-") else " -> ".join(meshes),
+                     same(o, n, "v0_hex"), same(o, n, "w_sha256"), same(o, n, "dump_sha256")))
         if outcome(o) == "ok" and outcome(n) != "ok":
             lost.append(label)
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -289,6 +306,10 @@ def diff(old: dict, new: dict) -> int:
     print(f"step failures: {failed[0]} -> {failed[1]}")
     print(f"trials: {sum(trials(old[label]) for label in labels)} -> "
           f"{sum(trials(new[label]) for label in labels)}")
+    both = [label for label in labels if "bvp" in old[label] and "bvp" in new[label]]
+    if both:
+        moved = sum(old[label]["bvp"] != new[label]["bvp"] for label in both)
+        print(f"collocation meshes moved: {moved} of {len(both)}")
     ok_old = sum(outcome(old[label]) == "ok" for label in labels)
     ok_new = sum(outcome(new[label]) == "ok" for label in labels)
     print(f"ok: {ok_old} -> {ok_new} of {len(labels)}")
