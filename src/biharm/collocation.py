@@ -5,14 +5,17 @@ with one scalar unknown v and n + 1 conditions:
 
     y(x_0) = ya + (v - v_ref) slope,        right . y(x_{m-1}) = 0.
 
-The method is scipy.integrate.solve_bvp's (Kierzenka & Shampine, ACM TOMS
-27(3), 2001), kept in its operation order: the solution is the C1 cubic
-Hermite spline through the nodes whose slope meets fun at the nodes and at
-each interval's midpoint (Lobatto IIIA, Simpson's rule); a damped Newton
-iteration on the affine-invariant criterion |J^-1 r|^2 solves the
-collocation equations; each interval's rms residual, relative to
-1 + |fun|, comes from 5-point Lobatto quadrature and decides where one or
-two nodes go in.  Only the linear algebra differs.  With the unknowns
+The method within a round is scipy.integrate.solve_bvp's (Kierzenka &
+Shampine, ACM TOMS 27(3), 2001), kept in its operation order: the
+solution is the C1 cubic Hermite spline through the nodes whose slope
+meets fun at the nodes and at each interval's midpoint (Lobatto IIIA,
+Simpson's rule); a damped Newton iteration on the affine-invariant
+criterion |J^-1 r|^2 solves the collocation equations; each interval's
+rms residual, relative to 1 + |fun|, comes from 5-point Lobatto
+quadrature.  The mesh rule is not solve_bvp's: the collocation residual
+is O(h^3), so the residuals of one round predict the next round's mesh,
+each interval cut into equal pieces enough to meet the tolerance.  The
+linear algebra is not solve_bvp's either.  With the unknowns
 ordered (v, y_0, ..., y_{m-1}) and the equations (the n left conditions,
 the n collocation residuals of each interval in turn, the right
 condition), the Jacobian is a band with 2n - 2 subdiagonals and n
@@ -37,8 +40,11 @@ _MAX_NJEV = 4     # Jacobians, each factored once, per round
 _MAX_ITER = 8     # Newton iterations per round
 _ARMIJO = 0.2     # least relative decrease of the criterion a step must make
 _BACKTRACKS = 4   # step halvings before a step is taken as it is
-# rounds after which a mesh that needs no node but misses the conditions fails
+# rounds after which a solve that still misses the tolerance fails
 _MAX_ROUNDS = 10
+# The collocation residual on an interval is O(h^3): the next round cuts an
+# interval with residual r into ceil(_MESH_SAFETY (r / tol)^(1/3)) pieces.
+_MESH_SAFETY = 1.2
 
 
 @dataclass(frozen=True)
@@ -62,23 +68,20 @@ class Bvp:
 
 @dataclass(frozen=True)
 class Collocation:
-    """The last round of a solve: its name ("coarse", or "final k" for the
-    k-th round of a refining solve), the mesh x, the node values y (n, m),
-    v, the rms residual of each interval, the Newton iterations the round
-    took, the rounds the solve took (niter), whether every residual met tol
-    (a coarse round that wants nodes has not), and the spline's coefficients
-    (4, n, m - 1), highest power first in the distance from the interval's
-    left node.  Called with 1-D s, it is the spline at s as (n, s.size);
-    an s outside the mesh takes the end interval's cubic."""
+    """The last round of a solve: the mesh x, the node values y (n, m), v,
+    the rms residual of each interval, the Newton iterations the round
+    took, the rounds the solve took (niter, this round's number), and the
+    spline's coefficients (4, n, m - 1), highest power first in the
+    distance from the interval's left node.  Called with 1-D s, it is the
+    spline at s as (n, s.size); an s outside the mesh takes the end
+    interval's cubic."""
 
-    round: str
     x: np.ndarray
     y: np.ndarray
     v: float
     rms: np.ndarray
     newton: int
     niter: int
-    converged: bool
     coeffs: np.ndarray
 
     def __call__(self, s):
@@ -86,62 +89,59 @@ class Collocation:
         return _value(self.coeffs[:, :, i], s - self.x[i])
 
     def describe(self, tol):
-        return (f"the {self.round} round on {self.x.size} nodes ({self.newton} Newton "
+        return (f"round {self.niter} on {self.x.size} nodes ({self.newton} Newton "
                 f"iterations, max rms residual {np.max(self.rms):.3g} against tol {tol:.3g})")
 
 
-def solve(bvp: Bvp, x: np.ndarray, y: np.ndarray, v: float,
-          max_nodes: int | None = None) -> Collocation:
+def solve(bvp: Bvp, x: np.ndarray, y: np.ndarray, v: float, max_nodes: int) -> Collocation:
     """Solve bvp from the guess (y on the mesh x, v) by rounds of Newton
-    iteration and mesh refinement, as solve_bvp does.
+    iteration, each on the mesh the last one's residuals predict.
 
-    After each round an interval whose rms residual exceeds tol gets one
-    node at its middle, or two at its thirds from 100 tol up, and the next
-    round starts from the spline on the new mesh.  max_nodes None makes this
-    the coarse round: the first round that wants a node is returned, not
-    converged.  Otherwise a round whose nodes would pass max_nodes, a round
-    whose band LU is singular, and a mesh that needs no node but still
-    misses the conditions after _MAX_ROUNDS rounds raise NoConvergence, each
-    naming its round, node count, Newton iterations and residual.
+    A round whose rms residuals and condition residuals all meet tol is
+    returned.  Otherwise interval i, with rms residual r_i, is cut into
+    ceil(_MESH_SAFETY (r_i / tol)^(1/3)) equal pieces, at least one, and
+    the next round starts from the spline on that mesh.  A prediction of
+    more than max_nodes nodes, a singular band LU, and a solve still
+    unconverged after _MAX_ROUNDS rounds raise NoConvergence, each naming
+    its round, node count, Newton iterations and residual.
     """
     tol = bvp.tol
     for k in itertools.count(1):
-        name = "coarse" if max_nodes is None else f"final {k}"
         h = np.diff(x)
-        y, v, newton, col_res, f, f_mid, bc = _newton(bvp, h, y, v, name)
+        y, v, newton, col_res, f, f_mid, bc = _newton(bvp, h, y, v, k)
         coeffs = _hermite(y, f, h)
         rms = _rms(bvp.fun, coeffs, x, h, 1.5 * col_res / h, f_mid)
-        insert_1, = np.nonzero((rms > tol) & (rms < 100 * tol))
-        insert_2, = np.nonzero(rms >= 100 * tol)
-        added = insert_1.size + 2 * insert_2.size
-        done = added == 0 and np.max(np.abs(bc)) <= tol
-        res = Collocation(name, x, y, v, rms, newton, k, done, coeffs)
-        if done or (added and max_nodes is None):
+        res = Collocation(x, y, v, rms, newton, k, coeffs)
+        miss = np.max(np.abs(bc))
+        if np.all(rms <= tol) and miss <= tol:
             return res
-        if added and x.size + added > max_nodes:
+        pieces = np.maximum(np.ceil(_MESH_SAFETY * np.cbrt(rms / tol)), 1.0)
+        nodes = pieces.sum() + 1.0
+        if not nodes <= max_nodes:
             raise NoConvergence(
-                f"{res.describe(tol)} asks for {x.size + added} nodes, more than the cap {max_nodes}"
+                f"{res.describe(tol)} predicts {nodes:.0f} nodes, more than the cap {max_nodes}"
             )
-        if added:
-            x = np.sort(np.hstack((
-                x,
-                0.5 * (x[insert_1] + x[insert_1 + 1]),
-                (2 * x[insert_2] + x[insert_2 + 1]) / 3,
-                (x[insert_2] + 2 * x[insert_2 + 1]) / 3,
-            )))
-            y = res(x)
-        elif k >= _MAX_ROUNDS:
+        if k == _MAX_ROUNDS:
             raise NoConvergence(
-                f"{res.describe(tol)} misses the boundary conditions by "
-                f"{np.max(np.abs(bc)):.3g} after {k} rounds"
+                f"{res.describe(tol)} still misses tol after {k} rounds (boundary "
+                f"conditions' residual {miss:.3g})"
             )
+        x = _split_intervals(x, pieces.astype(int))
+        y = res(x)
 
 
-def _newton(bvp, h, y, v, name):
+def _split_intervals(x: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """The mesh x with its interval i cut into pieces[i] equal parts."""
+    start = np.repeat(x[:-1], pieces)
+    j = np.arange(start.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    return np.append(start + j * np.repeat(np.diff(x) / pieces, pieces), x[-1])
+
+
+def _newton(bvp, h, y, v, k):
     """solve_bvp's damped Newton iteration on one mesh, with the Jacobian
-    factored by banded LU.  Returns (y, v, iterations, and at the returned
-    iterate the collocation residuals, fun at the nodes and at the
-    midpoints, and the condition residuals)."""
+    factored by banded LU, as round k.  Returns (y, v, iterations, and at
+    the returned iterate the collocation residuals, fun at the nodes and at
+    the midpoints, and the condition residuals)."""
     n, m = y.shape
     kl, ku = 2 * n - 2, n
     # solve_bvp stops when every collocation residual is below 1.5 orders
@@ -155,7 +155,7 @@ def _newton(bvp, h, y, v, name):
             lu, piv, info = dgbtrf(_band(bvp, h, y, y_mid), kl, ku, overwrite_ab=True)
             if info > 0:
                 raise NoConvergence(
-                    f"the {name} round on {m} nodes: the band LU is singular (dgbtrf "
+                    f"round {k} on {m} nodes: the band LU is singular (dgbtrf "
                     f"info = {info}) at Newton iteration {it}"
                 )
             njev += 1

@@ -69,9 +69,6 @@ _CHORD_SWITCH = math.sqrt(np.finfo(float).eps)
 # collocation: uniform starting nodes and node cap
 _BVP_NODES = 200
 _BVP_MAX_NODES = 25000
-# The collocation residual on an interval is O(h^3): the final mesh cuts each
-# coarse interval with residual r into ceil(_MESH_SAFETY (r / tol)^(1/3)) pieces.
-_MESH_SAFETY = 1.2
 # |W/L - 1| below which the collocation's guess leaves the blow-up end's leg
 # for the slowest decaying mode e^{lam3 s}
 _GUESS_FLOOR = 1e-3
@@ -554,11 +551,11 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     has an s-chart leg.  (2) Collocation (_collocate): one boundary value
     problem with v0 as its unknown, its left condition a chord through two
     r-chart legs at _RTOL, closes the solution on the s-chart up to r_cls,
-    solved by biharm.collocation (solve_bvp's method on a banded LU) on a
-    mesh predicted from one coarse Newton round; below r_switch
-    it is that chord at that v0, between its two legs.  For r_max <=
-    _R_HORIZON the horizon, and so the solution, does not depend on r_max,
-    which only cuts the returned grids.
+    solved by biharm.collocation (solve_bvp's Newton rounds on a banded LU,
+    each round on the mesh the last one's residuals predict); below
+    r_switch it is that chord at that v0, between its two legs.  For
+    r_max <= _R_HORIZON the horizon, and so the solution, does not depend
+    on r_max, which only cuts the returned grids.
     """
     r_max = _scale(params.m, alpha, r_max) * r_max
     integ = _Integrator(params)
@@ -648,20 +645,16 @@ def _collocate(integ, leg, up, dn, r_cls):
     prod_i (lam4 - lam_i).  The guess is leg, the blow-up end's stage-1
     s-leg, at its step ends up to where |y0| < _GUESS_FLOOR, then y there
     times e^{lam3 (s - s_a)}, on _BVP_NODES uniform nodes.
-    collocation.solve runs the problem, first as a coarse round: a single
-    Newton solve on the start mesh.  When that meets the tolerance it is
-    the result; else its rms residuals r_i predict the final mesh (interval
-    i cut into ceil(_MESH_SAFETY (r_i / tol)^(1/3)) equal pieces), and the
-    final solve runs on that mesh, guessed from the coarse solution, and
-    refines it further where it must, up to _BVP_MAX_NODES.  A prediction
-    above _BVP_MAX_NODES raises NoConvergence before the final solve; so
-    does a failed round.  The chord is accurate only near the bracket: a
-    v0 more than _CHORD_SWITCH |v0| outside it raises NoConvergence.  Each
-    NoConvergence names the s-domain and the bracket, and one from a round
-    names the round, its nodes, Newton iterations and residual.  Returns
-    (v0, the (v, leg) pairs at lo and hi, t = (v0 - lo) / (hi - lo), the
-    left condition's residual max |y(s_a) - R(v0)| (the seam), the last
-    round's collocation.Collocation).
+    One collocation.solve call, capped at _BVP_MAX_NODES, runs the problem
+    in Newton rounds: the first on the start mesh, each later one on the
+    mesh the last one's rms residuals predict (see collocation.solve); a
+    failed round raises NoConvergence.  The chord is accurate only near the
+    bracket: a v0 more than _CHORD_SWITCH |v0| outside it raises
+    NoConvergence.  Each NoConvergence names the s-domain and the bracket,
+    and one from a round names the round, its nodes, Newton iterations and
+    residual.  Returns (v0, the (v, leg) pairs at lo and hi,
+    t = (v0 - lo) / (hi - lo), the left condition's residual
+    max |y(s_a) - R(v0)| (the seam), the collocation.Collocation).
     """
     L = integ.L
     lam1, lam2, lam3, lam4 = integ.spec.lambdas
@@ -712,17 +705,7 @@ def _collocate(integ, leg, up, dn, r_cls):
         right=l4, tol=100.0 * _RTOL,
     )
     try:
-        res = collocation.solve(bvp, mesh, guess, 0.5 * (up + dn))
-        if not res.converged:
-            pieces = np.maximum(np.ceil(_MESH_SAFETY * np.cbrt(res.rms / bvp.tol)), 1.0)
-            nodes = pieces.sum() + 1.0
-            if not nodes <= _BVP_MAX_NODES:
-                raise NoConvergence(
-                    f"{res.describe(bvp.tol)} predicts {nodes:.0f} nodes, more than the cap "
-                    f"{_BVP_MAX_NODES}"
-                )
-            mesh = _split_intervals(res.x, pieces.astype(int))
-            res = collocation.solve(bvp, mesh, res(mesh), res.v, _BVP_MAX_NODES)
+        res = collocation.solve(bvp, mesh, guess, 0.5 * (up + dn), _BVP_MAX_NODES)
         v0 = float(res.v)
         off = max(dn - v0, v0 - up)
         if off > _CHORD_SWITCH * abs(v0):
@@ -734,13 +717,6 @@ def _collocate(integ, leg, up, dn, r_cls):
         raise NoConvergence(f"collocation stage: {exc} ({where})") from None
     seam = float(np.max(np.abs(bvp.conditions(res.y[:, 0], res.y[:, -1], res.v)[:4])))
     return v0, ((lo, leg_lo), (hi, leg_hi)), (v0 - lo) / (hi - lo), seam, res
-
-
-def _split_intervals(x: np.ndarray, pieces: np.ndarray) -> np.ndarray:
-    """The mesh x with its interval i cut into pieces[i] equal parts."""
-    start = np.repeat(x[:-1], pieces)
-    j = np.arange(start.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    return np.append(start + j * np.repeat(np.diff(x) / pieces, pieces), x[-1])
 
 
 def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:

@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from biharm import ProblemParams, compute_ladder, compute_pc
@@ -64,3 +65,24 @@ def sol_rung(pc15):
 def sol_n200_10pc():
     """n = 200 at p = 10 p_c, r_max 1e4 (about 0.4 s): regime a with k = 95."""
     return shoot(ProblemParams(200, 10.0 * compute_pc(200)), alpha=1.0, r_max=1e4)
+
+
+def _scipy_problem(bvp):
+    """bvp as solve_bvp's fun, bc, fun_jac and bc_jac, with v as p[0]."""
+    n = bvp.ya.size
+    dbc = (np.vstack((np.eye(n), np.zeros(n))), np.vstack((np.zeros((n, n)), bvp.right)),
+           np.append(-bvp.slope, 0.0)[:, None])
+    return dict(
+        fun=lambda x, y, p: bvp.fun(y),
+        bc=lambda ya, yb, p: bvp.conditions(ya, yb, p[0]),
+        fun_jac=lambda x, y, p: (bvp.jac(y), np.zeros((n, 1, x.size))),
+        bc_jac=lambda ya, yb, p: dbc,
+    )
+
+
+@pytest.fixture(scope="session")
+def scipy_problem():
+    """The map from a biharm.collocation.Bvp to scipy.integrate.solve_bvp's
+    keyword arguments (fun, bc, fun_jac, bc_jac; v as p[0]): scipy's solver
+    is the collocation's reference."""
+    return _scipy_problem

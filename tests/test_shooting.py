@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_bvp
 from scipy.interpolate import CubicSpline
 
 from biharm import (
@@ -26,6 +27,7 @@ from biharm.verify import solve_invariants
 import biharm.collocation
 import biharm.shooting
 from biharm.shooting import (
+    _BVP_MAX_NODES,
     _BVP_NODES,
     _CHORD_SWITCH,
     _DS,
@@ -847,7 +849,7 @@ def _record_collocation(params, r_max, monkeypatch):
         brackets.append(out[1:])
         return out
 
-    def solve(bvp, x, y, v, max_nodes=None):
+    def solve(bvp, x, y, v, max_nodes):
         res = plain_solve(bvp, x, y, v, max_nodes)
         calls.append(((bvp, x.copy(), y.copy(), v, max_nodes), res))
         return res
@@ -927,19 +929,20 @@ def test_collocation_right_condition_removes_the_unstable_mode(fixture, request,
 
 
 # the description every collocation NoConvergence gives of its round
-_ROUND = (r"the (coarse|final \d+) round on (\d+) nodes \((\d+) Newton iterations, max rms "
+_ROUND = (r"round (\d+) on (\d+) nodes \((\d+) Newton iterations, max rms "
           r"residual (\S+) against tol 1e-10\)")
 _WHERE = r" \(over s in \[(\S+), (\S+)\], v0 bracket \[(\S+), (\S+)\]\)"
 
 
 def test_collocation_failure_names_its_stage(pc13, monkeypatch):
-    # a final solve whose refinement would pass the node cap raises
+    # a round whose predicted mesh would pass the node cap raises
     # NoConvergence naming the stage, the round, its nodes, Newton
-    # iterations and residual, the nodes it asks for, the s-domain and the
-    # v0 bracket.  Case A at r_max 500 predicts 645 nodes, under a cap of
-    # 1000; with the residuals of every round after the coarse one read 10x
-    # high (up to 6e-10 against tol 1e-10), the first final round asks for
-    # a node more in most intervals (measured: 1226 nodes).
+    # iterations and residual, the nodes it predicts, the s-domain and the
+    # v0 bracket.  Case A at r_max 500 predicts 645 nodes from the start
+    # mesh, under a cap of 1000; with the residuals of every later round
+    # read 10x high (up to 6e-10 against tol 1e-10), round 2 predicts more
+    # pieces in most intervals, each interval at most ceil(1.2 10^(1/3)) = 3
+    # as every one of its true residuals meets tol (measured: 1483 nodes).
     plain = biharm.collocation._rms
 
     def inflated(fun, coeffs, x, *args):
@@ -950,12 +953,12 @@ def test_collocation_failure_names_its_stage(pc13, monkeypatch):
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
     found = re.fullmatch(
-        r"collocation stage: " + _ROUND + r" asks for (\d+) nodes, more than the cap 1000" + _WHERE,
+        r"collocation stage: " + _ROUND + r" predicts (\d+) nodes, more than the cap 1000" + _WHERE,
         str(info.value),
     )
     assert found is not None, str(info.value)
-    assert found.group(1, 2, 3) == ("final 1", "645", "1") and float(found[4]) > 1e-10
-    assert 1000 < int(found[5]) < 2 * 645
+    assert found.group(1, 2, 3) == ("2", "645", "1") and float(found[4]) > 1e-10
+    assert 1000 < int(found[5]) <= 3 * 644 + 1
     r_cls = 500.0 * math.exp(_S_PAD)
     s_lo, s_hi, dn, up = (float(x) for x in found.groups()[5:])
     assert (s_lo, s_hi) == pytest.approx((math.log(_R_SWITCH), math.log(r_cls)), rel=1e-5)
@@ -963,17 +966,22 @@ def test_collocation_failure_names_its_stage(pc13, monkeypatch):
 
 
 def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
-    # a predicted mesh above the node cap raises right after the coarse
+    # a predicted mesh above the node cap raises right after the first
     # round, naming the stage, the round, the predicted node count and the
-    # cap; no final solve runs (case A at r_max 500 predicts 645 nodes)
-    sizes = []
-    plain = biharm.collocation.solve
+    # cap; no later round runs (case A at r_max 500 predicts 645 nodes)
+    sizes, rounds = [], []
+    plain, plain_newton = biharm.collocation.solve, biharm.collocation._newton
 
-    def counting(bvp, x, y, v, max_nodes=None):
+    def counting(bvp, x, y, v, max_nodes):
         sizes.append((x.size, max_nodes))
         return plain(bvp, x, y, v, max_nodes)
 
+    def newton(bvp, h, y, v, k):
+        rounds.append(k)
+        return plain_newton(bvp, h, y, v, k)
+
     monkeypatch.setattr(biharm.collocation, "solve", counting)
+    monkeypatch.setattr(biharm.collocation, "_newton", newton)
     monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
@@ -982,8 +990,8 @@ def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
         str(info.value),
     )
     assert found is not None, str(info.value)
-    assert found[1] == "coarse" and int(found[2]) == _BVP_NODES and int(found[5]) > 400
-    assert sizes == [(_BVP_NODES, None)]
+    assert found[1] == "1" and int(found[2]) == _BVP_NODES and int(found[5]) > 400
+    assert sizes == [(_BVP_NODES, 400)] and rounds == [1]
 
 
 def test_singular_band_names_its_round(pc13, monkeypatch):
@@ -999,29 +1007,30 @@ def test_singular_band_names_its_round(pc13, monkeypatch):
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
     assert re.fullmatch(
-        r"collocation stage: the coarse round on 200 nodes: the band LU is singular \(dgbtrf "
+        r"collocation stage: round 1 on 200 nodes: the band LU is singular \(dgbtrf "
         r"info = 7\) at Newton iteration 1" + _WHERE,
         str(info.value),
     ), str(info.value)
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
-def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch):
-    # The coarse round's residuals predict the final mesh, so the final
-    # solve converges in one Newton round.  It matches the solve that the
-    # collocation's own refinement reaches from the 200 uniform start nodes
-    # alone: v0 to 1e-14 relative and W = L (1 + y0) to 1e-12 L.
+def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch, scipy_problem):
+    # One collocation.solve call from the 200 uniform start nodes: the first
+    # round's residuals predict the mesh, and the second round converges on
+    # it.  The solution matches scipy.integrate.solve_bvp's solve from the
+    # same start nodes: v0 to 1e-14 relative and, on the lattice past
+    # r_switch, W = L (1 + y0) to 1e-12 L.
     params = request.getfixturevalue(fixture).params
     sol, _, calls = _record_collocation(params, r_max, monkeypatch)
-    ((bvp, x, y, v, max_nodes), coarse), ((_, _, _, _, final_max), final) = calls
-    assert x.size == _BVP_NODES and max_nodes is None
-    assert coarse.round == "coarse" and coarse.niter == 1 and not coarse.converged
-    assert final.converged and final.niter == 1 and sol.v0 == final.v
-    ref = biharm.collocation.solve(bvp, x, y, v, final_max)
-    assert ref.converged and ref.niter > 1
-    assert abs(final.v - ref.v) <= 1e-14 * abs(ref.v)
-    s = np.union1d(final.x, ref.x)
-    assert np.max(np.abs(final(s)[0] - ref(s)[0])) <= 1e-12
+    ((bvp, x, y, v, max_nodes), res), = calls
+    assert x.size == _BVP_NODES and max_nodes == _BVP_MAX_NODES
+    assert res.niter == 2 and res.x.size > _BVP_NODES and sol.v0 == res.v
+    ref = solve_bvp(x=x, y=y, p=[v], tol=bvp.tol, max_nodes=max_nodes, **scipy_problem(bvp))
+    assert ref.status == 0
+    assert abs(sol.v0 - ref.p[0]) <= 1e-14 * abs(ref.p[0])
+    L = sol.spectrum.L
+    past = sol.s_grid >= math.log(_R_SWITCH)
+    assert np.max(np.abs(sol.W[past] - L * (1.0 + ref.sol(sol.s_grid[past])[0]))) <= 1e-12 * L
 
 
 def _cut(sol, keep):

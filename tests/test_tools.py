@@ -86,28 +86,31 @@ def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
 
 
 def test_shoot_cells_diff_reads_collocation_meshes(capsys):
-    # per cell the last collocation round's nodes/niter, old -> new: the
-    # final solve's (A, B), else the coarse round's (C, which failed after
-    # it); D's OLD record predates the key; then the cells whose rounds
-    # moved, out of those recorded on both sides (A keeps its mesh, B's
-    # final solve takes a round more, C's coarse round moves)
+    # per cell the collocation's last mesh and total rounds, old -> new; an
+    # OLD record of a tree with a coarse round adds its niter to the final
+    # solve's: A took a coarse round and one final round, as many as its
+    # one solve now; B's one solve takes a round more; C failed after its
+    # coarse round in OLD and records no solve in NEW; D's OLD record
+    # predates the key.  Then the cells whose mesh or rounds moved, out of
+    # those with both on both sides.
     old = {label: _ok("0x1p-2", 5, 9) for label in "ABD"}
     new = {label: _ok("0x1p-2", 5, 9) for label in "ABD"}
     old["C"], new["C"] = _failed("NoConvergence", 7, [8]), _failed("NoConvergence", 7, [8])
     coarse = {"nodes": [200], "niter": [1]}
-    old["A"]["bvp"] = new["A"]["bvp"] = {"coarse": coarse, "nodes": [684], "niter": [1]}
-    old["B"]["bvp"] = {"coarse": coarse, "nodes": [9441], "niter": [2]}
-    new["B"]["bvp"] = {"coarse": coarse, "nodes": [9441], "niter": [3]}
+    old["A"]["bvp"] = {"coarse": coarse, "nodes": [684], "niter": [1]}
+    new["A"]["bvp"] = {"nodes": [684], "niter": [2]}
+    old["B"]["bvp"] = {"coarse": coarse, "nodes": [9441], "niter": [3]}
+    new["B"]["bvp"] = {"nodes": [9441], "niter": [5]}
     old["C"]["bvp"] = {"coarse": coarse, "nodes": [], "niter": []}
-    new["C"]["bvp"] = {"coarse": {"nodes": [200], "niter": [2]}, "nodes": [], "niter": []}
-    new["D"]["bvp"] = {"coarse": coarse, "nodes": [300], "niter": [1]}
+    new["C"]["bvp"] = {"nodes": [], "niter": []}
+    new["D"]["bvp"] = {"nodes": [300], "niter": [2]}
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].split()[-4:] == ["mesh", "v0", "W", "dump"]
     meshes = {line.split()[0]: line.split()[-6:-3] for line in out[1:5]}
-    assert meshes == {"A": ["684/1", "->", "684/1"], "B": ["9441/2", "->", "9441/3"],
-                      "C": ["200/1", "->", "200/2"], "D": ["-", "->", "300/1"]}
-    assert "collocation meshes moved: 2 of 3" in out
+    assert meshes == {"A": ["684/2", "->", "684/2"], "B": ["9441/4", "->", "9441/5"],
+                      "C": ["200/1", "->", "-"], "D": ["-", "->", "300/2"]}
+    assert "collocation meshes moved: 1 of 2" in out
     # without collocation records on either side, the column reads "-"
     # and no count prints
     for rec in (old, new):
@@ -144,8 +147,8 @@ def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):
 
 def test_shoot_cells_trials_sum_to_n_bisect():
     # one _bisect call (stage 1), whose trials are n_bisect, and one chord
-    # take at r_max 500: a coarse round of one Newton solve on the 200 start
-    # nodes, then one final solve on the predicted mesh
+    # take at r_max 500: one collocation solve, its first round on the 200
+    # start nodes and its second on the mesh the first predicts
     rec = shoot_cells.shoot_cell("quick")
     assert rec["trials"] == [rec["n_bisect"]] and rec["params"]["alpha"] == 1.0
     # stage 1 at rtols from 1e-4 (the probe ladder) down to 1e-8, keyed by
@@ -160,9 +163,7 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     assert [shoot_cells.decade(r) for r in (1e-12, 1e-8, np.float64(9.99e-6), 1e-5, 1e-4)] == [
         "1e-12", "1e-08", "1e-06", "1e-05", "1e-04"]
     assert len(rec["w_sha256"]) == 64 and 0.0 < float(rec["seam_residual"]) < 1e-11
-    assert rec["bvp"]["coarse"] == {"nodes": [200], "niter": [1]}
-    assert len(rec["bvp"]["nodes"]) == len(rec["bvp"]["niter"]) == 1
-    assert rec["bvp"]["nodes"][0] >= 200 and rec["bvp"]["niter"][0] >= 1
+    assert rec["bvp"] == {"nodes": [645], "niter": [2]}
 
 
 def _expand(failed=(), error=None):

@@ -32,13 +32,12 @@ step failure (step_failures, solve_ivp's status -1) per chart; a solve that
 raises a typed error records its class and message instead.
 Every record also lists the trials of each _bisect call (stage 1's search;
 on a solve that returns they sum to n_bisect) and, under "bvp", the
-collocation stage's work: the mesh nodes and the rounds (niter, each one
-Newton solve) of each coarse round ("coarse": one Newton solve on the start
-mesh) and of each final solve (the other biharm.collocation.solve calls,
-told apart by the round their result names; a solve whose coarse round
-already meets the tolerance has none).  The keys read as those of the
-records of older trees, whose solve_bvp calls they counted. Nothing in the
-output depends on timing, so two trees can be compared with a plain diff.
+collocation stage's work: the final mesh's nodes and the rounds (niter,
+each one Newton solve on its own mesh) of each biharm.collocation.solve
+call that returns, one per solve.  Records of older trees split the rounds
+into a "coarse" round on the start mesh and the final solves after it.
+Nothing in the output depends on timing, so two trees can be compared with
+a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
 so the same script measures any tree that has verify.run_expansion (the
@@ -49,17 +48,18 @@ copy of this script.
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
 failed invariants), RHS evaluations, root-search trials (n_bisect; for a
-failed solve, the sum of its recorded trials), the nodes/niter of the last
-collocation round (the final solve's, else the coarse round's; "-" without
-one), whether v0 is bit-identical,
+failed solve, the sum of its recorded trials), the collocation's last mesh
+and total rounds as nodes/rounds ("-" without a solve that returned; in
+records of older trees, the last round's nodes, and the coarse round's
+niter plus the final solves'), whether v0 is bit-identical,
 whether W is (by w_sha256) and whether the dumps are (by dump_sha256; "-"
 when neither side has the hash), so W equal beside a differing dump means
 that Z moved and W did not; then |dv0|/|v0| for each cell whose v0
 differs and the largest over the cells with a v0 on both sides, the totals
 (RHS evaluations also by rtol, for a side whose records split them; step
 failures, "-" for a side whose records do not count them), the count of
-cells whose collocation rounds (the "bvp" record) moved, out of those with
-one on both sides, the ok counts and the identical dumps out of the cells
+cells whose collocation nodes/rounds moved, out of those with them on both
+sides, the ok counts and the identical dumps out of the cells
 with a dump on either side.
 For each cell with an expand record on either side it prints both sides'
 expand outcome (as for the solve, over the expansion invariants; "-"
@@ -120,8 +120,8 @@ def _args():
 
 def shoot_cell(label: str) -> dict:
     """Shoot one cell, counting solve_ivp calls, nfev and step failures per
-    chart, the trials of each root-search call and the nodes and niter of
-    each collocation.solve call."""
+    chart, the trials of each root-search call and the final nodes and
+    rounds of each collocation.solve call."""
     import biharm.collocation as collocation
     import biharm.shooting as shooting
     from biharm import BiharmError, ProblemParams, compute_ladder
@@ -134,7 +134,7 @@ def shoot_cell(label: str) -> dict:
     params = ProblemParams(n, p_of(ladder))
     calls, nfev, failures, trials = Counter(), Counter(), Counter(), []
     by_rtol = {"r": Counter(), "s": Counter()}
-    bvp = {"coarse": {"nodes": [], "niter": []}, "nodes": [], "niter": []}
+    bvp = {"nodes": [], "niter": []}
     plain, plain_bisect, plain_solve = shooting.solve_ivp, shooting._bisect, collocation.solve
 
     def counting(fun, *args, **kwargs):
@@ -153,9 +153,8 @@ def shoot_cell(label: str) -> dict:
 
     def counting_solve(*args, **kwargs):
         result = plain_solve(*args, **kwargs)
-        into = bvp["coarse"] if result.round == "coarse" else bvp
-        into["nodes"].append(int(result.x.size))
-        into["niter"].append(int(result.niter))
+        bvp["nodes"].append(int(result.x.size))
+        bvp["niter"].append(int(result.niter))
         return result
 
     shooting.solve_ivp, shooting._bisect, collocation.solve = counting, counting_bisect, counting_solve
@@ -250,13 +249,14 @@ def diff(old: dict, new: dict) -> int:
         return "equal" if o.get(key) == n.get(key) else "differs"
 
     def mesh(rec):
-        # nodes/niter of the last collocation round: the final solve's, else
-        # the coarse round's
+        # nodes/rounds: the last recorded mesh and the rounds of all solves,
+        # an older tree's coarse rounds first
         bvp = rec.get("bvp", {})
-        for rounds in (bvp, bvp.get("coarse", {})):
-            if rounds.get("nodes"):
-                return f"{rounds['nodes'][-1]}/{rounds['niter'][-1]}"
-        return "-"
+        coarse = bvp.get("coarse", {"nodes": [], "niter": []})
+        nodes = coarse["nodes"] + bvp.get("nodes", [])
+        if not nodes:
+            return "-"
+        return f"{nodes[-1]}/{sum(coarse['niter'] + bvp.get('niter', []))}"
 
     labels = [label for label in old if label in new]
     rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "mesh", "v0", "W", "dump")]
@@ -306,9 +306,9 @@ def diff(old: dict, new: dict) -> int:
     print(f"step failures: {failed[0]} -> {failed[1]}")
     print(f"trials: {sum(trials(old[label]) for label in labels)} -> "
           f"{sum(trials(new[label]) for label in labels)}")
-    both = [label for label in labels if "bvp" in old[label] and "bvp" in new[label]]
+    both = [label for label in labels if "-" not in (mesh(old[label]), mesh(new[label]))]
     if both:
-        moved = sum(old[label]["bvp"] != new[label]["bvp"] for label in both)
+        moved = sum(mesh(old[label]) != mesh(new[label]) for label in both)
         print(f"collocation meshes moved: {moved} of {len(both)}")
     ok_old = sum(outcome(old[label]) == "ok" for label in labels)
     ok_new = sum(outcome(new[label]) == "ok" for label in labels)
