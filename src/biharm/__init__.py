@@ -6,6 +6,8 @@ solver for the radial ODE (`shooting`), and asymptotic-expansion fitting
 (`expansion`).  The `cli` module exposes everything on the command line.
 """
 
+import importlib
+
 from .errors import (
     BiharmError,
     BracketNotFound,
@@ -34,29 +36,43 @@ from .ladder import (
     rk_eval,
     tail_limit,
 )
-from .shooting import (
-    BlowUp,
-    RadialSolution,
-    SignLoss,
-    dump_solution,
-    emden_fowler_residual,
-    integrate_radial,
-    rescale_solution,
-    shoot,
-    y_integral_identity_check,
-)
-from .expansion import (
-    ExpansionFit,
-    Nonlinearity,
-    Regime,
-    VariationKernel,
-    detect_regime,
-    fit_expansion,
-    g_eval,
-    representation_check,
-    taylor_coeffs,
-    variation_kernel,
-)
+
+# The solving layers load scipy; their names are imported on first use
+# (PEP 562), so `import biharm` and the algebra above load none of it.
+_LAZY = {
+    **dict.fromkeys([
+        "BlowUp",
+        "RadialSolution",
+        "SignLoss",
+        "dump_solution",
+        "emden_fowler_residual",
+        "integrate_radial",
+        "rescale_solution",
+        "shoot",
+        "y_integral_identity_check",
+    ], "shooting"),
+    **dict.fromkeys([
+        "ExpansionFit",
+        "Nonlinearity",
+        "Regime",
+        "VariationKernel",
+        "detect_regime",
+        "fit_expansion",
+        "g_eval",
+        "representation_check",
+        "taylor_coeffs",
+        "variation_kernel",
+    ], "expansion"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BiharmError",

@@ -4,6 +4,9 @@ Outputs are deterministic: payloads go to stdout (or --out), diagnostics and
 timings to stderr.  Exit codes: 0 success, 1 failed verification or
 computation, 2 invalid input.  Flag values override --config file entries,
 which override built-in defaults.
+
+The commands that solve (solve, expand, verify) import the solving layers
+when they run, so spectrum, critical and sweep load no scipy module.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ from .errors import (
     NoPcValue,
     SubcriticalInput,
 )
-from .expansion import check_window, detect_regime
 from .ladder import compute_ladder, ladder_length_formula, parity_boundary_check
 from .params import ProblemParams
-from .shooting import dump_solution, shoot
 from .spectrum import compute_spectrum
-from .verify import SCOPES, run_checks, run_expansion, solve_invariants
 
 _INPUT_ERRORS = (InvalidParams, SubcriticalInput, DomainError)
+
+# verify.SCOPES's names, written out so --scope does not import the solver
+# (tests/test_cli.py checks that the two agree)
+_SCOPES = ("algebra", "shooting", "default", "full")
 
 DEFAULTS = {"alpha": 1.0, "r_max": 1e4}
 
@@ -226,6 +230,9 @@ def critical(n, fmt, out):
 def solve(n, p, alpha, r_max, out, config):
     """Shoot for the entire positive solution, dump it (s, r, phi, W, Y, Z)
     and check its invariants."""
+    from .shooting import dump_solution, shoot
+    from .verify import solve_invariants
+
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
@@ -263,6 +270,10 @@ def solve(n, p, alpha, r_max, out, config):
 @config_option
 def expand(n, p, alpha, r_max, window, fmt, out, config):
     """Fit the asymptotic expansion of the solved profile and check it."""
+    from .expansion import check_window, detect_regime
+    from .shooting import shoot
+    from .verify import run_expansion, solve_invariants
+
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
@@ -306,12 +317,14 @@ def expand(n, p, alpha, r_max, window, fmt, out, config):
 
 
 @main.command()
-@click.option("--scope", type=click.Choice(list(SCOPES)), default="default",
+@click.option("--scope", type=click.Choice(_SCOPES), default="default",
               show_default=True)
 @format_option
 @out_option
 def verify(scope, fmt, out):
     """Run the module verification suites; nonzero exit on any failure."""
+    from .verify import run_checks
+
     results = run_checks(scope)
     for r in results:
         click.echo(f"{r.name}: {r.seconds:.2f}s", err=True)

@@ -2,10 +2,12 @@
 
 The method is Dormand and Prince's explicit Runge-Kutta pair of order 8 with
 error estimates of orders 5 and 3 and a 7th-order interpolant (Hairer,
-Norsett & Wanner, *Solving ODEs I*, Sec. II.10).  The tableau is read from the
-class attributes of scipy.integrate.DOP853, and the initial step, error norm,
-step controller and step-failure test follow scipy's, so a leg takes the
-steps scipy.integrate.solve_ivp(method="DOP853") takes, up to rounding.
+Norsett & Wanner, *Solving ODEs I*, Sec. II.10).  The tableau is
+scipy.integrate.DOP853's, held as float literals (class DOP853), and the
+initial step, error norm, step controller and step-failure test follow
+scipy's, so a leg takes the steps scipy.integrate.solve_ivp(method="DOP853")
+takes, up to rounding.  scipy is the reference of the tests only: loading
+scipy.integrate would cost more than the rest of the CLI's start.
 States are four Python floats, unrolled: on four entries numpy's per-call
 overhead is most of the cost of scipy's step.
 
@@ -18,8 +20,9 @@ end.  Every stage sum adds its terms in the row's order from the first and
 every state update is y_i + h (sum), so each float operation happens in the
 order of a loop over the tableau's rows (tests/test_ivp.py keeps that loop
 as the oracle).  Events carry a `direction` (+1 rising, -1 falling, 0
-both); the first root on the step whose end fires, located by brentq on the
-step's interpolant, ends the leg.
+both); the first root on the step whose end fires, located on the step's
+interpolant by Brent's method as scipy's brentq runs it (_brentq), ends the
+leg.
 """
 
 from __future__ import annotations
@@ -30,8 +33,95 @@ import textwrap
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
+
+
+class DOP853:
+    """DOP853's tableau under the names of scipy.integrate.DOP853's class
+    attributes.  Each literal is the repr of scipy's double (from scipy's
+    dop853_coefficients.py, after Hairer's dop853.f), so it reads back bit
+    for bit; tests/test_ivp.py compares them with scipy's."""
+
+    n_stages = 12
+    error_estimator_order = 7
+    A = np.array([
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.05260015195876773, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0197250569845379, 0.0591751709536137, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            0.0],
+        [0.02958758547680685, 0.0, 0.08876275643042054, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            0.0],
+        [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792, 0.0, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0, 0.0],
+        [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242, 0.0, 0.0,
+            0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125, 0.0,
+            0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+            -0.015319437748624402, 0.008273789163814023, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+            27.59209969944671, 20.154067550477894, -43.48988418106996, 0.0, 0.0, 0.0, 0.0],
+        [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+            21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+            0.0, 0.0, 0.0],
+        [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+            -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+            -3.0467644718982196, 0.0, 0.0],
+        [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+            -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+            12.360567175794303, 0.6433927460157636, 0.0],
+    ])
+    C = np.array([
+        0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+        0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+        1.0,
+    ])
+    B = np.array([
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+        0.04471061572777259,
+    ])
+    E3 = np.array([
+        -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+        0.02265179219836082, 0.0,
+    ])
+    E5 = np.array([
+        0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+        1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+        -0.022355307863886294, 0.0,
+    ])
+    A_EXTRA = np.array([
+        [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+            -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+            0.007567897660545699, -0.008298, 0.0, 0.0, 0.0],
+        [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+            -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+            -0.00034046500868740456, 0.1413124436746325, 0.0, 0.0],
+        [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+            4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+            2.9475147891527724, -9.15095847217987, 0.0],
+    ])
+    C_EXTRA = np.array([
+        0.1, 0.2, 0.7777777777777778,
+    ])
+    D = np.array([
+        [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+            2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+            0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+            -4.436036387594894],
+        [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+            -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+            -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+            35.81684148639408],
+        [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+            527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+            0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+            11.99229113618279],
+        [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+            357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+            29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+            -149.72683625798564],
+    ])
 
 
 def _rows(table):
@@ -50,7 +140,7 @@ _C_EXTRA = DOP853.C_EXTRA.tolist()
 _D = _rows(DOP853.D)
 _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0  # scipy's step controller
-_EPS = np.finfo(float).eps
+_BRENT_TOL, _BRENT_MAXITER = 4 * math.ulp(1.0), 100  # an event root's xtol = rtol; scipy's maxiter
 
 
 def _sum(row, i):
@@ -199,6 +289,65 @@ def _rms(v):
     return math.sqrt((v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]) / 4.0)
 
 
+def _signbit(x):
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f, xa, xb):
+    """The root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4):
+    scipy's brentq(f, xa, xb, xtol=4 eps, rtol=4 eps) operation for
+    operation (scipy/optimize/Zeros/brentq.c, at its 100 iterations), so it
+    returns the same double.  As scipy's, it raises ValueError on a NaN
+    value of f or on ends whose values have the same sign bit, returns an
+    end where f is exactly 0, and raises RuntimeError after 100 iterations
+    without convergence."""
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError(f"f({xa!r}) and f({xb!r}) have the same sign")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_TOL + _BRENT_TOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"no root within {_BRENT_TOL!r} after {_BRENT_MAXITER} iterations; last x={xcur!r}")
+
+
 def _point(step, t):
     """The state at a float t on step, a dense row, as four floats: the
     interpolant's Horner sum in x = (t - t_old) / h, last row first."""
@@ -288,11 +437,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     if status == 1:
         # last is the firing step, also dense's last row
         active = [ev for ev, on in zip(fun.events, fired) if on]
-        roots = [
-            brentq(lambda x, ev=ev: ev(x, _point(last, x)), last[0], last[1],
-                   xtol=4 * _EPS, rtol=4 * _EPS)
-            for ev in active
-        ]
+        roots = [_brentq(lambda x, ev=ev: ev(x, _point(last, x)), last[0], last[1]) for ev in active]
         first = min(range(len(active)), key=roots.__getitem__)
         event = active[first].__name__
         ts.append(roots[first])

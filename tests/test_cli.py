@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import biharm.cli
+import biharm.shooting
 from biharm import ProblemParams, compute_ladder, compute_spectrum, detect_regime
 from biharm.errors import LadderMismatch
 from biharm.cli import main
@@ -293,7 +294,7 @@ def test_expand_rejects_a_bad_window_before_the_solve(runner, pc13, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("expand shot a solve for an invalid window")
 
-    monkeypatch.setattr(biharm.cli, "shoot", refuse)
+    monkeypatch.setattr(biharm.shooting, "shoot", refuse)
     res = runner.invoke(main, ["expand", "--n", "13", "--p", str(pc13 + 0.5), "--window", *window])
     assert res.exit_code == 2, res.output
     lo, hi = (float(x) for x in window)
@@ -315,7 +316,7 @@ def test_expand_refuses_a_vanished_column(runner, sol_n200_10pc, monkeypatch):
         assert (params, alpha, r_max) == (sol_n200_10pc.params, 1.0, 1e4)
         return sol_n200_10pc
 
-    monkeypatch.setattr(biharm.cli, "shoot", solved)
+    monkeypatch.setattr(biharm.shooting, "shoot", solved)
     res = runner.invoke(main, ["expand", "--n", "200", "--p", repr(sol_n200_10pc.params.p)])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.exception
     assert res.stderr.startswith("error: fit design matrix: column a58 has maximum 0.0")
@@ -329,7 +330,7 @@ def test_expand_csv_lists_each_coefficient(runner, sol_a, monkeypatch):
         assert (params, alpha, r_max) == (sol_a.params, 1.0, 1e4)
         return sol_a
 
-    monkeypatch.setattr(biharm.cli, "shoot", solved)
+    monkeypatch.setattr(biharm.shooting, "shoot", solved)
     res = runner.invoke(main, ["expand", "--n", "13", "--p", repr(sol_a.params.p), "--format", "csv"])
     assert res.exit_code == 0, res.output
     fit = fit_expansion(sol_a, sol_a.spectrum, detect_regime(sol_a.params, compute_ladder(13)))
@@ -412,16 +413,50 @@ def test_config_file_precedence(runner, pc13, tmp_path):
     assert json.loads(res.stdout)["r_max"] == 100.0
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # importing scipy.signal costs about as much again as the whole CLI import,
-    # so the cold start must not pull it in
+_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+import biharm.cli, biharm.ladder, biharm.spectrum
+imported = scipy_modules()
+from biharm import ProblemParams, compute_pc, shoot
+shoot(ProblemParams(13, compute_pc(13) + 0.5), alpha=1.0, r_max=500.0)
+print(json.dumps({"import": imported, "shoot": scipy_modules()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded_scipy():
+    """The scipy modules a fresh interpreter holds after importing biharm.cli,
+    biharm.ladder and biharm.spectrum, and after one short shoot."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, biharm.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout)
+
+
+def test_cli_import_leaves_scipy_signal_unloaded(loaded_scipy):
+    # importing scipy.signal costs about as much again as the whole CLI import,
+    # so the cold start must not pull it in; nor may a solve pull in any
+    # scipy subpackage but linalg (the collocation's banded LU)
+    assert "scipy.signal" not in loaded_scipy["import"]
+    for name in ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse", "scipy.signal"):
+        assert name not in loaded_scipy["shoot"], name
+    assert "scipy.linalg" in loaded_scipy["shoot"]
+
+
+def test_algebra_commands_load_no_scipy(loaded_scipy):
+    # spectrum, critical and sweep need only the algebra layers; the solving
+    # layers are imported by the commands that solve
+    assert loaded_scipy["import"] == []
+
+
+def test_scope_choices_are_verify_scopes():
+    # --scope lists the scopes as literals, so declaring it imports no solver
+    scope, = (p for p in main.commands["verify"].params if p.name == "scope")
+    assert list(scope.type.choices) == list(SCOPES)
 
 
 @pytest.mark.parametrize("flags, config, name, value", [

@@ -4,7 +4,9 @@ Both integrate the shooter's legs at the shooter's tolerances; the driver
 follows scipy's algorithm, so the two agree up to rounding.  The driver's
 leg kernels, generated from the tableau, are also checked bit for bit
 against a reference integrator that loops over the tableau's rows and
-calls the same scalar right-hand side.
+calls the same scalar right-hand side.  The driver's tableau literals and
+its Brent root finder are checked against scipy's, which the driver no
+longer imports.
 """
 
 import math
@@ -17,7 +19,8 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from biharm import ProblemParams, compute_pc
-from biharm.ivp import Dense, solve_ivp
+from biharm import ivp
+from biharm.ivp import Dense, _brentq, _point, solve_ivp
 from biharm.shooting import (
     _PROBE_HI,
     _PROBE_LO,
@@ -81,6 +84,99 @@ def test_escape_radius_matches_scipy(case_a, shift, hit):
     assert fired == [ours.event] == [("sign_loss", "amplitude_cross")[hit]]
     assert ref.t_events[hit].size == 1
     assert abs(ours.t[-1] / ref.t_events[hit][0] - 1.0) < 1e-9
+
+
+def test_tableau_literals_are_scipys():
+    # every literal reads back as scipy's double, bit for bit
+    for name in ("A", "C", "B", "E3", "E5", "A_EXTRA", "C_EXTRA", "D"):
+        ours, ref = getattr(ivp.DOP853, name), getattr(DOP853, name)
+        assert np.array_equal(ours, ref) and ours.tobytes() == ref.tobytes(), name
+    assert ivp.DOP853.n_stages == DOP853.n_stages
+    assert ivp.DOP853.error_estimator_order == DOP853.error_estimator_order
+
+
+def _roots(f, a, b):
+    """The port's and scipy's brentq on f over [a, b], each as the root's
+    float.hex or the type of the exception raised."""
+    def outcome(solve):
+        try:
+            return solve().hex()
+        except (ValueError, RuntimeError) as exc:
+            return type(exc)
+    return (outcome(lambda: _brentq(f, a, b)),
+            outcome(lambda: brentq(f, a, b, xtol=4 * _EPS, rtol=4 * _EPS)))
+
+
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_brentq_port_matches_scipy_on_the_firing_step(case_a, shift):
+    # test_escape_radius_matches_scipy's legs: on the firing step each event's
+    # root is scipy's double, and the event that does not change sign raises
+    # scipy's ValueError
+    integ, seed, v0 = case_a
+    r0, y0 = seed(v0 * (1.0 - shift))
+    w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, **_TOL).y[:, -1])
+    leg = solve_ivp(integ.rhs_s, (math.log(_R_SWITCH), math.log(1e4)), w0, dense_output=True, **_TOL)
+    assert leg.status == 1
+    step = tuple(leg.sol.steps[-1].tolist())
+    outcomes = [_roots(lambda x, ev=ev: ev(x, _point(step, x)), step[0], step[1]) for ev in integ.rhs_s.events]
+    assert all(ours == ref for ours, ref in outcomes), outcomes
+    assert [ours for ours, _ in outcomes if ours is not ValueError] == [leg.t[-1].hex()]
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+    (lambda x: x * math.exp(x) - 1.0, 0.0, 2.0),
+    (lambda x: math.log(x) - 1.0, 1.0, 5.0),
+    (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 1.0),
+    (lambda x: 1e-300 * math.atan(x - math.pi), 1e-3, 1e3),
+    (lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0),  # a jump: |f| ties at every step
+    (lambda x: 1.0 if x > 4.0 / 3.0 else -1.0, 0.0, 2.0**50),  # ... converged at iteration 100
+])
+def test_brentq_port_matches_scipy_on_closed_forms(f, a, b):
+    ours, ref = _roots(f, a, b)
+    assert isinstance(ours, str) and ours == ref
+
+
+def test_brentq_port_matches_scipy_on_random_brackets():
+    # seeded cubics, exponentials, arctan steps and signed powers on brackets
+    # in either order; their roots take interpolation, extrapolation and
+    # bisection steps in every mix, and the other brackets raise (measured:
+    # 163 of the 400 have a root)
+    rng = np.random.default_rng(2011)
+    families = [
+        lambda c: lambda x: ((c[0] * x + c[1]) * x + c[2]) * x + c[3],
+        lambda c: lambda x: math.exp(c[0] * x) - abs(c[1]) - 0.01,
+        lambda c: lambda x: math.atan(10.0 ** (3.0 * abs(c[0])) * (x - c[1])) + 0.1 * c[2],
+        lambda c: lambda x: math.copysign(abs(x - c[0]) ** (0.1 + abs(c[1])), x - c[0]) + 0.01 * c[2],
+    ]
+    outcomes = []
+    for family in families:
+        for _ in range(100):
+            f = family(rng.standard_normal(4).tolist())
+            a, b = rng.uniform(-3.0, 3.0, 2).tolist()
+            outcomes.append(_roots(f, a, b))
+    assert [ours for ours, _ in outcomes] == [ref for _, ref in outcomes]
+    assert sum(isinstance(ours, str) for ours, _ in outcomes) > 100
+
+
+@pytest.mark.parametrize("f, a, b, error", [
+    (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, ValueError),  # a NaN value
+    (lambda x: x + 2.0, 0.0, 1.0, ValueError),  # ends of the same sign
+    (lambda x: (x - 1.0) ** 5, 0.0, 1.7, RuntimeError),  # 100 iterations, a flat root
+    (lambda x: 1.0 if x > 4.0 / 3.0 else -1.0, 0.0, 2.0**51, RuntimeError),  # ... a jump, 101 needed
+])
+def test_brentq_port_raises_as_scipy(f, a, b, error):
+    assert _roots(f, a, b) == (error, error)
+
+
+def test_brentq_port_returns_an_exact_zero_end():
+    # before the sign test, so a -0.0 end is a root too
+    assert _brentq(lambda x: x, 0.0, 1.0) == 0.0
+    assert _brentq(lambda x: -0.0 if x < 0.0 else -1.0, -1.0, 1.0) == -1.0
+    assert _brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    assert _roots(lambda x: x - 1.0, 0.0, 1.0) == ((1.0).hex(), (1.0).hex())
 
 
 def test_dense_output_replays_the_steps(case_a):
