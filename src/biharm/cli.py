@@ -11,7 +11,6 @@ when they run, so spectrum, critical and sweep load no scipy module.
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from contextlib import contextmanager
@@ -105,12 +104,13 @@ def _kv_rows(obj: dict, prefix: str = ""):
         yield f"{prefix}{k}", v
 
 
-def _as_kv_csv(obj: dict) -> str:
-    return "key,value\n" + "".join(f"{k},{v}\n" for k, v in _kv_rows(obj))
+def _csv(header, rows) -> str:
+    """The header, then one comma-joined line per row."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 def _report(obj: dict, fmt: str, out):
-    _emit(_as_json(obj) if fmt == "json" else _as_kv_csv(obj), out)
+    _emit(_as_json(obj) if fmt == "json" else _csv(("key", "value"), _kv_rows(obj)), out)
 
 
 @contextmanager
@@ -124,12 +124,6 @@ def _exit_on_error():
     except BiharmError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-
-
-def _invariant_payload(invariants) -> dict:
-    """{name: {value, bound, passed}} of verify.Invariant records."""
-    return {r.name: {"value": r.value, "bound": r.bound, "passed": r.passed}
-            for r in invariants}
 
 
 def _exit_if_failed(invariants):
@@ -231,7 +225,7 @@ def solve(n, p, alpha, r_max, out, config):
     """Shoot for the entire positive solution, dump it (s, r, phi, W, Y, Z)
     and check its invariants."""
     from .shooting import dump_solution, shoot
-    from .verify import solve_invariants
+    from .verify import invariant_payload, solve_invariants
 
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
@@ -252,7 +246,7 @@ def solve(n, p, alpha, r_max, out, config):
         "target_residual": sol.target_residual,
         "seam_residual": sol.seam_residual,
         "bisection_steps": sol.n_bisect,
-        "invariants": _invariant_payload(invariants),
+        "invariants": invariant_payload(invariants),
     }
     click.echo(_as_json(summary), nl=False)
     _exit_if_failed(invariants)
@@ -272,7 +266,7 @@ def expand(n, p, alpha, r_max, window, fmt, out, config):
     """Fit the asymptotic expansion of the solved profile and check it."""
     from .expansion import check_window, detect_regime
     from .shooting import shoot
-    from .verify import run_expansion, solve_invariants
+    from .verify import invariant_payload, run_expansion, solve_invariants
 
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
@@ -288,7 +282,6 @@ def expand(n, p, alpha, r_max, window, fmt, out, config):
         fit, drift, fit_invariants = run_expansion(sol, regime, window)
         invariants = solve_invariants(sol) + fit_invariants
 
-    checks = _invariant_payload(invariants)
     payload = {
         "n": n,
         "p": p,
@@ -303,14 +296,12 @@ def expand(n, p, alpha, r_max, window, fmt, out, config):
         "theoretical_slope": fit.theoretical_slope,
         "L": sol.spectrum.L,
         "window_shift_drift_se": {k_: v for k_, v in drift.items()},
-        "invariants": checks,
+        "invariants": invariant_payload(invariants),
     }
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write("coefficient,value,stderr,resolved\n")
-        for name, est in fit.coefficients.items():
-            buf.write(f"{name},{_fmt(est.value)},{_fmt(est.stderr)},{est.resolved}\n")
-        _emit(buf.getvalue(), out)
+        rows = [(name, _fmt(est.value), _fmt(est.stderr), est.resolved)
+                for name, est in fit.coefficients.items()]
+        _emit(_csv(("coefficient", "value", "stderr", "resolved"), rows), out)
     else:
         _report(payload, "json", out)
     _exit_if_failed(invariants)
@@ -333,12 +324,8 @@ def verify(scope, fmt, out):
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ])
     else:
-        buf = io.StringIO()
-        buf.write("name,passed,detail\n")
-        for r in results:
-            detail = r.detail.replace(",", ";")
-            buf.write(f"{r.name},{r.passed},{detail}\n")
-        payload = buf.getvalue()
+        payload = _csv(("name", "passed", "detail"),
+                       [(r.name, r.passed, r.detail.replace(",", ";")) for r in results])
     _emit(payload, out)
     for r in results:
         click.echo(f"{'PASS' if r.passed else 'FAIL'} {r.name}", err=True)
@@ -376,20 +363,13 @@ def sweep(n_min, n_max, fmt, out):
     if fmt == "json":
         payload = _as_json(rows)
     else:
-        buf = io.StringIO()
         header = ["n", "p_c", "N", "parity_boundary"] + [f"p_{k}" for k in range(1, n_col + 1)]
-        buf.write(",".join(header) + "\n")
-        for r in rows:
-            cells = [
-                str(r["n"]),
-                _fmt(r["p_c"]),
-                str(r["N"]),
-                _fmt(r["parity_boundary"]) if r["parity_boundary"] is not None else "",
-            ]
-            cells += [_fmt(x) for x in r["rungs"]]
-            cells += [""] * (n_col - len(r["rungs"]))
-            buf.write(",".join(cells) + "\n")
-        payload = buf.getvalue()
+        payload = _csv(header, [
+            [r["n"], _fmt(r["p_c"]), r["N"],
+             _fmt(r["parity_boundary"]) if r["parity_boundary"] is not None else ""]
+            + [_fmt(x) for x in r["rungs"]] + [""] * (n_col - len(r["rungs"]))
+            for r in rows
+        ])
     _emit(payload, out)
 
     counts = [r["N"] for r in rows]

@@ -189,7 +189,7 @@ def check_window(window: tuple[float, float]) -> None:
 
 def representation_check(
     sol: RadialSolution,
-    spec: Spectrum | None = None,
+    *,
     kern: VariationKernel | None = None,
     window: tuple[float, float] | None = None,
     return_details: bool = False,
@@ -201,9 +201,7 @@ def representation_check(
     coefficients by least squares on the window, and returns the maximum
     deviation normalized by max|Z| there.
     """
-    if spec is None:
-        spec = sol.spectrum
-    L = spec.L
+    spec = sol.spectrum
     s_all, Z_all = sol.s_grid, sol.Z
 
     if window is None:
@@ -219,7 +217,7 @@ def representation_check(
 
     i0 = int(np.searchsorted(s_all, kern.s0 - 1e-12))
     s = s_all[i0:]
-    nl = Nonlinearity(L=L, p=sol.params.p)
+    nl = Nonlinearity(L=spec.L, p=sol.params.p)
     g = _g_of_w(nl, sol.W[i0:])
     terms = _kernel_terms(kern, spec)
     convolve = (exp_kernel_convolve, weighted_kernel_convolve)

@@ -809,7 +809,7 @@ def exp_kernel_convolve(lam: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def y_integral_identity_check(sol: RadialSolution, spec: Spectrum | None = None) -> float:
+def y_integral_identity_check(sol: RadialSolution) -> float:
     """Deviation of Y from -int_s^inf e^{lam4 (s - tau)} Z(tau) dtau.
 
     The quadrature runs to the truncation point where |Z| falls below
@@ -817,9 +817,7 @@ def y_integral_identity_check(sol: RadialSolution, spec: Spectrum | None = None)
     decay is added.  Returns the maximum deviation over the probe window,
     normalized by max|Y| there.
     """
-    if spec is None:
-        spec = sol.spectrum
-    lam3, lam4 = spec.lambdas[2], spec.lambdas[3]
+    lam3, lam4 = sol.spectrum.lambdas[2], sol.spectrum.lambdas[3]
     s, Y, Z = sol.s_grid, sol.Y, sol.Z
     zmax = np.max(np.abs(Z))
     above = np.nonzero(np.abs(Z) >= 1e-12 * zmax)[0]

@@ -291,6 +291,13 @@ class Invariant:
         return f"{self.name} {self.value:.3g} {'<=' if self.passed else '>'} {self.bound:.3g}"
 
 
+def invariant_payload(invariants) -> dict:
+    """{name: {value, bound, passed}} of Invariant records, the one form in
+    which every report and record holds them."""
+    return {r.name: {"value": r.value, "bound": r.bound, "passed": r.passed}
+            for r in invariants}
+
+
 def solve_invariants(sol) -> tuple[Invariant, ...]:
     """The invariants of a shooting solution, in report order."""
     lam3 = sol.spectrum.lambdas[2]
@@ -327,7 +334,7 @@ def run_expansion(sol, regime, window=None):
     spec = sol.spectrum
     fit = fit_expansion(sol, spec, regime, window)
     drift = window_shift_stability(sol, spec, regime, window)
-    return fit, drift, expansion_invariants(spec, fit, drift, representation_check(sol, spec))
+    return fit, drift, expansion_invariants(spec, fit, drift, representation_check(sol))
 
 
 def _verdict(invariants):

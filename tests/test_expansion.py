@@ -245,7 +245,7 @@ def test_representation_s0_invariance(sol_a):
     for s0 in (window[0] - 1.0, window[0] - 0.3):
         kern = variation_kernel(spec, s0=s0)
         dev, details = representation_check(
-            sol_a, spec, kern, window=window, return_details=True
+            sol_a, kern=kern, window=window, return_details=True
         )
         assert dev < 1e-3
         recons.append(details.recon)
@@ -255,14 +255,13 @@ def test_representation_s0_invariance(sol_a):
 
 def test_representation_needs_forcing(sol_a):
     # with the convolution part zeroed out the homogeneous fit degrades
-    spec = sol_a.spectrum
-    base = representation_check(sol_a, spec)
+    base = representation_check(sol_a)
     hollow = VariationKernel(s0=None, betas=(0.0, 0.0, 0.0), degenerate=False)
     zmax = np.max(np.abs(sol_a.Z))
     idx = np.nonzero(np.abs(sol_a.Z) >= 1e-8 * zmax)[0]
     window = (float(sol_a.s_grid[idx[0]]), float(sol_a.s_grid[idx[-1]]))
     hollow = VariationKernel(s0=window[0], betas=(0.0, 0.0, 0.0), degenerate=False)
-    dev = representation_check(sol_a, spec, hollow, window=window)
+    dev = representation_check(sol_a, kern=hollow, window=window)
     assert dev > 10.0 * base
 
 
@@ -275,7 +274,7 @@ def test_kernel_ode_duality_closed_loop(sol_a):
     # must reproduce the forcing g(Y) on the interior window
     spec = sol_a.spectrum
     l1, l2, l3, _ = spec.lambdas
-    _, details = representation_check(sol_a, spec, return_details=True)
+    _, details = representation_check(sol_a, return_details=True)
     s, recon = details.s, details.recon
     h = s[1] - s[0]
     d1 = diff_uniform(recon, h, 1, acc=6)

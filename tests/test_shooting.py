@@ -583,7 +583,7 @@ def test_y_integral_identity(sol_quick):
     for bump in (1.01, 1.02):
         l = spec.lambdas
         fake = replace(spec, lambdas=(l[0], l[1], l[2], l[3] * bump))
-        devs.append(y_integral_identity_check(sol_quick, fake))
+        devs.append(y_integral_identity_check(replace(sol_quick, spectrum=fake)))
     assert devs[0] < devs[1] < devs[2]
 
 
@@ -798,7 +798,7 @@ def test_chord_ends_are_at_least_the_floor_apart():
     assert _chord_ends(-0.9, -0.9 * (1.0 + 3e-12)) == (-0.9 * (1.0 + 3e-12), -0.9)
 
 
-def test_chord_floor_keeps_the_seam_closed_at_n40_pc():
+def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_the_chord_floor():
     # n = 40 at p_c: with every stage-1 trial at rtol 1e-8 its bracket
     # collapsed to one ulp, and a chord between its ends would read the
     # legs' integration noise as the slope.  The solution below r_switch is
@@ -807,9 +807,10 @@ def test_chord_floor_keeps_the_seam_closed_at_n40_pc():
     # solve with _RTOL = 5e-13 (floor in place).  With the chord's ends
     # _RTOL |v0| apart v0 lay 1.9e-14 relative from it; between the
     # bracket's ends 1.0e-11 off.  With each trial at its bracket's rtol
-    # the bracket ends 1.3e-8 relative wide, wider than the floor, and v0
-    # lies 1.1e-15 from it; test_chord_floor_pins_v0_on_case_a_at_r_max_500
-    # covers a bracket the floor widens.
+    # the bracket ends 1.3e-8 relative wide, wider than the floor, so the
+    # floor does not engage, and v0 lies 1.1e-15 from it;
+    # test_chord_floor_pins_v0_on_case_a_at_r_max_500 covers a bracket the
+    # floor widens.
     sol = shoot(ProblemParams(40, compute_pc(40)), alpha=1.0, r_max=1e4)
     tight = float.fromhex("-0x1.d71ab8506c4f2p-1")
     assert abs(sol.v0 - tight) <= 1e-13 * abs(tight)
@@ -817,23 +818,29 @@ def test_chord_floor_keeps_the_seam_closed_at_n40_pc():
     assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
 
 
-def test_chord_floor_pins_v0_on_case_a_at_r_max_500(sol_quick, monkeypatch):
+def test_chord_floor_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a, monkeypatch):
     # Case A at r_max 500: stage 1's bracket ends 9.2e-14 relative wide,
     # narrower than _RTOL |v0|, so _chord_ends widens it about its midpoint,
     # and v0 lies 7.3e-13 relative outside it: t = (v0 - lo) / (hi - lo)
     # is -0.28 on the floor's chord and would be -7.8 on the bare bracket's.
     # Pinned: v0 of the solve with _RTOL = 5e-13 (floor in place).
     # Measured: v0 lies 3.5e-15 relative from it with the floor and 8.9e-15
-    # with the chord between the bracket's own ends.
+    # with the chord between the bracket's own ends.  That pin depends on
+    # the floor; case A (r_max 1e4, whose bracket the floor leaves alone)
+    # does not: v0 lies 2.3e-15 relative from case A's with the floor and
+    # 1.02e-14 with the bare chord, a bias from extrapolating the chord 7.8
+    # bracket widths (at _RTOL = 5e-13 the bare chord lies 1.04e-14 off).
     params = sol_quick.params
     sol, brackets, _ = _record_collocation(params, 500.0, monkeypatch)
     (up, dn), = brackets
     assert sol.v0 == sol_quick.v0 and abs(up - dn) < _RTOL * abs(sol.v0)
     tight = float.fromhex("-0x1.114bea1e69182p-2")
     assert abs(sol.v0 - tight) <= 5e-15 * abs(tight)
+    assert abs(sol.v0 - sol_a.v0) <= 5e-15 * abs(sol_a.v0)
     monkeypatch.setattr(biharm.shooting, "_chord_ends", lambda up, dn: (dn, up))
     bare = shoot(params, alpha=1.0, r_max=500.0)
     assert 5e-15 * abs(tight) < abs(bare.v0 - tight) <= 1.5e-14 * abs(tight)
+    assert abs(bare.v0 - sol_a.v0) > 5e-15 * abs(sol_a.v0)
     assert all(inv.passed for inv in solve_invariants(bare)), solve_invariants(bare)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
+import biharm.shooting
 from biharm import compute_ladder
 from biharm.cli import main
 
@@ -206,8 +207,10 @@ def test_shoot_cells_diff_reads_expand_outcomes(capsys):
 
 def test_shoot_cells_records_the_expand_pipeline(pc13):
     # the expand record is `biharm expand` on the same solve: regime, window,
-    # coefficients and the five expansion invariants with their bounds
-    rec = shoot_cells.shoot_cell("quick")["expand"]
+    # coefficients and the five expansion invariants with their bounds; with
+    # the solve's six they are the CLI's invariants payload, value for value
+    solve = shoot_cells.shoot_cell("quick")
+    rec = solve["expand"]
     res = CliRunner().invoke(main, ["expand", "--n", "13", "--p", repr(pc13 + 0.5),
                                     "--r-max", "500"])
     assert res.exit_code == 0, res.output
@@ -217,10 +220,8 @@ def test_shoot_cells_records_the_expand_pipeline(pc13):
     assert {name: float(est["value"]) for name, est in rec["coefficients"].items()} == {
         name: est["value"] for name, est in payload["coefficients"].items()}
     assert len(rec["checks"]) == 5
-    for name, check in rec["checks"].items():
-        cli = payload["invariants"][name]
-        assert check["passed"] is cli["passed"] is True and check["bound"] == cli["bound"]
-        assert check["value"] == (cli["value"] if cli["bound"] is None else repr(cli["value"]))
+    assert solve["checks"] | rec["checks"] == payload["invariants"]
+    assert all(check["passed"] is True for check in rec["checks"].values())
     assert shoot_cells.shoot_cell("A_r5")["expand"]["error"] == "WindowTooShort"
 
 
@@ -257,3 +258,47 @@ def test_shoot_cells_a10_is_case_a_at_height_10(monkeypatch):
     assert rec["params"] == {"n": 13, "p": repr(compute_ladder(13).p_c + 0.5), "r_max": 1e4,
                              "alpha": 10.0}
     assert shoot_cells.outcome(rec) == "ok" and shoot_cells.outcome(rec["expand"]) == "ok"
+
+
+def test_shoot_cells_records_the_failing_collocation_round(monkeypatch, capsys):
+    # a collocation.solve that raises NoConvergence records its round, that
+    # round's nodes and the nodes it predicts; case A at r_max 500 predicts
+    # 645 nodes from its 200 start nodes, above a cap of 400
+    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
+    rec = shoot_cells.shoot_cell("quick")
+    assert rec["error"] == "NoConvergence"
+    assert rec["bvp"] == {"nodes": [], "niter": [],
+                          "failed": {"round": 1, "nodes": 200, "predicted": 645}}
+    assert shoot_cells.failed_round("round 3 on 811 nodes: the band LU is singular") == {
+        "round": 3, "nodes": 811}
+    # --diff's mesh column shows the failing round, against a solve that
+    # returned on the other side and one that failed later
+    ok = _ok("0x1p-2", 5, 9)
+    ok["bvp"] = {"nodes": [645], "niter": [2]}
+    later = _failed("NoConvergence", 5, [9])
+    later["bvp"] = {"nodes": [], "niter": [], "failed": {"round": 2, "nodes": 645}}
+    assert shoot_cells.diff({"A": ok, "B": rec}, {"A": rec, "B": later}) == 1
+    out = capsys.readouterr().out.splitlines()
+    meshes = {line.split()[0]: line.split()[-6:-3] for line in out[1:3]}
+    assert meshes == {"A": ["645/2", "->", "200/1:failed"],
+                      "B": ["200/1:failed", "->", "645/2:failed"]}
+    assert "collocation meshes moved: 2 of 2" in out
+
+
+def test_shoot_cells_diff_names_error_class_changes(capsys):
+    # one line per cell whose solve (or expand) failed on both sides with
+    # different classes; the same class, a lost or a gained solve prints
+    # none, and the exit code is the one without these lines
+    old = {"A": _failed("NoConvergence", 5, [9]), "B": _failed("StepFailure", 5, [9]),
+           "C": _ok("0x1p-2", 5, 9), "D": _failed("StepFailure", 5, [9]),
+           "E": _ok("0x1p-2", 5, 9)}
+    new = {"A": _failed("StepFailure", 5, [9]), "B": _failed("StepFailure", 5, [9]),
+           "C": _ok("0x1p-2", 5, 9), "D": _ok("0x1p-2", 5, 9), "E": _ok("0x1p-2", 5, 9)}
+    old["E"]["expand"] = _expand(error="IllConditioned")
+    new["E"]["expand"] = _expand(error="WindowTooShort")
+    assert shoot_cells.diff(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("error class changed")] == [
+        "error class changed: A NoConvergence -> StepFailure",
+        "error class changed: expand E IllConditioned -> WindowTooShort",
+    ]

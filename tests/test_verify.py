@@ -32,7 +32,7 @@ def test_invariants_pass_in_report_order(sol_quick):
     fit = fit_expansion(sol_quick, spec, regime)
     drift = window_shift_stability(sol_quick, spec, regime)
     records = solve_invariants(sol_quick) + expansion_invariants(
-        spec, fit, drift, representation_check(sol_quick, spec)
+        spec, fit, drift, representation_check(sol_quick)
     )
     assert [r.name for r in records] == SOLVE_NAMES + EXPANSION_NAMES
     assert all(r.passed for r in records), [str(r) for r in records if not r.passed]

@@ -21,10 +21,12 @@ solve's v0 (repr and float hex), n_bisect, the end residual rho =
 target_residual, the seam residual at r_switch (seam_residual, on trees
 whose solutions carry it), the SHA-256 of its dump_solution text
 (dump_sha256, so a plain diff covers s, r, phi, W, Y and Z) and of its W
-array's bytes (w_sha256), the six solve invariants with their bounds, under
-"expand" the pipeline of `biharm expand` on the solution (regime and k, the
-default window, the coefficients and the five expansion invariants with
-their bounds, or the typed error it raised), and the solve_ivp calls and RHS
+array's bytes (w_sha256), the six solve invariants as
+verify.invariant_payload writes them (each check's value a JSON number or
+bool, its bound and whether it passed), under "expand" the pipeline of
+`biharm expand` on the solution (regime and k, the default window, the
+coefficients and the five expansion invariants, written the same way, or
+the typed error it raised), and the solve_ivp calls and RHS
 evaluations per chart, the latter also split by the decade of the legs'
 rtol (nfev_by_rtol, keyed "1e-12", "1e-08", ..., "1e-04": stage 1's loose
 shots apart from the full-tolerance legs), and the legs that ended in a
@@ -34,24 +36,28 @@ Every record also lists the trials of each _bisect call (stage 1's search;
 on a solve that returns they sum to n_bisect) and, under "bvp", the
 collocation stage's work: the final mesh's nodes and the rounds (niter,
 each one Newton solve on its own mesh) of each biharm.collocation.solve
-call that returns, one per solve.  Records of older trees split the rounds
-into a "coarse" round on the start mesh and the final solves after it.
+call that returns, one per solve; a call that raises NoConvergence records
+under "failed" its round, that round's nodes and, when the message names
+it, the node count the round predicts.  Records of older trees split the
+rounds into a "coarse" round on the start mesh and the final solves after
+it, and hold check values as repr strings.
 Nothing in the output depends on timing, so two trees can be compared with
 a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
 so the same script measures any tree that has verify.run_expansion (the
-expand pipeline it records); records of older trees come from their own
-copy of this script.
+expand pipeline it records) and verify.invariant_payload; records of older
+trees come from their own copy of this script.
 
 --diff compares two such outputs (say, of a parent tree and of a change)
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
 failed invariants), RHS evaluations, root-search trials (n_bisect; for a
 failed solve, the sum of its recorded trials), the collocation's last mesh
-and total rounds as nodes/rounds ("-" without a solve that returned; in
-records of older trees, the last round's nodes, and the coarse round's
-niter plus the final solves'), whether v0 is bit-identical,
+and total rounds as nodes/rounds ("-" without a collocation solve; a solve
+that failed shows its failing round's nodes, marked ":failed"; in records
+of older trees, the last round's nodes, and the coarse round's niter plus
+the final solves'), whether v0 is bit-identical,
 whether W is (by w_sha256) and whether the dumps are (by dump_sha256; "-"
 when neither side has the hash), so W equal beside a differing dump means
 that Z moved and W did not; then |dv0|/|v0| for each cell whose v0
@@ -59,8 +65,9 @@ differs and the largest over the cells with a v0 on both sides, the totals
 (RHS evaluations also by rtol, for a side whose records split them; step
 failures, "-" for a side whose records do not count them), the count of
 cells whose collocation nodes/rounds moved, out of those with them on both
-sides, the ok counts and the identical dumps out of the cells
-with a dump on either side.
+sides, the ok counts, one "error class changed" line for each cell whose
+solve (or expand) raised a typed error of a different class on each side,
+and the identical dumps out of the cells with a dump on either side.
 For each cell with an expand record on either side it prints both sides'
 expand outcome (as for the solve, over the expansion invariants; "-"
 without a record), then the expand-ok counts.  Records of older trees,
@@ -75,6 +82,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -121,12 +129,12 @@ def _args():
 def shoot_cell(label: str) -> dict:
     """Shoot one cell, counting solve_ivp calls, nfev and step failures per
     chart, the trials of each root-search call and the final nodes and
-    rounds of each collocation.solve call."""
+    rounds of each collocation.solve call (or the round it failed in)."""
     import biharm.collocation as collocation
     import biharm.shooting as shooting
-    from biharm import BiharmError, ProblemParams, compute_ladder
+    from biharm import BiharmError, NoConvergence, ProblemParams, compute_ladder
     from biharm.expansion import detect_regime
-    from biharm.verify import run_expansion, solve_invariants
+    from biharm.verify import invariant_payload, run_expansion, solve_invariants
 
     n, p_of, r_max, *height = KNOWN[label]
     alpha = height[0] if height else 1.0
@@ -152,7 +160,11 @@ def shoot_cell(label: str) -> dict:
         return result
 
     def counting_solve(*args, **kwargs):
-        result = plain_solve(*args, **kwargs)
+        try:
+            result = plain_solve(*args, **kwargs)
+        except NoConvergence as exc:
+            bvp["failed"] = failed_round(str(exc))
+            raise
         bvp["nodes"].append(int(result.x.size))
         bvp["niter"].append(int(result.niter))
         return result
@@ -177,7 +189,7 @@ def shoot_cell(label: str) -> dict:
         if hasattr(sol, "seam_residual"):
             rec["seam_residual"] = repr(float(sol.seam_residual))
         try:
-            rec["checks"] = _checks(solve_invariants(sol))
+            rec["checks"] = invariant_payload(solve_invariants(sol))
         except BiharmError as exc:
             rec["checks"] = {"error": type(exc).__name__, "message": str(exc)}
         try:
@@ -194,7 +206,7 @@ def shoot_cell(label: str) -> dict:
                            "resolved": est.resolved}
                     for name, est in fit.coefficients.items()
                 },
-                "checks": _checks(invariants),
+                "checks": invariant_payload(invariants),
             }
     finally:
         shooting.solve_ivp, shooting._bisect, collocation.solve = plain, plain_bisect, plain_solve
@@ -212,16 +224,16 @@ def decade(rtol: float) -> str:
     return f"{10.0 ** math.floor(math.log10(rtol)):.0e}"
 
 
-def _checks(invariants) -> dict:
-    """{name: {value, bound, passed}} of verify.Invariant records, floats as repr."""
-    return {
-        inv.name: {
-            "value": bool(inv.value) if inv.bound is None else repr(float(inv.value)),
-            "bound": inv.bound,
-            "passed": bool(inv.passed),
-        }
-        for inv in invariants
-    }
+def failed_round(message: str) -> dict:
+    """The round, its nodes and the nodes it predicts (when the message names
+    them) of a collocation.solve NoConvergence, read from the message's
+    leading "round k on m nodes"."""
+    k, m = re.match(r"round (\d+) on (\d+) nodes", message).groups()
+    failed = {"round": int(k), "nodes": int(m)}
+    predicted = re.search(r"predicts (\d+) nodes", message)
+    if predicted:
+        failed["predicted"] = int(predicted[1])
+    return failed
 
 
 def outcome(rec: dict) -> str:
@@ -250,13 +262,17 @@ def diff(old: dict, new: dict) -> int:
 
     def mesh(rec):
         # nodes/rounds: the last recorded mesh and the rounds of all solves,
-        # an older tree's coarse rounds first
+        # an older tree's coarse rounds first; a solve that failed ends on
+        # its failing round's nodes, marked ":failed"
         bvp = rec.get("bvp", {})
         coarse = bvp.get("coarse", {"nodes": [], "niter": []})
         nodes = coarse["nodes"] + bvp.get("nodes", [])
+        rounds = sum(coarse["niter"] + bvp.get("niter", []))
+        if "failed" in bvp:
+            return f"{bvp['failed']['nodes']}/{rounds + bvp['failed']['round']}:failed"
         if not nodes:
             return "-"
-        return f"{nodes[-1]}/{sum(coarse['niter'] + bvp.get('niter', []))}"
+        return f"{nodes[-1]}/{rounds}"
 
     labels = [label for label in old if label in new]
     rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "mesh", "v0", "W", "dump")]
@@ -313,6 +329,11 @@ def diff(old: dict, new: dict) -> int:
     ok_old = sum(outcome(old[label]) == "ok" for label in labels)
     ok_new = sum(outcome(new[label]) == "ok" for label in labels)
     print(f"ok: {ok_old} -> {ok_new} of {len(labels)}")
+    for label in labels:
+        o, n = old[label], new[label]
+        for what, a, b in (("", o, n), ("expand ", o.get("expand", {}), n.get("expand", {}))):
+            if "error" in a and "error" in b and a["error"] != b["error"]:
+                print(f"error class changed: {what}{label} {a['error']} -> {b['error']}")
     dumps = [same(old[label], new[label], "dump_sha256") for label in labels]
     print(f"identical dumps: {dumps.count('equal')} of {len(dumps) - dumps.count('-')}")
     expand = {}  # label -> (old, new) expand outcome, "-" for a side without a record
