@@ -30,14 +30,7 @@ class NoConvergence(BiharmError):
 
 
 class StepFailure(BiharmError):
-    """Adaptive integrator could not meet its tolerance below W = r^m phi = L.
-
-    r is the radius the leg failed at and chart its chart ("r" or "s").
-    """
-
-    def __init__(self, message, r=float("nan"), chart=None):
-        super().__init__(message)
-        self.r, self.chart = r, chart
+    """Adaptive integrator's step fell below 10 ulp before a leg's end or event."""
 
 
 class GridTooCoarse(BiharmError):

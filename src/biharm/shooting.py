@@ -50,7 +50,7 @@ _R_SERIES_CAP = 1.0  # largest radius of the series start
 _SERIES_ORDER = 24   # the series start keeps r^0 .. r^(2 * _SERIES_ORDER)
 _R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
 _R_HORIZON = 500.0   # least radius to which shoot classifies shots and collocates
-_BLOWUP = 1.5        # W/L at which a shot blows up; the entire solution keeps W < L
+_BLOWUP = 1.5        # W/L at which a shot blows up, at most; the entire solution keeps W < L
 _DS = 0.01           # uniform s-grid spacing of the returned solution
 # s from the returned lattice's last node, log r_max, out to where a solve
 # ends: the lattice stops short of the collocation's right end, where
@@ -254,8 +254,9 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
 # (Delta u)') in the r-chart, (W, W', W'', W''') in the s-chart.  u^p is
 # taken on the positive branch (trial states may dip below zero transiently)
 # and capped so rejected trial steps cannot overflow.  Blow-up is the
-# scale-aware bound r^m u >= _BLOWUP L = wcap.  No raw |u| ceiling: at
-# large p, u^p makes the ODE too stiff to follow that far.
+# scale-aware bound r^m u >= wcap = (1 + a) L, a = min(_BLOWUP - 1,
+# 20 / (p - 1)), where (W/L)^(p-1) has grown by at most e^20, so that u^p
+# cannot stall the steps before the event at any p.  No raw |u| ceiling.
 _POWER = "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0)"
 _CHARTS = {
     "r": system("rhs_r", ("p", "cap", "nm1", "m", "wcap"),
@@ -278,7 +279,8 @@ class _Integrator:
         self.pow_cap = 10.0 ** (295.0 / params.p)
         self.spec = compute_spectrum(params)
         self.L = self.spec.L
-        self.wcap = _BLOWUP * self.L
+        self.blowup = min(_BLOWUP - 1.0, 20.0 / (self.p - 1.0))  # W/L - 1 at blow-up
+        self.wcap = (1.0 + self.blowup) * self.L
         # each chart's right-hand side, with its events, on this
         # configuration's constants
         self.s_coeffs = c1, c2, c3, c4 = _s_operator_coeffs(self.n, self.m).tolist()[1:]
@@ -302,10 +304,9 @@ class _Integrator:
         """Integrate one leg of chart "r" or "s" over span at rtol (None:
         _RTOL), atol rtol / 100; returns (outcome, sol), sol the solve_ivp
         result.  outcome is the float residual W/L - 1 at the end of the
-        span, SignLoss at the sign_loss event, else BlowUp, at the radius r
-        the leg ended: the amplitude_cross event, or a step failure at W >= L
-        (the entire solution keeps W < L).  A step failure below L raises
-        StepFailure.
+        span, SignLoss at the sign_loss event, else BlowUp at the
+        amplitude_cross event, at the radius r the leg ended.  A step failure
+        raises StepFailure.
         """
         rtol = _RTOL if rtol is None else rtol
         sol = solve_ivp(
@@ -314,18 +315,17 @@ class _Integrator:
         )
         t_end = float(sol.t[-1])
         r_end = t_end if chart == "r" else math.exp(t_end)
-        w_end = float(t_end**self.m * sol.y[0, -1] if chart == "r" else sol.y[0, -1])
         if sol.status == 0:
+            w_end = float(t_end**self.m * sol.y[0, -1] if chart == "r" else sol.y[0, -1])
             return w_end / self.L - 1.0, sol
         if sol.event == "sign_loss":
             return SignLoss(r=r_end), sol
-        if sol.event or w_end >= self.L:
+        if sol.event:
             return BlowUp(r=r_end), sol
         raise StepFailure(
             f"{chart}-chart step failed at r = {r_end:.6g}: step size {sol.step:.3g} in "
             f"{chart} is below 10 ulp of {chart} = {t_end:.17g}, on the leg over {chart} "
-            f"in [{span[0]:.6g}, {span[1]:.6g}]",
-            r=r_end, chart=chart,
+            f"in [{span[0]:.6g}, {span[1]:.6g}]"
         )
 
     def shot(self, v0: float, r_max: float, dense: bool = False, rtol: float | None = None):
@@ -446,20 +446,21 @@ def _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect, seam):
     )
 
 
-def _escape_law(outcome, lam4: float, s_end: float) -> float:
+def _escape_law(outcome, blowup: float, lam4: float, s_end: float) -> float:
     """Escape-law value g of a shot's outcome at the horizon s_end: g >= 0 on
     the blow-up side, g < 0 on the sign-loss side.
 
     A shot that reaches the horizon has g = its end residual W/L - 1 (the
     true solution keeps Y < 0, so a positive residual means the unstable
-    deviation points up).  An escape at s_ev left W/L - 1 at amp =
-    _BLOWUP - 1 (blow-up) or -1 (sign loss); g carries it to the horizon
-    along the unstable mode, amp e^{lam4 (s_end - s_ev)}.  Near the separatrix every
-    escape obeys log|v0 - v0*| + lam4 s_ev = K, with one K per side, so on
-    each side g is linear in v0 with its own slope.
+    deviation points up).  An escape at s_ev left W/L - 1 at amp = blowup
+    (the integrator's, at its amplitude_cross event) or -1 (sign loss); g
+    carries it to the horizon along the unstable mode,
+    amp e^{lam4 (s_end - s_ev)}.  Near the separatrix every escape obeys
+    log|v0 - v0*| + lam4 s_ev = K, with one K per side, so on each side g
+    is linear in v0 with its own slope.
     """
     if isinstance(outcome, (BlowUp, SignLoss)):
-        amp = _BLOWUP - 1.0 if isinstance(outcome, BlowUp) else -1.0
+        amp = blowup if isinstance(outcome, BlowUp) else -1.0
         return amp * math.exp(min(700.0, lam4 * (s_end - math.log(outcome.r))))
     return outcome
 
@@ -571,7 +572,7 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
         outcome, _, sol_s = integ.shot(v0, r_cls, rtol=rtol)
         if sol_s is not None:
             s_legs[v0] = sol_s
-        g[v0] = _escape_law(outcome, lam4, s_cls)
+        g[v0] = _escape_law(outcome, integ.blowup, lam4, s_cls)
         return g[v0]
 
     # binary search the ladder for the adjacent flip pair, with ladder[0] on

@@ -256,7 +256,6 @@ def test_representation_s0_invariance(sol_a):
 def test_representation_needs_forcing(sol_a):
     # with the convolution part zeroed out the homogeneous fit degrades
     base = representation_check(sol_a)
-    hollow = VariationKernel(s0=None, betas=(0.0, 0.0, 0.0), degenerate=False)
     zmax = np.max(np.abs(sol_a.Z))
     idx = np.nonzero(np.abs(sol_a.Z) >= 1e-8 * zmax)[0]
     window = (float(sol_a.s_grid[idx[0]]), float(sol_a.s_grid[idx[-1]]))

@@ -22,6 +22,7 @@ from biharm import ProblemParams, compute_pc
 from biharm import ivp
 from biharm.ivp import Dense, _brentq, _point, solve_ivp
 from biharm.shooting import (
+    _CHARTS,
     _PROBE_HI,
     _PROBE_LO,
     _R_SWITCH,
@@ -43,6 +44,16 @@ def _both(integ, chart, span, y0, **kwargs):
 
 def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _at_the_old_cap(integ):
+    """integ with its r-chart right-hand side rebound at the blow-up bound
+    W = 1.5 L at every p: at large p, (W/L)^(p-1) then overflows before
+    the amplitude_cross event and a leg fails its step, which keeps the
+    kernel's step-failure path (status -1) under test."""
+    integ.rhs_r = _CHARTS["r"](p=integ.p, cap=integ.pow_cap, nm1=integ.n - 1.0, m=integ.m,
+                               wcap=1.5 * integ.L)
+    return integ
 
 
 @pytest.fixture(scope="module")
@@ -194,11 +205,16 @@ def test_dense_output_replays_the_steps(case_a):
 
 
 def test_large_p_first_probe_fails(pc15):
-    # n=15 at 100 p_c: the r-chart steps of the ladder's blow-up end
-    # (v0 = -1e-6) underflow, in both integrators, before r_switch
+    # n=15 at 100 p_c: the r-chart leg of the ladder's blow-up end
+    # (v0 = -1e-6) ends at the amplitude_cross event in both integrators;
+    # with the bound at 1.5 L its steps underflow, in both, before r_switch
+    # (measured: 1493 and 7790 RHS calls)
     integ = _Integrator(ProblemParams(15, 100.0 * pc15))
     r0, y0 = integ.start(_PROBE_HI, _R_SWITCH)
     ours, ref = _both(integ, "r", (r0, _R_SWITCH), y0)
+    assert ours.status == ref.status == 1 and ours.event == "amplitude_cross"
+    assert r0 < ours.t[-1] < _R_SWITCH
+    ours, ref = _both(_at_the_old_cap(integ), "r", (r0, _R_SWITCH), y0)
     assert ours.status == ref.status == -1
     assert r0 < ours.t[-1] < _R_SWITCH
     assert ours.step < 10.0 * np.spacing(ours.t[-1])
@@ -401,7 +417,8 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
     # Four kinds of leg on each chart's kernel, from seeded states near case
     # A's separatrix: plain and dense legs that reach their end, legs ended
     # by each event (plain and dense), and, in the r-chart, the step failure
-    # of n=15's first probe at 100 p_c (plain and dense).
+    # of n=15's first probe at 100 p_c with the blow-up bound at 1.5 L
+    # (plain and dense).
     integ = _Integrator(ProblemParams(13, compute_pc(13) + 0.5))
     rng = np.random.default_rng(1313)
     v0_sep = -0.2668911534367668
@@ -420,7 +437,7 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
     kinds = [(leg(next(near), False), 0), (leg(next(near), False), 0), (leg(next(near), True), 0)]
     if chart == "r":
         ends = [leg(_PROBE_LO, False), leg(_PROBE_HI, False), leg(_PROBE_HI, True)]
-        big = _Integrator(ProblemParams(15, 100.0 * pc15))
+        big = _at_the_old_cap(_Integrator(ProblemParams(15, 100.0 * pc15)))
         r0, y0 = big.start(_PROBE_HI, _R_SWITCH)
         kinds += [(_assert_leg_equals_the_loops(big, "r", (r0, _R_SWITCH), y0, dense), -1) for dense in (False, True)]
     else:

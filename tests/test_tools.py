@@ -125,16 +125,25 @@ def test_shoot_cells_diff_reads_collocation_meshes(capsys):
 
 def test_shoot_cells_diff_totals_step_failures(capsys):
     # each side's legs that ended in a step failure, summed over cells and
-    # charts; OLD records predate the count, still diff and print "-"
+    # charts; OLD records predate the count, still diff and print "-"; a
+    # cell whose count rises gets its own line, one whose count falls none
     old = {"A": _ok("0x1p-2", 50, 8), "F": _failed("StepFailure", 7, [8])}
     new = {"A": _ok("0x1p-2", 50, 8), "F": _failed("StepFailure", 7, [8])}
     for rec, counts in ((new["A"], (2, 1)), (new["F"], (1, 0))):
         for chart, count in zip("rs", counts):
             rec["ivp"][chart]["step_failures"] = count
-    assert shoot_cells.diff(old, new) == 0
-    assert "step failures: - -> 4" in capsys.readouterr().out.splitlines()
-    assert shoot_cells.diff(new, new) == 0
-    assert "step failures: 4 -> 4" in capsys.readouterr().out.splitlines()
+    more = json.loads(json.dumps(new))
+    more["A"]["ivp"]["s"]["step_failures"] = 3
+    for a, b, total in ((old, new, "- -> 4"), (new, new, "4 -> 4"), (more, new, "6 -> 4")):
+        assert shoot_cells.diff(a, b) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"step failures: {total}" in out
+        assert not any(line.startswith("step failures rose") for line in out)
+    assert shoot_cells.diff(new, more) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "step failures: 4 -> 6" in out
+    assert [line for line in out if line.startswith("step failures rose")] == [
+        "step failures rose: A 3 -> 5"]
 
 
 def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):

@@ -18,13 +18,12 @@ theory's range, n = 60 and n = 200 at the same five p's and r_max (n60_pc,
 ..., n200_100pc), are shot only when named in --cells, so --grid stays the
 same 25 cells.  Each record holds the
 solve's v0 (repr and float hex), n_bisect, the end residual rho =
-target_residual, the seam residual at r_switch (seam_residual, on trees
-whose solutions carry it), the SHA-256 of its dump_solution text
-(dump_sha256, so a plain diff covers s, r, phi, W, Y and Z) and of its W
-array's bytes (w_sha256), the six solve invariants as
-verify.invariant_payload writes them (each check's value a JSON number or
-bool, its bound and whether it passed), under "expand" the pipeline of
-`biharm expand` on the solution (regime and k, the default window, the
+target_residual, the seam residual at r_switch (seam_residual), the
+SHA-256 of its dump_solution text (dump_sha256, so a plain diff covers s,
+r, phi, W, Y and Z) and of its W array's bytes (w_sha256), the six
+solve invariants as verify.invariant_payload writes them (each check's
+value a JSON number or bool, its bound and whether it passed), under
+"expand" the pipeline of `biharm expand` on the solution (regime and k, the default window, the
 coefficients and the five expansion invariants, written the same way, or
 the typed error it raised), and the solve_ivp calls and RHS
 evaluations per chart, the latter also split by the decade of the legs'
@@ -63,7 +62,9 @@ when neither side has the hash), so W equal beside a differing dump means
 that Z moved and W did not; then |dv0|/|v0| for each cell whose v0
 differs and the largest over the cells with a v0 on both sides, the totals
 (RHS evaluations also by rtol, for a side whose records split them; step
-failures, "-" for a side whose records do not count them), the count of
+failures, "-" for a side whose records do not count them), one "step
+failures rose" line for each cell with more step-failed legs in NEW than
+in OLD (both sides counting them), the count of
 cells whose collocation nodes/rounds moved, out of those with them on both
 sides, the ok counts, one "error class changed" line for each cell whose
 solve (or expand) raised a typed error of a different class on each side,
@@ -185,9 +186,8 @@ def shoot_cell(label: str) -> dict:
             "v0_hex": v0.hex(),
             "n_bisect": sol.n_bisect,
             "rho": repr(float(sol.target_residual)),
+            "seam_residual": repr(float(sol.seam_residual)),
         }
-        if hasattr(sol, "seam_residual"):
-            rec["seam_residual"] = repr(float(sol.seam_residual))
         try:
             rec["checks"] = invariant_payload(solve_invariants(sol))
         except BiharmError as exc:
@@ -255,6 +255,13 @@ def diff(old: dict, new: dict) -> int:
     def trials(rec):
         return rec.get("n_bisect", sum(rec["trials"]))
 
+    def failures(rec):
+        # step-failed legs over both charts; None for records that do not count them
+        charts = rec["ivp"].values()
+        if not any("step_failures" in chart for chart in charts):
+            return None
+        return sum(chart.get("step_failures", 0) for chart in charts)
+
     def same(o, n, key):
         if key not in o and key not in n:
             return "-"
@@ -316,10 +323,14 @@ def diff(old: dict, new: dict) -> int:
                   + ", ".join(f"{rtol} {split[rtol]}" for rtol in rtols))
     failed = []  # each side's total, "-" when its records do not count them
     for rec in (old, new):
-        charts = [chart for label in labels for chart in rec[label]["ivp"].values()]
-        counted = any("step_failures" in chart for chart in charts)
-        failed.append(sum(chart.get("step_failures", 0) for chart in charts) if counted else "-")
+        counts = [failures(rec[label]) for label in labels]
+        counted = any(count is not None for count in counts)
+        failed.append(sum(count or 0 for count in counts) if counted else "-")
     print(f"step failures: {failed[0]} -> {failed[1]}")
+    for label in labels:
+        a, b = failures(old[label]), failures(new[label])
+        if a is not None and b is not None and b > a:
+            print(f"step failures rose: {label} {a} -> {b}")
     print(f"trials: {sum(trials(old[label]) for label in labels)} -> "
           f"{sum(trials(new[label]) for label in labels)}")
     both = [label for label in labels if "-" not in (mesh(old[label]), mesh(new[label]))]
