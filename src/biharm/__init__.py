@@ -37,8 +37,9 @@ from .ladder import (
     tail_limit,
 )
 
-# The solving layers load scipy; their names are imported on first use
-# (PEP 562), so `import biharm` and the algebra above load none of it.
+# The solving layers load scipy's top-level package and its LAPACK extension
+# (biharm.collocation); their names are imported on first use (PEP 562), so
+# `import biharm` and the algebra above load no scipy module.
 _LAZY = {
     **dict.fromkeys([
         "BlowUp",

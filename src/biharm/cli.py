@@ -6,7 +6,10 @@ computation, 2 invalid input.  Flag values override --config file entries,
 which override built-in defaults.
 
 The commands that solve (solve, expand, verify) import the solving layers
-when they run, so spectrum, critical and sweep load no scipy module.
+when they run, so spectrum, critical and sweep load no scipy module.  A
+solve loads scipy's top-level package and one extension,
+scipy.linalg._flapack, for the collocation's banded LU; not the scipy.linalg
+package, whose import costs about 0.3 s through scipy's array-API shim.
 """
 
 from __future__ import annotations

@@ -21,19 +21,49 @@ the n collocation residuals of each interval in turn, the right
 condition), the Jacobian is a band with 2n - 2 subdiagonals and n
 superdiagonals, so LAPACK's banded LU (dgbtrf / dgbtrs) factors it in
 O(m) with no bordering (Ascher, Mattheij & Russell, Numerical Solution of
-Boundary Value Problems for ODEs, 1995, ch. 7).
+Boundary Value Problems for ODEs, 1995, ch. 7).  The two routines are
+scipy's, the ones scipy.linalg.lapack re-exports, taken from its extension
+scipy.linalg._flapack: a solve loads scipy's top-level package and that one
+extension, not the scipy.linalg package (see _load_flapack).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+import scipy
 
 from .errors import NoConvergence
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, scipy.linalg._flapack, loaded alone.  The
+    package import that scipy.linalg.lapack goes through costs about 0.3 s,
+    most of it in scipy's array-API shim, which star-imports numpy and so
+    loads numpy.f2py, numpy.testing and numpy.ma.  The module is registered
+    under its own name, so a later import of scipy.linalg.lapack re-exports
+    these very routines; a missing file raises ImportError naming its path."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        base = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+        path = next((base + s for s in EXTENSION_SUFFIXES if os.path.exists(base + s)),
+                    base + EXTENSION_SUFFIXES[0])
+        loader = ExtensionFileLoader(name, path)
+        module = module_from_spec(spec_from_loader(name, loader))
+        sys.modules[name] = module
+        loader.exec_module(module)
+    return sys.modules[name]
+
+
+_flapack = _load_flapack()
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 # solve_bvp's Newton constants
 _MAX_NJEV = 4     # Jacobians, each factored once, per round

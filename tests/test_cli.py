@@ -421,14 +421,20 @@ import biharm.cli, biharm.ladder, biharm.spectrum
 imported = scipy_modules()
 from biharm import ProblemParams, compute_pc, shoot
 shoot(ProblemParams(13, compute_pc(13) + 0.5), alpha=1.0, r_max=500.0)
-print(json.dumps({"import": imported, "shoot": scipy_modules()}))
+shot = sorted(sys.modules)
+import biharm.collocation, scipy.linalg.lapack
+same = {name: getattr(scipy.linalg.lapack, name) is getattr(biharm.collocation, name)
+        for name in ("dgbtrf", "dgbtrs")}
+print(json.dumps({"import": imported, "shoot": shot, "same": same}))
 """
 
 
 @pytest.fixture(scope="module")
 def loaded_scipy():
     """The scipy modules a fresh interpreter holds after importing biharm.cli,
-    biharm.ladder and biharm.spectrum, and after one short shoot."""
+    biharm.ladder and biharm.spectrum; every module it holds after one short
+    shoot; and, once scipy.linalg.lapack is imported after that, whether its
+    dgbtrf and dgbtrs are the collocation's."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -439,12 +445,20 @@ def loaded_scipy():
 
 def test_cli_import_leaves_scipy_signal_unloaded(loaded_scipy):
     # importing scipy.signal costs about as much again as the whole CLI import,
-    # so the cold start must not pull it in; nor may a solve pull in any
-    # scipy subpackage but linalg (the collocation's banded LU)
+    # so the cold start must not pull in any scipy subpackage; a solve loads
+    # the LAPACK extension alone, since the scipy.linalg package costs about
+    # 0.3 s through scipy's array-API shim, which loads numpy.f2py,
+    # numpy.testing and numpy.ma
     assert "scipy.signal" not in loaded_scipy["import"]
-    for name in ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse", "scipy.signal"):
-        assert name not in loaded_scipy["shoot"], name
-    assert "scipy.linalg" in loaded_scipy["shoot"]
+    shot = loaded_scipy["shoot"]
+    for name in ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse",
+                 "scipy.signal", "scipy.linalg", "scipy._lib._array_api",
+                 "numpy.f2py", "numpy.testing", "numpy.ma"):
+        assert name not in shot, name
+    assert "scipy.linalg._flapack" in shot
+    # a later import of scipy.linalg.lapack finds the same extension, so the
+    # band LU is the very routine scipy.linalg.lapack re-exports
+    assert loaded_scipy["same"] == {"dgbtrf": True, "dgbtrs": True}
 
 
 def test_algebra_commands_load_no_scipy(loaded_scipy):
