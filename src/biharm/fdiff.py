@@ -50,7 +50,3 @@ def diff_uniform(y: np.ndarray, h: float, deriv: int, acc: int = 4) -> np.ndarra
         out += wj * y[half + off : half + off + n]
     return out
 
-
-def stencil_margin(max_deriv: int, acc: int = 4) -> int:
-    """Interior margin consumed by the widest stencil up to order `max_deriv`."""
-    return int(central_offsets(max_deriv, acc)[-1])

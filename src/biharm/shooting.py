@@ -39,7 +39,6 @@ from .errors import (
     StepFailure,
     WindowTooShort,
 )
-from .fdiff import diff_uniform, stencil_margin
 from .ivp import solve_ivp, system
 from .params import ProblemParams
 from .spectrum import Spectrum, compute_spectrum
@@ -82,8 +81,6 @@ _RESOLUTION_FLOOR = 1e-10
 # |Y|/L below which the decay slope and the default fit window end, a decade
 # clear of _RESOLUTION_FLOOR
 _DECAY_FLOOR = 1e-9
-# accuracy order of the central stencils in the Emden-Fowler residual
-_EF_ACC = 4
 # the integrator's rtol for every leg the solution is built from (the
 # chord's two r-chart legs): its atol is _RTOL / 100 and the collocation's
 # tol is 100 _RTOL; the chord's ends lie at least _RTOL |v0| apart
@@ -114,18 +111,20 @@ class SignLoss:
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Entire positive radial solution with phi(0) = alpha, as solved: W =
-    r^m phi and Z = Y' - lam4 Y = W' - lam4 Y on the s-lattice s_grid.
+    """Entire positive radial solution with phi(0) = alpha, as solved: the
+    state X = (W, W', W'', W''') of W = r^m phi, shape (4, s_grid.size),
+    on the s-lattice s_grid.
 
-    W and W' are sampled from the states the phi(0) = 1 solve was solved
-    in: up to r_switch the r-chart part (shoot's: the chord at v0 between
-    two r-chart legs; a single shot's: its one leg; each leg's series below
-    its start), the s-chart beyond.  The scale map to phi(0) = alpha keeps W
-    and Z and shifts s_grid; r_grid = e^s, phi = W / r^m and Y = W - L
-    follow from them.  seam_residual is max_i |X_i - X_r,i| / L at
-    r_switch, between the s-chart's start state X = (W, W', W'', W''') and
-    the r-chart part's end state X_r; it is 0.0 for a single shot, whose
-    s-chart starts from X_r.
+    X is sampled from the states the phi(0) = 1 solve was solved in: up to
+    r_switch the r-chart part (shoot's: the chord at v0 between two r-chart
+    legs; a single shot's: its one leg; each leg's series below its start),
+    mapped to s-derivatives by _r_to_s_state, the s-chart beyond.  The scale
+    map to phi(0) = alpha keeps X and shifts s_grid.  Everything else
+    follows from them: W = X[0], Z = Y' - lam4 Y = W' - lam4 Y,
+    r_grid = e^s, phi = W / r^m and Y = W - L.  seam_residual is
+    max_i |X_i - X_r,i| / L at r_switch, between the s-chart's start state
+    and the r-chart part's end state X_r; it is 0.0 for a single shot,
+    whose s-chart starts from X_r.
     """
 
     params: ProblemParams
@@ -133,11 +132,18 @@ class RadialSolution:
     v0: float
     spectrum: Spectrum
     s_grid: np.ndarray
-    W: np.ndarray
-    Z: np.ndarray
+    X: np.ndarray
     target_residual: float
     seam_residual: float
     n_bisect: int  # stage-1 root-search trials, model steps and midpoints alike
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.X[0]
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self.X[1] - self.spectrum.lambdas[3] * (self.X[0] - self.spectrum.L)
 
     @property
     def r_grid(self) -> np.ndarray:
@@ -390,37 +396,34 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return replace(outcome, r=outcome.r / kappa)
-    tail = (lambda s: sol_s.sol(s)[:2]) if sol_s else None
+    tail = sol_s.sol if sol_s else None
     sol = _assemble_solution(integ, v0, r_max, ((v0, sol_r),), 0.0, tail, n_bisect=0, seam=0.0)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
-def _sample_w(integ, legs, t, tail, s_nodes):
-    """W = r^m phi and W' at s_nodes, from the solved states.
+def _sample_state(integ, legs, t, tail, s_nodes):
+    """The state X of W = r^m phi at s_nodes, from the solved states.
 
     Nodes below log r_switch come from the r-chart (all of them when tail,
-    the s-chart's (W, W') at ascending s, is None).  legs holds the (v0,
-    dense r-chart leg) pairs at a chord's ends lo and hi, one pair standing
-    for both; on each, (u, u') comes from the series at its v0 below the
-    leg's start r0 and from the leg from r0 on.  A node's (u, u') is
-    u_lo + t (u_hi - u_lo), and W' = r^m (m u + r u').
+    the s-chart's X at ascending s, is None).  legs holds the (v0, dense
+    r-chart leg) pairs at a chord's ends lo and hi, one pair standing for
+    both; on each, the r-chart state comes from the series at its v0 below
+    the leg's start r0 and from the leg from r0 on.  A node's state is
+    y_lo + t (y_hi - y_lo), mapped to X by _r_to_s_state.
     """
-    W, dW = np.empty(s_nodes.size), np.empty(s_nodes.size)
+    X = np.empty((4, s_nodes.size))
     from_r = s_nodes < math.log(_R_SWITCH) if tail else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
         rr = np.exp(s_nodes[from_r])
-        ends = np.empty((len(legs), 2, rr.size))  # (u, u') on each leg
+        ends = np.empty((len(legs), 4, rr.size))  # the r-chart state on each leg
         for end, (v0, sol_r) in zip(ends, legs):
             seeded = rr < sol_r.t[0]
-            end[:, seeded] = integ.series(v0).state(rr[seeded])[:2]
-            end[:, ~seeded] = sol_r.sol(rr[~seeded])[:2]
-        u, du = ends[0] + t * (ends[-1] - ends[0])
-        rm = rr**integ.m
-        W[from_r] = rm * u
-        dW[from_r] = rm * (integ.m * u + rr * du)
+            end[:, seeded] = integ.series(v0).state(rr[seeded])
+            end[:, ~seeded] = sol_r.sol(rr[~seeded])
+        X[:, from_r] = _r_to_s_state(integ.n, integ.m, rr, ends[0] + t * (ends[-1] - ends[0]))
     if tail:
-        W[~from_r], dW[~from_r] = tail(s_nodes[~from_r])
-    return W, dW
+        X[:, ~from_r] = tail(s_nodes[~from_r])
+    return X
 
 
 def _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect, seam):
@@ -428,9 +431,8 @@ def _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect, seam):
     # so that r_max itself is a node
     s_top = math.log(r_max)
     s_grid = s_top + _DS * np.arange(-math.floor((s_top - math.log(_R_SEED)) / _DS), 1)
-    W, dW = _sample_w(integ, legs, t, tail, s_grid)
-    Z = dW - integ.spec.lambdas[3] * (W - integ.L)
-    for a in (s_grid, W, Z):
+    X = _sample_state(integ, legs, t, tail, s_grid)
+    for a in (s_grid, X):
         a.flags.writeable = False
     return RadialSolution(
         params=integ.params,
@@ -438,9 +440,8 @@ def _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect, seam):
         v0=v0,
         spectrum=integ.spec,
         s_grid=s_grid,
-        W=W,
-        Z=Z,
-        target_residual=float(W[-1] / integ.L - 1.0),
+        X=X,
+        target_residual=float(X[0, -1] / integ.L - 1.0),
         seam_residual=seam,
         n_bisect=n_bisect,
     )
@@ -611,7 +612,7 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
 
     def tail(s):
         y = res(s)
-        return L * (1.0 + y[0]), L * y[1]
+        return L * (1.0 + y[0]), L * y[1], L * y[2], L * y[3]
 
     sol = _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect=n_iter, seam=seam)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
@@ -726,7 +727,8 @@ def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:
     If phi solves the equation then kappa^m phi(kappa r) solves it with initial
     height kappa^m phi(0), kappa = (alpha / sol.alpha)^(1/m) as checked by
     _scale: the s-grid shifts by -log(kappa), v0 scales by kappa^{m+2}, and
-    W and Z, unchanged pointwise, are sol's own arrays.
+    X, whose s-derivatives do not change under the shift, is sol's own
+    array.
     """
     m = sol.params.m
     kappa = _scale(m, alpha / sol.alpha)
@@ -735,31 +737,31 @@ def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:
 
 
 def emden_fowler_residual(sol: RadialSolution) -> float:
-    """Residual of Q4(m - d/ds) W - W^p by interior central stencils.
+    """Lattice defect of the solved state X = (W, W', W'', W''') in the
+    first-order system X' = F(X) of Q4(m - d/ds) W = W^p.
 
-    Expands the operator into derivative coefficients of orders 0..4, applies
-    order-_EF_ACC central differences on the uniform s-grid, and returns the
-    maximum interior residual normalized by max(W^p).
+    With D the 7-point central first difference (order 6) on the uniform
+    s-grid, the largest over the interior nodes of |D X_k - X_{k+1}| /
+    max|W| (k = 0, 1, 2: W must agree with its carried derivatives) and of
+    |D X_3 + c1 X_3 + c2 X_2 + c3 X_1 + c4 X_0 - W^p| / max W^p.  Noise in
+    X is amplified by 1/h; at order 4, D's truncation error read 6.3e-6 on
+    n = 40 at p_c.
     """
-    s, W = sol.s_grid, sol.W
+    s, X = sol.s_grid, sol.X
     h = s[1] - s[0]
     if not np.allclose(np.diff(s), h, rtol=1e-9):
         raise InvalidParams("s-grid must be uniform for stencil differentiation")
-    margin = stencil_margin(4, _EF_ACC)
-    if s.size - 2 * margin < 9:
-        raise GridTooCoarse(
-            f"{s.size} nodes leave fewer than 9 interior points for order-{_EF_ACC} stencils"
-        )
-    coeffs = _s_operator_coeffs(sol.params.n, sol.params.m)  # [1, -e1, e2, -e3, e4]
-    n_int = s.size - 2 * margin
-    total = coeffs[4] * W[margin:-margin]
-    for d in range(1, 5):
-        dW = diff_uniform(W, h, d, acc=_EF_ACC)
-        half = (W.size - dW.size) // 2
-        off = margin - half
-        total = total + coeffs[4 - d] * dW[off : off + n_int]
-    forcing = _power(W[margin:-margin], sol.params.p)
-    return float(np.max(np.abs(total - forcing)) / np.max(forcing))
+    if s.size < 7:
+        raise GridTooCoarse(f"{s.size} nodes leave no interior point for a 7-point stencil")
+    n = s.size - 6  # interior nodes
+    DX = sum(w * (X[:, 3 + k : 3 + k + n] - X[:, 3 - k : 3 - k + n])
+             for k, w in ((1, 45.0), (2, -9.0), (3, 1.0))) / (60.0 * h)
+    Xi = X[:, 3:-3]
+    c1, c2, c3, c4 = _s_operator_coeffs(sol.params.n, sol.params.m)[1:]
+    forcing = _power(Xi[0], sol.params.p)
+    top = DX[3] + c1 * Xi[3] + c2 * Xi[2] + c3 * Xi[1] + c4 * Xi[0] - forcing
+    return float(max(np.max(np.abs(DX[:3] - Xi[1:])) / np.max(np.abs(Xi[0])),
+                     np.max(np.abs(top)) / np.max(forcing)))
 
 
 def _phis(z: float, count: int) -> list[float]:
@@ -795,7 +797,7 @@ def exp_kernel_convolve(lam: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     first = np.clip(steps - 1, 0, size - width)  # each step's first node
     shifts = first - steps
     inc = np.empty(size - 1)
-    for shift in np.unique(shifts).tolist():
+    for shift in sorted(set(shifts.tolist())):
         # the kernel's moments against the Lagrange basis on the nodes
         # shift, shift + 1, ... (in steps from the step's left end)
         nodes = np.arange(shift, shift + width, dtype=float)

@@ -420,7 +420,8 @@ def scipy_modules():
 import biharm.cli, biharm.ladder, biharm.spectrum
 imported = scipy_modules()
 from biharm import ProblemParams, compute_pc, shoot
-shoot(ProblemParams(13, compute_pc(13) + 0.5), alpha=1.0, r_max=500.0)
+from biharm.verify import solve_invariants
+solve_invariants(shoot(ProblemParams(13, compute_pc(13) + 0.5), alpha=1.0, r_max=500.0))
 shot = sorted(sys.modules)
 import biharm.collocation, scipy.linalg.lapack
 same = {name: getattr(scipy.linalg.lapack, name) is getattr(biharm.collocation, name)
@@ -433,8 +434,9 @@ print(json.dumps({"import": imported, "shoot": shot, "same": same}))
 def loaded_scipy():
     """The scipy modules a fresh interpreter holds after importing biharm.cli,
     biharm.ladder and biharm.spectrum; every module it holds after one short
-    shoot; and, once scipy.linalg.lapack is imported after that, whether its
-    dgbtrf and dgbtrs are the collocation's."""
+    shoot and its six solve invariants; and, once scipy.linalg.lapack is
+    imported after that, whether its dgbtrf and dgbtrs are the
+    collocation's."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -448,7 +450,7 @@ def test_cli_import_leaves_scipy_signal_unloaded(loaded_scipy):
     # so the cold start must not pull in any scipy subpackage; a solve loads
     # the LAPACK extension alone, since the scipy.linalg package costs about
     # 0.3 s through scipy's array-API shim, which loads numpy.f2py,
-    # numpy.testing and numpy.ma
+    # numpy.testing and numpy.ma; the solve's checks load no numpy.ma either
     assert "scipy.signal" not in loaded_scipy["import"]
     shot = loaded_scipy["shoot"]
     for name in ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse",

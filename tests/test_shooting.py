@@ -64,6 +64,13 @@ from biharm.shooting import (
 )
 
 
+def _state(W, Z, lam4, L):
+    """The state X = (W, W', W'', W''') for a check that reads only W and Z:
+    W' = Z + lam4 (W - L); W'' and W''' are NaN, so a read of them shows."""
+    W = np.asarray(W, dtype=float)
+    return np.vstack((W, Z + lam4 * (W - L), np.full((2, W.size), np.nan)))
+
+
 def test_fd_weights_reproduce_exponential():
     # stencils generated from the moment system must differentiate e^{cs}
     c, h = 1.7, 0.01
@@ -531,7 +538,7 @@ def test_scale_covariance(pc13):
     base = shoot(params, alpha=1.0, r_max=100.0)
     alpha = 2.0**m
     mapped = rescale_solution(base, alpha)
-    assert mapped.W is base.W and mapped.Z is base.Z
+    assert mapped.X is base.X
     kappa = alpha ** (1.0 / m)
     assert np.array_equal(mapped.s_grid, base.s_grid - math.log(kappa))
     assert np.allclose(mapped.phi, kappa**m * base.phi, rtol=1e-13, atol=0.0)
@@ -570,38 +577,58 @@ def test_decay_slope_matches_lam3(sol_quick):
 
 def test_emden_fowler_residual(sol_quick):
     res = emden_fowler_residual(sol_quick)
-    assert res < 1e-4
-    # the singular solution W = L satisfies the transform identically
+    assert res < 1e-6  # measured 9.5e-11
+    # the singular solution X = (L, 0, 0, 0) satisfies the system identically
     L = sol_quick.spectrum.L
-    flat = replace(sol_quick, W=np.full_like(sol_quick.W, L))
-    # constant W: the defect is pure stencil rounding, eps amplified by 1/h^4
-    assert emden_fowler_residual(flat) < 1e-7
-    # residual is sensitive: a 1e-3 multiplicative ripple must stand out
-    ripple = sol_quick.W * (1.0 + 1e-3 * np.sin(sol_quick.s_grid))
-    bent = replace(sol_quick, W=ripple)
-    assert emden_fowler_residual(bent) > 10.0 * res
+    flat = np.zeros_like(sol_quick.X)
+    flat[0] = L
+    assert emden_fowler_residual(replace(sol_quick, X=flat)) < 1e-12
+    # a 1e-3 ripple in W alone disagrees with the carried W': row 0 reads
+    # its slope, 50e-3, while row 3 sees it only through c4 W - W^p, at
+    # most (p - 1) 1e-3 = 0.028 of max W^p
+    X = sol_quick.X.copy()
+    X[0] *= 1.0 + 1e-3 * np.sin(50.0 * sol_quick.s_grid)
+    bent = emden_fowler_residual(replace(sol_quick, X=X))
+    assert bent == pytest.approx(50e-3, rel=0.02)
+
+
+def test_emden_fowler_residual_reads_a_defect_in_w2(sol_quick):
+    # eps b(s), a Gaussian bump of width 1, added to W'' alone enters row 3
+    # as c2 eps b; rows 1 and 2 read eps b and eps b' over max|W|, below
+    # that here (c2 = 51.3 against max W^p = 33.7 and max|W| = 1.13)
+    s, W = sol_quick.s_grid, sol_quick.W
+    c2 = _s_operator_coeffs(sol_quick.params.n, sol_quick.params.m)[2]
+    bump = np.exp(-((s - 1.0) ** 2))
+    wp_max = np.max(_power(W, sol_quick.params.p))
+    eps = 1e-6 * wp_max / abs(c2)
+    X = sol_quick.X.copy()
+    X[2] += eps * bump
+    got = emden_fowler_residual(replace(sol_quick, X=X))
+    assert got == pytest.approx(abs(c2) * eps * np.max(bump) / wp_max, rel=0.05)
 
 
 def test_emden_fowler_grid_too_coarse(sol_quick):
-    stub = replace(
-        sol_quick,
-        s_grid=sol_quick.s_grid[:12],
-        W=sol_quick.W[:12],
-    )
+    # the 7-point difference needs 7 nodes, which leave one interior node
+    def head(k):
+        return replace(sol_quick, s_grid=sol_quick.s_grid[:k], X=sol_quick.X[:, :k])
+
     with pytest.raises(GridTooCoarse):
-        emden_fowler_residual(stub)
+        emden_fowler_residual(head(6))
+    assert math.isfinite(emden_fowler_residual(head(7)))
 
 
 def test_y_integral_identity(sol_quick):
     dev = y_integral_identity_check(sol_quick)
     assert dev < 1e-3
-    # deviation grows monotonically as lam4 is misstated
+    # deviation grows monotonically as lam4 is misstated against the solved
+    # Z (Z follows the spectrum's lam4, so the state keeps Z as solved)
     spec = sol_quick.spectrum
     devs = [dev]
     for bump in (1.01, 1.02):
         l = spec.lambdas
         fake = replace(spec, lambdas=(l[0], l[1], l[2], l[3] * bump))
-        devs.append(y_integral_identity_check(replace(sol_quick, spectrum=fake)))
+        X = _state(sol_quick.W, sol_quick.Z, l[3] * bump, spec.L)
+        devs.append(y_integral_identity_check(replace(sol_quick, spectrum=fake, X=X)))
     assert devs[0] < devs[1] < devs[2]
 
 
@@ -643,7 +670,8 @@ def test_y_integral_identity_exact_on_synthetic_solution(sol_quick):
         lam3, lam4 = compute_spectrum(ProblemParams(n, compute_pc(n))).lambdas[2:]
         Z = np.exp(lam3 * s)
         fake = replace(spec, lambdas=(*spec.lambdas[:2], lam3, lam4))
-        synth = replace(sol_quick, spectrum=fake, s_grid=s, W=spec.L - Z / (lam4 - lam3), Z=Z)
+        W = spec.L - Z / (lam4 - lam3)
+        synth = replace(sol_quick, spectrum=fake, s_grid=s, X=_state(W, Z, lam4, spec.L))
         assert y_integral_identity_check(synth) < 2e-4, n
 
 
@@ -678,13 +706,15 @@ def test_dump_matches_the_per_value_format(sol_quick):
         lines = (",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
         return "s,r,phi,W,Y,Z\n" + "".join(lines)
 
-    # (W's special values carry over to phi and Y)
+    # (W's special values carry over to phi, Y and Z; where W = L, Z = W')
     special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-310])
-    W = sol_quick.W.copy()
-    W[: special.size] = special
-    Z = sol_quick.Z.copy()
-    Z[-special.size :] = special[::-1]
-    for sol in (sol_quick, replace(sol_quick, W=W, Z=Z)):
+    X = sol_quick.X.copy()
+    X[0, : special.size] = special
+    X[0, -special.size :] = sol_quick.spectrum.L
+    X[1, -special.size :] = special[::-1]
+    special_sol = replace(sol_quick, X=X)
+    assert np.array_equal(special_sol.Z[-special.size :], special[::-1], equal_nan=True)
+    for sol in (sol_quick, special_sol):
         buf = io.StringIO()
         dump_solution(sol, buf)
         assert buf.getvalue() == per_value(sol)
@@ -1059,8 +1089,7 @@ def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch
 
 
 def _cut(sol, keep):
-    arrays = ("s_grid", "W", "Z")
-    return replace(sol, **{k: getattr(sol, k)[keep] for k in arrays})
+    return replace(sol, s_grid=sol.s_grid[keep], X=sol.X[:, keep])
 
 
 def test_short_solve_decay_slope_matches_the_long_solve(sol_a):
@@ -1128,7 +1157,8 @@ def test_checks_name_a_window_too_short(sol_quick):
     # a valid solution too short (or too flat) for a check raises
     # WindowTooShort, not InvalidParams: the CLI exits 1 on it, not 2
     with pytest.raises(WindowTooShort, match="no resolved nodes"):
-        resolved_top_index(replace(sol_quick, W=np.full_like(sol_quick.W, sol_quick.spectrum.L)))
+        L = sol_quick.spectrum.L
+        resolved_top_index(replace(sol_quick, X=_state(np.full_like(sol_quick.W, L), 0.0, 0.0, L)))
     with pytest.raises(WindowTooShort, match="decay slope: the last resolved decade"):
         decay_slope(_cut(sol_quick, sol_quick.s_grid <= math.log(5.0)), critical=True)
     with pytest.raises(WindowTooShort, match="integral identity: its probe window"):
@@ -1192,14 +1222,17 @@ def test_chord_lattice_passes_n13_at_100_pc(pc13):
     assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
 
 
-@pytest.mark.parametrize("p_over_pc", [100.0, 1000.0])
-def test_large_p_solves_without_a_step_failure(pc15, p_over_pc):
+@pytest.mark.parametrize("n, p_over_pc", [(15, 100.0), (15, 1000.0), (13, 1000.0)])
+def test_large_p_solves_without_a_step_failure(n, p_over_pc):
     # n=15 at 100 p_c and 1000 p_c: with the blow-up amplitude at
     # 20 / (p - 1), every blow-up leg ends at the amplitude_cross event, so
     # the solve returns (a leg that fails its step raises StepFailure) and
     # passes all six solve invariants; at a fixed 1.5 L, 5 and 8 of its
-    # legs failed their steps above L (measured)
-    sol = shoot(ProblemParams(15, p_over_pc * pc15), alpha=1.0, r_max=1e4)
+    # legs failed their steps above L (measured).  n=13 at 1000 p_c failed
+    # transform_residual (2.12e-4 > 1e-4) while the check took order-4
+    # stencils of W up to its 4th derivative, noise amplified by h^-4; the
+    # carried state's lattice defect reads 4.4e-8
+    sol = shoot(ProblemParams(n, p_over_pc * compute_pc(n)), alpha=1.0, r_max=1e4)
     assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
 
 

@@ -311,3 +311,25 @@ def test_shoot_cells_diff_names_error_class_changes(capsys):
         "error class changed: A NoConvergence -> StepFailure",
         "error class changed: expand E IllConditioned -> WindowTooShort",
     ]
+
+
+def test_shoot_cells_diff_names_moved_invariants(capsys):
+    # one line per solve or expand invariant whose value differs between the
+    # sides, old value first; equal values, a failed solve and a check only
+    # one side records print none, and the exit code is the one without them
+    old = {"A": _ok("0x1p-2", 5, 9), "B": _ok("0x1p-2", 5, 9),
+           "F": _failed("StepFailure", 7, [8])}
+    new = {"A": _ok("0x1p-2", 5, 9), "B": _ok("0x1p-2", 5, 9),
+           "F": _failed("StepFailure", 7, [8])}
+    for rec, value in ((old, 2.1e-4), (new, 3.9e-8)):
+        rec["A"]["checks"]["transform_residual"] = {"value": value, "bound": 1e-4,
+                                                   "passed": value < 1e-4}
+    old["A"]["expand"], new["A"]["expand"] = _expand(), _expand()
+    new["A"]["expand"]["checks"]["a0_matches_L"]["value"] = "0.2"
+    new["B"]["checks"]["decay_slope"] = {"value": 0.2, "bound": 0.4, "passed": True}
+    assert shoot_cells.diff(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("invariant moved")] == [
+        "invariant moved: A transform_residual 0.00021 -> 3.9e-08",
+        "invariant moved: A a0_matches_L 0.1 -> 0.2",
+    ]

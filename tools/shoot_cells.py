@@ -68,6 +68,9 @@ in OLD (both sides counting them), the count of
 cells whose collocation nodes/rounds moved, out of those with them on both
 sides, the ok counts, one "error class changed" line for each cell whose
 solve (or expand) raised a typed error of a different class on each side,
+one "invariant moved: <cell> <name> old -> new" line for each solve or
+expand invariant whose value differs between the sides (so a change to how
+a check computes its value shows each cell's reading next to the old one),
 and the identical dumps out of the cells with a dump on either side.
 For each cell with an expand record on either side it prints both sides'
 expand outcome (as for the solve, over the expansion invariants; "-"
@@ -345,6 +348,11 @@ def diff(old: dict, new: dict) -> int:
         for what, a, b in (("", o, n), ("expand ", o.get("expand", {}), n.get("expand", {}))):
             if "error" in a and "error" in b and a["error"] != b["error"]:
                 print(f"error class changed: {what}{label} {a['error']} -> {b['error']}")
+            a, b = a.get("checks", {}), b.get("checks", {})
+            for name in sorted(set(a) & set(b) - {"error", "message"}):
+                if a[name]["value"] != b[name]["value"]:
+                    print(f"invariant moved: {label} {name} {a[name]['value']} -> "
+                          f"{b[name]['value']}")
     dumps = [same(old[label], new[label], "dump_sha256") for label in labels]
     print(f"identical dumps: {dumps.count('equal')} of {len(dumps) - dumps.count('-')}")
     expand = {}  # label -> (old, new) expand outcome, "-" for a side without a record
