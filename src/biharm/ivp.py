@@ -1,4 +1,4 @@
-"""Scalar DOP853 driver for the shooter's four-entry systems.
+"""Scalar DOP853 driver for the shooter's systems of n first-order equations.
 
 The method is Dormand and Prince's explicit Runge-Kutta pair of order 8 with
 error estimates of orders 5 and 3 and a 7th-order interpolant (Hairer,
@@ -8,7 +8,7 @@ initial step, error norm, step controller and step-failure test follow
 scipy's, so a leg takes the steps scipy.integrate.solve_ivp(method="DOP853")
 takes, up to rounding.  scipy is the reference of the tests only: loading
 scipy.integrate would cost more than the rest of the CLI's start.
-States are four Python floats, unrolled: on four entries numpy's per-call
+States are n Python floats, unrolled: on a few entries numpy's per-call
 overhead is most of the cost of scipy's step.
 
 A system, written once as expressions, is compiled once into a factory of
@@ -31,6 +31,7 @@ import linecache
 import math
 import textwrap
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -148,14 +149,19 @@ def _sum(row, i):
     return " + ".join(f"{c!r} * k{j}_{i}" for j, c in row)
 
 
-def _update(row):
-    """The four entries y_i + h * (entry i of row's sum), as sources."""
-    return [f"y{i} + h * ({_sum(row, i)})" for i in range(4)]
+def _update(row, n):
+    """The n entries y_i + h * (entry i of row's sum), as sources."""
+    return [f"y{i} + h * ({_sum(row, i)})" for i in range(n)]
+
+
+def _names(prefix, n):
+    """prefix0, ..., prefix{n-1} as the source of a tuple (one name keeps its comma)."""
+    return ", ".join(f"{prefix}{i}" for i in range(n)) + ("," if n == 1 else "")
 
 
 def _stage(j, x, state, rhs):
-    """Lines binding stage j, k{j}_0..k{j}_3, to the right-hand side at x
-    and the four state entries."""
+    """Lines binding stage j, k{j}_0..k{j}_{n-1}, to the right-hand side at x
+    and the n state entries."""
     return [f"x = {x}"] + [f"u{i} = {v}" for i, v in enumerate(state)] + [
         f"k{j}_{i} = {e}" for i, e in enumerate(rhs)]
 
@@ -166,16 +172,16 @@ def _block(indent, lines):
 
 # One leg from t (state y, derivative f, first trial step h_abs) to t_bound;
 # each accepted step end goes to ts, its state to ys, and when dense is a
-# list, the step to dense as one flat row of 34 floats: t_old, t, the 4
-# entries of y_old and the interpolant's 7 rows of 4, row by row.
+# list, the step to dense as one flat row of 2 + 8n floats: t_old, t, the n
+# entries of y_old and the interpolant's 7 rows of n, row by row.
 # Returns (status, h_abs, attempted steps, fired, step): status 0 at t_bound,
 # -1 on a step below 10 ulp of t, 1 when the events flagged in fired fired at
 # the end of step (not appended).  Each min/max of scipy's controller is the
 # conditional that picks the same operand.
 _KERNEL = """\
 def kernel(t, y, f, h_abs, t_bound, rtol, atol, ts, ys, dense):
-    y0, y1, y2, y3 = u0, u1, u2, u3 = y
-    k0_0, k0_1, k0_2, k0_3 = f
+    {y} = {u} = y
+    {k0} = f
     x = t
 {g_start}\
     steps = 0
@@ -190,7 +196,7 @@ def kernel(t, y, f, h_abs, t_bound, rtol, atol, ts, ys, dense):
             h = t_new - t
             steps += 1
 {step}\
-            err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / sqrt((e5 + 0.01 * e3) * 4.0)
+            err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / sqrt((e5 + 0.01 * e3) * {n!r})
             if err < 1.0:
                 factor = {max_factor!r} if err == 0.0 else {safety!r} * err ** {exponent!r}
                 top = 1.0 if rejected else {max_factor!r}
@@ -205,43 +211,44 @@ def kernel(t, y, f, h_abs, t_bound, rtol, atol, ts, ys, dense):
 {g_end}\
         if dense is not None or {fired}:
 {extra}\
-            step = (t, t_new, y0, y1, y2, y3, {rows})
+            step = (t, t_new, {rows})
             if dense is not None:
                 dense.append(step)
             if {fired}:
                 return 1, h_abs, steps, ({flags}), step
         t = t_new
-        y0, y1, y2, y3 = n0, n1, n2, n3
-        k0_0, k0_1, k0_2, k0_3 = k{last}_0, k{last}_1, k{last}_2, k{last}_3
+        {y} = {new}
+        {k0} = {k_last}
 {g_shift}\
         ts.append(t)
-        ys.append((y0, y1, y2, y3))
+        ys.append(({y}))
         if t == t_bound:
             return 0, h_abs, steps, None, None
 """
 
 
 def _kernel_source(rhs, events):
-    """The source of kernel (see _KERNEL) for four right-hand side expressions
-    and (name, expression, direction) events, all in x and u0..u3."""
+    """The source of kernel (see _KERNEL) for n = len(rhs) right-hand side expressions
+    and (name, expression, direction) events, all in x and u0..u{n-1}."""
+    n = len(rhs)
     step = []
     for s in range(1, _N_STAGES):
-        step += _stage(s, f"t + {_C[s]!r} * h", _update(_A[s]), rhs)
-    step += [f"n{i} = {v}" for i, v in enumerate(_update(_B))]
-    step += _stage(_N_STAGES, "t + h", [f"n{i}" for i in range(4)], rhs)
-    for i in range(4):
+        step += _stage(s, f"t + {_C[s]!r} * h", _update(_A[s], n), rhs)
+    step += [f"n{i} = {v}" for i, v in enumerate(_update(_B, n))]
+    step += _stage(_N_STAGES, "t + h", [f"n{i}" for i in range(n)], rhs)
+    for i in range(n):
         # b if b > a else a: max(a, b), without the builtin call
         step += [f"a = abs(y{i})", f"b = abs(n{i})", f"sc{i} = atol + (b if b > a else a) * rtol"]
     for name, row in (("e5", _E5), ("e3", _E3)):
-        step += [f"q{i} = ({_sum(row, i)}) / sc{i}" for i in range(4)]
-        step += [f"{name} = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3"]
+        step += [f"q{i} = ({_sum(row, i)}) / sc{i}" for i in range(n)]
+        step += [f"{name} = " + " + ".join(f"q{i} * q{i}" for i in range(n))]
     extra = []
     for j, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1):
-        extra += _stage(j, f"t + {c!r} * h", _update(a), rhs)
-    rows = [[f"n{i} - y{i}" for i in range(4)],
-            [f"h * k0_{i} - (n{i} - y{i})" for i in range(4)],
-            [f"2.0 * (n{i} - y{i}) - h * (k{_N_STAGES}_{i} + k0_{i})" for i in range(4)]]
-    rows += [[f"h * ({_sum(row, i)})" for i in range(4)] for row in _D]
+        extra += _stage(j, f"t + {c!r} * h", _update(a, n), rhs)
+    rows = [[f"y{i}" for i in range(n)], [f"n{i} - y{i}" for i in range(n)],
+            [f"h * k0_{i} - (n{i} - y{i})" for i in range(n)],
+            [f"2.0 * (n{i} - y{i}) - h * (k{_N_STAGES}_{i} + k0_{i})" for i in range(n)]]
+    rows += [[f"h * ({_sum(row, i)})" for i in range(n)] for row in _D]
     g_end = []
     for i, (_, expr, d) in enumerate(events):
         rise, fall = f"g{i} <= 0.0 <= b{i}", f"g{i} >= 0.0 >= b{i}"
@@ -255,15 +262,17 @@ def _kernel_source(rhs, events):
         fired=" or ".join(f"on{i}" for i in range(len(events))) or "False",
         flags="".join(f"on{i}, " for i in range(len(events))),
         g_shift=_block(8, [f"g{i} = b{i}" for i in range(len(events))]),
-        last=_N_STAGES, safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR, exponent=_EXPONENT,
+        y=_names("y", n), u=_names("u", n), new=_names("n", n), k0=_names("k0_", n),
+        k_last=_names(f"k{_N_STAGES}_", n), n=float(n),
+        safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR, exponent=_EXPONENT,
     )
 
 
 def system(name, params, rhs, events):
-    """Compile a four-entry system into a factory of its integrators.
+    """Compile a system of n = len(rhs) entries into a factory of its integrators.
 
-    rhs holds four expressions and events (name, expression, direction)
-    triples, all in the independent variable x, the state u0..u3 and the
+    rhs holds n expressions and events (name, expression, direction)
+    triples, all in the independent variable x, the state u0..u{n-1} and the
     constants named in params.  factory(**constants) returns the scalar
     right-hand side fun(x, u), called name, with attributes `events` (the
     terminal event functions g(x, u), each called by its event's name) and
@@ -272,7 +281,7 @@ def system(name, params, rhs, events):
     """
     defs = [(name, "(" + ", ".join(rhs) + ")")] + [(ev, expr) for ev, expr, _ in events]
     src = f"def factory({', '.join(params)}):\n"
-    src += "".join(f"    def {fn}(x, u):\n        u0, u1, u2, u3 = u\n        return {expr}\n" for fn, expr in defs)
+    src += "".join(f"    def {fn}(x, u):\n        {_names('u', len(rhs))} = u\n        return {expr}\n" for fn, expr in defs)
     src += "".join(f"    {ev}.terminal, {ev}.direction = True, {d}\n" for ev, _, d in events)
     src += textwrap.indent(_kernel_source(rhs, events), "    ")
     src += f"    {name}.events = ({''.join(ev + ', ' for ev, _, _ in events)})\n"
@@ -286,7 +295,8 @@ def system(name, params, rhs, events):
 
 
 def _rms(v):
-    return math.sqrt((v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]) / 4.0)
+    # summed in v's order, as the kernel's error norm (sum() compensates from Python 3.12)
+    return math.sqrt(reduce(lambda total, x: total + x * x, v, 0.0) / len(v))
 
 
 def _signbit(x):
@@ -349,40 +359,42 @@ def _brentq(f, xa, xb):
 
 
 def _point(step, t):
-    """The state at a float t on step, a dense row, as four floats: the
+    """The state at a float t on step, a dense row, as n floats: the
     interpolant's Horner sum in x = (t - t_old) / h, last row first."""
+    n = (len(step) - 2) // 8  # the row is 2 + 8n floats (see _KERNEL)
     x = (t - step[0]) / (step[1] - step[0])
     state = []
-    for j in range(4):
+    for j in range(n):
         y = 0.0
         for i in range(7):
-            y = (y + step[30 - 4 * i + j]) * (x if i % 2 == 0 else 1.0 - x)
+            y = (y + step[2 + n * (7 - i) + j]) * (x if i % 2 == 0 else 1.0 - x)
         state.append(y + step[2 + j])
     return tuple(state)
 
 
 class Dense:
     """A leg's dense output: steps holds one row per accepted step, laid out
-    as the kernel hands it out (see _KERNEL), and ts the leg's start and
-    its step ends."""
+    as the kernel hands it out (see _KERNEL), 2 + 8n floats for an n-entry
+    state, and ts the leg's start and its step ends."""
 
     def __init__(self, steps):
         self.steps = steps
         self.ts = np.append(steps[:1, 0], steps[:, 1])
 
     def __call__(self, xs):
-        """The state at the 1-D float array xs, as 4 by len(xs).  Each x
+        """The state at the 1-D float array xs, as n by len(xs).  Each x
         takes the step scipy's OdeSolution picks (the earlier one for an x
         on a step end, the end steps for an x outside) and _point's Horner
         sum, for all nodes at once."""
         i = np.clip(np.searchsorted(self.ts, xs, "left") - 1, 0, len(self.steps) - 1)
         steps = self.steps[i]
         x = ((xs - steps[:, 0]) / (steps[:, 1] - steps[:, 0]))[:, None]
-        rows = steps[:, 6:].reshape(-1, 7, 4)
-        y = np.zeros((len(xs), 4))
+        n = (steps.shape[1] - 2) // 8
+        rows = steps[:, 2 + n:].reshape(-1, 7, n)
+        y = np.zeros((len(xs), n))
         for k in range(7):
             y = (y + rows[:, -1 - k]) * (x if k % 2 == 0 else 1.0 - x)
-        return (y + steps[:, 2:6]).T
+        return (y + steps[:, 2:2 + n]).T
 
 
 @dataclass
@@ -446,7 +458,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     return IvpResult(
         t=np.array(ts),
         y=np.array(ys).T,
-        sol=Dense(np.array(dense).reshape(-1, 34)) if dense_output else None,
+        sol=Dense(np.array(dense).reshape(-1, 2 + 8 * len(y))) if dense_output else None,
         event=event,
         nfev=2 + _N_STAGES * steps + len(_A_EXTRA) * n_interp,
         status=status,

@@ -697,16 +697,16 @@ def _collocate(integ, leg, up, dn, r_cls):
         # the dense r-chart leg at v, at _RTOL, and its end state on the s-chart
         outcome, sol_r, _ = integ.shot(v, _R_SWITCH, dense=True)
         if isinstance(outcome, (BlowUp, SignLoss)):
-            raise NoConvergence(f"collocation v0 = {v!r}: its r-chart leg ends in {outcome}")
+            raise NoConvergence(f"the chord's r-chart leg at v0 = {v!r} ends in {outcome}")
         return sol_r, _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
 
     lo, hi = _chord_ends(up, dn)
-    (leg_lo, x_lo), (leg_hi, x_hi) = head(lo), head(hi)
-    bvp = collocation.Bvp(
-        fun, jac, ya=(x_lo - x_star) / L, slope=(x_hi - x_lo) / (L * (hi - lo)), v_ref=lo,
-        right=l4, tol=100.0 * _RTOL,
-    )
     try:
+        (leg_lo, x_lo), (leg_hi, x_hi) = head(lo), head(hi)
+        bvp = collocation.Bvp(
+            fun, jac, ya=(x_lo - x_star) / L, slope=(x_hi - x_lo) / (L * (hi - lo)), v_ref=lo,
+            right=l4, tol=100.0 * _RTOL,
+        )
         res = collocation.solve(bvp, mesh, guess, 0.5 * (up + dn), _BVP_MAX_NODES)
         v0 = float(res.v)
         off = max(dn - v0, v0 - up)

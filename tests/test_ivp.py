@@ -10,6 +10,7 @@ longer imports.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from biharm import ivp
 from biharm.ivp import Dense, _brentq, _point, solve_ivp
 from biharm.shooting import (
     _CHARTS,
+    _POWER,
     _PROBE_HI,
     _PROBE_LO,
     _R_SWITCH,
@@ -221,8 +223,9 @@ def test_large_p_first_probe_fails(pc15):
 
 
 def _scipy_step(row):
-    """scipy's DOP853 interpolant of one dense row."""
-    return Dop853DenseOutput(row[0], row[1], np.array(row[2:6]), np.reshape(row[6:], (7, 4)))
+    """scipy's DOP853 interpolant of one dense row of 2 + 8n floats."""
+    n = (len(row) - 2) // 8
+    return Dop853DenseOutput(row[0], row[1], np.array(row[2:2 + n]), np.reshape(row[2 + n:], (7, n)))
 
 
 def test_dense_output_is_scipys_odesolution_bit_for_bit(case_a):
@@ -260,26 +263,23 @@ _EPS = np.finfo(float).eps
 def _combo(K, row):
     """Sum over row's (j, c) of c * K[j], entry by entry, from the first term."""
     (j, c), *rest = row
-    a0, a1, a2, a3 = (c * k for k in K[j])
+    acc = [c * k for k in K[j]]
     for j, c in rest:
-        k0, k1, k2, k3 = K[j]
-        a0 += c * k0
-        a1 += c * k1
-        a2 += c * k2
-        a3 += c * k3
-    return a0, a1, a2, a3
+        acc = [a + c * k for a, k in zip(acc, K[j])]
+    return acc
 
 
 def _axpy(y, h, d):
-    return y[0] + h * d[0], y[1] + h * d[1], y[2] + h * d[2], y[3] + h * d[3]
+    return tuple(a + h * b for a, b in zip(y, d))
 
 
 def _sumsq(v):
-    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
+    # in order: sum() compensates its rounding from Python 3.12 on
+    return reduce(lambda total, x: total + x * x, v, 0.0)
 
 
 def _rms(v):
-    return math.sqrt(_sumsq(v) / 4.0)
+    return math.sqrt(_sumsq(v) / len(v))
 
 
 def _loop_step(fun, t, y, f, h, rtol, atol):
@@ -293,7 +293,7 @@ def _loop_step(fun, t, y, f, h, rtol, atol):
     e3 = _sumsq([e / sc for e, sc in zip(_combo(K, _E3), scale)])
     if e5 == 0.0 and e3 == 0.0:
         return K, y_new, 0.0
-    return K, y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * 4.0)
+    return K, y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
 
 
 def _loop_rows(fun, K, t_old, h, y_old, y_new):
@@ -393,9 +393,14 @@ def _hex(values):
 
 
 def _assert_leg_equals_the_loops(integ, chart, span, y0, dense):
-    """The kernel's leg against _loop_leg's on the same scalar right-hand
-    side, bit for bit; returns the kernel's result."""
-    rhs = getattr(integ, f"rhs_{chart}")
+    """_assert_rhs_leg_equals_the_loops on integ's chart "r" or "s"."""
+    return _assert_rhs_leg_equals_the_loops(getattr(integ, f"rhs_{chart}"), span, y0, dense)
+
+
+def _assert_rhs_leg_equals_the_loops(rhs, span, y0, dense):
+    """The kernel's leg of rhs, a `system` right-hand side, against
+    _loop_leg's on the same scalar right-hand side, bit for bit; returns
+    the kernel's result."""
     got = solve_ivp(rhs, span, y0, dense_output=dense, **_TOL)
     ts, ys, steps, roots, calls, status, step = _loop_leg(
         rhs, rhs.events, span, tuple(float(v) for v in y0), _TOL["rtol"], _TOL["atol"], dense)
@@ -446,3 +451,99 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
     assert [got.status for got, _ in kinds] == [status for _, status in kinds]
     # both events end a leg
     assert {got.event for got in ends} == {"sign_loss", "amplitude_cross"}
+
+
+# --- systems of other lengths: the generator reads n from the right-hand side
+
+# The r-chart with its variational equation in v0: entries 4..7 are the
+# derivatives in v0 of (u, u', Delta u, (Delta u)'), whose u^p term
+# linearises to p u^(p-1) on the positive branch.  One leg of it gives a
+# shot's end state and its derivative in v0 on one step sequence (internal
+# numerical differentiation: Bock 1981; Hairer, Norsett & Wanner, Solving
+# ODEs I, Sec. II.6).
+_VARIATIONAL = ivp.system(
+    "rhs_v", ("p", "cap", "nm1", "m", "wcap"),
+    ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x",
+     "u5", "u6 - nm1 * u5 / x", "u7",
+     "(p * (u0 if u0 < cap else cap) ** (p - 1.0) if u0 > 0.0 else 0.0) * u4 - nm1 * u7 / x"),
+    (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1)),
+)
+
+
+def _variational(integ, v0):
+    """integ's 8-entry right-hand side, and (r0, its state at r0) for the
+    leg to r_switch at v0: the series state and, by complex step through
+    the series, its derivative in v0."""
+    rhs = _VARIATIONAL(p=integ.p, cap=integ.pow_cap, nm1=integ.n - 1.0, m=integ.m, wcap=integ.wcap)
+    r0, y0 = integ.start(v0, _R_SWITCH)
+    h = 1e-20 * abs(v0)
+    return rhs, r0, (*y0, *(y.imag / h for y in integ.series(complex(v0, h)).state(r0)))
+
+
+def test_variational_legs_equal_the_tableau_loops_bit_for_bit(case_a):
+    # case A's 8-entry legs: plain and dense to r_switch at its v0, legs
+    # ended by each event at the ladder's probes (plain, and dense at the
+    # blow-up end, whose root the 8-entry interpolant locates)
+    integ, _, v0 = case_a
+    legs = []
+    for v, dense in ((v0, False), (v0, True), (_PROBE_LO, False), (_PROBE_HI, False), (_PROBE_HI, True)):
+        rhs, r0, y0 = _variational(integ, v)
+        legs.append(_assert_rhs_leg_equals_the_loops(rhs, (r0, _R_SWITCH), y0, dense))
+    assert [(got.status, got.event) for got in legs] == [
+        (0, None), (0, None), (1, "sign_loss"), (1, "amplitude_cross"), (1, "amplitude_cross")]
+    assert legs[0].y.shape[0] == 8 and legs[1].sol.steps.shape[1] == 2 + 8 * 8
+
+
+def test_variational_leg_matches_scipy(case_a):
+    # the plain 8-entry leg against scipy's, each half relative to its own
+    # size, and its v0 derivative against a central difference of two
+    # 8-entry legs from the series at v0 -+ 1e-6 |v0| (same r0)
+    # Measured: 2.9e-15 (state) and 9.8e-15 (derivative) from scipy, with
+    # equal nfev (1466), and 1.5e-9 from the difference.
+    integ, _, v0 = case_a
+    rhs, r0, y0 = _variational(integ, v0)
+    ours = solve_ivp(rhs, (r0, _R_SWITCH), y0, **_TOL)
+    ref = scipy_solve_ivp(rhs, (r0, _R_SWITCH), y0, method="DOP853", events=rhs.events, **_TOL)
+    assert ours.status == ref.status == 0
+    assert ours.t[-1] == ref.t[-1]
+    for half in (slice(0, 4), slice(4, 8)):
+        assert _rel(ours.y[half, -1], ref.y[half, -1]) < 1e-10
+    dv = 1e-6 * abs(v0)
+    ends = [solve_ivp(rhs, (r0, _R_SWITCH), (*integ.series(v).state(r0), 0.0, 0.0, 0.0, 0.0), **_TOL).y[:4, -1]
+            for v in (v0 - dv, v0 + dv)]
+    assert _rel(ours.y[4:, -1], (ends[1] - ends[0]) / (2.0 * dv)) < 1e-7
+
+
+def test_variational_dense_output_is_scipys_odesolution_bit_for_bit(case_a):
+    # Dense and _point on 8-entry rows against scipy's OdeSolution over
+    # scipy's interpolants of the same rows, as on the 4-entry charts
+    integ, _, v0 = case_a
+    rhs, r0, y0 = _variational(integ, v0)
+    leg = solve_ivp(rhs, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)
+    ref = OdeSolution(leg.t, [_scipy_step(row) for row in leg.sol.steps])
+    xs = np.sort(np.concatenate([leg.t, 0.5 * (leg.t[1:] + leg.t[:-1]), [0.5 * r0, 1.1 * _R_SWITCH]]))
+    assert leg.sol(xs).shape == (8, xs.size)
+    assert _hex(leg.sol(xs).tolist()) == _hex(ref(xs).tolist())
+    step = tuple(leg.sol.steps[len(leg.sol.steps) // 2].tolist())
+    mid = 0.5 * (step[0] + step[1])
+    assert _hex(list(_point(step, mid))) == _hex(_scipy_step(step)(mid).tolist())
+
+
+# four decoupled oscillators and no events
+_OSCILLATORS = ivp.system("rhs_osc", (), ("u1", "-u0", "u3", "-u2"), ())
+
+
+def test_a_leg_from_rest_takes_the_floor_initial_step():
+    # From the equilibrium y = 0, f = 0, so d1 = d2 = 0 and the first trial
+    # step is h1 = max(1e-6, h0 1e-3) with h0 = 1e-6.  Every error estimate
+    # is 0, so each step is ten times the last: t = 0, 1e-6, 1.1e-5, ...,
+    # 0.111111, 1.0, seven steps and 2 + 7 * 12 = 86 RHS calls, the steps
+    # scipy takes
+    rhs = _OSCILLATORS()
+    got = _assert_rhs_leg_equals_the_loops(rhs, (0.0, 1.0), (0.0,) * 4, False)
+    ref = scipy_solve_ivp(rhs, (0.0, 1.0), np.zeros(4), method="DOP853", **_TOL)
+    assert got.status == ref.status == 0
+    assert _hex(got.t.tolist()) == _hex(ref.t.tolist())
+    assert got.t[1] == 1e-6 and got.t.size == 8
+    assert got.nfev == ref.nfev == 86
+    assert not np.any(got.y)

@@ -1068,6 +1068,26 @@ def test_singular_band_names_its_round(pc13, monkeypatch):
     ), str(info.value)
 
 
+def test_failing_chord_leg_names_its_stage(pc13, monkeypatch):
+    # a chord end whose dense r-chart leg ends before r_switch raises
+    # NoConvergence naming the stage, the leg's v0 and outcome, the
+    # s-domain and the v0 bracket, as every collocation NoConvergence does
+    # (case A at r_max 500 with the chord's lower end moved to v0 = -0.4,
+    # whose leg loses its sign at r = 9.44)
+    monkeypatch.setattr(biharm.shooting, "_chord_ends", lambda up, dn: (-0.4, up))
+    with pytest.raises(NoConvergence) as info:
+        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
+    found = re.fullmatch(
+        r"collocation stage: the chord's r-chart leg at v0 = -0\.4 ends in SignLoss\(r=(\S+)\)" + _WHERE,
+        str(info.value),
+    )
+    assert found is not None, str(info.value)
+    assert 1.0 < float(found[1]) < _R_SWITCH
+    s_lo, s_hi, dn, up = (float(x) for x in found.groups()[1:])
+    assert s_lo == pytest.approx(math.log(_R_SWITCH), rel=1e-5) and s_lo < s_hi
+    assert dn < up and up - dn < _CHORD_SWITCH * abs(up)
+
+
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
 def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch, scipy_problem):
     # One collocation.solve call from the 200 uniform start nodes: the first
