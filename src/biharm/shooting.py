@@ -60,11 +60,11 @@ _S_PAD = 0.05
 _MAX_BISECT = 240     # root-search trials
 _PROBE_LO = -1e3      # most negative v0 probed
 _PROBE_HI = -1e-6     # least negative v0 probed
-# relative v0 bracket width below which the r_switch state is linear in v0 to
-# within the integration noise, so the chord between the bracket ends' states
-# serves as the collocation's left boundary map (second stage of shoot); the
-# collocated v0 may land at most this far (relative) outside the bracket
-_CHORD_SWITCH = math.sqrt(np.finfo(float).eps)
+# relative v0 bracket width below which stage 1 stops, so that the tangent
+# at the bracket's midpoint serves as the collocation's left boundary map
+# (second stage of shoot); the collocated v0 may land at most this far
+# (relative) outside the bracket
+_BRACKET_STOP = math.sqrt(np.finfo(float).eps)
 # collocation: uniform starting nodes and node cap
 _BVP_NODES = 200
 _BVP_MAX_NODES = 25000
@@ -82,11 +82,11 @@ _RESOLUTION_FLOOR = 1e-10
 # clear of _RESOLUTION_FLOOR
 _DECAY_FLOOR = 1e-9
 # the integrator's rtol for every leg the solution is built from (the
-# chord's two r-chart legs): its atol is _RTOL / 100 and the collocation's
-# tol is 100 _RTOL; the chord's ends lie at least _RTOL |v0| apart
+# tangent's r-chart leg): its atol is _RTOL / 100 and the collocation's
+# tol is 100 _RTOL
 _RTOL = 1e-12
 # Stage 1's shots only classify a trial v0 and leave the bracket and the
-# guess's leg; the collocation fixes v0 from the full-tolerance chord.  A
+# guess's leg; the collocation fixes v0 from the full-tolerance tangent.  A
 # trial x that splits a bracket of width w runs at rtol
 # max(_RTOL_BRACKET, _RTOL_PROBE min(1, w / |x|)), atol rtol / 100: the
 # probe ladder's at _RTOL_PROBE, every trial in a bracket narrower than
@@ -116,11 +116,11 @@ class RadialSolution:
     on the s-lattice s_grid.
 
     X is sampled from the states the phi(0) = 1 solve was solved in: up to
-    r_switch the r-chart part (shoot's: the chord at v0 between two r-chart
-    legs; a single shot's: its one leg; each leg's series below its start),
-    mapped to s-derivatives by _r_to_s_state, the s-chart beyond.  The scale
-    map to phi(0) = alpha keeps X and shifts s_grid.  Everything else
-    follows from them: W = X[0], Z = Y' - lam4 Y = W' - lam4 Y,
+    r_switch the r-chart part (shoot's: the tangent at v0 of one variational
+    r-chart leg; a single shot's: its one leg; the leg's series below its
+    start), mapped to s-derivatives by _r_to_s_state, the s-chart beyond.
+    The scale map to phi(0) = alpha keeps X and shifts s_grid.  Everything
+    else follows from them: W = X[0], Z = Y' - lam4 Y = W' - lam4 Y,
     r_grid = e^s, phi = W / r^m and Y = W - L.  seam_residual is
     max_i |X_i - X_r,i| / L at r_switch, between the s-chart's start state
     and the r-chart part's end state X_r; it is 0.0 for a single shot,
@@ -263,14 +263,23 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
 # scale-aware bound r^m u >= wcap = (1 + a) L, a = min(_BLOWUP - 1,
 # 20 / (p - 1)), where (W/L)^(p-1) has grown by at most e^20, so that u^p
 # cannot stall the steps before the event at any p.  No raw |u| ceiling.
+# Chart "v" is the r-chart with its variational equation in v0 (entries 4..7,
+# u^p linearised to p u^(p-1)): one leg gives the end state and its derivative
+# in v0 on one step sequence (internal numerical differentiation: Bock 1981;
+# Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.6).
 _POWER = "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0)"
+_R_EVENTS = (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1))
 _CHARTS = {
     "r": system("rhs_r", ("p", "cap", "nm1", "m", "wcap"),
-                ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x"),
-                (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1))),
+                ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x"), _R_EVENTS),
     "s": system("rhs_s", ("p", "cap", "c1", "c2", "c3", "c4", "wcap"),
                 ("u1", "u2", "u3", _POWER + " - (c1 * u3 + c2 * u2 + c3 * u1 + c4 * u0)"),
                 (("sign_loss", "u0", -1), ("amplitude_cross", "u0 - wcap", 1))),
+    "v": system("rhs_v", ("p", "cap", "nm1", "m", "wcap"),
+                ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x",
+                 "u5", "u6 - nm1 * u5 / x", "u7",
+                 "(p * (u0 if u0 < cap else cap) ** (p - 1.0) if u0 > 0.0 else 0.0) * u4 - nm1 * u7 / x"),
+                _R_EVENTS),
 }
 
 
@@ -293,6 +302,7 @@ class _Integrator:
         common = dict(p=self.p, cap=self.pow_cap, wcap=self.wcap)
         self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)
         self.rhs_s = _CHARTS["s"](c1=c1, c2=c2, c3=c3, c4=c4, **common)
+        self.rhs_v = _CHARTS["v"](nm1=self.n - 1.0, m=self.m, **common)
 
     # --- one leg, one shot ------------------------------------------------
     def series(self, v0: float) -> _Series:
@@ -306,23 +316,29 @@ class _Integrator:
         r0 = series.seed_radius(self.m, self.wcap, max(_R_SEED, min(_R_SERIES_CAP, 0.5 * r_end)))
         return r0, series.state(r0)
 
+    def seed(self, v0: float, r):
+        """Chart "v"'s state at r (a float or an array) from the series at
+        v0: the series state and, by a complex step through the series, its
+        derivative in v0."""
+        h = 1e-20 * abs(v0)
+        return (*self.series(v0).state(r), *(y.imag / h for y in self.series(complex(v0, h)).state(r)))
+
     def leg(self, chart: str, span, y0, dense: bool = False, rtol: float | None = None):
-        """Integrate one leg of chart "r" or "s" over span at rtol (None:
-        _RTOL), atol rtol / 100; returns (outcome, sol), sol the solve_ivp
-        result.  outcome is the float residual W/L - 1 at the end of the
-        span, SignLoss at the sign_loss event, else BlowUp at the
-        amplitude_cross event, at the radius r the leg ended.  A step failure
-        raises StepFailure.
+        """Integrate one leg of chart "r", "s" or "v" (the r-chart with its
+        variational equation) over span at rtol (None: _RTOL), atol rtol / 100;
+        returns (outcome, sol), sol the solve_ivp result.  outcome is the float
+        residual W/L - 1 at the end of the span, SignLoss at the sign_loss
+        event, else BlowUp at the amplitude_cross event, at the radius r the
+        leg ended.  A step failure raises StepFailure.
         """
         rtol = _RTOL if rtol is None else rtol
-        sol = solve_ivp(
-            self.rhs_r if chart == "r" else self.rhs_s, span, y0,
-            rtol=rtol, atol=1e-2 * rtol, dense_output=dense,
-        )
+        sol = solve_ivp(getattr(self, "rhs_" + chart), span, y0, rtol=rtol, atol=1e-2 * rtol,
+                        dense_output=dense)
+        x = "s" if chart == "s" else "r"  # the leg's variable
         t_end = float(sol.t[-1])
-        r_end = t_end if chart == "r" else math.exp(t_end)
+        r_end = t_end if x == "r" else math.exp(t_end)
         if sol.status == 0:
-            w_end = float(t_end**self.m * sol.y[0, -1] if chart == "r" else sol.y[0, -1])
+            w_end = float(t_end**self.m * sol.y[0, -1] if x == "r" else sol.y[0, -1])
             return w_end / self.L - 1.0, sol
         if sol.event == "sign_loss":
             return SignLoss(r=r_end), sol
@@ -330,7 +346,7 @@ class _Integrator:
             return BlowUp(r=r_end), sol
         raise StepFailure(
             f"{chart}-chart step failed at r = {r_end:.6g}: step size {sol.step:.3g} in "
-            f"{chart} is below 10 ulp of {chart} = {t_end:.17g}, on the leg over {chart} "
+            f"{x} is below 10 ulp of {x} = {t_end:.17g}, on the leg over {x} "
             f"in [{span[0]:.6g}, {span[1]:.6g}]"
         )
 
@@ -387,8 +403,8 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     critical exponent.  The shot runs to kappa r_max e^{_S_PAD}; for
     alpha = 1 and r_max >= _R_HORIZON that is shoot's classification
     horizon.  Below r_switch it is the r-chart leg at v0: shoot's solution
-    there is the chord between two such legs, which a shot at shoot's v0
-    meets to within their integration error.
+    there is the tangent at its v0 of one variational r-chart leg, which a
+    shot at shoot's v0 meets to within the legs' integration error.
     """
     kappa = _scale(params.m, alpha, r_max)
     r_max, v0 = kappa * r_max, v0 / kappa ** (params.m + 2.0)
@@ -397,41 +413,43 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     if isinstance(outcome, (BlowUp, SignLoss)):
         return replace(outcome, r=outcome.r / kappa)
     tail = sol_s.sol if sol_s else None
-    sol = _assemble_solution(integ, v0, r_max, ((v0, sol_r),), 0.0, tail, n_bisect=0, seam=0.0)
+    sol = _assemble_solution(integ, v0, r_max, (v0, sol_r), tail, n_bisect=0, seam=0.0)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
-def _sample_state(integ, legs, t, tail, s_nodes):
+def _sample_state(integ, v0, head, tail, s_nodes):
     """The state X of W = r^m phi at s_nodes, from the solved states.
 
     Nodes below log r_switch come from the r-chart (all of them when tail,
-    the s-chart's X at ascending s, is None).  legs holds the (v0, dense
-    r-chart leg) pairs at a chord's ends lo and hi, one pair standing for
-    both; on each, the r-chart state comes from the series at its v0 below
-    the leg's start r0 and from the leg from r0 on.  A node's state is
-    y_lo + t (y_hi - y_lo), mapped to X by _r_to_s_state.
+    the s-chart's X at ascending s, is None).  head is (v, dense leg at v):
+    a single shot's r-chart leg, v = v0, or shoot's chart-"v" leg, whose
+    entries 4..7 are the derivative dy/dv of the state y.  Its entries come
+    from the series at v (chart "v"'s: _Integrator.seed) below the leg's
+    start and from the leg on.  A node's state, y or on a chart-"v" leg the
+    tangent y + (v0 - v) dy/dv, is mapped to X by _r_to_s_state.
     """
     X = np.empty((4, s_nodes.size))
     from_r = s_nodes < math.log(_R_SWITCH) if tail else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
+        v, leg = head
+        tangent = leg.y.shape[0] == 8
         rr = np.exp(s_nodes[from_r])
-        ends = np.empty((len(legs), 4, rr.size))  # the r-chart state on each leg
-        for end, (v0, sol_r) in zip(ends, legs):
-            seeded = rr < sol_r.t[0]
-            end[:, seeded] = integ.series(v0).state(rr[seeded])
-            end[:, ~seeded] = sol_r.sol(rr[~seeded])
-        X[:, from_r] = _r_to_s_state(integ.n, integ.m, rr, ends[0] + t * (ends[-1] - ends[0]))
+        y = np.empty((leg.y.shape[0], rr.size))
+        seeded = rr < leg.t[0]
+        y[:, seeded] = integ.seed(v, rr[seeded]) if tangent else integ.series(v).state(rr[seeded])
+        y[:, ~seeded] = leg.sol(rr[~seeded])
+        X[:, from_r] = _r_to_s_state(integ.n, integ.m, rr, y[:4] + (v0 - v) * y[4:] if tangent else y)
     if tail:
         X[:, ~from_r] = tail(s_nodes[~from_r])
     return X
 
 
-def _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect, seam):
+def _assemble_solution(integ, v0, r_max, head, tail, n_bisect, seam):
     # the lattice: _DS apart from log _R_SEED up to s_top, anchored at s_top
     # so that r_max itself is a node
     s_top = math.log(r_max)
     s_grid = s_top + _DS * np.arange(-math.floor((s_top - math.log(_R_SEED)) / _DS), 1)
-    X = _sample_state(integ, legs, t, tail, s_grid)
+    X = _sample_state(integ, v0, head, tail, s_grid)
     for a in (s_grid, X):
         a.flags.writeable = False
     return RadialSolution(
@@ -543,7 +561,7 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
     sign-loss) bracket, which _bisect shrinks with full shots (model steps
     on the values of _escape_law, kept safe by midpoints) until it is
-    narrower than _CHORD_SWITCH relative to v0 and both ends have s-chart
+    narrower than _BRACKET_STOP relative to v0 and both ends have s-chart
     start states; NoConvergence when it ends before that.  Each shot runs
     at the rtol the bracket it splits needs (see _RTOL_PROBE), down to
     _RTOL_BRACKET; a trial misclassified at a loose rtol leaves the root
@@ -551,13 +569,13 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     NoConvergence.  Shots are classified at r_cls = max(r_max, _R_HORIZON)
     e^{_S_PAD}, past the returned lattice and past r_switch, so every end
     has an s-chart leg.  (2) Collocation (_collocate): one boundary value
-    problem with v0 as its unknown, its left condition a chord through two
-    r-chart legs at _RTOL, closes the solution on the s-chart up to r_cls,
-    solved by biharm.collocation (solve_bvp's Newton rounds on a banded LU,
-    each round on the mesh the last one's residuals predict); below
-    r_switch it is that chord at that v0, between its two legs.  For
-    r_max <= _R_HORIZON the horizon, and so the solution, does not depend
-    on r_max, which only cuts the returned grids.
+    problem with v0 as its unknown, its left condition the tangent in v0
+    of one variational r-chart leg at _RTOL from the bracket's midpoint,
+    closes the solution on the s-chart up to r_cls, solved by
+    biharm.collocation (solve_bvp's Newton rounds on a banded LU, each round
+    on the mesh the last one's residuals predict); below r_switch it is that
+    tangent at that v0.  For r_max <= _R_HORIZON the horizon, and so the
+    solution, does not depend on r_max, which only cuts the returned grids.
     """
     r_max = _scale(params.m, alpha, r_max) * r_max
     integ = _Integrator(params)
@@ -596,40 +614,26 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
         )
     up, dn = ladder[i], ladder[j]
 
-    def chord_ready(up, dn):
-        return abs(up - dn) < _CHORD_SWITCH * abs(up) and up in s_legs and dn in s_legs
+    def ready(up, dn):
+        return abs(up - dn) < _BRACKET_STOP * abs(up) and up in s_legs and dn in s_legs
 
-    n_iter, up, dn = _bisect(side, up, dn, done=chord_ready, ends=(g[up], g[dn]))
-    if not chord_ready(up, dn):
+    n_iter, up, dn = _bisect(side, up, dn, done=ready, ends=(g[up], g[dn]))
+    if not ready(up, dn):
         raise NoConvergence(
             f"no bracket to collocate from: the v0 root search ended after "
             f"{n_iter} trials on the bracket [{dn:.17g}, {up:.17g}] (sign-loss end "
             f"first), where full shots give escape-law values g = "
             f"{g[dn]:.3g}, {g[up]:.3g}"
         )
-    v0, legs, t, seam, res = _collocate(integ, s_legs[up], up, dn, r_cls)
+    v0, head, seam, res = _collocate(integ, s_legs[up], up, dn, r_cls)
     L = integ.L
 
     def tail(s):
         y = res(s)
         return L * (1.0 + y[0]), L * y[1], L * y[2], L * y[3]
 
-    sol = _assemble_solution(integ, v0, r_max, legs, t, tail, n_bisect=n_iter, seam=seam)
+    sol = _assemble_solution(integ, v0, r_max, head, tail, n_bisect=n_iter, seam=seam)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
-
-
-def _chord_ends(up: float, dn: float) -> tuple[float, float]:
-    """(lo, hi): the v0 bracket's ends, widened about its midpoint to
-    _RTOL |midpoint| apart when narrower.
-
-    A chord between closer ends divides their integration noise by their
-    distance: stage 1's bracket can collapse to a few ulps (9.2e-14
-    relative on case A at r_max 500; one ulp on n = 40 at p_c with every
-    trial at rtol 1e-8), and a chord between its ends has a slope of noise.
-    """
-    mid = 0.5 * (up + dn)
-    half = 0.5 * _RTOL * abs(mid)
-    return (dn, up) if up - dn >= 2.0 * half else (mid - half, mid + half)
 
 
 def _collocate(integ, leg, up, dn, r_cls):
@@ -638,10 +642,11 @@ def _collocate(integ, leg, up, dn, r_cls):
     The unknown is y = (X - X*) / L, X = (W, W', W'', W''') and X* = (L, 0,
     0, 0), so y' = (y1, y2, y3, c4 (1 + y0) expm1((p - 1) log1p(y0)) - c3 y1
     - c2 y2 - c1 y3) with L^{p-1} = c4; v0 is the one scalar unknown.  The
-    left condition puts y on the chord R(v0) through the (v0, start state)
-    pairs at _chord_ends(up, dn) = (lo, hi), each state the end of a dense
-    r-chart leg at _RTOL.
-    The right one, l4 . y = 0, removes the unstable mode: l4,
+    left condition puts y on the tangent R(v0) = (X(mid) - X*) / L
+    + (v0 - mid) dX/dv / L at the bracket's midpoint mid, X(mid) and dX/dv
+    the end of one dense variational r-chart leg at _RTOL (chart "v", seeded
+    by _Integrator.seed), mapped by _r_to_s_state, which is linear in the
+    state.  The right one, l4 . y = 0, removes the unstable mode: l4,
     the left eigenvector for lam4 with l4 . e4 = 1, holds the coefficients
     of (mu - lam1)(mu - lam2)(mu - lam3), in increasing powers, over
     prod_i (lam4 - lam_i).  The guess is leg, the blow-up end's stage-1
@@ -650,12 +655,12 @@ def _collocate(integ, leg, up, dn, r_cls):
     One collocation.solve call, capped at _BVP_MAX_NODES, runs the problem
     in Newton rounds: the first on the start mesh, each later one on the
     mesh the last one's rms residuals predict (see collocation.solve); a
-    failed round raises NoConvergence.  The chord is accurate only near the
-    bracket: a v0 more than _CHORD_SWITCH |v0| outside it raises
-    NoConvergence.  Each NoConvergence names the s-domain and the bracket,
-    and one from a round names the round, its nodes, Newton iterations and
-    residual.  Returns (v0, the (v, leg) pairs at lo and hi,
-    t = (v0 - lo) / (hi - lo), the left condition's residual
+    failed round raises NoConvergence, and so does a tangent leg that ends
+    before r_switch.  The tangent is accurate only near the bracket: a v0
+    more than _BRACKET_STOP |v0| outside it raises NoConvergence.  Each
+    NoConvergence names the s-domain and the bracket, and one from a round
+    names the round, its nodes, Newton iterations and residual.  Returns
+    (v0, (mid, the tangent's leg), the left condition's residual
     max |y(s_a) - R(v0)| (the seam), the collocation.Collocation).
     """
     L = integ.L
@@ -693,32 +698,25 @@ def _collocate(integ, leg, up, dn, r_cls):
 
     where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"
 
-    def head(v):
-        # the dense r-chart leg at v, at _RTOL, and its end state on the s-chart
-        outcome, sol_r, _ = integ.shot(v, _R_SWITCH, dense=True)
-        if isinstance(outcome, (BlowUp, SignLoss)):
-            raise NoConvergence(f"the chord's r-chart leg at v0 = {v!r} ends in {outcome}")
-        return sol_r, _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
-
-    lo, hi = _chord_ends(up, dn)
+    mid = float(0.5 * (up + dn))
     try:
-        (leg_lo, x_lo), (leg_hi, x_hi) = head(lo), head(hi)
-        bvp = collocation.Bvp(
-            fun, jac, ya=(x_lo - x_star) / L, slope=(x_hi - x_lo) / (L * (hi - lo)), v_ref=lo,
-            right=l4, tol=100.0 * _RTOL,
-        )
-        res = collocation.solve(bvp, mesh, guess, 0.5 * (up + dn), _BVP_MAX_NODES)
+        r0, _ = integ.start(mid, _R_SWITCH)
+        outcome, tangent = integ.leg("v", (r0, _R_SWITCH), integ.seed(mid, r0), dense=True)
+        if isinstance(outcome, (BlowUp, SignLoss)):
+            raise NoConvergence(f"the tangent's r-chart leg at v0 = {mid!r} ends in {outcome}")
+        x_mid, dx = (_r_to_s_state(integ.n, integ.m, _R_SWITCH, y) for y in np.split(tangent.y[:, -1], 2))
+        bvp = collocation.Bvp(fun, jac, ya=(x_mid - x_star) / L, slope=dx / L, v_ref=mid,
+                              right=l4, tol=100.0 * _RTOL)
+        res = collocation.solve(bvp, mesh, guess, mid, _BVP_MAX_NODES)
         v0 = float(res.v)
         off = max(dn - v0, v0 - up)
-        if off > _CHORD_SWITCH * abs(v0):
-            raise NoConvergence(
-                f"v0 = {v0!r} lies {off:.3g} outside the chord's bracket, more than "
-                f"{_CHORD_SWITCH:.3g} |v0|"
-            )
+        if off > _BRACKET_STOP * abs(v0):
+            raise NoConvergence(f"v0 = {v0!r} lies {off:.3g} outside the bracket, more than "
+                                f"{_BRACKET_STOP:.3g} |v0|")
     except NoConvergence as exc:
         raise NoConvergence(f"collocation stage: {exc} ({where})") from None
     seam = float(np.max(np.abs(bvp.conditions(res.y[:, 0], res.y[:, -1], res.v)[:4])))
-    return v0, ((lo, leg_lo), (hi, leg_hi)), (v0 - lo) / (hi - lo), seam, res
+    return v0, (mid, tangent), seam, res
 
 
 def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:

@@ -24,7 +24,6 @@ from biharm import ivp
 from biharm.ivp import Dense, _brentq, _point, solve_ivp
 from biharm.shooting import (
     _CHARTS,
-    _POWER,
     _PROBE_HI,
     _PROBE_LO,
     _R_SWITCH,
@@ -455,40 +454,16 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
 
 # --- systems of other lengths: the generator reads n from the right-hand side
 
-# The r-chart with its variational equation in v0: entries 4..7 are the
-# derivatives in v0 of (u, u', Delta u, (Delta u)'), whose u^p term
-# linearises to p u^(p-1) on the positive branch.  One leg of it gives a
-# shot's end state and its derivative in v0 on one step sequence (internal
-# numerical differentiation: Bock 1981; Hairer, Norsett & Wanner, Solving
-# ODEs I, Sec. II.6).
-_VARIATIONAL = ivp.system(
-    "rhs_v", ("p", "cap", "nm1", "m", "wcap"),
-    ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x",
-     "u5", "u6 - nm1 * u5 / x", "u7",
-     "(p * (u0 if u0 < cap else cap) ** (p - 1.0) if u0 > 0.0 else 0.0) * u4 - nm1 * u7 / x"),
-    (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1)),
-)
-
-
-def _variational(integ, v0):
-    """integ's 8-entry right-hand side, and (r0, its state at r0) for the
-    leg to r_switch at v0: the series state and, by complex step through
-    the series, its derivative in v0."""
-    rhs = _VARIATIONAL(p=integ.p, cap=integ.pow_cap, nm1=integ.n - 1.0, m=integ.m, wcap=integ.wcap)
-    r0, y0 = integ.start(v0, _R_SWITCH)
-    h = 1e-20 * abs(v0)
-    return rhs, r0, (*y0, *(y.imag / h for y in integ.series(complex(v0, h)).state(r0)))
-
-
 def test_variational_legs_equal_the_tableau_loops_bit_for_bit(case_a):
-    # case A's 8-entry legs: plain and dense to r_switch at its v0, legs
-    # ended by each event at the ladder's probes (plain, and dense at the
-    # blow-up end, whose root the 8-entry interpolant locates)
+    # case A's 8-entry legs (chart "v", seeded as the collocation's tangent
+    # is): plain and dense to r_switch at its v0, legs ended by each event
+    # at the ladder's probes (plain, and dense at the blow-up end, whose
+    # root the 8-entry interpolant locates)
     integ, _, v0 = case_a
     legs = []
     for v, dense in ((v0, False), (v0, True), (_PROBE_LO, False), (_PROBE_HI, False), (_PROBE_HI, True)):
-        rhs, r0, y0 = _variational(integ, v)
-        legs.append(_assert_rhs_leg_equals_the_loops(rhs, (r0, _R_SWITCH), y0, dense))
+        r0, _ = integ.start(v, _R_SWITCH)
+        legs.append(_assert_rhs_leg_equals_the_loops(integ.rhs_v, (r0, _R_SWITCH), integ.seed(v, r0), dense))
     assert [(got.status, got.event) for got in legs] == [
         (0, None), (0, None), (1, "sign_loss"), (1, "amplitude_cross"), (1, "amplitude_cross")]
     assert legs[0].y.shape[0] == 8 and legs[1].sol.steps.shape[1] == 2 + 8 * 8
@@ -501,7 +476,8 @@ def test_variational_leg_matches_scipy(case_a):
     # Measured: 2.9e-15 (state) and 9.8e-15 (derivative) from scipy, with
     # equal nfev (1466), and 1.5e-9 from the difference.
     integ, _, v0 = case_a
-    rhs, r0, y0 = _variational(integ, v0)
+    rhs, r0 = integ.rhs_v, integ.start(v0, _R_SWITCH)[0]
+    y0 = integ.seed(v0, r0)
     ours = solve_ivp(rhs, (r0, _R_SWITCH), y0, **_TOL)
     ref = scipy_solve_ivp(rhs, (r0, _R_SWITCH), y0, method="DOP853", events=rhs.events, **_TOL)
     assert ours.status == ref.status == 0
@@ -518,8 +494,8 @@ def test_variational_dense_output_is_scipys_odesolution_bit_for_bit(case_a):
     # Dense and _point on 8-entry rows against scipy's OdeSolution over
     # scipy's interpolants of the same rows, as on the 4-entry charts
     integ, _, v0 = case_a
-    rhs, r0, y0 = _variational(integ, v0)
-    leg = solve_ivp(rhs, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)
+    r0, _ = integ.start(v0, _R_SWITCH)
+    leg = solve_ivp(integ.rhs_v, (r0, _R_SWITCH), integ.seed(v0, r0), dense_output=True, **_TOL)
     ref = OdeSolution(leg.t, [_scipy_step(row) for row in leg.sol.steps])
     xs = np.sort(np.concatenate([leg.t, 0.5 * (leg.t[1:] + leg.t[:-1]), [0.5 * r0, 1.1 * _R_SWITCH]]))
     assert leg.sol(xs).shape == (8, xs.size)

@@ -27,9 +27,9 @@ from biharm.verify import solve_invariants
 import biharm.collocation
 import biharm.shooting
 from biharm.shooting import (
+    _BRACKET_STOP,
     _BVP_MAX_NODES,
     _BVP_NODES,
-    _CHORD_SWITCH,
     _DS,
     _MAX_BISECT,
     _PROBE_HI,
@@ -44,7 +44,6 @@ from biharm.shooting import (
     BlowUp,
     SignLoss,
     _bisect,
-    _chord_ends,
     _escape_law,
     _Integrator,
     _power,
@@ -433,7 +432,7 @@ def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
     for chart, factory in biharm.shooting._CHARTS.items():
         monkeypatch.setitem(biharm.shooting._CHARTS, chart, counted(factory))
     shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
-    assert set(nfev) == {"rhs_r", "rhs_s"}
+    assert set(nfev) == {"rhs_r", "rhs_s", "rhs_v"}
     assert nfev == evaluated
 
 
@@ -451,32 +450,33 @@ def test_shoot_compiles_nothing(sol_quick, monkeypatch):
     assert v0 == sol_quick.v0
 
 
+def _tangent_leg(integ, v, dense=True):
+    """(outcome, sol) of integ's variational r-chart leg (chart "v") from the
+    origin to r_switch at v, at _RTOL, as _collocate shoots it."""
+    r0, _ = integ.start(v, _R_SWITCH)
+    return integ.leg("v", (r0, _R_SWITCH), integ.seed(v, r0), dense)
+
+
 def test_solution_below_r_switch_is_the_collocation_chord(sol_quick, monkeypatch):
-    # Below r_switch the solve is the chord at its v0 between the dense
-    # r-chart legs at _chord_ends(up, dn), the legs of the collocation's left
-    # condition: per leg the series at its v below the leg's start, the leg
-    # from it on, and u = u_lo + t (u_hi - u_lo), t = (v0 - lo) / (hi - lo),
-    # bit for bit.
+    # Below r_switch the solve is the tangent at its v0 of the dense
+    # variational r-chart leg at the bracket's midpoint mid, the leg of the
+    # collocation's left condition: the series at mid with its derivative in
+    # v0 (_Integrator.seed) below the leg's start, the leg from it on, and
+    # u = u(mid) + (v0 - mid) du/dv, bit for bit.
     params = sol_quick.params
     sol, brackets, _ = _record_collocation(params, 500.0, monkeypatch)
     assert sol.v0 == sol_quick.v0
     (up, dn), = brackets
-    lo, hi = _chord_ends(up, dn)
+    mid = 0.5 * (up + dn)
     integ = _Integrator(params)
     head = sol.s_grid < math.log(_R_SWITCH)
     rr = sol.r_grid[head]
-
-    def entries(v):
-        _, leg, _ = integ.shot(v, _R_SWITCH, dense=True)
-        seeded = rr < leg.t[0]
-        assert np.any(seeded) and not np.all(seeded)
-        u, du = leg.sol(rr)[:2]
-        u[seeded], du[seeded] = integ.series(v).state(rr[seeded])[:2]
-        return u, du
-
-    (u_lo, du_lo), (u_hi, du_hi) = entries(lo), entries(hi)
-    t = (sol.v0 - lo) / (hi - lo)
-    u, du = u_lo + t * (u_hi - u_lo), du_lo + t * (du_hi - du_lo)
+    _, leg = _tangent_leg(integ, mid)
+    seeded = rr < leg.t[0]
+    assert np.any(seeded) and not np.all(seeded)
+    y = leg.sol(rr)
+    y[:, seeded] = integ.seed(mid, rr[seeded])
+    u, du = y[0] + (sol.v0 - mid) * y[4], y[1] + (sol.v0 - mid) * y[5]
     rm = rr**integ.m
     W = rm * u
     assert np.array_equal(sol.W[head], W)
@@ -485,9 +485,9 @@ def test_solution_below_r_switch_is_the_collocation_chord(sol_quick, monkeypatch
 
 
 def test_integrate_radial_at_converged_v0(sol_quick):
-    # A single shot at the solve's v0 meets the collocation's chord below
-    # r_switch to within the legs' integration error (measured 1.7e-14 of
-    # max |W| in W, 1.0e-15 of max |Z| in Z).  The collocated tail is not
+    # A single shot at the solve's v0 meets the collocation's tangent below
+    # r_switch to within the legs' integration error (measured 1.1e-14 of
+    # max |W| in W, 6.6e-14 of max |Z| in Z).  The collocated tail is not
     # compared.
     again = integrate_radial(
         sol_quick.params, alpha=1.0, v0=sol_quick.v0, r_max=500.0
@@ -724,7 +724,7 @@ def test_seam_residual_does_not_depend_on_r_max(sol_quick):
     # The seam is measured at r_switch on the solve itself, which below
     # r = 500 does not depend on r_max: a lattice that ends before r_switch
     # (5, 9.8) or just past it (11) reads the r_max 500 value, a number
-    # (measured 1.6e-14), never NaN
+    # (measured 2.0e-14), never NaN
     seams = {r_max: shoot(sol_quick.params, alpha=1.0, r_max=r_max).seam_residual
              for r_max in (5.0, 9.8, 11.0)}
     assert seams == {r_max: sol_quick.seam_residual for r_max in seams}
@@ -732,16 +732,16 @@ def test_seam_residual_does_not_depend_on_r_max(sol_quick):
 
 
 def test_seam_residual_is_small_on_the_acceptance_cases(sol_a, sol_b, sol_c):
-    # measured 4.0e-15, 5.8e-14 and 1.3e-14
+    # measured 2.0e-14, 4.2e-14 and 2.1e-14
     for sol in (sol_a, sol_b, sol_c):
         assert sol.seam_residual <= 1e-12
 
 
 def test_seam_residual_sees_an_offset_start_state(sol_quick, monkeypatch):
-    # The seam reads the collocation's start state against the chord at v0:
+    # The seam reads the collocation's start state against the tangent at v0:
     # with that state offset by 3e-10 L in W'' (each collocation.solve
     # result's first node; v0 and the spline the tail is read from stay as
-    # solved) it reads the offset, against 1.6e-14 as solved, and nothing
+    # solved) it reads the offset, against 2.0e-14 as solved, and nothing
     # else moves.
     offset = np.array([0.0, 0.0, 3e-10, 0.0])
     plain = biharm.collocation.solve
@@ -760,8 +760,8 @@ def test_seam_residual_sees_an_offset_start_state(sol_quick, monkeypatch):
 
 
 def test_z_is_the_stencil_derivative_of_w(sol_quick):
-    # Z = W' - lam4 Y comes from the solved states (series, the chord's
-    # r-chart legs, collocation); a 4th-order central stencil of Y on the
+    # Z = W' - lam4 Y comes from the solved states (series, the tangent's
+    # r-chart leg, collocation); a 4th-order central stencil of Y on the
     # lattice agrees with it on every interior node, the chart seam included
     Y, Z = sol_quick.Y, sol_quick.Z
     dY = diff_uniform(Y, _DS, 1, acc=4)
@@ -831,34 +831,16 @@ def test_heights_off_the_lattice_raise_before_any_shot(sol_quick, monkeypatch):
     assert short.s_grid[0] >= math.log(_R_SEED)
 
 
-def test_chord_ends_are_at_least_the_floor_apart():
-    # A bracket narrower than _RTOL |v0| is widened about its midpoint to
-    # that span (up to the rounding of midpoint +- half); a wider one is
-    # the chord's as it is.  A one-ulp bracket: stage 1's on n = 40 at p_c
-    # with every trial at rtol 1e-8.
-    dn = -0.9201257322475934
-    up = np.nextafter(dn, 0.0)
-    lo, hi = _chord_ends(up, dn)
-    assert lo < dn < up < hi
-    assert hi - lo >= (1.0 - 1e-3) * _RTOL * abs(dn)
-    assert hi - lo == pytest.approx(_RTOL * abs(dn), rel=1e-3)
-    assert 0.5 * (lo + hi) == pytest.approx(0.5 * (up + dn), rel=1e-15)
-    assert _chord_ends(-0.9, -0.9 * (1.0 + 3e-12)) == (-0.9 * (1.0 + 3e-12), -0.9)
-
-
 def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_the_chord_floor():
-    # n = 40 at p_c: with every stage-1 trial at rtol 1e-8 its bracket
-    # collapsed to one ulp, and a chord between its ends would read the
-    # legs' integration noise as the slope.  The solution below r_switch is
-    # that chord, so the seam stays closed either way (3.5e-17 with the
-    # floor, 9.9e-16 without); v0 tells them apart.  Pinned: v0 of the
-    # solve with _RTOL = 5e-13 (floor in place).  With the chord's ends
-    # _RTOL |v0| apart v0 lay 1.9e-14 relative from it; between the
-    # bracket's ends 1.0e-11 off.  With each trial at its bracket's rtol
-    # the bracket ends 1.3e-8 relative wide, wider than the floor, so the
-    # floor does not engage, and v0 lies 1.1e-15 from it;
-    # test_chord_floor_pins_v0_on_case_a_at_r_max_500 covers a bracket the
-    # floor widens.
+    # n = 40 at p_c: with every stage-1 trial at rtol 1e-8 its bracket once
+    # collapsed to one ulp, where a chord between the bracket's ends read
+    # the legs' integration noise as its slope (v0 1.0e-11 off).  The
+    # tangent at the bracket's midpoint takes its slope from one
+    # variational leg, whatever the bracket's width.  Pinned: v0 of the
+    # chord's solve with _RTOL = 5e-13.  Now the bracket ends 1.3e-8
+    # relative wide, v0 lies 3.5e-15 from the pin and the seam reads
+    # 3.8e-16; test_chord_floor_pins_v0_on_case_a_at_r_max_500 covers a
+    # bracket narrower than _RTOL |v0|.
     sol = shoot(ProblemParams(40, compute_pc(40)), alpha=1.0, r_max=1e4)
     tight = float.fromhex("-0x1.d71ab8506c4f2p-1")
     assert abs(sol.v0 - tight) <= 1e-13 * abs(tight)
@@ -868,16 +850,13 @@ def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_the_chord_floor():
 
 def test_chord_floor_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a, monkeypatch):
     # Case A at r_max 500: stage 1's bracket ends 9.2e-14 relative wide,
-    # narrower than _RTOL |v0|, so _chord_ends widens it about its midpoint,
-    # and v0 lies 7.3e-13 relative outside it: t = (v0 - lo) / (hi - lo)
-    # is -0.28 on the floor's chord and would be -7.8 on the bare bracket's.
-    # Pinned: v0 of the solve with _RTOL = 5e-13 (floor in place).
-    # Measured: v0 lies 3.5e-15 relative from it with the floor and 8.9e-15
-    # with the chord between the bracket's own ends.  That pin depends on
-    # the floor; case A (r_max 1e4, whose bracket the floor leaves alone)
-    # does not: v0 lies 2.3e-15 relative from case A's with the floor and
-    # 1.02e-14 with the bare chord, a bias from extrapolating the chord 7.8
-    # bracket widths (at _RTOL = 5e-13 the bare chord lies 1.04e-14 off).
+    # narrower than _RTOL |v0|, and v0 lies 7.3e-13 relative outside it.
+    # A chord between the bracket's ends extrapolated 7.8 bracket widths and
+    # left v0 1.02e-14 from case A's, which a floor on the chord's width
+    # (_RTOL |v0|) cut to 2.3e-15; the tangent at the bracket's midpoint
+    # needs no floor.  Pinned: v0 of the floor's solve with _RTOL = 5e-13,
+    # and case A's (r_max 1e4).  Measured: v0 lies 4.2e-16 and 2.9e-15
+    # relative from them.
     params = sol_quick.params
     sol, brackets, _ = _record_collocation(params, 500.0, monkeypatch)
     (up, dn), = brackets
@@ -885,11 +864,6 @@ def test_chord_floor_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a, monkeypatc
     tight = float.fromhex("-0x1.114bea1e69182p-2")
     assert abs(sol.v0 - tight) <= 5e-15 * abs(tight)
     assert abs(sol.v0 - sol_a.v0) <= 5e-15 * abs(sol_a.v0)
-    monkeypatch.setattr(biharm.shooting, "_chord_ends", lambda up, dn: (dn, up))
-    bare = shoot(params, alpha=1.0, r_max=500.0)
-    assert 5e-15 * abs(tight) < abs(bare.v0 - tight) <= 1.5e-14 * abs(tight)
-    assert abs(bare.v0 - sol_a.v0) > 5e-15 * abs(sol_a.v0)
-    assert all(inv.passed for inv in solve_invariants(bare)), solve_invariants(bare)
 
 
 def _record_collocation(params, r_max, monkeypatch):
@@ -917,54 +891,77 @@ def _record_collocation(params, r_max, monkeypatch):
 
 def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
     # The collocation's left condition puts y = (X - X*)/L at r_switch on the
-    # chord through the states of full-tolerance r-chart legs at the ends of
-    # stage 1's bracket: the chord's end states are those of
-    # integ.shot(v, r_switch), bit for bit.  The bracket brackets stage 1's
-    # loose root, so v0 may land past an end, within the guard's distance
-    # (measured 2.0e-13 past a bracket 9.2e-14 relative wide, 7.3e-13
-    # relative).  On a bracket as wide as the stop allows, _CHORD_SWITCH |v0|
-    # about v0, the chord _collocate builds must match the midpoint's own
-    # full-shot r_switch state below the collocation tolerance 1e-10 while the
-    # two end states differ by more than 1e-7 of max |y|.  Measured: 4.5e-11
-    # of max |y|, against 1.1e-4 between the ends.
+    # tangent at the midpoint mid of stage 1's bracket: ya and slope are the
+    # end state of a full-tolerance variational r-chart leg at mid and its
+    # derivative in v0, each mapped by _r_to_s_state, bit for bit.  The
+    # bracket brackets stage 1's loose root, so v0 may land past an end,
+    # within the guard's distance (measured 2.0e-13 past a bracket 9.2e-14
+    # relative wide, 7.3e-13 relative).  On a bracket as wide as the stop
+    # allows, _BRACKET_STOP |v0| about v0, the tangent _collocate builds
+    # must match each end's own full-shot r_switch state below the
+    # collocation tolerance 1e-10 while those two states differ by more
+    # than 1e-7 of max |y|.  Measured: 5.9e-11 and 4.3e-11 of max |y|,
+    # against 1.1e-4 between the ends.
     params = sol_quick.params
     sol, brackets, calls = _record_collocation(params, 500.0, monkeypatch)
     assert sol.v0 == sol_quick.v0
     (up, dn), = brackets
     bvp = calls[0][0][0]
-    assert max(dn - sol.v0, sol.v0 - up) < _CHORD_SWITCH * abs(sol.v0)
+    assert max(dn - sol.v0, sol.v0 - up) < _BRACKET_STOP * abs(sol.v0)
     integ = _Integrator(params)
     r_cls = 500.0 * math.exp(_S_PAD)
     x_star = np.array([integ.L, 0.0, 0.0, 0.0])
 
-    def head_state(v):
-        _, sol_r, _ = integ.shot(v, _R_SWITCH)
-        return _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1])
-
-    # the left condition y_l - ya - (v - lo) slope = 0
-    lo, hi = _chord_ends(up, dn)
-    x_lo, x_hi = head_state(lo), head_state(hi)
-    assert bvp.v_ref == lo
-    assert np.array_equal(bvp.ya, (x_lo - x_star) / integ.L)
-    assert np.array_equal(bvp.slope, (x_hi - x_lo) / (integ.L * (hi - lo)))
+    # the left condition y_l - ya - (v - mid) slope = 0
+    mid = 0.5 * (up + dn)
+    _, leg = _tangent_leg(integ, mid, dense=False)
+    x_mid, dx = (_r_to_s_state(integ.n, integ.m, _R_SWITCH, y) for y in np.split(leg.y[:, -1], 2))
+    assert bvp.v_ref == mid
+    assert np.array_equal(bvp.ya, (x_mid - x_star) / integ.L)
+    assert np.array_equal(bvp.slope, dx / integ.L)
 
     def start(v):
         _, _, sol_s = integ.shot(v, r_cls)
         return (sol_s.y[:, 0] - x_star) / integ.L
 
-    # a bracket chord_ready accepts, within 1e-6 of the widest, _CHORD_SWITCH |up|
-    half = 0.5 * (1.0 - 1e-6) * _CHORD_SWITCH * abs(sol.v0)
+    # a bracket the stop accepts, within 1e-6 of the widest, _BRACKET_STOP |up|
+    half = 0.5 * (1.0 - 1e-6) * _BRACKET_STOP * abs(sol.v0)
     up, dn = sol.v0 + half, sol.v0 - half
-    assert up - dn < _CHORD_SWITCH * abs(up)
+    assert up - dn < _BRACKET_STOP * abs(up)
     _, _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
     calls.clear()
     biharm.shooting._collocate(integ, guess, up, dn, r_cls)
     bvp = calls[0][0][0]
-    mid = 0.5 * (up + dn)
-    y_mid = start(mid)
-    scale = np.max(np.abs(y_mid))
+    assert bvp.v_ref == 0.5 * (up + dn)
+    scale = np.max(np.abs(start(bvp.v_ref)))
     assert np.max(np.abs(start(up) - start(dn))) / scale > 1e-7
-    assert np.max(np.abs(bvp.conditions(y_mid, np.zeros(4), mid)[:4])) / scale < 1e-10
+    for v in (up, dn):
+        assert np.max(np.abs(bvp.conditions(start(v), np.zeros(4), v)[:4])) / scale < 1e-10
+
+
+def test_tangent_slope_is_the_derivative_of_the_r_switch_state(sol_quick):
+    # The tangent's slope, dX/dv at r_switch from the variational leg
+    # _collocate shoots at the bracket's midpoint mid, over L, agrees with a
+    # central difference of two full-tolerance shots' r_switch states at
+    # mid -+ 1e-6 |mid| to 1e-8 relative: one step sequence differentiates
+    # the leg (measured: 8.7e-10).  The bracket is the widest the stop
+    # accepts about case A's v0 at r_max 500.
+    integ = _Integrator(sol_quick.params)
+    r_cls = 500.0 * math.exp(_S_PAD)
+    half = 0.5 * (1.0 - 1e-6) * _BRACKET_STOP * abs(sol_quick.v0)
+    up, dn = sol_quick.v0 + half, sol_quick.v0 - half
+    _, _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
+    _, (mid, leg), _, _ = biharm.shooting._collocate(integ, guess, up, dn, r_cls)
+    assert mid == 0.5 * (up + dn) and leg.y.shape[0] == 8
+
+    def state(v):
+        _, sol_r, _ = integ.shot(v, _R_SWITCH)
+        return _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1]) / integ.L
+
+    slope = _r_to_s_state(integ.n, integ.m, _R_SWITCH, leg.y[4:, -1]) / integ.L
+    dv = 1e-6 * abs(mid)
+    central = (state(mid + dv) - state(mid - dv)) / (2.0 * dv)
+    assert np.max(np.abs(slope - central)) <= 1e-8 * np.max(np.abs(central))
 
 
 @pytest.mark.parametrize("fixture", ["sol_quick", "sol_c"])
@@ -1017,7 +1014,7 @@ def test_collocation_failure_names_its_stage(pc13, monkeypatch):
     r_cls = 500.0 * math.exp(_S_PAD)
     s_lo, s_hi, dn, up = (float(x) for x in found.groups()[5:])
     assert (s_lo, s_hi) == pytest.approx((math.log(_R_SWITCH), math.log(r_cls)), rel=1e-5)
-    assert dn < up and up - dn < _CHORD_SWITCH * abs(up)
+    assert dn < up and up - dn < _BRACKET_STOP * abs(up)
 
 
 def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
@@ -1069,23 +1066,30 @@ def test_singular_band_names_its_round(pc13, monkeypatch):
 
 
 def test_failing_chord_leg_names_its_stage(pc13, monkeypatch):
-    # a chord end whose dense r-chart leg ends before r_switch raises
-    # NoConvergence naming the stage, the leg's v0 and outcome, the
+    # a tangent whose dense variational r-chart leg ends before r_switch
+    # raises NoConvergence naming the stage, the leg's v0 and outcome, the
     # s-domain and the v0 bracket, as every collocation NoConvergence does
-    # (case A at r_max 500 with the chord's lower end moved to v0 = -0.4,
-    # whose leg loses its sign at r = 9.44)
-    monkeypatch.setattr(biharm.shooting, "_chord_ends", lambda up, dn: (-0.4, up))
+    # (case A at r_max 500 with stage 1's bracket moved, its width kept, to
+    # a midpoint of about v0 = -0.4, whose leg loses its sign at r = 9.44)
+    plain = biharm.shooting._collocate
+
+    def moved(integ, leg, up, dn, r_cls):
+        shift = -0.4 - 0.5 * (up + dn)
+        return plain(integ, leg, up + shift, dn + shift, r_cls)
+
+    monkeypatch.setattr(biharm.shooting, "_collocate", moved)
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
     found = re.fullmatch(
-        r"collocation stage: the chord's r-chart leg at v0 = -0\.4 ends in SignLoss\(r=(\S+)\)" + _WHERE,
+        r"collocation stage: the tangent's r-chart leg at v0 = (\S+) ends in SignLoss\(r=(\S+)\)" + _WHERE,
         str(info.value),
     )
     assert found is not None, str(info.value)
-    assert 1.0 < float(found[1]) < _R_SWITCH
-    s_lo, s_hi, dn, up = (float(x) for x in found.groups()[1:])
+    assert float(found[1]) == pytest.approx(-0.4, rel=1e-12)
+    assert 1.0 < float(found[2]) < _R_SWITCH
+    s_lo, s_hi, dn, up = (float(x) for x in found.groups()[2:])
     assert s_lo == pytest.approx(math.log(_R_SWITCH), rel=1e-5) and s_lo < s_hi
-    assert dn < up and up - dn < _CHORD_SWITCH * abs(up)
+    assert dn < up and up - dn < _BRACKET_STOP * abs(up)
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
@@ -1148,7 +1152,7 @@ def test_short_solve_is_the_entire_solution(sol_a, sol_b, sol_quick):
 def test_short_solve_closes_at_large_n():
     # n = 40, p = 2 p_c: a solve to r_max 5 is the r_max 500 solve, bit for
     # bit.  Collocated to r_switch e^{_S_PAD} instead, its v0
-    # lands far off the chord and its mesh grows past the node cap.
+    # lands far off the tangent and its mesh grows past the node cap.
     params = ProblemParams(40, 2.0 * compute_pc(40))
     assert shoot(params, alpha=1.0, r_max=5.0).v0 == shoot(params, alpha=1.0, r_max=500.0).v0
 
@@ -1156,20 +1160,20 @@ def test_short_solve_closes_at_large_n():
 def test_collocation_v0_far_outside_the_bracket_raises(pc13, monkeypatch):
     # With the horizon floored at r_switch instead of r = 500, case A at
     # r_max 5 collocates v0 about 1.3e-4 relative outside its stage-1
-    # bracket, where the chord between the bracket ends is no longer an
+    # bracket, where the tangent at the bracket's midpoint is no longer an
     # accurate left condition: the solve raises, naming the stage, v0, the
     # s-range and the bracket
     monkeypatch.setattr(biharm.shooting, "_R_HORIZON", _R_SWITCH)
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=5.0)
     found = re.fullmatch(
-        r"collocation stage: v0 = (\S+) lies (\S+) outside the chord's bracket, more "
+        r"collocation stage: v0 = (\S+) lies (\S+) outside the bracket, more "
         r"than \S+ \|v0\| \(over s in \[\S+, \S+\], v0 bracket \[(\S+), (\S+)\]\)",
         str(info.value),
     )
     assert found is not None, str(info.value)
     v0, off, dn, up = (float(x) for x in found.groups())
-    assert dn < up and off > _CHORD_SWITCH * abs(v0)
+    assert dn < up and off > _BRACKET_STOP * abs(v0)
     assert off == pytest.approx(max(dn - v0, v0 - up), rel=1e-2)
 
 
@@ -1237,7 +1241,8 @@ def test_chord_lattice_passes_n13_at_100_pc(pc13):
     # n = 13, p = 100 p_c: with the lattice below r_switch from a separate
     # leg at v0, its jump against the collocation's start state at r_switch
     # failed transform_residual (4.73e-4 > 1e-4); from the collocation's own
-    # chord the solution reads 3.4e-5 and passes all six solve invariants
+    # left condition (then a chord, now the tangent) the solution passes all
+    # six solve invariants
     sol = shoot(ProblemParams(13, 100.0 * pc13), alpha=1.0, r_max=1e4)
     assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
 
@@ -1280,21 +1285,20 @@ def test_stage_1_step_failure_is_reraised(pc13, monkeypatch, w_over_L):
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
 def test_dense_chord_legs_replay_plain_full_tolerance_shots(fixture, r_max, request, monkeypatch):
-    # One shot geometry: dense output only adds interpolants, so the chord's
-    # dense legs at _chord_ends(up, dn) take the steps of plain full-tolerance
-    # legs, and the chord and v0 are those of plain legs; a dense shot at v0
-    # (integrate_radial's) ends on the plain shot's residual and starts its
-    # s-chart from the same r_switch state, bit for bit.
+    # One shot geometry: dense output only adds interpolants, so the
+    # tangent's dense leg at the bracket's midpoint takes the steps of a
+    # plain full-tolerance leg, and the tangent and v0 are those of a plain
+    # leg; a dense shot at v0 (integrate_radial's) ends on the plain shot's
+    # residual and starts its s-chart from the same r_switch state, bit for
+    # bit.
     sol = request.getfixturevalue(fixture)
     again, brackets, _ = _record_collocation(sol.params, r_max, monkeypatch)
     assert again.v0 == sol.v0
     (up, dn), = brackets
     integ = _Integrator(sol.params)
-    for v in _chord_ends(up, dn):
-        _, leg_dense, _ = integ.shot(v, _R_SWITCH, dense=True)
-        _, leg, _ = integ.shot(v, _R_SWITCH)
-        assert leg_dense.sol is not None and leg.sol is None
-        assert np.array_equal(leg_dense.t, leg.t) and np.array_equal(leg_dense.y, leg.y)
+    (_, leg_dense), (_, leg) = (_tangent_leg(integ, 0.5 * (up + dn), dense) for dense in (True, False))
+    assert leg_dense.sol is not None and leg.sol is None
+    assert np.array_equal(leg_dense.t, leg.t) and np.array_equal(leg_dense.y, leg.y)
     r_cls = r_max * math.exp(_S_PAD)
     rho_dense, sol_r_dense, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
     rho, sol_r, sol_s = integ.shot(sol.v0, r_cls)
@@ -1392,7 +1396,7 @@ def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
 def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):
     # A loose stage-1 shot that lands on the wrong side leaves the root
     # outside the bracket: the search then closes on the wrong trial, and the
-    # collocation's v0 lands far outside the chord's bracket, where its guard
+    # collocation's v0 lands far outside the bracket, where its guard
     # raises NoConvergence naming the stage.  Case A at r_max 500: the trial
     # that lies nearest 1e-4 |v0| from the root (1.9e-5 relative, a blow-up
     # at r = 90, shot at rtol 1.9e-5) is read as a sign loss at that radius;
@@ -1425,7 +1429,7 @@ def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):
         shoot(params, alpha=1.0, r_max=500.0)
     assert len(flipped) == 1
     found = re.fullmatch(
-        r"collocation stage: v0 = (\S+) lies (\S+) outside the chord's bracket, more "
+        r"collocation stage: v0 = (\S+) lies (\S+) outside the bracket, more "
         r"than \S+ \|v0\| \(over s in \[\S+, \S+\], v0 bracket \[(\S+), (\S+)\]\)",
         str(info.value),
     )
@@ -1433,4 +1437,4 @@ def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):
     v0, off, dn, up = (float(x) for x in found.groups())
     # v0 is the root, and the bracket closed on the misread trial
     assert v0 == pytest.approx(root, rel=1e-7)
-    assert far in (dn, up) and off > _CHORD_SWITCH * abs(v0)
+    assert far in (dn, up) and off > _BRACKET_STOP * abs(v0)

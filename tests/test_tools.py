@@ -69,7 +69,8 @@ def test_shoot_cells_diff_counts_identical_dumps(capsys):
 def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
     # OLD records predate nfev_by_rtol and still diff; per cell whose v0
     # differs the relative move prints, then the largest over the cells with
-    # a v0 on both sides (F failed on both and has none)
+    # a v0 on both sides (F failed on both and has none); each side's RHS
+    # evaluations print per chart, over the charts its records hold
     old = {"A": _ok("0x1p-2", 50, 8), "B": _ok("-0x1p-1", 50, 9), "F": _failed("StepFailure", 7, [8])}
     new = {"A": _ok("0x1.0000000000001p-2", 30, 8), "B": _ok("-0x1p-1", 30, 9),
            "F": _failed("StepFailure", 7, [8])}
@@ -82,6 +83,8 @@ def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
     assert not any(line.startswith("|dv0|/|v0| B") for line in out)
     assert "max |dv0|/|v0|: 2.2e-16 over 2 cells" in out
     assert "RHS evaluations: 207 -> 127 (-38.6%)" in out
+    assert "RHS evaluations by chart (old): r 107, s 100" in out
+    assert "RHS evaluations by chart (new): r 67, s 60" in out
     assert "RHS evaluations by rtol (new): 1e-12 20, 1e-08 100" in out
     assert not any(line.startswith("RHS evaluations by rtol (old)") for line in out)
 
@@ -156,20 +159,21 @@ def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):
 
 
 def test_shoot_cells_trials_sum_to_n_bisect():
-    # one _bisect call (stage 1), whose trials are n_bisect, and one chord
+    # one _bisect call (stage 1), whose trials are n_bisect, and one tangent
     # take at r_max 500: one collocation solve, its first round on the 200
     # start nodes and its second on the mesh the first predicts
     rec = shoot_cells.shoot_cell("quick")
     assert rec["trials"] == [rec["n_bisect"]] and rec["params"]["alpha"] == 1.0
     # stage 1 at rtols from 1e-4 (the probe ladder) down to 1e-8, keyed by
-    # decade; the chord's two r-chart legs at 1e-12
+    # decade; the tangent's one variational r-chart leg (chart "v") at 1e-12
+    assert set(rec["ivp"]) == {"r", "s", "v"}
     for chart in rec["ivp"].values():
         assert sum(chart["nfev_by_rtol"].values()) == chart["nfev"]
         assert chart["step_failures"] == 0
     stage_1 = {"1e-04", "1e-05", "1e-06", "1e-07", "1e-08"}
     assert {"1e-04", "1e-08"} <= set(rec["ivp"]["s"]["nfev_by_rtol"]) <= stage_1
-    assert {"1e-04", "1e-08"} <= set(rec["ivp"]["r"]["nfev_by_rtol"]) - {"1e-12"} <= stage_1
-    assert "1e-12" in rec["ivp"]["r"]["nfev_by_rtol"]
+    assert {"1e-04", "1e-08"} <= set(rec["ivp"]["r"]["nfev_by_rtol"]) <= stage_1
+    assert rec["ivp"]["v"]["calls"] == 1 and set(rec["ivp"]["v"]["nfev_by_rtol"]) == {"1e-12"}
     assert [shoot_cells.decade(r) for r in (1e-12, 1e-8, np.float64(9.99e-6), 1e-5, 1e-4)] == [
         "1e-12", "1e-08", "1e-06", "1e-05", "1e-04"]
     assert len(rec["w_sha256"]) == 64 and 0.0 < float(rec["seam_residual"]) < 1e-11

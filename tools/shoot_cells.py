@@ -26,8 +26,10 @@ value a JSON number or bool, its bound and whether it passed), under
 "expand" the pipeline of `biharm expand` on the solution (regime and k, the default window, the
 coefficients and the five expansion invariants, written the same way, or
 the typed error it raised), and the solve_ivp calls and RHS
-evaluations per chart, the latter also split by the decade of the legs'
-rtol (nfev_by_rtol, keyed "1e-12", "1e-08", ..., "1e-04": stage 1's loose
+evaluations per chart ("r", "s", and "v", the r-chart with its
+variational equation in v0 that the collocation's left condition is shot
+on), the latter also split by the decade of the legs' rtol
+(nfev_by_rtol, keyed "1e-12", "1e-08", ..., "1e-04": stage 1's loose
 shots apart from the full-tolerance legs), and the legs that ended in a
 step failure (step_failures, solve_ivp's status -1) per chart; a solve that
 raises a typed error records its class and message instead.
@@ -61,7 +63,8 @@ whether W is (by w_sha256) and whether the dumps are (by dump_sha256; "-"
 when neither side has the hash), so W equal beside a differing dump means
 that Z moved and W did not; then |dv0|/|v0| for each cell whose v0
 differs and the largest over the cells with a v0 on both sides, the totals
-(RHS evaluations also by rtol, for a side whose records split them; step
+(RHS evaluations also per chart on each side, and by rtol, for a side
+whose records split them; step
 failures, "-" for a side whose records do not count them), one "step
 failures rose" line for each cell with more step-failed legs in NEW than
 in OLD (both sides counting them), the count of
@@ -145,7 +148,7 @@ def shoot_cell(label: str) -> dict:
     ladder = compute_ladder(n)
     params = ProblemParams(n, p_of(ladder))
     calls, nfev, failures, trials = Counter(), Counter(), Counter(), []
-    by_rtol = {"r": Counter(), "s": Counter()}
+    by_rtol = {"r": Counter(), "s": Counter(), "v": Counter()}
     bvp = {"nodes": [], "niter": []}
     plain, plain_bisect, plain_solve = shooting.solve_ivp, shooting._bisect, collocation.solve
 
@@ -215,7 +218,7 @@ def shoot_cell(label: str) -> dict:
         shooting.solve_ivp, shooting._bisect, collocation.solve = plain, plain_bisect, plain_solve
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max, "alpha": alpha}
     rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c], "nfev_by_rtol": dict(by_rtol[c]),
-                      "step_failures": failures[c]} for c in ("r", "s")}
+                      "step_failures": failures[c]} for c in ("r", "s", "v")}
     rec["trials"] = trials
     rec["bvp"] = bvp
     return rec
@@ -315,6 +318,12 @@ def diff(old: dict, new: dict) -> int:
     rhs_old = sum(rhs(old[label]) for label in labels)
     rhs_new = sum(rhs(new[label]) for label in labels)
     print(f"RHS evaluations: {rhs_old} -> {rhs_new} ({rhs_new / rhs_old - 1.0:+.1%})")
+    for side, rec in (("old", old), ("new", new)):
+        per_chart = Counter()
+        for label in labels:
+            per_chart.update({chart: c["nfev"] for chart, c in rec[label]["ivp"].items()})
+        print(f"RHS evaluations by chart ({side}): "
+              + ", ".join(f"{chart} {per_chart[chart]}" for chart in sorted(per_chart)))
     for side, rec in (("old", old), ("new", new)):
         split = Counter()
         for label in labels:
