@@ -149,12 +149,13 @@ def solve(bvp: Bvp, x: np.ndarray, y: np.ndarray, v: float, max_nodes: int) -> C
         nodes = pieces.sum() + 1.0
         if not nodes <= max_nodes:
             raise NoConvergence(
-                f"{res.describe(tol)} predicts {nodes:.0f} nodes, more than the cap {max_nodes}"
+                f"{res.describe(tol)} predicts {nodes:.0f} nodes, more than the cap {max_nodes}",
+                (k, x.size, int(nodes)),
             )
         if k == _MAX_ROUNDS:
             raise NoConvergence(
                 f"{res.describe(tol)} still misses tol after {k} rounds (boundary "
-                f"conditions' residual {miss:.3g})"
+                f"conditions' residual {miss:.3g})", (k, x.size, None)
             )
         x = _split_intervals(x, pieces.astype(int))
         y = res(x)
@@ -186,7 +187,7 @@ def _newton(bvp, h, y, v, k):
             if info > 0:
                 raise NoConvergence(
                     f"round {k} on {m} nodes: the band LU is singular (dgbtrf "
-                    f"info = {info}) at Newton iteration {it}"
+                    f"info = {info}) at Newton iteration {it}", (k, m, None)
                 )
             njev += 1
             step = dgbtrs(lu, kl, ku, _residual(col_res, bc, n), piv)[0]

@@ -2,7 +2,9 @@
 
 
 class BiharmError(Exception):
-    """Base class for all biharm errors."""
+    """Base class for all biharm errors; one out of shooting.shoot carries its SolveRecord."""
+
+    record = None
 
 
 class InvalidParams(BiharmError):
@@ -27,6 +29,10 @@ class BracketNotFound(BiharmError):
 
 class NoConvergence(BiharmError):
     """The root search or the collocation ended without an acceptable trajectory."""
+
+    def __init__(self, message, round=None):
+        super().__init__(message)
+        self.round = round  # a failed collocation round's (round, nodes, predicted nodes or None)
 
 
 class StepFailure(BiharmError):

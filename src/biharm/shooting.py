@@ -32,6 +32,7 @@ import numpy as np
 
 from . import collocation
 from .errors import (
+    BiharmError,
     BracketNotFound,
     GridTooCoarse,
     InvalidParams,
@@ -110,6 +111,21 @@ class SignLoss:
 
 
 @dataclass(frozen=True)
+class SolveRecord:
+    """The work of one solve, in order: each leg's (chart, rtol, nfev,
+    status) in legs, status solve_ivp's (-1 a step failure); stage 1's
+    trials and the (up, dn) bracket it ended on; the collocation's final
+    (nodes, rounds) as mesh, or its failing round's (round, nodes, predicted
+    nodes or None) as failed.  A stage not reached leaves its fields None."""
+
+    legs: tuple = ()
+    trials: int | None = None
+    bracket: tuple | None = None
+    mesh: tuple | None = None
+    failed: tuple | None = None
+
+
+@dataclass(frozen=True)
 class RadialSolution:
     """Entire positive radial solution with phi(0) = alpha, as solved: the
     state X = (W, W', W'', W''') of W = r^m phi, shape (4, s_grid.size),
@@ -124,7 +140,7 @@ class RadialSolution:
     r_grid = e^s, phi = W / r^m and Y = W - L.  seam_residual is
     max_i |X_i - X_r,i| / L at r_switch, between the s-chart's start state
     and the r-chart part's end state X_r; it is 0.0 for a single shot,
-    whose s-chart starts from X_r.
+    whose s-chart starts from X_r.  record is the SolveRecord of the solve.
     """
 
     params: ProblemParams
@@ -135,7 +151,12 @@ class RadialSolution:
     X: np.ndarray
     target_residual: float
     seam_residual: float
-    n_bisect: int  # stage-1 root-search trials, model steps and midpoints alike
+    record: SolveRecord
+
+    @property
+    def n_bisect(self) -> int:
+        """Stage-1 root-search trials, model steps and midpoints alike; 0 for a single shot."""
+        return self.record.trials or 0
 
     @property
     def W(self) -> np.ndarray:
@@ -303,6 +324,7 @@ class _Integrator:
         self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)
         self.rhs_s = _CHARTS["s"](c1=c1, c2=c2, c3=c3, c4=c4, **common)
         self.rhs_v = _CHARTS["v"](nm1=self.n - 1.0, m=self.m, **common)
+        self.work = {"legs": ()}  # SolveRecord's fields, as a solve reaches them
 
     # --- one leg, one shot ------------------------------------------------
     def series(self, v0: float) -> _Series:
@@ -334,6 +356,7 @@ class _Integrator:
         rtol = _RTOL if rtol is None else rtol
         sol = solve_ivp(getattr(self, "rhs_" + chart), span, y0, rtol=rtol, atol=1e-2 * rtol,
                         dense_output=dense)
+        self.work["legs"] += ((chart, rtol, sol.nfev, sol.status),)
         x = "s" if chart == "s" else "r"  # the leg's variable
         t_end = float(sol.t[-1])
         r_end = t_end if x == "r" else math.exp(t_end)
@@ -413,7 +436,7 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     if isinstance(outcome, (BlowUp, SignLoss)):
         return replace(outcome, r=outcome.r / kappa)
     tail = sol_s.sol if sol_s else None
-    sol = _assemble_solution(integ, v0, r_max, (v0, sol_r), tail, n_bisect=0, seam=0.0)
+    sol = _assemble_solution(integ, v0, r_max, (v0, sol_r), tail, seam=0.0)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
@@ -444,7 +467,7 @@ def _sample_state(integ, v0, head, tail, s_nodes):
     return X
 
 
-def _assemble_solution(integ, v0, r_max, head, tail, n_bisect, seam):
+def _assemble_solution(integ, v0, r_max, head, tail, seam):
     # the lattice: _DS apart from log _R_SEED up to s_top, anchored at s_top
     # so that r_max itself is a node
     s_top = math.log(r_max)
@@ -461,7 +484,7 @@ def _assemble_solution(integ, v0, r_max, head, tail, n_bisect, seam):
         X=X,
         target_residual=float(X[0, -1] / integ.L - 1.0),
         seam_residual=seam,
-        n_bisect=n_bisect,
+        record=SolveRecord(**integ.work),
     )
 
 
@@ -559,26 +582,39 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     rescale_solution maps it.  At phi(0) = 1 it runs in two stages, r_max
     below standing for kappa r_max.
     (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
-    sign-loss) bracket, which _bisect shrinks with full shots (model steps
-    on the values of _escape_law, kept safe by midpoints) until it is
-    narrower than _BRACKET_STOP relative to v0 and both ends have s-chart
-    start states; NoConvergence when it ends before that.  Each shot runs
-    at the rtol the bracket it splits needs (see _RTOL_PROBE), down to
-    _RTOL_BRACKET; a trial misclassified at a loose rtol leaves the root
-    outside the bracket, which the collocation's guard turns into
-    NoConvergence.  Shots are classified at r_cls = max(r_max, _R_HORIZON)
-    e^{_S_PAD}, past the returned lattice and past r_switch, so every end
-    has an s-chart leg.  (2) Collocation (_collocate): one boundary value
-    problem with v0 as its unknown, its left condition the tangent in v0
-    of one variational r-chart leg at _RTOL from the bracket's midpoint,
-    closes the solution on the s-chart up to r_cls, solved by
+    sign-loss) bracket, which _bisect shrinks with full shots (model steps on
+    the values of _escape_law, kept safe by midpoints) until it is narrower
+    than _BRACKET_STOP relative to v0 and its blow-up end, whose s-chart leg
+    is the collocation's guess, has one; NoConvergence when it ends before
+    that.  Each shot runs at the rtol the bracket it splits needs (see
+    _RTOL_PROBE), down to _RTOL_BRACKET; a trial misclassified at a loose
+    rtol leaves the root outside the bracket, which the collocation's guard
+    turns into NoConvergence.  Shots are classified at r_cls = max(r_max,
+    _R_HORIZON) e^{_S_PAD}, past the returned lattice and past r_switch, so
+    every end has an s-chart leg.  (2) Collocation (_collocate): one
+    boundary value problem with v0 as its unknown, its left condition the
+    tangent in v0 of one variational r-chart leg at _RTOL from the bracket's
+    midpoint, closes the solution on the s-chart up to r_cls, solved by
     biharm.collocation (solve_bvp's Newton rounds on a banded LU, each round
     on the mesh the last one's residuals predict); below r_switch it is that
     tangent at that v0.  For r_max <= _R_HORIZON the horizon, and so the
     solution, does not depend on r_max, which only cuts the returned grids.
+    The solution's record, and that of any BiharmError raised here, is the
+    solve's SolveRecord.
     """
-    r_max = _scale(params.m, alpha, r_max) * r_max
-    integ = _Integrator(params)
+    integ = None
+    try:
+        r_max = _scale(params.m, alpha, r_max) * r_max
+        integ = _Integrator(params)
+        sol = _solve(integ, r_max)
+    except BiharmError as exc:
+        exc.record = SolveRecord(**integ.work) if integ else SolveRecord()
+        raise
+    return sol if alpha == 1.0 else rescale_solution(sol, alpha)
+
+
+def _solve(integ, r_max):
+    """shoot's two stages at phi(0) = 1 on r <= r_max."""
     lam4 = integ.spec.lambdas[3]
     r_cls = max(r_max, _R_HORIZON) * math.exp(_S_PAD)
     s_cls = math.log(r_cls)
@@ -615,9 +651,10 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     up, dn = ladder[i], ladder[j]
 
     def ready(up, dn):
-        return abs(up - dn) < _BRACKET_STOP * abs(up) and up in s_legs and dn in s_legs
+        return abs(up - dn) < _BRACKET_STOP * abs(up) and up in s_legs
 
     n_iter, up, dn = _bisect(side, up, dn, done=ready, ends=(g[up], g[dn]))
+    integ.work.update(trials=n_iter, bracket=(up, dn))
     if not ready(up, dn):
         raise NoConvergence(
             f"no bracket to collocate from: the v0 root search ended after "
@@ -632,8 +669,7 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
         y = res(s)
         return L * (1.0 + y[0]), L * y[1], L * y[2], L * y[3]
 
-    sol = _assemble_solution(integ, v0, r_max, head, tail, n_bisect=n_iter, seam=seam)
-    return sol if alpha == 1.0 else rescale_solution(sol, alpha)
+    return _assemble_solution(integ, v0, r_max, head, tail, seam=seam)
 
 
 def _collocate(integ, leg, up, dn, r_cls):
@@ -708,13 +744,15 @@ def _collocate(integ, leg, up, dn, r_cls):
         bvp = collocation.Bvp(fun, jac, ya=(x_mid - x_star) / L, slope=dx / L, v_ref=mid,
                               right=l4, tol=100.0 * _RTOL)
         res = collocation.solve(bvp, mesh, guess, mid, _BVP_MAX_NODES)
+        integ.work["mesh"] = (res.x.size, res.niter)
         v0 = float(res.v)
         off = max(dn - v0, v0 - up)
         if off > _BRACKET_STOP * abs(v0):
             raise NoConvergence(f"v0 = {v0!r} lies {off:.3g} outside the bracket, more than "
                                 f"{_BRACKET_STOP:.3g} |v0|")
     except NoConvergence as exc:
-        raise NoConvergence(f"collocation stage: {exc} ({where})") from None
+        integ.work["failed"] = exc.round
+        raise NoConvergence(f"collocation stage: {exc} ({where})", exc.round) from None
     seam = float(np.max(np.abs(bvp.conditions(res.y[:, 0], res.y[:, -1], res.v)[:4])))
     return v0, (mid, tangent), seam, res
 

@@ -431,9 +431,14 @@ def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
     monkeypatch.setattr(biharm.shooting, "solve_ivp", counting_solve_ivp)
     for chart, factory in biharm.shooting._CHARTS.items():
         monkeypatch.setitem(biharm.shooting._CHARTS, chart, counted(factory))
-    shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
+    sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
     assert set(nfev) == {"rhs_r", "rhs_s", "rhs_v"}
     assert nfev == evaluated
+    # the solve's record holds the same legs
+    recorded = Counter()
+    for chart, _, count, _ in sol.record.legs:
+        recorded["rhs_" + chart] += count
+    assert recorded == nfev
 
 
 def test_shoot_compiles_nothing(sol_quick, monkeypatch):
@@ -457,7 +462,7 @@ def _tangent_leg(integ, v, dense=True):
     return integ.leg("v", (r0, _R_SWITCH), integ.seed(v, r0), dense)
 
 
-def test_solution_below_r_switch_is_the_collocation_chord(sol_quick, monkeypatch):
+def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick, monkeypatch):
     # Below r_switch the solve is the tangent at its v0 of the dense
     # variational r-chart leg at the bracket's midpoint mid, the leg of the
     # collocation's left condition: the series at mid with its derivative in
@@ -831,7 +836,7 @@ def test_heights_off_the_lattice_raise_before_any_shot(sol_quick, monkeypatch):
     assert short.s_grid[0] >= math.log(_R_SEED)
 
 
-def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_the_chord_floor():
+def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_rtol():
     # n = 40 at p_c: with every stage-1 trial at rtol 1e-8 its bracket once
     # collapsed to one ulp, where a chord between the bracket's ends read
     # the legs' integration noise as its slope (v0 1.0e-11 off).  The
@@ -839,7 +844,7 @@ def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_the_chord_floor():
     # variational leg, whatever the bracket's width.  Pinned: v0 of the
     # chord's solve with _RTOL = 5e-13.  Now the bracket ends 1.3e-8
     # relative wide, v0 lies 3.5e-15 from the pin and the seam reads
-    # 3.8e-16; test_chord_floor_pins_v0_on_case_a_at_r_max_500 covers a
+    # 3.8e-16; test_tangent_pins_v0_on_case_a_at_r_max_500 covers a
     # bracket narrower than _RTOL |v0|.
     sol = shoot(ProblemParams(40, compute_pc(40)), alpha=1.0, r_max=1e4)
     tight = float.fromhex("-0x1.d71ab8506c4f2p-1")
@@ -848,7 +853,7 @@ def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_the_chord_floor():
     assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
 
 
-def test_chord_floor_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a, monkeypatch):
+def test_tangent_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a, monkeypatch):
     # Case A at r_max 500: stage 1's bracket ends 9.2e-14 relative wide,
     # narrower than _RTOL |v0|, and v0 lies 7.3e-13 relative outside it.
     # A chord between the bracket's ends extrapolated 7.8 bracket widths and
@@ -867,29 +872,23 @@ def test_chord_floor_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a, monkeypatc
 
 
 def _record_collocation(params, r_max, monkeypatch):
-    """shoot(params, 1, r_max) with its stage-1 bracket and each
-    collocation.solve call's arguments (bvp, x, y, v, max_nodes) and result
-    recorded."""
-    brackets, calls = [], []
-    plain_bisect, plain_solve = biharm.shooting._bisect, biharm.collocation.solve
-
-    def bisect(*args, **kwargs):
-        out = plain_bisect(*args, **kwargs)
-        brackets.append(out[1:])
-        return out
+    """shoot(params, 1, r_max), [its stage-1 bracket] from its record, and
+    each collocation.solve call's arguments (bvp, x, y, v, max_nodes) and
+    result."""
+    calls = []
+    plain_solve = biharm.collocation.solve
 
     def solve(bvp, x, y, v, max_nodes):
         res = plain_solve(bvp, x, y, v, max_nodes)
         calls.append(((bvp, x.copy(), y.copy(), v, max_nodes), res))
         return res
 
-    monkeypatch.setattr(biharm.shooting, "_bisect", bisect)
     monkeypatch.setattr(biharm.collocation, "solve", solve)
     sol = shoot(params, alpha=1.0, r_max=r_max)
-    return sol, brackets, calls
+    return sol, [sol.record.bracket], calls
 
 
-def test_chord_state_matches_full_shot(sol_quick, monkeypatch):
+def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
     # The collocation's left condition puts y = (X - X*)/L at r_switch on the
     # tangent at the midpoint mid of stage 1's bracket: ya and slope are the
     # end state of a full-tolerance variational r-chart leg at mid and its
@@ -1020,20 +1019,9 @@ def test_collocation_failure_names_its_stage(pc13, monkeypatch):
 def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
     # a predicted mesh above the node cap raises right after the first
     # round, naming the stage, the round, the predicted node count and the
-    # cap; no later round runs (case A at r_max 500 predicts 645 nodes)
-    sizes, rounds = [], []
-    plain, plain_newton = biharm.collocation.solve, biharm.collocation._newton
-
-    def counting(bvp, x, y, v, max_nodes):
-        sizes.append((x.size, max_nodes))
-        return plain(bvp, x, y, v, max_nodes)
-
-    def newton(bvp, h, y, v, k):
-        rounds.append(k)
-        return plain_newton(bvp, h, y, v, k)
-
-    monkeypatch.setattr(biharm.collocation, "solve", counting)
-    monkeypatch.setattr(biharm.collocation, "_newton", newton)
+    # cap, and carrying them as data; no later round runs, and the solve's
+    # record holds that round and no collocation that returned (case A at
+    # r_max 500 predicts 645 nodes)
     monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
@@ -1043,12 +1031,15 @@ def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
     )
     assert found is not None, str(info.value)
     assert found[1] == "1" and int(found[2]) == _BVP_NODES and int(found[5]) > 400
-    assert sizes == [(_BVP_NODES, 400)] and rounds == [1]
+    record = info.value.record
+    assert info.value.round == record.failed == (1, _BVP_NODES, int(found[5]))
+    assert record.mesh is None and record.trials > 0 and record.bracket[0] > record.bracket[1]
 
 
 def test_singular_band_names_its_round(pc13, monkeypatch):
     # a band LU that finds an exact zero pivot (dgbtrf info > 0) raises
-    # NoConvergence naming the round, its nodes and the Newton iteration
+    # NoConvergence naming the round, its nodes and the Newton iteration,
+    # and carrying the round and its nodes, with no predicted mesh
     plain = biharm.collocation.dgbtrf
 
     def singular(ab, kl, ku, **kwargs):
@@ -1063,9 +1054,10 @@ def test_singular_band_names_its_round(pc13, monkeypatch):
         r"info = 7\) at Newton iteration 1" + _WHERE,
         str(info.value),
     ), str(info.value)
+    assert info.value.round == info.value.record.failed == (1, _BVP_NODES, None)
 
 
-def test_failing_chord_leg_names_its_stage(pc13, monkeypatch):
+def test_failing_tangent_leg_names_its_stage(pc13, monkeypatch):
     # a tangent whose dense variational r-chart leg ends before r_switch
     # raises NoConvergence naming the stage, the leg's v0 and outcome, the
     # s-domain and the v0 bracket, as every collocation NoConvergence does
@@ -1359,38 +1351,42 @@ def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
     if rtol is not None:
         monkeypatch.setattr(biharm.shooting, "_RTOL", rtol)
     rtol = biharm.shooting._RTOL
-    plain_ivp, plain_bisect, plain_shot = biharm.shooting.solve_ivp, biharm.shooting._bisect, _Integrator.shot
-    seen, shots, splits = set(), {}, []
+    plain_ivp, plain_shot = biharm.shooting.solve_ivp, _Integrator.shot
+    seen, shots, trials = set(), {}, []
 
     def recording_solve_ivp(fun, *args, **kwargs):
         seen.add((kwargs["rtol"], kwargs["atol"]))
         return plain_ivp(fun, *args, **kwargs)
 
     def recording_shot(self, v0, r_max, dense=False, rtol=None):
-        if rtol is not None:  # a stage-1 shot
+        out = plain_shot(self, v0, r_max, dense, rtol)
+        if rtol is not None:  # a stage-1 shot, and the sign of its escape-law value
             shots[v0] = rtol
-        return plain_shot(self, v0, r_max, dense, rtol)
-
-    def recording_bisect(side, *args, **kwargs):
-        def recording_side(x, width):
-            splits.append((x, width))
-            return side(x, width)
-        return plain_bisect(recording_side, *args, **kwargs)
+            trials.append((v0, _escape_law(out[0], 1.0, 0.0, 0.0)))
+        return out
 
     monkeypatch.setattr(biharm.shooting, "solve_ivp", recording_solve_ivp)
-    monkeypatch.setattr(biharm.shooting, "_bisect", recording_bisect)
     monkeypatch.setattr(_Integrator, "shot", recording_shot)
-    shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
+    sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
     assert all(type(r) is type(a) is float and a == 1e-2 * r for r, a in seen)
     assert (rtol, atol) in seen and atol == 1e-2 * rtol
     stage_1 = {r for r, _ in seen} - {rtol}
     assert stage_1 == set(shots.values())
     assert min(stage_1) == _RTOL_BRACKET and max(stage_1) == _RTOL_PROBE
+    # stage 1 replayed: from the probe ladder's ends on, each shot x splits
+    # the bracket (up, dn), of width w = up - dn, and becomes its blow-up
+    # end (g >= 0) or its sign-loss end; the solve records the last bracket
+    up, dn, splits = _PROBE_HI, _PROBE_LO, []
+    for x, g in trials:
+        splits.append((x, up - dn))
+        up, dn = (x, dn) if g >= 0.0 else (up, x)
+    assert sol.record.bracket == (up, dn)
     assert all(shots[x] == max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, w / abs(x))) for x, w in splits)
     narrow = [x for x, w in splits if w < _RTOL_PROBE * abs(x)]
     assert narrow and all(shots[x] == _RTOL_BRACKET for x in narrow)
-    probes = set(shots) - {x for x, _ in splits}
-    assert probes and all(shots[x] == _RTOL_PROBE for x in probes)
+    # the probe ladder's shots split brackets wider than |x|
+    wide = [x for x, w in splits if w >= abs(x)]
+    assert wide and all(shots[x] == _RTOL_PROBE for x in wide)
 
 
 def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):

@@ -17,19 +17,25 @@ shoot_cells = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(shoot_cells)
 
 
+def _chart(calls, nfev):
+    return {"calls": calls, "nfev": nfev, "nfev_by_rtol": {"1e-12": nfev} if calls else {},
+            "step_failures": 0}
+
+
 def _ok(v0_hex, nfev, n_bisect, passed=True, dump="d0", w="w0"):
     check = {"value": True, "bound": None, "passed": passed}
     return {
         "v0_hex": v0_hex, "w_sha256": w, "dump_sha256": dump, "n_bisect": n_bisect,
         "trials": [n_bisect],
         "checks": {"phi_positive": check},
-        "ivp": {"r": {"calls": 1, "nfev": nfev}, "s": {"calls": 1, "nfev": nfev}},
+        "ivp": {"r": _chart(1, nfev), "s": _chart(1, nfev)},
+        "bvp": {"nodes": [], "niter": []},
     }
 
 
 def _failed(error, nfev, trials):
     return {"error": error, "message": "", "trials": trials,
-            "ivp": {"r": {"calls": 1, "nfev": nfev}, "s": {"calls": 0, "nfev": 0}}}
+            "ivp": {"r": _chart(1, nfev), "s": _chart(0, 0)}, "bvp": {"nodes": [], "niter": []}}
 
 
 def test_shoot_cells_diff_reports_cells_and_totals(capsys):
@@ -67,10 +73,10 @@ def test_shoot_cells_diff_counts_identical_dumps(capsys):
 
 
 def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
-    # OLD records predate nfev_by_rtol and still diff; per cell whose v0
-    # differs the relative move prints, then the largest over the cells with
-    # a v0 on both sides (F failed on both and has none); each side's RHS
-    # evaluations print per chart, over the charts its records hold
+    # per cell whose v0 differs the relative move prints, then the largest
+    # over the cells with a v0 on both sides (F failed on both and has
+    # none); each side's RHS evaluations print per chart, over the charts
+    # its records hold, and by the decade of the legs' rtol
     old = {"A": _ok("0x1p-2", 50, 8), "B": _ok("-0x1p-1", 50, 9), "F": _failed("StepFailure", 7, [8])}
     new = {"A": _ok("0x1.0000000000001p-2", 30, 8), "B": _ok("-0x1p-1", 30, 9),
            "F": _failed("StepFailure", 7, [8])}
@@ -85,28 +91,23 @@ def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
     assert "RHS evaluations: 207 -> 127 (-38.6%)" in out
     assert "RHS evaluations by chart (old): r 107, s 100" in out
     assert "RHS evaluations by chart (new): r 67, s 60" in out
-    assert "RHS evaluations by rtol (new): 1e-12 20, 1e-08 100" in out
-    assert not any(line.startswith("RHS evaluations by rtol (old)") for line in out)
+    assert "RHS evaluations by rtol (old): 1e-12 207" in out
+    assert "RHS evaluations by rtol (new): 1e-12 27, 1e-08 100" in out
 
 
 def test_shoot_cells_diff_reads_collocation_meshes(capsys):
-    # per cell the collocation's last mesh and total rounds, old -> new; an
-    # OLD record of a tree with a coarse round adds its niter to the final
-    # solve's: A took a coarse round and one final round, as many as its
-    # one solve now; B's one solve takes a round more; C failed after its
-    # coarse round in OLD and records no solve in NEW; D's OLD record
-    # predates the key.  Then the cells whose mesh or rounds moved, out of
-    # those with both on both sides.
+    # per cell the collocation's last mesh and rounds, old -> new: A's
+    # stays, B's solve takes a round more; C's collocation returned in OLD
+    # before its solve failed, and NEW records none; D collocates only in
+    # NEW.  Then the cells whose mesh or rounds moved, out of those with
+    # both on both sides.
     old = {label: _ok("0x1p-2", 5, 9) for label in "ABD"}
     new = {label: _ok("0x1p-2", 5, 9) for label in "ABD"}
     old["C"], new["C"] = _failed("NoConvergence", 7, [8]), _failed("NoConvergence", 7, [8])
-    coarse = {"nodes": [200], "niter": [1]}
-    old["A"]["bvp"] = {"coarse": coarse, "nodes": [684], "niter": [1]}
-    new["A"]["bvp"] = {"nodes": [684], "niter": [2]}
-    old["B"]["bvp"] = {"coarse": coarse, "nodes": [9441], "niter": [3]}
+    old["A"]["bvp"] = new["A"]["bvp"] = {"nodes": [684], "niter": [2]}
+    old["B"]["bvp"] = {"nodes": [9441], "niter": [4]}
     new["B"]["bvp"] = {"nodes": [9441], "niter": [5]}
-    old["C"]["bvp"] = {"coarse": coarse, "nodes": [], "niter": []}
-    new["C"]["bvp"] = {"nodes": [], "niter": []}
+    old["C"]["bvp"] = {"nodes": [200], "niter": [1]}
     new["D"]["bvp"] = {"nodes": [300], "niter": [2]}
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
@@ -115,11 +116,11 @@ def test_shoot_cells_diff_reads_collocation_meshes(capsys):
     assert meshes == {"A": ["684/2", "->", "684/2"], "B": ["9441/4", "->", "9441/5"],
                       "C": ["200/1", "->", "-"], "D": ["-", "->", "300/2"]}
     assert "collocation meshes moved: 1 of 2" in out
-    # without collocation records on either side, the column reads "-"
-    # and no count prints
+    # without a collocation on either side, the column reads "-" and no
+    # count prints
     for rec in (old, new):
         for label in rec:
-            rec[label].pop("bvp", None)
+            rec[label]["bvp"] = {"nodes": [], "niter": []}
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
     assert {line.split()[-4] for line in out[1:5]} == {"-"}
@@ -128,16 +129,15 @@ def test_shoot_cells_diff_reads_collocation_meshes(capsys):
 
 def test_shoot_cells_diff_totals_step_failures(capsys):
     # each side's legs that ended in a step failure, summed over cells and
-    # charts; OLD records predate the count, still diff and print "-"; a
-    # cell whose count rises gets its own line, one whose count falls none
-    old = {"A": _ok("0x1p-2", 50, 8), "F": _failed("StepFailure", 7, [8])}
+    # charts; a cell whose count rises gets its own line, one whose count
+    # falls none
     new = {"A": _ok("0x1p-2", 50, 8), "F": _failed("StepFailure", 7, [8])}
     for rec, counts in ((new["A"], (2, 1)), (new["F"], (1, 0))):
         for chart, count in zip("rs", counts):
             rec["ivp"][chart]["step_failures"] = count
     more = json.loads(json.dumps(new))
     more["A"]["ivp"]["s"]["step_failures"] = 3
-    for a, b, total in ((old, new, "- -> 4"), (new, new, "4 -> 4"), (more, new, "6 -> 4")):
+    for a, b, total in ((new, new, "4 -> 4"), (more, new, "6 -> 4")):
         assert shoot_cells.diff(a, b) == 0
         out = capsys.readouterr().out.splitlines()
         assert f"step failures: {total}" in out
@@ -275,15 +275,20 @@ def test_shoot_cells_a10_is_case_a_at_height_10(monkeypatch):
 
 def test_shoot_cells_records_the_failing_collocation_round(monkeypatch, capsys):
     # a collocation.solve that raises NoConvergence records its round, that
-    # round's nodes and the nodes it predicts; case A at r_max 500 predicts
-    # 645 nodes from its 200 start nodes, above a cap of 400
+    # round's nodes and the nodes it predicts, from the error's record; case
+    # A at r_max 500 predicts 645 nodes from its 200 start nodes, above a
+    # cap of 400
     monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
     rec = shoot_cells.shoot_cell("quick")
     assert rec["error"] == "NoConvergence"
     assert rec["bvp"] == {"nodes": [], "niter": [],
                           "failed": {"round": 1, "nodes": 200, "predicted": 645}}
-    assert shoot_cells.failed_round("round 3 on 811 nodes: the band LU is singular") == {
-        "round": 3, "nodes": 811}
+    # a round that fails before it predicts a mesh (a singular band LU)
+    # records no prediction
+    plain = biharm.collocation.dgbtrf
+    monkeypatch.setattr(biharm.collocation, "dgbtrf",
+                        lambda ab, kl, ku, **kwargs: (*plain(ab, kl, ku, **kwargs)[:2], 7))
+    assert shoot_cells.shoot_cell("quick")["bvp"]["failed"] == {"round": 1, "nodes": 200}
     # --diff's mesh column shows the failing round, against a solve that
     # returned on the other side and one that failed later
     ok = _ok("0x1p-2", 5, 9)

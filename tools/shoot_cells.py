@@ -12,74 +12,48 @@ phi(0) = 10).  A cell may name its height alpha; it is 1 otherwise, and
 each record stores it under "params".
 --grid shoots the 25-cell coverage grid instead: n in {13, 15, 20, 40, 100}
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
-like n13_pc+0.5 (5-7 s wall and 7-10 CPU-seconds on a 2-core x86-64
-host; any of its labels also works with --cells).  The wider rows of the
-theory's range, n = 60 and n = 200 at the same five p's and r_max (n60_pc,
-..., n200_100pc), are shot only when named in --cells, so --grid stays the
-same 25 cells.  Each record holds the
-solve's v0 (repr and float hex), n_bisect, the end residual rho =
-target_residual, the seam residual at r_switch (seam_residual), the
-SHA-256 of its dump_solution text (dump_sha256, so a plain diff covers s,
-r, phi, W, Y and Z) and of its W array's bytes (w_sha256), the six
-solve invariants as verify.invariant_payload writes them (each check's
-value a JSON number or bool, its bound and whether it passed), under
-"expand" the pipeline of `biharm expand` on the solution (regime and k, the default window, the
-coefficients and the five expansion invariants, written the same way, or
-the typed error it raised), and the solve_ivp calls and RHS
-evaluations per chart ("r", "s", and "v", the r-chart with its
-variational equation in v0 that the collocation's left condition is shot
-on), the latter also split by the decade of the legs' rtol
-(nfev_by_rtol, keyed "1e-12", "1e-08", ..., "1e-04": stage 1's loose
-shots apart from the full-tolerance legs), and the legs that ended in a
-step failure (step_failures, solve_ivp's status -1) per chart; a solve that
-raises a typed error records its class and message instead.
-Every record also lists the trials of each _bisect call (stage 1's search;
-on a solve that returns they sum to n_bisect) and, under "bvp", the
-collocation stage's work: the final mesh's nodes and the rounds (niter,
-each one Newton solve on its own mesh) of each biharm.collocation.solve
-call that returns, one per solve; a call that raises NoConvergence records
-under "failed" its round, that round's nodes and, when the message names
-it, the node count the round predicts.  Records of older trees split the
-rounds into a "coarse" round on the start mesh and the final solves after
-it, and hold check values as repr strings.
-Nothing in the output depends on timing, so two trees can be compared with
-a plain diff.
+like n13_pc+0.5 (any of its labels also works with --cells).  The wider
+rows of the theory's range, n = 60 and n = 200 at the same five p's and
+r_max (n60_pc, ..., n200_100pc), are shot only when named in --cells, so
+--grid stays the same 25 cells.
+A solve's record holds its v0 (repr and float hex), n_bisect, the end
+residual rho = target_residual, seam_residual, the SHA-256 of its
+dump_solution text (dump_sha256) and of its W array's bytes (w_sha256),
+the six solve invariants as verify.invariant_payload writes them, and under
+"expand" the pipeline of `biharm expand` on the solution (regime and k, the
+default window, the coefficients and the five expansion invariants, or the
+typed error it raised); a solve that raises a typed error records its class
+and message instead.  Either way the record's work comes from the solve's
+shooting.SolveRecord (the solution's record, or the error's): per chart
+("r", "s", and "v", the r-chart with its variational equation in v0) the
+legs, their RHS evaluations, those split by the decade of the legs' rtol
+(nfev_by_rtol) and the legs that ended in a step failure (step_failures);
+stage 1's trials (a list of one count, empty when the search did not end);
+and under "bvp" the collocation's final nodes and rounds (niter), or under
+"failed" its failing round, that round's nodes and the nodes it predicts,
+when it predicted a mesh.  Nothing in the output depends on timing, so two
+trees can be compared with a plain diff.
 
 --src picks the biharm sources to import (default: this checkout's src/),
-so the same script measures any tree that has verify.run_expansion (the
-expand pipeline it records) and verify.invariant_payload; records of older
-trees come from their own copy of this script.
+so the same script measures any tree whose solutions and errors carry a
+SolveRecord.
 
 --diff compares two such outputs (say, of a parent tree and of a change)
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
-failed invariants), RHS evaluations, root-search trials (n_bisect; for a
-failed solve, the sum of its recorded trials), the collocation's last mesh
-and total rounds as nodes/rounds ("-" without a collocation solve; a solve
-that failed shows its failing round's nodes, marked ":failed"; in records
-of older trees, the last round's nodes, and the coarse round's niter plus
-the final solves'), whether v0 is bit-identical,
-whether W is (by w_sha256) and whether the dumps are (by dump_sha256; "-"
-when neither side has the hash), so W equal beside a differing dump means
-that Z moved and W did not; then |dv0|/|v0| for each cell whose v0
-differs and the largest over the cells with a v0 on both sides, the totals
-(RHS evaluations also per chart on each side, and by rtol, for a side
-whose records split them; step
-failures, "-" for a side whose records do not count them), one "step
-failures rose" line for each cell with more step-failed legs in NEW than
-in OLD (both sides counting them), the count of
-cells whose collocation nodes/rounds moved, out of those with them on both
-sides, the ok counts, one "error class changed" line for each cell whose
-solve (or expand) raised a typed error of a different class on each side,
-one "invariant moved: <cell> <name> old -> new" line for each solve or
-expand invariant whose value differs between the sides (so a change to how
-a check computes its value shows each cell's reading next to the old one),
-and the identical dumps out of the cells with a dump on either side.
-For each cell with an expand record on either side it prints both sides'
-expand outcome (as for the solve, over the expansion invariants; "-"
-without a record), then the expand-ok counts.  Records of older trees,
-without the newer keys, diff all the same.  It exits 1 when a cell that is
-ok in OLD is not ok in NEW, or expand-ok in OLD and not in NEW.
+failed invariants), RHS evaluations, root-search trials, the collocation's
+last mesh and rounds as nodes/rounds ("-" without a collocation; a failing
+round's nodes and number, marked ":failed"), and whether v0, W (by
+w_sha256) and the dumps (by dump_sha256) are identical.  Then it prints
+|dv0|/|v0| per cell whose v0 differs and the largest, the totals (RHS
+evaluations, per chart and by rtol on each side; step failures, with one
+"step failures rose" line per cell whose count rose; trials), the count of
+cells whose nodes/rounds moved, the ok counts, one "error class changed"
+line per cell whose solve (or expand) raised a different typed error on
+each side, one "invariant moved: <cell> <name> old -> new" line per
+invariant whose value differs, the identical dumps, and each cell's expand
+outcome on both sides with the expand-ok counts.  It exits 1 when a cell
+that is ok in OLD is not ok in NEW, or expand-ok in OLD and not in NEW.
 """
 
 from __future__ import annotations
@@ -89,7 +63,6 @@ import hashlib
 import io
 import json
 import math
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -134,57 +107,24 @@ def _args():
 
 
 def shoot_cell(label: str) -> dict:
-    """Shoot one cell, counting solve_ivp calls, nfev and step failures per
-    chart, the trials of each root-search call and the final nodes and
-    rounds of each collocation.solve call (or the round it failed in)."""
-    import biharm.collocation as collocation
-    import biharm.shooting as shooting
-    from biharm import BiharmError, NoConvergence, ProblemParams, compute_ladder
+    """Shoot one cell; its work comes from the solve's SolveRecord."""
+    from biharm import BiharmError, ProblemParams, compute_ladder
     from biharm.expansion import detect_regime
+    from biharm.shooting import dump_solution, shoot
     from biharm.verify import invariant_payload, run_expansion, solve_invariants
 
     n, p_of, r_max, *height = KNOWN[label]
     alpha = height[0] if height else 1.0
     ladder = compute_ladder(n)
     params = ProblemParams(n, p_of(ladder))
-    calls, nfev, failures, trials = Counter(), Counter(), Counter(), []
-    by_rtol = {"r": Counter(), "s": Counter(), "v": Counter()}
-    bvp = {"nodes": [], "niter": []}
-    plain, plain_bisect, plain_solve = shooting.solve_ivp, shooting._bisect, collocation.solve
-
-    def counting(fun, *args, **kwargs):
-        result = plain(fun, *args, **kwargs)
-        chart = fun.__name__.removeprefix("rhs_")
-        calls[chart] += 1
-        nfev[chart] += result.nfev
-        failures[chart] += result.status == -1
-        by_rtol[chart][decade(kwargs["rtol"])] += result.nfev
-        return result
-
-    def counting_bisect(*args, **kwargs):
-        result = plain_bisect(*args, **kwargs)
-        trials.append(result[0])  # (trials, up, dn)
-        return result
-
-    def counting_solve(*args, **kwargs):
-        try:
-            result = plain_solve(*args, **kwargs)
-        except NoConvergence as exc:
-            bvp["failed"] = failed_round(str(exc))
-            raise
-        bvp["nodes"].append(int(result.x.size))
-        bvp["niter"].append(int(result.niter))
-        return result
-
-    shooting.solve_ivp, shooting._bisect, collocation.solve = counting, counting_bisect, counting_solve
     try:
-        sol = shooting.shoot(params, alpha, r_max)
+        sol = shoot(params, alpha, r_max)
     except BiharmError as exc:
-        rec = {"error": type(exc).__name__, "message": str(exc)}
+        rec, record = {"error": type(exc).__name__, "message": str(exc)}, exc.record
     else:
-        v0 = float(sol.v0)
+        record, v0 = sol.record, float(sol.v0)
         dump = io.StringIO()
-        shooting.dump_solution(sol, dump)
+        dump_solution(sol, dump)
         rec = {
             "dump_sha256": hashlib.sha256(dump.getvalue().encode()).hexdigest(),
             "w_sha256": hashlib.sha256(sol.W.tobytes()).hexdigest(),
@@ -214,13 +154,25 @@ def shoot_cell(label: str) -> dict:
                 },
                 "checks": invariant_payload(invariants),
             }
-    finally:
-        shooting.solve_ivp, shooting._bisect, collocation.solve = plain, plain_bisect, plain_solve
+    calls, nfev, failures = Counter(), Counter(), Counter()
+    by_rtol = {"r": Counter(), "s": Counter(), "v": Counter()}
+    for chart, rtol, count, status in record.legs:
+        calls[chart] += 1
+        nfev[chart] += count
+        failures[chart] += status == -1
+        by_rtol[chart][decade(rtol)] += count
     rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max, "alpha": alpha}
     rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c], "nfev_by_rtol": dict(by_rtol[c]),
                       "step_failures": failures[c]} for c in ("r", "s", "v")}
-    rec["trials"] = trials
-    rec["bvp"] = bvp
+    rec["trials"] = [] if record.trials is None else [record.trials]
+    rec["bvp"] = {"nodes": [], "niter": []}
+    if record.mesh:
+        rec["bvp"] = {"nodes": [record.mesh[0]], "niter": [record.mesh[1]]}
+    if record.failed:
+        k, nodes, predicted = record.failed
+        rec["bvp"]["failed"] = {"round": k, "nodes": nodes}
+        if predicted is not None:
+            rec["bvp"]["failed"]["predicted"] = predicted
     return rec
 
 
@@ -228,18 +180,6 @@ def decade(rtol: float) -> str:
     """The decade of rtol as "1e-08" (10^floor(log10 rtol)): stage 1's trials
     run at a continuum of rtols."""
     return f"{10.0 ** math.floor(math.log10(rtol)):.0e}"
-
-
-def failed_round(message: str) -> dict:
-    """The round, its nodes and the nodes it predicts (when the message names
-    them) of a collocation.solve NoConvergence, read from the message's
-    leading "round k on m nodes"."""
-    k, m = re.match(r"round (\d+) on (\d+) nodes", message).groups()
-    failed = {"round": int(k), "nodes": int(m)}
-    predicted = re.search(r"predicts (\d+) nodes", message)
-    if predicted:
-        failed["predicted"] = int(predicted[1])
-    return failed
 
 
 def outcome(rec: dict) -> str:
@@ -262,11 +202,7 @@ def diff(old: dict, new: dict) -> int:
         return rec.get("n_bisect", sum(rec["trials"]))
 
     def failures(rec):
-        # step-failed legs over both charts; None for records that do not count them
-        charts = rec["ivp"].values()
-        if not any("step_failures" in chart for chart in charts):
-            return None
-        return sum(chart.get("step_failures", 0) for chart in charts)
+        return sum(chart["step_failures"] for chart in rec["ivp"].values())
 
     def same(o, n, key):
         if key not in o and key not in n:
@@ -274,18 +210,14 @@ def diff(old: dict, new: dict) -> int:
         return "equal" if o.get(key) == n.get(key) else "differs"
 
     def mesh(rec):
-        # nodes/rounds: the last recorded mesh and the rounds of all solves,
-        # an older tree's coarse rounds first; a solve that failed ends on
-        # its failing round's nodes, marked ":failed"
-        bvp = rec.get("bvp", {})
-        coarse = bvp.get("coarse", {"nodes": [], "niter": []})
-        nodes = coarse["nodes"] + bvp.get("nodes", [])
-        rounds = sum(coarse["niter"] + bvp.get("niter", []))
+        # nodes/rounds of the collocation, or of its failing round, marked
+        # ":failed"
+        bvp = rec["bvp"]
         if "failed" in bvp:
-            return f"{bvp['failed']['nodes']}/{rounds + bvp['failed']['round']}:failed"
-        if not nodes:
+            return f"{bvp['failed']['nodes']}/{bvp['failed']['round']}:failed"
+        if not bvp["nodes"]:
             return "-"
-        return f"{nodes[-1]}/{rounds}"
+        return f"{bvp['nodes'][-1]}/{sum(bvp['niter'])}"
 
     labels = [label for label in old if label in new]
     rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "mesh", "v0", "W", "dump")]
@@ -328,20 +260,14 @@ def diff(old: dict, new: dict) -> int:
         split = Counter()
         for label in labels:
             for chart in rec[label]["ivp"].values():
-                split.update(chart.get("nfev_by_rtol", {}))
-        if split:
-            rtols = sorted(split, key=float)
-            print(f"RHS evaluations by rtol ({side}): "
-                  + ", ".join(f"{rtol} {split[rtol]}" for rtol in rtols))
-    failed = []  # each side's total, "-" when its records do not count them
-    for rec in (old, new):
-        counts = [failures(rec[label]) for label in labels]
-        counted = any(count is not None for count in counts)
-        failed.append(sum(count or 0 for count in counts) if counted else "-")
-    print(f"step failures: {failed[0]} -> {failed[1]}")
+                split.update(chart["nfev_by_rtol"])
+        print(f"RHS evaluations by rtol ({side}): "
+              + ", ".join(f"{rtol} {split[rtol]}" for rtol in sorted(split, key=float)))
+    print(f"step failures: {sum(failures(old[label]) for label in labels)} -> "
+          f"{sum(failures(new[label]) for label in labels)}")
     for label in labels:
         a, b = failures(old[label]), failures(new[label])
-        if a is not None and b is not None and b > a:
+        if b > a:
             print(f"step failures rose: {label} {a} -> {b}")
     print(f"trials: {sum(trials(old[label]) for label in labels)} -> "
           f"{sum(trials(new[label]) for label in labels)}")
