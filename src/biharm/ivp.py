@@ -21,17 +21,19 @@ every state update is y_i + h (sum), so each float operation happens in the
 order of a loop over the tableau's rows (tests/test_ivp.py keeps that loop
 as the oracle).  Events carry a `direction` (+1 rising, -1 falling, 0
 both); the first root on the step whose end fires, located on the step's
-interpolant by Brent's method as scipy's brentq runs it (_brentq), ends the
-leg.
+interpolant by Brent's method as scipy's brentq runs it (_brentq) on the
+state entries the event reads, ends the leg.
 """
 
 from __future__ import annotations
 
 import linecache
 import math
+import re
 import textwrap
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -275,14 +277,17 @@ def system(name, params, rhs, events):
     triples, all in the independent variable x, the state u0..u{n-1} and the
     constants named in params.  factory(**constants) returns the scalar
     right-hand side fun(x, u), called name, with attributes `events` (the
-    terminal event functions g(x, u), each called by its event's name) and
-    `kernel` (the leg kernel of _KERNEL), for solve_ivp.  The constants are
-    bound by closure, so a new set of them compiles nothing.
+    terminal event functions g(x, u), each called by its event's name, with
+    `entries` the indices i of the u{i} it reads) and `kernel` (the leg
+    kernel of _KERNEL), for solve_ivp.  The constants are bound by closure,
+    so a new set of them compiles nothing.
     """
     defs = [(name, "(" + ", ".join(rhs) + ")")] + [(ev, expr) for ev, expr, _ in events]
     src = f"def factory({', '.join(params)}):\n"
     src += "".join(f"    def {fn}(x, u):\n        {_names('u', len(rhs))} = u\n        return {expr}\n" for fn, expr in defs)
-    src += "".join(f"    {ev}.terminal, {ev}.direction = True, {d}\n" for ev, _, d in events)
+    reads = [sorted({int(i) for i in re.findall(r"\bu(\d+)\b", expr)}) for _, expr, _ in events]
+    src += "".join(f"    {ev}.terminal, {ev}.direction, {ev}.entries = True, {d}, {i}\n"
+                   for (ev, _, d), i in zip(events, reads))
     src += textwrap.indent(_kernel_source(rhs, events), "    ")
     src += f"    {name}.events = ({''.join(ev + ', ' for ev, _, _ in events)})\n"
     src += f"    {name}.kernel = kernel\n    return {name}\n"
@@ -358,18 +363,24 @@ def _brentq(f, xa, xb):
     raise RuntimeError(f"no root within {_BRENT_TOL!r} after {_BRENT_MAXITER} iterations; last x={xcur!r}")
 
 
-def _point(step, t):
-    """The state at a float t on step, a dense row, as n floats: the
-    interpolant's Horner sum in x = (t - t_old) / h, last row first."""
+def _point(step, t, entries=None):
+    """The state at a float t on step, a dense row, as a list of n floats:
+    the interpolant's Horner sum in x = (t - t_old) / h, last row first;
+    given entries, only those indices are summed, the others are None."""
     n = (len(step) - 2) // 8  # the row is 2 + 8n floats (see _KERNEL)
     x = (t - step[0]) / (step[1] - step[0])
-    state = []
-    for j in range(n):
+    state = [None] * n
+    for j in range(n) if entries is None else entries:
         y = 0.0
         for i in range(7):
             y = (y + step[2 + n * (7 - i) + j]) * (x if i % 2 == 0 else 1.0 - x)
-        state.append(y + step[2 + j])
-    return tuple(state)
+        state[j] = y + step[2 + j]
+    return state
+
+
+def _array(rows, width):
+    """rows, sequences of width floats each, as a len(rows) by width array."""
+    return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
 
 
 class Dense:
@@ -420,7 +431,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
 
     fun is a right-hand side made by a `system` factory; its terminal
     events, fun.events, are tested inline by its kernel, and the first root
-    on the firing step ends the leg and names its event.
+    on the firing step, located on the interpolant of the entries the event
+    reads (its `entries`), ends the leg and names its event.
     dense_output only adds the interpolants (three more right-hand side
     evaluations per step); the steps are the same.
     """
@@ -449,7 +461,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     if status == 1:
         # last is the firing step, also dense's last row
         active = [ev for ev, on in zip(fun.events, fired) if on]
-        roots = [_brentq(lambda x, ev=ev: ev(x, _point(last, x)), last[0], last[1]) for ev in active]
+        roots = [_brentq(lambda x, ev=ev: ev(x, _point(last, x, ev.entries)), last[0], last[1])
+                 for ev in active]
         first = min(range(len(active)), key=roots.__getitem__)
         event = active[first].__name__
         ts.append(roots[first])
@@ -457,8 +470,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     n_interp = len(dense) if dense_output else int(status == 1)
     return IvpResult(
         t=np.array(ts),
-        y=np.array(ys).T,
-        sol=Dense(np.array(dense).reshape(-1, 2 + 8 * len(y))) if dense_output else None,
+        y=_array(ys, len(y)).T,
+        sol=Dense(_array(dense, 2 + 8 * len(y))) if dense_output else None,
         event=event,
         nfev=2 + _N_STAGES * steps + len(_A_EXTRA) * n_interp,
         status=status,

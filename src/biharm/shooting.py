@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
@@ -190,19 +191,22 @@ class _Series:
     u = sum_k a_k x^k with a_0 = 1 and a_1 = v0 / (2n) (so u(0) = 1 and
     Delta u(0) = v0), and Delta^2 u = u^p fixes the rest:
     a_{j+2} = [u^p]_j / ((2j+2)(2j+4)(2j+n)(2j+n+2)), the coefficients
-    [u^p]_j by J.C.P. Miller's power recurrence.  Truncated at a_K,
-    K = _SERIES_ORDER.  The state (u, u', Delta u, (Delta u)') is
-    r^e_i P_i(x), e = (0, 1, 0, 1), with the P_i held as coefficient lists.
+    [u^p]_j = sum_{i=1..j} ((p+1) i - j) a_i [u^p]_{j-i} / j by J.C.P.
+    Miller's power recurrence, its weights and the denominators from tables
+    built once per (n, p) by _Integrator.  Truncated at a_K, K = _SERIES_ORDER.
+    The state (u, u', Delta u, (Delta u)') is r^e_i P_i(x), e = (0, 1, 0, 1),
+    with the P_i held as coefficient lists.
     """
 
-    def __init__(self, n: int, p: float, v0: float):
-        a = [1.0, v0 / (2.0 * n)]
+    def __init__(self, tables, v0):
+        two_n, weights, denominators, laplacian = tables
+        a = [1.0, v0 / two_n]
         g = [1.0]  # [u^p]_0, [u^p]_1, ...
-        for j in range(_SERIES_ORDER - 1):
+        for j, (w, d) in enumerate(zip(weights, denominators)):
             if j:
-                g.append(sum(((p + 1.0) * i - j) * a[i] * g[j - i] for i in range(1, j + 1)) / j)
-            a.append(g[j] / ((2 * j + 2) * (2 * j + 4) * (2 * j + n) * (2 * j + n + 2)))
-        b = [(2 * j + 2) * (2 * j + n) * a[j + 1] for j in range(_SERIES_ORDER)]  # Delta u
+                g.append(sum(map(mul, map(mul, w, a[1:j + 1]), g[j - 1::-1])) / j)
+            a.append(g[j] / d)
+        b = list(map(mul, laplacian, a[1:]))  # Delta u
         self.coeffs = (
             a,
             [2 * k * a[k] for k in range(1, len(a))],
@@ -211,8 +215,18 @@ class _Series:
         )
 
     def state(self, r):
-        """(u, u', Delta u, (Delta u)') at r, a float or an array, by Horner in r^2."""
+        """(u, u', Delta u, (Delta u)') at r, a float or an array, by Horner
+        in r^2.  On an array the four sums run as one, on the coefficient
+        lists zero-padded at the top to one length: 0 x + 0 stays 0 at a
+        finite x, so each row's sum is its own list's."""
         x = r * r
+        if isinstance(r, np.ndarray):
+            table = np.array([[0.0] * (len(self.coeffs[0]) - len(c)) + c[::-1] for c in self.coeffs])
+            acc = table[:, :1]
+            for c in table.T[1:, :, None]:
+                acc = acc * x + c
+            acc[1::2] *= r
+            return acc
         out = []
         for i, c in enumerate(self.coeffs):
             acc = c[-1]
@@ -324,26 +338,32 @@ class _Integrator:
         self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)
         self.rhs_s = _CHARTS["s"](c1=c1, c2=c2, c3=c3, c4=c4, **common)
         self.rhs_v = _CHARTS["v"](nm1=self.n - 1.0, m=self.m, **common)
+        # the series' tables (see _Series), shared by every v0: 2n, Miller's
+        # weights, the denominators and the factors of Delta u's b_j
+        n, k = self.n, _SERIES_ORDER
+        self.series_tables = (2.0 * n, [[(self.p + 1.0) * i - j for i in range(1, j + 1)] for j in range(k - 1)],
+                              [(2 * j + 2) * (2 * j + 4) * (2 * j + n) * (2 * j + n + 2) for j in range(k - 1)],
+                              [(2 * j + 2) * (2 * j + n) for j in range(k)])
         self.work = {"legs": ()}  # SolveRecord's fields, as a solve reaches them
 
     # --- one leg, one shot ------------------------------------------------
     def series(self, v0: float) -> _Series:
         """The regular solution's series at v0."""
-        return _Series(self.n, self.p, v0)
+        return _Series(self.series_tables, v0)
 
-    def start(self, v0: float, r_end: float):
+    def start(self, series: _Series, r_end: float):
         """(r0, series state at r0): where and from what the r-chart leg to
         r_end starts, r0 at most max(_R_SEED, min(_R_SERIES_CAP, r_end / 2))."""
-        series = self.series(v0)
         r0 = series.seed_radius(self.m, self.wcap, max(_R_SEED, min(_R_SERIES_CAP, 0.5 * r_end)))
         return r0, series.state(r0)
 
-    def seed(self, v0: float, r):
-        """Chart "v"'s state at r (a float or an array) from the series at
-        v0: the series state and, by a complex step through the series, its
-        derivative in v0."""
+    def seed(self, v0: float):
+        """(the series at v0, chart "v"'s state as a function of r, a float
+        or an array): the series state and, by a complex step through the
+        series, its derivative in v0.  Both series are built once."""
         h = 1e-20 * abs(v0)
-        return (*self.series(v0).state(r), *(y.imag / h for y in self.series(complex(v0, h)).state(r)))
+        series, step = self.series(v0), self.series(complex(v0, h))
+        return series, lambda r: (*series.state(r), *(y.imag / h for y in step.state(r)))
 
     def leg(self, chart: str, span, y0, dense: bool = False, rtol: float | None = None):
         """Integrate one leg of chart "r", "s" or "v" (the r-chart with its
@@ -385,7 +405,7 @@ class _Integrator:
         the same steps either way, so a dense shot replays the plain one.
         """
         r_end = min(_R_SWITCH, r_max)
-        r0, y0 = self.start(v0, r_end)
+        r0, y0 = self.start(self.series(v0), r_end)
         outcome, sol_r = self.leg("r", (r0, r_end), y0, dense, rtol)
         if r_max <= _R_SWITCH or isinstance(outcome, (BlowUp, SignLoss)):
             return outcome, sol_r, None
@@ -436,7 +456,7 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     if isinstance(outcome, (BlowUp, SignLoss)):
         return replace(outcome, r=outcome.r / kappa)
     tail = sol_s.sol if sol_s else None
-    sol = _assemble_solution(integ, v0, r_max, (v0, sol_r), tail, seam=0.0)
+    sol = _assemble_solution(integ, v0, r_max, (v0, integ.series(v0).state, sol_r), tail, seam=0.0)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
@@ -444,22 +464,23 @@ def _sample_state(integ, v0, head, tail, s_nodes):
     """The state X of W = r^m phi at s_nodes, from the solved states.
 
     Nodes below log r_switch come from the r-chart (all of them when tail,
-    the s-chart's X at ascending s, is None).  head is (v, dense leg at v):
-    a single shot's r-chart leg, v = v0, or shoot's chart-"v" leg, whose
-    entries 4..7 are the derivative dy/dv of the state y.  Its entries come
-    from the series at v (chart "v"'s: _Integrator.seed) below the leg's
-    start and from the leg on.  A node's state, y or on a chart-"v" leg the
-    tangent y + (v0 - v) dy/dv, is mapped to X by _r_to_s_state.
+    the s-chart's X at ascending s, is None).  head is (v, seed, dense leg
+    at v): a single shot's r-chart leg, v = v0, or shoot's chart-"v" leg,
+    whose entries 4..7 are the derivative dy/dv of the state y.  Its entries
+    come from seed, the series state at v as a function of r (chart "v"'s:
+    _Integrator.seed), below the leg's start and from the leg on.  A node's
+    state, y or on a chart-"v" leg the tangent y + (v0 - v) dy/dv, is mapped
+    to X by _r_to_s_state.
     """
     X = np.empty((4, s_nodes.size))
     from_r = s_nodes < math.log(_R_SWITCH) if tail else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
-        v, leg = head
+        v, seed, leg = head
         tangent = leg.y.shape[0] == 8
         rr = np.exp(s_nodes[from_r])
         y = np.empty((leg.y.shape[0], rr.size))
         seeded = rr < leg.t[0]
-        y[:, seeded] = integ.seed(v, rr[seeded]) if tangent else integ.series(v).state(rr[seeded])
+        y[:, seeded] = seed(rr[seeded])
         y[:, ~seeded] = leg.sol(rr[~seeded])
         X[:, from_r] = _r_to_s_state(integ.n, integ.m, rr, y[:4] + (v0 - v) * y[4:] if tangent else y)
     if tail:
@@ -618,12 +639,12 @@ def _solve(integ, r_max):
     lam4 = integ.spec.lambdas[3]
     r_cls = max(r_max, _R_HORIZON) * math.exp(_S_PAD)
     s_cls = math.log(r_cls)
-    ladder = -np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1)
+    ladder = (-np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1)).tolist()
 
     s_legs, g = {}, {}  # v0 -> s-chart leg, and escape-law value, of its full shot
 
     def side(v0, width):
-        rtol = float(max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, width / abs(v0))))
+        rtol = max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, width / abs(v0)))
         outcome, _, sol_s = integ.shot(v0, r_cls, rtol=rtol)
         if sol_s is not None:
             s_legs[v0] = sol_s
@@ -634,7 +655,7 @@ def _solve(integ, r_max):
     # the blow-up side and ladder[-1] on the sign-loss side; an end is shot
     # only when the search ends beside it; each probe splits the span
     # between the ladder ends the search holds
-    i, j = 0, ladder.size - 1
+    i, j = 0, len(ladder) - 1
     while j - i > 1:
         k = (i + j) // 2
         if side(ladder[k], ladder[i] - ladder[j]) >= 0.0:
@@ -642,7 +663,7 @@ def _solve(integ, r_max):
         else:
             j = k
     if (i == 0 and side(ladder[0], ladder[0] - ladder[j]) < 0.0) or (
-        j == ladder.size - 1 and side(ladder[-1], ladder[i] - ladder[-1]) >= 0.0
+        j == len(ladder) - 1 and side(ladder[-1], ladder[i] - ladder[-1]) >= 0.0
     ):
         raise BracketNotFound(
             "probe ladder endpoints do not bracket the separatrix in v0 range "
@@ -696,7 +717,8 @@ def _collocate(integ, leg, up, dn, r_cls):
     more than _BRACKET_STOP |v0| outside it raises NoConvergence.  Each
     NoConvergence names the s-domain and the bracket, and one from a round
     names the round, its nodes, Newton iterations and residual.  Returns
-    (v0, (mid, the tangent's leg), the left condition's residual
+    (v0, (mid, the series state at mid as from _Integrator.seed, the
+    tangent's leg), the left condition's residual
     max |y(s_a) - R(v0)| (the seam), the collocation.Collocation).
     """
     L = integ.L
@@ -734,10 +756,11 @@ def _collocate(integ, leg, up, dn, r_cls):
 
     where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"
 
-    mid = float(0.5 * (up + dn))
+    mid = 0.5 * (up + dn)
     try:
-        r0, _ = integ.start(mid, _R_SWITCH)
-        outcome, tangent = integ.leg("v", (r0, _R_SWITCH), integ.seed(mid, r0), dense=True)
+        series, seed = integ.seed(mid)
+        r0, _ = integ.start(series, _R_SWITCH)
+        outcome, tangent = integ.leg("v", (r0, _R_SWITCH), seed(r0), dense=True)
         if isinstance(outcome, (BlowUp, SignLoss)):
             raise NoConvergence(f"the tangent's r-chart leg at v0 = {mid!r} ends in {outcome}")
         x_mid, dx = (_r_to_s_state(integ.n, integ.m, _R_SWITCH, y) for y in np.split(tangent.y[:, -1], 2))
@@ -754,7 +777,7 @@ def _collocate(integ, leg, up, dn, r_cls):
         integ.work["failed"] = exc.round
         raise NoConvergence(f"collocation stage: {exc} ({where})", exc.round) from None
     seam = float(np.max(np.abs(bvp.conditions(res.y[:, 0], res.y[:, -1], res.v)[:4])))
-    return v0, (mid, tangent), seam, res
+    return v0, (mid, seed, tangent), seam, res
 
 
 def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:

@@ -1,4 +1,5 @@
-"""Central finite-difference stencils on uniform grids.
+"""Central finite-difference stencils on uniform grids: the tests' reference
+derivatives of solved and synthetic arrays (the package itself uses none).
 
 Weights are generated by solving the moment (Vandermonde) system, so no
 hard-coded coefficient tables are involved.
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from biharm.errors import GridTooCoarse
 
 
 def fd_weights(offsets, deriv: int) -> np.ndarray:

@@ -26,7 +26,6 @@ from biharm.expansion import (
     variation_kernel,
     window_shift_stability,
 )
-from biharm.fdiff import diff_uniform
 from biharm.shooting import (
     check_monotone_y,
     check_positivity,
@@ -35,6 +34,8 @@ from biharm.shooting import (
     y_integral_identity_check,
 )
 from biharm.spectrum import eigen_poly_eval
+
+from fdiff import diff_uniform
 
 
 def _report(num, ok, detail):

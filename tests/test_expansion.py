@@ -28,9 +28,10 @@ from biharm.expansion import (
     window_shift_stability,
 )
 from biharm.errors import WindowTooShort
-from biharm.fdiff import diff_uniform
 from biharm.shooting import shoot
 from biharm.spectrum import compute_spectrum
+
+from fdiff import diff_uniform
 
 
 # --------------------------------------------------------------------------

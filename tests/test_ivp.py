@@ -61,7 +61,7 @@ def _at_the_old_cap(integ):
 def case_a(sol_a):
     """Case A's integrator, its r-chart start as a function of v0, and its accepted v0."""
     integ = _Integrator(sol_a.params)
-    return integ, lambda v0: integ.start(v0, _R_SWITCH), sol_a.v0
+    return integ, lambda v0: integ.start(integ.series(v0), _R_SWITCH), sol_a.v0
 
 
 def test_legs_match_scipy(case_a):
@@ -133,6 +133,38 @@ def test_brentq_port_matches_scipy_on_the_firing_step(case_a, shift):
     outcomes = [_roots(lambda x, ev=ev: ev(x, _point(step, x)), step[0], step[1]) for ev in integ.rhs_s.events]
     assert all(ours == ref for ours, ref in outcomes), outcomes
     assert [ours for ours, _ in outcomes if ours is not ValueError] == [leg.t[-1].hex()]
+
+
+def test_event_roots_read_only_their_entries(case_a):
+    # Brent's iterations interpolate only the entries an event reads (u0,
+    # for both events of every chart): on firing steps of the r-, s- and
+    # v-charts each event's root, or the ValueError of the one that keeps its
+    # sign, is that of the full interpolant, in the port and in scipy's
+    # brentq, and the fired one ends the leg
+    integ, seed, v0 = case_a
+    legs = []
+    for v in (_PROBE_LO, _PROBE_HI):
+        r0, y0 = seed(v)
+        _, tangent = integ.seed(v)
+        legs += [(integ.rhs_r, solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)),
+                 (integ.rhs_v, solve_ivp(integ.rhs_v, (r0, _R_SWITCH), tangent(r0), dense_output=True, **_TOL))]
+    for shift in (1e-6, -1e-6):
+        r0, y0 = seed(v0 * (1.0 - shift))
+        w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, **_TOL).y[:, -1])
+        legs.append((integ.rhs_s, solve_ivp(integ.rhs_s, (math.log(_R_SWITCH), math.log(1e4)), w0,
+                                            dense_output=True, **_TOL)))
+    fired = {}
+    for rhs, leg in legs:
+        assert leg.status == 1
+        fired.setdefault(rhs.__name__, set()).add(leg.event)
+        step = tuple(leg.sol.steps[-1].tolist())
+        for ev in rhs.events:
+            assert ev.entries == [0]
+            read = _roots(lambda x, ev=ev: ev(x, _point(step, x, ev.entries)), step[0], step[1])
+            assert read == _roots(lambda x, ev=ev: ev(x, _point(step, x)), step[0], step[1])
+            if ev.__name__ == leg.event:
+                assert read[0] == leg.t[-1].hex()
+    assert fired == {name: {"sign_loss", "amplitude_cross"} for name in ("rhs_r", "rhs_v", "rhs_s")}
 
 
 @pytest.mark.parametrize("f, a, b", [
@@ -211,7 +243,7 @@ def test_large_p_first_probe_fails(pc15):
     # with the bound at 1.5 L its steps underflow, in both, before r_switch
     # (measured: 1493 and 7790 RHS calls)
     integ = _Integrator(ProblemParams(15, 100.0 * pc15))
-    r0, y0 = integ.start(_PROBE_HI, _R_SWITCH)
+    r0, y0 = integ.start(integ.series(_PROBE_HI), _R_SWITCH)
     ours, ref = _both(integ, "r", (r0, _R_SWITCH), y0)
     assert ours.status == ref.status == 1 and ours.event == "amplitude_cross"
     assert r0 < ours.t[-1] < _R_SWITCH
@@ -431,7 +463,7 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
 
     def leg(v0, dense, r_end=100.0):
         # an r-chart leg to r_switch, or the s-chart leg from its end to r_end
-        r0, y0 = integ.start(v0, _R_SWITCH)
+        r0, y0 = integ.start(integ.series(v0), _R_SWITCH)
         if chart == "r":
             return _assert_leg_equals_the_loops(integ, "r", (r0, _R_SWITCH), y0, dense)
         end = solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, **_TOL).y[:, -1]
@@ -442,7 +474,7 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
     if chart == "r":
         ends = [leg(_PROBE_LO, False), leg(_PROBE_HI, False), leg(_PROBE_HI, True)]
         big = _at_the_old_cap(_Integrator(ProblemParams(15, 100.0 * pc15)))
-        r0, y0 = big.start(_PROBE_HI, _R_SWITCH)
+        r0, y0 = big.start(big.series(_PROBE_HI), _R_SWITCH)
         kinds += [(_assert_leg_equals_the_loops(big, "r", (r0, _R_SWITCH), y0, dense), -1) for dense in (False, True)]
     else:
         ends = [leg(next(shifted), False, 1e4), leg(next(shifted), False, 1e4), leg(next(shifted), True, 1e4)]
@@ -462,8 +494,9 @@ def test_variational_legs_equal_the_tableau_loops_bit_for_bit(case_a):
     integ, _, v0 = case_a
     legs = []
     for v, dense in ((v0, False), (v0, True), (_PROBE_LO, False), (_PROBE_HI, False), (_PROBE_HI, True)):
-        r0, _ = integ.start(v, _R_SWITCH)
-        legs.append(_assert_rhs_leg_equals_the_loops(integ.rhs_v, (r0, _R_SWITCH), integ.seed(v, r0), dense))
+        series, seed = integ.seed(v)
+        r0, _ = integ.start(series, _R_SWITCH)
+        legs.append(_assert_rhs_leg_equals_the_loops(integ.rhs_v, (r0, _R_SWITCH), seed(r0), dense))
     assert [(got.status, got.event) for got in legs] == [
         (0, None), (0, None), (1, "sign_loss"), (1, "amplitude_cross"), (1, "amplitude_cross")]
     assert legs[0].y.shape[0] == 8 and legs[1].sol.steps.shape[1] == 2 + 8 * 8
@@ -476,8 +509,9 @@ def test_variational_leg_matches_scipy(case_a):
     # Measured: 2.9e-15 (state) and 9.8e-15 (derivative) from scipy, with
     # equal nfev (1466), and 1.5e-9 from the difference.
     integ, _, v0 = case_a
-    rhs, r0 = integ.rhs_v, integ.start(v0, _R_SWITCH)[0]
-    y0 = integ.seed(v0, r0)
+    series, seed = integ.seed(v0)
+    rhs, r0 = integ.rhs_v, integ.start(series, _R_SWITCH)[0]
+    y0 = seed(r0)
     ours = solve_ivp(rhs, (r0, _R_SWITCH), y0, **_TOL)
     ref = scipy_solve_ivp(rhs, (r0, _R_SWITCH), y0, method="DOP853", events=rhs.events, **_TOL)
     assert ours.status == ref.status == 0
@@ -494,8 +528,9 @@ def test_variational_dense_output_is_scipys_odesolution_bit_for_bit(case_a):
     # Dense and _point on 8-entry rows against scipy's OdeSolution over
     # scipy's interpolants of the same rows, as on the 4-entry charts
     integ, _, v0 = case_a
-    r0, _ = integ.start(v0, _R_SWITCH)
-    leg = solve_ivp(integ.rhs_v, (r0, _R_SWITCH), integ.seed(v0, r0), dense_output=True, **_TOL)
+    series, seed = integ.seed(v0)
+    r0, _ = integ.start(series, _R_SWITCH)
+    leg = solve_ivp(integ.rhs_v, (r0, _R_SWITCH), seed(r0), dense_output=True, **_TOL)
     ref = OdeSolution(leg.t, [_scipy_step(row) for row in leg.sol.steps])
     xs = np.sort(np.concatenate([leg.t, 0.5 * (leg.t[1:] + leg.t[:-1]), [0.5 * r0, 1.1 * _R_SWITCH]]))
     assert leg.sol(xs).shape == (8, xs.size)

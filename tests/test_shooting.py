@@ -21,7 +21,6 @@ from biharm import (
     compute_pc,
     compute_spectrum,
 )
-from biharm.fdiff import central_offsets, diff_uniform, fd_weights
 from biharm.ivp import IvpResult, solve_ivp
 from biharm.verify import solve_invariants
 import biharm.collocation
@@ -41,6 +40,7 @@ from biharm.shooting import (
     _RTOL_BRACKET,
     _RTOL_PROBE,
     _S_PAD,
+    _SERIES_ORDER,
     BlowUp,
     SignLoss,
     _bisect,
@@ -61,6 +61,8 @@ from biharm.shooting import (
     shoot,
     y_integral_identity_check,
 )
+
+from fdiff import central_offsets, diff_uniform, fd_weights
 
 
 def _state(W, Z, lam4, L):
@@ -180,7 +182,7 @@ def test_series_solves_the_equation_at_its_start(cell, v0):
     # (measured: at most 0.5 eps of those)
     integ = _series_integrator(cell)
     n, p = integ.n, integ.p
-    r0, (u, _, _, _) = integ.start(v0, _R_SWITCH)
+    r0, (u, _, _, _) = integ.start(integ.series(v0), _R_SWITCH)
     assert _R_SEED <= r0 <= _R_SERIES_CAP
     x = r0 * r0
     terms = [a_k * (2 * k) * (2 * k - 2) * (2 * k + n - 2) * (2 * k + n - 4) * x ** (k - 2)
@@ -225,13 +227,65 @@ def test_series_start_keeps_escape_events_ahead(u_coeffs, w_max, r0):
     assert series.seed_radius(integ.m, w_max, 1.0) == pytest.approx(r0, rel=1e-15)
 
 
+def _miller_loop(n, p, v0):
+    """The series' coefficient lists by the loop _Series ran before its
+    tables: every weight, denominator and factor formed in place."""
+    a = [1.0, v0 / (2.0 * n)]
+    g = [1.0]
+    for j in range(_SERIES_ORDER - 1):
+        if j:
+            g.append(sum(((p + 1.0) * i - j) * a[i] * g[j - i] for i in range(1, j + 1)) / j)
+        a.append(g[j] / ((2 * j + 2) * (2 * j + 4) * (2 * j + n) * (2 * j + n + 2)))
+    b = [(2 * j + 2) * (2 * j + n) * a[j + 1] for j in range(_SERIES_ORDER)]
+    return a, [2 * k * a[k] for k in range(1, len(a))], b, [2 * j * b[j] for j in range(1, len(b))]
+
+
+def _hex_parts(rows):
+    """Nested real or complex numbers as (real, imag) float.hex pairs."""
+    return [[(float(z.real).hex(), float(z.imag).hex()) for z in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", [13, 15, 40, 200])
+@pytest.mark.parametrize("p_of_pc", [lambda pc: pc, lambda pc: math.floor(pc) + 1.0, lambda pc: 100.0 * pc],
+                         ids=["pc", "integer", "100pc"])
+def test_series_tables_reproduce_the_miller_loop(n, p_of_pc):
+    # the tables take each product in the loop's order, so the coefficients
+    # are the loop's bit for bit on a float, an np.float64 and a complex-step
+    # v0 (the tangent's), in every part
+    params = ProblemParams(n, p_of_pc(compute_pc(n)))
+    integ = _Integrator(params)
+    for v0 in (-0.3, np.float64(_PROBE_LO), complex(-0.3, 3e-21)):
+        assert _hex_parts(integ.series(v0).coeffs) == _hex_parts(_miller_loop(n, params.p, v0)), v0
+
+
+@pytest.mark.parametrize("cell", list(_SERIES_CELLS))
+@pytest.mark.parametrize("v0", [-0.3, complex(-0.3, 3e-21), _PROBE_LO])
+def test_array_series_state_is_the_scalar_horner_sums(cell, v0):
+    # the one zero-padded Horner sum over an array of radii, 0 included,
+    # gives at each node the four scalar sums of the coefficient lists, bit
+    # for bit, real and complex
+    series = _series_integrator(cell).series(v0)
+    rr = np.concatenate([[0.0], np.geomspace(_R_SEED, _R_SERIES_CAP, 97)])
+    got = series.state(rr)
+    assert got.shape == (4, rr.size)
+    assert _hex_parts(got.T) == _hex_parts([series.state(r) for r in rr.tolist()])
+
+
+def test_stage_1_runs_on_python_floats(sol_a):
+    # the probe ladder is a list of floats, so every trial v0, the root
+    # search's arithmetic and the bracket it ends on are floats, not
+    # np.float64 (whose series and shots run slower)
+    assert len(sol_a.record.bracket) == 2
+    assert all(type(x) is float for x in sol_a.record.bracket)
+
+
 @pytest.mark.parametrize("cell, v0", [("A", None), ("n13_10pc", -0.3), ("n13_10pc", _PROBE_HI)])
 def test_series_start_matches_an_r_leg_from_the_taylor_seed(cell, v0, sol_a):
     # the state at r0 against DOP853 from the old seed at r = 1e-3
     # (measured: at most 3e-13 relative, per entry)
     integ = _series_integrator(cell)
     v0 = sol_a.v0 if v0 is None else v0
-    r0, y0 = integ.start(v0, _R_SWITCH)
+    r0, y0 = integ.start(integ.series(v0), _R_SWITCH)
     assert r0 > 1e-3
     leg = solve_ivp(integ.rhs_r, (1e-3, r0), _taylor_seed(integ.n, integ.p, 1.0, v0, 1e-3),
                     rtol=_RTOL, atol=1e-2 * _RTOL)
@@ -458,8 +512,9 @@ def test_shoot_compiles_nothing(sol_quick, monkeypatch):
 def _tangent_leg(integ, v, dense=True):
     """(outcome, sol) of integ's variational r-chart leg (chart "v") from the
     origin to r_switch at v, at _RTOL, as _collocate shoots it."""
-    r0, _ = integ.start(v, _R_SWITCH)
-    return integ.leg("v", (r0, _R_SWITCH), integ.seed(v, r0), dense)
+    series, seed = integ.seed(v)
+    r0, _ = integ.start(series, _R_SWITCH)
+    return integ.leg("v", (r0, _R_SWITCH), seed(r0), dense)
 
 
 def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick, monkeypatch):
@@ -480,7 +535,7 @@ def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick, monkeypat
     seeded = rr < leg.t[0]
     assert np.any(seeded) and not np.all(seeded)
     y = leg.sol(rr)
-    y[:, seeded] = integ.seed(mid, rr[seeded])
+    y[:, seeded] = integ.seed(mid)[1](rr[seeded])
     u, du = y[0] + (sol.v0 - mid) * y[4], y[1] + (sol.v0 - mid) * y[5]
     rm = rr**integ.m
     W = rm * u
@@ -950,7 +1005,7 @@ def test_tangent_slope_is_the_derivative_of_the_r_switch_state(sol_quick):
     half = 0.5 * (1.0 - 1e-6) * _BRACKET_STOP * abs(sol_quick.v0)
     up, dn = sol_quick.v0 + half, sol_quick.v0 - half
     _, _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
-    _, (mid, leg), _, _ = biharm.shooting._collocate(integ, guess, up, dn, r_cls)
+    _, (mid, _, leg), _, _ = biharm.shooting._collocate(integ, guess, up, dn, r_cls)
     assert mid == 0.5 * (up + dn) and leg.y.shape[0] == 8
 
     def state(v):
@@ -1210,7 +1265,7 @@ def test_step_failure_below_L_names_its_leg(sol_a, chart, monkeypatch):
     # reports a step failure there on a step of one ulp.  The leg raises
     # StepFailure, which names the chart, the radius, the step and the span.
     integ = _Integrator(sol_a.params)
-    r0, y0 = integ.start(sol_a.v0, _R_SWITCH)
+    r0, y0 = integ.start(integ.series(sol_a.v0), _R_SWITCH)
     span = (r0, _R_SWITCH)
     if chart == "s":
         y0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, integ.leg("r", span, y0)[1].y[:, -1])
@@ -1229,7 +1284,7 @@ def test_step_failure_below_L_names_its_leg(sol_a, chart, monkeypatch):
     _check_step_failure(str(info.value), chart, span)
 
 
-def test_chord_lattice_passes_n13_at_100_pc(pc13):
+def test_tangent_lattice_passes_n13_at_100_pc(pc13):
     # n = 13, p = 100 p_c: with the lattice below r_switch from a separate
     # leg at v0, its jump against the collocation's start state at r_switch
     # failed transform_residual (4.73e-4 > 1e-4); from the collocation's own
@@ -1258,7 +1313,7 @@ def test_stage_1_step_failure_is_reraised(pc13, monkeypatch, w_over_L):
     # every r-chart leg of a shot at v0 >= -0.25 fails its step at r = 5
     # with W = w_over_L L, every other loses sign there: a shot blows up
     # only at the amplitude_cross event, so the failure is re-raised, below
-    # L and above it alike.  The stubbed start hands each leg its v0.
+    # L and above it alike.  The stubbed series and start hand each leg its v0.
     params = ProblemParams(13, pc13 + 0.5)
     w_fail = w_over_L * compute_spectrum(params).L / 5.0**params.m
 
@@ -1269,6 +1324,7 @@ def test_stage_1_step_failure_is_reraised(pc13, monkeypatch, w_over_L):
         return IvpResult(t=np.array([1.0, 5.0]), y=y, sol=None, event=None if fails else "sign_loss",
                          nfev=2, status=-1 if fails else 1, step=1e-16)
 
+    monkeypatch.setattr(_Integrator, "series", lambda self, v0: v0)
     monkeypatch.setattr(_Integrator, "start", lambda self, v0, r_end: (1.0, (v0, 0.0, 0.0, 0.0)))
     monkeypatch.setattr(biharm.shooting, "solve_ivp", leg_end)
     with pytest.raises(StepFailure, match=r"^r-chart step failed at r = 5: "):
@@ -1276,7 +1332,7 @@ def test_stage_1_step_failure_is_reraised(pc13, monkeypatch, w_over_L):
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
-def test_dense_chord_legs_replay_plain_full_tolerance_shots(fixture, r_max, request, monkeypatch):
+def test_dense_tangent_leg_replays_plain_full_tolerance_shots(fixture, r_max, request, monkeypatch):
     # One shot geometry: dense output only adds interpolants, so the
     # tangent's dense leg at the bracket's midpoint takes the steps of a
     # plain full-tolerance leg, and the tangent and v0 are those of a plain
