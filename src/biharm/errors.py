@@ -36,7 +36,9 @@ class NoConvergence(BiharmError):
 
 
 class StepFailure(BiharmError):
-    """Adaptive integrator's step fell below 10 ulp before a leg's end or event."""
+    """A leg could not go on: the adaptive integrator's step (its first
+    too) fell below 10 ulp before the leg's end or event, or the series
+    start has no positive radius."""
 
 
 class GridTooCoarse(BiharmError):

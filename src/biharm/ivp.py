@@ -282,7 +282,7 @@ def system(name, params, rhs, events):
     kernel of _KERNEL), for solve_ivp.  The constants are bound by closure,
     so a new set of them compiles nothing.
     """
-    defs = [(name, "(" + ", ".join(rhs) + ")")] + [(ev, expr) for ev, expr, _ in events]
+    defs = [(name, "(" + "".join(e + ", " for e in rhs) + ")")] + [(ev, expr) for ev, expr, _ in events]
     src = f"def factory({', '.join(params)}):\n"
     src += "".join(f"    def {fn}(x, u):\n        {_names('u', len(rhs))} = u\n        return {expr}\n" for fn, expr in defs)
     reads = [sorted({int(i) for i in re.findall(r"\bu(\d+)\b", expr)}) for _, expr, _ in events]
@@ -415,7 +415,8 @@ class IvpResult:
     step rows, or None; event the name of the terminal event whose root
     ended the leg, or None; nfev the right-hand side calls; status 0 (reached
     the end), 1 (a terminal event) or -1 (the step size fell below 10 ulp of
-    t, the last entry of t); step the last step size tried."""
+    t, the last entry of t, or the initial step rounded to 0 at t0, with no
+    sol); step the last step size tried."""
 
     t: np.ndarray
     y: np.ndarray
@@ -446,6 +447,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False):
     d1 = _rms([v / sc for v, sc in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound - t0)
+    if h0 == 0.0:
+        # the first trial step rounds to 0 (on a derivative that overflows,
+        # say): the leg fails where it starts
+        return IvpResult(t=np.array([t0]), y=_array([y], len(y)).T, sol=None, event=None, nfev=1,
+                         status=-1, step=0.0)
     f1 = fun(t0 + h0, tuple(a + h0 * b for a, b in zip(y, f)))
     d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

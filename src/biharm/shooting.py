@@ -8,8 +8,9 @@ The radial problem is integrated as the first-order system
 is invariant under phi -> kappa^m phi(kappa r), which maps that solve to any
 other height.  Near the origin the regular solution is a power series in
 r^2, fixed by phi(0) = 1 and v0 = (Laplacian phi)(0); each shot starts
-from that series, truncated, at the largest radius up to 1 where the
-truncation stays below rounding and no escape event can lie before it.
+from that series, truncated, at the largest radius, up to half the leg's
+end, where the truncation stays below rounding (in closed form, from its
+last two terms) and no escape event can lie before it.
 Integration proceeds in r from there out to a switch radius and then
 continues in the logarithmic variable s = log r on the transformed state
 (W, W', W'', W''') with W(s) = e^{m s} phi(e^s), whose linear part has
@@ -46,9 +47,8 @@ from .params import ProblemParams
 from .spectrum import Spectrum, compute_spectrum
 
 # chart geometry
-_R_SEED = 1e-3       # lattice start, and the least radius of the series start
-_R_SERIES_CAP = 1.0  # largest radius of the series start
-_SERIES_ORDER = 24   # the series start keeps r^0 .. r^(2 * _SERIES_ORDER)
+_R_SEED = 1e-3       # lattice start
+_SERIES_ORDER = 32   # the series start keeps r^0 .. r^(2 * _SERIES_ORDER)
 _R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
 _R_HORIZON = 500.0   # least radius to which shoot classifies shots and collocates
 _BLOWUP = 1.5        # W/L at which a shot blows up, at most; the entire solution keeps W < L
@@ -236,35 +236,41 @@ class _Series:
         return out
 
     def seed_radius(self, m: float, w_max: float, r_cap: float) -> float:
-        """The largest r = r_cap 2^(-k/2) >= _R_SEED, else _R_SEED, at which
-        the series may start the r-chart leg.
+        """The radius r <= r_cap at which the series starts the r-chart leg:
+        its truncation radius in closed form, halved in x = r^2 while an
+        event may lie before it.
 
-        At x = r^2 every P_i's last two terms |c_k| x^k, which bound its
-        truncation error inside the radius of convergence, stay below eps
-        times its terms' absolute sum (the rounding of that sum).  With
-        S = sum_k |a_k| x^k, 1 - (S - 1) > 0 and r^m S < w_max keep u
-        positive and r^m u below w_max on all of [0, r], so no terminal
-        event of the r-chart lies before the start.
+        Every P_i's last two terms |c_k| x^k, which bound its truncation
+        error inside the radius of convergence, stay below eps times its
+        terms' absolute sum S_i(x) (the rounding of that sum) up to
+        x = (eps |c_j| / |c_k|)^(1 / (k - j)), as S_i(x) >= |c_j| x^j; the
+        larger of j = 0, 1 (j = 1 for a c_0 of 0, as in u' at v0 = 0).  The
+        least of these over i and k, capped at r_cap^2, is the truncation
+        radius: the Taylor integrators' step rule (Jorba & Zou, Experimental
+        Math. 14, 2005).  With S = sum_k |a_k| x^k, 1 - (S - 1) > 0 and
+        r^m S < w_max keep u positive and r^m u below w_max on all of
+        [0, r], so no terminal event of the r-chart lies before the start
+        (and NaN coefficients, which every P_i shares with u, fail it at
+        every x).  StepFailure when no positive radius passes (coefficients
+        that overflow, say).
         """
         eps = np.finfo(float).eps
-        # each P_i's |c_k|, highest order first, for Horner sums
-        mags = [[abs(ck) for ck in reversed(c)] for c in self.coeffs]
         x = r_cap * r_cap
-        while x > _R_SEED * _R_SEED:
-            sums = []
-            for c in mags:
-                s = 0.0
-                for ck in c:
-                    s = s * x + ck
-                sums.append(s)
-                top = x ** (len(c) - 2)
-                if max(c[0] * top * x, c[1] * top) > eps * s:
-                    break
-            else:
-                if sums[0] < 2.0 and x ** (0.5 * m) * sums[0] < w_max:
-                    return math.sqrt(x)
+        for c in self.coeffs:
+            c0, c1 = eps * abs(c[0]), eps * abs(c[1])
+            for k in (len(c) - 1, len(c) - 2):
+                ck = abs(c[k])
+                if ck:  # a zero term bounds nothing
+                    x = min(x, max((c0 / ck) ** (1.0 / k), (c1 / ck) ** (1.0 / (k - 1))))
+        while x > 0.0:
+            s = 0.0
+            for ak in reversed(self.coeffs[0]):  # u's, by Horner
+                s = s * x + abs(ak)
+            if s < 2.0 and x ** (0.5 * m) * s < w_max:
+                return math.sqrt(x)
             x *= 0.5
-        return _R_SEED
+        raise StepFailure(f"the series at Delta u(0) = {self.coeffs[2][0]!r} has no positive start "
+                          "radius: its truncation or event bound fails at every x = r^2 > 0")
 
 
 def _s_operator_coeffs(n: int, m: float) -> np.ndarray:
@@ -353,8 +359,9 @@ class _Integrator:
 
     def start(self, series: _Series, r_end: float):
         """(r0, series state at r0): where and from what the r-chart leg to
-        r_end starts, r0 at most max(_R_SEED, min(_R_SERIES_CAP, r_end / 2))."""
-        r0 = series.seed_radius(self.m, self.wcap, max(_R_SEED, min(_R_SERIES_CAP, 0.5 * r_end)))
+        r_end starts, r0 = series.seed_radius up to r_end / 2, at any r0 > 0
+        (below _R_SEED too, where the lattice then comes from the leg)."""
+        r0 = series.seed_radius(self.m, self.wcap, 0.5 * r_end)
         return r0, series.state(r0)
 
     def seed(self, v0: float):

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
-from biharm import ProblemParams, compute_pc
+from biharm import ProblemParams, StepFailure, compute_pc
 from biharm import ivp
 from biharm.ivp import Dense, _brentq, _point, solve_ivp
 from biharm.shooting import (
@@ -558,3 +558,18 @@ def test_a_leg_from_rest_takes_the_floor_initial_step():
     assert got.t[1] == 1e-6 and got.t.size == 8
     assert got.nfev == ref.nfev == 86
     assert not np.any(got.y)
+
+
+def test_a_first_step_that_rounds_to_0_fails_at_t0(case_a):
+    # u' = 1e300 u from u = 1e10: the derivative overflows, so the first
+    # trial step h0 = 0.01 d0 / d1 rounds to 0, and the leg fails where it
+    # starts (status -1 at t0 after one RHS call) instead of dividing by h0
+    rhs = ivp.system("rhs_overflow", (), ("1e300 * u0",), ())()
+    got = solve_ivp(rhs, (1.0, 2.0), (1e10,), **_TOL)
+    assert got.status == -1 and got.t.tolist() == [1.0] and got.y.tolist() == [[1e10]]
+    assert got.step == 0.0 and got.nfev == 1 and got.sol is None and got.event is None
+    # on a chart, w' = v - (n - 1) w / r overflows from w = 1e308: the leg
+    # raises StepFailure
+    integ = case_a[0]
+    with pytest.raises(StepFailure, match=r"r-chart step failed at r = 1: step size 0 in r"):
+        integ.leg("r", (1.0, _R_SWITCH), (1.0, 1e308, 0.0, 0.0))

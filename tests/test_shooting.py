@@ -11,6 +11,7 @@ from scipy.integrate import solve_bvp
 from scipy.interpolate import CubicSpline
 
 from biharm import (
+    BiharmError,
     BracketNotFound,
     GridTooCoarse,
     InvalidParams,
@@ -34,7 +35,6 @@ from biharm.shooting import (
     _PROBE_HI,
     _PROBE_LO,
     _R_SEED,
-    _R_SERIES_CAP,
     _R_SWITCH,
     _RTOL,
     _RTOL_BRACKET,
@@ -183,7 +183,7 @@ def test_series_solves_the_equation_at_its_start(cell, v0):
     integ = _series_integrator(cell)
     n, p = integ.n, integ.p
     r0, (u, _, _, _) = integ.start(integ.series(v0), _R_SWITCH)
-    assert _R_SEED <= r0 <= _R_SERIES_CAP
+    assert _R_SEED <= r0 <= _R_SWITCH / 2
     x = r0 * r0
     terms = [a_k * (2 * k) * (2 * k - 2) * (2 * k + n - 2) * (2 * k + n - 4) * x ** (k - 2)
              for k, a_k in enumerate(integ.series(v0).coeffs[0]) if k >= 2]
@@ -213,9 +213,10 @@ def test_series_extends_the_taylor_seed(cell, v0):
     ([1.0, -1.0], math.inf, math.sqrt(0.5)),
     # u = 1 + r^2 with r^m u at r = 1 above w_max = 1.5: the amplitude guard
     ([1.0, 1.0], 1.5, math.sqrt(0.5)),
-    # w_max below r^m u at every r > _R_SEED (r^m > 0.36 there): no radius
-    # passes, and the start falls back to _R_SEED
-    ([1.0, 1.0], 0.3, _R_SEED),
+    # w_max below r^m u at every r > _R_SEED (r^m > 0.36 there): the start
+    # goes below _R_SEED, to the first r = 2^(-k/2) with r^m (1 + r^2)
+    # below w_max (m = 0.1445, k = 25)
+    ([1.0, 1.0], 0.3, 2.0 ** -12.5),
 ])
 def test_series_start_keeps_escape_events_ahead(u_coeffs, w_max, r0):
     # exact polynomials, whose truncation bound is 0, so only the event
@@ -225,6 +226,33 @@ def test_series_start_keeps_escape_events_ahead(u_coeffs, w_max, r0):
     zeros = [0.0] * len(series.coeffs[1])
     series.coeffs = (u_coeffs + [0.0] * (len(series.coeffs[0]) - 2), zeros, zeros, zeros[1:])
     assert series.seed_radius(integ.m, w_max, 1.0) == pytest.approx(r0, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [7.0, 8.0])
+def test_series_start_stops_before_a_real_sign_loss(p):
+    # at an integer p, u^p has no branch point at u = 0: at v0 = -1000 the
+    # truncation radius on n = 15 (0.227, 0.197) lies past the sign loss at
+    # sqrt(2n / |v0|) = 0.1732, and the sign guard halves x once, so the
+    # shot starts before it and still loses sign there
+    integ = _Integrator(ProblemParams(15, p))
+    r0, _ = integ.start(integ.series(_PROBE_LO), _R_SWITCH)
+    out, _, _ = integ.shot(_PROBE_LO, 1e4)
+    assert type(out) is SignLoss and out.r == pytest.approx(math.sqrt(0.03), rel=1e-6)
+    assert r0 < out.r < math.sqrt(2.0) * r0
+
+
+@pytest.mark.parametrize("v0, w_max", [
+    # no x > 0 keeps r^m u below w_max = 0: halved down to x = 0
+    (-0.3, 0.0),
+    # coefficients that overflow: the truncation radius is 0
+    (-1e300, math.inf),
+    # NaN coefficients: the event guard fails at every x
+    (math.nan, math.inf),
+])
+def test_series_start_without_a_positive_radius_is_a_step_failure(v0, w_max):
+    integ = _series_integrator("A")
+    with pytest.raises(StepFailure, match="no positive start radius"):
+        integ.series(v0).seed_radius(integ.m, w_max, 1.0)
 
 
 def _miller_loop(n, p, v0):
@@ -265,7 +293,7 @@ def test_array_series_state_is_the_scalar_horner_sums(cell, v0):
     # gives at each node the four scalar sums of the coefficient lists, bit
     # for bit, real and complex
     series = _series_integrator(cell).series(v0)
-    rr = np.concatenate([[0.0], np.geomspace(_R_SEED, _R_SERIES_CAP, 97)])
+    rr = np.concatenate([[0.0], np.geomspace(_R_SEED, _R_SWITCH / 2, 97)])
     got = series.state(rr)
     assert got.shape == (4, rr.size)
     assert _hex_parts(got.T) == _hex_parts([series.state(r) for r in rr.tolist()])
@@ -279,10 +307,71 @@ def test_stage_1_runs_on_python_floats(sol_a):
     assert all(type(x) is float for x in sol_a.record.bracket)
 
 
+# stage 1's probe ladder, as _solve builds it
+_LADDER = (-np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1)).tolist()
+# cells whose every probe's start is checked: (n, p as a function of p_c)
+_PROBE_CELLS = {
+    "A": (13, lambda pc: pc + 0.5),
+    "B": (15, lambda pc: pc + 1.0),
+    "C": (13, lambda pc: pc),
+    "n20_pc": (20, lambda pc: pc),
+    "n13_1e4pc": (13, lambda pc: 1e4 * pc),
+    "n13_1e5pc": (13, lambda pc: 1e5 * pc),
+}
+
+
+@pytest.mark.parametrize("cell", list(_PROBE_CELLS))
+def test_every_ladder_probe_starts_inside_the_truncation_bound(cell):
+    # at each probe the start radius is positive and at most r_switch / 2,
+    # the state there is finite, and each of the four series' last two
+    # terms is below eps times its terms' absolute sum (by fsum): at large p
+    # (r0 down to 1.9e-4) as at the acceptance cases (r0 up to 5)
+    n, p_of_pc = _PROBE_CELLS[cell]
+    integ = _Integrator(ProblemParams(n, p_of_pc(compute_pc(n))))
+    eps = np.finfo(float).eps
+    for v0 in _LADDER:
+        series = integ.series(v0)
+        r0, y0 = integ.start(series, _R_SWITCH)
+        assert 0.0 < r0 <= _R_SWITCH / 2 and all(map(math.isfinite, y0)), v0
+        x = r0 * r0
+        for c in series.coeffs:
+            k = len(c) - 1
+            total = math.fsum(abs(ck) * x**j for j, ck in enumerate(c))
+            assert max(abs(c[k]) * x**k, abs(c[k - 1]) * x ** (k - 1)) <= eps * total, v0
+
+
+@pytest.mark.parametrize("cell", ["A", "B", "C", "n20_pc"])
+def test_the_tangent_starts_past_r_1(cell, request):
+    # the series reaches past r = 1 at the bracket's midpoint, where the
+    # tangent's leg starts (measured: 1.55, 2.59, 1.56, 4.67)
+    n, p_of_pc = _PROBE_CELLS[cell]
+    params = ProblemParams(n, p_of_pc(compute_pc(n)))
+    fixture = {"A": "sol_a", "B": "sol_b", "C": "sol_c"}.get(cell)
+    sol = request.getfixturevalue(fixture) if fixture else shoot(params)
+    integ = _Integrator(params)
+    r0, _ = integ.start(integ.series(0.5 * sum(sol.record.bracket)), _R_SWITCH)
+    assert 1.0 < r0 <= _R_SWITCH / 2
+
+
+def test_single_shots_at_large_p_lose_sign_where_u_does(pc13):
+    # at 1e5 p_c, u^p is negligible once u < 1, so u = 1 + v0 r^2 / (2n)
+    # until it loses sign at sqrt(2n / |v0|) (measured: 2.1e-7 relative at
+    # v0 = -1, less at larger |v0|); every shot ends in an outcome, a
+    # solution or a typed error
+    params = ProblemParams(13, 1e5 * pc13)
+    for v0 in _LADDER:
+        try:
+            out = integrate_radial(params, alpha=1.0, v0=v0, r_max=1e4)
+        except BiharmError:
+            continue
+        if v0 <= -1.0:
+            assert type(out) is SignLoss and out.r == pytest.approx(math.sqrt(26.0 / -v0), rel=1e-6), v0
+
+
 @pytest.mark.parametrize("cell, v0", [("A", None), ("n13_10pc", -0.3), ("n13_10pc", _PROBE_HI)])
 def test_series_start_matches_an_r_leg_from_the_taylor_seed(cell, v0, sol_a):
     # the state at r0 against DOP853 from the old seed at r = 1e-3
-    # (measured: at most 3e-13 relative, per entry)
+    # (measured: at most 1.8e-13 relative, per entry, at r0 = 0.63 to 1.55)
     integ = _series_integrator(cell)
     v0 = sol_a.v0 if v0 is None else v0
     r0, y0 = integ.start(integ.series(v0), _R_SWITCH)
@@ -546,8 +635,8 @@ def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick, monkeypat
 
 def test_integrate_radial_at_converged_v0(sol_quick):
     # A single shot at the solve's v0 meets the collocation's tangent below
-    # r_switch to within the legs' integration error (measured 1.1e-14 of
-    # max |W| in W, 6.6e-14 of max |Z| in Z).  The collocated tail is not
+    # r_switch to within the legs' integration error (measured 1.2e-14 of
+    # max |W| in W, 5.6e-14 of max |Z| in Z).  The collocated tail is not
     # compared.
     again = integrate_radial(
         sol_quick.params, alpha=1.0, v0=sol_quick.v0, r_max=500.0

@@ -239,22 +239,29 @@ def test_shoot_cells_records_the_expand_pipeline(pc13):
 
 
 def test_shoot_cells_wide_rows_resolve_and_the_grid_keeps_25_cells(monkeypatch):
-    # n = 60 and n = 200 at the grid's five p's and r_max resolve by label
-    # through --cells, and --grid is still the 25 cells; nothing is shot
+    # n = 60 and n = 200 at the grid's five p's and r_max, and n = 13 at
+    # 1e4 p_c and 1e5 p_c, resolve by label through --cells, and --grid is
+    # still the 25 cells; nothing is shot
     shot = []
     monkeypatch.setattr(shoot_cells, "shoot_cell", lambda label: shot.append(label) or {})
     monkeypatch.setattr(sys, "path", list(sys.path))
     wide = [f"n{n}_{p}" for n in (60, 200) for p in ("pc", "pc+0.5", "2pc", "10pc", "100pc")]
-    for argv in (["--cells", ",".join(wide)], ["--grid"]):
+    wide += ["n13_1e4pc", "n13_1e5pc"]
+    for argv in (["--cells", ",".join(wide)], ["--grid"], []):
         monkeypatch.setattr(sys, "argv", ["shoot_cells.py", *argv])
         shoot_cells.main()
-    assert shot[:10] == wide
-    grid = shot[10:]
+    assert shot[:12] == wide
+    grid = shot[12:37]
     assert len(grid) == 25 and not set(grid) & set(wide)
     assert {shoot_cells.KNOWN[label][0] for label in grid} == {13, 15, 20, 40, 100}
+    assert shot[37:] == list(shoot_cells.CELLS) and not set(shot[37:]) & set(wide)
     lad = compute_ladder(200)
     n, p_of, r_max = shoot_cells.KNOWN["n200_10pc"]
     assert (n, p_of(lad), r_max) == (200, 10.0 * lad.p_c, 1e4)
+    lad = compute_ladder(13)
+    for label, factor in (("n13_1e4pc", 1e4), ("n13_1e5pc", 1e5)):
+        n, p_of, r_max = shoot_cells.KNOWN[label]
+        assert (n, p_of(lad), r_max) == (13, factor * lad.p_c, 1e4)
 
 
 def test_shoot_cells_a10_is_case_a_at_height_10(monkeypatch):

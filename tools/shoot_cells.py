@@ -14,8 +14,9 @@ each record stores it under "params".
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
 like n13_pc+0.5 (any of its labels also works with --cells).  The wider
 rows of the theory's range, n = 60 and n = 200 at the same five p's and
-r_max (n60_pc, ..., n200_100pc), are shot only when named in --cells, so
---grid stays the same 25 cells.
+r_max (n60_pc, ..., n200_100pc), and n = 13 at 1e4 p_c and 1e5 p_c, r_max
+1e4 (n13_1e4pc, n13_1e5pc), are shot only when named in --cells, so --grid
+stays the same 25 cells.
 A solve's record holds its v0 (repr and float hex), n_bisect, the end
 residual rho = target_residual, seam_residual, the SHA-256 of its
 dump_solution text (dump_sha256) and of its W array's bytes (w_sha256),
@@ -92,7 +93,8 @@ GRID_P = {
 }
 GRID = {f"n{n}_{p}": (n, p_of, 1e4) for n in (13, 15, 20, 40, 100) for p, p_of in GRID_P.items()}
 WIDE = {f"n{n}_{p}": (n, p_of, 1e4) for n in (60, 200) for p, p_of in GRID_P.items()}
-KNOWN = CELLS | GRID | WIDE
+LARGE_P = {f"n13_{k}pc": (13, lambda lad, f=float(k): f * lad.p_c, 1e4) for k in ("1e4", "1e5")}
+KNOWN = CELLS | GRID | WIDE | LARGE_P
 
 
 def _args():
