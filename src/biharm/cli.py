@@ -95,12 +95,15 @@ def _as_json(obj) -> str:
 
 
 def _kv_rows(obj: dict, prefix: str = ""):
-    """(key, value) rows; a nested dict gives one row per entry, as parent.key."""
+    """(key, value) rows; a nested dict gives one row per entry, as
+    parent.key, and None an empty value, as in sweep's rows."""
     for k, v in obj.items():
         if isinstance(v, dict):
             yield from _kv_rows(v, f"{prefix}{k}.")
             continue
-        if isinstance(v, float):
+        if v is None:
+            v = ""
+        elif isinstance(v, float):
             v = _fmt(v)
         elif isinstance(v, (list, tuple)):
             v = ";".join(_fmt(x) if isinstance(x, float) else str(x) for x in v)
@@ -117,14 +120,17 @@ def _report(obj: dict, fmt: str, out):
 
 
 @contextmanager
-def _exit_on_error():
-    """End the command on a typed error: exit 2 on invalid input, else 1."""
+def _exit_on_error(report=None):
+    """End the command on a typed error: exit 2 on invalid input, else 1,
+    after writing report(error) to stdout as JSON when report is given."""
     try:
         yield
     except _INPUT_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except BiharmError as exc:
+        if report is not None:
+            click.echo(_as_json(report(exc)), nl=False)
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
@@ -226,32 +232,22 @@ def critical(n, fmt, out):
 @config_option
 def solve(n, p, alpha, r_max, out, config):
     """Shoot for the entire positive solution, dump it (s, r, phi, W, Y, Z)
-    and check its invariants."""
+    and check its invariants.  The JSON report goes to stdout, that of a
+    failed solve too."""
     from .shooting import dump_solution, shoot
-    from .verify import invariant_payload, solve_invariants
+    from .verify import error_payload, solve_invariants, solve_payload
 
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
-    with _exit_on_error():
+    with _exit_on_error(error_payload):
         sol = shoot(ProblemParams(n, p), alpha=alpha, r_max=r_max)
     with open(out, "w") as fh:
         dump_solution(sol, fh)
     click.echo(f"wrote {out} ({sol.s_grid.size} rows)", err=True)
-    with _exit_on_error():
+    with _exit_on_error(lambda exc: solve_payload(sol, r_max, exc)):
         invariants = solve_invariants(sol)
-    summary = {
-        "n": n,
-        "p": p,
-        "alpha": alpha,
-        "r_max": r_max,
-        "v0": sol.v0,
-        "target_residual": sol.target_residual,
-        "seam_residual": sol.seam_residual,
-        "bisection_steps": sol.n_bisect,
-        "invariants": invariant_payload(invariants),
-    }
-    click.echo(_as_json(summary), nl=False)
+    click.echo(_as_json(solve_payload(sol, r_max, invariants)), nl=False)
     _exit_if_failed(invariants)
 
 
@@ -269,7 +265,7 @@ def expand(n, p, alpha, r_max, window, fmt, out, config):
     """Fit the asymptotic expansion of the solved profile and check it."""
     from .expansion import check_window, detect_regime
     from .shooting import shoot
-    from .verify import invariant_payload, run_expansion, solve_invariants
+    from .verify import fit_payload, run_expansion, solve_invariants
 
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
@@ -285,25 +281,10 @@ def expand(n, p, alpha, r_max, window, fmt, out, config):
         fit, drift, fit_invariants = run_expansion(sol, regime, window)
         invariants = solve_invariants(sol) + fit_invariants
 
-    payload = {
-        "n": n,
-        "p": p,
-        "regime": fit.regime.kind,
-        "k": fit.regime.k,
-        "window": list(fit.window),
-        "coefficients": {
-            name: {"value": est.value, "stderr": est.stderr, "resolved": est.resolved}
-            for name, est in fit.coefficients.items()
-        },
-        "residual_slope": fit.residual_slope,
-        "theoretical_slope": fit.theoretical_slope,
-        "L": sol.spectrum.L,
-        "window_shift_drift_se": {k_: v for k_, v in drift.items()},
-        "invariants": invariant_payload(invariants),
-    }
+    payload = fit_payload(sol, fit, drift, invariants)
     if fmt == "csv":
-        rows = [(name, _fmt(est.value), _fmt(est.stderr), est.resolved)
-                for name, est in fit.coefficients.items()]
+        rows = [(name, _fmt(est["value"]), _fmt(est["stderr"]), est["resolved"])
+                for name, est in payload["coefficients"].items()]
         _emit(_csv(("coefficient", "value", "stderr", "resolved"), rows), out)
     else:
         _report(payload, "json", out)

@@ -29,7 +29,6 @@ extension, not the scipy.linalg package (see _load_flapack).
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -99,19 +98,18 @@ class Bvp:
 @dataclass(frozen=True)
 class Collocation:
     """The last round of a solve: the mesh x, the node values y (n, m), v,
-    the rms residual of each interval, the Newton iterations the round
-    took, the rounds the solve took (niter, this round's number), and the
-    spline's coefficients (4, n, m - 1), highest power first in the
-    distance from the interval's left node.  Called with 1-D s, it is the
-    spline at s as (n, s.size); an s outside the mesh takes the end
-    interval's cubic."""
+    the rms residual of each interval, every round of the solve up to this
+    one, each (nodes, Newton iterations, max rms residual, the nodes it
+    predicts or None when it met tol), and the spline's coefficients
+    (4, n, m - 1), highest power first in the distance from the interval's
+    left node.  Called with 1-D s, it is the spline at s as (n, s.size); an
+    s outside the mesh takes the end interval's cubic."""
 
     x: np.ndarray
     y: np.ndarray
     v: float
     rms: np.ndarray
-    newton: int
-    niter: int
+    rounds: tuple
     coeffs: np.ndarray
 
     def __call__(self, s):
@@ -119,8 +117,9 @@ class Collocation:
         return _value(self.coeffs[:, :, i], s - self.x[i])
 
     def describe(self, tol):
-        return (f"round {self.niter} on {self.x.size} nodes ({self.newton} Newton "
-                f"iterations, max rms residual {np.max(self.rms):.3g} against tol {tol:.3g})")
+        nodes, newton, max_rms, _ = self.rounds[-1]
+        return (f"round {len(self.rounds)} on {nodes} nodes ({newton} Newton "
+                f"iterations, max rms residual {max_rms:.3g} against tol {tol:.3g})")
 
 
 def solve(bvp: Bvp, x: np.ndarray, y: np.ndarray, v: float, max_nodes: int) -> Collocation:
@@ -133,29 +132,33 @@ def solve(bvp: Bvp, x: np.ndarray, y: np.ndarray, v: float, max_nodes: int) -> C
     the next round starts from the spline on that mesh.  A prediction of
     more than max_nodes nodes, a singular band LU, and a solve still
     unconverged after _MAX_ROUNDS rounds raise NoConvergence, each naming
-    its round, node count, Newton iterations and residual.
+    its round, node count, Newton iterations and residual, and carrying the
+    rounds that finished, as the result does.
     """
     tol = bvp.tol
-    for k in itertools.count(1):
+    rounds = []
+    while True:
         h = np.diff(x)
-        y, v, newton, col_res, f, f_mid, bc = _newton(bvp, h, y, v, k)
+        y, v, newton, col_res, f, f_mid, bc = _newton(bvp, h, y, v, rounds)
         coeffs = _hermite(y, f, h)
         rms = _rms(bvp.fun, coeffs, x, h, 1.5 * col_res / h, f_mid)
-        res = Collocation(x, y, v, rms, newton, k, coeffs)
         miss = np.max(np.abs(bc))
-        if np.all(rms <= tol) and miss <= tol:
-            return res
+        met = np.all(rms <= tol) and miss <= tol
         pieces = np.maximum(np.ceil(_MESH_SAFETY * np.cbrt(rms / tol)), 1.0)
         nodes = pieces.sum() + 1.0
+        rounds.append((x.size, newton, float(np.max(rms)), None if met else int(nodes)))
+        res = Collocation(x, y, v, rms, tuple(rounds), coeffs)
+        if met:
+            return res
         if not nodes <= max_nodes:
             raise NoConvergence(
                 f"{res.describe(tol)} predicts {nodes:.0f} nodes, more than the cap {max_nodes}",
-                (k, x.size, int(nodes)),
+                res.rounds,
             )
-        if k == _MAX_ROUNDS:
+        if len(rounds) == _MAX_ROUNDS:
             raise NoConvergence(
-                f"{res.describe(tol)} still misses tol after {k} rounds (boundary "
-                f"conditions' residual {miss:.3g})", (k, x.size, None)
+                f"{res.describe(tol)} still misses tol after {_MAX_ROUNDS} rounds (boundary "
+                f"conditions' residual {miss:.3g})", res.rounds
             )
         x = _split_intervals(x, pieces.astype(int))
         y = res(x)
@@ -168,11 +171,12 @@ def _split_intervals(x: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     return np.append(start + j * np.repeat(np.diff(x) / pieces, pieces), x[-1])
 
 
-def _newton(bvp, h, y, v, k):
+def _newton(bvp, h, y, v, rounds):
     """solve_bvp's damped Newton iteration on one mesh, with the Jacobian
-    factored by banded LU, as round k.  Returns (y, v, iterations, and at
-    the returned iterate the collocation residuals, fun at the nodes and at
-    the midpoints, and the condition residuals)."""
+    factored by banded LU, as the round after the finished rounds.  Returns
+    (y, v, iterations, and at the returned iterate the collocation
+    residuals, fun at the nodes and at the midpoints, and the condition
+    residuals)."""
     n, m = y.shape
     kl, ku = 2 * n - 2, n
     # solve_bvp stops when every collocation residual is below 1.5 orders
@@ -186,8 +190,8 @@ def _newton(bvp, h, y, v, k):
             lu, piv, info = dgbtrf(_band(bvp, h, y, y_mid), kl, ku, overwrite_ab=True)
             if info > 0:
                 raise NoConvergence(
-                    f"round {k} on {m} nodes: the band LU is singular (dgbtrf "
-                    f"info = {info}) at Newton iteration {it}", (k, m, None)
+                    f"round {len(rounds) + 1} on {m} nodes: the band LU is singular (dgbtrf "
+                    f"info = {info}) at Newton iteration {it}", tuple(rounds)
                 )
             njev += 1
             step = dgbtrs(lu, kl, ku, _residual(col_res, bc, n), piv)[0]

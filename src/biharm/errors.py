@@ -30,9 +30,9 @@ class BracketNotFound(BiharmError):
 class NoConvergence(BiharmError):
     """The root search or the collocation ended without an acceptable trajectory."""
 
-    def __init__(self, message, round=None):
+    def __init__(self, message, rounds=()):
         super().__init__(message)
-        self.round = round  # a failed collocation round's (round, nodes, predicted nodes or None)
+        self.rounds = rounds  # the collocation rounds finished before it, as Collocation.rounds
 
 
 class StepFailure(BiharmError):

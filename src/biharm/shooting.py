@@ -115,15 +115,16 @@ class SignLoss:
 class SolveRecord:
     """The work of one solve, in order: each leg's (chart, rtol, nfev,
     status) in legs, status solve_ivp's (-1 a step failure); stage 1's
-    trials and the (up, dn) bracket it ended on; the collocation's final
-    (nodes, rounds) as mesh, or its failing round's (round, nodes, predicted
-    nodes or None) as failed.  A stage not reached leaves its fields None."""
+    trials and the (up, dn) bracket it ended on; and each collocation round
+    that finished, as collocation.Collocation.rounds holds them: (nodes,
+    Newton iterations, max rms residual, the nodes it predicts or None when
+    it met tol).  A stage not reached leaves trials and bracket None and
+    rounds empty."""
 
     legs: tuple = ()
     trials: int | None = None
     bracket: tuple | None = None
-    mesh: tuple | None = None
-    failed: tuple | None = None
+    rounds: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -723,7 +724,8 @@ def _collocate(integ, leg, up, dn, r_cls):
     before r_switch.  The tangent is accurate only near the bracket: a v0
     more than _BRACKET_STOP |v0| outside it raises NoConvergence.  Each
     NoConvergence names the s-domain and the bracket, and one from a round
-    names the round, its nodes, Newton iterations and residual.  Returns
+    names the round, its nodes, Newton iterations and residual.  The
+    rounds that finished go into the solve's record either way.  Returns
     (v0, (mid, the series state at mid as from _Integrator.seed, the
     tangent's leg), the left condition's residual
     max |y(s_a) - R(v0)| (the seam), the collocation.Collocation).
@@ -774,15 +776,15 @@ def _collocate(integ, leg, up, dn, r_cls):
         bvp = collocation.Bvp(fun, jac, ya=(x_mid - x_star) / L, slope=dx / L, v_ref=mid,
                               right=l4, tol=100.0 * _RTOL)
         res = collocation.solve(bvp, mesh, guess, mid, _BVP_MAX_NODES)
-        integ.work["mesh"] = (res.x.size, res.niter)
         v0 = float(res.v)
         off = max(dn - v0, v0 - up)
         if off > _BRACKET_STOP * abs(v0):
             raise NoConvergence(f"v0 = {v0!r} lies {off:.3g} outside the bracket, more than "
-                                f"{_BRACKET_STOP:.3g} |v0|")
+                                f"{_BRACKET_STOP:.3g} |v0|", res.rounds)
     except NoConvergence as exc:
-        integ.work["failed"] = exc.round
-        raise NoConvergence(f"collocation stage: {exc} ({where})", exc.round) from None
+        integ.work["rounds"] = exc.rounds
+        raise NoConvergence(f"collocation stage: {exc} ({where})") from None
+    integ.work["rounds"] = res.rounds
     seam = float(np.max(np.abs(bvp.conditions(res.y[:, 0], res.y[:, -1], res.v)[:4])))
     return v0, (mid, seed, tangent), seam, res
 

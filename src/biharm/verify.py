@@ -2,11 +2,14 @@
 
 Each check reproduces one structural claim (eigenvalue identities, sign
 tables, ladder counts, shooting monotonicity, ...) at desk scale and returns
-a CheckResult; `biharm verify` prints one pass/fail line per check.
+a CheckResult; `biharm verify` prints one pass/fail line per check.  The
+solve and expansion invariants, their bounds and the JSON reports of
+`biharm solve` and `biharm expand` are written here too.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -296,6 +299,57 @@ def invariant_payload(invariants) -> dict:
     which every report and record holds them."""
     return {r.name: {"value": r.value, "bound": r.bound, "passed": r.passed}
             for r in invariants}
+
+
+def record_payload(record) -> dict:
+    """A shooting.SolveRecord as JSON: per chart ("r", "s", and "v", the
+    r-chart with its variational equation in v0) its legs (calls), their RHS
+    evaluations (nfev), those keyed by the decade of each leg's rtol, as
+    "1e-08" (nfev_by_rtol), and the legs that ended in a step failure;
+    stage 1's trials and bracket; each finished collocation round."""
+    charts = {chart: {"calls": 0, "nfev": 0, "nfev_by_rtol": {}, "step_failures": 0}
+              for chart in ("r", "s", "v")}
+    for chart, rtol, nfev, status in record.legs:
+        work, decade = charts[chart], f"{10.0 ** math.floor(math.log10(rtol)):.0e}"
+        work["calls"] += 1
+        work["nfev"] += nfev
+        work["nfev_by_rtol"][decade] = work["nfev_by_rtol"].get(decade, 0) + nfev
+        work["step_failures"] += int(status == -1)
+    rounds = [dict(zip(("nodes", "newton", "max_rms", "predicted"), r)) for r in record.rounds]
+    return {"charts": charts, "trials": record.trials, "bracket": record.bracket,
+            "rounds": rounds}
+
+
+def error_payload(exc) -> dict:
+    """{error, message} of a typed error, and its solve's record when it
+    carries one, as every error out of shooting.shoot does."""
+    payload = {"error": type(exc).__name__, "message": str(exc)}
+    if exc.record is not None:
+        payload["record"] = record_payload(exc.record)
+    return payload
+
+
+def solve_payload(sol, r_max, invariants) -> dict:
+    """`biharm solve`'s report of sol, solved to r_max; invariants are
+    Invariant records, or the typed error their checks raised."""
+    return {"n": sol.params.n, "p": sol.params.p, "alpha": sol.alpha, "r_max": r_max,
+            "v0": sol.v0, "target_residual": sol.target_residual,
+            "seam_residual": sol.seam_residual, "bisection_steps": sol.n_bisect,
+            "invariants": (error_payload(invariants) if isinstance(invariants, BiharmError)
+                           else invariant_payload(invariants)),
+            "record": record_payload(sol.record)}
+
+
+def fit_payload(sol, fit, drift, invariants) -> dict:
+    """`biharm expand`'s report of the fit, drift and invariants of
+    run_expansion on sol."""
+    coefficients = {name: {"value": est.value, "stderr": est.stderr, "resolved": est.resolved}
+                    for name, est in fit.coefficients.items()}
+    return {"n": sol.params.n, "p": sol.params.p, "regime": fit.regime.kind, "k": fit.regime.k,
+            "window": list(fit.window), "coefficients": coefficients,
+            "residual_slope": fit.residual_slope, "theoretical_slope": fit.theoretical_slope,
+            "L": sol.spectrum.L, "window_shift_drift_se": dict(drift),
+            "invariants": invariant_payload(invariants)}
 
 
 def solve_invariants(sol) -> tuple[Invariant, ...]:

@@ -16,7 +16,8 @@ from biharm import ProblemParams, compute_ladder, compute_spectrum, detect_regim
 from biharm.errors import LadderMismatch
 from biharm.cli import main
 from biharm.expansion import fit_expansion
-from biharm.verify import BOUNDS, SCOPES
+from biharm.shooting import shoot
+from biharm.verify import BOUNDS, SCOPES, record_payload
 
 
 @pytest.fixture()
@@ -78,6 +79,10 @@ def test_critical_small_dimension_graceful(runner):
     payload = json.loads(res.stdout)
     assert payload["p_c"] is None
     assert "infinite" in payload["note"]
+    # a null value is an empty CSV field, as in sweep's rows
+    res = runner.invoke(main, ["critical", "--n", "12", "--format", "csv"])
+    assert res.exit_code == 0
+    assert dict(csv.reader(io.StringIO(res.stdout)))["p_c"] == ""
 
 
 def test_critical_counts(runner):
@@ -137,8 +142,46 @@ def test_solve_reports_invariants_with_bounds(runner, pc13, tmp_path):
     assert all(rec["passed"] for rec in summary["invariants"].values())
     assert set(summary) == {
         "n", "p", "alpha", "r_max", "v0", "target_residual",
-        "seam_residual", "bisection_steps", "invariants",
+        "seam_residual", "bisection_steps", "invariants", "record",
     }
+
+
+def test_solve_reports_its_record(runner, pc13, tmp_path):
+    # the payload's record is verify.record_payload of the solve's
+    # SolveRecord: its RHS evaluations sum over the record's legs, and its
+    # last collocation round met tol
+    res = runner.invoke(main, [
+        "solve", "--n", "13", "--p", repr(pc13 + 0.5), "--r-max", "500",
+        "--out", str(tmp_path / "d.csv"),
+    ])
+    assert res.exit_code == 0, res.output
+    record = json.loads(res.stdout)["record"]
+    sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
+    assert record == json.loads(json.dumps(record_payload(sol.record)))
+    assert sum(c["nfev"] for c in record["charts"].values()) == sum(
+        nfev for _, _, nfev, _ in sol.record.legs)
+    assert record["trials"] == sol.n_bisect and record["bracket"] == list(sol.record.bracket)
+    assert record["rounds"][-1]["predicted"] is None
+    assert record["rounds"][-1]["max_rms"] <= 1e-10
+
+
+def test_failed_solve_reports_its_error_and_record(runner, pc13, tmp_path, monkeypatch):
+    # a typed failure out of shoot exits 1 naming it on stderr, and stdout
+    # holds its error payload with the solve's record: case A at r_max 500
+    # predicts 645 nodes from its 200 start nodes, above a cap of 300
+    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 300)
+    dump = tmp_path / "d.csv"
+    res = runner.invoke(main, [
+        "solve", "--n", "13", "--p", repr(pc13 + 0.5), "--r-max", "500", "--out", str(dump),
+    ])
+    assert res.exit_code == 1 and not dump.exists()
+    payload = json.loads(res.stdout)
+    assert set(payload) == {"error", "message", "record"}
+    assert payload["error"] == "NoConvergence"
+    assert f"error: {payload['message']}" in res.stderr
+    (round_1,) = payload["record"]["rounds"]
+    assert (round_1["nodes"], round_1["predicted"]) == (200, 645)
+    assert payload["record"]["trials"] > 0
 
 
 def test_solve_failure_exits_1_after_the_dump(runner, pc13, tmp_path):
@@ -181,7 +224,8 @@ def test_solve_r_chart_only_payload_is_json(runner, pc13, tmp_path):
 def test_short_critical_solve_exits_1_naming_its_window(runner, pc13, tmp_path):
     # a valid solve too short for a check is not invalid input: at p_c the
     # decay slope's last resolved decade must lie at positive s, and at
-    # r_max 5 it does not, so solve exits 1 after the dump and names why
+    # r_max 5 it does not, so solve exits 1 after the dump and its payload
+    # and names why
     dump = tmp_path / "d.csv"
     res = runner.invoke(main, [
         "solve", "--n", "13", "--p", str(pc13), "--r-max", "5", "--out", str(dump),
@@ -190,6 +234,11 @@ def test_short_critical_solve_exits_1_naming_its_window(runner, pc13, tmp_path):
     assert dump.read_text().splitlines()[0] == "s,r,phi,W,Y,Z"
     assert "error: decay slope: the last resolved decade" in res.stderr
     assert "must lie at positive s" in res.stderr and "extend r_max" in res.stderr
+    # stdout holds the solve's payload, the raised check under invariants
+    summary = json.loads(res.stdout)
+    assert summary["invariants"]["error"] == "WindowTooShort"
+    assert f"error: {summary['invariants']['message']}" in res.stderr
+    assert summary["r_max"] == 5.0 and summary["record"]["rounds"]
 
 
 @pytest.mark.parametrize("command", ["solve", "expand"])

@@ -51,7 +51,7 @@ def c_calls(pc13):
 def _first_round(bvp, x, y, v):
     """(y, v, rms) after solve's first round on the mesh x."""
     h = np.diff(x)
-    y, v, _, col_res, f, f_mid, _ = _newton(bvp, h, y, v, 1)
+    y, v, _, col_res, f, f_mid, _ = _newton(bvp, h, y, v, [])
     return y, v, _rms(bvp.fun, _hermite(y, f, h), x, h, 1.5 * col_res / h, f_mid)
 
 
@@ -116,7 +116,7 @@ def test_refinement_from_the_start_mesh_matches_solve_bvp(calls, request, scipy_
     (bvp, x, y, v, max_nodes), ours = request.getfixturevalue(calls)[0]
     assert x.size == _BVP_NODES and max_nodes == _BVP_MAX_NODES
     ref = solve_bvp(x=x, y=y, p=[v], tol=bvp.tol, max_nodes=max_nodes, **scipy_problem(bvp))
-    assert ref.status == 0 and ref.niter > ours.niter and ref.x.size > ours.x.size
+    assert ref.status == 0 and ref.niter > len(ours.rounds) and ref.x.size > ours.x.size
     assert abs(ours.v - ref.p[0]) <= 1e-14 * abs(ref.p[0])
     s = np.union1d(ours.x, ref.x)
     assert np.max(np.abs(ours(s)[0] - ref.sol(s)[0])) <= 1e-12
@@ -159,7 +159,7 @@ def test_coarse_round_is_solve_bvps_first_round(quick_calls, scipy_problem):
     # first round: its rms residuals (which predict the next mesh) and v
     # agree, and it misses tol where solve_bvp would insert nodes
     (bvp, x, y, v, _), res = quick_calls[0]
-    assert res.niter > 1
+    assert len(res.rounds) > 1
     y_1, v_1, rms_1 = _first_round(bvp, x, y, v)
     ref = solve_bvp(x=x, y=y, p=[v], tol=bvp.tol, max_nodes=x.size, **scipy_problem(bvp))
     assert ref.status == 1 and ref.niter == 1
@@ -173,11 +173,12 @@ def test_unconverged_conditions_fail_after_max_rounds(monkeypatch):
     # collocation meets exactly: every round's mesh needs no node.  With the
     # condition residuals read 10 tol high, the solve runs _MAX_ROUNDS
     # rounds on the start mesh and raises NoConvergence naming the round,
-    # its nodes and Newton iterations, and the residuals.
+    # its nodes and Newton iterations, and the residuals, and carrying the
+    # rounds.
     plain, meshes = biharm.collocation._newton, []
 
-    def missing(bvp, h, y, v, k):
-        *out, bc = plain(bvp, h, y, v, k)
+    def missing(bvp, h, y, v, rounds):
+        *out, bc = plain(bvp, h, y, v, rounds)
         meshes.append(h.size + 1)
         return (*out, bc + 10.0 * bvp.tol)
 
@@ -205,6 +206,8 @@ def test_unconverged_conditions_fail_after_max_rounds(monkeypatch):
     assert int(found[1]) == int(found[4]) == rounds and int(found[2]) >= 1
     assert float(found[3]) <= 1e-3 * bvp.tol
     assert float(found[5]) == pytest.approx(10.0 * bvp.tol)
+    # the error carries every round, each on the start mesh and predicting it
+    assert [(r[0], r[3]) for r in info.value.rounds] == [(11, 11)] * rounds
 
 
 def test_shooting_imports_nothing_from_scipy():

@@ -606,18 +606,16 @@ def _tangent_leg(integ, v, dense=True):
     return integ.leg("v", (r0, _R_SWITCH), seed(r0), dense)
 
 
-def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick, monkeypatch):
+def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick):
     # Below r_switch the solve is the tangent at its v0 of the dense
     # variational r-chart leg at the bracket's midpoint mid, the leg of the
     # collocation's left condition: the series at mid with its derivative in
     # v0 (_Integrator.seed) below the leg's start, the leg from it on, and
     # u = u(mid) + (v0 - mid) du/dv, bit for bit.
-    params = sol_quick.params
-    sol, brackets, _ = _record_collocation(params, 500.0, monkeypatch)
-    assert sol.v0 == sol_quick.v0
-    (up, dn), = brackets
+    sol = sol_quick
+    up, dn = sol.record.bracket
     mid = 0.5 * (up + dn)
-    integ = _Integrator(params)
+    integ = _Integrator(sol.params)
     head = sol.s_grid < math.log(_R_SWITCH)
     rr = sol.r_grid[head]
     _, leg = _tangent_leg(integ, mid)
@@ -997,7 +995,7 @@ def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_rtol():
     assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
 
 
-def test_tangent_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a, monkeypatch):
+def test_tangent_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a):
     # Case A at r_max 500: stage 1's bracket ends 9.2e-14 relative wide,
     # narrower than _RTOL |v0|, and v0 lies 7.3e-13 relative outside it.
     # A chord between the bracket's ends extrapolated 7.8 bracket widths and
@@ -1006,19 +1004,17 @@ def test_tangent_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a, monkeypatch):
     # needs no floor.  Pinned: v0 of the floor's solve with _RTOL = 5e-13,
     # and case A's (r_max 1e4).  Measured: v0 lies 4.2e-16 and 2.9e-15
     # relative from them.
-    params = sol_quick.params
-    sol, brackets, _ = _record_collocation(params, 500.0, monkeypatch)
-    (up, dn), = brackets
-    assert sol.v0 == sol_quick.v0 and abs(up - dn) < _RTOL * abs(sol.v0)
+    sol = sol_quick
+    up, dn = sol.record.bracket
+    assert abs(up - dn) < _RTOL * abs(sol.v0)
     tight = float.fromhex("-0x1.114bea1e69182p-2")
     assert abs(sol.v0 - tight) <= 5e-15 * abs(tight)
     assert abs(sol.v0 - sol_a.v0) <= 5e-15 * abs(sol_a.v0)
 
 
 def _record_collocation(params, r_max, monkeypatch):
-    """shoot(params, 1, r_max), [its stage-1 bracket] from its record, and
-    each collocation.solve call's arguments (bvp, x, y, v, max_nodes) and
-    result."""
+    """shoot(params, 1, r_max) and each collocation.solve call's arguments
+    (bvp, x, y, v, max_nodes) and result."""
     calls = []
     plain_solve = biharm.collocation.solve
 
@@ -1029,7 +1025,7 @@ def _record_collocation(params, r_max, monkeypatch):
 
     monkeypatch.setattr(biharm.collocation, "solve", solve)
     sol = shoot(params, alpha=1.0, r_max=r_max)
-    return sol, [sol.record.bracket], calls
+    return sol, calls
 
 
 def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
@@ -1046,9 +1042,9 @@ def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
     # than 1e-7 of max |y|.  Measured: 5.9e-11 and 4.3e-11 of max |y|,
     # against 1.1e-4 between the ends.
     params = sol_quick.params
-    sol, brackets, calls = _record_collocation(params, 500.0, monkeypatch)
+    sol, calls = _record_collocation(params, 500.0, monkeypatch)
     assert sol.v0 == sol_quick.v0
-    (up, dn), = brackets
+    up, dn = sol.record.bracket
     bvp = calls[0][0][0]
     assert max(dn - sol.v0, sol.v0 - up) < _BRACKET_STOP * abs(sol.v0)
     integ = _Integrator(params)
@@ -1113,7 +1109,7 @@ def test_collocation_right_condition_removes_the_unstable_mode(fixture, request,
     # lam3): l4 annihilates the eigenvectors e(lam) = (1, lam, lam^2, lam^3)
     # of the three decaying modes and gives l4 . e(lam4) = 1, at p_c too
     params = request.getfixturevalue(fixture).params
-    _, _, calls = _record_collocation(params, 500.0, monkeypatch)
+    _, calls = _record_collocation(params, 500.0, monkeypatch)
     bvp = calls[0][0][0]
     lams = compute_spectrum(params).lambdas
     right = [bvp.conditions(np.zeros(4), np.array([1.0, lam, lam**2, lam**3]), 0.0)[4]
@@ -1163,9 +1159,9 @@ def test_collocation_failure_names_its_stage(pc13, monkeypatch):
 def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
     # a predicted mesh above the node cap raises right after the first
     # round, naming the stage, the round, the predicted node count and the
-    # cap, and carrying them as data; no later round runs, and the solve's
-    # record holds that round and no collocation that returned (case A at
-    # r_max 500 predicts 645 nodes)
+    # cap; no later round runs, and the solve's record holds that one
+    # round with its nodes and prediction (case A at r_max 500 predicts 645
+    # nodes)
     monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
@@ -1176,14 +1172,15 @@ def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
     assert found is not None, str(info.value)
     assert found[1] == "1" and int(found[2]) == _BVP_NODES and int(found[5]) > 400
     record = info.value.record
-    assert info.value.round == record.failed == (1, _BVP_NODES, int(found[5]))
-    assert record.mesh is None and record.trials > 0 and record.bracket[0] > record.bracket[1]
+    (nodes, _, max_rms, predicted), = record.rounds
+    assert (nodes, predicted, f"{max_rms:.3g}") == (_BVP_NODES, int(found[5]), found[4])
+    assert record.trials > 0 and record.bracket[0] > record.bracket[1]
 
 
 def test_singular_band_names_its_round(pc13, monkeypatch):
     # a band LU that finds an exact zero pivot (dgbtrf info > 0) raises
-    # NoConvergence naming the round, its nodes and the Newton iteration,
-    # and carrying the round and its nodes, with no predicted mesh
+    # NoConvergence naming the round, its nodes and the Newton iteration;
+    # the round did not finish, so the record holds none
     plain = biharm.collocation.dgbtrf
 
     def singular(ab, kl, ku, **kwargs):
@@ -1198,7 +1195,7 @@ def test_singular_band_names_its_round(pc13, monkeypatch):
         r"info = 7\) at Newton iteration 1" + _WHERE,
         str(info.value),
     ), str(info.value)
-    assert info.value.round == info.value.record.failed == (1, _BVP_NODES, None)
+    assert info.value.record.rounds == ()
 
 
 def test_failing_tangent_leg_names_its_stage(pc13, monkeypatch):
@@ -1236,10 +1233,12 @@ def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch
     # same start nodes: v0 to 1e-14 relative and, on the lattice past
     # r_switch, W = L (1 + y0) to 1e-12 L.
     params = request.getfixturevalue(fixture).params
-    sol, _, calls = _record_collocation(params, r_max, monkeypatch)
+    sol, calls = _record_collocation(params, r_max, monkeypatch)
     ((bvp, x, y, v, max_nodes), res), = calls
-    assert x.size == _BVP_NODES and max_nodes == _BVP_MAX_NODES
-    assert res.niter == 2 and res.x.size > _BVP_NODES and sol.v0 == res.v
+    assert x.size == _BVP_NODES and max_nodes == _BVP_MAX_NODES and sol.v0 == res.v
+    (nodes_1, _, _, predicted), (nodes_2, _, max_rms, met) = sol.record.rounds
+    assert nodes_1 == _BVP_NODES and nodes_2 == predicted == res.x.size > _BVP_NODES
+    assert met is None and max_rms <= bvp.tol
     ref = solve_bvp(x=x, y=y, p=[v], tol=bvp.tol, max_nodes=max_nodes, **scipy_problem(bvp))
     assert ref.status == 0
     assert abs(sol.v0 - ref.p[0]) <= 1e-14 * abs(ref.p[0])
@@ -1421,7 +1420,7 @@ def test_stage_1_step_failure_is_reraised(pc13, monkeypatch, w_over_L):
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
-def test_dense_tangent_leg_replays_plain_full_tolerance_shots(fixture, r_max, request, monkeypatch):
+def test_dense_tangent_leg_replays_plain_full_tolerance_shots(fixture, r_max, request):
     # One shot geometry: dense output only adds interpolants, so the
     # tangent's dense leg at the bracket's midpoint takes the steps of a
     # plain full-tolerance leg, and the tangent and v0 are those of a plain
@@ -1429,9 +1428,7 @@ def test_dense_tangent_leg_replays_plain_full_tolerance_shots(fixture, r_max, re
     # residual and starts its s-chart from the same r_switch state, bit for
     # bit.
     sol = request.getfixturevalue(fixture)
-    again, brackets, _ = _record_collocation(sol.params, r_max, monkeypatch)
-    assert again.v0 == sol.v0
-    (up, dn), = brackets
+    up, dn = sol.record.bracket
     integ = _Integrator(sol.params)
     (_, leg_dense), (_, leg) = (_tangent_leg(integ, 0.5 * (up + dn), dense) for dense in (True, False))
     assert leg_dense.sol is not None and leg.sol is None

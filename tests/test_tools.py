@@ -3,7 +3,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 from click.testing import CliRunner
 
 import biharm.shooting
@@ -22,25 +21,37 @@ def _chart(calls, nfev):
             "step_failures": 0}
 
 
-def _ok(v0_hex, nfev, n_bisect, passed=True, dump="d0", w="w0"):
+def _record(nfev_r, nfev_s, trials):
+    """A record_payload with one r-chart and one s-chart leg (none for
+    nfev_s = 0) and no collocation round."""
+    return {"charts": {"r": _chart(1, nfev_r), "s": _chart(int(nfev_s > 0), nfev_s)},
+            "trials": trials, "bracket": None, "rounds": []}
+
+
+def _rounds(nodes, count, newton=1):
+    """count collocation rounds as record_payload writes them, the last on
+    nodes with newton Newton iterations."""
+    first = {"nodes": 200, "newton": 8, "max_rms": 1e-8, "predicted": nodes}
+    return [first] * (count - 1) + [{"nodes": nodes, "newton": newton, "max_rms": 1e-11,
+                                     "predicted": None}]
+
+
+def _ok(v0_hex, nfev, trials, passed=True, dump="d0", w="w0"):
     check = {"value": True, "bound": None, "passed": passed}
     return {
-        "v0_hex": v0_hex, "w_sha256": w, "dump_sha256": dump, "n_bisect": n_bisect,
-        "trials": [n_bisect],
-        "checks": {"phi_positive": check},
-        "ivp": {"r": _chart(1, nfev), "s": _chart(1, nfev)},
-        "bvp": {"nodes": [], "niter": []},
+        "v0_hex": v0_hex, "w_sha256": w, "dump_sha256": dump, "bisection_steps": trials,
+        "invariants": {"phi_positive": check},
+        "record": _record(nfev, nfev, trials),
     }
 
 
 def _failed(error, nfev, trials):
-    return {"error": error, "message": "", "trials": trials,
-            "ivp": {"r": _chart(1, nfev), "s": _chart(0, 0)}, "bvp": {"nodes": [], "niter": []}}
+    return {"error": error, "message": "", "record": _record(nfev, 0, trials)}
 
 
 def test_shoot_cells_diff_reports_cells_and_totals(capsys):
-    old = {"A": _ok("0x1p-2", 50, 56), "F": _failed("StepFailure", 7, [8])}
-    new = {"A": _ok("0x1p-2", 40, 34), "F": _failed("StepFailure", 7, [8])}
+    old = {"A": _ok("0x1p-2", 50, 56), "F": _failed("StepFailure", 7, 8)}
+    new = {"A": _ok("0x1p-2", 40, 34), "F": _failed("StepFailure", 7, 8)}
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].split()[-3:] == ["v0", "W", "dump"]
@@ -56,10 +67,10 @@ def test_shoot_cells_diff_counts_identical_dumps(capsys):
     # (E), with v0 differing (B), or because only one side solved (C); a
     # cell that failed on both sides has none
     old = {"A": _ok("0x1p-2", 5, 9), "B": _ok("0x1p-1", 5, 9), "C": _ok("0x1p-3", 5, 9),
-           "D": _ok("0x1p-4", 5, 9), "E": _ok("0x1p-5", 5, 9), "F": _failed("StepFailure", 7, [8])}
+           "D": _ok("0x1p-4", 5, 9), "E": _ok("0x1p-5", 5, 9), "F": _failed("StepFailure", 7, 8)}
     new = {"A": _ok("0x1p-2", 5, 9, dump="d1"), "B": _ok("0x1.8p-1", 5, 9, dump="d1", w="w1"),
-           "C": _failed("NoConvergence", 5, [9]), "D": _ok("0x1p-4", 5, 9),
-           "E": _ok("0x1p-5", 5, 9, dump="d1", w="w1"), "F": _failed("StepFailure", 7, [8])}
+           "C": _failed("NoConvergence", 5, 9), "D": _ok("0x1p-4", 5, 9),
+           "E": _ok("0x1p-5", 5, 9, dump="d1", w="w1"), "F": _failed("StepFailure", 7, 8)}
     assert shoot_cells.diff(old, new) == 1  # C lost its solve
     out = capsys.readouterr().out.splitlines()
     rows = {line.split()[0]: line.split()[-3:] for line in out}
@@ -77,12 +88,12 @@ def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
     # over the cells with a v0 on both sides (F failed on both and has
     # none); each side's RHS evaluations print per chart, over the charts
     # its records hold, and by the decade of the legs' rtol
-    old = {"A": _ok("0x1p-2", 50, 8), "B": _ok("-0x1p-1", 50, 9), "F": _failed("StepFailure", 7, [8])}
+    old = {"A": _ok("0x1p-2", 50, 8), "B": _ok("-0x1p-1", 50, 9), "F": _failed("StepFailure", 7, 8)}
     new = {"A": _ok("0x1.0000000000001p-2", 30, 8), "B": _ok("-0x1p-1", 30, 9),
-           "F": _failed("StepFailure", 7, [8])}
+           "F": _failed("StepFailure", 7, 8)}
     for rec in (new["A"], new["B"]):
-        rec["ivp"]["r"]["nfev_by_rtol"] = {"1e-08": 20, "1e-12": 10}
-        rec["ivp"]["s"]["nfev_by_rtol"] = {"1e-08": 30}
+        rec["record"]["charts"]["r"]["nfev_by_rtol"] = {"1e-08": 20, "1e-12": 10}
+        rec["record"]["charts"]["s"]["nfev_by_rtol"] = {"1e-08": 30}
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
     assert "|dv0|/|v0| A 2.2e-16" in out
@@ -96,47 +107,53 @@ def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
 
 
 def test_shoot_cells_diff_reads_collocation_meshes(capsys):
-    # per cell the collocation's last mesh and rounds, old -> new: A's
-    # stays, B's solve takes a round more; C's collocation returned in OLD
-    # before its solve failed, and NEW records none; D collocates only in
-    # NEW.  Then the cells whose mesh or rounds moved, out of those with
-    # both on both sides.
+    # per cell the last round's nodes and the rounds, old -> new: A's
+    # stays, B's solve takes a round more; C's collocation finished a round
+    # in OLD before its solve failed, and NEW records none; D collocates
+    # only in NEW.  Then the cells whose mesh or rounds moved, out of those
+    # with both on both sides, each side's last-round Newton iterations and
+    # one line per cell whose count moved.
     old = {label: _ok("0x1p-2", 5, 9) for label in "ABD"}
     new = {label: _ok("0x1p-2", 5, 9) for label in "ABD"}
-    old["C"], new["C"] = _failed("NoConvergence", 7, [8]), _failed("NoConvergence", 7, [8])
-    old["A"]["bvp"] = new["A"]["bvp"] = {"nodes": [684], "niter": [2]}
-    old["B"]["bvp"] = {"nodes": [9441], "niter": [4]}
-    new["B"]["bvp"] = {"nodes": [9441], "niter": [5]}
-    old["C"]["bvp"] = {"nodes": [200], "niter": [1]}
-    new["D"]["bvp"] = {"nodes": [300], "niter": [2]}
+    old["C"], new["C"] = _failed("NoConvergence", 7, 8), _failed("NoConvergence", 7, 8)
+    old["A"]["record"]["rounds"] = new["A"]["record"]["rounds"] = _rounds(684, 2)
+    old["B"]["record"]["rounds"] = _rounds(9441, 4)
+    new["B"]["record"]["rounds"] = _rounds(9441, 5, newton=3)
+    old["C"]["record"]["rounds"] = _rounds(200, 1)
+    new["D"]["record"]["rounds"] = _rounds(300, 2)
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].split()[-4:] == ["mesh", "v0", "W", "dump"]
     meshes = {line.split()[0]: line.split()[-6:-3] for line in out[1:5]}
     assert meshes == {"A": ["684/2", "->", "684/2"], "B": ["9441/4", "->", "9441/5"],
-                      "C": ["200/1", "->", "-"], "D": ["-", "->", "300/2"]}
+                      "C": ["200/1:failed", "->", "-"], "D": ["-", "->", "300/2"]}
     assert "collocation meshes moved: 1 of 2" in out
+    assert "last-round Newton iterations (old): 3" in out
+    assert "last-round Newton iterations (new): 5" in out
+    assert [line for line in out if line.startswith("newton moved")] == [
+        "newton moved: B 1 -> 3", "newton moved: D - -> 1", "newton moved: C 1 -> -"]
     # without a collocation on either side, the column reads "-" and no
     # count prints
     for rec in (old, new):
         for label in rec:
-            rec[label]["bvp"] = {"nodes": [], "niter": []}
+            rec[label]["record"]["rounds"] = []
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
     assert {line.split()[-4] for line in out[1:5]} == {"-"}
-    assert not any(line.startswith("collocation meshes moved") for line in out)
+    assert not any(line.startswith(("collocation meshes moved", "newton moved")) for line in out)
+    assert "last-round Newton iterations (new): 0" in out
 
 
 def test_shoot_cells_diff_totals_step_failures(capsys):
     # each side's legs that ended in a step failure, summed over cells and
     # charts; a cell whose count rises gets its own line, one whose count
     # falls none
-    new = {"A": _ok("0x1p-2", 50, 8), "F": _failed("StepFailure", 7, [8])}
+    new = {"A": _ok("0x1p-2", 50, 8), "F": _failed("StepFailure", 7, 8)}
     for rec, counts in ((new["A"], (2, 1)), (new["F"], (1, 0))):
         for chart, count in zip("rs", counts):
-            rec["ivp"][chart]["step_failures"] = count
+            rec["record"]["charts"][chart]["step_failures"] = count
     more = json.loads(json.dumps(new))
-    more["A"]["ivp"]["s"]["step_failures"] = 3
+    more["A"]["record"]["charts"]["s"]["step_failures"] = 3
     for a, b, total in ((new, new, "4 -> 4"), (more, new, "6 -> 4")):
         assert shoot_cells.diff(a, b) == 0
         out = capsys.readouterr().out.splitlines()
@@ -151,7 +168,7 @@ def test_shoot_cells_diff_totals_step_failures(capsys):
 
 def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):
     old = {"A": _ok("0x1p-2", 50, 56), "B": _ok("0x1p-1", 50, 80)}
-    new = {"A": _failed("NoConvergence", 30, [12, 11]), "B": _ok("0x1p-1", 50, 33, passed=False)}
+    new = {"A": _failed("NoConvergence", 30, 23), "B": _ok("0x1p-1", 50, 33, passed=False)}
     assert shoot_cells.diff(old, new) == 1
     out = capsys.readouterr().out
     assert "failed phi_positive" in out
@@ -163,30 +180,42 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     # take at r_max 500: one collocation solve, its first round on the 200
     # start nodes and its second on the mesh the first predicts
     rec = shoot_cells.shoot_cell("quick")
-    assert rec["trials"] == [rec["n_bisect"]] and rec["params"]["alpha"] == 1.0
+    record = rec["record"]
+    assert record["trials"] == rec["bisection_steps"] > 0 and rec["alpha"] == 1.0
     # stage 1 at rtols from 1e-4 (the probe ladder) down to 1e-8, keyed by
     # decade; the tangent's one variational r-chart leg (chart "v") at 1e-12
-    assert set(rec["ivp"]) == {"r", "s", "v"}
-    for chart in rec["ivp"].values():
+    charts = record["charts"]
+    assert set(charts) == {"r", "s", "v"}
+    for chart in charts.values():
         assert sum(chart["nfev_by_rtol"].values()) == chart["nfev"]
         assert chart["step_failures"] == 0
     stage_1 = {"1e-04", "1e-05", "1e-06", "1e-07", "1e-08"}
-    assert {"1e-04", "1e-08"} <= set(rec["ivp"]["s"]["nfev_by_rtol"]) <= stage_1
-    assert {"1e-04", "1e-08"} <= set(rec["ivp"]["r"]["nfev_by_rtol"]) <= stage_1
-    assert rec["ivp"]["v"]["calls"] == 1 and set(rec["ivp"]["v"]["nfev_by_rtol"]) == {"1e-12"}
-    assert [shoot_cells.decade(r) for r in (1e-12, 1e-8, np.float64(9.99e-6), 1e-5, 1e-4)] == [
-        "1e-12", "1e-08", "1e-06", "1e-05", "1e-04"]
-    assert len(rec["w_sha256"]) == 64 and 0.0 < float(rec["seam_residual"]) < 1e-11
-    assert rec["bvp"] == {"nodes": [645], "niter": [2]}
+    assert {"1e-04", "1e-08"} <= set(charts["s"]["nfev_by_rtol"]) <= stage_1
+    assert {"1e-04", "1e-08"} <= set(charts["r"]["nfev_by_rtol"]) <= stage_1
+    assert charts["v"]["calls"] == 1 and set(charts["v"]["nfev_by_rtol"]) == {"1e-12"}
+    assert len(rec["w_sha256"]) == 64 and 0.0 < rec["seam_residual"] < 1e-11
+    assert [(r["nodes"], r["predicted"]) for r in record["rounds"]] == [(200, 645), (645, None)]
+
+
+def test_shoot_cells_record_is_the_solve_payload(pc13, tmp_path):
+    # the one writer: a cell's record without its three hashes and its
+    # expand record is `biharm solve`'s JSON for the same solve
+    rec = shoot_cells.shoot_cell("quick")
+    res = CliRunner().invoke(main, ["solve", "--n", "13", "--p", repr(pc13 + 0.5),
+                                    "--r-max", "500", "--out", str(tmp_path / "d.csv")])
+    assert res.exit_code == 0, res.output
+    for key in ("v0_hex", "dump_sha256", "w_sha256", "expand"):
+        rec.pop(key)
+    assert json.loads(json.dumps(rec)) == json.loads(res.stdout)
 
 
 def _expand(failed=(), error=None):
     if error is not None:
         return {"error": error, "message": ""}
     names = ("a0_matches_L", "remainder_slope_ok", "window_shift_stable")
-    return {"regime": "a", "k": 1, "window": ["5.0", "8.0"], "coefficients": {},
-            "checks": {name: {"value": "0.1", "bound": 1.0, "passed": name not in failed}
-                       for name in names}}
+    return {"regime": "a", "k": 1, "window": [5.0, 8.0], "coefficients": {},
+            "invariants": {name: {"value": 0.1, "bound": 1.0, "passed": name not in failed}
+                           for name in names}}
 
 
 def test_shoot_cells_diff_reads_expand_outcomes(capsys):
@@ -195,7 +224,7 @@ def test_shoot_cells_diff_reads_expand_outcomes(capsys):
     # raised on both sides; F failed its solve and has no expand record
     old = {label: _ok("0x1p-2", 5, 9) for label in "ABCD"}
     new = {label: _ok("0x1p-2", 5, 9) for label in "ABCD"}
-    old["F"] = new["F"] = _failed("StepFailure", 7, [8])
+    old["F"] = new["F"] = _failed("StepFailure", 7, 8)
     old["A"]["expand"] = new["A"]["expand"] = new["B"]["expand"] = old["C"]["expand"] = _expand()
     new["C"]["expand"] = _expand(failed=("remainder_slope_ok",))
     old["D"]["expand"] = new["D"]["expand"] = _expand(error="IllConditioned")
@@ -219,22 +248,20 @@ def test_shoot_cells_diff_reads_expand_outcomes(capsys):
 
 
 def test_shoot_cells_records_the_expand_pipeline(pc13):
-    # the expand record is `biharm expand` on the same solve: regime, window,
-    # coefficients and the five expansion invariants with their bounds; with
-    # the solve's six they are the CLI's invariants payload, value for value
+    # the expand record is `biharm expand`'s payload on the same solve, with
+    # the five expansion invariants; with the solve's six they are the
+    # CLI's invariants payload, value for value
     solve = shoot_cells.shoot_cell("quick")
-    rec = solve["expand"]
+    rec = json.loads(json.dumps(solve["expand"]))
     res = CliRunner().invoke(main, ["expand", "--n", "13", "--p", repr(pc13 + 0.5),
                                     "--r-max", "500"])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.stdout)
-    assert (rec["regime"], rec["k"]) == (payload["regime"], payload["k"]) == ("a", 1)
-    assert [float(s) for s in rec["window"]] == payload["window"]
-    assert {name: float(est["value"]) for name, est in rec["coefficients"].items()} == {
-        name: est["value"] for name, est in payload["coefficients"].items()}
-    assert len(rec["checks"]) == 5
-    assert solve["checks"] | rec["checks"] == payload["invariants"]
-    assert all(check["passed"] is True for check in rec["checks"].values())
+    assert (rec["regime"], rec["k"]) == ("a", 1)
+    assert len(rec["invariants"]) == 5
+    assert {**rec, "invariants": payload["invariants"]} == payload
+    assert solve["invariants"] | rec["invariants"] == payload["invariants"]
+    assert all(check["passed"] is True for check in rec["invariants"].values())
     assert shoot_cells.shoot_cell("A_r5")["expand"]["error"] == "WindowTooShort"
 
 
@@ -266,7 +293,7 @@ def test_shoot_cells_wide_rows_resolve_and_the_grid_keeps_25_cells(monkeypatch):
 
 def test_shoot_cells_a10_is_case_a_at_height_10(monkeypatch):
     # A_a10, case A at phi(0) = 10, is a default cell; its record stores the
-    # height under "params" (1 for a cell that names none) and solves
+    # height as alpha (1 for a cell that names none) and solves
     shot = []
     monkeypatch.setattr(shoot_cells, "shoot_cell", lambda label: shot.append(label) or {})
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -275,33 +302,32 @@ def test_shoot_cells_a10_is_case_a_at_height_10(monkeypatch):
     assert shot == list(shoot_cells.CELLS) and "A_a10" in shot
     monkeypatch.undo()
     rec = shoot_cells.shoot_cell("A_a10")
-    assert rec["params"] == {"n": 13, "p": repr(compute_ladder(13).p_c + 0.5), "r_max": 1e4,
-                             "alpha": 10.0}
+    assert (rec["n"], rec["p"], rec["r_max"], rec["alpha"]) == (
+        13, compute_ladder(13).p_c + 0.5, 1e4, 10.0)
     assert shoot_cells.outcome(rec) == "ok" and shoot_cells.outcome(rec["expand"]) == "ok"
 
 
 def test_shoot_cells_records_the_failing_collocation_round(monkeypatch, capsys):
-    # a collocation.solve that raises NoConvergence records its round, that
-    # round's nodes and the nodes it predicts, from the error's record; case
-    # A at r_max 500 predicts 645 nodes from its 200 start nodes, above a
-    # cap of 400
+    # a collocation.solve that raises NoConvergence leaves its finished
+    # rounds in the error's record; case A at r_max 500 predicts 645 nodes
+    # from its 200 start nodes, above a cap of 400
     monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
     rec = shoot_cells.shoot_cell("quick")
     assert rec["error"] == "NoConvergence"
-    assert rec["bvp"] == {"nodes": [], "niter": [],
-                          "failed": {"round": 1, "nodes": 200, "predicted": 645}}
-    # a round that fails before it predicts a mesh (a singular band LU)
-    # records no prediction
+    (round_1,) = rec["record"]["rounds"]
+    assert (round_1["nodes"], round_1["predicted"]) == (200, 645)
+    # a round that fails before it finishes (a singular band LU) records no
+    # round
     plain = biharm.collocation.dgbtrf
     monkeypatch.setattr(biharm.collocation, "dgbtrf",
                         lambda ab, kl, ku, **kwargs: (*plain(ab, kl, ku, **kwargs)[:2], 7))
-    assert shoot_cells.shoot_cell("quick")["bvp"]["failed"] == {"round": 1, "nodes": 200}
-    # --diff's mesh column shows the failing round, against a solve that
-    # returned on the other side and one that failed later
+    assert shoot_cells.shoot_cell("quick")["record"]["rounds"] == []
+    # --diff's mesh column marks a failed solve's last round, against a
+    # solve that returned on the other side and one that failed later
     ok = _ok("0x1p-2", 5, 9)
-    ok["bvp"] = {"nodes": [645], "niter": [2]}
-    later = _failed("NoConvergence", 5, [9])
-    later["bvp"] = {"nodes": [], "niter": [], "failed": {"round": 2, "nodes": 645}}
+    ok["record"]["rounds"] = _rounds(645, 2)
+    later = _failed("NoConvergence", 5, 9)
+    later["record"]["rounds"] = _rounds(645, 2)
     assert shoot_cells.diff({"A": ok, "B": rec}, {"A": rec, "B": later}) == 1
     out = capsys.readouterr().out.splitlines()
     meshes = {line.split()[0]: line.split()[-6:-3] for line in out[1:3]}
@@ -314,10 +340,10 @@ def test_shoot_cells_diff_names_error_class_changes(capsys):
     # one line per cell whose solve (or expand) failed on both sides with
     # different classes; the same class, a lost or a gained solve prints
     # none, and the exit code is the one without these lines
-    old = {"A": _failed("NoConvergence", 5, [9]), "B": _failed("StepFailure", 5, [9]),
-           "C": _ok("0x1p-2", 5, 9), "D": _failed("StepFailure", 5, [9]),
+    old = {"A": _failed("NoConvergence", 5, 9), "B": _failed("StepFailure", 5, 9),
+           "C": _ok("0x1p-2", 5, 9), "D": _failed("StepFailure", 5, 9),
            "E": _ok("0x1p-2", 5, 9)}
-    new = {"A": _failed("StepFailure", 5, [9]), "B": _failed("StepFailure", 5, [9]),
+    new = {"A": _failed("StepFailure", 5, 9), "B": _failed("StepFailure", 5, 9),
            "C": _ok("0x1p-2", 5, 9), "D": _ok("0x1p-2", 5, 9), "E": _ok("0x1p-2", 5, 9)}
     old["E"]["expand"] = _expand(error="IllConditioned")
     new["E"]["expand"] = _expand(error="WindowTooShort")
@@ -334,15 +360,15 @@ def test_shoot_cells_diff_names_moved_invariants(capsys):
     # sides, old value first; equal values, a failed solve and a check only
     # one side records print none, and the exit code is the one without them
     old = {"A": _ok("0x1p-2", 5, 9), "B": _ok("0x1p-2", 5, 9),
-           "F": _failed("StepFailure", 7, [8])}
+           "F": _failed("StepFailure", 7, 8)}
     new = {"A": _ok("0x1p-2", 5, 9), "B": _ok("0x1p-2", 5, 9),
-           "F": _failed("StepFailure", 7, [8])}
+           "F": _failed("StepFailure", 7, 8)}
     for rec, value in ((old, 2.1e-4), (new, 3.9e-8)):
-        rec["A"]["checks"]["transform_residual"] = {"value": value, "bound": 1e-4,
+        rec["A"]["invariants"]["transform_residual"] = {"value": value, "bound": 1e-4,
                                                    "passed": value < 1e-4}
     old["A"]["expand"], new["A"]["expand"] = _expand(), _expand()
-    new["A"]["expand"]["checks"]["a0_matches_L"]["value"] = "0.2"
-    new["B"]["checks"]["decay_slope"] = {"value": 0.2, "bound": 0.4, "passed": True}
+    new["A"]["expand"]["invariants"]["a0_matches_L"]["value"] = 0.2
+    new["B"]["invariants"]["decay_slope"] = {"value": 0.2, "bound": 0.4, "passed": True}
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("invariant moved")] == [

@@ -3,11 +3,13 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from biharm import compute_ladder, detect_regime
 from biharm.expansion import fit_expansion, representation_check, window_shift_stability
-from biharm.verify import BOUNDS, SCOPES, expansion_invariants, solve_invariants
+from biharm.shooting import SolveRecord
+from biharm.verify import BOUNDS, SCOPES, expansion_invariants, record_payload, solve_invariants
 
 SOLVE_NAMES = [
     "target_residual",
@@ -74,3 +76,28 @@ def test_scaling_covariance_suite_passes():
     assert passed and found is not None, detail
     assert float(found.group(1)) < 1e-6
     assert [part.split()[0] for part in found.group(2).split(", ")] == SOLVE_NAMES
+
+
+def test_record_payload_splits_each_chart_by_rtol_decade():
+    # per chart the legs, their RHS evaluations, those keyed by the decade
+    # 10^floor(log10 rtol) of each leg's rtol, and the step failures; a
+    # chart without legs reads zeros; rounds become named fields
+    legs = (("r", 1e-12, 5, 0), ("r", 1e-8, 3, -1), ("s", np.float64(9.99e-6), 2, 0),
+            ("s", 1e-5, 4, 0), ("s", 1e-4, 1, -1))
+    record = SolveRecord(legs=legs, trials=7, bracket=(-0.5, -0.6),
+                         rounds=((200, 8, 1e-6, 645), (645, 1, 1e-11, None)))
+    payload = record_payload(record)
+    assert payload["charts"] == {
+        "r": {"calls": 2, "nfev": 8, "nfev_by_rtol": {"1e-12": 5, "1e-08": 3},
+              "step_failures": 1},
+        "s": {"calls": 3, "nfev": 7, "nfev_by_rtol": {"1e-06": 2, "1e-05": 4, "1e-04": 1},
+              "step_failures": 1},
+        "v": {"calls": 0, "nfev": 0, "nfev_by_rtol": {}, "step_failures": 0},
+    }
+    assert (payload["trials"], payload["bracket"]) == (7, (-0.5, -0.6))
+    assert payload["rounds"] == [
+        {"nodes": 200, "newton": 8, "max_rms": 1e-6, "predicted": 645},
+        {"nodes": 645, "newton": 1, "max_rms": 1e-11, "predicted": None},
+    ]
+    empty = record_payload(SolveRecord())
+    assert (empty["trials"], empty["bracket"], empty["rounds"]) == (None, None, [])

@@ -9,7 +9,7 @@ two short solves, shot and collocated on the horizon floor at r = 500 and
 cut at r_max: A_r5 (case A at r_max 5, below r_switch) and B_r11 (case B at
 r_max 11), and one height other than phi(0) = 1: A_a10 (case A at
 phi(0) = 10).  A cell may name its height alpha; it is 1 otherwise, and
-each record stores it under "params".
+a solve's record stores it as alpha.
 --grid shoots the 25-cell coverage grid instead: n in {13, 15, 20, 40, 100}
 times p in {p_c, p_c+0.5, 2p_c, 10p_c, 100p_c}, all at r_max 1e4, labelled
 like n13_pc+0.5 (any of its labels also works with --cells).  The wider
@@ -17,44 +17,36 @@ rows of the theory's range, n = 60 and n = 200 at the same five p's and
 r_max (n60_pc, ..., n200_100pc), and n = 13 at 1e4 p_c and 1e5 p_c, r_max
 1e4 (n13_1e4pc, n13_1e5pc), are shot only when named in --cells, so --grid
 stays the same 25 cells.
-A solve's record holds its v0 (repr and float hex), n_bisect, the end
-residual rho = target_residual, seam_residual, the SHA-256 of its
-dump_solution text (dump_sha256) and of its W array's bytes (w_sha256),
-the six solve invariants as verify.invariant_payload writes them, and under
-"expand" the pipeline of `biharm expand` on the solution (regime and k, the
-default window, the coefficients and the five expansion invariants, or the
-typed error it raised); a solve that raises a typed error records its class
-and message instead.  Either way the record's work comes from the solve's
-shooting.SolveRecord (the solution's record, or the error's): per chart
-("r", "s", and "v", the r-chart with its variational equation in v0) the
-legs, their RHS evaluations, those split by the decade of the legs' rtol
-(nfev_by_rtol) and the legs that ended in a step failure (step_failures);
-stage 1's trials (a list of one count, empty when the search did not end);
-and under "bvp" the collocation's final nodes and rounds (niter), or under
-"failed" its failing round, that round's nodes and the nodes it predicts,
-when it predicted a mesh.  Nothing in the output depends on timing, so two
-trees can be compared with a plain diff.
+A cell's record is `biharm solve`'s report of its solve, as biharm.verify
+writes it: solve_payload, whose "record" is the solve's SolveRecord, or
+error_payload for a solve that raised a typed error.  A solve that returns
+adds v0_hex (v0's float hex), the SHA-256 of its dump_solution text
+(dump_sha256) and of its W array's bytes (w_sha256), and under "expand"
+`biharm expand`'s pipeline on it: fit_payload with the five expansion
+invariants, or error_payload.  Nothing in the output depends on timing, so
+two trees can be compared with a plain diff.
 
---src picks the biharm sources to import (default: this checkout's src/),
-so the same script measures any tree whose solutions and errors carry a
-SolveRecord.
+--src picks the biharm sources to import (default: this checkout's src/):
+any tree whose biharm.verify has these four writers.
 
 --diff compares two such outputs (say, of a parent tree and of a change)
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
 failed invariants), RHS evaluations, root-search trials, the collocation's
-last mesh and rounds as nodes/rounds ("-" without a collocation; a failing
-round's nodes and number, marked ":failed"), and whether v0, W (by
+last round's nodes and the rounds as nodes/rounds ("-" without a finished
+round; marked ":failed" when the solve failed), and whether v0, W (by
 w_sha256) and the dumps (by dump_sha256) are identical.  Then it prints
 |dv0|/|v0| per cell whose v0 differs and the largest, the totals (RHS
 evaluations, per chart and by rtol on each side; step failures, with one
 "step failures rose" line per cell whose count rose; trials), the count of
-cells whose nodes/rounds moved, the ok counts, one "error class changed"
-line per cell whose solve (or expand) raised a different typed error on
-each side, one "invariant moved: <cell> <name> old -> new" line per
-invariant whose value differs, the identical dumps, and each cell's expand
-outcome on both sides with the expand-ok counts.  It exits 1 when a cell
-that is ok in OLD is not ok in NEW, or expand-ok in OLD and not in NEW.
+cells whose nodes/rounds moved, the last rounds' Newton iterations summed
+on each side, with one "newton moved" line per cell whose count moved, the
+ok counts, one "error class changed" line per cell whose solve (or expand)
+raised a different typed error on each side, one "invariant moved: <cell>
+<name> old -> new" line per invariant whose value differs, the identical
+dumps, and each cell's expand outcome on both sides with the expand-ok
+counts.  It exits 1 when a cell that is ok in OLD is not ok in NEW, or
+expand-ok in OLD and not in NEW.
 """
 
 from __future__ import annotations
@@ -63,7 +55,6 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -109,79 +100,37 @@ def _args():
 
 
 def shoot_cell(label: str) -> dict:
-    """Shoot one cell; its work comes from the solve's SolveRecord."""
+    """Shoot one cell and write its record."""
     from biharm import BiharmError, ProblemParams, compute_ladder
     from biharm.expansion import detect_regime
     from biharm.shooting import dump_solution, shoot
-    from biharm.verify import invariant_payload, run_expansion, solve_invariants
+    from biharm.verify import (error_payload, fit_payload, run_expansion, solve_invariants,
+                               solve_payload)
 
     n, p_of, r_max, *height = KNOWN[label]
-    alpha = height[0] if height else 1.0
     ladder = compute_ladder(n)
     params = ProblemParams(n, p_of(ladder))
     try:
-        sol = shoot(params, alpha, r_max)
+        sol = shoot(params, height[0] if height else 1.0, r_max)
     except BiharmError as exc:
-        rec, record = {"error": type(exc).__name__, "message": str(exc)}, exc.record
+        return error_payload(exc)
+    try:
+        invariants = solve_invariants(sol)
+    except BiharmError as exc:
+        invariants = exc
+    rec = solve_payload(sol, r_max, invariants)
+    try:
+        fit, drift, invariants = run_expansion(sol, detect_regime(params, ladder))
+    except BiharmError as exc:
+        rec["expand"] = error_payload(exc)
     else:
-        record, v0 = sol.record, float(sol.v0)
-        dump = io.StringIO()
-        dump_solution(sol, dump)
-        rec = {
-            "dump_sha256": hashlib.sha256(dump.getvalue().encode()).hexdigest(),
-            "w_sha256": hashlib.sha256(sol.W.tobytes()).hexdigest(),
-            "v0": repr(v0),
-            "v0_hex": v0.hex(),
-            "n_bisect": sol.n_bisect,
-            "rho": repr(float(sol.target_residual)),
-            "seam_residual": repr(float(sol.seam_residual)),
-        }
-        try:
-            rec["checks"] = invariant_payload(solve_invariants(sol))
-        except BiharmError as exc:
-            rec["checks"] = {"error": type(exc).__name__, "message": str(exc)}
-        try:
-            fit, _, invariants = run_expansion(sol, detect_regime(params, ladder))
-        except BiharmError as exc:
-            rec["expand"] = {"error": type(exc).__name__, "message": str(exc)}
-        else:
-            rec["expand"] = {
-                "regime": fit.regime.kind,
-                "k": fit.regime.k,
-                "window": [repr(float(s)) for s in fit.window],
-                "coefficients": {
-                    name: {"value": repr(est.value), "stderr": repr(est.stderr),
-                           "resolved": est.resolved}
-                    for name, est in fit.coefficients.items()
-                },
-                "checks": invariant_payload(invariants),
-            }
-    calls, nfev, failures = Counter(), Counter(), Counter()
-    by_rtol = {"r": Counter(), "s": Counter(), "v": Counter()}
-    for chart, rtol, count, status in record.legs:
-        calls[chart] += 1
-        nfev[chart] += count
-        failures[chart] += status == -1
-        by_rtol[chart][decade(rtol)] += count
-    rec["params"] = {"n": n, "p": repr(params.p), "r_max": r_max, "alpha": alpha}
-    rec["ivp"] = {c: {"calls": calls[c], "nfev": nfev[c], "nfev_by_rtol": dict(by_rtol[c]),
-                      "step_failures": failures[c]} for c in ("r", "s", "v")}
-    rec["trials"] = [] if record.trials is None else [record.trials]
-    rec["bvp"] = {"nodes": [], "niter": []}
-    if record.mesh:
-        rec["bvp"] = {"nodes": [record.mesh[0]], "niter": [record.mesh[1]]}
-    if record.failed:
-        k, nodes, predicted = record.failed
-        rec["bvp"]["failed"] = {"round": k, "nodes": nodes}
-        if predicted is not None:
-            rec["bvp"]["failed"]["predicted"] = predicted
+        rec["expand"] = fit_payload(sol, fit, drift, invariants)
+    dump = io.StringIO()
+    dump_solution(sol, dump)
+    rec["v0_hex"] = float(sol.v0).hex()
+    rec["dump_sha256"] = hashlib.sha256(dump.getvalue().encode()).hexdigest()
+    rec["w_sha256"] = hashlib.sha256(sol.W.tobytes()).hexdigest()
     return rec
-
-
-def decade(rtol: float) -> str:
-    """The decade of rtol as "1e-08" (10^floor(log10 rtol)): stage 1's trials
-    run at a continuum of rtols."""
-    return f"{10.0 ** math.floor(math.log10(rtol)):.0e}"
 
 
 def outcome(rec: dict) -> str:
@@ -189,22 +138,22 @@ def outcome(rec: dict) -> str:
     solve's record or of its "expand" record)."""
     if "error" in rec:
         return rec["error"]
-    if "error" in rec["checks"]:
-        return "checks raised " + rec["checks"]["error"]
-    failed = sorted(name for name, check in rec["checks"].items() if not check["passed"])
+    if "error" in rec["invariants"]:
+        return "checks raised " + rec["invariants"]["error"]
+    failed = sorted(name for name, check in rec["invariants"].items() if not check["passed"])
     return "failed " + ",".join(failed) if failed else "ok"
 
 
 def diff(old: dict, new: dict) -> int:
     """Print the per-cell comparison of two records; returns the exit code."""
     def rhs(rec):
-        return sum(c["nfev"] for c in rec["ivp"].values())
+        return sum(c["nfev"] for c in rec["record"]["charts"].values())
 
     def trials(rec):
-        return rec.get("n_bisect", sum(rec["trials"]))
+        return rec["record"]["trials"] or 0
 
     def failures(rec):
-        return sum(chart["step_failures"] for chart in rec["ivp"].values())
+        return sum(chart["step_failures"] for chart in rec["record"]["charts"].values())
 
     def same(o, n, key):
         if key not in o and key not in n:
@@ -212,14 +161,17 @@ def diff(old: dict, new: dict) -> int:
         return "equal" if o.get(key) == n.get(key) else "differs"
 
     def mesh(rec):
-        # nodes/rounds of the collocation, or of its failing round, marked
-        # ":failed"
-        bvp = rec["bvp"]
-        if "failed" in bvp:
-            return f"{bvp['failed']['nodes']}/{bvp['failed']['round']}:failed"
-        if not bvp["nodes"]:
+        # the last round's nodes / the rounds, marked ":failed" on a failed
+        # solve
+        rounds = rec["record"]["rounds"]
+        if not rounds:
             return "-"
-        return f"{bvp['nodes'][-1]}/{sum(bvp['niter'])}"
+        return f"{rounds[-1]['nodes']}/{len(rounds)}" + (":failed" if "error" in rec else "")
+
+    def newton(rec):
+        # the last round's Newton iterations, "-" without a round
+        rounds = rec["record"]["rounds"]
+        return rounds[-1]["newton"] if rounds else "-"
 
     labels = [label for label in old if label in new]
     rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "mesh", "v0", "W", "dump")]
@@ -253,16 +205,13 @@ def diff(old: dict, new: dict) -> int:
     rhs_new = sum(rhs(new[label]) for label in labels)
     print(f"RHS evaluations: {rhs_old} -> {rhs_new} ({rhs_new / rhs_old - 1.0:+.1%})")
     for side, rec in (("old", old), ("new", new)):
-        per_chart = Counter()
+        per_chart, split = Counter(), Counter()
         for label in labels:
-            per_chart.update({chart: c["nfev"] for chart, c in rec[label]["ivp"].items()})
+            for chart, c in rec[label]["record"]["charts"].items():
+                per_chart[chart] += c["nfev"]
+                split.update(c["nfev_by_rtol"])
         print(f"RHS evaluations by chart ({side}): "
               + ", ".join(f"{chart} {per_chart[chart]}" for chart in sorted(per_chart)))
-    for side, rec in (("old", old), ("new", new)):
-        split = Counter()
-        for label in labels:
-            for chart in rec[label]["ivp"].values():
-                split.update(chart["nfev_by_rtol"])
         print(f"RHS evaluations by rtol ({side}): "
               + ", ".join(f"{rtol} {split[rtol]}" for rtol in sorted(split, key=float)))
     print(f"step failures: {sum(failures(old[label]) for label in labels)} -> "
@@ -277,6 +226,13 @@ def diff(old: dict, new: dict) -> int:
     if both:
         moved = sum(mesh(old[label]) != mesh(new[label]) for label in both)
         print(f"collocation meshes moved: {moved} of {len(both)}")
+    for side, rec in (("old", old), ("new", new)):
+        total = sum(newton(rec[label]) for label in labels if newton(rec[label]) != "-")
+        print(f"last-round Newton iterations ({side}): {total}")
+    for label in labels:
+        a, b = newton(old[label]), newton(new[label])
+        if a != b:
+            print(f"newton moved: {label} {a} -> {b}")
     ok_old = sum(outcome(old[label]) == "ok" for label in labels)
     ok_new = sum(outcome(new[label]) == "ok" for label in labels)
     print(f"ok: {ok_old} -> {ok_new} of {len(labels)}")
@@ -285,7 +241,7 @@ def diff(old: dict, new: dict) -> int:
         for what, a, b in (("", o, n), ("expand ", o.get("expand", {}), n.get("expand", {}))):
             if "error" in a and "error" in b and a["error"] != b["error"]:
                 print(f"error class changed: {what}{label} {a['error']} -> {b['error']}")
-            a, b = a.get("checks", {}), b.get("checks", {})
+            a, b = a.get("invariants", {}), b.get("invariants", {})
             for name in sorted(set(a) & set(b) - {"error", "message"}):
                 if a[name]["value"] != b[name]["value"]:
                     print(f"invariant moved: {label} {name} {a[name]['value']} -> "
