@@ -262,16 +262,26 @@ def solve(n, p, alpha, r_max, out, config):
 @out_option
 @config_option
 def expand(n, p, alpha, r_max, window, fmt, out, config):
-    """Fit the asymptotic expansion of the solved profile and check it."""
+    """Fit the asymptotic expansion of the solved profile and check it.  A
+    typed failure writes its error payload as JSON to stdout, with the
+    solve's record once the solve has returned."""
     from .expansion import check_window, detect_regime
     from .shooting import shoot
-    from .verify import fit_payload, run_expansion, solve_invariants
+    from .verify import error_payload, fit_payload, record_payload, run_expansion, solve_invariants
 
     cfg = _load_config(config)
     alpha = _resolve(cfg, "alpha", alpha)
     r_max = _resolve(cfg, "r_max", r_max)
     window = window or None
-    with _exit_on_error():
+    sol = None
+
+    def failure(exc):
+        payload = error_payload(exc)
+        if sol is not None:
+            payload["record"] = record_payload(sol.record)
+        return payload
+
+    with _exit_on_error(failure):
         if window is not None:
             check_window(window)
         params = ProblemParams(n, p)

@@ -134,12 +134,23 @@ def _kernel_terms(kern: VariationKernel, spec: Spectrum):
     return (("alpha1", lam1, 0), ("alpha2", lam2, 0), ("alpha3", lam3, 0))
 
 
+def _kernel_convolutions(kernels, s: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
+    """int_{s_0}^{s} (s - tau)^q e^{lam (s - tau)} g(tau) dtau for each (lam, q)
+    in kernels, q in {0, 1}, from one exp_kernel_convolve call: the row g at
+    lam, and after it for q = 1 the row s * g, as s I[g] - I[s g]."""
+    rows = [(lam, row) for lam, q in kernels for row in (g, s * g)[: q + 1]]
+    conv = iter(exp_kernel_convolve(np.array([lam for lam, _ in rows]), s,
+                                    np.stack([row for _, row in rows])))
+    return [next(conv) if q == 0 else s * next(conv) - next(conv) for _, q in kernels]
+
+
 def weighted_kernel_convolve(lam: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """J(s) = int_{s_0}^{s} (s - tau) e^{lam (s - tau)} g(tau) dtau.
 
-    Reduced to two plain exponential convolutions: J = s * I[g] - I[tau g].
+    Reduced to two plain exponential convolutions, J = s * I[g] - I[tau g],
+    made as the two rows g and s * g of one exp_kernel_convolve call.
     """
-    return s * exp_kernel_convolve(lam, s, g) - exp_kernel_convolve(lam, s, s * g)
+    return _kernel_convolutions([(lam, 1)], s, g)[0]
 
 
 def _columns(terms, s: np.ndarray) -> np.ndarray:
@@ -220,8 +231,8 @@ def representation_check(
     nl = Nonlinearity(L=spec.L, p=sol.params.p)
     g = _g_of_w(nl, sol.W[i0:])
     terms = _kernel_terms(kern, spec)
-    convolve = (exp_kernel_convolve, weighted_kernel_convolve)
-    forced = sum(b * convolve[q](lam, s, g) for b, (_, lam, q) in zip(kern.betas, terms))
+    parts = _kernel_convolutions([(lam, q) for _, lam, q in terms], s, g)
+    forced = sum(b * part for b, part in zip(kern.betas, parts))
 
     mask = (s >= window[0]) & (s <= window[1])
     if np.count_nonzero(mask) < 8:

@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParams, LadderMismatch, NoPcValue
+from .ivp import _brentq
 from .params import sobolev_exponent
 from .spectrum import q4_eval
 
@@ -46,9 +47,10 @@ def _expand(a, b) -> np.ndarray:
 
 
 def _quartic_roots(n: int, ks, floor: float) -> np.ndarray:
-    """Smallest real root p > floor of R_k for each k in ks, nan where none:
-    eigenvalues of stacked companion matrices, then two Newton steps on
-    R_k as written with the expanded quartic's derivative."""
+    """Smallest real root p > floor of R_k for each k in ks, nan where none
+    (compute_ladder's rungs, k >= 2): eigenvalues of stacked companion
+    matrices, then two Newton steps on R_k as written with the expanded
+    quartic's derivative."""
     k = np.asarray(ks, dtype=float)[:, None]
     c = np.array([0.0, 2.0, 2.0 - n, 4.0 - n])
     # in t = p - 1, where (1 + t) prod(4 + c t) has a t^5 coefficient of exactly 0
@@ -76,23 +78,29 @@ def _r1_sign(n: int, u: int, d: int) -> int:
     return (val > 0) - (val < 0)
 
 
-@lru_cache(maxsize=None)
-def compute_pc(n: int) -> float:
-    """Critical exponent p_c(n), the unique p > (n+4)/(n-4) with h(p) = 0, correctly rounded.
+def _r1_root_float(n: int) -> float:
+    # R_1's root above the Sobolev exponent in floats: double p until R_1's
+    # sign flips, then close the bracket by Brent's method
+    def r1(p):
+        return _rk_direct(p, n, 1)
 
-    The k = 1 companion root is stepped to the two adjacent floats where R_1
-    changes sign; R_1's exact sign at their midpoint picks the nearer one.
-    Raises NoPcValue when R_1 has no real root above the Sobolev exponent,
-    which is the n <= 12 case (p_c = +infinity there).
-    """
-    if n < 5:
-        raise InvalidParams(f"n >= 5 required, got n={n}")
-    p = float(_quartic_roots(n, [1], sobolev_exponent(n))[0])
-    if math.isnan(p):
+    lo = sobolev_exponent(n)
+    negative = r1(lo) < 0.0
+    if negative == (tail_limit(n, 1) < 0.0):
         raise NoPcValue(
             f"the k = 1 rung quartic R_1 has no real root above the Sobolev exponent "
             f"for n={n}; treat p_c = +infinity (finite p_c requires n >= 13)"
         )
+    hi = 2.0 * lo
+    while (r1(hi) < 0.0) == negative:
+        lo, hi = hi, 2.0 * hi
+    return _brentq(r1, lo, hi)
+
+
+def _nearest_r1_root(n: int, p: float) -> float:
+    # the float nearest R_1's root next to p: step from p to the two
+    # adjacent floats where R_1's exact sign changes, then R_1's exact sign
+    # at their midpoint picks the nearer one
     side = _r1_sign(n, *p.as_integer_ratio())  # R_1 < 0 below p_c
     toward = math.inf if side < 0 else -math.inf
     q = math.nextafter(p, toward)
@@ -100,6 +108,25 @@ def compute_pc(n: int) -> float:
         p, q = q, math.nextafter(q, toward)
     (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
     return q if _r1_sign(n, a * d + c * b, 2 * b * d) == side else p
+
+
+@lru_cache(maxsize=None)
+def compute_pc(n: int) -> float:
+    """Critical exponent p_c(n), the unique p > (n+4)/(n-4) with h(p) = 0, correctly rounded.
+
+    R_1 = -(p-1)^4 h is bracketed in floats from the Sobolev exponent,
+    doubling p until its sign flips, and the bracket is closed by Brent's
+    method (ivp._brentq); from that root the exact ulp walk steps to the two
+    adjacent floats where R_1's exact sign changes, and R_1's exact sign at
+    their midpoint picks the nearer one, so the result does not depend on
+    where the walk starts (Brent's root is within 8 ulps for n = 13..200).
+    Raises NoPcValue when R_1's sign above the Sobolev exponent already is
+    that of its tail limit, so it has no root there: the n <= 12 case
+    (p_c = +infinity there).
+    """
+    if n < 5:
+        raise InvalidParams(f"n >= 5 required, got n={n}")
+    return _nearest_r1_root(n, _r1_root_float(n))
 
 
 def _rk_direct(p, n: int, k: int):
@@ -111,6 +138,17 @@ def _rk_direct(p, n: int, k: int):
     t2 = t * t
     arg = (k - 1.0) / (k + 1.0) * 4.0 / t + (n - 4.0) / (k + 1.0)
     return t2 * t2 * (q4_eval(n, arg) - p * q4_eval(n, 4.0 / t))
+
+
+def _rk_rows(n: int, ks, p: np.ndarray):
+    # R_k(p) for each k in ks over an array p without 1, a row per k, by
+    # _rk_direct's own float operations, so each row equals rk_eval(n, k, p)
+    # bit for bit; (p-1)^4 and p*Q4(4/(p-1)) are computed once for all k
+    t = p - 1.0
+    t2 = t * t
+    t4, base = t2 * t2, p * q4_eval(n, 4.0 / t)
+    for k in ks:
+        yield t4 * (q4_eval(n, (k - 1.0) / (k + 1.0) * 4.0 / t + (n - 4.0) / (k + 1.0)) - base)
 
 
 def _patched(direct, x, at: float, value: float):

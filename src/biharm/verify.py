@@ -27,6 +27,7 @@ from .expansion import (
     window_shift_stability,
 )
 from .ladder import (
+    _rk_rows,
     compute_ladder,
     compute_pc,
     f_quartic,
@@ -176,14 +177,13 @@ def _sign_criterion():
 
 
 def _rk_root_count():
-    grid = None
     for n in range(13, 41):
         lad = compute_ladder(n)
-        for k in range(2, lad.N + 1):
-            if grid is None or grid[0] != lad.p_c:
-                grid = (lad.p_c, np.geomspace(lad.p_c * (1 + 1e-9), 1e6, 10_000))
-            vals = rk_eval(n, k, grid[1])
-            crossings = int(np.sum(np.sign(vals[:-1]) != np.sign(vals[1:])))
+        ks = range(2, lad.N + 1)
+        grid = np.geomspace(lad.p_c * (1 + 1e-9), 1e6, 10_000)
+        for k, vals in zip(ks, _rk_rows(n, ks, grid)):
+            signs = np.sign(vals)
+            crossings = int(np.count_nonzero(signs[:-1] != signs[1:]))
             if crossings != 1:
                 return False, f"{crossings} sign changes above p_c at (n={n}, k={k})"
     return True, "exactly one root above p_c for every rung k = 2..N (n=13..40)"

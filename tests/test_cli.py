@@ -13,10 +13,10 @@ from click.testing import CliRunner
 import biharm.cli
 import biharm.shooting
 from biharm import ProblemParams, compute_ladder, compute_spectrum, detect_regime
-from biharm.errors import LadderMismatch
+from biharm.errors import LadderMismatch, NoConvergence
 from biharm.cli import main
 from biharm.expansion import fit_expansion
-from biharm.shooting import shoot
+from biharm.shooting import SolveRecord, shoot
 from biharm.verify import BOUNDS, SCOPES, record_payload
 
 
@@ -182,6 +182,37 @@ def test_failed_solve_reports_its_error_and_record(runner, pc13, tmp_path, monke
     (round_1,) = payload["record"]["rounds"]
     assert (round_1["nodes"], round_1["predicted"]) == (200, 645)
     assert payload["record"]["trials"] > 0
+
+
+def test_expand_failure_reports_its_error_and_the_solve_record(runner, pc13):
+    # a typed failure after the solve returned exits 1 naming it on stderr,
+    # and stdout holds its error payload with the solve's record: at r_max 5
+    # Y never falls far enough for the fit window
+    res = runner.invoke(main, ["expand", "--n", "13", "--p", repr(pc13 + 0.5), "--r-max", "5"])
+    assert res.exit_code == 1
+    payload = json.loads(res.stdout)
+    assert set(payload) == {"error", "message", "record"}
+    assert payload["error"] == "WindowTooShort"
+    assert res.stderr == f"error: {payload['message']}\n"
+    assert payload["record"]["trials"] > 0 and payload["record"]["rounds"]
+
+
+def test_expand_failure_in_the_solve_reports_its_record(runner, pc13, monkeypatch):
+    # an error out of shoot carries its own record, which expand reports
+    record = SolveRecord(legs=(("r", 1e-8, 120, 0),), trials=3, bracket=(-2.0, -1.0))
+
+    def failing(params, alpha, r_max):
+        exc = NoConvergence("stage 1 found no bracket")
+        exc.record = record
+        raise exc
+
+    monkeypatch.setattr(biharm.shooting, "shoot", failing)
+    res = runner.invoke(main, ["expand", "--n", "13", "--p", repr(pc13 + 0.5)])
+    assert res.exit_code == 1
+    assert json.loads(res.stdout) == {"error": "NoConvergence",
+                                      "message": "stage 1 found no bracket",
+                                      "record": json.loads(json.dumps(record_payload(record)))}
+    assert res.stderr == "error: stage 1 found no bracket\n"
 
 
 def test_solve_failure_exits_1_after_the_dump(runner, pc13, tmp_path):
@@ -468,9 +499,11 @@ def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 import biharm.cli, biharm.ladder, biharm.spectrum
 imported = scipy_modules()
-from biharm import ProblemParams, compute_pc, shoot
+from biharm import ProblemParams, compute_pc, representation_check, shoot
 from biharm.verify import solve_invariants
-solve_invariants(shoot(ProblemParams(13, compute_pc(13) + 0.5), alpha=1.0, r_max=500.0))
+sol = shoot(ProblemParams(13, compute_pc(13) + 0.5), alpha=1.0, r_max=500.0)
+solve_invariants(sol)
+representation_check(sol)
 shot = sorted(sys.modules)
 import biharm.collocation, scipy.linalg.lapack
 same = {name: getattr(scipy.linalg.lapack, name) is getattr(biharm.collocation, name)
@@ -483,7 +516,9 @@ print(json.dumps({"import": imported, "shoot": shot, "same": same}))
 def loaded_scipy():
     """The scipy modules a fresh interpreter holds after importing biharm.cli,
     biharm.ladder and biharm.spectrum; every module it holds after one short
-    shoot and its six solve invariants; and, once scipy.linalg.lapack is
+    shoot, its six solve invariants (the integral identity's kernel
+    convolution among them) and its representation check, whose kernel
+    convolutions are one blocked scan; and, once scipy.linalg.lapack is
     imported after that, whether its dgbtrf and dgbtrs are the
     collocation's."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -499,7 +534,10 @@ def test_cli_import_leaves_scipy_signal_unloaded(loaded_scipy):
     # so the cold start must not pull in any scipy subpackage; a solve loads
     # the LAPACK extension alone, since the scipy.linalg package costs about
     # 0.3 s through scipy's array-API shim, which loads numpy.f2py,
-    # numpy.testing and numpy.ma; the solve's checks load no numpy.ma either
+    # numpy.testing and numpy.ma; the solve's checks load no numpy.ma either.
+    # The kernel convolutions' scan is numpy's: scipy.signal.lfilter would
+    # run it bit for bit as the old loop did, but importing scipy.signal
+    # costs about 1.2 s
     assert "scipy.signal" not in loaded_scipy["import"]
     shot = loaded_scipy["shoot"]
     for name in ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse",

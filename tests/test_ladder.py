@@ -21,6 +21,8 @@ from biharm import (
     rk_eval,
     tail_limit,
 )
+from biharm.ladder import _nearest_r1_root, _quartic_roots, _r1_root_float, _r1_sign
+from biharm.params import sobolev_exponent
 from biharm.spectrum import eigen_poly_eval, lambda_star
 
 
@@ -28,6 +30,37 @@ from biharm.spectrum import eigen_poly_eval, lambda_star
 def test_no_pc_below_13(n):
     # the k = 1 quartic has no real root above the Sobolev exponent there
     with pytest.raises(NoPcValue, match="no real root above the Sobolev exponent"):
+        compute_pc(n)
+
+
+def _companion_pc(n):
+    # p_c by the k = 1 companion root and the exact ulp walk from it, the
+    # route compute_pc took before its Brent bracket
+    p = float(_quartic_roots(n, [1], sobolev_exponent(n))[0])
+    side = _r1_sign(n, *p.as_integer_ratio())
+    toward = math.inf if side < 0 else -math.inf
+    q = math.nextafter(p, toward)
+    while _r1_sign(n, *q.as_integer_ratio()) == side:
+        p, q = q, math.nextafter(q, toward)
+    (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
+    return q if _r1_sign(n, a * d + c * b, 2 * b * d) == side else p
+
+
+def test_pc_brent_route_is_the_companion_route():
+    # Brent's root of R_1 in floats, walked to the nearest float, is the
+    # companion route's p_c at every n = 13..200, and the walk is short
+    # (measured at most 8 ulps)
+    for n in range(13, 201):
+        start = _r1_root_float(n)
+        pc = compute_pc(n)
+        assert pc == _companion_pc(n) == _nearest_r1_root(n, start), n
+        walk = abs(int(np.float64(pc).view(np.int64)) - int(np.float64(start).view(np.int64)))
+        assert walk <= 16, (n, walk)
+
+
+@pytest.mark.parametrize("n", range(-1, 5))
+def test_pc_needs_n_at_least_5(n):
+    with pytest.raises(InvalidParams, match="n >= 5 required"):
         compute_pc(n)
 
 

@@ -6,10 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from biharm import compute_ladder, detect_regime
+from biharm import compute_ladder, compute_pc, detect_regime, rk_eval
 from biharm.expansion import fit_expansion, representation_check, window_shift_stability
 from biharm.shooting import SolveRecord
-from biharm.verify import BOUNDS, SCOPES, expansion_invariants, record_payload, solve_invariants
+from biharm.ladder import _rk_rows
+from biharm.verify import (
+    BOUNDS,
+    SCOPES,
+    expansion_invariants,
+    record_payload,
+    run_checks,
+    solve_invariants,
+)
 
 SOLVE_NAMES = [
     "target_residual",
@@ -101,3 +109,22 @@ def test_record_payload_splits_each_chart_by_rtol_decade():
     ]
     empty = record_payload(SolveRecord())
     assert (empty["trials"], empty["bracket"], empty["rounds"]) == (None, None, [])
+
+
+@pytest.mark.parametrize("n, k", [(13, 2), (25, 3), (40, 15)])
+def test_rung_rows_are_rk_eval_bit_for_bit(n, k):
+    # the root count's sweep shares (p-1)^4 and p Q4(4/(p-1)) across its
+    # rungs and keeps rk_eval's float operations: every row k' = 2..k on its
+    # grid is rk_eval's array bit for bit
+    grid = np.geomspace(compute_pc(n) * (1 + 1e-9), 1e6, 10_000)
+    ks = range(2, k + 1)
+    rows = list(_rk_rows(n, ks, grid))
+    assert len(rows) == len(ks)
+    for kk, row in zip(ks, rows):
+        assert row.tobytes() == rk_eval(n, kk, grid).tobytes(), kk
+
+
+def test_rk_root_count_detail_is_unchanged():
+    (result,) = (r for r in run_checks("algebra") if r.name == "rk_root_count")
+    assert result.passed
+    assert result.detail == "exactly one root above p_c for every rung k = 2..N (n=13..40)"
