@@ -285,6 +285,7 @@ def expand(n, p, alpha, r_max, window, fmt, out, config):
         if window is not None:
             check_window(window)
         params = ProblemParams(n, p)
+        compute_spectrum(params)  # rejects a subcritical input as solve does, before the ladder
         ladder = compute_ladder(n)
         regime = detect_regime(params, ladder)
         sol = shoot(params, alpha=alpha, r_max=r_max)

@@ -135,8 +135,8 @@ class RadialSolution:
 
     X is sampled from the states the phi(0) = 1 solve was solved in: up to
     r_switch the r-chart part (shoot's: the tangent at v0 of one variational
-    r-chart leg; a single shot's: its one leg; the leg's series below its
-    start), mapped to s-derivatives by _r_to_s_state, the s-chart beyond.
+    r-chart leg; a single shot's: its one leg; the series at v0 below the
+    leg's start), mapped to s-derivatives by _r_to_s_state, the s-chart beyond.
     The scale map to phi(0) = alpha keeps X and shifts s_grid.  Everything
     else follows from them: W = X[0], Z = Y' - lam4 Y = W' - lam4 Y,
     r_grid = e^s, phi = W / r^m and Y = W - L.  seam_residual is
@@ -308,7 +308,11 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
 # Chart "v" is the r-chart with its variational equation in v0 (entries 4..7,
 # u^p linearised to p u^(p-1)): one leg gives the end state and its derivative
 # in v0 on one step sequence (internal numerical differentiation: Bock 1981;
-# Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.6).
+# Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.6).  Its state, entries
+# 0..3, leads (see ivp.system): the tangent reads the derivative only times
+# |v0 - mid| <= _BRACKET_STOP |v0| / 2, so it takes each step's cubic Hermite
+# (on case A within 1.3e-9 of max |dy/dv| of the 7th-order interpolant, which
+# moves W by at most an ulp); steps and step ends, so v0, do not change.
 _POWER = "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0)"
 _R_EVENTS = (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1))
 _CHARTS = {
@@ -321,7 +325,7 @@ _CHARTS = {
                 ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x",
                  "u5", "u6 - nm1 * u5 / x", "u7",
                  "(p * (u0 if u0 < cap else cap) ** (p - 1.0) if u0 > 0.0 else 0.0) * u4 - nm1 * u7 / x"),
-                _R_EVENTS),
+                _R_EVENTS, lead=4),
 }
 
 
@@ -366,9 +370,9 @@ class _Integrator:
         return r0, series.state(r0)
 
     def seed(self, v0: float):
-        """(the series at v0, chart "v"'s state as a function of r, a float
-        or an array): the series state and, by a complex step through the
-        series, its derivative in v0.  Both series are built once."""
+        """(the series at v0, chart "v"'s state as a function of r): the
+        series state and, by a complex step through the series, its
+        derivative in v0, read where the tangent's leg starts."""
         h = 1e-20 * abs(v0)
         series, step = self.series(v0), self.series(complex(v0, h))
         return series, lambda r: (*series.state(r), *(y.imag / h for y in step.state(r)))
@@ -453,9 +457,11 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     solution grids require the spectrum, so params must be at or above the
     critical exponent.  The shot runs to kappa r_max e^{_S_PAD}; for
     alpha = 1 and r_max >= _R_HORIZON that is shoot's classification
-    horizon.  Below r_switch it is the r-chart leg at v0: shoot's solution
-    there is the tangent at its v0 of one variational r-chart leg, which a
-    shot at shoot's v0 meets to within the legs' integration error.
+    horizon.  Below r_switch it is the r-chart leg at v0 and, below the
+    leg's start, the series at v0: shoot's solution there is the same series
+    and, from the leg's start on, the tangent at its v0 of one variational
+    r-chart leg, which a shot at shoot's v0 meets to within the legs'
+    integration error.
     """
     kappa = _scale(params.m, alpha, r_max)
     r_max, v0 = kappa * r_max, v0 / kappa ** (params.m + 2.0)
@@ -464,7 +470,7 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     if isinstance(outcome, (BlowUp, SignLoss)):
         return replace(outcome, r=outcome.r / kappa)
     tail = sol_s.sol if sol_s else None
-    sol = _assemble_solution(integ, v0, r_max, (v0, integ.series(v0).state, sol_r), tail, seam=0.0)
+    sol = _assemble_solution(integ, v0, r_max, (v0, sol_r), tail, seam=0.0)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
@@ -472,25 +478,27 @@ def _sample_state(integ, v0, head, tail, s_nodes):
     """The state X of W = r^m phi at s_nodes, from the solved states.
 
     Nodes below log r_switch come from the r-chart (all of them when tail,
-    the s-chart's X at ascending s, is None).  head is (v, seed, dense leg
-    at v): a single shot's r-chart leg, v = v0, or shoot's chart-"v" leg,
-    whose entries 4..7 are the derivative dy/dv of the state y.  Its entries
-    come from seed, the series state at v as a function of r (chart "v"'s:
-    _Integrator.seed), below the leg's start and from the leg on.  A node's
-    state, y or on a chart-"v" leg the tangent y + (v0 - v) dy/dv, is mapped
-    to X by _r_to_s_state.
+    the s-chart's X at ascending s, is None).  head is (v, dense leg at v):
+    a single shot's r-chart leg, v = v0, or shoot's chart-"v" leg, whose
+    entries 4..7 are the derivative dy/dv of the state y.  A node below the
+    leg's start takes the series state at v0; one on the leg its state y, or
+    on a chart-"v" leg the tangent y + (v0 - v) dy/dv (dy/dv on the cubic
+    Hermite, see _CHARTS).  On a chart-"v" leg the series at v0 stands for
+    the tangent of the series at v, from which it differs by O((v0 - v)^2),
+    about 1e-17 relative.  Each node's state is mapped to X by
+    _r_to_s_state.
     """
     X = np.empty((4, s_nodes.size))
     from_r = s_nodes < math.log(_R_SWITCH) if tail else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
-        v, seed, leg = head
-        tangent = leg.y.shape[0] == 8
+        v, leg = head
         rr = np.exp(s_nodes[from_r])
-        y = np.empty((leg.y.shape[0], rr.size))
+        y = np.empty((4, rr.size))
         seeded = rr < leg.t[0]
-        y[:, seeded] = seed(rr[seeded])
-        y[:, ~seeded] = leg.sol(rr[~seeded])
-        X[:, from_r] = _r_to_s_state(integ.n, integ.m, rr, y[:4] + (v0 - v) * y[4:] if tangent else y)
+        y[:, seeded] = integ.series(v0).state(rr[seeded])
+        on_leg = leg.sol(rr[~seeded])
+        y[:, ~seeded] = on_leg[:4] + (v0 - v) * on_leg[4:] if len(on_leg) == 8 else on_leg
+        X[:, from_r] = _r_to_s_state(integ.n, integ.m, rr, y)
     if tail:
         X[:, ~from_r] = tail(s_nodes[~from_r])
     return X
@@ -709,14 +717,15 @@ def _collocate(integ, leg, up, dn, r_cls):
     - c2 y2 - c1 y3) with L^{p-1} = c4; v0 is the one scalar unknown.  The
     left condition puts y on the tangent R(v0) = (X(mid) - X*) / L
     + (v0 - mid) dX/dv / L at the bracket's midpoint mid, X(mid) and dX/dv
-    the end of one dense variational r-chart leg at _RTOL (chart "v", seeded
-    by _Integrator.seed), mapped by _r_to_s_state, which is linear in the
-    state.  The right one, l4 . y = 0, removes the unstable mode: l4,
-    the left eigenvector for lam4 with l4 . e4 = 1, holds the coefficients
-    of (mu - lam1)(mu - lam2)(mu - lam3), in increasing powers, over
-    prod_i (lam4 - lam_i).  The guess is leg, the blow-up end's stage-1
-    s-leg, at its step ends up to where |y0| < _GUESS_FLOOR, then y there
-    times e^{lam3 (s - s_a)}, on _BVP_NODES uniform nodes.
+    the end of one dense variational r-chart leg at _RTOL (chart "v", started
+    from _Integrator.seed at its first radius), mapped by _r_to_s_state,
+    which is linear in the state.  The right one, l4 . y = 0, removes the
+    unstable mode: l4, the left eigenvector for lam4 with l4 . e4 = 1,
+    holds the coefficients of (mu - lam1)(mu - lam2)(mu - lam3), in
+    increasing powers, over prod_i (lam4 - lam_i).  The guess is leg, the
+    blow-up end's stage-1 s-leg, at its step ends up to where
+    |y0| < _GUESS_FLOOR, then y there times e^{lam3 (s - s_a)}, on
+    _BVP_NODES uniform nodes.
     One collocation.solve call, capped at _BVP_MAX_NODES, runs the problem
     in Newton rounds: the first on the start mesh, each later one on the
     mesh the last one's rms residuals predict (see collocation.solve); a
@@ -726,9 +735,11 @@ def _collocate(integ, leg, up, dn, r_cls):
     NoConvergence names the s-domain and the bracket, and one from a round
     names the round, its nodes, Newton iterations and residual.  The
     rounds that finished go into the solve's record either way.  Returns
-    (v0, (mid, the series state at mid as from _Integrator.seed, the
-    tangent's leg), the left condition's residual
-    max |y(s_a) - R(v0)| (the seam), the collocation.Collocation).
+    (v0, (mid, the tangent's leg), the left condition's residual
+    max |y(s_a) - R(v0)| (the seam), the collocation.Collocation).  The
+    leg's dense rows hold the state to 7th order and dX/dv on the cubic
+    Hermite (chart "v"'s lead): only the end state enters the
+    collocation, so v0 does not depend on the interpolant.
     """
     L = integ.L
     lam1, lam2, lam3, lam4 = integ.spec.lambdas
@@ -786,7 +797,7 @@ def _collocate(integ, leg, up, dn, r_cls):
         raise NoConvergence(f"collocation stage: {exc} ({where})") from None
     integ.work["rounds"] = res.rounds
     seam = float(np.max(np.abs(bvp.conditions(res.y[:, 0], res.y[:, -1], res.v)[:4])))
-    return v0, (mid, seed, tangent), seam, res
+    return v0, (mid, tangent), seam, res
 
 
 def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:

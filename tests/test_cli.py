@@ -381,6 +381,20 @@ def test_expand_rejects_a_bad_window_before_the_solve(runner, pc13, monkeypatch,
     assert f"fit window (s_lo, s_hi) = ({lo}, {hi}) must be finite" in res.stderr
 
 
+@pytest.mark.parametrize("n, p", [(12, 3.0), (13, 5.0)])
+def test_solve_and_expand_reject_a_subcritical_input_alike(runner, tmp_path, n, p):
+    # below p_c (n = 12 has none) both commands exit 2 with the spectrum's
+    # message and no payload; expand exited 1 with NoPcValue at n = 12
+    args = ["--n", str(n), "--p", str(p)]
+    solved = runner.invoke(main, ["solve", *args, "--out", str(tmp_path / "dump.csv")])
+    expanded = runner.invoke(main, ["expand", *args])
+    for res in (solved, expanded):
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+    assert expanded.stderr == solved.stderr
+    assert solved.stderr.startswith("error: P(lam_star) = ") and f"(n={n}, p={p})" in solved.stderr
+
+
 def test_expand_window_with_too_few_nodes_exits_1(runner, pc13):
     # a valid window that holds too few lattice nodes fails the fit (exit 1)
     res = runner.invoke(main, ["expand", "--n", "13", "--p", str(pc13 + 0.5), "--r-max", "500",

@@ -327,8 +327,11 @@ def _loop_step(fun, t, y, f, h, rtol, atol):
     return K, y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
 
 
-def _loop_rows(fun, K, t_old, h, y_old, y_new):
-    """The interpolant's seven coefficient rows, its three extra stages included."""
+def _loop_rows(fun, K, t_old, h, y_old, y_new, lead=None):
+    """The interpolant's seven coefficient rows, its three extra stages
+    included; an entry from lead on (None: none) keeps the first three, the
+    cubic Hermite of the step's end values and slopes, and 0.0 in D's."""
+    lead = len(y_old) if lead is None else lead
     delta = [b - a for a, b in zip(y_old, y_new)]
     rows = [
         delta,
@@ -338,16 +341,16 @@ def _loop_rows(fun, K, t_old, h, y_old, y_new):
     K = list(K)
     for a, c in zip(_A_EXTRA, _C_EXTRA):
         K.append(fun(t_old + c * h, _axpy(y_old, h, _combo(K, a))))
-    return rows + [[h * v for v in _combo(K, row)] for row in _D]
+    return rows + [[h * v if i < lead else 0.0 for i, v in enumerate(_combo(K, row))] for row in _D]
 
 
-def _loop_leg(fun, events, t_span, y0, rtol, atol, dense):
+def _loop_leg(fun, events, t_span, y0, rtol, atol, dense, lead=None):
     """One leg as a loop over _loop_step: scipy's initial step and step
     controller, every event called at every step end, the first root by
-    brentq on scipy's interpolant of the firing step.  Returns (step ends,
-    states, dense rows as (t_old, t, y_old, rows), flat -- every step's when
-    dense, else the firing step's --, event roots, fun calls made, status,
-    last step)."""
+    brentq on scipy's interpolant of the firing step, its rows by _loop_rows
+    at lead.  Returns (step ends, states, dense rows as (t_old, t, y_old,
+    rows), flat -- every step's when dense, else the firing step's --, event
+    roots, fun calls made, status, last step)."""
     calls = 0
 
     def counted(t, y):
@@ -394,7 +397,7 @@ def _loop_leg(fun, events, t_span, y0, rtol, atol, dense):
                   if (ev.direction >= 0 and g[i] <= 0.0 <= g_new[i])
                   or (ev.direction <= 0 and g[i] >= 0.0 >= g_new[i])]
         if dense or active:
-            rows = _loop_rows(counted, K, t, h, y, y_new)
+            rows = _loop_rows(counted, K, t, h, y, y_new, lead)
             steps.append((t, t_new, *y, *(v for row in rows for v in row)))
         if active:
             interp = _scipy_step(steps[-1])
@@ -428,13 +431,13 @@ def _assert_leg_equals_the_loops(integ, chart, span, y0, dense):
     return _assert_rhs_leg_equals_the_loops(getattr(integ, f"rhs_{chart}"), span, y0, dense)
 
 
-def _assert_rhs_leg_equals_the_loops(rhs, span, y0, dense):
-    """The kernel's leg of rhs, a `system` right-hand side, against
-    _loop_leg's on the same scalar right-hand side, bit for bit; returns
-    the kernel's result."""
+def _assert_rhs_leg_equals_the_loops(rhs, span, y0, dense, lead=None):
+    """The kernel's leg of rhs, a `system` right-hand side compiled with
+    lead, against _loop_leg's on the same scalar right-hand side, bit for
+    bit; returns the kernel's result."""
     got = solve_ivp(rhs, span, y0, dense_output=dense, **_TOL)
     ts, ys, steps, roots, calls, status, step = _loop_leg(
-        rhs, rhs.events, span, tuple(float(v) for v in y0), _TOL["rtol"], _TOL["atol"], dense)
+        rhs, rhs.events, span, tuple(float(v) for v in y0), _TOL["rtol"], _TOL["atol"], dense, lead)
     assert got.status == status
     assert _hex(got.t.tolist()) == _hex(ts)
     assert _hex(got.y.T.tolist()) == _hex(ys)
@@ -490,13 +493,15 @@ def test_variational_legs_equal_the_tableau_loops_bit_for_bit(case_a):
     # case A's 8-entry legs (chart "v", seeded as the collocation's tangent
     # is): plain and dense to r_switch at its v0, legs ended by each event
     # at the ladder's probes (plain, and dense at the blow-up end, whose
-    # root the 8-entry interpolant locates)
+    # root the 8-entry interpolant locates).  The state, entries 0..3, leads:
+    # its dense rows are the tableau's, the derivative's the cubic Hermite
+    # of the loops' own step ends with 0.0 in D's rows
     integ, _, v0 = case_a
     legs = []
     for v, dense in ((v0, False), (v0, True), (_PROBE_LO, False), (_PROBE_HI, False), (_PROBE_HI, True)):
         series, seed = integ.seed(v)
         r0, _ = integ.start(series, _R_SWITCH)
-        legs.append(_assert_rhs_leg_equals_the_loops(integ.rhs_v, (r0, _R_SWITCH), seed(r0), dense))
+        legs.append(_assert_rhs_leg_equals_the_loops(integ.rhs_v, (r0, _R_SWITCH), seed(r0), dense, lead=4))
     assert [(got.status, got.event) for got in legs] == [
         (0, None), (0, None), (1, "sign_loss"), (1, "amplitude_cross"), (1, "amplitude_cross")]
     assert legs[0].y.shape[0] == 8 and legs[1].sol.steps.shape[1] == 2 + 8 * 8
@@ -538,6 +543,81 @@ def test_variational_dense_output_is_scipys_odesolution_bit_for_bit(case_a):
     step = tuple(leg.sol.steps[len(leg.sol.steps) // 2].tolist())
     mid = 0.5 * (step[0] + step[1])
     assert _hex(list(_point(step, mid))) == _hex(_scipy_step(step)(mid).tolist())
+
+
+def _tangent_legs(integ, sol):
+    """sol's tangent leg as _collocate shoots it: (mid, chart "v"'s state as
+    a function of r from _Integrator.seed at mid, the kernel's dense leg,
+    and a Dense over the same steps with the 7th-order rows in all eight
+    entries, rebuilt by the loops)."""
+    up, dn = sol.record.bracket
+    mid = 0.5 * (up + dn)
+    series, seed = integ.seed(mid)
+    r0, _ = integ.start(series, _R_SWITCH)
+    y0 = tuple(seed(r0))
+    leg = solve_ivp(integ.rhs_v, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)
+    steps = _loop_leg(integ.rhs_v, integ.rhs_v.events, (r0, _R_SWITCH), y0, _TOL["rtol"], _TOL["atol"], True)[2]
+    return mid, seed, leg, Dense(np.array(steps))
+
+
+def test_tangent_derivative_stays_near_its_7th_order_interpolant(case_a, sol_a):
+    # Case A's tangent leg: the state's dense rows are the 7th-order ones
+    # bit for bit, and the derivative dy/dv (entries 4..7) on its cubic
+    # Hermite stays within 1e-8 max |dy/dv| of the 7th-order interpolant
+    # the loops rebuild, on the lattice's nodes on the leg and at every
+    # step's midpoint (measured: 1.1e-9 on the nodes, 1.25e-9 at the
+    # midpoints; 6.0e-9 of max |dX/dv| once mapped by _r_to_s_state)
+    integ = case_a[0]
+    _, _, leg, full = _tangent_legs(integ, sol_a)
+    rows, full_rows = (d.steps[:, 2:].reshape(-1, 8, 8) for d in (leg.sol, full))
+    assert np.array_equal(rows[:, :, :4], full_rows[:, :, :4])
+    assert not np.any(rows[:, 4:, 4:]) and np.all(np.any(full_rows[:, 4:, 4:], axis=1))
+    rr = sol_a.r_grid[(sol_a.r_grid >= leg.t[0]) & (sol_a.r_grid < _R_SWITCH)]
+    rr = np.concatenate([rr, 0.5 * (leg.t[1:] + leg.t[:-1])])
+    hermite, seventh = leg.sol(rr)[4:], full(rr)[4:]
+    assert np.max(np.abs(hermite - seventh)) <= 1e-8 * np.max(np.abs(seventh))
+
+
+def test_lattice_below_r_switch_stays_at_the_7th_order_tangent(case_a, sol_a):
+    # Case A's lattice below r_switch against the tangent the solve read
+    # before the derivative took the cubic Hermite: the 7th-order tangent on
+    # the leg and, below its start, the tangent of the series at mid (with
+    # its complex-step derivative).  W stays within 1e-15 L (measured:
+    # 2.0e-16 L, one ulp), X within 1e-13 L (measured: 9.4e-15 L, in the
+    # third derivative near r_switch, where |v0 - mid| |dX/dv| is largest)
+    integ = case_a[0]
+    mid, seed, leg, full = _tangent_legs(integ, sol_a)
+    head = sol_a.s_grid < math.log(_R_SWITCH)
+    rr = sol_a.r_grid[head]
+    seeded = rr < leg.t[0]
+    assert np.any(seeded) and not np.all(seeded)
+    y = full(rr)
+    y[:, seeded] = np.array(seed(rr[seeded]))
+    old = _r_to_s_state(integ.n, integ.m, rr, y[:4] + (sol_a.v0 - mid) * y[4:])
+    assert np.max(np.abs(sol_a.W[head] - old[0])) <= 1e-15 * integ.L
+    assert np.max(np.abs(sol_a.X[:, head] - old)) <= 1e-13 * integ.L
+
+
+def test_a_leading_entry_may_not_read_a_trailing_one():
+    with pytest.raises(ValueError, match=r"leading entry 1 reads an entry past the first 2: -u0 \+ u2"):
+        ivp.system("rhs_bad", (), ("u1", "-u0 + u2", "u3", "-u2"), (), lead=2)
+
+
+def test_trailing_entries_take_the_cubic_hermite():
+    # Two decoupled oscillators, the first leading: the loops' leg bit for
+    # bit, the second's rows 0.0 past the first four, the steps and the
+    # first's rows of the leg with both leading, and the second's cubic
+    # within the cubic Hermite's bound h^4 max |y''''| / 384 = h^4 / 384 of
+    # its cosine, h the longest step
+    rhs = ivp.system("rhs_osc_lead", (), ("u1", "-u0", "u3", "-u2"), (), lead=2)()
+    y0 = (1.0, 0.0, 1.0, 0.0)
+    got = _assert_rhs_leg_equals_the_loops(rhs, (0.0, 3.0), y0, True, lead=2)
+    both = solve_ivp(_OSCILLATORS(), (0.0, 3.0), y0, dense_output=True, **_TOL)
+    assert _hex(got.t.tolist()) == _hex(both.t.tolist()) and got.nfev == both.nfev
+    rows, both_rows = (leg.sol.steps[:, 2:].reshape(-1, 8, 4) for leg in (got, both))
+    assert not np.any(rows[:, 4:, 2:]) and np.array_equal(rows[:, :, :2], both_rows[:, :, :2])
+    xs = np.linspace(0.0, 3.0, 301)
+    assert np.max(np.abs(got.sol(xs)[2] - np.cos(xs))) <= np.max(np.diff(got.t)) ** 4 / 384.0
 
 
 # four decoupled oscillators and no events

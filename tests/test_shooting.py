@@ -609,11 +609,11 @@ def _tangent_leg(integ, v, dense=True):
 
 
 def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick):
-    # Below r_switch the solve is the tangent at its v0 of the dense
-    # variational r-chart leg at the bracket's midpoint mid, the leg of the
-    # collocation's left condition: the series at mid with its derivative in
-    # v0 (_Integrator.seed) below the leg's start, the leg from it on, and
-    # u = u(mid) + (v0 - mid) du/dv, bit for bit.
+    # Below r_switch the solve is, from the start of the dense variational
+    # r-chart leg at the bracket's midpoint mid (the leg of the collocation's
+    # left condition) on, the tangent at its v0, u = u(mid) + (v0 - mid)
+    # du/dv, and below that start the series at v0 itself, mapped by
+    # _r_to_s_state, bit for bit.
     sol = sol_quick
     up, dn = sol.record.bracket
     mid = 0.5 * (up + dn)
@@ -623,14 +623,15 @@ def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick):
     _, leg = _tangent_leg(integ, mid)
     seeded = rr < leg.t[0]
     assert np.any(seeded) and not np.all(seeded)
-    y = leg.sol(rr)
-    y[:, seeded] = integ.seed(mid)[1](rr[seeded])
+    y = leg.sol(rr[~seeded])
     u, du = y[0] + (sol.v0 - mid) * y[4], y[1] + (sol.v0 - mid) * y[5]
-    rm = rr**integ.m
+    rm = rr[~seeded]**integ.m
     W = rm * u
-    assert np.array_equal(sol.W[head], W)
-    Z = rm * (integ.m * u + rr * du) - integ.spec.lambdas[3] * (W - integ.L)
-    assert np.array_equal(sol.Z[head], Z)
+    assert np.array_equal(sol.W[head][~seeded], W)
+    Z = rm * (integ.m * u + rr[~seeded] * du) - integ.spec.lambdas[3] * (W - integ.L)
+    assert np.array_equal(sol.Z[head][~seeded], Z)
+    below = _r_to_s_state(integ.n, integ.m, rr[seeded], integ.series(sol.v0).state(rr[seeded]))
+    assert np.array_equal(sol.X[:, head][:, seeded], below)
 
 
 def test_integrate_radial_at_converged_v0(sol_quick):
@@ -1173,7 +1174,7 @@ def test_tangent_slope_is_the_derivative_of_the_r_switch_state(sol_quick):
     half = 0.5 * (1.0 - 1e-6) * _BRACKET_STOP * abs(sol_quick.v0)
     up, dn = sol_quick.v0 + half, sol_quick.v0 - half
     _, _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
-    _, (mid, _, leg), _, _ = biharm.shooting._collocate(integ, guess, up, dn, r_cls)
+    _, (mid, leg), _, _ = biharm.shooting._collocate(integ, guess, up, dn, r_cls)
     assert mid == 0.5 * (up + dn) and leg.y.shape[0] == 8
 
     def state(v):
