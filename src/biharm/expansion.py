@@ -28,16 +28,15 @@ from .errors import (
     DomainError,
     IllConditioned,
     InvalidParams,
-    SubcriticalInput,
     WindowTooShort,
 )
 from .ladder import CriticalLadder
 from .params import ProblemParams
 from .shooting import _DECAY_FLOOR, RadialSolution, exp_kernel_convolve, resolved_top_index
-from .spectrum import Spectrum
+from .spectrum import Spectrum, compute_spectrum
 
 COND_LIMIT = 1e12
-RUNG_TOL = 1e-4  # rung detection band of detect_regime
+RUNG_TOL = 1e-4  # band of detect_regime about each rung; p < p_c is compute_spectrum's call
 
 
 # --------------------------------------------------------------------------
@@ -142,15 +141,6 @@ def _kernel_convolutions(kernels, s: np.ndarray, g: np.ndarray) -> list[np.ndarr
     conv = iter(exp_kernel_convolve(np.array([lam for lam, _ in rows]), s,
                                     np.stack([row for _, row in rows])))
     return [next(conv) if q == 0 else s * next(conv) - next(conv) for _, q in kernels]
-
-
-def weighted_kernel_convolve(lam: float, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """J(s) = int_{s_0}^{s} (s - tau) e^{lam (s - tau)} g(tau) dtau.
-
-    Reduced to two plain exponential convolutions, J = s * I[g] - I[tau g],
-    made as the two rows g and s * g of one exp_kernel_convolve call.
-    """
-    return _kernel_convolutions([(lam, 1)], s, g)[0]
 
 
 def _columns(terms, s: np.ndarray) -> np.ndarray:
@@ -270,12 +260,13 @@ def detect_regime(params: ProblemParams, ladder: CriticalLadder) -> Regime:
 
     Within RUNG_TOL (relative to max(1, p_k)) of a rung the log-corrected
     regime is returned, because the plain exponential basis degenerates there.
+    The band covers the rungs only: whether p lies below p_c is
+    compute_spectrum's decision, whose SubcriticalInput this raises.
     """
     p = params.p
     if params.n != ladder.n:
         raise InvalidParams(f"ladder is for n={ladder.n}, params have n={params.n}")
-    if p < ladder.p_c - RUNG_TOL * max(1.0, ladder.p_c):
-        raise SubcriticalInput(f"p={p} below p_c={ladder.p_c} for n={ladder.n}")
+    compute_spectrum(params)
     for k, p_k in enumerate(ladder.rungs, start=1):
         if abs(p - p_k) < RUNG_TOL * max(1.0, p_k):
             return Regime(kind="c", k=1) if k == 1 else Regime(kind="b", k=k)

@@ -305,26 +305,36 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
 # scale-aware bound r^m u >= wcap = (1 + a) L, a = min(_BLOWUP - 1,
 # 20 / (p - 1)), where (W/L)^(p-1) has grown by at most e^20, so that u^p
 # cannot stall the steps before the event at any p.  No raw |u| ceiling.
-# Chart "v" is the r-chart with its variational equation in v0 (entries 4..7,
-# u^p linearised to p u^(p-1)): one leg gives the end state and its derivative
-# in v0 on one step sequence (internal numerical differentiation: Bock 1981;
-# Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.6).  Its state, entries
-# 0..3, leads (see ivp.system): the tangent reads the derivative only times
-# |v0 - mid| <= _BRACKET_STOP |v0| / 2, so it takes each step's cubic Hermite
-# (on case A within 1.3e-9 of max |dy/dv| of the 7th-order interpolant, which
-# moves W by at most an ulp); steps and step ends, so v0, do not change.
+# Chart "v" is the r-chart with its variational equation in v0: the r-chart
+# is linear in its state but for u^p, so entries 4..7 obey the r-chart's
+# equations with u^p linearised to p u^(p-1) times entry 4.  One leg gives the
+# end state and its derivative in v0 on one step sequence (internal numerical
+# differentiation: Bock 1981; Hairer, Norsett & Wanner, Solving ODEs I,
+# Sec. II.6).  Its state, entries 0..3, leads (see ivp.system): the tangent
+# reads the derivative only times |v0 - mid| <= _BRACKET_STOP |v0| / 2, so it
+# takes each step's cubic Hermite (on case A within 1.3e-9 of max |dy/dv| of
+# the 7th-order interpolant, which moves W by at most an ulp); steps and step
+# ends, so v0, do not change.
 _POWER = "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0)"
+
+
+def _r_rhs(i: int, power: str) -> tuple[str, ...]:
+    """The r-chart's right-hand sides on the entries u{i}..u{i+3}, with the
+    expression power in place of u^p."""
+    u1, u2, u3 = (f"u{i + j}" for j in (1, 2, 3))
+    return (u1, f"{u2} - nm1 * {u1} / x", u3, f"{power} - nm1 * {u3} / x")
+
+
+_R_PARAMS = ("p", "cap", "nm1", "m", "wcap")
+_R_RHS = _r_rhs(0, _POWER)
 _R_EVENTS = (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1))
 _CHARTS = {
-    "r": system("rhs_r", ("p", "cap", "nm1", "m", "wcap"),
-                ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x"), _R_EVENTS),
+    "r": system("rhs_r", _R_PARAMS, _R_RHS, _R_EVENTS),
     "s": system("rhs_s", ("p", "cap", "c1", "c2", "c3", "c4", "wcap"),
                 ("u1", "u2", "u3", _POWER + " - (c1 * u3 + c2 * u2 + c3 * u1 + c4 * u0)"),
                 (("sign_loss", "u0", -1), ("amplitude_cross", "u0 - wcap", 1))),
-    "v": system("rhs_v", ("p", "cap", "nm1", "m", "wcap"),
-                ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x",
-                 "u5", "u6 - nm1 * u5 / x", "u7",
-                 "(p * (u0 if u0 < cap else cap) ** (p - 1.0) if u0 > 0.0 else 0.0) * u4 - nm1 * u7 / x"),
+    "v": system("rhs_v", _R_PARAMS,
+                _R_RHS + _r_rhs(4, "(p * (u0 if u0 < cap else cap) ** (p - 1.0) if u0 > 0.0 else 0.0) * u4"),
                 _R_EVENTS, lead=4),
 }
 
@@ -568,24 +578,21 @@ def _model_point(pts, up, dn):
     return x if min(up, dn) < x < max(up, dn) else None
 
 
-def _bisect(side, up, dn, done=None, ends=None) -> tuple[int, float, float]:
+def _bisect(side, up, dn, done, ends) -> tuple[int, float, float]:
     """Shrink the bracket between up (side >= 0, blow-up) and dn (side < 0).
 
     side(x, width) is an escape-law value as from _escape_law of the trial x
-    in the bracket of that width, and ends holds the values at up and dn
-    when they are known.  Each trial is a model step (_model_point) or a
-    midpoint.  A midpoint is taken when no side has a model, when the model
-    step falls outside the bracket, or when the last _MODEL_RUN model steps
-    have not halved the bracket, so at worst three trials halve it.  Sides
-    of constant magnitude (such as +-1) have no slope, and every trial is a
-    midpoint.  Stops when the midpoint rounds onto an endpoint, when
-    done(up, dn) holds after a trial, or after _MAX_BISECT trials; returns
-    (trials made, up, dn).
+    in the bracket of that width, and ends holds the values at up and dn.
+    Each trial is a model step (_model_point) or a midpoint.  A midpoint is
+    taken when no side has a model, when the model step falls outside the
+    bracket, or when the last _MODEL_RUN model steps have not halved the
+    bracket, so at worst three trials halve it.  Sides of constant magnitude
+    (such as +-1) have no slope, and every trial is a midpoint.  Stops when
+    the midpoint rounds onto an endpoint, when done(up, dn) holds after a
+    trial, or after _MAX_BISECT trials; returns (trials made, up, dn).
     """
-    pts = ([], [])  # (x, g) on the blow-up and the sign-loss side, innermost last
-    if ends is not None:
-        pts[0].append((up, ends[0]))
-        pts[1].append((dn, ends[1]))
+    # (x, g) on the blow-up and the sign-loss side, innermost last
+    pts = ([(up, ends[0])], [(dn, ends[1])])
     run = []  # bracket widths before each model step since the last midpoint
     for steps in range(_MAX_BISECT):
         mid = 0.5 * (up + dn)
@@ -606,7 +613,7 @@ def _bisect(side, up, dn, done=None, ends=None) -> tuple[int, float, float]:
         else:
             dn = x
             pts[1].append((x, g))
-        if done is not None and done(up, dn):
+        if done(up, dn):
             return steps + 1, up, dn
     return _MAX_BISECT, up, dn
 

@@ -142,7 +142,7 @@ def test_solve_reports_invariants_with_bounds(runner, pc13, tmp_path):
     assert all(rec["passed"] for rec in summary["invariants"].values())
     assert set(summary) == {
         "n", "p", "alpha", "r_max", "v0", "target_residual",
-        "seam_residual", "bisection_steps", "invariants", "record",
+        "seam_residual", "invariants", "record",
     }
 
 

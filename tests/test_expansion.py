@@ -14,6 +14,7 @@ from biharm import (
     compute_ladder,
 )
 from biharm.expansion import (
+    _kernel_convolutions,
     Nonlinearity,
     Regime,
     VariationKernel,
@@ -24,7 +25,6 @@ from biharm.expansion import (
     representation_check,
     taylor_coeffs,
     variation_kernel,
-    weighted_kernel_convolve,
     window_shift_stability,
 )
 from biharm.errors import WindowTooShort
@@ -209,7 +209,7 @@ def test_weighted_kernel_convolve_oracle():
     lam, mu = -3.0, -1.0
     s = np.linspace(0.0, 6.0, 1201)
     g = np.exp(mu * s)
-    got = weighted_kernel_convolve(lam, s, g)
+    got = _kernel_convolutions([(lam, 1)], s, g)[0]
     # d/dlam of the plain closed form
     exact = (
         -s * np.exp(lam * s) / (mu - lam)
@@ -310,6 +310,25 @@ def test_detect_regime(pc13, pc15):
     assert detect_regime(ProblemParams(15, p2 - 0.5), lad15) == Regime("a", 1)
     with pytest.raises(SubcriticalInput):
         detect_regime(ProblemParams(15, pc15 - 0.01), lad15)
+
+
+@pytest.mark.parametrize("n", [13, 20])
+def test_detect_regime_rejects_subcritical_p_where_the_spectrum_does(n):
+    # one sub-critical line: just below p_c, inside the rung band about p_c,
+    # detect_regime raises compute_spectrum's own SubcriticalInput; at and
+    # just above p_c both accept, in regime c
+    lad = compute_ladder(n)
+    for f in (1e-6, 1e-5, 5e-5):
+        params = ProblemParams(n, lad.p_c * (1.0 - f))
+        with pytest.raises(SubcriticalInput) as by_spectrum:
+            compute_spectrum(params)
+        with pytest.raises(SubcriticalInput) as by_regime:
+            detect_regime(params, lad)
+        assert str(by_regime.value) == str(by_spectrum.value)
+    for p in (lad.p_c, lad.p_c * (1.0 + 1e-9)):
+        params = ProblemParams(n, p)
+        compute_spectrum(params)
+        assert detect_regime(params, lad) == Regime("c", 1)
 
 
 def test_regime_b_eigenvalue_coincidence(sol_rung):

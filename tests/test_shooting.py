@@ -400,16 +400,22 @@ def test_series_start_keeps_the_ladder_end_outcomes(cell, v0, outcome, r_event):
 
 def _threshold_side(thr, trials):
     # blow-up side at and above thr; records every point it is asked about
-    # (the bracket's width, which sets a shot's rtol, plays no part)
+    # (the bracket's width, which sets a shot's rtol, plays no part); its
+    # values at the ends of a bracket are (1, -1)
     def side(x, width=None):
         trials.append(x)
         return 1 if x >= thr else -1
     return side
 
 
+def _never(up, dn):
+    # a done that never stops _bisect early
+    return False
+
+
 def test_bisect_collapses_to_adjacent_floats():
     trials = []
-    steps, _, _ = _bisect(_threshold_side(0.3, trials), 1.0, 0.0)
+    steps, _, _ = _bisect(_threshold_side(0.3, trials), 1.0, 0.0, done=_never, ends=(1, -1))
     assert steps == len(trials) < _MAX_BISECT
     up = min(x for x in trials if x >= 0.3)
     dn = max(x for x in trials if x < 0.3)
@@ -418,7 +424,8 @@ def test_bisect_collapses_to_adjacent_floats():
 
 def test_bisect_done_stops_early():
     trials = []
-    steps, _, _ = _bisect(_threshold_side(0.3, trials), 1.0, 0.0, done=lambda up, dn: up - dn < 1e-3)
+    steps, _, _ = _bisect(_threshold_side(0.3, trials), 1.0, 0.0,
+                          done=lambda up, dn: up - dn < 1e-3, ends=(1, -1))
     # 2^-10 < 1e-3 < 2^-9: the tenth halving is the first that satisfies done
     assert steps == len(trials) == 10
 
@@ -426,7 +433,7 @@ def test_bisect_done_stops_early():
 def test_bisect_stops_at_step_cap():
     # the threshold sits among the subnormals, more than _MAX_BISECT halvings below 1
     trials = []
-    steps, _, _ = _bisect(_threshold_side(5e-324, trials), 1.0, 0.0)
+    steps, _, _ = _bisect(_threshold_side(5e-324, trials), 1.0, 0.0, done=_never, ends=(1, -1))
     assert steps == len(trials) == _MAX_BISECT
 
 
@@ -452,11 +459,11 @@ def test_bisect_returns_collapsed_bracket():
     # the returned (up, dn) are the adjacent floats straddling the threshold,
     # for pure midpoints and for model steps alike
     trials = []
-    steps, up, dn = _bisect(_threshold_side(0.3, trials), 1.0, 0.0)
+    steps, up, dn = _bisect(_threshold_side(0.3, trials), 1.0, 0.0, done=_never, ends=(1, -1))
     assert steps == len(trials)
     assert up >= 0.3 > dn and np.nextafter(dn, math.inf) == up
     side = _escape_law_side(_A_ROOT, 2.3e12, 4.6e11, [])
-    steps, up, dn = _bisect(side, _A_UP, _A_DN, ends=(side(_A_UP), side(_A_DN)))
+    steps, up, dn = _bisect(side, _A_UP, _A_DN, done=_never, ends=(side(_A_UP), side(_A_DN)))
     assert up >= _A_ROOT > dn and np.nextafter(dn, math.inf) == up
 
 
@@ -466,7 +473,7 @@ def test_model_step_collapses_case_a_side():
     trials = []
     side = _escape_law_side(_A_ROOT, 2.3e12, 4.6e11, trials)
     ends = (side(_A_UP), side(_A_DN))
-    steps, _, _ = _bisect(side, _A_UP, _A_DN, ends=ends)
+    steps, _, _ = _bisect(side, _A_UP, _A_DN, done=_never, ends=ends)
     assert steps == len(trials) - 2 <= 20
     _assert_straddles(trials, _A_ROOT)
 
@@ -476,7 +483,7 @@ def test_model_step_within_three_bisections_on_wrong_models():
     # anywhere in 1e-300..1e300, and sides flat at the root, |x - x*|^k, on
     # which unguarded model steps creep (k = 8 and 16 then hit _MAX_BISECT).
     # The safeguard still collapses within 3x the bisection count.
-    n_bisect, _, _ = _bisect(_threshold_side(_A_ROOT, []), _A_UP, _A_DN)
+    n_bisect, _, _ = _bisect(_threshold_side(_A_ROOT, []), _A_UP, _A_DN, done=_never, ends=(1, -1))
 
     def drawn(seed):
         rng = np.random.default_rng(seed)
@@ -493,7 +500,7 @@ def test_model_step_within_three_bisections_on_wrong_models():
             return (1.0 if x >= _A_ROOT else -1.0) * magnitude(x)
 
         ends = (side(_A_UP), side(_A_DN))
-        steps, _, _ = _bisect(side, _A_UP, _A_DN, ends=ends)
+        steps, _, _ = _bisect(side, _A_UP, _A_DN, done=_never, ends=ends)
         assert steps == len(trials) - 2 <= 3 * n_bisect
         _assert_straddles(trials, _A_ROOT)
 
