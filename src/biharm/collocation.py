@@ -195,7 +195,9 @@ def _newton(bvp, h, y, v, rounds):
                 )
             njev += 1
             step = dgbtrs(lu, kl, ku, _residual(col_res, bc, n), piv)[0]
-            cost = step @ step
+            # squared norms by einsum, not BLAS: a dot of 4m + 1 entries may
+            # wake OpenBLAS's thread pool, whose hand-offs cost more than the sum
+            cost = np.einsum("i,i->", step, step)
         v_step, y_step = step[0], step[1:].reshape(m, n).T
         alpha = 1.0
         for trial in range(_BACKTRACKS + 1):
@@ -204,7 +206,7 @@ def _newton(bvp, h, y, v, rounds):
             col_res, y_mid, f, f_mid = _collocation(bvp.fun, y_new, h)
             bc = bvp.conditions(y_new[:, 0], y_new[:, -1], v_new)
             step_new = dgbtrs(lu, kl, ku, _residual(col_res, bc, n), piv)[0]
-            cost_new = step_new @ step_new
+            cost_new = np.einsum("i,i->", step_new, step_new)
             if cost_new < (1 - 2 * alpha * _ARMIJO) * cost:
                 break
             if trial < _BACKTRACKS:

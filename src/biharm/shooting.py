@@ -26,9 +26,9 @@ the far end.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, replace
-from operator import mul
 
 import numpy as np
 
@@ -60,6 +60,14 @@ _DS = 0.01           # uniform s-grid spacing of the returned solution
 _S_PAD = 0.05
 
 _MAX_BISECT = 240     # root-search trials
+# Stage 1 opens on half-decade rungs x_k = -_PROBE_ANCHOR 10^(k/2) / sqrt(p)
+# anchored at the large-p law: u = 1 + w / p, rho = p^(1/4) r turns
+# Delta^2 u = u^p into Delta^2 w -> e^w, so v0 sqrt(p) -> beta*(n), about
+# -1.42 .. -1.46 (Arioli, Gazzola, Grunau & Mitidieri, SIAM J. Math. Anal.
+# 36, 2005).  The pair k = 0, 1 spans v0 sqrt(p) in [-2.2, -0.7], about 1.5x
+# past each side of the band measured from n = 13 to 200 and p_c to 1e4 p_c,
+# [-1.456, -1.012].  Further rungs reach out to the search's limits.
+_PROBE_ANCHOR = 0.7
 _PROBE_LO = -1e3      # most negative v0 probed
 _PROBE_HI = -1e-6     # least negative v0 probed
 # relative v0 bracket width below which stage 1 stops, so that the tangent
@@ -91,8 +99,9 @@ _RTOL = 1e-12
 # guess's leg; the collocation fixes v0 from the full-tolerance tangent.  A
 # trial x that splits a bracket of width w runs at rtol
 # max(_RTOL_BRACKET, _RTOL_PROBE min(1, w / |x|)), atol rtol / 100: the
-# probe ladder's at _RTOL_PROBE, every trial in a bracket narrower than
-# _RTOL_PROBE |x| at _RTOL_BRACKET
+# opening's probes at _RTOL_PROBE (rung 0 and every rung above it) and
+# (1 - 10^(-1/2)) _RTOL_PROBE (rung 1 and every rung below it), every trial
+# in a bracket narrower than _RTOL_PROBE |x| at _RTOL_BRACKET
 _RTOL_BRACKET = 1e-8
 _RTOL_PROBE = 1e-4
 
@@ -186,6 +195,43 @@ def _power(u, p):
     return np.where(u > 0.0, np.abs(u) ** p, 0.0)
 
 
+def _series_factory(k: int):
+    """Compile _Series' recurrence, truncated at a_k, into a factory of
+    straight-line code: factory(two_n, weights, denominators, laplacian)
+    binds one (n, p)'s tables (see _Integrator) by closure and returns
+    coeffs(v0), the four coefficient lists.  Each sum adds its terms from
+    0.0 in the order of i, each term is (weight a_i) [u^p]_{j-i}, and every
+    integer factor stays an int, so the lists are the loop's bit for bit
+    (tests/test_shooting.py keeps that loop as the reference), on a float,
+    an np.float64 or a complex v0 alike."""
+    weights = [f"w{j}_{i}" for j in range(1, k - 1) for i in range(1, j + 1)]
+    body = ["a1 = v0 / two_n", "g0 = 1.0"]
+    for j in range(k - 1):
+        if j:
+            terms = "".join(f" + w{j}_{i} * a{i} * g{j - i}" for i in range(1, j + 1))
+            body.append(f"g{j} = (0.0{terms}) / {j}")
+        body.append(f"a{j + 2} = g{j} / d{j}")
+    body += [f"b{j} = l{j} * a{j + 1}" for j in range(k)]  # Delta u
+    lists = (["1.0"] + [f"a{i}" for i in range(1, k + 1)],
+             [f"{2 * i} * a{i}" for i in range(1, k + 1)],
+             [f"b{j}" for j in range(k)],
+             [f"{2 * j} * b{j}" for j in range(1, k)])
+    body.append("return (" + "".join(f"[{', '.join(c)}], " for c in lists) + ")")
+    src = "def factory(two_n, weights, denominators, laplacian):\n"
+    src += f"    {', '.join(weights)}, = weights\n"
+    src += f"    {', '.join(f'd{j}' for j in range(k - 1))}, = denominators\n"
+    src += f"    {', '.join(f'l{j}' for j in range(k))}, = laplacian\n"
+    src += "    def coeffs(v0):\n" + "".join(f"        {line}\n" for line in body) + "    return coeffs\n"
+    filename = f"<series recurrence: K = {k}>"  # registered, so tracebacks show the lines
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace = {}
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace["factory"]
+
+
+_SERIES = _series_factory(_SERIES_ORDER)
+
+
 class _Series:
     """The regular solution near the origin as a series in x = r^2.
 
@@ -193,27 +239,15 @@ class _Series:
     Delta u(0) = v0), and Delta^2 u = u^p fixes the rest:
     a_{j+2} = [u^p]_j / ((2j+2)(2j+4)(2j+n)(2j+n+2)), the coefficients
     [u^p]_j = sum_{i=1..j} ((p+1) i - j) a_i [u^p]_{j-i} / j by J.C.P.
-    Miller's power recurrence, its weights and the denominators from tables
-    built once per (n, p) by _Integrator.  Truncated at a_K, K = _SERIES_ORDER.
-    The state (u, u', Delta u, (Delta u)') is r^e_i P_i(x), e = (0, 1, 0, 1),
-    with the P_i held as coefficient lists.
+    Miller's power recurrence, run as _SERIES' straight-line code on the
+    weights and the denominators _Integrator binds once per (n, p).
+    Truncated at a_K, K = _SERIES_ORDER.  The state (u, u', Delta u,
+    (Delta u)') is r^e_i P_i(x), e = (0, 1, 0, 1), with the P_i held as
+    coefficient lists.
     """
 
-    def __init__(self, tables, v0):
-        two_n, weights, denominators, laplacian = tables
-        a = [1.0, v0 / two_n]
-        g = [1.0]  # [u^p]_0, [u^p]_1, ...
-        for j, (w, d) in enumerate(zip(weights, denominators)):
-            if j:
-                g.append(sum(map(mul, map(mul, w, a[1:j + 1]), g[j - 1::-1])) / j)
-            a.append(g[j] / d)
-        b = list(map(mul, laplacian, a[1:]))  # Delta u
-        self.coeffs = (
-            a,
-            [2 * k * a[k] for k in range(1, len(a))],
-            b,
-            [2 * j * b[j] for j in range(1, len(b))],
-        )
+    def __init__(self, recurrence, v0):
+        self.coeffs = recurrence(v0)
 
     def state(self, r):
         """(u, u', Delta u, (Delta u)') at r, a float or an array, by Horner
@@ -359,18 +393,20 @@ class _Integrator:
         self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)
         self.rhs_s = _CHARTS["s"](c1=c1, c2=c2, c3=c3, c4=c4, **common)
         self.rhs_v = _CHARTS["v"](nm1=self.n - 1.0, m=self.m, **common)
-        # the series' tables (see _Series), shared by every v0: 2n, Miller's
-        # weights, the denominators and the factors of Delta u's b_j
+        # the series' recurrence (see _Series) on the tables every v0
+        # shares: 2n, Miller's weights, the denominators and the factors of
+        # Delta u's b_j
         n, k = self.n, _SERIES_ORDER
-        self.series_tables = (2.0 * n, [[(self.p + 1.0) * i - j for i in range(1, j + 1)] for j in range(k - 1)],
-                              [(2 * j + 2) * (2 * j + 4) * (2 * j + n) * (2 * j + n + 2) for j in range(k - 1)],
-                              [(2 * j + 2) * (2 * j + n) for j in range(k)])
+        self.series_recurrence = _SERIES(
+            2.0 * n, [(self.p + 1.0) * i - j for j in range(1, k - 1) for i in range(1, j + 1)],
+            [(2 * j + 2) * (2 * j + 4) * (2 * j + n) * (2 * j + n + 2) for j in range(k - 1)],
+            [(2 * j + 2) * (2 * j + n) for j in range(k)])
         self.work = {"legs": ()}  # SolveRecord's fields, as a solve reaches them
 
     # --- one leg, one shot ------------------------------------------------
     def series(self, v0: float) -> _Series:
         """The regular solution's series at v0."""
-        return _Series(self.series_tables, v0)
+        return _Series(self.series_recurrence, v0)
 
     def start(self, series: _Series, r_end: float):
         """(r0, series state at r0): where and from what the r-chart leg to
@@ -625,26 +661,29 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     at phi(0) = 1 to kappa r_max, kappa = alpha^(1/m), and for alpha != 1
     rescale_solution maps it.  At phi(0) = 1 it runs in two stages, r_max
     below standing for kappa r_max.
-    (1) Root search: a geometric ladder of negative v0 gives a (blow-up,
-    sign-loss) bracket, which _bisect shrinks with full shots (model steps on
-    the values of _escape_law, kept safe by midpoints) until it is narrower
-    than _BRACKET_STOP relative to v0 and its blow-up end, whose s-chart leg
-    is the collocation's guess, has one; NoConvergence when it ends before
-    that.  Each shot runs at the rtol the bracket it splits needs (see
-    _RTOL_PROBE), down to _RTOL_BRACKET; a trial misclassified at a loose
-    rtol leaves the root outside the bracket, which the collocation's guard
-    turns into NoConvergence.  Shots are classified at r_cls = max(r_max,
-    _R_HORIZON) e^{_S_PAD}, past the returned lattice and past r_switch, so
-    every end has an s-chart leg.  (2) Collocation (_collocate): one
-    boundary value problem with v0 as its unknown, its left condition the
-    tangent in v0 of one variational r-chart leg at _RTOL from the bracket's
-    midpoint, closes the solution on the s-chart up to r_cls, solved by
-    biharm.collocation (solve_bvp's Newton rounds on a banded LU, each round
-    on the mesh the last one's residuals predict); below r_switch it is that
-    tangent at that v0.  For r_max <= _R_HORIZON the horizon, and so the
-    solution, does not depend on r_max, which only cuts the returned grids.
-    The solution's record, and that of any BiharmError raised here, is the
-    solve's SolveRecord.
+    (1) Root search: probes on the half-decade rungs anchored at the
+    large-p law (see _PROBE_ANCHOR) give a (blow-up, sign-loss) bracket:
+    rung 0, then rung 1 when rung 0 blows up, then rung by rung outward on
+    the side the root lies on until a probe flips, out to _PROBE_HI and
+    _PROBE_LO (BracketNotFound past them).  _bisect shrinks the bracket
+    with full shots (model steps on the values of _escape_law, kept safe by
+    midpoints) until it is narrower than _BRACKET_STOP relative to v0 and
+    its blow-up end, whose s-chart leg is the collocation's guess, has one;
+    NoConvergence when it ends before that.  Each shot runs at the rtol the
+    bracket it splits needs (see _RTOL_PROBE), down to _RTOL_BRACKET; a
+    trial misclassified at a loose rtol leaves the root outside the
+    bracket, which the collocation's guard turns into NoConvergence.  Shots
+    are classified at r_cls = max(r_max, _R_HORIZON) e^{_S_PAD}, past the
+    returned lattice and past r_switch, so every end has an s-chart leg.
+    (2) Collocation (_collocate): one boundary value problem with v0 as its
+    unknown, its left condition the tangent in v0 of one variational r-chart
+    leg at _RTOL from the bracket's midpoint, closes the solution on the
+    s-chart up to r_cls, solved by biharm.collocation (solve_bvp's Newton
+    rounds on a banded LU, each round on the mesh the last one's residuals
+    predict); below r_switch it is that tangent at that v0.  For r_max <=
+    _R_HORIZON the horizon, and so the solution, does not depend on r_max,
+    which only cuts the returned grids.  The solution's record, and that of
+    any BiharmError raised here, is the solve's SolveRecord.
     """
     integ = None
     try:
@@ -662,7 +701,11 @@ def _solve(integ, r_max):
     lam4 = integ.spec.lambdas[3]
     r_cls = max(r_max, _R_HORIZON) * math.exp(_S_PAD)
     s_cls = math.log(r_cls)
-    ladder = (-np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1)).tolist()
+    sqrt_p = math.sqrt(integ.p)
+
+    def rung(k):
+        # the k-th probe, clipped to the search's limits
+        return min(max(-_PROBE_ANCHOR * 10.0 ** (0.5 * k) / sqrt_p, _PROBE_LO), _PROBE_HI)
 
     s_legs, g = {}, {}  # v0 -> s-chart leg, and escape-law value, of its full shot
 
@@ -674,25 +717,24 @@ def _solve(integ, r_max):
         g[v0] = _escape_law(outcome, integ.blowup, lam4, s_cls)
         return g[v0]
 
-    # binary search the ladder for the adjacent flip pair, with ladder[0] on
-    # the blow-up side and ladder[-1] on the sign-loss side; an end is shot
-    # only when the search ends beside it; each probe splits the span
-    # between the ladder ends the search holds
-    i, j = 0, len(ladder) - 1
-    while j - i > 1:
-        k = (i + j) // 2
-        if side(ladder[k], ladder[i] - ladder[j]) >= 0.0:
-            i = k
-        else:
-            j = k
-    if (i == 0 and side(ladder[0], ladder[0] - ladder[j]) < 0.0) or (
-        j == len(ladder) - 1 and side(ladder[-1], ladder[i] - ladder[-1]) >= 0.0
-    ):
-        raise BracketNotFound(
-            "probe ladder endpoints do not bracket the separatrix in v0 range "
-            f"[{ladder[-1]:.3g}, {ladder[0]:.3g}]"
-        )
-    up, dn = ladder[i], ladder[j]
+    # the opening: rung 0, then rung 1 when rung 0 blows up; on from the
+    # pair, rung by rung, outward on the side the root lies on, until a
+    # probe flips; each probe splits the span between it and its inner
+    # neighbour; k is up's rung
+    k, up, dn = 0, rung(0), rung(1)
+    while side(up, up - dn) < 0.0:  # the root lies above up
+        if up == _PROBE_HI:
+            raise BracketNotFound(f"every probe from {rung(0):.3g} up to {_PROBE_HI:.3g} loses sign: "
+                                  "they do not bracket the separatrix")
+        k -= 1
+        up, dn = rung(k), up
+    if k == 0:
+        while side(dn, up - dn) >= 0.0:  # the root lies below dn
+            if dn == _PROBE_LO:
+                raise BracketNotFound(f"every probe from {rung(0):.3g} down to {_PROBE_LO:.3g} blows up: "
+                                      "they do not bracket the separatrix")
+            k += 1
+            up, dn = dn, rung(k + 1)
 
     def ready(up, dn):
         return abs(up - dn) < _BRACKET_STOP * abs(up) and up in s_legs

@@ -238,10 +238,10 @@ def test_dense_output_replays_the_steps(case_a):
 
 
 def test_large_p_first_probe_fails(pc15):
-    # n=15 at 100 p_c: the r-chart leg of the ladder's blow-up end
-    # (v0 = -1e-6) ends at the amplitude_cross event in both integrators;
-    # with the bound at 1.5 L its steps underflow, in both, before r_switch
-    # (measured: 1493 and 7790 RHS calls)
+    # n=15 at 100 p_c: the r-chart leg at the root search's least negative
+    # limit (v0 = -1e-6), on the blow-up side, ends at the amplitude_cross
+    # event in both integrators; with the bound at 1.5 L its steps
+    # underflow, in both, before r_switch (measured: 1493 and 7790 RHS calls)
     integ = _Integrator(ProblemParams(15, 100.0 * pc15))
     r0, y0 = integ.start(integ.series(_PROBE_HI), _R_SWITCH)
     ours, ref = _both(integ, "r", (r0, _R_SWITCH), y0)
@@ -492,7 +492,7 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
 def test_variational_legs_equal_the_tableau_loops_bit_for_bit(case_a):
     # case A's 8-entry legs (chart "v", seeded as the collocation's tangent
     # is): plain and dense to r_switch at its v0, legs ended by each event
-    # at the ladder's probes (plain, and dense at the blow-up end, whose
+    # at the root search's limits (plain, and dense at the blow-up end, whose
     # root the 8-entry interpolant locates).  The state, entries 0..3, leads:
     # its dense rows are the tableau's, the derivative's the cubic Hermite
     # of the loops' own step ends with 0.0 in D's rows

@@ -33,8 +33,10 @@ from biharm.shooting import (
     _BVP_NODES,
     _DS,
     _MAX_BISECT,
+    _PROBE_ANCHOR,
     _PROBE_HI,
     _PROBE_LO,
+    _R_HORIZON,
     _R_SEED,
     _R_SWITCH,
     _RTOL,
@@ -45,6 +47,7 @@ from biharm.shooting import (
     BlowUp,
     SignLoss,
     _bisect,
+    _collocate,
     _escape_law,
     _Integrator,
     _phis,
@@ -259,7 +262,8 @@ def test_series_start_without_a_positive_radius_is_a_step_failure(v0, w_max):
 
 def _miller_loop(n, p, v0):
     """The series' coefficient lists by the loop _Series ran before its
-    tables: every weight, denominator and factor formed in place."""
+    tables and their straight-line code: every weight, denominator and
+    factor formed in place."""
     a = [1.0, v0 / (2.0 * n)]
     g = [1.0]
     for j in range(_SERIES_ORDER - 1):
@@ -275,16 +279,23 @@ def _hex_parts(rows):
     return [[(float(z.real).hex(), float(z.imag).hex()) for z in row] for row in rows]
 
 
+# case A's v0
+_A_V0 = float.fromhex("-0x1.114bea1e69189p-2")
+
+
 @pytest.mark.parametrize("n", [13, 15, 40, 200])
-@pytest.mark.parametrize("p_of_pc", [lambda pc: pc, lambda pc: math.floor(pc) + 1.0, lambda pc: 100.0 * pc],
-                         ids=["pc", "integer", "100pc"])
+@pytest.mark.parametrize("p_of_pc", [lambda pc: pc, lambda pc: math.floor(pc) + 1.0, lambda pc: 100.0 * pc,
+                                     lambda pc: 1e4 * pc], ids=["pc", "integer", "100pc", "1e4pc"])
 def test_series_tables_reproduce_the_miller_loop(n, p_of_pc):
-    # the tables take each product in the loop's order, so the coefficients
-    # are the loop's bit for bit on a float, an np.float64 and a complex-step
-    # v0 (the tangent's), in every part
+    # _SERIES' straight-line code takes each product and sum in the loop's
+    # order, so the coefficients are the loop's bit for bit, in every part:
+    # on the search's limits and between them, on a float, an np.float64,
+    # case A's v0 and the tangent's complex step there, and on extreme v0
+    # (signed zeros, coefficients that overflow to inf, NaN)
     params = ProblemParams(n, p_of_pc(compute_pc(n)))
     integ = _Integrator(params)
-    for v0 in (-0.3, np.float64(_PROBE_LO), complex(-0.3, 3e-21)):
+    for v0 in (_PROBE_LO, -3.16, -0.3, -0.1, _PROBE_HI, np.float64(_PROBE_LO), complex(-0.3, 3e-21), _A_V0,
+               complex(_A_V0, 1e-20 * abs(_A_V0)), 0.0, -0.0, -1e300, math.nan):
         assert _hex_parts(integ.series(v0).coeffs) == _hex_parts(_miller_loop(n, params.p, v0)), v0
 
 
@@ -302,15 +313,22 @@ def test_array_series_state_is_the_scalar_horner_sums(cell, v0):
 
 
 def test_stage_1_runs_on_python_floats(sol_a):
-    # the probe ladder is a list of floats, so every trial v0, the root
+    # the opening's rungs are Python floats, so every trial v0, the root
     # search's arithmetic and the bracket it ends on are floats, not
     # np.float64 (whose series and shots run slower)
     assert len(sol_a.record.bracket) == 2
     assert all(type(x) is float for x in sol_a.record.bracket)
 
 
-# stage 1's probe ladder, as _solve builds it
-_LADDER = (-np.geomspace(-_PROBE_HI, -_PROBE_LO, 2 * 9 + 1)).tolist()
+def _rungs(p):
+    """Every v0 the opening of stage 1 may probe at p, as _solve's rungs
+    are built, from _PROBE_HI down to _PROBE_LO: the half-decade rungs
+    between the search's limits, and the limits."""
+    xs = [min(max(-_PROBE_ANCHOR * 10.0 ** (0.5 * k) / math.sqrt(p), _PROBE_LO), _PROBE_HI)
+          for k in range(-40, 41)]
+    return list(dict.fromkeys(xs))
+
+
 # cells whose every probe's start is checked: (n, p as a function of p_c)
 _PROBE_CELLS = {
     "A": (13, lambda pc: pc + 0.5),
@@ -324,14 +342,15 @@ _PROBE_CELLS = {
 
 @pytest.mark.parametrize("cell", list(_PROBE_CELLS))
 def test_every_ladder_probe_starts_inside_the_truncation_bound(cell):
-    # at each probe the start radius is positive and at most r_switch / 2,
-    # the state there is finite, and each of the four series' last two
-    # terms is below eps times its terms' absolute sum (by fsum): at large p
-    # (r0 down to 1.9e-4) as at the acceptance cases (r0 up to 5)
+    # at each v0 the opening may probe, the start radius is positive and at
+    # most r_switch / 2, the state there is finite, and each of the four
+    # series' last two terms is below eps times its terms' absolute sum (by
+    # fsum): at large p (r0 down to 1.9e-4) as at the acceptance cases (r0
+    # up to 5)
     n, p_of_pc = _PROBE_CELLS[cell]
     integ = _Integrator(ProblemParams(n, p_of_pc(compute_pc(n))))
     eps = np.finfo(float).eps
-    for v0 in _LADDER:
+    for v0 in _rungs(integ.p):
         series = integ.series(v0)
         r0, y0 = integ.start(series, _R_SWITCH)
         assert 0.0 < r0 <= _R_SWITCH / 2 and all(map(math.isfinite, y0)), v0
@@ -361,7 +380,7 @@ def test_single_shots_at_large_p_lose_sign_where_u_does(pc13):
     # v0 = -1, less at larger |v0|); every shot ends in an outcome, a
     # solution or a typed error
     params = ProblemParams(13, 1e5 * pc13)
-    for v0 in _LADDER:
+    for v0 in _rungs(params.p):
         try:
             out = integrate_radial(params, alpha=1.0, v0=v0, r_max=1e4)
         except BiharmError:
@@ -1087,20 +1106,28 @@ def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_rtol():
 
 
 def test_tangent_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a):
-    # Case A at r_max 500: stage 1's bracket ends 9.2e-14 relative wide,
-    # narrower than _RTOL |v0|, and v0 lies 7.3e-13 relative outside it.
-    # A chord between the bracket's ends extrapolated 7.8 bracket widths and
-    # left v0 1.02e-14 from case A's, which a floor on the chord's width
-    # (_RTOL |v0|) cut to 2.3e-15; the tangent at the bracket's midpoint
-    # needs no floor.  Pinned: v0 of the floor's solve with _RTOL = 5e-13,
-    # and case A's (r_max 1e4).  Measured: v0 lies 4.2e-16 and 2.9e-15
-    # relative from them.
+    # Case A at r_max 500.  Pinned: v0 of a solve whose chord between the
+    # bracket's ends had a floor on its width (_RTOL |v0|) and ran with
+    # _RTOL = 5e-13, and case A's (r_max 1e4).  Measured: v0 lies 8.3e-16
+    # and 6.2e-16 relative from them, from a bracket 1.2e-9 relative wide.
     sol = sol_quick
-    up, dn = sol.record.bracket
-    assert abs(up - dn) < _RTOL * abs(sol.v0)
     tight = float.fromhex("-0x1.114bea1e69182p-2")
     assert abs(sol.v0 - tight) <= 5e-15 * abs(tight)
     assert abs(sol.v0 - sol_a.v0) <= 5e-15 * abs(sol_a.v0)
+    # A bracket narrower than _RTOL |v0|, on which a 19-rung probe ladder
+    # once left stage 1: 8.0e-14 relative wide, and v0 lands 7.2e-13
+    # relative outside it, inside the guard.  A chord between its ends
+    # extrapolated 7.8 bracket widths and left v0 1.02e-14 from case A's;
+    # the tangent at the bracket's midpoint needs no floor.  Measured: v0
+    # lies 2.5e-15 relative from the first pin.
+    integ = _Integrator(sol.params)
+    up, dn = float.fromhex("-0x1.114bea1e68292p-2"), float.fromhex("-0x1.114bea1e68412p-2")
+    r_cls = _R_HORIZON * math.exp(_S_PAD)
+    _, _, leg = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
+    v0, _, seam, _ = _collocate(integ, leg, up, dn, r_cls)
+    assert abs(up - dn) < _RTOL * abs(v0)
+    assert 0.0 < max(dn - v0, v0 - up) < _BRACKET_STOP * abs(v0)
+    assert abs(v0 - tight) <= 5e-15 * abs(tight) and seam < 1e-13
 
 
 def _record_collocation(params, r_max, monkeypatch):
@@ -1556,9 +1583,9 @@ def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
 
 @pytest.mark.parametrize("side", [BlowUp, SignLoss])
 def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side):
-    # every probe escapes to one side, so the ladder does not bracket: the
-    # binary search ends beside the ladder's far end on that side, whose
-    # probe, the last shot, confirms it
+    # every probe escapes to one side, so no probe brackets: the opening
+    # walks the rungs outward from the law's pair, on that side, and ends at
+    # the search's limit on it, whose probe, the last shot, confirms it
     shots = []
 
     def shot(self, v0, r_max, dense=False, rtol=None):
@@ -1568,9 +1595,66 @@ def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side)
     monkeypatch.setattr(_Integrator, "shot", shot)
     with pytest.raises(BracketNotFound, match="do not bracket the separatrix"):
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
-    assert shots[-1] == pytest.approx(_PROBE_LO if side is BlowUp else _PROBE_HI, rel=1e-12)
-    # the search's probes and that end: 6 and 5 of the ladder's 19
-    assert len(shots) == (6 if side is BlowUp else 5)
+    assert shots[-1] == (_PROBE_LO if side is BlowUp else _PROBE_HI)
+    # p = 28.67: rung k is -0.1307 10^(k/2); rung 0, then rungs 1..7 or
+    # -1..-10, the last inside the limits (rung 8 lies below -1e3, rung -11
+    # above -1e-6), then the limit
+    rungs = [-_PROBE_ANCHOR * 10.0 ** (0.5 * k) / math.sqrt(pc13 + 0.5)
+             for k in ([0, *range(1, 8)] if side is BlowUp else range(0, -11, -1))]
+    assert shots[:-1] == rungs
+    assert len(shots) == (9 if side is BlowUp else 12)
+
+
+@pytest.mark.parametrize("k_root, probes", [
+    # root between rung 0 and rung 1: the pair brackets it after 2 shots
+    (0.5, [0, 1]),
+    # above the pair: rung 0 loses sign, the walk goes up to rung -2
+    (-1.5, [0, -1, -2]),
+    # below the pair: rung 1 blows up, the walk goes down to rung 3
+    (2.5, [0, 1, 2, 3]),
+])
+def test_opening_walks_from_the_law_pair_to_the_root(pc13, monkeypatch, k_root, probes):
+    # shots that flip at a v0 between the rungs: the opening shoots rung 0,
+    # then rung 1 when rung 0 blows up, then walks outward rung by rung
+    # until a probe flips, and _bisect starts on that flip pair (its shots
+    # leave no s-chart leg, so it runs to adjacent floats and the solve
+    # raises NoConvergence)
+    p = pc13 + 0.5
+
+    def rung(k):
+        return -_PROBE_ANCHOR * 10.0 ** (0.5 * k) / math.sqrt(p)
+
+    root = rung(k_root)
+    trials, rtols = [], []
+
+    def shot(self, v0, r_max, dense=False, rtol=None):
+        trials.append(v0)
+        rtols.append(rtol)
+        return (BlowUp if v0 >= root else SignLoss)(r=5.0), None, None
+
+    monkeypatch.setattr(_Integrator, "shot", shot)
+    with pytest.raises(NoConvergence) as info:
+        shoot(ProblemParams(13, p), alpha=1.0, r_max=60.0)
+    assert trials[:len(probes)] == [rung(k) for k in probes]
+    # rung 0 and those above it split 2.16 |x| to their inner neighbour, at
+    # _RTOL_PROBE; rung 1 and those below it 0.68 |x|
+    for k, rtol in zip(probes, rtols):
+        assert rtol == pytest.approx((1.0 if k <= 0 else 1.0 - 10.0**-0.5) * _RTOL_PROBE, rel=1e-12)
+    # the bisection's first trial splits the flip pair
+    up, dn = max(rung(probes[-1]), rung(probes[-2])), min(rung(probes[-1]), rung(probes[-2]))
+    assert dn < trials[len(probes)] < up
+    assert info.value.record.trials == len(trials) - len(probes)
+
+
+@pytest.mark.parametrize("cell", ["A", "B", "n13_1e4pc"])
+def test_stage_1_opens_with_two_probes(cell, request):
+    # the law's pair brackets the root on the acceptance cases and at large
+    # p: stage 1's shots (one r-chart leg each) are its trials and 2 probes
+    # (a 19-rung ladder searched from its middle took 4 or 5)
+    fixture = {"A": "sol_a", "B": "sol_b"}.get(cell)
+    sol = request.getfixturevalue(fixture) if fixture else shoot(ProblemParams(13, 1e4 * compute_pc(13)))
+    r_legs = sum(chart == "r" for chart, _, _, _ in sol.record.legs)
+    assert r_legs - sol.record.trials == 2
 
 
 @pytest.mark.parametrize("rtol, atol", [(None, 1e-14), (5e-13, 5e-15)])
@@ -1580,7 +1664,8 @@ def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
     # defined), every stage-1 shot at the rtol of the bracket its trial x
     # splits, max(_RTOL_BRACKET, _RTOL_PROBE min(1, w / |x|)) for a bracket
     # of width w: so in [_RTOL_BRACKET, _RTOL_PROBE], exactly _RTOL_BRACKET
-    # once w < _RTOL_PROBE |x|, and _RTOL_PROBE on the probe ladder.
+    # once w < _RTOL_PROBE |x|, and on the opening's two probes (the law's
+    # pair, which brackets case A) _RTOL_PROBE and 0.68 _RTOL_PROBE.
     if rtol is not None:
         monkeypatch.setattr(biharm.shooting, "_RTOL", rtol)
     rtol = biharm.shooting._RTOL
@@ -1606,20 +1691,24 @@ def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
     stage_1 = {r for r, _ in seen} - {rtol}
     assert stage_1 == set(shots.values())
     assert min(stage_1) == _RTOL_BRACKET and max(stage_1) == _RTOL_PROBE
-    # stage 1 replayed: from the probe ladder's ends on, each shot x splits
-    # the bracket (up, dn), of width w = up - dn, and becomes its blow-up
-    # end (g >= 0) or its sign-loss end; the solve records the last bracket
-    up, dn, splits = _PROBE_HI, _PROBE_LO, []
-    for x, g in trials:
+    # stage 1 replayed: the opening's pair (x0, x1) splits its own span,
+    # w = x0 - x1, and becomes the first bracket; from there each trial x
+    # splits the bracket (up, dn), of width w = up - dn, and becomes its
+    # blow-up end (g >= 0) or its sign-loss end; the solve records the last
+    # bracket
+    (x0, g0), (x1, g1) = trials[:2]
+    assert g0 >= 0.0 > g1 and x1 == pytest.approx(x0 * math.sqrt(10.0), rel=1e-15)
+    up, dn, splits = x0, x1, [(x0, x0 - x1), (x1, x0 - x1)]
+    for x, g in trials[2:]:
         splits.append((x, up - dn))
         up, dn = (x, dn) if g >= 0.0 else (up, x)
     assert sol.record.bracket == (up, dn)
     assert all(shots[x] == max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, w / abs(x))) for x, w in splits)
     narrow = [x for x, w in splits if w < _RTOL_PROBE * abs(x)]
     assert narrow and all(shots[x] == _RTOL_BRACKET for x in narrow)
-    # the probe ladder's shots split brackets wider than |x|
-    wide = [x for x, w in splits if w >= abs(x)]
-    assert wide and all(shots[x] == _RTOL_PROBE for x in wide)
+    # the pair's shots: x0 splits a span wider than |x0|, x1 one 0.68 |x1| wide
+    assert shots[x0] == _RTOL_PROBE
+    assert shots[x1] == pytest.approx((1.0 - 10.0**-0.5) * _RTOL_PROBE, rel=1e-12)
 
 
 def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):

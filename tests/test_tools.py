@@ -50,14 +50,20 @@ def _failed(error, nfev, trials):
 
 
 def test_shoot_cells_diff_reports_cells_and_totals(capsys):
+    # per cell and in total, stage 1's shots (its r-chart legs: A's 4 and 2
+    # probes besides its trials) print next to the trials
     old = {"A": _ok("0x1p-2", 50, 56), "F": _failed("StepFailure", 7, 8)}
     new = {"A": _ok("0x1p-2", 40, 34), "F": _failed("StepFailure", 7, 8)}
+    old["A"]["record"]["charts"]["r"]["calls"] = 60
+    new["A"]["record"]["charts"]["r"]["calls"] = 36
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].split()[-3:] == ["v0", "W", "dump"]
-    assert out[1].split() == ["A", "ok", "ok", "100", "80", "56", "->", "34", "-"] + ["equal"] * 3
-    assert out[2].split() == ["F", "StepFailure", "StepFailure", "7", "7", "8", "->", "8"] + ["-"] * 4
+    assert out[0].split()[-6:] == ["shots", "trials", "mesh", "v0", "W", "dump"]
+    assert out[1].split() == ["A", "ok", "ok", "100", "80", "60", "->", "36", "56", "->", "34", "-"] + ["equal"] * 3
+    assert out[2].split() == ["F", "StepFailure", "StepFailure", "7", "7", "1", "->", "1", "8", "->", "8"] + ["-"] * 4
     assert "RHS evaluations: 107 -> 87 (-18.7%)" in out
+    assert "stage-1 shots: 61 -> 37" in out
+    assert "trials: 64 -> 42" in out
     assert "ok: 1 -> 1 of 2" in out
     assert "identical dumps: 1 of 1" in out
 
@@ -182,8 +188,8 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     rec = shoot_cells.shoot_cell("quick")
     record = rec["record"]
     assert record["trials"] > 0 and rec["alpha"] == 1.0
-    # stage 1 at rtols from 1e-4 (the probe ladder) down to 1e-8, keyed by
-    # decade; the tangent's one variational r-chart leg (chart "v") at 1e-12
+    # stage 1 at rtols from 1e-4 (the opening's probes) down to 1e-8, keyed
+    # by decade; the tangent's one variational r-chart leg (chart "v") at 1e-12
     charts = record["charts"]
     assert set(charts) == {"r", "s", "v"}
     for chart in charts.values():

@@ -32,20 +32,21 @@ any tree whose biharm.verify has these four writers.
 --diff compares two such outputs (say, of a parent tree and of a change)
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
-failed invariants), RHS evaluations, root-search trials, the collocation's
+failed invariants), RHS evaluations, stage-1 shots (the r-chart legs: the
+opening's probes and the trials), root-search trials, the collocation's
 last round's nodes and the rounds as nodes/rounds ("-" without a finished
 round; marked ":failed" when the solve failed), and whether v0, W (by
 w_sha256) and the dumps (by dump_sha256) are identical.  Then it prints
 |dv0|/|v0| per cell whose v0 differs and the largest, the totals (RHS
 evaluations, per chart and by rtol on each side; step failures, with one
-"step failures rose" line per cell whose count rose; trials), the count of
-cells whose nodes/rounds moved, the last rounds' Newton iterations summed
-on each side, with one "newton moved" line per cell whose count moved, the
-ok counts, one "error class changed" line per cell whose solve (or expand)
-raised a different typed error on each side, one "invariant moved: <cell>
-<name> old -> new" line per invariant whose value differs, the identical
-dumps, and each cell's expand outcome on both sides with the expand-ok
-counts.  It exits 1 when a cell that is ok in OLD is not ok in NEW, or
+"step failures rose" line per cell whose count rose; stage-1 shots;
+trials), the count of cells whose nodes/rounds moved, the last rounds'
+Newton iterations summed on each side, with one "newton moved" line per
+cell whose count moved, the ok counts, one "error class changed" line per
+cell whose solve (or expand) raised a different typed error on each side,
+one "invariant moved: <cell> <name> old -> new" line per invariant whose
+value differs, the identical dumps, and each cell's expand outcome on both
+sides with the expand-ok counts.  It exits 1 when a cell that is ok in OLD is not ok in NEW, or
 expand-ok in OLD and not in NEW.
 """
 
@@ -152,6 +153,11 @@ def diff(old: dict, new: dict) -> int:
     def trials(rec):
         return rec["record"]["trials"] or 0
 
+    def shots(rec):
+        # stage 1's shots, each with one r-chart leg: the opening's probes
+        # and the trials
+        return rec["record"]["charts"]["r"]["calls"]
+
     def failures(rec):
         return sum(chart["step_failures"] for chart in rec["record"]["charts"].values())
 
@@ -174,13 +180,13 @@ def diff(old: dict, new: dict) -> int:
         return rounds[-1]["newton"] if rounds else "-"
 
     labels = [label for label in old if label in new]
-    rows = [("cell", "old", "new", "rhs old", "rhs new", "trials", "mesh", "v0", "W", "dump")]
+    rows = [("cell", "old", "new", "rhs old", "rhs new", "shots", "trials", "mesh", "v0", "W", "dump")]
     lost = []
     for label in labels:
         o, n = old[label], new[label]
         meshes = (mesh(o), mesh(n))
         rows.append((label, outcome(o), outcome(n), str(rhs(o)), str(rhs(n)),
-                     f"{trials(o)} -> {trials(n)}",
+                     f"{shots(o)} -> {shots(n)}", f"{trials(o)} -> {trials(n)}",
                      "-" if meshes == ("-", "-") else " -> ".join(meshes),
                      same(o, n, "v0_hex"), same(o, n, "w_sha256"), same(o, n, "dump_sha256")))
         if outcome(o) == "ok" and outcome(n) != "ok":
@@ -220,6 +226,8 @@ def diff(old: dict, new: dict) -> int:
         a, b = failures(old[label]), failures(new[label])
         if b > a:
             print(f"step failures rose: {label} {a} -> {b}")
+    print(f"stage-1 shots: {sum(shots(old[label]) for label in labels)} -> "
+          f"{sum(shots(new[label]) for label in labels)}")
     print(f"trials: {sum(trials(old[label]) for label in labels)} -> "
           f"{sum(trials(new[label]) for label in labels)}")
     both = [label for label in labels if "-" not in (mesh(old[label]), mesh(new[label]))]
