@@ -23,12 +23,6 @@ as the oracle).  Events carry a `direction` (+1 rising, -1 falling, 0
 both); the first root on the step whose end fires, located on the step's
 interpolant by Brent's method as scipy's brentq runs it (_brentq) on the
 state entries the event reads, ends the leg.
-
-A system may name its leading entries (system's lead): the 7th-order
-interpolant is built for them only, and the trailing entries are
-interpolated by the cubic Hermite of each step's end values and slopes,
-the first four rows of the same dense row, which cost no extra stage.  The
-steps are the same either way, as is every step end's state.
 """
 
 from __future__ import annotations
@@ -186,8 +180,7 @@ def _block(indent, lines):
 # One leg from t (state y, derivative f, first trial step h_abs) to t_bound;
 # each accepted step end goes to ts, its state to ys, and when dense is a
 # list, the step to dense as one flat row of 2 + 8n floats: t_old, t, the n
-# entries of y_old and the interpolant's 7 rows of n, row by row (0.0 in the
-# last four for a trailing entry, see system).
+# entries of y_old and the interpolant's 7 rows of n, row by row.
 # Returns (status, h_abs, attempted steps, fired, step): status 0 at t_bound,
 # -1 on a step below 10 ulp of t, 1 when the events flagged in fired fired at
 # the end of step (not appended).  Each min/max of scipy's controller is the
@@ -241,16 +234,10 @@ def kernel(t, y, f, h_abs, t_bound, rtol, atol, ts, ys, dense):
 """
 
 
-def _kernel_source(rhs, events, lead=None):
+def _kernel_source(rhs, events):
     """The source of kernel (see _KERNEL) for n = len(rhs) right-hand side expressions
-    and (name, expression, direction) events, all in x and u0..u{n-1}, whose
-    first lead entries (None: all n) get the full dense row; ValueError when
-    one of those reads a later entry."""
+    and (name, expression, direction) events, all in x and u0..u{n-1}."""
     n = len(rhs)
-    lead = n if lead is None else lead
-    for i, expr in enumerate(rhs[:lead]):
-        if any(j >= lead for j in _reads(expr)):
-            raise ValueError(f"leading entry {i} reads an entry past the first {lead}: {expr}")
     step = []
     for s in range(1, _N_STAGES):
         step += _stage(s, f"t + {_C[s]!r} * h", _update(_A[s], n), rhs)
@@ -264,11 +251,11 @@ def _kernel_source(rhs, events, lead=None):
         step += [f"{name} = " + " + ".join(f"q{i} * q{i}" for i in range(n))]
     extra = []
     for j, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), start=_N_STAGES + 1):
-        extra += _stage(j, f"t + {c!r} * h", _update(a, lead), rhs[:lead])
+        extra += _stage(j, f"t + {c!r} * h", _update(a, n), rhs)
     rows = [[f"y{i}" for i in range(n)], [f"n{i} - y{i}" for i in range(n)],
             [f"h * k0_{i} - (n{i} - y{i})" for i in range(n)],
             [f"2.0 * (n{i} - y{i}) - h * (k{_N_STAGES}_{i} + k0_{i})" for i in range(n)]]
-    rows += [[f"h * ({_sum(row, i)})" if i < lead else "0.0" for i in range(n)] for row in _D]
+    rows += [[f"h * ({_sum(row, i)})" for i in range(n)] for row in _D]
     g_end = []
     for i, (_, expr, d) in enumerate(events):
         rise, fall = f"g{i} <= 0.0 <= b{i}", f"g{i} >= 0.0 >= b{i}"
@@ -288,7 +275,7 @@ def _kernel_source(rhs, events, lead=None):
     )
 
 
-def system(name, params, rhs, events, lead=None):
+def system(name, params, rhs, events):
     """Compile a system of n = len(rhs) entries into a factory of its integrators.
 
     rhs holds n expressions and events (name, expression, direction)
@@ -299,17 +286,6 @@ def system(name, params, rhs, events, lead=None):
     `entries` the indices i of the u{i} it reads) and `kernel` (the leg
     kernel of _KERNEL), for solve_ivp.  The constants are bound by closure,
     so a new set of them compiles nothing.
-
-    lead (None: n) names the leading entries u0..u{lead-1}: only they get
-    the 7th-order dense row, and the three extra stages evaluate only their
-    stage sums and right-hand sides, so their expressions may not read a
-    later entry (ValueError).  A trailing entry's row keeps its first four
-    rows, the cubic Hermite interpolant of the step's end values and slopes,
-    and 0.0 in the four rows of D.  Steps, error norm, step ends, nfev and
-    the row layout do not depend on lead; an event reading a trailing entry
-    is located on its cubic.  This suits trailing entries that reach the
-    result only times a small factor: the shooter's variational entries
-    (chart "v"), read as dX/dv times |v0 - mid| <= 7.5e-9 |v0|.
     """
     defs = [(name, "(" + "".join(e + ", " for e in rhs) + ")")] + [(ev, expr) for ev, expr, _ in events]
     src = f"def factory({', '.join(params)}):\n"
@@ -317,7 +293,7 @@ def system(name, params, rhs, events, lead=None):
     reads = [_reads(expr) for _, expr, _ in events]
     src += "".join(f"    {ev}.terminal, {ev}.direction, {ev}.entries = True, {d}, {i}\n"
                    for (ev, _, d), i in zip(events, reads))
-    src += textwrap.indent(_kernel_source(rhs, events, lead), "    ")
+    src += textwrap.indent(_kernel_source(rhs, events), "    ")
     src += f"    {name}.events = ({''.join(ev + ', ' for ev, _, _ in events)})\n"
     src += f"    {name}.kernel = kernel\n    return {name}\n"
     # registered with linecache, so tracebacks show the generated lines

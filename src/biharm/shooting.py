@@ -29,6 +29,7 @@ from __future__ import annotations
 import linecache
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
@@ -91,19 +92,19 @@ _RESOLUTION_FLOOR = 1e-10
 # |Y|/L below which the decay slope and the default fit window end, a decade
 # clear of _RESOLUTION_FLOOR
 _DECAY_FLOOR = 1e-9
-# the integrator's rtol for every leg the solution is built from (the
-# tangent's r-chart leg): its atol is _RTOL / 100 and the collocation's
-# tol is 100 _RTOL
+# the integrator's rtol for a single shot's legs (integrate_radial's): its
+# atol is _RTOL / 100, and the collocation's tol is 100 _RTOL
 _RTOL = 1e-12
 # Stage 1's shots only classify a trial v0 and leave the bracket and the
-# guess's leg; the collocation fixes v0 from the full-tolerance tangent.  A
-# trial x that splits a bracket of width w runs at rtol
+# guess's leg; the collocation fixes v0 from the tangent.  A trial x that
+# splits a bracket of width w runs at rtol
 # max(_RTOL_BRACKET, _RTOL_PROBE min(1, w / |x|)), atol rtol / 100: the
 # opening's probes at _RTOL_PROBE (rung 0 and every rung above it) and
 # (1 - 10^(-1/2)) _RTOL_PROBE (rung 1 and every rung below it), every trial
 # in a bracket narrower than _RTOL_PROBE |x| at _RTOL_BRACKET
 _RTOL_BRACKET = 1e-8
 _RTOL_PROBE = 1e-4
+_EPS = math.ulp(1.0)  # the truncation rule's eps
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,8 @@ class SignLoss:
 @dataclass(frozen=True)
 class SolveRecord:
     """The work of one solve, in order: each leg's (chart, rtol, nfev,
-    status) in legs, status solve_ivp's (-1 a step failure); stage 1's
+    status) in legs, status solve_ivp's (-1 a step failure), and for the
+    tangent's Taylor steps ("v") rtol eps and the step count; stage 1's
     trials and the (up, dn) bracket it ended on; and each collocation round
     that finished, as collocation.Collocation.rounds holds them: (nodes,
     Newton iterations, max rms residual, the nodes it predicts or None when
@@ -143,9 +145,10 @@ class RadialSolution:
     on the s-lattice s_grid.
 
     X is sampled from the states the phi(0) = 1 solve was solved in: up to
-    r_switch the r-chart part (shoot's: the tangent at v0 of one variational
-    r-chart leg; a single shot's: its one leg; the series at v0 below the
-    leg's start), mapped to s-derivatives by _r_to_s_state, the s-chart beyond.
+    r_switch the r-chart part (shoot's: the tangent at v0 of the Taylor
+    steps at the bracket's midpoint; a single shot's: its one leg; the
+    series at v0 below their start), mapped to s-derivatives by
+    _r_to_s_state, the s-chart beyond.
     The scale map to phi(0) = alpha keeps X and shifts s_grid.  Everything
     else follows from them: W = X[0], Z = Y' - lam4 Y = W' - lam4 Y,
     r_grid = e^s, phi = W / r^m and Y = W - L.  seam_residual is
@@ -232,6 +235,33 @@ def _series_factory(k: int):
 _SERIES = _series_factory(_SERIES_ORDER)
 
 
+def _horner(c, x):
+    """sum_k c[k] x^k by Horner, from the last term."""
+    acc = c[-1]
+    for ck in reversed(c[:-1]):
+        acc = acc * x + ck
+    return acc
+
+
+def _truncation(lists, cap: float) -> float:
+    """The truncation radius, at most cap, of polynomials held as
+    coefficient lists c in one variable x: the Taylor integrators' step
+    rule (Jorba & Zou, Experimental Math. 14, 2005).  Each list's last two
+    terms |c_k| x^k, which bound its truncation error inside the radius of
+    convergence, stay below eps times its terms' absolute sum S(x) (the
+    rounding of that sum) up to x = (eps |c_j| / |c_k|)^(1 / (k - j)), as
+    S(x) >= |c_j| x^j; the larger of j = 0, 1 (j = 1 for a c_0 of 0, as in
+    u' at v0 = 0).  The least of these over the lists and k, and cap."""
+    x = cap
+    for c in lists:
+        c0, c1 = _EPS * abs(c[0]), _EPS * abs(c[1])
+        for k in (len(c) - 1, len(c) - 2):
+            ck = abs(c[k])
+            if ck:  # a zero term bounds nothing
+                x = min(x, max((c0 / ck) ** (1.0 / k), (c1 / ck) ** (1.0 / (k - 1))))
+    return x
+
+
 class _Series:
     """The regular solution near the origin as a series in x = r^2.
 
@@ -262,41 +292,22 @@ class _Series:
                 acc = acc * x + c
             acc[1::2] *= r
             return acc
-        out = []
-        for i, c in enumerate(self.coeffs):
-            acc = c[-1]
-            for ck in reversed(c[:-1]):
-                acc = acc * x + ck
-            out.append(acc * r if i % 2 else acc)
-        return out
+        return [_horner(c, x) * r if i % 2 else _horner(c, x) for i, c in enumerate(self.coeffs)]
 
     def seed_radius(self, m: float, w_max: float, r_cap: float) -> float:
         """The radius r <= r_cap at which the series starts the r-chart leg:
         its truncation radius in closed form, halved in x = r^2 while an
         event may lie before it.
 
-        Every P_i's last two terms |c_k| x^k, which bound its truncation
-        error inside the radius of convergence, stay below eps times its
-        terms' absolute sum S_i(x) (the rounding of that sum) up to
-        x = (eps |c_j| / |c_k|)^(1 / (k - j)), as S_i(x) >= |c_j| x^j; the
-        larger of j = 0, 1 (j = 1 for a c_0 of 0, as in u' at v0 = 0).  The
-        least of these over i and k, capped at r_cap^2, is the truncation
-        radius: the Taylor integrators' step rule (Jorba & Zou, Experimental
-        Math. 14, 2005).  With S = sum_k |a_k| x^k, 1 - (S - 1) > 0 and
+        The truncation radius is _truncation's on the P_i, capped at
+        r_cap^2.  With S = sum_k |a_k| x^k, 1 - (S - 1) > 0 and
         r^m S < w_max keep u positive and r^m u below w_max on all of
         [0, r], so no terminal event of the r-chart lies before the start
         (and NaN coefficients, which every P_i shares with u, fail it at
         every x).  StepFailure when no positive radius passes (coefficients
         that overflow, say).
         """
-        eps = np.finfo(float).eps
-        x = r_cap * r_cap
-        for c in self.coeffs:
-            c0, c1 = eps * abs(c[0]), eps * abs(c[1])
-            for k in (len(c) - 1, len(c) - 2):
-                ck = abs(c[k])
-                if ck:  # a zero term bounds nothing
-                    x = min(x, max((c0 / ck) ** (1.0 / k), (c1 / ck) ** (1.0 / (k - 1))))
+        x = _truncation(self.coeffs, r_cap * r_cap)
         while x > 0.0:
             s = 0.0
             for ak in reversed(self.coeffs[0]):  # u's, by Horner
@@ -306,6 +317,31 @@ class _Series:
             x *= 0.5
         raise StepFailure(f"the series at Delta u(0) = {self.coeffs[2][0]!r} has no positive start "
                           "radius: its truncation or event bound fails at every x = r^2 > 0")
+
+
+@dataclass(frozen=True)
+class _Tangent:
+    """The r-chart state on [ts[0], ts[-1]] as _Integrator.tangent steps it
+    at v: steps[i] holds the four complex coefficient lists in
+    t = r - ts[i] of step i, real parts at v and imaginary parts h d/dv of
+    them, and y the state at ts[-1]."""
+
+    v: float
+    h: float
+    ts: np.ndarray
+    steps: list
+    y: list
+
+    def __call__(self, rr: np.ndarray, v0: float) -> np.ndarray:
+        """The tangent y(v) + (v0 - v) dy/dv at the radii rr in
+        [ts[0], ts[-1]], as 4 by rr.size: each r on its step (the later one
+        at a step end), its lists combined and summed against the powers of
+        t in one batched product."""
+        c = np.array(self.steps)
+        c = c.real + ((v0 - self.v) / self.h) * c.imag
+        i = np.clip(np.searchsorted(self.ts, rr, "right") - 1, 0, len(c) - 1)
+        powers = np.vander(rr - self.ts[i], c.shape[2], increasing=True)
+        return (c[i] @ powers[:, :, None])[:, :, 0].T
 
 
 def _s_operator_coeffs(n: int, m: float) -> np.ndarray:
@@ -339,37 +375,17 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
 # scale-aware bound r^m u >= wcap = (1 + a) L, a = min(_BLOWUP - 1,
 # 20 / (p - 1)), where (W/L)^(p-1) has grown by at most e^20, so that u^p
 # cannot stall the steps before the event at any p.  No raw |u| ceiling.
-# Chart "v" is the r-chart with its variational equation in v0: the r-chart
-# is linear in its state but for u^p, so entries 4..7 obey the r-chart's
-# equations with u^p linearised to p u^(p-1) times entry 4.  One leg gives the
-# end state and its derivative in v0 on one step sequence (internal numerical
-# differentiation: Bock 1981; Hairer, Norsett & Wanner, Solving ODEs I,
-# Sec. II.6).  Its state, entries 0..3, leads (see ivp.system): the tangent
-# reads the derivative only times |v0 - mid| <= _BRACKET_STOP |v0| / 2, so it
-# takes each step's cubic Hermite (on case A within 1.3e-9 of max |dy/dv| of
-# the 7th-order interpolant, which moves W by at most an ulp); steps and step
-# ends, so v0, do not change.
+# The collocation's tangent takes the r-chart state and its derivative in
+# v0 from Taylor steps (_Integrator.tangent), which the record names chart
+# "v".
 _POWER = "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0)"
-
-
-def _r_rhs(i: int, power: str) -> tuple[str, ...]:
-    """The r-chart's right-hand sides on the entries u{i}..u{i+3}, with the
-    expression power in place of u^p."""
-    u1, u2, u3 = (f"u{i + j}" for j in (1, 2, 3))
-    return (u1, f"{u2} - nm1 * {u1} / x", u3, f"{power} - nm1 * {u3} / x")
-
-
-_R_PARAMS = ("p", "cap", "nm1", "m", "wcap")
-_R_RHS = _r_rhs(0, _POWER)
-_R_EVENTS = (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1))
 _CHARTS = {
-    "r": system("rhs_r", _R_PARAMS, _R_RHS, _R_EVENTS),
+    "r": system("rhs_r", ("p", "cap", "nm1", "m", "wcap"),
+                ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x"),
+                (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1))),
     "s": system("rhs_s", ("p", "cap", "c1", "c2", "c3", "c4", "wcap"),
                 ("u1", "u2", "u3", _POWER + " - (c1 * u3 + c2 * u2 + c3 * u1 + c4 * u0)"),
                 (("sign_loss", "u0", -1), ("amplitude_cross", "u0 - wcap", 1))),
-    "v": system("rhs_v", _R_PARAMS,
-                _R_RHS + _r_rhs(4, "(p * (u0 if u0 < cap else cap) ** (p - 1.0) if u0 > 0.0 else 0.0) * u4"),
-                _R_EVENTS, lead=4),
 }
 
 
@@ -392,7 +408,6 @@ class _Integrator:
         common = dict(p=self.p, cap=self.pow_cap, wcap=self.wcap)
         self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)
         self.rhs_s = _CHARTS["s"](c1=c1, c2=c2, c3=c3, c4=c4, **common)
-        self.rhs_v = _CHARTS["v"](nm1=self.n - 1.0, m=self.m, **common)
         # the series' recurrence (see _Series) on the tables every v0
         # shares: 2n, Miller's weights, the denominators and the factors of
         # Delta u's b_j
@@ -401,6 +416,8 @@ class _Integrator:
             2.0 * n, [(self.p + 1.0) * i - j for j in range(1, k - 1) for i in range(1, j + 1)],
             [(2 * j + 2) * (2 * j + 4) * (2 * j + n) * (2 * j + n + 2) for j in range(k - 1)],
             [(2 * j + 2) * (2 * j + n) for j in range(k)])
+        # the Taylor steps' Miller weights ((p + 1) i - k) / k, i = 1..k, per order k < K
+        self.taylor_weights = [[((self.p + 1.0) * i - j) / j for i in range(1, j + 1)] for j in range(k)]
         self.work = {"legs": ()}  # SolveRecord's fields, as a solve reaches them
 
     # --- one leg, one shot ------------------------------------------------
@@ -415,21 +432,64 @@ class _Integrator:
         r0 = series.seed_radius(self.m, self.wcap, 0.5 * r_end)
         return r0, series.state(r0)
 
-    def seed(self, v0: float):
-        """(the series at v0, chart "v"'s state as a function of r): the
-        series state and, by a complex step through the series, its
-        derivative in v0, read where the tangent's leg starts."""
-        h = 1e-20 * abs(v0)
-        series, step = self.series(v0), self.series(complex(v0, h))
-        return series, lambda r: (*series.state(r), *(y.imag / h for y in step.state(r)))
+    def taylor(self, y, r: float):
+        """The r-chart state's Taylor coefficients about r from its value y
+        there (floats or complex), as four lists in t = r' - r up to t^K,
+        K = _SERIES_ORDER: u' = w, w' = v - (n-1) w / r, v' = z,
+        z' = u^p - (n-1) z / r, with w / r and z / r by the division
+        recurrence a_k = (w_k - a_{k-1}) / r and u^p by Miller's power
+        recurrence [u^p]_k = sum_{i=1..k} ((p+1) i - k) u_i [u^p]_{k-i} / (k u_0)."""
+        nm1, inv_r = self.n - 1.0, 1.0 / r
+        u, w, v, z = ([c] for c in y)
+        power, inv_u = [y[0] ** self.p], 1.0 / y[0]
+        a = b = 0.0
+        for k, weights in enumerate(self.taylor_weights):
+            if k:
+                power.append(inv_u * sum(map(mul, weights, map(mul, u[1:], reversed(power)))))
+            a, b, f = (w[k] - a) * inv_r, (z[k] - b) * inv_r, 1.0 / (k + 1)
+            u.append(w[k] * f)
+            w.append((v[k] - nm1 * a) * f)
+            v.append(z[k] * f)
+            z.append((power[k] - nm1 * b) * f)
+        return u, w, v, z
+
+    def tangent(self, v: float):
+        """(escape, _Tangent at v): the r-chart state and its derivative in
+        v0 from the series' start r0 (`start`'s, at v) to r_switch, by
+        Taylor steps (`taylor`) on the complex step v + i h, h = 1e-20 |v|
+        (Squire & Trapp, SIAM Rev. 40, 1998), from the series at v + i h:
+        real parts the state at v, imaginary parts over h its derivative.
+        Each step is _truncation's length, the last clipped onto r_switch.
+        escape is None, or BlowUp or SignLoss (the r-chart's events) at the
+        first step end past one; a step that makes no headway nears a zero
+        of u, the branch point of u^p, and ends in SignLoss.  The leg goes
+        into the record as chart "v" at rtol eps with its step count in
+        place of nfev."""
+        h = 1e-20 * abs(v)
+        r, _ = self.start(self.series(v), _R_SWITCH)
+        y = self.series(complex(v, h)).state(r)
+        ts, steps, escape = [r], [], None
+        while r < _R_SWITCH and escape is None:
+            steps.append(self.taylor(y, r))
+            cap = _R_SWITCH - r
+            t = _truncation(steps[-1], cap)
+            y = [_horner(c, t) for c in steps[-1]]
+            r = _R_SWITCH if t == cap else min(r + t, _R_SWITCH)
+            ts.append(r)
+            if r**self.m * y[0].real >= self.wcap:
+                escape = BlowUp(r=r)
+            elif not (y[0].real > 0.0 and r > ts[-2]):
+                escape = SignLoss(r=r)
+        self.work["legs"] += (("v", _EPS, len(steps), int(escape is not None)),)
+        return escape, _Tangent(v, h, np.array(ts), steps, y)
 
     def leg(self, chart: str, span, y0, dense: bool = False, rtol: float | None = None):
-        """Integrate one leg of chart "r", "s" or "v" (the r-chart with its
-        variational equation) over span at rtol (None: _RTOL), atol rtol / 100;
-        returns (outcome, sol), sol the solve_ivp result.  outcome is the float
-        residual W/L - 1 at the end of the span, SignLoss at the sign_loss
-        event, else BlowUp at the amplitude_cross event, at the radius r the
-        leg ended.  A step failure raises StepFailure.
+        """Integrate one leg of chart "r" or "s" over span at rtol (None:
+        _RTOL), atol rtol / 100; returns (outcome, sol), sol the solve_ivp
+        result.  outcome is the float residual W/L - 1 at the end of the
+        span, SignLoss at the sign_loss event, else BlowUp at the
+        amplitude_cross event, at the radius r the leg ended.  A step
+        failure raises StepFailure.
         """
         rtol = _RTOL if rtol is None else rtol
         sol = solve_ivp(getattr(self, "rhs_" + chart), span, y0, rtol=rtol, atol=1e-2 * rtol,
@@ -475,19 +535,26 @@ class _Integrator:
 def _scale(m: float, alpha: float, r_max: float | None = None) -> float:
     """kappa = alpha^(1/m): kappa^m phi(kappa r) maps the solution with
     phi(0) = 1 on r <= kappa r_max to the one with phi(0) = alpha on
-    r <= r_max.  InvalidParams unless kappa is finite and positive and,
-    when r_max is given, kappa r_max is finite and above _R_SEED, where the
+    r <= r_max, and v0 by kappa^(m+2).  InvalidParams unless kappa is
+    finite and positive, kappa^(m+2) a finite, nonzero float and, when
+    r_max is given, kappa r_max is finite and above _R_SEED, where the
     lattice starts: r_max must exceed _R_SEED / kappa."""
     try:
         kappa = alpha ** (1.0 / m) if alpha > 0.0 else math.nan
     except OverflowError:
         kappa = math.inf
-    if not (0.0 < kappa < math.inf and (r_max is None or _R_SEED < kappa * r_max < math.inf)):
+    try:
+        lift = kappa ** (m + 2.0)
+    except OverflowError:
+        lift = math.inf
+    if not (0.0 < kappa < math.inf and 0.0 < lift < math.inf
+            and (r_max is None or _R_SEED < kappa * r_max < math.inf)):
         least = _R_SEED / kappa if kappa > 0.0 else math.inf
         raise InvalidParams(
             f"alpha={alpha!r}, r_max={r_max!r}: the solve at phi(0) = 1 maps to phi(0) = alpha "
-            f"by kappa = alpha^(1/m) = {kappa:.6g}, which must be finite and positive, and r_max "
-            f"must be finite and above {_R_SEED:g} / kappa = {least:.6g}"
+            f"by kappa = alpha^(1/m) = {kappa:.6g} and v0 by kappa^(m+2) = {lift:.6g}: kappa must be "
+            f"finite and positive, kappa^(m+2) finite and nonzero, and r_max must be finite and "
+            f"above {_R_SEED:g} / kappa = {least:.6g}"
         )
     return kappa
 
@@ -505,9 +572,9 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     alpha = 1 and r_max >= _R_HORIZON that is shoot's classification
     horizon.  Below r_switch it is the r-chart leg at v0 and, below the
     leg's start, the series at v0: shoot's solution there is the same series
-    and, from the leg's start on, the tangent at its v0 of one variational
-    r-chart leg, which a shot at shoot's v0 meets to within the legs'
-    integration error.
+    and, from the leg's start on, the tangent at its v0 of the Taylor steps
+    (_Integrator.tangent), which a shot at shoot's v0 meets to within the
+    leg's integration error.
     """
     kappa = _scale(params.m, alpha, r_max)
     r_max, v0 = kappa * r_max, v0 / kappa ** (params.m + 2.0)
@@ -516,7 +583,7 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     if isinstance(outcome, (BlowUp, SignLoss)):
         return replace(outcome, r=outcome.r / kappa)
     tail = sol_s.sol if sol_s else None
-    sol = _assemble_solution(integ, v0, r_max, (v0, sol_r), tail, seam=0.0)
+    sol = _assemble_solution(integ, v0, r_max, (sol_r.t[0], sol_r.sol), tail, seam=0.0)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
@@ -524,26 +591,23 @@ def _sample_state(integ, v0, head, tail, s_nodes):
     """The state X of W = r^m phi at s_nodes, from the solved states.
 
     Nodes below log r_switch come from the r-chart (all of them when tail,
-    the s-chart's X at ascending s, is None).  head is (v, dense leg at v):
-    a single shot's r-chart leg, v = v0, or shoot's chart-"v" leg, whose
-    entries 4..7 are the derivative dy/dv of the state y.  A node below the
-    leg's start takes the series state at v0; one on the leg its state y, or
-    on a chart-"v" leg the tangent y + (v0 - v) dy/dv (dy/dv on the cubic
-    Hermite, see _CHARTS).  On a chart-"v" leg the series at v0 stands for
-    the tangent of the series at v, from which it differs by O((v0 - v)^2),
-    about 1e-17 relative.  Each node's state is mapped to X by
-    _r_to_s_state.
+    the s-chart's X at ascending s, is None).  head is (r_h, y): y(rr) the
+    r-chart state at the radii rr >= r_h, a single shot's dense r-chart leg
+    from its start r_h, or shoot's tangent at v0 from the Taylor steps'
+    start (_Tangent).  A node below r_h takes the series state at v0; below
+    the Taylor steps it stands for the tangent of the series at their v,
+    from which it differs by O((v0 - v)^2), about 1e-17 relative.  Each
+    node's state is mapped to X by _r_to_s_state.
     """
     X = np.empty((4, s_nodes.size))
     from_r = s_nodes < math.log(_R_SWITCH) if tail else np.ones(s_nodes.size, dtype=bool)
     if np.any(from_r):
-        v, leg = head
+        r_h, on_head = head
         rr = np.exp(s_nodes[from_r])
         y = np.empty((4, rr.size))
-        seeded = rr < leg.t[0]
+        seeded = rr < r_h
         y[:, seeded] = integ.series(v0).state(rr[seeded])
-        on_leg = leg.sol(rr[~seeded])
-        y[:, ~seeded] = on_leg[:4] + (v0 - v) * on_leg[4:] if len(on_leg) == 8 else on_leg
+        y[:, ~seeded] = on_head(rr[~seeded])
         X[:, from_r] = _r_to_s_state(integ.n, integ.m, rr, y)
     if tail:
         X[:, ~from_r] = tail(s_nodes[~from_r])
@@ -676,8 +740,9 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     are classified at r_cls = max(r_max, _R_HORIZON) e^{_S_PAD}, past the
     returned lattice and past r_switch, so every end has an s-chart leg.
     (2) Collocation (_collocate): one boundary value problem with v0 as its
-    unknown, its left condition the tangent in v0 of one variational r-chart
-    leg at _RTOL from the bracket's midpoint, closes the solution on the
+    unknown, its left condition the tangent in v0 of the r-chart state at
+    r_switch from the bracket's midpoint, by complex-step Taylor steps
+    (_Integrator.tangent), closes the solution on the
     s-chart up to r_cls, solved by biharm.collocation (solve_bvp's Newton
     rounds on a banded LU, each round on the mesh the last one's residuals
     predict); below r_switch it is that tangent at that v0.  For r_max <=
@@ -748,13 +813,14 @@ def _solve(integ, r_max):
             f"first), where full shots give escape-law values g = "
             f"{g[dn]:.3g}, {g[up]:.3g}"
         )
-    v0, head, seam, res = _collocate(integ, s_legs[up], up, dn, r_cls)
+    v0, tangent, seam, res = _collocate(integ, s_legs[up], up, dn, r_cls)
     L = integ.L
 
     def tail(s):
         y = res(s)
         return L * (1.0 + y[0]), L * y[1], L * y[2], L * y[3]
 
+    head = (tangent.ts[0], lambda rr: tangent(rr, v0))
     return _assemble_solution(integ, v0, r_max, head, tail, seam=seam)
 
 
@@ -766,9 +832,9 @@ def _collocate(integ, leg, up, dn, r_cls):
     - c2 y2 - c1 y3) with L^{p-1} = c4; v0 is the one scalar unknown.  The
     left condition puts y on the tangent R(v0) = (X(mid) - X*) / L
     + (v0 - mid) dX/dv / L at the bracket's midpoint mid, X(mid) and dX/dv
-    the end of one dense variational r-chart leg at _RTOL (chart "v", started
-    from _Integrator.seed at its first radius), mapped by _r_to_s_state,
-    which is linear in the state.  The right one, l4 . y = 0, removes the
+    the real parts and the imaginary parts over h of the end state of
+    _Integrator.tangent's complex-step Taylor steps, mapped by
+    _r_to_s_state, which is linear in the state.  The right one, l4 . y = 0, removes the
     unstable mode: l4, the left eigenvector for lam4 with l4 . e4 = 1,
     holds the coefficients of (mu - lam1)(mu - lam2)(mu - lam3), in
     increasing powers, over prod_i (lam4 - lam_i).  The guess is leg, the
@@ -778,17 +844,15 @@ def _collocate(integ, leg, up, dn, r_cls):
     One collocation.solve call, capped at _BVP_MAX_NODES, runs the problem
     in Newton rounds: the first on the start mesh, each later one on the
     mesh the last one's rms residuals predict (see collocation.solve); a
-    failed round raises NoConvergence, and so does a tangent leg that ends
-    before r_switch.  The tangent is accurate only near the bracket: a v0
+    failed round raises NoConvergence, and so do Taylor steps that end
+    in an escape before r_switch.  The tangent is accurate only near the bracket: a v0
     more than _BRACKET_STOP |v0| outside it raises NoConvergence.  Each
     NoConvergence names the s-domain and the bracket, and one from a round
     names the round, its nodes, Newton iterations and residual.  The
     rounds that finished go into the solve's record either way.  Returns
-    (v0, (mid, the tangent's leg), the left condition's residual
-    max |y(s_a) - R(v0)| (the seam), the collocation.Collocation).  The
-    leg's dense rows hold the state to 7th order and dX/dv on the cubic
-    Hermite (chart "v"'s lead): only the end state enters the
-    collocation, so v0 does not depend on the interpolant.
+    (v0, the _Tangent, whose steps are the lattice's r-chart part, the
+    left condition's residual max |y(s_a) - R(v0)| (the seam), the
+    collocation.Collocation).
     """
     L = integ.L
     lam1, lam2, lam3, lam4 = integ.spec.lambdas
@@ -827,13 +891,11 @@ def _collocate(integ, leg, up, dn, r_cls):
 
     mid = 0.5 * (up + dn)
     try:
-        series, seed = integ.seed(mid)
-        r0, _ = integ.start(series, _R_SWITCH)
-        outcome, tangent = integ.leg("v", (r0, _R_SWITCH), seed(r0), dense=True)
-        if isinstance(outcome, (BlowUp, SignLoss)):
-            raise NoConvergence(f"the tangent's r-chart leg at v0 = {mid!r} ends in {outcome}")
-        x_mid, dx = (_r_to_s_state(integ.n, integ.m, _R_SWITCH, y) for y in np.split(tangent.y[:, -1], 2))
-        bvp = collocation.Bvp(fun, jac, ya=(x_mid - x_star) / L, slope=dx / L, v_ref=mid,
+        escape, tangent = integ.tangent(mid)
+        if escape:
+            raise NoConvergence(f"the tangent's r-chart leg at v0 = {mid!r} ends in {escape}")
+        x = _r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(tangent.y))
+        bvp = collocation.Bvp(fun, jac, ya=(x.real - x_star) / L, slope=x.imag / tangent.h / L, v_ref=mid,
                               right=l4, tol=100.0 * _RTOL)
         res = collocation.solve(bvp, mesh, guess, mid, _BVP_MAX_NODES)
         v0 = float(res.v)
@@ -846,7 +908,7 @@ def _collocate(integ, leg, up, dn, r_cls):
         raise NoConvergence(f"collocation stage: {exc} ({where})") from None
     integ.work["rounds"] = res.rounds
     seam = float(np.max(np.abs(bvp.conditions(res.y[:, 0], res.y[:, -1], res.v)[:4])))
-    return v0, (mid, tangent), seam, res
+    return v0, tangent, seam, res
 
 
 def rescale_solution(sol: RadialSolution, alpha: float) -> RadialSolution:

@@ -298,7 +298,8 @@ def invariant_payload(invariants) -> dict:
 
 def record_payload(record) -> dict:
     """A shooting.SolveRecord as JSON: per chart ("r", "s", and "v", the
-    r-chart with its variational equation in v0) its legs (calls), their RHS
+    tangent's complex-step Taylor steps, one leg per solve whose nfev is its
+    step count, at rtol eps, keyed "1e-16") its legs (calls), their RHS
     evaluations (nfev), those keyed by the decade of each leg's rtol, as
     "1e-08" (nfev_by_rtol), and the legs that ended in a step failure;
     stage 1's trials and bracket; each finished collocation round."""

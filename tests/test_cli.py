@@ -608,6 +608,18 @@ def test_solve_rejects_a_height_off_the_lattice(runner, pc13, tmp_path, alpha):
     assert not dump.exists()
 
 
+def test_solve_rejects_a_height_whose_v0_scale_overflows(runner, pc13, tmp_path):
+    # kappa = alpha^(1/m) is finite at alpha = 1e40, but kappa^(m+2), which
+    # scales v0, overflows: exit 2 naming it, before any shot or dump (it
+    # printed an OverflowError traceback and exited 1)
+    dump = tmp_path / "d.csv"
+    res = runner.invoke(main, ["solve", "--n", "13", "--p", str(pc13 + 0.5), "--alpha", "1e40",
+                               "--out", str(dump)])
+    assert res.exit_code == 2, res.output
+    assert "alpha=1e+40" in res.stderr and "kappa^(m+2) = inf" in res.stderr
+    assert "Traceback" not in res.output and not dump.exists()
+
+
 def test_critical_reports_a_ladder_mismatch_and_exits_1(runner, monkeypatch):
     def mismatch(n):
         raise LadderMismatch(f"N = 3 computed, 4 by the formula at n = {n}")

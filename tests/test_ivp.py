@@ -24,6 +24,7 @@ from biharm import ivp
 from biharm.ivp import Dense, _brentq, _point, solve_ivp
 from biharm.shooting import (
     _CHARTS,
+    _POWER,
     _PROBE_HI,
     _PROBE_LO,
     _R_SWITCH,
@@ -33,6 +34,27 @@ from biharm.shooting import (
 )
 
 _TOL = dict(rtol=_RTOL, atol=1e-2 * _RTOL)
+
+# An 8-entry system, the tests' oracle for the tangent's complex-step Taylor
+# steps: the r-chart with its variational equation in v0, u^p linearised to
+# p u^(p-1) times entry 4, so that one DOP853 leg carries the state and its
+# derivative in v0 on one step sequence (Hairer, Norsett & Wanner, Solving
+# ODEs I, Sec. II.6)
+_VARIATIONAL = ivp.system(
+    "rhs_v", ("p", "cap", "nm1", "m", "wcap"),
+    ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x", "u5", "u6 - nm1 * u5 / x", "u7",
+     "(p * (u0 if u0 < cap else cap) ** (p - 1.0) if u0 > 0.0 else 0.0) * u4 - nm1 * u7 / x"),
+    (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1)))
+
+
+def _variational(integ, v):
+    """integ's 8-entry oracle system and its start (r0, y0) at v: the
+    series' start and state there, and their complex-step derivative in v0
+    through the series, as the Taylor tangent starts."""
+    rhs = _VARIATIONAL(p=integ.p, cap=integ.pow_cap, nm1=integ.n - 1.0, m=integ.m, wcap=integ.wcap)
+    h = 1e-20 * abs(v)
+    r0, y0 = integ.start(integ.series(v), _R_SWITCH)
+    return rhs, r0, (*y0, *(y.imag / h for y in integ.series(complex(v, h)).state(r0)))
 
 
 def _both(integ, chart, span, y0, **kwargs):
@@ -137,17 +159,15 @@ def test_brentq_port_matches_scipy_on_the_firing_step(case_a, shift):
 
 def test_event_roots_read_only_their_entries(case_a):
     # Brent's iterations interpolate only the entries an event reads (u0,
-    # for both events of every chart): on firing steps of the r-, s- and
-    # v-charts each event's root, or the ValueError of the one that keeps its
+    # for both events of every chart): on firing steps of the r- and
+    # s-charts each event's root, or the ValueError of the one that keeps its
     # sign, is that of the full interpolant, in the port and in scipy's
     # brentq, and the fired one ends the leg
     integ, seed, v0 = case_a
     legs = []
     for v in (_PROBE_LO, _PROBE_HI):
         r0, y0 = seed(v)
-        _, tangent = integ.seed(v)
-        legs += [(integ.rhs_r, solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)),
-                 (integ.rhs_v, solve_ivp(integ.rhs_v, (r0, _R_SWITCH), tangent(r0), dense_output=True, **_TOL))]
+        legs.append((integ.rhs_r, solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)))
     for shift in (1e-6, -1e-6):
         r0, y0 = seed(v0 * (1.0 - shift))
         w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, **_TOL).y[:, -1])
@@ -164,7 +184,7 @@ def test_event_roots_read_only_their_entries(case_a):
             assert read == _roots(lambda x, ev=ev: ev(x, _point(step, x)), step[0], step[1])
             if ev.__name__ == leg.event:
                 assert read[0] == leg.t[-1].hex()
-    assert fired == {name: {"sign_loss", "amplitude_cross"} for name in ("rhs_r", "rhs_v", "rhs_s")}
+    assert fired == {name: {"sign_loss", "amplitude_cross"} for name in ("rhs_r", "rhs_s")}
 
 
 @pytest.mark.parametrize("f, a, b", [
@@ -327,11 +347,9 @@ def _loop_step(fun, t, y, f, h, rtol, atol):
     return K, y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
 
 
-def _loop_rows(fun, K, t_old, h, y_old, y_new, lead=None):
+def _loop_rows(fun, K, t_old, h, y_old, y_new):
     """The interpolant's seven coefficient rows, its three extra stages
-    included; an entry from lead on (None: none) keeps the first three, the
-    cubic Hermite of the step's end values and slopes, and 0.0 in D's."""
-    lead = len(y_old) if lead is None else lead
+    included."""
     delta = [b - a for a, b in zip(y_old, y_new)]
     rows = [
         delta,
@@ -341,14 +359,14 @@ def _loop_rows(fun, K, t_old, h, y_old, y_new, lead=None):
     K = list(K)
     for a, c in zip(_A_EXTRA, _C_EXTRA):
         K.append(fun(t_old + c * h, _axpy(y_old, h, _combo(K, a))))
-    return rows + [[h * v if i < lead else 0.0 for i, v in enumerate(_combo(K, row))] for row in _D]
+    return rows + [[h * v for v in _combo(K, row)] for row in _D]
 
 
-def _loop_leg(fun, events, t_span, y0, rtol, atol, dense, lead=None):
+def _loop_leg(fun, events, t_span, y0, rtol, atol, dense):
     """One leg as a loop over _loop_step: scipy's initial step and step
     controller, every event called at every step end, the first root by
-    brentq on scipy's interpolant of the firing step, its rows by _loop_rows
-    at lead.  Returns (step ends, states, dense rows as (t_old, t, y_old,
+    brentq on scipy's interpolant of the firing step, its rows by
+    _loop_rows.  Returns (step ends, states, dense rows as (t_old, t, y_old,
     rows), flat -- every step's when dense, else the firing step's --, event
     roots, fun calls made, status, last step)."""
     calls = 0
@@ -397,7 +415,7 @@ def _loop_leg(fun, events, t_span, y0, rtol, atol, dense, lead=None):
                   if (ev.direction >= 0 and g[i] <= 0.0 <= g_new[i])
                   or (ev.direction <= 0 and g[i] >= 0.0 >= g_new[i])]
         if dense or active:
-            rows = _loop_rows(counted, K, t, h, y, y_new, lead)
+            rows = _loop_rows(counted, K, t, h, y, y_new)
             steps.append((t, t_new, *y, *(v for row in rows for v in row)))
         if active:
             interp = _scipy_step(steps[-1])
@@ -431,13 +449,13 @@ def _assert_leg_equals_the_loops(integ, chart, span, y0, dense):
     return _assert_rhs_leg_equals_the_loops(getattr(integ, f"rhs_{chart}"), span, y0, dense)
 
 
-def _assert_rhs_leg_equals_the_loops(rhs, span, y0, dense, lead=None):
-    """The kernel's leg of rhs, a `system` right-hand side compiled with
-    lead, against _loop_leg's on the same scalar right-hand side, bit for
-    bit; returns the kernel's result."""
+def _assert_rhs_leg_equals_the_loops(rhs, span, y0, dense):
+    """The kernel's leg of rhs, a `system` right-hand side, against
+    _loop_leg's on the same scalar right-hand side, bit for bit; returns the
+    kernel's result."""
     got = solve_ivp(rhs, span, y0, dense_output=dense, **_TOL)
     ts, ys, steps, roots, calls, status, step = _loop_leg(
-        rhs, rhs.events, span, tuple(float(v) for v in y0), _TOL["rtol"], _TOL["atol"], dense, lead)
+        rhs, rhs.events, span, tuple(float(v) for v in y0), _TOL["rtol"], _TOL["atol"], dense)
     assert got.status == status
     assert _hex(got.t.tolist()) == _hex(ts)
     assert _hex(got.y.T.tolist()) == _hex(ys)
@@ -490,18 +508,15 @@ def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
 # --- systems of other lengths: the generator reads n from the right-hand side
 
 def test_variational_legs_equal_the_tableau_loops_bit_for_bit(case_a):
-    # case A's 8-entry legs (chart "v", seeded as the collocation's tangent
-    # is): plain and dense to r_switch at its v0, legs ended by each event
-    # at the root search's limits (plain, and dense at the blow-up end, whose
-    # root the 8-entry interpolant locates).  The state, entries 0..3, leads:
-    # its dense rows are the tableau's, the derivative's the cubic Hermite
-    # of the loops' own step ends with 0.0 in D's rows
+    # case A's legs of the 8-entry oracle system, seeded as the tangent's
+    # Taylor steps are: plain and dense to r_switch at its v0, legs ended by
+    # each event at the root search's limits (plain, and dense at the
+    # blow-up end, whose root the 8-entry interpolant locates)
     integ, _, v0 = case_a
     legs = []
     for v, dense in ((v0, False), (v0, True), (_PROBE_LO, False), (_PROBE_HI, False), (_PROBE_HI, True)):
-        series, seed = integ.seed(v)
-        r0, _ = integ.start(series, _R_SWITCH)
-        legs.append(_assert_rhs_leg_equals_the_loops(integ.rhs_v, (r0, _R_SWITCH), seed(r0), dense, lead=4))
+        rhs, r0, y0 = _variational(integ, v)
+        legs.append(_assert_rhs_leg_equals_the_loops(rhs, (r0, _R_SWITCH), y0, dense))
     assert [(got.status, got.event) for got in legs] == [
         (0, None), (0, None), (1, "sign_loss"), (1, "amplitude_cross"), (1, "amplitude_cross")]
     assert legs[0].y.shape[0] == 8 and legs[1].sol.steps.shape[1] == 2 + 8 * 8
@@ -514,9 +529,7 @@ def test_variational_leg_matches_scipy(case_a):
     # Measured: 2.9e-15 (state) and 9.8e-15 (derivative) from scipy, with
     # equal nfev (1466), and 1.5e-9 from the difference.
     integ, _, v0 = case_a
-    series, seed = integ.seed(v0)
-    rhs, r0 = integ.rhs_v, integ.start(series, _R_SWITCH)[0]
-    y0 = seed(r0)
+    rhs, r0, y0 = _variational(integ, v0)
     ours = solve_ivp(rhs, (r0, _R_SWITCH), y0, **_TOL)
     ref = scipy_solve_ivp(rhs, (r0, _R_SWITCH), y0, method="DOP853", events=rhs.events, **_TOL)
     assert ours.status == ref.status == 0
@@ -533,9 +546,8 @@ def test_variational_dense_output_is_scipys_odesolution_bit_for_bit(case_a):
     # Dense and _point on 8-entry rows against scipy's OdeSolution over
     # scipy's interpolants of the same rows, as on the 4-entry charts
     integ, _, v0 = case_a
-    series, seed = integ.seed(v0)
-    r0, _ = integ.start(series, _R_SWITCH)
-    leg = solve_ivp(integ.rhs_v, (r0, _R_SWITCH), seed(r0), dense_output=True, **_TOL)
+    rhs, r0, y0 = _variational(integ, v0)
+    leg = solve_ivp(rhs, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)
     ref = OdeSolution(leg.t, [_scipy_step(row) for row in leg.sol.steps])
     xs = np.sort(np.concatenate([leg.t, 0.5 * (leg.t[1:] + leg.t[:-1]), [0.5 * r0, 1.1 * _R_SWITCH]]))
     assert leg.sol(xs).shape == (8, xs.size)
@@ -545,79 +557,56 @@ def test_variational_dense_output_is_scipys_odesolution_bit_for_bit(case_a):
     assert _hex(list(_point(step, mid))) == _hex(_scipy_step(step)(mid).tolist())
 
 
-def _tangent_legs(integ, sol):
-    """sol's tangent leg as _collocate shoots it: (mid, chart "v"'s state as
-    a function of r from _Integrator.seed at mid, the kernel's dense leg,
-    and a Dense over the same steps with the 7th-order rows in all eight
-    entries, rebuilt by the loops)."""
+def _tangent_and_oracle(integ, sol, rtol):
+    """sol's tangent as _collocate takes it, at the bracket's midpoint mid:
+    (mid, the _Tangent, the dense 8-entry oracle leg from the same start at
+    rtol, atol rtol / 100)."""
     up, dn = sol.record.bracket
     mid = 0.5 * (up + dn)
-    series, seed = integ.seed(mid)
-    r0, _ = integ.start(series, _R_SWITCH)
-    y0 = tuple(seed(r0))
-    leg = solve_ivp(integ.rhs_v, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)
-    steps = _loop_leg(integ.rhs_v, integ.rhs_v.events, (r0, _R_SWITCH), y0, _TOL["rtol"], _TOL["atol"], True)[2]
-    return mid, seed, leg, Dense(np.array(steps))
+    _, tangent = integ.tangent(mid)
+    rhs, r0, y0 = _variational(integ, mid)
+    assert r0 == tangent.ts[0]
+    return mid, tangent, solve_ivp(rhs, (r0, _R_SWITCH), y0, rtol=rtol, atol=1e-2 * rtol, dense_output=True)
+
+
+def test_taylor_tangent_matches_the_variational_leg(case_a, sol_a):
+    # Case A's tangent: the complex-step Taylor steps' end state X(mid) and
+    # dX/dv at r_switch (mapped by _r_to_s_state) against the 8-entry
+    # oracle leg at rtol 1e-13, X within 1e-12 L and dX/dv within 1e-12
+    # max |dX/dv| (measured: 2.9e-13 and 1.7e-13, the leg's own error: at
+    # rtol 1e-12 and 1e-14 the gaps read 3.1e-13 / 1.1e-13 and 1.5e-14 /
+    # 9.3e-15); on the lattice below r_switch the solve's W within 1e-13 L
+    # of the oracle's tangent at v0 (measured 7.7e-15 L)
+    integ = case_a[0]
+    mid, tangent, leg = _tangent_and_oracle(integ, sol_a, 1e-13)
+    assert leg.status == 0 and leg.t[-1] == tangent.ts[-1] == _R_SWITCH
+    x = _r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(tangent.y))
+    ref, ref_dx = (_r_to_s_state(integ.n, integ.m, _R_SWITCH, y) for y in np.split(leg.y[:, -1], 2))
+    assert np.max(np.abs(x.real - ref)) <= 1e-12 * integ.L
+    assert np.max(np.abs(x.imag / tangent.h - ref_dx)) <= 1e-12 * np.max(np.abs(ref_dx))
+    head = (sol_a.s_grid < math.log(_R_SWITCH)) & (sol_a.r_grid >= leg.t[0])
+    y = leg.sol(sol_a.r_grid[head])
+    old = _r_to_s_state(integ.n, integ.m, sol_a.r_grid[head], y[:4] + (sol_a.v0 - mid) * y[4:])
+    assert np.max(np.abs(sol_a.W[head] - old[0])) <= 1e-13 * integ.L
 
 
 def test_tangent_derivative_stays_near_its_7th_order_interpolant(case_a, sol_a):
-    # Case A's tangent leg: the state's dense rows are the 7th-order ones
-    # bit for bit, and the derivative dy/dv (entries 4..7) on its cubic
-    # Hermite stays within 1e-8 max |dy/dv| of the 7th-order interpolant
-    # the loops rebuild, on the lattice's nodes on the leg and at every
-    # step's midpoint (measured: 1.1e-9 on the nodes, 1.25e-9 at the
-    # midpoints; 6.0e-9 of max |dX/dv| once mapped by _r_to_s_state)
+    # Case A's tangent: the derivative dy/dv the Taylor steps' dense lists
+    # give (their imaginary parts over h) stays within 1e-12 max |dy/dv| of
+    # the 7th-order interpolant of the 8-entry oracle leg at _RTOL, and the
+    # state within 1e-13 max |y|, on the lattice's nodes on the steps and at
+    # every oracle step's midpoint (measured: 2.7e-14 and 6.1e-15).  The
+    # derivative is read as the tangent's change from mid to mid + |mid|,
+    # along which the tangent is linear.
     integ = case_a[0]
-    _, _, leg, full = _tangent_legs(integ, sol_a)
-    rows, full_rows = (d.steps[:, 2:].reshape(-1, 8, 8) for d in (leg.sol, full))
-    assert np.array_equal(rows[:, :, :4], full_rows[:, :, :4])
-    assert not np.any(rows[:, 4:, 4:]) and np.all(np.any(full_rows[:, 4:, 4:], axis=1))
+    mid, tangent, leg = _tangent_and_oracle(integ, sol_a, _RTOL)
     rr = sol_a.r_grid[(sol_a.r_grid >= leg.t[0]) & (sol_a.r_grid < _R_SWITCH)]
-    rr = np.concatenate([rr, 0.5 * (leg.t[1:] + leg.t[:-1])])
-    hermite, seventh = leg.sol(rr)[4:], full(rr)[4:]
-    assert np.max(np.abs(hermite - seventh)) <= 1e-8 * np.max(np.abs(seventh))
-
-
-def test_lattice_below_r_switch_stays_at_the_7th_order_tangent(case_a, sol_a):
-    # Case A's lattice below r_switch against the tangent the solve read
-    # before the derivative took the cubic Hermite: the 7th-order tangent on
-    # the leg and, below its start, the tangent of the series at mid (with
-    # its complex-step derivative).  W stays within 1e-15 L (measured:
-    # 2.0e-16 L, one ulp), X within 1e-13 L (measured: 9.4e-15 L, in the
-    # third derivative near r_switch, where |v0 - mid| |dX/dv| is largest)
-    integ = case_a[0]
-    mid, seed, leg, full = _tangent_legs(integ, sol_a)
-    head = sol_a.s_grid < math.log(_R_SWITCH)
-    rr = sol_a.r_grid[head]
-    seeded = rr < leg.t[0]
-    assert np.any(seeded) and not np.all(seeded)
-    y = full(rr)
-    y[:, seeded] = np.array(seed(rr[seeded]))
-    old = _r_to_s_state(integ.n, integ.m, rr, y[:4] + (sol_a.v0 - mid) * y[4:])
-    assert np.max(np.abs(sol_a.W[head] - old[0])) <= 1e-15 * integ.L
-    assert np.max(np.abs(sol_a.X[:, head] - old)) <= 1e-13 * integ.L
-
-
-def test_a_leading_entry_may_not_read_a_trailing_one():
-    with pytest.raises(ValueError, match=r"leading entry 1 reads an entry past the first 2: -u0 \+ u2"):
-        ivp.system("rhs_bad", (), ("u1", "-u0 + u2", "u3", "-u2"), (), lead=2)
-
-
-def test_trailing_entries_take_the_cubic_hermite():
-    # Two decoupled oscillators, the first leading: the loops' leg bit for
-    # bit, the second's rows 0.0 past the first four, the steps and the
-    # first's rows of the leg with both leading, and the second's cubic
-    # within the cubic Hermite's bound h^4 max |y''''| / 384 = h^4 / 384 of
-    # its cosine, h the longest step
-    rhs = ivp.system("rhs_osc_lead", (), ("u1", "-u0", "u3", "-u2"), (), lead=2)()
-    y0 = (1.0, 0.0, 1.0, 0.0)
-    got = _assert_rhs_leg_equals_the_loops(rhs, (0.0, 3.0), y0, True, lead=2)
-    both = solve_ivp(_OSCILLATORS(), (0.0, 3.0), y0, dense_output=True, **_TOL)
-    assert _hex(got.t.tolist()) == _hex(both.t.tolist()) and got.nfev == both.nfev
-    rows, both_rows = (leg.sol.steps[:, 2:].reshape(-1, 8, 4) for leg in (got, both))
-    assert not np.any(rows[:, 4:, 2:]) and np.array_equal(rows[:, :, :2], both_rows[:, :, :2])
-    xs = np.linspace(0.0, 3.0, 301)
-    assert np.max(np.abs(got.sol(xs)[2] - np.cos(xs))) <= np.max(np.diff(got.t)) ** 4 / 384.0
+    rr = np.sort(np.concatenate([rr, 0.5 * (leg.t[1:] + leg.t[:-1])]))
+    seventh = leg.sol(rr)
+    state = tangent(rr, mid)
+    slope = (tangent(rr, mid + abs(mid)) - state) / abs(mid)
+    assert np.max(np.abs(slope - seventh[4:])) <= 1e-12 * np.max(np.abs(seventh[4:]))
+    assert np.max(np.abs(state - seventh[:4])) <= 1e-13 * np.max(np.abs(seventh[:4]))
 
 
 # four decoupled oscillators and no events

@@ -599,17 +599,28 @@ def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
             return counted_rhs
         return make
 
+    plain_taylor = _Integrator.taylor
+    taylor_steps = []
+
+    def counted_taylor(self, y, r):
+        assert inside == []
+        taylor_steps.append(r)
+        return plain_taylor(self, y, r)
+
     monkeypatch.setattr(biharm.shooting, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(_Integrator, "taylor", counted_taylor)
     for chart, factory in biharm.shooting._CHARTS.items():
         monkeypatch.setitem(biharm.shooting._CHARTS, chart, counted(factory))
     sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
-    assert set(nfev) == {"rhs_r", "rhs_s", "rhs_v"}
+    assert set(nfev) == {"rhs_r", "rhs_s"}
     assert nfev == evaluated
-    # the solve's record holds the same legs
+    # the solve's record holds the same legs, and the tangent's one leg of
+    # Taylor steps (chart "v") with its step count
     recorded = Counter()
     for chart, _, count, _ in sol.record.legs:
         recorded["rhs_" + chart] += count
-    assert recorded == nfev
+    assert recorded == nfev + Counter(rhs_v=len(taylor_steps)) and len(taylor_steps) > 1
+    assert [leg for leg in sol.record.legs if leg[0] == "v"] == [("v", np.finfo(float).eps, len(taylor_steps), 0)]
 
 
 def test_shoot_compiles_nothing(sol_quick, monkeypatch):
@@ -626,31 +637,22 @@ def test_shoot_compiles_nothing(sol_quick, monkeypatch):
     assert v0 == sol_quick.v0
 
 
-def _tangent_leg(integ, v, dense=True):
-    """(outcome, sol) of integ's variational r-chart leg (chart "v") from the
-    origin to r_switch at v, at _RTOL, as _collocate shoots it."""
-    series, seed = integ.seed(v)
-    r0, _ = integ.start(series, _R_SWITCH)
-    return integ.leg("v", (r0, _R_SWITCH), seed(r0), dense)
-
-
 def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick):
-    # Below r_switch the solve is, from the start of the dense variational
-    # r-chart leg at the bracket's midpoint mid (the leg of the collocation's
-    # left condition) on, the tangent at its v0, u = u(mid) + (v0 - mid)
-    # du/dv, and below that start the series at v0 itself, mapped by
-    # _r_to_s_state, bit for bit.
+    # Below r_switch the solve is, from the start of the Taylor steps at the
+    # bracket's midpoint mid (the steps of the collocation's left condition)
+    # on, their tangent at its v0, u = u(mid) + (v0 - mid) du/dv, and below
+    # that start the series at v0 itself, mapped by _r_to_s_state, bit for
+    # bit.
     sol = sol_quick
     up, dn = sol.record.bracket
     mid = 0.5 * (up + dn)
     integ = _Integrator(sol.params)
     head = sol.s_grid < math.log(_R_SWITCH)
     rr = sol.r_grid[head]
-    _, leg = _tangent_leg(integ, mid)
-    seeded = rr < leg.t[0]
+    _, tangent = integ.tangent(mid)
+    seeded = rr < tangent.ts[0]
     assert np.any(seeded) and not np.all(seeded)
-    y = leg.sol(rr[~seeded])
-    u, du = y[0] + (sol.v0 - mid) * y[4], y[1] + (sol.v0 - mid) * y[5]
+    u, du = tangent(rr[~seeded], sol.v0)[:2]
     rm = rr[~seeded]**integ.m
     W = rm * u
     assert np.array_equal(sol.W[head][~seeded], W)
@@ -1088,6 +1090,28 @@ def test_heights_off_the_lattice_raise_before_any_shot(sol_quick, monkeypatch):
     assert short.s_grid[0] >= math.log(_R_SEED)
 
 
+@pytest.mark.parametrize("alpha, r_max, lift", [(1e40, 1e4, "inf"), (1e-40, 1e300, "0")])
+def test_heights_whose_v0_scale_leaves_the_floats_raise_before_any_shot(sol_quick, monkeypatch, alpha, r_max, lift):
+    # kappa^(m+2), which maps v0 between the heights, must be a finite,
+    # nonzero float: at alpha = 1e40 it overflows (the solve ran and then
+    # raised OverflowError in rescale_solution), at alpha = 1e-40 it rounds
+    # to 0 (shoot returned v0 = -0.0, integrate_radial divided by zero),
+    # while kappa and kappa r_max are in range
+    params = sol_quick.params
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("shot before the entry check")
+
+    monkeypatch.setattr(_Integrator, "shot", refuse)
+    kappa = alpha ** (1.0 / params.m)
+    assert math.isfinite(kappa) and _R_SEED < kappa * r_max < math.inf
+    message = re.escape(f"kappa = alpha^(1/m) = {kappa:.6g} and v0 by kappa^(m+2) = {lift}:")
+    with pytest.raises(InvalidParams, match=message):
+        shoot(params, alpha=alpha, r_max=r_max)
+    with pytest.raises(InvalidParams, match=message):
+        integrate_radial(params, alpha=alpha, v0=-0.1, r_max=r_max)
+
+
 def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_rtol():
     # n = 40 at p_c: with every stage-1 trial at rtol 1e-8 its bracket once
     # collapsed to one ulp, where a chord between the bracket's ends read
@@ -1149,8 +1173,8 @@ def _record_collocation(params, r_max, monkeypatch):
 def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
     # The collocation's left condition puts y = (X - X*)/L at r_switch on the
     # tangent at the midpoint mid of stage 1's bracket: ya and slope are the
-    # end state of a full-tolerance variational r-chart leg at mid and its
-    # derivative in v0, each mapped by _r_to_s_state, bit for bit.  The
+    # end state of the complex-step Taylor steps at mid, real parts and
+    # imaginary parts over h, mapped by _r_to_s_state, bit for bit.  The
     # bracket brackets stage 1's loose root, so v0 may land past an end,
     # within the guard's distance (measured 2.0e-13 past a bracket 9.2e-14
     # relative wide, 7.3e-13 relative).  On a bracket as wide as the stop
@@ -1171,11 +1195,11 @@ def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
 
     # the left condition y_l - ya - (v - mid) slope = 0
     mid = 0.5 * (up + dn)
-    _, leg = _tangent_leg(integ, mid, dense=False)
-    x_mid, dx = (_r_to_s_state(integ.n, integ.m, _R_SWITCH, y) for y in np.split(leg.y[:, -1], 2))
+    _, tangent = integ.tangent(mid)
+    x = _r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(tangent.y))
     assert bvp.v_ref == mid
-    assert np.array_equal(bvp.ya, (x_mid - x_star) / integ.L)
-    assert np.array_equal(bvp.slope, dx / integ.L)
+    assert np.array_equal(bvp.ya, (x.real - x_star) / integ.L)
+    assert np.array_equal(bvp.slope, x.imag / tangent.h / integ.L)
 
     def start(v):
         _, _, sol_s = integ.shot(v, r_cls)
@@ -1197,28 +1221,99 @@ def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
 
 
 def test_tangent_slope_is_the_derivative_of_the_r_switch_state(sol_quick):
-    # The tangent's slope, dX/dv at r_switch from the variational leg
-    # _collocate shoots at the bracket's midpoint mid, over L, agrees with a
+    # The tangent's slope, dX/dv at r_switch from the Taylor steps
+    # _collocate takes at the bracket's midpoint mid, over L, agrees with a
     # central difference of two full-tolerance shots' r_switch states at
-    # mid -+ 1e-6 |mid| to 1e-8 relative: one step sequence differentiates
-    # the leg (measured: 8.7e-10).  The bracket is the widest the stop
-    # accepts about case A's v0 at r_max 500.
+    # mid -+ 1e-6 |mid| to 1e-8 relative (measured: 3.2e-9).  The bracket
+    # is the widest the stop accepts about case A's v0 at r_max 500.
     integ = _Integrator(sol_quick.params)
     r_cls = 500.0 * math.exp(_S_PAD)
     half = 0.5 * (1.0 - 1e-6) * _BRACKET_STOP * abs(sol_quick.v0)
     up, dn = sol_quick.v0 + half, sol_quick.v0 - half
     _, _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
-    _, (mid, leg), _, _ = biharm.shooting._collocate(integ, guess, up, dn, r_cls)
-    assert mid == 0.5 * (up + dn) and leg.y.shape[0] == 8
+    _, tangent, _, _ = biharm.shooting._collocate(integ, guess, up, dn, r_cls)
+    mid = tangent.v
+    assert mid == 0.5 * (up + dn)
 
     def state(v):
         _, sol_r, _ = integ.shot(v, _R_SWITCH)
         return _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1]) / integ.L
 
-    slope = _r_to_s_state(integ.n, integ.m, _R_SWITCH, leg.y[4:, -1]) / integ.L
+    slope = _r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(tangent.y)).imag / tangent.h / integ.L
     dv = 1e-6 * abs(mid)
     central = (state(mid + dv) - state(mid - dv)) / (2.0 * dv)
     assert np.max(np.abs(slope - central)) <= 1e-8 * np.max(np.abs(central))
+
+
+@pytest.mark.parametrize("cell", list(_SERIES_CELLS))
+@pytest.mark.parametrize("v0", [_PROBE_HI, -0.3, -30.0, _PROBE_LO])
+def test_a_taylor_step_inside_the_series_disk_is_the_series(cell, v0):
+    # One Taylor step about r_c = r0 / 2, half the series' start, from the
+    # series state there: the step reaches at least a fifth of the way to
+    # r0 (measured: a third or more), and at eight points up to its end
+    # each entry is the series' own state to 2 p eps of the series terms'
+    # absolute sum, p the condition of u^p (measured: at most 0.44 p eps,
+    # 0.5 to 86 eps)
+    integ = _series_integrator(cell)
+    series = integ.series(v0)
+    r0, _ = integ.start(series, _R_SWITCH)
+    rc = 0.5 * r0
+    coeffs = integ.taylor(series.state(rc), rc)
+    assert all(len(c) == _SERIES_ORDER + 1 for c in coeffs)
+    t_end = biharm.shooting._truncation(coeffs, r0 - rc)
+    assert 0.2 * (r0 - rc) < t_end <= r0 - rc
+    eps = np.finfo(float).eps
+    for t in np.linspace(0.0, t_end, 9)[1:].tolist():
+        r = rc + t
+        sums = [sum(abs(a) * r ** (2 * k) for k, a in enumerate(c)) * (r if i % 2 else 1.0)
+                for i, c in enumerate(series.coeffs)]
+        for got, want, total in zip((biharm.shooting._horner(c, t) for c in coeffs), series.state(r), sums):
+            assert abs(got - want) <= 2.0 * integ.p * eps * total
+
+
+@pytest.mark.parametrize("fixture", ["sol_a", "sol_b", "sol_c"])
+def test_tangent_slope_is_a_central_difference_of_real_taylor_tangents(fixture, request):
+    # dX/dv at r_switch from the complex step agrees with a central
+    # difference of the real parts (the Taylor steps' real arithmetic) at
+    # mid (1 -+ 1e-7) to 1e-7 of max |dX/dv| (measured: 3.2e-9, 5.8e-11,
+    # 2.1e-9 on A, B, C: the ends' rounding over the difference)
+    sol = request.getfixturevalue(fixture)
+    integ = _Integrator(sol.params)
+    up, dn = sol.record.bracket
+    mid = 0.5 * (up + dn)
+
+    def end(v):
+        _, tangent = integ.tangent(v)
+        return tangent, _r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(tangent.y))
+
+    tangent, x = end(mid)
+    slope = x.imag / tangent.h
+    lo, hi = (end(mid * (1.0 + d))[1].real for d in (-1e-7, 1e-7))
+    central = (hi - lo) / (2e-7 * mid)
+    assert np.max(np.abs(slope - central)) <= 1e-7 * np.max(np.abs(slope))
+
+
+@pytest.mark.parametrize("cell", list(_PROBE_CELLS))
+def test_every_taylor_step_meets_the_truncation_rule(cell):
+    # Each step of the tangent at the law's v0 = -1.4557 / sqrt(p) keeps the
+    # last two terms |c_k| t^k, k = K - 1, K, of each of its four lists
+    # below eps max(|c_0|, |c_1| t), up to the rounding of the rule and of
+    # t read back from the step ends (1.6e-12 relative at most); the steps
+    # tile [r0, r_switch], or end at the first step end past an escape (on
+    # n20_pc, far from the law, a sign loss at r = 8.19), and the record
+    # holds their count and outcome
+    n, p_of_pc = _PROBE_CELLS[cell]
+    integ = _Integrator(ProblemParams(n, p_of_pc(compute_pc(n))))
+    escape, tangent = integ.tangent(-1.4557 / math.sqrt(integ.p))
+    status = int(isinstance(escape, (BlowUp, SignLoss)))
+    assert (tangent.ts[-1] == _R_SWITCH) == (status == 0) and (status == 1) == (cell == "n20_pc")
+    assert np.all(np.diff(tangent.ts) > 0.0) and len(tangent.steps) == len(tangent.ts) - 1
+    eps = np.finfo(float).eps
+    for coeffs, t in zip(tangent.steps, np.diff(tangent.ts).tolist()):
+        for c in coeffs:
+            bound = eps * max(abs(c[0]), abs(c[1]) * t) * (1.0 + 1e-9)
+            assert abs(c[-1]) * t ** (len(c) - 1) <= bound and abs(c[-2]) * t ** (len(c) - 2) <= bound
+    assert integ.work["legs"] == (("v", eps, len(tangent.steps), status),)
 
 
 @pytest.mark.parametrize("fixture", ["sol_quick", "sol_c"])
@@ -1317,11 +1412,12 @@ def test_singular_band_names_its_round(pc13, monkeypatch):
 
 
 def test_failing_tangent_leg_names_its_stage(pc13, monkeypatch):
-    # a tangent whose dense variational r-chart leg ends before r_switch
-    # raises NoConvergence naming the stage, the leg's v0 and outcome, the
+    # a tangent whose Taylor steps end in an escape before r_switch raises
+    # NoConvergence naming the stage, the steps' v0 and outcome, the
     # s-domain and the v0 bracket, as every collocation NoConvergence does
     # (case A at r_max 500 with stage 1's bracket moved, its width kept, to
-    # a midpoint of about v0 = -0.4, whose leg loses its sign at r = 9.44)
+    # a midpoint of about v0 = -0.4, whose solution loses its sign at
+    # r = 9.44: the first step end with u < 0 is r = 9.81)
     plain = biharm.shooting._collocate
 
     def moved(integ, leg, up, dn, r_cls):
@@ -1539,18 +1635,11 @@ def test_stage_1_step_failure_is_reraised(pc13, monkeypatch, w_over_L):
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
 def test_dense_tangent_leg_replays_plain_full_tolerance_shots(fixture, r_max, request):
-    # One shot geometry: dense output only adds interpolants, so the
-    # tangent's dense leg at the bracket's midpoint takes the steps of a
-    # plain full-tolerance leg, and the tangent and v0 are those of a plain
-    # leg; a dense shot at v0 (integrate_radial's) ends on the plain shot's
-    # residual and starts its s-chart from the same r_switch state, bit for
-    # bit.
+    # One shot geometry: dense output only adds interpolants, so a dense
+    # shot at v0 (integrate_radial's) ends on the plain shot's residual and
+    # starts its s-chart from the same r_switch state, bit for bit.
     sol = request.getfixturevalue(fixture)
-    up, dn = sol.record.bracket
     integ = _Integrator(sol.params)
-    (_, leg_dense), (_, leg) = (_tangent_leg(integ, 0.5 * (up + dn), dense) for dense in (True, False))
-    assert leg_dense.sol is not None and leg.sol is None
-    assert np.array_equal(leg_dense.t, leg.t) and np.array_equal(leg_dense.y, leg.y)
     r_cls = r_max * math.exp(_S_PAD)
     rho_dense, sol_r_dense, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
     rho, sol_r, sol_s = integ.shot(sol.v0, r_cls)
@@ -1660,10 +1749,11 @@ def test_stage_1_opens_with_two_probes(cell, request):
 @pytest.mark.parametrize("rtol, atol", [(None, 1e-14), (5e-13, 5e-15)])
 def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
     # The one solve_ivp call site passes atol = rtol / 100, both floats:
-    # every leg the solution is built from at _RTOL (None: _RTOL as
-    # defined), every stage-1 shot at the rtol of the bracket its trial x
-    # splits, max(_RTOL_BRACKET, _RTOL_PROBE min(1, w / |x|)) for a bracket
-    # of width w: so in [_RTOL_BRACKET, _RTOL_PROBE], exactly _RTOL_BRACKET
+    # a single shot's legs (integrate_radial's, at the solve's v0) at _RTOL
+    # (None: _RTOL as defined), every stage-1 shot at the rtol of the
+    # bracket its trial x splits, max(_RTOL_BRACKET, _RTOL_PROBE
+    # min(1, w / |x|)) for a bracket of width w: so in
+    # [_RTOL_BRACKET, _RTOL_PROBE], exactly _RTOL_BRACKET
     # once w < _RTOL_PROBE |x|, and on the opening's two probes (the law's
     # pair, which brackets case A) _RTOL_PROBE and 0.68 _RTOL_PROBE.
     if rtol is not None:
@@ -1686,6 +1776,8 @@ def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
     monkeypatch.setattr(biharm.shooting, "solve_ivp", recording_solve_ivp)
     monkeypatch.setattr(_Integrator, "shot", recording_shot)
     sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
+    assert rtol not in {r for r, _ in seen}
+    integrate_radial(sol.params, 1.0, sol.v0, 60.0)
     assert all(type(r) is type(a) is float and a == 1e-2 * r for r, a in seen)
     assert (rtol, atol) in seen and atol == 1e-2 * rtol
     stage_1 = {r for r, _ in seen} - {rtol}

@@ -89,9 +89,11 @@ def test_scaling_covariance_suite_passes():
 def test_record_payload_splits_each_chart_by_rtol_decade():
     # per chart the legs, their RHS evaluations, those keyed by the decade
     # 10^floor(log10 rtol) of each leg's rtol, and the step failures; a
-    # chart without legs reads zeros; rounds become named fields
+    # chart without legs reads zeros; rounds become named fields.  The
+    # tangent's Taylor steps are one chart-"v" leg at rtol eps, its step
+    # count in place of nfev
     legs = (("r", 1e-12, 5, 0), ("r", 1e-8, 3, -1), ("s", np.float64(9.99e-6), 2, 0),
-            ("s", 1e-5, 4, 0), ("s", 1e-4, 1, -1))
+            ("s", 1e-5, 4, 0), ("s", 1e-4, 1, -1), ("v", np.finfo(float).eps, 6, 0))
     record = SolveRecord(legs=legs, trials=7, bracket=(-0.5, -0.6),
                          rounds=((200, 8, 1e-6, 645), (645, 1, 1e-11, None)))
     payload = record_payload(record)
@@ -100,7 +102,7 @@ def test_record_payload_splits_each_chart_by_rtol_decade():
               "step_failures": 1},
         "s": {"calls": 3, "nfev": 7, "nfev_by_rtol": {"1e-06": 2, "1e-05": 4, "1e-04": 1},
               "step_failures": 1},
-        "v": {"calls": 0, "nfev": 0, "nfev_by_rtol": {}, "step_failures": 0},
+        "v": {"calls": 1, "nfev": 6, "nfev_by_rtol": {"1e-16": 6}, "step_failures": 0},
     }
     assert (payload["trials"], payload["bracket"]) == (7, (-0.5, -0.6))
     assert payload["rounds"] == [
@@ -109,6 +111,8 @@ def test_record_payload_splits_each_chart_by_rtol_decade():
     ]
     empty = record_payload(SolveRecord())
     assert (empty["trials"], empty["bracket"], empty["rounds"]) == (None, None, [])
+    assert all(chart == {"calls": 0, "nfev": 0, "nfev_by_rtol": {}, "step_failures": 0}
+               for chart in empty["charts"].values())
 
 
 @pytest.mark.parametrize("n, k", [(13, 2), (25, 3), (40, 15)])

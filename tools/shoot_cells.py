@@ -32,11 +32,13 @@ any tree whose biharm.verify has these four writers.
 --diff compares two such outputs (say, of a parent tree and of a change)
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
-failed invariants), RHS evaluations, stage-1 shots (the r-chart legs: the
-opening's probes and the trials), root-search trials, the collocation's
-last round's nodes and the rounds as nodes/rounds ("-" without a finished
-round; marked ":failed" when the solve failed), and whether v0, W (by
-w_sha256) and the dumps (by dump_sha256) are identical.  Then it prints
+failed invariants), RHS evaluations (chart "v", the tangent's Taylor
+steps, counts its steps there, at rtol eps: "1e-16" in the rtol split),
+stage-1 shots (the r-chart legs: the opening's probes and the trials),
+root-search trials, the collocation's last round's nodes and the rounds as
+nodes/rounds ("-" without a finished round; marked ":failed" when the solve
+failed), and whether v0, W (by w_sha256) and the dumps (by dump_sha256) are
+identical.  Then it prints
 |dv0|/|v0| per cell whose v0 differs and the largest, the totals (RHS
 evaluations, per chart and by rtol on each side; step failures, with one
 "step failures rose" line per cell whose count rose; stage-1 shots;
