@@ -10,18 +10,17 @@ other height.  Near the origin the regular solution is a power series in
 r^2, fixed by phi(0) = 1 and v0 = (Laplacian phi)(0); each shot starts
 from that series, truncated, at the largest radius, up to half the leg's
 end, where the truncation stays below rounding (in closed form, from its
-last two terms) and no escape event can lie before it.
-Integration proceeds in r from there out to a switch radius and then
-continues in the logarithmic variable s = log r on the transformed state
-(W, W', W'', W''') with W(s) = e^{m s} phi(e^s), whose linear part has
-constant coefficients; the r-chart loses relative precision over many
-decades while the s-chart is the natural long-range frame.
+last two terms) and no escape event can lie before it.  A shot is one
+integration in r from there to its end radius.
 
 The entire positive solution is found in two stages: a safeguarded root
 search on v0 between blow-up and sign-loss shots brackets it, and one
-collocation boundary value problem on the s-chart then closes it, with the
-stable modes pinned at the switch radius and the unstable one removed at
-the far end.
+collocation boundary value problem closes it beyond a switch radius.  The
+collocation runs in the logarithmic variable s = log r on the transformed
+state (W, W', W'', W''') with W(s) = e^{m s} phi(e^s), whose linear part
+has constant coefficients, so the s-chart is its natural long-range frame:
+the stable modes are pinned at the switch radius and the unstable one is
+removed at the far end.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .spectrum import Spectrum, compute_spectrum
 # chart geometry
 _R_SEED = 1e-3       # lattice start
 _SERIES_ORDER = 32   # the series start keeps r^0 .. r^(2 * _SERIES_ORDER)
-_R_SWITCH = 10.0     # hand-off from the r-chart to the s-chart
+_R_SWITCH = 10.0     # the collocation's left end, where the tangent hands off to the s-chart
 _R_HORIZON = 500.0   # least radius to which shoot classifies shots and collocates
 _BLOWUP = 1.5        # W/L at which a shot blows up, at most; the entire solution keeps W < L
 _DS = 0.01           # uniform s-grid spacing of the returned solution
@@ -144,17 +143,18 @@ class RadialSolution:
     state X = (W, W', W'', W''') of W = r^m phi, shape (4, s_grid.size),
     on the s-lattice s_grid.
 
-    X is sampled from the states the phi(0) = 1 solve was solved in: up to
-    r_switch the r-chart part (shoot's: the tangent at v0 of the Taylor
-    steps at the bracket's midpoint; a single shot's: its one leg; the
-    series at v0 below their start), mapped to s-derivatives by
-    _r_to_s_state, the s-chart beyond.
+    X is sampled from the states the phi(0) = 1 solve was solved in, the
+    r-chart ones mapped to s-derivatives by _r_to_s_state: a single shot's
+    is its one r-chart leg throughout; shoot's is, up to r_switch, the
+    tangent at v0 of the Taylor steps at the bracket's midpoint, and the
+    collocation's s-chart state beyond; below the leg's or the steps'
+    start, the series at v0.
     The scale map to phi(0) = alpha keeps X and shifts s_grid.  Everything
     else follows from them: W = X[0], Z = Y' - lam4 Y = W' - lam4 Y,
     r_grid = e^s, phi = W / r^m and Y = W - L.  seam_residual is
-    max_i |X_i - X_r,i| / L at r_switch, between the s-chart's start state
-    and the r-chart part's end state X_r; it is 0.0 for a single shot,
-    whose s-chart starts from X_r.  record is the SolveRecord of the solve.
+    max_i |X_i - X_r,i| / L at r_switch, between the collocation's start
+    state and the tangent's end state X_r; it is 0.0 for a single shot,
+    which has no seam.  record is the SolveRecord of the solve.
     """
 
     params: ProblemParams
@@ -367,26 +367,20 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
     return np.array([w0, w1, w2, w3])
 
 
-# The charts' right-hand sides and terminal events, written once as
-# expressions in x (r or s) and the state u0..u3: (u, u', Delta u,
-# (Delta u)') in the r-chart, (W, W', W'', W''') in the s-chart.  u^p is
-# taken on the positive branch (trial states may dip below zero transiently)
-# and capped so rejected trial steps cannot overflow.  Blow-up is the
-# scale-aware bound r^m u >= wcap = (1 + a) L, a = min(_BLOWUP - 1,
-# 20 / (p - 1)), where (W/L)^(p-1) has grown by at most e^20, so that u^p
-# cannot stall the steps before the event at any p.  No raw |u| ceiling.
-# The collocation's tangent takes the r-chart state and its derivative in
-# v0 from Taylor steps (_Integrator.tangent), which the record names chart
-# "v".
-_POWER = "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0)"
-_CHARTS = {
-    "r": system("rhs_r", ("p", "cap", "nm1", "m", "wcap"),
-                ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x"),
-                (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1))),
-    "s": system("rhs_s", ("p", "cap", "c1", "c2", "c3", "c4", "wcap"),
-                ("u1", "u2", "u3", _POWER + " - (c1 * u3 + c2 * u2 + c3 * u1 + c4 * u0)"),
-                (("sign_loss", "u0", -1), ("amplitude_cross", "u0 - wcap", 1))),
-}
+# The r-chart's right-hand side and terminal events, the shots' one
+# integrated system, written once as expressions in x = r and the state
+# u0..u3 = (u, u', Delta u, (Delta u)').  u^p is taken on the positive
+# branch (trial states may dip below zero transiently) and capped so
+# rejected trial steps cannot overflow.  Blow-up is the scale-aware bound
+# r^m u >= wcap = (1 + a) L, a = min(_BLOWUP - 1, 20 / (p - 1)), where
+# (W/L)^(p-1) has grown by at most e^20, so that u^p cannot stall the steps
+# before the event at any p.  No raw |u| ceiling.  The collocation's
+# tangent takes the same state and its derivative in v0 from Taylor steps
+# (_Integrator.tangent), which the record names chart "v".
+_R_CHART = system("rhs_r", ("p", "cap", "nm1", "m", "wcap"),
+                  ("u1", "u2 - nm1 * u1 / x", "u3",
+                   "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0) - nm1 * u3 / x"),
+                  (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1)))
 
 
 class _Integrator:
@@ -402,12 +396,10 @@ class _Integrator:
         self.L = self.spec.L
         self.blowup = min(_BLOWUP - 1.0, 20.0 / (self.p - 1.0))  # W/L - 1 at blow-up
         self.wcap = (1.0 + self.blowup) * self.L
-        # each chart's right-hand side, with its events, on this
-        # configuration's constants
-        self.s_coeffs = c1, c2, c3, c4 = _s_operator_coeffs(self.n, self.m).tolist()[1:]
-        common = dict(p=self.p, cap=self.pow_cap, wcap=self.wcap)
-        self.rhs_r = _CHARTS["r"](nm1=self.n - 1.0, m=self.m, **common)
-        self.rhs_s = _CHARTS["s"](c1=c1, c2=c2, c3=c3, c4=c4, **common)
+        # the r-chart's right-hand side, with its events, and the s-chart's
+        # operator, on this configuration's constants
+        self.rhs_r = _R_CHART(p=self.p, cap=self.pow_cap, nm1=self.n - 1.0, m=self.m, wcap=self.wcap)
+        self.s_coeffs = _s_operator_coeffs(self.n, self.m).tolist()[1:]
         # the series' recurrence (see _Series) on the tables every v0
         # shares: 2n, Miller's weights, the denominators and the factors of
         # Delta u's b_j
@@ -426,8 +418,9 @@ class _Integrator:
         return _Series(self.series_recurrence, v0)
 
     def start(self, series: _Series, r_end: float):
-        """(r0, series state at r0): where and from what the r-chart leg to
-        r_end starts, r0 = series.seed_radius up to r_end / 2, at any r0 > 0
+        """(r0, series state at r0): where and from what a shot's leg or the
+        tangent's steps start, r0 = series.seed_radius up to r_end / 2
+        (r_end = min(r_switch, r_max) for a shot to r_max), at any r0 > 0
         (below _R_SEED too, where the lattice then comes from the leg)."""
         r0 = series.seed_radius(self.m, self.wcap, 0.5 * r_end)
         return r0, series.state(r0)
@@ -483,53 +476,38 @@ class _Integrator:
         self.work["legs"] += (("v", _EPS, len(steps), int(escape is not None)),)
         return escape, _Tangent(v, h, np.array(ts), steps, y)
 
-    def leg(self, chart: str, span, y0, dense: bool = False, rtol: float | None = None):
-        """Integrate one leg of chart "r" or "s" over span at rtol (None:
+    def leg(self, span, y0, dense: bool = False, rtol: float | None = None):
+        """Integrate one r-chart leg over span = (r0, r1) at rtol (None:
         _RTOL), atol rtol / 100; returns (outcome, sol), sol the solve_ivp
-        result.  outcome is the float residual W/L - 1 at the end of the
-        span, SignLoss at the sign_loss event, else BlowUp at the
-        amplitude_cross event, at the radius r the leg ended.  A step
-        failure raises StepFailure.
+        result.  outcome is the float residual W/L - 1 at r1, SignLoss at
+        the sign_loss event, else BlowUp at the amplitude_cross event, at
+        the radius r the leg ended.  A step failure raises StepFailure.
         """
         rtol = _RTOL if rtol is None else rtol
-        sol = solve_ivp(getattr(self, "rhs_" + chart), span, y0, rtol=rtol, atol=1e-2 * rtol,
-                        dense_output=dense)
-        self.work["legs"] += ((chart, rtol, sol.nfev, sol.status),)
-        x = "s" if chart == "s" else "r"  # the leg's variable
-        t_end = float(sol.t[-1])
-        r_end = t_end if x == "r" else math.exp(t_end)
+        sol = solve_ivp(self.rhs_r, span, y0, rtol=rtol, atol=1e-2 * rtol, dense_output=dense)
+        self.work["legs"] += (("r", rtol, sol.nfev, sol.status),)
+        r_end = float(sol.t[-1])
         if sol.status == 0:
-            w_end = float(t_end**self.m * sol.y[0, -1] if x == "r" else sol.y[0, -1])
-            return w_end / self.L - 1.0, sol
+            return float(r_end**self.m * sol.y[0, -1]) / self.L - 1.0, sol
         if sol.event == "sign_loss":
             return SignLoss(r=r_end), sol
         if sol.event:
             return BlowUp(r=r_end), sol
         raise StepFailure(
-            f"{chart}-chart step failed at r = {r_end:.6g}: step size {sol.step:.3g} in "
-            f"{x} is below 10 ulp of {x} = {t_end:.17g}, on the leg over {x} "
-            f"in [{span[0]:.6g}, {span[1]:.6g}]"
+            f"r-chart step failed at r = {r_end:.6g}: step size {sol.step:.3g} in r is below "
+            f"10 ulp of r = {r_end:.17g}, on the leg over r in [{span[0]:.6g}, {span[1]:.6g}]"
         )
 
     def shot(self, v0: float, r_max: float, dense: bool = False, rtol: float | None = None):
-        """Integrate one shot from the origin, its legs at rtol as for `leg`;
-        returns (outcome, sol_r, sol_s).
-
-        outcome is as for `leg`, at r_max.  sol_r is the r-chart solve_ivp
-        result, a leg that ends at min(r_switch, r_max); sol_s is the s-chart
-        one from log r_switch, started from sol_r's end state, or None when
-        the shot ended in the r-chart (an outcome before r_switch, or
-        r_max <= r_switch).  dense only adds the interpolants: solve_ivp takes
-        the same steps either way, so a dense shot replays the plain one.
+        """Integrate one shot from the origin: the r-chart leg (`leg`, at
+        rtol) from the series' start r0 to r_max; returns (outcome, sol) as
+        `leg` does.  r0 is `start`'s up to min(r_switch, r_max) / 2, the
+        tangent's own start.  dense only adds the interpolants: solve_ivp
+        takes the same steps either way, so a dense shot replays the plain
+        one.
         """
-        r_end = min(_R_SWITCH, r_max)
-        r0, y0 = self.start(self.series(v0), r_end)
-        outcome, sol_r = self.leg("r", (r0, r_end), y0, dense, rtol)
-        if r_max <= _R_SWITCH or isinstance(outcome, (BlowUp, SignLoss)):
-            return outcome, sol_r, None
-        w0 = _r_to_s_state(self.n, self.m, _R_SWITCH, sol_r.y[:, -1])
-        outcome, sol_s = self.leg("s", (math.log(_R_SWITCH), math.log(r_max)), w0, dense, rtol)
-        return outcome, sol_r, sol_s
+        r0, y0 = self.start(self.series(v0), min(_R_SWITCH, r_max))
+        return self.leg((r0, r_max), y0, dense, rtol)
 
 
 def _scale(m: float, alpha: float, r_max: float | None = None) -> float:
@@ -568,22 +546,21 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     when the trajectory stays positive and bounded to r_max, otherwise the
     BlowUp or SignLoss outcome, its radius divided by kappa.  The full
     solution grids require the spectrum, so params must be at or above the
-    critical exponent.  The shot runs to kappa r_max e^{_S_PAD}; for
-    alpha = 1 and r_max >= _R_HORIZON that is shoot's classification
-    horizon.  Below r_switch it is the r-chart leg at v0 and, below the
-    leg's start, the series at v0: shoot's solution there is the same series
-    and, from the leg's start on, the tangent at its v0 of the Taylor steps
-    (_Integrator.tangent), which a shot at shoot's v0 meets to within the
-    leg's integration error.
+    critical exponent.  The shot, one dense r-chart leg, runs to
+    kappa r_max e^{_S_PAD}; for alpha = 1 and r_max >= _R_HORIZON that is
+    shoot's classification horizon.  The solution is that leg and, below
+    its start, the series at v0.  Below r_switch, shoot's solution is the
+    same series and, from the leg's start on, the tangent at its v0 of the
+    Taylor steps (_Integrator.tangent), which a shot at shoot's v0 meets to
+    within the leg's integration error.
     """
     kappa = _scale(params.m, alpha, r_max)
     r_max, v0 = kappa * r_max, v0 / kappa ** (params.m + 2.0)
     integ = _Integrator(params)
-    outcome, sol_r, sol_s = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
+    outcome, leg = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return replace(outcome, r=outcome.r / kappa)
-    tail = sol_s.sol if sol_s else None
-    sol = _assemble_solution(integ, v0, r_max, (sol_r.t[0], sol_r.sol), tail, seam=0.0)
+    sol = _assemble_solution(integ, v0, r_max, (leg.t[0], leg.sol), None, seam=0.0)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
@@ -591,8 +568,8 @@ def _sample_state(integ, v0, head, tail, s_nodes):
     """The state X of W = r^m phi at s_nodes, from the solved states.
 
     Nodes below log r_switch come from the r-chart (all of them when tail,
-    the s-chart's X at ascending s, is None).  head is (r_h, y): y(rr) the
-    r-chart state at the radii rr >= r_h, a single shot's dense r-chart leg
+    the collocation's X at ascending s, is None).  head is (r_h, y): y(rr)
+    the r-chart state at the radii rr >= r_h, a single shot's dense leg
     from its start r_h, or shoot's tangent at v0 from the Taylor steps'
     start (_Tangent).  A node below r_h takes the series state at v0; below
     the Taylor steps it stands for the tangent of the series at their v,
@@ -730,15 +707,16 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     rung 0, then rung 1 when rung 0 blows up, then rung by rung outward on
     the side the root lies on until a probe flips, out to _PROBE_HI and
     _PROBE_LO (BracketNotFound past them).  _bisect shrinks the bracket
-    with full shots (model steps on the values of _escape_law, kept safe by
-    midpoints) until it is narrower than _BRACKET_STOP relative to v0 and
-    its blow-up end, whose s-chart leg is the collocation's guess, has one;
+    with full shots, each one r-chart leg (model steps on the values of
+    _escape_law, kept safe by midpoints) until it is narrower than
+    _BRACKET_STOP relative to v0 and its blow-up end's leg reaches past
+    r_switch, where its step ends are the collocation's guess;
     NoConvergence when it ends before that.  Each shot runs at the rtol the
     bracket it splits needs (see _RTOL_PROBE), down to _RTOL_BRACKET; a
     trial misclassified at a loose rtol leaves the root outside the
     bracket, which the collocation's guard turns into NoConvergence.  Shots
     are classified at r_cls = max(r_max, _R_HORIZON) e^{_S_PAD}, past the
-    returned lattice and past r_switch, so every end has an s-chart leg.
+    returned lattice and past r_switch.
     (2) Collocation (_collocate): one boundary value problem with v0 as its
     unknown, its left condition the tangent in v0 of the r-chart state at
     r_switch from the bracket's midpoint, by complex-step Taylor steps
@@ -772,13 +750,13 @@ def _solve(integ, r_max):
         # the k-th probe, clipped to the search's limits
         return min(max(-_PROBE_ANCHOR * 10.0 ** (0.5 * k) / sqrt_p, _PROBE_LO), _PROBE_HI)
 
-    s_legs, g = {}, {}  # v0 -> s-chart leg, and escape-law value, of its full shot
+    legs, g = {}, {}  # v0 -> leg past r_switch, and escape-law value, of its full shot
 
     def side(v0, width):
         rtol = max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, width / abs(v0)))
-        outcome, _, sol_s = integ.shot(v0, r_cls, rtol=rtol)
-        if sol_s is not None:
-            s_legs[v0] = sol_s
+        outcome, leg = integ.shot(v0, r_cls, rtol=rtol)
+        if leg.t[-1] > _R_SWITCH:
+            legs[v0] = leg
         g[v0] = _escape_law(outcome, integ.blowup, lam4, s_cls)
         return g[v0]
 
@@ -802,7 +780,7 @@ def _solve(integ, r_max):
             up, dn = dn, rung(k + 1)
 
     def ready(up, dn):
-        return abs(up - dn) < _BRACKET_STOP * abs(up) and up in s_legs
+        return abs(up - dn) < _BRACKET_STOP * abs(up) and up in legs
 
     n_iter, up, dn = _bisect(side, up, dn, done=ready, ends=(g[up], g[dn]))
     integ.work.update(trials=n_iter, bracket=(up, dn))
@@ -813,7 +791,7 @@ def _solve(integ, r_max):
             f"first), where full shots give escape-law values g = "
             f"{g[dn]:.3g}, {g[up]:.3g}"
         )
-    v0, tangent, seam, res = _collocate(integ, s_legs[up], up, dn, r_cls)
+    v0, tangent, seam, res = _collocate(integ, legs[up], up, dn, r_cls)
     L = integ.L
 
     def tail(s):
@@ -838,9 +816,10 @@ def _collocate(integ, leg, up, dn, r_cls):
     unstable mode: l4, the left eigenvector for lam4 with l4 . e4 = 1,
     holds the coefficients of (mu - lam1)(mu - lam2)(mu - lam3), in
     increasing powers, over prod_i (lam4 - lam_i).  The guess is leg, the
-    blow-up end's stage-1 s-leg, at its step ends up to where
-    |y0| < _GUESS_FLOOR, then y there times e^{lam3 (s - s_a)}, on
-    _BVP_NODES uniform nodes.
+    blow-up end's stage-1 r-chart leg, at its step ends past r_switch
+    mapped to the s-chart by _r_to_s_state, up to where |y0| <
+    _GUESS_FLOOR, then y there times e^{lam3 (s - s_a)}, on _BVP_NODES
+    uniform nodes.
     One collocation.solve call, capped at _BVP_MAX_NODES, runs the problem
     in Newton rounds: the first on the start mesh, each later one on the
     mesh the last one's rms residuals predict (see collocation.solve); a
@@ -879,13 +858,16 @@ def _collocate(integ, leg, up, dn, r_cls):
         df_dy[3, 1:] = np.array([-c3, -c2, -c1])[:, None]
         return df_dy
 
-    dev = (leg.y - x_star[:, None]) / L
+    beyond = leg.t > _R_SWITCH
+    rr = leg.t[beyond]
+    s = np.log(rr)
+    dev = (_r_to_s_state(integ.n, integ.m, rr, leg.y[:, beyond]) - x_star[:, None]) / L
     below = np.nonzero(np.abs(dev[0]) < _GUESS_FLOOR)[0]
     a = int(below[0]) if below.size else int(np.argmin(np.abs(dev[0])))
     mesh = np.linspace(s0, s1, _BVP_NODES)
-    guess = np.array([np.interp(mesh, leg.t[: a + 1], d[: a + 1]) for d in dev])
-    past = mesh > leg.t[a]
-    guess[:, past] = dev[:, a, None] * np.exp(lam3 * (mesh[past] - leg.t[a]))
+    guess = np.array([np.interp(mesh, s[: a + 1], d[: a + 1]) for d in dev])
+    past = mesh > s[a]
+    guess[:, past] = dev[:, a, None] * np.exp(lam3 * (mesh[past] - s[a]))
 
     where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"
 

@@ -78,7 +78,8 @@ def compute_spectrum(params: ProblemParams) -> Spectrum:
     lam1,4 = lam_star -/+ mu_plus and lam2,3 = lam_star -/+ mu_minus, so
     both pairs are symmetric about lam_star by construction.  Raises
     SubcriticalInput when P(lam_star) < 0 beyond rounding, which means
-    p < p_c.
+    p < p_c, and InvalidParams when L overflows a float (at p_c from
+    n = 322 on).
     """
     n, p, m = params.n, params.p, params.m
     q4m = q4_eval(n, m)
@@ -110,7 +111,14 @@ def compute_spectrum(params: ProblemParams) -> Spectrum:
             f"{(lam1, lam2, lam3, lam4)} about lam_star={lam_s}"
         )
 
-    L = math.exp(math.log(q4m) / (p - 1.0))
+    log_l = math.log(q4m) / (p - 1.0)
+    try:
+        L = math.exp(log_l)
+    except OverflowError:
+        raise InvalidParams(
+            f"(n={n}, p={p}): the singular amplitude L = Q4(m)^(1/(p-1)) = 10^{log_l / math.log(10.0):.6g} "
+            "overflows a float"
+        ) from None
     return Spectrum(
         params=params,
         lambda_star=lam_s,

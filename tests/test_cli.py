@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import biharm.cli
 import biharm.shooting
-from biharm import ProblemParams, compute_ladder, compute_spectrum, detect_regime
+from biharm import ProblemParams, compute_ladder, compute_pc, compute_spectrum, detect_regime
 from biharm.errors import LadderMismatch, NoConvergence
 from biharm.cli import main
 from biharm.expansion import fit_expansion
@@ -50,6 +50,16 @@ def test_spectrum_rejects_subsobolev(runner):
     res = runner.invoke(main, ["spectrum", "--n", "13", "--p", "1.5"])
     assert res.exit_code == 2
     assert "supercritical" in res.output
+
+
+def test_spectrum_and_solve_reject_an_amplitude_past_the_floats(runner, tmp_path):
+    # L overflows a float: a typed InvalidParams, exit 2, not a traceback
+    for args in (["spectrum", "--n", "5000", "--p", "1.01"],
+                 ["solve", "--n", "500", "--p", repr(compute_pc(500)), "--out", str(tmp_path / "dump.csv")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "the singular amplitude L = Q4(m)^(1/(p-1)) = 10^" in res.output
+        assert "overflows a float" in res.output
 
 
 def test_spectrum_csv(runner, pc13):

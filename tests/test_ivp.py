@@ -23,10 +23,9 @@ from biharm import ProblemParams, StepFailure, compute_pc
 from biharm import ivp
 from biharm.ivp import Dense, _brentq, _point, solve_ivp
 from biharm.shooting import (
-    _CHARTS,
-    _POWER,
     _PROBE_HI,
     _PROBE_LO,
+    _R_CHART,
     _R_SWITCH,
     _RTOL,
     _Integrator,
@@ -42,7 +41,8 @@ _TOL = dict(rtol=_RTOL, atol=1e-2 * _RTOL)
 # ODEs I, Sec. II.6)
 _VARIATIONAL = ivp.system(
     "rhs_v", ("p", "cap", "nm1", "m", "wcap"),
-    ("u1", "u2 - nm1 * u1 / x", "u3", _POWER + " - nm1 * u3 / x", "u5", "u6 - nm1 * u5 / x", "u7",
+    ("u1", "u2 - nm1 * u1 / x", "u3", "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0) - nm1 * u3 / x",
+     "u5", "u6 - nm1 * u5 / x", "u7",
      "(p * (u0 if u0 < cap else cap) ** (p - 1.0) if u0 > 0.0 else 0.0) * u4 - nm1 * u7 / x"),
     (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1)))
 
@@ -57,9 +57,9 @@ def _variational(integ, v):
     return rhs, r0, (*y0, *(y.imag / h for y in integ.series(complex(v, h)).state(r0)))
 
 
-def _both(integ, chart, span, y0, **kwargs):
-    """The driver's and scipy's integration of one leg."""
-    rhs = getattr(integ, f"rhs_{chart}")
+def _both(integ, span, y0, **kwargs):
+    """The driver's and scipy's integration of one r-chart leg."""
+    rhs = integ.rhs_r
     ours = solve_ivp(rhs, span, y0, **_TOL, **kwargs)
     ref = scipy_solve_ivp(rhs, span, y0, method="DOP853", events=rhs.events, **_TOL, **kwargs)
     return ours, ref
@@ -74,8 +74,7 @@ def _at_the_old_cap(integ):
     W = 1.5 L at every p: at large p, (W/L)^(p-1) then overflows before
     the amplitude_cross event and a leg fails its step, which keeps the
     kernel's step-failure path (status -1) under test."""
-    integ.rhs_r = _CHARTS["r"](p=integ.p, cap=integ.pow_cap, nm1=integ.n - 1.0, m=integ.m,
-                               wcap=1.5 * integ.L)
+    integ.rhs_r = _R_CHART(p=integ.p, cap=integ.pow_cap, nm1=integ.n - 1.0, m=integ.m, wcap=1.5 * integ.L)
     return integ
 
 
@@ -87,15 +86,13 @@ def case_a(sol_a):
 
 
 def test_legs_match_scipy(case_a):
-    # The s-leg runs one decade past r_switch: over the whole leg the unstable
-    # mode grows the rounding differences by e^{lam4 (s_end - s_switch)}.
-    # Measured: 1.8e-14 (r) and 8.2e-12 (s) relative, with equal nfev.
+    # A leg to r_switch and one a decade past it: past r_switch the unstable
+    # mode grows the rounding differences by (r / r_switch)^lam4.
+    # Measured: 5.5e-15 and 1.9e-11 relative, with equal nfev (1142, 2414).
     integ, seed, v0 = case_a
     r0, y0 = seed(v0)
-    r_ours, r_ref = _both(integ, "r", (r0, _R_SWITCH), y0)
-    w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, r_ref.y[:, -1])
-    s_ours, s_ref = _both(integ, "s", (math.log(_R_SWITCH), math.log(100.0)), w0)
-    for ours, ref in ((r_ours, r_ref), (s_ours, s_ref)):
+    for r_end in (_R_SWITCH, 100.0):
+        ours, ref = _both(integ, (r0, r_end), y0)
         assert ours.status == ref.status == 0
         assert ours.t[-1] == ref.t[-1]
         assert _rel(ours.y[:, -1], ref.y[:, -1]) < 1e-10
@@ -105,19 +102,17 @@ def test_legs_match_scipy(case_a):
 @pytest.mark.parametrize("shift, hit", [(1e-6, 1), (-1e-6, 0)])
 def test_escape_radius_matches_scipy(case_a, shift, hit):
     # v0 moved 1e-6 relative to the blow-up side (nearer zero) or the
-    # sign-loss side escapes in the s-chart; the brentq root on the step's
-    # interpolant lands where scipy's does (measured: 6e-13 relative)
+    # sign-loss side escapes past r_switch; the brentq root on the step's
+    # interpolant lands where scipy's does (measured: 4.7e-10 and 3.8e-10
+    # relative, at r = 207 and 385)
     integ, seed, v0 = case_a
     r0, y0 = seed(v0 * (1.0 - shift))
-    r_ours, r_ref = _both(integ, "r", (r0, _R_SWITCH), y0)
-    assert r_ours.status == r_ref.status == 0
-    w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, r_ref.y[:, -1])
-    ours, ref = _both(integ, "s", (math.log(_R_SWITCH), math.log(1e4)), w0)
+    ours, ref = _both(integ, (r0, 1e4), y0)
     assert ours.status == ref.status == 1
-    fired = [ev.__name__ for ev, te in zip(integ.rhs_s.events, ref.t_events) if te.size]
+    fired = [ev.__name__ for ev, te in zip(integ.rhs_r.events, ref.t_events) if te.size]
     assert fired == [ours.event] == [("sign_loss", "amplitude_cross")[hit]]
     assert ref.t_events[hit].size == 1
-    assert abs(ours.t[-1] / ref.t_events[hit][0] - 1.0) < 1e-9
+    assert _R_SWITCH < ours.t[-1] and abs(ours.t[-1] / ref.t_events[hit][0] - 1.0) < 1e-9
 
 
 def test_tableau_literals_are_scipys():
@@ -148,43 +143,40 @@ def test_brentq_port_matches_scipy_on_the_firing_step(case_a, shift):
     # scipy's ValueError
     integ, seed, v0 = case_a
     r0, y0 = seed(v0 * (1.0 - shift))
-    w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, **_TOL).y[:, -1])
-    leg = solve_ivp(integ.rhs_s, (math.log(_R_SWITCH), math.log(1e4)), w0, dense_output=True, **_TOL)
-    assert leg.status == 1
+    leg = solve_ivp(integ.rhs_r, (r0, 1e4), y0, dense_output=True, **_TOL)
+    assert leg.status == 1 and leg.t[-1] > _R_SWITCH
     step = tuple(leg.sol.steps[-1].tolist())
-    outcomes = [_roots(lambda x, ev=ev: ev(x, _point(step, x)), step[0], step[1]) for ev in integ.rhs_s.events]
+    outcomes = [_roots(lambda x, ev=ev: ev(x, _point(step, x)), step[0], step[1]) for ev in integ.rhs_r.events]
     assert all(ours == ref for ours, ref in outcomes), outcomes
     assert [ours for ours, _ in outcomes if ours is not ValueError] == [leg.t[-1].hex()]
 
 
 def test_event_roots_read_only_their_entries(case_a):
     # Brent's iterations interpolate only the entries an event reads (u0,
-    # for both events of every chart): on firing steps of the r- and
-    # s-charts each event's root, or the ValueError of the one that keeps its
-    # sign, is that of the full interpolant, in the port and in scipy's
-    # brentq, and the fired one ends the leg
+    # for both events): on firing steps before r_switch (the root search's
+    # limits) and past it (v0 shifted 1e-6 to either side) each event's
+    # root, or the ValueError of the one that keeps its sign, is that of the
+    # full interpolant, in the port and in scipy's brentq, and the fired one
+    # ends the leg
     integ, seed, v0 = case_a
-    legs = []
-    for v in (_PROBE_LO, _PROBE_HI):
-        r0, y0 = seed(v)
-        legs.append((integ.rhs_r, solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, dense_output=True, **_TOL)))
-    for shift in (1e-6, -1e-6):
-        r0, y0 = seed(v0 * (1.0 - shift))
-        w0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, **_TOL).y[:, -1])
-        legs.append((integ.rhs_s, solve_ivp(integ.rhs_s, (math.log(_R_SWITCH), math.log(1e4)), w0,
-                                            dense_output=True, **_TOL)))
+    legs = {}
+    for where, vs in (("before", (_PROBE_LO, _PROBE_HI)), ("past", (v0 * (1.0 - 1e-6), v0 * (1.0 + 1e-6)))):
+        for v in vs:
+            r0, y0 = seed(v)
+            legs.setdefault(where, []).append(solve_ivp(integ.rhs_r, (r0, 1e4), y0, dense_output=True, **_TOL))
     fired = {}
-    for rhs, leg in legs:
-        assert leg.status == 1
-        fired.setdefault(rhs.__name__, set()).add(leg.event)
-        step = tuple(leg.sol.steps[-1].tolist())
-        for ev in rhs.events:
-            assert ev.entries == [0]
-            read = _roots(lambda x, ev=ev: ev(x, _point(step, x, ev.entries)), step[0], step[1])
-            assert read == _roots(lambda x, ev=ev: ev(x, _point(step, x)), step[0], step[1])
-            if ev.__name__ == leg.event:
-                assert read[0] == leg.t[-1].hex()
-    assert fired == {name: {"sign_loss", "amplitude_cross"} for name in ("rhs_r", "rhs_s")}
+    for where, group in legs.items():
+        for leg in group:
+            assert leg.status == 1 and (leg.t[-1] > _R_SWITCH) == (where == "past")
+            fired.setdefault(where, set()).add(leg.event)
+            step = tuple(leg.sol.steps[-1].tolist())
+            for ev in integ.rhs_r.events:
+                assert ev.entries == [0]
+                read = _roots(lambda x, ev=ev: ev(x, _point(step, x, ev.entries)), step[0], step[1])
+                assert read == _roots(lambda x, ev=ev: ev(x, _point(step, x)), step[0], step[1])
+                if ev.__name__ == leg.event:
+                    assert read[0] == leg.t[-1].hex()
+    assert fired == {where: {"sign_loss", "amplitude_cross"} for where in ("before", "past")}
 
 
 @pytest.mark.parametrize("f, a, b", [
@@ -264,10 +256,10 @@ def test_large_p_first_probe_fails(pc15):
     # underflow, in both, before r_switch (measured: 1493 and 7790 RHS calls)
     integ = _Integrator(ProblemParams(15, 100.0 * pc15))
     r0, y0 = integ.start(integ.series(_PROBE_HI), _R_SWITCH)
-    ours, ref = _both(integ, "r", (r0, _R_SWITCH), y0)
+    ours, ref = _both(integ, (r0, _R_SWITCH), y0)
     assert ours.status == ref.status == 1 and ours.event == "amplitude_cross"
     assert r0 < ours.t[-1] < _R_SWITCH
-    ours, ref = _both(_at_the_old_cap(integ), "r", (r0, _R_SWITCH), y0)
+    ours, ref = _both(_at_the_old_cap(integ), (r0, _R_SWITCH), y0)
     assert ours.status == ref.status == -1
     assert r0 < ours.t[-1] < _R_SWITCH
     assert ours.step < 10.0 * np.spacing(ours.t[-1])
@@ -444,11 +436,6 @@ def _hex(values):
     return [_hex(v) for v in values]
 
 
-def _assert_leg_equals_the_loops(integ, chart, span, y0, dense):
-    """_assert_rhs_leg_equals_the_loops on integ's chart "r" or "s"."""
-    return _assert_rhs_leg_equals_the_loops(getattr(integ, f"rhs_{chart}"), span, y0, dense)
-
-
 def _assert_rhs_leg_equals_the_loops(rhs, span, y0, dense):
     """The kernel's leg of rhs, a `system` right-hand side, against
     _loop_leg's on the same scalar right-hand side, bit for bit; returns the
@@ -469,36 +456,35 @@ def _assert_rhs_leg_equals_the_loops(rhs, span, y0, dense):
     return got
 
 
-@pytest.mark.parametrize("chart", ["r", "s"])
-def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(chart, pc15):
-    # Four kinds of leg on each chart's kernel, from seeded states near case
-    # A's separatrix: plain and dense legs that reach their end, legs ended
-    # by each event (plain and dense), and, in the r-chart, the step failure
-    # of n=15's first probe at 100 p_c with the blow-up bound at 1.5 L
-    # (plain and dense).
+@pytest.mark.parametrize("reach", ["r", "r_past_switch"])
+def test_kernel_legs_equal_the_tableau_loops_bit_for_bit(reach, pc15):
+    # Four kinds of r-chart leg on the kernel, from seeded states near case
+    # A's separatrix, either to r_switch ("r") or past it: plain and dense
+    # legs that reach their end (r_switch, or r = 100), legs ended by each
+    # event (plain and dense; at the root search's limits before r_switch,
+    # v0 shifted 1e-6 to either side past it, on the way to r = 1e4), and,
+    # to r_switch, the step failure of n=15's first probe at 100 p_c with the
+    # blow-up bound at 1.5 L (plain and dense).
     integ = _Integrator(ProblemParams(13, compute_pc(13) + 0.5))
     rng = np.random.default_rng(1313)
     v0_sep = -0.2668911534367668
     near = (v0_sep * (1.0 + 1e-9 * rng.standard_normal()) for _ in range(3))
     shifted = (v0_sep * (1.0 + 1e-6 * rng.uniform(0.5, 2.0) * sign) for sign in (1.0, -1.0, 1.0))
 
-    def leg(v0, dense, r_end=100.0):
-        # an r-chart leg to r_switch, or the s-chart leg from its end to r_end
+    def leg(v0, dense, r_end=_R_SWITCH if reach == "r" else 100.0, rhs=integ.rhs_r):
         r0, y0 = integ.start(integ.series(v0), _R_SWITCH)
-        if chart == "r":
-            return _assert_leg_equals_the_loops(integ, "r", (r0, _R_SWITCH), y0, dense)
-        end = solve_ivp(integ.rhs_r, (r0, _R_SWITCH), y0, **_TOL).y[:, -1]
-        span = (math.log(_R_SWITCH), math.log(r_end))
-        return _assert_leg_equals_the_loops(integ, "s", span, _r_to_s_state(integ.n, integ.m, _R_SWITCH, end), dense)
+        return _assert_rhs_leg_equals_the_loops(rhs, (r0, r_end), y0, dense)
 
     kinds = [(leg(next(near), False), 0), (leg(next(near), False), 0), (leg(next(near), True), 0)]
-    if chart == "r":
+    if reach == "r":
         ends = [leg(_PROBE_LO, False), leg(_PROBE_HI, False), leg(_PROBE_HI, True)]
         big = _at_the_old_cap(_Integrator(ProblemParams(15, 100.0 * pc15)))
         r0, y0 = big.start(big.series(_PROBE_HI), _R_SWITCH)
-        kinds += [(_assert_leg_equals_the_loops(big, "r", (r0, _R_SWITCH), y0, dense), -1) for dense in (False, True)]
+        kinds += [(_assert_rhs_leg_equals_the_loops(big.rhs_r, (r0, _R_SWITCH), y0, dense), -1)
+                  for dense in (False, True)]
     else:
         ends = [leg(next(shifted), False, 1e4), leg(next(shifted), False, 1e4), leg(next(shifted), True, 1e4)]
+        assert all(got.t[-1] > _R_SWITCH for got in ends)
     kinds += [(got, 1) for got in ends]
     assert [got.status for got, _ in kinds] == [status for _, status in kinds]
     # both events end a leg
@@ -641,4 +627,4 @@ def test_a_first_step_that_rounds_to_0_fails_at_t0(case_a):
     # raises StepFailure
     integ = case_a[0]
     with pytest.raises(StepFailure, match=r"r-chart step failed at r = 1: step size 0 in r"):
-        integ.leg("r", (1.0, _R_SWITCH), (1.0, 1e308, 0.0, 0.0))
+        integ.leg((1.0, _R_SWITCH), (1.0, 1e308, 0.0, 0.0))

@@ -127,12 +127,11 @@ def test_too_negative_v0_loses_sign(pc13):
     (100, lambda pc: pc),
 ])
 def test_scalar_rhs_matches_array_reference(n, p_of_pc):
-    # the scalar right-hand sides must reproduce the array formula built on
+    # the scalar right-hand side must reproduce the array formula built on
     # _power of u capped at the power cap bit for bit, including u < 0, u = 0
     # and u above the cap
     params = ProblemParams(n, p_of_pc(compute_pc(n)))
     integ = _Integrator(params)
-    c = _s_operator_coeffs(n, params.m)
     nm1, cap = n - 1.0, integ.pow_cap
     rng = np.random.default_rng(20240)
     states = rng.normal(size=(64, 4)) * 10.0 ** rng.uniform(-6.0, 3.0, size=(64, 1))
@@ -142,13 +141,10 @@ def test_scalar_rhs_matches_array_reference(n, p_of_pc):
     assert np.all(states[12:16, 0] > cap)
     for y, r in zip(states, rng.uniform(1e-3, 12.0, size=64)):
         u, w, v, z = y
-        up = _power(min(u, cap), params.p)
-        ref_r = (w, v - nm1 * w / r, z, up - nm1 * z / r)
-        ref_s = (w, v, z, up - (c[1] * z + c[2] * v + c[3] * w + c[4] * u))
-        for ref, got in ((ref_r, integ.rhs_r(r, y)), (ref_s, integ.rhs_s(math.log(r), y))):
-            ref, got = np.array(ref, dtype=float), np.array(got, dtype=float)
-            assert np.all(got == ref)
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        ref = np.array((w, v - nm1 * w / r, z, _power(min(u, cap), params.p) - nm1 * z / r), dtype=float)
+        got = np.array(integ.rhs_r(r, y), dtype=float)
+        assert np.all(got == ref)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 # --- the series start --------------------------------------------------------
@@ -241,7 +237,7 @@ def test_series_start_stops_before_a_real_sign_loss(p):
     # shot starts before it and still loses sign there
     integ = _Integrator(ProblemParams(15, p))
     r0, _ = integ.start(integ.series(_PROBE_LO), _R_SWITCH)
-    out, _, _ = integ.shot(_PROBE_LO, 1e4)
+    out, _ = integ.shot(_PROBE_LO, 1e4)
     assert type(out) is SignLoss and out.r == pytest.approx(math.sqrt(0.03), rel=1e-6)
     assert r0 < out.r < math.sqrt(2.0) * r0
 
@@ -412,7 +408,7 @@ def test_series_start_matches_an_r_leg_from_the_taylor_seed(cell, v0, sol_a):
 ])
 def test_series_start_keeps_the_ladder_end_outcomes(cell, v0, outcome, r_event):
     integ = _series_integrator(cell)
-    out, _, _ = integ.shot(v0, 1e4 * math.exp(_S_PAD))
+    out, _ = integ.shot(v0, 1e4 * math.exp(_S_PAD))
     assert type(out) is outcome
     assert out.r == pytest.approx(r_event, rel=1e-9)
 
@@ -563,9 +559,9 @@ def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
     # Tracing swaps the module's solve_ivp and labels each call's chart by the
     # right-hand side's __name__; every integration must be visible that way,
     # so every RHS evaluation must happen inside such a call.  The scalar
-    # right-hand sides (the initial step's two calls) and the leg kernels
-    # (12 per attempted step, 3 per interpolant) are counted where the chart
-    # factories hand them out, and must add up to the calls' nfev.
+    # right-hand side (the initial step's two calls) and the leg kernel (12
+    # per attempted step, 3 per interpolant) are counted where the r-chart's
+    # factory hands them out, and must add up to the calls' nfev.
     plain = biharm.shooting.solve_ivp
     inside, nfev, evaluated = [], Counter(), Counter()
 
@@ -609,10 +605,9 @@ def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
 
     monkeypatch.setattr(biharm.shooting, "solve_ivp", counting_solve_ivp)
     monkeypatch.setattr(_Integrator, "taylor", counted_taylor)
-    for chart, factory in biharm.shooting._CHARTS.items():
-        monkeypatch.setitem(biharm.shooting._CHARTS, chart, counted(factory))
+    monkeypatch.setattr(biharm.shooting, "_R_CHART", counted(biharm.shooting._R_CHART))
     sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
-    assert set(nfev) == {"rhs_r", "rhs_s"}
+    assert set(nfev) == {"rhs_r"}
     assert nfev == evaluated
     # the solve's record holds the same legs, and the tangent's one leg of
     # Taylor steps (chart "v") with its step count
@@ -665,7 +660,7 @@ def test_solution_below_r_switch_is_the_collocation_tangent(sol_quick):
 def test_integrate_radial_at_converged_v0(sol_quick):
     # A single shot at the solve's v0 meets the collocation's tangent below
     # r_switch to within the legs' integration error (measured 1.2e-14 of
-    # max |W| in W, 5.6e-14 of max |Z| in Z).  The collocated tail is not
+    # max |W| in W, 7.6e-14 of max |Z| in Z).  The collocated tail is not
     # compared.
     again = integrate_radial(
         sol_quick.params, alpha=1.0, v0=sol_quick.v0, r_max=500.0
@@ -677,7 +672,7 @@ def test_integrate_radial_at_converged_v0(sol_quick):
     for name in ("W", "Z"):
         got, want = getattr(again, name)[head], getattr(sol_quick, name)[head]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
-    assert again.seam_residual == 0.0  # one shot: its s-chart starts from its r-chart end
+    assert again.seam_residual == 0.0  # one shot, one leg: no seam
 
 
 def test_shoot_converges(sol_quick):
@@ -1147,7 +1142,7 @@ def test_tangent_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a):
     integ = _Integrator(sol.params)
     up, dn = float.fromhex("-0x1.114bea1e68292p-2"), float.fromhex("-0x1.114bea1e68412p-2")
     r_cls = _R_HORIZON * math.exp(_S_PAD)
-    _, _, leg = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
+    _, leg = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
     v0, _, seam, _ = _collocate(integ, leg, up, dn, r_cls)
     assert abs(up - dn) < _RTOL * abs(v0)
     assert 0.0 < max(dn - v0, v0 - up) < _BRACKET_STOP * abs(v0)
@@ -1202,14 +1197,14 @@ def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
     assert np.array_equal(bvp.slope, x.imag / tangent.h / integ.L)
 
     def start(v):
-        _, _, sol_s = integ.shot(v, r_cls)
-        return (sol_s.y[:, 0] - x_star) / integ.L
+        _, leg = integ.shot(v, _R_SWITCH)
+        return (_r_to_s_state(integ.n, integ.m, _R_SWITCH, leg.y[:, -1]) - x_star) / integ.L
 
     # a bracket the stop accepts, within 1e-6 of the widest, _BRACKET_STOP |up|
     half = 0.5 * (1.0 - 1e-6) * _BRACKET_STOP * abs(sol.v0)
     up, dn = sol.v0 + half, sol.v0 - half
     assert up - dn < _BRACKET_STOP * abs(up)
-    _, _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
+    _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
     calls.clear()
     biharm.shooting._collocate(integ, guess, up, dn, r_cls)
     bvp = calls[0][0][0]
@@ -1230,14 +1225,14 @@ def test_tangent_slope_is_the_derivative_of_the_r_switch_state(sol_quick):
     r_cls = 500.0 * math.exp(_S_PAD)
     half = 0.5 * (1.0 - 1e-6) * _BRACKET_STOP * abs(sol_quick.v0)
     up, dn = sol_quick.v0 + half, sol_quick.v0 - half
-    _, _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
+    _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
     _, tangent, _, _ = biharm.shooting._collocate(integ, guess, up, dn, r_cls)
     mid = tangent.v
     assert mid == 0.5 * (up + dn)
 
     def state(v):
-        _, sol_r, _ = integ.shot(v, _R_SWITCH)
-        return _r_to_s_state(integ.n, integ.m, _R_SWITCH, sol_r.y[:, -1]) / integ.L
+        _, leg = integ.shot(v, _R_SWITCH)
+        return _r_to_s_state(integ.n, integ.m, _R_SWITCH, leg.y[:, -1]) / integ.L
 
     slope = _r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(tangent.y)).imag / tangent.h / integ.L
     dv = 1e-6 * abs(mid)
@@ -1543,35 +1538,32 @@ def test_rung_solution_monotone(sol_rung):
 
 
 _STEP_FAILURE = re.compile(
-    r"^(r|s)-chart step failed at r = (\S+): step size (\S+) in (r|s) is below 10 ulp of "
-    r"(r|s) = (\S+), on the leg over (r|s) in \[(\S+), (\S+)\]$"
+    r"^r-chart step failed at r = (\S+): step size (\S+) in r is below 10 ulp of "
+    r"r = (\S+), on the leg over r in \[(\S+), (\S+)\]$"
 )
 
 
-def _check_step_failure(message, chart, span):
+def _check_step_failure(message, span):
     # the message names the chart, the radius, the step size and the leg's span
     found = _STEP_FAILURE.match(message)
     assert found is not None, message
-    assert set(found.group(1, 4, 5, 7)) == {chart}
-    r, h, t, lo, hi = (float(x) for x in found.group(2, 3, 6, 8, 9))
-    assert r == pytest.approx(t if chart == "r" else math.exp(t), rel=1e-5)
+    r, h, t, lo, hi = (float(x) for x in found.groups())
+    assert r == pytest.approx(t, rel=1e-5)
     assert 0.0 < h < 10.0 * np.spacing(t)
     assert (lo, hi) == pytest.approx(span, rel=1e-5)
     assert lo < t < hi
 
 
-@pytest.mark.parametrize("chart", ["r", "s"])
-def test_step_failure_below_L_names_its_leg(sol_a, chart, monkeypatch):
+@pytest.mark.parametrize("reach", ["r", "r_past_switch"])
+def test_step_failure_below_L_names_its_leg(sol_a, reach, monkeypatch):
     # No measured leg fails its step, so solve_ivp is stubbed:
-    # it cuts case A's leg at v0 halfway through its span, below L, and
-    # reports a step failure there on a step of one ulp.  The leg raises
-    # StepFailure, which names the chart, the radius, the step and the span.
+    # it cuts case A's leg at v0, to r_switch or to r = 100, halfway through
+    # its span, below L, and reports a step failure there on a step of one
+    # ulp.  The leg raises StepFailure, which names the chart, the radius,
+    # the step and the span.
     integ = _Integrator(sol_a.params)
     r0, y0 = integ.start(integ.series(sol_a.v0), _R_SWITCH)
-    span = (r0, _R_SWITCH)
-    if chart == "s":
-        y0 = _r_to_s_state(integ.n, integ.m, _R_SWITCH, integ.leg("r", span, y0)[1].y[:, -1])
-        span = (math.log(_R_SWITCH), math.log(100.0))
+    span = (r0, _R_SWITCH if reach == "r" else 100.0)
     plain, cut = biharm.shooting.solve_ivp, []
 
     def failing(fun, t_span, y, **kwargs):
@@ -1580,10 +1572,20 @@ def test_step_failure_below_L_names_its_leg(sol_a, chart, monkeypatch):
 
     monkeypatch.setattr(biharm.shooting, "solve_ivp", failing)
     with pytest.raises(StepFailure) as info:
-        integ.leg(chart, span, y0)
-    t = float(cut[0].t[-1])
-    assert (t**integ.m if chart == "r" else 1.0) * cut[0].y[0, -1] < integ.L
-    _check_step_failure(str(info.value), chart, span)
+        integ.leg(span, y0)
+    assert float(cut[0].t[-1])**integ.m * cut[0].y[0, -1] < integ.L
+    _check_step_failure(str(info.value), span)
+
+
+def test_n60_at_pc_solves_and_passes_its_invariants():
+    # n = 60 at p_c, a row of the theory's range past the grid: with the
+    # guess from the blow-up end's r-chart leg the collocation closes in
+    # three rounds (200, 12 702 and 15 769 nodes, measured), and the
+    # solution passes all six solve invariants.  From the s-chart leg that
+    # stage 1 once integrated, round 1 stopped at max rms residual 9.0 and
+    # predicted 89 014 nodes, past the 25 000 cap (NoConvergence).
+    sol = shoot(ProblemParams(60, compute_pc(60)))
+    assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
 
 
 def test_tangent_lattice_passes_n13_at_100_pc(pc13):
@@ -1636,16 +1638,20 @@ def test_stage_1_step_failure_is_reraised(pc13, monkeypatch, w_over_L):
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
 def test_dense_tangent_leg_replays_plain_full_tolerance_shots(fixture, r_max, request):
     # One shot geometry: dense output only adds interpolants, so a dense
-    # shot at v0 (integrate_radial's) ends on the plain shot's residual and
-    # starts its s-chart from the same r_switch state, bit for bit.
+    # shot at v0 (integrate_radial's) takes the plain shot's steps and ends
+    # on its residual, bit for bit.
     sol = request.getfixturevalue(fixture)
     integ = _Integrator(sol.params)
     r_cls = r_max * math.exp(_S_PAD)
-    rho_dense, sol_r_dense, sol_s_dense = integ.shot(sol.v0, r_cls, dense=True)
-    rho, sol_r, sol_s = integ.shot(sol.v0, r_cls)
-    assert np.array_equal(sol_r_dense.y, sol_r.y)
+    rho_dense, leg_dense = integ.shot(sol.v0, r_cls, dense=True)
+    rho, leg = integ.shot(sol.v0, r_cls)
+    assert np.array_equal(leg_dense.t, leg.t) and np.array_equal(leg_dense.y, leg.y)
     assert isinstance(rho, float) and rho_dense == rho
-    assert np.array_equal(sol_s_dense.y[:, 0], sol_s.y[:, 0])
+
+
+# the leg of a faked shot that escapes at r = 5, short of r_switch
+_ESCAPED = IvpResult(t=np.array([1.0, 5.0]), y=np.zeros((4, 2)), sol=None, event=None, nfev=0, status=1,
+                     step=0.0)
 
 
 def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
@@ -1653,7 +1659,7 @@ def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
     # names the trial count and the final bracket with its full shots'
     # escape-law values
     def shot(self, v0, r_max, dense=False, rtol=None):
-        return (BlowUp if v0 >= -0.25 else SignLoss)(r=5.0), None, None
+        return (BlowUp if v0 >= -0.25 else SignLoss)(r=5.0), _ESCAPED
 
     monkeypatch.setattr(_Integrator, "shot", shot)
     with pytest.raises(NoConvergence) as info:
@@ -1679,7 +1685,7 @@ def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side)
 
     def shot(self, v0, r_max, dense=False, rtol=None):
         shots.append(v0)
-        return side(r=5.0), None, None
+        return side(r=5.0), _ESCAPED
 
     monkeypatch.setattr(_Integrator, "shot", shot)
     with pytest.raises(BracketNotFound, match="do not bracket the separatrix"):
@@ -1706,8 +1712,8 @@ def test_opening_walks_from_the_law_pair_to_the_root(pc13, monkeypatch, k_root, 
     # shots that flip at a v0 between the rungs: the opening shoots rung 0,
     # then rung 1 when rung 0 blows up, then walks outward rung by rung
     # until a probe flips, and _bisect starts on that flip pair (its shots
-    # leave no s-chart leg, so it runs to adjacent floats and the solve
-    # raises NoConvergence)
+    # leave no leg past r_switch, so it runs to adjacent floats and the
+    # solve raises NoConvergence)
     p = pc13 + 0.5
 
     def rung(k):
@@ -1719,7 +1725,7 @@ def test_opening_walks_from_the_law_pair_to_the_root(pc13, monkeypatch, k_root, 
     def shot(self, v0, r_max, dense=False, rtol=None):
         trials.append(v0)
         rtols.append(rtol)
-        return (BlowUp if v0 >= root else SignLoss)(r=5.0), None, None
+        return (BlowUp if v0 >= root else SignLoss)(r=5.0), _ESCAPED
 
     monkeypatch.setattr(_Integrator, "shot", shot)
     with pytest.raises(NoConvergence) as info:
@@ -1808,9 +1814,9 @@ def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):
     # outside the bracket: the search then closes on the wrong trial, and the
     # collocation's v0 lands far outside the bracket, where its guard
     # raises NoConvergence naming the stage.  Case A at r_max 500: the trial
-    # that lies nearest 1e-4 |v0| from the root (1.9e-5 relative, a blow-up
-    # at r = 90, shot at rtol 1.9e-5) is read as a sign loss at that radius;
-    # v0 then lands 5.1e-6 outside the bracket, 6.2e-9 relative from the root.
+    # that lies nearest 1e-4 |v0| from the root (2.9e-5 relative, a blow-up
+    # at r = 80, shot at rtol 5.1e-5) is read as a sign loss at that radius;
+    # v0 then lands 7.6e-6 outside the bracket, 1.4e-8 relative from the root.
     params = ProblemParams(13, pc13 + 0.5)
     plain_shot = _Integrator.shot
     trials = []
@@ -1828,11 +1834,11 @@ def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):
     flipped = []
 
     def flipping_shot(self, v0, r_max, dense=False, rtol=None):
-        outcome, sol_r, sol_s = plain_shot(self, v0, r_max, dense, rtol)
+        outcome, leg = plain_shot(self, v0, r_max, dense, rtol)
         if rtol is not None and v0 == far:
             flipped.append(outcome)
             outcome = {BlowUp: SignLoss, SignLoss: BlowUp}[type(outcome)](r=outcome.r)
-        return outcome, sol_r, sol_s
+        return outcome, leg
 
     monkeypatch.setattr(_Integrator, "shot", flipping_shot)
     with pytest.raises(NoConvergence) as info:

@@ -27,6 +27,15 @@ def test_params_validation():
     assert params.m == pytest.approx(2.0)
 
 
+def test_spectrum_raises_when_L_overflows():
+    # L = Q4(m)^(1/(p-1)) near p_c: 2.8e281 at n = 300, past the floats at
+    # n = 500 (10^537.9), where math.exp raised an untyped OverflowError
+    assert compute_spectrum(ProblemParams(300, compute_pc(300))).L == pytest.approx(2.839025266869e281, rel=1e-12)
+    with pytest.raises(InvalidParams, match=r"^\(n=500, p=1\.01780\d*\): the singular amplitude "
+                                            r"L = Q4\(m\)\^\(1/\(p-1\)\) = 10\^537\.904 overflows a float$"):
+        compute_spectrum(ProblemParams(500, compute_pc(500)))
+
+
 def test_q4_examples():
     assert q4_eval(13, 0.0) == 0.0
     assert q4_eval(13, 9.0) == 0.0  # n - 4

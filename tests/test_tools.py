@@ -21,10 +21,10 @@ def _chart(calls, nfev):
             "step_failures": 0}
 
 
-def _record(nfev_r, nfev_s, trials):
-    """A record_payload with one r-chart and one s-chart leg (none for
-    nfev_s = 0) and no collocation round."""
-    return {"charts": {"r": _chart(1, nfev_r), "s": _chart(int(nfev_s > 0), nfev_s)},
+def _record(nfev_r, nfev_v, trials):
+    """A record_payload with one r-chart leg, one tangent leg (chart "v";
+    none for nfev_v = 0) and no collocation round."""
+    return {"charts": {"r": _chart(1, nfev_r), "v": _chart(int(nfev_v > 0), nfev_v)},
             "trials": trials, "bracket": None, "rounds": []}
 
 
@@ -99,17 +99,36 @@ def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
            "F": _failed("StepFailure", 7, 8)}
     for rec in (new["A"], new["B"]):
         rec["record"]["charts"]["r"]["nfev_by_rtol"] = {"1e-08": 20, "1e-12": 10}
-        rec["record"]["charts"]["s"]["nfev_by_rtol"] = {"1e-08": 30}
+        rec["record"]["charts"]["v"]["nfev_by_rtol"] = {"1e-16": 30}
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
     assert "|dv0|/|v0| A 2.2e-16" in out
     assert not any(line.startswith("|dv0|/|v0| B") for line in out)
     assert "max |dv0|/|v0|: 2.2e-16 over 2 cells" in out
     assert "RHS evaluations: 207 -> 127 (-38.6%)" in out
-    assert "RHS evaluations by chart (old): r 107, s 100" in out
-    assert "RHS evaluations by chart (new): r 67, s 60" in out
+    assert "RHS evaluations by chart (old): r 107, v 100" in out
+    assert "RHS evaluations by chart (new): r 67, v 60" in out
     assert "RHS evaluations by rtol (old): 1e-12 207" in out
-    assert "RHS evaluations by rtol (new): 1e-12 27, 1e-08 100" in out
+    assert "RHS evaluations by rtol (new): 1e-16 60, 1e-12 27, 1e-08 40" in out
+
+
+def test_shoot_cells_diff_reads_a_parent_record_with_an_s_chart(capsys):
+    # Records written before every shot became one r-chart leg also hold
+    # chart "s" (each shot's leg past r_switch): --diff sums whatever charts
+    # each side holds, prints the "s" chart on the old side only, and a
+    # chart set that changed is no lost cell
+    old = {"A": _ok("0x1p-2", 50, 8), "F": _failed("NoConvergence", 7, 8)}
+    new = {"A": _ok("0x1p-2", 50, 8), "F": _failed("NoConvergence", 7, 8)}
+    for rec, nfev in ((old["A"], 40), (old["F"], 3)):
+        rec["record"]["charts"]["s"] = _chart(2, nfev)
+    assert shoot_cells.diff(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "RHS evaluations: 150 -> 107 (-28.7%)" in out
+    assert "RHS evaluations by chart (old): r 57, s 43, v 50" in out
+    assert "RHS evaluations by chart (new): r 57, v 50" in out
+    assert "RHS evaluations by rtol (old): 1e-12 150" in out
+    assert "stage-1 shots: 2 -> 2" in out
+    assert "ok: 1 -> 1 of 2" in out
 
 
 def test_shoot_cells_diff_reads_collocation_meshes(capsys):
@@ -156,10 +175,10 @@ def test_shoot_cells_diff_totals_step_failures(capsys):
     # falls none
     new = {"A": _ok("0x1p-2", 50, 8), "F": _failed("StepFailure", 7, 8)}
     for rec, counts in ((new["A"], (2, 1)), (new["F"], (1, 0))):
-        for chart, count in zip("rs", counts):
+        for chart, count in zip("rv", counts):
             rec["record"]["charts"][chart]["step_failures"] = count
     more = json.loads(json.dumps(new))
-    more["A"]["record"]["charts"]["s"]["step_failures"] = 3
+    more["A"]["record"]["charts"]["v"]["step_failures"] = 3
     for a, b, total in ((new, new, "4 -> 4"), (more, new, "6 -> 4")):
         assert shoot_cells.diff(a, b) == 0
         out = capsys.readouterr().out.splitlines()
@@ -192,12 +211,11 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     # by decade; the tangent's one leg of Taylor steps (chart "v"), its step
     # count in place of nfev, at rtol eps
     charts = record["charts"]
-    assert set(charts) == {"r", "s", "v"}
+    assert set(charts) == {"r", "v"}
     for chart in charts.values():
         assert sum(chart["nfev_by_rtol"].values()) == chart["nfev"]
         assert chart["step_failures"] == 0
     stage_1 = {"1e-04", "1e-05", "1e-06", "1e-07", "1e-08"}
-    assert {"1e-04", "1e-08"} <= set(charts["s"]["nfev_by_rtol"]) <= stage_1
     assert {"1e-04", "1e-08"} <= set(charts["r"]["nfev_by_rtol"]) <= stage_1
     assert charts["v"]["calls"] == 1 and set(charts["v"]["nfev_by_rtol"]) == {"1e-16"}
     assert 1 < charts["v"]["nfev"] < 20

@@ -92,16 +92,15 @@ def test_record_payload_splits_each_chart_by_rtol_decade():
     # chart without legs reads zeros; rounds become named fields.  The
     # tangent's Taylor steps are one chart-"v" leg at rtol eps, its step
     # count in place of nfev
-    legs = (("r", 1e-12, 5, 0), ("r", 1e-8, 3, -1), ("s", np.float64(9.99e-6), 2, 0),
-            ("s", 1e-5, 4, 0), ("s", 1e-4, 1, -1), ("v", np.finfo(float).eps, 6, 0))
+    legs = (("r", 1e-12, 5, 0), ("r", 1e-8, 3, -1), ("r", np.float64(9.99e-6), 2, 0),
+            ("r", 1e-5, 4, 0), ("r", 1e-4, 1, -1), ("v", np.finfo(float).eps, 6, 0))
     record = SolveRecord(legs=legs, trials=7, bracket=(-0.5, -0.6),
                          rounds=((200, 8, 1e-6, 645), (645, 1, 1e-11, None)))
     payload = record_payload(record)
     assert payload["charts"] == {
-        "r": {"calls": 2, "nfev": 8, "nfev_by_rtol": {"1e-12": 5, "1e-08": 3},
-              "step_failures": 1},
-        "s": {"calls": 3, "nfev": 7, "nfev_by_rtol": {"1e-06": 2, "1e-05": 4, "1e-04": 1},
-              "step_failures": 1},
+        "r": {"calls": 5, "nfev": 15,
+              "nfev_by_rtol": {"1e-12": 5, "1e-08": 3, "1e-06": 2, "1e-05": 4, "1e-04": 1},
+              "step_failures": 2},
         "v": {"calls": 1, "nfev": 6, "nfev_by_rtol": {"1e-16": 6}, "step_failures": 0},
     }
     assert (payload["trials"], payload["bracket"]) == (7, (-0.5, -0.6))

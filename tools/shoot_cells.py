@@ -32,8 +32,11 @@ any tree whose biharm.verify has these four writers.
 --diff compares two such outputs (say, of a parent tree and of a change)
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
-failed invariants), RHS evaluations (chart "v", the tangent's Taylor
-steps, counts its steps there, at rtol eps: "1e-16" in the rtol split),
+failed invariants), RHS evaluations summed over the charts its record
+holds (chart "r", each shot's one leg; chart "v", the tangent's Taylor
+steps, counts its steps there, at rtol eps: "1e-16" in the rtol split;
+records of trees whose shots went on past r_switch on a second
+integrated system also hold its chart "s"),
 stage-1 shots (the r-chart legs: the opening's probes and the trials),
 root-search trials, the collocation's last round's nodes and the rounds as
 nodes/rounds ("-" without a finished round; marked ":failed" when the solve
