@@ -24,9 +24,69 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParams, LadderMismatch, NoPcValue
-from .ivp import _brentq
 from .params import sobolev_exponent
 from .spectrum import q4_eval
+
+_BRENT_TOL, _BRENT_MAXITER = 4 * math.ulp(1.0), 100  # a root's xtol = rtol; scipy's maxiter
+
+
+def _signbit(x):
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f, xa, xb):
+    """The root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4):
+    scipy's brentq(f, xa, xb, xtol=4 eps, rtol=4 eps) operation for
+    operation (scipy/optimize/Zeros/brentq.c, at its 100 iterations), so it
+    returns the same double.  As scipy's, it raises ValueError on a NaN
+    value of f or on ends whose values have the same sign bit, returns an
+    end where f is exactly 0, and raises RuntimeError after 100 iterations
+    without convergence."""
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError(f"f({xa!r}) and f({xb!r}) have the same sign")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_TOL + _BRENT_TOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"no root within {_BRENT_TOL!r} after {_BRENT_MAXITER} iterations; last x={xcur!r}")
 
 
 def pc_defect(n: int, p):
@@ -116,7 +176,7 @@ def compute_pc(n: int) -> float:
 
     R_1 = -(p-1)^4 h is bracketed in floats from the Sobolev exponent,
     doubling p until its sign flips, and the bracket is closed by Brent's
-    method (ivp._brentq); from that root the exact ulp walk steps to the two
+    method (_brentq); from that root the exact ulp walk steps to the two
     adjacent floats where R_1's exact sign changes, and R_1's exact sign at
     their midpoint picks the nearer one, so the result does not depend on
     where the walk starts (Brent's root is within 8 ulps for n = 13..200).

@@ -10,8 +10,13 @@ other height.  Near the origin the regular solution is a power series in
 r^2, fixed by phi(0) = 1 and v0 = (Laplacian phi)(0); each shot starts
 from that series, truncated, at the largest radius, up to half the leg's
 end, where the truncation stays below rounding (in closed form, from its
-last two terms) and no escape event can lie before it.  A shot is one
-integration in r from there to its end radius.
+last two terms) and no escape event can lie before it.  A shot is one leg
+of Taylor steps in r from there to its end radius.  One generated
+straight-line step of order _TAYLOR_ORDER serves every leg: in real
+arithmetic for stage 1's shots and a single shot, in complex arithmetic for
+the collocation's tangent.  Each step is as long as its truncation stays
+below the leg's tolerance, and the steps' coefficient lists are the leg's
+dense output.
 
 The entire positive solution is found in two stages: a safeguarded root
 search on v0 between blow-up and sign-loss shots brackets it, and one
@@ -28,7 +33,6 @@ from __future__ import annotations
 import linecache
 import math
 from dataclasses import dataclass, replace
-from operator import mul
 
 import numpy as np
 
@@ -42,7 +46,6 @@ from .errors import (
     StepFailure,
     WindowTooShort,
 )
-from .ivp import solve_ivp, system
 from .params import ProblemParams
 from .spectrum import Spectrum, compute_spectrum
 
@@ -72,12 +75,12 @@ _PROBE_LO = -1e3      # most negative v0 probed
 _PROBE_HI = -1e-6     # least negative v0 probed
 # relative v0 bracket width below which stage 1 stops, so that the tangent
 # at the bracket's midpoint serves as the collocation's left boundary map
-# (second stage of shoot); the collocated v0 may land at most this far
-# (relative) outside the bracket
+# (second stage of shoot)
 _BRACKET_STOP = math.sqrt(np.finfo(float).eps)
-# collocation: uniform starting nodes and node cap
+# collocation: uniform starting nodes, node cap and tolerance
 _BVP_NODES = 200
 _BVP_MAX_NODES = 25000
+_BVP_TOL = 1e-10  # the rms residual every collocation round must meet
 # |W/L - 1| below which the collocation's guess leaves the blow-up end's leg
 # for the slowest decaying mode e^{lam3 s}
 _GUESS_FLOOR = 1e-3
@@ -91,18 +94,12 @@ _RESOLUTION_FLOOR = 1e-10
 # |Y|/L below which the decay slope and the default fit window end, a decade
 # clear of _RESOLUTION_FLOOR
 _DECAY_FLOOR = 1e-9
-# the integrator's rtol for a single shot's legs (integrate_radial's): its
-# atol is _RTOL / 100, and the collocation's tol is 100 _RTOL
-_RTOL = 1e-12
+# every leg's Taylor steps are of this order
+_TAYLOR_ORDER = 20
 # Stage 1's shots only classify a trial v0 and leave the bracket and the
-# guess's leg; the collocation fixes v0 from the tangent.  A trial x that
-# splits a bracket of width w runs at rtol
-# max(_RTOL_BRACKET, _RTOL_PROBE min(1, w / |x|)), atol rtol / 100: the
-# opening's probes at _RTOL_PROBE (rung 0 and every rung above it) and
-# (1 - 10^(-1/2)) _RTOL_PROBE (rung 1 and every rung below it), every trial
-# in a bracket narrower than _RTOL_PROBE |x| at _RTOL_BRACKET
-_RTOL_BRACKET = 1e-8
-_RTOL_PROBE = 1e-4
+# guess's leg; the collocation fixes v0 from the tangent.  Each of them runs
+# at this truncation tolerance; the tangent and a single shot run at eps.
+_SHOT_TOL = 1e-10
 _EPS = math.ulp(1.0)  # the truncation rule's eps
 
 
@@ -122,14 +119,15 @@ class SignLoss:
 
 @dataclass(frozen=True)
 class SolveRecord:
-    """The work of one solve, in order: each leg's (chart, rtol, nfev,
-    status) in legs, status solve_ivp's (-1 a step failure), and for the
-    tangent's Taylor steps ("v") rtol eps and the step count; stage 1's
-    trials and the (up, dn) bracket it ended on; and each collocation round
-    that finished, as collocation.Collocation.rounds holds them: (nodes,
-    Newton iterations, max rms residual, the nodes it predicts or None when
-    it met tol).  A stage not reached leaves trials and bracket None and
-    rounds empty."""
+    """The work of one solve, in order: each leg's (chart, tol, steps,
+    status) in legs, chart "r" for a shot's real leg of Taylor steps and
+    "v" for the tangent's complex-step leg, tol its truncation tolerance,
+    steps its Taylor step count and status solve_ivp's (0 at its end, 1
+    at an escape, -1 a step failure); stage 1's trials and the (up, dn)
+    bracket it ended on; and each collocation round that finished, as
+    collocation.Collocation.rounds holds them: (nodes, Newton iterations,
+    max rms residual, the nodes it predicts or None when it met tol).  A
+    stage not reached leaves trials and bracket None and rounds empty."""
 
     legs: tuple = ()
     trials: int | None = None
@@ -235,6 +233,64 @@ def _series_factory(k: int):
 _SERIES = _series_factory(_SERIES_ORDER)
 
 
+def _step_factory(k: int):
+    """Compile one Taylor step of order k of the r-chart into a factory of
+    straight-line code: factory(nm1, p, weights) binds n - 1, p and Miller's
+    weights ((p + 1) i - j) / j (j = 1..k-1, i = 1..j, flat) by closure and
+    returns step(r, y, tol, cap) -> (t, lists, end).
+
+    From the state y = (u, u', Delta u, (Delta u)') at r the step forms its
+    Taylor coefficients in t = r' - r up to t^k, four lists: u' = w,
+    w' = v - (n-1) w / r, v' = z, z' = u^p - (n-1) z / r, with w / r and
+    z / r by the division recurrence a_j = (w_j - a_{j-1}) / r and u^p by
+    Miller's power recurrence [u^p]_j = sum_{i=1..j} ((p+1) i - j) u_i
+    [u^p]_{j-i} / (j u_0).  t is _truncation's rule on the lists with eps
+    replaced by tol, at most cap, and end the lists' Horner sums at t.  Each
+    sum adds its terms from 0.0 in the order of i, each term is
+    weight (u_i [u^p]_{j-i}), and each factor 1 / (j + 1) is a literal, so
+    the step is the loop's bit for bit (tests/test_ivp.py keeps that loop
+    as the oracle), on floats and on complex numbers alike."""
+    lists = [[f"{x}{j}" for j in range(k + 1)] for x in "uwvz"]
+    weights = [f"m{j}_{i}" for j in range(1, k) for i in range(1, j + 1)]
+    body = ["inv_r = 1.0 / r", "u0, w0, v0, z0 = y", "P0 = u0 ** p", "inv_u = 1.0 / u0", "a = b = 0.0"]
+    for j in range(k):
+        if j:
+            terms = "".join(f" + m{j}_{i} * (u{i} * P{j - i})" for i in range(1, j + 1))
+            body.append(f"P{j} = inv_u * (0.0{terms})")
+        f = repr(1.0 / (j + 1))
+        body += [f"a = (w{j} - a) * inv_r", f"b = (z{j} - b) * inv_r", f"u{j + 1} = w{j} * {f}",
+                 f"w{j + 1} = (v{j} - nm1 * a) * {f}", f"v{j + 1} = z{j} * {f}",
+                 f"z{j + 1} = (P{j} - nm1 * b) * {f}"]
+    # the truncation rule: t = min(cap, over the lists and j = k, k - 1 with
+    # c_j != 0, max((tol |c_0| / |c_j|)^(1/j), (tol |c_1| / |c_j|)^(1/(j-1))))
+    body.append("t = cap")
+    for c in lists:
+        body += [f"s0 = tol * abs({c[0]})", f"s1 = tol * abs({c[1]})"]
+        for j in (k, k - 1):
+            body += [f"cj = abs({c[j]})", "if cj:",
+                     f"    q = (s0 / cj) ** {1.0 / j!r}", f"    q1 = (s1 / cj) ** {1.0 / (j - 1)!r}",
+                     "    q = q1 if q1 > q else q", "    t = q if q < t else t"]
+    ends = []
+    for c in lists:
+        acc = c[k]
+        for name in reversed(c[:k]):
+            acc = f"({acc}) * t + {name}"
+        ends.append(acc)
+    body.append("return t, (" + "".join(f"[{', '.join(c)}], " for c in lists) + "), ("
+                + ", ".join(ends) + ")")
+    src = "def factory(nm1, p, weights):\n"
+    src += f"    {', '.join(weights)}, = weights\n"
+    src += "    def step(r, y, tol, cap):\n" + "".join(f"        {line}\n" for line in body) + "    return step\n"
+    filename = f"<Taylor step: K = {k}>"  # registered, so tracebacks show the lines
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace = {}
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace["factory"]
+
+
+_STEP = _step_factory(_TAYLOR_ORDER)
+
+
 def _horner(c, x):
     """sum_k c[k] x^k by Horner, from the last term."""
     acc = c[-1]
@@ -245,9 +301,10 @@ def _horner(c, x):
 
 def _truncation(lists, cap: float) -> float:
     """The truncation radius, at most cap, of polynomials held as
-    coefficient lists c in one variable x: the Taylor integrators' step
-    rule (Jorba & Zou, Experimental Math. 14, 2005).  Each list's last two
-    terms |c_k| x^k, which bound its truncation error inside the radius of
+    coefficient lists c in one variable x: the series start's rule, and the
+    Taylor steps' (Jorba & Zou, Experimental Math. 14, 2005), which
+    _step_factory writes out with the leg's tolerance in place of eps.
+    Each list's last two terms |c_k| x^k, which bound its truncation error inside the radius of
     convergence, stay below eps times its terms' absolute sum S(x) (the
     rounding of that sum) up to x = (eps |c_j| / |c_k|)^(1 / (k - j)), as
     S(x) >= |c_j| x^j; the larger of j = 0, 1 (j = 1 for a c_0 of 0, as in
@@ -320,28 +377,98 @@ class _Series:
 
 
 @dataclass(frozen=True)
-class _Tangent:
-    """The r-chart state on [ts[0], ts[-1]] as _Integrator.tangent steps it
-    at v: steps[i] holds the four complex coefficient lists in
-    t = r - ts[i] of step i, real parts at v and imaginary parts h d/dv of
-    them, and y the state at ts[-1]."""
+class _Leg:
+    """One leg of Taylor steps of the r-chart, as solve_ivp takes it over
+    [ts[0], ts[-1]]: steps[i] holds the four coefficient lists in
+    t = r - ts[i] of step i, the leg's dense output, and y the state at
+    ts[-1].  escape is None, or the BlowUp or SignLoss at whose root the leg
+    ended; status is 0 at the leg's end, 1 at an escape, -1 when a step gave
+    a non-finite state (the leg then stops at the step's start).  A
+    complex-step leg (_Integrator.shot with h > 0) at v carries v and h:
+    the real parts of its lists are the leg at v, the imaginary parts h
+    d/dv of them."""
 
-    v: float
-    h: float
-    ts: np.ndarray
+    ts: list
     steps: list
     y: list
+    escape: BlowUp | SignLoss | None
+    status: int
+    v: float = math.nan
+    h: float = 0.0
 
-    def __call__(self, rr: np.ndarray, v0: float) -> np.ndarray:
-        """The tangent y(v) + (v0 - v) dy/dv at the radii rr in
-        [ts[0], ts[-1]], as 4 by rr.size: each r on its step (the later one
-        at a step end), its lists combined and summed against the powers of
-        t in one batched product."""
+    @property
+    def nfev(self) -> int:
+        """The Taylor steps taken, under the name of a right-hand side
+        count that tracers of solve_ivp read."""
+        return len(self.steps)
+
+    def __call__(self, rr: np.ndarray, v0: float | None = None) -> np.ndarray:
+        """The state at the radii rr in [ts[0], ts[-1]], as 4 by rr.size,
+        of a complex-step leg its tangent y(v) + (v0 - v) dy/dv: each r on
+        its step (the later one at a step end), its lists summed against
+        the powers of t in one batched product."""
         c = np.array(self.steps)
-        c = c.real + ((v0 - self.v) / self.h) * c.imag
-        i = np.clip(np.searchsorted(self.ts, rr, "right") - 1, 0, len(c) - 1)
-        powers = np.vander(rr - self.ts[i], c.shape[2], increasing=True)
+        if self.h:
+            c = c.real + ((v0 - self.v) / self.h) * c.imag
+        ts = np.asarray(self.ts)
+        i = np.clip(np.searchsorted(ts, rr, "right") - 1, 0, len(c) - 1)
+        powers = np.vander(rr - ts[i], c.shape[2], increasing=True)
         return (c[i] @ powers[:, :, None])[:, :, 0].T
+
+
+def _crossing(g, lo: float, hi: float) -> float:
+    """The escape radius on a firing step: with g(lo) < 0 <= g(hi), the
+    bracket [lo, hi] bisected in r down to adjacent floats; its upper end,
+    where g >= 0."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def solve_ivp(step, span, y0, tol: float, m: float, wcap: float) -> _Leg:
+    """Taylor steps of the r-chart over span = (r0, r1) from its state y0
+    at r0, at the truncation tolerance tol: step is a _STEP step (real or
+    complex y0 alike), each step _truncation's length at tol, the last one
+    clipped onto r1.  At each step end, on the real parts: r^m u >= wcap is
+    a BlowUp, at the root of (r + t)^m u(t) - wcap on the step's
+    polynomials; else u <= 0 a SignLoss, at the root of u(t); else a step
+    that makes no headway nears a zero of u, the branch point of u^p, and
+    ends in SignLoss where it starts.  Roots are bisected to adjacent floats
+    (_crossing), and the leg ends there with its state.  A step that gives a
+    non-finite state (coefficients or u^p that overflow, or NaN) ends the
+    leg with status -1."""
+    r, r_end = span
+    y, ts, steps = list(y0), [r], []
+    while r < r_end:
+        cap = r_end - r
+        try:
+            t, lists, end = step(r, y, tol, cap)
+            total = end[0] + end[1] + end[2] + end[3]
+        except OverflowError:  # u^p past the floats
+            total = math.inf
+        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+            return _Leg(ts, steps, y, None, -1)
+        steps.append(lists)
+        r_new = r_end if t == cap else min(r + t, r_end)
+        u = end[0].real
+        if r_new**m * u >= wcap:
+            escape, g = BlowUp, lambda x: x**m * _horner(lists[0], x - r).real - wcap
+        elif not u > 0.0:
+            escape, g = SignLoss, lambda x: -_horner(lists[0], x - r).real
+        elif not r_new > r:
+            return _Leg(ts + [r], steps, y, SignLoss(r=r), 1)
+        else:
+            ts.append(r_new)
+            r, y = r_new, list(end)
+            continue
+        at = _crossing(g, r, r_new)
+        return _Leg(ts + [at], steps, [_horner(c, at - r) for c in lists], escape(r=at), 1)
+    return _Leg(ts, steps, y, None, 0)
 
 
 def _s_operator_coeffs(n: int, m: float) -> np.ndarray:
@@ -367,22 +494,6 @@ def _r_to_s_state(n: int, m: float, r: float, y: np.ndarray) -> np.ndarray:
     return np.array([w0, w1, w2, w3])
 
 
-# The r-chart's right-hand side and terminal events, the shots' one
-# integrated system, written once as expressions in x = r and the state
-# u0..u3 = (u, u', Delta u, (Delta u)').  u^p is taken on the positive
-# branch (trial states may dip below zero transiently) and capped so
-# rejected trial steps cannot overflow.  Blow-up is the scale-aware bound
-# r^m u >= wcap = (1 + a) L, a = min(_BLOWUP - 1, 20 / (p - 1)), where
-# (W/L)^(p-1) has grown by at most e^20, so that u^p cannot stall the steps
-# before the event at any p.  No raw |u| ceiling.  The collocation's
-# tangent takes the same state and its derivative in v0 from Taylor steps
-# (_Integrator.tangent), which the record names chart "v".
-_R_CHART = system("rhs_r", ("p", "cap", "nm1", "m", "wcap"),
-                  ("u1", "u2 - nm1 * u1 / x", "u3",
-                   "((u0 if u0 < cap else cap) ** p if u0 > 0.0 else 0.0) - nm1 * u3 / x"),
-                  (("sign_loss", "u0", -1), ("amplitude_cross", "x ** m * u0 - wcap", 1)))
-
-
 class _Integrator:
     """One (n, p) configuration at phi(0) = 1; integrates arbitrary v0 shots."""
 
@@ -391,123 +502,73 @@ class _Integrator:
         self.n = params.n
         self.p = params.p
         self.m = params.m
-        self.pow_cap = 10.0 ** (295.0 / params.p)
         self.spec = compute_spectrum(params)
         self.L = self.spec.L
+        # Blow-up is the scale-aware bound r^m u >= wcap = (1 + a) L,
+        # a = min(_BLOWUP - 1, 20 / (p - 1)), where (W/L)^(p-1) has grown
+        # by at most e^20, so that u^p cannot stall the steps before the
+        # event at any p.  No raw |u| ceiling.
         self.blowup = min(_BLOWUP - 1.0, 20.0 / (self.p - 1.0))  # W/L - 1 at blow-up
         self.wcap = (1.0 + self.blowup) * self.L
-        # the r-chart's right-hand side, with its events, and the s-chart's
-        # operator, on this configuration's constants
-        self.rhs_r = _R_CHART(p=self.p, cap=self.pow_cap, nm1=self.n - 1.0, m=self.m, wcap=self.wcap)
         self.s_coeffs = _s_operator_coeffs(self.n, self.m).tolist()[1:]
-        # the series' recurrence (see _Series) on the tables every v0
-        # shares: 2n, Miller's weights, the denominators and the factors of
-        # Delta u's b_j
+        # the series' recurrence (see _Series) and the Taylor step on the
+        # tables every v0 shares: 2n, Miller's weights, the denominators and
+        # the factors of Delta u's b_j; the step's Miller weights
+        # ((p + 1) i - j) / j
         n, k = self.n, _SERIES_ORDER
         self.series_recurrence = _SERIES(
             2.0 * n, [(self.p + 1.0) * i - j for j in range(1, k - 1) for i in range(1, j + 1)],
             [(2 * j + 2) * (2 * j + 4) * (2 * j + n) * (2 * j + n + 2) for j in range(k - 1)],
             [(2 * j + 2) * (2 * j + n) for j in range(k)])
-        # the Taylor steps' Miller weights ((p + 1) i - k) / k, i = 1..k, per order k < K
-        self.taylor_weights = [[((self.p + 1.0) * i - j) / j for i in range(1, j + 1)] for j in range(k)]
+        self.step = _STEP(n - 1.0, self.p, [((self.p + 1.0) * i - j) / j
+                                            for j in range(1, _TAYLOR_ORDER) for i in range(1, j + 1)])
         self.work = {"legs": ()}  # SolveRecord's fields, as a solve reaches them
 
-    # --- one leg, one shot ------------------------------------------------
+    # --- one shot ----------------------------------------------------------
     def series(self, v0: float) -> _Series:
         """The regular solution's series at v0."""
         return _Series(self.series_recurrence, v0)
 
     def start(self, series: _Series, r_end: float):
-        """(r0, series state at r0): where and from what a shot's leg or the
-        tangent's steps start, r0 = series.seed_radius up to r_end / 2
-        (r_end = min(r_switch, r_max) for a shot to r_max), at any r0 > 0
-        (below _R_SEED too, where the lattice then comes from the leg)."""
+        """(r0, series state at r0): where and from what a shot's leg
+        starts, r0 = series.seed_radius up to r_end / 2 (r_end =
+        min(r_switch, r_max) for a shot to r_max), at any r0 > 0 (below
+        _R_SEED too, where the lattice then comes from the leg)."""
         r0 = series.seed_radius(self.m, self.wcap, 0.5 * r_end)
         return r0, series.state(r0)
 
-    def taylor(self, y, r: float):
-        """The r-chart state's Taylor coefficients about r from its value y
-        there (floats or complex), as four lists in t = r' - r up to t^K,
-        K = _SERIES_ORDER: u' = w, w' = v - (n-1) w / r, v' = z,
-        z' = u^p - (n-1) z / r, with w / r and z / r by the division
-        recurrence a_k = (w_k - a_{k-1}) / r and u^p by Miller's power
-        recurrence [u^p]_k = sum_{i=1..k} ((p+1) i - k) u_i [u^p]_{k-i} / (k u_0)."""
-        nm1, inv_r = self.n - 1.0, 1.0 / r
-        u, w, v, z = ([c] for c in y)
-        power, inv_u = [y[0] ** self.p], 1.0 / y[0]
-        a = b = 0.0
-        for k, weights in enumerate(self.taylor_weights):
-            if k:
-                power.append(inv_u * sum(map(mul, weights, map(mul, u[1:], reversed(power)))))
-            a, b, f = (w[k] - a) * inv_r, (z[k] - b) * inv_r, 1.0 / (k + 1)
-            u.append(w[k] * f)
-            w.append((v[k] - nm1 * a) * f)
-            v.append(z[k] * f)
-            z.append((power[k] - nm1 * b) * f)
-        return u, w, v, z
+    def shot(self, v0: float, r_max: float, tol: float = _SHOT_TOL, h: float = 0.0):
+        """One shot from the origin: the leg of Taylor steps (solve_ivp, at
+        tol) from the series' start r0 (`start`'s, up to min(r_switch,
+        r_max) / 2) to r_max; returns (outcome, leg).  outcome is the float
+        residual W/L - 1 at r_max, or the leg's BlowUp or SignLoss.  With
+        h > 0 the leg is the complex step v0 + i h (Squire & Trapp, SIAM
+        Rev. 40, 1998), from the series at v0 + i h and r0 at v0: its real
+        parts are the shot at v0, its imaginary parts over h their
+        derivative in v0.  The leg goes into the record as chart "r", or
+        "v" for a complex step, with tol and its step count.  A step that
+        gives a non-finite state raises StepFailure naming the leg."""
+        r0, y0 = self.start(self.series(v0), min(_R_SWITCH, r_max))
+        if h:
+            y0 = self.series(complex(v0, h)).state(r0)
+        leg = solve_ivp(self.step, (r0, r_max), y0, tol, self.m, self.wcap)
+        self.work["legs"] += (("v" if h else "r", tol, leg.nfev, leg.status),)
+        if leg.status == -1:
+            raise StepFailure(
+                f"r-chart Taylor step from r = {leg.ts[-1]:.6g} gave a non-finite state, on the leg at "
+                f"v0 = {v0!r} over r in [{r0:.6g}, {r_max:.6g}] at tol {tol:.3g}")
+        if h:
+            leg = replace(leg, v=v0, h=h)
+        if leg.escape:
+            return leg.escape, leg
+        return float(r_max**self.m * leg.y[0].real) / self.L - 1.0, leg
 
     def tangent(self, v: float):
-        """(escape, _Tangent at v): the r-chart state and its derivative in
-        v0 from the series' start r0 (`start`'s, at v) to r_switch, by
-        Taylor steps (`taylor`) on the complex step v + i h, h = 1e-20 |v|
-        (Squire & Trapp, SIAM Rev. 40, 1998), from the series at v + i h:
-        real parts the state at v, imaginary parts over h its derivative.
-        Each step is _truncation's length, the last clipped onto r_switch.
-        escape is None, or BlowUp or SignLoss (the r-chart's events) at the
-        first step end past one; a step that makes no headway nears a zero
-        of u, the branch point of u^p, and ends in SignLoss.  The leg goes
-        into the record as chart "v" at rtol eps with its step count in
-        place of nfev."""
-        h = 1e-20 * abs(v)
-        r, _ = self.start(self.series(v), _R_SWITCH)
-        y = self.series(complex(v, h)).state(r)
-        ts, steps, escape = [r], [], None
-        while r < _R_SWITCH and escape is None:
-            steps.append(self.taylor(y, r))
-            cap = _R_SWITCH - r
-            t = _truncation(steps[-1], cap)
-            y = [_horner(c, t) for c in steps[-1]]
-            r = _R_SWITCH if t == cap else min(r + t, _R_SWITCH)
-            ts.append(r)
-            if r**self.m * y[0].real >= self.wcap:
-                escape = BlowUp(r=r)
-            elif not (y[0].real > 0.0 and r > ts[-2]):
-                escape = SignLoss(r=r)
-        self.work["legs"] += (("v", _EPS, len(steps), int(escape is not None)),)
-        return escape, _Tangent(v, h, np.array(ts), steps, y)
-
-    def leg(self, span, y0, dense: bool = False, rtol: float | None = None):
-        """Integrate one r-chart leg over span = (r0, r1) at rtol (None:
-        _RTOL), atol rtol / 100; returns (outcome, sol), sol the solve_ivp
-        result.  outcome is the float residual W/L - 1 at r1, SignLoss at
-        the sign_loss event, else BlowUp at the amplitude_cross event, at
-        the radius r the leg ended.  A step failure raises StepFailure.
-        """
-        rtol = _RTOL if rtol is None else rtol
-        sol = solve_ivp(self.rhs_r, span, y0, rtol=rtol, atol=1e-2 * rtol, dense_output=dense)
-        self.work["legs"] += (("r", rtol, sol.nfev, sol.status),)
-        r_end = float(sol.t[-1])
-        if sol.status == 0:
-            return float(r_end**self.m * sol.y[0, -1]) / self.L - 1.0, sol
-        if sol.event == "sign_loss":
-            return SignLoss(r=r_end), sol
-        if sol.event:
-            return BlowUp(r=r_end), sol
-        raise StepFailure(
-            f"r-chart step failed at r = {r_end:.6g}: step size {sol.step:.3g} in r is below "
-            f"10 ulp of r = {r_end:.17g}, on the leg over r in [{span[0]:.6g}, {span[1]:.6g}]"
-        )
-
-    def shot(self, v0: float, r_max: float, dense: bool = False, rtol: float | None = None):
-        """Integrate one shot from the origin: the r-chart leg (`leg`, at
-        rtol) from the series' start r0 to r_max; returns (outcome, sol) as
-        `leg` does.  r0 is `start`'s up to min(r_switch, r_max) / 2, the
-        tangent's own start.  dense only adds the interpolants: solve_ivp
-        takes the same steps either way, so a dense shot replays the plain
-        one.
-        """
-        r0, y0 = self.start(self.series(v0), min(_R_SWITCH, r_max))
-        return self.leg((r0, r_max), y0, dense, rtol)
+        """(escape, leg): the complex-step shot at v, h = 1e-20 |v|, to
+        r_switch at eps, the collocation's tangent; escape is None or the
+        leg's BlowUp or SignLoss."""
+        _, leg = self.shot(v, _R_SWITCH, _EPS, 1e-20 * abs(v))
+        return leg.escape, leg
 
 
 def _scale(m: float, alpha: float, r_max: float | None = None) -> float:
@@ -546,21 +607,22 @@ def integrate_radial(params: ProblemParams, alpha: float, v0: float, r_max: floa
     when the trajectory stays positive and bounded to r_max, otherwise the
     BlowUp or SignLoss outcome, its radius divided by kappa.  The full
     solution grids require the spectrum, so params must be at or above the
-    critical exponent.  The shot, one dense r-chart leg, runs to
+    critical exponent.  The shot, one leg of Taylor steps at eps, runs to
     kappa r_max e^{_S_PAD}; for alpha = 1 and r_max >= _R_HORIZON that is
-    shoot's classification horizon.  The solution is that leg and, below
-    its start, the series at v0.  Below r_switch, shoot's solution is the
-    same series and, from the leg's start on, the tangent at its v0 of the
-    Taylor steps (_Integrator.tangent), which a shot at shoot's v0 meets to
-    within the leg's integration error.
+    shoot's classification horizon.  The solution is that leg's
+    polynomials on the lattice and, below its start, the series at v0.
+    Below r_switch, shoot's solution is the same series and, from the
+    leg's start on, the tangent at its v0 of the complex-step leg at the
+    bracket's midpoint (_Integrator.tangent), which a shot at shoot's v0
+    meets to within the legs' rounding.
     """
     kappa = _scale(params.m, alpha, r_max)
     r_max, v0 = kappa * r_max, v0 / kappa ** (params.m + 2.0)
     integ = _Integrator(params)
-    outcome, leg = integ.shot(v0, r_max * math.exp(_S_PAD), dense=True)
+    outcome, leg = integ.shot(v0, r_max * math.exp(_S_PAD), _EPS)
     if isinstance(outcome, (BlowUp, SignLoss)):
         return replace(outcome, r=outcome.r / kappa)
-    sol = _assemble_solution(integ, v0, r_max, (leg.t[0], leg.sol), None, seam=0.0)
+    sol = _assemble_solution(integ, v0, r_max, (leg.ts[0], leg), None, seam=0.0)
     return sol if alpha == 1.0 else rescale_solution(sol, alpha)
 
 
@@ -569,9 +631,9 @@ def _sample_state(integ, v0, head, tail, s_nodes):
 
     Nodes below log r_switch come from the r-chart (all of them when tail,
     the collocation's X at ascending s, is None).  head is (r_h, y): y(rr)
-    the r-chart state at the radii rr >= r_h, a single shot's dense leg
-    from its start r_h, or shoot's tangent at v0 from the Taylor steps'
-    start (_Tangent).  A node below r_h takes the series state at v0; below
+    the r-chart state at the radii rr >= r_h, a single shot's leg from its
+    start r_h, or shoot's tangent at v0 from the complex-step leg's start
+    (_Leg).  A node below r_h takes the series state at v0; below
     the Taylor steps it stands for the tangent of the series at their v,
     from which it differs by O((v0 - v)^2), about 1e-17 relative.  Each
     node's state is mapped to X by _r_to_s_state.
@@ -658,8 +720,8 @@ def _model_point(pts, up, dn):
 def _bisect(side, up, dn, done, ends) -> tuple[int, float, float]:
     """Shrink the bracket between up (side >= 0, blow-up) and dn (side < 0).
 
-    side(x, width) is an escape-law value as from _escape_law of the trial x
-    in the bracket of that width, and ends holds the values at up and dn.
+    side(x) is an escape-law value as from _escape_law of the trial x, and
+    ends holds the values at up and dn.
     Each trial is a model step (_model_point) or a midpoint.  A midpoint is
     taken when no side has a model, when the model step falls outside the
     bracket, or when the last _MODEL_RUN model steps have not halved the
@@ -683,7 +745,7 @@ def _bisect(side, up, dn, done, ends) -> tuple[int, float, float]:
             x, run = mid, []
         else:
             run.append(width)
-        g = side(x, width)
+        g = side(x)
         if g >= 0.0:
             up = x
             pts[0].append((x, g))
@@ -707,21 +769,19 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     rung 0, then rung 1 when rung 0 blows up, then rung by rung outward on
     the side the root lies on until a probe flips, out to _PROBE_HI and
     _PROBE_LO (BracketNotFound past them).  _bisect shrinks the bracket
-    with full shots, each one r-chart leg (model steps on the values of
-    _escape_law, kept safe by midpoints) until it is narrower than
-    _BRACKET_STOP relative to v0 and its blow-up end's leg reaches past
-    r_switch, where its step ends are the collocation's guess;
-    NoConvergence when it ends before that.  Each shot runs at the rtol the
-    bracket it splits needs (see _RTOL_PROBE), down to _RTOL_BRACKET; a
-    trial misclassified at a loose rtol leaves the root outside the
-    bracket, which the collocation's guard turns into NoConvergence.  Shots
-    are classified at r_cls = max(r_max, _R_HORIZON) e^{_S_PAD}, past the
-    returned lattice and past r_switch.
+    with full shots, each one leg of Taylor steps at _SHOT_TOL (model
+    steps on the values of _escape_law, kept safe by midpoints) until it is
+    narrower than _BRACKET_STOP relative to v0 and its blow-up end's leg
+    reaches past r_switch, where its step ends are the collocation's guess;
+    NoConvergence when it ends before that.  A misclassified trial leaves
+    the root outside the bracket, which the collocation's guard turns into
+    NoConvergence.  Shots are classified at r_cls = max(r_max, _R_HORIZON)
+    e^{_S_PAD}, past the returned lattice and past r_switch.
     (2) Collocation (_collocate): one boundary value problem with v0 as its
     unknown, its left condition the tangent in v0 of the r-chart state at
-    r_switch from the bracket's midpoint, by complex-step Taylor steps
-    (_Integrator.tangent), closes the solution on the
-    s-chart up to r_cls, solved by biharm.collocation (solve_bvp's Newton
+    r_switch from the bracket's midpoint, by a complex-step leg of Taylor
+    steps (_Integrator.tangent), closes the solution on the s-chart up to
+    r_cls, solved by biharm.collocation (solve_bvp's Newton
     rounds on a banded LU, each round on the mesh the last one's residuals
     predict); below r_switch it is that tangent at that v0.  For r_max <=
     _R_HORIZON the horizon, and so the solution, does not depend on r_max,
@@ -752,27 +812,25 @@ def _solve(integ, r_max):
 
     legs, g = {}, {}  # v0 -> leg past r_switch, and escape-law value, of its full shot
 
-    def side(v0, width):
-        rtol = max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, width / abs(v0)))
-        outcome, leg = integ.shot(v0, r_cls, rtol=rtol)
-        if leg.t[-1] > _R_SWITCH:
+    def side(v0):
+        outcome, leg = integ.shot(v0, r_cls)
+        if leg.ts[-1] > _R_SWITCH:
             legs[v0] = leg
         g[v0] = _escape_law(outcome, integ.blowup, lam4, s_cls)
         return g[v0]
 
     # the opening: rung 0, then rung 1 when rung 0 blows up; on from the
     # pair, rung by rung, outward on the side the root lies on, until a
-    # probe flips; each probe splits the span between it and its inner
-    # neighbour; k is up's rung
+    # probe flips; k is up's rung
     k, up, dn = 0, rung(0), rung(1)
-    while side(up, up - dn) < 0.0:  # the root lies above up
+    while side(up) < 0.0:  # the root lies above up
         if up == _PROBE_HI:
             raise BracketNotFound(f"every probe from {rung(0):.3g} up to {_PROBE_HI:.3g} loses sign: "
                                   "they do not bracket the separatrix")
         k -= 1
         up, dn = rung(k), up
     if k == 0:
-        while side(dn, up - dn) >= 0.0:  # the root lies below dn
+        while side(dn) >= 0.0:  # the root lies below dn
             if dn == _PROBE_LO:
                 raise BracketNotFound(f"every probe from {rung(0):.3g} down to {_PROBE_LO:.3g} blows up: "
                                       "they do not bracket the separatrix")
@@ -811,26 +869,27 @@ def _collocate(integ, leg, up, dn, r_cls):
     left condition puts y on the tangent R(v0) = (X(mid) - X*) / L
     + (v0 - mid) dX/dv / L at the bracket's midpoint mid, X(mid) and dX/dv
     the real parts and the imaginary parts over h of the end state of
-    _Integrator.tangent's complex-step Taylor steps, mapped by
-    _r_to_s_state, which is linear in the state.  The right one, l4 . y = 0, removes the
+    _Integrator.tangent's complex-step leg, mapped by _r_to_s_state, which
+    is linear in the state.  The right one, l4 . y = 0, removes the
     unstable mode: l4, the left eigenvector for lam4 with l4 . e4 = 1,
     holds the coefficients of (mu - lam1)(mu - lam2)(mu - lam3), in
     increasing powers, over prod_i (lam4 - lam_i).  The guess is leg, the
-    blow-up end's stage-1 r-chart leg, at its step ends past r_switch
+    blow-up end's stage-1 leg, at its step ends past r_switch
     mapped to the s-chart by _r_to_s_state, up to where |y0| <
     _GUESS_FLOOR, then y there times e^{lam3 (s - s_a)}, on _BVP_NODES
     uniform nodes.
     One collocation.solve call, capped at _BVP_MAX_NODES, runs the problem
     in Newton rounds: the first on the start mesh, each later one on the
     mesh the last one's rms residuals predict (see collocation.solve); a
-    failed round raises NoConvergence, and so do Taylor steps that end
-    in an escape before r_switch.  The tangent is accurate only near the bracket: a v0
-    more than _BRACKET_STOP |v0| outside it raises NoConvergence.  Each
+    failed round raises NoConvergence, and so does a tangent leg that ends
+    in an escape before r_switch.  Stage 1's shots bracket the separatrix,
+    so a v0 farther outside the bracket than its width (a misclassified
+    trial, or a tangent read too far from mid) raises NoConvergence.  Each
     NoConvergence names the s-domain and the bracket, and one from a round
     names the round, its nodes, Newton iterations and residual.  The
     rounds that finished go into the solve's record either way.  Returns
-    (v0, the _Tangent, whose steps are the lattice's r-chart part, the
-    left condition's residual max |y(s_a) - R(v0)| (the seam), the
+    (v0, the tangent's _Leg, whose steps are the lattice's r-chart part,
+    the left condition's residual max |y(s_a) - R(v0)| (the seam), the
     collocation.Collocation).
     """
     L = integ.L
@@ -858,10 +917,12 @@ def _collocate(integ, leg, up, dn, r_cls):
         df_dy[3, 1:] = np.array([-c3, -c2, -c1])[:, None]
         return df_dy
 
-    beyond = leg.t > _R_SWITCH
-    rr = leg.t[beyond]
+    ts = np.array(leg.ts)
+    ends = np.array([[c[0] for c in lists] for lists in leg.steps] + [leg.y]).T  # the states at ts
+    beyond = ts > _R_SWITCH
+    rr = ts[beyond]
     s = np.log(rr)
-    dev = (_r_to_s_state(integ.n, integ.m, rr, leg.y[:, beyond]) - x_star[:, None]) / L
+    dev = (_r_to_s_state(integ.n, integ.m, rr, ends[:, beyond]) - x_star[:, None]) / L
     below = np.nonzero(np.abs(dev[0]) < _GUESS_FLOOR)[0]
     a = int(below[0]) if below.size else int(np.argmin(np.abs(dev[0])))
     mesh = np.linspace(s0, s1, _BVP_NODES)
@@ -878,13 +939,13 @@ def _collocate(integ, leg, up, dn, r_cls):
             raise NoConvergence(f"the tangent's r-chart leg at v0 = {mid!r} ends in {escape}")
         x = _r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(tangent.y))
         bvp = collocation.Bvp(fun, jac, ya=(x.real - x_star) / L, slope=x.imag / tangent.h / L, v_ref=mid,
-                              right=l4, tol=100.0 * _RTOL)
+                              right=l4, tol=_BVP_TOL)
         res = collocation.solve(bvp, mesh, guess, mid, _BVP_MAX_NODES)
         v0 = float(res.v)
         off = max(dn - v0, v0 - up)
-        if off > _BRACKET_STOP * abs(v0):
+        if off > up - dn:
             raise NoConvergence(f"v0 = {v0!r} lies {off:.3g} outside the bracket, more than "
-                                f"{_BRACKET_STOP:.3g} |v0|", res.rounds)
+                                f"its width {up - dn:.3g}", res.rounds)
     except NoConvergence as exc:
         integ.work["rounds"] = exc.rounds
         raise NoConvergence(f"collocation stage: {exc} ({where})") from None

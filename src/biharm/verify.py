@@ -298,16 +298,15 @@ def invariant_payload(invariants) -> dict:
 
 def record_payload(record) -> dict:
     """A shooting.SolveRecord as JSON: per chart ("r", each shot's one
-    leg, and "v", the tangent's complex-step Taylor steps, one leg per
-    solve whose nfev is its step count, at rtol eps, keyed "1e-16") its
-    legs (calls), their RHS evaluations (nfev), those keyed by the decade
-    of each leg's rtol, as "1e-08" (nfev_by_rtol), and the legs that ended
-    in a step failure; stage 1's trials and bracket; each finished
-    collocation round."""
+    leg of Taylor steps, and "v", the tangent's complex-step leg, one per
+    solve, at eps, keyed "1e-16") its legs (calls), their Taylor steps
+    (nfev), those keyed by the decade of each leg's tolerance, as "1e-10"
+    (nfev_by_rtol), and the legs that ended in a step failure; stage 1's
+    trials and bracket; each finished collocation round."""
     charts = {chart: {"calls": 0, "nfev": 0, "nfev_by_rtol": {}, "step_failures": 0}
               for chart in ("r", "v")}
-    for chart, rtol, nfev, status in record.legs:
-        work, decade = charts[chart], f"{10.0 ** math.floor(math.log10(rtol)):.0e}"
+    for chart, tol, nfev, status in record.legs:
+        work, decade = charts[chart], f"{10.0 ** math.floor(math.log10(tol)):.0e}"
         work["calls"] += 1
         work["nfev"] += nfev
         work["nfev_by_rtol"][decade] = work["nfev_by_rtol"].get(decade, 0) + nfev

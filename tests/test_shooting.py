@@ -23,7 +23,6 @@ from biharm import (
     compute_pc,
     compute_spectrum,
 )
-from biharm.ivp import IvpResult, solve_ivp
 from biharm.verify import solve_invariants
 import biharm.collocation
 import biharm.shooting
@@ -31,7 +30,9 @@ from biharm.shooting import (
     _BRACKET_STOP,
     _BVP_MAX_NODES,
     _BVP_NODES,
+    _BVP_TOL,
     _DS,
+    _EPS,
     _MAX_BISECT,
     _PROBE_ANCHOR,
     _PROBE_HI,
@@ -39,21 +40,22 @@ from biharm.shooting import (
     _R_HORIZON,
     _R_SEED,
     _R_SWITCH,
-    _RTOL,
-    _RTOL_BRACKET,
-    _RTOL_PROBE,
     _S_PAD,
     _SERIES_ORDER,
+    _SHOT_TOL,
+    _TAYLOR_ORDER,
     BlowUp,
     SignLoss,
     _bisect,
     _collocate,
     _escape_law,
     _Integrator,
+    _Leg,
     _phis,
     _power,
     _r_to_s_state,
     _s_operator_coeffs,
+    _step_factory,
     check_monotone_y,
     check_positivity,
     decay_slope,
@@ -64,6 +66,7 @@ from biharm.shooting import (
     rescale_solution,
     resolved_top_index,
     shoot,
+    solve_ivp,
     y_integral_identity_check,
 )
 
@@ -127,24 +130,26 @@ def test_too_negative_v0_loses_sign(pc13):
     (100, lambda pc: pc),
 ])
 def test_scalar_rhs_matches_array_reference(n, p_of_pc):
-    # the scalar right-hand side must reproduce the array formula built on
-    # _power of u capped at the power cap bit for bit, including u < 0, u = 0
-    # and u above the cap
+    # the Taylor step's first-order coefficients are the r-chart's
+    # right-hand side at its state: the array formula built on _power, to
+    # the rounding of its terms (the step divides by r as a product with
+    # 1 / r, and Python's power may differ from numpy's by an ulp), at u
+    # from 1e-3 to 1.5 (a step starts only where u > 0) and w, v, z of
+    # either sign from 1e-6 to 1e3
     params = ProblemParams(n, p_of_pc(compute_pc(n)))
     integ = _Integrator(params)
-    nm1, cap = n - 1.0, integ.pow_cap
+    nm1 = n - 1.0
     rng = np.random.default_rng(20240)
     states = rng.normal(size=(64, 4)) * 10.0 ** rng.uniform(-6.0, 3.0, size=(64, 1))
-    states[:8, 0] = -np.abs(states[:8, 0])
-    states[8:12, 0] = 0.0
-    states[12:16, 0] = min(cap * 10.0, 1e300) * rng.uniform(0.2, 1.0, size=4)
-    assert np.all(states[12:16, 0] > cap)
+    states[:, 0] = 10.0 ** rng.uniform(-3.0, math.log10(1.5), size=64)
     for y, r in zip(states, rng.uniform(1e-3, 12.0, size=64)):
         u, w, v, z = y
-        ref = np.array((w, v - nm1 * w / r, z, _power(min(u, cap), params.p) - nm1 * z / r), dtype=float)
-        got = np.array(integ.rhs_r(r, y), dtype=float)
-        assert np.all(got == ref)
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        power = _power(u, params.p)
+        ref = np.array((w, v - nm1 * w / r, z, power - nm1 * z / r), dtype=float)
+        scale = np.array((abs(w), abs(v) + nm1 * abs(w / r), abs(z), power + nm1 * abs(z / r)))
+        _, lists, _ = integ.step(r, y.tolist(), _EPS, 1.0)
+        got = np.array([c[1] for c in lists])
+        assert np.all(np.abs(got - ref) <= 4.0 * _EPS * scale)
 
 
 # --- the series start --------------------------------------------------------
@@ -387,16 +392,17 @@ def test_single_shots_at_large_p_lose_sign_where_u_does(pc13):
 
 @pytest.mark.parametrize("cell, v0", [("A", None), ("n13_10pc", -0.3), ("n13_10pc", _PROBE_HI)])
 def test_series_start_matches_an_r_leg_from_the_taylor_seed(cell, v0, sol_a):
-    # the state at r0 against DOP853 from the old seed at r = 1e-3
-    # (measured: at most 1.8e-13 relative, per entry, at r0 = 0.63 to 1.55)
+    # the state at r0 against a leg of Taylor steps at eps from the old seed
+    # at r = 1e-3 (measured: at most 4.3e-14 relative, per entry, at r0 =
+    # 0.63 to 1.55, in 23 to 27 steps)
     integ = _series_integrator(cell)
     v0 = sol_a.v0 if v0 is None else v0
     r0, y0 = integ.start(integ.series(v0), _R_SWITCH)
     assert r0 > 1e-3
-    leg = solve_ivp(integ.rhs_r, (1e-3, r0), _taylor_seed(integ.n, integ.p, 1.0, v0, 1e-3),
-                    rtol=_RTOL, atol=1e-2 * _RTOL)
-    assert leg.status == 0 and leg.t[-1] == r0
-    assert np.all(np.abs(np.array(y0) - leg.y[:, -1]) <= 1e-11 * np.abs(leg.y[:, -1]))
+    leg = solve_ivp(integ.step, (1e-3, r0), _taylor_seed(integ.n, integ.p, 1.0, v0, 1e-3).tolist(),
+                    _EPS, integ.m, integ.wcap)
+    assert leg.status == 0 and leg.ts[-1] == r0
+    assert np.all(np.abs(np.array(y0) - leg.y) <= 1e-11 * np.abs(leg.y))
 
 
 @pytest.mark.parametrize("cell, v0, outcome, r_event", [
@@ -414,10 +420,9 @@ def test_series_start_keeps_the_ladder_end_outcomes(cell, v0, outcome, r_event):
 
 
 def _threshold_side(thr, trials):
-    # blow-up side at and above thr; records every point it is asked about
-    # (the bracket's width, which sets a shot's rtol, plays no part); its
-    # values at the ends of a bracket are (1, -1)
-    def side(x, width=None):
+    # blow-up side at and above thr; records every point it is asked about;
+    # its values at the ends of a bracket are (1, -1)
+    def side(x):
         trials.append(x)
         return 1 if x >= thr else -1
     return side
@@ -454,7 +459,7 @@ def test_bisect_stops_at_step_cap():
 
 def _escape_law_side(root, slope_up, slope_dn, trials):
     # escape-law values linear in x on each side of root, one slope per side
-    def side(x, width=None):
+    def side(x):
         trials.append(x)
         return (slope_up if x >= root else slope_dn) * (x - root)
     return side
@@ -510,7 +515,7 @@ def test_model_step_within_three_bisections_on_wrong_models():
     for magnitude in [drawn(seed) for seed in range(200)] + [flat(k) for k in (2, 4, 8, 16)]:
         trials = []
 
-        def side(x, width=None):
+        def side(x):
             trials.append(x)
             return (1.0 if x >= _A_ROOT else -1.0) * magnitude(x)
 
@@ -556,66 +561,50 @@ def test_case_a_root_search_work(sol_a):
 
 
 def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
-    # Tracing swaps the module's solve_ivp and labels each call's chart by the
-    # right-hand side's __name__; every integration must be visible that way,
-    # so every RHS evaluation must happen inside such a call.  The scalar
-    # right-hand side (the initial step's two calls) and the leg kernel (12
-    # per attempted step, 3 per interpolant) are counted where the r-chart's
-    # factory hands them out, and must add up to the calls' nfev.
+    # Tracing swaps the module's solve_ivp, so every integration must be
+    # visible that way: every Taylor step must be taken inside such a call.
+    # The step is counted where the _STEP factory hands it out, per chart
+    # (complex states are the tangent's, chart "v"), and the counts must
+    # add up to the calls' nfev, over a solve and a single shot alike; the
+    # solve's record holds the same legs, the tangent's one leg at eps.
     plain = biharm.shooting.solve_ivp
-    inside, nfev, evaluated = [], Counter(), Counter()
+    inside, nfev, taken = [], Counter(), Counter()
 
-    def counting_solve_ivp(fun, *args, **kwargs):
-        inside.append(fun.__name__)
+    def chart(y):
+        return "v" if isinstance(y[0], complex) else "r"
+
+    def counting_solve_ivp(step, span, y0, *args):
+        inside.append(step)
         try:
-            result = plain(fun, *args, **kwargs)
+            result = plain(step, span, y0, *args)
         finally:
             inside.pop()
-        nfev[fun.__name__] += result.nfev
+        nfev[chart(y0)] += result.nfev
         return result
 
     def counted(factory):
-        def make(**constants):
-            rhs = factory(**constants)
-            name, kernel = rhs.__name__, rhs.kernel
+        def make(*constants):
+            step = factory(*constants)
 
-            def counted_kernel(*args):
-                assert inside == [name]
-                out = status, _, steps, _, _ = kernel(*args)
-                dense = args[-1]
-                evaluated[name] += 12 * steps + 3 * (len(dense) if dense is not None else status == 1)
-                return out
-
-            def counted_rhs(x, u):
-                assert inside == [name]
-                evaluated[name] += 1
-                return rhs(x, u)
-
-            counted_rhs.__name__, counted_rhs.events, counted_rhs.kernel = name, rhs.events, counted_kernel
-            return counted_rhs
+            def counted_step(r, y, tol, cap):
+                assert inside == [counted_step]
+                taken[chart(y)] += 1
+                return step(r, y, tol, cap)
+            return counted_step
         return make
 
-    plain_taylor = _Integrator.taylor
-    taylor_steps = []
-
-    def counted_taylor(self, y, r):
-        assert inside == []
-        taylor_steps.append(r)
-        return plain_taylor(self, y, r)
-
     monkeypatch.setattr(biharm.shooting, "solve_ivp", counting_solve_ivp)
-    monkeypatch.setattr(_Integrator, "taylor", counted_taylor)
-    monkeypatch.setattr(biharm.shooting, "_R_CHART", counted(biharm.shooting._R_CHART))
+    monkeypatch.setattr(biharm.shooting, "_STEP", counted(biharm.shooting._STEP))
     sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
-    assert set(nfev) == {"rhs_r"}
-    assert nfev == evaluated
-    # the solve's record holds the same legs, and the tangent's one leg of
-    # Taylor steps (chart "v") with its step count
+    assert set(nfev) == {"r", "v"} and nfev == taken
     recorded = Counter()
-    for chart, _, count, _ in sol.record.legs:
-        recorded["rhs_" + chart] += count
-    assert recorded == nfev + Counter(rhs_v=len(taylor_steps)) and len(taylor_steps) > 1
-    assert [leg for leg in sol.record.legs if leg[0] == "v"] == [("v", np.finfo(float).eps, len(taylor_steps), 0)]
+    for leg_chart, _, count, _ in sol.record.legs:
+        recorded[leg_chart] += count
+    assert recorded == nfev
+    assert [leg for leg in sol.record.legs if leg[0] == "v"] == [("v", _EPS, nfev["v"], 0)]
+    before = nfev["r"]
+    integrate_radial(sol.params, 1.0, sol.v0, 60.0)
+    assert nfev["r"] > before and nfev == taken
 
 
 def test_shoot_compiles_nothing(sol_quick, monkeypatch):
@@ -930,11 +919,11 @@ def test_y_integral_identity_exact_on_synthetic_solution(sol_quick):
 
 
 def test_grid_consistency_under_tolerance_halving(pc13, monkeypatch):
-    # Measured: W[-1] does not change (0.0); the whole of W moves by
-    # 4.8e-14 L.
+    # the collocation's tol halved.  Measured: W[-1] does not change (0.0);
+    # the whole of W moves by 6.3e-15 L.
     params = ProblemParams(13, pc13 + 0.5)
     base = shoot(params, alpha=1.0, r_max=500.0)
-    monkeypatch.setattr(biharm.shooting, "_RTOL", 5e-13)
+    monkeypatch.setattr(biharm.shooting, "_BVP_TOL", 0.5 * _BVP_TOL)
     tight = shoot(params, alpha=1.0, r_max=500.0)
     change = abs(base.W[-1] - tight.W[-1])
     assert change < 1e-12
@@ -1113,10 +1102,10 @@ def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_rtol():
     # the legs' integration noise as its slope (v0 1.0e-11 off).  The
     # tangent at the bracket's midpoint takes its slope from one
     # variational leg, whatever the bracket's width.  Pinned: v0 of the
-    # chord's solve with _RTOL = 5e-13.  Now the bracket ends 1.3e-8
-    # relative wide, v0 lies 3.5e-15 from the pin and the seam reads
-    # 3.8e-16; test_tangent_pins_v0_on_case_a_at_r_max_500 covers a
-    # bracket narrower than _RTOL |v0|.
+    # chord's solve with DOP853 legs at rtol 5e-13.  Now the bracket ends
+    # 1.8e-9 relative wide, v0 lies 1.6e-15 from the pin and the seam reads
+    # 4.9e-17; test_tangent_pins_v0_on_case_a_at_r_max_500 covers a bracket
+    # that misses the root.
     sol = shoot(ProblemParams(40, compute_pc(40)), alpha=1.0, r_max=1e4)
     tight = float.fromhex("-0x1.d71ab8506c4f2p-1")
     assert abs(sol.v0 - tight) <= 1e-13 * abs(tight)
@@ -1126,27 +1115,27 @@ def test_n40_pc_closes_its_seam_on_a_bracket_wider_than_rtol():
 
 def test_tangent_pins_v0_on_case_a_at_r_max_500(sol_quick, sol_a):
     # Case A at r_max 500.  Pinned: v0 of a solve whose chord between the
-    # bracket's ends had a floor on its width (_RTOL |v0|) and ran with
-    # _RTOL = 5e-13, and case A's (r_max 1e4).  Measured: v0 lies 8.3e-16
-    # and 6.2e-16 relative from them, from a bracket 1.2e-9 relative wide.
+    # bracket's ends had a floor on its width (1e-12 |v0|) and ran DOP853
+    # legs at rtol 5e-13, and case A's (r_max 1e4).  Measured: v0 lies 1.7e-15
+    # and 2.1e-16 relative from them, from a bracket 1.1e-9 relative wide.
     sol = sol_quick
     tight = float.fromhex("-0x1.114bea1e69182p-2")
     assert abs(sol.v0 - tight) <= 5e-15 * abs(tight)
     assert abs(sol.v0 - sol_a.v0) <= 5e-15 * abs(sol_a.v0)
-    # A bracket narrower than _RTOL |v0|, on which a 19-rung probe ladder
-    # once left stage 1: 8.0e-14 relative wide, and v0 lands 7.2e-13
-    # relative outside it, inside the guard.  A chord between its ends
-    # extrapolated 7.8 bracket widths and left v0 1.02e-14 from case A's;
-    # the tangent at the bracket's midpoint needs no floor.  Measured: v0
-    # lies 2.5e-15 relative from the first pin.
+    # A bracket 8.0e-14 relative wide, on which a 19-rung probe ladder once
+    # left stage 1 with shots at rtol 1e-8: it misses the root, which lies
+    # 7.2e-13 relative outside it (9 widths).  The collocation still finds
+    # v0 there from the tangent at the bracket's midpoint, and the guard
+    # refuses it, naming the bracket.
     integ = _Integrator(sol.params)
     up, dn = float.fromhex("-0x1.114bea1e68292p-2"), float.fromhex("-0x1.114bea1e68412p-2")
     r_cls = _R_HORIZON * math.exp(_S_PAD)
-    _, leg = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
-    v0, _, seam, _ = _collocate(integ, leg, up, dn, r_cls)
-    assert abs(up - dn) < _RTOL * abs(v0)
-    assert 0.0 < max(dn - v0, v0 - up) < _BRACKET_STOP * abs(v0)
-    assert abs(v0 - tight) <= 5e-15 * abs(tight) and seam < 1e-13
+    _, leg = integ.shot(up, r_cls)
+    with pytest.raises(NoConvergence, match="outside the bracket, more than its width") as info:
+        _collocate(integ, leg, up, dn, r_cls)
+    v0 = float(re.search(r"v0 = (\S+) lies", str(info.value))[1])
+    assert abs(v0 - tight) <= 5e-15 * abs(tight)
+    assert max(dn - v0, v0 - up) > 8.0 * (up - dn)
 
 
 def _record_collocation(params, r_max, monkeypatch):
@@ -1169,21 +1158,19 @@ def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
     # The collocation's left condition puts y = (X - X*)/L at r_switch on the
     # tangent at the midpoint mid of stage 1's bracket: ya and slope are the
     # end state of the complex-step Taylor steps at mid, real parts and
-    # imaginary parts over h, mapped by _r_to_s_state, bit for bit.  The
-    # bracket brackets stage 1's loose root, so v0 may land past an end,
-    # within the guard's distance (measured 2.0e-13 past a bracket 9.2e-14
-    # relative wide, 7.3e-13 relative).  On a bracket as wide as the stop
-    # allows, _BRACKET_STOP |v0| about v0, the tangent _collocate builds
-    # must match each end's own full-shot r_switch state below the
+    # imaginary parts over h, mapped by _r_to_s_state, bit for bit, and v0
+    # lies inside the bracket.  On a bracket as wide as the stop allows,
+    # _BRACKET_STOP |v0| about v0, the tangent _collocate builds must match
+    # each end's own full-shot r_switch state (a shot at eps) below the
     # collocation tolerance 1e-10 while those two states differ by more
-    # than 1e-7 of max |y|.  Measured: 5.9e-11 and 4.3e-11 of max |y|,
+    # than 1e-7 of max |y|.  Measured: 1.6e-11 and 2.1e-11 of max |y|,
     # against 1.1e-4 between the ends.
     params = sol_quick.params
     sol, calls = _record_collocation(params, 500.0, monkeypatch)
     assert sol.v0 == sol_quick.v0
     up, dn = sol.record.bracket
     bvp = calls[0][0][0]
-    assert max(dn - sol.v0, sol.v0 - up) < _BRACKET_STOP * abs(sol.v0)
+    assert dn <= sol.v0 <= up
     integ = _Integrator(params)
     r_cls = 500.0 * math.exp(_S_PAD)
     x_star = np.array([integ.L, 0.0, 0.0, 0.0])
@@ -1197,14 +1184,14 @@ def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
     assert np.array_equal(bvp.slope, x.imag / tangent.h / integ.L)
 
     def start(v):
-        _, leg = integ.shot(v, _R_SWITCH)
-        return (_r_to_s_state(integ.n, integ.m, _R_SWITCH, leg.y[:, -1]) - x_star) / integ.L
+        _, leg = integ.shot(v, _R_SWITCH, _EPS)
+        return (_r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(leg.y)) - x_star) / integ.L
 
     # a bracket the stop accepts, within 1e-6 of the widest, _BRACKET_STOP |up|
     half = 0.5 * (1.0 - 1e-6) * _BRACKET_STOP * abs(sol.v0)
     up, dn = sol.v0 + half, sol.v0 - half
     assert up - dn < _BRACKET_STOP * abs(up)
-    _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
+    _, guess = integ.shot(up, r_cls)
     calls.clear()
     biharm.shooting._collocate(integ, guess, up, dn, r_cls)
     bvp = calls[0][0][0]
@@ -1218,21 +1205,21 @@ def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
 def test_tangent_slope_is_the_derivative_of_the_r_switch_state(sol_quick):
     # The tangent's slope, dX/dv at r_switch from the Taylor steps
     # _collocate takes at the bracket's midpoint mid, over L, agrees with a
-    # central difference of two full-tolerance shots' r_switch states at
-    # mid -+ 1e-6 |mid| to 1e-8 relative (measured: 3.2e-9).  The bracket
+    # central difference of two shots' r_switch states at eps at
+    # mid -+ 1e-6 |mid| to 1e-8 relative (measured: 2.6e-9).  The bracket
     # is the widest the stop accepts about case A's v0 at r_max 500.
     integ = _Integrator(sol_quick.params)
     r_cls = 500.0 * math.exp(_S_PAD)
     half = 0.5 * (1.0 - 1e-6) * _BRACKET_STOP * abs(sol_quick.v0)
     up, dn = sol_quick.v0 + half, sol_quick.v0 - half
-    _, guess = integ.shot(up, r_cls, rtol=_RTOL_BRACKET)
+    _, guess = integ.shot(up, r_cls)
     _, tangent, _, _ = biharm.shooting._collocate(integ, guess, up, dn, r_cls)
     mid = tangent.v
     assert mid == 0.5 * (up + dn)
 
     def state(v):
-        _, leg = integ.shot(v, _R_SWITCH)
-        return _r_to_s_state(integ.n, integ.m, _R_SWITCH, leg.y[:, -1]) / integ.L
+        _, leg = integ.shot(v, _R_SWITCH, _EPS)
+        return _r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(leg.y)) / integ.L
 
     slope = _r_to_s_state(integ.n, integ.m, _R_SWITCH, np.array(tangent.y)).imag / tangent.h / integ.L
     dv = 1e-6 * abs(mid)
@@ -1243,19 +1230,23 @@ def test_tangent_slope_is_the_derivative_of_the_r_switch_state(sol_quick):
 @pytest.mark.parametrize("cell", list(_SERIES_CELLS))
 @pytest.mark.parametrize("v0", [_PROBE_HI, -0.3, -30.0, _PROBE_LO])
 def test_a_taylor_step_inside_the_series_disk_is_the_series(cell, v0):
-    # One Taylor step about r_c = r0 / 2, half the series' start, from the
-    # series state there: the step reaches at least a fifth of the way to
-    # r0 (measured: a third or more), and at eight points up to its end
-    # each entry is the series' own state to 2 p eps of the series terms'
-    # absolute sum, p the condition of u^p (measured: at most 0.44 p eps,
-    # 0.5 to 86 eps)
+    # One generated Taylor step at eps, of the series' order 32, about
+    # r_c = r0 / 2, half the series' start, from the series state there:
+    # the step reaches at least a fifth of the way to r0 (measured: a third
+    # or more; a step of order K reaches about eps^(1/K) of the distance to
+    # r = 0, the nearest singularity of the chart, so 0.17 at the legs'
+    # order 20), and at eight points up to its end each entry is the
+    # series' own state to 2 p eps of the series terms' absolute sum, p the
+    # condition of u^p (measured: at most 0.44 p eps, 0.5 to 86 eps)
     integ = _series_integrator(cell)
     series = integ.series(v0)
     r0, _ = integ.start(series, _R_SWITCH)
     rc = 0.5 * r0
-    coeffs = integ.taylor(series.state(rc), rc)
+    step = _step_factory(_SERIES_ORDER)(integ.n - 1.0, integ.p, [
+        ((integ.p + 1.0) * i - j) / j for j in range(1, _SERIES_ORDER) for i in range(1, j + 1)])
+    t_end, coeffs, _ = step(rc, series.state(rc), _EPS, r0 - rc)
     assert all(len(c) == _SERIES_ORDER + 1 for c in coeffs)
-    t_end = biharm.shooting._truncation(coeffs, r0 - rc)
+    assert t_end == biharm.shooting._truncation(coeffs, r0 - rc)
     assert 0.2 * (r0 - rc) < t_end <= r0 - rc
     eps = np.finfo(float).eps
     for t in np.linspace(0.0, t_end, 9)[1:].tolist():
@@ -1294,21 +1285,28 @@ def test_every_taylor_step_meets_the_truncation_rule(cell):
     # last two terms |c_k| t^k, k = K - 1, K, of each of its four lists
     # below eps max(|c_0|, |c_1| t), up to the rounding of the rule and of
     # t read back from the step ends (1.6e-12 relative at most); the steps
-    # tile [r0, r_switch], or end at the first step end past an escape (on
-    # n20_pc, far from the law, a sign loss at r = 8.19), and the record
-    # holds their count and outcome
+    # tile [r0, r_switch], or end at an escape's root (on n20_pc, far from
+    # the law, a sign loss at r = 8.19), and the record holds their count
+    # and outcome.  A stage-1 shot at the same v0, out to the
+    # classification horizon, keeps each step's terms below _SHOT_TOL
+    # times the same sums.
     n, p_of_pc = _PROBE_CELLS[cell]
     integ = _Integrator(ProblemParams(n, p_of_pc(compute_pc(n))))
-    escape, tangent = integ.tangent(-1.4557 / math.sqrt(integ.p))
+    v = -1.4557 / math.sqrt(integ.p)
+    escape, tangent = integ.tangent(v)
     status = int(isinstance(escape, (BlowUp, SignLoss)))
     assert (tangent.ts[-1] == _R_SWITCH) == (status == 0) and (status == 1) == (cell == "n20_pc")
-    assert np.all(np.diff(tangent.ts) > 0.0) and len(tangent.steps) == len(tangent.ts) - 1
-    eps = np.finfo(float).eps
-    for coeffs, t in zip(tangent.steps, np.diff(tangent.ts).tolist()):
-        for c in coeffs:
-            bound = eps * max(abs(c[0]), abs(c[1]) * t) * (1.0 + 1e-9)
-            assert abs(c[-1]) * t ** (len(c) - 1) <= bound and abs(c[-2]) * t ** (len(c) - 2) <= bound
-    assert integ.work["legs"] == (("v", eps, len(tangent.steps), status),)
+    assert len(tangent.steps) == len(tangent.ts) - 1
+    assert integ.work["legs"] == (("v", _EPS, len(tangent.steps), status),)
+    _, shot = integ.shot(v, 1e4 * math.exp(_S_PAD))
+    assert integ.work["legs"][-1] == ("r", _SHOT_TOL, len(shot.steps), shot.status)
+    for leg, tol in ((tangent, _EPS), (shot, _SHOT_TOL)):
+        assert np.all(np.diff(leg.ts) > 0.0)
+        for coeffs, t in zip(leg.steps, np.diff(leg.ts).tolist()):
+            for c in coeffs:
+                bound = tol * max(abs(c[0]), abs(c[1]) * t) * (1.0 + 1e-9)
+                assert abs(c[-1]) * t ** (len(c) - 1) <= bound and abs(c[-2]) * t ** (len(c) - 2) <= bound
+                assert len(c) == _TAYLOR_ORDER + 1
 
 
 @pytest.mark.parametrize("fixture", ["sol_quick", "sol_c"])
@@ -1327,6 +1325,10 @@ def test_collocation_right_condition_removes_the_unstable_mode(fixture, request,
     assert right[3] == pytest.approx(1.0, rel=1e-13)
 
 
+# the collocation's NoConvergence for a v0 outside stage 1's bracket: v0,
+# its distance and the bracket's width, the s-range and the bracket
+_OUTSIDE = (r"collocation stage: v0 = (\S+) lies (\S+) outside the bracket, more than its width (\S+) "
+            r"\(over s in \[\S+, \S+\], v0 bracket \[(\S+), (\S+)\]\)")
 # the description every collocation NoConvergence gives of its round
 _ROUND = (r"round (\d+) on (\d+) nodes \((\d+) Newton iterations, max rms "
           r"residual (\S+) against tol 1e-10\)")
@@ -1412,7 +1414,7 @@ def test_failing_tangent_leg_names_its_stage(pc13, monkeypatch):
     # s-domain and the v0 bracket, as every collocation NoConvergence does
     # (case A at r_max 500 with stage 1's bracket moved, its width kept, to
     # a midpoint of about v0 = -0.4, whose solution loses its sign at
-    # r = 9.44: the first step end with u < 0 is r = 9.81)
+    # r = 9.44)
     plain = biharm.shooting._collocate
 
     def moved(integ, leg, up, dn, r_cls):
@@ -1428,7 +1430,7 @@ def test_failing_tangent_leg_names_its_stage(pc13, monkeypatch):
     )
     assert found is not None, str(info.value)
     assert float(found[1]) == pytest.approx(-0.4, rel=1e-12)
-    assert 1.0 < float(found[2]) < _R_SWITCH
+    assert float(found[2]) == pytest.approx(9.44, rel=1e-3)
     s_lo, s_hi, dn, up = (float(x) for x in found.groups()[2:])
     assert s_lo == pytest.approx(math.log(_R_SWITCH), rel=1e-5) and s_lo < s_hi
     assert dn < up and up - dn < _BRACKET_STOP * abs(up)
@@ -1505,19 +1507,17 @@ def test_collocation_v0_far_outside_the_bracket_raises(pc13, monkeypatch):
     # With the horizon floored at r_switch instead of r = 500, case A at
     # r_max 5 collocates v0 about 1.3e-4 relative outside its stage-1
     # bracket, where the tangent at the bracket's midpoint is no longer an
-    # accurate left condition: the solve raises, naming the stage, v0, the
-    # s-range and the bracket
+    # accurate left condition: the solve raises, naming the stage, v0, its
+    # distance from the bracket, the bracket's width, the s-range and the
+    # bracket
     monkeypatch.setattr(biharm.shooting, "_R_HORIZON", _R_SWITCH)
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=5.0)
-    found = re.fullmatch(
-        r"collocation stage: v0 = (\S+) lies (\S+) outside the bracket, more "
-        r"than \S+ \|v0\| \(over s in \[\S+, \S+\], v0 bracket \[(\S+), (\S+)\]\)",
-        str(info.value),
-    )
+    found = re.fullmatch(_OUTSIDE, str(info.value))
     assert found is not None, str(info.value)
-    v0, off, dn, up = (float(x) for x in found.groups())
-    assert dn < up and off > _BRACKET_STOP * abs(v0)
+    v0, off, width, dn, up = (float(x) for x in found.groups())
+    assert dn < up and off > width and width == pytest.approx(up - dn, rel=1e-2)
+    assert off > 1e-5 * abs(v0)
     assert off == pytest.approx(max(dn - v0, v0 - up), rel=1e-2)
 
 
@@ -1538,54 +1538,62 @@ def test_rung_solution_monotone(sol_rung):
 
 
 _STEP_FAILURE = re.compile(
-    r"^r-chart step failed at r = (\S+): step size (\S+) in r is below 10 ulp of "
-    r"r = (\S+), on the leg over r in \[(\S+), (\S+)\]$"
+    r"^r-chart Taylor step from r = (\S+) gave a non-finite state, on the leg at "
+    r"v0 = (\S+) over r in \[(\S+), (\S+)\] at tol (\S+)$"
 )
-
-
-def _check_step_failure(message, span):
-    # the message names the chart, the radius, the step size and the leg's span
-    found = _STEP_FAILURE.match(message)
-    assert found is not None, message
-    r, h, t, lo, hi = (float(x) for x in found.groups())
-    assert r == pytest.approx(t, rel=1e-5)
-    assert 0.0 < h < 10.0 * np.spacing(t)
-    assert (lo, hi) == pytest.approx(span, rel=1e-5)
-    assert lo < t < hi
 
 
 @pytest.mark.parametrize("reach", ["r", "r_past_switch"])
 def test_step_failure_below_L_names_its_leg(sol_a, reach, monkeypatch):
-    # No measured leg fails its step, so solve_ivp is stubbed:
-    # it cuts case A's leg at v0, to r_switch or to r = 100, halfway through
-    # its span, below L, and reports a step failure there on a step of one
-    # ulp.  The leg raises StepFailure, which names the chart, the radius,
-    # the step and the span.
+    # No measured leg fails its step, so case A's step is stubbed: a step
+    # that ends past the middle of the leg's span, to r_switch or to
+    # r = 100, below L, gives a NaN state there.  The shot raises
+    # StepFailure, which names the chart, the failing step's radius, v0,
+    # the span and the tolerance, and the record holds the leg's status -1.
     integ = _Integrator(sol_a.params)
-    r0, y0 = integ.start(integ.series(sol_a.v0), _R_SWITCH)
+    r0, _ = integ.start(integ.series(sol_a.v0), _R_SWITCH)
     span = (r0, _R_SWITCH if reach == "r" else 100.0)
-    plain, cut = biharm.shooting.solve_ivp, []
+    half = 0.5 * (span[0] + span[1])
+    plain = integ.step
 
-    def failing(fun, t_span, y, **kwargs):
-        cut.append(plain(fun, (t_span[0], 0.5 * (t_span[0] + t_span[1])), y, **kwargs))
-        return replace(cut[-1], status=-1, step=float(np.spacing(cut[-1].t[-1])))
+    def failing(r, y, tol, cap):
+        t, lists, end = plain(r, y, tol, cap)
+        return t, lists, ((math.nan,) * 4 if r + t > half else end)
 
-    monkeypatch.setattr(biharm.shooting, "solve_ivp", failing)
+    integ.step = failing
     with pytest.raises(StepFailure) as info:
-        integ.leg(span, y0)
-    assert float(cut[0].t[-1])**integ.m * cut[0].y[0, -1] < integ.L
-    _check_step_failure(str(info.value), span)
+        integ.shot(sol_a.v0, span[1])
+    found = _STEP_FAILURE.match(str(info.value))
+    assert found is not None, str(info.value)
+    r, v0, lo, hi, tol = (float(x) for x in found.groups())
+    assert r0 < r <= half and v0 == sol_a.v0 and tol == _SHOT_TOL
+    assert (lo, hi) == pytest.approx(span, rel=1e-5)
+    residual, _ = _Integrator(sol_a.params).shot(sol_a.v0, r)
+    assert residual < 0.0  # W < L where the step fails
+    assert integ.work["legs"][-1][3] == -1
 
 
-def test_n60_at_pc_solves_and_passes_its_invariants():
-    # n = 60 at p_c, a row of the theory's range past the grid: with the
-    # guess from the blow-up end's r-chart leg the collocation closes in
-    # three rounds (200, 12 702 and 15 769 nodes, measured), and the
-    # solution passes all six solve invariants.  From the s-chart leg that
-    # stage 1 once integrated, round 1 stopped at max rms residual 9.0 and
-    # predicted 89 014 nodes, past the 25 000 cap (NoConvergence).
-    sol = shoot(ProblemParams(60, compute_pc(60)))
-    assert all(inv.passed for inv in solve_invariants(sol)), solve_invariants(sol)
+def test_n60_at_pc_fails_loudly_or_lands_in_its_bracket():
+    # n = 60 at p_c: the collocation once returned v0 = -0.9526939026709957,
+    # 3.5e-9 |v0| (17 bracket widths) outside stage 1's bracket, and that
+    # wrong v0 passed all six solve invariants.  A shot at eps from it blows
+    # up well before one from the bracket's blow-up end does, so it is no
+    # separatrix.  The solve now either raises NoConvergence, which names
+    # the bracket, or returns a v0 inside it.
+    params = ProblemParams(60, compute_pc(60))
+    try:
+        sol = shoot(params)
+    except NoConvergence as exc:
+        assert re.search(r"(v0 bracket|the bracket) \[", str(exc)), str(exc)
+        up, dn = exc.record.bracket
+    else:
+        up, dn = sol.record.bracket
+        assert dn <= sol.v0 <= up
+    integ = _Integrator(params)
+    r_cls = 1e4 * math.exp(_S_PAD)
+    wrong, _ = integ.shot(-0.9526939026709957, r_cls, _EPS)
+    end, _ = integ.shot(up, r_cls, _EPS)
+    assert type(wrong) is type(end) is BlowUp and wrong.r < end.r
 
 
 def test_tangent_lattice_passes_n13_at_100_pc(pc13):
@@ -1614,51 +1622,50 @@ def test_large_p_solves_without_a_step_failure(n, p_over_pc):
 
 @pytest.mark.parametrize("w_over_L", [0.5, 1.5])
 def test_stage_1_step_failure_is_reraised(pc13, monkeypatch, w_over_L):
-    # every r-chart leg of a shot at v0 >= -0.25 fails its step at r = 5
-    # with W = w_over_L L, every other loses sign there: a shot blows up
-    # only at the amplitude_cross event, so the failure is re-raised, below
-    # L and above it alike.  The stubbed series and start hand each leg its v0.
+    # every leg of a shot at v0 >= -0.25 fails its step at r = 5 with
+    # W = w_over_L L, every other loses sign there: a shot blows up only at
+    # its event, so the failure is re-raised, below L and above it alike.
+    # The stubbed series and start hand each leg its v0.
     params = ProblemParams(13, pc13 + 0.5)
     w_fail = w_over_L * compute_spectrum(params).L / 5.0**params.m
 
-    def leg_end(fun, t_span, y0, **kwargs):
-        fails = y0[0] >= -0.25
-        y = np.zeros((4, 2))
-        y[0] = 1.0, w_fail if fails else 0.0
-        return IvpResult(t=np.array([1.0, 5.0]), y=y, sol=None, event=None if fails else "sign_loss",
-                         nfev=2, status=-1 if fails else 1, step=1e-16)
+    def leg_end(step, span, y0, *args):
+        if y0[0] >= -0.25:
+            return _Leg([1.0, 5.0], [], [w_fail, 0.0, 0.0, 0.0], None, -1)
+        return _Leg([1.0, 5.0], [], [0.0] * 4, SignLoss(r=5.0), 1)
 
     monkeypatch.setattr(_Integrator, "series", lambda self, v0: v0)
     monkeypatch.setattr(_Integrator, "start", lambda self, v0, r_end: (1.0, (v0, 0.0, 0.0, 0.0)))
     monkeypatch.setattr(biharm.shooting, "solve_ivp", leg_end)
-    with pytest.raises(StepFailure, match=r"^r-chart step failed at r = 5: "):
+    with pytest.raises(StepFailure, match=r"^r-chart Taylor step from r = 5 gave a non-finite state"):
         shoot(params, alpha=1.0, r_max=60.0)
 
 
 @pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
 def test_dense_tangent_leg_replays_plain_full_tolerance_shots(fixture, r_max, request):
-    # One shot geometry: dense output only adds interpolants, so a dense
-    # shot at v0 (integrate_radial's) takes the plain shot's steps and ends
-    # on its residual, bit for bit.
+    # One shot geometry: a single shot's lattice (integrate_radial's) is
+    # the dense output, the steps' coefficient lists, of the plain shot at
+    # eps to r_max e^{_S_PAD}, bit for bit, and that shot ends on its float
+    # residual.
     sol = request.getfixturevalue(fixture)
     integ = _Integrator(sol.params)
-    r_cls = r_max * math.exp(_S_PAD)
-    rho_dense, leg_dense = integ.shot(sol.v0, r_cls, dense=True)
-    rho, leg = integ.shot(sol.v0, r_cls)
-    assert np.array_equal(leg_dense.t, leg.t) and np.array_equal(leg_dense.y, leg.y)
-    assert isinstance(rho, float) and rho_dense == rho
+    rho, leg = integ.shot(sol.v0, r_max * math.exp(_S_PAD), _EPS)
+    assert isinstance(rho, float) and leg.escape is None and leg.status == 0
+    single = integrate_radial(sol.params, 1.0, sol.v0, r_max)
+    on = single.r_grid >= leg.ts[0]
+    rr = single.r_grid[on]
+    assert np.array_equal(single.X[:, on], _r_to_s_state(integ.n, integ.m, rr, leg(rr)))
 
 
 # the leg of a faked shot that escapes at r = 5, short of r_switch
-_ESCAPED = IvpResult(t=np.array([1.0, 5.0]), y=np.zeros((4, 2)), sol=None, event=None, nfev=0, status=1,
-                     step=0.0)
+_ESCAPED = _Leg([1.0, 5.0], [], [0.0] * 4, None, 1)
 
 
 def test_no_survivor_names_trials_and_final_bracket(pc13, monkeypatch):
     # every full shot escapes at r = 5, so no trajectory survives: the error
     # names the trial count and the final bracket with its full shots'
     # escape-law values
-    def shot(self, v0, r_max, dense=False, rtol=None):
+    def shot(self, v0, r_max, tol=_SHOT_TOL, h=0.0):
         return (BlowUp if v0 >= -0.25 else SignLoss)(r=5.0), _ESCAPED
 
     monkeypatch.setattr(_Integrator, "shot", shot)
@@ -1683,7 +1690,7 @@ def test_ladder_without_a_flip_raises_bracket_not_found(pc13, monkeypatch, side)
     # the search's limit on it, whose probe, the last shot, confirms it
     shots = []
 
-    def shot(self, v0, r_max, dense=False, rtol=None):
+    def shot(self, v0, r_max, tol=_SHOT_TOL, h=0.0):
         shots.append(v0)
         return side(r=5.0), _ESCAPED
 
@@ -1720,21 +1727,16 @@ def test_opening_walks_from_the_law_pair_to_the_root(pc13, monkeypatch, k_root, 
         return -_PROBE_ANCHOR * 10.0 ** (0.5 * k) / math.sqrt(p)
 
     root = rung(k_root)
-    trials, rtols = [], []
+    trials = []
 
-    def shot(self, v0, r_max, dense=False, rtol=None):
+    def shot(self, v0, r_max, tol=_SHOT_TOL, h=0.0):
         trials.append(v0)
-        rtols.append(rtol)
         return (BlowUp if v0 >= root else SignLoss)(r=5.0), _ESCAPED
 
     monkeypatch.setattr(_Integrator, "shot", shot)
     with pytest.raises(NoConvergence) as info:
         shoot(ProblemParams(13, p), alpha=1.0, r_max=60.0)
     assert trials[:len(probes)] == [rung(k) for k in probes]
-    # rung 0 and those above it split 2.16 |x| to their inner neighbour, at
-    # _RTOL_PROBE; rung 1 and those below it 0.68 |x|
-    for k, rtol in zip(probes, rtols):
-        assert rtol == pytest.approx((1.0 if k <= 0 else 1.0 - 10.0**-0.5) * _RTOL_PROBE, rel=1e-12)
     # the bisection's first trial splits the flip pair
     up, dn = max(rung(probes[-1]), rung(probes[-2])), min(rung(probes[-1]), rung(probes[-2]))
     assert dn < trials[len(probes)] < up
@@ -1752,79 +1754,44 @@ def test_stage_1_opens_with_two_probes(cell, request):
     assert r_legs - sol.record.trials == 2
 
 
-@pytest.mark.parametrize("rtol, atol", [(None, 1e-14), (5e-13, 5e-15)])
-def test_integrator_atol_is_rtol_over_100(pc13, monkeypatch, rtol, atol):
-    # The one solve_ivp call site passes atol = rtol / 100, both floats:
-    # a single shot's legs (integrate_radial's, at the solve's v0) at _RTOL
-    # (None: _RTOL as defined), every stage-1 shot at the rtol of the
-    # bracket its trial x splits, max(_RTOL_BRACKET, _RTOL_PROBE
-    # min(1, w / |x|)) for a bracket of width w: so in
-    # [_RTOL_BRACKET, _RTOL_PROBE], exactly _RTOL_BRACKET
-    # once w < _RTOL_PROBE |x|, and on the opening's two probes (the law's
-    # pair, which brackets case A) _RTOL_PROBE and 0.68 _RTOL_PROBE.
-    if rtol is not None:
-        monkeypatch.setattr(biharm.shooting, "_RTOL", rtol)
-    rtol = biharm.shooting._RTOL
-    plain_ivp, plain_shot = biharm.shooting.solve_ivp, _Integrator.shot
-    seen, shots, trials = set(), {}, []
+def test_stage_1_shots_run_at_one_tolerance(pc13, monkeypatch):
+    # Every stage-1 shot, probes and trials alike, is one real leg at
+    # _SHOT_TOL, the tangent one complex leg at eps, and a single shot
+    # (integrate_radial's) one real leg at eps: no tolerance depends on the
+    # bracket.
+    plain = biharm.shooting.solve_ivp
+    seen = []
 
-    def recording_solve_ivp(fun, *args, **kwargs):
-        seen.add((kwargs["rtol"], kwargs["atol"]))
-        return plain_ivp(fun, *args, **kwargs)
-
-    def recording_shot(self, v0, r_max, dense=False, rtol=None):
-        out = plain_shot(self, v0, r_max, dense, rtol)
-        if rtol is not None:  # a stage-1 shot, and the sign of its escape-law value
-            shots[v0] = rtol
-            trials.append((v0, _escape_law(out[0], 1.0, 0.0, 0.0)))
-        return out
+    def recording_solve_ivp(step, span, y0, tol, *args):
+        seen.append((isinstance(y0[0], complex), tol))
+        return plain(step, span, y0, tol, *args)
 
     monkeypatch.setattr(biharm.shooting, "solve_ivp", recording_solve_ivp)
-    monkeypatch.setattr(_Integrator, "shot", recording_shot)
     sol = shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=60.0)
-    assert rtol not in {r for r, _ in seen}
+    shots = 2 + sol.record.trials
+    assert seen == [(False, _SHOT_TOL)] * shots + [(True, _EPS)]
+    assert [(chart, tol) for chart, tol, _, _ in sol.record.legs] == [("r", _SHOT_TOL)] * shots + [("v", _EPS)]
     integrate_radial(sol.params, 1.0, sol.v0, 60.0)
-    assert all(type(r) is type(a) is float and a == 1e-2 * r for r, a in seen)
-    assert (rtol, atol) in seen and atol == 1e-2 * rtol
-    stage_1 = {r for r, _ in seen} - {rtol}
-    assert stage_1 == set(shots.values())
-    assert min(stage_1) == _RTOL_BRACKET and max(stage_1) == _RTOL_PROBE
-    # stage 1 replayed: the opening's pair (x0, x1) splits its own span,
-    # w = x0 - x1, and becomes the first bracket; from there each trial x
-    # splits the bracket (up, dn), of width w = up - dn, and becomes its
-    # blow-up end (g >= 0) or its sign-loss end; the solve records the last
-    # bracket
-    (x0, g0), (x1, g1) = trials[:2]
-    assert g0 >= 0.0 > g1 and x1 == pytest.approx(x0 * math.sqrt(10.0), rel=1e-15)
-    up, dn, splits = x0, x1, [(x0, x0 - x1), (x1, x0 - x1)]
-    for x, g in trials[2:]:
-        splits.append((x, up - dn))
-        up, dn = (x, dn) if g >= 0.0 else (up, x)
-    assert sol.record.bracket == (up, dn)
-    assert all(shots[x] == max(_RTOL_BRACKET, _RTOL_PROBE * min(1.0, w / abs(x))) for x, w in splits)
-    narrow = [x for x, w in splits if w < _RTOL_PROBE * abs(x)]
-    assert narrow and all(shots[x] == _RTOL_BRACKET for x in narrow)
-    # the pair's shots: x0 splits a span wider than |x0|, x1 one 0.68 |x1| wide
-    assert shots[x0] == _RTOL_PROBE
-    assert shots[x1] == pytest.approx((1.0 - 10.0**-0.5) * _RTOL_PROBE, rel=1e-12)
+    assert seen[-1] == (False, _EPS)
 
 
 def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):
-    # A loose stage-1 shot that lands on the wrong side leaves the root
-    # outside the bracket: the search then closes on the wrong trial, and the
-    # collocation's v0 lands far outside the bracket, where its guard
-    # raises NoConvergence naming the stage.  Case A at r_max 500: the trial
-    # that lies nearest 1e-4 |v0| from the root (2.9e-5 relative, a blow-up
-    # at r = 80, shot at rtol 5.1e-5) is read as a sign loss at that radius;
-    # v0 then lands 7.6e-6 outside the bracket, 1.4e-8 relative from the root.
+    # A stage-1 shot that lands on the wrong side leaves the root outside
+    # the bracket: the search then closes on the wrong trial, and the
+    # collocation's v0 lands outside the bracket, farther than its width,
+    # where its guard raises NoConvergence naming the stage.  Case A at
+    # r_max 500: the trial that lies nearest 1e-4 |v0| from the root
+    # (measured: 2.9e-5 relative, a blow-up at r = 80) is read as a sign
+    # loss at that radius; v0 then lands 7.6e-6 outside a bracket 2.2e-9
+    # wide, 1.4e-8 relative from the root.
     params = ProblemParams(13, pc13 + 0.5)
     plain_shot = _Integrator.shot
     trials = []
 
-    def recording_shot(self, v0, r_max, dense=False, rtol=None):
-        if rtol is not None:
+    def recording_shot(self, v0, r_max, tol=_SHOT_TOL, h=0.0):
+        if not h:
             trials.append(v0)
-        return plain_shot(self, v0, r_max, dense, rtol)
+        return plain_shot(self, v0, r_max, tol, h)
 
     with monkeypatch.context() as patched:
         patched.setattr(_Integrator, "shot", recording_shot)
@@ -1833,9 +1800,9 @@ def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):
     assert 1e-5 < abs(far - root) / abs(root) < 1e-3
     flipped = []
 
-    def flipping_shot(self, v0, r_max, dense=False, rtol=None):
-        outcome, leg = plain_shot(self, v0, r_max, dense, rtol)
-        if rtol is not None and v0 == far:
+    def flipping_shot(self, v0, r_max, tol=_SHOT_TOL, h=0.0):
+        outcome, leg = plain_shot(self, v0, r_max, tol, h)
+        if not h and v0 == far:
             flipped.append(outcome)
             outcome = {BlowUp: SignLoss, SignLoss: BlowUp}[type(outcome)](r=outcome.r)
         return outcome, leg
@@ -1844,13 +1811,9 @@ def test_misclassified_stage_1_trial_fails_loudly(pc13, monkeypatch):
     with pytest.raises(NoConvergence) as info:
         shoot(params, alpha=1.0, r_max=500.0)
     assert len(flipped) == 1
-    found = re.fullmatch(
-        r"collocation stage: v0 = (\S+) lies (\S+) outside the bracket, more "
-        r"than \S+ \|v0\| \(over s in \[\S+, \S+\], v0 bracket \[(\S+), (\S+)\]\)",
-        str(info.value),
-    )
+    found = re.fullmatch(_OUTSIDE, str(info.value))
     assert found is not None, str(info.value)
-    v0, off, dn, up = (float(x) for x in found.groups())
+    v0, off, width, dn, up = (float(x) for x in found.groups())
     # v0 is the root, and the bracket closed on the misread trial
     assert v0 == pytest.approx(root, rel=1e-7)
-    assert far in (dn, up) and off > _BRACKET_STOP * abs(v0)
+    assert far in (dn, up) and off > width

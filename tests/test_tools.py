@@ -112,23 +112,27 @@ def test_shoot_cells_diff_reads_v0_moves_and_rhs_by_rtol(capsys):
     assert "RHS evaluations by rtol (new): 1e-16 60, 1e-12 27, 1e-08 40" in out
 
 
-def test_shoot_cells_diff_reads_a_parent_record_with_an_s_chart(capsys):
-    # Records written before every shot became one r-chart leg also hold
-    # chart "s" (each shot's leg past r_switch): --diff sums whatever charts
-    # each side holds, prints the "s" chart on the old side only, and a
-    # chart set that changed is no lost cell
-    old = {"A": _ok("0x1p-2", 50, 8), "F": _failed("NoConvergence", 7, 8)}
-    new = {"A": _ok("0x1p-2", 50, 8), "F": _failed("NoConvergence", 7, 8)}
-    for rec, nfev in ((old["A"], 40), (old["F"], 3)):
-        rec["record"]["charts"]["s"] = _chart(2, nfev)
+def test_shoot_cells_diff_prints_v0_outside_its_bracket(capsys):
+    # per side, one line per cell whose v0, mapped back to phi(0) = 1, lies
+    # outside its stage-1 bracket, by its distance over the bracket's
+    # width: A lands inside on both sides, B 2 widths below its sign-loss
+    # end in NEW only; C, at phi(0) = 2^m (p = 5, m = 1), whose v0 maps
+    # back by 2^(m+2) = 8, inside in OLD and 1.5 widths above its blow-up
+    # end in NEW; a failed solve has no v0
+    old = {label: _ok("0x1p-2", 5, 9) for label in "ABC"}
+    old["F"] = _failed("NoConvergence", 7, 8)
+    for rec, v0, bracket, alpha in ((old["A"], -0.25, [-0.24, -0.26], 1.0), (old["B"], -0.25, [-0.24, -0.26], 1.0),
+                                    (old["C"], -8 * 0.25, [-0.24, -0.26], 2.0)):
+        rec.update(v0_hex=v0.hex(), p=5.0, alpha=alpha)
+        rec["record"]["bracket"] = bracket
+    old["F"]["record"]["bracket"] = [-0.24, -0.26]
+    new = json.loads(json.dumps(old))
+    new["B"]["v0_hex"] = (-0.30).hex()
+    new["C"]["v0_hex"] = (-8 * 0.21).hex()
     assert shoot_cells.diff(old, new) == 0
     out = capsys.readouterr().out.splitlines()
-    assert "RHS evaluations: 150 -> 107 (-28.7%)" in out
-    assert "RHS evaluations by chart (old): r 57, s 43, v 50" in out
-    assert "RHS evaluations by chart (new): r 57, v 50" in out
-    assert "RHS evaluations by rtol (old): 1e-12 150" in out
-    assert "stage-1 shots: 2 -> 2" in out
-    assert "ok: 1 -> 1 of 2" in out
+    assert [line for line in out if line.startswith("v0 outside bracket")] == [
+        "v0 outside bracket: B 2 (new)", "v0 outside bracket: C 1.5 (new)"]
 
 
 def test_shoot_cells_diff_reads_collocation_meshes(capsys):
@@ -207,16 +211,15 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     rec = shoot_cells.shoot_cell("quick")
     record = rec["record"]
     assert record["trials"] > 0 and rec["alpha"] == 1.0
-    # stage 1 at rtols from 1e-4 (the opening's probes) down to 1e-8, keyed
-    # by decade; the tangent's one leg of Taylor steps (chart "v"), its step
-    # count in place of nfev, at rtol eps
+    # every stage-1 shot one leg of Taylor steps at the shot tolerance 1e-10
+    # (chart "r"), the tangent one complex-step leg at eps (chart "v"), each
+    # counted in steps, keyed by the decade of its tolerance
     charts = record["charts"]
     assert set(charts) == {"r", "v"}
     for chart in charts.values():
         assert sum(chart["nfev_by_rtol"].values()) == chart["nfev"]
         assert chart["step_failures"] == 0
-    stage_1 = {"1e-04", "1e-05", "1e-06", "1e-07", "1e-08"}
-    assert {"1e-04", "1e-08"} <= set(charts["r"]["nfev_by_rtol"]) <= stage_1
+    assert charts["r"]["calls"] == record["trials"] + 2 and set(charts["r"]["nfev_by_rtol"]) == {"1e-10"}
     assert charts["v"]["calls"] == 1 and set(charts["v"]["nfev_by_rtol"]) == {"1e-16"}
     assert 1 < charts["v"]["nfev"] < 20
     assert len(rec["w_sha256"]) == 64 and 0.0 < rec["seam_residual"] < 1e-11

@@ -87,11 +87,10 @@ def test_scaling_covariance_suite_passes():
 
 
 def test_record_payload_splits_each_chart_by_rtol_decade():
-    # per chart the legs, their RHS evaluations, those keyed by the decade
-    # 10^floor(log10 rtol) of each leg's rtol, and the step failures; a
-    # chart without legs reads zeros; rounds become named fields.  The
-    # tangent's Taylor steps are one chart-"v" leg at rtol eps, its step
-    # count in place of nfev
+    # per chart the legs, their Taylor steps (nfev), those keyed by the
+    # decade 10^floor(log10 tol) of each leg's tolerance, and the step
+    # failures; a chart without legs reads zeros; rounds become named
+    # fields.  The tangent is one chart-"v" leg at eps
     legs = (("r", 1e-12, 5, 0), ("r", 1e-8, 3, -1), ("r", np.float64(9.99e-6), 2, 0),
             ("r", 1e-5, 4, 0), ("r", 1e-4, 1, -1), ("v", np.finfo(float).eps, 6, 0))
     record = SolveRecord(legs=legs, trials=7, bracket=(-0.5, -0.6),

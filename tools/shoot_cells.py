@@ -32,17 +32,21 @@ any tree whose biharm.verify has these four writers.
 --diff compares two such outputs (say, of a parent tree and of a change)
 and shoots nothing.  Per cell it prints each side's outcome (ok when the
 solve returned and all six invariants pass, else the error class or the
-failed invariants), RHS evaluations summed over the charts its record
-holds (chart "r", each shot's one leg; chart "v", the tangent's Taylor
-steps, counts its steps there, at rtol eps: "1e-16" in the rtol split;
-records of trees whose shots went on past r_switch on a second
-integrated system also hold its chart "s"),
+failed invariants), the work summed over the charts its record holds
+(chart "r", each shot's one leg, and chart "v", the tangent's complex-step
+leg, both counted in Taylor steps, keyed by the decade of their
+tolerance: "1e-16" for eps; records of trees that integrated their shots
+with DOP853 count the right-hand side calls of chart "r" there, and print
+under the same "RHS evaluations" labels),
 stage-1 shots (the r-chart legs: the opening's probes and the trials),
 root-search trials, the collocation's last round's nodes and the rounds as
 nodes/rounds ("-" without a finished round; marked ":failed" when the solve
 failed), and whether v0, W (by w_sha256) and the dumps (by dump_sha256) are
 identical.  Then it prints
-|dv0|/|v0| per cell whose v0 differs and the largest, the totals (RHS
+|dv0|/|v0| per cell whose v0 differs and the largest, one "v0 outside
+bracket: <cell> <off/width> (<side>)" line per cell and side whose v0 (at
+phi(0) = 1) lies outside its stage-1 bracket, off its distance from the
+bracket and width the bracket's width, the totals (RHS
 evaluations, per chart and by rtol on each side; step failures, with one
 "step failures rose" line per cell whose count rose; stage-1 shots;
 trials), the count of cells whose nodes/rounds moved, the last rounds'
@@ -150,6 +154,21 @@ def outcome(rec: dict) -> str:
     return "failed " + ",".join(failed) if failed else "ok"
 
 
+def outside_bracket(rec: dict) -> float | None:
+    """How far a solve's v0 lies outside its stage-1 bracket, in bracket
+    widths, or None when it lies inside or the record holds no v0 or no
+    bracket.  v0 is mapped back to phi(0) = 1, the height the bracket is
+    at, by kappa^(m+2), kappa = alpha^(1/m), m = 4 / (p - 1)."""
+    bracket = rec.get("record", {}).get("bracket")
+    if "v0_hex" not in rec or not bracket:
+        return None
+    m = 4.0 / (rec["p"] - 1.0)
+    v0 = float.fromhex(rec["v0_hex"]) / (rec["alpha"] ** (1.0 / m)) ** (m + 2.0)
+    up, dn = bracket
+    off = max(dn - v0, v0 - up)
+    return off / (up - dn) if off > 0.0 else None
+
+
 def diff(old: dict, new: dict) -> int:
     """Print the per-cell comparison of two records; returns the exit code."""
     def rhs(rec):
@@ -212,6 +231,11 @@ def diff(old: dict, new: dict) -> int:
                 print(f"|dv0|/|v0| {label} {moves[label]:.2g}")
     if moves:
         print(f"max |dv0|/|v0|: {max(moves.values()):.2g} over {len(moves)} cells")
+    for side, rec in (("old", old), ("new", new)):
+        for label in labels:
+            off = outside_bracket(rec[label])
+            if off is not None:
+                print(f"v0 outside bracket: {label} {off:.3g} ({side})")
     rhs_old = sum(rhs(old[label]) for label in labels)
     rhs_new = sum(rhs(new[label]) for label in labels)
     print(f"RHS evaluations: {rhs_old} -> {rhs_new} ({rhs_new / rhs_old - 1.0:+.1%})")
