@@ -69,6 +69,9 @@ _MAX_NJEV = 4     # Jacobians, each factored once, per round
 _MAX_ITER = 8     # Newton iterations per round
 _ARMIJO = 0.2     # least relative decrease of the criterion a step must make
 _BACKTRACKS = 4   # step halvings before a step is taken as it is
+# a Newton step below max|dy| <= 64 eps max|y| and |dv| <= 16 eps |v| is
+# rounding: from the second iteration on, it is not taken
+_ROUND_Y, _ROUND_V = 64 * np.finfo(float).eps, 16 * np.finfo(float).eps
 # rounds after which a solve that still misses the tolerance fails
 _MAX_ROUNDS = 10
 # The collocation residual on an interval is O(h^3): the next round cuts an
@@ -173,7 +176,8 @@ def _split_intervals(x: np.ndarray, pieces: np.ndarray) -> np.ndarray:
 
 def _newton(bvp, h, y, v, rounds):
     """solve_bvp's damped Newton iteration on one mesh, with the Jacobian
-    factored by banded LU, as the round after the finished rounds.  Returns
+    factored by banded LU, as the round after the finished rounds; it stops
+    early at a step that is rounding (_ROUND_Y, _ROUND_V).  Returns
     (y, v, iterations, and at the returned iterate the collocation
     residuals, fun at the nodes and at the midpoints, and the condition
     residuals)."""
@@ -199,6 +203,9 @@ def _newton(bvp, h, y, v, rounds):
             # wake OpenBLAS's thread pool, whose hand-offs cost more than the sum
             cost = np.einsum("i,i->", step, step)
         v_step, y_step = step[0], step[1:].reshape(m, n).T
+        if it > 1 and (np.max(np.abs(y_step)) <= _ROUND_Y * np.max(np.abs(y))
+                       and abs(v_step) <= _ROUND_V * abs(v)):
+            return y, v, it - 1, col_res, f, f_mid, bc
         alpha = 1.0
         for trial in range(_BACKTRACKS + 1):
             y_new = y - alpha * y_step

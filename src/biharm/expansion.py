@@ -148,13 +148,15 @@ def _columns(terms, s: np.ndarray) -> np.ndarray:
     return np.stack([s**q * np.exp(mu * s) for _, mu, q in terms], axis=1)
 
 
-def _design(what: str, terms, s: np.ndarray, where: str = ""):
-    """(A, A_s, scale): the columns of terms at s, and A with each column
-    scaled to unit maximum.
+def _design(what: str, terms, s: np.ndarray, target: np.ndarray, where: str = ""):
+    """(A, A_s, scale, x): the columns of terms at s, A with each column
+    scaled to unit maximum, and the least-squares solution x of
+    A_s x = target.
 
     A column whose maximum is 0 or not finite (say, underflowed on the
-    window) and a scaled matrix whose condition exceeds COND_LIMIT raise
-    IllConditioned, the former naming the term.
+    window) and a condition number of A_s over COND_LIMIT, read from the
+    singular values of the solve, raise IllConditioned, the former naming
+    the term.
     """
     A = _columns(terms, s)
     scale = np.max(np.abs(A), axis=0)
@@ -162,10 +164,11 @@ def _design(what: str, terms, s: np.ndarray, where: str = ""):
         if not (math.isfinite(top) and top > 0.0):
             raise IllConditioned(f"{what}: column {name} has maximum {top} on the window{where}")
     A_s = A / scale
-    cond = float(np.linalg.cond(A_s))
+    x, _, _, sv = np.linalg.lstsq(A_s, target, rcond=None)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
     if cond > COND_LIMIT:
         raise IllConditioned(f"{what} condition {cond:.3g} > {COND_LIMIT:g}{where}")
-    return A, A_s, scale
+    return A, A_s, scale, x
 
 
 @dataclass(frozen=True)
@@ -227,9 +230,8 @@ def representation_check(
     mask = (s >= window[0]) & (s <= window[1])
     if np.count_nonzero(mask) < 8:
         raise WindowTooShort(f"window {window} holds fewer than 8 nodes")
-    A, A_s, scale = _design("homogeneous design matrix", terms, s[mask] - kern.s0)
-    target = sol.Z[i0:][mask] - forced[mask]
-    coef_s, *_ = np.linalg.lstsq(A_s, target, rcond=None)
+    A, _, scale, coef_s = _design("homogeneous design matrix", terms, s[mask] - kern.s0,
+                                  sol.Z[i0:][mask] - forced[mask])
     alphas = tuple(coef_s / scale)
 
     recon = forced[mask] + A @ np.asarray(alphas)
@@ -365,6 +367,26 @@ def _remainder_slope(sol, terms, coef, window) -> float:
 _JACKKNIFE_BLOCKS = 6
 
 
+def _window_coefficients(sol: RadialSolution, spec: Spectrum, regime: Regime, window):
+    """(terms, coef, A_s, W, scale): the regime basis fitted to W on the
+    window by least squares, its columns scaled to unit maximum (A_s, with
+    the column maxima scale)."""
+    check_window(window)
+    s_all = sol.s_grid
+    mask = (s_all >= window[0]) & (s_all <= window[1])
+    n_pts = int(np.count_nonzero(mask))
+    terms = _regime_terms(regime, spec)
+    n_par = len(terms)
+    if n_pts < n_par + 2 * _JACKKNIFE_BLOCKS:
+        raise WindowTooShort(f"{n_pts} nodes cannot support {n_par} coefficients")
+    W = sol.W[mask]
+    _, A_s, scale, coef_s = _design(
+        "fit design matrix", terms, s_all[mask], W,
+        f" in regime {regime.kind}, k = {regime.k}, with {n_par} columns",
+    )
+    return terms, coef_s / scale, A_s, W, scale
+
+
 def fit_expansion(
     sol: RadialSolution,
     spec: Spectrum,
@@ -384,27 +406,10 @@ def fit_expansion(
     """
     if window is None:
         window = default_fit_window(sol, spec)
-    check_window(window)
-
-    s_all = sol.s_grid
-    mask = (s_all >= window[0]) & (s_all <= window[1])
-    n_pts = int(np.count_nonzero(mask))
-    s = s_all[mask]
-    W = sol.W[mask]
-
-    terms = _regime_terms(regime, spec)
-    n_par = len(terms)
-    if n_pts < n_par + 2 * _JACKKNIFE_BLOCKS:
-        raise WindowTooShort(f"{n_pts} nodes cannot support {n_par} coefficients")
-
-    _, A_s, scale = _design(
-        "fit design matrix", terms, s,
-        f" in regime {regime.kind}, k = {regime.k}, with {n_par} columns",
-    )
-    coef = np.linalg.lstsq(A_s, W, rcond=None)[0] / scale
+    terms, coef, A_s, W, scale = _window_coefficients(sol, spec, regime, window)
 
     thetas = []
-    for block in np.array_split(np.arange(n_pts), _JACKKNIFE_BLOCKS):
+    for block in np.array_split(np.arange(W.size), _JACKKNIFE_BLOCKS):
         lo, hi = block[0], block[-1] + 1  # blocks are contiguous: keep the rows around
         A_k, W_k = np.concatenate((A_s[:lo], A_s[hi:])), np.concatenate((W[:lo], W[hi:]))
         thetas.append(np.linalg.lstsq(A_k, W_k, rcond=None)[0] / scale)
@@ -430,6 +435,20 @@ def fit_expansion(
     )
 
 
+def _window_drift(sol: RadialSolution, spec: Spectrum, fit: ExpansionFit) -> dict[str, float]:
+    """window_shift_stability's drift of fit, whose window moves by a tenth
+    of its width; only the moved window's coefficients are solved."""
+    window = fit.window
+    step = 0.1 * (window[1] - window[0])
+    if window[1] + step > sol.s_grid[-1]:
+        step = -step
+    moved = _window_coefficients(sol, spec, fit.regime, (window[0] + step, window[1] + step))[1]
+    return {
+        name: abs(float(c) - est.value) / max(est.stderr, 1e-300)
+        for (name, est), c in zip(fit.coefficients.items(), moved)
+    }
+
+
 def window_shift_stability(
     sol: RadialSolution,
     spec: Spectrum,
@@ -438,15 +457,7 @@ def window_shift_stability(
 ) -> dict[str, float]:
     """Coefficient drift, in units of standard error, when the window moves
     by a tenth of its width: right, or left when the move right would pass
-    the lattice's last node."""
-    if window is None:
-        window = default_fit_window(sol, spec)
-    base = fit_expansion(sol, spec, regime, window)
-    step = 0.1 * (window[1] - window[0])
-    if window[1] + step > sol.s_grid[-1]:
-        step = -step
-    moved = fit_expansion(sol, spec, regime, (window[0] + step, window[1] + step))
-    return {
-        name: abs(moved.coefficients[name].value - est.value) / max(est.stderr, 1e-300)
-        for name, est in base.coefficients.items()
-    }
+    the lattice's last node.  The fit on the window gives the coefficients
+    and their standard errors; on the moved window only the coefficients
+    are solved, under the same checks."""
+    return _window_drift(sol, spec, fit_expansion(sol, spec, regime, window))

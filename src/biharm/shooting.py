@@ -417,14 +417,32 @@ class _Leg:
 
 
 def _crossing(g, lo: float, hi: float) -> float:
-    """The escape radius on a firing step: with g(lo) < 0 <= g(hi), the
-    bracket [lo, hi] bisected in r down to adjacent floats; its upper end,
-    where g >= 0."""
+    """The escape radius on a firing step: with g(lo) < 0 <= g(hi), g(x)
+    giving g and its slope at x, the upper end (g >= 0) of a bracket
+    narrowed to adjacent floats.  At most 32 safeguarded Newton steps from
+    hi (one that leaves the bracket bisects it instead) narrow it to 4
+    ulps; a step of at most 4 ulps lands an ulp past its target, on the
+    root's other side.  Bisection in r ends it.  Where g changes sign once
+    among the floats, that is the float a bisection of the whole bracket
+    returns."""
+    x = hi
+    for _ in range(32):
+        value, slope = g(x)
+        if not value < 0.0:
+            hi = x
+        elif x < hi:
+            lo = x
+        if hi - lo <= 4.0 * math.ulp(hi):
+            break
+        new = x - value / slope if slope else x
+        if abs(new - x) <= 4.0 * math.ulp(x):
+            new += math.ulp(x) if value < 0.0 else -math.ulp(x)
+        x = new if lo < new < hi else 0.5 * (lo + hi)
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return hi
-        if g(mid) < 0.0:
+        if g(mid)[0] < 0.0:
             lo = mid
         else:
             hi = mid
@@ -438,7 +456,7 @@ def solve_ivp(step, span, y0, tol: float, m: float, wcap: float) -> _Leg:
     a BlowUp, at the root of (r + t)^m u(t) - wcap on the step's
     polynomials; else u <= 0 a SignLoss, at the root of u(t); else a step
     that makes no headway nears a zero of u, the branch point of u^p, and
-    ends in SignLoss where it starts.  Roots are bisected to adjacent floats
+    ends in SignLoss where it starts.  Roots are narrowed to adjacent floats
     (_crossing), and the leg ends there with its state.  A step that gives a
     non-finite state (coefficients or u^p that overflow, or NaN) ends the
     leg with status -1."""
@@ -456,17 +474,19 @@ def solve_ivp(step, span, y0, tol: float, m: float, wcap: float) -> _Leg:
         steps.append(lists)
         r_new = r_end if t == cap else min(r + t, r_end)
         u = end[0].real
+        # side(x, u, w): the escape's g and its slope at x from u and w = u'
         if r_new**m * u >= wcap:
-            escape, g = BlowUp, lambda x: x**m * _horner(lists[0], x - r).real - wcap
+            escape, side = BlowUp, lambda x, u, w: (x**m * u - wcap, x**m * (m * u / x + w))
         elif not u > 0.0:
-            escape, g = SignLoss, lambda x: -_horner(lists[0], x - r).real
+            escape, side = SignLoss, lambda x, u, w: (-u, -w)
         elif not r_new > r:
             return _Leg(ts + [r], steps, y, SignLoss(r=r), 1)
         else:
             ts.append(r_new)
             r, y = r_new, list(end)
             continue
-        at = _crossing(g, r, r_new)
+        at = _crossing(lambda x: side(x, _horner(lists[0], x - r).real,
+                                      _horner(lists[1], x - r).real), r, r_new)
         return _Leg(ts + [at], steps, [_horner(c, at - r) for c in lists], escape(r=at), 1)
     return _Leg(ts, steps, y, None, 0)
 
@@ -1012,10 +1032,10 @@ def _phis(z: float, count: int) -> list[float]:
     return out
 
 
-# steps per block of exp_kernel_convolve's scan, at most: on case A's
-# lattice (1612 nodes, 3 rows) 16 to 32 steps took the least time
-_SCAN_BLOCK = 32
-_LOG_MAX = math.log(np.finfo(float).max)
+# a block of exp_kernel_convolve's scan keeps |lam h| times its steps
+# within half the floats' exponent range: its scale factors e^{-+lam h i}
+# stay normal, with room for the terms they scale
+_SCAN_LOG = 0.5 * math.log(np.finfo(float).max)
 
 
 def exp_kernel_convolve(lam, s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -1026,15 +1046,19 @@ def exp_kernel_convolve(lam, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     Exponentially fitted cubic rule: on each step the kernel is integrated
     exactly against the cubic through g at four nodes (the step's ends and
     one more on each side, moved inward at the grid's ends), so the error is
-    O(h^4) times g's fourth derivative.  The stencil's nodes are gathered
-    once for all rows, and each of its shifts solves the Lagrange weights of
-    every rate at once.  The unconditionally stable recurrence
-    I_{j+1} = e^{lam h} I_j + (the step's weights) . g runs as a blocked
-    scan: a lower-triangular matmul with entries e^{lam h (i - m)} inside
-    blocks of B steps, B such that e^{|lam h| B} stays finite, then a carry
-    across the blocks.  It sums in another order than the step-by-step loop
-    (tests/test_shooting.py keeps that loop as the oracle): a row moves by
-    up to 5e-14 max|I| (lam = 40 over 1611 steps of h = 0.01).
+    O(h^4) times g's fourth derivative.  One batched solve gives the
+    Lagrange weights of every rate on each of the stencil's three shifts,
+    and the steps' increments are four shifted-slice products.  The
+    unconditionally stable recurrence I_{j+1} = e^{lam h} I_j + (the step's
+    increment) runs, for z = lam h, as the scaled cumulative sum
+    I_{j+1} = e^{z j} sum_{i <= j} e^{-z i} (increment i), in blocks of at
+    most _SCAN_LOG / |z| steps that each start from the previous block's
+    last value; a block covers the whole row on the acceptance cases'
+    lattices.  A row depends on its own rate and values alone.  It sums in
+    another order than the step-by-step loop (tests/test_shooting.py keeps
+    that loop as the oracle): the rounding of z j moves a row by up to
+    |z j| eps/2 of max|I| (about 5e-14 at lam = 40 over 1611 steps of
+    h = 0.01).
     """
     rates = np.atleast_1d(np.asarray(lam, dtype=float))
     rows = np.atleast_2d(np.asarray(g, dtype=float))
@@ -1048,42 +1072,35 @@ def exp_kernel_convolve(lam, s: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _kernel_scan(rates: np.ndarray, h: float, rows: np.ndarray) -> np.ndarray:
     # I_1 .. I_{size-1} of exp_kernel_convolve's rows, size >= 2
     count, size = rows.shape
-    z = rates * h
+    steps, z = size - 1, rates * h
     width = min(4, size)  # nodes per step's interpolant
     moments = np.array([[math.factorial(m) * phi for m, phi in enumerate(_phis(zr, width))]
                         for zr in z.tolist()])
-    top = float(np.max(np.abs(z)))
-    block = _SCAN_BLOCK if top * _SCAN_BLOCK < _LOG_MAX else max(1, int(_LOG_MAX / top))
-    n_blocks = -(-(size - 1) // block)
-    steps = np.arange(size - 1)
-    first = np.clip(steps - 1, 0, size - width)  # each step's first node
-    shifts = first - steps
-    inc = np.zeros((count, n_blocks * block))  # the steps' increments, padded to whole blocks
-    for shift in sorted(set(shifts.tolist())):
-        # the kernel's moments against the Lagrange basis on the nodes
-        # shift, shift + 1, ... (in steps from the step's left end), a
-        # column of weights per rate
-        nodes = np.arange(shift, shift + width, dtype=float)
-        w = h * np.linalg.solve(np.vander(nodes, increasing=True).T, moments.T)
-        at = np.flatnonzero(shifts == shift)
-        inc[:, at] = np.einsum("rjw,wr->rj", rows[:, first[at, None] + np.arange(width)], w)
-    # blocked scan of acc_j = e^z acc_{j-1} + inc_j
-    i = np.arange(block)
-    power = np.exp(z[:, None] * i)  # e^{z i}, i < block
-    weights = np.triu(power[:, np.abs(i[:, None] - i)])  # [r, m, i] = e^{z (i - m)}, m <= i
-    local = inc.reshape(count, n_blocks, block) @ weights
-    # carry[r, b]: acc at the end of block b - 1, which reaches step i of
-    # block b times e^{z (i + 1)}
-    carry = []
-    for e, ends in zip(np.exp(z * block).tolist(), local[:, :, -1].tolist()):
-        acc, row = 0.0, []
-        for end in ends:
-            row.append(acc)
-            acc = e * acc + end
-        carry.append(row)
-    with np.errstate(over="ignore"):  # past the last step, padding may overflow
-        local += np.array(carry)[:, :, None] * (power * np.exp(z)[:, None])[:, None, :]
-    return local.reshape(count, -1)[:, : size - 1]
+    # the kernel's moments against the Lagrange basis on the nodes of the
+    # first step (from its left end), an inner step (from one node before)
+    # and the last step (the lattice's last width nodes): w[shift, node, rate]
+    nodes = np.array([0.0, -1.0, 2.0 - width])[:, None] + np.arange(width)
+    w = h * np.linalg.solve(nodes[:, None, :] ** np.arange(width)[:, None], moments.T)
+    acc = np.empty((count, steps))
+    acc[:, 1:-1] = sum(w[1, k][:, None] * rows[:, k : k + size - 3] for k in range(width))
+    acc[:, -1] = np.sum(w[2].T * rows[:, -width:], axis=1)
+    acc[:, 0] = np.sum(w[0].T * rows[:, :width], axis=1)
+    with np.errstate(divide="ignore"):
+        lengths = np.clip(_SCAN_LOG / np.abs(z), 1, steps).astype(int)
+    for block in sorted(set(lengths.tolist())):
+        at = lengths == block
+        zb = z[at, None]
+        scale = np.arange(block) * zb
+        part = acc[at]
+        for start in range(0, steps, block):
+            run = part[:, start : start + block]
+            run *= np.exp(-scale[:, : run.shape[1]])
+            if start:
+                run[:, 0] += np.exp(zb[:, 0]) * part[:, start - 1]
+            np.cumsum(run, axis=1, out=run)
+            run *= np.exp(scale[:, : run.shape[1]])
+        acc[at] = part
+    return acc
 
 
 def y_integral_identity_check(sol: RadialSolution) -> float:

@@ -18,13 +18,13 @@ import numpy as np
 from .errors import BiharmError
 from .expansion import (
     Nonlinearity,
+    _window_drift,
     detect_regime,
     fit_expansion,
     g_eval,
     regime_ordering_ok,
     representation_check,
     taylor_coeffs,
-    window_shift_stability,
 )
 from .ladder import (
     _rk_rows,
@@ -380,10 +380,11 @@ def expansion_invariants(spec, fit, drift, rep) -> tuple[Invariant, ...]:
 def run_expansion(sol, regime, window=None):
     """`biharm expand`'s pipeline on a solve: the fit on window (None: the
     default window), its window-shift drift and the five expansion
-    invariants; returns (fit, drift, invariants)."""
+    invariants; returns (fit, drift, invariants).  The drift is
+    window_shift_stability's, read against this fit."""
     spec = sol.spectrum
     fit = fit_expansion(sol, spec, regime, window)
-    drift = window_shift_stability(sol, spec, regime, window)
+    drift = _window_drift(sol, spec, fit)
     return fit, drift, expansion_invariants(spec, fit, drift, representation_check(sol))
 
 

@@ -217,3 +217,29 @@ def test_shooting_imports_nothing_from_scipy():
     modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
     assert not any(name and name.split(".")[0] == "scipy" for name in modules), modules
+
+
+def test_newton_ends_at_a_step_that_is_rounding():
+    # y'' = -1, y(0) = y(1) = 0: the collocation meets the quadratic
+    # exactly, so one Newton step solves it and the next is rounding.  At
+    # tol 1e-16 the stop test sits below the residuals' own rounding: the
+    # iteration ran on to 4 factorisations (6 iterations), its line search
+    # backtracking at rounding.  It now ends after the one step, without
+    # taking the next, at the iterate the stop test accepts at tol 1e-8.
+    def jac(y):
+        out = np.zeros((2, 2, y.shape[1]))
+        out[0, 1] = 1.0
+        return out
+
+    x = np.linspace(0.0, 1.0, 11)
+    results = []
+    for tol in (1e-8, 1e-16):
+        bvp = biharm.collocation.Bvp(
+            lambda y: np.vstack((y[1], -np.ones_like(y[0]))), jac, ya=np.zeros(2),
+            slope=np.array([0.0, 1.0]), v_ref=0.0, right=np.array([1.0, 0.0]), tol=tol,
+        )
+        results.append(_newton(bvp, np.diff(x), np.zeros((2, 11)), 0.0, []))
+    (y_8, v_8, it_8, *_), (y_16, v_16, it_16, *_) = results
+    assert it_8 == it_16 == 1
+    assert v_16 == v_8 == pytest.approx(0.5, rel=1e-15)
+    assert np.array_equal(y_16, y_8)

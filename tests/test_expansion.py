@@ -14,10 +14,14 @@ from biharm import (
     compute_ladder,
 )
 from biharm.expansion import (
+    COND_LIMIT,
+    _columns,
     _kernel_convolutions,
+    _regime_terms,
     Nonlinearity,
     Regime,
     VariationKernel,
+    default_fit_window,
     detect_regime,
     fit_expansion,
     g_eval,
@@ -30,6 +34,7 @@ from biharm.expansion import (
 from biharm.errors import WindowTooShort
 from biharm.shooting import shoot
 from biharm.spectrum import compute_spectrum
+from biharm.verify import run_expansion
 
 from fdiff import diff_uniform
 
@@ -454,6 +459,28 @@ def test_drift_covers_exactly_the_fit_coefficients(cell, request):
     assert all(math.isfinite(value) and value >= 0.0 for value in drift.values())
 
 
+@pytest.mark.parametrize("cell", ["sol_a", "sol_b", "sol_c", "sol_rung"])
+def test_drift_is_the_drift_between_two_full_fits(cell, request):
+    # the moved window's coefficients alone are solved, and expand reads
+    # the drift against the fit it holds: both equal, bit for bit, the drift
+    # between two full fits, the base's and the moved window's (the
+    # oracle), on A, B, C and n = 15 on its second rung
+    sol = request.getfixturevalue(cell)
+    spec = sol.spectrum
+    regime = detect_regime(sol.params, compute_ladder(sol.params.n))
+    base = fit_expansion(sol, spec, regime)
+    lo, hi = base.window
+    step = 0.1 * (hi - lo)
+    if hi + step > sol.s_grid[-1]:
+        step = -step
+    moved = fit_expansion(sol, spec, regime, (lo + step, hi + step))
+    want = {name: abs(moved.coefficients[name].value - est.value) / max(est.stderr, 1e-300)
+            for name, est in base.coefficients.items()}
+    assert window_shift_stability(sol, spec, regime) == want
+    fit, drift, _ = run_expansion(sol, regime)
+    assert fit == base and drift == want
+
+
 def test_fit_regime_b_on_rung_solution(sol_rung):
     spec = sol_rung.spectrum
     regime = detect_regime(sol_rung.params, compute_ladder(15))
@@ -515,6 +542,30 @@ def test_ill_conditioned_fit_names_regime_k_columns_and_condition(sol_n40):
     assert found is not None, message
     assert float(found[1]) > 1e12
     assert "rung" not in message and "log-corrected" not in message
+
+
+@pytest.mark.parametrize("cell, regime, ill", [
+    ("sol_a", None, False), ("sol_b", None, False), ("sol_c", None, False),
+    ("sol_rung", None, False), ("sol_rung", Regime("a", 1), True), ("10pc", None, True),
+])
+def test_condition_from_the_solves_singular_values_decides_as_cond(cell, regime, ill, request):
+    # the fit's condition number is read from the singular values its
+    # least-squares solve returns; on the existing ill-conditioned cases (a
+    # regime-a basis on the rung, n = 40 at 10 p_c with k = 15) and on the
+    # well-conditioned ones it decides as np.linalg.cond of the scaled
+    # design did (the oracle)
+    sol = request.getfixturevalue("sol_n40")[cell] if cell == "10pc" else request.getfixturevalue(cell)
+    regime = regime or detect_regime(sol.params, compute_ladder(sol.params.n))
+    lo, hi = default_fit_window(sol, sol.spectrum)
+    s = sol.s_grid[(sol.s_grid >= lo) & (sol.s_grid <= hi)]
+    A = _columns(_regime_terms(regime, sol.spectrum), s)
+    assert (np.linalg.cond(A / np.max(np.abs(A), axis=0)) > COND_LIMIT) == ill
+    try:
+        fit_expansion(sol, sol.spectrum, regime)
+    except IllConditioned as exc:
+        assert ill and "condition" in str(exc)
+    else:
+        assert not ill
 
 
 def test_vanished_column_is_a_typed_refusal(sol_n200_10pc):

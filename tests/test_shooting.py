@@ -48,6 +48,7 @@ from biharm.shooting import (
     SignLoss,
     _bisect,
     _collocate,
+    _crossing,
     _escape_law,
     _Integrator,
     _Leg,
@@ -607,6 +608,55 @@ def test_solve_ivp_calls_are_traceable(pc13, monkeypatch):
     assert nfev["r"] > before and nfev == taken
 
 
+def _bisection_crossing(g, lo, hi):
+    # _crossing as the bisection it was, kept as the oracle: [lo, hi]
+    # bisected in r down to adjacent floats, g its value alone; returns the
+    # upper end and the evaluations of g
+    evals = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi, evals
+        evals += 1
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("n, dp", [(13, 0.5), (15, 1.0), (13, 0.0)], ids=["A", "B", "C"])
+def test_crossing_is_the_bisection_float_on_every_escape(n, dp, monkeypatch):
+    # every firing step of a whole shoot of A, B and C, stage 1's legs
+    # among them: the Newton-narrowed escape radius is the float bisection
+    # returns, in at most a quarter of its evaluations of the step
+    # polynomial (measured 5.6-5.8 against 47-49 per escape)
+    plain, seen = biharm.shooting._crossing, []
+
+    def crossing(g, lo, hi):
+        evals = []
+        got = plain(lambda x: evals.append(x) or g(x), lo, hi)
+        seen.append((got, len(evals), *_bisection_crossing(lambda x: g(x)[0], lo, hi)))
+        return got
+
+    monkeypatch.setattr(biharm.shooting, "_crossing", crossing)
+    shoot(ProblemParams(n, compute_pc(n) + dp), alpha=1.0, r_max=1e4)
+    assert len(seen) >= 9
+    assert [got for got, *_ in seen] == [want for _, _, want, _ in seen]
+    assert sum(evals for _, evals, _, _ in seen) <= 0.25 * sum(evals for *_, evals in seen)
+
+
+@pytest.mark.parametrize("g", [
+    lambda x: ((x - 0.3) ** 3, 3.0 * (x - 0.3) ** 2),  # Newton slows to linear at the root
+    lambda x: (x - 0.3, 0.0),  # no slope: the steps from hi and bisection alone
+    lambda x: (x - 2.0, 1.0),  # hi itself reads g < 0, and Newton leaves the bracket
+], ids=["triple_root", "flat_slope", "no_root"])
+def test_crossing_without_a_useful_newton_step_is_bisection(g):
+    # where Newton's steps do not converge fast, or at all, the safeguards
+    # (bisection of the bracket, the step cap, the doubling steps) still
+    # end on the float bisection returns
+    assert _crossing(g, 0.0, 1.0) == _bisection_crossing(lambda x: g(x)[0], 0.0, 1.0)[0]
+
+
 def test_shoot_compiles_nothing(sol_quick, monkeypatch):
     # The leg kernels are compiled once, at import; an integrator only binds
     # its constants into them (a compile costs milliseconds per chart).
@@ -823,7 +873,7 @@ def test_exp_kernel_convolve_is_fourth_order(lam):
 def _sequential_convolve(lam, s, g):
     # exp_kernel_convolve as one rate's step-by-step recurrence
     # I_{j+1} = e^{lam h} I_j + (the step's weights) . g, the loop its
-    # blocked scan replaced, kept as the oracle
+    # scan replaced, kept as the oracle
     h = float(s[1] - s[0])
     z = lam * h
     size = g.size
@@ -852,7 +902,7 @@ _ORACLE_RATES = (-40.0, -3.0, -0.01, 0.0, 40.0)
 @pytest.mark.parametrize("size", range(1, 9))
 def test_exp_kernel_convolve_scan_matches_the_sequential_loop(size):
     # the sizes where the stencil narrows (width min(4, size)) and its three
-    # shifts appear, in one partial scan block: each rate's row within
+    # shifts appear, in one scan block: each rate's row within
     # 1e-13 max|I| of the oracle (measured 6.6e-16); one node is I(s_0) = 0
     rng = np.random.default_rng(size)
     s = 0.01 * np.arange(size)
@@ -869,9 +919,10 @@ def test_exp_kernel_convolve_scan_matches_the_sequential_loop(size):
 
 @pytest.mark.parametrize("lam", [23.0, -23.0])
 def test_exp_kernel_convolve_scan_block_keeps_its_powers_finite(lam):
-    # at lam h = 23 a block of 32 steps would need e^{23 * 31}, past the
-    # largest float: the block shrinks to 30 steps and the two blocks'
-    # rows, finite up to e^{23 * 32} * 1e-30, match the oracle
+    # at lam h = 23 the 33 steps span e^{23 * 33}, past the largest float:
+    # the scan runs in blocks of 15 steps (23 * 15 within _SCAN_LOG), and
+    # the rows, finite up to e^{23 * 32} * 1e-30, match the oracle with no
+    # overflow on the way
     s = np.arange(34.0)
     g = np.full(s.size, 1e-30)
     want = _sequential_convolve(lam, s, g)
@@ -882,11 +933,13 @@ def test_exp_kernel_convolve_scan_block_keeps_its_powers_finite(lam):
 
 
 def test_exp_kernel_convolve_scan_on_case_a_lattice(sol_a):
-    # on case A's lattice (1612 nodes, h = 0.01; lam = 40 grows by e^644),
-    # against the oracle, for W, Z and s W: measured up to 4.8e-14 max|I| at
-    # lam = 40, where the oracle's e^{lam h j} carries j roundings of e^{lam h}.
-    # A stacked call equals one call per row to rounding (measured 1.8 eps
-    # max|I|), and a float rate with one row is that row
+    # on case A's lattice (1612 nodes, h = 0.01; lam = 40 grows by e^644,
+    # two blocks of the scan), against the oracle, for W, Z and s W:
+    # measured up to 5.1e-14 max|I| at lam = 40, where the oracle's
+    # e^{lam h j} carries j roundings of e^{lam h} and the scan's e^{lam h j}
+    # the rounding of lam h j.  A stacked call equals one call per row to
+    # rounding (measured 0.9 eps max|I|), and a float rate with one row is
+    # that row
     s = sol_a.s_grid
     rows = np.stack([sol_a.W, sol_a.Z, s * sol_a.W] * len(_ORACLE_RATES))
     rates = np.repeat(_ORACLE_RATES, 3)
