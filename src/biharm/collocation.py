@@ -5,19 +5,29 @@ with one scalar unknown v and n + 1 conditions:
 
     y(x_0) = ya + (v - v_ref) slope,        right . y(x_{m-1}) = 0.
 
-The method within a round is scipy.integrate.solve_bvp's (Kierzenka &
-Shampine, ACM TOMS 27(3), 2001), kept in its operation order: the
-solution is the C1 cubic Hermite spline through the nodes whose slope
-meets fun at the nodes and at each interval's midpoint (Lobatto IIIA,
-Simpson's rule); a damped Newton iteration on the affine-invariant
-criterion |J^-1 r|^2 solves the collocation equations; each interval's
-rms residual, relative to 1 + |fun|, comes from 5-point Lobatto
-quadrature.  The mesh rule is not solve_bvp's: the collocation residual
-is O(h^3), so the residuals of one round predict the next round's mesh,
-each interval cut into equal pieces enough to meet the tolerance.  The
-linear algebra is not solve_bvp's either.  With the unknowns
-ordered (v, y_0, ..., y_{m-1}) and the equations (the n left conditions,
-the n collocation residuals of each interval in turn, the right
+Each interval, of length h from y_i to y_{i+1}, holds the sixth-order
+mono-implicit Runge-Kutta (MIRK) formula of Cash & Singhal (IMA J. Numer.
+Anal. 2, 1982), Boole's rule on five stages:
+
+    K1 = fun(y_i),   K2 = fun(y_{i+1}),
+    K3 = fun(27/32 y_i + 5/32 y_{i+1} + h (9/64 K1 - 3/64 K2)),
+    K4 = fun(5/32 y_i + 27/32 y_{i+1} + h (3/64 K1 - 9/64 K2)),
+    K5 = fun((y_i + y_{i+1}) / 2 + h (5/24 (K2 - K1) + 2/3 (K3 - K4))),
+    y_{i+1} - y_i - h (7/90 (K1 + K2) + 16/45 (K3 + K4) + 2/15 K5) = 0.
+
+The stages are explicit in the two end values, so the node values are the
+only unknowns besides v, and their error falls as h^6.  A damped Newton
+iteration on the affine-invariant criterion |J^-1 r|^2, with
+scipy.integrate.solve_bvp's constants (Kierzenka & Shampine, ACM TOMS
+27(3), 2001), solves these equations.  Between nodes the solution is the C2
+quintic Hermite spline through y, fun(y) and jac(y) fun(y) at the nodes.
+Its defect y' - fun(y), relative to 1 + |fun|, is O(h^5); each interval's
+rms defect from 5-point Lobatto quadrature is the error that must meet the
+tolerance (defect control as in Enright & Muir, SIAM J. Sci. Comput. 17,
+1996), and the defects of one round predict the next round's mesh, each
+interval cut into equal pieces enough to meet the tolerance.  With the
+unknowns ordered (v, y_0, ..., y_{m-1}) and the equations (the n left
+conditions, the n residuals of each interval in turn, the right
 condition), the Jacobian is a band with 2n - 2 subdiagonals and n
 superdiagonals, so LAPACK's banded LU (dgbtrf / dgbtrs) factors it in
 O(m) with no bordering (Ascher, Mattheij & Russell, Numerical Solution of
@@ -74,16 +84,17 @@ _BACKTRACKS = 4   # step halvings before a step is taken as it is
 _ROUND_Y, _ROUND_V = 64 * np.finfo(float).eps, 16 * np.finfo(float).eps
 # rounds after which a solve that still misses the tolerance fails
 _MAX_ROUNDS = 10
-# The collocation residual on an interval is O(h^3): the next round cuts an
-# interval with residual r into ceil(_MESH_SAFETY (r / tol)^(1/3)) pieces.
-_MESH_SAFETY = 1.2
+# The spline's rms defect on an interval is O(h^5): the next round cuts an
+# interval with defect r into ceil(_MESH_SAFETY (r / tol)^(1/5)) pieces.
+_MESH_SAFETY = 2.0
 
 
 @dataclass(frozen=True)
 class Bvp:
     """y' = fun(y), with jac(y) = df/dy as (n, n, k) for y as (n, k); the
     conditions y(x_0) = ya + (v - v_ref) slope and right . y(x_{m-1}) = 0;
-    residuals are solved to tol, relative to 1 + |fun|."""
+    the spline's rms defects and the conditions' residuals are solved to
+    tol, the defects relative to 1 + |fun|."""
 
     fun: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
@@ -101,12 +112,12 @@ class Bvp:
 @dataclass(frozen=True)
 class Collocation:
     """The last round of a solve: the mesh x, the node values y (n, m), v,
-    the rms residual of each interval, every round of the solve up to this
+    the rms defect of each interval, every round of the solve up to this
     one, each (nodes, Newton iterations, max rms residual, the nodes it
-    predicts or None when it met tol), and the spline's coefficients
-    (4, n, m - 1), highest power first in the distance from the interval's
-    left node.  Called with 1-D s, it is the spline at s as (n, s.size); an
-    s outside the mesh takes the end interval's cubic."""
+    predicts or None when it met tol), and the quintic spline's
+    coefficients (6, n, m - 1), highest power first in the distance from
+    the interval's left node.  Called with 1-D s, it is the spline at s as
+    (n, s.size); an s outside the mesh takes the end interval's quintic."""
 
     x: np.ndarray
     y: np.ndarray
@@ -127,11 +138,11 @@ class Collocation:
 
 def solve(bvp: Bvp, x: np.ndarray, y: np.ndarray, v: float, max_nodes: int) -> Collocation:
     """Solve bvp from the guess (y on the mesh x, v) by rounds of Newton
-    iteration, each on the mesh the last one's residuals predict.
+    iteration, each on the mesh the last one's defects predict.
 
-    A round whose rms residuals and condition residuals all meet tol is
-    returned.  Otherwise interval i, with rms residual r_i, is cut into
-    ceil(_MESH_SAFETY (r_i / tol)^(1/3)) equal pieces, at least one, and
+    A round whose rms defects and condition residuals all meet tol is
+    returned.  Otherwise interval i, with rms defect r_i, is cut into
+    ceil(_MESH_SAFETY (r_i / tol)^(1/5)) equal pieces, at least one, and
     the next round starts from the spline on that mesh.  A prediction of
     more than max_nodes nodes, a singular band LU, and a solve still
     unconverged after _MAX_ROUNDS rounds raise NoConvergence, each naming
@@ -142,12 +153,12 @@ def solve(bvp: Bvp, x: np.ndarray, y: np.ndarray, v: float, max_nodes: int) -> C
     rounds = []
     while True:
         h = np.diff(x)
-        y, v, newton, col_res, f, f_mid, bc = _newton(bvp, h, y, v, rounds)
-        coeffs = _hermite(y, f, h)
-        rms = _rms(bvp.fun, coeffs, x, h, 1.5 * col_res / h, f_mid)
+        y, v, newton, f, bc = _newton(bvp, h, y, v, rounds)
+        coeffs = _hermite(y, f, np.einsum("ijk,jk->ik", bvp.jac(y), f), h)
+        rms = _rms(bvp.fun, coeffs, h)
         miss = np.max(np.abs(bc))
         met = np.all(rms <= tol) and miss <= tol
-        pieces = np.maximum(np.ceil(_MESH_SAFETY * np.cbrt(rms / tol)), 1.0)
+        pieces = np.maximum(np.ceil(_MESH_SAFETY * (rms / tol) ** 0.2), 1.0)
         nodes = pieces.sum() + 1.0
         rounds.append((x.size, newton, float(np.max(rms)), None if met else int(nodes)))
         res = Collocation(x, y, v, rms, tuple(rounds), coeffs)
@@ -175,44 +186,45 @@ def _split_intervals(x: np.ndarray, pieces: np.ndarray) -> np.ndarray:
 
 
 def _newton(bvp, h, y, v, rounds):
-    """solve_bvp's damped Newton iteration on one mesh, with the Jacobian
-    factored by banded LU, as the round after the finished rounds; it stops
-    early at a step that is rounding (_ROUND_Y, _ROUND_V).  Returns
-    (y, v, iterations, and at the returned iterate the collocation
-    residuals, fun at the nodes and at the midpoints, and the condition
-    residuals)."""
+    """The damped Newton iteration on one mesh's MIRK equations, with
+    solve_bvp's caps (_MAX_NJEV Jacobians, _MAX_ITER iterations), Armijo
+    test and backtracking, and the Jacobian factored by banded LU, as the
+    round after the finished rounds.  It stops early at a step that is
+    rounding (_ROUND_Y, _ROUND_V), or once the conditions' residuals are
+    below tol and every interval's residual r has 1.5 |r| / h < 5e-2 tol
+    (1 + |K5|), solve_bvp's test with K5 as the midpoint slope.  Returns
+    (y, v, iterations, fun at the nodes and the condition residuals at the
+    returned iterate)."""
     n, m = y.shape
     kl, ku = 2 * n - 2, n
-    # solve_bvp stops when every collocation residual is below 1.5 orders
-    # of the tolerance on the residual it implies at the interval's middle
     tol_r = 2 / 3 * h * 5e-2 * bvp.tol
-    col_res, y_mid, f, f_mid = _collocation(bvp.fun, y, h)
+    res, stages, f, f_mid = _collocation(bvp.fun, y, h)
     bc = bvp.conditions(y[:, 0], y[:, -1], v)
     njev, recompute = 0, True
     for it in range(1, _MAX_ITER + 1):
         if recompute:
-            lu, piv, info = dgbtrf(_band(bvp, h, y, y_mid), kl, ku, overwrite_ab=True)
+            lu, piv, info = dgbtrf(_band(bvp, h, y, stages), kl, ku, overwrite_ab=True)
             if info > 0:
                 raise NoConvergence(
                     f"round {len(rounds) + 1} on {m} nodes: the band LU is singular (dgbtrf "
                     f"info = {info}) at Newton iteration {it}", tuple(rounds)
                 )
             njev += 1
-            step = dgbtrs(lu, kl, ku, _residual(col_res, bc, n), piv)[0]
+            step = dgbtrs(lu, kl, ku, _residual(res, bc, n), piv)[0]
             # squared norms by einsum, not BLAS: a dot of 4m + 1 entries may
             # wake OpenBLAS's thread pool, whose hand-offs cost more than the sum
             cost = np.einsum("i,i->", step, step)
         v_step, y_step = step[0], step[1:].reshape(m, n).T
         if it > 1 and (np.max(np.abs(y_step)) <= _ROUND_Y * np.max(np.abs(y))
                        and abs(v_step) <= _ROUND_V * abs(v)):
-            return y, v, it - 1, col_res, f, f_mid, bc
+            return y, v, it - 1, f, bc
         alpha = 1.0
         for trial in range(_BACKTRACKS + 1):
             y_new = y - alpha * y_step
             v_new = v - alpha * v_step
-            col_res, y_mid, f, f_mid = _collocation(bvp.fun, y_new, h)
+            res, stages, f, f_mid = _collocation(bvp.fun, y_new, h)
             bc = bvp.conditions(y_new[:, 0], y_new[:, -1], v_new)
-            step_new = dgbtrs(lu, kl, ku, _residual(col_res, bc, n), piv)[0]
+            step_new = dgbtrs(lu, kl, ku, _residual(res, bc, n), piv)[0]
             cost_new = np.einsum("i,i->", step_new, step_new)
             if cost_new < (1 - 2 * alpha * _ARMIJO) * cost:
                 break
@@ -221,54 +233,62 @@ def _newton(bvp, h, y, v, rounds):
         y, v = y_new, v_new
         if njev == _MAX_NJEV:
             break
-        if np.all(np.abs(col_res) < tol_r * (1 + np.abs(f_mid))) and np.all(np.abs(bc) < bvp.tol):
+        if np.all(np.abs(res) < tol_r * (1 + np.abs(f_mid))) and np.all(np.abs(bc) < bvp.tol):
             break
         # after a full step the next one reuses the factors, as BVP_SOLVER does
         recompute = alpha != 1.0
         if not recompute:
             step, cost = step_new, cost_new
-    return y, v, it, col_res, f, f_mid, bc
+    return y, v, it, f, bc
 
 
 def _collocation(fun, y, h):
-    """Collocation residuals y_{i+1} - y_i - h/6 (f_i + 4 f_mid + f_{i+1}),
-    the spline's midpoint values, and fun at the nodes and midpoints."""
+    """Each interval's MIRK residual, its stages' arguments (Y3, Y4, Y5),
+    fun at the nodes and K5, fun at the midpoint stage."""
     f = fun(y)
-    y_mid = 0.5 * (y[:, 1:] + y[:, :-1]) - 0.125 * h * (f[:, 1:] - f[:, :-1])
-    f_mid = fun(y_mid)
-    col_res = y[:, 1:] - y[:, :-1] - h / 6 * (f[:, :-1] + f[:, 1:] + 4 * f_mid)
-    return col_res, y_mid, f, f_mid
+    y_i, y_j, k1, k2 = y[:, :-1], y[:, 1:], f[:, :-1], f[:, 1:]
+    y3 = 27 / 32 * y_i + 5 / 32 * y_j + h * (9 / 64 * k1 - 3 / 64 * k2)
+    y4 = 5 / 32 * y_i + 27 / 32 * y_j + h * (3 / 64 * k1 - 9 / 64 * k2)
+    k3, k4 = np.split(fun(np.hstack((y3, y4))), 2, axis=1)
+    y5 = 0.5 * (y_i + y_j) + h * (5 / 24 * (k2 - k1) + 2 / 3 * (k3 - k4))
+    k5 = fun(y5)
+    res = y_j - y_i - h * (7 / 90 * (k1 + k2) + 16 / 45 * (k3 + k4) + 2 / 15 * k5)
+    return res, (y3, y4, y5), f, k5
 
 
-def _residual(col_res, bc, n):
+def _residual(res, bc, n):
     """The residual vector in the band's row order."""
-    return np.concatenate((bc[:n], col_res.ravel(order="F"), bc[n:]))
+    return np.concatenate((bc[:n], res.ravel(order="F"), bc[n:]))
 
 
-def _band(bvp, h, y, y_mid):
-    """The Jacobian of the collocation system at (y, y_mid) in LAPACK's
-    banded-LU storage: entry (i, j) at [kl + ku + i - j, j], kl = 2n - 2,
-    ku = n, the first kl rows left for the factorisation's fill-in.
+def _band(bvp, h, y, stages):
+    """The Jacobian of the MIRK system at y, with the stages' arguments
+    (Y3, Y4, Y5), in LAPACK's banded-LU storage: entry (i, j) at
+    [kl + ku + i - j, j], kl = 2n - 2, ku = n, the first kl rows left for
+    the factorisation's fill-in.
 
-    Each interval's two n-by-n blocks are solve_bvp's (Kierzenka & Shampine,
-    p. 306), formed in its operation order; the left conditions' rows hold
-    -slope in v's column and 1 in y_0's, the right condition's row holds
-    right in y_{m-1}'s columns.
+    Each interval's two n-by-n blocks, d residual / d y_i and
+    d residual / d y_{i+1}, follow the stages by the chain rule through
+    jac at y_i, y_{i+1}, Y3, Y4 and Y5, the pair (i, i+1) as one leading
+    axis; the left conditions' rows hold -slope in v's column and 1 in
+    y_0's, the right condition's row holds right in y_{m-1}'s columns.
     """
     n, m = y.shape
     kl, ku = 2 * n - 2, n
     d = kl + ku  # the main diagonal's row
-    jac = np.transpose(bvp.jac(y), (2, 0, 1))
-    jac_mid = np.transpose(bvp.jac(y_mid), (2, 0, 1))
-    hh = h[:, None, None]
-    left = np.empty((m - 1, n, n))
-    left[:] = -np.identity(n)
-    left -= hh / 6 * (jac[:-1] + 2 * jac_mid)
-    left -= hh**2 / 12 * np.einsum("...ij,...jk->...ik", jac_mid, jac[:-1])
-    right = np.empty((m - 1, n, n))
-    right[:] = np.identity(n)
-    right -= hh / 6 * (jac[1:] + 2 * jac_mid)
-    right += hh**2 / 12 * np.einsum("...ij,...jk->...ik", jac_mid, jac[1:])
+    jac = np.transpose(bvp.jac(np.hstack((y, *stages))), (2, 0, 1))
+    j12 = np.stack((jac[: m - 1], jac[1:m]))  # at y_i, at y_{i+1}
+    j3, j4, j5 = jac[m:].reshape(3, m - 1, n, n)
+    eye, hh = np.identity(n), h[:, None, None]
+    dot = lambda a, b: np.einsum("...ij,...jk->...ik", a, b)
+    # each stack holds d/dy_i, then d/dy_{i+1}: h dK1/dy_i and h dK2/dy_{i+1},
+    # then dK3, dK4 and dK5 through the derivatives of Y3, Y4 and Y5
+    hk = hh * j12
+    dk3 = dot(j3, np.stack((27 / 32 * eye + 9 / 64 * hk[0], 5 / 32 * eye - 3 / 64 * hk[1])))
+    dk4 = dot(j4, np.stack((5 / 32 * eye + 3 / 64 * hk[0], 27 / 32 * eye - 9 / 64 * hk[1])))
+    dk5 = dot(j5, 0.5 * eye + 5 / 24 * np.stack((-hk[0], hk[1])) + 2 / 3 * hh * (dk3 - dk4))
+    blocks = 7 / 90 * hk + hh * (16 / 45 * (dk3 + dk4) + 2 / 15 * dk5)
+    left, right = -eye - blocks[0], eye - blocks[1]
     ab = np.zeros((2 * kl + ku + 1, n * m + 1), order="F")
     a, b = np.indices((n, n))
     # interval q's rows n + n q + a; its left block in the columns
@@ -283,43 +303,39 @@ def _band(bvp, h, y, y_mid):
     return ab
 
 
-def _hermite(y, yp, h):
-    """The cubic Hermite spline through values y and slopes yp at the nodes,
-    as coefficients (4, n, m - 1), highest power first."""
-    slope = (y[:, 1:] - y[:, :-1]) / h
-    t = (yp[:, :-1] + yp[:, 1:] - 2 * slope) / h
-    return np.array([t / h, (slope - yp[:, :-1]) / h - t, yp[:, :-1], y[:, :-1]])
+def _hermite(y, yp, ypp, h):
+    """The quintic Hermite spline through values y, slopes yp and second
+    derivatives ypp at the nodes, as coefficients (6, n, m - 1), highest
+    power first."""
+    hp, hpp = h * yp[:, :-1], h * h * ypp[:, :-1]
+    val = y[:, 1:] - y[:, :-1] - hp - 0.5 * hpp   # h^3 c3 + h^4 c4 + h^5 c5
+    slo = h * yp[:, 1:] - hp - hpp                # 3 h^3 c3 + 4 h^4 c4 + 5 h^5 c5
+    cur = h * h * ypp[:, 1:] - hpp                # 6 h^3 c3 + 12 h^4 c4 + 20 h^5 c5
+    return np.array([(6 * val - 3 * slo + 0.5 * cur) / h**5, (-15 * val + 7 * slo - cur) / h**4,
+                     (10 * val - 4 * slo + 0.5 * cur) / h**3, 0.5 * ypp[:, :-1], yp[:, :-1], y[:, :-1]])
 
 
 def _value(c, d):
-    """The cubic with coefficients c at the distance d from its left node,
-    summed in ascending powers as scipy's PPoly does."""
-    dd = d * d
-    return c[3] + c[2] * d + c[1] * dd + c[0] * (dd * d)
+    """The polynomial with coefficients c, highest power first, at the
+    distance d from its left node, by Horner's rule."""
+    out = c[0]
+    for ck in c[1:]:
+        out = out * d + ck
+    return out
 
 
 def _slope(c, d):
-    """The cubic's derivative, summed as _value."""
-    return c[2] + c[1] * d * 2 + c[0] * (d * d) * 3
+    """The polynomial's derivative, by Horner's rule."""
+    return _value([(len(c) - 1 - k) * ck for k, ck in enumerate(c[:-1])], d)
 
 
-def _rms(fun, coeffs, x, h, r_mid, f_mid):
-    """Each interval's rms residual |y' - fun(y)| / (1 + |fun(y)|) from
-    5-point Lobatto quadrature; the residual is 0 at the nodes, and r_mid,
-    divided in place, is the one at the midpoint."""
-    x_mid = x[:-1] + 0.5 * h
-    s = 0.5 * h * (3 / 7) ** 0.5
-    # the quadrature points' offsets from each interval's left node, taken
-    # from the points as PPoly takes them
-    d1, d2 = (x_mid + s) - x[:-1], (x_mid - s) - x[:-1]
-    y1, y2 = _value(coeffs, d1), _value(coeffs, d2)
-    f1, f2 = fun(y1), fun(y2)
-    r1 = _slope(coeffs, d1) - f1
-    r2 = _slope(coeffs, d2) - f2
-    r_mid /= 1 + np.abs(f_mid)
-    r1 /= 1 + np.abs(f1)
-    r2 /= 1 + np.abs(f2)
-    r1 = np.sum(r1 * r1, axis=0)
-    r2 = np.sum(r2 * r2, axis=0)
-    r_mid = np.sum(r_mid * r_mid, axis=0)
-    return (0.5 * (32 / 45 * r_mid + 49 / 90 * (r1 + r2))) ** 0.5
+def _rms(fun, coeffs, h):
+    """Each interval's rms defect |y' - fun(y)| / (1 + |fun(y)|) of the
+    spline from 5-point Lobatto quadrature; the defect is 0 at the nodes."""
+    # the three inner points' offsets from each left node, (3, m - 1)
+    d = 0.5 * h * (1.0 + np.array([-(3 / 7) ** 0.5, 0.0, (3 / 7) ** 0.5])[:, None])
+    c = coeffs[:, :, None, :]
+    y = _value(c, d)
+    f = fun(y.reshape(y.shape[0], -1)).reshape(y.shape)
+    r = np.sum(((_slope(c, d) - f) / (1 + np.abs(f))) ** 2, axis=0)
+    return (0.5 * (49 / 90 * (r[0] + r[2]) + 32 / 45 * r[1])) ** 0.5

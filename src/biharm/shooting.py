@@ -79,8 +79,8 @@ _PROBE_HI = -1e-6     # least negative v0 probed
 _BRACKET_STOP = math.sqrt(np.finfo(float).eps)
 # collocation: uniform starting nodes, node cap and tolerance
 _BVP_NODES = 200
-_BVP_MAX_NODES = 25000
-_BVP_TOL = 1e-10  # the rms residual every collocation round must meet
+_BVP_MAX_NODES = 5000  # twice the largest mesh a solving cell needs (n200_2pc, 2566)
+_BVP_TOL = 1e-10  # the rms defect every collocation round must meet
 # |W/L - 1| below which the collocation's guess leaves the blow-up end's leg
 # for the slowest decaying mode e^{lam3 s}
 _GUESS_FLOOR = 1e-3
@@ -801,12 +801,13 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     unknown, its left condition the tangent in v0 of the r-chart state at
     r_switch from the bracket's midpoint, by a complex-step leg of Taylor
     steps (_Integrator.tangent), closes the solution on the s-chart up to
-    r_cls, solved by biharm.collocation (solve_bvp's Newton
-    rounds on a banded LU, each round on the mesh the last one's residuals
-    predict); below r_switch it is that tangent at that v0.  For r_max <=
-    _R_HORIZON the horizon, and so the solution, does not depend on r_max,
-    which only cuts the returned grids.  The solution's record, and that of
-    any BiharmError raised here, is the solve's SolveRecord.
+    r_cls, solved by biharm.collocation (a sixth-order MIRK formula in
+    damped Newton rounds on a banded LU, each round on the mesh the last
+    one's defects predict); below r_switch it is that tangent at that v0.
+    For r_max <= _R_HORIZON the horizon, and so the solution, does not
+    depend on r_max, which only cuts the returned grids.  The solution's
+    record, and that of any BiharmError raised here, is the solve's
+    SolveRecord.
     """
     integ = None
     try:
@@ -899,10 +900,10 @@ def _collocate(integ, leg, up, dn, r_cls):
     _GUESS_FLOOR, then y there times e^{lam3 (s - s_a)}, on _BVP_NODES
     uniform nodes.
     One collocation.solve call, capped at _BVP_MAX_NODES, runs the problem
-    in Newton rounds: the first on the start mesh, each later one on the
-    mesh the last one's rms residuals predict (see collocation.solve); a
-    failed round raises NoConvergence, and so does a tangent leg that ends
-    in an escape before r_switch.  Stage 1's shots bracket the separatrix,
+    in Newton rounds of its sixth-order MIRK formula: the first on the start
+    mesh, each later one on the mesh the last one's rms defects predict (see
+    collocation.solve); a failed round raises NoConvergence, and so does a
+    tangent leg that ends in an escape before r_switch.  Stage 1's shots bracket the separatrix,
     so a v0 farther outside the bracket than its width (a misclassified
     trial, or a tangent read too far from mid) raises NoConvergence.  Each
     NoConvergence names the s-domain and the bracket, and one from a round

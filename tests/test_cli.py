@@ -175,14 +175,14 @@ def test_solve_reports_its_record(runner, pc13, tmp_path):
     assert record["rounds"][-1]["max_rms"] <= 1e-10
 
 
-def test_failed_solve_reports_its_error_and_record(runner, pc13, tmp_path, monkeypatch):
+def test_failed_solve_reports_its_error_and_record(runner, pc15, tmp_path, monkeypatch):
     # a typed failure out of shoot exits 1 naming it on stderr, and stdout
-    # holds its error payload with the solve's record: case A at r_max 500
-    # predicts 645 nodes from its 200 start nodes, above a cap of 300
-    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 300)
+    # holds its error payload with the solve's record: case B predicts 296
+    # nodes from its 200 start nodes, above a cap of 250
+    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 250)
     dump = tmp_path / "d.csv"
     res = runner.invoke(main, [
-        "solve", "--n", "13", "--p", repr(pc13 + 0.5), "--r-max", "500", "--out", str(dump),
+        "solve", "--n", "15", "--p", repr(pc15 + 1.0), "--r-max", "1e4", "--out", str(dump),
     ])
     assert res.exit_code == 1 and not dump.exists()
     payload = json.loads(res.stdout)
@@ -190,7 +190,7 @@ def test_failed_solve_reports_its_error_and_record(runner, pc13, tmp_path, monke
     assert payload["error"] == "NoConvergence"
     assert f"error: {payload['message']}" in res.stderr
     (round_1,) = payload["record"]["rounds"]
-    assert (round_1["nodes"], round_1["predicted"]) == (200, 645)
+    assert (round_1["nodes"], round_1["predicted"]) == (200, 296)
     assert payload["record"]["trials"] > 0
 
 

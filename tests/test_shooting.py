@@ -1388,52 +1388,51 @@ _ROUND = (r"round (\d+) on (\d+) nodes \((\d+) Newton iterations, max rms "
 _WHERE = r" \(over s in \[(\S+), (\S+)\], v0 bracket \[(\S+), (\S+)\]\)"
 
 
-def test_collocation_failure_names_its_stage(pc13, monkeypatch):
+def test_collocation_failure_names_its_stage(pc15, monkeypatch):
     # a round whose predicted mesh would pass the node cap raises
     # NoConvergence naming the stage, the round, its nodes, Newton
     # iterations and residual, the nodes it predicts, the s-domain and the
-    # v0 bracket.  Case A at r_max 500 predicts 645 nodes from the start
-    # mesh, under a cap of 1000; with the residuals of every later round
-    # read 10x high (up to 6e-10 against tol 1e-10), round 2 predicts more
-    # pieces in most intervals, each interval at most ceil(1.2 10^(1/3)) = 3
-    # as every one of its true residuals meets tol (measured: 1483 nodes).
+    # v0 bracket.  Case B predicts 296 nodes from the start mesh, under a
+    # cap of 400; with the defects of every later round read 100x high (up
+    # to 3e-10 against tol 1e-10), round 2 predicts more pieces in most
+    # intervals, each interval at most ceil(2 100^(1/5)) = 6 as every one of
+    # its true defects meets tol (measured: 539 nodes).
     plain = biharm.collocation._rms
 
-    def inflated(fun, coeffs, x, *args):
-        return plain(fun, coeffs, x, *args) * (1.0 if x.size == _BVP_NODES else 10.0)
+    def inflated(fun, coeffs, h):
+        return plain(fun, coeffs, h) * (1.0 if h.size + 1 == _BVP_NODES else 100.0)
 
-    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 1000)
+    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
     monkeypatch.setattr(biharm.collocation, "_rms", inflated)
     with pytest.raises(NoConvergence) as info:
-        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
-    found = re.fullmatch(
-        r"collocation stage: " + _ROUND + r" predicts (\d+) nodes, more than the cap 1000" + _WHERE,
-        str(info.value),
-    )
-    assert found is not None, str(info.value)
-    assert found.group(1, 2, 3) == ("2", "645", "1") and float(found[4]) > 1e-10
-    assert 1000 < int(found[5]) <= 3 * 644 + 1
-    r_cls = 500.0 * math.exp(_S_PAD)
-    s_lo, s_hi, dn, up = (float(x) for x in found.groups()[5:])
-    assert (s_lo, s_hi) == pytest.approx((math.log(_R_SWITCH), math.log(r_cls)), rel=1e-5)
-    assert dn < up and up - dn < _BRACKET_STOP * abs(up)
-
-
-def test_collocation_fails_fast_above_the_node_cap(pc13, monkeypatch):
-    # a predicted mesh above the node cap raises right after the first
-    # round, naming the stage, the round, the predicted node count and the
-    # cap; no later round runs, and the solve's record holds that one
-    # round with its nodes and prediction (case A at r_max 500 predicts 645
-    # nodes)
-    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
-    with pytest.raises(NoConvergence) as info:
-        shoot(ProblemParams(13, pc13 + 0.5), alpha=1.0, r_max=500.0)
+        shoot(ProblemParams(15, pc15 + 1.0), alpha=1.0, r_max=1e4)
     found = re.fullmatch(
         r"collocation stage: " + _ROUND + r" predicts (\d+) nodes, more than the cap 400" + _WHERE,
         str(info.value),
     )
     assert found is not None, str(info.value)
-    assert found[1] == "1" and int(found[2]) == _BVP_NODES and int(found[5]) > 400
+    assert found.group(1, 2, 3) == ("2", "296", "1") and float(found[4]) > 1e-10
+    assert 400 < int(found[5]) <= 6 * 295 + 1
+    r_cls = 1e4 * math.exp(_S_PAD)
+    s_lo, s_hi, dn, up = (float(x) for x in found.groups()[5:])
+    assert (s_lo, s_hi) == pytest.approx((math.log(_R_SWITCH), math.log(r_cls)), rel=1e-5)
+    assert dn < up and up - dn < _BRACKET_STOP * abs(up)
+
+
+def test_collocation_fails_fast_above_the_node_cap(pc15, monkeypatch):
+    # a predicted mesh above the node cap raises right after the first
+    # round, naming the stage, the round, the predicted node count and the
+    # cap; no later round runs, and the solve's record holds that one
+    # round with its nodes and prediction (case B predicts 296 nodes)
+    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 250)
+    with pytest.raises(NoConvergence) as info:
+        shoot(ProblemParams(15, pc15 + 1.0), alpha=1.0, r_max=1e4)
+    found = re.fullmatch(
+        r"collocation stage: " + _ROUND + r" predicts (\d+) nodes, more than the cap 250" + _WHERE,
+        str(info.value),
+    )
+    assert found is not None, str(info.value)
+    assert found[1] == "1" and int(found[2]) == _BVP_NODES and int(found[5]) > 250
     record = info.value.record
     (nodes, _, max_rms, predicted), = record.rounds
     assert (nodes, predicted, f"{max_rms:.3g}") == (_BVP_NODES, int(found[5]), found[4])
@@ -1489,26 +1488,53 @@ def test_failing_tangent_leg_names_its_stage(pc13, monkeypatch):
     assert dn < up and up - dn < _BRACKET_STOP * abs(up)
 
 
-@pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4)])
+@pytest.mark.parametrize("fixture, r_max", [("sol_quick", 500.0), ("sol_c", 1e4), ("sol_b", 1e4)])
 def test_predicted_mesh_closes_in_one_round(fixture, r_max, request, monkeypatch, scipy_problem):
-    # One collocation.solve call from the 200 uniform start nodes: the first
-    # round's residuals predict the mesh, and the second round converges on
-    # it.  The solution matches scipy.integrate.solve_bvp's solve from the
-    # same start nodes: v0 to 1e-14 relative and, on the lattice past
-    # r_switch, W = L (1 + y0) to 1e-12 L.
+    # One collocation.solve call from the 200 uniform start nodes: quick
+    # and C close on them in round 1; on B the first round's defects
+    # predict the mesh, and the second round converges on it.  The solution
+    # matches scipy.integrate.solve_bvp's solve from the same start nodes:
+    # v0 to 1e-14 relative and, on the lattice past r_switch, W = L (1 +
+    # y0) to 1e-12 L (measured 0 and at most 2.3e-14 L).
     params = request.getfixturevalue(fixture).params
     sol, calls = _record_collocation(params, r_max, monkeypatch)
     ((bvp, x, y, v, max_nodes), res), = calls
     assert x.size == _BVP_NODES and max_nodes == _BVP_MAX_NODES and sol.v0 == res.v
-    (nodes_1, _, _, predicted), (nodes_2, _, max_rms, met) = sol.record.rounds
-    assert nodes_1 == _BVP_NODES and nodes_2 == predicted == res.x.size > _BVP_NODES
-    assert met is None and max_rms <= bvp.tol
+    *first, (nodes, _, max_rms, met) = sol.record.rounds
+    assert met is None and max_rms <= bvp.tol and nodes == res.x.size
+    if fixture == "sol_b":
+        (nodes_1, _, _, predicted), = first
+        assert nodes_1 == _BVP_NODES and predicted == nodes > _BVP_NODES
+    else:
+        assert first == [] and nodes == _BVP_NODES
     ref = solve_bvp(x=x, y=y, p=[v], tol=bvp.tol, max_nodes=max_nodes, **scipy_problem(bvp))
     assert ref.status == 0
     assert abs(sol.v0 - ref.p[0]) <= 1e-14 * abs(ref.p[0])
     L = sol.spectrum.L
     past = sol.s_grid >= math.log(_R_SWITCH)
     assert np.max(np.abs(sol.W[past] - L * (1.0 + ref.sol(sol.s_grid[past])[0]))) <= 1e-12 * L
+
+
+@pytest.mark.parametrize("fixture", ["sol_a", "sol_b"])
+def test_v0_is_the_fine_uniform_mesh_solves(fixture, request, monkeypatch):
+    # A higher order must not be a looser tolerance in disguise: the same
+    # problem solved by the same Newton iteration on a uniform 4001-node
+    # mesh, from the solve's own spline, gives v0 to 4 ulps and W past
+    # r_switch to 1e-12 L (measured: 0 ulps and at most 6.5e-15 L, the
+    # same against 8001 and 16 001 nodes).
+    ref = request.getfixturevalue(fixture)
+    sol, calls = _record_collocation(ref.params, 1e4, monkeypatch)
+    ((bvp, *_), res), = calls
+    assert sol.v0 == ref.v0
+    x = np.linspace(res.x[0], res.x[-1], 4001)
+    h = np.diff(x)
+    y, v, _, f, _ = biharm.collocation._newton(bvp, h, res(x), res.v, [])
+    assert abs(sol.v0 - v) <= 4 * np.spacing(abs(v))
+    coeffs = biharm.collocation._hermite(y, f, np.einsum("ijk,jk->ik", bvp.jac(y), f), h)
+    fine = replace(res, x=x, y=y, v=v, coeffs=coeffs)
+    L = sol.spectrum.L
+    past = sol.s_grid >= math.log(_R_SWITCH)
+    assert np.max(np.abs(sol.W[past] - L * (1.0 + fine(sol.s_grid[past])[0]))) <= 1e-12 * L
 
 
 def _cut(sol, keep):

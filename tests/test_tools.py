@@ -206,9 +206,9 @@ def test_shoot_cells_diff_exits_1_when_an_ok_cell_fails(capsys):
 
 def test_shoot_cells_trials_sum_to_n_bisect():
     # one _bisect call (stage 1), whose trials are n_bisect, and one tangent
-    # take at r_max 500: one collocation solve, its first round on the 200
+    # take on case B: one collocation solve, its first round on the 200
     # start nodes and its second on the mesh the first predicts
-    rec = shoot_cells.shoot_cell("quick")
+    rec = shoot_cells.shoot_cell("B")
     record = rec["record"]
     assert record["trials"] > 0 and rec["alpha"] == 1.0
     # every stage-1 shot one leg of Taylor steps at the shot tolerance 1e-10
@@ -223,7 +223,7 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     assert charts["v"]["calls"] == 1 and set(charts["v"]["nfev_by_rtol"]) == {"1e-16"}
     assert 1 < charts["v"]["nfev"] < 20
     assert len(rec["w_sha256"]) == 64 and 0.0 < rec["seam_residual"] < 1e-11
-    assert [(r["nodes"], r["predicted"]) for r in record["rounds"]] == [(200, 645), (645, None)]
+    assert [(r["nodes"], r["predicted"]) for r in record["rounds"]] == [(200, 296), (296, None)]
 
 
 def test_shoot_cells_record_is_the_solve_payload(pc13, tmp_path):
@@ -338,13 +338,13 @@ def test_shoot_cells_a10_is_case_a_at_height_10(monkeypatch):
 
 def test_shoot_cells_records_the_failing_collocation_round(monkeypatch, capsys):
     # a collocation.solve that raises NoConvergence leaves its finished
-    # rounds in the error's record; case A at r_max 500 predicts 645 nodes
-    # from its 200 start nodes, above a cap of 400
-    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 400)
-    rec = shoot_cells.shoot_cell("quick")
+    # rounds in the error's record; case B predicts 296 nodes from its 200
+    # start nodes, above a cap of 250
+    monkeypatch.setattr(biharm.shooting, "_BVP_MAX_NODES", 250)
+    rec = shoot_cells.shoot_cell("B")
     assert rec["error"] == "NoConvergence"
     (round_1,) = rec["record"]["rounds"]
-    assert (round_1["nodes"], round_1["predicted"]) == (200, 645)
+    assert (round_1["nodes"], round_1["predicted"]) == (200, 296)
     # a round that fails before it finishes (a singular band LU) records no
     # round
     plain = biharm.collocation.dgbtrf
