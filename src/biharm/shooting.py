@@ -54,6 +54,12 @@ _R_SEED = 1e-3       # lattice start
 _SERIES_ORDER = 32   # the series start keeps r^0 .. r^(2 * _SERIES_ORDER)
 _R_SWITCH = 10.0     # the collocation's left end, where the tangent hands off to the s-chart
 _R_HORIZON = 500.0   # least radius to which shoot classifies shots and collocates
+# the escape law's reference horizon is that of a solve to r_max = _R_LAW,
+# shoot's default, or the solve's own when it is nearer (see _escape_law).
+# A reference at _R_HORIZON instead took n200_pc from 32 to 73 trials: its
+# sign-loss escapes inside r = 38.7, not yet on the asymptotic law, then
+# fed model steps that undershoot.
+_R_LAW = 1e4
 _BLOWUP = 1.5        # W/L at which a shot blows up, at most; the entire solution keeps W < L
 _DS = 0.01           # uniform s-grid spacing of the returned solution
 # s from the returned lattice's last node, log r_max, out to where a solve
@@ -79,14 +85,24 @@ _PROBE_HI = -1e-6     # least negative v0 probed
 _BRACKET_STOP = math.sqrt(np.finfo(float).eps)
 # collocation: uniform starting nodes, node cap and tolerance
 _BVP_NODES = 200
-_BVP_MAX_NODES = 5000  # twice the largest mesh a solving cell needs (n200_2pc, 2566)
+_BVP_MAX_NODES = 5000  # 1.3x the largest mesh a solving cell needs (n100_pc+0.5, 3799)
 _BVP_TOL = 1e-10  # the rms defect every collocation round must meet
 # |W/L - 1| below which the collocation's guess leaves the blow-up end's leg
 # for the slowest decaying mode e^{lam3 s}
 _GUESS_FLOOR = 1e-3
-# A model step lands this share of its length past the predicted root, so the
-# far end of the bracket closes too.
+# A model step lands past the predicted root, so that the far end of the
+# bracket closes too: _PUSH of its length once the bracket is narrower than
+# _BRACKET_STOP.
 _PUSH = 0.02
+# While the bracket is wider, it lands _PUSH_WIDE of its length past, so
+# that near the root a trial narrows the bracket about 500x.
+_PUSH_WIDE = 0.002
+# ... but at least _PUSH_FLOOR _BRACKET_STOP |x0| past (about 4.5e-10 |v0|),
+# far above the ~1e-13 relative distance from the root at which a shot at
+# _SHOT_TOL misreads the side (n60_pc), which makes the small overshoot
+# safe: 0.005 or 0.001 with no floor lost n100_2pc, and a floor of 0.3
+# left final brackets near 1e-8 wide.
+_PUSH_FLOOR = 0.03
 # this many model steps in a row must halve the bracket, else a midpoint follows
 _MODEL_RUN = 2
 # |Y|/L below which the solution checks treat a node as unresolved
@@ -694,23 +710,28 @@ def _assemble_solution(integ, v0, r_max, head, tail, seam):
     )
 
 
-def _escape_law(outcome, blowup: float, lam4: float, s_end: float) -> float:
-    """Escape-law value g of a shot's outcome at the horizon s_end: g >= 0 on
-    the blow-up side, g < 0 on the sign-loss side.
+def _escape_law(outcome, blowup: float, lam4: float, s_end: float, s_ref: float) -> float:
+    """Escape-law value g of a shot's outcome, classified at the horizon
+    s_end, against the reference horizon s_ref <= s_end: g >= 0 on the
+    blow-up side, g < 0 on the sign-loss side.
 
-    A shot that reaches the horizon has g = its end residual W/L - 1 (the
+    A shot that reaches s_end leaves its end residual W/L - 1 there (the
     true solution keeps Y < 0, so a positive residual means the unstable
     deviation points up).  An escape at s_ev left W/L - 1 at amp = blowup
-    (the integrator's, at its amplitude_cross event) or -1 (sign loss); g
-    carries it to the horizon along the unstable mode,
-    amp e^{lam4 (s_end - s_ev)}.  Near the separatrix every escape obeys
-    log|v0 - v0*| + lam4 s_ev = K, with one K per side, so on each side g
-    is linear in v0 with its own slope.
+    (the integrator's, at its amplitude_cross event) or -1 (sign loss),
+    which the unstable mode would carry to amp e^{lam4 (s_end - s_ev)} at
+    s_end.  g is either value times the one factor e^{lam4 (s_ref - s_end)}
+    of the solve, which moves neither a sign nor the ratio of two values:
+    amp e^{lam4 (s_ref - s_ev)} for an escape.  Near the separatrix every
+    escape obeys log|v0 - v0*| + lam4 s_ev = K, with one K per side, so on
+    each side g is linear in v0 with its own slope.  The exponent is capped
+    at 700, so that g stays finite, for escapes more than 700 / lam4 before
+    s_ref only.
     """
     if isinstance(outcome, (BlowUp, SignLoss)):
         amp = blowup if isinstance(outcome, BlowUp) else -1.0
-        return amp * math.exp(min(700.0, lam4 * (s_end - math.log(outcome.r))))
-    return outcome
+        return amp * math.exp(min(700.0, lam4 * (s_ref - math.log(outcome.r))))
+    return outcome * math.exp(lam4 * (s_ref - s_end))
 
 
 def _model_point(pts, up, dn):
@@ -718,8 +739,12 @@ def _model_point(pts, up, dn):
 
     pts holds the (x, g) trials of the blow-up and the sign-loss side, the
     current bracket end last.  Each side's line through its two innermost
-    points predicts a root; the step goes from the end whose predicted root
-    is nearest, _PUSH of the step length past that root.
+    points predicts a root; the step goes from the end x0 whose predicted
+    root is nearest and lands past that root: by max(_PUSH_WIDE |step|,
+    _PUSH_FLOOR _BRACKET_STOP |x0|) while the bracket is wider than
+    _BRACKET_STOP |x0|, never closer to the root than that floor (Brent's
+    rule, Algorithms for Minimization without Derivatives, 1973, ch. 4), and
+    by _PUSH |step| inside it.
     """
     best = None
     for side_pts, far in zip(pts, (dn, up)):
@@ -733,7 +758,12 @@ def _model_point(pts, up, dn):
             best = (x0, step)
     if best is None:
         return None
-    x = best[0] + (1.0 + _PUSH) * best[1]
+    x0, step = best
+    if abs(up - dn) > _BRACKET_STOP * abs(x0):
+        past = max(_PUSH_WIDE * abs(step), _PUSH_FLOOR * _BRACKET_STOP * abs(x0))
+        x = x0 + step + math.copysign(past, step)
+    else:
+        x = x0 + (1.0 + _PUSH) * step
     return x if min(up, dn) < x < max(up, dn) else None
 
 
@@ -792,7 +822,8 @@ def shoot(params: ProblemParams, alpha: float = 1.0, r_max: float = 1e4) -> Radi
     with full shots, each one leg of Taylor steps at _SHOT_TOL (model
     steps on the values of _escape_law, kept safe by midpoints) until it is
     narrower than _BRACKET_STOP relative to v0 and its blow-up end's leg
-    reaches past r_switch, where its step ends are the collocation's guess;
+    reaches past r_switch, where its Taylor polynomials are the
+    collocation's guess;
     NoConvergence when it ends before that.  A misclassified trial leaves
     the root outside the bracket, which the collocation's guard turns into
     NoConvergence.  Shots are classified at r_cls = max(r_max, _R_HORIZON)
@@ -825,6 +856,7 @@ def _solve(integ, r_max):
     lam4 = integ.spec.lambdas[3]
     r_cls = max(r_max, _R_HORIZON) * math.exp(_S_PAD)
     s_cls = math.log(r_cls)
+    s_ref = min(s_cls, math.log(_R_LAW * math.exp(_S_PAD)))  # the escape law's reference horizon
     sqrt_p = math.sqrt(integ.p)
 
     def rung(k):
@@ -837,7 +869,7 @@ def _solve(integ, r_max):
         outcome, leg = integ.shot(v0, r_cls)
         if leg.ts[-1] > _R_SWITCH:
             legs[v0] = leg
-        g[v0] = _escape_law(outcome, integ.blowup, lam4, s_cls)
+        g[v0] = _escape_law(outcome, integ.blowup, lam4, s_cls, s_ref)
         return g[v0]
 
     # the opening: rung 0, then rung 1 when rung 0 blows up; on from the
@@ -894,11 +926,12 @@ def _collocate(integ, leg, up, dn, r_cls):
     is linear in the state.  The right one, l4 . y = 0, removes the
     unstable mode: l4, the left eigenvector for lam4 with l4 . e4 = 1,
     holds the coefficients of (mu - lam1)(mu - lam2)(mu - lam3), in
-    increasing powers, over prod_i (lam4 - lam_i).  The guess is leg, the
-    blow-up end's stage-1 leg, at its step ends past r_switch
-    mapped to the s-chart by _r_to_s_state, up to where |y0| <
-    _GUESS_FLOOR, then y there times e^{lam3 (s - s_a)}, on _BVP_NODES
-    uniform nodes.
+    increasing powers, over prod_i (lam4 - lam_i).  The guess, on
+    _BVP_NODES uniform nodes, is leg, the blow-up end's stage-1 leg, mapped
+    to the s-chart by _r_to_s_state: its Taylor polynomials at r = e^s (its
+    dense output, as _sample_state reads a leg) up to s_a, its first step
+    end past r_switch where |y0| < _GUESS_FLOOR, and y(s_a) e^{lam3 (s -
+    s_a)} beyond.
     One collocation.solve call, capped at _BVP_MAX_NODES, runs the problem
     in Newton rounds of its sixth-order MIRK formula: the first on the start
     mesh, each later one on the mesh the last one's rms defects predict (see
@@ -938,17 +971,20 @@ def _collocate(integ, leg, up, dn, r_cls):
         df_dy[3, 1:] = np.array([-c3, -c2, -c1])[:, None]
         return df_dy
 
+    def deviation(rr):
+        # (X - X*) / L of leg at the radii rr
+        return (_r_to_s_state(integ.n, integ.m, rr, leg(rr)) - x_star[:, None]) / L
+
     ts = np.array(leg.ts)
-    ends = np.array([[c[0] for c in lists] for lists in leg.steps] + [leg.y]).T  # the states at ts
-    beyond = ts > _R_SWITCH
-    rr = ts[beyond]
+    rr = ts[ts > _R_SWITCH]
     s = np.log(rr)
-    dev = (_r_to_s_state(integ.n, integ.m, rr, ends[:, beyond]) - x_star[:, None]) / L
+    dev = deviation(rr)
     below = np.nonzero(np.abs(dev[0]) < _GUESS_FLOOR)[0]
     a = int(below[0]) if below.size else int(np.argmin(np.abs(dev[0])))
     mesh = np.linspace(s0, s1, _BVP_NODES)
-    guess = np.array([np.interp(mesh, s[: a + 1], d[: a + 1]) for d in dev])
     past = mesh > s[a]
+    guess = np.empty((4, mesh.size))
+    guess[:, ~past] = deviation(np.exp(mesh[~past]))
     guess[:, past] = dev[:, a, None] * np.exp(lam3 * (mesh[past] - s[a]))
 
     where = f"over s in [{s0:.6g}, {s1:.6g}], v0 bracket [{dn:.17g}, {up:.17g}]"

@@ -33,10 +33,14 @@ from biharm.shooting import (
     _BVP_TOL,
     _DS,
     _EPS,
+    _GUESS_FLOOR,
     _MAX_BISECT,
     _PROBE_ANCHOR,
     _PROBE_HI,
     _PROBE_LO,
+    _PUSH,
+    _PUSH_FLOOR,
+    _PUSH_WIDE,
     _R_HORIZON,
     _R_SEED,
     _R_SWITCH,
@@ -526,20 +530,79 @@ def test_model_step_within_three_bisections_on_wrong_models():
         _assert_straddles(trials, _A_ROOT)
 
 
+@pytest.mark.parametrize("slope_up, slope_dn", [(2.3e12, 4.6e11), (4.6e11, 2.3e12)])
+def test_model_trials_land_just_past_the_predicted_root(slope_up, slope_dn, monkeypatch):
+    # On sides linear in x each side's line predicts the root itself, so
+    # every model trial lands past it by the rule's overshoot, measured
+    # from the end x0 it steps from (the end on the root's other side):
+    # max(_PUSH_WIDE |step|, _PUSH_FLOOR _BRACKET_STOP |x0|) while the
+    # bracket is wider than _BRACKET_STOP |x0|, and _PUSH |step| inside it.
+    # Each of the three occurs before the bracket collapses to adjacent
+    # floats.
+    plain, landed = biharm.shooting._model_point, []
+
+    def model_point(pts, up, dn):
+        x = plain(pts, up, dn)
+        if x is not None:
+            landed.append((x, up, dn))
+        return x
+
+    monkeypatch.setattr(biharm.shooting, "_model_point", model_point)
+    side = _escape_law_side(_A_ROOT, slope_up, slope_dn, [])
+    _bisect(side, _A_UP, _A_DN, done=_never, ends=(side(_A_UP), side(_A_DN)))
+    phases = Counter()
+    for x, up, dn in landed:
+        x0 = dn if x >= _A_ROOT else up
+        step = abs(_A_ROOT - x0)
+        floor = _PUSH_FLOOR * _BRACKET_STOP * abs(x0)
+        if abs(up - dn) <= _BRACKET_STOP * abs(x0):
+            phase, push = "inside", _PUSH * step
+        else:
+            phase, push = ("floor", floor) if floor > _PUSH_WIDE * step else ("step", _PUSH_WIDE * step)
+        assert abs(abs(x - _A_ROOT) - push) <= 1e-6 * push + 4.0 * math.ulp(_A_ROOT)
+        phases[phase] += 1
+    assert set(phases) == {"step", "floor", "inside"}
+
+
 def test_escape_law_values():
     # shots that reach the horizon give their end residual; escapes carry
     # their event amplitude (the blow-up amplitude, 0.5 up to p = 41, or -1
     # at sign loss) to the horizon along e^{lam4 s}
     lam4, s_end = 3.0, math.log(100.0)
-    assert _escape_law(BlowUp(r=10.0), 0.5, lam4, s_end) == pytest.approx(0.5 * 10.0**lam4, rel=1e-12)
-    assert _escape_law(SignLoss(r=50.0), 0.5, lam4, s_end) == pytest.approx(-(2.0**lam4), rel=1e-12)
-    assert _escape_law(-0.25, 0.5, lam4, s_end) == -0.25
-    assert _escape_law(0.125, 0.5, lam4, s_end) == 0.125
-    assert _escape_law(BlowUp(r=1e-300), 0.5, lam4, s_end) == 0.5 * math.exp(700.0)  # capped, still finite
+    assert _escape_law(BlowUp(r=10.0), 0.5, lam4, s_end, s_end) == pytest.approx(0.5 * 10.0**lam4, rel=1e-12)
+    assert _escape_law(SignLoss(r=50.0), 0.5, lam4, s_end, s_end) == pytest.approx(-(2.0**lam4), rel=1e-12)
+    assert _escape_law(-0.25, 0.5, lam4, s_end, s_end) == -0.25
+    assert _escape_law(0.125, 0.5, lam4, s_end, s_end) == 0.125
+    assert _escape_law(BlowUp(r=1e-300), 0.5, lam4, s_end, s_end) == 0.5 * math.exp(700.0)  # capped, still finite
     # at large p (p = 2817, about 100 p_c at n = 13) a blow-up leaves
     # W/L - 1 = 20 / (p - 1)
     amp = 20.0 / 2816.0
-    assert _escape_law(BlowUp(r=10.0), amp, lam4, s_end) == pytest.approx(amp * 10.0**lam4, rel=1e-12)
+    assert _escape_law(BlowUp(r=10.0), amp, lam4, s_end, s_end) == pytest.approx(amp * 10.0**lam4, rel=1e-12)
+    # against a nearer reference horizon s_ref every value is the one at
+    # s_end times e^{lam4 (s_ref - s_end)}: signs and ratios stay, and an
+    # escape 100 / lam4 before s_ref, which the cap clipped at a horizon
+    # 650 / lam4 past s_ref, keeps its ratio to one at s_ref
+    s_ref = math.log(10.0)
+    assert _escape_law(BlowUp(r=10.0), 0.5, lam4, s_end, s_ref) == 0.5
+    assert _escape_law(SignLoss(r=5.0), 0.5, lam4, s_end, s_ref) == pytest.approx(-(2.0**lam4), rel=1e-12)
+    assert _escape_law(-0.25, 0.5, lam4, s_end, s_ref) == pytest.approx(-0.25 * 10.0**-lam4, rel=1e-12)
+    far, early = s_ref + 650.0 / lam4, math.exp(s_ref - 100.0 / lam4)
+    assert _escape_law(BlowUp(r=early), 0.5, lam4, far, far) == 0.5 * math.exp(700.0)
+    ratio = (_escape_law(BlowUp(r=early), 0.5, lam4, far, s_ref)
+             / _escape_law(BlowUp(r=10.0), 0.5, lam4, far, s_ref))
+    assert ratio == pytest.approx(math.exp(100.0), rel=1e-12)
+
+
+def test_escape_law_does_not_saturate_on_tall_solves(sol_a):
+    # At phi(0) = alpha the solve at phi(0) = 1 classifies its shots out to
+    # kappa r_max, kappa = alpha^(1/m): about r = 1e142 at alpha = 1e20 on
+    # case A, where an escape carried to that horizon passed the exponent
+    # cap 700, every value on a side read the same and only midpoints
+    # followed (27 trials against 7).  Against the reference horizon the
+    # values keep their ratios and the search its model steps.
+    for alpha in (1e15, 1e20):
+        sol = shoot(sol_a.params, alpha=alpha, r_max=1e4)
+        assert sol.n_bisect <= sol_a.n_bisect + 1
 
 
 @pytest.mark.parametrize("p_of_pc", [lambda pc: pc, lambda pc: 41.0, lambda pc: 1000.0 * pc],
@@ -629,7 +692,8 @@ def test_crossing_is_the_bisection_float_on_every_escape(n, dp, monkeypatch):
     # every firing step of a whole shoot of A, B and C, stage 1's legs
     # among them: the Newton-narrowed escape radius is the float bisection
     # returns, in at most a quarter of its evaluations of the step
-    # polynomial (measured 5.6-5.8 against 47-49 per escape)
+    # polynomial (measured 5.6-5.8 against 47-49 per escape); every leg of
+    # the solve's record that ended in an escape was seen
     plain, seen = biharm.shooting._crossing, []
 
     def crossing(g, lo, hi):
@@ -639,8 +703,9 @@ def test_crossing_is_the_bisection_float_on_every_escape(n, dp, monkeypatch):
         return got
 
     monkeypatch.setattr(biharm.shooting, "_crossing", crossing)
-    shoot(ProblemParams(n, compute_pc(n) + dp), alpha=1.0, r_max=1e4)
-    assert len(seen) >= 9
+    sol = shoot(ProblemParams(n, compute_pc(n) + dp), alpha=1.0, r_max=1e4)
+    escapes = [leg for leg in sol.record.legs if leg[3] == 1]
+    assert escapes and len(seen) == len(escapes)
     assert [got for got, *_ in seen] == [want for _, _, want, _ in seen]
     assert sum(evals for _, evals, _, _ in seen) <= 0.25 * sum(evals for *_, evals in seen)
 
@@ -1253,6 +1318,42 @@ def test_tangent_state_matches_full_shot(sol_quick, monkeypatch):
     assert np.max(np.abs(start(up) - start(dn))) / scale > 1e-7
     for v in (up, dn):
         assert np.max(np.abs(bvp.conditions(start(v), np.zeros(4), v)[:4])) / scale < 1e-10
+
+
+def test_collocation_guess_is_the_blow_up_legs_dense_output(sol_b, monkeypatch):
+    # The guess on the start mesh up to s_a, the first step end of the
+    # blow-up end's stage-1 leg past r_switch where |y0| < _GUESS_FLOOR, is
+    # that leg's Taylor polynomials at r = e^s mapped by _r_to_s_state, bit
+    # for bit; past s_a it is y(s_a) e^{lam3 (s - s_a)}.  On case B, whose
+    # round 1 took 6 Newton iterations from the linear interpolation between
+    # the leg's step ends, round 1 takes at most 3.
+    plain, legs = biharm.shooting._collocate, []
+
+    def collocate(integ, leg, up, dn, r_cls):
+        legs.append((integ, leg))
+        return plain(integ, leg, up, dn, r_cls)
+
+    monkeypatch.setattr(biharm.shooting, "_collocate", collocate)
+    sol, calls = _record_collocation(sol_b.params, 1e4, monkeypatch)
+    assert sol.v0 == sol_b.v0
+    ((integ, leg),) = legs
+    (_, mesh, guess, _, _), _ = calls[0]
+    x_star = np.array([integ.L, 0.0, 0.0, 0.0])
+
+    def deviation(rr):
+        return (_r_to_s_state(integ.n, integ.m, rr, leg(rr)) - x_star[:, None]) / integ.L
+
+    ends = np.array(leg.ts)
+    ends = ends[ends > _R_SWITCH]
+    dev = deviation(ends)
+    a = int(np.nonzero(np.abs(dev[0]) < _GUESS_FLOOR)[0][0])
+    s_a = math.log(ends[a])
+    below = mesh <= s_a
+    assert np.count_nonzero(below) >= 20 and not np.all(below)
+    assert np.array_equal(guess[:, below], deviation(np.exp(mesh[below])))
+    lam3 = integ.spec.lambdas[2]
+    assert np.array_equal(guess[:, ~below], dev[:, a, None] * np.exp(lam3 * (mesh[~below] - s_a)))
+    assert sol_b.record.rounds[0][1] <= 3
 
 
 def test_tangent_slope_is_the_derivative_of_the_r_switch_state(sol_quick):

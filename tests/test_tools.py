@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 import biharm.shooting
 from biharm import compute_ladder
+from biharm.shooting import _R_SWITCH
 from biharm.cli import main
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -173,6 +174,60 @@ def test_shoot_cells_diff_reads_collocation_meshes(capsys):
     assert "last-round Newton iterations (new): 0" in out
 
 
+def test_shoot_cells_diff_counts_every_rounds_newton_iterations(capsys):
+    # next to the last round's, every round's Newton iterations summed per
+    # side and one "all-round newton moved" line per cell whose sum moved:
+    # A's round 1 drops from 6 to 3 iterations while its last round keeps
+    # 1, which the last-round count does not show; B keeps both; C
+    # collocates only in OLD
+    old = {label: _ok("0x1p-2", 5, 9) for label in "ABC"}
+    new = {label: _ok("0x1p-2", 5, 9) for label in "ABC"}
+    for rec, first in ((old, 6), (new, 3)):
+        rec["A"]["record"]["rounds"] = [{"nodes": 200, "newton": first, "max_rms": 1e-8, "predicted": 296},
+                                        *_rounds(296, 1)]
+    old["B"]["record"]["rounds"] = new["B"]["record"]["rounds"] = _rounds(684, 2, newton=2)
+    old["C"]["record"]["rounds"] = _rounds(200, 1, newton=4)
+    assert shoot_cells.diff(old, new) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "last-round Newton iterations (old): 7" in out
+    assert "last-round Newton iterations (new): 3" in out
+    assert [line for line in out if line.startswith("newton moved")] == ["newton moved: C 4 -> -"]
+    assert "all-round Newton iterations (old): 21" in out
+    assert "all-round Newton iterations (new): 14" in out
+    assert [line for line in out if line.startswith("all-round newton moved")] == [
+        "all-round newton moved: A 7 -> 4", "all-round newton moved: C 4 -> -"]
+
+
+def test_shoot_cells_diff_names_an_unconfirmed_v0(capsys):
+    # per side, one line per solved cell whose v0's eps shot escapes no
+    # farther out than both bracket ends' shots: A's between its ends' (a
+    # wrong v0 that passed every invariant once, 46.1 between 44.7 and
+    # 46.5) in NEW, B's before both in OLD; C's v0 reaches the horizon (an
+    # end does too) and D's escapes past both, which confirms them, and a
+    # failed solve (F) records no radii.  An ok cell whose v0 NEW refutes
+    # exits 1, one that fails an invariant (E) prints its line only.
+    old = {label: _ok("0x1p-2", 5, 9) for label in "ABCD"}
+    old["E"] = _ok("0x1p-2", 5, 9, passed=False)
+    old["F"] = _failed("NoConvergence", 7, 8)
+    inf = float("inf")
+    for label, v0, up, dn in (("A", 47.0, 46.5, 44.7), ("B", 40.0, 46.5, 44.7), ("C", inf, inf, 310.0),
+                              ("D", 90.9, 45.5, 49.9), ("E", 40.0, 46.5, 44.7)):
+        old[label]["confirm"] = {"v0": v0, "up": up, "dn": dn}
+    new = json.loads(json.dumps(old))
+    new["A"]["confirm"]["v0"] = 46.1
+    new["B"]["confirm"]["v0"] = 50.0
+    assert shoot_cells.diff(old, new) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("v0 not confirmed")] == [
+        "v0 not confirmed: B (old) escapes at r = 40, its bracket's ends at 46.5 and 44.7",
+        "v0 not confirmed: E (old) escapes at r = 40, its bracket's ends at 46.5 and 44.7",
+        "v0 not confirmed: A (new) escapes at r = 46.1, its bracket's ends at 46.5 and 44.7",
+        "v0 not confirmed: E (new) escapes at r = 40, its bracket's ends at 46.5 and 44.7",
+    ]
+    new["A"]["confirm"]["v0"] = 47.0
+    assert shoot_cells.diff(old, new) == 0
+
+
 def test_shoot_cells_diff_totals_step_failures(capsys):
     # each side's legs that ended in a step failure, summed over cells and
     # charts; a cell whose count rises gets its own line, one whose count
@@ -224,16 +279,22 @@ def test_shoot_cells_trials_sum_to_n_bisect():
     assert 1 < charts["v"]["nfev"] < 20
     assert len(rec["w_sha256"]) == 64 and 0.0 < rec["seam_residual"] < 1e-11
     assert [(r["nodes"], r["predicted"]) for r in record["rounds"]] == [(200, 296), (296, None)]
+    # the v0 confirmation: B's v0 shot at eps reaches the horizon, and
+    # those from its bracket's ends escape before it
+    radii = rec["confirm"]
+    assert radii["v0"] == float("inf") and _R_SWITCH < min(radii["up"], radii["dn"]) < radii["v0"]
+    assert not shoot_cells.unconfirmed(rec)
 
 
 def test_shoot_cells_record_is_the_solve_payload(pc13, tmp_path):
-    # the one writer: a cell's record without its three hashes and its
-    # expand record is `biharm solve`'s JSON for the same solve
+    # the one writer: a cell's record without its three hashes, its expand
+    # record and its v0 confirmation is `biharm solve`'s JSON for the same
+    # solve
     rec = shoot_cells.shoot_cell("quick")
     res = CliRunner().invoke(main, ["solve", "--n", "13", "--p", repr(pc13 + 0.5),
                                     "--r-max", "500", "--out", str(tmp_path / "d.csv")])
     assert res.exit_code == 0, res.output
-    for key in ("v0_hex", "dump_sha256", "w_sha256", "expand"):
+    for key in ("v0_hex", "dump_sha256", "w_sha256", "expand", "confirm"):
         rec.pop(key)
     assert json.loads(json.dumps(rec)) == json.loads(res.stdout)
 

@@ -21,7 +21,10 @@ A cell's record is `biharm solve`'s report of its solve, as biharm.verify
 writes it: solve_payload, whose "record" is the solve's SolveRecord, or
 error_payload for a solve that raised a typed error.  A solve that returns
 adds v0_hex (v0's float hex), the SHA-256 of its dump_solution text
-(dump_sha256) and of its W array's bytes (w_sha256), and under "expand"
+(dump_sha256) and of its W array's bytes (w_sha256), under "confirm" the
+radii at which a shot at eps from v0 and from each end of its stage-1
+bracket escapes (keys "v0", "up", "dn", at phi(0) = 1; inf at the
+classification horizon), and under "expand"
 `biharm expand`'s pipeline on it: fit_payload with the five expansion
 invariants, or error_payload.  Nothing in the output depends on timing, so
 two trees can be compared with a plain diff.
@@ -46,17 +49,24 @@ identical.  Then it prints
 |dv0|/|v0| per cell whose v0 differs and the largest, one "v0 outside
 bracket: <cell> <off/width> (<side>)" line per cell and side whose v0 (at
 phi(0) = 1) lies outside its stage-1 bracket, off its distance from the
-bracket and width the bracket's width, the totals (RHS
+bracket and width the bracket's width, one "v0 not confirmed: <cell>
+(<side>) ..." line per solved cell and side whose v0's eps shot escapes,
+and no farther out than both bracket ends' do (a v0 off the separatrix
+by more than its bracket; a v0 whose shot reaches the horizon counts as
+confirmed), the totals (RHS
 evaluations, per chart and by rtol on each side; step failures, with one
 "step failures rose" line per cell whose count rose; stage-1 shots;
 trials), the count of cells whose nodes/rounds moved, the last rounds'
 Newton iterations summed on each side, with one "newton moved" line per
-cell whose count moved, the ok counts, one "error class changed" line per
+cell whose count moved, then every round's Newton iterations summed on
+each side, with one "all-round newton moved" line per cell whose sum
+moved, the ok counts, one "error class changed" line per
 cell whose solve (or expand) raised a different typed error on each side,
 one "invariant moved: <cell> <name> old -> new" line per invariant whose
 value differs, the identical dumps, and each cell's expand outcome on both
-sides with the expand-ok counts.  It exits 1 when a cell that is ok in OLD is not ok in NEW, or
-expand-ok in OLD and not in NEW.
+sides with the expand-ok counts.  It exits 1 when a cell that is ok in
+OLD is not ok in NEW, expand-ok in OLD and not in NEW, or ok in NEW with
+a v0 that is not confirmed there.
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -137,10 +148,41 @@ def shoot_cell(label: str) -> dict:
         rec["expand"] = fit_payload(sol, fit, drift, invariants)
     dump = io.StringIO()
     dump_solution(sol, dump)
+    rec["confirm"] = confirm(sol, r_max)
     rec["v0_hex"] = float(sol.v0).hex()
     rec["dump_sha256"] = hashlib.sha256(dump.getvalue().encode()).hexdigest()
     rec["w_sha256"] = hashlib.sha256(sol.W.tobytes()).hexdigest()
     return rec
+
+
+def confirm(sol, r_max: float) -> dict:
+    """The radii, at phi(0) = 1, at which a shot at eps from the solve's v0
+    and from each end of its stage-1 bracket escapes (inf when it reaches
+    the classification horizon max(kappa r_max, r_horizon) e^pad): keys
+    "v0", "up" and "dn"."""
+    from biharm.shooting import _EPS, _R_HORIZON, _S_PAD, BlowUp, SignLoss, _Integrator
+
+    m = sol.params.m
+    kappa = sol.alpha ** (1.0 / m)
+    integ = _Integrator(sol.params)
+    r_cls = max(kappa * r_max, _R_HORIZON) * math.exp(_S_PAD)
+
+    def radius(v):
+        out, _ = integ.shot(v, r_cls, _EPS)
+        return out.r if isinstance(out, (BlowUp, SignLoss)) else math.inf
+
+    up, dn = sol.record.bracket
+    return {"v0": radius(sol.v0 / kappa ** (m + 2.0)), "up": radius(up), "dn": radius(dn)}
+
+
+def unconfirmed(rec: dict) -> bool:
+    """Whether the shots refute a solve's v0: its eps shot escapes, and no
+    farther out than both bracket ends' shots do.  A v0 whose shot reaches
+    the horizon is confirmed as far as the horizon resolves.  False for a
+    record without radii (a failed solve, or a record that predates
+    them)."""
+    radii = rec.get("confirm")
+    return radii is not None and radii["v0"] < math.inf and radii["v0"] <= max(radii["up"], radii["dn"])
 
 
 def outcome(rec: dict) -> str:
@@ -203,6 +245,11 @@ def diff(old: dict, new: dict) -> int:
         rounds = rec["record"]["rounds"]
         return rounds[-1]["newton"] if rounds else "-"
 
+    def newton_all(rec):
+        # every round's Newton iterations, summed; "-" without a round
+        rounds = rec["record"]["rounds"]
+        return sum(r["newton"] for r in rounds) if rounds else "-"
+
     labels = [label for label in old if label in new]
     rows = [("cell", "old", "new", "rhs old", "rhs new", "shots", "trials", "mesh", "v0", "W", "dump")]
     lost = []
@@ -236,6 +283,15 @@ def diff(old: dict, new: dict) -> int:
             off = outside_bracket(rec[label])
             if off is not None:
                 print(f"v0 outside bracket: {label} {off:.3g} ({side})")
+    unconfirmed_new = []  # ok cells in NEW whose v0 the shots refute
+    for side, rec in (("old", old), ("new", new)):
+        for label in labels:
+            if unconfirmed(rec[label]):
+                radii = rec[label]["confirm"]
+                print(f"v0 not confirmed: {label} ({side}) escapes at r = {radii['v0']:.6g}, "
+                      f"its bracket's ends at {radii['up']:.6g} and {radii['dn']:.6g}")
+                if side == "new" and outcome(rec[label]) == "ok":
+                    unconfirmed_new.append(label)
     rhs_old = sum(rhs(old[label]) for label in labels)
     rhs_new = sum(rhs(new[label]) for label in labels)
     print(f"RHS evaluations: {rhs_old} -> {rhs_new} ({rhs_new / rhs_old - 1.0:+.1%})")
@@ -263,13 +319,15 @@ def diff(old: dict, new: dict) -> int:
     if both:
         moved = sum(mesh(old[label]) != mesh(new[label]) for label in both)
         print(f"collocation meshes moved: {moved} of {len(both)}")
-    for side, rec in (("old", old), ("new", new)):
-        total = sum(newton(rec[label]) for label in labels if newton(rec[label]) != "-")
-        print(f"last-round Newton iterations ({side}): {total}")
-    for label in labels:
-        a, b = newton(old[label]), newton(new[label])
-        if a != b:
-            print(f"newton moved: {label} {a} -> {b}")
+    for count, what, moved in ((newton, "last-round", "newton moved"),
+                               (newton_all, "all-round", "all-round newton moved")):
+        for side, rec in (("old", old), ("new", new)):
+            total = sum(count(rec[label]) for label in labels if count(rec[label]) != "-")
+            print(f"{what} Newton iterations ({side}): {total}")
+        for label in labels:
+            a, b = count(old[label]), count(new[label])
+            if a != b:
+                print(f"{moved}: {label} {a} -> {b}")
     ok_old = sum(outcome(old[label]) == "ok" for label in labels)
     ok_new = sum(outcome(new[label]) == "ok" for label in labels)
     print(f"ok: {ok_old} -> {ok_new} of {len(labels)}")
@@ -300,7 +358,7 @@ def diff(old: dict, new: dict) -> int:
         print(f"ok cells lost: {', '.join(lost)}")
     if lost_expand:
         print(f"expand ok cells lost: {', '.join(lost_expand)}")
-    return 1 if lost or lost_expand else 0
+    return 1 if lost or lost_expand or unconfirmed_new else 0
 
 
 def main() -> None:
